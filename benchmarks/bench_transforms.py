@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.program import TransformedLoop, enumerate_variants
+from repro.program import enumerate_variants
 from repro.runtime import Runtime
 from repro.util.tables import TextTable
 from repro.workload import stencil_program, sweep_program
@@ -100,7 +100,7 @@ def test_transformed_bitwise_and_strict_win(save_table):
     for label, prog in _programs().items():
         rt = Runtime(nproc=NPROC)
         loop = rt.compile(prog, strategy="auto")
-        assert isinstance(loop, TransformedLoop), (
+        assert loop.plan.kind == "staged", (
             f"{label}: expected a transformed winner")
         pv = loop.verdict
         out = _outputs(prog, loop())

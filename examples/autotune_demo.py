@@ -78,7 +78,7 @@ def main() -> None:
               f"disk hits={rt2.tuning_stats.disk_hits}")
 
         # --------------------------------------------------------------
-        # 4. A tuned program is a BoundLoop: execute, check, rebind
+        # 4. A tuned program loop carries its program: execute, check, rebind
         # --------------------------------------------------------------
         n = prog.n
         ia = rng.integers(0, n, size=n)

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: byte-compile the library, then run the tier-1 test suite.
+# Repo check: byte-compile the library, guard the one-loop-type rule,
+# then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -13,6 +14,15 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall: src =="
 python -m compileall -q src
+
+echo "== one loop type: no second loop class under src =="
+# CompiledLoop(plan) replaced these; the fork must not grow back.
+forked='BoundLoop|SpeculativeLoop|SpeculativeBoundLoop|TransformedLoop'
+forked="$forked|_SpeculativeInspection|_BundleInspection|_fallback_tiers"
+if grep -rnE "$forked" src --include='*.py'; then
+    echo "error: a name the single CompiledLoop replaced reappeared" >&2
+    exit 1
+fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"

@@ -46,7 +46,7 @@ from .core.doconsider import doconsider, DoconsiderLoop, DoconsiderResult
 from .core.transform import parallelize, parallelize_source, ParallelizedLoop
 from .core.inspector import Inspector, InspectionResult
 from .machine.costs import MachineCosts, MULTIMAX_320
-from .program import At, BoundLoop, LoopProgram
+from .program import At, LoopProgram
 from .runtime import (
     Runtime,
     CompiledLoop,
@@ -76,11 +76,10 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "At",
-    "BoundLoop",
     "LoopProgram",
     "Runtime",
     "CompiledLoop",

@@ -5,12 +5,15 @@ iteration reads and writes (:class:`At` descriptors, the ``from_*``
 convenience constructors, or :meth:`LoopProgram.record`'s trace
 recorder), and the :class:`LoopProgram` owns dependence extraction and
 kernel binding.  Compiling a program through
-:class:`~repro.runtime.Runtime` returns a :class:`BoundLoop`, whose
-:meth:`~BoundLoop.rebind` swaps data arrays with zero inspector work —
-the paper's amortisation argument made first-class.
+:class:`~repro.runtime.Runtime` returns a
+:class:`~repro.runtime.CompiledLoop` carrying the program, whose
+``rebind`` swaps data arrays with zero inspector work — the paper's
+amortisation argument made first-class.  The transform passes rewrite a
+program before it is scheduled; :class:`StagedPlan` is the plan such a
+loop runs when a rewrite wins.
 """
 
-from .binding import BoundLoop, LoopProgram
+from .binding import LoopProgram
 from .descriptors import At, ResolvedAccess, Statement
 from .extraction import extract_dependences, extract_statement_dependences
 from .recording import RecordedKernel, StatementReplayKernel, record_trace
@@ -18,7 +21,7 @@ from .transform import (
     IterationMap,
     MappedKernel,
     Stage,
-    TransformedLoop,
+    StagedPlan,
     Variant,
     enumerate_variants,
     fission,
@@ -28,16 +31,15 @@ from .transform import (
 
 __all__ = [
     "At",
-    "BoundLoop",
     "IterationMap",
     "LoopProgram",
     "MappedKernel",
     "RecordedKernel",
     "ResolvedAccess",
     "Stage",
+    "StagedPlan",
     "Statement",
     "StatementReplayKernel",
-    "TransformedLoop",
     "Variant",
     "enumerate_variants",
     "extract_dependences",

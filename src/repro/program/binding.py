@@ -1,4 +1,4 @@
-"""`LoopProgram` and `BoundLoop` — declare once, execute many, rebind cheaply.
+"""`LoopProgram` — declare once, execute many, rebind cheaply.
 
 The paper's whole premise is that the *access pattern* is the run-time
 input and everything else — dependence graph, schedule, execution — is
@@ -6,8 +6,9 @@ derived.  :class:`LoopProgram` makes that the API: declare ``n``, the
 reads and writes (:class:`~repro.program.descriptors.At` descriptors),
 and the kernel, and the program owns dependence extraction and kernel
 binding.  Compiling through a :class:`~repro.runtime.Runtime` yields a
-:class:`BoundLoop` — a :class:`~repro.runtime.CompiledLoop` whose
-kernel is already attached::
+:class:`~repro.runtime.CompiledLoop` with the program and its kernel
+already attached, whatever plan (scheduled, speculative, staged) the
+session chose to run it::
 
     prog = LoopProgram.from_indirection(ia, x=x0, b=b)
     loop = rt.compile(prog)          # schedule + kernel, bound
@@ -30,12 +31,11 @@ import hashlib
 import numpy as np
 
 from ..errors import ValidationError
-from ..runtime.session import CompiledLoop
 from .descriptors import At, Statement
 from .extraction import extract_dependences, extract_statement_dependences
 from .recording import RecordedKernel, StatementReplayKernel, record_trace
 
-__all__ = ["LoopProgram", "BoundLoop"]
+__all__ = ["LoopProgram"]
 
 
 class LoopProgram:
@@ -52,7 +52,7 @@ class LoopProgram:
     kernel:
         Either a ready :class:`~repro.core.executor.LoopKernel`
         instance, or a factory called as ``kernel(**data)`` — the
-        factory form is what makes :meth:`BoundLoop.rebind` possible.
+        factory form is what makes ``loop.rebind`` possible.
         ``None`` declares a dependence-only program (compiling it
         yields an unbound loop that takes the kernel per call).
     data:
@@ -216,7 +216,7 @@ class LoopProgram:
         """Digest of everything the dependence extraction consumes.
 
         Two programs with equal hashes have identical dependence
-        structure; the hash is what :meth:`BoundLoop.rebind` checks
+        structure; the hash is what ``loop.rebind`` checks
         before deciding a recompile is needed.  Single-statement
         programs hash exactly as before the statement layer existed;
         multi-statement programs additionally fold in the statement
@@ -262,7 +262,7 @@ class LoopProgram:
 
         True for factory kernels (rebuilt per binding) and kernel-free
         programs; False for a ready-made kernel *instance*, whose
-        captured arrays :meth:`BoundLoop.rebind` cannot replace.
+        captured arrays ``loop.rebind`` cannot replace.
         """
         return self.kernel is None or self._kernel_is_factory()
 
@@ -468,69 +468,3 @@ class LoopProgram:
         return (f"LoopProgram({label and label + ', '}n={self.n}, "
                 f"reads={len(self.reads)}, writes={len(self.writes)}, "
                 f"bound={self.kernel is not None})")
-
-
-class BoundLoop(CompiledLoop):
-    """A compiled loop with its program and kernel attached.
-
-    Everything a :class:`~repro.runtime.CompiledLoop` does, plus:
-    calling it with no kernel runs the program's own, and
-    :meth:`rebind` swaps data without touching the inspector.
-    """
-
-    def __init__(self, *args, program: LoopProgram, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.program = program
-        #: Data-only rebinds served without any inspector work.
-        self.rebinds = 0
-
-    def rebind(self, **arrays) -> "BoundLoop":
-        """Swap data arrays; recompile only if the structure changed.
-
-        Pure data swaps (anything that is not an index source, or index
-        sources whose values are unchanged) mutate this loop in place —
-        zero inspector work, zero cache traffic — and return ``self``.
-        A rebind that actually changes an index array returns a *new*
-        :class:`BoundLoop` compiled under the same strategy (or a fresh
-        ``strategy="auto"`` verdict when this loop was tuned).
-
-        Always use the return value (``loop = loop.rebind(...)``): it
-        is the loop bound to the new data in both cases, so callers
-        never run a stale schedule by accident.
-
-        Programs that bound a ready-made kernel *instance* cannot be
-        rebound — the instance's captured arrays are out of reach, so
-        honouring the call would silently keep executing the old data.
-        Declare the kernel as a factory (``kernel=lambda **data: ...``)
-        to make a program rebindable.
-        """
-        if arrays and not self.program.rebindable:
-            raise ValidationError(
-                "this program binds a ready-made kernel instance, so "
-                "rebound data could never reach execution; declare the "
-                "kernel as a factory (kernel=lambda **data: ...) to "
-                "make the program rebindable"
-            )
-        program = self.program.with_data(**arrays)
-        structural = set(arrays) & self.program.structural_names()
-        if structural and program.structure_hash() != self.program.structure_hash():
-            if self.verdict is not None:
-                return self.runtime.compile(program, strategy="auto")
-            return self.runtime.compile(
-                program,
-                executor=self.executor_name,
-                scheduler=self.scheduler_name,
-                assignment=self.assignment,
-                balance=self.balance,
-            )
-        self.program = program
-        self.bound_kernel = program.make_kernel()
-        self.rebinds += 1
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" {self.program.name!r}" if self.program.name else ""
-        return (f"BoundLoop({label and label + ', '}n={self.dep.n}, "
-                f"executor={self.executor_name!r}, "
-                f"scheduler={self.inspection.strategy!r}, "
-                f"rebinds={self.rebinds})")

@@ -14,7 +14,7 @@ can be
   per iteration (Figure 8's row structure);
 * a *string* — the name of an entry of the program's data dictionary
   holding any of the above.  Named indices are the rebindable kind:
-  ``BoundLoop.rebind(ia=...)`` can replace them, and the structure-hash
+  ``loop.rebind(ia=...)`` can replace them, and the structure-hash
   guard decides whether the dependence analysis must be redone.
 
 Descriptors are declarative: they carry no array *values*, only which

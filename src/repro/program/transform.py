@@ -23,10 +23,11 @@ caller's arrays and serial semantics are preserved by construction:
 as :class:`Variant` bundles for the tuner, which scores variants ×
 strategies with the same exact simulator and picks the cheapest
 (:meth:`Tuner.tune_program <repro.tuning.tuner.Tuner.tune_program>`).
-:class:`TransformedLoop` is the executable form of a multi-stage
-winner: stage loops run in order, written arrays thread forward, and
-``rebind`` keeps the amortisation story — data swaps never repay the
-inspection.
+:class:`StagedPlan` is the executable form of a transformed winner —
+the plan a :class:`~repro.runtime.CompiledLoop` runs when
+``strategy="auto"`` picks a rewrite: stage loops run in order, written
+arrays thread forward, and ``rebind`` keeps the amortisation story —
+data swaps never repay the inspection.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import numpy as np
 
 from ..core.executor import LoopKernel
 from ..errors import ValidationError
-from ..runtime.session import RunReport
-from ..util.timing import Stopwatch
+from ..machine.simulator import SimResult
+from ..resilience.recovery import RecoveryRecord
+from ..runtime.session import LoopPlan
 from .binding import LoopProgram
 from .descriptors import Statement
 
@@ -48,7 +50,7 @@ __all__ = [
     "MappedKernel",
     "Stage",
     "Variant",
-    "TransformedLoop",
+    "StagedPlan",
     "fission",
     "fuse",
     "skew",
@@ -453,225 +455,149 @@ def enumerate_variants(prog: LoopProgram) -> list:
 # Execution of a multi-stage winner
 # ----------------------------------------------------------------------
 
-class _BundleInspection:
-    """Inspection facade over a variant bundle (for RunReport/report)."""
-
-    def __init__(self, variant: Variant, stage_loops):
-        self.strategy = f"transform:{variant.name}"
-        self.pipeline_cost = float(sum(
-            loop.inspection.pipeline_cost for loop in stage_loops))
-        self.num_wavefronts = int(sum(
-            loop.inspection.num_wavefronts for loop in stage_loops))
-        self.schedule = None
-        self.wavefronts = None
-        self._variant = variant
-
-    @property
-    def dep(self):
-        return self._variant.source.dependence_graph()
+def _written_names(program: LoopProgram) -> list:
+    names = []
+    for acc in program.resolved_accesses()[1]:
+        if acc.array not in names:
+            names.append(acc.array)
+    return names
 
 
-class TransformedLoop:
-    """The executable form of a multi-stage variant winner.
+class StagedPlan(LoopPlan):
+    """Run a transform variant as one compiled loop per stage.
 
-    Duck-types the :class:`~repro.runtime.CompiledLoop` surface the
-    rest of the library leans on — ``loop()`` → :class:`RunReport`,
-    ``simulate()``, ``report()``, ``rebind()`` — while running one
-    compiled loop per stage in condensation order.  Arrays written by
-    an earlier stage are threaded into later stages through data-only
-    rebinds (no inspector work), and the bundle's simulated makespan
-    is the stage sum plus one barrier between consecutive stages —
-    exactly the quantity the tuner used to pick this variant.
+    Stage loops run in condensation order; arrays written by an earlier
+    stage are threaded into later stages through data-only rebinds (no
+    inspector work), and the simulated makespan is the stage sum plus
+    one barrier between consecutive stages — exactly the quantity the
+    tuner used to pick this variant.  The plan doubles as the
+    inspection summary of the whole bundle (summed costs and
+    wavefronts, the source program's dependence graph).
     """
 
-    def __init__(self, runtime, program: LoopProgram, variant: Variant,
-                 stage_loops, *, verdict=None):
-        self.runtime = runtime
-        self.program = program
+    kind = "staged"
+    scheduler_name = assignment = "bundle"
+    balance = "wrapped"
+    executor = schedule = wavefronts = None
+
+    def __init__(self, variant: Variant, stage_loops):
         self.variant = variant
+        #: One compiled loop per stage; entries are replaced in place
+        #: as rebinds thread arrays through.
         self.stage_loops = list(stage_loops)
-        #: The :class:`~repro.tuning.tuner.ProgramVerdict` behind this
-        #: compile (``None`` when assembled by hand).
-        self.verdict = verdict
-        self.inspection = _BundleInspection(variant, self.stage_loops)
-        self.executor_name = self.inspection.strategy
-        self.scheduler_name = "bundle"
-        self.assignment = "bundle"
-        self.balance = "wrapped"
+        self.runtime = self.stage_loops[0].runtime
+        self.executor_name = self.strategy = f"transform:{variant.name}"
+        self.pipeline_cost = float(sum(
+            loop.inspection.pipeline_cost for loop in self.stage_loops))
+        self.num_wavefronts = int(sum(
+            loop.inspection.num_wavefronts for loop in self.stage_loops))
         self.cache_hit = all(loop.cache_hit for loop in self.stage_loops)
         self.compile_count = max(
-            (loop.compile_count for loop in self.stage_loops), default=1)
-        self.executions = 0
-        self.rebinds = 0
-        self._default_sim = None
+            loop.compile_count for loop in self.stage_loops)
+        self._recoveries: list = []
 
-    # ------------------------------------------------------------------
     @property
     def dep(self):
-        return self.program.dependence_graph()
-
-    @property
-    def nproc(self) -> int:
-        return self.runtime.nproc
-
-    @property
-    def costs(self):
-        return self.runtime.costs
-
-    def _written_names(self, program: LoopProgram) -> list:
-        names = []
-        for acc in program.resolved_accesses()[1]:
-            if acc.array not in names:
-                names.append(acc.array)
-        return names
-
-    def _stage_outputs(self, stage: Stage, x) -> dict:
-        names = self._written_names(stage.program)
-        if x is None:
-            return {}
-        if isinstance(x, dict):
-            return dict(x)
-        return {names[0]: x} if names else {}
+        return self.variant.source.dependence_graph()
 
     # ------------------------------------------------------------------
-    def __call__(self, kernel=None, *, backend: str | None = None,
-                 timeout: float = 30.0, with_sim: bool = True) -> RunReport:
+    def execute(self, loop, kernel, backend, *, unit_work, timeout):
         if kernel is not None:
             raise ValidationError(
                 "a transformed loop executes its stage kernels; "
                 "per-call kernels are not supported"
             )
+        self._check_unit_work(unit_work)
+        self._recoveries = []
+        if not backend.needs_kernel:
+            return None, self.simulate()
         outputs: dict = {}
-        sw = Stopwatch().start()
         for k, stage in enumerate(self.variant.stages):
-            loop = self.stage_loops[k]
-            if outputs:
-                carry = {nm: arr for nm, arr in outputs.items()
-                         if nm in loop.program.data}
-                if carry:
-                    loop = loop.rebind(**carry)
-                    self.stage_loops[k] = loop
-            rep = loop(backend=backend, timeout=timeout, with_sim=False)
-            outputs.update(self._stage_outputs(stage, rep.x))
-        sw.stop()
-        self.executions += 1
-        written = self._written_names(self.program)
-        if not outputs:
-            x = None
-        elif len(written) == 1:
-            x = outputs[written[0]]
-        else:
-            x = {nm: outputs[nm] for nm in written if nm in outputs}
-        sim = self.simulate() if with_sim else None
-        cache = self.runtime.cache
-        return RunReport(
-            x=x,
-            sim=sim,
-            inspection=self.inspection,
-            backend=backend if backend is not None else self.runtime.backend,
-            executor=self.executor_name,
-            scheduler=self.inspection.strategy,
-            assignment=self.assignment,
-            cache_hit=self.cache_hit,
-            compile_count=self.compile_count,
-            executions=self.executions,
-            host_seconds=sw.elapsed,
-            cache_stats=cache.stats.snapshot() if cache is not None else None,
+            stage_loop = self.stage_loops[k]
+            carry = {nm: arr for nm, arr in outputs.items()
+                     if nm in stage_loop.program.data}
+            if carry:
+                stage_loop = self.stage_loops[k] = stage_loop.rebind(**carry)
+            rep = stage_loop(backend=backend.name, timeout=timeout,
+                             with_sim=False)
+            if rep.recovery is not None:
+                self._recoveries.append(rep.recovery)
+            if isinstance(rep.x, dict):
+                outputs.update(rep.x)
+            elif rep.x is not None:
+                outputs[_written_names(stage.program)[0]] = rep.x
+        written = _written_names(loop.program)
+        if not outputs:  # a backend that produces no numbers
+            return None, None
+        if len(written) == 1:
+            return outputs[written[0]], None
+        return {nm: outputs[nm] for nm in written if nm in outputs}, None
+
+    def finish(self, loop, report) -> None:
+        """Concatenate the stage loops' recovery records, stage order."""
+        records = self._recoveries
+        if not records:
+            return
+        report.recovery = RecoveryRecord(
+            attempts=[a for rec in records for a in rec.attempts],
+            tiers=list(dict.fromkeys(t for rec in records
+                                     for t in rec.tiers)),
+            final_tier=records[-1].final_tier,
+            recovered=True,
+            cause=records[0].cause,
         )
 
-    run = __call__
-
     # ------------------------------------------------------------------
-    def simulate(self, *, unit_work=None):
-        """Bundle timing: stage sum + one barrier between stages.
-
-        Stages are priced from their programs' declared accesses
-        (:meth:`LoopProgram.unit_work`) so every stage of every variant
-        charges the same per-statement work — the invariant that makes
-        cross-variant comparison meaningful.  ``unit_work`` overrides
-        are not supported on bundles.
-        """
-        from ..machine.simulator import SimResult
-
+    @staticmethod
+    def _check_unit_work(unit_work) -> None:
         if unit_work is not None:
             raise ValidationError(
                 "transformed loops price work from their stage "
                 "programs; per-call unit_work is not supported"
             )
-        if self._default_sim is None:
-            costs = self.runtime.costs
-            sims = [
-                loop.simulate(
-                    unit_work=stage.program.unit_work(costs))
-                for stage, loop in zip(self.variant.stages,
-                                       self.stage_loops)
-            ]
-            sync = costs.sync_cost(self.nproc) * (len(sims) - 1)
-            total = float(sum(s.total_time for s in sims)) + sync
-            busy = np.sum([s.busy for s in sims], axis=0)
-            self._default_sim = SimResult(
-                mode=f"transform:{self.variant.name}",
-                nproc=self.nproc,
-                total_time=total,
-                seq_time=float(sum(s.seq_time for s in sims)),
-                busy=busy,
-                idle=np.maximum(total - busy, 0.0),
-                sync_time=float(sum(s.sync_time for s in sims)) + sync,
-                num_phases=int(sum(s.num_phases for s in sims)),
-            )
-        return self._default_sim
+
+    def _simulate(self, unit_work) -> SimResult:
+        """Bundle timing: stage sum + one barrier between stages.
+
+        Stages are priced from their programs' declared accesses
+        (:meth:`LoopProgram.unit_work`) so every stage of every variant
+        charges the same per-statement work — the invariant that makes
+        cross-variant comparison meaningful.
+        """
+        self._check_unit_work(unit_work)
+        costs, nproc = self.runtime.costs, self.runtime.nproc
+        sims = [
+            loop.simulate(unit_work=stage.program.unit_work(costs))
+            for stage, loop in zip(self.variant.stages, self.stage_loops)
+        ]
+        sync = costs.sync_cost(nproc) * (len(sims) - 1)
+        total = float(sum(s.total_time for s in sims)) + sync
+        busy = np.sum([s.busy for s in sims], axis=0)
+        return SimResult(
+            mode=self.strategy,
+            nproc=nproc,
+            total_time=total,
+            seq_time=float(sum(s.seq_time for s in sims)),
+            busy=busy,
+            idle=np.maximum(total - busy, 0.0),
+            sync_time=float(sum(s.sync_time for s in sims)) + sync,
+            num_phases=int(sum(s.num_phases for s in sims)),
+        )
 
     def report(self) -> dict:
-        sim = self.simulate()
-        inspect_cost = self.inspection.pipeline_cost
-        saving = sim.seq_time - sim.total_time
-        return {
-            "executor": self.executor_name,
-            "scheduler": self.inspection.strategy,
-            "assignment": self.assignment,
-            "n": self.program.n,
-            "nproc": self.nproc,
-            "variant": self.variant.name,
-            "num_stages": len(self.variant.stages),
-            "num_wavefronts": self.inspection.num_wavefronts,
-            "cache_hit": self.cache_hit,
-            "compile_count": self.compile_count,
-            "tuned": self.verdict is not None,
-            "executions": self.executions,
-            "inspect_cost": inspect_cost,
-            "parallel_time": sim.total_time,
-            "seq_time": sim.seq_time,
-            "efficiency": sim.efficiency,
-            "break_even_executions": (
-                inspect_cost / saving if saving > 0.0 else float("inf")
-            ),
-        }
+        return {"variant": self.variant.name,
+                "num_stages": len(self.variant.stages)}
 
     # ------------------------------------------------------------------
-    def rebind(self, **arrays):
-        """Swap data arrays; recompile (re-tune) only on structure change.
-
-        Data-only rebinds push the new arrays into every stage loop in
-        place — zero inspector work, the multi-stage version of
-        :meth:`BoundLoop.rebind <repro.program.BoundLoop.rebind>`.  A
-        structural change re-enters ``strategy="auto"``, which
-        re-tunes variants × strategies for the new structure.
-        """
-        program = self.program.with_data(**arrays)
-        structural = set(arrays) & self.program.structural_names()
-        if (structural
-                and program.structure_hash() != self.program.structure_hash()):
-            return self.runtime.compile(program, strategy="auto")
-        self.program = program
-        for k, loop in enumerate(self.stage_loops):
+    def rebound(self, program, arrays) -> LoopPlan:
+        """Push the new arrays into every stage loop that binds them."""
+        for k, stage_loop in enumerate(self.stage_loops):
             carry = {nm: v for nm, v in arrays.items()
-                     if nm in loop.program.data}
+                     if nm in stage_loop.program.data}
             if carry:
-                self.stage_loops[k] = loop.rebind(**carry)
-        self.rebinds += 1
+                self.stage_loops[k] = stage_loop.rebind(**carry)
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TransformedLoop(variant={self.variant.name!r}, "
-                f"stages={len(self.variant.stages)}, "
-                f"n={self.program.n}, nproc={self.nproc})")
+    def compile_kwargs(self) -> dict:
+        # A new structure re-tunes variants × strategies.
+        return {"strategy": "auto"}

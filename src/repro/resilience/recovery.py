@@ -5,14 +5,17 @@ execution — a worker crash (:class:`~repro.errors.ExecutionError`), a
 watchdog cancellation (:class:`~repro.errors.ExecutionTimeout`), a
 deadlocked schedule (:class:`~repro.errors.DeadlockError`) or an
 injected fault — is retried on the same tier up to
-``RetryPolicy.max_attempts`` times, then walks the loop's
-**degradation chain** down-tier:
+``RetryPolicy.max_attempts`` times, then walks the plan's
+**degradation chain** (:meth:`LoopPlan.degraded
+<repro.runtime.session.LoopPlan.degraded>`) down-tier:
 
 * ``threads``   → ``serial``
 * ``processes`` → ``serial``
-* speculative   → the classic inspector/executor pipeline (compiled
-  lazily; the speculative loop is *not* permanently demoted — a
-  transient fault should not cost future calls their fast path)
+* speculative   → the classic scheduled plan (compiled lazily and
+  installed only while it runs — a transient fault should not cost
+  future calls their fast path)
+* staged        → no tier of its own: each stage loop recovers
+  individually, and the staged report concatenates their records
 
 Every tier re-runs the kernel from ``start()``, so the surviving
 result is bitwise identical to the no-fault serial oracle.  The
@@ -111,9 +114,10 @@ def run_with_recovery(loop, kernel, backend_name: str, policy: RetryPolicy,
                       *, unit_work, timeout, with_sim):
     """Execute ``loop`` with retries and graceful degradation.
 
-    ``loop._tier_label`` / ``loop._fallback_tiers`` define the chain
-    (speculative loops substitute the classic pipeline); each tier is
-    attempted ``policy.max_attempts`` times before moving down.
+    Walks ``loop.plan.degraded(backend_name)`` — the requested tier
+    first, each attempted ``policy.max_attempts`` times before moving
+    down.  A lower tier's plan is installed as ``loop.plan`` only for
+    the duration of its attempts; the loop leaves as it entered.
     """
     observer = loop.runtime.observer
     started = time.monotonic()
@@ -121,51 +125,62 @@ def run_with_recovery(loop, kernel, backend_name: str, policy: RetryPolicy,
     tiers_walked: list[str] = []
     last_exc: BaseException | None = None
 
-    tiers = [(loop._tier_label(backend_name), backend_name, None)]
-    tiers += list(loop._fallback_tiers(backend_name))
-
-    for label, tier_backend, thunk in tiers:
-        try:
-            target = loop if thunk is None else thunk()
-        except RECOVERABLE as exc:
-            last_exc = exc
-            continue
-        tiers_walked.append(label)
-        if len(tiers_walked) > 1 and observer is not None:
-            observer.inc("resilience.tier_fallbacks")
-        for attempt in range(policy.max_attempts):
-            if failures:
-                if (policy.deadline is not None
-                        and time.monotonic() - started > policy.deadline):
-                    return _give_up(last_exc, failures, tiers_walked,
-                                    observer, cause="deadline")
-                if policy.backoff > 0:
-                    time.sleep(min(policy.backoff * 2 ** (len(failures) - 1),
-                                   2.0))
-                if observer is not None:
-                    observer.inc("resilience.retries")
-            t0 = time.monotonic()
+    installed = loop.plan
+    chain = installed.degraded(backend_name)
+    try:
+        while True:
             try:
-                report = target._execute(kernel, tier_backend,
-                                         unit_work=unit_work,
-                                         timeout=timeout, with_sim=with_sim)
-            except RECOVERABLE as exc:
+                label, plan, tier_backend = next(chain)
+            except StopIteration:
+                break
+            except RECOVERABLE as exc:  # the lower tier failed to compile
                 last_exc = exc
-                failures.append(RecoveryAttempt(
-                    tier=label, error=type(exc).__name__, message=str(exc),
-                    iteration=getattr(exc, "iteration", None),
-                    seconds=time.monotonic() - t0))
-                if observer is not None and isinstance(exc, ExecutionTimeout):
-                    observer.inc("resilience.watchdog_fires")
-                continue
-            if failures:
-                report.recovery = RecoveryRecord(
-                    attempts=failures, tiers=tiers_walked,
-                    final_tier=label, recovered=True,
-                    cause=failures[0].error)
-                if observer is not None:
-                    observer.inc("resilience.recovered_runs")
-            return report
+                break
+            loop.plan = plan
+            tiers_walked.append(label)
+            if len(tiers_walked) > 1 and observer is not None:
+                observer.inc("resilience.tier_fallbacks")
+            for attempt in range(policy.max_attempts):
+                if failures:
+                    if (policy.deadline is not None
+                            and time.monotonic() - started > policy.deadline):
+                        return _give_up(last_exc, failures, tiers_walked,
+                                        observer, cause="deadline")
+                    if policy.backoff > 0:
+                        time.sleep(min(
+                            policy.backoff * 2 ** (len(failures) - 1), 2.0))
+                    if observer is not None:
+                        observer.inc("resilience.retries")
+                t0 = time.monotonic()
+                try:
+                    report = loop._attempt(kernel, tier_backend,
+                                           unit_work=unit_work,
+                                           timeout=timeout, with_sim=with_sim)
+                except RECOVERABLE as exc:
+                    if getattr(exc, "recovery", None) is not None:
+                        # A stage loop already exhausted its own chain;
+                        # retrying around it would re-run finished stages.
+                        raise
+                    last_exc = exc
+                    failures.append(RecoveryAttempt(
+                        tier=label, error=type(exc).__name__,
+                        message=str(exc),
+                        iteration=getattr(exc, "iteration", None),
+                        seconds=time.monotonic() - t0))
+                    if (observer is not None
+                            and isinstance(exc, ExecutionTimeout)):
+                        observer.inc("resilience.watchdog_fires")
+                    continue
+                if failures:
+                    report.recovery = RecoveryRecord(
+                        attempts=failures, tiers=tiers_walked,
+                        final_tier=label, recovered=True,
+                        cause=failures[0].error)
+                    if observer is not None:
+                        observer.inc("resilience.recovered_runs")
+                return report
+    finally:
+        loop.plan = installed
     return _give_up(last_exc, failures, tiers_walked, observer)
 
 

@@ -51,6 +51,8 @@ from .registry import (
 __all__ = [
     "Runtime",
     "CompiledLoop",
+    "LoopPlan",
+    "ScheduledPlan",
     "RunReport",
     "ScheduleCache",
     "CacheStats",
@@ -70,6 +72,8 @@ __all__ = [
 _LAZY = {
     "Runtime": ".session",
     "CompiledLoop": ".session",
+    "LoopPlan": ".session",
+    "ScheduledPlan": ".session",
     "RunReport": ".session",
     "ScheduleCache": ".cache",
     "CacheStats": ".cache",

@@ -31,12 +31,20 @@ to the :mod:`repro.tuning` subsystem: a seeded simulator-pruned search
 over the registered strategy space whose verdicts are cached in a
 persistent :class:`~repro.tuning.TuningStore`.
 
-Both :meth:`Runtime.compile` and :meth:`Runtime.run` accept a
-:class:`~repro.program.LoopProgram` anywhere they accept raw
-dependence data; compiling a program returns a
-:class:`~repro.program.BoundLoop` with the program's kernel already
-attached (``loop()`` executes it, ``loop.rebind(...)`` swaps data
-without re-inspection).
+One loop type, three plans: whatever the route — explicit strategy
+strings, ``strategy="auto"``, ``strategy="speculative"``, raw
+dependence data or a :class:`~repro.program.LoopProgram` —
+:meth:`Runtime.compile` returns a :class:`CompiledLoop` wrapping one
+:class:`LoopPlan`: a :class:`ScheduledPlan` (inspection + registry
+executor, defined here), a :class:`~repro.speculate.SpeculativePlan`
+(no inspection, optimistic execution with an adaptive guard) or a
+:class:`~repro.program.StagedPlan` (a fission/skew variant run stage by
+stage).  The loop owns the call protocol, timing, instrumentation,
+reports and counters; the adaptive guard, recovery tiers and rebinds
+only ever replace ``loop.plan``.  Data binding is orthogonal: compiling
+a program attaches it and its kernel (``loop()`` executes it,
+``loop.rebind(...)`` swaps data without re-inspection) under every
+plan alike.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from .registry import (
     scheduler_registry,
 )
 
-__all__ = ["Runtime", "CompiledLoop", "RunReport"]
+__all__ = ["Runtime", "CompiledLoop", "LoopPlan", "ScheduledPlan", "RunReport"]
 
 
 @dataclass(frozen=True)
@@ -146,43 +154,178 @@ class RunReport:
         return self.sim.efficiency if self.sim is not None else float("nan")
 
 
-class CompiledLoop:
-    """A reusable, inspected loop: schedule fixed, executions cheap.
+class LoopPlan:
+    """How a :class:`CompiledLoop` gets its schedule and runs it.
 
-    Produced by :meth:`Runtime.compile`; call it with a kernel to
-    execute (``loop(kernel)``), optionally overriding the session's
-    backend per call (``loop(kernel, backend="processes")``).  Loops
-    compiled from a :class:`~repro.program.LoopProgram` carry a
-    pre-bound kernel, so ``loop()`` alone executes.
+    The one plan protocol, with three implementations:
+    :class:`ScheduledPlan` (a real inspection plus a registry
+    executor), :class:`~repro.speculate.SpeculativePlan` (an access log
+    plus the optimistic executor — nothing inspected) and
+    :class:`~repro.program.StagedPlan` (a transform variant run as one
+    compiled loop per stage).  The loop owns everything plans have in
+    common — call protocol, timing, reports, counters, data binding —
+    and replaces ``loop.plan`` when the adaptive guard, a recovery tier
+    or a rebind changes what runs.
+
+    A plan is also the read-only summary reports are built from:
+    ``executor``, ``executor_name``, ``scheduler_name``, ``assignment``,
+    ``balance``, ``cache_hit``, ``compile_count``, and — through
+    :attr:`inspection` — ``strategy``, ``pipeline_cost``,
+    ``num_wavefronts``, ``schedule``, ``wavefronts`` and ``dep``.
     """
 
-    def __init__(self, runtime: "Runtime", inspection, *, executor_name: str,
-                 scheduler_name: str, assignment: str, executor,
-                 cache_hit: bool, compile_count: int, verdict=None,
-                 balance: str = "wrapped", bound_kernel=None):
-        self.runtime = runtime
-        self.inspection = inspection
+    #: ``"scheduled"``, ``"speculative"`` or ``"staged"``.
+    kind = "abstract"
+    _default_sim: SimResult | None = None
+
+    @property
+    def inspection(self):
+        """The inspection summary; plans that inspected nothing (or
+        many things) serve as their own."""
+        return self
+
+    def execute(self, loop, kernel, backend, *, unit_work, timeout):
+        """One attempt on the ``backend`` object → ``(x, sim | None)``."""
+        return backend.execute(loop, kernel, unit_work=unit_work,
+                               timeout=timeout)
+
+    def simulate(self, unit_work: np.ndarray | None = None) -> SimResult:
+        """Machine-model timing; the simulation is exact and
+        deterministic, so the default (``unit_work=None``) result is
+        computed once per plan."""
+        if unit_work is not None:
+            return self._simulate(unit_work)
+        if self._default_sim is None:
+            self._default_sim = self._simulate(None)
+        return self._default_sim
+
+    def _simulate(self, unit_work) -> SimResult:
+        return self.executor.simulate(unit_work=unit_work)
+
+    def degraded(self, backend: str):
+        """The recovery chain as ``(label, plan, backend)`` tiers, the
+        requested one first; walked lazily by
+        :func:`~repro.resilience.recovery.run_with_recovery`."""
+        yield backend, self, backend
+
+    def rebound(self, program, arrays) -> "LoopPlan":
+        """The plan serving ``program`` after a data-only rebind of
+        ``arrays`` (structure unchanged, so schedules carry over)."""
+        return self
+
+    def compile_kwargs(self) -> dict:
+        """``Runtime.compile`` keywords that rebuild this kind of plan
+        for a new structure (a structural rebind)."""
+        return {"executor": self.executor_name,
+                "scheduler": self.scheduler_name,
+                "assignment": self.assignment, "balance": self.balance}
+
+    def finish(self, loop, report) -> None:
+        """Called once per successful ``loop()`` with the finished
+        report, outside the timed window."""
+
+    def report(self) -> dict:
+        """Plan-specific entries of :meth:`CompiledLoop.report`."""
+        return {}
+
+
+class ScheduledPlan(LoopPlan):
+    """The classic pipeline: an inspected schedule and its executor."""
+
+    kind = "scheduled"
+    #: Graceful degradation of the parallel backends.
+    _DOWN_TIER = {"threads": "serial", "processes": "serial"}
+
+    def __init__(self, inspection, executor, *, executor_name: str,
+                 scheduler_name: str, assignment: str, balance: str,
+                 cache_hit: bool, compile_count: int):
+        self._inspection = inspection
+        #: The executor object (self-executing / pre-scheduled / …).
+        self.executor = executor
         self.executor_name = executor_name
         self.scheduler_name = scheduler_name
         self.assignment = assignment
         self.balance = balance
-        #: Kernel attached at compile time (``LoopProgram`` compiles);
-        #: ``loop()`` with no kernel argument executes it.
-        self.bound_kernel = bound_kernel
-        #: The executor object (self-executing / pre-scheduled / …).
-        self.executor = executor
-        #: Whether this compile was served from the ScheduleCache.
+        #: Whether the inspection came from the ScheduleCache.
         self.cache_hit = cache_hit
         #: Compiles of this structure through the session, so far.
         self.compile_count = compile_count
+
+    @property
+    def inspection(self):
+        return self._inspection
+
+    def degraded(self, backend: str):
+        yield backend, self, backend
+        lower = self._DOWN_TIER.get(backend)
+        if lower is not None:
+            yield lower, self, lower
+
+
+def _of_plan(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self.plan, name), doc=doc)
+
+
+class CompiledLoop:
+    """A reusable compiled loop: plan fixed, executions cheap.
+
+    The only loop type :meth:`Runtime.compile` returns.  What it runs is
+    its :attr:`plan` (scheduled, speculative or staged — see
+    :class:`LoopPlan`); what it runs *on* is orthogonal: loops compiled
+    from a :class:`~repro.program.LoopProgram` carry the program and a
+    pre-bound kernel, so ``loop()`` alone executes and
+    :meth:`rebind` swaps data without re-inspection.  Call it with a
+    kernel to execute raw-dependence compiles (``loop(kernel)``),
+    optionally overriding the session's backend per call
+    (``loop(kernel, backend="processes")``).
+    """
+
+    def __init__(self, runtime: "Runtime", plan: LoopPlan, *, program=None,
+                 bound_kernel=None, verdict=None, program_verdict=None):
+        self.runtime = runtime
+        #: The current :class:`LoopPlan`.  Everything this loop reports
+        #: reads through it, so a swap (adaptive guard, recovery tier)
+        #: can never leave a stale description behind.
+        self.plan = plan
+        #: The :class:`~repro.program.LoopProgram` behind a program
+        #: compile (``None`` for raw dependence data).
+        self.program = program
+        #: Kernel attached at compile time; ``loop()`` with no kernel
+        #: argument executes it.  ``None`` for raw dependence data,
+        #: kernel-free programs and staged plans (whose stage loops
+        #: carry their own).
+        self.bound_kernel = bound_kernel
         #: The :class:`~repro.tuning.TuningVerdict` behind a
-        #: ``strategy="auto"`` compile (``None`` for explicit choices).
+        #: ``strategy="auto"`` compile (``None`` for explicit choices;
+        #: the :class:`~repro.tuning.tuner.ProgramVerdict` on staged
+        #: winners).
         self.verdict = verdict
-        #: Executions through this object.
+        #: The :class:`~repro.tuning.tuner.ProgramVerdict` of a
+        #: variants × strategies search (``None`` otherwise).
+        self.program_verdict = program_verdict
+        #: Executions through this object, across plan swaps.
         self.executions = 0
-        self._default_sim: SimResult | None = None
+        #: Data-only rebinds served without any inspector work.
+        self.rebinds = 0
 
     # ------------------------------------------------------------------
+    executor = _of_plan("executor", "The plan's executor object "
+                        "(``None`` on staged plans).")
+    executor_name = _of_plan("executor_name", "Executor registry name.")
+    scheduler_name = _of_plan("scheduler_name", "Requested scheduler.")
+    assignment = _of_plan("assignment", "Partitioner name.")
+    balance = _of_plan("balance", "Balance option.")
+    cache_hit = _of_plan("cache_hit", "Whether the plan's schedule(s) "
+                         "came from the ScheduleCache.")
+    compile_count = _of_plan("compile_count", "Compiles of this "
+                             "structure through the session, so far.")
+    inspection = _of_plan("inspection", "Inspector output, or the plan "
+                          "itself standing in for one.")
+    variant = _of_plan("variant", "Staged plans only: the transform "
+                       ":class:`~repro.program.Variant`.")
+    stage_loops = _of_plan("stage_loops", "Staged plans only: the "
+                           "mutable list of per-stage loops.")
+
     @property
     def schedule(self):
         return self.inspection.schedule
@@ -197,30 +340,11 @@ class CompiledLoop:
 
     @property
     def nproc(self) -> int:
-        return self.inspection.schedule.nproc
+        return self.runtime.nproc
 
     @property
     def costs(self) -> MachineCosts:
         return self.runtime.costs
-
-    #: Graceful degradation: when a parallel backend's execution fails
-    #: or times out, ``Runtime(recovery=...)`` retries down this chain
-    #: (speculative loops substitute the classic pipeline instead).
-    _DEGRADATION = {"threads": ("serial",), "processes": ("serial",)}
-
-    def _tier_label(self, name: str) -> str:
-        """Display label of the first recovery tier (backend name here;
-        speculative loops override it)."""
-        return name
-
-    def _fallback_tiers(self, name: str):
-        """Down-tier chain as ``(label, backend, loop_thunk)`` triples.
-
-        ``loop_thunk=None`` reuses this loop on the fallback backend;
-        speculative loops return a thunk that lazily compiles the
-        classic pipeline.
-        """
-        return [(b, b, None) for b in self._DEGRADATION.get(name, ())]
 
     # ------------------------------------------------------------------
     def __call__(self, kernel=None, *, backend: str | None = None,
@@ -235,7 +359,7 @@ class CompiledLoop:
         numbers matter.  ``host_seconds`` always measures the backend
         execution alone; the simulation is attached afterwards, and
         the default (``unit_work=None``) simulation is memoized per
-        compiled loop.
+        plan.
 
         ``timeout`` must be positive (wall seconds).  The ``threads``
         backend enforces it with a watchdog
@@ -244,26 +368,34 @@ class CompiledLoop:
         ``sim`` validate but do not interrupt (best-effort — a serial
         kernel cannot be cancelled cooperatively).  When the session
         has a recovery policy (``Runtime(recovery=...)``), failures
-        and timeouts retry down the degradation chain and the report
-        carries ``report.recovery``.
+        and timeouts retry down the plan's degradation chain and the
+        report carries ``report.recovery``.
         """
         if not timeout > 0:
             raise ValidationError("timeout must be positive (wall seconds)")
         if kernel is None:
             kernel = self.bound_kernel
         name = backend if backend is not None else self.runtime.backend
+        plan = self.plan
         policy = self.runtime.recovery
         if policy is None:
-            return self._execute(kernel, name, unit_work=unit_work,
-                                 timeout=timeout, with_sim=with_sim)
-        return run_with_recovery(self, kernel, name, policy,
-                                 unit_work=unit_work, timeout=timeout,
-                                 with_sim=with_sim)
+            report = self._attempt(kernel, name, unit_work=unit_work,
+                                   timeout=timeout, with_sim=with_sim)
+        else:
+            report = run_with_recovery(self, kernel, name, policy,
+                                       unit_work=unit_work, timeout=timeout,
+                                       with_sim=with_sim)
+        plan.finish(self, report)
+        return report
 
-    def _execute(self, kernel, name: str, *, unit_work, timeout,
+    def _attempt(self, kernel, name: str, *, unit_work, timeout,
                  with_sim) -> RunReport:
-        """One execution attempt on backend ``name`` (no retries)."""
+        """One attempt of the current plan on backend ``name`` — the
+        single place a :class:`RunReport` is built."""
+        plan = self.plan
         backend_obj = backend_registry.get(name)()
+        # The registry key is the name plans and reports use.
+        backend_obj.name = name
         faults = self.runtime.faults
         if faults is not None and kernel is not None and name != "processes":
             # Iteration-scoped faults ride inside a kernel wrapper; the
@@ -272,36 +404,30 @@ class CompiledLoop:
             # shared-memory solvers).
             kernel = faults.wrap_kernel(kernel)
         obs = self.runtime.observer
-        if obs is None:
-            sw = Stopwatch().start()
-            x, sim = backend_obj.execute(
-                self, kernel, unit_work=unit_work, timeout=timeout,
-            )
-            sw.stop()
-        else:
+        if obs is not None:
             mark = obs.mark()
             t0 = now()
-            sw = Stopwatch().start()
-            with obs.span("execute", backend=name,
-                          executor=self.executor_name):
-                x, sim = backend_obj.execute(
-                    self, kernel, unit_work=unit_work, timeout=timeout,
-                )
-            sw.stop()
+        sw = Stopwatch().start()
+        with maybe_span(obs, "execute", backend=name,
+                        executor=plan.executor_name):
+            x, sim = plan.execute(self, kernel, backend_obj,
+                                  unit_work=unit_work, timeout=timeout)
+        sw.stop()
         if sim is None and with_sim:
-            sim = self.simulate(unit_work=unit_work)
+            sim = plan.simulate(unit_work)
         self.executions += 1
         cache = self.runtime.cache
+        inspection = plan.inspection
         report = RunReport(
             x=x,
             sim=sim,
-            inspection=self.inspection,
+            inspection=inspection,
             backend=name,
-            executor=self.executor_name,
-            scheduler=self.inspection.strategy,
-            assignment=self.assignment,
-            cache_hit=self.cache_hit,
-            compile_count=self.compile_count,
+            executor=plan.executor_name,
+            scheduler=inspection.strategy,
+            assignment=plan.assignment,
+            cache_hit=plan.cache_hit,
+            compile_count=plan.compile_count,
             executions=self.executions,
             host_seconds=sw.elapsed,
             cache_stats=cache.stats.snapshot() if cache is not None else None,
@@ -320,16 +446,8 @@ class CompiledLoop:
     run = __call__
 
     def simulate(self, *, unit_work: np.ndarray | None = None) -> SimResult:
-        """Machine-model timing only, without executing a kernel.
-
-        The simulation is exact and deterministic, so the default
-        (``unit_work=None``) result is computed once and reused.
-        """
-        if unit_work is not None:
-            return self.executor.simulate(unit_work=unit_work)
-        if self._default_sim is None:
-            self._default_sim = self.executor.simulate()
-        return self._default_sim
+        """Machine-model timing only, without executing a kernel."""
+        return self.plan.simulate(unit_work)
 
     def report(self) -> dict:
         """Amortisation summary (the paper's break-even argument).
@@ -339,18 +457,20 @@ class CompiledLoop:
         the per-execution saving of the scheduled run against the
         sequential loop (``inf`` when the parallel run does not win).
         """
-        sim = self.simulate()
-        inspect_cost = self.inspection.pipeline_cost
+        plan = self.plan
+        sim = plan.simulate()
+        inspect_cost = plan.inspection.pipeline_cost
         saving = sim.seq_time - sim.total_time
         return {
-            "executor": self.executor_name,
-            "scheduler": self.inspection.strategy,
-            "assignment": self.assignment,
+            "executor": plan.executor_name,
+            "scheduler": plan.inspection.strategy,
+            "assignment": plan.assignment,
             "n": self.dep.n,
             "nproc": self.nproc,
-            "num_wavefronts": self.inspection.num_wavefronts,
-            "cache_hit": self.cache_hit,
-            "compile_count": self.compile_count,
+            **plan.report(),
+            "num_wavefronts": plan.inspection.num_wavefronts,
+            "cache_hit": plan.cache_hit,
+            "compile_count": plan.compile_count,
             "tuned": self.verdict is not None,
             "executions": self.executions,
             "inspect_cost": inspect_cost,
@@ -362,11 +482,59 @@ class CompiledLoop:
             ),
         }
 
+    def rebind(self, **arrays) -> "CompiledLoop":
+        """Swap data arrays; recompile only if the structure changed.
+
+        Pure data swaps (anything that is not an index source, or index
+        sources whose values are unchanged) mutate this loop in place —
+        zero inspector work, zero cache traffic — and return ``self``.
+        A rebind that actually changes an index array returns a *new*
+        loop compiled the way this one's plan was (or a fresh
+        ``strategy="auto"`` verdict when this loop was tuned).
+
+        Always use the return value (``loop = loop.rebind(...)``): it
+        is the loop bound to the new data in both cases, so callers
+        never run a stale schedule by accident.
+
+        Programs that bound a ready-made kernel *instance* cannot be
+        rebound — the instance's captured arrays are out of reach, so
+        honouring the call would silently keep executing the old data.
+        Declare the kernel as a factory (``kernel=lambda **data: ...``)
+        to make a program rebindable.
+        """
+        if self.program is None:
+            raise ValidationError(
+                "only loops compiled from a LoopProgram can be rebound; "
+                "this one was compiled from raw dependence data")
+        if arrays and not self.program.rebindable:
+            raise ValidationError(
+                "this program binds a ready-made kernel instance, so "
+                "rebound data could never reach execution; declare the "
+                "kernel as a factory (kernel=lambda **data: ...) to "
+                "make the program rebindable"
+            )
+        program = self.program.with_data(**arrays)
+        structural = set(arrays) & self.program.structural_names()
+        if structural and program.structure_hash() != self.program.structure_hash():
+            if self.verdict is not None:
+                return self.runtime.compile(program, strategy="auto")
+            return self.runtime.compile(program, **self.plan.compile_kwargs())
+        self.program = program
+        self.plan = self.plan.rebound(program, arrays)
+        if self.bound_kernel is not None:
+            # A loop that bound no kernel at compile time (kernel-free
+            # programs, staged plans) has none to rebuild.
+            self.bound_kernel = program.make_kernel()
+        self.rebinds += 1
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CompiledLoop(n={self.dep.n}, nproc={self.nproc}, "
-                f"executor={self.executor_name!r}, "
+        label = (f"{self.program.name!r}, "
+                 if self.program is not None and self.program.name else "")
+        return (f"CompiledLoop({label}{self.plan.kind}, n={self.dep.n}, "
+                f"nproc={self.nproc}, executor={self.executor_name!r}, "
                 f"scheduler={self.inspection.strategy!r}, "
-                f"cache_hit={self.cache_hit})")
+                f"cache_hit={self.cache_hit}, rebinds={self.rebinds})")
 
 
 class Runtime:
@@ -598,9 +766,8 @@ class Runtime:
         up front against the registries, through the session's
         strategy memo.
 
-        Compiling a program returns a
-        :class:`~repro.program.BoundLoop` with the program's kernel
-        attached; anything else returns a plain :class:`CompiledLoop`.
+        Every route returns a :class:`CompiledLoop`; compiling a
+        program attaches the program and its kernel.
 
         ``strategy="auto"`` hands the choice of all four strategy
         strings to the tuner (:meth:`tune`): the session's
@@ -611,11 +778,17 @@ class Runtime:
         ``"auto"``.
 
         ``strategy="speculative"`` skips inspection entirely and
-        returns a loop that executes optimistically with vectorized
-        conflict detection (:mod:`repro.speculate`) — with an adaptive
-        guard that recompiles the classic pipeline, and remembers the
-        decision in the ``TuningStore``, when the measured conflict
-        rate is too high.
+        returns a loop whose plan executes optimistically with
+        vectorized conflict detection (:mod:`repro.speculate`) — with
+        an adaptive guard that swaps in the classic scheduled plan, and
+        remembers the decision in the ``TuningStore``, when the
+        measured conflict rate is too high.
+
+        On a multi-statement or shaped program ``"auto"`` also searches
+        the legal rewrites (fission, skew, compositions); the search's
+        :class:`~repro.tuning.tuner.ProgramVerdict` is attached as
+        ``loop.program_verdict``, and a transformed winner runs as a
+        staged plan.
         """
         obs = self.observer
         if obs is None:
@@ -634,40 +807,64 @@ class Runtime:
     def _compile_impl(self, deps, *, executor: str, scheduler: str,
                       assignment: str, balance: str,
                       strategy: str | None) -> CompiledLoop:
+        """Choose the strategy, build its plan, wrap it once."""
         program = deps if getattr(deps, "__loop_program__", False) else None
-        verdict = None
-        if strategy is not None:
-            if strategy == "speculative":
-                return self._compile_speculative(deps)
-            if strategy != "auto":
-                raise ValidationError(
-                    f"unknown strategy {strategy!r}; valid options are: "
-                    "'auto', 'speculative' (or omit it and pick executor/"
-                    "scheduler/assignment/balance explicitly)"
-                )
+        verdict = program_verdict = None
+        if strategy == "speculative":
+            executor = "speculative"
+        elif strategy == "auto":
             if program is not None and (program.num_statements > 1
                                         or program.shape is not None):
-                # Transformable programs tune variants × strategies;
-                # plain single-statement programs keep the exact
-                # classic path below.
-                return self._compile_program_auto(program)
-            # Normalize once: the tuner's store key and the schedule
-            # cache below hash the same graph.
-            deps = self._inspector.dependences_of(deps)
-            verdict = self.tune(deps)
+                # Transformable programs tune variants × strategies
+                # (identity, fission, skew, compositions); a
+                # transformed winner runs staged, an identity winner
+                # continues below like any tuned compile.
+                program_verdict = self._ensure_tuner().tune_program(
+                    program, expected_executions=self.expected_executions)
+                if program_verdict.transformed:
+                    return CompiledLoop(
+                        self, self._staged_plan(program_verdict),
+                        program=program, verdict=program_verdict,
+                        program_verdict=program_verdict)
+                verdict = program_verdict.stage_verdicts[0]
+            else:
+                # Normalize once: the tuner's store key and the
+                # schedule cache below hash the same graph.
+                deps = self._inspector.dependences_of(deps)
+                verdict = self.tune(deps)
             executor = verdict.executor
             scheduler = verdict.scheduler
             assignment = verdict.assignment
             balance = verdict.balance
+        elif strategy is not None:
+            raise ValidationError(
+                f"unknown strategy {strategy!r}; valid options are: "
+                "'auto', 'speculative' (or omit it and pick executor/"
+                "scheduler/assignment/balance explicitly)"
+            )
+        source = program if program is not None else deps
         # Speculative-flagged executors never pay for an inspection:
         # whether named explicitly or picked by an "auto" verdict, they
-        # route through the no-inspection fast path (their scheduler/
-        # assignment/balance strings are meaningless and ignored).
+        # build the no-inspection plan (their scheduler/assignment/
+        # balance strings are meaningless and ignored).
         if (executor in executor_registry
                 and executor_registry.metadata(executor).get("speculative")):
-            return self._compile_speculative(
-                program if program is not None else deps, verdict=verdict,
-            )
+            from ..speculate.loop import speculative_plan  # deferred: cycle
+
+            plan = speculative_plan(self, source)
+        else:
+            plan = self._scheduled_plan(source, executor=executor,
+                                        scheduler=scheduler,
+                                        assignment=assignment,
+                                        balance=balance)
+        return CompiledLoop(
+            self, plan, program=program,
+            bound_kernel=program.make_kernel() if program is not None else None,
+            verdict=verdict, program_verdict=program_verdict)
+
+    def _scheduled_plan(self, deps, *, executor: str, scheduler: str,
+                        assignment: str, balance: str) -> ScheduledPlan:
+        """Inspect (or fetch from cache) and bind a registry executor."""
         resolved = self._resolve_strategy(executor, scheduler,
                                           assignment, balance)
 
@@ -688,23 +885,25 @@ class Runtime:
             )
             if self.cache is not None:
                 self.cache.put(key, inspection)
-
-        executor_obj = executor_registry.get(executor)(
-            inspection, self.nproc, self.costs,
-        )
-        common = dict(
+        return ScheduledPlan(
+            inspection,
+            executor_registry.get(executor)(inspection, self.nproc, self.costs),
             executor_name=executor, scheduler_name=scheduler,
-            assignment=assignment, balance=balance, executor=executor_obj,
-            cache_hit=cache_hit,
+            assignment=assignment, balance=balance, cache_hit=cache_hit,
             compile_count=self._count_compile(key),
-            verdict=verdict,
         )
-        if program is None:
-            return CompiledLoop(self, inspection, **common)
-        from ..program.binding import BoundLoop  # deferred: import cycle
 
-        return BoundLoop(self, inspection, program=program,
-                         bound_kernel=program.make_kernel(), **common)
+    def _staged_plan(self, program_verdict):
+        """One compiled loop per stage of a transformed winner."""
+        from ..program.transform import StagedPlan  # deferred: cycle
+
+        stage_loops = []
+        for stage, vd in zip(program_verdict.variant.stages,
+                             program_verdict.stage_verdicts):
+            loop = self.compile(stage.program, **vd.compile_kwargs())
+            loop.verdict = vd
+            stage_loops.append(loop)
+        return StagedPlan(program_verdict.variant, stage_loops)
 
     # ------------------------------------------------------------------
     def _count_compile(self, key: str) -> int:
@@ -714,53 +913,6 @@ class Runtime:
         while len(self._compile_counts) > self._compile_counts_max:
             self._compile_counts.popitem(last=False)
         return self._compile_counts[key]
-
-    def _compile_speculative(self, deps, verdict=None):
-        """The ``strategy="speculative"`` fast path — no inspection.
-
-        Builds an access log straight from the dependence source and
-        binds a :class:`~repro.speculate.SpeculativeExecutor`; the
-        session's ``TuningStore`` is consulted first, so a structure
-        whose adaptive guard already fell back compiles the classic
-        pipeline immediately.
-        """
-        from ..speculate.loop import compile_speculative  # deferred: cycle
-
-        return compile_speculative(self, deps, verdict=verdict)
-
-    def _compile_program_auto(self, program):
-        """``strategy="auto"`` over program variants × strategies.
-
-        The tuner scores every legal rewrite of the program (identity,
-        fission, skew, compositions) under every strategy; an identity
-        winner compiles through the classic path (same ScheduleCache,
-        same speculative reroute), a transformed winner compiles one
-        loop per stage and returns a
-        :class:`~repro.program.transform.TransformedLoop` bundle.
-        """
-        pv = self._ensure_tuner().tune_program(
-            program, expected_executions=self.expected_executions)
-        if not pv.transformed:
-            vd = pv.stage_verdicts[0]
-            loop = self.compile(program, **{
-                "executor": vd.executor, "scheduler": vd.scheduler,
-                "assignment": vd.assignment, "balance": vd.balance,
-            })
-            loop.verdict = vd
-            loop.program_verdict = pv
-            return loop
-        from ..program.transform import TransformedLoop  # deferred: cycle
-
-        stage_loops = []
-        for stage, vd in zip(pv.variant.stages, pv.stage_verdicts):
-            loop = self.compile(stage.program, **{
-                "executor": vd.executor, "scheduler": vd.scheduler,
-                "assignment": vd.assignment, "balance": vd.balance,
-            })
-            loop.verdict = vd
-            stage_loops.append(loop)
-        return TransformedLoop(self, program, pv.variant, stage_loops,
-                               verdict=pv)
 
     # ------------------------------------------------------------------
     def _ensure_tuner(self):

@@ -24,12 +24,7 @@ from .executor import (
     SpeculationPlan,
     SpeculativeExecutor,
 )
-from .loop import (
-    SpeculativeBoundLoop,
-    SpeculativeLoop,
-    compile_speculative,
-    speculation_key,
-)
+from .loop import SpeculativePlan, speculation_key, speculative_plan
 
 __all__ = [
     "AccessLog",
@@ -43,8 +38,7 @@ __all__ = [
     "FALLBACK_THRESHOLD",
     "MIN_FALLBACK_RATE",
     "DEFAULT_EXPECTED_EXECUTIONS",
-    "SpeculativeLoop",
-    "SpeculativeBoundLoop",
-    "compile_speculative",
+    "SpeculativePlan",
+    "speculative_plan",
     "speculation_key",
 ]

@@ -1,26 +1,29 @@
-"""Session integration — compile without inspecting, guard, remember.
+"""The speculative plan — compile without inspecting, guard, remember.
 
-:func:`compile_speculative` is the body of
+:func:`speculative_plan` is the body of
 ``Runtime.compile(deps, strategy="speculative")``: it builds an
 :class:`~repro.speculate.shadow.AccessLog` straight from the
 dependence source (a program's declared accesses, or an
 inspector-normalized graph — never a wavefront sweep, never a sort),
 wraps a :class:`~repro.speculate.executor.SpeculativeExecutor`, and
-returns a :class:`SpeculativeLoop` (or :class:`SpeculativeBoundLoop`
-for programs, so ``rebind`` keeps working — a value rebind reuses the
-cached speculation plan for free).
+returns a :class:`SpeculativePlan` for the session's one
+:class:`~repro.runtime.session.CompiledLoop` type to run.  Nothing was
+inspected, so the plan is its own inspection summary (``pipeline_cost``
+0, the dependence graph materialized only if somebody asks), and a
+value rebind reuses the cached speculation plan for free.
 
-The **adaptive guard** lives in the loop's call path: every execution
+The **adaptive guard** is the plan's ``finish`` step: every execution
 attaches its :class:`~repro.speculate.executor.ConflictReport` to the
 :class:`~repro.runtime.session.RunReport`, and when the measured
-conflict rate reaches :data:`~repro.speculate.executor.FALLBACK_THRESHOLD`
-the loop recompiles itself through the classic inspector/executor
-pipeline for all future calls (the triggering run is already correct —
-speculation repairs before it reports).  The verdict is persisted in
-the session's :class:`~repro.tuning.TuningStore` under
-:func:`speculation_key`, so the *next* session skips speculation for
-that structure without ever re-measuring it; a low-conflict success is
-recorded the same way, purely as a diagnostic breadcrumb.
+conflict rate reaches the plan's break-even threshold (at most
+:data:`~repro.speculate.executor.FALLBACK_THRESHOLD`) it replaces
+``loop.plan`` with the classic scheduled plan for all future calls (the
+triggering run is already correct — speculation repairs before it
+reports).  The verdict is persisted in the session's
+:class:`~repro.tuning.TuningStore` under :func:`speculation_key`, so
+the *next* session skips speculation for that structure without ever
+re-measuring it; a low-conflict success is recorded the same way,
+purely as a diagnostic breadcrumb.
 """
 
 from __future__ import annotations
@@ -33,16 +36,15 @@ import numpy as np
 from ..errors import ValidationError
 from ..runtime.backends import ExecutionBackend
 from ..runtime.registry import register_backend
-from ..util.timing import Stopwatch
+from ..runtime.session import LoopPlan
 from .executor import SpeculativeExecutor
 from .shadow import AccessLog
 
-__all__ = [
-    "SpeculativeLoop",
-    "SpeculativeBoundLoop",
-    "compile_speculative",
-    "speculation_key",
-]
+__all__ = ["SpeculativePlan", "speculative_plan", "speculation_key"]
+
+#: What the guard (and a failed attempt's recovery tier) falls back to.
+_CLASSIC = {"executor": "self", "scheduler": "local",
+            "assignment": "wrapped", "balance": "wrapped"}
 
 
 def speculation_key(log: AccessLog, nproc: int, costs) -> str:
@@ -61,113 +63,87 @@ def speculation_key(log: AccessLog, nproc: int, costs) -> str:
     return h.hexdigest()
 
 
-class _SpeculativeInspection:
-    """Stand-in for :class:`~repro.core.inspector.InspectionResult`.
+class SpeculativePlan(LoopPlan):
+    """Execute optimistically, check afterwards, fall back if it hurts."""
 
-    Satisfies everything a compiled loop reads from its inspection —
-    with ``pipeline_cost`` 0 (nothing was inspected) and the
-    dependence graph materialized lazily, only if a caller actually
-    asks for ``loop.dep`` (diagnostics); execution never does.
-    """
+    kind = "speculative"
+    executor_name = strategy = "speculative"
+    scheduler_name = "identity"
+    assignment = balance = "wrapped"
+    cache_hit = False
+    #: Nothing was inspected.
+    pipeline_cost = 0.0
+    num_wavefronts = 0
+    wavefronts = None
 
-    strategy = "speculative"
-
-    def __init__(self, source, log: AccessLog, schedule,
-                 host_seconds: float = 0.0):
-        self._source = source
-        self.log = log
-        self.schedule = schedule
-        self.host_seconds = host_seconds
+    def __init__(self, runtime, source, executor: SpeculativeExecutor,
+                 store_key: str, *, compile_count: int):
+        self.runtime = runtime
+        #: The dependence source (program or graph) the log came from.
+        self.source = source
+        self.executor = executor
+        self.schedule = executor.schedule
+        self.store_key = store_key
+        self.compile_count = compile_count
+        #: Conflict rate at which the guard swaps in the classic plan,
+        #: priced per structure from the machine model by amortising
+        #: the avoided inspection over the session's expected execution
+        #: horizon (the ceiling is the legacy constant).
+        self.fallback_threshold = executor.break_even_rate(
+            runtime.expected_executions)
+        self._classic: LoopPlan | None = None
         self._dep = None
-
-    @property
-    def pipeline_cost(self) -> float:
-        return 0.0
-
-    @property
-    def num_wavefronts(self) -> int:
-        return 0
-
-    @property
-    def wavefronts(self):
-        return None
+        self._verdict_recorded = False
 
     @property
     def dep(self):
+        """Materialized lazily — diagnostics only; execution never asks."""
         if self._dep is None:
             from ..core.inspector import Inspector  # deferred: cycle
 
-            self._dep = Inspector.dependences_of(self._source)
+            self._dep = Inspector.dependences_of(self.source)
         return self._dep
 
-
-class _SpeculativeCallMixin:
-    """The guard + reporting shared by both speculative loop classes."""
-
-    def _init_speculation(self, source, store_key: str,
-                          fallback_threshold: float) -> None:
-        self._source = source
-        self._store_key = store_key
-        self.fallback_threshold = fallback_threshold
-        self._fallback_loop = None
-        self._verdict_recorded = False
-        #: Classic pipeline compiled lazily by the *recovery* chain —
-        #: distinct from ``_fallback_loop`` (the adaptive guard's
-        #: permanent demotion): a transiently injected/crashed attempt
-        #: must not cost future calls their speculative fast path.
-        self._recovery_loop = None
+    def classic(self) -> LoopPlan:
+        """The scheduled plan of the same structure, compiled once."""
+        if self._classic is None:
+            self._classic = self.runtime._scheduled_plan(self.source,
+                                                         **_CLASSIC)
+        return self._classic
 
     # ------------------------------------------------------------------
-    # Recovery-chain hooks (see repro.resilience.recovery)
-    # ------------------------------------------------------------------
-    def _tier_label(self, name: str) -> str:
-        return "speculative"
-
-    def _fallback_tiers(self, name: str):
-        # A failed speculative attempt degrades to the classic
-        # inspector/executor pipeline on the serial backend — the
-        # kernel restarts from start(), so the result is the no-fault
-        # oracle's, bitwise.
-        def classic():
-            if self._recovery_loop is None:
-                self._recovery_loop = self._compile_fallback()
-            return self._recovery_loop
-
-        return [("classic", "serial", classic)]
-
-    # ------------------------------------------------------------------
-    def __call__(self, kernel=None, *, backend=None, unit_work=None,
-                 timeout: float = 30.0, with_sim: bool = True):
-        if self._fallback_loop is not None:
-            return self._fallback_loop(kernel, backend=backend,
-                                       unit_work=unit_work,
-                                       timeout=timeout, with_sim=with_sim)
+    def execute(self, loop, kernel, backend, *, unit_work, timeout):
         self.executor.last_conflicts = None
-        report = super().__call__(kernel, backend=backend,
-                                  unit_work=unit_work, timeout=timeout,
-                                  with_sim=with_sim)
+        return super().execute(loop, kernel, backend, unit_work=unit_work,
+                               timeout=timeout)
+
+    def degraded(self, backend: str):
+        yield "speculative", self, backend
+        # A failed speculative attempt degrades to the classic plan on
+        # the serial backend — the kernel restarts from start(), so the
+        # result is the no-fault oracle's, bitwise.
+        yield "classic", self.classic(), "serial"
+
+    def rebound(self, program, arrays) -> LoopPlan:
+        self.source = program
+        return self
+
+    def finish(self, loop, report) -> None:
+        """The adaptive guard."""
         conflicts = self.executor.last_conflicts
-        if conflicts is not None:  # timing-only backends never ran
-            report.speculation = conflicts
-            if conflicts.conflict_rate >= self.fallback_threshold:
-                conflicts.fell_back = True
-                self._record_verdict(conflicts, fallback=True)
-                self._fallback_loop = self._compile_fallback()
-            elif not self._verdict_recorded:
-                self._record_verdict(conflicts, fallback=False)
-            observer = self.runtime.observer
-            if observer is not None:
-                observer.record_speculation(conflicts)
-        return report
-
-    run = __call__
-
-    # ------------------------------------------------------------------
-    def _compile_fallback(self):
-        return self.runtime.compile(
-            self._source, executor="self", scheduler="local",
-            assignment="wrapped", balance="wrapped",
-        )
+        if conflicts is None:
+            # A timing-only backend, or a recovery tier ran instead.
+            return
+        report.speculation = conflicts
+        if conflicts.conflict_rate >= self.fallback_threshold:
+            conflicts.fell_back = True
+            self._record_verdict(conflicts, fallback=True)
+            loop.plan = self.classic()
+        elif not self._verdict_recorded:
+            self._record_verdict(conflicts, fallback=False)
+        observer = self.runtime.observer
+        if observer is not None:
+            observer.record_speculation(conflicts)
 
     def _record_verdict(self, conflicts, *, fallback: bool) -> None:
         self._verdict_recorded = True
@@ -177,13 +153,9 @@ class _SpeculativeCallMixin:
         from ..tuning.store import TuningVerdict  # deferred: cycle
 
         sim = self.simulate()
-        if fallback:
-            spec = ("self", "local", "wrapped", "wrapped")
-        else:
-            spec = ("speculative", "identity", "wrapped", "wrapped")
-        store.put(self._store_key, TuningVerdict(
-            executor=spec[0], scheduler=spec[1], assignment=spec[2],
-            balance=spec[3],
+        spec = _CLASSIC if fallback else self.compile_kwargs()
+        store.put(self.store_key, TuningVerdict(
+            **spec,
             sim_makespan=float(sim.total_time),
             seq_time=float(sim.seq_time),
             candidates=1, sims=1,
@@ -194,76 +166,26 @@ class _SpeculativeCallMixin:
         ))
 
 
-# CompiledLoop / BoundLoop are imported at module bottom to keep the
-# import order explicit: this module loads after repro.program.
-from ..runtime.session import CompiledLoop  # noqa: E402
-from ..program.binding import BoundLoop  # noqa: E402
-
-
-class SpeculativeLoop(_SpeculativeCallMixin, CompiledLoop):
-    """A compiled loop that speculates instead of inspecting."""
-
-
-class SpeculativeBoundLoop(_SpeculativeCallMixin, BoundLoop):
-    """Program-compiled speculative loop; ``rebind`` works as usual.
-
-    Data-only rebinds keep the cached speculation plan (the plan
-    depends on access structure, never on values); structural rebinds
-    recompile through the fast path like any other strategy.  Once the
-    guard has fallen back, rebinds are forwarded to the fallback loop.
-    """
-
-    def rebind(self, **arrays):
-        if self._fallback_loop is not None:
-            self._fallback_loop = self._fallback_loop.rebind(**arrays)
-            self.program = self._fallback_loop.program
-            return self
-        loop = super().rebind(**arrays)
-        if loop is self:
-            self._source = self.program
-        return loop
-
-
-def compile_speculative(runtime, deps, *, verdict=None):
-    """Build a speculative loop — the ``strategy="speculative"`` body.
+def speculative_plan(runtime, deps) -> LoopPlan:
+    """Build the plan behind ``strategy="speculative"``.
 
     Consults the session's :class:`~repro.tuning.TuningStore` first: a
-    remembered fallback verdict for this structure compiles the classic
-    pipeline immediately (no speculation, no re-measuring).
+    remembered fallback verdict for this structure yields the classic
+    scheduled plan immediately (no speculation, no re-measuring).
     """
-    sw = Stopwatch().start()
-    program = deps if getattr(deps, "__loop_program__", False) else None
     log = AccessLog.from_source(deps)
     key = "spec:" + speculation_key(log, runtime.nproc, runtime.costs)
     store = runtime.tuning_store
     if store is not None:
         remembered = store.get(key)
         if remembered is not None and remembered.executor != "speculative":
-            return runtime.compile(deps, **remembered.compile_kwargs())
+            return runtime._scheduled_plan(deps,
+                                           **remembered.compile_kwargs())
     executor = SpeculativeExecutor(log, runtime.nproc, runtime.costs,
                                    seed=runtime.tune_seed,
                                    observer=runtime.observer)
-    sw.stop()
-    inspection = _SpeculativeInspection(deps, log, executor.schedule,
-                                        host_seconds=sw.elapsed)
-    common = dict(
-        executor_name="speculative", scheduler_name="identity",
-        assignment="wrapped", balance="wrapped", executor=executor,
-        cache_hit=False, compile_count=runtime._count_compile(key),
-        verdict=verdict,
-    )
-    if program is None:
-        loop = SpeculativeLoop(runtime, inspection, **common)
-    else:
-        loop = SpeculativeBoundLoop(runtime, inspection, program=program,
-                                    bound_kernel=program.make_kernel(),
-                                    **common)
-    # The guard threshold is priced per structure from the machine
-    # model, amortising the avoided inspection over the session's
-    # expected execution horizon (the ceiling is the legacy constant).
-    loop._init_speculation(deps, key, executor.break_even_rate(
-        getattr(runtime, "expected_executions", None)))
-    return loop
+    return SpeculativePlan(runtime, deps, executor, key,
+                           compile_count=runtime._count_compile(key))
 
 
 @register_backend("speculative")

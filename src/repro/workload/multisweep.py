@@ -156,10 +156,11 @@ class MultiSweep:
     @property
     def variant_name(self) -> str | None:
         """Winning variant of the auto compile (``None`` before it)."""
-        verdict = getattr(self.loop, "verdict", None)
-        if verdict is None:
+        if self.loop is None:
             return None
-        return getattr(verdict, "variant_name", "identity")
+        verdict = self.loop.program_verdict
+        # Plain single-statement programs skip the variant search.
+        return "identity" if verdict is None else verdict.variant_name
 
     def serial_reference(self) -> dict:
         """Bitwise serial oracle: the program run on one processor."""

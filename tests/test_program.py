@@ -8,7 +8,7 @@ The load-bearing properties:
 * recording soundness — trace-recorded programs reproduce the serial
   result bitwise under any executor, and value-dependent access
   patterns are rejected with a clear error;
-* rebinding economics — ``BoundLoop.rebind`` with unchanged structure
+* rebinding economics — ``loop.rebind`` with unchanged structure
   performs *zero* inspector work (asserted via the session cache and
   compile counters), while changed structure forces a recompile;
 * call-path equivalence — program-compiled loops are bit-identical to
@@ -24,8 +24,8 @@ from repro.core.executor import SimpleLoopKernel, TriangularSolveKernel
 from repro.errors import ValidationError
 from repro.krylov.parallel import ParallelSolver
 from repro.mesh.problems import get_problem
-from repro.program import At, BoundLoop, LoopProgram, extract_dependences
-from repro.runtime import Runtime
+from repro.program import At, LoopProgram, extract_dependences
+from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
 
@@ -228,15 +228,18 @@ class TestRecording:
 
 
 # ----------------------------------------------------------------------
-# BoundLoop: binding, calling, rebinding
+# Program-compiled loops: binding, calling, rebinding
 # ----------------------------------------------------------------------
 
 class TestBoundLoop:
     def test_compile_returns_bound_loop_and_runs_kernel_free(self, fig3):
         n, ia, x0, b = fig3
         rt = Runtime(nproc=4)
-        loop = rt.compile(LoopProgram.from_indirection(ia, x=x0, b=b))
-        assert isinstance(loop, BoundLoop)
+        prog = LoopProgram.from_indirection(ia, x=x0, b=b)
+        loop = rt.compile(prog)
+        assert type(loop) is CompiledLoop
+        assert loop.program is prog and loop.bound_kernel is not None
+        assert loop.plan.kind == "scheduled"
         got = loop()
         ref = rt.compile(ia)(SimpleLoopKernel(x0, b, ia))
         assert np.array_equal(got.x, ref.x)
@@ -337,7 +340,7 @@ class TestBoundLoop:
         rt = Runtime(nproc=4)
         loop = rt.compile(LoopProgram.from_indirection(ia, x=x0, b=b),
                           strategy="auto")
-        assert isinstance(loop, BoundLoop)
+        assert type(loop) is CompiledLoop and loop.program is not None
         assert loop.verdict is not None
         assert loop.verdict.spec.label()
         assert loop().x is not None

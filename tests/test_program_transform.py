@@ -23,7 +23,7 @@ The load-bearing properties:
   cold winner;
 * model-priced speculation guard (satellite) — ``break_even_rate`` is
   clamped, monotone in the horizon, and wired into
-  ``compile_speculative`` in place of the old constant.
+  ``speculative_plan`` in place of the old constant.
 """
 
 import numpy as np
@@ -38,14 +38,14 @@ from repro.program import (
     LoopProgram,
     MappedKernel,
     Statement,
-    TransformedLoop,
+    StagedPlan,
     enumerate_variants,
     extract_statement_dependences,
     fission,
     fuse,
     skew,
 )
-from repro.runtime import Runtime
+from repro.runtime import CompiledLoop, Runtime
 from repro.speculate import (
     DEFAULT_EXPECTED_EXECUTIONS,
     FALLBACK_THRESHOLD,
@@ -438,9 +438,9 @@ class TestVariants:
         assert {v.name for v in variants} >= {"identity", "fission"}
 
     def test_every_variant_bitwise_equals_serial_oracle(self):
-        # Hand-assemble each variant into a TransformedLoop with a
-        # fixed strategy per stage; all must reproduce the serial
-        # oracle bitwise.
+        # Hand-assemble each variant into a staged loop with a fixed
+        # strategy per stage; all must reproduce the serial oracle
+        # bitwise.
         rng = np.random.default_rng(20)
         rt = Runtime(nproc=4)
         for trial in range(4):
@@ -451,7 +451,7 @@ class TestVariants:
             for var in enumerate_variants(prog):
                 loops = [rt.compile(st.program, executor="self")
                          for st in var.stages]
-                tl = TransformedLoop(rt, prog, var, loops)
+                tl = CompiledLoop(rt, StagedPlan(var, loops), program=prog)
                 out = loop_outputs(prog, tl())
                 for k in ref:
                     assert np.array_equal(out[k], ref[k]), (
@@ -481,9 +481,10 @@ class TestAutoArbitration:
         prog = sweep_program(rng.normal(size=n), rng.normal(size=n))
         rt = Runtime(nproc=8)
         loop = rt.compile(prog, strategy="auto")
-        assert isinstance(loop, TransformedLoop)
+        assert type(loop) is CompiledLoop and loop.plan.kind == "staged"
         pv = loop.verdict
         assert isinstance(pv, ProgramVerdict)
+        assert loop.program_verdict is pv
         assert pv.transformed
         assert pv.sim_makespan < pv.baseline_makespan  # strict win
         out = loop_outputs(prog, loop())
@@ -497,7 +498,7 @@ class TestAutoArbitration:
         prog = stencil_program(rng.normal(size=R * C), (R, C))
         rt = Runtime(nproc=8)
         loop = rt.compile(prog, strategy="auto")
-        assert isinstance(loop, TransformedLoop)
+        assert type(loop) is CompiledLoop and loop.plan.kind == "staged"
         pv = loop.verdict
         assert pv.variant_name == "skew"
         assert pv.sim_makespan < pv.baseline_makespan  # strict win
@@ -514,8 +515,9 @@ class TestAutoArbitration:
             ia, x=rng.normal(size=n), b=rng.normal(size=n))
         rt = Runtime(nproc=8)
         loop = rt.compile(prog, strategy="auto")
-        assert not isinstance(loop, TransformedLoop)
+        assert type(loop) is CompiledLoop and loop.plan.kind != "staged"
         assert loop.verdict is not None
+        assert loop.program_verdict is None  # no variant search ran
 
     def test_variant_scores_cover_all_variants(self):
         rng = np.random.default_rng(33)
@@ -549,7 +551,7 @@ class TestAutoArbitration:
 
 
 # ----------------------------------------------------------------------
-# TransformedLoop surface
+# Staged-loop surface
 # ----------------------------------------------------------------------
 
 class TestTransformedLoop:
@@ -558,7 +560,7 @@ class TestTransformedLoop:
         prog = sweep_program(rng.normal(size=n), rng.normal(size=n))
         rt = Runtime(nproc=8)
         loop = rt.compile(prog, strategy="auto")
-        assert isinstance(loop, TransformedLoop)
+        assert loop.plan.kind == "staged"
         return rng, prog, rt, loop
 
     def test_data_rebind_is_in_place(self):
@@ -725,7 +727,7 @@ class TestBreakEvenRate:
             log = AccessLog.from_program(prog)
             want = SpeculativeExecutor(
                 log, rt.nproc, rt.costs).break_even_rate(E)
-            assert loop.fallback_threshold == pytest.approx(want)
+            assert loop.plan.fallback_threshold == pytest.approx(want)
 
     def test_high_conflict_still_falls_back(self):
         # An all-backward chain has conflict rate ~1 >> any clamped
@@ -737,6 +739,7 @@ class TestBreakEvenRate:
             ia, x=np.ones(n), b=np.ones(n))
         rt = Runtime(nproc=4, expected_executions=1e6)
         loop = rt.compile(prog, strategy="speculative")
+        threshold = loop.plan.fallback_threshold
         report = loop()
         assert report.speculation.fell_back
-        assert report.speculation.conflict_rate >= loop.fallback_threshold
+        assert report.speculation.conflict_rate >= threshold

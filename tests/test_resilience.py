@@ -237,7 +237,7 @@ class TestRecovery:
         np.testing.assert_array_equal(report.x, oracle)
         assert report.recovery.tiers == ["speculative", "classic"]
         assert report.recovery.final_tier == "classic"
-        assert loop._fallback_loop is None
+        assert loop.plan.kind == "speculative"
         clean = loop()
         assert clean.recovery is None
         np.testing.assert_array_equal(clean.x, oracle)
