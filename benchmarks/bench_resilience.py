@@ -22,7 +22,11 @@ import pytest
 from repro import FaultPlan, LoopProgram, RetryPolicy, Runtime
 from repro.util.tables import TextTable
 
-N = 5_000
+#: Sized so one cached execution takes a few milliseconds on the
+#: batched serial path: the armed-idle guards cost a fixed ~3 µs per
+#: call, and the 2% ceiling needs a call that long to rise above the
+#: timer noise of a shared host.
+N = 200_000
 NPROC = 8
 #: Acceptance ceiling for the armed-idle path vs faults=None.
 OVERHEAD_LIMIT = 0.02

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: byte-compile the library, guard the one-loop-type rule,
-# then run the tier-1 test suite.
+# Repo check: byte-compile the library, guard the one-loop-type and
+# one-run-path rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -21,6 +21,19 @@ forked='BoundLoop|SpeculativeLoop|SpeculativeBoundLoop|TransformedLoop'
 forked="$forked|_SpeculativeInspection|_BundleInspection|_fallback_tiers"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop replaced reappeared" >&2
+    exit 1
+fi
+
+echo "== one run path: no executor walks iterations itself =="
+# Every classic executor runs through LevelExecutor.run; the only
+# per-index calls under src/repro/core are flat_walk and the
+# SerialExecutor oracle, both in core/executor.py.
+calls=$(grep -rn 'execute_index(' src/repro/core --include='*.py' \
+        | grep -v 'def execute_index' || true)
+if [ -n "$(echo "$calls" | grep -v '^src/repro/core/executor.py:' || true)" ] \
+   || [ "$(echo "$calls" | grep -c '^src/repro/core/executor.py:')" -ne 2 ]; then
+    echo "$calls"
+    echo "error: a per-index walk outside flat_walk / SerialExecutor" >&2
     exit 1
 fi
 

@@ -14,11 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import SimResult, simulate_self_executing
+from ..machine.simulator import (
+    SimResult,
+    deps_cross_wavefronts,
+    execution_levels,
+    simulate_self_executing,
+    wavefront_batches,
+)
 from ..machine.threads import ThreadedMachine
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
-from .executor import LoopKernel
+from .executor import LevelExecutor, LoopKernel
 from .schedule import Schedule, identity_schedule
 
 __all__ = ["DoacrossExecutor"]
@@ -37,7 +43,7 @@ def _build_doacross(inspection, nproc, costs):
     )
 
 
-class DoacrossExecutor:
+class DoacrossExecutor(LevelExecutor):
     """Busy-wait execution in original index order (wrapped ownership)."""
 
     mode = "doacross"
@@ -52,12 +58,15 @@ class DoacrossExecutor:
         wf = wavefronts if wavefronts is not None else compute_wavefronts(dep)
         self.schedule: Schedule = identity_schedule(wf, nproc)
 
-    def run(self, kernel: LoopKernel) -> np.ndarray:
-        """Numeric execution — original order is legal for backward deps."""
-        kernel.start()
-        for i in range(kernel.n):
-            kernel.execute_index(i)
-        return kernel.result()
+    def _build_levels(self):
+        wf = self.schedule.wavefronts
+        if self.dep.all_backward() and deps_cross_wavefronts(wf, self.dep):
+            # Original order is legal for backward dependences (every
+            # identity list ascends), so the loop cannot deadlock; its
+            # values are those of any dependence-respecting order, and
+            # the wavefronts are the widest such batches.
+            return wavefront_batches(np.arange(self.dep.n, dtype=np.int64), wf)
+        return execution_levels(self.schedule, self.dep)
 
     def simulate(self, *, unit_work: np.ndarray | None = None) -> SimResult:
         return simulate_self_executing(

@@ -8,6 +8,18 @@ the arithmetic.  All executors run the same kernel, and all must
 reproduce the serial result bit-for-bit on legal schedules: that is the
 library's core correctness contract, enforced by the test-suite.
 
+Execution
+---------
+The classic executors share one serial run path,
+:class:`LevelExecutor`: each builds a :class:`LevelPlan` once — a legal
+total order grouped into mutually independent batches — and every
+``run`` walks it.  Kernels with a real ``execute_batch`` run a level
+per call (the triangular kernels through a structure-only
+:class:`~repro.sparse.triangular.LevelGather` the executor keeps across
+data rebinds); the others take one flat per-index walk of the order.
+Batched arithmetic accumulates each row in CSR order, so every path
+agrees with :class:`SerialExecutor` bit for bit.
+
 Kernels
 -------
 * :class:`GenericLoopKernel` — wraps an arbitrary ``body(i)`` callable;
@@ -22,15 +34,19 @@ Kernels
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ScheduleError, ValidationError
 from ..sparse.csr import CSRMatrix
+from ..sparse.triangular import LevelGather
 from ..util.validation import as_int_array, check_vector
 from .dependence import DependenceGraph
 
 __all__ = [
+    "LevelPlan",
+    "LevelExecutor",
     "LoopKernel",
     "GenericLoopKernel",
     "SimpleLoopKernel",
@@ -40,6 +56,73 @@ __all__ = [
 ]
 
 
+#: Level width at or below which a *run* of consecutive levels is
+#: walked one index at a time instead of one ``execute_batch`` each —
+#: the same trade the frontier sweep and the simulator make.  A batch
+#: costs a handful of numpy calls whatever its size, which is what two
+#: or three indices cost one at a time.
+FLAT_LEVEL = 2
+
+
+class LevelPlan:
+    """A legal total order grouped into mutually independent batches.
+
+    ``order[bounds[k]:bounds[k+1]]`` is level ``k``: no iteration in it
+    depends on another, and everything it depends on sits in an earlier
+    level.  Depends on schedule and dependence structure only.
+    """
+
+    def __init__(self, order: np.ndarray, bounds: np.ndarray):
+        self.order = order
+        self.bounds = bounds
+
+    @property
+    def num_levels(self) -> int:
+        return self.bounds.shape[0] - 1
+
+    @cached_property
+    def cuts(self) -> list:
+        """:attr:`bounds` as Python ints, for slicing in a loop."""
+        return self.bounds.tolist()
+
+    @cached_property
+    def spans(self) -> list:
+        """``(lo, hi, flat)`` runs of levels covering the plan: ``flat``
+        runs hold only levels of at most :data:`FLAT_LEVEL` indices."""
+        small = np.diff(self.bounds) <= FLAT_LEVEL
+        cuts = np.flatnonzero(small[1:] != small[:-1]) + 1
+        edges = [0, *cuts.tolist(), self.num_levels]
+        return [(lo, hi, bool(small[lo]))
+                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+    @cached_property
+    def num_batched(self) -> int:
+        """Levels a vectorized kernel runs as one batch each."""
+        return sum(hi - lo for lo, hi, flat in self.spans if not flat)
+
+    def spans_between(self, lo: int, hi: int | None):
+        """:attr:`spans` clipped to levels ``lo .. hi-1``."""
+        if hi is None:
+            hi = self.num_levels
+        for a, b, flat in self.spans:
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                yield a, b, flat
+
+    def level_of(self, i: int) -> int:
+        """The level iteration ``i`` runs in."""
+        at = int(np.flatnonzero(self.order == i)[0])
+        return int(np.searchsorted(self.bounds, at, side="right")) - 1
+
+
+def flat_walk(kernel, order: np.ndarray) -> None:
+    """Run ``order`` one index at a time — the only per-iteration walk
+    the executors have."""
+    execute_index = kernel.execute_index
+    for i in order.tolist():
+        execute_index(i)
+
+
 class LoopKernel(ABC):
     """Numeric body of a reorderable loop.
 
@@ -47,10 +130,22 @@ class LoopKernel(ABC):
     ``execute_batch`` perform iterations; ``result()`` returns the
     output.  ``execute_batch`` receives indices known to be mutually
     independent (one wavefront), so implementations may vectorise.
+
+    Executors run a kernel through a :class:`LevelPlan`:
+    :attr:`vectorized` kernels get :meth:`execute_levels`, the rest a
+    :func:`flat_walk`.  A kernel whose batches need index arrays that
+    depend on structure alone builds them in :meth:`compile_levels` and
+    names that structure in :meth:`gather_key`; the executor keeps the
+    result for as long as the key's objects stay the same.
     """
 
     #: Number of outer-loop iterations.
     n: int
+
+    @property
+    def vectorized(self) -> bool:
+        """Whether ``execute_batch`` is more than the per-index loop."""
+        return type(self).execute_batch is not LoopKernel.execute_batch
 
     @abstractmethod
     def start(self) -> None:
@@ -62,8 +157,35 @@ class LoopKernel(ABC):
 
     def execute_batch(self, idx: np.ndarray) -> None:
         """Perform a batch of mutually independent iterations."""
-        for i in idx:
-            self.execute_index(int(i))
+        flat_walk(self, np.asarray(idx))
+
+    def gather_key(self) -> tuple:
+        """The structure objects :meth:`compile_levels` reads."""
+        return ()
+
+    def compile_levels(self, levels: LevelPlan):
+        """Structure-only index arrays for running ``levels``."""
+        return None
+
+    def execute_levels(self, levels: LevelPlan, gather=None,
+                       lo: int = 0, hi: int | None = None) -> None:
+        """Perform levels ``lo .. hi-1`` of ``levels``; ``gather`` is
+        what :meth:`compile_levels` returned for them.  Runs of tiny
+        levels go one index at a time, the rest to
+        :meth:`execute_span`."""
+        order, cuts = levels.order, levels.cuts
+        for a, b, flat in levels.spans_between(lo, hi):
+            if flat:
+                flat_walk(self, order[cuts[a]:cuts[b]])
+            else:
+                self.execute_span(levels, gather, a, b)
+
+    def execute_span(self, levels: LevelPlan, gather, lo: int,
+                     hi: int) -> None:
+        """Perform levels ``lo .. hi-1``, one batch each."""
+        order, cuts = levels.order, levels.cuts
+        for k in range(lo, hi):
+            self.execute_batch(order[cuts[k]:cuts[k + 1]])
 
     @abstractmethod
     def result(self) -> np.ndarray:
@@ -155,7 +277,60 @@ class SimpleLoopKernel(LoopKernel):
         return self.x
 
 
-class TriangularSolveKernel(LoopKernel):
+class _SubstitutionKernel(LoopKernel):
+    """What the two triangular kernels share: one matrix, one diagonal
+    rule and the :class:`~repro.sparse.triangular.LevelGather` batch
+    path.  Subclasses map iterations to matrix rows and keep the
+    printed per-row loop as ``execute_index``."""
+
+    #: Forward (strictly-lower operands) or backward substitution.
+    _lower: bool
+
+    def __init__(self, t: CSRMatrix, b: np.ndarray, *, diag=None,
+                 unit_diagonal: bool = False):
+        self.n = t.nrows
+        self._t = t
+        self.b = check_vector(b, self.n, "b")
+        if unit_diagonal:
+            self.diag = np.ones(self.n)
+        else:
+            self.diag = (check_vector(diag, self.n, "diag")
+                         if diag is not None else t.diagonal())
+            if np.any(self.diag == 0.0):
+                raise ValidationError(
+                    "triangular kernel requires a nonzero diagonal")
+        self.x: np.ndarray | None = None
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """Matrix rows solved by iterations ``idx``."""
+        raise NotImplementedError
+
+    def start(self) -> None:
+        self.x = np.zeros(self.n, dtype=np.float64)
+
+    def gather_key(self) -> tuple:
+        return (type(self), self._t.indptr, self._t.indices)
+
+    def compile_levels(self, levels: LevelPlan) -> LevelGather:
+        return LevelGather(self._t.indptr, self._t.indices,
+                           self._rows(levels.order), levels.bounds,
+                           lower=self._lower)
+
+    def execute_batch(self, idx: np.ndarray) -> None:
+        idx = np.asarray(idx, dtype=np.int64)
+        one_level = LevelPlan(idx, np.array([0, idx.shape[0]]))
+        self.compile_levels(one_level).sweep(
+            self.x, self._t.data, self.b, self.diag)
+
+    def execute_span(self, levels: LevelPlan, gather: LevelGather,
+                     lo: int, hi: int) -> None:
+        gather.sweep(self.x, self._t.data, self.b, self.diag, lo, hi)
+
+    def result(self) -> np.ndarray:
+        return self.x
+
+
+class TriangularSolveKernel(_SubstitutionKernel):
     """Sparse lower-triangular forward substitution (Figure 8)::
 
         do i = 1, n
@@ -164,33 +339,23 @@ class TriangularSolveKernel(LoopKernel):
                 y(i) = y(i) - a(j) * y(ija(j))
 
     Iteration ``i`` computes ``x[i] = (b[i] - Σ L[i,j] x[j]) / d[i]``
-    over the stored strictly-lower entries.
+    over the stored strictly-lower entries, subtracting them one by one
+    in CSR order — on the batch path too, so batched and per-index
+    execution agree bit for bit.
     """
+
+    _lower = True
 
     def __init__(self, l: CSRMatrix, b: np.ndarray, *, diag=None,
                  unit_diagonal: bool = False):
-        self.n = l.nrows
+        super().__init__(l, b, diag=diag, unit_diagonal=unit_diagonal)
         self.l = l
-        self.b = check_vector(b, self.n, "b")
-        rows = l.row_of_nnz()
-        self._strict = l.indices < rows
-        if unit_diagonal:
-            self.diag = np.ones(self.n)
-        elif diag is not None:
-            self.diag = check_vector(diag, self.n, "diag")
-        else:
-            self.diag = np.zeros(self.n)
-            dm = l.indices == rows
-            self.diag[rows[dm]] = l.data[dm]
-        if np.any(self.diag == 0.0):
-            raise ValidationError("triangular kernel requires a nonzero diagonal")
-        self.x: np.ndarray | None = None
 
     def dependence_graph(self) -> DependenceGraph:
         return DependenceGraph.from_lower_csr(self.l)
 
-    def start(self) -> None:
-        self.x = np.zeros(self.n, dtype=np.float64)
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        return idx
 
     def execute_index(self, i: int) -> None:
         lo, hi = self.l.indptr[i], self.l.indptr[i + 1]
@@ -201,34 +366,8 @@ class TriangularSolveKernel(LoopKernel):
                 acc -= self.l.data[k] * self.x[j]
         self.x[i] = acc / self.diag[i]
 
-    def execute_batch(self, idx: np.ndarray) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return
-        # Gather each row's strictly-lower entries; rows in a batch are
-        # independent, so every operand x[j] is already final.
-        starts = self.l.indptr[idx]
-        ends = self.l.indptr[idx + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            self.x[idx] = self.b[idx] / self.diag[idx]
-            return
-        flat = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        local = np.repeat(np.arange(idx.shape[0]), counts)
-        cols = self.l.indices[flat]
-        vals = self.l.data[flat]
-        strict = cols < idx[local]
-        contrib = np.bincount(
-            local[strict], weights=vals[strict] * self.x[cols[strict]],
-            minlength=idx.shape[0],
-        )
-        self.x[idx] = (self.b[idx] - contrib) / self.diag[idx]
 
-    def result(self) -> np.ndarray:
-        return self.x
-
-
-class UpperTriangularSolveKernel(LoopKernel):
+class UpperTriangularSolveKernel(_SubstitutionKernel):
     """Backward substitution ``U x = b`` as a reorderable forward loop.
 
     The backward solve visits rows ``n-1 .. 0``; renumbering iteration
@@ -240,34 +379,23 @@ class UpperTriangularSolveKernel(LoopKernel):
     :meth:`result` reports ``x`` in natural row order.
     """
 
+    _lower = False
+
     def __init__(self, u: CSRMatrix, b: np.ndarray, *, diag=None,
                  unit_diagonal: bool = False):
-        self.n = u.nrows
         if not u.is_upper_triangular():
             raise ValidationError("matrix must be upper triangular")
+        super().__init__(u, b, diag=diag, unit_diagonal=unit_diagonal)
         self.u = u
-        self.b = check_vector(b, self.n, "b")
-        if unit_diagonal:
-            self.diag = np.ones(self.n)
-        elif diag is not None:
-            self.diag = check_vector(diag, self.n, "diag")
-        else:
-            self.diag = u.diagonal()
-        if np.any(self.diag == 0.0):
-            raise ValidationError("triangular kernel requires a nonzero diagonal")
-        self.x: np.ndarray | None = None
 
     def dependence_graph(self) -> DependenceGraph:
         return DependenceGraph.from_upper_csr(self.u)
 
-    def start(self) -> None:
-        self.x = np.zeros(self.n, dtype=np.float64)
-
-    def _row_of(self, k: int) -> int:
-        return self.n - 1 - k
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        return self.n - 1 - idx
 
     def execute_index(self, k: int) -> None:
-        i = self._row_of(k)
+        i = self.n - 1 - k
         lo, hi = self.u.indptr[i], self.u.indptr[i + 1]
         acc = self.b[i]
         for p in range(lo, hi):
@@ -276,30 +404,83 @@ class UpperTriangularSolveKernel(LoopKernel):
                 acc -= self.u.data[p] * self.x[j]
         self.x[i] = acc / self.diag[i]
 
-    def execute_batch(self, idx: np.ndarray) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return
-        rows = self.n - 1 - idx
-        starts = self.u.indptr[rows]
-        ends = self.u.indptr[rows + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            self.x[rows] = self.b[rows] / self.diag[rows]
-            return
-        flat = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        local = np.repeat(np.arange(rows.shape[0]), counts)
-        cols = self.u.indices[flat]
-        vals = self.u.data[flat]
-        strict = cols > rows[local]
-        contrib = np.bincount(
-            local[strict], weights=vals[strict] * self.x[cols[strict]],
-            minlength=rows.shape[0],
-        )
-        self.x[rows] = (self.b[rows] - contrib) / self.diag[rows]
 
-    def result(self) -> np.ndarray:
-        return self.x
+class LevelExecutor:
+    """The serial run path the classic executors share.
+
+    A subclass says how its schedule becomes ``(order, bounds)``
+    (:meth:`_build_levels`, where its legality checks live); this class
+    keeps the resulting :class:`LevelPlan`, keeps the kernel's gather
+    plan for as long as the kernel names the same structure objects —
+    a data-only ``rebind()`` rebuilds the kernel, not the structure —
+    and runs kernels through them.
+    """
+
+    _levels: LevelPlan | None = None
+    #: ``(gather_key, gather)`` of the last structure-bearing kernel.
+    _gather: tuple | None = None
+    #: Level and gather plans built, plans a run found already built,
+    #: and levels run as one batch — over the executor's life.
+    plan_builds = 0
+    plan_reuses = 0
+    batches = 0
+    #: How the last :meth:`run` drove its kernel: ``"vectorized"``
+    #: (a batch per level) or ``"flat"`` (one per-index walk).
+    kernel_path: str | None = None
+
+    def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def level_plan(self) -> LevelPlan:
+        """The executor's plan, built on first use."""
+        if self._levels is None:
+            self._levels = LevelPlan(*self._build_levels())
+            self.plan_builds += 1
+        return self._levels
+
+    def _gather_for(self, kernel, levels: LevelPlan):
+        key = kernel.gather_key()
+        if not key:  # nothing structural to keep
+            return kernel.compile_levels(levels)
+        held = self._gather
+        if (held is not None and len(held[0]) == len(key)
+                and all(a is b for a, b in zip(held[0], key))):
+            self.plan_reuses += 1
+            return held[1]
+        gather = kernel.compile_levels(levels)
+        self.plan_builds += 1
+        self._gather = (key, gather)
+        return gather
+
+    @property
+    def numeric_batches(self) -> int | None:
+        """Levels of the plan (``None`` until a run has built it)."""
+        return None if self._levels is None else self._levels.num_levels
+
+    def level_counts(self) -> tuple[int, int, int]:
+        """``(plan_builds, plan_reuses, batches)`` so far."""
+        return self.plan_builds, self.plan_reuses, self.batches
+
+    def run(self, kernel) -> np.ndarray:
+        """Numerically execute ``kernel`` in the plan's order.
+
+        Any order that respects the dependences computes the same
+        values (the dependence graph fixes the dataflow), and batched
+        arithmetic keeps each row's serial operation order, so the
+        result equals :class:`SerialExecutor`'s bit for bit.
+        """
+        if self._levels is not None:
+            self.plan_reuses += 1
+        levels = self.level_plan()
+        kernel.start()
+        if getattr(kernel, "vectorized", False):
+            kernel.execute_levels(levels, self._gather_for(kernel, levels))
+            self.batches += levels.num_batched
+            self.kernel_path = "vectorized"
+        else:
+            flat_walk(kernel, levels.order)
+            self.kernel_path = "flat"
+        return kernel.result()
 
 
 class SerialExecutor:

@@ -8,8 +8,9 @@ wavefront with no further coordination.
 
 Three engines:
 
-* :meth:`PreScheduledExecutor.run` — numeric execution, vectorised per
-  phase (all rows in a wavefront are independent);
+* :meth:`PreScheduledExecutor.run` — numeric execution through the
+  shared :class:`~repro.core.executor.LevelExecutor` path, one batch
+  per phase (all rows in a wavefront are independent);
 * :meth:`PreScheduledExecutor.simulate` — machine-model timing;
 * :meth:`PreScheduledExecutor.run_threaded` — real threads with
   :class:`threading.Barrier` synchronization.
@@ -20,11 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import SimResult, simulate_prescheduled
+from ..machine.simulator import (
+    SimResult,
+    simulate_prescheduled,
+    wavefront_batches,
+)
 from ..machine.threads import ThreadedMachine
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
-from .executor import LoopKernel
+from .executor import LevelExecutor, LoopKernel
 from .schedule import Schedule
 
 __all__ = ["PreScheduledExecutor"]
@@ -36,7 +41,7 @@ def _build_prescheduled(inspection, nproc, costs):
     return PreScheduledExecutor(inspection.schedule, inspection.dep, costs)
 
 
-class PreScheduledExecutor:
+class PreScheduledExecutor(LevelExecutor):
     """Barrier-synchronized wavefront execution of a schedule."""
 
     mode = "preschedule"
@@ -55,14 +60,11 @@ class PreScheduledExecutor:
     def num_phases(self) -> int:
         return len(self._phases)
 
-    def run(self, kernel: LoopKernel) -> np.ndarray:
-        """Numerically execute the kernel phase by phase."""
-        kernel.start()
-        for phase in self._phases:
-            members = np.concatenate(phase) if phase else np.empty(0, np.int64)
-            if members.size:
-                kernel.execute_batch(members)
-        return kernel.result()
+    def _build_levels(self):
+        # The constructor's phases() call proved every list sorted;
+        # the numeric batches are those phases laid end to end.
+        flat = self.schedule.flattened()
+        return wavefront_batches(flat, self.schedule.wavefronts[flat])
 
     def simulate(self, *, unit_work: np.ndarray | None = None) -> SimResult:
         """Machine-model timing of this schedule."""

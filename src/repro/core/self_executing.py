@@ -18,13 +18,13 @@ import numpy as np
 from ..machine.costs import MachineCosts, MULTIMAX_320
 from ..machine.simulator import (
     SimResult,
+    execution_levels,
     simulate_self_executing,
-    toposort_plan,
 )
 from ..machine.threads import ThreadedMachine
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
-from .executor import LoopKernel
+from .executor import LevelExecutor, LoopKernel
 from .schedule import Schedule
 
 __all__ = ["SelfExecutingExecutor"]
@@ -36,7 +36,7 @@ def _build_self_executing(inspection, nproc, costs):
     return SelfExecutingExecutor(inspection.schedule, inspection.dep, costs)
 
 
-class SelfExecutingExecutor:
+class SelfExecutingExecutor(LevelExecutor):
     """Busy-wait coordinated execution of a (reordered) schedule."""
 
     mode = "self"
@@ -46,39 +46,31 @@ class SelfExecutingExecutor:
         self.schedule = schedule
         self.dep = dep
         self.costs = costs
-        # A topological order of (program-order ∪ dependence) edges both
-        # proves the schedule deadlock-free and gives the numeric engine
-        # a legal execution order.  Computed lazily and cached.
-        self._order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
+    def _build_levels(self):
+        # A topological order of (program-order ∪ dependence) edges
+        # both proves the schedule deadlock-free and gives the numeric
+        # and simulated engines a legal order to walk.
+        return execution_levels(self.schedule, self.dep)
+
     def execution_order(self) -> np.ndarray:
         """A deadlock-free total order consistent with this schedule."""
-        if self._order is None:
-            self._order = toposort_plan(self.schedule, self.dep)
-        return self._order
-
-    def run(self, kernel: LoopKernel) -> np.ndarray:
-        """Numerically execute the kernel in a legal order.
-
-        Iterations are replayed in the cached topological order, which
-        yields exactly the values a concurrent run would produce (the
-        dependence graph fixes the dataflow; any legal order computes
-        the same fixed point).
-        """
-        order = self.execution_order()
-        kernel.start()
-        for i in order:
-            kernel.execute_index(int(i))
-        return kernel.result()
+        return self.level_plan().order
 
     def simulate(self, *, unit_work: np.ndarray | None = None,
                  keep_finish_times: bool = False) -> SimResult:
-        """Machine-model timing of this schedule."""
+        """Machine-model timing of this schedule.
+
+        Walks the level plan's order when a run has already built it
+        (a cold ``loop()`` runs, then simulates), so the schedule is
+        probed and sorted once; a timing-only caller builds nothing.
+        """
         return simulate_self_executing(
             self.schedule, self.dep, self.costs,
             mode="self", unit_work=unit_work,
             keep_finish_times=keep_finish_times,
+            order=None if self._levels is None else self._levels.order,
         )
 
     def run_threaded(self, kernel: LoopKernel, *, timeout: float = 30.0,

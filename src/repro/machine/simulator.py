@@ -65,6 +65,9 @@ __all__ = [
     "simulate_prescheduled",
     "simulate_self_executing",
     "toposort_plan",
+    "wavefront_batches",
+    "deps_cross_wavefronts",
+    "execution_levels",
 ]
 
 _MODES = ("preschedule", "self", "doacross")
@@ -223,12 +226,11 @@ def _validate_phase_safety(schedule: Schedule, dep: DependenceGraph) -> None:
                 f"processor {pnum}'s list is not sorted by wavefront; "
                 "pre-scheduled execution would violate dependences"
             )
-    if dep.num_edges:
-        if np.any(wf[dep.indices] >= wf[dep.edge_rows()]):
-            raise ScheduleError(
-                "a dependence does not cross a phase boundary; the wavefront "
-                "array is inconsistent with the dependence graph"
-            )
+    if not deps_cross_wavefronts(wf, dep):
+        raise ScheduleError(
+            "a dependence does not cross a phase boundary; the wavefront "
+            "array is inconsistent with the dependence graph"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +318,55 @@ def _wf_sorted_shape(
     wavefronts — the shape produced by the global/local schedulers."""
     if flat.size > 1 and np.any((np.diff(wfl) < 0) & (procs[1:] == procs[:-1])):
         return False
-    wf = schedule.wavefronts
+    return deps_cross_wavefronts(schedule.wavefronts, dep)
+
+
+def wavefront_batches(
+    flat: np.ndarray, wfl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``flat`` stably sorted by its wavefronts ``wfl``, with the
+    wavefront boundaries: ``order[bounds[k]:bounds[k+1]]`` is the
+    ``k``-th non-empty wavefront.
+
+    For the flattened lists of a wavefront-sorted schedule —
+    per-processor runs, each already non-decreasing in wavefront — one
+    stable sort on the wavefront alone yields ``(wavefront, owner,
+    position)`` order: the pre-scheduled phases laid end to end.
+    """
+    n = flat.shape[0]
+    if n == 0:
+        return flat, np.zeros(1, dtype=np.int64)
+    o = np.argsort(wfl, kind="stable")
+    w = wfl[o]
+    bounds = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [n]))
+    return flat[o], bounds
+
+
+def deps_cross_wavefronts(wf: np.ndarray, dep: DependenceGraph) -> bool:
+    """Every dependence points into a strictly earlier wavefront."""
     return not (
         dep.num_edges and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows()]))
     )
+
+
+def execution_levels(
+    schedule: Schedule, dep: DependenceGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """A deadlock-free order of ``schedule``, grouped into batches.
+
+    ``order`` is a topological order of the (program-order ∪
+    dependence) DAG and ``order[bounds[k]:bounds[k+1]]`` a set with no
+    dependence inside it.  Wavefront-sorted schedules are proven legal
+    by the shape probe and batch by whole wavefronts
+    (:func:`wavefront_batches`); any other shape pays for the
+    combined-DAG sweep, which raises :class:`DeadlockError` on a cycle
+    and yields its (at most ``nproc``-wide) levels.
+    """
+    flat, procs, _ = schedule._flat_with_procs()
+    wfl = schedule.wavefronts[flat]
+    if _wf_sorted_shape(schedule, dep, flat, procs, wfl):
+        return wavefront_batches(flat, wfl)
+    return _toposort_levels(schedule, dep)
 
 
 def _fast_order(
@@ -334,10 +381,9 @@ def _fast_order(
     fails (a :func:`_fast_levels` attempt runs the identical check).
     """
     flat, procs, _ = schedule._flat_with_procs()
-    wf = schedule.wavefronts
-    if try_wf_sorted and _wf_sorted_shape(schedule, dep, flat, procs, wf[flat]):
-        pos = schedule.position()
-        return np.lexsort((pos, schedule.owner, wf))
+    wfl = schedule.wavefronts[flat]
+    if try_wf_sorted and _wf_sorted_shape(schedule, dep, flat, procs, wfl):
+        return wavefront_batches(flat, wfl)[0]
     increasing_lists = not (
         flat.size > 1
         and bool(np.any((np.diff(flat) <= 0) & (procs[1:] == procs[:-1])))
@@ -440,7 +486,17 @@ def _scalar_span(
         proc_avail[pi] = fi
 
 
-def _run_scalar(schedule, dep, w, t_poll, try_wf_sorted=True):
+def _legal_order(schedule, dep, order=None, try_wf_sorted=True):
+    """``order`` when the caller already holds a proven one, else a
+    cheap shape-derived order, else the combined-DAG sweep."""
+    if order is None:
+        order = _fast_order(schedule, dep, try_wf_sorted=try_wf_sorted)
+    if order is None:
+        order = toposort_plan(schedule, dep)
+    return order
+
+
+def _run_scalar(schedule, dep, w, t_poll, try_wf_sorted=True, order=None):
     """Whole-order scalar event loop over plain Python lists.
 
     One full pass of the per-iteration loop, with every hot array
@@ -450,9 +506,7 @@ def _run_scalar(schedule, dep, w, t_poll, try_wf_sorted=True):
     engine ~2.5× the speed of the numpy-indexed loop it replaces while
     performing bit-identical IEEE double operations.
     """
-    order = _fast_order(schedule, dep, try_wf_sorted=try_wf_sorted)
-    if order is None:
-        order = toposort_plan(schedule, dep)
+    order = _legal_order(schedule, dep, order, try_wf_sorted)
     n, p = schedule.n, schedule.nproc
     owner = schedule.owner.tolist()
     indptr = dep.indptr.tolist()
@@ -492,7 +546,7 @@ def _run_scalar(schedule, dep, w, t_poll, try_wf_sorted=True):
     )
 
 
-def _run_single_proc(schedule, dep, w):
+def _run_single_proc(schedule, dep, w, order=None):
     """One processor, non-negative work: no busy-wait can ever trigger.
 
     Every operand precedes its consumer on the only processor, so with
@@ -501,9 +555,7 @@ def _run_single_proc(schedule, dep, w):
     valid order (sequential accumulation, bit-identical to the event
     loop's running additions).
     """
-    order = _fast_order(schedule, dep)
-    if order is None:
-        order = toposort_plan(schedule, dep)
+    order = _legal_order(schedule, dep, order)
     n = schedule.n
     finish = np.zeros(n, dtype=np.float64)
     f = np.cumsum(w[order])
@@ -599,6 +651,7 @@ def simulate_self_executing(
     unit_work: np.ndarray | None = None,
     keep_finish_times: bool = False,
     engine: str | None = None,
+    order: np.ndarray | None = None,
 ) -> SimResult:
     """Simulate Figure 4 (``mode="self"``) or a plain doacross loop.
 
@@ -614,6 +667,12 @@ def simulate_self_executing(
     :class:`SimResult` fields; the per-iteration oracle is retained in
     :func:`repro.core.reference.simulate_self_executing` and the
     property suite asserts exact agreement.
+
+    ``order`` hands over a topological order of the (program-order ∪
+    dependence) DAG the caller has already proven — an executor's
+    :func:`execution_levels` order — so the per-iteration engines skip
+    their own shape probe and sort.  Results do not depend on which
+    topological order is walked.
     """
     if mode not in ("self", "doacross"):
         raise ValidationError(f"mode must be 'self' or 'doacross', got {mode!r}")
@@ -648,13 +707,15 @@ def simulate_self_executing(
         else:
             engine = "scalar"
     if engine == "single":
-        finish, proc_avail, busy, idle = _run_single_proc(schedule, dep, w)
+        finish, proc_avail, busy, idle = _run_single_proc(schedule, dep, w,
+                                                          order)
     elif engine == "batched":
         finish, proc_avail, busy, idle = _run_batched(schedule, dep, w, t_poll,
                                                       plan=plan)
     else:
         finish, proc_avail, busy, idle = _run_scalar(
-            schedule, dep, w, t_poll, try_wf_sorted=try_wf_sorted)
+            schedule, dep, w, t_poll, try_wf_sorted=try_wf_sorted,
+            order=order)
 
     total = float(proc_avail.max()) if p else 0.0
     idle += total - proc_avail

@@ -387,7 +387,6 @@ class LoopProgram:
             TriangularSolveKernel,
             UpperTriangularSolveKernel,
         )
-        from ..sparse.csr import CSRMatrix
         from ..util.frontier import counts_to_indptr
 
         n = t.nrows
@@ -415,9 +414,10 @@ class LoopProgram:
             def kernel(b, a, diag=None):
                 # Same sparsity, fresh values: rebinding "a" (or
                 # "diag") rebuilds only this kernel, never the
-                # dependence analysis.
-                m = CSRMatrix(t.indptr, t.indices, a, t.shape)
-                return kernel_cls(m, b, diag=diag,
+                # dependence analysis — and with_data shares the
+                # matrix's structure-derived arrays, so nothing
+                # proportional to nnz is redone either.
+                return kernel_cls(t.with_data(a), b, diag=diag,
                                   unit_diagonal=unit_diagonal)
         return cls(
             n,

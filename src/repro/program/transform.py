@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core.executor import LoopKernel
+from ..core.executor import LevelPlan, LoopKernel
 from ..errors import ValidationError
 from ..machine.simulator import SimResult
 from ..resilience.recovery import RecoveryRecord
@@ -134,6 +134,22 @@ class MappedKernel(LoopKernel):
 
     def execute_batch(self, indices) -> None:
         self.inner.execute_batch(self._forward[np.asarray(indices)])
+
+    # The level protocol is the inner kernel's, over the mapped order.
+    @property
+    def vectorized(self) -> bool:
+        return bool(getattr(self.inner, "vectorized", False))
+
+    def gather_key(self) -> tuple:
+        return (*self.inner.gather_key(), self._forward)
+
+    def compile_levels(self, levels):
+        mapped = LevelPlan(self._forward[levels.order], levels.bounds)
+        return mapped, self.inner.compile_levels(mapped)
+
+    def execute_levels(self, levels, gather, lo=0, hi=None) -> None:
+        mapped, inner_gather = gather
+        self.inner.execute_levels(mapped, inner_gather, lo, hi)
 
     def result(self):
         return self.inner.result()

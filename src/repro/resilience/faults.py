@@ -14,8 +14,8 @@ Seams
 -----
 ``kernel``
     Raise :class:`~repro.errors.InjectedFault` from
-    ``execute_index``/``execute_batch`` at the target iteration —
-    a user-kernel exception mid-wavefront.
+    ``execute_index``/``execute_batch``/``execute_levels`` at the
+    target iteration — a user-kernel exception mid-wavefront.
 ``stall``
     Sleep ``seconds`` inside the target iteration before computing —
     a wedged worker.  Stalls are cooperative: the thread machine's
@@ -300,9 +300,10 @@ class FaultPlan:
 class _FaultyKernel:
     """Kernel proxy that fires armed iteration faults, then delegates.
 
-    Everything except the two execute entry points forwards to the
-    wrapped kernel (``start``/``result``/``n``/backend attributes), so
-    executors cannot tell the difference until a fault fires.
+    Everything except the three execute entry points forwards to the
+    wrapped kernel (``start``/``result``/``n``/its level-plan
+    capability and structure/backend attributes), so executors cannot
+    tell the difference until a fault fires.
     """
 
     def __init__(self, inner, plan: FaultPlan, armed: dict[int, int]):
@@ -328,3 +329,20 @@ class _FaultyKernel:
             if target in idx:
                 self._plan.perform(spec_idx, target)
         self._inner.execute_batch(idx)
+
+    def execute_levels(self, levels, gather, lo=0, hi=None) -> None:
+        # Named here, not left to __getattr__, which would hand the
+        # executor the inner kernel's method and skip every fault.  A
+        # fault fires before the level holding its target; the levels
+        # themselves run through the inner kernel, segment by segment.
+        if hi is None:
+            hi = levels.num_levels
+        hits = sorted((levels.level_of(target), target, spec_idx)
+                      for target, spec_idx in self._armed.items()
+                      if 0 <= target < self.n)
+        for level, target, spec_idx in hits:
+            if lo <= level < hi:
+                self._inner.execute_levels(levels, gather, lo, level)
+                lo = level
+                self._plan.perform(spec_idx, target)
+        self._inner.execute_levels(levels, gather, lo, hi)

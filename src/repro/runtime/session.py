@@ -261,6 +261,16 @@ class ScheduledPlan(LoopPlan):
         if lower is not None:
             yield lower, self, lower
 
+    def report(self) -> dict:
+        """Why a serial run costs what it does: how many numeric batches
+        the executor's level plan has, and whether the last run drove
+        its kernel a batch per level (``"vectorized"``) or one index at
+        a time (``"flat"``).  Both ``None`` before the first run."""
+        return {
+            "numeric_batches": getattr(self.executor, "numeric_batches", None),
+            "kernel_path": getattr(self.executor, "kernel_path", None),
+        }
+
 
 def _of_plan(name: str, doc: str) -> property:
     return property(lambda self: getattr(self.plan, name), doc=doc)
@@ -407,6 +417,10 @@ class CompiledLoop:
         if obs is not None:
             mark = obs.mark()
             t0 = now()
+            # Executors count their plan traffic unconditionally (three
+            # ints a run); the session mirrors the deltas when armed.
+            level_counts = getattr(plan.executor, "level_counts", None)
+            counted = level_counts() if level_counts is not None else None
         sw = Stopwatch().start()
         with maybe_span(obs, "execute", backend=name,
                         executor=plan.executor_name):
@@ -437,6 +451,11 @@ class CompiledLoop:
             report.timeline = timeline
             obs.record_execution(name, sw.elapsed, sim=sim,
                                  timeline=timeline)
+            if counted is not None:
+                for metric, before, after in zip(
+                        ("plan_builds", "plan_reuses", "batches"),
+                        counted, level_counts()):
+                    obs.inc(f"executor.{metric}", after - before)
             # Execute-only window; :meth:`Runtime.run` widens this to
             # the full compile→execute breakdown.
             report.phases = obs.phase_breakdown(mark, now() - t0)

@@ -49,7 +49,7 @@ class CSRMatrix:
         the triangular kernels; builders do this by default).
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_row_of_nnz")
+    __slots__ = ("indptr", "indices", "data", "shape", "_structure")
 
     def __init__(self, indptr, indices, data, shape, *, check: bool = True, sort: bool = False):
         self.indptr = as_int_array(indptr, "indptr")
@@ -57,7 +57,10 @@ class CSRMatrix:
         self.data = as_float_array(data, "data")
         nrows, ncols = int(shape[0]), int(shape[1])
         self.shape = (nrows, ncols)
-        self._row_of_nnz: np.ndarray | None = None
+        # Arrays derived from ``indptr``/``indices`` alone, built on
+        # demand; :meth:`with_data` shares the dict, so matrices that
+        # differ only in values pay for them once.
+        self._structure: dict = {}
         if check:
             self._validate()
         if sort:
@@ -98,6 +101,7 @@ class CSRMatrix:
                 order = np.argsort(self.indices[lo:hi], kind="stable")
                 self.indices[lo:hi] = self.indices[lo:hi][order]
                 self.data[lo:hi] = self.data[lo:hi][order]
+        self._structure = {}  # entry positions moved
         return self
 
     def has_sorted_indices(self) -> bool:
@@ -137,11 +141,25 @@ class CSRMatrix:
 
     def row_of_nnz(self) -> np.ndarray:
         """For each stored entry, the row it belongs to (cached)."""
-        if self._row_of_nnz is None or self._row_of_nnz.shape[0] != self.nnz:
-            self._row_of_nnz = np.repeat(
+        rows = self._structure.get("rows")
+        if rows is None:
+            rows = self._structure["rows"] = np.repeat(
                 np.arange(self.nrows, dtype=np.int64), self.row_nnz()
             )
-        return self._row_of_nnz
+        return rows
+
+    def diagonal_positions(self) -> np.ndarray:
+        """CSR position of each row's diagonal entry, ``-1`` where the
+        row stores none (cached; the first one when a row repeats it)."""
+        pos = self._structure.get("diag")
+        if pos is None:
+            pos = np.full(min(self.shape), -1, dtype=np.int64)
+            rows = self.row_of_nnz()
+            hits = np.flatnonzero(self.indices == rows)[::-1]
+            # Reversed, so the first of a row's repeats is written last.
+            pos[rows[hits]] = hits
+            self._structure["diag"] = pos
+        return pos
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(columns, values)`` views of row ``i``."""
@@ -180,13 +198,10 @@ class CSRMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Extract the main diagonal (zeros where absent)."""
-        n = min(self.shape)
-        d = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            cols, vals = self.row(i)
-            hit = np.nonzero(cols == i)[0]
-            if hit.size:
-                d[i] = vals[hit[0]]
+        pos = self.diagonal_positions()
+        stored = pos >= 0
+        d = np.zeros(pos.shape[0], dtype=np.float64)
+        d[stored] = self.data[pos[stored]]
         return d
 
     def transpose(self) -> "CSRMatrix":
@@ -212,17 +227,24 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def is_lower_triangular(self, *, strict: bool = False) -> bool:
         """True when all entries satisfy ``col <= row`` (``<`` when strict)."""
-        rows = self.row_of_nnz()
-        if strict:
-            return bool(np.all(self.indices < rows))
-        return bool(np.all(self.indices <= rows))
+        return self._triangular("lower", strict)
 
     def is_upper_triangular(self, *, strict: bool = False) -> bool:
         """True when all entries satisfy ``col >= row`` (``>`` when strict)."""
-        rows = self.row_of_nnz()
-        if strict:
-            return bool(np.all(self.indices > rows))
-        return bool(np.all(self.indices >= rows))
+        return self._triangular("upper", strict)
+
+    def _triangular(self, side: str, strict: bool) -> bool:
+        """Cached with the structure: the answer depends on it alone."""
+        key = (side, strict)
+        held = self._structure.get(key)
+        if held is None:
+            rows, cols = self.row_of_nnz(), self.indices
+            if side == "lower":
+                held = np.all(cols < rows if strict else cols <= rows)
+            else:
+                held = np.all(cols > rows if strict else cols >= rows)
+            held = self._structure[key] = bool(held)
+        return held
 
     def has_full_diagonal(self) -> bool:
         """True when every row of a square matrix stores a diagonal entry."""
@@ -256,7 +278,9 @@ class CSRMatrix:
         data = as_float_array(data, "data")
         if data.shape[0] != self.nnz:
             raise ValidationError(f"data must have length nnz={self.nnz}")
-        return CSRMatrix(self.indptr, self.indices, data, self.shape, check=False)
+        m = CSRMatrix(self.indptr, self.indices, data, self.shape, check=False)
+        m._structure = self._structure
+        return m
 
     def allclose(self, other: "CSRMatrix", rtol: float = 1e-10, atol: float = 1e-12) -> bool:
         """Numerically compare two matrices (via dense form; test helper)."""

@@ -16,6 +16,12 @@ Two numeric engines are provided:
   level.  This is the numeric counterpart of the executors: within a
   wavefront all rows are independent, so they can be evaluated in one
   batch.
+
+Both the solver and the triangular loop kernels of
+:mod:`repro.core.executor` run their levels through one
+:class:`LevelGather` — the structure-only index plan of a level-ordered
+sweep plus the batched arithmetic that accumulates every row in CSR
+order, so a batched solve equals the sequential loops bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StructureError, ValidationError
+from ..util.frontier import counts_to_indptr, expand_csr_ranges
 from ..util.validation import check_vector
 from .csr import CSRMatrix
 
@@ -30,6 +37,7 @@ __all__ = [
     "split_triangular",
     "solve_lower_sequential",
     "solve_upper_sequential",
+    "LevelGather",
     "LevelScheduledSolver",
 ]
 
@@ -142,6 +150,73 @@ def solve_upper_sequential(
     return x
 
 
+class LevelGather:
+    """Structure-only gather plan of a level-ordered triangular sweep.
+
+    ``rows[bounds[k]:bounds[k+1]]`` are the matrix rows of level ``k``
+    (mutually independent; every operand lies in an earlier level).
+    One vectorized pass over ``indptr``/``indices`` lays out the
+    strictly-triangular entries of all rows in visiting order — CSR
+    order inside a row — as three flat arrays sliced per level:
+    ``pos`` (CSR position, so values are gathered from whatever ``data``
+    is current), ``cols`` (operand column) and ``local`` (the row's slot
+    inside its level).  Nothing here depends on matrix or right-hand
+    side *values*, so one plan serves every solve on the structure.
+    """
+
+    __slots__ = ("rows", "pos", "cols", "local", "row_bounds",
+                 "entry_bounds")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 rows: np.ndarray, bounds: np.ndarray, *, lower: bool = True):
+        rows = np.asarray(rows, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        starts = indptr[rows]
+        counts = indptr[rows + 1] - starts
+        pos = expand_csr_ranges(starts, counts)
+        slot = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
+        cols = indices[pos]
+        strict = cols < rows[slot] if lower else cols > rows[slot]
+        if not strict.all():
+            pos, slot, cols = pos[strict], slot[strict], cols[strict]
+        self.rows = rows
+        self.pos = pos
+        self.cols = cols
+        # ``slot`` is non-decreasing, so a level's entries are one slice.
+        self.local = slot - np.repeat(bounds[:-1], np.diff(bounds))[slot]
+        self.row_bounds: list = bounds.tolist()
+        self.entry_bounds: list = np.searchsorted(slot, bounds).tolist()
+
+    def sweep(self, x: np.ndarray, data: np.ndarray, b: np.ndarray,
+              diag: np.ndarray, lo: int = 0, hi: int | None = None) -> None:
+        """Solve levels ``lo .. hi-1`` into ``x``.
+
+        Row ``i`` becomes ``(b[i] - data[k0]*x[j0] - data[k1]*x[j1] …)
+        / diag[i]`` with the subtractions applied one after another in
+        CSR order (``np.subtract.at`` is unbuffered and walks its index
+        array in order) — the very operations of the sequential loop.
+        """
+        rb, eb = self.row_bounds, self.entry_bounds
+        if hi is None:
+            hi = len(rb) - 1
+        r0, e0 = rb[lo], eb[lo]
+        rows = self.rows[r0:rb[hi]]
+        acc_all = b[rows]
+        diag = diag[rows]
+        vals = data[self.pos[e0:eb[hi]]]
+        cols = self.cols[e0:eb[hi]]
+        local = self.local[e0:eb[hi]]
+        for k in range(lo, hi):
+            a, c = rb[k] - r0, rb[k + 1] - r0
+            ea, ec = eb[k] - e0, eb[k + 1] - e0
+            acc = acc_all[a:c]
+            if ec > ea:
+                np.subtract.at(acc, local[ea:ec],
+                               vals[ea:ec] * x[cols[ea:ec]])
+            acc /= diag[a:c]
+            x[rows[a:c]] = acc
+
+
 class LevelScheduledSolver:
     """Wavefront-vectorised triangular solver with a one-time inspector.
 
@@ -181,16 +256,12 @@ class LevelScheduledSolver:
         self.n = n
         self.lower = lower
 
-        rows = t.row_of_nnz()
-        strict_mask = (t.indices < rows) if lower else (t.indices > rows)
         if unit_diagonal:
             d = np.ones(n, dtype=np.float64)
         elif diag is not None:
             d = check_vector(diag, n, "diag")
         else:
-            d = np.zeros(n, dtype=np.float64)
-            dm = t.indices == rows
-            d[rows[dm]] = t.data[dm]
+            d = t.diagonal()
         if np.any(d == 0.0):
             raise StructureError("triangular solve requires a nonzero diagonal")
         self.diag = d
@@ -212,32 +283,11 @@ class LevelScheduledSolver:
         self.wavefronts = wf
         self.num_levels = int(wf.max()) + 1 if n else 0
 
-        # --- pack per-level gather plans --------------------------------
-        strict_rows = rows[strict_mask]
-        strict_cols = t.indices[strict_mask]
-        strict_vals = t.data[strict_mask]
-        lvl_of_entry = wf[strict_rows]
-
-        self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        row_order = np.argsort(wf, kind="stable")
-        level_row_bounds = np.searchsorted(wf[row_order], np.arange(self.num_levels + 1))
-        entry_order = np.argsort(lvl_of_entry, kind="stable")
-        level_entry_bounds = np.searchsorted(
-            lvl_of_entry[entry_order], np.arange(self.num_levels + 1)
-        )
-        for lvl in range(self.num_levels):
-            lr = row_order[level_row_bounds[lvl] : level_row_bounds[lvl + 1]]
-            elo, ehi = level_entry_bounds[lvl], level_entry_bounds[lvl + 1]
-            e = entry_order[elo:ehi]
-            erows = strict_rows[e]
-            # Local position of each entry's row within this level, so the
-            # per-level partial sums can be accumulated with bincount.
-            local = np.searchsorted(np.sort(lr), erows)
-            # rows within a level are unique, so sort(lr) is a bijection.
-            lr_sorted = np.sort(lr)
-            self._levels.append(
-                (lr_sorted, strict_cols[e], strict_vals[e], local)
-            )
+        # --- per-level gather plan (rows ascending inside a level) ------
+        self._data = t.data
+        self._gather = LevelGather(
+            t.indptr, t.indices, np.argsort(wf, kind="stable"),
+            counts_to_indptr(self.level_sizes()), lower=lower)
 
     def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve the triangular system for right-hand side ``b``."""
@@ -245,14 +295,7 @@ class LevelScheduledSolver:
         x = out if out is not None else np.empty(self.n, dtype=np.float64)
         if out is not None and out.shape[0] != self.n:
             raise ValidationError(f"out must have length {self.n}")
-        for rows, cols, vals, local in self._levels:
-            if cols.size:
-                contrib = np.bincount(
-                    local, weights=vals * x[cols], minlength=rows.shape[0]
-                )
-            else:
-                contrib = 0.0
-            x[rows] = (b[rows] - contrib) / self.diag[rows]
+        self._gather.sweep(x, self._data, b, self.diag)
         return x
 
     def level_sizes(self) -> np.ndarray:

@@ -207,7 +207,9 @@ class TestSurfaceContract:
         assert loop.simulate() is loop.simulate()
         assert timing.sim is loop.simulate()
         rep = loop.report()
-        extra = {"variant", "num_stages"} if case.kind == "staged" else set()
+        extra = {"staged": {"variant", "num_stages"},
+                 "scheduled": {"numeric_batches", "kernel_path"}
+                 }.get(case.kind, set())
         assert set(rep) == REPORT_KEYS | extra
         assert rep["executor"] == loop.executor_name == called.executor
         assert rep["executions"] == loop.executions

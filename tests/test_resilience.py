@@ -178,6 +178,33 @@ class TestRecovery:
         assert len(rec.attempts) == 1
         assert rec.attempts[0].iteration == rt.faults.fired[0]["iteration"]
 
+    @pytest.mark.parametrize("executor", ["preschedule", "self", "doacross"])
+    def test_kernel_fault_fires_on_the_level_path(self, executor):
+        # A triangular program runs a batch per level through
+        # execute_levels; the wrapper must route that entry point too,
+        # or an armed fault is silently skipped.
+        from repro.core.executor import SerialExecutor
+        from repro.sparse.build import random_lower_triangular
+
+        l = random_lower_triangular(N, avg_off_diag=2.5, max_band=12, seed=5)
+        prog = LoopProgram.from_csr(l, np.random.default_rng(5).random(N))
+        expected = SerialExecutor().run(prog.make_kernel()).copy()
+        plan = FaultPlan.kernel_exception(seed=SEED)
+        rt = Runtime(nproc=NPROC, faults=plan, recovery=True)
+        loop = rt.compile(prog, executor=executor)
+        report = loop()
+        assert loop.executor.kernel_path == "vectorized"
+        assert [f["seam"] for f in plan.fired] == ["kernel"]
+        np.testing.assert_array_equal(report.x, expected)
+        rec = report.recovery
+        assert rec.recovered and rec.cause == "InjectedFault"
+        assert rec.attempts[0].iteration == plan.fired[0]["iteration"]
+        # Without recovery the same fault surfaces, typed.
+        rt = Runtime(nproc=NPROC, faults=FaultPlan.kernel_exception(
+            iteration=plan.fired[0]["iteration"]))
+        with pytest.raises(InjectedFault):
+            rt.compile(prog, executor=executor)()
+
     def test_worker_death_wraps_into_typed_execution_error(self):
         # No recovery: the raw failure must carry the iteration index.
         rt = Runtime(nproc=NPROC, backend="threads",
