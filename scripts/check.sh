@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo check: byte-compile the library, guard the one-loop-type and
+# Repo check: byte-compile the library, guard the one-loop-type, one-kernel and
 # one-run-path rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -19,8 +19,21 @@ echo "== one loop type: no second loop class under src =="
 # CompiledLoop(plan) replaced these; the fork must not grow back.
 forked='BoundLoop|SpeculativeLoop|SpeculativeBoundLoop|TransformedLoop'
 forked="$forked|_SpeculativeInspection|_BundleInspection|_fallback_tiers"
+# ... and the one replay kernel replaced these.
+forked="$forked|RecordedKernel|RecordedTrace|writers_index"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel replaced reappeared" >&2
+    exit 1
+fi
+
+echo "== one proxy fallback: _ReplayArray built in one place =="
+# Taped kernels never touch the per-iteration proxies; the only code
+# that constructs them is StatementReplayKernel._proxies.
+built=$(grep -rn '_ReplayArray(' src --include='*.py' || true)
+if [ "$(echo "$built" | grep -c '^src/repro/program/recording.py:')" -ne 1 ] \
+   || [ "$(echo "$built" | wc -l)" -ne 1 ]; then
+    echo "$built"
+    echo "error: _ReplayArray constructed outside the proxy fallback" >&2
     exit 1
 fi
 

@@ -16,7 +16,7 @@ loop runs when a rewrite wins.
 from .binding import LoopProgram
 from .descriptors import At, ResolvedAccess, Statement
 from .extraction import extract_dependences, extract_statement_dependences
-from .recording import RecordedKernel, StatementReplayKernel, record_trace
+from .recording import StatementReplayKernel, record_trace
 from .transform import (
     IterationMap,
     MappedKernel,
@@ -34,7 +34,6 @@ __all__ = [
     "IterationMap",
     "LoopProgram",
     "MappedKernel",
-    "RecordedKernel",
     "ResolvedAccess",
     "Stage",
     "StagedPlan",

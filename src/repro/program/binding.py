@@ -33,7 +33,8 @@ import numpy as np
 from ..errors import ValidationError
 from .descriptors import At, Statement
 from .extraction import extract_dependences, extract_statement_dependences
-from .recording import RecordedKernel, StatementReplayKernel, record_trace
+from .recording import StatementReplayKernel, record_trace
+from .tape import ReplayStructure
 
 __all__ = ["LoopProgram"]
 
@@ -125,6 +126,12 @@ class LoopProgram:
                                 for a in rr]
         self._resolved_writes = [a for _, ww in self._stmt_resolved
                                  for a in ww]
+        # What replaying the bodies needs of the structure (first-writer
+        # table, tape): built on first execution, shared by every
+        # with_data copy, so compiled-and-discarded variants and
+        # data-only rebinds never pay for it.
+        self._replay = ReplayStructure(self.n, self.statements,
+                                       self._stmt_resolved, data)
 
     @staticmethod
     def _check_descriptor(d) -> At:
@@ -291,7 +298,7 @@ class LoopProgram:
                 "explicit kernel)"
             )
         return StatementReplayKernel(self.n, self.statements,
-                                     self._stmt_resolved, self.data)
+                                     self._replay, self.data)
 
     def with_data(self, **arrays) -> "LoopProgram":
         """A new program with some data entries replaced.
@@ -322,6 +329,7 @@ class LoopProgram:
             if fresh.structure_hash() == self.structure_hash():
                 fresh._dep = self._dep
                 fresh._stmt_adj = self._stmt_adj
+                fresh._replay = self._replay
         # else: no index source touched — the shallow copy already
         # shares the resolved structure, graph and hash wholesale.
         return fresh
@@ -443,25 +451,21 @@ class LoopProgram:
         Passing a *sequence* of bodies records each into its own
         :class:`~repro.program.descriptors.Statement` — a
         multi-statement program (serial order interleaved) that the
-        transform layer can fission.
+        transform layer can fission; one body is the one-statement
+        case.  The recording pass also hands the program what it saw of
+        the arithmetic, so the replay tape costs no second pass.
         """
-        if not callable(body):
-            statements = []
-            for k, b in enumerate(body):
-                trace = record_trace(n, b, arrays.keys())
-                reads, writes = trace.descriptors()
-                statements.append(Statement(reads=reads, writes=writes,
-                                            body=b, name=f"s{k}"))
-            return cls(int(n), statements=statements, data=arrays,
-                       name=name or "recorded", shape=shape)
-        trace = record_trace(n, body, arrays.keys())
-        reads, writes = trace.descriptors()
-
-        def factory(**data):
-            return RecordedKernel(n, body, trace, data)
-
-        return cls(int(n), reads=reads, writes=writes, kernel=factory,
-                   data=arrays, name=name or "recorded", shape=shape)
+        bodies = [body] if callable(body) else list(body)
+        traces = [record_trace(n, b, arrays.keys()) for b in bodies]
+        statements = []
+        for k, (b, trace) in enumerate(zip(bodies, traces)):
+            reads, writes = trace.descriptors()
+            statements.append(Statement(reads=reads, writes=writes,
+                                        body=b, name=f"s{k}"))
+        prog = cls(int(n), statements=statements, data=arrays,
+                   name=name or "recorded", shape=shape)
+        prog._replay.traces = traces
+        return prog
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..util.frontier import counts_to_indptr
+from ..util.frontier import counts_to_indptr, rows_from_indptr
 from ..util.validation import as_int_array
 
 __all__ = ["At", "ResolvedAccess", "Statement"]
@@ -48,6 +48,15 @@ class ResolvedAccess:
     identity: bool
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
+
+    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(iteration, element)`` of every access, as ``int64``
+        arrays in iteration order (``n`` sizes the identity access)."""
+        if self.identity:
+            every = np.arange(n, dtype=np.int64)
+            return every, every
+        return (rows_from_indptr(self.indptr),
+                self.indices.astype(np.int64, copy=False))
 
     def structure_bytes(self) -> bytes:
         """Deterministic bytes for the structure hash."""

@@ -140,6 +140,10 @@ class MappedKernel(LoopKernel):
     def vectorized(self) -> bool:
         return bool(getattr(self.inner, "vectorized", False))
 
+    @property
+    def tape_builds(self) -> int:
+        return getattr(self.inner, "tape_builds", 0)
+
     def gather_key(self) -> tuple:
         return (*self.inner.gather_key(), self._forward)
 
@@ -285,6 +289,7 @@ def fission(prog: LoopProgram) -> Variant | None:
             name=f"{base}/fission{k}",
             shape=prog.shape,
         )
+        sub._replay.adopt(prog._replay, comp)
         stages.append(Stage(sub, IterationMap.identity(prog.n),
                             tuple(comp)))
     return Variant("fission", tuple(stages), prog)

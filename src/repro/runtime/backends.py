@@ -115,8 +115,8 @@ class SimBackend(ExecutionBackend):
 class ThreadsBackend(ExecutionBackend):
     """Real threads running the executor's synchronization protocol.
 
-    Kernels declaring ``thread_safe = False`` (the trace-replay kernel
-    of :class:`~repro.program.RecordedKernel`, whose proxies keep
+    Kernels declaring ``thread_safe = False`` (the replay kernel
+    :class:`~repro.program.StatementReplayKernel`, whose proxies keep
     per-iteration state) are rejected eagerly — silently racing on
     shared kernel state would corrupt numerics without any error.
     """

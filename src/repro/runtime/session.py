@@ -421,6 +421,7 @@ class CompiledLoop:
             # ints a run); the session mirrors the deltas when armed.
             level_counts = getattr(plan.executor, "level_counts", None)
             counted = level_counts() if level_counts is not None else None
+            taped = getattr(kernel, "tape_builds", None)
         sw = Stopwatch().start()
         with maybe_span(obs, "execute", backend=name,
                         executor=plan.executor_name):
@@ -456,6 +457,8 @@ class CompiledLoop:
                         ("plan_builds", "plan_reuses", "batches"),
                         counted, level_counts()):
                     obs.inc(f"executor.{metric}", after - before)
+            if taped is not None:
+                obs.inc("executor.tape_builds", kernel.tape_builds - taped)
             # Execute-only window; :meth:`Runtime.run` widens this to
             # the full compile→execute breakdown.
             report.phases = obs.phase_breakdown(mark, now() - t0)

@@ -166,14 +166,9 @@ def _events(n: int, accesses) -> tuple[np.ndarray, np.ndarray]:
     """Flatten resolved accesses into (iteration, element) arrays."""
     its, els = [], []
     for acc in accesses:
-        if acc.identity:
-            its.append(np.arange(n, dtype=np.int64))
-            els.append(np.arange(n, dtype=np.int64))
-        else:
-            from ..util.frontier import rows_from_indptr
-
-            its.append(rows_from_indptr(acc.indptr))
-            els.append(acc.indices.astype(np.int64, copy=False))
+        it, el = acc.pairs(n)
+        its.append(it)
+        els.append(el)
     if not its:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty

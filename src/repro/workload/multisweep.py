@@ -102,14 +102,9 @@ def stencil_program(h: np.ndarray, shape: tuple, *,
 
     # Per-iteration neighbour lists in (west, north) order.
     idx = np.arange(n, dtype=np.int64)
-    counts = (idx % cols != 0).astype(np.int64) + (idx >= cols).astype(np.int64)
-    pairs = []
-    for i in range(n):
-        if i % cols:
-            pairs.append(i - 1)
-        if i >= cols:
-            pairs.append(i - cols)
-    neigh = np.asarray(pairs, dtype=np.int64)
+    has = np.stack([idx % cols != 0, idx >= cols], axis=1)
+    counts = has.sum(axis=1)
+    neigh = np.stack([idx - 1, idx - cols], axis=1)[has]
     statements = [
         Statement(
             reads=(At.from_counts("g", counts, neigh), At("h")),

@@ -121,8 +121,7 @@ class TestSerialOrder:
         loop = Runtime(nproc=nproc).compile(program, executor=executor,
                                             scheduler=scheduler)
         assert np.array_equal(loop().x, serial(program))
-        assert loop.executor.kernel_path == (
-            "flat" if kind == "recorded" else "vectorized")
+        assert loop.executor.kernel_path == "vectorized"
 
     @given(st.integers(min_value=1, max_value=48),
            st.integers(min_value=0, max_value=2**31 - 1),
@@ -401,14 +400,15 @@ class TestWrappersAndReports:
     def test_wrappers_report_the_inner_capability(self):
         n = 12
         imap = IterationMap(np.arange(n)[::-1].copy())
-        flat = recorded_program(n, 1).make_kernel()
+        flat = GenericLoopKernel(n, lambda i: None)
         batched = SimpleLoopKernel(np.ones(n), np.ones(n),
                                    np.zeros(n, dtype=np.int64))
-        assert not flat.vectorized and batched.vectorized
-        assert not GenericLoopKernel(n, lambda i: None).vectorized
+        taped = recorded_program(n, 1).make_kernel()
+        assert not flat.vectorized and batched.vectorized and taped.vectorized
         assert not MappedKernel(flat, imap).vectorized
         assert MappedKernel(batched, imap).vectorized
-        for inner in (flat, batched):
+        assert MappedKernel(taped, imap).vectorized
+        for inner in (flat, batched, taped):
             wrapped = FaultPlan.kernel_exception(iteration=3).wrap_kernel(inner)
             assert wrapped is not inner
             assert wrapped.vectorized == inner.vectorized
@@ -445,6 +445,6 @@ class TestWrappersAndReports:
         after = loop.report()
         assert after["kernel_path"] == "vectorized"
         assert after["numeric_batches"] == loop.inspection.num_wavefronts
-        flat = Runtime(nproc=2).compile(recorded_program(24, 5))
-        flat()
-        assert flat.report()["kernel_path"] == "flat"
+        taped = Runtime(nproc=2).compile(recorded_program(24, 5))
+        taped()
+        assert taped.report()["kernel_path"] == "vectorized"
