@@ -5,14 +5,15 @@ compile time — iteration ``i`` reads ``x[ia[i]]``, and ``ia`` is data.
 This script shows the library's layers, top down:
 
 1. the declarative front end — declare the access pattern as a
-   ``LoopProgram`` (or trace-record it), compile it into a bound loop,
-   execute, then *rebind* new data without paying for inspection;
+   ``LoopProgram``, compile it into a bound loop, execute, then
+   *rebind* new data without paying for inspection;
 2. the raw-deps Runtime API — the low-level path: hand the session
    dependence data and a kernel separately;
 3. pluggable strategies — register a custom partitioner and use it by
    name, without touching library code;
-4. the automated source transformer — generate the inspector and the
-   Figure 4/5 executors directly from the loop's source code.
+4. trace recording — the paper's Section 2.2 transformation done at
+   run time: hand over the loop body as written and let the library
+   derive the inspector's input and the executor's kernel from it.
 
 Run:  python examples/quickstart.py
       REPRO_EXAMPLE_SCALE=0.1 python examples/quickstart.py   # smoke
@@ -22,7 +23,7 @@ import os
 
 import numpy as np
 
-from repro import LoopProgram, Runtime, parallelize_source, register_partitioner
+from repro import LoopProgram, Runtime, register_partitioner
 from repro.core import SimpleLoopKernel
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
@@ -62,16 +63,6 @@ def main() -> None:
     changed = loop.rebind(ia=np.roll(ia, 1))
     print(f"  rebind(ia=...)      : recompiled = {changed is not loop}")
 
-    # The same program can be declared without writing descriptors at
-    # all: record the body once over proxy arrays.
-    def body(i, a):
-        a.x[i] = a.x[i] + a.b[i] * a.x[int(ia[i])]
-
-    recorded = LoopProgram.record(n, body, x=x0, b=b)
-    rec = rt.compile(recorded, executor="self", scheduler="local")()
-    print(f"  trace-recorded body : matches declared = "
-          f"{np.array_equal(rec.x, out.x)}")
-
     # ------------------------------------------------------------------
     # 2. The raw-deps path (the low-level API underneath)
     # ------------------------------------------------------------------
@@ -106,22 +97,23 @@ def main() -> None:
           f" (matches: {np.allclose(res.x, out.x)})")
 
     # ------------------------------------------------------------------
-    # 4. The automated transformation (Section 2.2)
+    # 4. The loop as written: trace recording (Section 2.2 at run time)
     # ------------------------------------------------------------------
-    tloop = parallelize_source(
-        """
-def simple(x, b, ia, n):
-    for i in range(n):
-        x[i] = x[i] + b[i] * x[ia[i]]
-"""
-    )
-    print("\ngenerated self-executing executor (Figure 4):\n")
-    print(tloop.self_executor_source)
+    # No descriptors, no kernel class: the body runs once over proxy
+    # arrays, which yields both the access pattern (the inspector's
+    # input) and the arithmetic (the executor's kernel).  Bind the
+    # values; close over the index array.
+    def body(i, a):
+        a.x[i] = a.x[i] + a.b[i] * a.x[ia[i]]
 
-    got = tloop.run(x0, b, ia, n, nproc=8, executor="self")
-    ref = tloop.run_original(x0, b, ia, n)
-    print("transformed loop matches the sequential original:",
-          np.allclose(got, ref))
+    recorded = LoopProgram.record(n, body, x=x0, b=b)
+    got = Runtime(nproc=8).compile(recorded, executor="self")().x
+
+    ref = x0.copy()
+    for i in range(n):                # the sequential original
+        ref[i] = ref[i] + b[i] * ref[ia[i]]
+    print("\nrecorded loop matches the sequential original:",
+          np.array_equal(got, ref))
 
 
 if __name__ == "__main__":

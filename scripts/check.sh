@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo check: byte-compile the library, guard the one-loop-type, one-kernel and
-# one-run-path rules, then run the tier-1 test suite.
+# Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
+# one-run-path, one-identity and session-free-store rules, then run the tier-1
+# test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -21,8 +22,29 @@ forked='BoundLoop|SpeculativeLoop|SpeculativeBoundLoop|TransformedLoop'
 forked="$forked|_SpeculativeInspection|_BundleInspection|_fallback_tiers"
 # ... and the one replay kernel replaced these.
 forked="$forked|RecordedKernel|RecordedTrace|writers_index"
+# ... and LoopProgram.record / Runtime.compile replaced the AST-generated
+# inspector/executor and the doconsider shim.
+forked="$forked|DoconsiderLoop|DoconsiderResult|doconsider\(|parallelize_source"
+forked="$forked|ParallelizedLoop|TransformError"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end replaced reappeared" >&2
+    exit 1
+fi
+
+echo "== one structure identity: hashlib imported in one module =="
+# Every store key and structure hash goes through util/digest.py.
+hashers=$(grep -rlE '^\s*(import hashlib|from hashlib )' src --include='*.py' || true)
+if [ "$hashers" != "src/repro/util/digest.py" ]; then
+    echo "$hashers"
+    echo "error: hashlib imported outside src/repro/util/digest.py" >&2
+    exit 1
+fi
+
+echo "== stores hold no session: nothing assigns observer/faults onto one =="
+# Sessions pass faults= per put() and mirror their own counter deltas.
+if grep -rnE '(cache|store)\w*\.(observer|faults)\s*=[^=]' src tests \
+        --include='*.py'; then
+    echo "error: session state assigned onto a shared cache/store" >&2
     exit 1
 fi
 

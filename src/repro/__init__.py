@@ -2,11 +2,11 @@
 
 A production-quality reproduction of Saltz, Mirchandaney & Baxter,
 *Run-Time Parallelization and Scheduling of Loops* (ICASE 88-70 /
-SPAA 1989): the inspector/executor model, the ``doconsider`` construct,
-wavefront scheduling (global and local), pre-scheduled and
-self-executing executors, an automated loop transformer, a simulated
-shared-memory multiprocessor, a parallel preconditioned Krylov solver
-(PCGPAK stand-in), and the paper's full experimental harness.
+SPAA 1989): the inspector/executor model, wavefront scheduling (global
+and local), pre-scheduled and self-executing executors, loop programs
+recorded from plain Python bodies, a simulated shared-memory
+multiprocessor, a parallel preconditioned Krylov solver (PCGPAK
+stand-in), and the paper's full experimental harness.
 
 Quick start
 -----------
@@ -22,9 +22,8 @@ Quick start
 True
 >>> _ = loop.rebind(x=np.zeros(6))   # new data, zero inspector work
 
-(Raw dependence data still compiles directly —
-``rt.compile(ia)(kernel)`` — and the legacy ``doconsider`` construct
-remains available as a thin shim over the runtime.)
+(Raw dependence data compiles directly too:
+``rt.compile(ia)(kernel)``.)
 
 See ``examples/`` for full walkthroughs and ``benchmarks/`` for the
 table/figure reproductions.
@@ -39,11 +38,8 @@ from .errors import (
     ExecutionError,
     ExecutionTimeout,
     InjectedFault,
-    TransformError,
     ConvergenceError,
 )
-from .core.doconsider import doconsider, DoconsiderLoop, DoconsiderResult
-from .core.transform import parallelize, parallelize_source, ParallelizedLoop
 from .core.inspector import Inspector, InspectionResult
 from .machine.costs import MachineCosts, MULTIMAX_320
 from .program import At, LoopProgram
@@ -76,7 +72,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "At",
@@ -114,14 +110,7 @@ __all__ = [
     "ExecutionError",
     "ExecutionTimeout",
     "InjectedFault",
-    "TransformError",
     "ConvergenceError",
-    "doconsider",
-    "DoconsiderLoop",
-    "DoconsiderResult",
-    "parallelize",
-    "parallelize_source",
-    "ParallelizedLoop",
     "Inspector",
     "InspectionResult",
     "MachineCosts",

@@ -16,11 +16,7 @@ and 3 of the paper:
 * :mod:`~repro.core.executor` and friends — the pre-scheduled
   (Figure 5), self-executing (Figure 4) and doacross executors, each
   with a numeric engine, a simulated-machine timing engine, and a real
-  thread-based engine;
-* :mod:`~repro.core.doconsider` — the user-facing ``doconsider``
-  construct;
-* :mod:`~repro.core.transform` — the automated source-to-source
-  transformation rules of Section 2.2.
+  thread-based engine.
 """
 
 from . import reference
@@ -52,8 +48,6 @@ from .executor import (
 from .self_executing import SelfExecutingExecutor
 from .prescheduled import PreScheduledExecutor
 from .doacross import DoacrossExecutor
-from .doconsider import doconsider, DoconsiderLoop
-from .transform import parallelize_source, ParallelizedLoop
 
 __all__ = [
     "reference",
@@ -82,8 +76,4 @@ __all__ = [
     "SelfExecutingExecutor",
     "PreScheduledExecutor",
     "DoacrossExecutor",
-    "doconsider",
-    "DoconsiderLoop",
-    "parallelize_source",
-    "ParallelizedLoop",
 ]

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..errors import StructureError
 from ..sparse.csr import CSRMatrix
+from ..util.digest import structure_digest
 from ..util.frontier import counts_to_indptr, frontier_sweep, rows_from_indptr
 from ..util.validation import as_int_array, check_index_array, check_positive
 
@@ -41,7 +42,7 @@ class DependenceGraph:
     """
 
     __slots__ = ("indptr", "indices", "n", "_succ_indptr", "_succ_indices",
-                 "_edge_rows", "_all_backward")
+                 "_edge_rows", "_all_backward", "_digest")
 
     def __init__(self, indptr, indices, n: int, *, check_acyclic: bool = True):
         self.n = check_positive(n, "n") if n else 0
@@ -59,6 +60,7 @@ class DependenceGraph:
         self._succ_indices: np.ndarray | None = None
         self._edge_rows: np.ndarray | None = None
         self._all_backward: bool | None = None
+        self._digest: str | None = None
         if check_acyclic and not self.all_backward():
             self._check_dag()
 
@@ -219,6 +221,24 @@ class DependenceGraph:
                     rows = rows_from_indptr(self.indptr)
                 self._all_backward = bool(np.all(self.indices < rows))
         return self._all_backward
+
+    def digest(self) -> str:
+        """The structure's identity (memoized): graphs with equal ``n``,
+        ``indptr`` and ``indices`` — whatever objects hold them — share
+        it, and any edge edit changes it.  Every store key
+        (:meth:`ScheduleCache.key_for
+        <repro.runtime.cache.ScheduleCache.key_for>`,
+        :meth:`TuningStore.key_for
+        <repro.tuning.store.TuningStore.key_for>`) is this digest plus
+        parameters, so one graph object is hashed once however many
+        compiles, candidates and stores ask.  Like the other caches
+        here it relies on the arrays not being mutated after
+        construction.
+        """
+        if self._digest is None:
+            self._digest = structure_digest((self.indptr, self.indices),
+                                            (self.n,))
+        return self._digest
 
     def successors(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR of the reversed edges: who depends on me (cached).

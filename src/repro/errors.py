@@ -85,16 +85,6 @@ class InjectedFault(ReproError, RuntimeError):
         self.iteration = None if iteration is None else int(iteration)
 
 
-class TransformError(ReproError, ValueError):
-    """The source-to-source transformer could not handle a loop.
-
-    The automated system of Section 2.2 of the paper supports a
-    restricted loop grammar (see :mod:`repro.core.transform`); loops
-    outside that grammar raise this error rather than being silently
-    mis-compiled.
-    """
-
-
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
 

@@ -26,11 +26,11 @@ changed.
 from __future__ import annotations
 
 import copy
-import hashlib
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..util.digest import structure_digest
 from .descriptors import At, Statement
 from .extraction import extract_dependences, extract_statement_dependences
 from .recording import StatementReplayKernel, record_trace
@@ -224,24 +224,23 @@ class LoopProgram:
 
         Two programs with equal hashes have identical dependence
         structure; the hash is what ``loop.rebind`` checks
-        before deciding a recompile is needed.  Single-statement
-        programs hash exactly as before the statement layer existed;
+        before deciding a recompile is needed.  A single-statement
+        program hashes like the flat declaration of the same accesses;
         multi-statement programs additionally fold in the statement
         boundaries, which change the interleaved-order extraction.
         """
         if self._hash is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(str(self.n).encode())
+            arrays, shape = [], [self.n]
             for kind, accs in (("r", self._resolved_reads),
                                ("w", self._resolved_writes)):
                 for acc in accs:
-                    h.update(f"|{kind}:{acc.array}:".encode())
-                    h.update(acc.structure_bytes())
+                    shape.append((kind, acc.array, acc.identity))
+                    if not acc.identity:
+                        arrays += [acc.indptr, acc.indices]
             if len(self.statements) > 1:
-                counts = ",".join(f"{len(rr)}:{len(ww)}"
-                                  for rr, ww in self._stmt_resolved)
-                h.update(f"|stmts[{counts}]".encode())
-            self._hash = h.hexdigest()
+                shape.append(tuple((len(rr), len(ww))
+                                   for rr, ww in self._stmt_resolved))
+            self._hash = structure_digest(arrays, tuple(shape))
         return self._hash
 
     def resolved_accesses(self):

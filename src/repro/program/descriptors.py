@@ -58,13 +58,6 @@ class ResolvedAccess:
         return (rows_from_indptr(self.indptr),
                 self.indices.astype(np.int64, copy=False))
 
-    def structure_bytes(self) -> bytes:
-        """Deterministic bytes for the structure hash."""
-        if self.identity:
-            return b"identity"
-        return (np.ascontiguousarray(self.indptr).tobytes()
-                + b"|" + np.ascontiguousarray(self.indices).tobytes())
-
 
 class At:
     """Declares one array access pattern of a loop body.

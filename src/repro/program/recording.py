@@ -51,6 +51,13 @@ _CONTROL_FLOW_MSG = (
     "At(...) descriptors instead"
 )
 
+#: The subscript case names its commonest cause and the fix it needs.
+_SUBSCRIPT_MSG = _CONTROL_FLOW_MSG.format(what="subscript") + (
+    " — or, if the subscript came from an integer index array bound as "
+    "data (a.x[a.ia[i]]), leave that array unbound and close over it "
+    "(a.x[ia[i]]): index arrays are structure, not values"
+)
+
 #: Integer constants convert to ``float`` exactly up to here.
 _EXACT_INT = 2 ** 53
 
@@ -79,7 +86,7 @@ class _Traced:
         raise ValidationError(_CONTROL_FLOW_MSG.format(what="branch condition"))
 
     def __index__(self):
-        raise ValidationError(_CONTROL_FLOW_MSG.format(what="subscript"))
+        raise ValidationError(_SUBSCRIPT_MSG)
 
     def __int__(self):
         raise ValidationError(_CONTROL_FLOW_MSG.format(what="int() conversion"))
@@ -231,7 +238,7 @@ class _Tracer:
 def _scalar_key(name: str, key) -> int:
     """A recordable subscript: one concrete integer element."""
     if isinstance(key, _Traced):
-        raise ValidationError(_CONTROL_FLOW_MSG.format(what="subscript"))
+        raise ValidationError(_SUBSCRIPT_MSG)
     if isinstance(key, (bool, np.bool_)):
         raise ValidationError(
             f"array {name!r} was subscripted with a boolean while being "

@@ -25,8 +25,7 @@ distinguishes bound from per-call kernels.
 Built-in backends
 -----------------
 * ``serial`` — deterministic numeric execution (each executor replays a
-  provably legal order) plus the machine-model timing: the default, and
-  bit-identical to the legacy ``DoconsiderLoop.run`` path;
+  provably legal order) plus the machine-model timing: the default;
 * ``sim`` — timing only; no kernel required, ``x`` is ``None``;
 * ``threads`` — real Python threads with the executor's own
   synchronization protocol (busy-waits or barriers), validating the

@@ -20,16 +20,16 @@ optionally, across *program runs*:
   inspection costs in a JSON sidecar so a warm start skips the pricing
   too.
 
-The fingerprint is a BLAKE2b digest of the dependence CSR arrays plus
-the strategy parameters, so two structurally identical graphs hit the
-same entry no matter which arrays they were built from.
+The fingerprint is the graph's memoized :meth:`structure digest
+<repro.core.dependence.DependenceGraph.digest>` plus the strategy
+parameters, so two structurally identical graphs hit the same entry no
+matter which arrays they were built from.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import itertools
 import json
 import os
@@ -37,9 +37,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import ValidationError
+from ..util.digest import structure_digest
 from ..util.locking import FileLock
 
 __all__ = ["ScheduleCache", "CacheStats", "LruStoreBase"]
@@ -93,7 +92,10 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> "CacheStats":
-        return dataclasses.replace(self)
+        # Built positionally (attributes are set in field order): every
+        # observed store call and every RunReport takes one, and
+        # ``dataclasses.replace`` costs four times as much.
+        return CacheStats(*vars(self).values())
 
 
 class LruStoreBase:
@@ -102,11 +104,15 @@ class LruStoreBase:
     persistence directory.  Subclasses implement ``get``/``put`` (the
     serialization formats differ); eviction, recency and the counters
     live here so a fix to one store cannot be forgotten in the other.
+
+    A store holds no session state: sessions sharing one pass their
+    fault plan per :meth:`put` (``faults=``) and read their own share
+    of the counters with :meth:`mirror`.
     """
 
     #: Used in validation error messages ("cache", "tuning store", …).
     kind = "cache"
-    #: Dotted prefix of this store's metrics when a session observes
+    #: Dotted prefix of the metrics :meth:`mirror` writes
     #: (``schedule_cache.hits``, ``tuning_store.misses``, …).
     metric_prefix = "cache"
     #: Which ``store`` faults target this store ("schedule"/"tuning").
@@ -121,20 +127,25 @@ class LruStoreBase:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[str, object] = OrderedDict()
         self.stats = CacheStats()
-        #: Session :class:`~repro.observe.Observer` mirror of the
-        #: counters (``None`` keeps the store metrics-free).
-        self.observer = None
-        #: Session :class:`~repro.resilience.FaultPlan` consulted on
-        #: disk writes (``None`` keeps persistence fault-free).
-        self.faults = None
         #: Process-unique temp-name sequence: two writers racing on the
         #: same key must never share a temp file.
         self._tmp_seq = itertools.count()
 
-    def _count(self, event: str, amount: float = 1.0) -> None:
-        """Mirror one counter bump into the session's observer."""
-        if self.observer is not None:
-            self.observer.inc(f"{self.metric_prefix}.{event}", amount)
+    def mirror(self, observer, since: CacheStats) -> None:
+        """Add what :attr:`stats` counted since the ``since`` snapshot
+        to ``observer``'s ``<metric_prefix>.*`` metrics.
+
+        An observed session brackets each of its own ``get``/``put``
+        calls with ``stats.snapshot()`` and this, so a shared store's
+        traffic lands on the session that caused it; an un-observed
+        session takes no snapshot at all.
+        """
+        for (name, before), now in zip(vars(since).items(),
+                                       vars(self.stats).values()):
+            if now != before:
+                record = (observer.observe if name == "lock_wait_seconds"
+                          else observer.inc)
+                record(f"{self.metric_prefix}.{name}", now - before)
 
     # ------------------------------------------------------------------
     # Multi-writer persistence discipline
@@ -157,10 +168,6 @@ class LruStoreBase:
         if lock.waited > 0.0005:
             self.stats.lock_waits += 1
             self.stats.lock_wait_seconds += lock.waited
-            self._count("lock_waits")
-            if self.observer is not None:
-                self.observer.observe(
-                    f"{self.metric_prefix}.lock_wait_seconds", lock.waited)
         try:
             yield
         finally:
@@ -172,17 +179,17 @@ class LruStoreBase:
         return final.with_name(
             f"{final.name}.{os.getpid()}.{next(self._tmp_seq)}.tmp{suffix}")
 
-    def _store_fault(self, final_paths) -> bool:
-        """Fire an armed injected partial write, if any.
+    def _store_fault(self, faults, final_paths) -> bool:
+        """Fire the writing session's armed partial write, if any.
 
         Simulates a crash *mid-write before the rename discipline
         existed*: junk bytes land directly at the final path(s).  A
         later read heals them as misses.  Returns True when a fault
         consumed this store (the caller skips the real write).
         """
-        if self.faults is None:
+        if faults is None:
             return False
-        spec = self.faults.store_fault(self.store_kind)
+        spec = faults.store_fault(self.store_kind)
         if spec is None:
             return False
         for path, size in final_paths:
@@ -211,7 +218,6 @@ class LruStoreBase:
             # A corrupt index heals like any other entry: restart it.
             index = {"_seq": 0}
             self.stats.disk_heals += 1
-            self._count("disk_heals")
         index["_seq"] = int(index.get("_seq", 0)) + 1
         entry = index.get(key)
         if not isinstance(entry, dict):
@@ -238,7 +244,6 @@ class LruStoreBase:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-            self._count("evictions")
 
     def clear(self) -> None:
         """Drop the in-memory entries (disk entries are kept)."""
@@ -287,13 +292,9 @@ class ScheduleCache(LruStoreBase):
         a persistence directory — never serves schedules another
         implementation built.
         """
-        h = hashlib.blake2b(digest_size=20)
-        h.update(np.ascontiguousarray(dep.indptr, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(dep.indices, dtype=np.int64).tobytes())
-        params = (dep.n, int(nproc), strategy, assignment, balance,
-                  dataclasses.astuple(costs), tuple(versions))
-        h.update(repr(params).encode())
-        return h.hexdigest()
+        return structure_digest(params=(
+            "schedule", dep.digest(), int(nproc), strategy, assignment,
+            balance, dataclasses.astuple(costs), tuple(versions)))
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -308,7 +309,6 @@ class ScheduleCache(LruStoreBase):
         if entry is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            self._count("hits")
             return entry
         if self.persist_dir is not None and dep is not None:
             entry = self._load_disk(key, dep)
@@ -316,18 +316,21 @@ class ScheduleCache(LruStoreBase):
                 # A disk-served lookup is a hit, not a miss: the caller
                 # skips the cold inspection exactly as on a memory hit.
                 self.stats.disk_hits += 1
-                self._count("disk_hits")
                 self._install(key, entry)
                 return entry
         self.stats.misses += 1
-        self._count("misses")
         return None
 
-    def put(self, key: str, inspection) -> None:
-        """Store one inspection (write-through when persisting)."""
+    def put(self, key: str, inspection, *, faults=None) -> None:
+        """Store one inspection (write-through when persisting).
+
+        ``faults`` is the calling session's
+        :class:`~repro.resilience.FaultPlan`, consulted on this disk
+        write only (``None`` keeps it fault-free).
+        """
         self._install(key, inspection)
         if self.persist_dir is not None:
-            self._store_disk(key, inspection)
+            self._store_disk(key, inspection, faults)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -336,12 +339,13 @@ class ScheduleCache(LruStoreBase):
         return (self.persist_dir / f"{key}.npz",
                 self.persist_dir / f"{key}.json")
 
-    def _store_disk(self, key: str, inspection) -> None:
+    def _store_disk(self, key: str, inspection, faults) -> None:
         from ..core.schedule import save_schedule_npz  # deferred: import cycle
 
         npz_path, meta_path = self._paths(key)
         with self._locked():
-            if self._store_fault([(npz_path, 4096), (meta_path, 256)]):
+            if self._store_fault(faults,
+                                 [(npz_path, 4096), (meta_path, 256)]):
                 return  # simulated crash mid-write; reads self-heal
             # Write-then-rename, so a crash mid-store never leaves a
             # truncated entry for a future run to trip on.  Temp names
@@ -360,7 +364,6 @@ class ScheduleCache(LruStoreBase):
             tmp.replace(meta_path)
             self._index_bump(key)
         self.stats.disk_stores += 1
-        self._count("disk_stores")
 
     def _load_disk(self, key: str, dep):
         from ..core.inspector import InspectionResult, InspectorCosts
@@ -380,7 +383,6 @@ class ScheduleCache(LruStoreBase):
             # A corrupt or foreign file is a miss, not a crash — the
             # cold path re-inspects and overwrites the bad entry.
             self.stats.disk_heals += 1
-            self._count("disk_heals")
             return None
         return InspectionResult(
             dep=dep,

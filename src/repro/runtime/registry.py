@@ -3,11 +3,10 @@
 The paper fixes a closed set of strategies (two schedulers, two
 partitions, three executors); "OpenMP Loop Scheduling Revisited"
 argues the set should be *open*.  These registries replace the
-``if/elif`` chains that used to live in ``core/doconsider.py``,
-``core/inspector.py`` and the executors: every scheduler, partitioner,
-executor and execution backend is looked up by name in a
-:class:`Registry`, and third-party strategies plug in with a decorator
-without touching core::
+``if/elif`` chains that used to live in ``core/inspector.py`` and the
+executors: every scheduler, partitioner, executor and execution backend
+is looked up by name in a :class:`Registry`, and third-party strategies
+plug in with a decorator without touching core::
 
     from repro.runtime import register_partitioner
 
@@ -16,9 +15,8 @@ without touching core::
         return (np.arange(n) // 2) % nproc
 
 Registered names become immediately valid everywhere a strategy string
-is accepted (``Runtime.compile``, ``doconsider``, ``Inspector``), and
-unknown names fail *eagerly* with the currently valid options
-enumerated.
+is accepted (``Runtime.compile``, ``Inspector``), and unknown names
+fail *eagerly* with the currently valid options enumerated.
 
 Parameterized strategy specs
 ----------------------------

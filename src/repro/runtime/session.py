@@ -684,24 +684,12 @@ class Runtime:
         self.tune_seed = int(tune_seed)
         self._tuner = None  # built on the first strategy="auto" compile
         self._inspector = Inspector(costs, observer=self.observer)
-        if self.faults is not None:
-            # The stores consult the plan on every disk write; the
-            # attribute stays None on fault-free sessions (shared
-            # stores must not inherit another session's plan).
-            if self.cache is not None:
-                self.cache.faults = self.faults
-            if self.tuning_store is not None:
-                self.tuning_store.faults = self.faults
-        if self.observer is not None:
-            # Mirror the stores' counters into the session's metrics.
-            # Only set when observing: a store shared with another
-            # (un-observed) session must keep its own observer intact.
-            if self.cache is not None:
-                self.cache.observer = self.observer
-            if self.tuning_store is not None:
-                self.tuning_store.observer = self.observer
-            if self.faults is not None:
-                self.faults.observer = self.observer
+        # The stores may be shared with other sessions, so nothing of
+        # this one is written onto them: the fault plan travels with
+        # each ``put`` and the observer mirrors this session's own
+        # share of the counters (see ``_scheduled_plan``).
+        if self.observer is not None and self.faults is not None:
+            self.faults.observer = self.observer
         # Amortisation counter per structure key, bounded like the
         # cache it annotates (an evicted structure restarts at 1).
         self._compile_counts: OrderedDict[str, int] = OrderedDict()
@@ -896,17 +884,24 @@ class Runtime:
             balance if resolved.consumes_balance else "", self.costs,
             versions=resolved.versions,
         )
+        cache, obs = self.cache, self.observer
         inspection = None
-        if self.cache is not None:
-            inspection = self.cache.get(key, dep)
+        if cache is not None:
+            since = cache.stats.snapshot() if obs is not None else None
+            inspection = cache.get(key, dep)
+            if obs is not None:
+                cache.mirror(obs, since)
         cache_hit = inspection is not None
         if inspection is None:
             inspection = self._inspector.inspect(
                 dep, self.nproc, strategy=resolved.resolved_scheduler,
                 assignment=assignment, balance=balance,
             )
-            if self.cache is not None:
-                self.cache.put(key, inspection)
+            if cache is not None:
+                since = cache.stats.snapshot() if obs is not None else None
+                cache.put(key, inspection, faults=self.faults)
+                if obs is not None:
+                    cache.mirror(obs, since)
         return ScheduledPlan(
             inspection,
             executor_registry.get(executor)(inspection, self.nproc, self.costs),
@@ -944,7 +939,7 @@ class Runtime:
             self._tuner = Tuner(self.nproc, self.costs,
                                 seed=self.tune_seed,
                                 store=self.tuning_store,
-                                observer=self.observer)
+                                observer=self.observer, faults=self.faults)
         return self._tuner
 
     def tune(self, deps, *, kernel=None, backend: str | None = None):

@@ -29,14 +29,12 @@ purely as a diagnostic breadcrumb.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-
-import numpy as np
 
 from ..errors import ValidationError
 from ..runtime.backends import ExecutionBackend
 from ..runtime.registry import register_backend
 from ..runtime.session import LoopPlan
+from ..util.digest import structure_digest
 from .executor import SpeculativeExecutor
 from .shadow import AccessLog
 
@@ -55,12 +53,10 @@ def speculation_key(log: AccessLog, nproc: int, costs) -> str:
     classic tuning key, minus the strategy space: the fallback verdict
     is about the *workload*, not about which schedulers are registered.
     """
-    h = hashlib.blake2b(digest_size=20)
-    for arr in (log.read_it, log.read_el, log.write_it, log.write_el):
-        h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-    h.update(repr((log.n, log.n_elements, int(nproc),
-                   dataclasses.astuple(costs), "speculate-v1")).encode())
-    return h.hexdigest()
+    return structure_digest(
+        (log.read_it, log.read_el, log.write_it, log.write_el),
+        (log.n, log.n_elements, int(nproc), dataclasses.astuple(costs),
+         "speculate-v1"))
 
 
 class SpeculativePlan(LoopPlan):
@@ -154,7 +150,7 @@ class SpeculativePlan(LoopPlan):
 
         sim = self.simulate()
         spec = _CLASSIC if fallback else self.compile_kwargs()
-        store.put(self.store_key, TuningVerdict(
+        verdict = TuningVerdict(
             **spec,
             sim_makespan=float(sim.total_time),
             seq_time=float(sim.seq_time),
@@ -163,7 +159,12 @@ class SpeculativePlan(LoopPlan):
             signature=(f"speculation:rate={conflicts.conflict_rate:.4f},"
                        f"reexec={conflicts.re_executed},"
                        f"fallback={fallback}"),
-        ))
+        )
+        obs = self.runtime.observer
+        since = store.stats.snapshot() if obs is not None else None
+        store.put(self.store_key, verdict, faults=self.runtime.faults)
+        if obs is not None:
+            store.mirror(obs, since)
 
 
 def speculative_plan(runtime, deps) -> LoopPlan:
@@ -175,9 +176,12 @@ def speculative_plan(runtime, deps) -> LoopPlan:
     """
     log = AccessLog.from_source(deps)
     key = "spec:" + speculation_key(log, runtime.nproc, runtime.costs)
-    store = runtime.tuning_store
+    store, obs = runtime.tuning_store, runtime.observer
     if store is not None:
+        since = store.stats.snapshot() if obs is not None else None
         remembered = store.get(key)
+        if obs is not None:
+            store.mirror(obs, since)
         if remembered is not None and remembered.executor != "speculative":
             return runtime._scheduled_plan(deps,
                                            **remembered.compile_kwargs())

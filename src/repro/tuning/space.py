@@ -34,7 +34,6 @@ under which a cached tuning verdict must be re-searched.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..runtime.registry import (
@@ -42,6 +41,7 @@ from ..runtime.registry import (
     partitioner_registry,
     scheduler_registry,
 )
+from ..util.digest import structure_digest
 
 __all__ = ["CandidateSpec", "enumerate_space", "space_fingerprint"]
 
@@ -186,14 +186,10 @@ def space_fingerprint(candidates: list[CandidateSpec]) -> str:
     bumping its generation — changes this digest, so verdicts keyed on
     it are invalidated exactly when the search they summarize is stale.
     """
-    h = hashlib.blake2b(digest_size=16)
     parts = set()
     for spec in candidates:
         parts.add(f"e:{spec.executor}={executor_registry.fingerprint(spec.executor)}")
         parts.add(f"s:{spec.scheduler}={scheduler_registry.fingerprint(spec.scheduler)}")
         parts.add(f"a:{spec.assignment}={partitioner_registry.fingerprint(spec.assignment)}")
         parts.add(f"b:{spec.balance}")
-    for part in sorted(parts):
-        h.update(part.encode())
-        h.update(b"\0")
-    return h.hexdigest()
+    return structure_digest(params=tuple(sorted(parts)))

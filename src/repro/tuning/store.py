@@ -3,7 +3,8 @@
 The :class:`~repro.runtime.cache.ScheduleCache` amortises one
 inspection; :class:`TuningStore` amortises a whole strategy search
 (dozens of inspections and simulations).  It is keyed the same way —
-a BLAKE2b digest over the dependence structure — extended with the
+on the graph's :meth:`structure digest
+<repro.core.dependence.DependenceGraph.digest>` — extended with the
 :func:`space fingerprint <repro.tuning.space.space_fingerprint>` of
 the candidate set and the arbitration mode (sim-only vs
 real-backend-timed), so a verdict is invalidated exactly when the
@@ -25,13 +26,11 @@ entry (self-healing, never a crash).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..runtime.cache import LruStoreBase
+from ..util.digest import structure_digest
 from .space import CandidateSpec
 
 __all__ = ["TuningVerdict", "TuningStore"]
@@ -128,13 +127,9 @@ class TuningStore(LruStoreBase):
         (``"exec:<backend>"``) — the two may legitimately disagree, so
         they never share a verdict.
         """
-        h = hashlib.blake2b(digest_size=20)
-        h.update(np.ascontiguousarray(dep.indptr, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(dep.indices, dtype=np.int64).tobytes())
-        params = (dep.n, int(nproc), dataclasses.astuple(costs),
-                  space_digest, mode, _FORMAT)
-        h.update(repr(params).encode())
-        return h.hexdigest()
+        return structure_digest(params=(
+            "tuning", dep.digest(), int(nproc), dataclasses.astuple(costs),
+            space_digest, mode, _FORMAT))
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> TuningVerdict | None:
@@ -147,34 +142,33 @@ class TuningStore(LruStoreBase):
         if verdict is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            self._count("hits")
             return dataclasses.replace(verdict, searched=False)
         if self.persist_dir is not None:
             verdict = self._load_disk(key)
             if verdict is not None:
                 self.stats.disk_hits += 1
-                self._count("disk_hits")
                 self._install(key, verdict)
                 return dataclasses.replace(verdict, searched=False)
         self.stats.misses += 1
-        self._count("misses")
         return None
 
-    def put(self, key: str, verdict: TuningVerdict) -> None:
-        """Store one verdict (write-through when persisting)."""
+    def put(self, key: str, verdict: TuningVerdict, *, faults=None) -> None:
+        """Store one verdict (write-through when persisting); ``faults``
+        is the calling session's fault plan, as in
+        :meth:`ScheduleCache.put <repro.runtime.cache.ScheduleCache.put>`."""
         self._install(key, verdict)
         if self.persist_dir is not None:
-            self._store_disk(key, verdict)
+            self._store_disk(key, verdict, faults)
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return self.persist_dir / f"{key}.tuning.json"
 
-    def _store_disk(self, key: str, verdict: TuningVerdict) -> None:
+    def _store_disk(self, key: str, verdict: TuningVerdict, faults) -> None:
         path = self._path(key)
         payload = {"format": _FORMAT, "verdict": verdict.to_dict()}
         with self._locked():
-            if self._store_fault([(path, 256)]):
+            if self._store_fault(faults, [(path, 256)]):
                 return  # simulated crash mid-write; reads self-heal
             # Write-then-rename with a process-unique temp name: a
             # crash mid-store never leaves a truncated entry, and two
@@ -184,7 +178,6 @@ class TuningStore(LruStoreBase):
             tmp.replace(path)
             self._index_bump(key)
         self.stats.disk_stores += 1
-        self._count("disk_stores")
 
     def _load_disk(self, key: str) -> TuningVerdict | None:
         path = self._path(key)
@@ -199,7 +192,6 @@ class TuningStore(LruStoreBase):
             # Corrupt / truncated / foreign file: a miss, not a crash —
             # the re-search overwrites the bad entry.
             self.stats.disk_heals += 1
-            self._count("disk_heals")
             return None
 
     # ------------------------------------------------------------------

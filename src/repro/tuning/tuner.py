@@ -23,7 +23,6 @@ always produce the identical verdict.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from ..machine.costs import MULTIMAX_320, MachineCosts
 from ..machine.simulator import sequential_time
 from ..observe.tracer import maybe_span
 from ..runtime.registry import executor_registry
+from ..util.digest import structure_digest
 from ..util.validation import check_positive
 from .features import WorkloadFeatures, extract_features
 from .measure import Measurement, prefix_graph, simulate_spec, time_spec
@@ -42,13 +42,6 @@ from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 
 __all__ = ["Tuner", "ProgramVerdict"]
-
-
-def _unit_work_digest(unit_work: np.ndarray) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(np.ascontiguousarray(
-        np.asarray(unit_work, dtype=np.float64)).tobytes())
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,7 @@ class Tuner:
         finalists: int = 3,
         repeats: int = 3,
         observer=None,
+        faults=None,
     ):
         from ..runtime.session import Runtime  # deferred: import cycle
 
@@ -165,6 +159,9 @@ class Tuner:
         #: Shared with the private search runtime, so candidate
         #: inspections nest (non-double-counted) under the tune span.
         self.observer = observer
+        #: Session :class:`~repro.resilience.FaultPlan` handed to the
+        #: store with each verdict written (``None`` = fault-free).
+        self.faults = faults
         if not 0.0 < keep <= 1.0:
             raise ValidationError("keep must lie in (0, 1]")
         self.rung_fractions = tuple(sorted(rung_fractions))
@@ -206,28 +203,36 @@ class Tuner:
         dep = Inspector.dependences_of(deps)
         candidates = enumerate_space(dep.n, self.nproc)
         arbitrated = _check_arbitration(kernel, backend)
+        store, obs = self.store, self.observer
         key = None
-        if self.store is not None:
+        if store is not None:
             mode = f"exec:{backend}" if arbitrated else "sim"
             if expected_executions is not None:
                 mode += f":amort={float(expected_executions):g}"
             if unit_work is not None:
-                mode += f":uw={_unit_work_digest(unit_work)}"
+                work = np.asarray(unit_work, dtype=np.float64)
+                mode += f":uw={structure_digest((work,))}"
             key = TuningStore.key_for(
                 dep, self.nproc, self.costs, space_fingerprint(candidates),
                 mode=mode,
             )
-            verdict = self.store.get(key)
+            since = store.stats.snapshot() if obs is not None else None
+            verdict = store.get(key)
+            if obs is not None:
+                store.mirror(obs, since)
             if verdict is not None:
-                if self.observer is not None:
-                    self.observer.inc("tuner.store_hits")
+                if obs is not None:
+                    obs.inc("tuner.store_hits")
                 return verdict
         verdict = self.search(dep, candidates,
                               kernel=kernel, backend=backend,
                               unit_work=unit_work,
                               expected_executions=expected_executions)
-        if self.store is not None:
-            self.store.put(key, verdict)
+        if store is not None:
+            since = store.stats.snapshot() if obs is not None else None
+            store.put(key, verdict, faults=self.faults)
+            if obs is not None:
+                store.mirror(obs, since)
         return verdict
 
     # ------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""The one structure digest behind every store key and structure hash.
+
+A schedule, a tuning verdict and a speculation decision are all reused
+on the strength of "this is the same structure under the same
+parameters".  That judgement is made here and nowhere else: index and
+work arrays are hashed by *value* (so equal arrays held in different
+objects, or in a narrower integer type, agree), followed by the
+``repr`` of whatever parameters qualify them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+__all__ = ["structure_digest"]
+
+
+def structure_digest(arrays=(), params=()) -> str:
+    """40-hex BLAKE2b digest of ``arrays`` followed by ``repr(params)``.
+
+    Integer arrays are hashed as contiguous ``int64``, floating ones as
+    ``float64``, each behind its element count so neighbouring arrays
+    cannot trade elements without changing the digest.  ``params`` must
+    have a deterministic ``repr`` (numbers, strings, tuples of those).
+    """
+    h = hashlib.blake2b(digest_size=20)
+    for arr in arrays:
+        arr = np.asarray(arr)
+        dtype = np.float64 if arr.dtype.kind == "f" else np.int64
+        h.update(b"%d:" % arr.size)
+        h.update(np.ascontiguousarray(arr, dtype=dtype).data)
+    h.update(repr(params).encode())
+    return h.hexdigest()

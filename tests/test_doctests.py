@@ -11,9 +11,6 @@ import pytest
 
 MODULE_NAMES = [
     "repro",
-    # importlib (not attribute access): `repro.core.doconsider` the
-    # *attribute* is the function re-exported by the package __init__.
-    "repro.core.doconsider",
     "repro.runtime",
     "repro.util.timing",
 ]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule, identity_schedule
-from repro.core.transform import parallelize_source
 from repro.core.wavefront import compute_wavefronts
 from repro.errors import ConvergenceError, ValidationError
 from repro.machine.costs import MachineCosts
@@ -139,53 +138,6 @@ class TestPollQuantum:
         assert t1 >= t0
 
 
-class TestTransformExtras:
-    def test_augmented_assignment(self):
-        pl = parallelize_source(
-            "def f(x, b, ia, n):\n"
-            "    for i in range(n):\n"
-            "        x[i] += b[i] * x[ia[i]]\n"
-        )
-        rng = np.random.default_rng(9)
-        n = 40
-        args = (rng.standard_normal(n), rng.standard_normal(n),
-                rng.integers(0, n, size=n), n)
-        np.testing.assert_allclose(
-            pl.run(*args, nproc=3), pl.run_original(*args),
-        )
-
-    def test_doall_loop_transforms_cleanly(self):
-        """A loop with no dependence-carrying reads still transforms;
-        its inspector finds zero dependences (a doall)."""
-        pl = parallelize_source(
-            "def f(x, b, n):\n"
-            "    for i in range(n):\n"
-            "        x[i] = x[i] * b[i]\n"
-        )
-        n = 20
-        x = np.arange(1.0, n + 1)
-        b = np.full(n, 2.0)
-        dep = pl.dependence_graph(x, b, n)
-        assert dep.num_edges == 0
-        np.testing.assert_allclose(
-            pl.run(x, b, n, nproc=4), pl.run_original(x, b, n),
-        )
-
-    def test_multiple_reads_same_array(self):
-        pl = parallelize_source(
-            "def f(x, ia, ib, n):\n"
-            "    for i in range(n):\n"
-            "        x[i] = x[i] + x[ia[i]] * x[ib[i]]\n"
-        )
-        rng = np.random.default_rng(10)
-        n = 30
-        args = (rng.standard_normal(n), rng.integers(0, n, size=n),
-                rng.integers(0, n, size=n), n)
-        np.testing.assert_allclose(
-            pl.run(*args, nproc=3), pl.run_original(*args),
-        )
-
-
 class TestErrors:
     def test_convergence_error_fields(self):
         e = ConvergenceError("no", iterations=7, residual=0.5)
@@ -195,10 +147,10 @@ class TestErrors:
     def test_hierarchy(self):
         from repro.errors import (
             DeadlockError, ReproError, ScheduleError, StructureError,
-            TransformError, ValidationError,
+            ValidationError,
         )
         for cls in (ValidationError, StructureError, ScheduleError,
-                    DeadlockError, TransformError, ConvergenceError):
+                    DeadlockError, ConvergenceError):
             assert issubclass(cls, ReproError)
         assert issubclass(DeadlockError, ScheduleError)
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import DoconsiderLoop, doconsider, parallelize_source
+from repro import Runtime
 from repro.core.executor import TriangularSolveKernel
 from repro.core.dependence import DependenceGraph
 from repro.krylov.parallel import ParallelSolver
 from repro.krylov.solver import solve
 from repro.mesh.problems import get_problem
-from repro.sparse.triangular import split_triangular
-from repro.workload.generator import generate_workload
+from repro.sparse.triangular import LevelScheduledSolver, split_triangular
 
 
 class TestFullSolvePipeline:
@@ -49,8 +48,8 @@ class TestParallelPipelineConsistency:
         np.testing.assert_allclose(answers[0], answers[1], rtol=1e-12)
 
 
-class TestDoconsiderOnRealFactor:
-    """doconsider() on the actual ILU factor of a mesh problem."""
+class TestCompileOnRealFactor:
+    """Runtime.compile on the actual ILU factor of a mesh problem."""
 
     def test_triangular_solve_matches(self):
         p = get_problem("5-PT", scale=0.25)
@@ -59,45 +58,11 @@ class TestDoconsiderOnRealFactor:
         l = lu.l_strict
         b = np.linspace(0.0, 1.0, l.nrows)
         expected = lu.lower_solver.solve(b)
-        out = doconsider(
-            TriangularSolveKernel(l, b, unit_diagonal=True),
-            deps=l, nproc=8, executor="self", scheduler="global",
-        )
+        loop = Runtime(nproc=8).compile(l, executor="self",
+                                        scheduler="global")
+        out = loop(TriangularSolveKernel(l, b, unit_diagonal=True))
         np.testing.assert_allclose(out.x, expected, rtol=1e-10)
         assert out.sim.efficiency > 0.2
-
-
-class TestTransformedLoopOnWorkload:
-    """Generated executor code on a synthetic-workload dependence."""
-
-    def test_generated_code_runs_workload(self):
-        wl = generate_workload("12-2-2", seed=3)
-        m = wl.matrix
-        n = m.nrows
-        # Flatten the strict-lower structure into ija form (Figure 8).
-        rows = m.row_of_nnz()
-        strict = m.indices < rows
-        counts = np.bincount(rows[strict], minlength=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        ptr += n + 1
-        ija = np.concatenate([ptr, m.indices[strict]])
-        a = np.concatenate([np.zeros(n + 1), m.data[strict]])
-        rhs = np.random.default_rng(5).standard_normal(n)
-
-        pl = parallelize_source(
-            "def trisolve(y, rhs, a, ija, n):\n"
-            "    for i in range(n):\n"
-            "        y[i] = rhs[i]\n"
-            "        for k in range(ija[i], ija[i + 1]):\n"
-            "            y[i] = y[i] - a[k] * y[ija[k]]\n"
-        )
-        args = (np.zeros(n), rhs, a, ija, n)
-        ref = pl.run_original(*args)
-        for executor in ("self", "preschedule", "doacross"):
-            np.testing.assert_allclose(
-                pl.run(*args, nproc=4, executor=executor), ref,
-            )
 
 
 class TestAmortisation:
@@ -107,14 +72,16 @@ class TestAmortisation:
         p = get_problem("SPE4", scale=0.5)
         l, d, _ = split_triangular(p.a)
         dep = DependenceGraph.from_lower_csr(l)
-        loop = DoconsiderLoop(dep, nproc=8, executor="self", scheduler="global")
+        rt = Runtime(nproc=8)
+        loop = rt.compile(dep, executor="self", scheduler="global")
         rng = np.random.default_rng(0)
-        for _ in range(3):
+        for run in range(1, 4):
             b = rng.standard_normal(l.nrows)
-            res = loop.run(TriangularSolveKernel(l, b, diag=d))
-            from repro.sparse.triangular import LevelScheduledSolver
+            res = loop(TriangularSolveKernel(l, b, diag=d))
             expected = LevelScheduledSolver(l, lower=True, diag=d).solve(b)
             np.testing.assert_allclose(res.x, expected, rtol=1e-10)
+            assert res.executions == run
+        assert rt.cache_stats.misses == 1   # one inspection served all
 
 
 class TestHeadlineFinding:

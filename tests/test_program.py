@@ -198,6 +198,18 @@ class TestRecording:
                            match="data-dependent control flow"):
             LoopProgram.record(4, body, x=np.ones(4), b=np.ones(4))
 
+    def test_bound_index_array_gets_the_close_over_hint(self, fig3):
+        # The commonest recording mistake: the index array passed as
+        # data, so its entries are traced values, not subscripts.
+        n, ia, x0, b = fig3
+
+        def body(i, a):
+            a.x[i] = a.x[i] + a.b[i] * a.x[a.ia[i]]
+
+        with pytest.raises(ValidationError,
+                           match=r"close over it \(a\.x\[ia\[i\]\]\)"):
+            LoopProgram.record(n, body, x=x0, b=b, ia=ia)
+
     def test_undeclared_array_raises(self):
         def body(i, a):
             a.y[i] = 0.0

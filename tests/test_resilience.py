@@ -17,7 +17,15 @@ import os
 import numpy as np
 import pytest
 
-from repro import FaultPlan, FaultSpec, LoopProgram, RetryPolicy, Runtime
+from repro import (
+    FaultPlan,
+    FaultSpec,
+    LoopProgram,
+    RetryPolicy,
+    Runtime,
+    ScheduleCache,
+    TuningStore,
+)
 from repro.errors import (
     DeadlockError,
     ExecutionError,
@@ -349,6 +357,31 @@ class TestStoreSeam:
         rt2 = Runtime(nproc=NPROC, cache_dir=str(tmp_path))
         rt2.compile(program())
         assert rt2.cache.stats.disk_heals >= 1
+
+    @pytest.mark.parametrize("kind", ["schedule", "tuning"])
+    def test_a_plan_corrupts_only_its_own_sessions_writes(self, tmp_path,
+                                                          kind):
+        # Two sessions on one store object; only one is armed.
+        if kind == "schedule":
+            shared = {"cache": ScheduleCache(8, persist_dir=tmp_path)}
+            reopened, compile_opts, stats = "cache_dir", {}, "cache_stats"
+        else:
+            shared = {"tuning": TuningStore(8, persist_dir=tmp_path)}
+            reopened, stats = "tuning_dir", "tuning_stats"
+            compile_opts = {"strategy": "auto"}
+        armed = Runtime(nproc=NPROC, **shared,
+                        faults=FaultPlan([FaultSpec("store", store=kind)]))
+        Runtime(nproc=NPROC, **shared).compile(program(), **compile_opts)
+        assert armed.faults.fired == []
+        # The fault-free session's entry is whole: a fresh process-style
+        # session is served from disk with nothing to heal.
+        fresh = Runtime(nproc=NPROC, **{reopened: tmp_path})
+        fresh.compile(program(), **compile_opts)
+        assert getattr(fresh, stats).disk_hits == 1
+        assert getattr(fresh, stats).disk_heals == 0
+        # ... and the plan still fires on the armed session's own write.
+        armed.compile(program(seed=8), **compile_opts)
+        assert [f["store"] for f in armed.faults.fired] == [kind]
 
     def test_index_counts_stores(self, tmp_path):
         rt = Runtime(nproc=NPROC, cache_dir=str(tmp_path))

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.dependence import DependenceGraph
 from repro.core.doacross import DoacrossExecutor
-from repro.core.doconsider import DoconsiderLoop, doconsider
 from repro.core.executor import (
     SerialExecutor,
     SimpleLoopKernel,
@@ -99,19 +98,6 @@ class TestRegistryEquivalence:
         assert np.array_equal(rep.sim.busy, sim_old.busy)
         assert np.array_equal(rep.sim.idle, sim_old.idle)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_doconsider_shim_matches_runtime(self, case, executor, scheduler):
-        x0, b, ia, _ = case
-        loop = DoconsiderLoop(ia, nproc=4, executor=executor,
-                              scheduler=scheduler)
-        res = loop.run(SimpleLoopKernel(x0, b, ia))
-        rt = Runtime(nproc=4)
-        rep = rt.compile(ia, executor=executor, scheduler=scheduler)(
-            SimpleLoopKernel(x0, b, ia))
-        assert np.array_equal(res.x, rep.x)
-        assert res.sim.total_time == rep.sim.total_time
-
 
 class TestBackends:
     def test_sim_backend_is_kernel_free(self, case):
@@ -174,10 +160,10 @@ class TestEagerValidation:
         {"scheduler": "cosmic"},
         {"assignment": "randomly"},
     ])
-    def test_doconsider_loop_validates_up_front(self, case, kwargs):
+    def test_compile_validates_up_front(self, case, kwargs):
         _, _, ia, _ = case
         with pytest.raises(ValidationError, match="valid options are"):
-            DoconsiderLoop(ia, nproc=2, **kwargs)
+            Runtime(nproc=2).compile(ia, **kwargs)
 
     def test_message_lists_registered_names(self, case):
         _, _, ia, _ = case
@@ -281,39 +267,13 @@ class TestPluggability:
 
     def test_balance_validated_eagerly_for_global(self, case):
         _, _, ia, _ = case
-        with pytest.raises(ValidationError, match="valid options are"):
+        with pytest.raises(ValidationError,
+                           match="valid options are: 'greedy', 'wrapped'"):
             Runtime(nproc=2).compile(ia, scheduler="global", balance="bogus")
-        with pytest.raises(ValidationError, match="'greedy', 'wrapped'"):
-            DoconsiderLoop(ia, nproc=2, scheduler="global", balance="bogus")
         # Schedulers that do not consume balance receive it verbatim
         # (legacy behavior: silently unused).
         assert Runtime(nproc=2).compile(ia, scheduler="local",
                                         balance="bogus") is not None
-
-
-class TestBalancePlumbing:
-    """Satellite bug: the one-shot ``doconsider`` forwards ``balance``."""
-
-    def test_one_shot_forwards_balance(self, case):
-        x0, b, ia, oracle = case
-        out = doconsider(
-            SimpleLoopKernel(x0, b, ia), deps=ia, nproc=4,
-            executor="self", scheduler="global", balance="greedy",
-        )
-        np.testing.assert_allclose(out.x, oracle)
-        assert out.inspection.schedule.strategy == "global/greedy"
-
-    def test_loop_forwards_balance(self, case):
-        _, _, ia, _ = case
-        loop = DoconsiderLoop(ia, nproc=4, scheduler="global",
-                              balance="greedy")
-        assert loop.schedule.strategy == "global/greedy"
-
-    def test_default_balance_is_wrapped(self, case):
-        x0, b, ia, _ = case
-        out = doconsider(SimpleLoopKernel(x0, b, ia), deps=ia, nproc=4,
-                         scheduler="global")
-        assert out.inspection.schedule.strategy == "global/wrapped"
 
 
 class TestRuntimeSession:
@@ -446,9 +406,3 @@ class TestParameterizedAssignments:
         _, _, ia, _ = case
         with pytest.raises(ValidationError, match="positive"):
             Runtime(nproc=2).compile(ia, assignment="chunked:0")
-
-    def test_doconsider_accepts_specs_too(self, case):
-        x0, b, ia, oracle = case
-        out = doconsider(SimpleLoopKernel(x0, b, ia), deps=ia, nproc=4,
-                         scheduler="local", assignment="chunked:2")
-        np.testing.assert_allclose(out.x, oracle)

@@ -7,11 +7,18 @@ the amortisation counters surfaced through ``RunReport``.
 import numpy as np
 import pytest
 
+from repro import LoopProgram, TuningStore
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
 from repro.errors import ValidationError
 from repro.machine.costs import MULTIMAX_320, MachineCosts
 from repro.runtime import Runtime, ScheduleCache
+from repro.runtime.cache import CacheStats
+from repro.speculate import AccessLog
+from repro.speculate.loop import speculation_key
+from repro.tuning.measure import prefix_graph
+from repro.util.digest import structure_digest
+from repro.workload.generator import generate_workload
 
 
 @pytest.fixture()
@@ -28,39 +35,84 @@ def graph_of(ia):
     return DependenceGraph.from_indirection(np.asarray(ia))
 
 
+def keys_of(ia, *, nproc=4, strategy="local", assignment="wrapped",
+            balance="wrapped", costs=MULTIMAX_320, versions=(),
+            space="space-a", mode="sim") -> dict:
+    """The structure digest of ``ia``'s graph and the three store keys
+    built on it, from freshly built graph and log objects."""
+    dep = graph_of(ia)
+    return {
+        "digest": dep.digest(),
+        "schedule": ScheduleCache.key_for(dep, nproc, strategy, assignment,
+                                          balance, costs, versions=versions),
+        "tuning": TuningStore.key_for(dep, nproc, costs, space, mode=mode),
+        "speculation": speculation_key(AccessLog.from_source(dep), nproc,
+                                       costs),
+    }
+
+
 class TestKeys:
+    """Equal structure ⇒ equal key; any edit ⇒ a new one — for the
+    digest and all three key functions."""
+
     def test_same_structure_same_key(self, case):
         _, _, ia = case
-        k1 = ScheduleCache.key_for(graph_of(ia), 4, "local", "wrapped",
-                                   "wrapped", MULTIMAX_320)
-        k2 = ScheduleCache.key_for(graph_of(ia.copy()), 4, "local", "wrapped",
-                                   "wrapped", MULTIMAX_320)
-        assert k1 == k2
+        base = keys_of(ia)
+        assert keys_of(ia.copy()) == base
+        assert keys_of(ia.astype(np.int32)) == base
+        assert {len(key) for key in base.values()} == {40}
+        assert len(set(base.values())) == 4
 
     @pytest.mark.parametrize("variant", [
-        dict(nproc=8),
-        dict(strategy="global"),
-        dict(assignment="blocked"),
-        dict(balance="greedy"),
-        dict(costs=MachineCosts(t_work_base=1.0)),
+        (dict(nproc=8), {"schedule", "tuning", "speculation"}),
+        (dict(strategy="global"), {"schedule"}),
+        (dict(assignment="blocked"), {"schedule"}),
+        (dict(balance="greedy"), {"schedule"}),
+        (dict(costs=MachineCosts(t_work_base=1.0)),
+         {"schedule", "tuning", "speculation"}),
+        (dict(versions=(("local", 2), ("wrapped", 1))), {"schedule"}),
+        (dict(space="space-b"), {"tuning"}),
+        (dict(mode="exec:threads"), {"tuning"}),
     ])
     def test_any_parameter_changes_the_key(self, case, variant):
         _, _, ia = case
-        base = dict(nproc=4, strategy="local", assignment="wrapped",
-                    balance="wrapped", costs=MULTIMAX_320)
-        k1 = ScheduleCache.key_for(graph_of(ia), **base)
-        k2 = ScheduleCache.key_for(graph_of(ia), **{**base, **variant})
-        assert k1 != k2
+        edit, changed = variant
+        base, varied = keys_of(ia), keys_of(ia, **edit)
+        assert {k for k in base if base[k] != varied[k]} == changed
 
     def test_different_structure_different_key(self, case):
         _, _, ia = case
         ia2 = ia.copy()
-        ia2[-1] = 0
-        k1 = ScheduleCache.key_for(graph_of(ia), 4, "local", "wrapped",
-                                   "wrapped", MULTIMAX_320)
-        k2 = ScheduleCache.key_for(graph_of(ia2), 4, "local", "wrapped",
-                                   "wrapped", MULTIMAX_320)
-        assert k1 != k2
+        ia2[-1] = 0 if ia[-1] else 1     # one edge moved
+        base, edited = keys_of(ia), keys_of(ia2)
+        assert all(base[k] != edited[k] for k in base)
+
+    def test_a_prefix_is_another_structure(self, case):
+        _, _, ia = case
+        dep = graph_of(ia)
+        assert prefix_graph(dep, dep.n // 2).digest() != dep.digest()
+        assert prefix_graph(dep, dep.n) is dep
+
+    def test_auto_compile_digests_each_graph_once(self, monkeypatch):
+        # One graph per pruning rung plus the full graph, however many
+        # candidates, stores and stages ask for a key.
+        from repro.core import dependence
+
+        digested = []
+
+        def counting(arrays=(), params=()):
+            digested.append(params)
+            return structure_digest(arrays, params)
+
+        monkeypatch.setattr(dependence, "structure_digest", counting)
+        matrix = generate_workload("65-4-3", seed=5).matrix
+        prog = LoopProgram.from_csr(matrix, np.ones(matrix.nrows))
+        rt = Runtime(nproc=8)
+        loop = rt.compile(prog, strategy="auto")
+        assert loop.verdict.searched and loop.verdict.sims > 30
+        rungs = rt._tuner._rung_sizes(matrix.nrows)
+        assert len(rungs) == 2
+        assert sorted(n for (n,) in digested) == rungs + [matrix.nrows]
 
 
 class TestHitMiss:
@@ -179,6 +231,8 @@ class TestBalanceKeyNormalization:
         assert not second.cache_hit
         assert first.schedule.strategy == "global/greedy"
         assert second.schedule.strategy == "global/wrapped"
+        # ... and the default balance is "wrapped".
+        assert rt.compile(ia, scheduler="global").inspection is second.inspection
 
     def test_custom_scheduler_conservatively_keys_on_balance(self, case):
         _, _, ia = case
@@ -240,7 +294,7 @@ class TestPersistence:
 
         # A fresh session (cold memory) warm-starts from disk.
         rt2 = Runtime(nproc=4, cache=8, cache_dir=tmp_path)
-        loop2 = rt2.compile(ia, scheduler="global")
+        loop2 = rt2.compile(ia.copy(), scheduler="global")
         assert loop2.cache_hit
         assert rt2.cache_stats.disk_hits == 1
         # A disk-served lookup skipped the cold inspection, so it is a
@@ -296,3 +350,67 @@ class TestPersistence:
         assert len(cache) == 0
         assert rt.compile(ia).cache_hit          # served from disk
         assert cache.stats.disk_hits == 1
+
+
+class TestSharedStoreSessions:
+    """Sessions sharing one store object: each one's metrics are the
+    counter deltas of its own calls, whoever else observes."""
+
+    @staticmethod
+    def metrics(rt, prefix):
+        return {name.split(".", 1)[1]: metric["value"]
+                for name, metric in rt.observer.metrics.as_dict().items()
+                if name.startswith(prefix + ".")}
+
+    def test_schedule_cache_metrics_follow_the_caller(self, case, tmp_path):
+        _, _, ia = case
+        cache = ScheduleCache(8, persist_dir=tmp_path)
+        a = Runtime(4, cache=cache, observe=True)
+        b = Runtime(4, cache=cache)
+        b.compile(ia)                     # b's miss and store, unobserved
+        assert self.metrics(a, "schedule_cache") == {}
+        a.compile(ia)
+        c = Runtime(4, cache=cache, observe=True)   # a later adopter
+        c.compile(ia)
+        a.compile(ia, scheduler="global")
+        assert self.metrics(a, "schedule_cache") == {
+            "hits": 1, "misses": 1, "disk_stores": 1}
+        assert self.metrics(c, "schedule_cache") == {"hits": 1}
+        assert (cache.stats.hits, cache.stats.misses,
+                cache.stats.disk_stores) == (2, 2, 2)
+
+    def test_tuning_store_metrics_follow_the_caller(self, case):
+        _, _, ia = case
+        store = TuningStore(8)
+        a = Runtime(4, tuning=store, observe=True)
+        b = Runtime(4, tuning=store)
+        b.compile(ia, strategy="auto")
+        assert self.metrics(a, "tuning_store") == {}
+        assert a.compile(ia, strategy="auto").verdict.searched is False
+        c = Runtime(4, tuning=store, observe=True)
+        c.compile(ia, strategy="auto")
+        assert self.metrics(a, "tuning_store") == {"hits": 1}
+        assert self.metrics(c, "tuning_store") == {"hits": 1}
+        assert (store.stats.hits, store.stats.misses) == (2, 1)
+
+    def test_an_unobserved_session_takes_no_snapshot(self, case, monkeypatch):
+        _, _, ia = case
+        monkeypatch.setattr(CacheStats, "snapshot",
+                            lambda self: pytest.fail("snapshot taken"))
+        rt = Runtime(4)
+        for options in ({}, {"strategy": "auto"}, {"strategy": "speculative"}):
+            rt.compile(ia, **options)      # cold: get, put
+            rt.compile(ia, **options)      # warm: get
+
+    def test_a_sole_session_mirrors_every_counter(self, case, tmp_path):
+        _, _, ia = case
+        rt = Runtime(4, cache=1, cache_dir=tmp_path, observe=True)
+        rt.compile(ia)
+        rt.compile(ia, scheduler="global")     # evicts the first entry
+        rt.compile(ia)                         # ... which disk serves
+        rt.compile(ia)
+        stats = rt.cache_stats
+        assert (stats.hits, stats.disk_hits, stats.misses, stats.evictions,
+                stats.disk_stores) == (1, 1, 2, 2, 2)
+        assert self.metrics(rt, "schedule_cache") == {
+            name: count for name, count in vars(stats).items() if count}

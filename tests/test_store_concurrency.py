@@ -59,9 +59,9 @@ def _writer(worker: int, trial: int, tuning_dir, cache_dir, out_path):
         faults = FaultPlan.store_partial_write(mode="garbage", times=2,
                                                seed=SEED + trial)
     store = TuningStore(persist_dir=tuning_dir)
-    store.faults = faults
     for step in range(KEYS):
-        store.put(f"stress-key-{step}", _verdict(worker, step))
+        store.put(f"stress-key-{step}", _verdict(worker, step),
+                  faults=faults)
 
     rng = np.random.default_rng(1000 + worker)
     rt = Runtime(nproc=2, cache_dir=cache_dir, tuning=None, faults=faults)

@@ -12,6 +12,7 @@ timings, pin that.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.program import (
 )
 from repro.program.tape import LIST_SPAN
 from repro.runtime import CompiledLoop
+from repro.sparse.build import random_lower_triangular
 from repro.workload import stencil_program, sweep_program
 
 EXECUTORS = ("self", "preschedule", "doacross")
@@ -202,6 +204,92 @@ class TestGeneratedBodies:
             assert widths.max() <= reach
         assert loop.executor.kernel_path == "vectorized"
         assert FLAT_LEVEL == 2  # the widths above straddle it
+
+
+# ----------------------------------------------------------------------
+# The paper's loop shapes, recorded from the loop bodies as written
+# ----------------------------------------------------------------------
+
+def paper_loops() -> dict:
+    """``name -> (n, body, arrays)``: Figures 3, 6 and 8 and their
+    variations, index arrays closed over, values bound as data."""
+    rng = np.random.default_rng(41)
+    n, m = 60, 3
+    ia, ib = rng.integers(0, n, size=n), rng.integers(0, n, size=n)
+    g = rng.integers(0, n, size=(n, m))
+    # Figure 8's ija format: row pointers in ija[:n + 1], the strictly
+    # lower column indices (and, in a, their values) behind them.
+    lower = random_lower_triangular(n, avg_off_diag=2, seed=3)
+    rows = lower.row_of_nnz()
+    strict = lower.indices < rows
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[strict],
+                                                     minlength=n))])
+    ija = np.concatenate([ptr + n + 1, lower.indices[strict]])
+    coeff = np.concatenate([np.zeros(n + 1), lower.data[strict]])
+
+    def figure3(i, a):
+        a.x[i] = a.x[i] + a.b[i] * a.x[ia[i]]
+
+    def augmented(i, a):
+        a.x[i] += a.b[i] * a.x[ia[i]]
+
+    def doall(i, a):
+        a.x[i] = a.x[i] * a.b[i]
+
+    def two_reads(i, a):
+        a.x[i] = a.x[i] + a.x[ia[i]] * a.x[ib[i]]
+
+    def figure6(i, a):
+        temp = a.f[i]
+        for j in range(m):
+            a.y[i] = a.y[i] + temp * a.y[g[i, j]]
+
+    def figure8(i, a):
+        # Reads back, within the iteration, what it just wrote.
+        a.y[i] = a.rhs[i]
+        for k in range(ija[i], ija[i + 1]):
+            a.y[i] = a.y[i] - a.a[k] * a.y[ija[k]]
+
+    def figure8_accumulated(i, a):
+        acc = a.rhs[i]
+        for k in range(ija[i], ija[i + 1]):
+            acc = acc - a.a[k] * a.y[ija[k]]
+        a.y[i] = acc
+
+    x, b = rng.standard_normal(n), rng.standard_normal(n)
+    solve = dict(y=np.zeros(n), rhs=rng.standard_normal(n), a=coeff)
+    return {
+        "figure3": (n, figure3, dict(x=x, b=b)),
+        "augmented": (n, augmented, dict(x=x, b=b)),
+        "doall": (n, doall, dict(x=x, b=b)),
+        "two_reads": (n, two_reads, dict(x=x)),
+        "figure6": (n, figure6, dict(y=x, f=0.2 * b)),
+        "figure8": (n, figure8, solve),
+        "figure8_accumulated": (n, figure8_accumulated, solve),
+    }
+
+
+PAPER_LOOPS = paper_loops()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("name", PAPER_LOOPS)
+def test_paper_loops_equal_the_plain_loop(name, executor):
+    n, body, arrays = PAPER_LOOPS[name]
+    before = {k: v.copy() for k, v in arrays.items()}
+    plain = SimpleNamespace(**{k: v.copy() for k, v in arrays.items()})
+    for i in range(n):
+        body(i, plain)
+    program = LoopProgram.record(n, body, **arrays)
+    if name == "doall":
+        assert program.dependence_graph().num_edges == 0
+    loop = Runtime(nproc=3).compile(program, executor=executor)
+    x = loop().x
+    (written,) = outputs(program, x)
+    assert np.array_equal(x, getattr(plain, written))
+    assert loop.executor.kernel_path == "vectorized"
+    # The caller's arrays are never written through.
+    assert all(np.array_equal(arrays[k], before[k]) for k in arrays)
 
 
 # ----------------------------------------------------------------------
