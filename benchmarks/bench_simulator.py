@@ -33,13 +33,14 @@ sizes down for smoke runs; the acceptance assertions only apply at
 full scale.
 """
 
+import functools
 import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import reference
+from repro.core import executor, inspector, reference
 from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule, identity_schedule
 from repro.core.wavefront import compute_wavefronts
@@ -165,7 +166,7 @@ def test_processor_scaling(save_table):
     for p in (16, 64, 256):
         sched = global_schedule(wf, p)
         times = {}
-        for engine in ("scalar", "batched", None):
+        for engine in ("scalar", "batched", "auto"):
             times[engine] = _time(
                 lambda e=engine: simulate_self_executing(
                     sched, dep, MULTIMAX_320, engine=e), 3)
@@ -173,7 +174,7 @@ def test_processor_scaling(save_table):
             simulate_self_executing(sched, dep, MULTIMAX_320, engine="batched"),
             simulate_self_executing(sched, dep, MULTIMAX_320, engine="scalar"))
         table.add_row(p, times["scalar"] * 1000, times["batched"] * 1000,
-                      times[None] * 1000)
+                      times["auto"] * 1000)
     print()
     print(table.render())
     save_table("simulator_scaling", table)
@@ -209,19 +210,22 @@ def test_tuning_search_speedup(save_table):
     def run_search():
         return Tuner(TUNE_NPROC, seed=0).search(dep)
 
-    saved_engine, saved_scalar = simulator.DEFAULT_ENGINE, simulator._run_scalar
+    # The search reaches the simulator through the executors and the
+    # inspector's pricing; pin both callers' engine argument.
+    scalar = functools.partial(simulate_self_executing, engine="scalar")
+    saved_scalar = simulator._run_scalar
     try:
-        simulator.DEFAULT_ENGINE = "scalar"
         simulator._run_scalar = _legacy_run_scalar
+        executor.simulate_self_executing = scalar
+        inspector.simulate_self_executing = scalar
         v_legacy = run_search()
         t_legacy = _time(run_search, 1)
-        simulator._run_scalar = saved_scalar
-        simulator.DEFAULT_ENGINE = "auto"
-        v_auto = run_search()
-        t_auto = _time(run_search, 1)
     finally:
-        simulator.DEFAULT_ENGINE = saved_engine
         simulator._run_scalar = saved_scalar
+        executor.simulate_self_executing = simulate_self_executing
+        inspector.simulate_self_executing = simulate_self_executing
+    v_auto = run_search()
+    t_auto = _time(run_search, 1)
 
     assert v_legacy.label() == v_auto.label()
     assert v_legacy.sim_makespan == v_auto.sim_makespan

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
-# one-run-path, one-identity and session-free-store rules, then run the tier-1
-# test suite.
+# one-run-path, one-classic-executor, one-extractor, one-identity and
+# session-free-store rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -26,8 +26,23 @@ forked="$forked|RecordedKernel|RecordedTrace|writers_index"
 # inspector/executor and the doconsider shim.
 forked="$forked|DoconsiderLoop|DoconsiderResult|doconsider\(|parallelize_source"
 forked="$forked|ParallelizedLoop|TransformError"
+# ... and extract_statement_dependences / ResolvedAccess.pairs replaced
+# the flat extractor and the private event flatteners; the simulator's
+# mutable engine switch and the identity striped_sort_dependence went
+# with them.
+forked="$forked|extract_dependences\b|_event_arrays|_statement_events"
+forked="$forked|striped_sort_dependence|DEFAULT_ENGINE"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel / front end replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor replaced reappeared" >&2
+    exit 1
+fi
+
+echo "== one classic executor: run_threaded defined once under src/repro/core =="
+# self / preschedule / doacross share ClassicExecutor's engines.
+threaded=$(grep -rn 'def run_threaded' src/repro/core --include='*.py' || true)
+if [ "$(echo "$threaded" | grep -c 'def run_threaded')" -ne 1 ]; then
+    echo "$threaded"
+    echo "error: run_threaded must be defined exactly once under src/repro/core" >&2
     exit 1
 fi
 
@@ -40,11 +55,12 @@ if [ "$hashers" != "src/repro/util/digest.py" ]; then
     exit 1
 fi
 
-echo "== stores hold no session: nothing assigns observer/faults onto one =="
-# Sessions pass faults= per put() and mirror their own counter deltas.
-if grep -rnE '(cache|store)\w*\.(observer|faults)\s*=[^=]' src tests \
-        --include='*.py'; then
-    echo "error: session state assigned onto a shared cache/store" >&2
+echo "== shared objects hold no session: nothing assigns observer/faults onto one =="
+# Sessions pass faults= per put() and mirror their own counter deltas —
+# of the stores and of the fault plan alike.
+if grep -rnE '(cache|store)\w*\.faults\s*=[^=]|(cache|store|faults|plan)\w*\.observer\s*=[^=]' \
+        src tests --include='*.py'; then
+    echo "error: session state assigned onto a shared cache/store/fault plan" >&2
     exit 1
 fi
 

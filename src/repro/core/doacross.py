@@ -14,18 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import (
-    SimResult,
-    deps_cross_wavefronts,
-    execution_levels,
-    simulate_self_executing,
-    wavefront_batches,
-)
-from ..machine.threads import ThreadedMachine
+from ..machine.simulator import deps_cross_wavefronts, wavefront_batches
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
-from .executor import LevelExecutor, LoopKernel
-from .schedule import Schedule, identity_schedule
+from .executor import ClassicExecutor
+from .schedule import identity_schedule
+from .wavefront import compute_wavefronts
 
 __all__ = ["DoacrossExecutor"]
 
@@ -43,7 +37,7 @@ def _build_doacross(inspection, nproc, costs):
     )
 
 
-class DoacrossExecutor(LevelExecutor):
+class DoacrossExecutor(ClassicExecutor):
     """Busy-wait execution in original index order (wrapped ownership)."""
 
     mode = "doacross"
@@ -51,12 +45,8 @@ class DoacrossExecutor(LevelExecutor):
     def __init__(self, dep: DependenceGraph, nproc: int,
                  costs: MachineCosts = MULTIMAX_320,
                  wavefronts: np.ndarray | None = None):
-        from .wavefront import compute_wavefronts  # deferred: module order
-
-        self.dep = dep
-        self.costs = costs
         wf = wavefronts if wavefronts is not None else compute_wavefronts(dep)
-        self.schedule: Schedule = identity_schedule(wf, nproc)
+        super().__init__(identity_schedule(wf, nproc), dep, costs)
 
     def _build_levels(self):
         wf = self.schedule.wavefronts
@@ -64,21 +54,7 @@ class DoacrossExecutor(LevelExecutor):
             # Original order is legal for backward dependences (every
             # identity list ascends), so the loop cannot deadlock; its
             # values are those of any dependence-respecting order, and
-            # the wavefronts are the widest such batches.
+            # the wavefronts are the widest such batches — a numeric
+            # order only: it leaves each processor's program order.
             return wavefront_batches(np.arange(self.dep.n, dtype=np.int64), wf)
-        return execution_levels(self.schedule, self.dep)
-
-    def simulate(self, *, unit_work: np.ndarray | None = None) -> SimResult:
-        return simulate_self_executing(
-            self.schedule, self.dep, self.costs,
-            mode="doacross", unit_work=unit_work,
-        )
-
-    def run_threaded(self, kernel: LoopKernel, *, timeout: float = 30.0,
-                     timeline=None, faults=None) -> np.ndarray:
-        kernel.start()
-        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout,
-                                  faults=faults)
-        machine.run_self_executing(kernel, self.schedule, self.dep,
-                                   timeline=timeline)
-        return kernel.result()
+        return super()._build_levels()

@@ -1,6 +1,6 @@
 """Loop kernels and the serial reference executor.
 
-A *kernel* encapsulates the numeric body of a ``doconsider`` loop —
+A *kernel* encapsulates the numeric body of a reorderable loop —
 what one iteration computes — independent of the order iterations are
 executed in.  Executors (serial, pre-scheduled, self-executing,
 doacross, threaded) decide the order and synchronization; kernels do
@@ -13,7 +13,10 @@ Execution
 The classic executors share one serial run path,
 :class:`LevelExecutor`: each builds a :class:`LevelPlan` once — a legal
 total order grouped into mutually independent batches — and every
-``run`` walks it.  Kernels with a real ``execute_batch`` run a level
+``run`` walks it.  :class:`ClassicExecutor` is the one base of the
+self-executing, pre-scheduled and doacross executors: it owns their
+constructor state, the level-plan build, ``simulate`` and
+``run_threaded``, each dispatching on the subclass's ``mode``.  Kernels with a real ``execute_batch`` run a level
 per call (the triangular kernels through a structure-only
 :class:`~repro.sparse.triangular.LevelGather` the executor keeps across
 data rebinds); the others take one flat per-index walk of the order.
@@ -39,6 +42,14 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ScheduleError, ValidationError
+from ..machine.costs import MachineCosts, MULTIMAX_320
+from ..machine.simulator import (
+    SimResult,
+    execution_levels,
+    simulate_prescheduled,
+    simulate_self_executing,
+)
+from ..machine.threads import ThreadedMachine
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import LevelGather
 from ..util.validation import as_int_array, check_vector
@@ -47,6 +58,7 @@ from .dependence import DependenceGraph
 __all__ = [
     "LevelPlan",
     "LevelExecutor",
+    "ClassicExecutor",
     "LoopKernel",
     "GenericLoopKernel",
     "SimpleLoopKernel",
@@ -480,6 +492,84 @@ class LevelExecutor:
         else:
             flat_walk(kernel, levels.order)
             self.kernel_path = "flat"
+        return kernel.result()
+
+
+class ClassicExecutor(LevelExecutor):
+    """One schedule run three ways — what ``self``, ``preschedule`` and
+    ``doacross`` share.
+
+    A subclass names its ``mode`` and adds only what genuinely differs;
+    the numeric run (:meth:`LevelExecutor.run`), the machine-model
+    timing and the real-thread run live here and dispatch on ``mode``:
+    barrier phases for ``"preschedule"``, busy-waits for the other two.
+
+    **Two orders, not one.**  A *numeric* order need respect the
+    dependences only — any such order computes the same values, so a
+    subclass may batch as widely as they allow (doacross runs
+    wavefront-major).  A *simulation* order must also respect each
+    processor's program order, because the machine model advances a
+    processor's clock item by item.  The level plan is a numeric order;
+    :meth:`simulate` hands it to the simulator for ``"self"`` alone,
+    whose plan is a topological order of the (program-order ∪
+    dependence) DAG and so is both.
+    """
+
+    #: ``"self"``, ``"preschedule"`` or ``"doacross"``.
+    mode: str
+
+    def __init__(self, schedule, dep: DependenceGraph,
+                 costs: MachineCosts = MULTIMAX_320):
+        self.schedule = schedule
+        self.dep = dep
+        self.costs = costs
+
+    def _build_levels(self):
+        # A topological order of (program-order ∪ dependence) edges
+        # both proves the schedule deadlock-free and gives the numeric
+        # engine a legal order to walk.
+        return execution_levels(self.schedule, self.dep)
+
+    def simulate(self, *, unit_work: np.ndarray | None = None,
+                 keep_finish_times: bool = False) -> SimResult:
+        """Machine-model timing of this schedule.
+
+        Only the busy-wait modes keep per-iteration finish times; the
+        pre-scheduled model works a phase at a time and leaves
+        ``finish`` unset.
+        """
+        if self.mode == "preschedule":
+            return simulate_prescheduled(self.schedule, self.dep, self.costs,
+                                         unit_work=unit_work)
+        # A cold ``loop()`` runs, then simulates: walking the plan a
+        # run already built probes and sorts the schedule once.  A
+        # timing-only caller builds nothing.
+        proven = self.mode == "self" and self._levels is not None
+        return simulate_self_executing(
+            self.schedule, self.dep, self.costs, mode=self.mode,
+            unit_work=unit_work, keep_finish_times=keep_finish_times,
+            order=self._levels.order if proven else None,
+        )
+
+    def run_threaded(self, kernel, *, timeout: float = 30.0,
+                     timeline=None, faults=None) -> np.ndarray:
+        """Execute on real threads under the mode's own synchronization.
+
+        ``timeline`` is an optional
+        :class:`~repro.observe.TimelineRecorder` stamping every
+        iteration's interval on its processor's lane; ``faults`` an
+        optional :class:`~repro.resilience.FaultPlan` the machine's
+        watchdog consults.
+        """
+        kernel.start()
+        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout,
+                                  faults=faults)
+        if self.mode == "preschedule":
+            machine.run_prescheduled(kernel, self.schedule.phases(),
+                                     timeline=timeline)
+        else:
+            machine.run_self_executing(kernel, self.schedule, self.dep,
+                                       timeline=timeline)
         return kernel.result()
 
 

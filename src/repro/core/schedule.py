@@ -161,6 +161,36 @@ class Schedule:
             else np.empty(0, dtype=np.int64)
         )
 
+    def unsorted_processor(self, wfl: np.ndarray | None = None
+                           ) -> int | None:
+        """The first processor whose local list is not sorted by
+        wavefront, or ``None`` when every list is — the one place that
+        decides it (:meth:`phases`, the pre-scheduled executor and
+        simulator, and the executors' shape probe all ask here).
+        ``wfl`` is ``wavefronts[flattened()]``, from a caller that
+        already holds it."""
+        if wfl is None:
+            wfl = self.wavefronts[self.flattened()]
+        drops = np.diff(wfl) < 0
+        # A wavefront decrease is only legal where the processor
+        # changes: from the last entry of one list to the first of the
+        # next.  List ``p`` ends just before flat position ``ends[p]``.
+        ends = np.cumsum([lst.shape[0] for lst in self.local_order])
+        drops[ends[(ends > 0) & (ends < wfl.size)] - 1] = False
+        if not drops.any():
+            return None
+        return int(np.searchsorted(ends, np.argmax(drops), side="right"))
+
+    def check_wavefront_sorted(self) -> None:
+        """Raise :class:`ScheduleError` unless every local list is
+        sorted by wavefront — what barrier-separated phases require."""
+        proc = self.unsorted_processor()
+        if proc is not None:
+            raise ScheduleError(
+                f"processor {proc}'s list is not sorted by wavefront; "
+                "a pre-scheduled execution would violate dependences"
+            )
+
     def phases(self) -> list[list[np.ndarray]]:
         """``phases()[w][p]``: processor ``p``'s indices in wavefront ``w``.
 
@@ -168,19 +198,10 @@ class Schedule:
         is "marked by a special flag" (Figure 5's ``NEWPHASE``) and all
         processors synchronize before the next phase begins.
         """
+        self.check_wavefront_sorted()
         nw = self.num_wavefronts
         flat, procs, _ = self._flat_with_procs()
         wfs = self.wavefronts[flat]
-        if flat.size > 1:
-            # A wavefront decrease is only legal where the processor
-            # changes; anywhere else the list is mis-sorted.
-            decreasing = (np.diff(wfs) < 0) & (procs[1:] == procs[:-1])
-            if np.any(decreasing):
-                raise ScheduleError(
-                    f"processor {int(procs[1:][np.argmax(decreasing)])}'s "
-                    "list is not sorted by wavefront; a pre-scheduled "
-                    "execution would violate dependences"
-                )
         # ``(processor, wavefront)`` keys are non-decreasing along the
         # flattened schedule, so every phase cell is one searchsorted
         # slice of it.

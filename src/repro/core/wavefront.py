@@ -24,9 +24,10 @@ assert the two agree on random DAGs.
 
 The paper notes the sort itself can be parallelized "by striping
 consecutive indices across the processors and by using busy waits";
-:func:`striped_sort_dependence` exposes the *sort's own* dependence
-structure so the machine simulator can price exactly that strategy
-(Table 5's parallel-sort column).
+the sort has exactly the loop's own dependence graph, so
+:meth:`Inspector.price_inspection
+<repro.core.inspector.Inspector.price_inspection>` prices that strategy
+(Table 5's parallel-sort column) as a doacross over it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "wavefront_counts",
     "wavefront_members",
     "critical_path_length",
-    "striped_sort_dependence",
 ]
 
 
@@ -138,17 +138,3 @@ def wavefront_members(wf: np.ndarray) -> list[np.ndarray]:
 def critical_path_length(wf: np.ndarray) -> int:
     """Number of wavefronts — the dependence-height lower bound on phases."""
     return int(wf.max()) + 1 if wf.size else 0
-
-
-def striped_sort_dependence(dep: DependenceGraph) -> DependenceGraph:
-    """The dependence structure *of the wavefront sweep itself*.
-
-    Computing ``wf[i]`` reads ``wf[j]`` for every dependence ``j`` of
-    ``i`` — i.e. the sort has exactly the same dependence graph as the
-    original loop, with per-index work proportional to the dependence
-    count.  Returning it (identity transform made explicit) lets the
-    simulator price the paper's parallelized topological sort: stripe
-    consecutive indices across processors, busy-wait on uncomputed
-    ``wf`` entries.
-    """
-    return dep

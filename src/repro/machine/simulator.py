@@ -50,6 +50,7 @@ from ..util.frontier import (
     frontier_sweep,
     segment_max,
 )
+from ..util.validation import check_vector
 from .costs import MachineCosts
 
 if TYPE_CHECKING:  # imported for annotations only — avoids a cycle with
@@ -136,9 +137,8 @@ def work_vector(
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
     nd = dep.dep_counts().astype(np.float64)
-    base = costs.base_work(nd) if unit_work is None else np.asarray(unit_work, dtype=np.float64)
-    if base.shape[0] != dep.n:
-        raise ValidationError(f"unit_work must have length n={dep.n}")
+    base = (costs.base_work(nd) if unit_work is None
+            else check_vector(unit_work, dep.n, "unit_work"))
     shared = costs.shared_factor(nproc)
     if mode == "preschedule":
         return base + shared * costs.t_sched_access
@@ -172,15 +172,23 @@ def simulate_prescheduled(
     costs: MachineCosts = MachineCosts(),
     *,
     unit_work: np.ndarray | None = None,
-    validate: bool = True,
 ) -> SimResult:
-    """Simulate Figure 5: barrier-separated wavefront phases."""
+    """Simulate Figure 5: barrier-separated wavefront phases.
+
+    Phases are only safe when every local list is sorted by wavefront
+    and every dependence crosses a phase boundary; anything else
+    raises :class:`ScheduleError`.
+    """
     n, p = schedule.n, schedule.nproc
     if dep.n != n:
         raise ValidationError("schedule and dependence graph sizes differ")
     wf = schedule.wavefronts
-    if validate:
-        _validate_phase_safety(schedule, dep)
+    schedule.check_wavefront_sorted()
+    if not deps_cross_wavefronts(wf, dep):
+        raise ScheduleError(
+            "a dependence does not cross a phase boundary; the wavefront "
+            "array is inconsistent with the dependence graph"
+        )
     w = work_vector(dep, costs, "preschedule", p, unit_work)
     nw = schedule.num_wavefronts
 
@@ -215,22 +223,6 @@ def simulate_prescheduled(
         sched_time=float(sched_overhead),
         num_phases=nw,
     )
-
-
-def _validate_phase_safety(schedule: Schedule, dep: DependenceGraph) -> None:
-    """Every local list sorted by wavefront; every dependence crosses phases."""
-    wf = schedule.wavefronts
-    for pnum, lst in enumerate(schedule.local_order):
-        if lst.size > 1 and np.any(np.diff(wf[lst]) < 0):
-            raise ScheduleError(
-                f"processor {pnum}'s list is not sorted by wavefront; "
-                "pre-scheduled execution would violate dependences"
-            )
-    if not deps_cross_wavefronts(wf, dep):
-        raise ScheduleError(
-            "a dependence does not cross a phase boundary; the wavefront "
-            "array is inconsistent with the dependence graph"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -308,17 +300,13 @@ def _toposort_levels(
 
 
 def _wf_sorted_shape(
-    schedule: Schedule,
-    dep: DependenceGraph,
-    flat: np.ndarray,
-    procs: np.ndarray,
-    wfl: np.ndarray,
+    schedule: Schedule, dep: DependenceGraph, wfl: np.ndarray
 ) -> bool:
     """Every local list wavefront-sorted and every dependence crossing
-    wavefronts — the shape produced by the global/local schedulers."""
-    if flat.size > 1 and np.any((np.diff(wfl) < 0) & (procs[1:] == procs[:-1])):
-        return False
-    return deps_cross_wavefronts(schedule.wavefronts, dep)
+    wavefronts — the shape produced by the global/local schedulers.
+    ``wfl`` is the wavefronts along ``schedule.flattened()``."""
+    return (schedule.unsorted_processor(wfl) is None
+            and deps_cross_wavefronts(schedule.wavefronts, dep))
 
 
 def wavefront_batches(
@@ -362,9 +350,9 @@ def execution_levels(
     combined-DAG sweep, which raises :class:`DeadlockError` on a cycle
     and yields its (at most ``nproc``-wide) levels.
     """
-    flat, procs, _ = schedule._flat_with_procs()
+    flat = schedule.flattened()
     wfl = schedule.wavefronts[flat]
-    if _wf_sorted_shape(schedule, dep, flat, procs, wfl):
+    if _wf_sorted_shape(schedule, dep, wfl):
         return wavefront_batches(flat, wfl)
     return _toposort_levels(schedule, dep)
 
@@ -382,7 +370,7 @@ def _fast_order(
     """
     flat, procs, _ = schedule._flat_with_procs()
     wfl = schedule.wavefronts[flat]
-    if try_wf_sorted and _wf_sorted_shape(schedule, dep, flat, procs, wfl):
+    if try_wf_sorted and _wf_sorted_shape(schedule, dep, wfl):
         return wavefront_batches(flat, wfl)[0]
     increasing_lists = not (
         flat.size > 1
@@ -409,7 +397,7 @@ def _fast_levels(
     flat, procs, _ = schedule._flat_with_procs()
     n = flat.shape[0]
     wfl = schedule.wavefronts[flat]
-    if not _wf_sorted_shape(schedule, dep, flat, procs, wfl):
+    if not _wf_sorted_shape(schedule, dep, wfl):
         return None
     if n == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
@@ -438,10 +426,6 @@ def _fast_levels(
 
 #: Valid ``engine=`` values of :func:`simulate_self_executing`.
 ENGINES = ("auto", "batched", "scalar")
-
-#: Module default, overridable for experiments/benchmarks (e.g. force
-#: ``"scalar"`` to measure the whole stack against the event loop).
-DEFAULT_ENGINE = "auto"
 
 #: Level size at or below which the batched engine hands a *run* of
 #: consecutive small levels to the scalar event loop in one go —
@@ -650,7 +634,7 @@ def simulate_self_executing(
     mode: str = "self",
     unit_work: np.ndarray | None = None,
     keep_finish_times: bool = False,
-    engine: str | None = None,
+    engine: str = "auto",
     order: np.ndarray | None = None,
 ) -> SimResult:
     """Simulate Figure 4 (``mode="self"``) or a plain doacross loop.
@@ -660,7 +644,7 @@ def simulate_self_executing(
 
     ``engine`` selects the evaluation strategy: ``"batched"`` — the
     per-wavefront vectorized engine; ``"scalar"`` — the per-iteration
-    event loop; ``"auto"`` (default, via :data:`DEFAULT_ENGINE`) —
+    event loop; ``"auto"`` (default) —
     batched for graphs wide enough to amortise plan construction,
     scalar for near-chains, and a closed-form cumulative sum on one
     processor.  All engines produce bit-identical
@@ -676,7 +660,6 @@ def simulate_self_executing(
     """
     if mode not in ("self", "doacross"):
         raise ValidationError(f"mode must be 'self' or 'doacross', got {mode!r}")
-    engine = DEFAULT_ENGINE if engine is None else engine
     if engine not in ENGINES:
         raise ValidationError(f"engine must be one of {ENGINES}, got {engine!r}")
     n, p = schedule.n, schedule.nproc
@@ -747,9 +730,11 @@ def simulate(
     *,
     mode: str = "self",
     unit_work: np.ndarray | None = None,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> SimResult:
     """Dispatch on ``mode``: ``"preschedule"``, ``"self"`` or ``"doacross"``."""
+    if mode not in _MODES:
+        raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "preschedule":
         return simulate_prescheduled(schedule, dep, costs, unit_work=unit_work)
     return simulate_self_executing(schedule, dep, costs, mode=mode,

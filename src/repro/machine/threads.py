@@ -38,6 +38,10 @@ from ..errors import ExecutionError, ExecutionTimeout, ReproError, ValidationErr
 
 __all__ = ["ThreadedMachine"]
 
+#: Busy-waits yield the GIL (and poll the abort event) every this many
+#: spins.
+SPIN_YIELD_EVERY = 64
+
 
 class _Cancelled(Exception):
     """Internal: a lane unwinding after the abort event was set."""
@@ -78,13 +82,10 @@ class _WavefrontBarrier:
 class ThreadedMachine:
     """Runs per-processor schedule lists on real Python threads."""
 
-    def __init__(self, nproc: int, *, spin_yield_every: int = 64,
-                 timeout: float = 30.0, faults=None):
+    def __init__(self, nproc: int, *, timeout: float = 30.0, faults=None):
         if nproc <= 0:
             raise ValidationError("nproc must be positive")
         self.nproc = int(nproc)
-        #: Busy-waits yield the GIL every this many spins.
-        self.spin_yield_every = int(spin_yield_every)
         #: Wall-clock deadline for a run, enforced by the watchdog.
         self.timeout = float(timeout)
         #: Optional :class:`~repro.resilience.FaultPlan` — consulted by
@@ -102,7 +103,6 @@ class ThreadedMachine:
         self._abort = threading.Event()
         self._abort_cause: list = [None]
         self._progress = [0] * self.nproc
-        self._prepared = True
         return self._abort
 
     def _cancel_injected_stalls(self) -> None:
@@ -126,11 +126,8 @@ class ThreadedMachine:
             return
 
     def _launch(self, target, per_proc_args) -> None:
-        # Direct callers (the source transformer) skip the run_*
-        # entry points; give each launch fresh per-run state.
-        if not getattr(self, "_prepared", False):
-            self._prepare()
-        self._prepared = False
+        """Run one thread per processor under the watchdog; the run_*
+        entry point has already called :meth:`_prepare`."""
         abort = self._abort
         errors: list[BaseException] = []
         lock = threading.Lock()
@@ -244,7 +241,6 @@ class ThreadedMachine:
         n = schedule.n
         ready = bytearray(n)  # GIL guarantees byte-level atomicity
         indptr, indices = dep.indptr, dep.indices
-        spin_yield = self.spin_yield_every
         abort = self._prepare()
 
         def proc(p):
@@ -258,7 +254,7 @@ class ThreadedMachine:
                     spins = 0
                     while not ready[j]:
                         spins += 1
-                        if spins % spin_yield == 0:
+                        if spins % SPIN_YIELD_EVERY == 0:
                             time.sleep(0)
                             if abort.is_set():
                                 raise _Cancelled()

@@ -119,7 +119,7 @@ def simulated_timeline(loop, *, unit_work=None, max_events: int = 200_000
     speculative executor has no schedule to render — both raise.
     """
     from ..errors import ValidationError
-    from ..machine.simulator import simulate_self_executing, work_vector
+    from ..machine.simulator import work_vector
 
     executor = loop.executor
     mode = getattr(executor, "mode", None)
@@ -135,10 +135,7 @@ def simulated_timeline(loop, *, unit_work=None, max_events: int = 200_000
             f"refusing to render {schedule.n} events (max_events="
             f"{max_events}); raise max_events for a bigger trace"
         )
-    sim = simulate_self_executing(
-        schedule, dep, loop.costs, mode=mode, unit_work=unit_work,
-        keep_finish_times=True,
-    )
+    sim = executor.simulate(unit_work=unit_work, keep_finish_times=True)
     w = work_vector(dep, loop.costs, mode, schedule.nproc, unit_work)
     finish = sim.finish
     owner = schedule.owner

@@ -15,7 +15,7 @@ loop runs when a rewrite wins.
 
 from .binding import LoopProgram
 from .descriptors import At, ResolvedAccess, Statement
-from .extraction import extract_dependences, extract_statement_dependences
+from .extraction import extract_statement_dependences
 from .recording import StatementReplayKernel, record_trace
 from .transform import (
     IterationMap,
@@ -41,7 +41,6 @@ __all__ = [
     "StatementReplayKernel",
     "Variant",
     "enumerate_variants",
-    "extract_dependences",
     "extract_statement_dependences",
     "fission",
     "fuse",

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..util.digest import structure_digest
 from .descriptors import At, Statement
-from .extraction import extract_dependences, extract_statement_dependences
+from .extraction import extract_statement_dependences
 from .recording import StatementReplayKernel, record_trace
 from .tape import ReplayStructure
 
@@ -171,18 +171,8 @@ class LoopProgram:
     def dependence_graph(self):
         """The extracted dependence graph (cached per structure)."""
         if self._dep is None:
-            if len(self.statements) == 1:
-                reads: dict[str, list] = {}
-                writes: dict[str, list] = {}
-                for acc in self._resolved_reads:
-                    reads.setdefault(acc.array, []).append(acc)
-                for acc in self._resolved_writes:
-                    writes.setdefault(acc.array, []).append(acc)
-                self._dep = extract_dependences(self.n, reads, writes)
-                self._stmt_adj = np.zeros((1, 1), dtype=bool)
-            else:
-                self._dep, self._stmt_adj = extract_statement_dependences(
-                    self.n, self._stmt_resolved)
+            self._dep, self._stmt_adj = extract_statement_dependences(
+                self.n, self._stmt_resolved)
         return self._dep
 
     def statement_adjacency(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from ..errors import ValidationError
 from ..util.frontier import counts_to_indptr, rows_from_indptr
 from ..util.validation import as_int_array
 
-__all__ = ["At", "ResolvedAccess", "Statement"]
+__all__ = ["At", "ResolvedAccess", "Statement", "serial_events"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,27 @@ class ResolvedAccess:
             return every, every
         return (rows_from_indptr(self.indptr),
                 self.indices.astype(np.int64, copy=False))
+
+
+def serial_events(n: int, tagged, num_stmts: int = 1
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(serial position, element)`` of every access in ``tagged``, a
+    sequence of ``(statement, access)`` pairs, concatenated in order.
+
+    Serial position of statement ``s`` at iteration ``i`` is
+    ``i * S + s`` — the interleaved statement order of the original
+    loop; with the default ``S = 1`` it is the iteration itself.
+    """
+    if not tagged:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    pos_parts, el_parts = [], []
+    for s, acc in tagged:
+        it, el = acc.pairs(n)
+        pos_parts.append(it if num_stmts == 1
+                         else it * np.int64(num_stmts) + s)
+        el_parts.append(el)
+    return np.concatenate(pos_parts), np.concatenate(el_parts)
 
 
 class At:

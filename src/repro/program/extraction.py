@@ -32,26 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dependence import DependenceGraph
-from ..util.frontier import counts_to_indptr, rows_from_indptr
-from .descriptors import ResolvedAccess
+from ..util.frontier import counts_to_indptr
+from .descriptors import serial_events
 
-__all__ = ["extract_dependences", "extract_statement_dependences"]
-
-
-def _event_arrays(n: int, accesses: list[ResolvedAccess]):
-    """Flatten resolved accesses into (iteration, element) event arrays."""
-    its, els = [], []
-    for acc in accesses:
-        if acc.identity:
-            its.append(np.arange(n, dtype=np.int64))
-            els.append(np.arange(n, dtype=np.int64))
-        else:
-            its.append(rows_from_indptr(acc.indptr))
-            els.append(acc.indices.astype(np.int64, copy=False))
-    if not its:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(its), np.concatenate(els)
+__all__ = ["extract_statement_dependences"]
 
 
 def _flow_edges_identity(read_it, read_el):
@@ -115,102 +99,21 @@ def _output_edges(w_el, w_it):
     return w_it[1:][same], w_it[:-1][same]
 
 
-def extract_dependences(
-    n: int,
-    reads: dict[str, list[ResolvedAccess]],
-    writes: dict[str, list[ResolvedAccess]],
-) -> DependenceGraph:
-    """Derive the dependence graph of a declared loop program.
-
-    ``reads``/``writes`` map array names to their resolved accesses.
-    Arrays that are only read contribute no dependences (their values
-    never change); each written array contributes flow edges from its
-    readers and output edges between its writers.
-    """
-    dst_parts, src_parts = [], []
-    for name, w_accs in writes.items():
-        r_accs = reads.get(name, [])
-        identity_only = len(w_accs) == 1 and w_accs[0].identity
-        if identity_only:
-            if r_accs:
-                r_it, r_el = _event_arrays(n, r_accs)
-                d, s = _flow_edges_identity(r_it, r_el)
-                dst_parts.append(d)
-                src_parts.append(s)
-            continue  # a single identity write carries no output deps
-        w_it, w_el = _event_arrays(n, w_accs)
-        if not w_it.size:
-            continue
-        w_el_s, w_it_s, w_key, stride = _sorted_writes(n, w_it, w_el)
-        if r_accs:
-            r_it, r_el = _event_arrays(n, r_accs)
-            d, s, live = _flow_edges_general(r_it, r_el, w_el_s, w_it_s,
-                                             w_key, stride)
-            dst_parts.append(d)
-            src_parts.append(s)
-            d, s = _anti_edges(r_it[live], r_el[live], w_el_s, w_it_s,
-                               w_key, stride)
-            dst_parts.append(d)
-            src_parts.append(s)
-        d, s = _output_edges(w_el_s, w_it_s)
-        dst_parts.append(d)
-        src_parts.append(s)
-
-    if not dst_parts:
-        return DependenceGraph(np.zeros(n + 1, dtype=np.int64),
-                               np.empty(0, dtype=np.int64), n,
-                               check_acyclic=False)
-    dst = np.concatenate(dst_parts)
-    src = np.concatenate(src_parts)
-    # Collapse duplicates; sorting the encoded pairs also yields
-    # ascending dependences within each row, matching the canonical
-    # from_indirection / from_lower_csr constructions.
-    if dst.size:
-        uniq = np.unique(dst * np.int64(n) + src)
-        dst, src = uniq // n, uniq % n
-    indptr = counts_to_indptr(np.bincount(dst, minlength=n))
-    return DependenceGraph(indptr, src, n, check_acyclic=False)
-
-
-# ----------------------------------------------------------------------
-# Statement-level extraction
-# ----------------------------------------------------------------------
-
-def _statement_events(n, num_stmts, stmt_accesses, which):
-    """Per-array flattened (position, element, statement) event arrays.
-
-    Serial position of statement ``s`` at iteration ``i`` is
-    ``i * S + s`` — the interleaved statement order of the original
-    loop.  Returns ``{array: (pos_parts, el_parts, stmt_parts)}``.
-    """
-    out: dict[str, tuple[list, list, list]] = {}
+def _by_array(stmt_accesses, which: int) -> dict:
+    """``{array: [(statement, access), ...]}`` over the reads
+    (``which=0``) or writes (``which=1``) of every statement."""
+    out: dict[str, list] = {}
     for s, accesses in enumerate(stmt_accesses):
         for acc in accesses[which]:
-            if acc.identity:
-                it = np.arange(n, dtype=np.int64)
-                el = it
-            else:
-                it = rows_from_indptr(acc.indptr)
-                el = acc.indices.astype(np.int64, copy=False)
-            pos_parts, el_parts, stmt_parts = out.setdefault(
-                acc.array, ([], [], []))
-            pos_parts.append(it * np.int64(num_stmts) + s)
-            el_parts.append(el)
-            stmt_parts.append(np.full(el.shape[0], s, dtype=np.int64))
+            out.setdefault(acc.array, []).append((s, acc))
     return out
 
 
-def _concat_events(parts):
-    pos_parts, el_parts, stmt_parts = parts
-    return (np.concatenate(pos_parts), np.concatenate(el_parts),
-            np.concatenate(stmt_parts))
-
-
-def _minmax_by_stmt(num_stmts, n_el, pos, el, stmt, sentinel):
+def _minmax_by_stmt(num_stmts, n_el, pos, el, sentinel):
     """Per-(statement, element) min and max serial position of events."""
     lo = np.full((num_stmts, n_el), sentinel, dtype=np.int64)
     hi = np.full((num_stmts, n_el), -1, dtype=np.int64)
-    flat = stmt * np.int64(n_el) + el
+    flat = (pos % num_stmts) * np.int64(n_el) + el
     np.minimum.at(lo.reshape(-1), flat, pos)
     np.maximum.at(hi.reshape(-1), flat, pos)
     return lo, hi
@@ -222,13 +125,18 @@ def extract_statement_dependences(
 ) -> tuple[DependenceGraph, np.ndarray]:
     """Iteration-level graph plus statement adjacency of a statement list.
 
-    ``stmt_accesses`` is a sequence of ``(reads, writes)`` pairs of
-    resolved accesses, one per statement.  Extraction runs over the
-    *serial position* space ``pos = i * S + s`` (statement ``s`` of
-    iteration ``i``), reusing the single-statement passes verbatim,
-    then collapses positions back to iterations.  Edges between
-    statements of the *same* iteration are dropped — intra-iteration
-    statement order is the kernel's own contract, not the scheduler's.
+    The one extraction entry.  ``stmt_accesses`` is a sequence of
+    ``(reads, writes)`` pairs of resolved accesses, one per statement;
+    a flat declaration is the one-statement list, whose positions are
+    its iterations and whose adjacency is the ``1 × 1`` zero.  Arrays
+    that are only read contribute no dependences (their values never
+    change); each written array contributes flow and anti edges from
+    its readers and output edges between its writers.  Extraction runs
+    over the *serial position* space ``pos = i * S + s`` (statement
+    ``s`` of iteration ``i``), then collapses positions back to
+    iterations.  Edges between statements of the *same* iteration are
+    dropped — intra-iteration statement order is the kernel's own
+    contract, not the scheduler's.
 
     The second result is the ``S × S`` boolean statement adjacency:
     ``adj[a, b]`` is True when some access of statement ``a`` conflicts
@@ -241,30 +149,23 @@ def extract_statement_dependences(
     so the legality relation must be conservative.
     """
     num_stmts = len(stmt_accesses)
-    if num_stmts == 1:
-        reads: dict[str, list[ResolvedAccess]] = {}
-        writes: dict[str, list[ResolvedAccess]] = {}
-        for acc in stmt_accesses[0][0]:
-            reads.setdefault(acc.array, []).append(acc)
-        for acc in stmt_accesses[0][1]:
-            writes.setdefault(acc.array, []).append(acc)
-        return (extract_dependences(n, reads, writes),
-                np.zeros((1, 1), dtype=bool))
-
     big_n = n * num_stmts
-    read_events = _statement_events(n, num_stmts, stmt_accesses, 0)
-    write_events = _statement_events(n, num_stmts, stmt_accesses, 1)
+    reads = _by_array(stmt_accesses, 0)
 
     dst_parts, src_parts = [], []
     adj = np.zeros((num_stmts, num_stmts), dtype=bool)
-    for name, w_parts in write_events.items():
-        w_pos, w_el, w_stmt = _concat_events(w_parts)
+    for name, w_accs in _by_array(stmt_accesses, 1).items():
+        r_pos, r_el = serial_events(n, reads.get(name, ()), num_stmts)
+        if num_stmts == 1 and len(w_accs) == 1 and w_accs[0][1].identity:
+            # The Figure 3/8 shape: one statement whose only write is
+            # ``x[i]`` — flow edges by comparison, nothing else.
+            d, s = _flow_edges_identity(r_pos, r_el)
+            dst_parts.append(d)
+            src_parts.append(s)
+            continue
+        w_pos, w_el = serial_events(n, w_accs, num_stmts)
         if not w_pos.size:
             continue
-        if name in read_events:
-            r_pos, r_el, r_stmt = _concat_events(read_events[name])
-        else:
-            r_pos = r_el = r_stmt = np.empty(0, dtype=np.int64)
 
         # --- iteration-level edges over the position space -------------
         w_el_s, w_pos_s, w_key, stride = _sorted_writes(big_n, w_pos, w_el)
@@ -280,18 +181,16 @@ def extract_statement_dependences(
         d, s = _output_edges(w_el_s, w_pos_s)
         dst_parts.append(d)
         src_parts.append(s)
+        if num_stmts == 1:
+            continue  # one statement conflicts with no other
 
         # --- statement adjacency (conservative, renaming-blind) --------
         n_el = int(max(w_el.max(initial=-1), r_el.max(initial=-1))) + 1
         sentinel = np.int64(big_n + 1)
         min_w, max_w = _minmax_by_stmt(num_stmts, n_el, w_pos, w_el,
-                                       w_stmt, sentinel)
-        if r_pos.size:
-            min_r, max_r = _minmax_by_stmt(num_stmts, n_el, r_pos, r_el,
-                                           r_stmt, sentinel)
-        else:
-            min_r = np.full((num_stmts, n_el), sentinel, dtype=np.int64)
-            max_r = np.full((num_stmts, n_el), -1, dtype=np.int64)
+                                       sentinel)
+        min_r, max_r = _minmax_by_stmt(num_stmts, n_el, r_pos, r_el,
+                                       sentinel)
         for a in range(num_stmts):
             for b in range(num_stmts):
                 if a == b:
@@ -310,6 +209,9 @@ def extract_statement_dependences(
     src = np.concatenate(src_parts) // num_stmts
     keep = dst != src  # intra-iteration order is the kernel's job
     dst, src = dst[keep], src[keep]
+    # Collapse duplicates; sorting the encoded pairs also yields
+    # ascending dependences within each row, matching the canonical
+    # from_indirection / from_lower_csr constructions.
     if dst.size:
         uniq = np.unique(dst * np.int64(n) + src)
         dst, src = uniq // n, uniq % n

@@ -34,7 +34,10 @@ Seams
     of the wall clock — a simulated timeout without the wait.
 
 All mutation of the budget happens under one lock: the plan is shared
-by worker threads, the watchdog and the stores.
+by worker threads, the watchdog and the stores.  It may be shared by
+sessions too, so it holds none of their state: an observed session
+counts the growth of ``plan.fired`` across its own attempts and store
+writes (:meth:`FaultPlan.mirror`).
 """
 
 from __future__ import annotations
@@ -127,8 +130,6 @@ class FaultPlan:
         self._cancel = threading.Event()
         #: Record of every injection: dicts of seam/iteration/detail.
         self.fired: list[dict] = []
-        #: Session observer mirror (set by the Runtime when observing).
-        self.observer = None
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -179,11 +180,19 @@ class FaultPlan:
     def _fire(self, idx: int, **detail) -> None:
         """Spend one unit of spec ``idx``'s budget (lock held)."""
         self._remaining[idx] -= 1
-        record = {"seam": self.specs[idx].seam, **detail}
-        self.fired.append(record)
-        if self.observer is not None:
-            self.observer.inc("faults.injected")
-            self.observer.inc(f"faults.{self.specs[idx].seam}")
+        self.fired.append({"seam": self.specs[idx].seam, **detail})
+
+    def mirror(self, observer, since: int) -> None:
+        """Count on ``observer`` every injection recorded after the
+        first ``since`` (``faults.injected``, ``faults.<seam>``).
+
+        An observed session brackets each of its own attempts and store
+        writes with ``len(plan.fired)`` and this, so a shared plan's
+        injections land on the session that ran into them.
+        """
+        for record in self.fired[since:]:
+            observer.inc("faults.injected")
+            observer.inc(f"faults.{record['seam']}")
 
     # ------------------------------------------------------------------
     # Kernel-side seams (serial / threads / speculative)

@@ -130,33 +130,21 @@ class ThreadsBackend(ExecutionBackend):
                 "thread-safe; run it on the 'serial' backend (or the "
                 "'sim' backend for timing only)"
             )
-        run_threaded = compiled.executor.run_threaded
         observer = getattr(compiled.runtime, "observer", None)
-        faults = getattr(compiled.runtime, "faults", None)
-        kwargs = {"timeout": timeout}
-        if faults is not None:
-            import inspect
-
-            # Custom executors may predate the fault protocol; only
-            # the ones that accept the kwarg get the plan (their
-            # watchdog then honors injected timeouts and stall
-            # cancellation).
-            if "faults" in inspect.signature(run_threaded).parameters:
-                kwargs["faults"] = faults
+        recorder = None
         if observer is not None:
-            import inspect
-
             from ..observe.export import TimelineRecorder
 
-            # Custom executors may predate the timeline protocol; only
-            # the ones that accept the kwarg get a recorder.
-            if "timeline" in inspect.signature(run_threaded).parameters:
-                recorder = TimelineRecorder(compiled.nproc)
-                x = run_threaded(kernel, timeline=recorder, **kwargs)
-                #: Read by the session right after execute().
-                self.last_timeline = recorder.timeline()
-                return x, None
-        return run_threaded(kernel, **kwargs), None
+            recorder = TimelineRecorder(compiled.nproc)
+        # The plan reaches the machine's watchdog, which then honors
+        # injected timeouts and cancels injected stalls.
+        x = compiled.executor.run_threaded(
+            kernel, timeout=timeout, timeline=recorder,
+            faults=getattr(compiled.runtime, "faults", None))
+        if recorder is not None:
+            #: Read by the session right after execute().
+            self.last_timeline = recorder.timeline()
+        return x, None
 
 
 @register_backend("processes")

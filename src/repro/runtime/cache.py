@@ -107,7 +107,7 @@ class LruStoreBase:
 
     A store holds no session state: sessions sharing one pass their
     fault plan per :meth:`put` (``faults=``) and read their own share
-    of the counters with :meth:`mirror`.
+    of the counters with :meth:`mirror` (:meth:`session_put` does both).
     """
 
     #: Used in validation error messages ("cache", "tuning store", …).
@@ -146,6 +146,21 @@ class LruStoreBase:
                 record = (observer.observe if name == "lock_wait_seconds"
                           else observer.inc)
                 record(f"{self.metric_prefix}.{name}", now - before)
+
+    def session_put(self, key: str, value, *, faults, observer) -> None:
+        """:meth:`put` on behalf of one session: under its fault plan,
+        and with what the call counted — here and on the plan, which
+        may be shared like the store — mirrored onto its observer.
+        Either may be ``None``."""
+        if observer is None:
+            self.put(key, value, faults=faults)
+            return
+        since = self.stats.snapshot()
+        fired = len(faults.fired) if faults is not None else 0
+        self.put(key, value, faults=faults)
+        self.mirror(observer, since)
+        if faults is not None:
+            faults.mirror(observer, fired)
 
     # ------------------------------------------------------------------
     # Multi-writer persistence discipline

@@ -38,8 +38,9 @@ Registration contracts
 * **scheduler** — ``fn(wf, owner, nproc, *, balance, weights) ->
   Schedule``;
 * **executor** — ``fn(inspection, nproc, costs) -> executor`` where the
-  executor object provides ``run`` / ``simulate`` / ``run_threaded``
-  and a ``schedule`` attribute.  Metadata ``scheduler_override`` names
+  executor object provides ``run(kernel)`` / ``simulate(*, unit_work,
+  keep_finish_times)`` / ``run_threaded(kernel, *, timeout, timeline,
+  faults)`` and a ``schedule`` attribute.  Metadata ``scheduler_override`` names
   a scheduler the executor forces (``doacross`` forces ``identity``);
 * **backend** — an :class:`~repro.runtime.backends.ExecutionBackend`
   subclass (instantiable with no arguments).

@@ -407,13 +407,21 @@ class CompiledLoop:
         # The registry key is the name plans and reports use.
         backend_obj.name = name
         faults = self.runtime.faults
-        if faults is not None and kernel is not None and name != "processes":
-            # Iteration-scoped faults ride inside a kernel wrapper; the
-            # processes backend instead receives a picklable handout
-            # (its kernels must keep their concrete type for the
-            # shared-memory solvers).
-            kernel = faults.wrap_kernel(kernel)
         obs = self.runtime.observer
+        fired = None
+        if faults is not None and kernel is not None:
+            # The plan's seams fire in attempts that run a kernel (a
+            # staged attempt runs none: its stage loops' attempts do).
+            # The plan may serve other sessions too, so an observed one
+            # counts what fires across its own attempt.
+            if obs is not None:
+                fired = len(faults.fired)
+            if name != "processes":
+                # Iteration-scoped faults ride inside a kernel wrapper;
+                # the processes backend instead receives a picklable
+                # handout (its kernels must keep their concrete type
+                # for the shared-memory solvers).
+                kernel = faults.wrap_kernel(kernel)
         if obs is not None:
             mark = obs.mark()
             t0 = now()
@@ -423,10 +431,14 @@ class CompiledLoop:
             counted = level_counts() if level_counts is not None else None
             taped = getattr(kernel, "tape_builds", None)
         sw = Stopwatch().start()
-        with maybe_span(obs, "execute", backend=name,
-                        executor=plan.executor_name):
-            x, sim = plan.execute(self, kernel, backend_obj,
-                                  unit_work=unit_work, timeout=timeout)
+        try:
+            with maybe_span(obs, "execute", backend=name,
+                            executor=plan.executor_name):
+                x, sim = plan.execute(self, kernel, backend_obj,
+                                      unit_work=unit_work, timeout=timeout)
+        finally:
+            if fired is not None:  # most injections end the attempt
+                faults.mirror(obs, fired)
         sw.stop()
         if sim is None and with_sim:
             sim = plan.simulate(unit_work)
@@ -684,12 +696,11 @@ class Runtime:
         self.tune_seed = int(tune_seed)
         self._tuner = None  # built on the first strategy="auto" compile
         self._inspector = Inspector(costs, observer=self.observer)
-        # The stores may be shared with other sessions, so nothing of
-        # this one is written onto them: the fault plan travels with
-        # each ``put`` and the observer mirrors this session's own
-        # share of the counters (see ``_scheduled_plan``).
-        if self.observer is not None and self.faults is not None:
-            self.faults.observer = self.observer
+        # The stores and the fault plan may be shared with other
+        # sessions, so nothing of this one is written onto them: the
+        # plan travels with each ``put`` and the observer mirrors this
+        # session's own share of their counters (see
+        # ``_scheduled_plan`` and ``CompiledLoop._attempt``).
         # Amortisation counter per structure key, bounded like the
         # cache it annotates (an evicted structure restarts at 1).
         self._compile_counts: OrderedDict[str, int] = OrderedDict()
@@ -898,10 +909,8 @@ class Runtime:
                 assignment=assignment, balance=balance,
             )
             if cache is not None:
-                since = cache.stats.snapshot() if obs is not None else None
-                cache.put(key, inspection, faults=self.faults)
-                if obs is not None:
-                    cache.mirror(obs, since)
+                cache.session_put(key, inspection, faults=self.faults,
+                                  observer=obs)
         return ScheduledPlan(
             inspection,
             executor_registry.get(executor)(inspection, self.nproc, self.costs),

@@ -45,6 +45,7 @@ from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
 from ..runtime.registry import register_executor
 from ..util.rng import default_rng
+from ..util.validation import check_vector
 from .shadow import AccessLog, ShadowScan, repair_set, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor",
@@ -59,6 +60,10 @@ FALLBACK_THRESHOLD = 0.05
 #: Floor of the adaptive guard — below this rate the serial repair is
 #: noise whatever the structure, so speculation always stays.
 MIN_FALLBACK_RATE = 0.01
+
+#: Attempt granularity: ``min(CHUNKS_PER_PROC * nproc, n)`` contiguous
+#: chunks, shuffled.
+CHUNKS_PER_PROC = 4
 
 #: Amortisation horizon assumed when the session does not declare one:
 #: how many executions a structure is expected to serve, over which
@@ -131,9 +136,6 @@ class SpeculativeExecutor:
     seed:
         Chunk-shuffle seed; the session passes its ``tune_seed`` so
         misspeculation and repair are reproducible per session.
-    chunks_per_proc:
-        Attempt granularity: ``min(chunks_per_proc * nproc, n)``
-        contiguous chunks.
     schedule:
         Optional real schedule (when built from an inspection by the
         registry factory); a lightweight identity stand-in otherwise.
@@ -143,14 +145,13 @@ class SpeculativeExecutor:
 
     def __init__(self, log: AccessLog, nproc: int,
                  costs: MachineCosts = MachineCosts(), *, seed=None,
-                 chunks_per_proc: int = 4, schedule=None, observer=None):
+                 schedule=None, observer=None):
         if nproc < 1:
             raise ValidationError("nproc must be positive")
         self.log = log
         self.nproc = int(nproc)
         self.costs = costs
         self.seed = seed
-        self.chunks_per_proc = int(chunks_per_proc)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         self.observer = observer
         self.schedule = schedule if schedule is not None else _SpecSchedule(
@@ -213,7 +214,7 @@ class SpeculativeExecutor:
     def _build_plan(self) -> SpeculationPlan:
         log = self.log
         n = log.n
-        k = min(max(1, self.chunks_per_proc * self.nproc), max(n, 1))
+        k = min(CHUNKS_PER_PROC * self.nproc, max(n, 1))
         edges = (np.arange(k + 1, dtype=np.int64) * n) // k
         order = default_rng(self.seed).permutation(k)
         bounds = tuple(
@@ -283,7 +284,9 @@ class SpeculativeExecutor:
         self.last_conflicts = dataclasses.replace(plan.report)
         return kernel.result()
 
-    def run_threaded(self, kernel, *, timeout: float = 30.0):
+    def run_threaded(self, kernel, *, timeout: float = 30.0,
+                     timeline=None, faults=None):
+        """Refuses, under the classic executors' signature."""
         raise ValidationError(
             "the speculative executor runs on the 'serial', "
             "'speculative' or 'sim' backends; the 'threads' protocol "
@@ -307,12 +310,8 @@ class SpeculativeExecutor:
         n = log.n
         counts_r = log.read_counts().astype(np.float64)
         counts_w = log.write_counts().astype(np.float64)
-        if unit_work is None:
-            base = costs.base_work(counts_r)
-        else:
-            base = np.asarray(unit_work, dtype=np.float64)
-            if base.shape[0] != n:
-                raise ValidationError(f"unit_work must have length n={n}")
+        base = (costs.base_work(counts_r) if unit_work is None
+                else check_vector(unit_work, n, "unit_work"))
         shared = costs.shared_factor(p)
         w = base + shared * (costs.t_check * counts_r
                              + costs.t_inc * counts_w)

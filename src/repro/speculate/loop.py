@@ -48,15 +48,17 @@ _CLASSIC = {"executor": "self", "scheduler": "local",
 def speculation_key(log: AccessLog, nproc: int, costs) -> str:
     """TuningStore key of one speculation decision.
 
-    Hashes the access events (the exact structure speculation sees),
-    the machine shape and the cost model — the same ingredients as the
-    classic tuning key, minus the strategy space: the fallback verdict
-    is about the *workload*, not about which schedulers are registered.
+    Hashes the identity of the structure the access events came from
+    (:meth:`AccessLog.structure_id
+    <repro.speculate.shadow.AccessLog.structure_id>` — the one memoised
+    identity the classic keys use, not the event arrays), the machine
+    shape and the cost model — the same ingredients as the classic
+    tuning key, minus the strategy space: the fallback verdict is about
+    the *workload*, not about which schedulers are registered.
     """
-    return structure_digest(
-        (log.read_it, log.read_el, log.write_it, log.write_el),
-        (log.n, log.n_elements, int(nproc), dataclasses.astuple(costs),
-         "speculate-v1"))
+    return structure_digest(params=(
+        log.structure_id(), int(nproc), dataclasses.astuple(costs),
+        "speculate-v2"))
 
 
 class SpeculativePlan(LoopPlan):
@@ -160,11 +162,9 @@ class SpeculativePlan(LoopPlan):
                        f"reexec={conflicts.re_executed},"
                        f"fallback={fallback}"),
         )
-        obs = self.runtime.observer
-        since = store.stats.snapshot() if obs is not None else None
-        store.put(self.store_key, verdict, faults=self.runtime.faults)
-        if obs is not None:
-            store.mirror(obs, since)
+        store.session_put(self.store_key, verdict,
+                          faults=self.runtime.faults,
+                          observer=self.runtime.observer)
 
 
 def speculative_plan(runtime, deps) -> LoopPlan:

@@ -43,11 +43,13 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..program.descriptors import serial_events
+from ..util.digest import structure_digest
 
 __all__ = ["AccessLog", "ShadowScan", "scan_accesses", "repair_set"]
 
@@ -74,8 +76,30 @@ class AccessLog:
     #: True when the writes are exactly ``x[i] = ...`` (element == iteration)
     #: — the Figure 3/8 shape, which skips the scatter passes.
     identity_writes: bool = False
+    #: The program or dependence graph the events were read off
+    #: (``None`` for a hand-built log) — see :meth:`structure_id`.
+    source: object | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
+    def structure_id(self) -> str:
+        """Identity of the structure behind the events.
+
+        The source's own memoised identity — a program's
+        ``structure_hash()``, a graph's ``digest()`` — asked for here,
+        not while logging, so a compile that never keys the log never
+        hashes.  Either covers everything the events were derived from,
+        so equal ids imply equal events; a hand-built log digests its
+        four arrays.
+        """
+        source = self.source
+        if source is None:
+            return structure_digest(
+                (self.read_it, self.read_el, self.write_it, self.write_el),
+                (self.n, self.n_elements))
+        if getattr(source, "__loop_program__", False):
+            return "program:" + source.structure_hash()
+        return "graph:" + source.digest()
+
     @property
     def num_events(self) -> int:
         return int(self.read_it.shape[0] + self.write_it.shape[0])
@@ -111,8 +135,9 @@ class AccessLog:
                 f"one array, got {sorted(written) or '(none)'}"
             )
         n = int(program.n)
-        w_it, w_el = _events(n, [a for a in writes])
-        r_it, r_el = _events(n, [a for a in reads if a.array in written])
+        w_it, w_el = serial_events(n, [(0, a) for a in writes])
+        r_it, r_el = serial_events(
+            n, [(0, a) for a in reads if a.array in written])
         identity = len(writes) == 1 and writes[0].identity
         return cls(
             n=n,
@@ -120,6 +145,7 @@ class AccessLog:
             read_it=r_it, read_el=r_el,
             write_it=w_it, write_el=w_el,
             identity_writes=identity,
+            source=program,
         )
 
     @classmethod
@@ -140,6 +166,7 @@ class AccessLog:
             read_el=dep.indices.astype(np.int64, copy=False),
             write_it=ident, write_el=ident,
             identity_writes=True,
+            source=dep,
         )
 
     @classmethod
@@ -160,19 +187,6 @@ class AccessLog:
         from ..core.inspector import Inspector  # deferred: import cycle
 
         return cls.from_dependences(Inspector.dependences_of(source))
-
-
-def _events(n: int, accesses) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten resolved accesses into (iteration, element) arrays."""
-    its, els = [], []
-    for acc in accesses:
-        it, el = acc.pairs(n)
-        its.append(it)
-        els.append(el)
-    if not its:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(its), np.concatenate(els)
 
 
 def _element_space(n: int, r_el: np.ndarray, w_el: np.ndarray) -> int:

@@ -103,29 +103,16 @@ def default_assignments(n: int, nproc: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def enumerate_space(
-    n: int,
-    nproc: int,
-    *,
-    executors: tuple[str, ...] | None = None,
-    schedulers: tuple[str, ...] | None = None,
-    assignments: tuple[str, ...] | None = None,
-    include_weighted_greedy: bool = True,
-) -> list[CandidateSpec]:
-    """Cross the registries into a deduplicated candidate list.
-
-    ``executors`` / ``schedulers`` / ``assignments`` default to every
-    registered name (with the metadata-driven pruning described in the
-    module docstring); pass explicit tuples to narrow the search.
-    """
-    if executors is None:
-        executors = executor_registry.names()
-    if assignments is None:
-        assignments = default_assignments(n, nproc)
-    if schedulers is None:
-        schedulers = tuple(
-            s for s in scheduler_registry.names() if s != "identity"
-        )
+def enumerate_space(n: int, nproc: int) -> list[CandidateSpec]:
+    """Cross the registries into a deduplicated candidate list: every
+    registered executor and scheduler (``identity`` excepted) and
+    :func:`default_assignments`, with the metadata-driven pruning
+    described in the module docstring."""
+    executors = executor_registry.names()
+    assignments = default_assignments(n, nproc)
+    schedulers = tuple(
+        s for s in scheduler_registry.names() if s != "identity"
+    )
 
     out: list[CandidateSpec] = []
     seen: set[CandidateSpec] = set()
@@ -166,8 +153,7 @@ def enumerate_space(
             for assignment in ("wrapped",) if repartitions else assignments:
                 for balance in balances:
                     add(CandidateSpec(executor, scheduler, assignment, balance))
-            if (include_weighted_greedy and ":" not in scheduler
-                    and "weights" in (meta.get("params") or {})):
+            if "weights" in (meta.get("params") or {}):
                 # Weighted greedy only makes sense under a balance the
                 # scheduler actually accepts; fall back to its first
                 # declared option (never emit a candidate that would

@@ -43,6 +43,17 @@ from .store import TuningStore, TuningVerdict
 
 __all__ = ["Tuner", "ProgramVerdict"]
 
+#: Prefix sizes (fractions of ``n``) of the pruning rungs; the full
+#: graph is always the final rung.
+RUNG_FRACTIONS = (1 / 16, 1 / 4)
+#: Fraction of candidates surviving each pruning rung.
+KEEP = 0.5
+#: Smallest prefix worth simulating — rungs below it are skipped (tiny
+#: graphs go straight to exhaustive full-size search).
+MIN_RUNG = 256
+#: Survivors ranked at full size (and timed, in stage two).
+FINALISTS = 3
+
 
 @dataclass(frozen=True)
 class ProgramVerdict:
@@ -118,20 +129,14 @@ class Tuner:
         The machine the schedules are tuned for (mirrors
         :class:`~repro.runtime.session.Runtime`).
     seed:
-        Tie-break shuffle seed; fixed seed ⇒ identical verdicts.
+        Tie-break shuffle seed, and the chunk-shuffle seed speculative
+        candidates are scored under; fixed seed ⇒ identical verdicts.
     store:
         Optional :class:`~repro.tuning.store.TuningStore` consulted
         before and populated after every search.
-    rung_fractions:
-        Prefix sizes (fractions of ``n``) of the pruning rungs; the
-        full graph is always the final rung.
-    keep:
-        Fraction of candidates surviving each pruning rung.
-    min_rung:
-        Smallest prefix worth simulating — rungs below it are skipped
-        (tiny graphs go straight to exhaustive full-size search).
-    finalists:
-        Survivors ranked at full size (and timed, in stage two).
+
+    The shape of the search — :data:`RUNG_FRACTIONS`, :data:`KEEP`,
+    :data:`MIN_RUNG`, :data:`FINALISTS` — is fixed by module constants.
     """
 
     def __init__(
@@ -141,11 +146,6 @@ class Tuner:
         *,
         seed: int = 0,
         store: TuningStore | None = None,
-        rung_fractions: tuple[float, ...] = (1 / 16, 1 / 4),
-        keep: float = 0.5,
-        min_rung: int = 256,
-        finalists: int = 3,
-        repeats: int = 3,
         observer=None,
         faults=None,
     ):
@@ -162,19 +162,12 @@ class Tuner:
         #: Session :class:`~repro.resilience.FaultPlan` handed to the
         #: store with each verdict written (``None`` = fault-free).
         self.faults = faults
-        if not 0.0 < keep <= 1.0:
-            raise ValidationError("keep must lie in (0, 1]")
-        self.rung_fractions = tuple(sorted(rung_fractions))
-        if any(not 0.0 < f < 1.0 for f in self.rung_fractions):
-            raise ValidationError("rung fractions must lie in (0, 1)")
-        self.keep = float(keep)
-        self.min_rung = int(min_rung)
-        self.finalists = check_positive(finalists, "finalists")
-        self.repeats = check_positive(repeats, "repeats")
         #: Private search session: candidate compiles land in its
-        #: ScheduleCache, never the caller's.
+        #: ScheduleCache, never the caller's.  It shares the seed, so a
+        #: speculative candidate is scored under the chunk shuffle the
+        #: session's own speculative plan will run.
         self._runtime = Runtime(nproc, costs=costs, cache=256, tuning=None,
-                                observe=observer)
+                                tune_seed=self.seed, observe=observer)
         #: Measurements of the most recent search (for reporting).
         self.last_measurements: list[Measurement] = []
 
@@ -229,10 +222,7 @@ class Tuner:
                               unit_work=unit_work,
                               expected_executions=expected_executions)
         if store is not None:
-            since = store.stats.snapshot() if obs is not None else None
-            store.put(key, verdict, faults=self.faults)
-            if obs is not None:
-                store.mirror(obs, since)
+            store.session_put(key, verdict, faults=self.faults, observer=obs)
         return verdict
 
     # ------------------------------------------------------------------
@@ -300,8 +290,7 @@ class Tuner:
                     measurements[spec].error = err
                 scored.append((score, spec))
             scored.sort(key=lambda t: t[0])  # stable: shuffled tie order
-            kept = max(self.finalists,
-                       math.ceil(len(scored) * self.keep))
+            kept = max(FINALISTS, math.ceil(len(scored) * KEEP))
             survivors = [spec for _, spec in scored[:kept]]
             # Diversity guarantee: prefix fidelity is biased against
             # barrier-dominated executors (a preschedule run pays its
@@ -330,7 +319,7 @@ class Tuner:
                 measurements[spec].error = err
             scored.append((score, spec))
         scored.sort(key=lambda t: t[0])
-        finalists = [spec for score, spec in scored[: self.finalists]
+        finalists = [spec for score, spec in scored[:FINALISTS]
                      if math.isfinite(score)]
         if not finalists:
             raise ValidationError(
@@ -342,10 +331,8 @@ class Tuner:
         if _check_arbitration(kernel, backend):
             timed = []
             for spec in finalists:
-                seconds, err = time_spec(
-                    self._runtime, dep, spec, kernel,
-                    backend=backend, repeats=self.repeats,
-                )
+                seconds, err = time_spec(self._runtime, dep, spec, kernel,
+                                         backend=backend)
                 measurements[spec].host_seconds = seconds
                 if err is not None:
                     measurements[spec].error = err
@@ -463,12 +450,8 @@ class Tuner:
 
     def _rung_sizes(self, n: int) -> list[int]:
         """Strictly growing prefix sizes below ``n`` (may be empty)."""
-        sizes = []
-        for frac in self.rung_fractions:
-            m = int(n * frac)
-            if m >= self.min_rung and m < n and (not sizes or m > sizes[-1]):
-                sizes.append(m)
-        return sizes
+        sizes = (int(n * frac) for frac in RUNG_FRACTIONS)
+        return [m for m in sizes if m >= MIN_RUNG]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Tuner(nproc={self.nproc}, seed={self.seed}, "

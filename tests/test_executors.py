@@ -203,3 +203,118 @@ class TestSerialExecutor:
         k = GenericLoopKernel(3, lambda i: None)
         with pytest.raises(ScheduleError):
             SerialExecutor(dep).run(k)
+
+
+# ---------------------------------------------------------------------------
+# The one contract of the three classic executors
+# ---------------------------------------------------------------------------
+MODES = ("self", "preschedule", "doacross")
+
+
+def build_executor(mode, dep, nproc=3):
+    """The executor the registry would build, from its constructor."""
+    if mode == "doacross":
+        return DoacrossExecutor(dep, nproc)
+    cls = {"self": SelfExecutingExecutor,
+           "preschedule": PreScheduledExecutor}[mode]
+    return cls(global_schedule(compute_wavefronts(dep), nproc), dep)
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestClassicContract:
+    def test_one_base_owns_the_shared_engines(self, simple_case, mode):
+        from repro.core.executor import ClassicExecutor
+
+        ex = build_executor(mode, simple_case[3])
+        assert isinstance(ex, ClassicExecutor) and ex.mode == mode
+        for shared in ("run", "simulate", "run_threaded", "level_plan"):
+            assert shared not in vars(type(ex))
+
+    def test_hasattr_truth_table(self, simple_case, mode):
+        # The ledger's staged replicas branch on exactly these.
+        ex = build_executor(mode, simple_case[3])
+        assert hasattr(ex, "execution_order") == (mode == "self")
+        assert hasattr(ex, "num_phases") == (mode == "preschedule")
+
+    def test_run_and_run_threaded_equal_the_serial_oracle(self, simple_case,
+                                                          mode):
+        oracle = simple_case[4]
+        ex = build_executor(mode, simple_case[3])
+        ran = ex.run(fresh_kernel(simple_case))
+        assert np.array_equal(ran, oracle)
+        assert np.array_equal(ex.run_threaded(fresh_kernel(simple_case)), ran)
+
+    @pytest.mark.parametrize("after_run", [False, True])
+    def test_simulate_equals_the_direct_model(self, simple_case, mode,
+                                              after_run):
+        import dataclasses
+
+        from repro.core import reference
+        from repro.machine.simulator import simulate_prescheduled
+
+        dep = simple_case[3]
+        ex = build_executor(mode, dep)
+        if after_run:  # a built level plan must not change the timing
+            ex.run(fresh_kernel(simple_case))
+        work = np.linspace(1.0, 2.0, dep.n)
+        if mode == "preschedule":
+            want = simulate_prescheduled(ex.schedule, dep, ex.costs,
+                                         unit_work=work)
+        else:
+            want = reference.simulate_self_executing(
+                ex.schedule, dep, ex.costs, mode=mode, unit_work=work,
+                keep_finish_times=True)
+        got = ex.simulate(unit_work=work, keep_finish_times=True)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.array_equal(a, b), f.name
+
+    def test_size_mismatch_is_rejected(self, simple_case, mode):
+        from repro.core.dependence import DependenceGraph
+
+        ex = build_executor(mode, simple_case[3])
+        ex.dep = DependenceGraph.from_edges([], ex.schedule.n + 1)
+        with pytest.raises(ValidationError):
+            ex.simulate()
+
+
+class TestPreScheduledConstruction:
+    def unsorted_schedule(self, dep):
+        from repro.core.schedule import Schedule
+
+        wf = compute_wavefronts(dep)
+        order = np.argsort(-wf, kind="stable")  # deepest wavefront first
+        assert wf[order[0]] > wf[order[-1]]
+        return Schedule(nproc=1, owner=np.zeros(dep.n, dtype=np.int64),
+                        local_order=[order], wavefronts=wf)
+
+    def test_unsorted_list_fails_at_construction(self, simple_case):
+        dep = simple_case[3]
+        sched = self.unsorted_schedule(dep)
+        with pytest.raises(ScheduleError, match="processor 0's list is not "
+                                                "sorted by wavefront"):
+            PreScheduledExecutor(sched, dep)
+        # ... while the busy-wait executor takes (and survives) it only
+        # if the order happens to be deadlock-free; here it is not.
+        from repro.errors import DeadlockError
+        with pytest.raises(DeadlockError):
+            SelfExecutingExecutor(sched, dep).run(fresh_kernel(simple_case))
+
+    def test_construction_builds_no_phase_lists(self, simple_case,
+                                                monkeypatch):
+        from repro.core.schedule import Schedule
+
+        dep = simple_case[3]
+        sched = global_schedule(compute_wavefronts(dep), 3)
+        built = []
+        phases = Schedule.phases
+        monkeypatch.setattr(
+            Schedule, "phases",
+            lambda self: built.append(1) or phases(self))
+        ex = PreScheduledExecutor(sched, dep)
+        assert ex.num_phases == sched.num_wavefronts
+        ex.run(fresh_kernel(simple_case))
+        ex.simulate()
+        assert built == []
+        ex.run_threaded(fresh_kernel(simple_case))
+        assert built == [1]

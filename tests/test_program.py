@@ -18,13 +18,19 @@ The load-bearing properties:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SimpleLoopKernel, TriangularSolveKernel
 from repro.errors import ValidationError
 from repro.krylov.parallel import ParallelSolver
 from repro.mesh.problems import get_problem
-from repro.program import At, LoopProgram, extract_dependences
+from repro.program import (
+    At,
+    LoopProgram,
+    Statement,
+    extract_statement_dependences,
+)
 from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
@@ -137,6 +143,65 @@ class TestExtraction:
         writes = [At("x", (np.array([0, 0, 1]), np.array([1])))]
         dep = LoopProgram(2, reads=reads, writes=writes).dependence_graph()
         assert dep.num_edges == 0
+
+
+class TestOneExtractor:
+    """A flat declaration is the one-statement case of the one
+    extractor, and the Figure 3 / Figure 8 shapes it fast-paths equal
+    the hand-rolled graph constructors."""
+
+    @staticmethod
+    def same_three_ways(n, reads, writes, canonical=None):
+        flat = LoopProgram(n, reads=reads, writes=writes)
+        stmt = LoopProgram(n, statements=[Statement(reads, writes)])
+        direct, adj = extract_statement_dependences(
+            n, [flat.resolved_accesses()])
+        assert not adj.any() and adj.shape == (1, 1)
+        assert flat.structure_hash() == stmt.structure_hash()
+        graphs = [flat.dependence_graph(), stmt.dependence_graph(), direct]
+        if canonical is not None:
+            graphs.append(canonical)
+        for g in graphs[1:]:
+            assert graphs_equal(graphs[0], g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_figure3_and_figure8_shapes(self, data):
+        n = data.draw(st.integers(0, 40))
+        ia = np.asarray(data.draw(st.lists(
+            st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)),
+            dtype=np.int64)
+        self.same_three_ways(n, [At("x", ia), At("b")], [At("x")],
+                             DependenceGraph.from_indirection(ia, n))
+        l = random_lower_triangular(
+            n + 1, avg_off_diag=data.draw(st.floats(0.0, 4.0)),
+            seed=data.draw(st.integers(0, 99)))
+        fig8 = LoopProgram.from_csr(l)
+        self.same_three_ways(l.nrows, fig8.reads, fig8.writes,
+                             DependenceGraph.from_lower_csr(l))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_general_declarations(self, data):
+        # Duplicate writers, ragged reads, several arrays: the general
+        # branch, where flow, anti and output edges all arise.
+        n = data.draw(st.integers(1, 25))
+        elements = st.integers(0, n + 2)
+
+        def access(name):
+            if data.draw(st.booleans()):
+                return At(name)
+            counts = data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                        max_size=n))
+            return At.from_counts(name, counts, data.draw(st.lists(
+                elements, min_size=sum(counts), max_size=sum(counts))))
+
+        names = st.sampled_from(["x", "y"])
+        reads = [access(data.draw(names))
+                 for _ in range(data.draw(st.integers(0, 3)))]
+        writes = [access(data.draw(names))
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        self.same_three_ways(n, reads, writes)
 
 
 # ----------------------------------------------------------------------

@@ -230,7 +230,6 @@ class TestStatementExtraction:
         # The collapsed multi-statement graph equals the single-
         # statement extraction over the interleaved position space
         # (pos = it*S + s), collapsed to iterations, minus self-edges.
-        from repro.program.extraction import extract_dependences
         from repro.program.descriptors import ResolvedAccess
 
         def flatten(acc, n, S, s):
@@ -258,15 +257,11 @@ class TestStatementExtraction:
                    for d in range(n)
                    for k in range(dep.indptr[d], dep.indptr[d + 1])}
             N = n * S
-            reads, writes = {}, {}
+            reads, writes = [], []
             for s, (rr, ww) in enumerate(prog._stmt_resolved):
-                for acc in rr:
-                    reads.setdefault(acc.array, []).append(
-                        flatten(acc, n, S, s))
-                for acc in ww:
-                    writes.setdefault(acc.array, []).append(
-                        flatten(acc, n, S, s))
-            fg = extract_dependences(N, reads, writes)
+                reads += [flatten(acc, n, S, s) for acc in rr]
+                writes += [flatten(acc, n, S, s) for acc in ww]
+            fg, _ = extract_statement_dependences(N, [(reads, writes)])
             want = set()
             for d in range(N):
                 for k in range(fg.indptr[d], fg.indptr[d + 1]):

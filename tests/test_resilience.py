@@ -476,3 +476,43 @@ class TestResilienceMetrics:
         names = set(rt.observer.metrics.as_dict())
         assert not any(n.startswith(("resilience.", "faults."))
                        for n in names)
+
+
+class TestSharedFaultPlan:
+    """A plan shared by sessions holds none of them: each observed
+    session counts the injections it ran into itself."""
+
+    @staticmethod
+    def injected(rt):
+        return rt.observer.metrics.value("faults.injected") or 0
+
+    def test_an_unobserved_sessions_faults_are_not_counted_elsewhere(self):
+        plan = FaultPlan([FaultSpec("kernel")])
+        a = Runtime(2, observe=True, faults=plan, recovery=True)
+        b = Runtime(2, faults=plan, recovery=True)
+        b.compile(program())()
+        assert [f["seam"] for f in plan.fired] == ["kernel"]
+        assert self.injected(a) == 0      # a executed nothing
+
+    def test_a_later_session_does_not_steal_the_counts(self):
+        plan = FaultPlan([FaultSpec("kernel")])
+        a = Runtime(2, observe=True, faults=plan, recovery=True)
+        c = Runtime(2, observe=True, faults=plan, recovery=True)
+        a.compile(program())()
+        c.compile(program())()            # the budget is spent
+        assert (self.injected(a), self.injected(c)) == (1, 0)
+        assert a.observer.metrics.value("faults.kernel") == 1
+
+    def test_every_seam_is_counted_by_the_session_that_hit_it(self,
+                                                              tmp_path):
+        # Store writes and failing attempts are both bracketed: a store
+        # fault at compile, then a kernel fault no retry absorbs.
+        plan = FaultPlan([FaultSpec("store"), FaultSpec("kernel", times=9)])
+        rt = Runtime(2, observe=True, faults=plan, cache_dir=tmp_path)
+        loop = rt.compile(program())
+        assert self.injected(rt) == 1
+        with pytest.raises(InjectedFault):
+            loop()
+        assert self.injected(rt) == 2
+        assert rt.observer.metrics.value("faults.store") == 1
+        assert not hasattr(plan, "observer")

@@ -114,6 +114,58 @@ class TestKeys:
         assert len(rungs) == 2
         assert sorted(n for (n,) in digested) == rungs + [matrix.nrows]
 
+    @staticmethod
+    def spec_log(ia, kind):
+        """An access log of ``ia``'s Figure 3 loop, built three ways."""
+        if kind == "program":
+            return AccessLog.from_source(LoopProgram.from_indirection(ia))
+        log = AccessLog.from_source(graph_of(ia))
+        if kind == "graph":
+            return log
+        return AccessLog(n=log.n, n_elements=log.n_elements,      # by hand
+                         read_it=log.read_it.copy(), read_el=log.read_el,
+                         write_it=log.write_it, write_el=log.write_el)
+
+    @pytest.mark.parametrize("kind", ["program", "graph", "hand-built"])
+    def test_speculation_key_follows_the_structure(self, case, kind):
+        _, _, ia = case
+        key = speculation_key(self.spec_log(ia, kind), 4, MULTIMAX_320)
+        assert len(key) == 40
+        assert speculation_key(self.spec_log(ia.copy(), kind), 4,
+                               MULTIMAX_320) == key
+        moved = ia.copy()
+        moved[-1] = 0 if ia[-1] else 1
+        others = [
+            speculation_key(self.spec_log(moved, kind), 4, MULTIMAX_320),
+            speculation_key(self.spec_log(ia, kind), 8, MULTIMAX_320),
+            speculation_key(self.spec_log(ia, kind), 4,
+                            MachineCosts(t_check=9.0)),
+        ]
+        assert len({key, *others}) == 4
+
+    def test_speculative_compile_digests_only_the_declared_indices(
+            self, case, monkeypatch):
+        # The key rides on the program's structure hash: the arrays the
+        # declaration names, not the four event arrays logged from them.
+        from repro.program import binding
+        from repro.speculate import loop as spec_loop, shadow
+
+        _, _, ia = case
+        digested = []
+
+        def counting(arrays=(), params=()):
+            digested.extend(np.asarray(a).size for a in arrays)
+            return structure_digest(arrays, params)
+
+        for module in (binding, shadow, spec_loop):
+            monkeypatch.setattr(module, "structure_digest", counting)
+        prog = LoopProgram.from_indirection(ia)
+        rt = Runtime(nproc=4)
+        rt.compile(prog, strategy="speculative")
+        assert sorted(digested) == [ia.size, ia.size + 1]   # ia + its indptr
+        rt.compile(prog, strategy="speculative")            # memoised
+        assert len(digested) == 2
+
 
 class TestHitMiss:
     def test_second_compile_hits(self, case):

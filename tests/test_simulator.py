@@ -82,8 +82,18 @@ class TestWorkVector:
 
     def test_bad_unit_work_length(self, diamond):
         dep, _ = diamond
-        with pytest.raises(ValidationError):
-            work_vector(dep, MULTIMAX_320, "self", 2, unit_work=np.ones(3))
+        # ... or shape: 2-D work used to reach numpy's broadcasting.
+        for bad in (np.ones(3), np.ones((4, 1)), np.ones((2, 4)), 1.0):
+            with pytest.raises(ValidationError, match=r"shape \(4,\)"):
+                work_vector(dep, MULTIMAX_320, "self", 2, unit_work=bad)
+
+    @pytest.mark.parametrize("mode", ["bogus", "speculative", None])
+    def test_dispatch_names_every_valid_mode(self, diamond, mode):
+        dep, wf = diamond
+        with pytest.raises(ValidationError) as err:
+            simulate(global_schedule(wf, 2), dep, mode=mode)
+        for valid in ("preschedule", "self", "doacross"):
+            assert valid in str(err.value)
 
 
 class TestPrescheduledHandCase:

@@ -279,7 +279,7 @@ class TestEdgeCases:
         wf = np.empty(0, dtype=np.int64)
         for p in (1, 3):
             sched = identity_schedule(wf, p)
-            for engine in (None, *ENGINES):
+            for engine in ENGINES:
                 sim = simulate_self_executing(
                     sched, dep, MULTIMAX_320, keep_finish_times=True,
                     engine=engine)
@@ -294,7 +294,7 @@ class TestEdgeCases:
         sched = identity_schedule(np.zeros(5, dtype=np.int64), 2)
         ref = reference.simulate_self_executing(
             sched, dep, MULTIMAX_320, keep_finish_times=True)
-        for engine in (None, *ENGINES):
+        for engine in ENGINES:
             sim = simulate_self_executing(
                 sched, dep, MULTIMAX_320, keep_finish_times=True,
                 engine=engine)
@@ -325,7 +325,7 @@ class TestEdgeCases:
         ref = reference.simulate_self_executing(
             sched, small_lower_dep, MULTIMAX_320, unit_work=w,
             keep_finish_times=True)
-        for engine in (None, *ENGINES):
+        for engine in ENGINES:
             sim = simulate_self_executing(
                 sched, small_lower_dep, MULTIMAX_320, unit_work=w,
                 keep_finish_times=True, engine=engine)
@@ -334,7 +334,7 @@ class TestEdgeCases:
     def test_keep_finish_times_flag(self):
         dep, wf = self._diamond()
         sched = global_schedule(wf, 2)
-        for engine in (None, *ENGINES):
+        for engine in ENGINES:
             assert simulate_self_executing(
                 sched, dep, MULTIMAX_320, engine=engine).finish is None
             kept = simulate_self_executing(
@@ -347,7 +347,7 @@ class TestEdgeCases:
         sched = identity_schedule(wf, 2)
         ref = reference.simulate_self_executing(
             sched, dep, MULTIMAX_320, mode="doacross", keep_finish_times=True)
-        for engine in (None, *ENGINES):
+        for engine in ENGINES:
             sim = simulate_self_executing(
                 sched, dep, MULTIMAX_320, mode="doacross",
                 keep_finish_times=True, engine=engine)
@@ -359,7 +359,7 @@ class TestEdgeCases:
         dep, wf = self._diamond()
         sched = identity_schedule(wf, 1)
         sched.local_order[0] = np.array([3, 0, 1, 2])
-        for engine in (None, *ENGINES):
+        for engine in ENGINES:
             with pytest.raises(DeadlockError):
                 simulate_self_executing(sched, dep, MULTIMAX_320,
                                         engine=engine)

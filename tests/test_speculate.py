@@ -187,7 +187,7 @@ class TestSpeculativeExecutor:
         # Every later writer of a multiply-written element is violated.
         assert scan.multi_writer.any()
         assert scan.violated[2] and scan.violated[5] and scan.violated[6]
-        ex = SpeculativeExecutor(log, 2, seed=1, chunks_per_proc=1)
+        ex = SpeculativeExecutor(log, 2, seed=1)
         got = ex.run(kernel).copy()
         want = SerialExecutor().run(
             GenericLoopKernel(n, body, setup=setup)).copy()
@@ -246,6 +246,18 @@ class TestSpeculativeExecutor:
                         write_el=np.array([0, 1], np.int64))
         with pytest.raises(ValidationError, match="threads"):
             SpeculativeExecutor(log, 2).run_threaded(None)
+        # ... under the classic executors' signature, as the threads
+        # backend calls it.
+        with pytest.raises(ValidationError, match="threads"):
+            SpeculativeExecutor(log, 2).run_threaded(
+                None, timeout=1.0, timeline=None, faults=None)
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 1), (2, 3), ()])
+    def test_bad_unit_work_shape_is_a_validation_error(self, shape):
+        log = AccessLog.from_dependences(
+            LoopProgram.from_indirection(np.arange(6)).dependence_graph())
+        with pytest.raises(ValidationError, match=r"unit_work .* \(6,\)"):
+            SpeculativeExecutor(log, 2).simulate(unit_work=np.ones(shape))
 
 
 class TestRuntimeIntegration:

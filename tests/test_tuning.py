@@ -165,6 +165,32 @@ class TestTunerDeterminism:
     def test_seed_recorded(self, mesh):
         assert Tuner(8, seed=5).search(mesh).seed == 5
 
+    def test_no_search_shape_keywords(self):
+        # Rung fractions, keep, minimum rung, finalists and repeats are
+        # module constants: no caller ever set them.
+        import inspect
+
+        assert list(inspect.signature(Tuner.__init__).parameters)[1:] == [
+            "nproc", "costs", "seed", "store", "observer", "faults"]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_speculative_arm_is_scored_under_the_session_seed(self, seed):
+        # The chunk shuffle decides which processor repairs what, so a
+        # candidate scored under another seed's shuffle is mis-priced.
+        from repro.tuning.measure import simulate_spec
+
+        n = 4000
+        rng = np.random.default_rng(0)
+        ia = np.arange(n)
+        for i in rng.choice(np.arange(1, n), size=n // 100, replace=False):
+            ia[i] = rng.integers(0, i)
+        rt = Runtime(nproc=8, tune_seed=seed)
+        score, err = simulate_spec(
+            rt._ensure_tuner()._runtime, ia,
+            CandidateSpec("speculative", "identity", "wrapped"))
+        built = rt.compile(ia, strategy="speculative").simulate().total_time
+        assert err is None and score == built
+
 
 class TestTunerQuality:
     """Regression for the acceptance criterion: the sim-pruned seeded
