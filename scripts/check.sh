@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
-# one-run-path, one-classic-executor, one-extractor, one-identity and
-# session-free-store rules, then run the tier-1 test suite.
+# one-run-path, one-classic-executor, one-extractor, one-identity,
+# session-free-store, one-simulator-engine and one-ordering-owner rules,
+# then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -32,8 +33,33 @@ forked="$forked|ParallelizedLoop|TransformError"
 # with them.
 forked="$forked|extract_dependences\b|_event_arrays|_statement_events"
 forked="$forked|striped_sort_dependence|DEFAULT_ENGINE"
+# ... and the one list-based event loop replaced the batched and
+# single-processor simulator engines and the knob that chose among them.
+forked="$forked|ENGINES|SCALAR_LEVEL|_run_batched|_run_single_proc"
+forked="$forked|_scalar_span|_fast_levels|_legal_order"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine replaced reappeared" >&2
+    exit 1
+fi
+if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
+    echo "error: an engine= selector reappeared under src/repro/machine" >&2
+    exit 1
+fi
+
+echo "== one owner of a legal order: Schedule, not the machine model =="
+# machine/simulator.py asks the Schedule it is handed; core may import
+# the model from it (SimResult, the simulate_* functions, work_vector,
+# sequential_time) but no ordering helper.
+ordering='toposort_plan|execution_levels|wavefront_batches|deps_cross_wavefronts|_combined_plan'
+if grep -nE "^\s*def ($ordering)\b" src/repro/machine/simulator.py; then
+    echo "error: machine/simulator.py defines an ordering function" >&2
+    exit 1
+fi
+# One-line imports, then parenthesised lists (-z: they span lines).
+from_sim='from \.\.machine\.simulator import'
+if grep -rnE "$from_sim .*\b($ordering)\b" src/repro/core --include='*.py' \
+   || grep -rlzE "$from_sim \([^)]*\b($ordering)\b" src/repro/core --include='*.py'; then
+    echo "error: src/repro/core imports an ordering helper from the machine model" >&2
     exit 1
 fi
 

@@ -72,7 +72,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "At",

@@ -14,11 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..machine.simulator import deps_cross_wavefronts, wavefront_batches
 from ..runtime.registry import register_executor
 from .dependence import DependenceGraph
 from .executor import ClassicExecutor
-from .schedule import identity_schedule
+from .schedule import _wavefront_batches, identity_schedule
 from .wavefront import compute_wavefronts
 
 __all__ = ["DoacrossExecutor"]
@@ -49,12 +48,13 @@ class DoacrossExecutor(ClassicExecutor):
         super().__init__(identity_schedule(wf, nproc), dep, costs)
 
     def _build_levels(self):
-        wf = self.schedule.wavefronts
-        if self.dep.all_backward() and deps_cross_wavefronts(wf, self.dep):
+        if (self.dep.all_backward()
+                and self.schedule.deps_cross_wavefronts(self.dep)):
             # Original order is legal for backward dependences (every
             # identity list ascends), so the loop cannot deadlock; its
             # values are those of any dependence-respecting order, and
             # the wavefronts are the widest such batches — a numeric
             # order only: it leaves each processor's program order.
-            return wavefront_batches(np.arange(self.dep.n, dtype=np.int64), wf)
+            return _wavefront_batches(np.arange(self.dep.n, dtype=np.int64),
+                                      self.schedule.wavefronts)
         return super()._build_levels()

@@ -45,7 +45,6 @@ from ..errors import ScheduleError, ValidationError
 from ..machine.costs import MachineCosts, MULTIMAX_320
 from ..machine.simulator import (
     SimResult,
-    execution_levels,
     simulate_prescheduled,
     simulate_self_executing,
 )
@@ -528,7 +527,7 @@ class ClassicExecutor(LevelExecutor):
         # A topological order of (program-order ∪ dependence) edges
         # both proves the schedule deadlock-free and gives the numeric
         # engine a legal order to walk.
-        return execution_levels(self.schedule, self.dep)
+        return self.schedule.execution_levels(self.dep)
 
     def simulate(self, *, unit_work: np.ndarray | None = None,
                  keep_finish_times: bool = False) -> SimResult:

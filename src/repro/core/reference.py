@@ -3,10 +3,12 @@
 The production inspector paths (:mod:`repro.core.wavefront`,
 :meth:`DependenceGraph.successors
 <repro.core.dependence.DependenceGraph.successors>`,
-:class:`~repro.core.schedule.Schedule` internals,
-:func:`~repro.machine.simulator.toposort_plan`) are vectorized for
-speed; the per-index / per-edge originals are preserved here, verbatim
-in structure, as independent oracles:
+:class:`~repro.core.schedule.Schedule` internals and its
+:meth:`~repro.core.schedule.Schedule.toposort_plan`) are vectorized for
+speed, and the machine simulator walks Python lists in an order the
+schedule's shape probe usually supplies without a sweep; the per-index
+/ per-edge originals are preserved here, verbatim in structure, as
+independent oracles:
 
 * they transcribe the paper's algorithms literally (Figure 7's
   one-index-at-a-time sweep, the sequential greedy balance loop), so
@@ -254,11 +256,14 @@ def simulate_self_executing(
     dependence) DAG one iteration at a time: each iteration starts at
     the maximum of its processor's availability and its operands'
     finish times (busy-waits rounded up to whole poll quanta), exactly
-    the Figure 4 release rule.  The production engine
-    (:func:`repro.machine.simulator.simulate_self_executing`) evaluates
-    whole wavefront levels at once; the property suite asserts its
-    ``total_time`` / ``busy`` / ``idle`` / ``finish`` equal this loop's
-    bit for bit.
+    the Figure 4 release rule.  The production simulator
+    (:func:`repro.machine.simulator.simulate_self_executing`) applies
+    the same rule over Python lists, in whichever legal order
+    :meth:`Schedule.simulation_order
+    <repro.core.schedule.Schedule.simulation_order>` finds cheapest;
+    this loop always walks the stack-based :func:`toposort_plan`, and
+    the property suite asserts ``total_time`` / ``busy`` / ``idle`` /
+    ``finish`` equal bit for bit.
     """
     import math
 

@@ -16,6 +16,12 @@ two schedulers (Section 2.3):
 :func:`identity_schedule` is the degenerate no-reordering schedule the
 plain ``doacross`` baseline runs.
 
+A schedule is also the one owner of "a legal order" of itself:
+:meth:`Schedule.execution_levels` (the executors' batched numeric
+order), :meth:`Schedule.simulation_order` (what the machine simulator
+walks), :meth:`Schedule.toposort_plan` (the combined-DAG sweep alone)
+and :meth:`Schedule.deps_cross_wavefronts`, all over one shape probe.
+
 All three are registered in the
 :data:`~repro.runtime.registry.scheduler_registry` under the uniform
 adapter signature ``fn(wf, owner, nproc, *, balance, weights) ->
@@ -30,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ScheduleError, ValidationError
+from ..errors import DeadlockError, ScheduleError, ValidationError
 from ..runtime.registry import register_scheduler
+from ..util.frontier import counts_to_indptr, expand_csr_ranges, frontier_sweep
 from ..util.validation import check_positive
 from . import reference
 from .partition import owner_from_assignment, wrapped_partition
@@ -220,21 +227,153 @@ class Schedule:
             return np.bincount(self.owner, minlength=self.nproc).astype(np.float64)
         return np.bincount(self.owner, weights=weights, minlength=self.nproc)
 
+    # ------------------------------------------------------------------
+    # Legal orders.  A *numeric* order need respect the dependences
+    # only; a *simulation* order must also respect each processor's
+    # program order (the machine model advances a clock per processor).
+    # Everything below answers for the combined (program-order ∪
+    # dependence) DAG, so its orders are both.
+    # ------------------------------------------------------------------
+    def deps_cross_wavefronts(self, dep: DependenceGraph) -> bool:
+        """Every dependence points into a strictly earlier wavefront."""
+        wf = self.wavefronts
+        return not (
+            dep.num_edges
+            and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows()]))
+        )
+
+    def _wavefront_levels(
+        self, dep: DependenceGraph, flat: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The shape probe: whole-wavefront batches when every local
+        list is wavefront-sorted and every dependence crosses
+        wavefronts — the shape the global/local schedulers produce,
+        proven legal by two array reductions — else ``None``.
+        ``flat`` is :meth:`flattened`, from a caller that holds it."""
+        wfl = self.wavefronts[flat]
+        if (self.unsorted_processor(wfl) is None
+                and self.deps_cross_wavefronts(dep)):
+            return _wavefront_batches(flat, wfl)
+        return None
+
+    def _sweep_levels(
+        self, dep: DependenceGraph
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)`` levels of the combined DAG, any shape.
+
+        Builds one merged successor CSR — each iteration's dependence
+        successors plus its program-order successor on the same
+        processor — and runs the shared frontier sweep over it (the
+        level-set engine of the wavefront computation), so the plan
+        costs O(n + e) numpy work rather than a Python visit per
+        iteration.  ``order[bounds[k]:bounds[k+1]]`` is level ``k``: no
+        dependence inside it and at most one iteration per processor.
+
+        Raises :class:`DeadlockError` when the combination is cyclic —
+        i.e. the busy-waits of a self-executing run would never release.
+        """
+        n = self.n
+        prev = np.full(n, -1, dtype=np.int64)
+        nxt = np.full(n, -1, dtype=np.int64)
+        for lst in self.local_order:
+            if lst.size > 1:
+                prev[lst[1:]] = lst[:-1]
+                nxt[lst[:-1]] = lst[1:]
+        indeg = dep.dep_counts().astype(np.int64)
+        indeg += prev >= 0
+
+        succ_indptr, succ_indices = dep.successors()
+        dep_counts = np.diff(succ_indptr)
+        has_nxt = nxt >= 0
+        cindptr = counts_to_indptr(dep_counts + has_nxt)
+        cindices = np.empty(int(cindptr[-1]), dtype=np.int64)
+        # Each row keeps its dependence successors first …
+        cindices[expand_csr_ranges(cindptr[:-1], dep_counts)] = succ_indices
+        # … and its program-order successor (if any) in the final slot.
+        cindices[cindptr[1:][has_nxt] - 1] = nxt[has_nxt]
+
+        levels, order, visited = frontier_sweep(cindptr, cindices, indeg, n)
+        if visited != n:
+            raise DeadlockError(
+                "self-execution would deadlock: cycle in program-order + "
+                "dependence edges (an iteration waits on one scheduled after "
+                "it on the same processor)"
+            )
+        return order, counts_to_indptr(np.bincount(levels))
+
+    def toposort_plan(self, dep: DependenceGraph) -> np.ndarray:
+        """Topological order of the combined DAG by the frontier sweep
+        alone (:meth:`_sweep_levels`) — what
+        :func:`repro.core.reference.toposort_plan` is the oracle of."""
+        return self._sweep_levels(dep)[0]
+
+    def execution_levels(
+        self, dep: DependenceGraph
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A deadlock-free order of this schedule, grouped into batches.
+
+        ``order`` is a topological order of the combined DAG and
+        ``order[bounds[k]:bounds[k+1]]`` a set with no dependence inside
+        it: whole wavefronts where the shape probe answers, else the
+        sweep's (at most ``nproc``-wide) levels, which raises
+        :class:`DeadlockError` on a cycle.
+        """
+        plan = self._wavefront_levels(dep, self.flattened())
+        return plan if plan is not None else self._sweep_levels(dep)
+
+    def simulation_order(self, dep: DependenceGraph) -> np.ndarray:
+        """A topological order of the combined DAG, as cheaply as this
+        schedule's shape allows: the wavefront-sorted lists laid end to
+        end by wavefront; ``arange(n)`` for ascending lists over
+        all-backward dependences (identity / doacross schedules); the
+        sweep otherwise.  Raises :class:`DeadlockError` on a cycle.
+        """
+        flat, procs, _ = self._flat_with_procs()
+        plan = self._wavefront_levels(dep, flat)
+        if plan is not None:
+            return plan[0]
+        ascending_lists = not (
+            flat.size > 1
+            and bool(np.any((np.diff(flat) <= 0) & (procs[1:] == procs[:-1])))
+        )
+        if ascending_lists and dep.all_backward():
+            return np.arange(self.n, dtype=np.int64)
+        return self.toposort_plan(dep)
+
     def is_legal_self_executing(self, dep: DependenceGraph) -> bool:
         """True when self-execution cannot deadlock under this schedule.
 
         Deadlock requires a cycle in (program-order ∪ dependence) edges;
         equivalently, some dependence ``j`` of ``i`` scheduled *after*
-        ``i`` on the same processor, or a cross-processor cycle.  We
-        check via a full Kahn pass (exact, O(n + e)).
+        ``i`` on the same processor, or a cross-processor cycle —
+        exactly when :meth:`simulation_order` has no order to give.
         """
-        from ..machine.simulator import toposort_plan  # local import: avoid cycle
-
         try:
-            toposort_plan(self, dep)
-        except ScheduleError:
+            self.simulation_order(dep)
+        except DeadlockError:
             return False
         return True
+
+
+def _wavefront_batches(
+    flat: np.ndarray, wfl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``flat`` stably sorted by its wavefronts ``wfl``, with the
+    wavefront boundaries: ``order[bounds[k]:bounds[k+1]]`` is the
+    ``k``-th non-empty wavefront.
+
+    For the flattened lists of a wavefront-sorted schedule —
+    per-processor runs, each already non-decreasing in wavefront — one
+    stable sort on the wavefront alone yields ``(wavefront, owner,
+    position)`` order: the pre-scheduled phases laid end to end.
+    """
+    n = flat.shape[0]
+    if n == 0:
+        return flat, np.zeros(1, dtype=np.int64)
+    o = np.argsort(wfl, kind="stable")
+    w = wfl[o]
+    bounds = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [n]))
+    return flat[o], bounds
 
 
 def global_schedule(

@@ -9,7 +9,7 @@ increments (busy-wait coordination), schedule-array accesses, and an
 optional contention factor.  Executor semantics — program order per
 processor, barrier release rules, busy-wait release rules — are
 simulated exactly, so relative timings of scheduling strategies are
-preserved (see DESIGN.md).
+preserved.
 
 A real ``threading``-based backend (:mod:`repro.machine.threads`)
 validates the *correctness* of the transformed loops under true
@@ -22,7 +22,6 @@ from .simulator import (
     simulate,
     simulate_prescheduled,
     simulate_self_executing,
-    toposort_plan,
     sequential_time,
     work_vector,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "simulate",
     "simulate_prescheduled",
     "simulate_self_executing",
-    "toposort_plan",
     "sequential_time",
     "work_vector",
     "ThreadedMachine",

@@ -9,7 +9,7 @@ This package reconstructs all of them:
 * the PDE problems are discretized directly from the stated equations;
 * the proprietary SPE matrices are replaced by structurally faithful
   synthetic block operators on the exact grids and block sizes the
-  appendix gives (see DESIGN.md, substitution table).
+  appendix gives.
 """
 
 from .grid import Grid2D, Grid3D

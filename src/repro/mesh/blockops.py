@@ -6,8 +6,7 @@ seven-point operator on a stated grid with a stated number of unknowns
 per grid point.  Scheduling behaviour (wavefront profile, phase counts,
 load balance) is determined entirely by that structure, so we rebuild
 the matrices as synthetic block seven-point operators on the exact grids
-and block sizes of Appendix 1, with seeded diagonally dominant values
-(see DESIGN.md substitution table).
+and block sizes of Appendix 1, with seeded diagonally dominant values.
 """
 
 from __future__ import annotations

@@ -115,8 +115,9 @@ def simulated_timeline(loop, *, unit_work=None, max_events: int = 200_000
     and derives each iteration's start as finish minus its work-vector
     cost, on the lane ``schedule.owner`` assigns it.  Only the
     self-executing and doacross modes keep per-iteration finish times
-    (the pre-scheduled simulator works phase-at-a-time), and the
-    speculative executor has no schedule to render — both raise.
+    (the pre-scheduled simulator works phase-at-a-time), and a
+    speculative or staged loop has no one schedule to render — all
+    raise, naming the loop's ``executor_name``.
     """
     from ..errors import ValidationError
     from ..machine.simulator import work_vector
@@ -127,7 +128,7 @@ def simulated_timeline(loop, *, unit_work=None, max_events: int = 200_000
         raise ValidationError(
             "simulated timelines need per-iteration finish times, which "
             "only the 'self' and 'doacross' executors keep "
-            f"(this loop uses {mode!r})"
+            f"(this loop uses {loop.executor_name!r})"
         )
     schedule, dep = loop.schedule, loop.dep
     if schedule.n > max_events:

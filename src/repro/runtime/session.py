@@ -571,6 +571,26 @@ class CompiledLoop:
                 f"cache_hit={self.cache_hit}, rebinds={self.rebinds})")
 
 
+def _store_from(name: str, value, persist_dir, store_cls):
+    """One of ``Runtime``'s store keywords, validated: an instance is
+    adopted (``<name>_dir`` ignored, as documented), a positive int
+    builds an LRU of that size over ``persist_dir``, ``None`` disables
+    the store — beside which a directory would be silently dropped."""
+    if isinstance(value, store_cls):
+        return value
+    if value is None:
+        if persist_dir is not None:
+            raise ValidationError(
+                f"{name}_dir was given but {name}=None disables the store")
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value <= 0):
+        raise ValidationError(
+            f"{name} must be a {store_cls.__name__} instance, a positive "
+            f"int (LRU size) or None, got {value!r}")
+    return store_cls(maxsize=int(value), persist_dir=persist_dir)
+
+
 class Runtime:
     """A session binding machine shape, backend and schedule cache.
 
@@ -584,19 +604,22 @@ class Runtime:
     costs:
         Machine cost model for simulation and inspection pricing.
     cache:
-        ``ScheduleCache`` instance, an int (LRU size), or ``None`` to
-        disable inspection caching.
+        ``ScheduleCache`` instance, a positive int (LRU size), or
+        ``None`` to disable inspection caching; anything else is a
+        :class:`~repro.errors.ValidationError`.
     cache_dir:
         Optional persistence directory (ignored when ``cache`` is an
-        instance) — enables ``.npz`` write-through so schedules
-        survive process restarts.
+        instance, an error beside ``cache=None``) — enables ``.npz``
+        write-through so schedules survive process restarts.
     tuning:
-        ``TuningStore`` instance, an int (LRU size), or ``None`` to
-        disable verdict caching for ``strategy="auto"`` compiles.
+        ``TuningStore`` instance, a positive int (LRU size), or
+        ``None`` to disable verdict caching for ``strategy="auto"``
+        compiles; validated like ``cache``.
     tuning_dir:
         Optional persistence directory for tuning verdicts (ignored
-        when ``tuning`` is an instance) — a warm store skips the whole
-        strategy search across process restarts.
+        when ``tuning`` is an instance, an error beside
+        ``tuning=None``) — a warm store skips the whole strategy
+        search across process restarts.
     tune_seed:
         Seed of the (deterministic) strategy search.
     expected_executions:
@@ -663,22 +686,12 @@ class Runtime:
                 "expected_executions must be positive (or None)")
         self.expected_executions = (
             None if expected_executions is None else float(expected_executions))
-        if isinstance(cache, ScheduleCache):
-            self.cache: ScheduleCache | None = cache
-        elif cache is None:
-            self.cache = None
-        else:
-            self.cache = ScheduleCache(maxsize=int(cache),
-                                       persist_dir=cache_dir)
-        if tuning is None:
-            self.tuning_store = None
-        elif isinstance(tuning, int):
-            from ..tuning.store import TuningStore  # deferred: import cycle
+        from ..tuning.store import TuningStore  # deferred: import cycle
 
-            self.tuning_store = TuningStore(maxsize=tuning,
-                                            persist_dir=tuning_dir)
-        else:
-            self.tuning_store = tuning
+        self.cache: ScheduleCache | None = _store_from(
+            "cache", cache, cache_dir, ScheduleCache)
+        self.tuning_store: TuningStore | None = _store_from(
+            "tuning", tuning, tuning_dir, TuningStore)
         if faults is not None and not isinstance(faults, FaultPlan):
             raise ValidationError(
                 "faults must be a repro.resilience.FaultPlan (or None)")

@@ -35,7 +35,7 @@ from ..machine.simulator import sequential_time
 from ..observe.tracer import maybe_span
 from ..runtime.registry import executor_registry
 from ..util.digest import structure_digest
-from ..util.validation import check_positive
+from ..util.validation import check_positive, check_vector
 from .features import WorkloadFeatures, extract_features
 from .measure import Measurement, prefix_graph, simulate_spec, time_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
@@ -194,6 +194,8 @@ class Tuner:
         wavefront sweep, no feature extraction, no search.
         """
         dep = Inspector.dependences_of(deps)
+        if unit_work is not None:
+            unit_work = check_vector(unit_work, dep.n, "unit_work")
         candidates = enumerate_space(dep.n, self.nproc)
         arbitrated = _check_arbitration(kernel, backend)
         store, obs = self.store, self.observer
@@ -203,8 +205,7 @@ class Tuner:
             if expected_executions is not None:
                 mode += f":amort={float(expected_executions):g}"
             if unit_work is not None:
-                work = np.asarray(unit_work, dtype=np.float64)
-                mode += f":uw={structure_digest((work,))}"
+                mode += f":uw={structure_digest((unit_work,))}"
             key = TuningStore.key_for(
                 dep, self.nproc, self.costs, space_fingerprint(candidates),
                 mode=mode,
@@ -238,6 +239,10 @@ class Tuner:
         expected_executions: float | None = None,
     ) -> TuningVerdict:
         """Run the successive-halving search (no store involvement)."""
+        if unit_work is not None:
+            # Checked here, not per candidate: ``simulate_spec`` scores
+            # any candidate's ValidationError as "cannot run".
+            unit_work = check_vector(unit_work, dep.n, "unit_work")
         if candidates is None:
             candidates = enumerate_space(dep.n, self.nproc)
         if not candidates:

@@ -9,10 +9,10 @@ successors of the current frontier with one CSR fan-out, decrement
 in-degrees in bulk, and emit the next frontier — so the interpreter is
 entered once per wavefront, not once per index.
 
-This module lives in :mod:`repro.util` (not :mod:`repro.core`) so the
-machine simulator can share the same engine for its topological
-execution plans without importing the ``repro.core`` package, whose
-``__init__`` imports the executors, which import the simulator.
+:meth:`Schedule.toposort_plan
+<repro.core.schedule.Schedule.toposort_plan>` runs the same sweep over
+the combined (program-order ∪ dependence) DAG, for the execution plans
+and simulation orders of schedules whose shape alone proves nothing.
 
 The pure-Python originals are retained as oracles in
 :mod:`repro.core.reference`; the property-based tests assert the two
@@ -61,9 +61,8 @@ def segment_max(
     and consecutive in ``values`` (empty segments contribute nothing),
     which is precisely the layout ``reduceat`` reduces correctly.
 
-    Shared by the batched machine simulator (per-level operand-finish
-    maxima over gathered dependence slices), ``simulate_prescheduled``
-    (per-phase processor-work maxima) and any future batched replay.
+    ``simulate_prescheduled`` takes its per-phase processor-work maxima
+    with it.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     nseg = indptr.shape[0] - 1
@@ -139,7 +138,7 @@ def frontier_sweep(
     while runs of tiny frontiers — deep, narrow, near-chain DAGs, where
     ~15 whole-array numpy calls per 2-element level used to cost more
     than visiting the elements — drop into a tight per-index Python
-    loop (:func:`_scalar_spans`) until the frontier widens again.
+    loop (:func:`_scalar_levels`) until the frontier widens again.
     """
     levels = np.zeros(n, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)
@@ -156,7 +155,7 @@ def frontier_sweep(
             if lists is None:
                 lists = (indptr.tolist(), indices.tolist())
             indeg_l = indeg.tolist()
-            frontier, visited, level = _scalar_spans(
+            frontier, visited, level = _scalar_levels(
                 lists[0], lists[1], indeg_l, frontier.tolist(),
                 levels, order, visited, level,
             )
@@ -195,7 +194,7 @@ def frontier_sweep(
     return levels, order, visited
 
 
-def _scalar_spans(
+def _scalar_levels(
     indptr: list,
     indices: list,
     indeg: list,

@@ -136,12 +136,11 @@ class TestSimulatorPlans:
         # Deep narrow schedule: toposort_plan merges program order and
         # dependences; equivalence with the reference plan evaluator.
         from repro.core.schedule import local_schedule
-        from repro.machine.simulator import toposort_plan
 
         dep = chain2(300)
         wf = compute_wavefronts(dep)
         sched = local_schedule(wf, np.arange(300) % 4, 4)
-        order = toposort_plan(sched, dep)
+        order = sched.toposort_plan(dep)
         ref = reference.toposort_plan(sched, dep)
         pos = np.empty(300, dtype=np.int64)
         pos[order] = np.arange(300)

@@ -289,10 +289,20 @@ class TestTraceExport:
         assert seen == list(range(N))
 
     def test_simulated_timeline_rejects_prescheduled(self):
-        prog = figure3_program()
-        loop = Runtime(nproc=NPROC).compile(prog, executor="preschedule")
-        with pytest.raises(ValidationError, match="finish times"):
-            simulated_timeline(loop)
+        from repro.workload import sweep_program
+
+        rt = Runtime(nproc=NPROC)
+        rng = np.random.default_rng(0)
+        sweep = sweep_program(rng.normal(size=N), rng.normal(size=N))
+        for loop in (rt.compile(figure3_program(), executor="preschedule"),
+                     rt.compile(figure3_program(), strategy="speculative"),
+                     rt.compile(sweep, strategy="auto")):
+            assert loop.executor_name not in ("self", "doacross")
+            # A staged loop has no executor to read a mode from.
+            with pytest.raises(
+                    ValidationError,
+                    match=f"finish times.*uses '{loop.executor_name}'"):
+                simulated_timeline(loop)
 
     def test_chrome_trace_simulated(self, tmp_path):
         prog = figure3_program()

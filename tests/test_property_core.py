@@ -243,10 +243,9 @@ class TestVectorizedMatchesReference:
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_toposort_plan(self, dep, p):
-        from repro.machine.simulator import toposort_plan
         wf = compute_wavefronts_general(dep)
         sched = global_schedule(wf, p)
-        order = toposort_plan(sched, dep)
+        order = sched.toposort_plan(dep)
         ref_order = reference.toposort_plan(sched, dep)
         # Both must be valid topological orders of the same combined
         # DAG (the exact order differs: frontier vs stack traversal).

@@ -179,6 +179,18 @@ class TestEagerValidation:
         with pytest.raises(ValidationError, match="valid options are"):
             Inspector().inspect(np.array([0, 0, 1]), 2, assignment="nope")
 
+    @pytest.mark.parametrize("name", ["cache", "tuning"])
+    @pytest.mark.parametrize("value", ["x", True, 0, 2.5, None])
+    def test_store_keywords_validated(self, name, value, tmp_path):
+        # A str used to be adopted (tuning) or die in int() (cache),
+        # True to build a one-entry store, and a directory beside a
+        # disabled store to be dropped without a word.
+        kwargs, match = {name: value}, f"{name} must be .*instance.*int.*None"
+        if value is None:
+            kwargs[f"{name}_dir"], match = tmp_path, f"{name}_dir"
+        with pytest.raises(ValidationError, match=match):
+            Runtime(**kwargs)
+
 
 class TestPluggability:
     def test_custom_partitioner_usable_by_name(self, case):

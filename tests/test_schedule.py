@@ -1,8 +1,13 @@
 """Unit tests for partitions and schedules."""
 
+import heapq
+import multiprocessing as mp
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import reference
 from repro.core.dependence import DependenceGraph
 from repro.core.partition import (
     blocked_partition,
@@ -16,8 +21,11 @@ from repro.core.schedule import (
     identity_schedule,
     local_schedule,
 )
-from repro.core.wavefront import compute_wavefronts
-from repro.errors import ScheduleError, ValidationError
+from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
+from repro.errors import DeadlockError, ScheduleError, ValidationError
+from repro.machine.simulator import simulate_self_executing
+
+from test_simulator_batched import backward_dags, general_dags
 
 
 class TestPartitions:
@@ -210,3 +218,120 @@ class TestScheduleQueries:
         _, wf = chain_case
         sched = global_schedule(wf, 2)
         assert sorted(sched.flattened().tolist()) == list(range(6))
+
+
+def _permuted_legal_schedule(dep, nproc, rng):
+    """Random owners, each list in the order of one random linear
+    extension of the dependence DAG: legal by construction, yet neither
+    wavefront-sorted nor ascending — the shape only the sweep answers."""
+    succ_indptr, succ_indices = dep.successors()
+    indeg = dep.dep_counts().copy()
+    prio = rng.random(dep.n)
+    heap = [(prio[i], i) for i in np.flatnonzero(indeg == 0)]
+    heapq.heapify(heap)
+    topo = []
+    while heap:
+        _, j = heapq.heappop(heap)
+        topo.append(j)
+        for i in succ_indices[succ_indptr[j]:succ_indptr[j + 1]]:
+            indeg[i] -= 1
+            if indeg[i] == 0:
+                heapq.heappush(heap, (prio[i], int(i)))
+    topo = np.asarray(topo, dtype=np.int64)
+    owner = rng.integers(0, nproc, dep.n)
+    return Schedule(
+        nproc=nproc, owner=owner,
+        local_order=[topo[owner[topo] == p] for p in range(nproc)],
+        wavefronts=compute_wavefronts_general(dep))
+
+
+def _assert_simulation_order(order, sched, dep):
+    """A permutation in which every dependence and every processor's
+    consecutive pair points forward."""
+    n = dep.n
+    assert np.array_equal(np.sort(order), np.arange(n))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    assert np.all(pos[dep.indices] < pos[dep.edge_rows()])
+    for lst in sched.local_order:
+        assert np.all(np.diff(pos[lst]) > 0)
+
+
+class TestOrdering:
+    """``Schedule`` is the one owner of "a legal order": whichever of
+    the three shapes answers (wavefront sort, ``arange``, sweep), the
+    simulator and the executors get what they need or a
+    ``DeadlockError``."""
+
+    @given(st.one_of(backward_dags(), general_dags()),
+           st.sampled_from(["global", "local", "identity", "permuted"]),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_orders_are_legal_whichever_shape_answers(self, dep, kind, p,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        wf = compute_wavefronts_general(dep)
+        sched = {
+            "global": lambda: global_schedule(wf, p),
+            "local": lambda: local_schedule(wf, rng.integers(0, p, dep.n), p),
+            "identity": lambda: identity_schedule(wf, p),
+            "permuted": lambda: _permuted_legal_schedule(dep, p, rng),
+        }[kind]()
+        try:
+            reference.toposort_plan(sched, dep)
+        except DeadlockError:
+            # identity lists over a renumbered DAG can wait on
+            # themselves; every entry point must say so.
+            assert kind == "identity"
+            assert not sched.is_legal_self_executing(dep)
+            for ask in (sched.simulation_order, sched.execution_levels,
+                        sched.toposort_plan):
+                with pytest.raises(DeadlockError):
+                    ask(dep)
+            return
+        assert sched.is_legal_self_executing(dep)
+        _assert_simulation_order(sched.simulation_order(dep), sched, dep)
+        _assert_simulation_order(sched.toposort_plan(dep), sched, dep)
+        order, bounds = sched.execution_levels(dep)
+        assert bounds[0] == 0 and bounds[-1] == dep.n
+        assert np.all(np.diff(bounds) > 0)
+        _assert_simulation_order(order, sched, dep)
+        level_of = np.empty(dep.n, dtype=np.int64)
+        level_of[order] = np.repeat(np.arange(bounds.size - 1),
+                                    np.diff(bounds))
+        assert np.all(level_of[dep.indices] != level_of[dep.edge_rows()])
+
+    def test_cross_processor_wait_cycle(self):
+        # 0 waits on 3, which follows 2 on processor 1; 2 waits on 1,
+        # which follows 0 on processor 0 — no list is out of order on
+        # its own.
+        dep = DependenceGraph.from_edges([(0, 3), (2, 1)], 4)
+        sched = Schedule(nproc=2, owner=[0, 0, 1, 1],
+                         local_order=[[0, 1], [2, 3]],
+                         wavefronts=compute_wavefronts_general(dep))
+        assert not sched.is_legal_self_executing(dep)
+        for ask in (sched.simulation_order, sched.execution_levels,
+                    lambda d: simulate_self_executing(sched, d)):
+            with pytest.raises(DeadlockError):
+                ask(dep)
+        with pytest.raises(DeadlockError):
+            reference.toposort_plan(sched, dep)
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="process backend requires POSIX fork")
+    def test_process_solver_needs_no_sweep_on_a_global_schedule(
+            self, small_lower, small_lower_dep, monkeypatch):
+        from repro.core import schedule as schedule_module
+        from repro.machine.processes import ProcessSelfExecutingSolver
+
+        sweeps = []
+        real = schedule_module.frontier_sweep
+        monkeypatch.setattr(
+            schedule_module, "frontier_sweep",
+            lambda *a, **k: sweeps.append(1) or real(*a, **k))
+        sched = global_schedule(compute_wavefronts(small_lower_dep), 3)
+        ProcessSelfExecutingSolver(small_lower, sched, small_lower_dep)
+        assert not sweeps  # the shape probe proves it legal
+        sched.toposort_plan(small_lower_dep)
+        assert len(sweeps) == 1  # ... and the counter does count

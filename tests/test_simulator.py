@@ -13,7 +13,6 @@ from repro.machine.simulator import (
     simulate,
     simulate_prescheduled,
     simulate_self_executing,
-    toposort_plan,
     work_vector,
 )
 
@@ -86,6 +85,9 @@ class TestWorkVector:
         for bad in (np.ones(3), np.ones((4, 1)), np.ones((2, 4)), 1.0):
             with pytest.raises(ValidationError, match=r"shape \(4,\)"):
                 work_vector(dep, MULTIMAX_320, "self", 2, unit_work=bad)
+            # ... and the sequential baseline summed whatever it was given.
+            with pytest.raises(ValidationError, match=r"unit_work.*\(4,\)"):
+                sequential_time(dep, MULTIMAX_320, bad)
 
     @pytest.mark.parametrize("mode", ["bogus", "speculative", None])
     def test_dispatch_names_every_valid_mode(self, diamond, mode):
@@ -164,7 +166,7 @@ class TestSelfExecutingHandCase:
         sched = identity_schedule(wf, 1)
         sched.local_order[0] = np.array([3, 0, 1, 2])
         with pytest.raises(DeadlockError):
-            toposort_plan(sched, dep)
+            sched.toposort_plan(dep)
 
     def test_poll_quantum_rounds_up_waits(self, diamond):
         dep, wf = diamond

@@ -1,11 +1,13 @@
-"""Batched simulator ≡ scalar oracle — exact-equality property tests.
+"""Simulator ≡ per-iteration oracle — exact-equality property tests.
 
-The wavefront-batched engine (PR 5) must reproduce the per-iteration
-event loop *bit for bit*: ``total_time``, ``busy``, ``idle`` and
-``finish`` are compared with exact float equality (no tolerances)
-against :func:`repro.core.reference.simulate_self_executing` across
-randomized backward/general graphs, schedules, processor counts, poll
-quanta and modes — mirroring the PR 2 inspector-oracle pattern.
+The production event loop must reproduce
+:func:`repro.core.reference.simulate_self_executing` *bit for bit*:
+``total_time``, ``busy``, ``idle`` and ``finish`` are compared with
+exact float equality (no tolerances) across randomized
+backward/general graphs, schedules, processor counts, poll quanta and
+modes — mirroring the PR 2 inspector-oracle pattern.  (File and class
+names date from a batched engine that once stood beside the loop; they
+stay so the test IDs do.)
 """
 
 import numpy as np
@@ -20,13 +22,10 @@ from repro.core.schedule import (
     local_schedule,
 )
 from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
-from repro.errors import DeadlockError, ValidationError
+from repro.errors import DeadlockError
 from repro.machine.costs import MULTIMAX_320, MachineCosts
-from repro.machine import simulator
-from repro.machine.simulator import simulate_self_executing
+from repro.machine.simulator import simulate_self_executing, work_vector
 from repro.util.frontier import rows_from_indptr, segment_max
-
-ENGINES = ("batched", "scalar")
 
 
 def _poll_costs(t_poll: float) -> MachineCosts:
@@ -112,14 +111,9 @@ class TestEnginesMatchOracle:
         costs = _poll_costs(t_poll)
         ref = reference.simulate_self_executing(
             sched, dep, costs, mode=mode, keep_finish_times=True)
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, dep, costs, mode=mode, keep_finish_times=True,
-                engine=engine)
-            assert_bit_identical(sim, ref)
-        auto = simulate_self_executing(
+        sim = simulate_self_executing(
             sched, dep, costs, mode=mode, keep_finish_times=True)
-        assert_bit_identical(auto, ref)
+        assert_bit_identical(sim, ref)
 
     @given(general_dags(), sched_kinds, procs, polls, st.data())
     @settings(max_examples=40, deadline=None)
@@ -131,16 +125,14 @@ class TestEnginesMatchOracle:
                 sched, dep, costs, keep_finish_times=True)
         except DeadlockError:
             # identity lists over a renumbered DAG can order an index
-            # before its dependence on the same processor; every engine
-            # must agree it deadlocks.
-            for engine in ENGINES:
-                with pytest.raises(DeadlockError):
-                    simulate_self_executing(sched, dep, costs, engine=engine)
+            # before its dependence on the same processor; the
+            # simulator must agree it deadlocks.
+            with pytest.raises(DeadlockError):
+                simulate_self_executing(sched, dep, costs)
             return
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, dep, costs, keep_finish_times=True, engine=engine)
-            assert_bit_identical(sim, ref)
+        sim = simulate_self_executing(
+            sched, dep, costs, keep_finish_times=True)
+        assert_bit_identical(sim, ref)
 
     @given(backward_dags(max_n=30), procs, st.data())
     @settings(max_examples=30, deadline=None)
@@ -151,42 +143,18 @@ class TestEnginesMatchOracle:
         sched = global_schedule(compute_wavefronts(dep), p)
         ref = reference.simulate_self_executing(
             sched, dep, MULTIMAX_320, unit_work=w, keep_finish_times=True)
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, dep, MULTIMAX_320, unit_work=w,
-                keep_finish_times=True, engine=engine)
-            assert_bit_identical(sim, ref)
-        auto = simulate_self_executing(
+        sim = simulate_self_executing(
             sched, dep, MULTIMAX_320, unit_work=w, keep_finish_times=True)
-        assert_bit_identical(auto, ref)
+        assert_bit_identical(sim, ref)
 
 
 class TestVectorLevelBody:
-    """Force every level through the vectorized body (``SCALAR_LEVEL``
-    pinned to 0, so the scalar run fallback never absorbs a level) —
-    without this the width-≤-nproc levels of small property cases would
-    all take the scalar path and never prove the numpy branch."""
-
-    @given(backward_dags(), sched_kinds, procs, polls, modes, st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_vector_body_matches_oracle(self, dep, kind, p, t_poll, mode,
-                                        data):
-        sched = _schedule_for(data.draw, dep, kind, p)
-        costs = _poll_costs(t_poll)
-        ref = reference.simulate_self_executing(
-            sched, dep, costs, mode=mode, keep_finish_times=True)
-        saved = simulator.SCALAR_LEVEL
-        simulator.SCALAR_LEVEL = 0
-        try:
-            sim = simulate_self_executing(
-                sched, dep, costs, mode=mode, keep_finish_times=True,
-                engine="batched")
-        finally:
-            simulator.SCALAR_LEVEL = saved
-        assert_bit_identical(sim, ref)
+    """Machines wider than any the ledger simulates: the event loop
+    must match the oracle there too."""
 
     def test_wide_machine_levels(self):
-        """nproc above SCALAR_LEVEL: genuinely wide levels, no pin."""
+        """nproc = 64 (Table 4's widest projection): genuinely wide
+        levels on both a wavefront-sorted and an identity schedule."""
         rng = np.random.default_rng(42)
         n, p = 4000, 64
         dep = DependenceGraph.from_indirection(rng.integers(0, n, n))
@@ -197,60 +165,12 @@ class TestVectorLevelBody:
                 ref = reference.simulate_self_executing(
                     sched, dep, costs, keep_finish_times=True)
                 sim = simulate_self_executing(
-                    sched, dep, costs, keep_finish_times=True,
-                    engine="batched")
-                assert_bit_identical(sim, ref)
-                auto = simulate_self_executing(
                     sched, dep, costs, keep_finish_times=True)
-                assert_bit_identical(auto, ref)
-
-
-class TestLevelPlans:
-    @given(backward_dags(), sched_kinds, procs, st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_level_plan_invariants(self, dep, kind, p, data):
-        """Levels: a permutation, ≤ 1 index per processor per level,
-        every program-order/dependence predecessor in an earlier one."""
-        sched = _schedule_for(data.draw, dep, kind, p)
-        plan = simulator._fast_levels(sched, dep)
-        if plan is None:
-            plan = simulator._toposort_levels(sched, dep)
-        order, bounds = plan
-        n = dep.n
-        assert bounds[0] == 0 and bounds[-1] == n
-        assert np.array_equal(np.sort(order), np.arange(n))
-        level_of = np.empty(n, dtype=np.int64)
-        for k in range(bounds.shape[0] - 1):
-            nodes = order[bounds[k]:bounds[k + 1]]
-            level_of[nodes] = k
-            owners = sched.owner[nodes]
-            assert np.unique(owners).size == owners.size
-        for lst in sched.local_order:
-            if lst.size > 1:
-                assert np.all(np.diff(level_of[lst]) > 0)
-        if dep.num_edges:
-            assert np.all(level_of[dep.indices] < level_of[dep.edge_rows()])
-
-    @given(backward_dags(), procs)
-    @settings(max_examples=25, deadline=None)
-    def test_fast_levels_match_combined(self, dep, p):
-        """Both planners drive the batched engine to identical results."""
-        sched = global_schedule(compute_wavefronts(dep), p)
-        fast = simulator._fast_levels(sched, dep)
-        assert fast is not None  # global schedules are wavefront-sorted
-        combined = simulator._toposort_levels(sched, dep)
-        costs = _poll_costs(0.7)
-        w = simulator.work_vector(dep, costs, "self", p)
-        out = [
-            simulator._run_batched(sched, dep, w, costs.t_poll, plan=pl)
-            for pl in (fast, combined)
-        ]
-        for a, b in zip(*out):
-            assert np.array_equal(a, b)
+                assert_bit_identical(sim, ref)
 
 
 # ----------------------------------------------------------------------
-# Edge cases the batched path must preserve
+# Edge cases
 # ----------------------------------------------------------------------
 
 class TestEdgeCases:
@@ -265,9 +185,8 @@ class TestEdgeCases:
         quant = _poll_costs(0.7)
         for costs in (exact, quant):
             ref = reference.simulate_self_executing(sched, dep, costs)
-            for engine in ENGINES:
-                sim = simulate_self_executing(sched, dep, costs, engine=engine)
-                assert_bit_identical(sim, ref)
+            sim = simulate_self_executing(sched, dep, costs)
+            assert_bit_identical(sim, ref)
         # the quantum can only lengthen busy-waits
         t_exact = simulate_self_executing(sched, dep, exact).total_time
         t_quant = simulate_self_executing(sched, dep, quant).total_time
@@ -279,14 +198,12 @@ class TestEdgeCases:
         wf = np.empty(0, dtype=np.int64)
         for p in (1, 3):
             sched = identity_schedule(wf, p)
-            for engine in ENGINES:
-                sim = simulate_self_executing(
-                    sched, dep, MULTIMAX_320, keep_finish_times=True,
-                    engine=engine)
-                assert sim.total_time == 0.0
-                assert sim.finish.shape == (0,)
-                assert np.array_equal(sim.busy, np.zeros(p))
-                assert np.array_equal(sim.idle, np.zeros(p))
+            sim = simulate_self_executing(
+                sched, dep, MULTIMAX_320, keep_finish_times=True)
+            assert sim.total_time == 0.0
+            assert sim.finish.shape == (0,)
+            assert np.array_equal(sim.busy, np.zeros(p))
+            assert np.array_equal(sim.idle, np.zeros(p))
 
     def test_edgeless_graph(self):
         dep = DependenceGraph(np.zeros(6, dtype=np.int64),
@@ -294,81 +211,64 @@ class TestEdgeCases:
         sched = identity_schedule(np.zeros(5, dtype=np.int64), 2)
         ref = reference.simulate_self_executing(
             sched, dep, MULTIMAX_320, keep_finish_times=True)
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, dep, MULTIMAX_320, keep_finish_times=True,
-                engine=engine)
-            assert_bit_identical(sim, ref)
+        sim = simulate_self_executing(
+            sched, dep, MULTIMAX_320, keep_finish_times=True)
+        assert_bit_identical(sim, ref)
 
     def test_single_processor_closed_form(self, small_lower_dep):
-        """p=1 'auto' takes the cumulative-sum path — still bit-exact."""
+        """p=1 is a running sum of the work along a legal order: no
+        busy-wait can trigger, so the finish times are its cumsum."""
         wf = compute_wavefronts(small_lower_dep)
         sched = global_schedule(wf, 1)
         ref = reference.simulate_self_executing(
             sched, small_lower_dep, MULTIMAX_320, keep_finish_times=True)
-        auto = simulate_self_executing(
+        sim = simulate_self_executing(
             sched, small_lower_dep, MULTIMAX_320, keep_finish_times=True)
-        assert_bit_identical(auto, ref)
-        assert auto.total_idle == 0.0
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, small_lower_dep, MULTIMAX_320, keep_finish_times=True,
-                engine=engine)
-            assert_bit_identical(sim, ref)
+        assert_bit_identical(sim, ref)
+        assert sim.total_idle == 0.0
+        order = sched.simulation_order(small_lower_dep)
+        w = work_vector(small_lower_dep, MULTIMAX_320, "self", 1)
+        assert np.array_equal(sim.finish[order], np.cumsum(w[order]))
 
     def test_single_processor_negative_work(self, small_lower_dep):
-        """Negative work defeats the no-wait argument; 'auto' must not
-        take the closed form, and all engines still agree exactly."""
+        """Negative work defeats the no-wait argument (an operand can
+        finish after its consumer's processor frees up), even at p=1."""
         wf = compute_wavefronts(small_lower_dep)
         sched = global_schedule(wf, 1)
         w = np.where(np.arange(small_lower_dep.n) % 3 == 0, -1.0, 2.0)
         ref = reference.simulate_self_executing(
             sched, small_lower_dep, MULTIMAX_320, unit_work=w,
             keep_finish_times=True)
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, small_lower_dep, MULTIMAX_320, unit_work=w,
-                keep_finish_times=True, engine=engine)
-            assert_bit_identical(sim, ref)
+        sim = simulate_self_executing(
+            sched, small_lower_dep, MULTIMAX_320, unit_work=w,
+            keep_finish_times=True)
+        assert_bit_identical(sim, ref)
 
     def test_keep_finish_times_flag(self):
         dep, wf = self._diamond()
         sched = global_schedule(wf, 2)
-        for engine in ENGINES:
-            assert simulate_self_executing(
-                sched, dep, MULTIMAX_320, engine=engine).finish is None
-            kept = simulate_self_executing(
-                sched, dep, MULTIMAX_320, keep_finish_times=True,
-                engine=engine).finish
-            assert kept is not None and kept.shape == (4,)
+        assert simulate_self_executing(sched, dep, MULTIMAX_320).finish is None
+        kept = simulate_self_executing(
+            sched, dep, MULTIMAX_320, keep_finish_times=True).finish
+        assert kept is not None and kept.shape == (4,)
 
     def test_doacross_mode(self):
         dep, wf = self._diamond()
         sched = identity_schedule(wf, 2)
         ref = reference.simulate_self_executing(
             sched, dep, MULTIMAX_320, mode="doacross", keep_finish_times=True)
-        for engine in ENGINES:
-            sim = simulate_self_executing(
-                sched, dep, MULTIMAX_320, mode="doacross",
-                keep_finish_times=True, engine=engine)
-            assert sim.mode == "doacross"
-            assert sim.sched_time == 0.0
-            assert_bit_identical(sim, ref)
+        sim = simulate_self_executing(
+            sched, dep, MULTIMAX_320, mode="doacross", keep_finish_times=True)
+        assert sim.mode == "doacross"
+        assert sim.sched_time == 0.0
+        assert_bit_identical(sim, ref)
 
     def test_deadlock_all_engines(self):
         dep, wf = self._diamond()
         sched = identity_schedule(wf, 1)
         sched.local_order[0] = np.array([3, 0, 1, 2])
-        for engine in ENGINES:
-            with pytest.raises(DeadlockError):
-                simulate_self_executing(sched, dep, MULTIMAX_320,
-                                        engine=engine)
-
-    def test_unknown_engine_rejected(self):
-        dep, wf = self._diamond()
-        sched = identity_schedule(wf, 2)
-        with pytest.raises(ValidationError):
-            simulate_self_executing(sched, dep, MULTIMAX_320, engine="turbo")
+        with pytest.raises(DeadlockError):
+            simulate_self_executing(sched, dep, MULTIMAX_320)
 
 
 # ----------------------------------------------------------------------

@@ -226,6 +226,15 @@ class TestTunerQuality:
         best = tuner.exhaustive(dep)[0]
         assert verdict.sim_makespan == best.sim_makespan
 
+    @pytest.mark.parametrize("entry", ["tune", "search"])
+    @pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2))],
+                             ids=["short", "2-D"])
+    def test_bad_unit_work_is_named(self, entry, bad):
+        # Every candidate's simulation rejects it, which the search
+        # used to report as "no candidate produced a legal schedule".
+        with pytest.raises(ValidationError, match="unit_work"):
+            getattr(Tuner(4), entry)(chain_graph(4), unit_work=bad)
+
 
 class TestStore:
     def key(self, dep, nproc=4, mode="sim"):
