@@ -1,6 +1,7 @@
 """Benchmark: ablations over the cost-model and scheduler design knobs.
 
-These quantify the design-space claims DESIGN.md calls out:
+These quantify the design-space claims of the paper report's ablation
+section (``python -m repro.experiments -o report.md``):
 
 * the executor crossover moves with barrier cost (equation (6));
 * expensive shared-array traffic erodes self-execution (equation (7));

@@ -8,12 +8,7 @@ The acceptance bar for :mod:`repro.tuning`:
   of the exhaustive search over the entire candidate space;
 * a repeat ``Runtime.compile(..., strategy="auto")`` with a warm
   :class:`~repro.tuning.TuningStore` must skip the search entirely
-  (and be drastically cheaper on the wall clock);
-* stage two — real-backend arbitration among the simulator's finalists
-  (``rt.tune(deps, kernel=..., backend="threads")``) — must run end to
-  end, time every finalist on real threads, produce a numerically
-  correct winner, and cache the backend-arbitrated verdict under its
-  own key.
+  (and be drastically cheaper on the wall clock).
 
 ``REPRO_BENCH_TUNING_SCALE`` (a float, default 1.0) scales the
 problem sizes down for smoke runs in CI.
@@ -26,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.dependence import DependenceGraph
-from repro.core.executor import SimpleLoopKernel
 from repro.runtime import Runtime
 from repro.tuning import Tuner, enumerate_space
 from repro.util.tables import TextTable
@@ -36,8 +30,6 @@ SCALE = float(os.environ.get("REPRO_BENCH_TUNING_SCALE", "1.0"))
 NPROC = 16
 TOLERANCE = 1.10
 FIG3_N = max(int(20_000 * SCALE), 2_000)
-ARBITRATION_N = max(int(4_000 * SCALE), 600)
-ARBITRATION_NPROC = 4
 TABLE5_WORKLOADS = ("65-4-1.5", "65-4-3", "65mesh")
 
 
@@ -128,63 +120,6 @@ def test_tuned_pick_varies_by_workload(workloads, save_table):
     for name, dep in workloads.items():
         picks[name] = Tuner(NPROC, seed=0).search(dep).label()
     assert len(set(picks.values())) >= 2, picks
-
-
-def test_stage_two_threads_arbitration(save_table):
-    """Stage two end to end: real threads arbitrate among the finalists.
-
-    The first exercise of ``rt.tune(deps, kernel=..., backend=...)``
-    outside unit tests: the sim-pruned finalists are each timed on the
-    threads backend (best of 3), the wall clock picks the winner, and
-    the verdict lands in the session store under the ``exec:threads``
-    key — a later sim-only tune must *not* be shadowed by it.
-    """
-    rng = np.random.default_rng(420)
-    n = ARBITRATION_N
-    ia = rng.integers(0, n, size=n)
-    dep = DependenceGraph.from_indirection(ia)
-    x0 = rng.standard_normal(n)
-    b = 0.5 * rng.standard_normal(n)
-    kernel = SimpleLoopKernel(x0, b, ia)
-
-    rt = Runtime(nproc=ARBITRATION_NPROC)
-    t0 = time.perf_counter()
-    verdict = rt.tune(dep, kernel=kernel, backend="threads")
-    t_arb = time.perf_counter() - t0
-    assert verdict.searched
-
-    # The winner must execute correctly on both threads and serial —
-    # and the two backends must agree bitwise (same schedule replay).
-    loop = rt.compile(dep, **verdict.compile_kwargs())
-    threaded = loop(kernel, backend="threads").x
-    serial = loop(kernel, backend="serial").x
-    assert np.array_equal(threaded, serial)
-
-    timed = [m for m in rt._tuner.last_measurements
-             if m.host_seconds is not None]
-    assert timed, "stage two timed no finalists"
-
-    # Arbitrated verdicts are cached under their own mode key...
-    warm = rt.tune(dep, kernel=kernel, backend="threads")
-    assert not warm.searched
-    assert warm.compile_kwargs() == verdict.compile_kwargs()
-    # ...and never shadow a sim-only tune of the same structure.
-    sim_only = rt.tune(dep)
-    assert sim_only.searched
-    table = TextTable(
-        headers=["finalist", "sim ms", "threads best-of-3 (ms)", "winner"],
-        formats=[None, ".2f", ".2f", None],
-        title=f"stage-two threads-vs-serial arbitration "
-              f"(figure3 n={n}, {ARBITRATION_NPROC} threads, "
-              f"search {t_arb * 1000:.0f} ms)",
-    )
-    for m in sorted(timed, key=lambda m: m.host_seconds):
-        table.add_row(m.spec.label(), m.sim_makespan / 1000,
-                      m.host_seconds * 1000,
-                      "<-" if m.spec == verdict.spec else "")
-    print()
-    print(table.render())
-    save_table("tuning_stage_two_threads", table)
 
 
 def test_bench_auto_warm_compile(benchmark, workloads):

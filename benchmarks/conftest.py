@@ -2,8 +2,8 @@
 
 Every ``bench_*`` module regenerates one table or figure of the paper
 at full problem scale, asserts its qualitative shape, and saves the
-rendered table under ``benchmarks/results/`` so the numbers recorded in
-``EXPERIMENTS.md`` can be refreshed.
+rendered table under ``benchmarks/results/``, beside the full report
+``python -m repro.experiments -o report.md`` writes.
 
 Heavy one-shot computations are cached in session fixtures; the
 ``benchmark`` fixture then times a representative kernel so

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
-# session-free-store, one-simulator-engine and one-ordering-owner rules,
-# then run the tier-1 test suite.
+# session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
+# one-speculative-gate and one-store-discipline rules, then run the tier-1
+# test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -37,8 +38,14 @@ forked="$forked|striped_sort_dependence|DEFAULT_ENGINE"
 # single-processor simulator engines and the knob that chose among them.
 forked="$forked|ENGINES|SCALAR_LEVEL|_run_batched|_run_single_proc"
 forked="$forked|_scalar_span|_fast_levels|_legal_order"
+# ... and the machine model as the tuner's one scorer replaced the
+# wall-clock stage two; Runtime.compile's speculative reroute the
+# look-alike backend; ClassicExecutor its one-subclass base; and the
+# census found the last three names without a caller.
+forked="$forked|time_spec|_check_arbitration|SpeculativeBackend|LevelExecutor"
+forked="$forked|segment_max|flop_count_"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base replaced reappeared" >&2
     exit 1
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
@@ -90,6 +97,29 @@ if grep -rnE '(cache|store)\w*\.faults\s*=[^=]|(cache|store|faults|plan)\w*\.obs
     exit 1
 fi
 
+echo "== one speculative gate: the executor flag is read on one line =="
+# Runtime._compile_impl reroutes a speculative-flagged executor to the
+# no-inspection plan; the tuner and its scorer go through compile().
+gates=$(grep -rn 'get("speculative")' src --include='*.py' || true)
+if [ "$(echo "$gates" | grep -c 'get("speculative")')" -ne 1 ]; then
+    echo "$gates"
+    echo "error: the speculative flag must be read on exactly one line under src" >&2
+    exit 1
+fi
+
+echo "== one store discipline: only LruStoreBase writes entries to disk =="
+# Temp file, atomic rename and index bump are the base class's write
+# loop; a store subclass supplies format hooks, never a loop of its own.
+writes=$(grep -rnE '\b(_tmp_path|_index_bump)\(' src --include='*.py' \
+         | grep -vE 'def (_tmp_path|_index_bump)\(' || true)
+subclass=$(grep -n '^class ScheduleCache' src/repro/runtime/cache.py | cut -d: -f1)
+if [ -n "$(echo "$writes" | awk -F: -v at="$subclass" \
+           '$1 != "src/repro/runtime/cache.py" || $2 > at')" ]; then
+    echo "$writes"
+    echo "error: _tmp_path( / _index_bump( called outside LruStoreBase" >&2
+    exit 1
+fi
+
 echo "== one proxy fallback: _ReplayArray built in one place =="
 # Taped kernels never touch the per-iteration proxies; the only code
 # that constructs them is StatementReplayKernel._proxies.
@@ -102,7 +132,7 @@ if [ "$(echo "$built" | grep -c '^src/repro/program/recording.py:')" -ne 1 ] \
 fi
 
 echo "== one run path: no executor walks iterations itself =="
-# Every classic executor runs through LevelExecutor.run; the only
+# Every classic executor runs through ClassicExecutor.run; the only
 # per-index calls under src/repro/core are flat_walk and the
 # SerialExecutor oracle, both in core/executor.py.
 calls=$(grep -rn 'execute_index(' src/repro/core --include='*.py' \

@@ -54,7 +54,7 @@ from .runtime import (
     register_backend,
 )
 from .tuning import Tuner, TuningStore, TuningVerdict
-# Importing the package registers the "speculative" executor/backend.
+# Importing the package registers the "speculative" executor.
 from .speculate import AccessLog, ConflictReport, SpeculativeExecutor
 from .resilience import (
     FaultPlan,
@@ -72,7 +72,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "At",

@@ -10,16 +10,16 @@ library's core correctness contract, enforced by the test-suite.
 
 Execution
 ---------
-The classic executors share one serial run path,
-:class:`LevelExecutor`: each builds a :class:`LevelPlan` once — a legal
-total order grouped into mutually independent batches — and every
-``run`` walks it.  :class:`ClassicExecutor` is the one base of the
-self-executing, pre-scheduled and doacross executors: it owns their
-constructor state, the level-plan build, ``simulate`` and
-``run_threaded``, each dispatching on the subclass's ``mode``.  Kernels with a real ``execute_batch`` run a level
-per call (the triangular kernels through a structure-only
-:class:`~repro.sparse.triangular.LevelGather` the executor keeps across
-data rebinds); the others take one flat per-index walk of the order.
+:class:`ClassicExecutor` is the one base of the self-executing,
+pre-scheduled and doacross executors.  It owns their constructor state
+and their one serial run path — each builds a :class:`LevelPlan` once,
+a legal total order grouped into mutually independent batches, and
+every ``run`` walks it — plus ``simulate`` and ``run_threaded``, each
+dispatching on the subclass's ``mode``.  Kernels with a real
+``execute_batch`` run a level per call (the triangular kernels through
+a structure-only :class:`~repro.sparse.triangular.LevelGather` the
+executor keeps across data rebinds); the others take one flat
+per-index walk of the order.
 Batched arithmetic accumulates each row in CSR order, so every path
 agrees with :class:`SerialExecutor` bit for bit.
 
@@ -56,7 +56,6 @@ from .dependence import DependenceGraph
 
 __all__ = [
     "LevelPlan",
-    "LevelExecutor",
     "ClassicExecutor",
     "LoopKernel",
     "GenericLoopKernel",
@@ -416,17 +415,35 @@ class UpperTriangularSolveKernel(_SubstitutionKernel):
         self.x[i] = acc / self.diag[i]
 
 
-class LevelExecutor:
-    """The serial run path the classic executors share.
+class ClassicExecutor:
+    """One schedule run three ways — what ``self``, ``preschedule`` and
+    ``doacross`` share.
 
-    A subclass says how its schedule becomes ``(order, bounds)``
-    (:meth:`_build_levels`, where its legality checks live); this class
-    keeps the resulting :class:`LevelPlan`, keeps the kernel's gather
-    plan for as long as the kernel names the same structure objects —
-    a data-only ``rebind()`` rebuilds the kernel, not the structure —
-    and runs kernels through them.
+    A subclass names its ``mode`` and adds only what genuinely differs;
+    the numeric run, the machine-model timing and the real-thread run
+    live here, the latter two dispatching on ``mode``: barrier phases
+    for ``"preschedule"``, busy-waits for the other two.
+
+    The numeric run is one serial path: :meth:`_build_levels` (where a
+    subclass's legality checks live) turns the schedule into ``(order,
+    bounds)``; this class keeps the resulting :class:`LevelPlan`, keeps
+    the kernel's gather plan for as long as the kernel names the same
+    structure objects — a data-only ``rebind()`` rebuilds the kernel,
+    not the structure — and runs kernels through them.
+
+    **Two orders, not one.**  A *numeric* order need respect the
+    dependences only — any such order computes the same values, so a
+    subclass may batch as widely as they allow (doacross runs
+    wavefront-major).  A *simulation* order must also respect each
+    processor's program order, because the machine model advances a
+    processor's clock item by item.  The level plan is a numeric order;
+    :meth:`simulate` hands it to the simulator for ``"self"`` alone,
+    whose plan is a topological order of the (program-order ∪
+    dependence) DAG and so is both.
     """
 
+    #: ``"self"``, ``"preschedule"`` or ``"doacross"``.
+    mode: str
     _levels: LevelPlan | None = None
     #: ``(gather_key, gather)`` of the last structure-bearing kernel.
     _gather: tuple | None = None
@@ -439,8 +456,17 @@ class LevelExecutor:
     #: (a batch per level) or ``"flat"`` (one per-index walk).
     kernel_path: str | None = None
 
+    def __init__(self, schedule, dep: DependenceGraph,
+                 costs: MachineCosts = MULTIMAX_320):
+        self.schedule = schedule
+        self.dep = dep
+        self.costs = costs
+
     def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        # A topological order of (program-order ∪ dependence) edges
+        # both proves the schedule deadlock-free and gives the numeric
+        # engine a legal order to walk.
+        return self.schedule.execution_levels(self.dep)
 
     def level_plan(self) -> LevelPlan:
         """The executor's plan, built on first use."""
@@ -492,42 +518,6 @@ class LevelExecutor:
             flat_walk(kernel, levels.order)
             self.kernel_path = "flat"
         return kernel.result()
-
-
-class ClassicExecutor(LevelExecutor):
-    """One schedule run three ways — what ``self``, ``preschedule`` and
-    ``doacross`` share.
-
-    A subclass names its ``mode`` and adds only what genuinely differs;
-    the numeric run (:meth:`LevelExecutor.run`), the machine-model
-    timing and the real-thread run live here and dispatch on ``mode``:
-    barrier phases for ``"preschedule"``, busy-waits for the other two.
-
-    **Two orders, not one.**  A *numeric* order need respect the
-    dependences only — any such order computes the same values, so a
-    subclass may batch as widely as they allow (doacross runs
-    wavefront-major).  A *simulation* order must also respect each
-    processor's program order, because the machine model advances a
-    processor's clock item by item.  The level plan is a numeric order;
-    :meth:`simulate` hands it to the simulator for ``"self"`` alone,
-    whose plan is a topological order of the (program-order ∪
-    dependence) DAG and so is both.
-    """
-
-    #: ``"self"``, ``"preschedule"`` or ``"doacross"``.
-    mode: str
-
-    def __init__(self, schedule, dep: DependenceGraph,
-                 costs: MachineCosts = MULTIMAX_320):
-        self.schedule = schedule
-        self.dep = dep
-        self.costs = costs
-
-    def _build_levels(self):
-        # A topological order of (program-order ∪ dependence) edges
-        # both proves the schedule deadlock-free and gives the numeric
-        # engine a legal order to walk.
-        return self.schedule.execution_levels(self.dep)
 
     def simulate(self, *, unit_work: np.ndarray | None = None,
                  keep_finish_times: bool = False) -> SimResult:

@@ -2,8 +2,8 @@
 
 Each driver returns both structured rows (dataclasses) and a rendered
 :class:`~repro.util.tables.TextTable`, so the benchmark harness can
-print paper-shaped tables and the report writer can serialise them into
-``EXPERIMENTS.md``.
+print paper-shaped tables and the report writer can serialise them
+(``python -m repro.experiments -o report.md``).
 
 =================  ====================================================
 Module             Reproduces

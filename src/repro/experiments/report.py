@@ -1,8 +1,8 @@
 """Render the full experiment suite into a Markdown report.
 
-Used to (re)generate the measured sections of ``EXPERIMENTS.md``:
-run every experiment at the requested scale and emit one Markdown
-document with a section per table/figure.
+Behind ``python -m repro.experiments -o report.md``: run every
+experiment at the requested scale and emit one Markdown document with
+a section per table/figure.
 """
 
 from __future__ import annotations

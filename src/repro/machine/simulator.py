@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ScheduleError, ValidationError
-from ..util.frontier import segment_max
 from ..util.validation import check_vector
 from .costs import MachineCosts
 
@@ -192,16 +191,12 @@ def simulate_prescheduled(
     # Per (phase, processor) work totals: one weighted bincount over
     # (wavefront, owner) keys — same accumulation order as a per-index
     # scatter, at a fraction of the cost.  The per-phase critical
-    # processor is a segment max over the phase-major totals.
+    # processor is the row maximum.
     m = (
         np.bincount(wf * p + schedule.owner, weights=w, minlength=nw * p)
         .reshape(nw, p)
     )
-    phase_max = (
-        segment_max(m.ravel(), np.arange(nw + 1, dtype=np.int64) * p)
-        if nw
-        else np.zeros(0)
-    )
+    phase_max = m.max(axis=1)
     sync = costs.sync_cost(p)
     total = float(phase_max.sum() + nw * sync)
     busy = m.sum(axis=0)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..sparse.csr import CSRMatrix
-from ..util.rng import default_rng
+from ..util.rng import default_rng, spawn_rng
 from .blockops import block_seven_point
 from .fd2d import five_point_problem6, nine_point_problem7
 from .fd3d import seven_point_problem8
@@ -134,7 +134,9 @@ def get_problem(name: str, *, scale: float = 1.0) -> TestProblem:
     if key in _SPE_SPECS:
         (gx, gy, gz), bs, desc = _SPE_SPECS[key]
         a = block_seven_point(s(gx), s(gy), s(gz), bs, seed=default_rng())
-        rng = default_rng(hash(key) & 0x7FFFFFFF)
+        # One stream per problem, derived from its table position —
+        # ``hash(name)`` is salted per process.
+        rng = spawn_rng(default_rng(), PROBLEM_NAMES.index(key))
         x_true = rng.standard_normal(a.nrows)
         b = a.matvec(x_true)
         return TestProblem(

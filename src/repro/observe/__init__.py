@@ -2,7 +2,7 @@
 
 The observability layer behind ``Runtime(observe=True)``: nestable
 spans on one shared clock (:mod:`~repro.observe.tracer`), a registry
-of counters/gauges/histograms wired into the runtime's hot seams
+of counters and histograms wired into the runtime's hot seams
 (:mod:`~repro.observe.metrics`), and exporters that turn a run into a
 Perfetto-loadable ``trace.json``, a JSONL event log, or plain-text
 summary tables (:mod:`~repro.observe.export`).
@@ -21,7 +21,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .observer import Observer
 from .tracer import (
     NULL_SPAN,
@@ -36,7 +36,6 @@ from .tracer import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",

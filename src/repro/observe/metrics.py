@@ -1,6 +1,6 @@
-"""Counters, gauges and histograms for the runtime's hot seams.
+"""Counters and histograms for the runtime's hot seams.
 
-A :class:`MetricsRegistry` is a flat, name-keyed map of three
+A :class:`MetricsRegistry` is a flat, name-keyed map of two
 instrument kinds.  Names are dotted paths chosen by the call sites —
 ``schedule_cache.hits``, ``tuner.rung0.pruned``,
 ``speculation.conflict_rate`` — so exports group naturally without the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 
 @dataclass
@@ -28,17 +28,6 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A last-write-wins level (queue depth, current store size, ...)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 @dataclass
@@ -98,9 +87,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -109,9 +95,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
-
-    def set(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
@@ -124,7 +107,8 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def value(self, name: str, default: float = 0.0) -> float:
-        """Counter/gauge value by name (0 when never touched)."""
+        """Counter value or histogram total by name (0 when never
+        touched)."""
         metric = self._metrics.get(name)
         if metric is None:
             return default
@@ -148,8 +132,6 @@ class MetricsRegistry:
             metric = self._metrics[name]
             if isinstance(metric, Counter):
                 out[name] = {"kind": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                out[name] = {"kind": "gauge", "value": metric.value}
             else:
                 out[name] = {
                     "kind": "histogram", "count": metric.count,
@@ -173,8 +155,7 @@ class MetricsRegistry:
                 table.add_row(name, "histogram", f"{metric.total:g}",
                               metric.count, f"{metric.mean:g}")
             else:
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
-                table.add_row(name, kind, f"{metric.value:g}", "-", "-")
+                table.add_row(name, "counter", f"{metric.value:g}", "-", "-")
         return table.render()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

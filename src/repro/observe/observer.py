@@ -45,9 +45,6 @@ class Observer:
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.metrics.inc(name, amount)
 
-    def set(self, name: str, value: float) -> None:
-        self.metrics.set(name, value)
-
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
 

@@ -1,11 +1,11 @@
-"""Execution backends — one protocol over the divergent run paths.
+"""Execution backends — one protocol over the run paths.
 
-Historically each executor exposed three differently-shaped entry
-points (``run`` for numerics, ``simulate`` for machine-model timing,
-``run_threaded`` for real threads) and the process-based solvers lived
-in their own world.  :class:`ExecutionBackend` unifies them: a backend
-takes a :class:`~repro.runtime.session.CompiledLoop` plus a kernel and
-returns the ``(numeric result, simulated timing)`` pair that
+An executor has three differently-shaped entry points (``run`` for
+numerics, ``simulate`` for machine-model timing, ``run_threaded`` for
+real threads) and the process-based solvers are a world of their own.
+:class:`ExecutionBackend` is the one call over them: a backend takes a
+:class:`~repro.runtime.session.CompiledLoop` plus a kernel and returns
+the ``(numeric result, simulated timing)`` pair that
 :class:`~repro.runtime.session.RunReport` normalizes, so ::
 
     rt = Runtime(nproc=8, backend="threads")
@@ -13,7 +13,10 @@ returns the ``(numeric result, simulated timing)`` pair that
     report = loop(kernel)            # same call, any backend
 
 works identically for ``"serial"``, ``"sim"``, ``"threads"`` and
-``"processes"``.  New backends (a GPU dispatcher, a distributed pool)
+``"processes"`` — the four registered here, and all there are.  Which
+*plan* runs is not a backend's business: a speculative loop's executor
+owns the optimistic protocol, so ``serial`` runs it speculatively and
+``sim`` times it.  New backends (a GPU dispatcher, a distributed pool)
 register with :func:`~repro.runtime.registry.register_backend` without
 touching core.
 

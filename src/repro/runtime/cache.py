@@ -99,15 +99,19 @@ class CacheStats:
 
 
 class LruStoreBase:
-    """Shared skeleton of the verdict/schedule stores: a bounded LRU
-    map with :class:`CacheStats` accounting and an optional
-    persistence directory.  Subclasses implement ``get``/``put`` (the
-    serialization formats differ); eviction, recency and the counters
-    live here so a fix to one store cannot be forgotten in the other.
+    """The one store discipline behind the verdict and schedule stores:
+    a bounded LRU map with :class:`CacheStats` accounting over an
+    optional persistence directory.  :meth:`get` (memory → disk →
+    miss), :meth:`put` and the locked, crash-safe disk write live here,
+    so a fix to one store cannot be forgotten in the other; a subclass
+    supplies ``key_for`` and three format hooks — :meth:`_files` (what
+    files an entry is and how each is written), :meth:`_load` (how to
+    read one back) and :meth:`_served` (what a hit hands out).
 
-    A store holds no session state: sessions sharing one pass their
-    fault plan per :meth:`put` (``faults=``) and read their own share
-    of the counters with :meth:`mirror` (:meth:`session_put` does both).
+    A store holds no session state: sessions sharing one go through
+    :meth:`session_get` / :meth:`session_put`, which pass the session's
+    fault plan with the write and :meth:`mirror` its own share of the
+    counters onto its observer.
     """
 
     #: Used in validation error messages ("cache", "tuning store", …).
@@ -135,10 +139,10 @@ class LruStoreBase:
         """Add what :attr:`stats` counted since the ``since`` snapshot
         to ``observer``'s ``<metric_prefix>.*`` metrics.
 
-        An observed session brackets each of its own ``get``/``put``
-        calls with ``stats.snapshot()`` and this, so a shared store's
-        traffic lands on the session that caused it; an un-observed
-        session takes no snapshot at all.
+        :meth:`session_get` / :meth:`session_put` bracket an observed
+        session's own calls with ``stats.snapshot()`` and this, so a
+        shared store's traffic lands on the session that caused it; an
+        un-observed session takes no snapshot at all.
         """
         for (name, before), now in zip(vars(since).items(),
                                        vars(self.stats).values()):
@@ -146,6 +150,16 @@ class LruStoreBase:
                 record = (observer.observe if name == "lock_wait_seconds"
                           else observer.inc)
                 record(f"{self.metric_prefix}.{name}", now - before)
+
+    def session_get(self, key: str, dep=None, *, observer):
+        """:meth:`get` on behalf of one session: what the lookup counted
+        is mirrored onto its observer (``None`` takes no snapshot)."""
+        if observer is None:
+            return self.get(key, dep)
+        since = self.stats.snapshot()
+        entry = self.get(key, dep)
+        self.mirror(observer, since)
+        return entry
 
     def session_put(self, key: str, value, *, faults, observer) -> None:
         """:meth:`put` on behalf of one session: under its fault plan,
@@ -163,8 +177,88 @@ class LruStoreBase:
             faults.mirror(observer, fired)
 
     # ------------------------------------------------------------------
+    # Lookup / store
+    # ------------------------------------------------------------------
+    def get(self, key: str, dep=None):
+        """Fetch an entry, or ``None`` on a full miss.
+
+        ``dep`` is the graph a disk entry is resurrected against, for
+        stores whose persisted form does not carry it (a persisted
+        schedule has the wavefronts but not the graph itself).
+        """
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return self._served(entry)
+        if self.persist_dir is not None:
+            entry = self._load_disk(key, dep)
+            if entry is not None:
+                # A disk-served lookup is a hit, not a miss: the caller
+                # skips the cold path exactly as on a memory hit.
+                self.stats.disk_hits += 1
+                self._install(key, entry)
+                return self._served(entry)
+        self.stats.misses += 1
+        return None
+
+    def put(self, key: str, value, *, faults=None) -> None:
+        """Store one entry (write-through when persisting).
+
+        ``faults`` is the calling session's
+        :class:`~repro.resilience.FaultPlan`, consulted on this disk
+        write only (``None`` keeps it fault-free).
+        """
+        self._install(key, value)
+        if self.persist_dir is not None:
+            self._store_disk(key, value, faults)
+
+    # ------------------------------------------------------------------
+    # Format hooks
+    # ------------------------------------------------------------------
+    def _files(self, key: str) -> tuple:
+        """The files one entry is, in write order: ``(path, junk size
+        of an injected partial write, dump(value, tmp_path))`` each."""
+        raise NotImplementedError
+
+    def _load(self, paths, dep):
+        """The entry persisted at ``paths`` (all exist), or ``None``
+        for a stale or foreign-format one; raising marks it corrupt."""
+        raise NotImplementedError
+
+    def _served(self, entry):
+        """What a hit hands the caller."""
+        return entry
+
+    # ------------------------------------------------------------------
     # Multi-writer persistence discipline
     # ------------------------------------------------------------------
+    def _store_disk(self, key: str, value, faults) -> None:
+        files = self._files(key)
+        with self._locked():
+            if self._store_fault(faults, files):
+                return  # simulated crash mid-write; reads self-heal
+            # Write-then-rename, so a crash mid-store never leaves a
+            # truncated entry for a future run to trip on.
+            for path, _, dump in files:
+                tmp = self._tmp_path(path)
+                dump(value, tmp)
+                tmp.replace(path)
+            self._index_bump(key)
+        self.stats.disk_stores += 1
+
+    def _load_disk(self, key: str, dep):
+        paths = [path for path, _, _ in self._files(key)]
+        if not all(path.exists() for path in paths):
+            return None
+        try:
+            return self._load(paths, dep)
+        except Exception:
+            # A corrupt or foreign file is a miss, not a crash — the
+            # cold path recomputes and overwrites the bad entry.
+            self.stats.disk_heals += 1
+            return None
+
     @contextlib.contextmanager
     def _locked(self):
         """Advisory inter-process lock over the persistence directory.
@@ -188,13 +282,15 @@ class LruStoreBase:
         finally:
             lock.release()
 
-    def _tmp_path(self, final: Path, suffix: str) -> Path:
-        """A collision-free temp neighbour of ``final`` (same dir, so
-        the replace stays atomic on every filesystem)."""
-        return final.with_name(
-            f"{final.name}.{os.getpid()}.{next(self._tmp_seq)}.tmp{suffix}")
+    def _tmp_path(self, final: Path) -> Path:
+        """A collision-free temp neighbour of ``final``: same dir, so
+        the replace stays atomic on every filesystem; process-unique,
+        so two writers racing on one key never share one; same suffix,
+        because numpy appends ``.npz`` to a name that lacks it."""
+        return final.with_name(f"{final.name}.{os.getpid()}."
+                               f"{next(self._tmp_seq)}.tmp{final.suffix}")
 
-    def _store_fault(self, faults, final_paths) -> bool:
+    def _store_fault(self, faults, files) -> bool:
         """Fire the writing session's armed partial write, if any.
 
         Simulates a crash *mid-write before the rename discipline
@@ -207,7 +303,7 @@ class LruStoreBase:
         spec = faults.store_fault(self.store_kind)
         if spec is None:
             return False
-        for path, size in final_paths:
+        for path, size, _ in files:
             payload = (_CORRUPT_BYTES[: len(_CORRUPT_BYTES) // 2]
                        if spec.mode == "truncate"
                        else _CORRUPT_BYTES * max(1, size // len(_CORRUPT_BYTES)))
@@ -239,7 +335,7 @@ class LruStoreBase:
             entry = {"stores": 0}
         entry["stores"] = int(entry.get("stores", 0)) + 1
         index[key] = entry
-        tmp = self._tmp_path(path, ".json")
+        tmp = self._tmp_path(path)
         tmp.write_text(json.dumps(index))
         tmp.replace(path)
 
@@ -269,6 +365,24 @@ class LruStoreBase:
 
     def __contains__(self, key) -> bool:
         return key in self._entries
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"{type(self).__name__}(entries={len(self)}/{self.maxsize}, "
+                f"hits={self.stats.hits}, disk_hits={self.stats.disk_hits}, "
+                f"misses={self.stats.misses})")
+
+
+def _dump_schedule(inspection, tmp: Path) -> None:
+    from ..core.schedule import save_schedule_npz  # deferred: import cycle
+
+    save_schedule_npz(tmp, inspection.schedule)
+
+
+def _dump_meta(inspection, tmp: Path) -> None:
+    tmp.write_text(json.dumps({
+        "strategy": inspection.strategy,
+        "costs": dataclasses.asdict(inspection.costs),
+    }))
 
 
 class ScheduleCache(LruStoreBase):
@@ -312,104 +426,28 @@ class ScheduleCache(LruStoreBase):
             balance, dataclasses.astuple(costs), tuple(versions)))
 
     # ------------------------------------------------------------------
-    # Lookup / store
+    # Format: the schedule as ``.npz``, the priced costs in a JSON sidecar
     # ------------------------------------------------------------------
-    def get(self, key: str, dep=None):
-        """Fetch a cached inspection, or ``None`` on a full miss.
+    def _files(self, key: str) -> tuple:
+        return ((self.persist_dir / f"{key}.npz", 4096, _dump_schedule),
+                (self.persist_dir / f"{key}.json", 256, _dump_meta))
 
-        ``dep`` is required to resurrect a disk entry (the persisted
-        schedule carries wavefronts but not the graph itself).
-        """
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
-        if self.persist_dir is not None and dep is not None:
-            entry = self._load_disk(key, dep)
-            if entry is not None:
-                # A disk-served lookup is a hit, not a miss: the caller
-                # skips the cold inspection exactly as on a memory hit.
-                self.stats.disk_hits += 1
-                self._install(key, entry)
-                return entry
-        self.stats.misses += 1
-        return None
-
-    def put(self, key: str, inspection, *, faults=None) -> None:
-        """Store one inspection (write-through when persisting).
-
-        ``faults`` is the calling session's
-        :class:`~repro.resilience.FaultPlan`, consulted on this disk
-        write only (``None`` keeps it fault-free).
-        """
-        self._install(key, inspection)
-        if self.persist_dir is not None:
-            self._store_disk(key, inspection, faults)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        return (self.persist_dir / f"{key}.npz",
-                self.persist_dir / f"{key}.json")
-
-    def _store_disk(self, key: str, inspection, faults) -> None:
-        from ..core.schedule import save_schedule_npz  # deferred: import cycle
-
-        npz_path, meta_path = self._paths(key)
-        with self._locked():
-            if self._store_fault(faults,
-                                 [(npz_path, 4096), (meta_path, 256)]):
-                return  # simulated crash mid-write; reads self-heal
-            # Write-then-rename, so a crash mid-store never leaves a
-            # truncated entry for a future run to trip on.  Temp names
-            # are process-unique (two writers racing on one key must
-            # not share one) and keep the .npz suffix (numpy appends
-            # it otherwise).
-            tmp = self._tmp_path(npz_path, ".npz")
-            save_schedule_npz(tmp, inspection.schedule)
-            tmp.replace(npz_path)
-            meta = {
-                "strategy": inspection.strategy,
-                "costs": dataclasses.asdict(inspection.costs),
-            }
-            tmp = self._tmp_path(meta_path, ".json")
-            tmp.write_text(json.dumps(meta))
-            tmp.replace(meta_path)
-            self._index_bump(key)
-        self.stats.disk_stores += 1
-
-    def _load_disk(self, key: str, dep):
+    def _load(self, paths, dep):
         from ..core.inspector import InspectionResult, InspectorCosts
         from ..core.schedule import load_schedule_npz  # deferred: import cycle
 
-        npz_path, meta_path = self._paths(key)
-        if not (npz_path.exists() and meta_path.exists()):
+        if dep is None:
             return None
-        try:
-            schedule = load_schedule_npz(npz_path)
-            if schedule.n != dep.n:
-                return None  # stale entry for a different structure
-            meta = json.loads(meta_path.read_text())
-            costs = InspectorCosts(**meta["costs"])
-            strategy = meta["strategy"]
-        except Exception:
-            # A corrupt or foreign file is a miss, not a crash — the
-            # cold path re-inspects and overwrites the bad entry.
-            self.stats.disk_heals += 1
-            return None
+        npz_path, meta_path = paths
+        schedule = load_schedule_npz(npz_path)
+        if schedule.n != dep.n:
+            return None  # stale entry for a different structure
+        meta = json.loads(meta_path.read_text())
         return InspectionResult(
             dep=dep,
             wavefronts=schedule.wavefronts,
             schedule=schedule,
-            strategy=strategy,
-            costs=costs,
+            strategy=meta["strategy"],
+            costs=InspectorCosts(**meta["costs"]),
             host_seconds=0.0,
         )
-
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ScheduleCache(entries={len(self)}/{self.maxsize}, "
-                f"hits={self.stats.hits}, disk_hits={self.stats.disk_hits}, "
-                f"misses={self.stats.misses})")

@@ -62,7 +62,7 @@ from ..observe.tracer import maybe_span, now
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RetryPolicy, run_with_recovery
 from ..util.timing import Stopwatch
-from ..util.validation import check_positive
+from ..util.validation import check_horizon, check_positive
 from . import backends as _backends  # noqa: F401 — registers the built-ins
 from .cache import CacheStats, ScheduleCache
 from .registry import (
@@ -630,8 +630,10 @@ class Runtime:
         structures (horizon 1) the no-inspection speculative arm can
         win, while large horizons recover pure steady-state makespan
         ranking.  ``None`` (default) keeps the classic makespan-only
-        scoring.  The adaptive speculation guard also prices its
-        break-even conflict rate against this horizon.
+        scoring; anything else must be positive and finite, and a
+        horizon below one execution counts as one.  The adaptive
+        speculation guard also prices its break-even conflict rate
+        against this horizon.
     observe:
         ``True`` builds a fresh :class:`~repro.observe.Observer` and
         threads it through every subsystem (spans on compile/run/tune,
@@ -681,11 +683,7 @@ class Runtime:
         self.nproc = check_positive(nproc, "nproc")
         self.backend = backend_registry.validate(backend)
         self.costs = costs
-        if expected_executions is not None and expected_executions <= 0:
-            raise ValidationError(
-                "expected_executions must be positive (or None)")
-        self.expected_executions = (
-            None if expected_executions is None else float(expected_executions))
+        self.expected_executions = check_horizon(expected_executions)
         from ..tuning.store import TuningStore  # deferred: import cycle
 
         self.cache: ScheduleCache | None = _store_from(
@@ -909,12 +907,8 @@ class Runtime:
             versions=resolved.versions,
         )
         cache, obs = self.cache, self.observer
-        inspection = None
-        if cache is not None:
-            since = cache.stats.snapshot() if obs is not None else None
-            inspection = cache.get(key, dep)
-            if obs is not None:
-                cache.mirror(obs, since)
+        inspection = (cache.session_get(key, dep, observer=obs)
+                      if cache is not None else None)
         cache_hit = inspection is not None
         if inspection is None:
             inspection = self._inspector.inspect(
@@ -964,20 +958,18 @@ class Runtime:
                                 observer=self.observer, faults=self.faults)
         return self._tuner
 
-    def tune(self, deps, *, kernel=None, backend: str | None = None):
+    def tune(self, deps):
         """Search (or recall) the best strategy bundle for ``deps``.
 
         Returns a :class:`~repro.tuning.TuningVerdict`.  The session's
         tuner is built lazily and shares its machine shape
-        (``nproc``/``costs``) and ``TuningStore``; pass ``kernel`` and
-        ``backend`` to let real executions arbitrate among the
-        simulator's finalists.  A session ``expected_executions``
-        horizon makes the scores amortisation-aware.
+        (``nproc``/``costs``) and ``TuningStore``.  A session
+        ``expected_executions`` horizon makes the scores
+        amortisation-aware.
         """
         with maybe_span(self.observer, "tune", entry="runtime"):
             return self._ensure_tuner().tune(
-                deps, kernel=kernel, backend=backend,
-                expected_executions=self.expected_executions)
+                deps, expected_executions=self.expected_executions)
 
     # ------------------------------------------------------------------
     def run(self, kernel, deps=None, *, backend: str | None = None,

@@ -22,7 +22,6 @@ from .triangular import (
     solve_upper_sequential,
     LevelScheduledSolver,
 )
-from .ops import matvec, saxpy, dot, flop_count_matvec, flop_count_solve
 from .io import (
     save_csr_npz,
     load_csr_npz,
@@ -45,9 +44,4 @@ __all__ = [
     "solve_lower_sequential",
     "solve_upper_sequential",
     "LevelScheduledSolver",
-    "matvec",
-    "saxpy",
-    "dot",
-    "flop_count_matvec",
-    "flop_count_solve",
 ]

@@ -10,7 +10,7 @@ the measured conflict rate says speculation cannot win.
 
 Entry points: ``Runtime.compile(deps, strategy="speculative")``,
 ``Runtime.run(program, strategy="speculative")``, the ``speculative``
-executor/backend registry entries, and the tuner's ``strategy="auto"``
+executor registry entry, and the tuner's ``strategy="auto"``
 arbitration, which weighs the no-inspection arm against every
 scheduled candidate.
 """

@@ -288,9 +288,9 @@ class SpeculativeExecutor:
                      timeline=None, faults=None):
         """Refuses, under the classic executors' signature."""
         raise ValidationError(
-            "the speculative executor runs on the 'serial', "
-            "'speculative' or 'sim' backends; the 'threads' protocol "
-            "would race on the shared shadow state"
+            "the speculative executor runs on the 'serial' or 'sim' "
+            "backends; the 'threads' protocol would race on the shared "
+            "shadow state"
         )
 
     # ------------------------------------------------------------------

@@ -30,9 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..errors import ValidationError
-from ..runtime.backends import ExecutionBackend
-from ..runtime.registry import register_backend
 from ..runtime.session import LoopPlan
 from ..util.digest import structure_digest
 from .executor import SpeculativeExecutor
@@ -176,12 +173,9 @@ def speculative_plan(runtime, deps) -> LoopPlan:
     """
     log = AccessLog.from_source(deps)
     key = "spec:" + speculation_key(log, runtime.nproc, runtime.costs)
-    store, obs = runtime.tuning_store, runtime.observer
+    store = runtime.tuning_store
     if store is not None:
-        since = store.stats.snapshot() if obs is not None else None
-        remembered = store.get(key)
-        if obs is not None:
-            store.mirror(obs, since)
+        remembered = store.session_get(key, observer=runtime.observer)
         if remembered is not None and remembered.executor != "speculative":
             return runtime._scheduled_plan(deps,
                                            **remembered.compile_kwargs())
@@ -190,28 +184,3 @@ def speculative_plan(runtime, deps) -> LoopPlan:
                                    observer=runtime.observer)
     return SpeculativePlan(runtime, deps, executor, key,
                            compile_count=runtime._count_compile(key))
-
-
-@register_backend("speculative")
-class SpeculativeBackend(ExecutionBackend):
-    """Explicit speculative execution — rejects non-speculative loops.
-
-    The default ``serial`` backend already runs a speculative loop
-    speculatively (the executor owns the protocol); this backend
-    exists so a caller can *assert* the no-inspection path, the same
-    way ``threads`` asserts the synchronization protocol.
-    """
-
-    name = "speculative"
-
-    def execute(self, compiled, kernel, *, unit_work=None, timeout=30.0):
-        self.check_kernel(kernel)
-        executor = compiled.executor
-        if getattr(executor, "mode", None) != "speculative":
-            raise ValidationError(
-                "the 'speculative' backend requires a loop compiled with "
-                "strategy='speculative' (this loop uses the "
-                f"{compiled.executor_name!r} executor); use the 'serial' "
-                "backend instead"
-            )
-        return executor.run(kernel), None

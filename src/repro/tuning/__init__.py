@@ -11,9 +11,9 @@ machinery.  Instead of hand-picking ``executor=``/``scheduler=``/
 
 and the session searches the registered strategy space — pruning with
 the exact machine-model simulator on graph prefixes (successive
-halving), optionally timing finalists on a real backend — then caches
-the verdict in a :class:`TuningStore` keyed on (structure ×
-strategy-space fingerprint × arbitration mode) so the next
+halving), the one scorer at every rung — then caches the verdict in a
+:class:`TuningStore` keyed on (structure × strategy-space fingerprint
+× scoring mode) so the next
 structurally identical compile, in this run or a later one, skips the
 search — and the wavefront sweep — entirely.
 
@@ -24,8 +24,8 @@ Pieces
 * :class:`CandidateSpec` / :func:`enumerate_space` /
   :func:`space_fingerprint` — the searchable space over the open
   registries, including the parameterized chunk-profile partitioners;
-* :func:`simulate_spec` / :func:`time_spec` / :func:`prefix_graph` —
-  the two-stage measurement harness;
+* :func:`simulate_spec` / :func:`prefix_graph` — scoring one
+  candidate on the machine model, at full size or on a prefix;
 * :class:`Tuner` — deterministic (seeded) successive halving;
 * :class:`TuningStore` / :class:`TuningVerdict` — persistent,
   self-healing verdict cache.
@@ -34,7 +34,7 @@ Pieces
 from __future__ import annotations
 
 from .features import WorkloadFeatures, extract_features
-from .measure import Measurement, prefix_graph, simulate_spec, time_spec
+from .measure import Measurement, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 from .tuner import ProgramVerdict, Tuner
@@ -46,7 +46,6 @@ __all__ = [
     "Measurement",
     "prefix_graph",
     "simulate_spec",
-    "time_spec",
     "CandidateSpec",
     "enumerate_space",
     "space_fingerprint",

@@ -1,18 +1,16 @@
-"""Two-stage candidate evaluation: simulate to prune, execute to rank.
+"""Candidate evaluation: the machine model is the one scorer.
 
-Stage one is the machine-model simulator — exact, deterministic and
-host-speed-independent, so candidates can be compared (and pruned) on
-*subsampled prefixes* of the dependence graph long before anything
-runs.  Stage two times the surviving finalists on a real
-:class:`~repro.runtime.backends.ExecutionBackend` (``threads``,
-``processes``, …) when the caller supplies a kernel, because the model
-ranks but the hardware decides.
+The simulator is exact, deterministic and host-speed-independent, so
+candidates can be compared (and pruned) on *subsampled prefixes* of the
+dependence graph as well as at full size, and no score ever needs a
+second sample.
 
 Everything goes through :meth:`Runtime.compile
 <repro.runtime.session.Runtime.compile>`, so candidate compiles enjoy
-the session's :class:`~repro.runtime.cache.ScheduleCache` and a
-candidate that cannot execute at all (an illegal schedule, a deadlock)
-scores ``inf`` instead of aborting the search.
+the session's :class:`~repro.runtime.cache.ScheduleCache`, a
+speculative-flagged candidate takes the session's one no-inspection
+route, and a candidate that cannot execute at all (an illegal
+schedule, a deadlock) scores ``inf`` instead of aborting the search.
 """
 
 from __future__ import annotations
@@ -23,23 +21,20 @@ import numpy as np
 
 from ..core.dependence import DependenceGraph
 from ..errors import ReproError
-from ..runtime.registry import executor_registry
 from ..util.frontier import counts_to_indptr
 from .space import CandidateSpec
 
-__all__ = ["Measurement", "prefix_graph", "simulate_spec", "time_spec"]
+__all__ = ["Measurement", "prefix_graph", "simulate_spec"]
 
 
 @dataclass
 class Measurement:
-    """One candidate's scores through the two stages."""
+    """One candidate's scores through the search."""
 
     spec: CandidateSpec
     #: Simulated makespan on the full graph (model µs; ``inf`` = failed).
     sim_makespan: float = float("inf")
-    #: Host seconds on the real backend (``None`` = stage 2 not run).
-    host_seconds: float | None = None
-    #: Error string of a failed compile/execution, for reporting.
+    #: Error string of a failed compile/simulation, for reporting.
     error: str | None = None
     #: Per-rung simulated makespans, in rung order (for reporting).
     rung_scores: list = field(default_factory=list)
@@ -87,58 +82,21 @@ def simulate_spec(
 
     The score is the simulated makespan, optionally under a
     ``unit_work`` pricing override, and — when ``expected_executions``
-    is given — plus the candidate's inspection cost amortised over
-    that many executions.  Amortisation is what lets the
-    no-inspection speculative arm (``pipeline_cost`` 0) win cold
-    structures that the classic pipeline would only beat in steady
-    state.
-    """
-    try:
-        meta = (executor_registry.metadata(spec.executor)
-                if spec.executor in executor_registry else {})
-        if meta.get("speculative"):
-            # The no-inspection arm: speculative candidates compile
-            # through the fast path (no wavefront sweep even during
-            # the search) and are scored by the same exact simulation
-            # — whose makespan includes the serial repair of every
-            # conflict, so high-conflict workloads price themselves
-            # out of the arbitration naturally.
-            loop = runtime.compile(deps, strategy="speculative")
-        else:
-            loop = runtime.compile(deps, **spec.compile_kwargs())
-        score = float(loop.simulate(unit_work=unit_work).total_time)
-        if expected_executions is not None:
-            horizon = max(1.0, float(expected_executions))
-            score += float(loop.inspection.pipeline_cost) / horizon
-        return score, None
-    except ReproError as exc:
-        return float("inf"), f"{type(exc).__name__}: {exc}"
-
-
-def time_spec(
-    runtime,
-    deps,
-    spec: CandidateSpec,
-    kernel,
-    *,
-    backend: str,
-    repeats: int = 3,
-    timeout: float = 30.0,
-) -> tuple[float, str | None]:
-    """Best-of-``repeats`` host seconds of one finalist on a real backend.
-
-    The compile is done once (cached thereafter); each repeat goes
-    through the :class:`~repro.runtime.backends.ExecutionBackend`
-    protocol with the simulation skipped, so the clock covers the
-    backend execution alone.
+    is given (a horizon as :func:`~repro.util.validation.check_horizon`
+    returns one: the tuner's entry points validate and clamp, not each
+    of the search's simulations) — plus the candidate's inspection
+    cost amortised over that many executions.  Amortisation is what
+    lets the no-inspection speculative arm (``pipeline_cost`` 0) win
+    cold structures that the classic pipeline would only beat in steady
+    state; its makespan includes the serial repair of every conflict,
+    so high-conflict workloads price themselves out naturally.
     """
     try:
         loop = runtime.compile(deps, **spec.compile_kwargs())
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            report = loop(kernel, backend=backend, timeout=timeout,
-                          with_sim=False)
-            best = min(best, report.host_seconds)
-        return best, None
+        score = float(loop.simulate(unit_work=unit_work).total_time)
+        if expected_executions is not None:
+            score += (float(loop.inspection.pipeline_cost)
+                      / expected_executions)
+        return score, None
     except ReproError as exc:
         return float("inf"), f"{type(exc).__name__}: {exc}"

@@ -6,21 +6,22 @@ inspection; :class:`TuningStore` amortises a whole strategy search
 on the graph's :meth:`structure digest
 <repro.core.dependence.DependenceGraph.digest>` — extended with the
 :func:`space fingerprint <repro.tuning.space.space_fingerprint>` of
-the candidate set and the arbitration mode (sim-only vs
-real-backend-timed), so a verdict is invalidated exactly when the
-strategy space changes (a new registration, a shadowed name, a bumped
-generation) or a differently-arbitrated verdict is requested.  The
-workload's :meth:`feature signature
+the candidate set and the scoring mode (plain makespan, an
+amortisation horizon, a work-pricing override), so a verdict is
+invalidated exactly when the strategy space changes (a new
+registration, a shadowed name, a bumped generation) or a differently
+scored verdict is requested.  The workload's :meth:`feature signature
 <repro.tuning.features.WorkloadFeatures.signature>` travels *inside*
 the verdict rather than in the key: the exact structure digest already
 subsumes it, and keeping it out of the key means a warm
 ``strategy="auto"`` compile answers without recomputing wavefronts —
 no sweep, no search, just a hash and a lookup.
 
-Persistence is a JSON file per key with the same crash discipline as
-the schedule cache: write-then-rename stores, and corrupt or truncated
-entries read as misses — the search re-runs and overwrites the bad
-entry (self-healing, never a crash).
+Persistence is a JSON file per key under the crash discipline the
+schedule cache has — both inherit it from
+:class:`~repro.runtime.cache.LruStoreBase`: locked write-then-rename
+stores, and corrupt or truncated entries read as misses — the search
+re-runs and overwrites the bad entry (self-healing, never a crash).
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ class TuningVerdict:
         return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
 
 
+def _dump_verdict(verdict: TuningVerdict, tmp) -> None:
+    tmp.write_text(json.dumps({"format": _FORMAT,
+                               "verdict": verdict.to_dict()}))
+
+
 class TuningStore(LruStoreBase):
     """LRU map from workload keys to :class:`TuningVerdict`.
 
@@ -120,82 +126,30 @@ class TuningStore(LruStoreBase):
     @staticmethod
     def key_for(dep, nproc: int, costs, space_digest: str,
                 mode: str = "sim") -> str:
-        """Digest of (structure, machine, strategy space, arbitration mode).
+        """Digest of (structure, machine, strategy space, scoring mode).
 
-        ``mode`` distinguishes sim-only searches (``"sim"``) from
-        searches whose finalists a real backend arbitrated
-        (``"exec:<backend>"``) — the two may legitimately disagree, so
-        they never share a verdict.
+        ``mode`` is ``"sim"`` for a plain makespan search, suffixed by
+        whatever else shaped the scores (``"sim:amort=4"``, a
+        ``unit_work`` digest) — differently scored searches may
+        legitimately disagree, so they never share a verdict.
         """
         return structure_digest(params=(
             "tuning", dep.digest(), int(nproc), dataclasses.astuple(costs),
             space_digest, mode, _FORMAT))
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> TuningVerdict | None:
-        """Fetch a verdict, or ``None`` when a search is needed.
-
-        Store-served verdicts come back with ``searched=False`` so
-        callers (and tests) can tell a reuse from a fresh search.
-        """
-        verdict = self._entries.get(key)
-        if verdict is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return dataclasses.replace(verdict, searched=False)
-        if self.persist_dir is not None:
-            verdict = self._load_disk(key)
-            if verdict is not None:
-                self.stats.disk_hits += 1
-                self._install(key, verdict)
-                return dataclasses.replace(verdict, searched=False)
-        self.stats.misses += 1
-        return None
-
-    def put(self, key: str, verdict: TuningVerdict, *, faults=None) -> None:
-        """Store one verdict (write-through when persisting); ``faults``
-        is the calling session's fault plan, as in
-        :meth:`ScheduleCache.put <repro.runtime.cache.ScheduleCache.put>`."""
-        self._install(key, verdict)
-        if self.persist_dir is not None:
-            self._store_disk(key, verdict, faults)
-
+    # Format: one JSON file, the verdict under a layout number
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.persist_dir / f"{key}.tuning.json"
+    def _files(self, key: str) -> tuple:
+        return ((self.persist_dir / f"{key}.tuning.json", 256, _dump_verdict),)
 
-    def _store_disk(self, key: str, verdict: TuningVerdict, faults) -> None:
-        path = self._path(key)
-        payload = {"format": _FORMAT, "verdict": verdict.to_dict()}
-        with self._locked():
-            if self._store_fault(faults, [(path, 256)]):
-                return  # simulated crash mid-write; reads self-heal
-            # Write-then-rename with a process-unique temp name: a
-            # crash mid-store never leaves a truncated entry, and two
-            # racing writers never share a temp file.
-            tmp = self._tmp_path(path, ".json")
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(path)
-            self._index_bump(key)
-        self.stats.disk_stores += 1
-
-    def _load_disk(self, key: str) -> TuningVerdict | None:
-        path = self._path(key)
-        if not path.exists():
+    def _load(self, paths, dep) -> TuningVerdict | None:
+        payload = json.loads(paths[0].read_text())
+        if payload.get("format") != _FORMAT:
             return None
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("format") != _FORMAT:
-                return None
-            return TuningVerdict.from_dict(payload["verdict"])
-        except Exception:
-            # Corrupt / truncated / foreign file: a miss, not a crash —
-            # the re-search overwrites the bad entry.
-            self.stats.disk_heals += 1
-            return None
+        return TuningVerdict.from_dict(payload["verdict"])
 
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TuningStore(entries={len(self)}/{self.maxsize}, "
-                f"hits={self.stats.hits}, disk_hits={self.stats.disk_hits}, "
-                f"misses={self.stats.misses})")
+    def _served(self, verdict: TuningVerdict) -> TuningVerdict:
+        """Store-served verdicts come back with ``searched=False`` so
+        callers (and tests) can tell a reuse from a fresh search."""
+        return dataclasses.replace(verdict, searched=False)

@@ -9,8 +9,8 @@ halving then does the rest:
 1. enumerate the candidate space (:mod:`repro.tuning.space`);
 2. simulate every candidate on a small prefix of the graph, keep the
    better half; repeat on a larger prefix;
-3. simulate the survivors on the full graph; optionally time the top
-   finalists on a real backend when a kernel is supplied;
+3. simulate the survivors on the full graph — the machine model is
+   the only scorer, at every rung;
 4. the winner becomes a :class:`~repro.tuning.store.TuningVerdict`,
    cached in the :class:`~repro.tuning.store.TuningStore` so the next
    structurally identical compile skips the search entirely.
@@ -29,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.inspector import Inspector
-from ..errors import ReproError, ValidationError
+from ..errors import ValidationError
 from ..machine.costs import MULTIMAX_320, MachineCosts
 from ..machine.simulator import sequential_time
 from ..observe.tracer import maybe_span
-from ..runtime.registry import executor_registry
 from ..util.digest import structure_digest
-from ..util.validation import check_positive, check_vector
-from .features import WorkloadFeatures, extract_features
-from .measure import Measurement, prefix_graph, simulate_spec, time_spec
+from ..util.validation import check_horizon, check_positive, check_vector
+from .features import extract_features
+from .measure import Measurement, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 
@@ -51,7 +50,7 @@ KEEP = 0.5
 #: Smallest prefix worth simulating — rungs below it are skipped (tiny
 #: graphs go straight to exhaustive full-size search).
 MIN_RUNG = 256
-#: Survivors ranked at full size (and timed, in stage two).
+#: Fewest candidates a pruning rung keeps.
 FINALISTS = 3
 
 
@@ -96,28 +95,6 @@ class ProgramVerdict:
         if self.sim_makespan <= 0:
             return 1.0
         return self.baseline_makespan / self.sim_makespan
-
-
-def _check_arbitration(kernel, backend: str | None) -> bool:
-    """Whether stage two (real-backend arbitration) is requested.
-
-    A kernel without an execution backend — or vice versa — is a
-    half-specified request; fail it eagerly rather than silently
-    returning a sim-only verdict the caller believes was timed.
-    """
-    wants_exec = backend is not None and backend != "sim"
-    if kernel is not None and not wants_exec:
-        raise ValidationError(
-            "a kernel enables real-backend arbitration; also pass "
-            "backend=... (e.g. 'threads'), or omit the kernel for a "
-            "sim-only search"
-        )
-    if wants_exec and kernel is None:
-        raise ValidationError(
-            f"backend {backend!r} requires a kernel to execute; pass "
-            "kernel=..., or omit the backend for a sim-only search"
-        )
-    return kernel is not None and wants_exec
 
 
 class Tuner:
@@ -172,21 +149,16 @@ class Tuner:
         self.last_measurements: list[Measurement] = []
 
     # ------------------------------------------------------------------
-    def tune(self, deps, *, kernel=None, backend: str | None = None,
-             unit_work: np.ndarray | None = None,
+    def tune(self, deps, *, unit_work: np.ndarray | None = None,
              expected_executions: float | None = None) -> TuningVerdict:
         """Verdict for ``deps`` — from the store, or a fresh search.
 
-        ``kernel``/``backend`` enable stage two: the top finalists are
-        executed for real and the wall clock picks among them.  Such
-        backend-arbitrated verdicts are stored under their own key
-        (``exec:<backend>``), never shared with sim-only searches.
-
         ``unit_work`` overrides the per-iteration work pricing (used
         by the variant search so every variant of one program charges
-        identical statement work); ``expected_executions`` amortises
-        each candidate's inspection cost over that many executions, so
-        the no-inspection speculative arm can win on cold structures.
+        identical statement work); ``expected_executions`` (positive
+        and finite; below one execution counts as one) amortises each
+        candidate's inspection cost over that many executions, so the
+        no-inspection speculative arm can win on cold structures.
         Either knob suffixes the store key — such verdicts never
         collide with plain makespan searches.
 
@@ -196,32 +168,27 @@ class Tuner:
         dep = Inspector.dependences_of(deps)
         if unit_work is not None:
             unit_work = check_vector(unit_work, dep.n, "unit_work")
+        horizon = check_horizon(expected_executions)
         candidates = enumerate_space(dep.n, self.nproc)
-        arbitrated = _check_arbitration(kernel, backend)
         store, obs = self.store, self.observer
         key = None
         if store is not None:
-            mode = f"exec:{backend}" if arbitrated else "sim"
-            if expected_executions is not None:
-                mode += f":amort={float(expected_executions):g}"
+            mode = "sim"
+            if horizon is not None:
+                mode += f":amort={horizon:g}"
             if unit_work is not None:
                 mode += f":uw={structure_digest((unit_work,))}"
             key = TuningStore.key_for(
                 dep, self.nproc, self.costs, space_fingerprint(candidates),
                 mode=mode,
             )
-            since = store.stats.snapshot() if obs is not None else None
-            verdict = store.get(key)
-            if obs is not None:
-                store.mirror(obs, since)
+            verdict = store.session_get(key, observer=obs)
             if verdict is not None:
                 if obs is not None:
                     obs.inc("tuner.store_hits")
                 return verdict
-        verdict = self.search(dep, candidates,
-                              kernel=kernel, backend=backend,
-                              unit_work=unit_work,
-                              expected_executions=expected_executions)
+        verdict = self.search(dep, candidates, unit_work=unit_work,
+                              expected_executions=horizon)
         if store is not None:
             store.session_put(key, verdict, faults=self.faults, observer=obs)
         return verdict
@@ -232,9 +199,6 @@ class Tuner:
         dep,
         candidates: list[CandidateSpec] | None = None,
         *,
-        features: WorkloadFeatures | None = None,
-        kernel=None,
-        backend: str | None = None,
         unit_work: np.ndarray | None = None,
         expected_executions: float | None = None,
     ) -> TuningVerdict:
@@ -243,32 +207,41 @@ class Tuner:
             # Checked here, not per candidate: ``simulate_spec`` scores
             # any candidate's ValidationError as "cannot run".
             unit_work = check_vector(unit_work, dep.n, "unit_work")
+        horizon = check_horizon(expected_executions)
         if candidates is None:
             candidates = enumerate_space(dep.n, self.nproc)
         if not candidates:
             raise ValidationError("the candidate space is empty")
-        if features is None:
-            features = extract_features(dep, None, self.costs)
         obs = self.observer
         with maybe_span(obs, "tune", n=dep.n,
                         candidates=len(candidates)) as span:
-            verdict = self._search_impl(
-                dep, candidates, features=features, kernel=kernel,
-                backend=backend, unit_work=unit_work,
-                expected_executions=expected_executions)
+            verdict = self._search_impl(dep, candidates, unit_work=unit_work,
+                                        horizon=horizon)
             span.annotate(sims=verdict.sims, winner=verdict.label())
         return verdict
+
+    def _score(self, dep, specs, measurements, *, unit_work, horizon) -> list:
+        """One rung: simulate every spec on ``dep`` (the search's only
+        scorer) and return ``(score, spec)`` best first — a stable
+        sort, so ties keep the seeded shuffle order."""
+        scored = []
+        for spec in specs:
+            score, err = simulate_spec(self._runtime, dep, spec,
+                                       unit_work=unit_work,
+                                       expected_executions=horizon)
+            if err is not None:
+                measurements[spec].error = err
+            scored.append((score, spec))
+        scored.sort(key=lambda t: t[0])
+        return scored
 
     def _search_impl(
         self,
         dep,
         candidates: list[CandidateSpec],
         *,
-        features: WorkloadFeatures,
-        kernel,
-        backend: str | None,
         unit_work: np.ndarray | None,
-        expected_executions: float | None,
+        horizon: float | None,
     ) -> TuningVerdict:
         obs = self.observer
         if obs is not None:
@@ -282,19 +255,13 @@ class Tuner:
         # Pruning rungs: simulate on growing prefixes, halve the field.
         for rung, m in enumerate(self._rung_sizes(dep.n)):
             entered = len(survivors)
-            sub = prefix_graph(dep, m)
-            sub_uw = None if unit_work is None else unit_work[:m]
-            scored = []
-            for spec in survivors:
-                score, err = simulate_spec(
-                    self._runtime, sub, spec, unit_work=sub_uw,
-                    expected_executions=expected_executions)
-                sims += 1
+            scored = self._score(
+                prefix_graph(dep, m), survivors, measurements,
+                unit_work=None if unit_work is None else unit_work[:m],
+                horizon=horizon)
+            sims += entered
+            for score, spec in scored:
                 measurements[spec].rung_scores.append(score)
-                if err is not None:
-                    measurements[spec].error = err
-                scored.append((score, spec))
-            scored.sort(key=lambda t: t[0])  # stable: shuffled tie order
             kept = max(FINALISTS, math.ceil(len(scored) * KEEP))
             survivors = [spec for _, spec in scored[:kept]]
             # Diversity guarantee: prefix fidelity is biased against
@@ -313,70 +280,40 @@ class Tuner:
                         entered - len(survivors))
 
         # Final rung: every survivor at full size.
-        scored = []
-        for spec in survivors:
-            score, err = simulate_spec(
-                self._runtime, dep, spec, unit_work=unit_work,
-                expected_executions=expected_executions)
-            sims += 1
+        scored = self._score(dep, survivors, measurements,
+                             unit_work=unit_work, horizon=horizon)
+        sims += len(survivors)
+        for score, spec in scored:
             measurements[spec].sim_makespan = score
-            if err is not None:
-                measurements[spec].error = err
-            scored.append((score, spec))
-        scored.sort(key=lambda t: t[0])
-        finalists = [spec for score, spec in scored[:FINALISTS]
-                     if math.isfinite(score)]
-        if not finalists:
+        best_score, best = scored[0]
+        if not math.isfinite(best_score):
             raise ValidationError(
                 "no candidate produced a legal schedule for this workload"
             )
-
-        best = finalists[0]
-        # Stage two: the wall clock arbitrates among the finalists.
-        if _check_arbitration(kernel, backend):
-            timed = []
-            for spec in finalists:
-                seconds, err = time_spec(self._runtime, dep, spec, kernel,
-                                         backend=backend)
-                measurements[spec].host_seconds = seconds
-                if err is not None:
-                    measurements[spec].error = err
-                timed.append((seconds, spec))
-            timed.sort(key=lambda t: t[0])  # stable: sim rank breaks ties
-            if math.isfinite(timed[0][0]):
-                best = timed[0][1]
 
         self.last_measurements = [
             measurements[spec] for spec in candidates
         ]
         if obs is not None:
             obs.inc("tuner.sims", sims)
+        # A cached compile: the final rung built the winner a moment
+        # ago.  Its wavefronts spare the signature a sweep of its own
+        # (the speculative arm inspected nothing and has none).
+        loop = self._runtime.compile(dep, **best.compile_kwargs())
+        features = extract_features(dep, loop.wavefronts, self.costs)
         return TuningVerdict(
             executor=best.executor,
             scheduler=best.scheduler,
             assignment=best.assignment,
             balance=best.balance,
-            sim_makespan=measurements[best].sim_makespan,
+            sim_makespan=best_score,
             seq_time=sequential_time(dep, self.costs, unit_work),
             candidates=len(candidates),
             sims=sims,
             seed=self.seed,
             signature=features.signature(),
-            pipeline_cost=self._pipeline_cost_of(dep, best),
+            pipeline_cost=float(loop.inspection.pipeline_cost),
         )
-
-    def _pipeline_cost_of(self, dep, spec: CandidateSpec) -> float:
-        """Inspection cost of one candidate (cached compile; 0 for the
-        no-inspection speculative arm)."""
-        try:
-            meta = (executor_registry.metadata(spec.executor)
-                    if spec.executor in executor_registry else {})
-            if meta.get("speculative"):
-                return 0.0
-            loop = self._runtime.compile(dep, **spec.compile_kwargs())
-            return float(loop.inspection.pipeline_cost)
-        except ReproError:
-            return 0.0
 
     # ------------------------------------------------------------------
     def tune_program(self, prog, *,
@@ -402,6 +339,7 @@ class Tuner:
         """
         from ..program.transform import enumerate_variants
 
+        horizon = check_horizon(expected_executions)
         variants = enumerate_variants(prog)
         sync = self.costs.sync_cost(self.nproc)
         results = []
@@ -415,7 +353,7 @@ class Tuner:
                     verdict = self.tune(
                         sp.dependence_graph(),
                         unit_work=sp.unit_work(self.costs),
-                        expected_executions=expected_executions,
+                        expected_executions=horizon,
                     )
                     stage_verdicts.append(verdict)
                     total += verdict.sim_makespan
@@ -433,8 +371,7 @@ class Tuner:
             seq_time=sequential_time(prog.dependence_graph(), self.costs,
                                      prog.unit_work(self.costs)),
             variant_scores=tuple((v.name, float(t)) for t, v, _ in results),
-            expected_executions=(None if expected_executions is None
-                                 else float(expected_executions)),
+            expected_executions=horizon,
         )
 
     # ------------------------------------------------------------------

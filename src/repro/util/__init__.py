@@ -1,6 +1,7 @@
 """Small shared utilities: validation, RNG handling, ASCII tables, timing."""
 
 from .validation import (
+    check_horizon,
     check_index_array,
     check_positive,
     check_square,
@@ -13,6 +14,7 @@ from .tables import TextTable
 from .timing import Stopwatch
 
 __all__ = [
+    "check_horizon",
     "check_index_array",
     "check_positive",
     "check_square",

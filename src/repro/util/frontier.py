@@ -28,7 +28,6 @@ __all__ = [
     "expand_csr_ranges",
     "frontier_sweep",
     "rows_from_indptr",
-    "segment_max",
 ]
 
 
@@ -45,36 +44,6 @@ def rows_from_indptr(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(
         np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr)
     )
-
-
-def segment_max(
-    values: np.ndarray,
-    indptr: np.ndarray,
-    *,
-    empty: float = 0.0,
-) -> np.ndarray:
-    """Per-segment maximum: ``out[k] = max(values[indptr[k]:indptr[k+1]])``.
-
-    ``values`` must cover exactly ``indptr[-1]`` entries.  Empty
-    segments yield ``empty``.  One ``np.maximum.reduceat`` over the
-    non-empty segments — their start offsets are strictly increasing
-    and consecutive in ``values`` (empty segments contribute nothing),
-    which is precisely the layout ``reduceat`` reduces correctly.
-
-    ``simulate_prescheduled`` takes its per-phase processor-work maxima
-    with it.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    nseg = indptr.shape[0] - 1
-    counts = np.diff(indptr)
-    out = np.full(nseg, empty, dtype=np.float64)
-    if values.size:
-        nonempty = counts > 0
-        if nonempty.all():
-            out[:] = np.maximum.reduceat(values, indptr[:-1])
-        elif nonempty.any():
-            out[nonempty] = np.maximum.reduceat(values, indptr[:-1][nonempty])
-    return out
 
 
 def expand_csr_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

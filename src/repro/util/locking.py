@@ -79,15 +79,17 @@ class FileLock:
 
     def acquire(self) -> "FileLock":
         start = time.monotonic()
+        # Only a failed try is contention: a slow open()/flock() on a
+        # busy host is not a wait on another writer.
+        self.waited = 0.0
         while not self._try_once():
-            waited = time.monotonic() - start
-            if waited >= self.timeout:
+            if time.monotonic() - start >= self.timeout:
                 raise LockTimeout(
                     f"could not lock {self.path} within {self.timeout}s "
                     "(another writer is holding it unusually long)"
                 )
             time.sleep(self.poll)
-        self.waited = time.monotonic() - start
+            self.waited = time.monotonic() - start
         return self
 
     def release(self) -> None:

@@ -3,7 +3,7 @@
 Every experiment in :mod:`repro.experiments` produces a
 :class:`TextTable`; the benchmark harness prints these to mimic the
 tables in the paper, and the report writer serialises them to Markdown
-for ``EXPERIMENTS.md``.
+(``python -m repro.experiments -o report.md``).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ __all__ = [
     "as_int_array",
     "as_float_array",
     "check_index_array",
+    "check_horizon",
     "check_positive",
     "check_square",
     "check_vector",
@@ -66,6 +67,21 @@ def check_positive(value, name: str = "value") -> int:
     if iv != value or iv <= 0:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return iv
+
+
+def check_horizon(value, name: str = "expected_executions") -> float | None:
+    """Validate an amortisation horizon: ``None`` (no amortisation) or a
+    positive, finite number of executions, returned as a ``float``
+    clamped to at least one — part of an execution amortises no more
+    of an inspection than one does, so every horizon below one scores,
+    and keys, as one."""
+    if value is None:
+        return None
+    horizon = float(value)
+    if not 0.0 < horizon < float("inf"):  # nan fails both comparisons
+        raise ValidationError(
+            f"{name} must be positive and finite (or None), got {value!r}")
+    return max(1.0, horizon)
 
 
 def check_square(shape, name: str = "matrix") -> int:

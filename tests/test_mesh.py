@@ -1,8 +1,14 @@
 """Unit tests for grids, discretizations and the named test problems."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ValidationError
 from repro.mesh.blockops import block_seven_point, seven_point_structure
 from repro.mesh.fd2d import (
@@ -186,3 +192,19 @@ class TestProblemRegistry:
 
     def test_case_insensitive(self):
         assert get_problem("spe1").name == "SPE1"
+
+    def test_spe_rhs_is_the_same_in_every_process(self):
+        # It was seeded from hash(name), which CPython salts per
+        # process: SPE1's iteration count flipped between report runs.
+        code = ("import hashlib; from repro.mesh.problems import get_problem; "
+                "print(hashlib.sha1(get_problem('SPE1', scale=0.5)"
+                ".b.tobytes()).hexdigest())")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, timeout=60,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            ).stdout
+            for seed in ("1", "2")}
+        assert len(digests) == 1

@@ -133,11 +133,9 @@ class TestMetrics:
         m = MetricsRegistry()
         m.inc("c")
         m.inc("c", 2.5)
-        m.set("g", 7.0)
         m.observe("h", 1.0)
         m.observe("h", 3.0)
         assert m.value("c") == 3.5
-        assert m.value("g") == 7.0
         h = m.get("h")
         assert h.count == 2 and h.mean == 2.0
         assert h.min == 1.0 and h.max == 3.0

@@ -622,6 +622,8 @@ class TestAmortisedArbitration:
             Runtime(nproc=4, expected_executions=0)
         with pytest.raises(ValidationError):
             Runtime(nproc=4, expected_executions=-2)
+        with pytest.raises(ValidationError, match="expected_executions"):
+            Runtime(nproc=4, expected_executions=float("nan"))
         assert Runtime(nproc=4).expected_executions is None
         assert Runtime(nproc=4, expected_executions=8).expected_executions == 8.0
 

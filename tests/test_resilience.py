@@ -411,6 +411,19 @@ class TestFileLock:
         with FileLock(path, timeout=0.5):
             pass
 
+    def test_an_uncontended_acquire_waited_nothing(self, tmp_path,
+                                                   monkeypatch):
+        # ``waited`` used to time the first try too, so a slow
+        # open()/flock() on a busy host counted as a ``lock_waits``.
+        import time
+
+        lock = FileLock(tmp_path / "x.lock")
+        try_once = lock._try_once
+        monkeypatch.setattr(
+            lock, "_try_once", lambda: (time.sleep(0.002), try_once())[1])
+        with lock:
+            assert lock.waited == 0.0
+
     def test_contention_is_measured(self, tmp_path):
         path = tmp_path / "x.lock"
         first = FileLock(path)

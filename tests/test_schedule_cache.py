@@ -72,7 +72,7 @@ class TestKeys:
          {"schedule", "tuning", "speculation"}),
         (dict(versions=(("local", 2), ("wrapped", 1))), {"schedule"}),
         (dict(space="space-b"), {"tuning"}),
-        (dict(mode="exec:threads"), {"tuning"}),
+        (dict(mode="sim:amort=4"), {"tuning"}),
     ])
     def test_any_parameter_changes_the_key(self, case, variant):
         _, _, ia = case
@@ -466,3 +466,46 @@ class TestSharedStoreSessions:
                 stats.disk_stores) == (1, 1, 2, 2, 2)
         assert self.metrics(rt, "schedule_cache") == {
             name: count for name, count in vars(stats).items() if count}
+
+    def test_session_get_mirrors_only_the_callers_lookups(self):
+        cache = ScheduleCache(8)
+        observed = Runtime(4, cache=cache, observe=True)
+        assert cache.session_get("k", observer=None) is None
+        cache.put("k", "entry")
+        assert cache.session_get("k", observer=observed.observer) == "entry"
+        assert cache.session_get("k", observer=None) == "entry"
+        assert self.metrics(observed, "schedule_cache") == {"hits": 1}
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+
+@pytest.mark.parametrize("store_cls", [ScheduleCache, TuningStore])
+def test_both_stores_run_the_one_get_and_put(store_cls, case, tmp_path):
+    """Miss → put → memory hit → disk hit in a fresh instance → a
+    corrupt file heals as a miss: the base class's steps, so the same
+    counters whichever format hooks sit under them."""
+    dep = graph_of(case[2])
+    value = (Runtime(4).compile(dep).inspection
+             if store_cls is ScheduleCache else Runtime(4).tune(dep))
+    assert not {"get", "put", "_store_disk", "_load_disk"} & set(
+        vars(store_cls))
+
+    def counts(store):
+        stats = store.stats
+        return (stats.hits, stats.disk_hits, stats.misses,
+                stats.disk_stores, stats.disk_heals)
+
+    store = store_cls(4, persist_dir=tmp_path)
+    assert store.get("k", dep) is None and counts(store) == (0, 0, 1, 0, 0)
+    store.put("k", value)
+    assert counts(store) == (0, 0, 1, 1, 0)
+    assert store.get("k", dep) is not None
+    assert counts(store) == (1, 0, 1, 1, 0)
+    fresh = store_cls(4, persist_dir=tmp_path)
+    assert fresh.get("k", dep) is not None
+    assert counts(fresh) == (0, 1, 0, 0, 0)
+    assert fresh.get("k", dep) is not None      # installed by the disk hit
+    assert counts(fresh) == (1, 1, 0, 0, 0)
+    for path in tmp_path.glob("k.*"):
+        path.write_bytes(b"junk")
+    healed = store_cls(4, persist_dir=tmp_path)
+    assert healed.get("k", dep) is None and counts(healed) == (0, 0, 1, 0, 1)

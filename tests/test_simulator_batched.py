@@ -25,7 +25,7 @@ from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
 from repro.errors import DeadlockError
 from repro.machine.costs import MULTIMAX_320, MachineCosts
 from repro.machine.simulator import simulate_self_executing, work_vector
-from repro.util.frontier import rows_from_indptr, segment_max
+from repro.util.frontier import rows_from_indptr
 
 
 def _poll_costs(t_poll: float) -> MachineCosts:
@@ -272,25 +272,10 @@ class TestEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# New helpers: segment_max / rows_from_indptr / edge_rows / successors
+# Helpers: rows_from_indptr / edge_rows / successors
 # ----------------------------------------------------------------------
 
 class TestHelpers:
-    def test_segment_max_ragged(self):
-        values = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
-        indptr = np.array([0, 2, 2, 5, 6])
-        out = segment_max(values, indptr, empty=-1.0)
-        np.testing.assert_array_equal(out, [3.0, -1.0, 5.0, 9.0])
-
-    def test_segment_max_all_empty(self):
-        out = segment_max(np.empty(0), np.zeros(4, dtype=np.int64), empty=7.0)
-        np.testing.assert_array_equal(out, np.full(3, 7.0))
-
-    def test_segment_max_full(self):
-        values = np.arange(6, dtype=np.float64)
-        out = segment_max(values, np.array([0, 3, 6]))
-        np.testing.assert_array_equal(out, [2.0, 5.0])
-
     def test_rows_from_indptr(self):
         indptr = np.array([0, 2, 2, 5])
         np.testing.assert_array_equal(rows_from_indptr(indptr),

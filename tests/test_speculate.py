@@ -19,7 +19,7 @@ from repro.core.executor import (
 )
 from repro.core.reference import speculation_violations
 from repro.errors import ValidationError
-from repro.runtime.registry import backend_registry, executor_registry
+from repro.runtime.registry import executor_registry
 from repro.sparse.build import random_lower_triangular
 from repro.speculate import (
     FALLBACK_THRESHOLD,
@@ -329,23 +329,6 @@ class TestRuntimeIntegration:
         want = serial_simple(ia, x2, prog.data["b"])
         assert np.array_equal(r.x, want)
 
-    def test_speculative_backend(self):
-        n = 100
-        prog = self.make_prog(np.arange(n))
-        rt = Runtime(nproc=4)
-        loop = rt.compile(prog, strategy="speculative")
-        r = loop(backend="speculative")
-        assert r.backend == "speculative"
-        assert r.speculation.attempts == 1
-
-    def test_classic_loop_rejected_by_speculative_backend(self):
-        n = 40
-        prog = self.make_prog(np.arange(n))
-        rt = Runtime(nproc=4)
-        loop = rt.compile(prog)  # classic pipeline
-        with pytest.raises(ValidationError):
-            loop(backend="speculative")
-
     def test_tuner_space_has_one_speculative_candidate(self):
         specs = [s for s in enumerate_space(1000, 8)
                  if s.executor == "speculative"]
@@ -354,7 +337,25 @@ class TestRuntimeIntegration:
         assert specs[0].assignment == "wrapped"
         assert "speculative" in executor_registry
         assert executor_registry.metadata("speculative").get("speculative")
-        assert "speculative" in backend_registry
+
+    def test_the_candidates_compile_is_the_speculative_strategy(self):
+        # Runtime.compile is the one reader of the flag: the tuner
+        # scores its speculative candidate through these keywords.
+        ia = sparse_conflict_ia(400, 4, seed=2)
+        spec, = [s for s in enumerate_space(ia.size, 4)
+                 if s.executor == "speculative"]
+        rt = Runtime(nproc=4)
+        named = rt.compile(ia, **spec.compile_kwargs())
+        asked = rt.compile(ia, strategy="speculative")
+        assert named.plan.kind == asked.plan.kind == "speculative"
+        assert named.inspection.pipeline_cost == 0.0
+        assert named.schedule == asked.schedule
+        assert (named.executor.plan().chunk_bounds
+                == asked.executor.plan().chunk_bounds)
+        a, b = named.simulate(), asked.simulate()
+        assert a.total_time == b.total_time
+        assert np.array_equal(a.busy, b.busy)
+        assert np.array_equal(a.idle, b.idle)
 
     def test_strategy_auto_sees_speculative(self):
         n = 300

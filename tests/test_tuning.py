@@ -72,6 +72,13 @@ class TestFeatures:
         dep2 = DependenceGraph.from_indirection(ia.copy())
         assert extract_features(dep).signature() == extract_features(dep2).signature()
 
+    def test_searched_signature_is_the_graphs_own(self, fig3):
+        # The search hands extract_features the winner's wavefronts
+        # instead of sweeping again; the signature must not notice.
+        _, dep = fig3
+        assert Tuner(4).search(dep).signature == \
+            extract_features(dep).signature()
+
     def test_roundtrip_dict(self, fig3):
         _, dep = fig3
         f = extract_features(dep)
@@ -172,6 +179,11 @@ class TestTunerDeterminism:
 
         assert list(inspect.signature(Tuner.__init__).parameters)[1:] == [
             "nproc", "costs", "seed", "store", "observer", "faults"]
+        # ... and the machine model is the one scorer: no entry takes
+        # a kernel or backend to time, or ready-made features.
+        for entry in (Tuner.tune, Tuner.search, Runtime.tune):
+            assert not {"kernel", "backend", "features"} & set(
+                inspect.signature(entry).parameters)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_speculative_arm_is_scored_under_the_session_seed(self, seed):
@@ -234,6 +246,31 @@ class TestTunerQuality:
         # used to report as "no candidate produced a legal schedule".
         with pytest.raises(ValidationError, match="unit_work"):
             getattr(Tuner(4), entry)(chain_graph(4), unit_work=bad)
+
+    @pytest.mark.parametrize("entry", ["tune", "search", "tune_program"])
+    @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("inf")])
+    def test_bad_horizon_is_named_and_nothing_is_stored(self, entry, bad):
+        # These used to score as horizon 1 and persist under keys of
+        # their own ("amort=0", "amort=-3", "amort=nan").
+        from repro.workload.multisweep import sweep_program
+
+        store = TuningStore(8)
+        source = (sweep_program(np.ones(8), np.ones(8))
+                  if entry == "tune_program" else chain_graph(8))
+        with pytest.raises(ValidationError, match="expected_executions"):
+            getattr(Tuner(4, store=store), entry)(
+                source, expected_executions=bad)
+        assert len(store) == 0 and store.stats.lookups == 0
+
+    def test_a_horizon_below_one_is_one(self):
+        # Scored as 1 all along — and now stored as 1 too.
+        dep = chain_graph(300)
+        tuner = Tuner(4, store=TuningStore(8))
+        one = tuner.tune(dep, expected_executions=1)
+        half = tuner.tune(dep, expected_executions=0.5)
+        assert not half.searched
+        assert dataclasses.replace(half, searched=True) == one
+        assert len(tuner.store) == 1
 
 
 class TestStore:
@@ -321,7 +358,7 @@ class TestStore:
 
     def test_arbitration_mode_keys_separately(self, fig3):
         _, dep = fig3
-        assert self.key(dep, mode="sim") != self.key(dep, mode="exec:threads")
+        assert self.key(dep, mode="sim") != self.key(dep, mode="sim:amort=4")
 
 
 class TestRuntimeAuto:
@@ -408,18 +445,3 @@ class TestRuntimeAuto:
         loop = rt.compile(mesh, **verdict.compile_kwargs())
         assert loop.simulate().total_time == pytest.approx(verdict.sim_makespan)
 
-    def test_backend_arbitrated_tune_keys_separately(self):
-        # A warm sim-only verdict must NOT satisfy a request for
-        # real-backend arbitration (and vice versa): the two modes
-        # store under different keys.
-        rng = np.random.default_rng(8)
-        n = 300
-        ia = rng.integers(0, n, size=n)
-        kernel = SimpleLoopKernel(rng.standard_normal(n),
-                                  rng.standard_normal(n), ia)
-        rt = Runtime(nproc=2)
-        assert rt.tune(ia).searched
-        timed = rt.tune(ia, kernel=kernel, backend="serial")
-        assert timed.searched          # mode differs: searched again
-        assert not rt.tune(ia).searched                   # sim key warm
-        assert not rt.tune(ia, kernel=kernel, backend="serial").searched
