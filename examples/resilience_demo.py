@@ -126,7 +126,7 @@ def main() -> None:
     print("  next call runs speculatively again (no permanent demotion)\n")
 
     # ------------------------------------------------------------------
-    # Recovery-report artifact (CI uploads it from benchmarks/results)
+    # Recovery-report artifact (CI uploads it)
     # ------------------------------------------------------------------
     out = os.environ.get("REPRO_RECOVERY_REPORT")
     if out:

@@ -2,8 +2,8 @@
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
-# one-speculative-gate and one-store-discipline rules, then run the tier-1
-# test suite.
+# one-speculative-gate, one-store-discipline and two-instruments rules, then
+# run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -141,6 +141,23 @@ if [ -n "$(echo "$calls" | grep -v '^src/repro/core/executor.py:' || true)" ] \
    || [ "$(echo "$calls" | grep -c '^src/repro/core/executor.py:')" -ne 2 ]; then
     echo "$calls"
     echo "error: a per-index walk outside flat_walk / SerialExecutor" >&2
+    exit 1
+fi
+
+echo "== two instruments: the ledger measures, paper_scale.py + gates.py assert =="
+# The pytest-benchmark harness (bench_*.py, its conftest, record writer
+# and scale knobs) was replaced by two plain pytest files beside the
+# ledger; nothing else may grow there.
+beside=$(git ls-files benchmarks | grep -v '^benchmarks/ledger/' || true)
+if [ "$beside" != "$(printf 'benchmarks/gates.py\nbenchmarks/paper_scale.py')" ]; then
+    echo "$beside"
+    echo "error: benchmarks/ tracks something other than ledger/, gates.py and paper_scale.py" >&2
+    exit 1
+fi
+# ([_] keeps the pattern from matching this file.)
+if git ls-files '*.py' '*.yml' '*.sh' \
+   | xargs grep -nE 'pytest[_]benchmark|REPRO_BENCH[_]|save[_]table|raw[_]rows'; then
+    echo "error: a name of the deleted benchmark harness reappeared" >&2
     exit 1
 fi
 

@@ -17,8 +17,8 @@ independent oracles:
   ``tests/test_wavefront.py``) assert ``vectorized == reference`` on
   random DAGs, so the fast paths can never drift from the reference
   semantics;
-* ``benchmarks/bench_inspector.py`` measures the fast paths *against*
-  these oracles, keeping the speedup claim honest.
+* ``benchmarks/gates.py`` measures the fast paths *against* these
+  oracles, keeping the speedup claim honest.
 
 Everything here is intentionally slow — O(n) or O(e) Python-level
 iterations — and none of it is called on the production hot path

@@ -1,9 +1,9 @@
 """Experiment drivers — one module per table/figure of the paper.
 
 Each driver returns both structured rows (dataclasses) and a rendered
-:class:`~repro.util.tables.TextTable`, so the benchmark harness can
-print paper-shaped tables and the report writer can serialise them
-(``python -m repro.experiments -o report.md``).
+:class:`~repro.util.tables.TextTable`, so ``benchmarks/paper_scale.py``
+can assert the paper's shape on the rows and the report writer can
+serialise the tables (``python -m repro.experiments -o report.md``).
 
 =================  ====================================================
 Module             Reproduces

@@ -4,7 +4,7 @@
 processor count, machine cost model, problem scale — so that a single
 object configures a full reproduction run.  ``scale < 1`` shrinks the
 mesh problems proportionally, which the test-suite uses to keep CI
-fast; benchmarks run at the paper's full sizes.
+fast; ``benchmarks/paper_scale.py`` runs at the paper's full sizes.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ScheduleError, ValidationError
-from ..util.validation import check_vector
+from ..util.validation import check_unit_work
 from .costs import MachineCosts
 
 if TYPE_CHECKING:  # imported for annotations only — avoids a cycle with
@@ -114,7 +114,7 @@ def _base_work(
     counts, as floats — the one place ``unit_work`` is validated."""
     nd = dep.dep_counts().astype(np.float64)
     base = (costs.base_work(nd) if unit_work is None
-            else check_vector(unit_work, dep.n, "unit_work"))
+            else check_unit_work(unit_work, dep.n))
     return base, nd
 
 

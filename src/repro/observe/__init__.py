@@ -10,7 +10,7 @@ summary tables (:mod:`~repro.observe.export`).
 Everything here is stdlib-only at import time and free when disabled:
 an un-observed session carries ``observer = None`` and every
 instrumented call site guards with a single ``is not None`` test
-(asserted ≤ a dict lookup by ``benchmarks/bench_observe.py``).
+(both paths' costs are gated by ``benchmarks/gates.py``).
 """
 
 from .export import (

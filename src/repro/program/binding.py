@@ -126,6 +126,9 @@ class LoopProgram:
                                 for a in rr]
         self._resolved_writes = [a for _, ww in self._stmt_resolved
                                  for a in ww]
+        # How long a replaced entry must be (with_data): found when an
+        # entry is first replaced, shared by every with_data copy.
+        self._extents: dict[str, int] = {}
         # What replaying the bodies needs of the structure (first-writer
         # table, tape): built on first execution, shared by every
         # with_data copy, so compiled-and-discarded variants and
@@ -292,11 +295,13 @@ class LoopProgram:
     def with_data(self, **arrays) -> "LoopProgram":
         """A new program with some data entries replaced.
 
-        Unknown names fail eagerly.  When no structural entry (index
-        source) is touched, the resolved descriptors, dependence graph
-        and structure hash all carry over — a pure data swap costs one
-        dict merge, nothing proportional to the problem size, which is
-        what keeps per-iteration rebinding (the Krylov pattern) free.
+        Unknown names fail eagerly, as does a replacement that is not an
+        array long enough for the accesses declared on its entry.  When
+        no structural entry (index source) is touched, the resolved
+        descriptors, dependence graph and structure hash all carry over
+        — a pure data swap costs one dict merge, nothing proportional to
+        the problem size, which is what keeps per-iteration rebinding
+        (the Krylov pattern) free.
         A touched index source re-resolves and re-extracts only if its
         values actually changed (checked by hash).
         """
@@ -306,6 +311,19 @@ class LoopProgram:
                 f"cannot rebind unknown data entries {unknown}; bound "
                 f"entries are: {sorted(self.data)}"
             )
+        for name, value in arrays.items():
+            if name not in self._extents:
+                self._extents[name] = max(
+                    (self.n if acc.identity
+                     else int(acc.indices.max(initial=-1)) + 1
+                     for acc in self._resolved_reads + self._resolved_writes
+                     if acc.array == name), default=0)
+            need = self._extents[name]
+            if need and (np.ndim(value) == 0 or len(value) < need):
+                raise ValidationError(
+                    f"data entry {name!r} must be an array of at least "
+                    f"{need} elements (the declared accesses reach that "
+                    f"far), got shape {np.shape(value)}")
         data = dict(self.data)
         data.update(arrays)
         fresh = copy.copy(self)

@@ -62,7 +62,7 @@ from ..observe.tracer import maybe_span, now
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RetryPolicy, run_with_recovery
 from ..util.timing import Stopwatch
-from ..util.validation import check_horizon, check_positive
+from ..util.validation import check_horizon, check_positive, check_seed
 from . import backends as _backends  # noqa: F401 — registers the built-ins
 from .cache import CacheStats, ScheduleCache
 from .registry import (
@@ -553,12 +553,14 @@ class CompiledLoop:
             if self.verdict is not None:
                 return self.runtime.compile(program, strategy="auto")
             return self.runtime.compile(program, **self.plan.compile_kwargs())
-        self.program = program
+        # Whatever can refuse the new data runs before anything is
+        # stored, so a refused rebind leaves the loop as it was.  A loop
+        # that bound no kernel (kernel-free, staged) has none to rebuild.
+        kernel = (program.make_kernel() if self.bound_kernel is not None
+                  else None)
         self.plan = self.plan.rebound(program, arrays)
-        if self.bound_kernel is not None:
-            # A loop that bound no kernel at compile time (kernel-free
-            # programs, staged plans) has none to rebuild.
-            self.bound_kernel = program.make_kernel()
+        self.program = program
+        self.bound_kernel = kernel
         self.rebinds += 1
         return self
 
@@ -621,7 +623,8 @@ class Runtime:
         ``tuning=None``) — a warm store skips the whole strategy
         search across process restarts.
     tune_seed:
-        Seed of the (deterministic) strategy search.
+        Seed of the (deterministic) strategy search and of the
+        speculative chunk shuffle: a non-negative integer.
     expected_executions:
         Amortisation horizon of ``strategy="auto"`` arbitration: the
         number of executions each compiled structure is expected to
@@ -704,7 +707,7 @@ class Runtime:
             raise ValidationError(
                 "recovery must be a repro.resilience.RetryPolicy, a bool, "
                 "or None")
-        self.tune_seed = int(tune_seed)
+        self.tune_seed = check_seed(tune_seed, "tune_seed")
         self._tuner = None  # built on the first strategy="auto" compile
         self._inspector = Inspector(costs, observer=self.observer)
         # The stores and the fault plan may be shared with other

@@ -45,7 +45,7 @@ from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
 from ..runtime.registry import register_executor
 from ..util.rng import default_rng
-from ..util.validation import check_vector
+from ..util.validation import check_seed, check_unit_work
 from .shadow import AccessLog, ShadowScan, repair_set, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor",
@@ -134,7 +134,8 @@ class SpeculativeExecutor:
     costs:
         Machine cost model for :meth:`simulate`.
     seed:
-        Chunk-shuffle seed; the session passes its ``tune_seed`` so
+        Chunk-shuffle seed, a non-negative integer (``None`` shuffles
+        unseeded); the session passes its ``tune_seed`` so
         misspeculation and repair are reproducible per session.
     schedule:
         Optional real schedule (when built from an inspection by the
@@ -151,7 +152,7 @@ class SpeculativeExecutor:
         self.log = log
         self.nproc = int(nproc)
         self.costs = costs
-        self.seed = seed
+        self.seed = None if seed is None else check_seed(seed)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         self.observer = observer
         self.schedule = schedule if schedule is not None else _SpecSchedule(
@@ -241,7 +242,7 @@ class SpeculativeExecutor:
             first_violation=(int(np.argmax(scan.violated))
                              if violated else None),
             shadow_bytes=log.nbytes + scan.nbytes,
-            seed=self.seed if isinstance(self.seed, int) else -1,
+            seed=-1 if self.seed is None else self.seed,
         )
         return SpeculationPlan(chunk_bounds=bounds, scan=scan,
                                repair_indices=repair_indices,
@@ -311,7 +312,7 @@ class SpeculativeExecutor:
         counts_r = log.read_counts().astype(np.float64)
         counts_w = log.write_counts().astype(np.float64)
         base = (costs.base_work(counts_r) if unit_work is None
-                else check_vector(unit_work, n, "unit_work"))
+                else check_unit_work(unit_work, n))
         shared = costs.shared_factor(p)
         w = base + shared * (costs.t_check * counts_r
                              + costs.t_inc * counts_w)

@@ -34,7 +34,12 @@ from ..machine.costs import MULTIMAX_320, MachineCosts
 from ..machine.simulator import sequential_time
 from ..observe.tracer import maybe_span
 from ..util.digest import structure_digest
-from ..util.validation import check_horizon, check_positive, check_vector
+from ..util.validation import (
+    check_horizon,
+    check_positive,
+    check_seed,
+    check_unit_work,
+)
 from .features import extract_features
 from .measure import Measurement, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
@@ -130,7 +135,7 @@ class Tuner:
 
         self.nproc = check_positive(nproc, "nproc")
         self.costs = costs
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.store = store
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         #: Shared with the private search runtime, so candidate
@@ -167,7 +172,7 @@ class Tuner:
         """
         dep = Inspector.dependences_of(deps)
         if unit_work is not None:
-            unit_work = check_vector(unit_work, dep.n, "unit_work")
+            unit_work = check_unit_work(unit_work, dep.n)
         horizon = check_horizon(expected_executions)
         candidates = enumerate_space(dep.n, self.nproc)
         store, obs = self.store, self.observer
@@ -206,7 +211,7 @@ class Tuner:
         if unit_work is not None:
             # Checked here, not per candidate: ``simulate_spec`` scores
             # any candidate's ValidationError as "cannot run".
-            unit_work = check_vector(unit_work, dep.n, "unit_work")
+            unit_work = check_unit_work(unit_work, dep.n)
         horizon = check_horizon(expected_executions)
         if candidates is None:
             candidates = enumerate_space(dep.n, self.nproc)

@@ -3,7 +3,7 @@
 All stochastic pieces of the library (the synthetic workload generator,
 the SPE-like matrix builders, test fixtures) accept either a seed or a
 :class:`numpy.random.Generator`; these helpers normalise the two.
-Determinism matters here: the benchmark harness must regenerate the
+Determinism matters here: the experiment drivers must regenerate the
 *same* synthetic matrices on every run so that simulated timings are
 exactly reproducible.
 """

@@ -1,9 +1,9 @@
 """Plain-text table rendering for the experiment harness.
 
 Every experiment in :mod:`repro.experiments` produces a
-:class:`TextTable`; the benchmark harness prints these to mimic the
-tables in the paper, and the report writer serialises them to Markdown
-(``python -m repro.experiments -o report.md``).
+:class:`TextTable`; ``benchmarks/paper_scale.py`` prints these to mimic
+the tables in the paper, and the report writer serialises them to
+Markdown (``python -m repro.experiments -o report.md``).
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class TextTable:
             raise ValueError("formats must match headers in length")
         self.title = title
         self.rows: list[list[str]] = []
-        #: Unformatted row values, parallel to ``rows`` — what the
-        #: machine-readable benchmark records are built from.
-        self.raw_rows: list[tuple] = []
 
     def add_row(self, *values) -> None:
         """Append a row; values are formatted immediately."""
@@ -60,7 +57,6 @@ class TextTable:
             raise ValueError(
                 f"expected {len(self.headers)} values, got {len(values)}"
             )
-        self.raw_rows.append(values)
         self.rows.append([_fmt(v, f) for v, f in zip(values, self.formats)])
 
     def extend(self, rows: Iterable[Sequence]) -> None:

@@ -19,7 +19,9 @@ __all__ = [
     "check_index_array",
     "check_horizon",
     "check_positive",
+    "check_seed",
     "check_square",
+    "check_unit_work",
     "check_vector",
 ]
 
@@ -69,6 +71,17 @@ def check_positive(value, name: str = "value") -> int:
     return iv
 
 
+def check_seed(value, name: str = "seed") -> int:
+    """Validate that ``value`` is a non-negative integer — what
+    ``numpy.random.default_rng`` takes as a reproducible seed — and
+    return it as ``int``; bools are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 0):
+        raise ValidationError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def check_horizon(value, name: str = "expected_executions") -> float | None:
     """Validate an amortisation horizon: ``None`` (no amortisation) or a
     positive, finite number of executions, returned as a ``float``
@@ -97,4 +110,14 @@ def check_vector(x, n: int, name: str = "vector") -> np.ndarray:
     arr = as_float_array(x, name)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValidationError(f"{name} must have shape ({n},), got {arr.shape}")
+    return arr
+
+
+def check_unit_work(unit_work, n: int) -> np.ndarray:
+    """Validate a per-iteration work override: a length-``n`` float
+    vector of finite entries (negative work is legal); a ``nan`` would
+    time as a ``nan`` makespan and fail every tuner candidate."""
+    arr = check_vector(unit_work, n, "unit_work")
+    if not np.isfinite(arr).all():
+        raise ValidationError("unit_work entries must be finite")
     return arr

@@ -30,6 +30,7 @@ from repro.program import (
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.runtime import CompiledLoop, Runtime
 from repro.workload import sweep_program
+from strategies import program_of
 
 NPROC = 4
 N = 48
@@ -468,3 +469,46 @@ class TestGuardSwapsThePlan:
         assert clean.recovery is None and clean.executor == "speculative"
         assert clean.executions == 2
         assert same(clean.x, oracle(prog))
+
+
+# ----------------------------------------------------------------------
+# Defect 5: a refused rebind changes nothing, and unusable data is
+# refused at the rebind — by the entry's name, not mid-run by numpy
+# ----------------------------------------------------------------------
+
+class TestRebindIsAllOrNothing:
+    @pytest.mark.parametrize("kind,size", [
+        ("scheduled", 3), ("speculative", 3),
+        ("staged-fission", 3), ("staged-skew", 3),
+        # Long enough for the accesses, refused by the hand kernel.
+        ("scheduled", N + 1), ("speculative", N + 1),
+    ])
+    def test_a_refused_rebind_leaves_the_loop_as_it_was(self, kind, size):
+        bad = np.ones(size)
+        case = Case(kind, "program")
+        loop, ((name, good),) = case.loop, case.data_swap.items()
+        program, kernel, plan = loop.program, loop.bound_kernel, loop.plan
+        before = loop().x
+        with pytest.raises(ValidationError):
+            loop.rebind(**{name: bad})
+        assert loop.program is program and loop.bound_kernel is kernel
+        assert loop.plan is plan and loop.rebinds == 0
+        assert same(loop().x, before)
+        # The loop used to keep the rejected program, and refuse every
+        # later rebind with the first one's complaint.
+        assert loop.rebind(**{name: good}) is loop and loop.rebinds == 1
+        assert same(loop().x, oracle(program.with_data(**{name: good})))
+
+    @pytest.mark.parametrize("bad", [np.ones(3), "hello", 1.5],
+                             ids=["short", "str", "scalar"])
+    @pytest.mark.parametrize("kind", ["simple", "recorded", "staged"])
+    def test_unusable_data_is_refused_at_rebind(self, kind, bad):
+        # A hand kernel, a replay kernel, stage loops: all bind "x".
+        rt = Runtime(nproc=NPROC)
+        loop = (staged_sweep(rt)[1] if kind == "staged"
+                else rt.compile(program_of(kind, N, 5)))
+        with pytest.raises(ValidationError,
+                           match=f"data entry 'x' .* at least {N} elements"):
+            loop.rebind(x=bad)
+        assert loop.rebinds == 0
+        loop()  # recorded and staged loops used to die here, in numpy

@@ -41,58 +41,12 @@ from repro.sparse.triangular import (
     solve_lower_sequential,
     solve_upper_sequential,
 )
-
-EXECUTORS = ("self", "preschedule", "doacross")
+from strategies import EXECUTORS, program_of, recorded_program, triangular
 
 
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-
-def triangular(n: int, seed: int, *, lower: bool, inline_diag: bool = True):
-    """A random triangular matrix whose rows hold two to four operands
-    wherever the triangle has room for them."""
-    rng = np.random.default_rng(seed)
-    indptr, indices = [0], []
-    for i in range(n):
-        room = np.arange(i) if lower else np.arange(i + 1, n)
-        take = min(room.size, int(rng.integers(2, 5)))
-        cols = np.sort(rng.choice(room, size=take, replace=False))
-        if inline_diag:
-            cols = (np.append(cols, i) if lower
-                    else np.concatenate(([i], cols)))
-        indices.extend(cols.tolist())
-        indptr.append(len(indices))
-    data = rng.uniform(0.5, 1.5, size=len(indices)) * rng.choice(
-        [-1.0, 1.0], size=len(indices))
-    return CSRMatrix(indptr, np.array(indices, dtype=np.int64), data, (n, n))
-
-
-def recorded_program(n: int, seed: int) -> LoopProgram:
-    """A trace-recorded two-operand recurrence."""
-    rng = np.random.default_rng(seed)
-    ia = rng.integers(0, n, size=n).tolist()
-    ib = rng.integers(0, n, size=n).tolist()
-
-    def body(i, a):
-        a.x[i] = a.x[i] + a.b[i] * a.x[ia[i]] - 0.5 * a.x[ib[i]]
-
-    return LoopProgram.record(n, body, x=rng.standard_normal(n),
-                              b=rng.standard_normal(n))
-
-
-def program_of(kind: str, n: int, seed: int) -> LoopProgram:
-    rng = np.random.default_rng(seed)
-    if kind == "simple":
-        return LoopProgram.from_indirection(
-            rng.integers(0, n, size=n), x=rng.standard_normal(n),
-            b=rng.standard_normal(n))
-    if kind == "recorded":
-        return recorded_program(n, seed)
-    lower = kind == "lower"
-    return LoopProgram.from_csr(triangular(n, seed, lower=lower),
-                                rng.standard_normal(n), lower=lower)
-
 
 def serial(program: LoopProgram) -> np.ndarray:
     return SerialExecutor().run(program.make_kernel()).copy()

@@ -530,19 +530,23 @@ class TestAutoArbitration:
         # the second compile is a pure cache recall.
         rng = np.random.default_rng(34)
         rt = Runtime(nproc=8)
-        p1 = sweep_program(rng.normal(size=40), rng.normal(size=40))
-        p2 = sweep_program(rng.normal(size=40), rng.normal(size=40))
-        l1 = rt.compile(p1, strategy="auto")
-        l2 = rt.compile(p2, strategy="auto")
-        assert l1.verdict.variant_name == l2.verdict.variant_name
-        # Per-stage verdicts are recalled from the store, not re-searched,
-        # and the scheduled stages are schedule-cache hits.
-        for v1, v2 in zip(l1.verdict.stage_verdicts, l2.verdict.stage_verdicts):
-            assert (v1.executor, v1.scheduler, v1.assignment) == \
-                   (v2.executor, v2.scheduler, v2.assignment)
-        for vd, stage_loop in zip(l2.verdict.stage_verdicts, l2.stage_loops):
-            if vd.executor != "speculative":
-                assert stage_loop.cache_hit
+        for build in (
+                lambda: sweep_program(rng.normal(size=40), rng.normal(size=40)),
+                lambda: stencil_program(rng.normal(size=256), (16, 16))):
+            l1 = rt.compile(build(), strategy="auto")
+            l2 = rt.compile(build(), strategy="auto")
+            assert l1.verdict.variant_name == l2.verdict.variant_name
+            # Per-stage verdicts are recalled from the store, not
+            # re-searched, and the scheduled stages are schedule-cache
+            # hits.
+            for v1, v2 in zip(l1.verdict.stage_verdicts,
+                              l2.verdict.stage_verdicts):
+                assert (v1.executor, v1.scheduler, v1.assignment) == \
+                       (v2.executor, v2.scheduler, v2.assignment)
+            for vd, stage_loop in zip(l2.verdict.stage_verdicts,
+                                      l2.stage_loops):
+                if vd.executor != "speculative":
+                    assert stage_loop.cache_hit
 
 
 # ----------------------------------------------------------------------

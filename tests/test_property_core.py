@@ -29,62 +29,17 @@ from repro.core.wavefront import (
 from repro.machine.costs import ZERO_OVERHEAD, MULTIMAX_320
 from repro.machine.simulator import simulate, work_vector
 from repro.sparse.build import coo_to_csr, csr_from_dense
+from strategies import (
+    backward_dags,
+    general_dags,
+    indirection_arrays,
+    nested_indirections,
+)
 
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
-
-@st.composite
-def indirection_arrays(draw, max_n=60):
-    """An (x0, b, ia) triple defining a Figure 3 loop."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    ia = draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1),
-                 min_size=n, max_size=n)
-    )
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n), rng.standard_normal(n), np.array(ia)
-
-
-@st.composite
-def backward_dags(draw, max_n=50):
-    """A random backward-only dependence graph."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    edges = []
-    for i in range(1, n):
-        k = draw(st.integers(min_value=0, max_value=min(i, 3)))
-        if k:
-            deps = draw(
-                st.lists(st.integers(min_value=0, max_value=i - 1),
-                         min_size=k, max_size=k, unique=True)
-            )
-            edges.extend((i, j) for j in deps)
-    return DependenceGraph.from_edges(edges, n)
-
-
-@st.composite
-def general_dags(draw, max_n=50):
-    """An arbitrary DAG: a backward DAG relabelled by a random
-    permutation, so edges point forwards and backwards but never
-    cycle."""
-    base = draw(backward_dags(max_n=max_n))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    perm = np.random.default_rng(seed).permutation(base.n)
-    rows = np.repeat(np.arange(base.n, dtype=np.int64), base.dep_counts())
-    edges = np.column_stack((perm[rows], perm[base.indices]))
-    return DependenceGraph.from_edges(edges, base.n)
-
-
-@st.composite
-def nested_indirections(draw, max_n=30, max_m=4):
-    """A Figure 6 nested indirection array ``g`` of shape (n, m)."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=1, max_value=max_m))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    return np.random.default_rng(seed).integers(0, n, size=(n, m))
-
 
 @st.composite
 def sparse_dense_pairs(draw):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.krylov.ilu import ILUFactorization, numeric_ilu
 from repro.krylov.pcg import pcg
-from repro.sparse.build import csr_from_dense, random_lower_triangular
+from repro.sparse.build import csr_from_dense
 from repro.sparse.triangular import (
     LevelScheduledSolver,
     solve_lower_sequential,
@@ -13,16 +13,7 @@ from repro.sparse.triangular import (
 )
 from repro.workload.generator import generate_workload
 from repro.workload.naming import format_workload_name, parse_workload_name
-
-
-@st.composite
-def lower_systems(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
-    avg = draw(st.floats(min_value=0.0, max_value=4.0))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    l = random_lower_triangular(n, avg_off_diag=avg, seed=seed)
-    b = np.random.default_rng(seed ^ 0xABCDEF).standard_normal(n)
-    return l, b
+from strategies import lower_systems
 
 
 @st.composite

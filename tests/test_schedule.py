@@ -25,7 +25,7 @@ from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
 from repro.errors import DeadlockError, ScheduleError, ValidationError
 from repro.machine.simulator import simulate_self_executing
 
-from test_simulator_batched import backward_dags, general_dags
+from strategies import backward_dags, general_dags
 
 
 class TestPartitions:
@@ -263,7 +263,8 @@ class TestOrdering:
     simulator and the executors get what they need or a
     ``DeadlockError``."""
 
-    @given(st.one_of(backward_dags(), general_dags()),
+    @given(st.one_of(backward_dags(unique=False),
+                     general_dags(max_n=40, unique=False)),
            st.sampled_from(["global", "local", "identity", "permuted"]),
            st.integers(min_value=1, max_value=8),
            st.integers(min_value=0, max_value=2**31 - 1))

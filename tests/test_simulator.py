@@ -89,6 +89,20 @@ class TestWorkVector:
             with pytest.raises(ValidationError, match=r"unit_work.*\(4,\)"):
                 sequential_time(dep, MULTIMAX_320, bad)
 
+    @pytest.mark.parametrize("hole", [np.nan, np.inf, -np.inf])
+    def test_non_finite_unit_work(self, diamond, hole):
+        # Used to come back as a nan (or inf) makespan; negative work
+        # stays legal.
+        dep, wf = diamond
+        bad = np.array([1.0, hole, 1.0, 1.0])
+        for call in (lambda w: work_vector(dep, MULTIMAX_320, "self", 2, w),
+                     lambda w: sequential_time(dep, MULTIMAX_320, w),
+                     lambda w: simulate(global_schedule(wf, 2), dep,
+                                        mode="self", unit_work=w)):
+            with pytest.raises(ValidationError, match="unit_work.*finite"):
+                call(bad)
+            call(-np.ones(4))
+
     @pytest.mark.parametrize("mode", ["bogus", "speculative", None])
     def test_dispatch_names_every_valid_mode(self, diamond, mode):
         dep, wf = diamond

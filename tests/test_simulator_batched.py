@@ -26,6 +26,7 @@ from repro.errors import DeadlockError
 from repro.machine.costs import MULTIMAX_320, MachineCosts
 from repro.machine.simulator import simulate_self_executing, work_vector
 from repro.util.frontier import rows_from_indptr
+from strategies import backward_dags, general_dags
 
 
 def _poll_costs(t_poll: float) -> MachineCosts:
@@ -51,35 +52,6 @@ def assert_bit_identical(a, b):
 # Strategies
 # ----------------------------------------------------------------------
 
-@st.composite
-def backward_dags(draw, max_n=50):
-    """A random backward-only dependence graph (duplicates allowed)."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    edges = []
-    for i in range(1, n):
-        k = draw(st.integers(min_value=0, max_value=min(i, 3)))
-        if k:
-            deps = draw(
-                st.lists(st.integers(min_value=0, max_value=i - 1),
-                         min_size=k, max_size=k)
-            )
-            edges.extend((i, j) for j in deps)
-    return DependenceGraph.from_edges(edges, n)
-
-
-@st.composite
-def general_dags(draw, max_n=40):
-    """A random general DAG: a backward DAG under a random renumbering."""
-    dep = draw(backward_dags(max_n=max_n))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    perm = np.random.default_rng(seed).permutation(dep.n)
-    rows = perm[dep.edge_rows()]
-    cols = perm[dep.indices]
-    return DependenceGraph.from_edges(
-        np.stack([rows, cols], axis=1) if rows.size else [], dep.n
-    )
-
-
 def _schedule_for(draw, dep, kind, nproc):
     wf = (compute_wavefronts(dep) if dep.all_backward()
           else compute_wavefronts_general(dep))
@@ -104,7 +76,8 @@ modes = st.sampled_from(["self", "doacross"])
 # ----------------------------------------------------------------------
 
 class TestEnginesMatchOracle:
-    @given(backward_dags(), sched_kinds, procs, polls, modes, st.data())
+    @given(backward_dags(unique=False), sched_kinds, procs, polls, modes,
+           st.data())
     @settings(max_examples=60, deadline=None)
     def test_backward_graphs(self, dep, kind, p, t_poll, mode, data):
         sched = _schedule_for(data.draw, dep, kind, p)
@@ -115,7 +88,8 @@ class TestEnginesMatchOracle:
             sched, dep, costs, mode=mode, keep_finish_times=True)
         assert_bit_identical(sim, ref)
 
-    @given(general_dags(), sched_kinds, procs, polls, st.data())
+    @given(general_dags(max_n=40, unique=False), sched_kinds, procs, polls,
+           st.data())
     @settings(max_examples=40, deadline=None)
     def test_general_graphs(self, dep, kind, p, t_poll, data):
         sched = _schedule_for(data.draw, dep, kind, p)
@@ -134,7 +108,7 @@ class TestEnginesMatchOracle:
             sched, dep, costs, keep_finish_times=True)
         assert_bit_identical(sim, ref)
 
-    @given(backward_dags(max_n=30), procs, st.data())
+    @given(backward_dags(max_n=30, unique=False), procs, st.data())
     @settings(max_examples=30, deadline=None)
     def test_random_unit_work(self, dep, p, data):
         """Arbitrary (even negative) work vectors stay bit-identical."""
@@ -281,14 +255,14 @@ class TestHelpers:
         np.testing.assert_array_equal(rows_from_indptr(indptr),
                                       [0, 0, 2, 2, 2])
 
-    @given(backward_dags())
+    @given(backward_dags(unique=False))
     @settings(max_examples=30, deadline=None)
     def test_edge_rows_cached_and_correct(self, dep):
         rows = dep.edge_rows()
         assert rows is dep.edge_rows()  # cached
         np.testing.assert_array_equal(rows, rows_from_indptr(dep.indptr))
 
-    @given(general_dags())
+    @given(general_dags(max_n=40, unique=False))
     @settings(max_examples=40, deadline=None)
     def test_successors_pack_sort_matches_reference(self, dep):
         si, ss = dep.successors()

@@ -258,6 +258,9 @@ class TestSpeculativeExecutor:
             LoopProgram.from_indirection(np.arange(6)).dependence_graph())
         with pytest.raises(ValidationError, match=r"unit_work .* \(6,\)"):
             SpeculativeExecutor(log, 2).simulate(unit_work=np.ones(shape))
+        with pytest.raises(ValidationError, match="unit_work.*finite"):
+            SpeculativeExecutor(log, 2).simulate(
+                unit_work=np.full(6, np.nan))  # used to time as nan
 
 
 class TestRuntimeIntegration:

@@ -32,8 +32,8 @@ from repro.program.tape import LIST_SPAN
 from repro.runtime import CompiledLoop
 from repro.sparse.build import random_lower_triangular
 from repro.workload import stencil_program, sweep_program
+from strategies import EXECUTORS, generated_program, programs
 
-EXECUTORS = ("self", "preschedule", "doacross")
 
 
 def bitwise(a, b) -> bool:
@@ -72,95 +72,6 @@ def assert_same(program, x, want) -> None:
 # ----------------------------------------------------------------------
 # Generated straight-line bodies
 # ----------------------------------------------------------------------
-
-WRITTEN, INPUTS = ("u", "v"), ("p", "q")
-
-leaves = st.one_of(
-    st.tuples(st.just("read"), st.sampled_from(WRITTEN + INPUTS),
-              st.sampled_from(("self", "back", "north", "forward", "any"))),
-    st.tuples(st.just("const"),
-              st.sampled_from((0.5, -1.25, 3, -0.0, np.float32(0.1), 1e-3))),
-)
-exprs = st.recursive(
-    leaves,
-    lambda sub: st.one_of(
-        st.tuples(st.sampled_from("+-*/"), sub, sub),
-        st.tuples(st.sampled_from(("neg", "abs")), sub)),
-    max_leaves=6)
-statements = st.tuples(
-    st.sampled_from(WRITTEN),                          # target array
-    st.sampled_from(("self", "fold", "wrap")),         # written element
-    exprs,
-    st.booleans())                                     # read back + restore
-programs = st.tuples(
-    st.integers(1, 6), st.integers(1, 7), st.booleans(),
-    st.lists(statements, min_size=1, max_size=3),
-    st.integers(0, 2**31 - 1), st.sampled_from(EXECUTORS))
-
-
-def element(kind: str, i: int, n: int, cols: int, table) -> int:
-    if kind == "back":
-        return max(i - 1, 0)
-    if kind == "north":
-        return i - cols if i >= cols else i
-    if kind == "forward":
-        return min(i + 1, n - 1)
-    if kind == "any":
-        return int(table[i])
-    if kind == "fold":
-        return i // 2          # two writers per element
-    if kind == "wrap":
-        return i % 3           # many writers per element
-    return i
-
-
-def evaluate(expr, i, a, n, cols, table):
-    op = expr[0]
-    if op == "read":
-        return a[expr[1]][element(expr[2], i, n, cols, table)]
-    if op == "const":
-        return expr[1]
-    args = [evaluate(e, i, a, n, cols, table) for e in expr[1:]]
-    if op == "neg":
-        return -args[0]
-    if op == "abs":
-        return abs(args[0])
-    if op == "+":
-        return args[0] + args[1]
-    if op == "-":
-        return args[0] - args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if type(args[1]) in (int, float):
-        # A constant denominator: zero must give inf, as array values
-        # do, not raise out of the body itself.
-        args[1] = np.float64(args[1])
-    return args[0] / args[1]
-
-
-def generated_program(rows, cols, shaped, specs, seed) -> LoopProgram:
-    n = rows * cols
-    rng = np.random.default_rng(seed)
-    table = rng.integers(0, n, size=n)
-
-    def make(spec):
-        target, where, expr, again = spec
-
-        def body(i, a):
-            e = element(where, i, n, cols, table)
-            a[target][e] = evaluate(expr, i, a, n, cols, table)
-            if again:
-                # Reads what this instance just stored, then stores
-                # over a neighbour (or the same element).
-                a[target][min(e + i % 2, n - 1)] = a[target][e] * 0.5 - 1.0
-        return body
-
-    data = {name: rng.standard_normal(n) for name in WRITTEN + INPUTS}
-    with np.errstate(all="ignore"):   # constants may divide by zero
-        return LoopProgram.record(
-            n, [make(spec) for spec in specs],
-            shape=(rows, cols) if shaped else None, **data)
-
 
 class TestGeneratedBodies:
     @given(programs)

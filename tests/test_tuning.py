@@ -222,12 +222,15 @@ class TestTunerQuality:
         best = tuner.exhaustive(mesh)[0]
         assert verdict.sim_makespan <= 1.10 * best.sim_makespan
 
-    def test_verdict_beats_the_naive_default(self, mesh):
+    def test_verdict_beats_the_naive_default(self, mesh, fig3):
         """The tuned pick is at least as good as compile()'s defaults."""
         rt = Runtime(nproc=8)
         default = rt.compile(mesh).simulate().total_time
         verdict = Tuner(8, seed=0).search(mesh)
         assert verdict.sim_makespan <= default * (1 + 1e-9)
+        # The paper's point — no one strategy bundle wins everywhere:
+        # the Figure 3 loop's verdict is another.
+        assert verdict.label() != Tuner(8, seed=0).search(fig3[1]).label()
 
     def test_tiny_workload_is_searched_exhaustively(self):
         # Below min_rung there are no pruning rungs: every candidate is
@@ -239,11 +242,13 @@ class TestTunerQuality:
         assert verdict.sim_makespan == best.sim_makespan
 
     @pytest.mark.parametrize("entry", ["tune", "search"])
-    @pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2))],
-                             ids=["short", "2-D"])
+    @pytest.mark.parametrize(
+        "bad", [np.ones(2), np.ones((2, 2)), np.array([1, 1, np.nan, 1])],
+        ids=["short", "2-D", "nan"])
     def test_bad_unit_work_is_named(self, entry, bad):
-        # Every candidate's simulation rejects it, which the search
-        # used to report as "no candidate produced a legal schedule".
+        # Every candidate's simulation rejects it (or scores nan),
+        # which the search used to report as "no candidate produced a
+        # legal schedule".
         with pytest.raises(ValidationError, match="unit_work"):
             getattr(Tuner(4), entry)(chain_graph(4), unit_work=bad)
 
@@ -382,6 +387,7 @@ class TestRuntimeAuto:
         assert first.verdict.searched
         assert not second.verdict.searched
         assert second.verdict.compile_kwargs() == first.verdict.compile_kwargs()
+        assert second.cache_hit  # the schedule is reused too
         assert rt.tuning_stats.hits == 1
         assert rt.tuning_stats.misses == 1
 
