@@ -28,7 +28,8 @@ def main() -> None:
     reports = {}
     for executor in ("self", "preschedule"):
         solver = ParallelSolver(prob.a, NPROC, executor=executor,
-                                scheduler="global")
+                                scheduler="global",
+                                factorization=prob.factorization)
         rep = solver.solve(prob.b, method="gmres", tol=1e-8)
         reports[executor] = rep
         err = np.abs(rep.solve_result.x - prob.x_exact).max()
@@ -53,11 +54,15 @@ def main() -> None:
 
     # The triangular solves inside are bound LoopPrograms: each Krylov
     # iteration rebinds the right-hand side, never the inspector.
-    solver = ParallelSolver(prob.a, NPROC, executor="self",
-                            scheduler="global")
+    log = rep.solve_result.log
+    print(f"\nthat solve logged {log['lower_solve']} lower / "
+          f"{log['upper_solve']} upper triangular solves; its two compiled "
+          f"loops ran {solver.lower_loop.executions} / "
+          f"{solver.upper_loop.executions} times, inspected once each "
+          "(in the constructor).")
     y = solver.triangular_solve(prob.b)
     x = solver.triangular_solve(y, upper=True)
-    print(f"one preconditioner application via rebinding loops: "
+    print(f"one more preconditioner application through the same loops: "
           f"|z|_inf = {np.abs(x).max():.3e} "
           f"(rebinds so far: {solver.lower_loop.rebinds} lower / "
           f"{solver.upper_loop.rebinds} upper)")

@@ -17,9 +17,9 @@ import numpy as np
 
 from repro import LoopProgram, Runtime
 from repro.core import compute_wavefronts, wavefront_counts
-from repro.krylov import ILUPreconditioner
 from repro.krylov.parallel import ParallelSolver
 from repro.mesh import get_problem
+from repro.sparse import solve_lower_sequential
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
 NPROC = 16
@@ -30,12 +30,12 @@ def main() -> None:
     print(f"problem {prob.name}: n = {prob.n}, nnz = {prob.a.nnz}")
     print(f"  ({prob.description})")
 
-    # Factor once; the factor's access pattern *is* the program —
-    # declare the forward solve and let the front end own the
-    # dependence extraction.  (TestProblem.loop_program(factored=True)
-    # wraps exactly this when the factorization is not needed again.)
-    ilu = ILUPreconditioner(prob.a, 0).factorization
-    prog = LoopProgram.from_csr(ilu.l_strict, prob.b, unit_diagonal=True,
+    # The problem factors itself once (prob.factorization); the
+    # factor's access pattern *is* the program — declare the forward
+    # solve and let the front end own the dependence extraction.
+    # (TestProblem.loop_program(factored=True) wraps exactly this.)
+    l_strict = prob.factorization.l_strict
+    prog = LoopProgram.from_csr(l_strict, prob.b, unit_diagonal=True,
                                 name=f"{prob.name}-ilu0-lower")
     dep = prog.dependence_graph()
     wf = compute_wavefronts(dep)
@@ -43,9 +43,9 @@ def main() -> None:
     print(f"\nwavefront profile: {len(counts)} phases, "
           f"width min/median/max = {counts.min()}/{int(np.median(counts))}/{counts.max()}")
 
-    # Independent numeric ground truth: the level-scheduled solver is
-    # a separate engine over the same factor.
-    oracle = ilu.lower_solver.solve(prob.b)
+    # Independent numeric ground truth: the sequential Figure 8 loop
+    # over the same factor.
+    oracle = solve_lower_sequential(l_strict, prob.b, unit_diagonal=True)
 
     # Compile once per executor (the cache shares the inspection), then
     # execute; the kernel is bound, so the call takes no arguments.
@@ -54,7 +54,7 @@ def main() -> None:
     for name in ("self", "preschedule", "doacross"):
         loop = rt.compile(prog, executor=name, scheduler="global")
         rep = loop()
-        ok = np.allclose(rep.x, oracle)
+        ok = np.array_equal(rep.x, oracle)
         print(f"{name:<14} {rep.sim.total_time / 1000:9.2f} "
               f"{rep.sim.efficiency:11.3f}  match={ok}")
 
@@ -84,7 +84,8 @@ def main() -> None:
     print("\naccounting (Table 2/3 chain, model-ms):")
     for executor in ("preschedule", "self"):
         solver = ParallelSolver(prob.a, NPROC, executor=executor,
-                                scheduler="global")
+                                scheduler="global",
+                                factorization=prob.factorization)
         a = solver.analyze_lower_solve(include_doacross=(executor == "preschedule"))
         print(f"  {executor:<12} phases={a.phases:4d}  E_sym={a.symbolic_efficiency:.2f}"
               f"  1PEseq={a.one_pe_sequential:6.1f}  1PEpar={a.one_pe_parallel:6.1f}"

@@ -2,8 +2,8 @@
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
-# one-speculative-gate, one-store-discipline and two-instruments rules, then
-# run the tier-1 test suite.
+# one-speculative-gate, one-store-discipline, two-instruments and
+# one-factor-one-solve-path rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -44,8 +44,11 @@ forked="$forked|_scalar_span|_fast_levels|_legal_order"
 # census found the last three names without a caller.
 forked="$forked|time_spec|_check_arbitration|SpeculativeBackend|LevelExecutor"
 forked="$forked|segment_max|flop_count_"
+# ... and a loop compiled from LoopProgram.from_csr replaced the
+# application layer's private inspector/executor.
+forked="$forked|LevelScheduledSolver"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path replaced reappeared" >&2
     exit 1
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
@@ -141,6 +144,26 @@ if [ -n "$(echo "$calls" | grep -v '^src/repro/core/executor.py:' || true)" ] \
    || [ "$(echo "$calls" | grep -c '^src/repro/core/executor.py:')" -ne 2 ]; then
     echo "$calls"
     echo "error: a per-index walk outside flat_walk / SerialExecutor" >&2
+    exit 1
+fi
+
+echo "== one factor, one solve path: nothing re-factors or re-inspects what it was handed =="
+# A preconditioner is a factorization plus two compiled loops: the
+# experiment drivers and the mesh problems read TestProblem.factorization
+# instead of building one, and the triangular kernels' batch path is the
+# only gather-plan builder.
+built=$(grep -rn 'ILUPreconditioner(' src --include='*.py' \
+        | grep -vE '^src/repro/krylov/(ilu|parallel)\.py:' || true)
+if [ -n "$built" ]; then
+    echo "$built"
+    echo "error: ILUPreconditioner( constructed outside krylov/ilu.py and krylov/parallel.py" >&2
+    exit 1
+fi
+gathers=$(grep -rn 'LevelGather(' src --include='*.py' \
+          | grep -v '^src/repro/core/executor.py:' || true)
+if [ -n "$gathers" ]; then
+    echo "$gathers"
+    echo "error: LevelGather( built outside the substitution kernels of core/executor.py" >&2
     exit 1
 fi
 

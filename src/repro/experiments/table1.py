@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..krylov.parallel import ParallelSolver
+from ..runtime.session import Runtime
 from ..util.tables import TextTable
 from .runner import DEFAULT_PROBLEMS, ExperimentContext
 
@@ -55,10 +56,12 @@ def run_table1(
     rows: list[Table1Row] = []
     for prob in ctx.problems(problems):
         reports = {}
+        # One session per problem: both executors run one inspection.
+        session = Runtime(ctx.nproc, costs=ctx.costs)
         for executor in ("self", "preschedule"):
             solver = ParallelSolver(
                 prob.a, ctx.nproc, executor=executor, scheduler="global",
-                costs=ctx.costs,
+                runtime=session, factorization=prob.factorization,
             )
             reports[executor] = solver.solve(
                 prob.b, method=ctx.method, tol=ctx.tol,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..krylov.parallel import ParallelSolver, TriangularSolveAnalysis
+from ..runtime.session import Runtime
 from ..util.tables import TextTable
 from .runner import ACCOUNTING_PROBLEMS, ExperimentContext
 
@@ -44,10 +45,12 @@ def run_table23(
     ctx = ctx or ExperimentContext()
     rows: dict[str, list[SolveAccountingRow]] = {"preschedule": [], "self": []}
     for prob in ctx.problems(problems):
+        # One session per problem: both executors run one inspection.
+        session = Runtime(ctx.nproc, costs=ctx.costs)
         for executor in ("preschedule", "self"):
             solver = ParallelSolver(
                 prob.a, ctx.nproc, executor=executor, scheduler="global",
-                costs=ctx.costs,
+                runtime=session, factorization=prob.factorization,
             )
             analysis = solver.analyze_lower_solve(
                 include_doacross=(executor == "preschedule")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ..analysis.projections import project_efficiencies
 from ..core.dependence import DependenceGraph
-from ..krylov.ilu import ILUPreconditioner
 from ..util.tables import TextTable
 from .runner import ACCOUNTING_PROBLEMS, ExperimentContext
 
@@ -45,8 +44,7 @@ def run_table4(
     ctx = ctx or ExperimentContext()
     rows: list[Table4Row] = []
     for prob in ctx.problems(problems):
-        lu = ILUPreconditioner(prob.a, 0).factorization.lu
-        dep = DependenceGraph.from_lower_csr(lu)
+        dep = DependenceGraph.from_lower_csr(prob.factorization.lu)
         proj = {}
         for executor in ("self", "preschedule"):
             proj[executor] = project_efficiencies(

@@ -7,7 +7,10 @@ multiplies, SAXPYs, inner products and sparse triangular solves.  This
 package implements all of it:
 
 * :mod:`~repro.krylov.ilu` — symbolic (level-of-fill) and numeric
-  incomplete LU factorization, plus preconditioner objects;
+  incomplete LU factorization, and the preconditioners: an
+  :class:`ILUPreconditioner` is one factorization plus its two
+  triangular loops compiled once on a :class:`~repro.runtime.Runtime`
+  session, applied by rebinding the right-hand side;
 * :mod:`~repro.krylov.pcg` — preconditioned conjugate gradients;
 * :mod:`~repro.krylov.gmres` — restarted GMRES for the nonsymmetric
   problems;
@@ -16,7 +19,8 @@ package implements all of it:
   cost-accounted on the machine model with the exact decomposition of
   Appendix 2 (blocked partitions for SAXPY/dot/matvec, wavefront
   executors for the solves and the numeric factorization,
-  self-scheduling for the symbolic factorization).
+  self-scheduling for the symbolic factorization).  It prices the very
+  loops its preconditioner runs.
 """
 
 from .ilu import (

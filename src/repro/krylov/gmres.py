@@ -41,6 +41,8 @@ def gmres(
     b = check_vector(b, n, "b")
     if restart <= 0:
         raise ValidationError("restart must be positive")
+    if maxiter < 0:
+        raise ValidationError("maxiter must be non-negative")
     x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
     log = log if log is not None else OperationLog()
 

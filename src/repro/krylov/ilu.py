@@ -22,7 +22,11 @@ splits into:
 
 The result is stored as a single CSR matrix with unit-lower ``L``
 implicit (strict lower entries hold the multipliers) and ``U``
-including the diagonal.
+including the diagonal.  :class:`ILUFactorization` holds its split
+factors; :class:`ILUPreconditioner` is such a factorization plus the
+two Figure 8 loops compiled from it — applying it rebinds a right-hand
+side and runs them, which is the whole of the PCGPAK pattern: one
+factorization, one sort per factor, many Krylov iterations.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import StructureError, ValidationError
+from ..program import LoopProgram
+from ..runtime.session import Runtime
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
-from ..sparse.triangular import LevelScheduledSolver, split_triangular
-from ..util.validation import check_vector
+from ..sparse.triangular import select_entries
+from ..util.validation import check_seed, check_vector
 
 __all__ = [
     "symbolic_ilu",
@@ -49,6 +55,13 @@ __all__ = [
 ]
 
 
+def _check_level(level) -> int:
+    """A fill level is a non-negative integer, whichever way it came in
+    (the same rule as a seed: no bool, no float, no text)."""
+    return check_seed(level, "the ILU fill level (ILUPreconditioner(a, 1), "
+                             "or by name 'ilu' / 'ilu0', 'ilu1', ...)")
+
+
 def symbolic_ilu(a: CSRMatrix, level: int = 0) -> CSRMatrix:
     """Compute the retained pattern of an ILU(level) factorization.
 
@@ -58,8 +71,7 @@ def symbolic_ilu(a: CSRMatrix, level: int = 0) -> CSRMatrix:
     """
     if a.nrows != a.ncols:
         raise ValidationError(f"matrix must be square, got {a.shape}")
-    if level < 0:
-        raise ValidationError("level must be non-negative")
+    level = _check_level(level)
     n = a.nrows
 
     if level == 0:
@@ -205,60 +217,73 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
 
 @dataclass
 class ILUFactorization:
-    """The split factors of an incomplete LU, with fast level solvers."""
+    """The split factors of an incomplete LU: unit-lower ``L`` as its
+    strict part, ``U`` with its diagonal, and that diagonal alone."""
 
     lu: CSRMatrix
     l_strict: CSRMatrix
     u: CSRMatrix
     u_diag: np.ndarray
-    lower_solver: LevelScheduledSolver
-    upper_solver: LevelScheduledSolver
 
     @classmethod
     def from_lu(cls, lu: CSRMatrix) -> "ILUFactorization":
-        l_strict, diag, u_strict = split_triangular(lu)
-        # U includes the diagonal; rebuild it from strict upper + diag.
-        n = lu.nrows
-        rows = []
-        cols = []
-        vals = []
-        for i in range(n):
-            c, v = u_strict.row(i)
-            rows.append(np.full(c.shape[0] + 1, i, dtype=np.int64))
-            cols.append(np.concatenate([[i], c]))
-            vals.append(np.concatenate([[diag[i]], v]))
-        u = coo_to_csr(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-            (n, n), sum_duplicates=False,
-        )
-        return cls(
-            lu=lu,
-            l_strict=l_strict,
-            u=u,
-            u_diag=diag,
-            lower_solver=LevelScheduledSolver(l_strict, lower=True, unit_diagonal=True),
-            upper_solver=LevelScheduledSolver(u, lower=False, diag=diag),
-        )
+        rows = lu.row_of_nnz()
+        return cls(lu=lu, l_strict=select_entries(lu, lu.indices < rows),
+                   u=select_entries(lu, lu.indices >= rows),
+                   u_diag=lu.diagonal())
 
 
 class ILUPreconditioner:
-    """Applies ``(LU)^{-1}`` via forward + backward level-scheduled solves."""
+    """Applies ``(LU)^{-1}``: a factorization plus two compiled loops.
+
+    The factors' sparsity *is* the run-time input: both triangular
+    directions are declared as Figure 8 programs and compiled once on
+    ``runtime`` (a private default session when omitted), so one
+    session's preconditioners over one factor structure share its
+    inspections whatever their executor; each :meth:`apply` rebinds a
+    right-hand side — zero inspector work — and runs the two loops.
+
+    ``factorization`` hands in the ILU(``level``) factors of ``a`` when
+    the caller already holds them (``TestProblem.factorization``);
+    ``strategy`` is :meth:`~repro.runtime.Runtime.compile` keywords
+    (``executor=``, ``scheduler=``, ...) for both loops.
+    """
 
     name = "ilu"
 
-    def __init__(self, a: CSRMatrix, level: int = 0):
-        pattern = symbolic_ilu(a, level) if level > 0 else None
-        self.level = level
-        self.factorization = ILUFactorization.from_lu(numeric_ilu(a, pattern))
-        self.n = a.nrows
+    def __init__(self, a: CSRMatrix, level: int = 0, *,
+                 factorization: ILUFactorization | None = None,
+                 runtime: Runtime | None = None, **strategy):
+        self.level = level = _check_level(level)
+        if factorization is None:
+            factorization = ILUFactorization.from_lu(
+                numeric_ilu(a, symbolic_ilu(a, level)))
+        self.factorization = f = factorization
+        self.n = n = a.nrows
+        runtime = Runtime() if runtime is None else runtime
+        self.lower_loop = runtime.compile(
+            LoopProgram.from_csr(f.l_strict, np.zeros(n), unit_diagonal=True,
+                                 name=f"ilu{level}-lower"),
+            **strategy)
+        self.upper_loop = runtime.compile(
+            LoopProgram.from_csr(f.u, np.zeros(n), lower=False,
+                                 diag=f.u_diag, name=f"ilu{level}-upper"),
+            **strategy)
+
+    def triangular_solve(self, b: np.ndarray, *, upper: bool = False,
+                         backend: str = "serial") -> np.ndarray:
+        """Solve ``L y = b`` (unit-lower factor) or, with ``upper``,
+        ``U x = b`` through the compiled loop.  ``backend`` is not the
+        session default, which may be the numbers-free ``"sim"``."""
+        loop = self.upper_loop if upper else self.lower_loop
+        return loop.rebind(b=b)(backend=backend, with_sim=False).x
 
     def apply(self, r: np.ndarray, log=None) -> np.ndarray:
         """``z = U^{-1} L^{-1} r``."""
         r = check_vector(r, self.n, "r")
-        f = self.factorization
-        y = f.lower_solver.solve(r)
-        z = f.upper_solver.solve(y)
+        z = self.triangular_solve(self.triangular_solve(r), upper=True)
         if log is not None:
+            f = self.factorization
             log.lower_solve(f.l_strict.nnz)
             log.upper_solve(f.u.nnz)
         return z
@@ -301,6 +326,8 @@ def make_preconditioner(a: CSRMatrix, kind: str | None):
     if kind == "jacobi":
         return JacobiPreconditioner(a)
     if kind.startswith("ilu"):
-        level = int(kind[3:]) if len(kind) > 3 else 0
-        return ILUPreconditioner(a, level)
+        # Digits alone make an integer; a sign, a point or a letter
+        # reaches the level check as the text it is.
+        level = kind[3:] or "0"
+        return ILUPreconditioner(a, int(level) if level.isdecimal() else level)
     raise ValidationError(f"unknown preconditioner {kind!r}")

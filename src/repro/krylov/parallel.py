@@ -22,25 +22,18 @@ machine model, yielding the quantities of the paper's Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from ..core.inspector import InspectorCosts
-from ..core.schedule import Schedule, global_schedule, identity_schedule, local_schedule
-from ..core.partition import blocked_partition, wrapped_partition
+from ..core.schedule import identity_schedule
+from ..core.partition import blocked_partition
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts, MULTIMAX_320
-from ..program import LoopProgram
 from ..runtime.session import Runtime
-from ..machine.simulator import (
-    SimResult,
-    sequential_time,
-    simulate,
-    simulate_self_executing,
-    work_vector,
-)
+from ..machine.simulator import simulate, simulate_self_executing, work_vector
 from ..sparse.csr import CSRMatrix
-from .ilu import ILUPreconditioner
+from .ilu import ILUFactorization, ILUPreconditioner
 from .oplog import OperationLog
 from .solver import SolveResult, solve
 
@@ -169,6 +162,13 @@ class ParallelSolver:
         so repeated solver constructions over the same factor
         structure — the PCGPAK amortisation pattern — skip the
         topological sorts entirely.
+    factorization:
+        The ILU(``ilu_level``) factors of ``a`` when the caller already
+        holds them (``TestProblem.factorization``); computed otherwise.
+
+    The factors and the two compiled loops are the preconditioner's
+    (:attr:`precond`): the numeric solve applies what the pricing
+    simulates, and ``lower_loop`` etc. are read through it.
     """
 
     def __init__(
@@ -181,6 +181,7 @@ class ParallelSolver:
         costs: MachineCosts | None = None,
         ilu_level: int = 0,
         runtime: Runtime | None = None,
+        factorization: ILUFactorization | None = None,
     ):
         if executor not in ("self", "preschedule"):
             raise ValidationError("executor must be 'self' or 'preschedule'")
@@ -205,68 +206,43 @@ class ParallelSolver:
         self.executor = executor
         self.scheduler = scheduler
         self.costs = costs
-        self.ilu_level = ilu_level
         self.runtime = runtime
 
-        # Build the preconditioner once; its factor structure *is* the
-        # run-time input — both triangular directions are declared as
-        # loop programs (access patterns in, dependence analysis owned
-        # by the front end) and compiled through the runtime, so their
-        # inspections are cached and shared across solvers, and the
-        # bound loops rebind to each new right-hand side without
-        # touching the inspector.
-        self.precond = ILUPreconditioner(a, ilu_level)
-        fact = self.precond.factorization
-        lu = fact.lu
-        self.pattern = lu
-        n = a.nrows
-        self.program_lower = LoopProgram.from_csr(
-            fact.l_strict, np.zeros(n), unit_diagonal=True,
-            name=f"ilu{ilu_level}-lower",
+        # Whatever the Krylov iteration applies is what gets priced.
+        self.precond = ILUPreconditioner(
+            a, ilu_level, factorization=factorization, runtime=runtime,
+            executor=executor, scheduler=scheduler, assignment="wrapped",
         )
-        self.program_upper = LoopProgram.from_csr(
-            fact.u, np.zeros(n), lower=False, diag=fact.u_diag,
-            name=f"ilu{ilu_level}-upper",
-        )
-        self.lower_loop = runtime.compile(
-            self.program_lower, executor=executor, scheduler=scheduler,
-            assignment="wrapped",
-        )
-        self.upper_loop = runtime.compile(
-            self.program_upper, executor=executor, scheduler=scheduler,
-            assignment="wrapped",
-        )
-        self.dep_lower = self.lower_loop.dep
-        self.dep_upper = self.upper_loop.dep
-        self._insp_lower = self.lower_loop.inspection
-        self._insp_upper = self.upper_loop.inspection
-        self.schedule_lower: Schedule = self._insp_lower.schedule
-        self.schedule_upper: Schedule = self._insp_upper.schedule
+        self.pattern = self.precond.factorization.lu
 
         # Per-call component times (microseconds), computed once.
         self._times = self._price_components()
+
+    lower_loop = property(attrgetter("precond.lower_loop"))
+    upper_loop = property(attrgetter("precond.upper_loop"))
+    program_lower = property(attrgetter("precond.lower_loop.program"))
+    program_upper = property(attrgetter("precond.upper_loop.program"))
+    schedule_lower = property(attrgetter("precond.lower_loop.schedule"))
+    schedule_upper = property(attrgetter("precond.upper_loop.schedule"))
 
     # ------------------------------------------------------------------
     def _price_components(self) -> dict:
         c = self.costs
         p = self.nproc
         n = self.a.nrows
-        mode = self.executor
 
-        sim_lower = simulate(self.schedule_lower, self.dep_lower, c, mode=mode)
-        sim_upper = simulate(self.schedule_upper, self.dep_upper, c, mode=mode)
-
-        fact_work = _factorization_unit_work(self.pattern, c)
-        sim_fact = simulate(
-            self.schedule_lower, self.dep_lower, c, mode=mode, unit_work=fact_work,
-        )
+        # The loops' own (memoised) machine-model timings.
+        sim_lower = self.lower_loop.simulate()
+        sim_upper = self.upper_loop.simulate()
+        sim_fact = self.lower_loop.simulate(
+            unit_work=_factorization_unit_work(self.pattern, c))
         # Symbolic factorization: self-scheduled over wrapped rows —
         # near-perfectly parallel merge work proportional to row sizes.
         merge_work = c.t_sort_base + c.t_sort_per_dep * self.pattern.row_nnz()
         symbolic_par = float(merge_work.sum()) / p + c.sync_cost(p)
         symbolic_seq = float(merge_work.sum())
 
-        times = {
+        return {
             "matvec": _blocked_rowwork_max(self.a, p, c) + c.sync_cost(p),
             "matvec_seq": 0.5 * c.t_work_base * n
             + c.t_work_per_dep * self.a.nnz,
@@ -286,39 +262,20 @@ class ParallelSolver:
             "symbolic_fact_seq": symbolic_seq,
             "gemv_per_el": c.t_work_per_dep,
         }
-        return times
 
     # ------------------------------------------------------------------
     def triangular_solve(self, b: np.ndarray, *, upper: bool = False,
-                         backend: str | None = None) -> np.ndarray:
-        """Numerically solve one factor system through the bound loop.
-
-        The Krylov amortisation pattern made literal: each call rebinds
-        the right-hand side (zero inspector work — the structure hash
-        is untouched) and executes the already-compiled schedule.
-        Forward solves ``L y = b`` with the unit-lower factor; backward
-        (``upper=True``) solves ``U x = b``.  ``backend`` defaults to
-        ``"serial"`` (not the session default, which may be the
-        numbers-free ``"sim"`` backend — this method always returns a
-        numeric solution).
-        """
-        loop = self.upper_loop if upper else self.lower_loop
-        loop.rebind(b=np.asarray(b, dtype=np.float64))
-        return loop(backend=backend or "serial", with_sim=False).x
+                         backend: str = "serial") -> np.ndarray:
+        """Solve one factor system the way each Krylov iteration does:
+        :meth:`ILUPreconditioner.triangular_solve`."""
+        return self.precond.triangular_solve(b, upper=upper, backend=backend)
 
     # ------------------------------------------------------------------
-    @property
-    def sort_costs(self) -> InspectorCosts:
-        """Inspection (topological sort + scheduling) costs, lower solve."""
-        return self._insp_lower.costs
-
     def sort_time(self) -> float:
         """Total inspection time for both solve directions (parallelized
         sort; plus the sequential rearrangement for global scheduling)."""
-        cl, cu = self._insp_lower.costs, self._insp_upper.costs
-        if self.scheduler == "global":
-            return cl.total_global + cu.total_global
-        return cl.total_local + cu.total_local
+        return (self.lower_loop.inspection.pipeline_cost
+                + self.upper_loop.inspection.pipeline_cost)
 
     def price_log(self, log: OperationLog) -> tuple[float, float, dict]:
         """Price an operation log: returns (parallel µs, sequential µs, breakdown)."""
@@ -352,13 +309,12 @@ class ParallelSolver:
     ) -> ParallelSolveReport:
         """Numerically solve and price the whole computation (Table 1).
 
-        The numeric solve runs with the same preconditioner level the
-        pricing used, so the operation log matches the priced structure
-        exactly.
+        The numeric solve applies the very preconditioner the pricing
+        simulated — same factors, same compiled loops — so the
+        operation log matches the priced structure exactly.
         """
-        precond_name = f"ilu{self.ilu_level}"
         res = solve(
-            self.a, b, method=method, precond=precond_name,
+            self.a, b, method=method, precond=self.precond,
             tol=tol, maxiter=maxiter, restart=restart,
         )
         par_iter, seq_iter, breakdown = self.price_log(res.log)
@@ -401,12 +357,12 @@ class ParallelSolver:
         c, p = self.costs, self.nproc
         mode = self.executor
         sched = self.schedule_lower
-        dep = self.dep_lower
+        dep = self.lower_loop.dep
 
-        sim = simulate(sched, dep, c, mode=mode)
+        sim = self.lower_loop.simulate()
         sym = simulate(sched, dep, c.with_overheads_zeroed(), mode=mode)
         e_sym = sym.efficiency
-        seq = sequential_time(dep, c)
+        seq = sim.seq_time
 
         par_1pe = float(work_vector(dep, c, mode, p).sum())
         one_pe_par = par_1pe / (p * e_sym)

@@ -52,7 +52,7 @@ def solve(
     b: np.ndarray,
     *,
     method: str = "pcg",
-    precond: str | None = "ilu0",
+    precond="ilu0",
     tol: float = 1e-8,
     maxiter: int = 1000,
     restart: int = 30,
@@ -67,15 +67,21 @@ def solve(
     method:
         ``"pcg"`` (SPD systems) or ``"gmres"``.
     precond:
-        ``"ilu0"``, ``"ilu1"``, ..., ``"jacobi"``, ``"none"``/``None``.
+        ``"ilu0"``, ``"ilu1"``, ..., ``"jacobi"``, ``"none"``/``None`` —
+        or a preconditioner already built (an ``apply(r, log)`` method
+        and a ``name``), which is used as it is: nothing is factored.
     raise_on_fail:
         Raise :class:`~repro.errors.ConvergenceError` instead of
         returning an unconverged result.
     """
+    # Refused before the factorization is paid for.
+    if method not in ("pcg", "gmres"):
+        raise ValidationError(f"method must be 'pcg' or 'gmres', got {method!r}")
     log = OperationLog()
     sw_setup = Stopwatch()
     with sw_setup:
-        m = make_preconditioner(a, precond)
+        m = (precond if hasattr(precond, "apply")
+             else make_preconditioner(a, precond))
     pre = None if m.name == "none" else m
 
     sw_solve = Stopwatch()
@@ -85,13 +91,11 @@ def solve(
                 a, b, pre, x0=x0, tol=tol, maxiter=maxiter, log=log,
                 callback=callback,
             )
-        elif method == "gmres":
+        else:
             x, iters, hist, ok = gmres(
                 a, b, pre, x0=x0, tol=tol, maxiter=maxiter, restart=restart,
                 log=log, callback=callback,
             )
-        else:
-            raise ValidationError(f"method must be 'pcg' or 'gmres', got {method!r}")
 
     if raise_on_fail and not ok:
         raise ConvergenceError(
@@ -104,7 +108,7 @@ def solve(
         residuals=hist,
         converged=ok,
         method=method,
-        precond_kind=m.name if precond else "none",
+        precond_kind=m.name,
         log=log,
         setup_seconds=sw_setup.elapsed,
         solve_seconds=sw_solve.elapsed,

@@ -25,7 +25,7 @@ because several experiments share problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,10 +56,15 @@ class TestProblem:
     def n(self) -> int:
         return self.a.nrows
 
-    @property
-    def symmetric_structure(self) -> bool:
-        """Stencil operators have structurally symmetric patterns."""
-        return True
+    @cached_property
+    def factorization(self):
+        """The ILU(0) :class:`~repro.krylov.ilu.ILUFactorization` of
+        ``a``, computed on first use and kept beside the matrix: what
+        reads one problem (solvers, tables, :meth:`loop_program`)
+        shares one factorization while :func:`get_problem` keeps it."""
+        from ..krylov.ilu import ILUFactorization, numeric_ilu  # deferred: cycle
+
+        return ILUFactorization.from_lu(numeric_ilu(self.a))
 
     def loop_program(self, *, factored: bool = False, b=None):
         """This problem's Figure 8 workload as a declarative program.
@@ -78,10 +83,8 @@ class TestProblem:
 
         rhs = self.b if b is None else b
         if factored:
-            from ..krylov.ilu import ILUPreconditioner  # deferred: cycle
-
-            l_strict = ILUPreconditioner(self.a, 0).factorization.l_strict
-            return LoopProgram.from_csr(l_strict, rhs, unit_diagonal=True,
+            return LoopProgram.from_csr(self.factorization.l_strict, rhs,
+                                        unit_diagonal=True,
                                         name=f"{self.name}-ilu0-lower")
         l_strict, _, _ = split_triangular(self.a)
         return LoopProgram.from_csr(l_strict, rhs, unit_diagonal=True,

@@ -20,7 +20,6 @@ from .triangular import (
     split_triangular,
     solve_lower_sequential,
     solve_upper_sequential,
-    LevelScheduledSolver,
 )
 from .io import (
     save_csr_npz,
@@ -43,5 +42,4 @@ __all__ = [
     "split_triangular",
     "solve_lower_sequential",
     "solve_upper_sequential",
-    "LevelScheduledSolver",
 ]

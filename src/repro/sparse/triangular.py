@@ -1,4 +1,4 @@
-"""Sparse triangular systems: splitting, sequential and level-scheduled solves.
+"""Sparse triangular systems: splitting, the sequential oracles, the gather plan.
 
 The sparse lower triangular solve (Figure 8 of the paper) is the
 workhorse workload of the evaluation: its outer loop carries
@@ -6,22 +6,18 @@ matrix-dependent dependences (row ``i`` needs ``x[j]`` for every stored
 ``j < i``), which is exactly what the run-time parallelization machinery
 exists to handle.
 
-Two numeric engines are provided:
-
+* :func:`split_triangular` / :func:`select_entries` — cut a factored
+  matrix into its triangles;
 * :func:`solve_lower_sequential` / :func:`solve_upper_sequential` — the
-  direct row-substitution loops, used as the correctness oracle;
-* :class:`LevelScheduledSolver` — a wavefront ("level-scheduled")
-  engine that precomputes the level sets once (the inspector phase) and
-  then solves each system with a handful of vectorised gathers per
-  level.  This is the numeric counterpart of the executors: within a
-  wavefront all rows are independent, so they can be evaluated in one
-  batch.
-
-Both the solver and the triangular loop kernels of
-:mod:`repro.core.executor` run their levels through one
-:class:`LevelGather` — the structure-only index plan of a level-ordered
-sweep plus the batched arithmetic that accumulates every row in CSR
-order, so a batched solve equals the sequential loops bit for bit.
+  direct row-substitution loops, the correctness oracle every compiled
+  solve is compared with;
+* :class:`LevelGather` — the structure-only index plan of a
+  level-ordered sweep plus the batched arithmetic that accumulates
+  every row in CSR order, so a batched solve equals the sequential
+  loops bit for bit.  The triangular loop kernels of
+  :mod:`repro.core.executor` run their levels through it; a solve is
+  ``Runtime.compile(LoopProgram.from_csr(t, b, ...))``, there is no
+  solver class here.
 """
 
 from __future__ import annotations
@@ -34,12 +30,20 @@ from ..util.validation import check_vector
 from .csr import CSRMatrix
 
 __all__ = [
+    "select_entries",
     "split_triangular",
     "solve_lower_sequential",
     "solve_upper_sequential",
     "LevelGather",
-    "LevelScheduledSolver",
 ]
+
+
+def select_entries(a: CSRMatrix, mask: np.ndarray) -> CSRMatrix:
+    """The stored entries of ``a`` where ``mask`` holds, as a matrix of
+    the same shape and row layout (``mask`` runs over ``a.indices``)."""
+    counts = np.bincount(a.row_of_nnz()[mask], minlength=a.nrows)
+    return CSRMatrix(counts_to_indptr(counts), a.indices[mask], a.data[mask],
+                     a.shape, check=False)
 
 
 def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
@@ -58,14 +62,7 @@ def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
     diag = np.zeros(n, dtype=np.float64)
     diag_mask = a.indices == rows
     diag[rows[diag_mask]] = a.data[diag_mask]
-
-    def _take(mask: np.ndarray) -> CSRMatrix:
-        counts = np.bincount(rows[mask], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRMatrix(indptr, a.indices[mask], a.data[mask], (n, n), check=False)
-
-    return _take(lower_mask), diag, _take(upper_mask)
+    return select_entries(a, lower_mask), diag, select_entries(a, upper_mask)
 
 
 def _prepare_lower(l: CSRMatrix, diag, unit_diagonal: bool):
@@ -215,89 +212,3 @@ class LevelGather:
                                vals[ea:ec] * x[cols[ea:ec]])
             acc /= diag[a:c]
             x[rows[a:c]] = acc
-
-
-class LevelScheduledSolver:
-    """Wavefront-vectorised triangular solver with a one-time inspector.
-
-    The constructor performs the dependence analysis (a topological sort
-    identical to Figure 7 of the paper) and packs, for each level, the
-    row indices and their off-diagonal entries into contiguous arrays.
-    :meth:`solve` then runs one vectorised gather/scatter round per
-    level.  Construction cost is amortised over repeated solves exactly
-    the way the paper amortises the inspector over Krylov iterations.
-
-    Parameters
-    ----------
-    t:
-        Lower or upper triangular CSR matrix (diagonal inline or
-        implicit unit).
-    lower:
-        Direction of the substitution; ``True`` for forward.
-    diag / unit_diagonal:
-        As for the sequential solvers.
-    """
-
-    def __init__(
-        self,
-        t: CSRMatrix,
-        *,
-        lower: bool = True,
-        diag: np.ndarray | None = None,
-        unit_diagonal: bool = False,
-    ):
-        n = t.nrows
-        if t.nrows != t.ncols:
-            raise ValidationError(f"matrix must be square, got shape {t.shape}")
-        if lower and not t.is_lower_triangular():
-            raise StructureError("matrix is not lower triangular")
-        if not lower and not t.is_upper_triangular():
-            raise StructureError("matrix is not upper triangular")
-        self.n = n
-        self.lower = lower
-
-        if unit_diagonal:
-            d = np.ones(n, dtype=np.float64)
-        elif diag is not None:
-            d = check_vector(diag, n, "diag")
-        else:
-            d = t.diagonal()
-        if np.any(d == 0.0):
-            raise StructureError("triangular solve requires a nonzero diagonal")
-        self.diag = d
-
-        # --- inspector: the shared declarative front end ---------------
-        # The solve *is* the Figure 8 loop program, so its level sets
-        # come from the same extraction + vectorized wavefront sweep
-        # every other workload uses (repro.program), instead of a
-        # hand-rolled per-row Python loop.  Upper solves are extracted
-        # in the library's renumbered convention (iteration k solves
-        # row n-1-k) and mapped back to natural row numbering here.
-        from ..core.wavefront import compute_wavefronts  # deferred: cycle
-        from ..program import LoopProgram  # deferred: import cycle
-
-        program = LoopProgram.from_csr(t, lower=lower)
-        wf = compute_wavefronts(program.dependence_graph())
-        if not lower:
-            wf = wf[::-1].copy()
-        self.wavefronts = wf
-        self.num_levels = int(wf.max()) + 1 if n else 0
-
-        # --- per-level gather plan (rows ascending inside a level) ------
-        self._data = t.data
-        self._gather = LevelGather(
-            t.indptr, t.indices, np.argsort(wf, kind="stable"),
-            counts_to_indptr(self.level_sizes()), lower=lower)
-
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Solve the triangular system for right-hand side ``b``."""
-        b = check_vector(b, self.n, "b")
-        x = out if out is not None else np.empty(self.n, dtype=np.float64)
-        if out is not None and out.shape[0] != self.n:
-            raise ValidationError(f"out must have length {self.n}")
-        self._gather.sweep(x, self._data, b, self.diag)
-        return x
-
-    def level_sizes(self) -> np.ndarray:
-        """Number of rows in each wavefront (the paper's phase profile)."""
-        return np.bincount(self.wavefronts, minlength=self.num_levels)

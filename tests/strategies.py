@@ -10,9 +10,9 @@ does not keep a copy.
 import numpy as np
 from hypothesis import strategies as st
 
-from repro import LoopProgram
+from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
-from repro.sparse.build import random_lower_triangular
+from repro.sparse.build import csr_from_dense, random_lower_triangular
 from repro.sparse.csr import CSRMatrix
 
 EXECUTORS = ("self", "preschedule", "doacross")
@@ -83,6 +83,19 @@ def lower_systems(draw):
     return l, b
 
 
+@st.composite
+def spd_matrices(draw):
+    """A random sparse symmetric, strictly diagonally dominant matrix
+    (so every incomplete factorization of it has non-zero pivots)."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    rng = np.random.default_rng(draw(seeds))
+    dense = rng.standard_normal((n, n))
+    dense[np.abs(dense) < 1.2] = 0.0
+    sym = (dense + dense.T) / 2
+    sym += np.diag(np.abs(sym).sum(axis=1) + 1.0)
+    return csr_from_dense(sym)
+
+
 # ----------------------------------------------------------------------
 # Seeded programs: hand kernels, CSR substitutions, recorded bodies
 # ----------------------------------------------------------------------
@@ -104,6 +117,14 @@ def triangular(n: int, seed: int, *, lower: bool, inline_diag: bool = True):
     data = rng.uniform(0.5, 1.5, size=len(indices)) * rng.choice(
         [-1.0, 1.0], size=len(indices))
     return CSRMatrix(indptr, np.array(indices, dtype=np.int64), data, (n, n))
+
+
+def level_loop(t, b=None, **csr):
+    """The level-scheduled solve of ``t``: its Figure 8 program
+    (``from_csr`` keywords in ``csr``), compiled on a fresh session."""
+    if b is None:
+        b = np.zeros(t.nrows)
+    return Runtime(nproc=4).compile(LoopProgram.from_csr(t, b, **csr))
 
 
 def recorded_program(n: int, seed: int) -> LoopProgram:

@@ -158,11 +158,11 @@ class TestDoacross:
 class TestTriangularKernel:
     def test_all_executors_match_levelsolver(self, mesh_lower):
         from repro.core.dependence import DependenceGraph
-        from repro.sparse.triangular import LevelScheduledSolver
+        from repro.sparse.triangular import solve_lower_sequential
 
         l, d = mesh_lower
         b = np.linspace(-1.0, 1.0, l.nrows)
-        expected = LevelScheduledSolver(l, lower=True, diag=d).solve(b)
+        expected = solve_lower_sequential(l, b, diag=d)
         dep = DependenceGraph.from_lower_csr(l)
         wf = compute_wavefronts(dep)
         for make in (

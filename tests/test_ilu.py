@@ -169,3 +169,16 @@ class TestPreconditioners:
         assert make_preconditioner(a, "ilu1").level == 1
         with pytest.raises(ValidationError):
             make_preconditioner(a, "cholesky")
+
+    @pytest.mark.parametrize("build", [
+        lambda a: make_preconditioner(a, "ilu-1"),
+        lambda a: make_preconditioner(a, "ilux"),
+        lambda a: make_preconditioner(a, "ilu1.5"),
+        lambda a: ILUPreconditioner(a, -3),
+        lambda a: ILUPreconditioner(a, 1.0),
+        lambda a: ILUPreconditioner(a, True),
+    ], ids=["ilu-1", "ilux", "ilu1.5", "-3", "1.0", "True"])
+    def test_level_must_be_a_non_negative_integer(self, build):
+        """No spelling silently builds ILU(0) or leaks an ``int()`` error."""
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            build(csr_from_dense(banded_spd(8)))

@@ -9,7 +9,7 @@ from repro.core.dependence import DependenceGraph
 from repro.krylov.parallel import ParallelSolver
 from repro.krylov.solver import solve
 from repro.mesh.problems import get_problem
-from repro.sparse.triangular import LevelScheduledSolver, split_triangular
+from repro.sparse.triangular import solve_lower_sequential, split_triangular
 
 
 class TestFullSolvePipeline:
@@ -53,11 +53,9 @@ class TestCompileOnRealFactor:
 
     def test_triangular_solve_matches(self):
         p = get_problem("5-PT", scale=0.25)
-        from repro.krylov.ilu import ILUPreconditioner
-        lu = ILUPreconditioner(p.a, 0).factorization
-        l = lu.l_strict
+        l = p.factorization.l_strict
         b = np.linspace(0.0, 1.0, l.nrows)
-        expected = lu.lower_solver.solve(b)
+        expected = solve_lower_sequential(l, b, unit_diagonal=True)
         loop = Runtime(nproc=8).compile(l, executor="self",
                                         scheduler="global")
         out = loop(TriangularSolveKernel(l, b, unit_diagonal=True))
@@ -78,7 +76,7 @@ class TestAmortisation:
         for run in range(1, 4):
             b = rng.standard_normal(l.nrows)
             res = loop(TriangularSolveKernel(l, b, diag=d))
-            expected = LevelScheduledSolver(l, lower=True, diag=d).solve(b)
+            expected = solve_lower_sequential(l, b, diag=d)
             np.testing.assert_allclose(res.x, expected, rtol=1e-10)
             assert res.executions == run
         assert rt.cache_stats.misses == 1   # one inspection served all

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, ValidationError
+from repro.krylov import ilu
 from repro.krylov.gmres import gmres
 from repro.krylov.ilu import ILUPreconditioner
 from repro.krylov.oplog import OperationLog
@@ -109,6 +110,13 @@ class TestGMRES:
         with pytest.raises(ValidationError):
             gmres(a, b, restart=0)
 
+    def test_negative_maxiter_refused_like_pcg(self, nonsym_system):
+        a, b, _ = nonsym_system
+        for method in (pcg, gmres):
+            with pytest.raises(ValidationError,
+                               match="maxiter must be non-negative"):
+                method(a, b, maxiter=-1)
+
     def test_identity_converges_one_iteration(self):
         from repro.sparse.build import identity
         a = identity(10)
@@ -133,10 +141,24 @@ class TestSolverDriver:
         assert res.converged
         np.testing.assert_allclose(res.x, u, rtol=1e-5, atol=1e-7)
 
-    def test_unknown_method(self, spd_system):
+    def test_unknown_method(self, spd_system, monkeypatch):
+        """Refused before the matrix is factored, not after."""
         a, b, _ = spd_system
-        with pytest.raises(ValidationError):
+        monkeypatch.setattr(ilu, "numeric_ilu", None)
+        with pytest.raises(ValidationError, match="'pcg' or 'gmres'"):
             solve(a, b, method="sor")
+
+    def test_prebuilt_preconditioner_is_used_as_is(self, spd_system,
+                                                   monkeypatch):
+        a, b, _ = spd_system
+        by_name = solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
+        pre = ILUPreconditioner(a, 0)
+        monkeypatch.setattr(ilu, "numeric_ilu", None)  # nothing re-factors
+        res = solve(a, b, method="pcg", precond=pre, tol=1e-10)
+        assert res.precond_kind == "ilu"
+        assert res.residuals == by_name.residuals
+        assert np.array_equal(res.x, by_name.x)
+        assert pre.lower_loop.executions == res.log["lower_solve"]
 
     def test_raise_on_fail(self, nonsym_system):
         a, b, _ = nonsym_system

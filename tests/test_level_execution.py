@@ -37,11 +37,16 @@ from repro.machine.simulator import simulate_self_executing
 from repro.program.transform import IterationMap, MappedKernel
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import (
-    LevelScheduledSolver,
     solve_lower_sequential,
     solve_upper_sequential,
 )
-from strategies import EXECUTORS, program_of, recorded_program, triangular
+from strategies import (
+    EXECUTORS,
+    level_loop,
+    program_of,
+    recorded_program,
+    triangular,
+)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +107,7 @@ class TestSerialOrder:
         t = triangular(n, seed, lower=lower)
         b = np.random.default_rng(seed).standard_normal(n)
         sequential = solve_lower_sequential if lower else solve_upper_sequential
-        assert np.array_equal(LevelScheduledSolver(t, lower=lower).solve(b),
+        assert np.array_equal(level_loop(t, b, lower=lower)(with_sim=False).x,
                               sequential(t, b))
 
     @given(st.integers(min_value=2, max_value=40),

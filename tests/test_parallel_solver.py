@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.krylov import ilu
 from repro.krylov.parallel import ParallelSolver
 from repro.mesh.problems import get_problem
+from repro.runtime import Runtime
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,44 @@ class TestConstruction:
         for s in solvers.values():
             s.schedule_lower.validate()
             s.schedule_upper.validate()
+
+
+class TestOneFactorOneSolvePath:
+    """The PCGPAK pattern, asserted of the flagship: the loops the
+    solver compiled and priced are the loops its iterations ran."""
+
+    def test_every_logged_solve_ran_the_compiled_loops(self, problem,
+                                                       monkeypatch):
+        factored = []
+        numeric_ilu = ilu.numeric_ilu
+        monkeypatch.setattr(
+            ilu, "numeric_ilu",
+            lambda *a, **k: factored.append(1) or numeric_ilu(*a, **k))
+        solver = ParallelSolver(problem.a, 8)
+        log = solver.solve(problem.b, method="gmres").solve_result.log
+        assert log["lower_solve"] == log["upper_solve"] > 0
+        assert solver.lower_loop.executions == log["lower_solve"]
+        assert solver.upper_loop.executions == log["upper_solve"]
+        assert solver.lower_loop.compile_count == 1
+        assert len(factored) == 1
+
+    def test_a_handed_factorization_is_not_recomputed(self, problem,
+                                                      monkeypatch):
+        f = problem.factorization
+        monkeypatch.setattr(ilu, "numeric_ilu", None)
+        solver = ParallelSolver(problem.a, 8, factorization=f)
+        assert solver.precond.factorization is f and solver.pattern is f.lu
+        assert problem.loop_program(factored=True).data["a"] is f.l_strict.data
+
+    def test_executors_on_one_session_share_the_inspection(self, problem):
+        rt = Runtime(nproc=8)
+        f = problem.factorization
+        ParallelSolver(problem.a, 8, executor="self", runtime=rt,
+                       factorization=f)
+        inspected = rt.cache_stats.misses
+        ParallelSolver(problem.a, 8, executor="preschedule", runtime=rt,
+                       factorization=f)
+        assert rt.cache_stats.misses == inspected
 
 
 class TestSolveReport:

@@ -13,7 +13,7 @@ from repro.machine.processes import (
     ProcessSelfExecutingSolver,
 )
 from repro.sparse.build import random_lower_triangular
-from repro.sparse.triangular import LevelScheduledSolver
+from repro.sparse.triangular import solve_lower_sequential
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -25,7 +25,7 @@ pytestmark = pytest.mark.skipif(
 def system():
     l = random_lower_triangular(150, avg_off_diag=2.0, max_band=30, seed=11)
     b = np.random.default_rng(12).standard_normal(150)
-    expected = LevelScheduledSolver(l, lower=True).solve(b)
+    expected = solve_lower_sequential(l, b)
     dep = DependenceGraph.from_lower_csr(l)
     return l, b, expected, dep
 

@@ -3,29 +3,16 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.krylov.ilu import ILUFactorization, numeric_ilu
+from repro.krylov.ilu import ILUFactorization, ILUPreconditioner, numeric_ilu
 from repro.krylov.pcg import pcg
-from repro.sparse.build import csr_from_dense
 from repro.sparse.triangular import (
-    LevelScheduledSolver,
     solve_lower_sequential,
+    solve_upper_sequential,
     split_triangular,
 )
 from repro.workload.generator import generate_workload
 from repro.workload.naming import format_workload_name, parse_workload_name
-from strategies import lower_systems
-
-
-@st.composite
-def spd_matrices(draw):
-    n = draw(st.integers(min_value=2, max_value=25))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    dense = rng.standard_normal((n, n))
-    dense[np.abs(dense) < 1.2] = 0.0
-    sym = (dense + dense.T) / 2
-    sym += np.diag(np.abs(sym).sum(axis=1) + 1.0)
-    return csr_from_dense(sym)
+from strategies import EXECUTORS, level_loop, lower_systems, spd_matrices
 
 
 class TestTriangularProperties:
@@ -33,7 +20,7 @@ class TestTriangularProperties:
     @settings(max_examples=40, deadline=None)
     def test_level_solver_matches_sequential(self, system):
         l, b = system
-        got = LevelScheduledSolver(l, lower=True).solve(b)
+        got = level_loop(l, b)(with_sim=False).x
         want = solve_lower_sequential(l, b)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -41,7 +28,7 @@ class TestTriangularProperties:
     @settings(max_examples=40, deadline=None)
     def test_solve_satisfies_system(self, system):
         l, b = system
-        x = LevelScheduledSolver(l, lower=True).solve(b)
+        x = level_loop(l, b)(with_sim=False).x
         np.testing.assert_allclose(l.matvec(x), b, rtol=1e-7, atol=1e-7)
 
     @given(lower_systems())
@@ -73,11 +60,29 @@ class TestILUProperties:
         rng = np.random.default_rng(a.nnz)
         x_true = rng.standard_normal(a.nrows)
         b = a.matvec(x_true)
-        from repro.krylov.ilu import ILUPreconditioner
         pre = ILUPreconditioner(a, 0)
         x, _, _, ok = pcg(a, b, pre, tol=1e-10, maxiter=300)
         assert ok
         np.testing.assert_allclose(x, x_true, rtol=1e-5, atol=1e-7)
+
+
+    @given(spd_matrices())
+    @settings(max_examples=15, deadline=None)
+    def test_apply_is_the_two_sequential_loops_bit_for_bit(self, a):
+        """Whatever strategy compiled the loops, any legal order
+        accumulates each row in CSR order."""
+        r = np.random.default_rng(a.nnz).standard_normal(a.nrows)
+        for level in (0, 1):
+            for executor in EXECUTORS:
+                for scheduler in ("global", "local"):
+                    pre = ILUPreconditioner(a, level, executor=executor,
+                                            scheduler=scheduler)
+                    f = pre.factorization
+                    y = solve_lower_sequential(f.l_strict, r,
+                                               unit_diagonal=True)
+                    z = solve_upper_sequential(f.u, y, diag=f.u_diag)
+                    assert np.array_equal(pre.apply(r), z), (
+                        level, executor, scheduler)
 
 
 class TestWorkloadProperties:
@@ -96,7 +101,7 @@ class TestWorkloadProperties:
         assert m.has_full_diagonal()
         # Solvable as a triangular system.
         b = np.ones(m.nrows)
-        x = LevelScheduledSolver(m, lower=True).solve(b)
+        x = level_loop(m, b)(with_sim=False).x
         assert np.all(np.isfinite(x))
 
     @given(

@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.report import generate_report
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import DEFAULT_PROBLEMS, ExperimentContext
+from repro.krylov import ilu
+from repro.mesh.problems import get_problem
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,18 @@ class TestReport:
 
     def test_quadrant_rendered(self, report_text):
         assert "RECOMMENDED" in report_text
+
+
+    def test_each_problem_is_factored_once(self, monkeypatch):
+        """Tables 1-4 read one factorization off the problem."""
+        factored = []
+        numeric_ilu = ilu.numeric_ilu
+        monkeypatch.setattr(
+            ilu, "numeric_ilu",
+            lambda a, *p: factored.append(id(a)) or numeric_ilu(a, *p))
+        get_problem.cache_clear()  # no factorization left over
+        generate_report(ExperimentContext(nproc=8, scale=0.3))
+        assert len(factored) == len(set(factored)) == len(DEFAULT_PROBLEMS)
 
 
 class TestCLI:

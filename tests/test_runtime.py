@@ -34,7 +34,7 @@ from repro.runtime import (
     scheduler_registry,
 )
 from repro.sparse.build import random_lower_triangular
-from repro.sparse.triangular import LevelScheduledSolver
+from repro.sparse.triangular import solve_lower_sequential
 
 EXECUTORS = ("self", "preschedule", "doacross")
 SCHEDULERS = ("local", "global")
@@ -121,7 +121,7 @@ class TestBackends:
     def test_all_backends_agree_on_triangular_solve(self):
         l = random_lower_triangular(120, avg_off_diag=2.0, max_band=24, seed=5)
         b = np.random.default_rng(6).standard_normal(120)
-        expected = LevelScheduledSolver(l, lower=True).solve(b)
+        expected = solve_lower_sequential(l, b)
         dep = DependenceGraph.from_lower_csr(l)
         rt = Runtime(nproc=2)
         backends = ["serial", "threads"]

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import wavefront_counts
 from repro.errors import StructureError, ValidationError
 from repro.sparse.build import csr_from_dense, random_lower_triangular
 from repro.sparse.triangular import (
-    LevelScheduledSolver,
     solve_lower_sequential,
     solve_upper_sequential,
     split_triangular,
 )
+from strategies import level_loop
 
 
 @pytest.fixture(scope="module")
@@ -86,39 +87,41 @@ class TestSequentialSolves:
 
 
 class TestLevelScheduledSolver:
+    """A loop compiled from ``LoopProgram.from_csr`` against the
+    sequential substitution loops."""
+
     def test_matches_sequential_lower(self, small_lower):
         b = np.sin(np.arange(small_lower.nrows, dtype=float))
-        solver = LevelScheduledSolver(small_lower, lower=True)
         np.testing.assert_allclose(
-            solver.solve(b), solve_lower_sequential(small_lower, b),
-            rtol=1e-12,
+            level_loop(small_lower, b)().x,
+            solve_lower_sequential(small_lower, b), rtol=1e-12,
         )
 
     def test_matches_sequential_upper(self, small_lower):
         upper = small_lower.transpose()
         b = np.cos(np.arange(upper.nrows, dtype=float))
-        solver = LevelScheduledSolver(upper, lower=False)
         np.testing.assert_allclose(
-            solver.solve(b), solve_upper_sequential(upper, b), rtol=1e-12,
+            level_loop(upper, b, lower=False)().x,
+            solve_upper_sequential(upper, b), rtol=1e-12,
         )
 
     def test_reusable_across_rhs(self, small_lower):
-        solver = LevelScheduledSolver(small_lower, lower=True)
+        loop = level_loop(small_lower)
         for seed in range(3):
             b = np.random.default_rng(seed).standard_normal(small_lower.nrows)
             np.testing.assert_allclose(
-                solver.solve(b), solve_lower_sequential(small_lower, b),
+                loop.rebind(b=b)().x, solve_lower_sequential(small_lower, b),
                 rtol=1e-12,
             )
+        assert loop.rebinds == 3 and loop.compile_count == 1
 
     def test_level_sizes_sum_to_n(self, small_lower):
-        solver = LevelScheduledSolver(small_lower, lower=True)
-        assert solver.level_sizes().sum() == small_lower.nrows
+        wf = level_loop(small_lower).inspection.wavefronts
+        assert wavefront_counts(wf).sum() == small_lower.nrows
 
     def test_wavefront_invariant(self, small_lower):
         """wf[i] == 1 + max(wf[j]) over stored strict deps."""
-        solver = LevelScheduledSolver(small_lower, lower=True)
-        wf = solver.wavefronts
+        wf = level_loop(small_lower).inspection.wavefronts
         for i in range(small_lower.nrows):
             cols, _ = small_lower.row(i)
             deps = cols[cols < i]
@@ -128,32 +131,25 @@ class TestLevelScheduledSolver:
     def test_diag_of_mesh_problem(self, mesh_lower):
         l, d = mesh_lower
         b = np.linspace(0.0, 1.0, l.nrows)
-        solver = LevelScheduledSolver(l, lower=True, diag=d)
         np.testing.assert_allclose(
-            solver.solve(b), solve_lower_sequential(l, b, diag=d), rtol=1e-10,
+            level_loop(l, b, diag=d)().x,
+            solve_lower_sequential(l, b, diag=d), rtol=1e-10,
         )
-
-    def test_out_parameter(self, small_lower):
-        solver = LevelScheduledSolver(small_lower, lower=True)
-        b = np.ones(small_lower.nrows)
-        out = np.empty(small_lower.nrows)
-        res = solver.solve(b, out=out)
-        assert res is out
 
     def test_unit_diagonal_identity(self):
         strict = csr_from_dense(np.zeros((4, 4)))
-        solver = LevelScheduledSolver(strict, lower=True, unit_diagonal=True)
         b = np.arange(4.0)
-        np.testing.assert_allclose(solver.solve(b), b)
-        assert solver.num_levels == 1
+        loop = level_loop(strict, b, unit_diagonal=True)
+        np.testing.assert_allclose(loop().x, b)
+        assert loop.inspection.num_wavefronts == 1
 
     def test_dense_chain_levels(self):
         """A fully sequential chain yields n levels."""
         n = 10
         dense = np.tril(np.ones((n, n)))
-        solver = LevelScheduledSolver(csr_from_dense(dense), lower=True)
-        assert solver.num_levels == n
+        loop = level_loop(csr_from_dense(dense))
+        assert loop.inspection.num_wavefronts == n
 
     def test_rejects_wrong_direction(self, small_lower):
-        with pytest.raises(StructureError):
-            LevelScheduledSolver(small_lower, lower=False)
+        with pytest.raises(ValidationError):
+            level_loop(small_lower, lower=False)
