@@ -2,8 +2,9 @@
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
-# one-speculative-gate, one-store-discipline, two-instruments and
-# one-factor-one-solve-path rules, then run the tier-1 test suite.
+# one-speculative-gate, one-store-discipline, two-instruments,
+# one-factor-one-solve-path, one-stencil-query, one-row-pointer-build and
+# one-inspector-owner rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -164,6 +165,36 @@ gathers=$(grep -rn 'LevelGather(' src --include='*.py' \
 if [ -n "$gathers" ]; then
     echo "$gathers"
     echo "error: LevelGather( built outside the substitution kernels of core/executor.py" >&2
+    exit 1
+fi
+
+echo "== each structural question once: stencil query, row pointer, inspector owner =="
+# Grid2D/Grid3D.neighbours is the one place a stencil asks which of its
+# arms leave the grid; the assemblers, the mesh workload and the model
+# problem call it.
+masks=$(grep -rn 'interior_mask(' src --include='*.py' \
+        | grep -v '^src/repro/mesh/grid.py:' || true)
+if [ -n "$masks" ]; then
+    echo "$masks"
+    echo "error: interior_mask( called outside mesh/grid.py (use Grid.neighbours)" >&2
+    exit 1
+fi
+# util.frontier.counts_to_indptr is the one row-pointer build; the copy
+# in core/reference.py is the oracle.  (speculate/executor.py's
+# out=prefix is a float prefix sum of work, not a row pointer.)
+pointers=$(grep -rnE 'cumsum\(.*out=(indptr|indptr_t|bounds)' src --include='*.py' \
+           | grep -vE '^src/repro/(util/frontier|core/reference)\.py:' || true)
+if [ -n "$pointers" ]; then
+    echo "$pointers"
+    echo "error: a hand-rolled row pointer outside util/frontier.py (use counts_to_indptr)" >&2
+    exit 1
+fi
+# A session owns its inspector; tables and projections compile through one.
+owners=$(grep -rn 'Inspector(' src --include='*.py' \
+         | grep -v '^src/repro/runtime/session.py:' || true)
+if [ -n "$owners" ]; then
+    echo "$owners"
+    echo "error: Inspector( constructed outside runtime/session.py" >&2
     exit 1
 fi
 

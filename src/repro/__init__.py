@@ -72,7 +72,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "At",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ..util.frontier import counts_to_indptr
 
 __all__ = ["DenseTriangularModel"]
 
@@ -69,22 +70,10 @@ class DenseTriangularModel:
         from ..core.dependence import DependenceGraph
 
         n = self.n
-        counts = np.arange(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.concatenate(
-            [np.arange(i, dtype=np.int64) for i in range(n)]
-        ) if n > 1 else np.empty(0, dtype=np.int64)
+        indptr = counts_to_indptr(np.arange(n, dtype=np.int64))
+        indices = np.concatenate(  # n >= 2, so never an empty list
+            [np.arange(i, dtype=np.int64) for i in range(n)])
         return DependenceGraph(indptr, indices, n, check_acyclic=False)
-
-    def per_row_work(self, t_saxpy: float = 1.0) -> np.ndarray:
-        """Row ``i`` performs ``i`` SAXPY pairs (row 0 costs ~0).
-
-        A zero-cost row breaks the simulator's strictly-positive-work
-        assumption harmlessly; we charge an epsilon so completion times
-        stay strictly ordered.
-        """
-        return t_saxpy * np.maximum(np.arange(self.n, dtype=np.float64), 1e-9)
 
     def simulate_fine_grained(self, t_saxpy: float = 1.0) -> float:
         """Exact completion time under *operand-level* busy waiting.

@@ -27,7 +27,6 @@ strongest internal-consistency check the library has.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,8 @@ class ModelProblem:
             raise ValidationError("mesh dimensions must be positive")
 
     # --- closed forms --------------------------------------------------
-    def eopt_prescheduled(self, p: int, *, exact: bool = True) -> float:
-        f = eopt_prescheduled_exact if exact else eopt_prescheduled_approx
-        return f(self.m, self.n, p)
+    def eopt_prescheduled(self, p: int) -> float:
+        return eopt_prescheduled_exact(self.m, self.n, p)
 
     def eopt_self(self, p: int) -> float:
         return eopt_self_executing(self.m, self.n, p)
@@ -218,33 +216,17 @@ class ModelProblem:
 
     # --- structural builders -------------------------------------------
     def dependence_graph(self):
-        """Dependences of the model problem's lower triangular solve.
-
-        Point ``(ix, iy)`` (natural order, x fastest) depends on its
-        west and south neighbours — the zero-fill factor of the 5-point
-        operator.
+        """Dependences of the model problem's lower triangular solve:
+        the strictly-lower entries of the 5-point operator on the grid
+        with ``m`` points along x (the fastest index) and ``n`` along y
+        — each point waits for its west and south neighbours, and the
+        zero-fill factor adds nothing to that.
         """
         from ..core.dependence import DependenceGraph
+        from ..mesh import Grid2D, five_point_laplacian
 
-        m, n = self.m, self.n
-        total = m * n
-        idx = np.arange(total)
-        ix, iy = idx % m, idx // m
-        rows = []
-        cols = []
-        west = ix > 0
-        rows.append(idx[west])
-        cols.append(idx[west] - 1)
-        south = iy > 0
-        rows.append(idx[south])
-        cols.append(idx[south] - m)
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        order = np.lexsort((c, r))
-        counts = np.bincount(r, minlength=total)
-        indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return DependenceGraph(indptr, c[order], total, check_acyclic=False)
+        return DependenceGraph.from_lower_csr(
+            five_point_laplacian(Grid2D(self.m, self.n)))
 
     def uniform_work(self) -> np.ndarray:
         """Equal per-point work ``T_p``, as the model assumes.

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.dependence import DependenceGraph
-from ..core.inspector import Inspector
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts, MULTIMAX_320
 from ..machine.simulator import simulate
+from ..runtime.session import Runtime
 
 __all__ = ["EfficiencyProjection", "project_efficiencies"]
 
@@ -63,25 +63,21 @@ def project_efficiencies(
     """
     if executor not in ("self", "preschedule"):
         raise ValidationError("executor must be 'self' or 'preschedule'")
-    inspector = Inspector(costs)
     zero = costs.with_overheads_zeroed()
+    # One session per distinct processor count, each inspecting once.
+    loops = {p: Runtime(p, costs=costs).compile(
+                 dep, executor=executor, scheduler=scheduler)
+             for p in dict.fromkeys((base_nproc, *target_nprocs))}
 
-    def schedule_for(p):
-        return inspector.inspect(dep, p, strategy=scheduler).schedule
-
-    base_sched = schedule_for(base_nproc)
-    measured = simulate(base_sched, dep, costs, mode=executor,
+    def e_symbolic(p):
+        # The zero-overhead what-if is not the session's to answer:
+        # its cost model is part of every schedule's cache key.
+        return simulate(loops[p].schedule, dep, zero, mode=executor,
                         unit_work=unit_work).efficiency
-    e_sym_base = simulate(base_sched, dep, zero, mode=executor,
-                          unit_work=unit_work).efficiency
-    best = measured / e_sym_base
 
-    projected = {}
-    for p in target_nprocs:
-        sched = base_sched if p == base_nproc else schedule_for(p)
-        e_sym = simulate(sched, dep, zero, mode=executor,
-                         unit_work=unit_work).efficiency
-        projected[p] = best * e_sym
+    best = (loops[base_nproc].simulate(unit_work=unit_work).efficiency
+            / e_symbolic(base_nproc))
+    projected = {p: best * e_symbolic(p) for p in target_nprocs}
     return EfficiencyProjection(
         executor=executor,
         scheduler=scheduler,

@@ -128,9 +128,7 @@ class DependenceGraph:
         n = l.nrows
         rows = l.row_of_nnz()
         strict = l.indices < rows
-        counts = np.bincount(rows[strict], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = counts_to_indptr(np.bincount(rows[strict], minlength=n))
         return cls(indptr, l.indices[strict], n, check_acyclic=False)
 
     @classmethod
@@ -149,9 +147,7 @@ class DependenceGraph:
         new_rows = n - 1 - rows[strict]
         new_cols = n - 1 - u.indices[strict]
         order = np.argsort(new_rows, kind="stable")
-        counts = np.bincount(new_rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = counts_to_indptr(np.bincount(new_rows, minlength=n))
         return cls(indptr, new_cols[order], n, check_acyclic=False)
 
     @classmethod
@@ -167,9 +163,7 @@ class DependenceGraph:
             rows = cols = np.empty(0, dtype=np.int64)
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        counts = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = counts_to_indptr(np.bincount(rows, minlength=n))
         return cls(indptr, cols, n)
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from ..machine.simulator import (
 )
 from ..machine.threads import ThreadedMachine
 from ..sparse.csr import CSRMatrix
-from ..sparse.triangular import LevelGather
+from ..sparse.triangular import LevelGather, resolve_diagonal
 from ..util.validation import as_int_array, check_vector
 from .dependence import DependenceGraph
 
@@ -301,14 +301,10 @@ class _SubstitutionKernel(LoopKernel):
         self.n = t.nrows
         self._t = t
         self.b = check_vector(b, self.n, "b")
-        if unit_diagonal:
-            self.diag = np.ones(self.n)
-        else:
-            self.diag = (check_vector(diag, self.n, "diag")
-                         if diag is not None else t.diagonal())
-            if np.any(self.diag == 0.0):
-                raise ValidationError(
-                    "triangular kernel requires a nonzero diagonal")
+        self.diag = resolve_diagonal(t, diag, unit_diagonal)
+        if not unit_diagonal and np.any(self.diag == 0.0):
+            raise ValidationError(
+                "triangular kernel requires a nonzero diagonal")
         self.x: np.ndarray | None = None
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:

@@ -593,8 +593,7 @@ def load_schedule_npz(path) -> Schedule:
         nproc = int(z["nproc"])
         lengths = z["lengths"]
         flat = z["flat"]
-        bounds = np.zeros(nproc + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
+        bounds = counts_to_indptr(lengths)
         local = [flat[bounds[p] : bounds[p + 1]] for p in range(nproc)]
         return Schedule(
             nproc=nproc,

@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser.add_argument("--nproc", type=int, default=16,
                         help="simulated processor count (default 16)")
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="problem scale factor (default 1.0 = paper sizes)")
+                        help="positive finite problem scale (default 1.0 = paper sizes)")
     parser.add_argument("--quick", action="store_true",
                         help="skip Table 1 (the full Krylov solves)")
     parser.add_argument("-o", "--output", default=None,

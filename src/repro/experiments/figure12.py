@@ -80,8 +80,9 @@ def run_figure12(
     return points, table
 
 
-def render_ascii_chart(points: list[Figure12Point], width: int = 50) -> str:
+def render_ascii_chart(points: list[Figure12Point]) -> str:
     """A terminal rendition of Figure 12 (efficiency bars per P)."""
+    width = 50  # characters an efficiency of 1.0 spans
     lines = ["EFF  0.0" + " " * (width - 12) + "1.0"]
     for pt in points:
         b = int(round(pt.barrier_efficiency * width))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from ..machine.costs import MachineCosts, MULTIMAX_320
 from ..mesh.problems import TestProblem, get_problem
+from ..util.validation import check_positive_finite
 
 __all__ = ["ExperimentContext", "DEFAULT_PROBLEMS", "ACCOUNTING_PROBLEMS"]
 
@@ -39,6 +40,10 @@ class ExperimentContext:
     tol: float = 1e-8
     maxiter: int = 600
     restart: int = 30
+
+    def __post_init__(self):
+        # Refused here, not at the first table that builds a problem.
+        check_positive_finite(self.scale, "scale")
 
     def problem(self, name: str) -> TestProblem:
         return get_problem(name, scale=self.scale)

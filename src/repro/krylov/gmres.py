@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..sparse.csr import CSRMatrix
-from ..util.validation import check_vector
+from ..util.validation import check_positive_finite, check_vector
 from .oplog import OperationLog
 
 __all__ = ["gmres"]
@@ -25,12 +25,10 @@ def gmres(
     b: np.ndarray,
     precond=None,
     *,
-    x0: np.ndarray | None = None,
     tol: float = 1e-8,
     maxiter: int = 1000,
     restart: int = 30,
     log: OperationLog | None = None,
-    callback=None,
 ) -> tuple[np.ndarray, int, list[float], bool]:
     """Solve ``A x = b`` with right-preconditioned restarted GMRES.
 
@@ -43,7 +41,8 @@ def gmres(
         raise ValidationError("restart must be positive")
     if maxiter < 0:
         raise ValidationError("maxiter must be non-negative")
-    x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
+    tol = check_positive_finite(tol, "tol")
+    x = np.zeros(n)
     log = log if log is not None else OperationLog()
 
     bnorm = float(np.linalg.norm(b))
@@ -112,8 +111,6 @@ def gmres(
             total_iters += 1
             rel = abs(float(g[j + 1])) / bnorm
             history.append(rel)
-            if callback is not None:
-                callback(total_iters, None, rel)
             if rel <= tol or hnorm == 0.0:  # hnorm == 0: lucky breakdown
                 converged = rel <= tol or hnorm == 0.0
                 break

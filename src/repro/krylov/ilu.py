@@ -10,15 +10,21 @@ splits into:
   original entries have level 0; a fill entry created by eliminating
   pivot ``k`` gets ``lev(i,j) = min(lev(i,j), lev(i,k) + lev(k,j) + 1)``
   and is retained when ``lev <= level``.  ``level=0`` (ILU(0), zero
-  fill) reproduces the paper's experiments; higher levels are supported
-  as the natural extension.  Rows are processed with sorted-list merges
-  — the linked-list merge of Appendix 2.3 in array clothing.
+  fill) reproduces the paper's experiments and needs no elimination:
+  it is one assembly of A's own pattern plus whatever diagonal entries
+  A lacks.  Higher levels are supported as the natural extension; their
+  rows are processed with sorted-list merges — the linked-list merge of
+  Appendix 2.3 in array clothing.
 * **numeric factorization** — the IKJ elimination restricted to the
-  symbolic pattern.  Its outer-loop dependences are the strictly-lower
-  pattern entries (row ``i`` needs every pivot row ``j`` it references),
-  i.e. the same shape of dependence graph as the triangular solve —
-  which is exactly why the paper parallelizes both with the same
-  machinery.
+  symbolic pattern, after a prologue that asks the pattern what it
+  already knows: one keyed search scatters A's values into it, and its
+  cached ``diagonal_positions()`` are the pivots (a pattern lacking an
+  entry of A, or a diagonal, is refused naming the first such row).
+  The elimination's outer-loop dependences are the strictly-lower
+  pattern entries (row ``i`` needs every pivot row ``j`` it
+  references), i.e. the same shape of dependence graph as the
+  triangular solve — which is exactly why the paper parallelizes both
+  with the same machinery.
 
 The result is stored as a single CSR matrix with unit-lower ``L``
 implicit (strict lower entries hold the multipliers) and ``U``
@@ -42,7 +48,7 @@ from ..runtime.session import Runtime
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import select_entries
-from ..util.validation import check_seed, check_vector
+from ..util.validation import check_seed, check_square, check_vector
 
 __all__ = [
     "symbolic_ilu",
@@ -69,24 +75,16 @@ def symbolic_ilu(a: CSRMatrix, level: int = 0) -> CSRMatrix:
     floats, 0.0 for original entries).  ``level=0`` returns ``a``'s own
     pattern (plus the diagonal if missing).
     """
-    if a.nrows != a.ncols:
-        raise ValidationError(f"matrix must be square, got {a.shape}")
+    n = check_square(a.shape)
     level = _check_level(level)
-    n = a.nrows
 
     if level == 0:
-        # Zero fill: pattern of A, diagonal enforced.
-        rows_l, cols_l, levs_l = [], [], []
-        for i in range(n):
-            cols, _ = a.row(i)
-            cset = np.unique(np.append(cols, i))
-            rows_l.append(np.full(cset.shape[0], i, dtype=np.int64))
-            cols_l.append(cset)
-            levs_l.append(np.zeros(cset.shape[0]))
-        return coo_to_csr(
-            np.concatenate(rows_l), np.concatenate(cols_l),
-            np.concatenate(levs_l), (n, n), sum_duplicates=False,
-        )
+        # Zero fill: pattern of A (a repeated entry once) plus the
+        # diagonal of every row that stores none.
+        missing = np.flatnonzero(a.diagonal_positions() < 0)
+        rows = np.concatenate([a.row_of_nnz(), missing])
+        return coo_to_csr(rows, np.concatenate([a.indices, missing]),
+                          np.zeros(rows.shape[0]), (n, n))
 
     # Level-of-fill symbolic phase.  Row-by-row; each completed row's
     # upper part is reused as a pivot row by later rows (so rows must be
@@ -146,9 +144,7 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
 
     ``pattern=None`` means ILU(0) on ``a``'s own pattern.
     """
-    if a.nrows != a.ncols:
-        raise ValidationError(f"matrix must be square, got {a.shape}")
-    n = a.nrows
+    n = check_square(a.shape)
     if pattern is None:
         pattern = symbolic_ilu(a, 0)
     if pattern.shape != a.shape:
@@ -160,28 +156,27 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
     indices = pattern.indices
     data = np.zeros(pattern.nnz, dtype=np.float64)
 
-    # Scatter A's values into the pattern.
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        row_cols = indices[lo:hi]
-        acols, avals = a.row(i)
-        # positions of A's entries inside the (sorted) pattern row
-        pos = np.searchsorted(row_cols, acols)
-        ok = (pos < row_cols.shape[0]) & (row_cols[np.minimum(pos, row_cols.shape[0] - 1)] == acols)
-        if not np.all(ok):
-            raise StructureError(
-                f"pattern is missing entries of A in row {i}; "
-                "symbolic phase must contain the original pattern"
-            )
-        data[lo + pos] = avals
+    # Scatter A's values into the pattern: both sides keyed by
+    # ``row * n + col``, which the sorted pattern holds in increasing
+    # order, so one search places every entry of A.
+    keys = pattern.row_of_nnz() * n + indices
+    a_rows = a.row_of_nnz()
+    a_keys = a_rows * n + a.indices
+    pos = np.searchsorted(keys, a_keys)
+    found = pos < keys.shape[0]
+    found[found] = keys[pos[found]] == a_keys[found]
+    if not np.all(found):
+        raise StructureError(
+            f"pattern is missing entries of A in row "
+            f"{a_rows[np.argmin(found)]}; "
+            "symbolic phase must contain the original pattern"
+        )
+    data[pos] = a.data
 
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        dp = np.searchsorted(indices[lo:hi], i)
-        if dp >= hi - lo or indices[lo + dp] != i:
-            raise StructureError(f"pattern row {i} lacks a diagonal entry")
-        diag_pos[i] = lo + dp
+    diag_pos = pattern.diagonal_positions()
+    if np.any(diag_pos < 0):
+        raise StructureError(
+            f"pattern row {np.argmax(diag_pos < 0)} lacks a diagonal entry")
 
     # IKJ elimination restricted to the pattern.
     for i in range(n):
@@ -208,7 +203,7 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
                 data[lo + upos[valid]] -= lik * data[klo:khi][valid]
         if data[diag_pos[i]] == 0.0:
             raise StructureError(f"zero pivot produced at row {i}")
-    return CSRMatrix(indptr, indices, data, (n, n), check=False)
+    return pattern.with_data(data)
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ class ParallelSolver:
         structure — the PCGPAK amortisation pattern — skip the
         topological sorts entirely.
     factorization:
-        The ILU(``ilu_level``) factors of ``a`` when the caller already
+        The ILU(0) factors of ``a`` when the caller already
         holds them (``TestProblem.factorization``); computed otherwise.
 
     The factors and the two compiled loops are the preconditioner's
@@ -179,7 +179,6 @@ class ParallelSolver:
         executor: str = "self",
         scheduler: str = "global",
         costs: MachineCosts | None = None,
-        ilu_level: int = 0,
         runtime: Runtime | None = None,
         factorization: ILUFactorization | None = None,
     ):
@@ -210,7 +209,7 @@ class ParallelSolver:
 
         # Whatever the Krylov iteration applies is what gets priced.
         self.precond = ILUPreconditioner(
-            a, ilu_level, factorization=factorization, runtime=runtime,
+            a, 0, factorization=factorization, runtime=runtime,
             executor=executor, scheduler=scheduler, assignment="wrapped",
         )
         self.pattern = self.precond.factorization.lu
@@ -282,15 +281,10 @@ class ParallelSolver:
         t = self._times
         par = {}
         seq = {}
-        par["matvec"] = log.counts["matvec"] * t["matvec"]
-        seq["matvec"] = log.counts["matvec"] * t["matvec_seq"]
-        for op in ("saxpy", "dot", "scale"):
+        for op in ("matvec", "saxpy", "dot", "scale",
+                   "lower_solve", "upper_solve"):
             par[op] = log.counts[op] * t[op]
             seq[op] = log.counts[op] * t[f"{op}_seq"]
-        par["lower_solve"] = log.counts["lower_solve"] * t["lower_solve"]
-        seq["lower_solve"] = log.counts["lower_solve"] * t["lower_solve_seq"]
-        par["upper_solve"] = log.counts["upper_solve"] * t["upper_solve"]
-        seq["upper_solve"] = log.counts["upper_solve"] * t["upper_solve_seq"]
         gemv_el = log.volume["gemv"]
         par["gemv"] = gemv_el / self.nproc * t["gemv_per_el"]
         seq["gemv"] = gemv_el * t["gemv_per_el"]

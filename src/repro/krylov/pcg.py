@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..sparse.csr import CSRMatrix
-from ..util.validation import check_vector
+from ..util.validation import check_positive_finite, check_vector
 from .oplog import OperationLog
 
 __all__ = ["pcg"]
@@ -41,6 +41,8 @@ def pcg(
     b = check_vector(b, n, "b")
     if maxiter < 0:
         raise ValidationError("maxiter must be non-negative")
+    # No comparison with nan is ever true: it would iterate to maxiter.
+    tol = check_positive_finite(tol, "tol")
     x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
     log = log if log is not None else OperationLog()
 

@@ -19,6 +19,7 @@ import numpy as np
 from ..errors import ConvergenceError, ValidationError
 from ..sparse.csr import CSRMatrix
 from ..util.timing import Stopwatch
+from ..util.validation import check_positive_finite
 from .gmres import gmres
 from .ilu import make_preconditioner
 from .oplog import OperationLog
@@ -56,9 +57,7 @@ def solve(
     tol: float = 1e-8,
     maxiter: int = 1000,
     restart: int = 30,
-    x0: np.ndarray | None = None,
     raise_on_fail: bool = False,
-    callback=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with a preconditioned Krylov method.
 
@@ -77,6 +76,7 @@ def solve(
     # Refused before the factorization is paid for.
     if method not in ("pcg", "gmres"):
         raise ValidationError(f"method must be 'pcg' or 'gmres', got {method!r}")
+    check_positive_finite(tol, "tol")
     log = OperationLog()
     sw_setup = Stopwatch()
     with sw_setup:
@@ -88,14 +88,11 @@ def solve(
     with sw_solve:
         if method == "pcg":
             x, iters, hist, ok = pcg(
-                a, b, pre, x0=x0, tol=tol, maxiter=maxiter, log=log,
-                callback=callback,
-            )
+                a, b, pre, tol=tol, maxiter=maxiter, log=log)
         else:
             x, iters, hist, ok = gmres(
-                a, b, pre, x0=x0, tol=tol, maxiter=maxiter, restart=restart,
-                log=log, callback=callback,
-            )
+                a, b, pre, tol=tol, maxiter=maxiter, restart=restart,
+                log=log)
 
     if raise_on_fail and not ok:
         raise ConvergenceError(

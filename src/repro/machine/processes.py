@@ -37,6 +37,7 @@ from ..errors import DeadlockError, ExecutionTimeout, ValidationError
 from ..core.dependence import DependenceGraph
 from ..core.schedule import Schedule
 from ..sparse.csr import CSRMatrix
+from ..sparse.triangular import resolve_diagonal
 from ..util.validation import check_vector
 
 __all__ = ["ProcessPrescheduledSolver", "ProcessSelfExecutingSolver"]
@@ -156,15 +157,7 @@ class _ProcessSolverBase:
         self.l = l
         self.schedule = schedule
         self.dep = dep
-        if unit_diagonal:
-            self.diag = np.ones(n)
-        elif diag is not None:
-            self.diag = check_vector(diag, n, "diag")
-        else:
-            self.diag = np.zeros(n)
-            rows = l.row_of_nnz()
-            dm = l.indices == rows
-            self.diag[rows[dm]] = l.data[dm]
+        self.diag = resolve_diagonal(l, diag, unit_diagonal)
         if np.any(self.diag == 0.0):
             raise ValidationError("triangular solve requires a nonzero diagonal")
         self.n = n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.build import block_expand, coo_to_csr
+from ..sparse.build import DIAG_DOMINANCE, block_expand, coo_to_csr
 from ..sparse.csr import CSRMatrix
 from ..util.rng import default_rng
 from .grid import Grid3D
@@ -21,19 +21,17 @@ from .grid import Grid3D
 __all__ = ["seven_point_structure", "block_seven_point"]
 
 
-def seven_point_structure(grid: Grid3D, *, seed=None,
-                          diag_dominance: float = 0.05) -> CSRMatrix:
+def seven_point_structure(grid: Grid3D, *, seed=None) -> CSRMatrix:
     """A scalar seven-point operator with synthetic coefficients.
 
     Off-diagonal entries are drawn from ``U(-1, -0.25)`` (negative, as
     in a discretized diffusion operator); the diagonal dominates the row
-    sum by ``diag_dominance``.  With the default seed this is
-    deterministic.
+    sum by :data:`~repro.sparse.build.DIAG_DOMINANCE`.  With the default
+    seed this is deterministic.
     """
     rng = default_rng(seed)
     n = grid.n
     idx = np.arange(n)
-    ix, iy, iz = grid.coords(idx)
 
     rows = []
     cols = []
@@ -42,18 +40,15 @@ def seven_point_structure(grid: Grid3D, *, seed=None,
     for dix, diy, diz in (
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
     ):
-        jx, jy, jz = ix + dix, iy + diy, iz + diz
-        inside = grid.interior_mask(jx, jy, jz)
-        v = rng.uniform(-1.0, -0.25, size=int(inside.sum()))
-        rows.append(idx[inside])
-        cols.append(grid.index(jx[inside], jy[inside], jz[inside]))
+        points, nbrs = grid.neighbours(dix, diy, diz)
+        v = rng.uniform(-1.0, -0.25, size=points.shape[0])
+        rows.append(points)
+        cols.append(nbrs)
         vals.append(v)
-        np.add.at(offdiag_sum, idx[inside], np.abs(v))
+        np.add.at(offdiag_sum, points, np.abs(v))
     rows.append(idx)
     cols.append(idx)
-    # Weakly dominant diagonal: stable ILU(0), non-trivial iteration
-    # counts (see repro.sparse.build.block_expand for the rationale).
-    vals.append(offdiag_sum * (1.0 + diag_dominance)
+    vals.append(offdiag_sum * (1.0 + DIAG_DOMINANCE)
                 + rng.uniform(0.0, 0.1, size=n))
     return coo_to_csr(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n)

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import ValidationError
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
 from .grid import Grid2D
@@ -63,7 +64,7 @@ def five_point_laplacian(grid: Grid2D) -> CSRMatrix:
         cy=lambda x, y: np.zeros_like(x),
         r=lambda x, y: np.zeros_like(x),
         scale_h2=True,
-    )[0]
+    )
 
 
 def five_point_operator(
@@ -75,27 +76,19 @@ def five_point_operator(
     cy: Callable,
     r: Callable,
     scale_h2: bool = False,
-) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
+) -> CSRMatrix:
     """Assemble ``-(p u_x)_x - (q u_y)_y + cx u_x + cy u_y + r u``.
 
     Conservative differencing with harmonic-free midpoint coefficient
     evaluation for the diffusion terms and central differences for the
-    convection terms.
-
-    Returns
-    -------
-    (A, boundary_lift, diag_coeff):
-        ``A`` acts on interior unknowns; ``boundary_lift`` is the vector
-        that must be *added to the right-hand side* to account for the
-        (here homogeneous, hence zero) Dirichlet boundary; it is
-        returned so non-homogeneous extensions can reuse the assembly.
+    convection terms.  The matrix acts on the interior unknowns; a
+    neighbour outside the grid multiplies a Dirichlet boundary value,
+    which is zero here (the manufactured solutions vanish on the
+    boundary), so it contributes nothing.
     """
-    nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
     idx = np.arange(grid.n)
-    ix, iy = grid.coords(idx)
-    x = (ix + 1) * hx
-    y = (iy + 1) * hy
+    x, y = grid.xy(idx)
 
     p_e = p(x + hx / 2, y)  # east midpoint
     p_w = p(x - hx / 2, y)  # west midpoint
@@ -117,37 +110,30 @@ def five_point_operator(
     rows = [idx]
     cols = [idx]
     vals = [coef_c]
-    boundary = np.zeros(grid.n, dtype=np.float64)
-
     for dix, diy, coef in (
         (1, 0, coef_e),
         (-1, 0, coef_w),
         (0, 1, coef_n),
         (0, -1, coef_s),
     ):
-        jx, jy = ix + dix, iy + diy
-        inside = grid.interior_mask(jx, jy)
-        rows.append(idx[inside])
-        cols.append(grid.index(jx[inside], jy[inside]))
-        vals.append(coef[inside])
-        # Dirichlet neighbours multiply known boundary values (zero for
-        # the manufactured solutions, which vanish on the boundary).
-
-    a = coo_to_csr(
+        points, nbrs = grid.neighbours(dix, diy)
+        rows.append(points)
+        cols.append(nbrs)
+        vals.append(coef[points])
+    return coo_to_csr(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
         (grid.n, grid.n),
     )
-    return a, boundary, coef_c
 
 
-def five_point_problem6(nx: int = 63, ny: int | None = None) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
+def five_point_problem6(nx: int = 63) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
     """Problem 6 (5-PT): the stated variable-coefficient equation.
 
     Returns ``(A, b, u_exact)`` where ``b = A @ u_exact`` (manufactured
     consistency, see module docstring).
     """
-    grid = Grid2D(nx, ny if ny is not None else nx)
-    a, _, _ = five_point_operator(
+    grid = Grid2D(nx, nx)
+    a = five_point_operator(
         grid,
         p=lambda x, y: np.exp(x * y),
         q=lambda x, y: np.exp(-x * y),
@@ -155,10 +141,8 @@ def five_point_problem6(nx: int = 63, ny: int | None = None) -> tuple[CSRMatrix,
         cy=lambda x, y: 2.0 * (x + y),
         r=lambda x, y: 1.0 / (1.0 + x + y),
     )
-    xg, yg = grid.xy(np.arange(grid.n))
-    u = exact_solution_2d(xg, yg)
-    b = a.matvec(u)
-    return a, b, u
+    u = exact_solution_2d(*grid.xy(np.arange(grid.n)))
+    return a, a.matvec(u), u
 
 
 def nine_point_problem7(nx: int = 63, ny: int | None = None) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
@@ -177,14 +161,12 @@ def nine_point_problem7(nx: int = 63, ny: int | None = None) -> tuple[CSRMatrix,
     Returns ``(A, b, u_exact)`` with a manufactured right-hand side.
     """
     grid = Grid2D(nx, ny if ny is not None else nx)
-    if abs(grid.hx - grid.hy) > 1e-12:
-        raise ValueError("the box scheme requires a square grid (nx == ny)")
+    if grid.nx != grid.ny:
+        raise ValidationError(
+            f"ny must equal nx (the box scheme needs a square grid), got {ny!r}")
     h = grid.hx
     n = grid.n
     idx = np.arange(n)
-    ix, iy = grid.coords(idx)
-    x = (ix + 1) * h
-    y = (iy + 1) * h
 
     rows = [idx]
     cols = [idx]
@@ -200,17 +182,14 @@ def nine_point_problem7(nx: int = 63, ny: int | None = None) -> tuple[CSRMatrix,
             (0, 1): 2.0 / (2 * h), (0, -1): -2.0 / (2 * h)}
 
     for (dix, diy), w in box.items():
-        jx, jy = ix + dix, iy + diy
-        inside = grid.interior_mask(jx, jy)
-        coef = np.full(n, w / (6.0 * h * h))
-        coef += conv.get((dix, diy), 0.0)
-        rows.append(idx[inside])
-        cols.append(grid.index(jx[inside], jy[inside]))
-        vals.append(coef[inside])
+        points, nbrs = grid.neighbours(dix, diy)
+        rows.append(points)
+        cols.append(nbrs)
+        vals.append(np.full(
+            points.shape[0], w / (6.0 * h * h) + conv.get((dix, diy), 0.0)))
 
     a = coo_to_csr(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n)
     )
-    u = exact_solution_2d(x, y)
-    b = a.matvec(u)
-    return a, b, u
+    u = exact_solution_2d(*grid.xy(idx))
+    return a, a.matvec(u), u

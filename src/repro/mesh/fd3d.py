@@ -33,18 +33,13 @@ def exact_solution_3d(x, y, z):
     )
 
 
-def seven_point_problem8(
-    nx: int = 20, ny: int | None = None, nz: int | None = None
-) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
-    """Problem 8 (7-PT). Returns ``(A, b, u_exact)``."""
-    grid = Grid3D(nx, ny if ny is not None else nx, nz if nz is not None else nx)
+def seven_point_problem8(nx: int = 20) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
+    """Problem 8 (7-PT) on an ``nx³`` grid. Returns ``(A, b, u_exact)``."""
+    grid = Grid3D(nx, nx, nx)
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     n = grid.n
     idx = np.arange(n)
-    ix, iy, iz = grid.coords(idx)
-    x = (ix + 1) * hx
-    y = (iy + 1) * hy
-    z = (iz + 1) * hz
+    x, y, z = grid.xyz(idx)
 
     def kappa(xa, ya, za):
         # Diffusion coefficient e^{xy} (taken isotropic as stated).
@@ -75,11 +70,10 @@ def seven_point_problem8(
     cols = [idx]
     vals = [center]
     for (dix, diy, diz), c in coef.items():
-        jx, jy, jz = ix + dix, iy + diy, iz + diz
-        inside = grid.interior_mask(jx, jy, jz)
-        rows.append(idx[inside])
-        cols.append(grid.index(jx[inside], jy[inside], jz[inside]))
-        vals.append(c[inside])
+        points, nbrs = grid.neighbours(dix, diy, diz)
+        rows.append(points)
+        cols.append(nbrs)
+        vals.append(c[points])
 
     a = coo_to_csr(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n)

@@ -7,6 +7,11 @@ pin it down precisely:
 
 * 2-D: point ``(ix, iy)`` has index ``iy * nx + ix`` (x fastest);
 * 3-D: point ``(ix, iy, iz)`` has index ``(iz * ny + iy) * nx + ix``.
+
+``neighbours`` is the stencil query built on it: the index is linear in
+the coordinates, so a neighbour is its point plus a constant, and the
+only question an assembler has to ask is which points keep that
+neighbour inside the grid.
 """
 
 from __future__ import annotations
@@ -67,6 +72,15 @@ class Grid2D:
         ix = np.asarray(ix)
         iy = np.asarray(iy)
         return (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
+
+    def neighbours(self, dix: int, diy: int):
+        """``(points, neighbours)``: every point whose ``(dix, diy)``
+        neighbour lies inside the grid, in natural order, and beside
+        each the index of that neighbour — one stencil offset's
+        ``(row, column)`` pairs."""
+        ix, iy = self.coords(np.arange(self.n))
+        points = np.flatnonzero(self.interior_mask(ix + dix, iy + diy))
+        return points, points + self.index(dix, diy)
 
     def antidiagonal(self, idx):
         """The anti-diagonal number ``ix + iy`` of a point.
@@ -129,6 +143,14 @@ class Grid3D:
             & (iy >= 0) & (iy < self.ny)
             & (iz >= 0) & (iz < self.nz)
         )
+
+    def neighbours(self, dix: int, diy: int, diz: int):
+        """``(points, neighbours)`` of one stencil offset, as
+        :meth:`Grid2D.neighbours`."""
+        ix, iy, iz = self.coords(np.arange(self.n))
+        points = np.flatnonzero(
+            self.interior_mask(ix + dix, iy + diy, iz + diz))
+        return points, points + self.index(dix, diy, diz)
 
     def antidiagonal(self, idx):
         """``ix + iy + iz`` — the 3-D wavefront number of the 7-pt factor."""

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..sparse.csr import CSRMatrix
 from ..util.rng import default_rng, spawn_rng
+from ..util.validation import check_positive_finite
 from .blockops import block_seven_point
 from .fd2d import five_point_problem6, nine_point_problem7
 from .fd3d import seven_point_problem8
@@ -66,7 +67,7 @@ class TestProblem:
 
         return ILUFactorization.from_lu(numeric_ilu(self.a))
 
-    def loop_program(self, *, factored: bool = False, b=None):
+    def loop_program(self, *, factored: bool = False):
         """This problem's Figure 8 workload as a declarative program.
 
         Returns a :class:`~repro.program.LoopProgram` for the forward
@@ -74,20 +75,19 @@ class TestProblem:
         unit-lower ILU(0) factor (the paper's actual workload — the
         matrix is factored first, then the solve parallelized), else
         the matrix's own strict lower triangle with an implicit unit
-        diagonal.  ``b`` defaults to the problem's right-hand side; the
-        program is ready to compile on any
+        diagonal.  The problem's ``b`` is bound as the right-hand side;
+        the program is ready to compile on any
         :class:`~repro.runtime.Runtime` and to ``rebind`` per solve.
         """
         from ..program import LoopProgram  # deferred: import cycle
         from ..sparse.triangular import split_triangular
 
-        rhs = self.b if b is None else b
         if factored:
-            return LoopProgram.from_csr(self.factorization.l_strict, rhs,
+            return LoopProgram.from_csr(self.factorization.l_strict, self.b,
                                         unit_diagonal=True,
                                         name=f"{self.name}-ilu0-lower")
         l_strict, _, _ = split_triangular(self.a)
-        return LoopProgram.from_csr(l_strict, rhs, unit_diagonal=True,
+        return LoopProgram.from_csr(l_strict, self.b, unit_diagonal=True,
                                     name=f"{self.name}-lower")
 
 
@@ -106,6 +106,18 @@ _SPE_SPECS = {
     "SPE5": ((16, 23, 3), 3, "fully-implicit black oil simulation"),
 }
 
+_FD_FAMILIES = {
+    # name: (builder, grid dimensions, description)
+    "5-PT": (five_point_problem6, 2,
+             "5-point central difference, variable coefficients (Problem 6)"),
+    "9-PT": (nine_point_problem7, 2, "9-point box scheme (Problem 7)"),
+    "7-PT": (seven_point_problem8, 3,
+             "7-point central difference on the unit cube (Problem 8)"),
+}
+#: Points per grid side; an ``L`` problem is its family on a larger grid.
+_FD_SIDES = {"5-PT": 63, "9-PT": 63, "7-PT": 20,
+             "L5-PT": 200, "L9-PT": 127, "L7-PT": 30}
+
 
 def list_problems() -> tuple[str, ...]:
     """Names accepted by :func:`get_problem`."""
@@ -123,8 +135,10 @@ def get_problem(name: str, *, scale: float = 1.0) -> TestProblem:
     scale:
         Linear scale factor on the grid dimensions, for fast test runs;
         e.g. ``scale=0.5`` builds 5-PT on a 31×31 grid.  Benchmarks use
-        the paper's full sizes (``scale=1``).
+        the paper's full sizes (``scale=1``).  Positive and finite; no
+        dimension shrinks below 2.
     """
+    scale = check_positive_finite(scale, "scale")
     key = name.upper().replace("_", "-")
     if key not in PROBLEM_NAMES:
         raise ValidationError(
@@ -148,27 +162,8 @@ def get_problem(name: str, *, scale: float = 1.0) -> TestProblem:
             grid_shape=(s(gx), s(gy), s(gz)), block_size=bs, x_exact=x_true,
         )
 
-    if key in ("5-PT", "L5-PT"):
-        nx = s(63 if key == "5-PT" else 200)
-        a, b, u = five_point_problem6(nx)
-        return TestProblem(
-            name=key, a=a, b=b,
-            description="5-point central difference, variable coefficients (Problem 6)",
-            grid_shape=(nx, nx), x_exact=u,
-        )
-    if key in ("9-PT", "L9-PT"):
-        nx = s(63 if key == "9-PT" else 127)
-        a, b, u = nine_point_problem7(nx)
-        return TestProblem(
-            name=key, a=a, b=b,
-            description="9-point box scheme (Problem 7)",
-            grid_shape=(nx, nx), x_exact=u,
-        )
-    # 7-PT / L7-PT
-    nx = s(20 if key == "7-PT" else 30)
-    a, b, u = seven_point_problem8(nx)
-    return TestProblem(
-        name=key, a=a, b=b,
-        description="7-point central difference on the unit cube (Problem 8)",
-        grid_shape=(nx, nx, nx), x_exact=u,
-    )
+    build, dims, desc = _FD_FAMILIES[key.removeprefix("L")]
+    nx = s(_FD_SIDES[key])
+    a, b, u = build(nx)
+    return TestProblem(name=key, a=a, b=b, description=desc,
+                       grid_shape=(nx,) * dims, x_exact=u)

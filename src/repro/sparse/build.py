@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
+from ..util.frontier import counts_to_indptr
 from ..util.rng import default_rng
 from ..util.validation import as_float_array, as_int_array, check_positive
 from .csr import CSRMatrix
@@ -39,6 +40,8 @@ def coo_to_csr(rows, cols, vals, shape, *, sum_duplicates: bool = True) -> CSRMa
     vals = as_float_array(vals, "vals")
     if not (rows.shape == cols.shape == vals.shape):
         raise ValidationError("rows, cols and vals must have identical shapes")
+    if len(shape) != 2:
+        raise ValidationError(f"shape must be (nrows, ncols), got {shape!r}")
     nrows, ncols = int(shape[0]), int(shape[1])
     if rows.size:
         if rows.min() < 0 or rows.max() >= nrows:
@@ -58,8 +61,7 @@ def coo_to_csr(rows, cols, vals, shape, *, sum_duplicates: bool = True) -> CSRMa
         rows, cols = rows[keep], cols[keep]
         vals = summed
 
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    indptr = counts_to_indptr(np.bincount(rows, minlength=nrows))
     return CSRMatrix(indptr, cols, vals, (nrows, ncols), check=False)
 
 
@@ -103,10 +105,14 @@ def random_lower_triangular(
     Primarily a test/benchmark workload factory.
     """
     n = check_positive(n, "n")
+    if not 0.0 <= avg_off_diag < float("inf"):  # nan fails both
+        raise ValidationError(
+            f"avg_off_diag must be non-negative and finite, got {avg_off_diag!r}")
     rng = default_rng(seed)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
+    diag = np.ones(n)
     for i in range(n):
         lo = 0 if max_band is None else max(0, i - max_band)
         avail = i - lo
@@ -117,18 +123,22 @@ def random_lower_triangular(
             rows.append(np.full(k, i, dtype=np.int64))
             cols.append(picked.astype(np.int64))
             vals.append(rng.uniform(-1.0, 1.0, size=k))
-        # Diagonal entry: dominant.
-        rows.append(np.array([i], dtype=np.int64))
-        cols.append(np.array([i], dtype=np.int64))
-        diag = 1.0 if unit_diagonal else (avg_off_diag + 2.0 + rng.uniform(0.0, 1.0))
-        vals.append(np.array([diag]))
-    return coo_to_csr(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n)
-    )
+        if not unit_diagonal:  # dominant; drawn after the row's entries
+            diag[i] = avg_off_diag + 2.0 + rng.uniform(0.0, 1.0)
+    idx = np.arange(n, dtype=np.int64)
+    return coo_to_csr(np.concatenate(rows + [idx]), np.concatenate(cols + [idx]),
+                      np.concatenate(vals + [diag]), (n, n))
 
 
-def block_expand(structure: CSRMatrix, block_size: int, *, seed=None,
-                 diag_dominance: float = 0.05) -> CSRMatrix:
+#: Margin by which the synthetic reservoir diagonals exceed their row
+#: sums.  Weak on purpose: enough for a stable zero-fill factorization,
+#: weak enough that Krylov iteration counts stay realistic (the
+#: proprietary matrices were far from trivially conditioned).
+DIAG_DOMINANCE = 0.05
+
+
+def block_expand(structure: CSRMatrix, block_size: int, *,
+                 seed=None) -> CSRMatrix:
     """Expand each entry of ``structure`` into a dense ``b×b`` block.
 
     This is how the SPE-like matrices are built: the Appendix of the
@@ -156,11 +166,10 @@ def block_expand(structure: CSRMatrix, block_size: int, *, seed=None,
     jj = jj.ravel()
     # Running |off-block| row sums so diagonal blocks can dominate them.
     offdiag_rowsum = np.zeros((n, b), dtype=np.float64)
-    diag_scalar = np.zeros(n, dtype=np.float64)
+    diag_scalar = structure.diagonal()
     for i, colsr, valsr in structure.iter_rows():
         for c, v in zip(colsr, valsr):
             if c == i:
-                diag_scalar[i] = v
                 continue
             block = rng.uniform(-1.0, 1.0, size=(b, b)) * abs(v)
             rows.append(i * b + ii)
@@ -170,15 +179,11 @@ def block_expand(structure: CSRMatrix, block_size: int, *, seed=None,
     for i in range(n):
         base = abs(diag_scalar[i]) if diag_scalar[i] else 1.0
         block = rng.uniform(-0.1, 0.1, size=(b, b)) * base
-        # Weak diagonal dominance: enough for a stable zero-fill
-        # factorization, weak enough that Krylov iteration counts stay
-        # realistic (the proprietary reservoir matrices were far from
-        # trivially conditioned).
         np.fill_diagonal(
             block,
             offdiag_rowsum[i]
             + np.abs(block).sum(axis=1)
-            + diag_dominance * base,
+            + DIAG_DOMINANCE * base,
         )
         rows.append(i * b + ii)
         cols.append(i * b + jj)

@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import StructureError, ValidationError
+from ..util.frontier import counts_to_indptr
 from ..util.validation import as_float_array, as_int_array
 
 __all__ = ["CSRMatrix"]
@@ -47,6 +48,15 @@ class CSRMatrix:
     sort:
         When true, sort the column indices within each row (required by
         the triangular kernels; builders do this by default).
+
+    ``_structure`` holds what ``indptr``/``indices`` alone determine,
+    built on demand: the row of every entry (``"rows"``), the diagonal
+    positions (``"diag"``) and the triangularity answers.
+    :meth:`with_data` siblings share that dict and the two index
+    arrays — matrices that differ only in values pay for them once —
+    so no method writes into an array the matrix was handed or has
+    handed on: :meth:`sort_indices`, the one method that changes
+    ``self``, rebinds fresh arrays and a fresh dict.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_structure")
@@ -57,9 +67,6 @@ class CSRMatrix:
         self.data = as_float_array(data, "data")
         nrows, ncols = int(shape[0]), int(shape[1])
         self.shape = (nrows, ncols)
-        # Arrays derived from ``indptr``/``indices`` alone, built on
-        # demand; :meth:`with_data` shares the dict, so matrices that
-        # differ only in values pay for them once.
         self._structure: dict = {}
         if check:
             self._validate()
@@ -93,31 +100,31 @@ class CSRMatrix:
                 f"[{self.indices.min()}, {self.indices.max()}]"
             )
 
+    def _entry_keys(self) -> np.ndarray:
+        """``row * ncols + col`` of every stored entry: one integer that
+        orders entries by row, then by column."""
+        return self.row_of_nnz() * self.ncols + self.indices
+
     def sort_indices(self) -> "CSRMatrix":
-        """Sort column indices within each row, in place.  Returns self."""
-        for i in range(self.shape[0]):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            if hi - lo > 1:
-                order = np.argsort(self.indices[lo:hi], kind="stable")
-                self.indices[lo:hi] = self.indices[lo:hi][order]
-                self.data[lo:hi] = self.data[lo:hi][order]
-        self._structure = {}  # entry positions moved
+        """Sort column indices within each row (repeats keep their
+        order).  Returns self, on new ``indices`` / ``data`` arrays."""
+        order = np.argsort(self._entry_keys(), kind="stable")
+        self.indices = self.indices[order]
+        self.data = self.data[order]
+        self._structure = {}  # entry positions moved; siblings keep theirs
         return self
 
     def has_sorted_indices(self) -> bool:
         """True when every row's column indices are strictly increasing."""
-        for i in range(self.shape[0]):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                return False
-        return True
+        return bool(np.all(np.diff(self._entry_keys()) > 0))
 
     def check_no_duplicates(self) -> None:
         """Raise :class:`StructureError` if any row holds a duplicate column."""
-        for i in range(self.shape[0]):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if row.size != np.unique(row).size:
-                raise StructureError(f"row {i} contains duplicate column indices")
+        keys = np.sort(self._entry_keys())
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            i = keys[repeats[0]] // self.ncols
+            raise StructureError(f"row {i} contains duplicate column indices")
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -207,20 +214,12 @@ class CSRMatrix:
     def transpose(self) -> "CSRMatrix":
         """Return the transpose as a new CSR matrix (i.e. CSC of self)."""
         nrows, ncols = self.shape
-        counts = np.bincount(self.indices, minlength=ncols)
-        indptr_t = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr_t[1:])
-        indices_t = np.empty(self.nnz, dtype=np.int64)
-        data_t = np.empty(self.nnz, dtype=np.float64)
-        fill = indptr_t[:-1].copy()
-        rows = self.row_of_nnz()
-        for k in range(self.nnz):
-            c = self.indices[k]
-            pos = fill[c]
-            indices_t[pos] = rows[k]
-            data_t[pos] = self.data[k]
-            fill[c] += 1
-        return CSRMatrix(indptr_t, indices_t, data_t, (ncols, nrows), check=False)
+        # Stable: a column's entries keep their row order.
+        order = np.argsort(self.indices, kind="stable")
+        return CSRMatrix(
+            counts_to_indptr(np.bincount(self.indices, minlength=ncols)),
+            self.row_of_nnz()[order], self.data[order], (ncols, nrows),
+            check=False)
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -248,12 +247,7 @@ class CSRMatrix:
 
     def has_full_diagonal(self) -> bool:
         """True when every row of a square matrix stores a diagonal entry."""
-        n = min(self.shape)
-        for i in range(n):
-            cols, _ = self.row(i)
-            if not np.any(cols == i):
-                return False
-        return True
+        return bool(np.all(self.diagonal_positions() >= 0))
 
     # ------------------------------------------------------------------
     # Conversions

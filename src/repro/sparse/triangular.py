@@ -8,6 +8,8 @@ exists to handle.
 
 * :func:`split_triangular` / :func:`select_entries` — cut a factored
   matrix into its triangles;
+* :func:`resolve_diagonal` — which diagonal a triangular system divides
+  by, for the oracles below, the loop kernels and the process solvers;
 * :func:`solve_lower_sequential` / :func:`solve_upper_sequential` — the
   direct row-substitution loops, the correctness oracle every compiled
   solve is compared with;
@@ -24,14 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StructureError, ValidationError
+from ..errors import StructureError
 from ..util.frontier import counts_to_indptr, expand_csr_ranges
-from ..util.validation import check_vector
+from ..util.validation import check_square, check_vector
 from .csr import CSRMatrix
 
 __all__ = [
     "select_entries",
     "split_triangular",
+    "resolve_diagonal",
     "solve_lower_sequential",
     "solve_upper_sequential",
     "LevelGather",
@@ -53,35 +56,22 @@ def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
     retain only the entries strictly below / above the diagonal;
     ``diag`` is the dense main diagonal (zero where absent).
     """
-    n = a.nrows
-    if a.nrows != a.ncols:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    check_square(a.shape)
     rows = a.row_of_nnz()
-    lower_mask = a.indices < rows
-    upper_mask = a.indices > rows
-    diag = np.zeros(n, dtype=np.float64)
-    diag_mask = a.indices == rows
-    diag[rows[diag_mask]] = a.data[diag_mask]
-    return select_entries(a, lower_mask), diag, select_entries(a, upper_mask)
+    return (select_entries(a, a.indices < rows), a.diagonal(),
+            select_entries(a, a.indices > rows))
 
 
-def _prepare_lower(l: CSRMatrix, diag, unit_diagonal: bool):
-    n = l.nrows
-    if not l.is_lower_triangular():
-        raise StructureError("matrix is not lower triangular")
-    rows = l.row_of_nnz()
-    strict = l.indices < rows
+def resolve_diagonal(t: CSRMatrix, diag, unit_diagonal: bool) -> np.ndarray:
+    """The diagonal a triangular system on ``t`` divides by: implicit
+    ones, the separate ``diag`` vector, or — neither given — the
+    diagonal ``t`` stores.  The one statement of that rule; refusing a
+    zero in it is each caller's, under its own error class."""
     if unit_diagonal:
-        d = np.ones(n, dtype=np.float64)
-    elif diag is not None:
-        d = check_vector(diag, n, "diag")
-    else:
-        d = np.zeros(n, dtype=np.float64)
-        dm = l.indices == rows
-        d[rows[dm]] = l.data[dm]
-    if not unit_diagonal and np.any(d == 0.0):
-        raise StructureError("triangular solve requires a nonzero diagonal")
-    return rows, strict, d
+        return np.ones(t.nrows, dtype=np.float64)
+    if diag is not None:
+        return check_vector(diag, t.nrows, "diag")
+    return t.diagonal()
 
 
 def solve_lower_sequential(
@@ -100,7 +90,11 @@ def solve_lower_sequential(
     """
     n = l.nrows
     b = check_vector(b, n, "b")
-    _, _, d = _prepare_lower(l, diag, unit_diagonal)
+    if not l.is_lower_triangular():
+        raise StructureError("matrix is not lower triangular")
+    d = resolve_diagonal(l, diag, unit_diagonal)
+    if np.any(d == 0.0):
+        raise StructureError("triangular solve requires a nonzero diagonal")
     x = np.zeros(n, dtype=np.float64)
     indptr, indices, data = l.indptr, l.indices, l.data
     for i in range(n):
@@ -119,20 +113,14 @@ def solve_upper_sequential(
     b: np.ndarray,
     *,
     diag: np.ndarray | None = None,
-    unit_diagonal: bool = False,
 ) -> np.ndarray:
     """Solve ``U x = b`` by backward row substitution."""
     n = u.nrows
     b = check_vector(b, n, "b")
     if not u.is_upper_triangular():
         raise StructureError("matrix is not upper triangular")
-    if unit_diagonal:
-        d = np.ones(n, dtype=np.float64)
-    elif diag is not None:
-        d = check_vector(diag, n, "diag")
-    else:
-        d = u.diagonal()
-    if not unit_diagonal and np.any(d == 0.0):
+    d = resolve_diagonal(u, diag, False)
+    if np.any(d == 0.0):
         raise StructureError("triangular solve requires a nonzero diagonal")
     x = np.zeros(n, dtype=np.float64)
     indptr, indices, data = u.indptr, u.indices, u.data

@@ -19,6 +19,7 @@ __all__ = [
     "check_index_array",
     "check_horizon",
     "check_positive",
+    "check_positive_finite",
     "check_seed",
     "check_square",
     "check_unit_work",
@@ -90,11 +91,17 @@ def check_horizon(value, name: str = "expected_executions") -> float | None:
     and keys, as one."""
     if value is None:
         return None
-    horizon = float(value)
-    if not 0.0 < horizon < float("inf"):  # nan fails both comparisons
+    return max(1.0, check_positive_finite(value, name))
+
+
+def check_positive_finite(value, name: str = "value") -> float:
+    """Validate that ``value`` is a positive, finite number (a scale, a
+    tolerance, a horizon) and return it as a ``float``."""
+    x = float(value)
+    if not 0.0 < x < float("inf"):  # nan fails both comparisons
         raise ValidationError(
-            f"{name} must be positive and finite (or None), got {value!r}")
-    return max(1.0, horizon)
+            f"{name} must be positive and finite, got {value!r}")
+    return x
 
 
 def check_square(shape, name: str = "matrix") -> int:

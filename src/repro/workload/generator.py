@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ..mesh.grid import Grid2D
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
 from ..util.rng import default_rng
@@ -183,18 +184,10 @@ def _assemble(name, mesh, mean_degree, mean_distance, n, rows_l, cols_l, rng):
 
 def _mesh_workload(mesh: int, rng) -> SyntheticWorkload:
     """The ``"<n>mesh"`` workload: lower triangle of the 5-point mesh."""
-    n = mesh * mesh
-    idx = np.arange(n)
-    ix, iy = idx % mesh, idx // mesh
-    rows_parts = []
-    cols_parts = []
-    # West and south neighbours are the lower-index dependences.
-    west = ix > 0
-    rows_parts.append(idx[west])
-    cols_parts.append(idx[west] - 1)
-    south = iy > 0
-    rows_parts.append(idx[south])
-    cols_parts.append(idx[south] - mesh)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    return _assemble(f"{mesh}mesh", mesh, 2.0, 1.0, n, list(rows), list(cols), rng)
+    grid = Grid2D(mesh, mesh)
+    # West, then south: the lower-index dependences, in the order their
+    # coefficients are drawn.
+    west, south = grid.neighbours(-1, 0), grid.neighbours(0, -1)
+    rows = np.concatenate([west[0], south[0]])
+    cols = np.concatenate([west[1], south[1]])
+    return _assemble(f"{mesh}mesh", mesh, 2.0, 1.0, grid.n, rows, cols, rng)

@@ -30,8 +30,7 @@ from ..program import At, LoopProgram, Statement
 __all__ = ["MultiSweep", "sweep_program", "stencil_program"]
 
 
-def sweep_program(x: np.ndarray, c: np.ndarray, *,
-                  name: str = "fused-sweep") -> LoopProgram:
+def sweep_program(x: np.ndarray, c: np.ndarray) -> LoopProgram:
     """Fused smoother + residual: ``s[i] = s[i-1] + x[i]; y[i] = s[i]*c[i]``.
 
     Statement A is an order-1 prefix recurrence (a full dependence
@@ -74,11 +73,10 @@ def sweep_program(x: np.ndarray, c: np.ndarray, *,
     return LoopProgram(n, statements=statements,
                        data={"s": np.zeros(n), "y": np.zeros(n),
                              "x": x, "c": c},
-                       name=name)
+                       name="fused-sweep")
 
 
-def stencil_program(h: np.ndarray, shape: tuple, *,
-                    name: str = "grid-relaxation") -> LoopProgram:
+def stencil_program(h: np.ndarray, shape: tuple) -> LoopProgram:
     """First-order 2-D relaxation: each point sums west + north + input.
 
     ``g[r, c] = h[r, c] + g[r, c-1] + g[r-1, c]`` over a row-major
@@ -115,7 +113,7 @@ def stencil_program(h: np.ndarray, shape: tuple, *,
     ]
     return LoopProgram(n, statements=statements,
                        data={"g": np.zeros(n), "h": h},
-                       name=name, shape=(rows, cols))
+                       name="grid-relaxation", shape=(rows, cols))
 
 
 class MultiSweep:

@@ -96,6 +96,32 @@ def spd_matrices(draw):
     return csr_from_dense(sym)
 
 
+@st.composite
+def csr_matrices(draw, max_dim=6):
+    """``(matrix, dense)``: a small CSR matrix exactly as drawn —
+    unsorted rows, repeated columns, empty rows, a single column, no
+    rows at all, ``nrows != ncols`` — beside the dense array of the
+    same triples (repeats summed), accumulated here one entry at a
+    time so that it owes nothing to the class under test."""
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    columns = st.lists(st.integers(min_value=0, max_value=ncols - 1),
+                       max_size=ncols + 2)
+    indptr, indices = [0], []
+    for _ in range(nrows):
+        indices.extend(draw(columns))
+        indptr.append(len(indices))
+    # Distinct non-zero values: a misplaced entry cannot cancel out.
+    data = np.arange(1.0, len(indices) + 1.0)
+    dense = np.zeros((nrows, ncols))
+    for i in range(nrows):
+        for k in range(indptr[i], indptr[i + 1]):
+            dense[i, indices[k]] += data[k]
+    matrix = CSRMatrix(indptr, np.array(indices, dtype=np.int64), data,
+                       (nrows, ncols))
+    return matrix, dense
+
+
 # ----------------------------------------------------------------------
 # Seeded programs: hand kernels, CSR substitutions, recorded bodies
 # ----------------------------------------------------------------------

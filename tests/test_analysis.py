@@ -15,6 +15,7 @@ from repro.analysis.model import (
     time_ratio,
 )
 from repro.analysis.projections import project_efficiencies
+from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule
 from repro.errors import ValidationError
 from repro.machine.costs import MULTIMAX_320, ZERO_OVERHEAD
@@ -113,6 +114,14 @@ class TestModelProblemClass:
         sim = simulate(sched, dep, ZERO_OVERHEAD, mode="self",
                        unit_work=mp.uniform_work())
         assert sim.efficiency == pytest.approx(mp.eopt_self(6), rel=1e-12)
+
+    def test_dependence_graph_numbers_x_fastest(self):
+        m, n = 5, 3  # m points along x, the fastest-running index
+        edges = [(iy * m + ix, iy * m + ix - back)
+                 for iy in range(n) for ix in range(m)
+                 for back, inside in ((m, iy > 0), (1, ix > 0)) if inside]
+        assert (ModelProblem(m, n).dependence_graph().digest()
+                == DependenceGraph.from_edges(edges, m * n).digest())
 
     def test_wavefronts_are_antidiagonals(self):
         mp = ModelProblem(5, 7)

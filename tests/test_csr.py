@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.errors import StructureError, ValidationError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.build import csr_from_dense, identity
+from strategies import csr_matrices
 
 
 def make_simple():
@@ -18,6 +20,22 @@ def make_simple():
         data=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         shape=(3, 3),
     )
+
+
+def entries(m):
+    """Each row of ``m`` as its ``(column, value)`` pairs in stored
+    order, read entry by entry off the three arrays."""
+    return [[(int(m.indices[k]), float(m.data[k]))
+             for k in range(m.indptr[i], m.indptr[i + 1])]
+            for i in range(m.nrows)]
+
+
+def densify(m):
+    dense = np.zeros(m.shape)
+    for i, row in enumerate(entries(m)):
+        for c, v in row:
+            dense[i, c] += v
+    return dense
 
 
 class TestConstruction:
@@ -88,26 +106,68 @@ class TestValidation:
         with pytest.raises(StructureError):
             CSRMatrix([0, 2], [0, 1], [1.0], (1, 3))
 
-    def test_duplicate_detection(self):
+    @given(case=csr_matrices())
+    def test_duplicate_detection(self, case):
         a = CSRMatrix([0, 2], [1, 1], [1.0, 2.0], (1, 3))
         with pytest.raises(StructureError):
             a.check_no_duplicates()
+        m, _ = case
+        repeated = [i for i, row in enumerate(entries(m))
+                    if len({c for c, _ in row}) < len(row)]
+        if repeated:
+            # The first offending row is the one named.
+            with pytest.raises(StructureError, match=rf"row {repeated[0]} "):
+                m.check_no_duplicates()
+        else:
+            m.check_no_duplicates()
 
     def test_no_duplicates_passes(self):
         make_simple().check_no_duplicates()
 
 
 class TestSorting:
-    def test_sort_indices(self):
+    @given(case=csr_matrices())
+    def test_sort_indices(self, case):
         a = CSRMatrix([0, 3], [2, 0, 1], [1.0, 2.0, 3.0], (1, 3), sort=True)
         cols, vals = a.row(0)
         assert list(cols) == [0, 1, 2]
         assert list(vals) == [2.0, 3.0, 1.0]
+        m, dense = case
+        before = entries(m)
+        assert m.sort_indices() is m
+        # Stable, like ``sorted``: a repeated column keeps its order.
+        assert entries(m) == [sorted(row, key=lambda e: e[0])
+                              for row in before]
+        np.testing.assert_array_equal(densify(m), dense)
 
-    def test_has_sorted_indices(self):
+    @given(case=csr_matrices())
+    def test_has_sorted_indices(self, case):
         assert make_simple().has_sorted_indices()
         a = CSRMatrix([0, 2], [1, 0], [1.0, 2.0], (1, 2))
         assert not a.has_sorted_indices()
+        m, _ = case
+        assert m.has_sorted_indices() == all(
+            c0 < c1 for row in entries(m)
+            for (c0, _), (c1, _) in zip(row, row[1:]))
+
+    def test_sort_leaves_a_sibling_alone(self):
+        # with_data siblings share ``indices`` and the structure cache.
+        a = CSRMatrix([0, 2, 4], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0], (2, 2))
+        b = a.with_data([2.0, 1.0, 4.0, 3.0])
+        assert list(b.diagonal()) == [1.0, 4.0]
+        a.sort_indices()
+        np.testing.assert_array_equal(densify(a), [[2.0, 1.0], [4.0, 3.0]])
+        np.testing.assert_array_equal(densify(b), [[1.0, 2.0], [3.0, 4.0]])
+        assert list(a.diagonal()) == [2.0, 3.0]
+        assert list(b.diagonal()) == [1.0, 4.0]
+        assert list(b.diagonal_positions()) == [1, 2]
+
+    def test_sort_leaves_the_callers_arrays_alone(self):
+        indices = np.array([2, 0, 1], dtype=np.int64)
+        data = np.array([1.0, 2.0, 3.0])
+        a = CSRMatrix([0, 3], indices, data, (1, 3), sort=True)
+        assert list(indices) == [2, 0, 1] and list(data) == [1.0, 2.0, 3.0]
+        assert list(a.indices) == [0, 1, 2] and list(a.data) == [2.0, 3.0, 1.0]
 
 
 class TestMatvec:
@@ -160,6 +220,20 @@ class TestLinearAlgebra:
         a = csr_from_dense(dense)
         np.testing.assert_allclose(a.transpose().to_dense(), dense.T)
 
+        # Inside, so the session ``rng`` above is drawn from once.
+        @given(case=csr_matrices())
+        def drawn(case):
+            m, dense = case
+            t = m.transpose()
+            assert t.shape == dense.T.shape
+            np.testing.assert_array_equal(densify(t), dense.T)
+            # Column by column, each in the order its rows come.
+            assert [[r for r, _ in col] for col in entries(t)] == [
+                [i for i, row in enumerate(entries(m))
+                 for c, _ in row if c == j] for j in range(m.ncols)]
+
+        drawn()
+
     def test_transpose_twice_identity(self, rng):
         dense = rng.standard_normal((6, 6))
         dense[np.abs(dense) < 0.5] = 0.0
@@ -183,10 +257,15 @@ class TestStructureQueries:
         assert a.is_upper_triangular()
         assert not a.is_upper_triangular(strict=True)
 
-    def test_full_diagonal(self):
+    @given(case=csr_matrices())
+    def test_full_diagonal(self, case):
         assert make_simple().has_full_diagonal()
         a = CSRMatrix([0, 1, 1], [1], [5.0], (2, 2))
         assert not a.has_full_diagonal()
+        m, _ = case
+        rows = entries(m)
+        assert m.has_full_diagonal() == all(
+            any(c == i for c, _ in rows[i]) for i in range(min(m.shape)))
 
 
 class TestConversions:

@@ -7,7 +7,12 @@ from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule, identity_schedule
 from repro.core.wavefront import compute_wavefronts
 from repro.errors import ConvergenceError, ValidationError
+from repro.experiments.runner import ExperimentContext
+from repro.krylov import gmres, pcg, solve
 from repro.machine.costs import MachineCosts
+from repro.mesh.fd2d import nine_point_problem7
+from repro.mesh.problems import get_problem
+from repro.sparse.build import coo_to_csr, identity, random_lower_triangular
 from repro.machine.simulator import SimResult, simulate
 from repro.util.tables import TextTable
 from repro.util.timing import Stopwatch
@@ -153,6 +158,44 @@ class TestErrors:
                     DeadlockError, ConvergenceError):
             assert issubclass(cls, ReproError)
         assert issubclass(DeadlockError, ScheduleError)
+
+
+class TestSubstrateRefusals:
+    """Inputs the matrix, mesh and solver layers used to accept, or to
+    refuse late with whatever numpy or ``int()`` happened to raise."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: get_problem("5-PT", scale=-1.0), id="scale-negative"),
+        pytest.param(lambda: get_problem("5-PT", scale=0), id="scale-zero"),
+        pytest.param(lambda: get_problem("5-PT", scale=float("nan")),
+                     id="scale-nan"),
+        pytest.param(lambda: get_problem("SPE1", scale=float("inf")),
+                     id="scale-inf"),
+        pytest.param(lambda: ExperimentContext(scale=-1.0), id="context-scale-negative"),
+        pytest.param(lambda: solve(identity(3), np.ones(3), tol=-1.0),
+                     id="solve-tol-negative"),
+        pytest.param(lambda: solve(identity(3), np.ones(3), method="gmres",
+                                   tol=float("nan")), id="solve-tol-nan"),
+        pytest.param(lambda: pcg(identity(3), np.ones(3), tol=float("nan")),
+                     id="pcg-tol-nan"),
+        pytest.param(lambda: gmres(identity(3), np.ones(3), tol=0.0),
+                     id="gmres-tol-zero"),
+        pytest.param(lambda: nine_point_problem7(8, 9), id="box-ny"),
+        pytest.param(lambda: random_lower_triangular(5, avg_off_diag=-1),
+                     id="poisson-mean-negative"),
+        pytest.param(lambda: coo_to_csr([0], [0], [1.0], shape=(1,)),
+                     id="shape-1d"),
+    ])
+    def test_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_tol_is_refused_before_anything_is_factored(self, monkeypatch):
+        import repro.krylov.solver as solver
+        monkeypatch.setattr(solver, "make_preconditioner",
+                            lambda *a: pytest.fail("factored first"))
+        with pytest.raises(ValidationError, match="tol"):
+            solve(identity(3), np.ones(3), tol=float("nan"))
 
 
 class TestWorkloadEdges:

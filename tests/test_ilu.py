@@ -119,6 +119,21 @@ class TestNumeric:
         with pytest.raises(StructureError):
             numeric_ilu(csr_from_dense(dense))
 
+    def test_pattern_missing_an_entry_names_the_row(self):
+        a = csr_from_dense(banded_spd(6))
+        keep = np.ones((6, 6))
+        keep[3, 2] = keep[5, 4] = 0.0  # the first offender is reported
+        with pytest.raises(StructureError, match="entries of A in row 3;"):
+            numeric_ilu(a, csr_from_dense(keep))
+
+    def test_pattern_missing_a_diagonal_names_the_row(self):
+        a = csr_from_dense(np.tril(banded_spd(6)) - 4.0 * np.eye(6))
+        keep = np.tril(np.ones((6, 6)))
+        keep[2, 2] = keep[4, 4] = 0.0
+        with pytest.raises(StructureError,
+                           match="row 2 lacks a diagonal entry"):
+            numeric_ilu(a, csr_from_dense(keep))
+
     def test_pattern_shape_mismatch(self):
         a = csr_from_dense(banded_spd(5))
         pat = symbolic_ilu(csr_from_dense(banded_spd(6)), 0)
