@@ -3,8 +3,9 @@
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
-# one-factor-one-solve-path, one-stencil-query, one-row-pointer-build and
-# one-inspector-owner rules, then run the tier-1 test suite.
+# one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
+# one-inspector-owner, one-backend-dispatch and one-timeout-check rules,
+# then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -48,8 +49,14 @@ forked="$forked|segment_max|flop_count_"
 # ... and a loop compiled from LoopProgram.from_csr replaced the
 # application layer's private inspector/executor.
 forked="$forked|LevelScheduledSolver"
+# ... and the executor's four entry points, picked by name in
+# LoopPlan.execute, replaced the backend class hierarchy and its
+# registry; every compile resolves its strategy without a memo.
+forked="$forked|ExecutionBackend|SerialBackend|SimBackend|ThreadsBackend"
+forked="$forked|ProcessesBackend|register_backend|backend_registry"
+forked="$forked|_strategy_memo|_ResolvedStrategy|needs_kernel|last_timeline"
 if grep -rnE "$forked" src --include='*.py'; then
-    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path replaced reappeared" >&2
+    echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
@@ -195,6 +202,33 @@ owners=$(grep -rn 'Inspector(' src --include='*.py' \
 if [ -n "$owners" ]; then
     echo "$owners"
     echo "error: Inspector( constructed outside runtime/session.py" >&2
+    exit 1
+fi
+
+echo "== one backend dispatch: LoopPlan.execute picks the executor's entry point =="
+# A backend is an entry point of the plan's executor, not a class: only
+# the session calls the real-parallel ones, and only ClassicExecutor
+# builds a process solver.
+entries=$(grep -rnE '\.run_(threaded|processes)\(' src --include='*.py' \
+          | grep -v '^src/repro/runtime/session.py:' || true)
+if [ -n "$entries" ]; then
+    echo "$entries"
+    echo "error: .run_threaded( / .run_processes( called outside runtime/session.py" >&2
+    exit 1
+fi
+solvers=$(grep -rnE 'Process\w*Solver\(' src --include='*.py' \
+          | grep -vE '^src/repro/core/executor.py:|:[0-9]+:class ' || true)
+if [ -n "$solvers" ]; then
+    echo "$solvers"
+    echo "error: a Process*Solver constructed outside core/executor.py" >&2
+    exit 1
+fi
+
+echo "== one timeout check: util.validation.check_timeout =="
+# Positive, finite and joinable, in one place; a hand-written
+# 'timeout > 0' let inf / 1e12 through to the workers.
+if grep -rn 'timeout > 0' src --include='*.py'; then
+    echo "error: a hand-written timeout check (use check_timeout)" >&2
     exit 1
 fi
 

@@ -51,7 +51,6 @@ from .runtime import (
     register_executor,
     register_scheduler,
     register_partitioner,
-    register_backend,
 )
 from .tuning import Tuner, TuningStore, TuningVerdict
 # Importing the package registers the "speculative" executor.
@@ -72,7 +71,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "At",
@@ -101,7 +100,6 @@ __all__ = [
     "register_executor",
     "register_scheduler",
     "register_partitioner",
-    "register_backend",
     "ReproError",
     "ValidationError",
     "StructureError",

@@ -14,12 +14,12 @@ Execution
 pre-scheduled and doacross executors.  It owns their constructor state
 and their one serial run path — each builds a :class:`LevelPlan` once,
 a legal total order grouped into mutually independent batches, and
-every ``run`` walks it — plus ``simulate`` and ``run_threaded``, each
-dispatching on the subclass's ``mode``.  Kernels with a real
-``execute_batch`` run a level per call (the triangular kernels through
-a structure-only :class:`~repro.sparse.triangular.LevelGather` the
-executor keeps across data rebinds); the others take one flat
-per-index walk of the order.
+every ``run`` walks it — plus ``simulate``, ``run_threaded`` and
+``run_processes``, each dispatching on the subclass's ``mode``.
+Kernels with a real ``execute_batch`` run a level per call (the
+triangular kernels through a structure-only
+:class:`~repro.sparse.triangular.LevelGather` the executor keeps across
+data rebinds); the others take one flat per-index walk of the order.
 Batched arithmetic accumulates each row in CSR order, so every path
 agrees with :class:`SerialExecutor` bit for bit.
 
@@ -412,13 +412,14 @@ class UpperTriangularSolveKernel(_SubstitutionKernel):
 
 
 class ClassicExecutor:
-    """One schedule run three ways — what ``self``, ``preschedule`` and
+    """One schedule run four ways — what ``self``, ``preschedule`` and
     ``doacross`` share.
 
     A subclass names its ``mode`` and adds only what genuinely differs;
-    the numeric run, the machine-model timing and the real-thread run
-    live here, the latter two dispatching on ``mode``: barrier phases
-    for ``"preschedule"``, busy-waits for the other two.
+    the numeric run, the machine-model timing and the real-thread and
+    real-process runs live here, the latter three dispatching on
+    ``mode``: barrier phases for ``"preschedule"``, busy-waits for the
+    other two.
 
     The numeric run is one serial path: :meth:`_build_levels` (where a
     subclass's legality checks live) turns the schedule into ``(order,
@@ -544,8 +545,16 @@ class ClassicExecutor:
         :class:`~repro.observe.TimelineRecorder` stamping every
         iteration's interval on its processor's lane; ``faults`` an
         optional :class:`~repro.resilience.FaultPlan` the machine's
-        watchdog consults.
+        watchdog consults.  A ``thread_safe = False`` kernel (the replay
+        kernel, whose proxies keep per-iteration state) is refused:
+        racing on it would corrupt numerics without any error.
         """
+        if not getattr(kernel, "thread_safe", True):
+            raise ValidationError(
+                f"kernel {type(kernel).__name__} declares itself not "
+                "thread-safe; run it on the 'serial' backend (or the "
+                "'sim' backend for timing only)"
+            )
         kernel.start()
         machine = ThreadedMachine(self.schedule.nproc, timeout=timeout,
                                   faults=faults)
@@ -556,6 +565,30 @@ class ClassicExecutor:
             machine.run_self_executing(kernel, self.schedule, self.dep,
                                        timeline=timeline)
         return kernel.result()
+
+    def run_processes(self, kernel, *, timeout: float = 30.0,
+                      faults=None) -> np.ndarray:
+        """Execute on OS processes over shared memory, under the mode's
+        own synchronization — for the paper's flagship workload, the
+        sparse lower-triangular solve, alone.  ``faults`` (a
+        :class:`~repro.resilience.FaultPlan`) travels as a picklable
+        handout: the workers rebuild their state in the pool initializer.
+        """
+        from ..machine import processes  # deferred: import cycle
+
+        if not isinstance(kernel, TriangularSolveKernel):
+            raise ValidationError(
+                "the 'processes' backend supports TriangularSolveKernel "
+                f"workloads, got {type(kernel).__name__}"
+            )
+        handout = faults.process_faults(kernel.n) if faults is not None else None
+        # Self-executing and doacross both busy-wait on ready flags;
+        # doacross simply walks the identity schedule.
+        solver_cls = (processes.ProcessPrescheduledSolver
+                      if self.mode == "preschedule"
+                      else processes.ProcessSelfExecutingSolver)
+        solver = solver_cls(kernel.l, self.schedule, self.dep, diag=kernel.diag)
+        return solver.solve(kernel.b, timeout=timeout, faults=handout)
 
 
 class SerialExecutor:

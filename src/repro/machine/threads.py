@@ -34,7 +34,8 @@ from __future__ import annotations
 import threading
 import time
 
-from ..errors import ExecutionError, ExecutionTimeout, ReproError, ValidationError
+from ..errors import ExecutionError, ExecutionTimeout, ReproError
+from ..util.validation import check_positive, check_timeout
 
 __all__ = ["ThreadedMachine"]
 
@@ -83,11 +84,9 @@ class ThreadedMachine:
     """Runs per-processor schedule lists on real Python threads."""
 
     def __init__(self, nproc: int, *, timeout: float = 30.0, faults=None):
-        if nproc <= 0:
-            raise ValidationError("nproc must be positive")
-        self.nproc = int(nproc)
+        self.nproc = check_positive(nproc, "nproc")
         #: Wall-clock deadline for a run, enforced by the watchdog.
-        self.timeout = float(timeout)
+        self.timeout = check_timeout(timeout)
         #: Optional :class:`~repro.resilience.FaultPlan` — consulted by
         #: the watchdog for forced timeouts and to cancel injected
         #: stalls on abort.  ``None`` costs one attribute read per run.

@@ -522,7 +522,8 @@ class StagedPlan(LoopPlan):
         return self.variant.source.dependence_graph()
 
     # ------------------------------------------------------------------
-    def execute(self, loop, kernel, backend, *, unit_work, timeout):
+    def execute(self, loop, kernel, backend, *, unit_work, timeout,
+                timeline=None):
         if kernel is not None:
             raise ValidationError(
                 "a transformed loop executes its stage kernels; "
@@ -530,7 +531,7 @@ class StagedPlan(LoopPlan):
             )
         self._check_unit_work(unit_work)
         self._recoveries = []
-        if not backend.needs_kernel:
+        if backend == "sim":
             return None, self.simulate()
         outputs: dict = {}
         for k, stage in enumerate(self.variant.stages):
@@ -539,7 +540,7 @@ class StagedPlan(LoopPlan):
                      if nm in stage_loop.program.data}
             if carry:
                 stage_loop = self.stage_loops[k] = stage_loop.rebind(**carry)
-            rep = stage_loop(backend=backend.name, timeout=timeout,
+            rep = stage_loop(backend=backend, timeout=timeout,
                              with_sim=False)
             if rep.recovery is not None:
                 self._recoveries.append(rep.recovery)
@@ -548,7 +549,7 @@ class StagedPlan(LoopPlan):
             elif rep.x is not None:
                 outputs[_written_names(stage.program)[0]] = rep.x
         written = _written_names(loop.program)
-        if not outputs:  # a backend that produces no numbers
+        if not outputs:  # stage kernels that report no numbers
             return None, None
         if len(written) == 1:
             return outputs[written[0]], None

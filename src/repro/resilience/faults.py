@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 from ..errors import InjectedFault, ValidationError
 from ..util.rng import default_rng
+from ..util.validation import check_positive, check_positive_finite, check_seed
 
 __all__ = ["FaultSpec", "FaultPlan", "SEAMS"]
 
@@ -84,10 +85,10 @@ class FaultSpec:
             raise ValidationError(
                 f"unknown fault seam {self.seam!r}; valid seams are: "
                 + ", ".join(repr(s) for s in SEAMS))
-        if self.times < 1:
-            raise ValidationError("fault times must be at least 1")
-        if self.seconds <= 0:
-            raise ValidationError("stall seconds must be positive")
+        check_positive(self.times, "fault times")
+        check_positive_finite(self.seconds, "stall seconds")
+        if self.iteration is not None:
+            check_seed(self.iteration, "fault iteration")
         if self.store not in (None, "schedule", "tuning"):
             raise ValidationError(
                 "fault store must be 'schedule', 'tuning' or None")

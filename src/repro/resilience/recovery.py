@@ -38,8 +38,8 @@ from ..errors import (
     ExecutionError,
     ExecutionTimeout,
     InjectedFault,
-    ValidationError,
 )
+from ..util.validation import check_positive, check_positive_finite
 
 __all__ = ["RetryPolicy", "RecoveryAttempt", "RecoveryRecord",
            "run_with_recovery", "RECOVERABLE"]
@@ -65,12 +65,11 @@ class RetryPolicy:
     deadline: float | None = None
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValidationError("max_attempts must be at least 1")
-        if self.backoff < 0:
-            raise ValidationError("backoff must be non-negative")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValidationError("deadline must be positive (or None)")
+        check_positive(self.max_attempts, "max_attempts")
+        if self.backoff != 0:  # zero: retry at once
+            check_positive_finite(self.backoff, "backoff")
+        if self.deadline is not None:
+            check_positive_finite(self.deadline, "deadline")
 
 
 @dataclass

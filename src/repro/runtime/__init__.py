@@ -17,14 +17,15 @@ True
 Pieces
 ------
 * :class:`Runtime` / :class:`CompiledLoop` / :class:`RunReport` —
-  session, reusable compiled loop, normalized execution report;
+  session, reusable compiled loop, normalized execution report; the
+  ``serial`` / ``sim`` / ``threads`` / ``processes`` backends are the
+  four entry points of a loop's executor, picked by name in
+  :meth:`LoopPlan.execute` (a closed set);
 * :class:`ScheduleCache` — structure-keyed LRU with optional ``.npz``
   persistence, amortising inspection across call sites and runs;
-* :class:`ExecutionBackend` and the ``serial`` / ``sim`` / ``threads``
-  / ``processes`` backends;
 * the strategy registries and their ``register_*`` decorators, through
-  which third-party executors, schedulers, partitioners and backends
-  plug in without touching core.
+  which third-party executors, schedulers and partitioners plug in
+  without touching core.
 
 Only the registries are imported eagerly (core modules self-register
 through them at import time); the session machinery loads on first
@@ -38,10 +39,8 @@ import importlib
 
 from .registry import (
     Registry,
-    backend_registry,
     executor_registry,
     partitioner_registry,
-    register_backend,
     register_executor,
     register_partitioner,
     register_scheduler,
@@ -56,16 +55,13 @@ __all__ = [
     "RunReport",
     "ScheduleCache",
     "CacheStats",
-    "ExecutionBackend",
     "Registry",
     "executor_registry",
     "scheduler_registry",
     "partitioner_registry",
-    "backend_registry",
     "register_executor",
     "register_scheduler",
     "register_partitioner",
-    "register_backend",
 ]
 
 #: Lazily imported attributes (PEP 562): name -> defining submodule.
@@ -77,7 +73,6 @@ _LAZY = {
     "RunReport": ".session",
     "ScheduleCache": ".cache",
     "CacheStats": ".cache",
-    "ExecutionBackend": ".backends",
 }
 
 

@@ -4,9 +4,9 @@ The paper fixes a closed set of strategies (two schedulers, two
 partitions, three executors); "OpenMP Loop Scheduling Revisited"
 argues the set should be *open*.  These registries replace the
 ``if/elif`` chains that used to live in ``core/inspector.py`` and the
-executors: every scheduler, partitioner, executor and execution backend
-is looked up by name in a :class:`Registry`, and third-party strategies
-plug in with a decorator without touching core::
+executors: every scheduler, partitioner and executor is looked up by
+name in a :class:`Registry`, and third-party strategies plug in with a
+decorator without touching core::
 
     from repro.runtime import register_partitioner
 
@@ -40,10 +40,10 @@ Registration contracts
 * **executor** — ``fn(inspection, nproc, costs) -> executor`` where the
   executor object provides ``run(kernel)`` / ``simulate(*, unit_work,
   keep_finish_times)`` / ``run_threaded(kernel, *, timeout, timeline,
-  faults)`` and a ``schedule`` attribute.  Metadata ``scheduler_override`` names
-  a scheduler the executor forces (``doacross`` forces ``identity``);
-* **backend** — an :class:`~repro.runtime.backends.ExecutionBackend`
-  subclass (instantiable with no arguments).
+  faults)`` / ``run_processes(kernel, *, timeout, faults)`` — the entry
+  points the four backends name — and a ``schedule`` attribute.
+  Metadata ``scheduler_override`` names a scheduler the executor forces
+  (``doacross`` forces ``identity``).
 """
 
 from __future__ import annotations
@@ -57,11 +57,9 @@ __all__ = [
     "executor_registry",
     "scheduler_registry",
     "partitioner_registry",
-    "backend_registry",
     "register_executor",
     "register_scheduler",
     "register_partitioner",
-    "register_backend",
 ]
 
 
@@ -80,9 +78,6 @@ class Registry:
         self._entries: dict[str, object] = {}
         self._metadata: dict[str, dict] = {}
         self._versions: dict[str, int] = {}
-        #: Bumped on every register/unregister — a cheap staleness
-        #: check for anything that memoizes resolved lookups.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     def register(self, name: str, obj=None, /, **metadata):
@@ -101,7 +96,6 @@ class Registry:
             # strategy (the ScheduleCache) treats the shadowing
             # registration as a different strategy.
             self._versions[name] = self._versions.get(name, 0) + 1
-            self.generation += 1
             return value
 
         if obj is None:
@@ -120,7 +114,6 @@ class Registry:
             raise self._unknown(name)
         del self._entries[name]
         del self._metadata[name]
-        self.generation += 1
 
     def _resolve(self, name: str):
         """Resolve a name or ``base:spec`` string to its base entry.
@@ -219,11 +212,6 @@ class Registry:
         self._resolve(name)
         return name
 
-    def version(self, name: str) -> int:
-        """Registration generation of ``name`` (bumped on re-register)."""
-        base, _, _ = self._resolve(name)
-        return self._versions[base]
-
     def fingerprint(self, name: str) -> str:
         """Identity of ``name``'s current implementation, for cache keys.
 
@@ -277,8 +265,6 @@ executor_registry = Registry("executor")
 scheduler_registry = Registry("scheduler")
 #: How indices are initially assigned to processors (wrapped / blocked, …).
 partitioner_registry = Registry("assignment")
-#: Where execution happens (serial / sim / threads / processes, …).
-backend_registry = Registry("backend")
 
 
 def register_executor(name: str, obj=None, /, **metadata):
@@ -294,8 +280,3 @@ def register_scheduler(name: str, obj=None, /, **metadata):
 def register_partitioner(name: str, obj=None, /, **metadata):
     """Register an initial-assignment partitioner (decorator)."""
     return partitioner_registry.register(name, obj, **metadata)
-
-
-def register_backend(name: str, obj=None, /, **metadata):
-    """Register an execution backend class (decorator)."""
-    return backend_registry.register(name, obj, **metadata)

@@ -18,14 +18,14 @@ skip the inspector entirely, including its Table 5 cost pricing.
 ``compile_count``, ``executions``) that make the paper's break-even
 argument checkable at run time.
 
-Strategy strings (``executor``, ``scheduler``, ``assignment``,
-``backend``) are resolved through the open registries of
-:mod:`repro.runtime.registry` and validated eagerly — unknown names
-fail at :meth:`compile` time with the valid options enumerated.
-Resolved strategy bundles are memoized per session (keyed on the
-registry generations), so repeated :meth:`compile`/:meth:`run` calls
-with identical specs skip registry parsing entirely and go straight to
-the schedule-cache key.
+Strategy strings (``executor``, ``scheduler``, ``assignment``) are
+resolved through the open registries of :mod:`repro.runtime.registry`
+and validated eagerly — unknown names fail at :meth:`compile` time with
+the valid options enumerated.  The backend is not a strategy: it names
+one of four entry points of the plan's executor — ``sim`` (the machine
+model), ``serial`` (``run``), ``threads`` (``run_threaded``) and
+``processes`` (``run_processes``) — picked in :meth:`LoopPlan.execute`
+alone, and the set is closed.
 ``Runtime.compile(deps, strategy="auto")`` delegates the whole choice
 to the :mod:`repro.tuning` subsystem: a seeded simulator-pruned search
 over the registered strategy space whose verdicts are cached in a
@@ -57,16 +57,20 @@ import numpy as np
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts, MULTIMAX_320
 from ..machine.simulator import SimResult
+from ..observe.export import TimelineRecorder
 from ..observe.observer import Observer
 from ..observe.tracer import maybe_span, now
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RetryPolicy, run_with_recovery
 from ..util.timing import Stopwatch
-from ..util.validation import check_horizon, check_positive, check_seed
-from . import backends as _backends  # noqa: F401 — registers the built-ins
+from ..util.validation import (
+    check_horizon,
+    check_positive,
+    check_seed,
+    check_timeout,
+)
 from .cache import CacheStats, ScheduleCache
 from .registry import (
-    backend_registry,
     executor_registry,
     partitioner_registry,
     scheduler_registry,
@@ -75,30 +79,11 @@ from .registry import (
 __all__ = ["Runtime", "CompiledLoop", "LoopPlan", "ScheduledPlan", "RunReport"]
 
 
-@dataclass(frozen=True)
-class _ResolvedStrategy:
-    """What registry resolution derived from one strategy bundle.
-
-    Memoized per session (keyed on the raw spec strings, which are
-    therefore not repeated here) so repeated compiles — and every
-    :meth:`Runtime.run` call — with identical specs pay for registry
-    parsing, metadata lookups and fingerprinting exactly once.
-    """
-
-    #: The scheduler after the executor's ``scheduler_override``
-    #: (doacross→identity).
-    resolved_scheduler: str
-    #: Whether ``balance`` enters the schedule-cache key.
-    consumes_balance: bool
-    #: Registry fingerprints folded into the cache key.
-    versions: tuple
-
-
 @dataclass
 class RunReport:
     """Normalized outcome of one execution, whatever the backend.
 
-    All four built-in backends return this one shape: the numeric
+    All four backends return this one shape: the numeric
     result (``None`` for the ``sim`` backend), the machine-model
     timing, the inspection that produced the schedule, and the
     amortisation counters.
@@ -184,10 +169,35 @@ class LoopPlan:
         many things) serve as their own."""
         return self
 
-    def execute(self, loop, kernel, backend, *, unit_work, timeout):
-        """One attempt on the ``backend`` object → ``(x, sim | None)``."""
-        return backend.execute(loop, kernel, unit_work=unit_work,
-                               timeout=timeout)
+    def execute(self, loop, kernel, backend: str, *, unit_work, timeout,
+                timeline=None):
+        """One attempt on ``backend`` → ``(x, sim | None)``: the one
+        place a backend name picks an entry point of the executor
+        (``sim=None``: the loop attaches the standard timing, outside
+        the timed window).  A threaded run stamps ``timeline``."""
+        if backend == "sim":
+            return None, self.simulate(unit_work)
+        if kernel is None:
+            raise ValidationError(
+                f"backend {backend!r} executes a kernel; pass one, or "
+                "compile a kernel-bearing LoopProgram so the loop is "
+                "pre-bound (only the 'sim' backend runs kernel-free)"
+            )
+        faults = loop.runtime.faults
+        if backend == "processes":
+            # The shared-memory solvers need the kernel's concrete type,
+            # so faults travel as a picklable handout instead.
+            return self.executor.run_processes(
+                kernel, timeout=timeout, faults=faults), None
+        if faults is not None:
+            # Iteration-scoped faults ride inside a kernel wrapper.
+            kernel = faults.wrap_kernel(kernel)
+        if backend == "serial":
+            return self.executor.run(kernel), None
+        # The plan reaches the machine's watchdog, which then honors
+        # injected timeouts and cancels injected stalls.
+        return self.executor.run_threaded(
+            kernel, timeout=timeout, timeline=timeline, faults=faults), None
 
     def simulate(self, unit_work: np.ndarray | None = None) -> SimResult:
         """Machine-model timing; the simulation is exact and
@@ -371,8 +381,8 @@ class CompiledLoop:
         the default (``unit_work=None``) simulation is memoized per
         plan.
 
-        ``timeout`` must be positive (wall seconds).  The ``threads``
-        backend enforces it with a watchdog
+        ``timeout`` must be positive and finite (wall seconds).
+        ``threads`` enforces it with a watchdog
         (:class:`~repro.errors.ExecutionTimeout` on expiry) and
         ``processes`` as a deadline on the worker pool; ``serial`` and
         ``sim`` validate but do not interrupt (best-effort — a serial
@@ -381,11 +391,11 @@ class CompiledLoop:
         and timeouts retry down the plan's degradation chain and the
         report carries ``report.recovery``.
         """
-        if not timeout > 0:
-            raise ValidationError("timeout must be positive (wall seconds)")
+        check_timeout(timeout)
         if kernel is None:
             kernel = self.bound_kernel
-        name = backend if backend is not None else self.runtime.backend
+        name = (_check_backend(backend) if backend is not None
+                else self.runtime.backend)
         plan = self.plan
         policy = self.runtime.recovery
         if policy is None:
@@ -403,26 +413,20 @@ class CompiledLoop:
         """One attempt of the current plan on backend ``name`` — the
         single place a :class:`RunReport` is built."""
         plan = self.plan
-        backend_obj = backend_registry.get(name)()
-        # The registry key is the name plans and reports use.
-        backend_obj.name = name
         faults = self.runtime.faults
         obs = self.runtime.observer
-        fired = None
-        if faults is not None and kernel is not None:
-            # The plan's seams fire in attempts that run a kernel (a
-            # staged attempt runs none: its stage loops' attempts do).
-            # The plan may serve other sessions too, so an observed one
-            # counts what fires across its own attempt.
-            if obs is not None:
-                fired = len(faults.fired)
-            if name != "processes":
-                # Iteration-scoped faults ride inside a kernel wrapper;
-                # the processes backend instead receives a picklable
-                # handout (its kernels must keep their concrete type
-                # for the shared-memory solvers).
-                kernel = faults.wrap_kernel(kernel)
+        fired = recorder = None
         if obs is not None:
+            if faults is not None and kernel is not None:
+                # The plan's seams fire in attempts that run a kernel (a
+                # staged attempt runs none: its stage loops' attempts
+                # do).  The plan may serve other sessions too, so an
+                # observed one counts what fires across its own attempt.
+                fired = len(faults.fired)
+            if name == "threads" and plan.executor is not None:
+                # A staged plan has no executor of its own to record:
+                # its stage loops' attempts record theirs.
+                recorder = TimelineRecorder(self.nproc)
             mark = obs.mark()
             t0 = now()
             # Executors count their plan traffic unconditionally (three
@@ -434,8 +438,8 @@ class CompiledLoop:
         try:
             with maybe_span(obs, "execute", backend=name,
                             executor=plan.executor_name):
-                x, sim = plan.execute(self, kernel, backend_obj,
-                                      unit_work=unit_work, timeout=timeout)
+                x, sim = plan.execute(self, kernel, name, unit_work=unit_work,
+                                      timeout=timeout, timeline=recorder)
         finally:
             if fired is not None:  # most injections end the attempt
                 faults.mirror(obs, fired)
@@ -460,7 +464,7 @@ class CompiledLoop:
             cache_stats=cache.stats.snapshot() if cache is not None else None,
         )
         if obs is not None:
-            timeline = getattr(backend_obj, "last_timeline", None)
+            timeline = recorder.timeline() if recorder is not None else None
             report.timeline = timeline
             obs.record_execution(name, sw.elapsed, sim=sim,
                                  timeline=timeline)
@@ -593,6 +597,18 @@ def _store_from(name: str, value, persist_dir, store_cls):
     return store_cls(maxsize=int(value), persist_dir=persist_dir)
 
 
+#: Where a compiled loop can run: entry points of its executor, picked
+#: in :meth:`LoopPlan.execute` — a closed set, not a registry.
+_BACKENDS = ("processes", "serial", "sim", "threads")
+
+
+def _check_backend(name) -> str:
+    if name not in _BACKENDS:
+        raise ValidationError(f"unknown backend {name!r}; valid options "
+                              f"are: {', '.join(map(repr, _BACKENDS))}")
+    return name
+
+
 class Runtime:
     """A session binding machine shape, backend and schedule cache.
 
@@ -602,7 +618,7 @@ class Runtime:
         Simulated (and threaded/process) processor count.
     backend:
         Default execution backend: ``"serial"``, ``"sim"``,
-        ``"threads"`` or ``"processes"`` (or any registered name).
+        ``"threads"`` or ``"processes"``.
     costs:
         Machine cost model for simulation and inspection pricing.
     cache:
@@ -684,7 +700,7 @@ class Runtime:
             raise ValidationError(
                 "observe must be a bool or an Observer instance")
         self.nproc = check_positive(nproc, "nproc")
-        self.backend = backend_registry.validate(backend)
+        self.backend = _check_backend(backend)
         self.costs = costs
         self.expected_executions = check_horizon(expected_executions)
         from ..tuning.store import TuningStore  # deferred: import cycle
@@ -721,70 +737,6 @@ class Runtime:
         self._compile_counts_max = (
             4 * self.cache.maxsize if self.cache is not None else 128
         )
-        # Resolved strategy bundles, keyed on the raw spec strings plus
-        # the registry generations (so shadowing a name invalidates).
-        self._strategy_memo: OrderedDict[tuple, _ResolvedStrategy] = OrderedDict()
-
-    # ------------------------------------------------------------------
-    def _resolve_strategy(self, executor: str, scheduler: str,
-                          assignment: str, balance: str) -> _ResolvedStrategy:
-        """Validate and resolve one strategy bundle, memoized.
-
-        All registry work — name validation, spec parsing, metadata
-        lookups, the eager balance/weight-source checks and the cache
-        fingerprints — happens here, once per distinct spec per
-        registry generation; repeated :meth:`compile`/:meth:`run` calls
-        with identical specs go straight to the schedule-cache key.
-        """
-        key = (executor, scheduler, assignment, balance,
-               executor_registry.generation, scheduler_registry.generation,
-               partitioner_registry.generation)
-        resolved = self._strategy_memo.get(key)
-        if resolved is not None:
-            self._strategy_memo.move_to_end(key)
-            return resolved
-        executor_registry.validate(executor)
-        scheduler_registry.validate(scheduler)
-        partitioner_registry.validate(assignment)
-
-        meta = executor_registry.metadata(executor)
-        resolved_scheduler = meta.get("scheduler_override") or scheduler
-        # A scheduler that declares its balance options (``global``'s
-        # ``balance_options`` metadata — plain name or parameterized
-        # spec) gets them validated eagerly; other schedulers
-        # (including user-registered ones) receive ``balance`` verbatim
-        # per the registry contract and may ignore it or define their
-        # own values.  Weight-source spec values are likewise checked
-        # here, before any dependence processing.
-        smeta = scheduler_registry.metadata(resolved_scheduler)
-        options = smeta.get("balance_options")
-        if options is not None and balance not in options:
-            raise ValidationError(
-                f"unknown balance {balance!r}; valid options are: "
-                + ", ".join(repr(b) for b in sorted(options))
-            )
-        weight_source = scheduler_registry.binding(resolved_scheduler).get("weights")
-        if isinstance(weight_source, str):
-            self._inspector.check_weight_source(weight_source)
-        resolved = _ResolvedStrategy(
-            resolved_scheduler=resolved_scheduler,
-            # ``balance`` enters the cache key only when the resolved
-            # scheduler actually consumes it (``consumes_balance``
-            # metadata) — otherwise compiles differing only in an
-            # ignored balance string would cold-inspect identical
-            # structure.  Unregistered metadata defaults to consuming
-            # (conservative).
-            consumes_balance=smeta.get("consumes_balance", True),
-            # Implementation fingerprints: shadowing a strategy name —
-            # here or in a previous run sharing the persistence dir —
-            # must not serve schedules another implementation built.
-            versions=(scheduler_registry.fingerprint(resolved_scheduler),
-                      partitioner_registry.fingerprint(assignment)),
-        )
-        self._strategy_memo[key] = resolved
-        while len(self._strategy_memo) > 256:
-            self._strategy_memo.popitem(last=False)
-        return resolved
 
     # ------------------------------------------------------------------
     def compile(self, deps, *, executor: str = "self",
@@ -798,8 +750,7 @@ class Runtime:
         lower-triangular CSR matrix, a 1-D/2-D indirection array, or a
         :class:`~repro.program.LoopProgram` (whose declared access
         patterns supply the graph).  All strategy names are validated
-        up front against the registries, through the session's
-        strategy memo.
+        up front against the registries.
 
         Every route returns a :class:`CompiledLoop`; compiling a
         program attaches the program and its kernel.
@@ -899,15 +850,52 @@ class Runtime:
 
     def _scheduled_plan(self, deps, *, executor: str, scheduler: str,
                         assignment: str, balance: str) -> ScheduledPlan:
-        """Inspect (or fetch from cache) and bind a registry executor."""
-        resolved = self._resolve_strategy(executor, scheduler,
-                                          assignment, balance)
+        """Inspect (or fetch from cache) and bind a registry executor.
+
+        All registry work — name validation, spec parsing, metadata
+        lookups, the eager balance/weight-source checks — happens
+        first, before any dependence processing.
+        """
+        executor_registry.validate(executor)
+        scheduler_registry.validate(scheduler)
+        partitioner_registry.validate(assignment)
+
+        meta = executor_registry.metadata(executor)
+        resolved = meta.get("scheduler_override") or scheduler
+        # A scheduler that declares its balance options (``global``'s
+        # ``balance_options`` metadata — plain name or parameterized
+        # spec) gets them validated eagerly; other schedulers
+        # (including user-registered ones) receive ``balance`` verbatim
+        # per the registry contract and may ignore it or define their
+        # own values.  Weight-source spec values are likewise checked
+        # here, before any dependence processing.
+        smeta = scheduler_registry.metadata(resolved)
+        options = smeta.get("balance_options")
+        if options is not None and balance not in options:
+            raise ValidationError(
+                f"unknown balance {balance!r}; valid options are: "
+                + ", ".join(repr(b) for b in sorted(options))
+            )
+        weight_source = scheduler_registry.binding(resolved).get("weights")
+        if isinstance(weight_source, str):
+            self._inspector.check_weight_source(weight_source)
 
         dep = self._inspector.dependences_of(deps)
         key = ScheduleCache.key_for(
-            dep, self.nproc, resolved.resolved_scheduler, assignment,
-            balance if resolved.consumes_balance else "", self.costs,
-            versions=resolved.versions,
+            dep, self.nproc, resolved, assignment,
+            # ``balance`` enters the cache key only when the resolved
+            # scheduler actually consumes it (``consumes_balance``
+            # metadata) — otherwise compiles differing only in an
+            # ignored balance string would cold-inspect identical
+            # structure.  Unregistered metadata defaults to consuming
+            # (conservative).
+            balance if smeta.get("consumes_balance", True) else "",
+            self.costs,
+            # Implementation fingerprints: shadowing a strategy name —
+            # here or in a previous run sharing the persistence dir —
+            # must not serve schedules another implementation built.
+            versions=(scheduler_registry.fingerprint(resolved),
+                      partitioner_registry.fingerprint(assignment)),
         )
         cache, obs = self.cache, self.observer
         inspection = (cache.session_get(key, dep, observer=obs)
@@ -915,7 +903,7 @@ class Runtime:
         cache_hit = inspection is not None
         if inspection is None:
             inspection = self._inspector.inspect(
-                dep, self.nproc, strategy=resolved.resolved_scheduler,
+                dep, self.nproc, strategy=resolved,
                 assignment=assignment, balance=balance,
             )
             if cache is not None:
@@ -985,19 +973,18 @@ class Runtime:
         dependence data and the kernel.  Otherwise ``deps`` defaults to
         the kernel's own ``dependence_graph()`` when it provides one
         (the library kernels all do).  Repeated calls with identical
-        strategy specs hit the session's strategy memo and schedule
-        cache — no registry re-parsing, no re-inspection.
+        strategy specs hit the session's schedule cache — no
+        re-inspection.
 
         When the session observes, ``report.phases`` covers the whole
         call — compile (inspect/schedule/tune) *and* execute — so the
         phase sum accounts for this call's wall time.
 
-        ``timeout`` must be positive; the ``threads`` backend enforces
-        it with a watchdog thread, ``processes`` as a pool deadline,
-        and ``serial``/``sim`` validate but do not interrupt.
+        ``timeout`` is validated before anything compiles; ``threads``
+        enforces it with a watchdog thread, ``processes`` as a pool
+        deadline, and ``serial``/``sim`` validate but do not interrupt.
         """
-        if not timeout > 0:
-            raise ValidationError("timeout must be positive (wall seconds)")
+        check_timeout(timeout)
         obs = self.observer
         if obs is None:
             return self._run_impl(kernel, deps, backend=backend,
@@ -1043,12 +1030,12 @@ class Runtime:
 
     @staticmethod
     def available() -> dict[str, tuple[str, ...]]:
-        """Registered strategy names, per registry."""
+        """Registered strategy names, per registry, and the backends."""
         return {
             "executors": executor_registry.names(),
             "schedulers": scheduler_registry.names(),
             "assignments": partitioner_registry.names(),
-            "backends": backend_registry.names(),
+            "backends": _BACKENDS,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

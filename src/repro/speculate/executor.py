@@ -45,7 +45,7 @@ from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
 from ..runtime.registry import register_executor
 from ..util.rng import default_rng
-from ..util.validation import check_seed, check_unit_work
+from ..util.validation import check_positive, check_seed, check_unit_work
 from .shadow import AccessLog, ShadowScan, repair_set, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor",
@@ -69,6 +69,13 @@ CHUNKS_PER_PROC = 4
 #: how many executions a structure is expected to serve, over which
 #: the classic pipeline would spread its inspection cost.
 DEFAULT_EXPECTED_EXECUTIONS = 16.0
+
+
+def _refuse(backend: str) -> ValidationError:
+    return ValidationError(
+        "the speculative executor runs on the 'serial' or 'sim' "
+        f"backends; the {backend!r} protocol would race on the shared "
+        "shadow state")
 
 
 @dataclass
@@ -147,10 +154,8 @@ class SpeculativeExecutor:
     def __init__(self, log: AccessLog, nproc: int,
                  costs: MachineCosts = MachineCosts(), *, seed=None,
                  schedule=None, observer=None):
-        if nproc < 1:
-            raise ValidationError("nproc must be positive")
         self.log = log
-        self.nproc = int(nproc)
+        self.nproc = check_positive(nproc, "nproc")
         self.costs = costs
         self.seed = None if seed is None else check_seed(seed)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
@@ -288,11 +293,11 @@ class SpeculativeExecutor:
     def run_threaded(self, kernel, *, timeout: float = 30.0,
                      timeline=None, faults=None):
         """Refuses, under the classic executors' signature."""
-        raise ValidationError(
-            "the speculative executor runs on the 'serial' or 'sim' "
-            "backends; the 'threads' protocol would race on the shared "
-            "shadow state"
-        )
+        raise _refuse("threads")
+
+    def run_processes(self, kernel, *, timeout: float = 30.0, faults=None):
+        """Refuses, under the classic executors' signature."""
+        raise _refuse("processes")
 
     # ------------------------------------------------------------------
     def simulate(self, *, unit_work: np.ndarray | None = None,

@@ -107,10 +107,9 @@ class SpeculativePlan(LoopPlan):
         return self._classic
 
     # ------------------------------------------------------------------
-    def execute(self, loop, kernel, backend, *, unit_work, timeout):
+    def execute(self, loop, kernel, backend, **options):
         self.executor.last_conflicts = None
-        return super().execute(loop, kernel, backend, unit_work=unit_work,
-                               timeout=timeout)
+        return super().execute(loop, kernel, backend, **options)
 
     def degraded(self, backend: str):
         yield "speculative", self, backend

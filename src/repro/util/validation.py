@@ -9,6 +9,8 @@ public API functions short and the error messages consistent.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -22,6 +24,7 @@ __all__ = [
     "check_positive_finite",
     "check_seed",
     "check_square",
+    "check_timeout",
     "check_unit_work",
     "check_vector",
 ]
@@ -74,8 +77,9 @@ def check_positive(value, name: str = "value") -> int:
 
 def check_seed(value, name: str = "seed") -> int:
     """Validate that ``value`` is a non-negative integer — what
-    ``numpy.random.default_rng`` takes as a reproducible seed — and
-    return it as ``int``; bools are refused."""
+    ``numpy.random.default_rng`` takes as a reproducible seed, and what
+    an ILU fill level or an iteration index is — and return it as
+    ``int``; bools are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < 0):
         raise ValidationError(
@@ -101,6 +105,18 @@ def check_positive_finite(value, name: str = "value") -> float:
     if not 0.0 < x < float("inf"):  # nan fails both comparisons
         raise ValidationError(
             f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
+def check_timeout(value) -> float:
+    """Validate a wall-clock timeout in seconds: positive, finite and at
+    most half of :data:`threading.TIMEOUT_MAX`, the longest wait a join
+    accepts — the watchdog and the pool wait a margin past it."""
+    x = check_positive_finite(value, "timeout")
+    if x > threading.TIMEOUT_MAX / 2:
+        raise ValidationError(
+            f"timeout must be at most {threading.TIMEOUT_MAX / 2:.0f} "
+            f"seconds, got {value!r}")
     return x
 
 

@@ -13,11 +13,16 @@ loops describing a plan they no longer run after the guard tripped).
 from __future__ import annotations
 
 import inspect
+import multiprocessing as mp
 
 import numpy as np
 import pytest
 
-from repro.core.executor import SerialExecutor, SimpleLoopKernel
+from repro.core.executor import (
+    SerialExecutor,
+    SimpleLoopKernel,
+    TriangularSolveKernel,
+)
 from repro.errors import InjectedFault, ValidationError
 from repro.machine.simulator import SimResult
 from repro.program import (
@@ -29,6 +34,7 @@ from repro.program import (
 )
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.runtime import CompiledLoop, Runtime
+from repro.sparse.build import random_lower_triangular
 from repro.workload import sweep_program
 from strategies import program_of
 
@@ -234,6 +240,67 @@ class TestSurfaceContract:
         assert fresh.executions == 0
         assert same(fresh().x, oracle(fresh.program))
         assert not same(fresh().x, loop().x)  # the old loop kept its data
+
+
+# ----------------------------------------------------------------------
+# The backend surface: a backend name picks an entry point of the
+# plan's executor — every plan kind × backend × source, once
+# ----------------------------------------------------------------------
+
+BACKENDS = ("serial", "sim", "threads", "processes")
+#: The plan kind × backend pairs refused with a ValidationError; every
+#: other pair equals the serial oracle bit for bit (``sim``: timing only).
+REFUSED = {("speculative", "threads"), ("speculative", "processes"),
+           ("staged", "threads"), ("staged", "processes")}
+
+
+def backend_case(kind, source, rt):
+    """``(loop, per-call kernel, oracle)``: a sparse triangular solve —
+    the one workload every backend runs — or a fissioned sweep."""
+    rng = np.random.default_rng(13)
+    if kind == "staged":
+        prog = sweep_program(rng.normal(size=N), rng.normal(size=N))
+        return rt.compile(prog, strategy="auto"), None, oracle(prog)
+    l = random_lower_triangular(N, avg_off_diag=2.0, max_band=8, seed=13)
+    b = rng.normal(size=N)
+    options = ({"strategy": "speculative"} if kind == "speculative"
+               else {"executor": kind})
+    want = SerialExecutor().run(TriangularSolveKernel(l, b))
+    if source == "program":
+        return rt.compile(LoopProgram.from_csr(l, b), **options), None, want
+    return rt.compile(l, **options), TriangularSolveKernel(l, b), want
+
+
+@pytest.mark.parametrize("recovery", [False, True])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind,source", [
+    (kind, source)
+    for kind in ("self", "preschedule", "doacross", "speculative")
+    for source in ("raw", "program")
+] + [("staged", "program")])
+def test_every_plan_on_every_backend(kind, source, backend, recovery):
+    if backend == "processes" and "fork" not in mp.get_all_start_methods():
+        pytest.skip("the processes backend needs POSIX fork")
+    rt = Runtime(nproc=NPROC, tuning=None, observe=True, recovery=recovery)
+    loop, kernel, want = backend_case(kind, source, rt)
+    assert loop.plan.kind == {"speculative": "speculative",
+                              "staged": "staged"}.get(kind, "scheduled")
+    if (kind, backend) in REFUSED:
+        # A staged loop's replay kernels refuse threads themselves; a
+        # speculative loop on processes used to die in AttributeError.
+        match = ("not thread-safe" if (kind, backend) == ("staged", "threads")
+                 else f"'{backend}'")
+        with pytest.raises(ValidationError, match=match):
+            loop(kernel, backend=backend)
+        return
+    report = loop(kernel, backend=backend)
+    assert report.backend == backend
+    if backend == "sim":
+        assert report.x is None and isinstance(report.sim, SimResult)
+    else:
+        assert same(report.x, want)
+    # Only a threaded run of the plan's own executor records a timeline.
+    assert (report.timeline is not None) == (backend == "threads")
 
 
 class TestOneTypeEveryRoute:

@@ -491,28 +491,6 @@ class TestMigratedPaths:
 # ----------------------------------------------------------------------
 
 class TestStrategyMemo:
-    def test_repeated_run_skips_registry_parsing(self, fig3, monkeypatch):
-        from repro.runtime.registry import Registry
-
-        _, ia, x0, b = fig3
-        rt = Runtime(nproc=4)
-        kernel = SimpleLoopKernel(x0, b, ia)
-        spec = dict(scheduler="global:weights=work",
-                    assignment="chunked:chunk=16", balance="greedy")
-        rt.run(kernel, ia, **spec)  # warm: memo + schedule cache
-
-        calls = []
-        orig = Registry._parse_spec
-
-        def counting(self, base, name, raw):
-            calls.append(name)
-            return orig(self, base, name, raw)
-
-        monkeypatch.setattr(Registry, "_parse_spec", counting)
-        rep = rt.run(kernel, ia, **spec)
-        assert rep.cache_hit
-        assert calls == []  # resolved bundle memoized: zero re-parsing
-
     def test_shadowing_invalidates_memo(self, fig3):
         from repro.runtime.registry import (
             register_scheduler,

@@ -13,6 +13,7 @@ the same suite exercises different injection points per CI leg.
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ NPROC = 4
 #: different injection seed.
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
+#: Timeouts every entry point refuses: not positive, not finite, or
+#: past what a thread join accepts once the watchdog's margin is added.
+BAD_TIMEOUTS = (0, -1, -0.5, float("nan"), float("inf"), 1e12,
+                threading.TIMEOUT_MAX)
+
 
 def program(n=N, seed=7):
     rng = np.random.default_rng(seed)
@@ -64,14 +70,21 @@ def oracle():
 class TestValidation:
     def test_non_positive_timeout_rejected_on_loop_call(self):
         loop = Runtime(nproc=NPROC).compile(program())
-        for bad in (0, -1, -0.5, float("nan")):
-            with pytest.raises(ValidationError, match="timeout"):
-                loop(timeout=bad)
+        threads = threading.active_count()
+        # A huge timeout used to raise OverflowError from the real
+        # backends after their workers had started, and leave each
+        # threaded run's watchdog polling forever.
+        for backend in ("serial", "sim", "threads", "processes"):
+            for bad in BAD_TIMEOUTS:
+                with pytest.raises(ValidationError, match="timeout"):
+                    loop(timeout=bad, backend=backend)
+        assert threading.active_count() == threads
 
     def test_non_positive_timeout_rejected_on_runtime_run(self):
         rt = Runtime(nproc=NPROC)
-        with pytest.raises(ValidationError, match="timeout"):
-            rt.run(program(), timeout=0)
+        for bad in BAD_TIMEOUTS:
+            with pytest.raises(ValidationError, match="timeout"):
+                rt.run(program(), timeout=bad)
 
     def test_faults_must_be_a_plan(self):
         with pytest.raises(ValidationError, match="FaultPlan"):
@@ -89,10 +102,18 @@ class TestValidation:
     def test_fault_spec_validation(self):
         with pytest.raises(ValidationError, match="seam"):
             FaultSpec("gpu-fire")
-        with pytest.raises(ValidationError, match="times"):
-            FaultSpec("kernel", times=0)
-        with pytest.raises(ValidationError, match="seconds"):
-            FaultSpec("stall", seconds=0.0)
+        # times=1.5 used to fire twice and leave remaining() at -0.5;
+        # a nan / inf stall to sleep until the watchdog killed it; a
+        # negative or fractional iteration never to fire at all.
+        for times in (0, 1.5):
+            with pytest.raises(ValidationError, match="times"):
+                FaultSpec("kernel", times=times)
+        for seconds in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="seconds"):
+                FaultSpec("stall", seconds=seconds)
+        for iteration in (-3, 2.5):
+            with pytest.raises(ValidationError, match="iteration"):
+                FaultSpec("kernel", iteration=iteration)
         with pytest.raises(ValidationError, match="store"):
             FaultSpec("store", store="redis")
         with pytest.raises(ValidationError, match="mode"):
@@ -101,12 +122,15 @@ class TestValidation:
             FaultPlan(["kernel"])
 
     def test_retry_policy_validation(self):
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(backoff=-1.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(deadline=0.0)
+        # 1.5 attempts used to be a TypeError at the first failure, and
+        # a nan deadline or backoff to be accepted.
+        for bad in ({"max_attempts": 0}, {"max_attempts": 1.5},
+                    {"backoff": -1.0}, {"backoff": float("nan")},
+                    {"deadline": 0.0}, {"deadline": float("nan")}):
+            (name,) = bad
+            with pytest.raises(ValidationError, match=name):
+                RetryPolicy(**bad)
+        assert RetryPolicy(backoff=0).backoff == 0
 
     def test_error_taxonomy(self):
         # Old call sites catch RuntimeError / DeadlockError; the typed

@@ -251,6 +251,19 @@ class TestSpeculativeExecutor:
         with pytest.raises(ValidationError, match="threads"):
             SpeculativeExecutor(log, 2).run_threaded(
                 None, timeout=1.0, timeline=None, faults=None)
+        # The processes entry point refuses the same way (it used to
+        # hand the schedule stand-in to a process solver).
+        with pytest.raises(ValidationError, match="'processes'"):
+            SpeculativeExecutor(log, 2).run_processes(
+                None, timeout=1.0, faults=None)
+
+    @pytest.mark.parametrize("nproc", [0, 2.5])
+    def test_nproc_validated(self, nproc):
+        # 2.5 used to chunk and time as two processors without a word.
+        log = AccessLog.from_dependences(
+            LoopProgram.from_indirection(np.arange(6)).dependence_graph())
+        with pytest.raises(ValidationError, match="nproc"):
+            SpeculativeExecutor(log, nproc)
 
     @pytest.mark.parametrize("shape", [(5,), (6, 1), (2, 3), ()])
     def test_bad_unit_work_shape_is_a_validation_error(self, shape):

@@ -1,5 +1,7 @@
 """Unit tests for the real-thread execution backend."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,18 @@ def chain_kernel():
 
 class TestValidation:
     def test_positive_nproc(self):
-        with pytest.raises(ValidationError):
-            ThreadedMachine(0)
+        # 2.7 used to run on two threads without a word.
+        for bad in (0, 2.7):
+            with pytest.raises(ValidationError, match="nproc"):
+                ThreadedMachine(bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"),
+                                     threading.TIMEOUT_MAX])
+    def test_timeout_validated(self, bad):
+        # nan used to be a watchdog that never fires, -1 one that fires
+        # at once, inf an OverflowError after the lanes had started.
+        with pytest.raises(ValidationError, match="timeout"):
+            ThreadedMachine(2, timeout=bad)
 
 
 class TestSelfExecuting:
