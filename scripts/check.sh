@@ -4,7 +4,8 @@
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
-# one-inspector-owner, one-backend-dispatch and one-timeout-check rules,
+# one-inspector-owner, one-pricing-path, one-backend-dispatch and
+# one-timeout-check rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -197,11 +198,31 @@ if [ -n "$pointers" ]; then
     exit 1
 fi
 # A session owns its inspector; tables and projections compile through one.
+# (The lazy price below borrows a bare one for its cost model, on the
+# line the pricing guard pins.)
 owners=$(grep -rn 'Inspector(' src --include='*.py' \
-         | grep -v '^src/repro/runtime/session.py:' || true)
+         | grep -v '^src/repro/runtime/session.py:' \
+         | grep -vE '^src/repro/core/inspector.py:[0-9]+:.*\)\.price_inspection\(' \
+         || true)
 if [ -n "$owners" ]; then
     echo "$owners"
     echo "error: Inspector( constructed outside runtime/session.py" >&2
+    exit 1
+fi
+
+echo "== one pricing path: InspectionResult.costs prices on first read =="
+# Inspector.inspect does not price: the Table 5 price is computed when
+# something reads it, so the lazy costs property is the one caller.
+pricing=$(grep -rn 'price_inspection(' src --include='*.py' \
+          | grep -v 'def price_inspection(' || true)
+inspector=src/repro/core/inspector.py
+from_line=$(grep -n 'def costs(self)' "$inspector" | cut -d: -f1)
+to_line=$(awk -v at="${from_line:-0}" 'NR > at && /^ *(def |@)/ {print NR; exit}' "$inspector")
+if [ -z "$from_line" ] || [ "$(echo "$pricing" | grep -c .)" -ne 1 ] \
+   || [ -n "$(echo "$pricing" | awk -F: -v file="$inspector" -v lo="$from_line" \
+              -v hi="${to_line:-0}" '$1 != file || $2 <= lo || $2 >= hi')" ]; then
+    echo "$pricing"
+    echo "error: price_inspection( must be called exactly once under src, from InspectionResult.costs" >&2
     exit 1
 fi
 

@@ -5,11 +5,16 @@ wavefront numbers are computed and the indices are sorted on the basis
 of these wavefronts.  The indices may or may not be repartitioned."
 
 :class:`Inspector` performs exactly that, producing a
-:class:`~repro.core.schedule.Schedule`, and additionally prices the
-inspection itself on the machine model — the paper's Table 5 compares
-these costs (sequential sort, parallelized sort, global rearrangement,
-local scheduling) against the cost of one loop execution, because the
-inspector pays off only when amortised.
+:class:`~repro.core.schedule.Schedule`.  The inspection's own price on
+the machine model — the paper's Table 5 compares these costs
+(sequential sort, parallelized sort, global rearrangement, local
+scheduling) against the cost of one loop execution, because the
+inspector pays off only when amortised — is not paid by the inspection:
+:attr:`InspectionResult.costs` is computed on first read, from the
+pricing inputs the result keeps, and memoised on the result (so on the
+schedule-cache entry that holds it).  Reports, the tuner's winner and
+the Table 5 / Figure 1 drivers read it and pay; a plain compile and run
+does not.
 
 Inspector cost accounting
 -------------------------
@@ -72,17 +77,39 @@ class InspectorCosts:
         return self.par_sort + self.local_sort
 
 
-@dataclass
 class InspectionResult:
-    """Everything the inspector produced for one loop."""
+    """Everything the inspector produced for one loop.
 
-    dep: DependenceGraph
-    wavefronts: np.ndarray
-    schedule: Schedule
-    strategy: str
-    costs: InspectorCosts
-    #: Actual host seconds spent inspecting (for amortisation checks).
-    host_seconds: float
+    ``costs`` may be handed in (a disk load carries the price in its
+    sidecar); otherwise ``nproc``, ``owner`` (the initial assignment)
+    and ``machine_costs`` are kept and :attr:`costs` prices the
+    inspection on first read.
+    """
+
+    def __init__(self, dep: DependenceGraph, wavefronts: np.ndarray,
+                 schedule: Schedule, strategy: str,
+                 costs: InspectorCosts | None = None,
+                 host_seconds: float = 0.0, *, nproc: int | None = None,
+                 owner: np.ndarray | None = None,
+                 machine_costs: MachineCosts = MULTIMAX_320):
+        self.dep = dep
+        self.wavefronts = wavefronts
+        self.schedule = schedule
+        self.strategy = strategy
+        #: Actual host seconds spent inspecting (for amortisation checks).
+        self.host_seconds = host_seconds
+        self.nproc = nproc
+        self.owner = owner
+        self.machine_costs = machine_costs
+        self._costs = costs
+
+    @property
+    def costs(self) -> InspectorCosts:
+        """The Table 5 price of this inspection, computed once."""
+        if self._costs is None:
+            self._costs = Inspector(self.machine_costs).price_inspection(
+                self.dep, self.wavefronts, self.nproc, self.owner)
+        return self._costs
 
     @property
     def num_wavefronts(self) -> int:
@@ -209,18 +236,15 @@ class Inspector:
                         assignment=assignment, nproc=nproc):
             schedule = schedule_fn(wf, init_owner, nproc, **kwargs)
         sw.stop()
-
-        # Table 5 pricing runs a simulation of the sweep itself — real
-        # host time worth seeing, but inspection-phase time nonetheless.
-        with maybe_span(obs, "inspect", stage="price"):
-            priced = self.price_inspection(dep, wf, nproc, init_owner)
         return InspectionResult(
             dep=dep,
             wavefronts=wf,
             schedule=schedule,
             strategy=strategy,
-            costs=priced,
             host_seconds=sw.elapsed,
+            nproc=nproc,
+            owner=init_owner,
+            machine_costs=self.machine_costs,
         )
 
     # ------------------------------------------------------------------
@@ -256,7 +280,11 @@ class Inspector:
         nproc: int,
         init_owner: np.ndarray,
     ) -> InspectorCosts:
-        """Price the inspection steps on the machine model (Table 5)."""
+        """Price the inspection steps on the machine model (Table 5).
+
+        Called on the first read of :attr:`InspectionResult.costs`, not
+        by :meth:`inspect`.
+        """
         mc = self.machine_costs
         nd = dep.dep_counts().astype(np.float64)
         sort_work = mc.t_sort_base + mc.t_sort_per_dep * nd

@@ -508,14 +508,18 @@ class StagedPlan(LoopPlan):
         self.stage_loops = list(stage_loops)
         self.runtime = self.stage_loops[0].runtime
         self.executor_name = self.strategy = f"transform:{variant.name}"
-        self.pipeline_cost = float(sum(
-            loop.inspection.pipeline_cost for loop in self.stage_loops))
         self.num_wavefronts = int(sum(
             loop.inspection.num_wavefronts for loop in self.stage_loops))
         self.cache_hit = all(loop.cache_hit for loop in self.stage_loops)
         self.compile_count = max(
             loop.compile_count for loop in self.stage_loops)
         self._recoveries: list = []
+
+    @property
+    def pipeline_cost(self) -> float:
+        """The stages' inspection prices, summed (priced on read)."""
+        return float(sum(
+            loop.inspection.pipeline_cost for loop in self.stage_loops))
 
     @property
     def dep(self):

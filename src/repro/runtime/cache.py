@@ -11,14 +11,17 @@ optionally, across *program runs*:
   ``(dependence graph, nproc, scheduler, assignment, balance, cost
   model)`` to the full :class:`~repro.core.inspector.InspectionResult`,
   so a repeated :meth:`Runtime.compile <repro.runtime.Runtime.compile>`
-  of identical structure skips the wavefront sweep, the scheduling
-  *and* the Table 5 cost pricing;
+  of identical structure skips the wavefront sweep and the scheduling.
+  The Table 5 price is no part of either compile: the entry's
+  :attr:`~repro.core.inspector.InspectionResult.costs` is computed on
+  its first read and memoised on the cached entry, so it is paid at
+  most once per entry, and only when something reads it;
 * on disk — optional ``.npz`` persistence through the existing
   :func:`~repro.core.schedule.save_schedule_npz` /
   :func:`~repro.core.schedule.load_schedule_npz` pair (the PARTI-style
-  "save the communication schedule" pattern), with the priced
-  inspection costs in a JSON sidecar so a warm start skips the pricing
-  too.
+  "save the communication schedule" pattern), with the inspection
+  costs in a JSON sidecar: writing it reads them, so a persisted put
+  prices, and a warm start loads the price instead of computing it.
 
 The fingerprint is the graph's memoized :meth:`structure digest
 <repro.core.dependence.DependenceGraph.digest>` plus the strategy

@@ -13,7 +13,9 @@ inspector/executor split made explicit::
 Every compile consults the session's :class:`ScheduleCache`, so
 repeated compiles of *identical dependence structure* — the PCGPAK
 pattern, where one topological sort serves every Krylov iteration —
-skip the inspector entirely, including its Table 5 cost pricing.
+skip the inspector entirely.  The Table 5 price of an inspection is
+computed only when read (``report.inspect_cost``, ``loop.report()``),
+once per cached entry.
 :class:`RunReport` carries the amortisation counters (``cache_hit``,
 ``compile_count``, ``executions``) that make the paper's break-even
 argument checkable at run time.

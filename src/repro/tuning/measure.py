@@ -15,7 +15,7 @@ schedule, a deadlock) scores ``inf`` instead of aborting the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,14 @@ __all__ = ["Measurement", "prefix_graph", "simulate_spec"]
 
 @dataclass
 class Measurement:
-    """One candidate's scores through the search."""
+    """One candidate's full-size score (:meth:`Tuner.exhaustive
+    <repro.tuning.tuner.Tuner.exhaustive>`)."""
 
     spec: CandidateSpec
     #: Simulated makespan on the full graph (model µs; ``inf`` = failed).
     sim_makespan: float = float("inf")
     #: Error string of a failed compile/simulation, for reporting.
     error: str | None = None
-    #: Per-rung simulated makespans, in rung order (for reporting).
-    rung_scores: list = field(default_factory=list)
 
 
 def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:

@@ -150,8 +150,6 @@ class Tuner:
         #: session's own speculative plan will run.
         self._runtime = Runtime(nproc, costs=costs, cache=256, tuning=None,
                                 tune_seed=self.seed, observe=observer)
-        #: Measurements of the most recent search (for reporting).
-        self.last_measurements: list[Measurement] = []
 
     # ------------------------------------------------------------------
     def tune(self, deps, *, unit_work: np.ndarray | None = None,
@@ -225,18 +223,14 @@ class Tuner:
             span.annotate(sims=verdict.sims, winner=verdict.label())
         return verdict
 
-    def _score(self, dep, specs, measurements, *, unit_work, horizon) -> list:
+    def _score(self, dep, specs, *, unit_work, horizon) -> list:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
         sort, so ties keep the seeded shuffle order."""
-        scored = []
-        for spec in specs:
-            score, err = simulate_spec(self._runtime, dep, spec,
-                                       unit_work=unit_work,
-                                       expected_executions=horizon)
-            if err is not None:
-                measurements[spec].error = err
-            scored.append((score, spec))
+        scored = [(simulate_spec(self._runtime, dep, spec,
+                                 unit_work=unit_work,
+                                 expected_executions=horizon)[0], spec)
+                  for spec in specs]
         scored.sort(key=lambda t: t[0])
         return scored
 
@@ -252,7 +246,6 @@ class Tuner:
         if obs is not None:
             obs.inc("tuner.searches")
             obs.inc("tuner.candidates", len(candidates))
-        measurements = {spec: Measurement(spec) for spec in candidates}
         rng = np.random.default_rng(self.seed)
         survivors = [candidates[i] for i in rng.permutation(len(candidates))]
         sims = 0
@@ -261,12 +254,10 @@ class Tuner:
         for rung, m in enumerate(self._rung_sizes(dep.n)):
             entered = len(survivors)
             scored = self._score(
-                prefix_graph(dep, m), survivors, measurements,
+                prefix_graph(dep, m), survivors,
                 unit_work=None if unit_work is None else unit_work[:m],
                 horizon=horizon)
             sims += entered
-            for score, spec in scored:
-                measurements[spec].rung_scores.append(score)
             kept = max(FINALISTS, math.ceil(len(scored) * KEEP))
             survivors = [spec for _, spec in scored[:kept]]
             # Diversity guarantee: prefix fidelity is biased against
@@ -285,25 +276,21 @@ class Tuner:
                         entered - len(survivors))
 
         # Final rung: every survivor at full size.
-        scored = self._score(dep, survivors, measurements,
+        scored = self._score(dep, survivors,
                              unit_work=unit_work, horizon=horizon)
         sims += len(survivors)
-        for score, spec in scored:
-            measurements[spec].sim_makespan = score
         best_score, best = scored[0]
         if not math.isfinite(best_score):
             raise ValidationError(
                 "no candidate produced a legal schedule for this workload"
             )
 
-        self.last_measurements = [
-            measurements[spec] for spec in candidates
-        ]
         if obs is not None:
             obs.inc("tuner.sims", sims)
         # A cached compile: the final rung built the winner a moment
         # ago.  Its wavefronts spare the signature a sweep of its own
-        # (the speculative arm inspected nothing and has none).
+        # (the speculative arm inspected nothing and has none), and its
+        # inspection is the one the verdict's pipeline_cost prices.
         loop = self._runtime.compile(dep, **best.compile_kwargs())
         features = extract_features(dep, loop.wavefronts, self.costs)
         return TuningVerdict(

@@ -1,13 +1,18 @@
 """Unit tests for the run-time inspector and its cost accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.inspector import Inspector
+from repro.core.wavefront import compute_wavefronts
 from repro.errors import ValidationError
 from repro.machine.simulator import sequential_time
 from repro.machine.costs import MULTIMAX_320
+from repro.runtime.registry import partitioner_registry
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +102,92 @@ class TestInspectionCosts:
         assert res.costs.par_sort > 0
         assert res.costs.rearrange > 0
         assert res.costs.local_sort > 0
+
+
+@pytest.fixture
+def priced(monkeypatch):
+    """The ``n`` of every graph ``Inspector.price_inspection`` priced."""
+    seen = []
+    eager = Inspector.price_inspection
+
+    def counted(self, dep, *args):
+        seen.append(dep.n)
+        return eager(self, dep, *args)
+
+    monkeypatch.setattr(Inspector, "price_inspection", counted)
+    return seen
+
+
+def figure3(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return LoopProgram.from_indirection(
+        rng.integers(0, n, size=n), x=rng.random(n), b=rng.random(n))
+
+
+class TestPricedOnRead:
+    """The Table 5 price is computed on first read, never by a compile."""
+
+    def test_cold_compile_and_run_price_nothing(self, priced):
+        loop = Runtime(nproc=4, tuning=None).compile(figure3(500))
+        loop()
+        loop.rebind(b=np.ones(500))()
+        assert priced == []
+
+    @pytest.mark.parametrize("scheduler", ["global", "local"])
+    def test_first_read_equals_the_eager_price_and_is_memoised(
+            self, priced, scheduler):
+        prog = figure3(700, seed=3)
+        loop = Runtime(nproc=8).compile(prog, scheduler=scheduler)
+        dep = loop.dep
+        eager = Inspector(MULTIMAX_320).price_inspection(
+            dep, compute_wavefronts(dep), 8,
+            partitioner_registry.get("wrapped")(dep.n, 8))
+        assert priced == [700]            # the eager call above
+        costs = loop.inspection.costs
+        assert dataclasses.astuple(costs) == dataclasses.astuple(eager)
+        assert priced == [700, 700]
+        assert loop.inspection.costs is costs
+        assert loop.report()["inspect_cost"] == loop().inspect_cost
+        assert priced == [700, 700]       # no read re-prices
+
+    def test_identity_pipeline_prices_nothing(self, priced):
+        loop = Runtime(nproc=4).compile(figure3(300), executor="doacross")
+        assert loop.inspection.pipeline_cost == 0.0
+        assert priced == []
+
+    def test_cold_auto_prices_only_the_winner(self, priced):
+        rt = Runtime(nproc=4, tuning=None)
+        loop = rt.compile(figure3(2000), strategy="auto")
+        assert loop.verdict.pipeline_cost > 0.0
+        assert priced == [2000]
+
+    def test_a_horizon_prices_every_scheduled_candidate(self, priced,
+                                                        monkeypatch):
+        inspected = []
+        inspect = Inspector.inspect
+
+        def recorded(self, *args, **kwargs):
+            result = inspect(self, *args, **kwargs)
+            inspected.append(result)
+            return result
+
+        monkeypatch.setattr(Inspector, "inspect", recorded)
+        verdict = Runtime(nproc=4, tuning=None,
+                          expected_executions=4).tune(figure3(2000))
+        assert verdict.pipeline_cost > 0.0
+        # Every candidate inspection the search cached was scored with
+        # its price, once: an identity pipeline costs 0 without pricing.
+        scheduled = [r.dep.n for r in inspected if r.strategy != "identity"]
+        assert len(priced) > 1
+        assert sorted(priced) == sorted(scheduled)
+
+    def test_disk_round_trip_keeps_the_price(self, priced, tmp_path):
+        prog = figure3(400, seed=5)
+        first = Runtime(nproc=4, cache_dir=tmp_path).compile(
+            prog, scheduler="global")
+        assert priced == [400]            # the sidecar write read it
+        loaded = Runtime(nproc=4, cache_dir=tmp_path).compile(
+            prog, scheduler="global")
+        assert loaded.cache_hit
+        assert loaded.inspection.costs == first.inspection.costs
+        assert priced == [400]            # the load carried it
