@@ -111,8 +111,10 @@ def test_inspector_beats_the_reference_sweep(gate, workload, n, at_most):
             n, avg_off_diag=3.0, max_band=max(n // 60, 8), seed=1989))
 
     def cold():
-        # A cold inspection builds the successor CSR too.
+        # A cold inspection builds the successor CSR and the wavefront
+        # memo; clear both so every timed call sweeps again.
         dep._succ_indptr = dep._succ_indices = None
+        dep._wavefronts = None
         return compute_wavefronts(dep)
 
     np.testing.assert_array_equal(cold(), reference.compute_wavefronts(dep))

@@ -4,8 +4,8 @@
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
-# one-inspector-owner, one-pricing-path, one-backend-dispatch and
-# one-timeout-check rules,
+# one-inspector-owner, one-pricing-path, one-backend-dispatch,
+# one-timeout-check and oracles-stay-oracles rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -250,6 +250,17 @@ echo "== one timeout check: util.validation.check_timeout =="
 # 'timeout > 0' let inf / 1e12 through to the workers.
 if grep -rn 'timeout > 0' src --include='*.py'; then
     echo "error: a hand-written timeout check (use check_timeout)" >&2
+    exit 1
+fi
+
+echo "== oracles stay oracles: nothing under src calls core/reference.py =="
+# The sequential per-index loops are what the tests compare the library
+# against; a library path that calls one is no longer checked by it.
+oracle=$(grep -rnE '\breference\.\w+\(' src --include='*.py' \
+         | grep -v '^src/repro/core/reference.py:' || true)
+if [ -n "$oracle" ]; then
+    echo "$oracle"
+    echo "error: reference.<name>( called outside core/reference.py (the oracles are for tests)" >&2
     exit 1
 fi
 

@@ -39,10 +39,18 @@ class DependenceGraph:
     check_acyclic:
         When true, verify the graph is a DAG (cheap when dependences
         all point backwards, which is also verified).
+
+    Derived structure is memoised on the graph — the successor CSR,
+    the edge row tags, the digest, and the wavefront numbers
+    :func:`~repro.core.wavefront.compute_wavefronts` sweeps — so one
+    graph is swept once however many candidates, rungs and compiles
+    ask.  Every memo relies on the arrays not being mutated after
+    construction; the wavefront memo is handed out read-only, so an
+    in-place write raises instead of corrupting every later schedule.
     """
 
     __slots__ = ("indptr", "indices", "n", "_succ_indptr", "_succ_indices",
-                 "_edge_rows", "_all_backward", "_digest")
+                 "_edge_rows", "_all_backward", "_digest", "_wavefronts")
 
     def __init__(self, indptr, indices, n: int, *, check_acyclic: bool = True):
         self.n = check_positive(n, "n") if n else 0
@@ -61,6 +69,9 @@ class DependenceGraph:
         self._edge_rows: np.ndarray | None = None
         self._all_backward: bool | None = None
         self._digest: str | None = None
+        #: Filled by :func:`repro.core.wavefront.compute_wavefronts`
+        #: (or seeded by :func:`repro.tuning.measure.prefix_graph`).
+        self._wavefronts: np.ndarray | None = None
         if check_acyclic and not self.all_backward():
             self._check_dag()
 

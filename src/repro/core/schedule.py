@@ -32,6 +32,7 @@ strings everywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ from ..errors import DeadlockError, ScheduleError, ValidationError
 from ..runtime.registry import register_scheduler
 from ..util.frontier import counts_to_indptr, expand_csr_ranges, frontier_sweep
 from ..util.validation import check_positive
-from . import reference
 from .partition import owner_from_assignment, wrapped_partition
 from .dependence import DependenceGraph
 
@@ -398,7 +398,13 @@ def global_schedule(
         ``"wrapped"`` — deal the wavefront-sorted list round-robin
         (the paper's method, Figure 10); ``"greedy"`` — within each
         wavefront assign heaviest index to the least-loaded processor
-        (an ablation; needs ``weights``).
+        (an ablation; unit weights when ``weights`` is omitted).
+
+    Greedy owners are exactly those of the sequential oracle
+    :func:`repro.core.reference.greedy_owner`: unit weights take the
+    closed form of :func:`_greedy_unit_owner`, general weights the heap
+    of :func:`_greedy_weighted_owner` (Python floats, so the loads add
+    up bit for bit as the oracle's numpy ``argmin`` loop does).
     """
     wf = np.asarray(wf, dtype=np.int64)
     nproc = check_positive(nproc, "nproc")
@@ -415,9 +421,7 @@ def global_schedule(
             # so the whole inner loop vectorizes; see _greedy_unit_owner.
             owner = _greedy_unit_owner(wf, order, nproc)
         else:
-            # Load-dependent increments are inherently sequential for
-            # general weights — keep the reference loop.
-            owner = reference.greedy_owner(wf, weights, nproc)
+            owner = _greedy_weighted_owner(wf, order, weights, nproc)
     else:
         raise ValidationError(f"unknown balance strategy {balance!r}")
 
@@ -499,6 +503,34 @@ def _greedy_unit_owner(wf: np.ndarray, order: np.ndarray, nproc: int) -> np.ndar
             cap = min(m, cap * 2)
         owner[members] = chosen
         load += counts
+    return owner
+
+
+def _greedy_weighted_owner(
+    wf: np.ndarray, order: np.ndarray, weights, nproc: int
+) -> np.ndarray:
+    """Weighted greedy balance, exactly matching the sequential
+    :func:`repro.core.reference.greedy_owner` loop.
+
+    Load-dependent increments are inherently sequential, so this stays
+    a loop — but over Python floats and a ``heapq`` of ``(load, p)``
+    instead of one ``np.argmin`` per index.  Popping the smallest
+    ``(load, p)`` is ``np.argmin``'s lowest-index tie-break, and Python
+    float ``+`` is the same IEEE addition, so the owners are identical.
+    Within a wavefront members go heaviest first, ties in index order
+    (a stable sort on ``(wavefront, -weight)`` of the wavefront order).
+    """
+    w = np.asarray(weights)
+    order = order[np.lexsort((-w[order], wf[order]))]
+    work = w.astype(np.float64)[order].tolist()
+    heap = [(0.0, p) for p in range(nproc)]
+    picked = []
+    for wi in work:
+        load, p = heap[0]
+        picked.append(p)
+        heapq.heapreplace(heap, (load + wi, p))
+    owner = np.empty(wf.shape[0], dtype=np.int64)
+    owner[order] = picked
     return owner
 
 

@@ -14,6 +14,19 @@ Two evaluation strategies are provided:
 * :func:`compute_wavefronts_general` — Kahn propagation for arbitrary
   DAGs (used after renumbering).
 
+The paper computes the wavefront numbers once per structure and
+amortises them; :func:`compute_wavefronts` does the same per
+:class:`~repro.core.dependence.DependenceGraph` object: the first call
+sweeps and memoises the result on the graph, every later call — each
+candidate of a tuner search, each compile of the winner — returns that
+same array.  The memo is read-only (``flags.writeable = False``), so an
+accidental in-place write raises instead of corrupting every later
+schedule.  A tuner prefix of a backward-only graph is handed its slice
+of the parent's memo (:func:`repro.tuning.measure.prefix_graph`), so a
+cold search sweeps its structure once.  :func:`compute_wavefronts_general`
+is not memoised: it runs after renumbering, on graphs nothing asks
+twice, off the hot path.
+
 Both are evaluated with the vectorized frontier engine of
 :mod:`repro.util.frontier`: one numpy gather/scatter pass per
 *wavefront* instead of a Python-level visit per *index*, which is what
@@ -55,13 +68,20 @@ def compute_wavefronts(dep: DependenceGraph) -> np.ndarray:
     otherwise.  Evaluated as a frontier sweep — each step emits one
     complete wavefront — which is semantically identical to the
     per-index sweep of :func:`repro.core.reference.compute_wavefronts`.
+
+    Memoised on ``dep``: the first call sweeps, later calls return the
+    same read-only array.
     """
     if not dep.all_backward():
         raise StructureError(
             "sequential sweep requires backward-only dependences; "
             "use compute_wavefronts_general"
         )
-    return _frontier_wavefronts(dep)
+    if dep._wavefronts is None:
+        wf = _frontier_wavefronts(dep)
+        wf.flags.writeable = False
+        dep._wavefronts = wf
+    return dep._wavefronts
 
 
 def compute_wavefronts_general(dep: DependenceGraph) -> np.ndarray:

@@ -36,39 +36,22 @@ __all__ = ["WorkloadFeatures", "extract_features"]
 class WorkloadFeatures:
     """Structural measurements of one dependence workload.
 
-    All widths are in indices, all work in machine-model microseconds.
+    Widths are in indices; the variation measures are unitless.
+    Only what :meth:`signature` renders is measured.
     """
 
     #: Loop index count.
     n: int
-    #: Dependence edge count.
-    num_edges: int
     #: Mean dependences per index (edge density).
     mean_deps: float
-    #: Largest per-index dependence count.
-    max_deps: int
     #: Number of wavefronts — the critical-path length.
     critical_path: int
     #: Mean wavefront (frontier) width: ``n / critical_path``.
     mean_width: float
-    #: Widest wavefront.
-    max_width: int
-    #: 90th-percentile wavefront width.
-    p90_width: int
     #: Coefficient of variation of the wavefront widths.
     width_cv: float
-    #: Modelled total iteration work (``costs.base_work`` summed).
-    total_work: float
-    #: Modelled mean iteration work.
-    mean_work: float
     #: Coefficient of variation of per-index work (imbalance pressure).
     work_cv: float
-
-    # ------------------------------------------------------------------
-    @property
-    def parallelism(self) -> float:
-        """Average parallelism ``n / critical_path`` (== mean width)."""
-        return self.mean_width
 
     def signature(self) -> str:
         """Coarse, log-bucketed rendering for verdict-cache keys.
@@ -122,15 +105,9 @@ def extract_features(
 
     return WorkloadFeatures(
         n=n,
-        num_edges=dep.num_edges,
         mean_deps=float(nd.mean()) if n else 0.0,
-        max_deps=int(nd.max()) if n else 0,
         critical_path=nw,
         mean_width=n / nw if nw else 0.0,
-        max_width=int(widths.max()) if nw else 0,
-        p90_width=int(np.percentile(widths, 90)) if nw else 0,
         width_cv=cv(widths),
-        total_work=float(work.sum()),
-        mean_work=float(work.mean()) if n else 0.0,
         work_cv=cv(work),
     )

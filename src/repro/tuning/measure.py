@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.dependence import DependenceGraph
+from ..core.wavefront import compute_wavefronts
 from ..errors import ReproError
 from ..util.frontier import counts_to_indptr
 from .space import CandidateSpec
@@ -44,10 +45,13 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
 
     For backward-only graphs (the paper's start-time schedulable case)
     this is a pure slice — every dependence of the first ``m`` rows
-    already lands below ``m``.  General graphs additionally drop edges
-    that point past the prefix.  Either way the result preserves the
-    head of the workload's structure — chunk profiles, chain depth,
-    frontier widths — which is what makes it a useful pruning fidelity.
+    already lands below ``m`` — and so are its wavefront numbers: the
+    prefix is handed ``wf[:m]`` of the parent's memo (the first prefix
+    sweeps the parent once), and is never swept itself.  General graphs
+    additionally drop edges that point past the prefix.  Either way the
+    result preserves the head of the workload's structure — chunk
+    profiles, chain depth, frontier widths — which is what makes it a
+    useful pruning fidelity.
     """
     m = int(min(m, dep.n))
     if m >= dep.n:
@@ -55,8 +59,10 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
     end = int(dep.indptr[m])
     indices = dep.indices[:end]
     if dep.all_backward():
-        return DependenceGraph(dep.indptr[: m + 1], indices, m,
-                               check_acyclic=False)
+        prefix = DependenceGraph(dep.indptr[: m + 1], indices, m,
+                                 check_acyclic=False)
+        prefix._wavefronts = compute_wavefronts(dep)[:m]
+        return prefix
     # The first m rows own exactly the first `end` edges, so their row
     # tags are a prefix of the graph's cached edge_rows().
     rows = dep.edge_rows()[:end]

@@ -29,6 +29,7 @@ from repro.core.wavefront import (
 from repro.machine.costs import ZERO_OVERHEAD, MULTIMAX_320
 from repro.machine.simulator import simulate, work_vector
 from repro.sparse.build import coo_to_csr, csr_from_dense
+from repro.tuning.measure import prefix_graph
 from strategies import (
     backward_dags,
     general_dags,
@@ -109,6 +110,24 @@ class TestWavefrontProperties:
             expected = wf[deps].max() + 1 if deps.size else 0
             assert wf[i] == expected
 
+    @given(backward_dags(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_inherits_the_parents_sweep(self, dep, data):
+        m = data.draw(st.integers(min_value=1, max_value=dep.n))
+        swept_first = data.draw(st.booleans())
+        if swept_first:
+            compute_wavefronts(dep)
+        end = int(dep.indptr[m])
+        fresh = DependenceGraph(dep.indptr[: m + 1].copy(),
+                                dep.indices[:end].copy(), m)
+        prefix = prefix_graph(dep, m)
+        np.testing.assert_array_equal(compute_wavefronts(prefix),
+                                      compute_wavefronts(fresh))
+        if swept_first:
+            # Handed down, not re-swept: a view of the parent's memo.
+            assert np.shares_memory(compute_wavefronts(prefix),
+                                    compute_wavefronts(dep))
+
     @given(backward_dags())
     @settings(max_examples=60, deadline=None)
     def test_members_partition_and_independent(self, dep):
@@ -168,12 +187,17 @@ class TestVectorizedMatchesReference:
         np.testing.assert_array_equal(
             sched.owner, reference.greedy_owner(wf, None, p))
 
-    @given(backward_dags(), st.integers(min_value=1, max_value=8),
-           st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_greedy_balance_weighted(self, dep, p, seed):
+    @given(backward_dags(), st.integers(min_value=1, max_value=16),
+           st.integers(min_value=0, max_value=2**31 - 1),
+           st.sampled_from([None, 1, 3, 100]))
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_balance_weighted(self, dep, p, seed, top):
+        # top=None: distinct real weights; otherwise integers in
+        # 1..top, so tied weights and tied processor loads are common.
         wf = compute_wavefronts(dep)
-        weights = np.random.default_rng(seed).random(dep.n) + 0.1
+        rng = np.random.default_rng(seed)
+        weights = (rng.random(dep.n) + 0.1 if top is None
+                   else rng.integers(1, top + 1, dep.n))
         sched = global_schedule(wf, p, balance="greedy", weights=weights)
         np.testing.assert_array_equal(
             sched.owner, reference.greedy_owner(wf, weights, p))

@@ -55,6 +55,17 @@ class TestKeys:
     """Equal structure ⇒ equal key; any edit ⇒ a new one — for the
     digest and all three key functions."""
 
+    def test_keys_are_pinned(self):
+        # Persisted stores are found by these digests; every part of a
+        # key — the cost model's field tuple included — must hash as it
+        # always has.
+        ia = np.random.default_rng(1989).integers(0, 2000, size=2000)
+        keys = keys_of(ia, strategy="self", space="abc")
+        assert keys["schedule"] == "3a9f39fb190a743ff12abadc537210a7797c383f"
+        assert keys["tuning"] == "e36fbe47e6205f3744e6bf75bfff16a27458e5e7"
+        assert keys["speculation"] == \
+            "d8a668132a36c2da5fc1ba8103ed919f24dfbbd7"
+
     def test_same_structure_same_key(self, case):
         _, _, ia = case
         base = keys_of(ia)

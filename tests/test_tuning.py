@@ -11,6 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import LoopProgram
+from repro.core import wavefront
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
 from repro.errors import ValidationError
@@ -52,15 +54,23 @@ class TestFeatures:
         assert f.n == 64
         assert f.critical_path == 64
         assert f.mean_width == 1.0
-        assert f.max_width == 1
-        assert f.num_edges == 63
+        assert f.mean_deps == 63 / 64
+        assert f.width_cv == 0.0
 
     def test_independent_features(self):
         dep = DependenceGraph.from_indirection(np.arange(50))  # no deps
         f = extract_features(dep)
         assert f.critical_path == 1
         assert f.mean_width == 50.0
-        assert f.num_edges == 0
+        assert f.mean_deps == 0.0
+        assert f.work_cv == 0.0
+
+    def test_signature_pinned(self, fig3):
+        # Verdicts record this string; trimming the unread fields must
+        # not change what it renders.
+        _, dep = fig3
+        assert extract_features(dep).signature() == \
+            "n11-d0.5-cp3-w9-wc1.1-kc0.3"
 
     def test_signature_separates_shapes(self):
         wide = extract_features(DependenceGraph.from_indirection(np.arange(512)))
@@ -444,6 +454,21 @@ class TestRuntimeAuto:
         v1 = Runtime(nproc=4, tune_seed=11).compile(ia, strategy="auto").verdict
         v2 = Runtime(nproc=4, tune_seed=11).compile(ia, strategy="auto").verdict
         assert v1 == v2
+
+    def test_cold_auto_compile_sweeps_once(self, fig3, monkeypatch):
+        # One structure pass per search: every candidate, rung prefix
+        # and the winner's compile read the full graph's memo.
+        ia, _ = fig3
+        sweeps = []
+        sweep = wavefront._frontier_wavefronts
+        monkeypatch.setattr(wavefront, "_frontier_wavefronts",
+                            lambda d: sweeps.append(d.n) or sweep(d))
+        prog = LoopProgram.from_indirection(ia, x=np.zeros(ia.size),
+                                            b=np.ones(ia.size))
+        loop = Runtime(nproc=4).compile(prog, strategy="auto")
+        loop()
+        assert loop.verdict.searched
+        assert sweeps == [ia.size]
 
     def test_runtime_tune_is_public(self, mesh):
         rt = Runtime(nproc=8)

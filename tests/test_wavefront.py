@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import reference
+from repro.core import wavefront
 from repro.core.dependence import DependenceGraph
 from repro.core.wavefront import (
     compute_wavefronts,
@@ -44,6 +45,24 @@ class TestSweep:
         dep = DependenceGraph.from_edges([(0, 2)], 3)
         with pytest.raises(StructureError):
             compute_wavefronts(dep)
+
+    def test_second_call_returns_the_memo_without_a_sweep(self, monkeypatch):
+        dep = DependenceGraph.from_edges([(1, 0), (2, 1), (3, 0)], 4)
+        sweeps = []
+        sweep = wavefront._frontier_wavefronts
+        monkeypatch.setattr(wavefront, "_frontier_wavefronts",
+                            lambda d: sweeps.append(d) or sweep(d))
+        first = compute_wavefronts(dep)
+        assert compute_wavefronts(dep) is first
+        assert len(sweeps) == 1
+        np.testing.assert_array_equal(first, [0, 1, 2, 1])
+
+    def test_memo_is_read_only(self):
+        dep = DependenceGraph.from_edges([(1, 0), (2, 1)], 3)
+        wf = compute_wavefronts(dep)
+        with pytest.raises(ValueError):
+            wf[0] = 7
+        np.testing.assert_array_equal(compute_wavefronts(dep), [0, 1, 2])
 
     def test_general_matches_sweep(self, small_lower_dep):
         np.testing.assert_array_equal(
