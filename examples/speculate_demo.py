@@ -2,10 +2,11 @@
 
 The inspector/executor model pays for dependence analysis up front;
 ``strategy="speculative"`` pays only when a conflict actually
-happens.  The loop runs optimistically as a DOALL in shuffled chunks,
-element reads/writes are logged into vectorized shadow arrays, one
-scan flags the violated iterations, and exactly those are re-executed
-serially against a checkpoint — bitwise identical to the serial loop,
+happens.  Element reads/writes are logged into vectorized shadow
+arrays and one scan flags the iterations an unordered run would get
+wrong; the loop runs every other iteration optimistically as a DOALL
+in shuffled chunks, then exactly the flagged ones serially — nothing
+to checkpoint or restore, and bitwise identical to the serial loop,
 misspeculation included.  When the measured conflict rate crosses the
 guard threshold the session recompiles the classic pipeline instead
 and remembers that verdict per structure, across sessions.

@@ -5,7 +5,7 @@
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # one-inspector-owner, one-pricing-path, one-backend-dispatch,
-# one-timeout-check and oracles-stay-oracles rules,
+# one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -261,6 +261,16 @@ oracle=$(grep -rnE '\breference\.\w+\(' src --include='*.py' \
 if [ -n "$oracle" ]; then
     echo "$oracle"
     echo "error: reference.<name>( called outside core/reference.py (the oracles are for tests)" >&2
+    exit 1
+fi
+
+echo "== one input module: @st.composite only in tests/strategies.py =="
+# Property inputs are defined once; a suite that wants a narrower or
+# wider one passes an argument instead of keeping a private copy.
+composite=$(grep -rln '@st\.composite' tests --include='*.py' || true)
+if [ -n "$composite" ] && [ "$composite" != "tests/strategies.py" ]; then
+    echo "$composite"
+    echo "error: @st.composite outside tests/strategies.py" >&2
     exit 1
 fi
 

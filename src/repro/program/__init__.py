@@ -25,7 +25,6 @@ from .transform import (
     Variant,
     enumerate_variants,
     fission,
-    fuse,
     skew,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "enumerate_variants",
     "extract_statement_dependences",
     "fission",
-    "fuse",
     "record_trace",
     "skew",
 ]

@@ -10,9 +10,6 @@ caller's arrays and serial semantics are preserved by construction:
   its statement conflict graph — each strongly connected component
   becomes an independently schedulable stage, run in condensation
   order (the loop-fission legality condition);
-* :func:`fuse` concatenates the statement lists of two structurally
-  compatible programs, so one inspection (and one schedule) covers
-  both;
 * :func:`skew` renumbers a 2-D iteration space (``shape=(R, C)``)
   into anti-diagonal order — the static wavefront transform.  The
   dependence *graph* is numbering-invariant, but the order-sensitive
@@ -52,7 +49,6 @@ __all__ = [
     "Variant",
     "StagedPlan",
     "fission",
-    "fuse",
     "skew",
     "enumerate_variants",
 ]
@@ -293,51 +289,6 @@ def fission(prog: LoopProgram) -> Variant | None:
         stages.append(Stage(sub, IterationMap.identity(prog.n),
                             tuple(comp)))
     return Variant("fission", tuple(stages), prog)
-
-
-# ----------------------------------------------------------------------
-# Fusion
-# ----------------------------------------------------------------------
-
-def fuse(a: LoopProgram, b: LoopProgram, *,
-         name: str | None = None) -> LoopProgram:
-    """Merge two programs into one multi-statement program.
-
-    The fused serial order interleaves: iteration ``i`` runs all of
-    ``a``'s statements, then all of ``b``'s, before iteration ``i+1``
-    — so one inspection (and one schedule) covers both programs.
-    Statement-bodied (or kernel-free) programs only: a monolithic
-    kernel's snapshot renaming is scoped to its own program and cannot
-    be interleaved soundly.  Shared data entries must be the *same*
-    array object.
-    """
-    if a.n != b.n:
-        raise ValidationError(
-            f"cannot fuse programs with different iteration counts "
-            f"({a.n} vs {b.n})"
-        )
-    for prog, label in ((a, "first"), (b, "second")):
-        if prog.kernel is not None:
-            raise ValidationError(
-                f"cannot fuse the {label} program: it binds a "
-                "monolithic kernel; declare statement bodies instead"
-            )
-    data = dict(a.data)
-    for key, arr in b.data.items():
-        if key in data and data[key] is not arr:
-            raise ValidationError(
-                f"cannot fuse: both programs bind data entry {key!r} "
-                "to different arrays"
-            )
-        data[key] = arr
-    shape = a.shape if a.shape == b.shape else None
-    return LoopProgram(
-        a.n,
-        statements=list(a.statements) + list(b.statements),
-        data=data,
-        name=name or f"fuse({a.name or 'a'},{b.name or 'b'})",
-        shape=shape,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -4,32 +4,33 @@
 next to the pre-scheduled and self-executing executors: it never sees
 a schedule because it never runs an inspection.  One execution is
 
-1. **checkpoint** — snapshot the kernel's written array right after
-   ``start()``;
+1. **detect** — one vectorized shadow scan
+   (:func:`~repro.speculate.shadow.scan_accesses`) flags the iterations
+   an unordered run would get wrong, closed into the :func:`repair set
+   <repro.speculate.shadow.repair_set>`;
 2. **optimistic attempt** — partition ``[0, n)`` into contiguous
-   chunks and execute them as batches in a seeded-RNG-shuffled order,
-   as if the loop were DOALL;
-3. **detect** — one vectorized shadow scan
-   (:func:`~repro.speculate.shadow.scan_accesses`) flags the violated
-   iterations;
-4. **repair** — restore the elements the violated closure wrote back
-   to the checkpoint and re-execute exactly those iterations serially,
-   in index order.
+   chunks and execute each, minus the repair set, as one batch in a
+   seeded-RNG-shuffled order, as if the loop were DOALL;
+3. **repair** — execute the repair set serially, in index order.
 
-The repair is sound because a non-violated iteration, by construction,
-read nothing any in-range iteration writes (or read it through the
-kernels' Figure 4 ``xold`` renaming, which no execution order can
-perturb) — so its optimistic value is already the serial value, and
-the serial sweep over the :func:`repair set
-<repro.speculate.shadow.repair_set>` recomputes the rest against
-correct operands.  The result is bitwise identical to the serial
-backend, misspeculation included; the adversarial tests assert it.
+The attempt is sound because an iteration outside the repair set, by
+construction, reads nothing an earlier iteration writes (or reads it
+through the kernels' Figure 4 ``xold`` renaming, which no execution
+order can perturb) and shares no written element with a repaired one
+— so its optimistic value is already the serial value, and the serial
+sweep recomputes the rest against correct operands.  A doomed
+iteration is never attempted, so there is nothing to checkpoint or
+restore, and no element id of the access log ever indexes the kernel's
+arrays: a kernel whose iteration ``k`` writes ``x[n-1-k]`` (the upper
+substitution) or several arrays runs like any other.  The result is
+bitwise identical to the serial backend, misspeculation included; the
+contract property asserts it.
 
 Because the shadow scan depends only on the *access pattern* — never
 on computed values — the whole attempt/detect/repair control flow is
 precomputed once per structure (:meth:`SpeculativeExecutor.plan`) and
-replayed by both :meth:`run` (numerics) and :meth:`simulate` (exact
-machine-model timing), and it survives data rebinds for free.
+replayed by both :meth:`run` (numerics) and :meth:`simulate`
+(machine-model timing), and it survives data rebinds for free.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class ConflictReport:
     violated: int
     #: Iterations re-executed serially (the violated closure).
     re_executed: int
-    #: Elements restored from the checkpoint before re-execution.
+    #: Elements the repair set writes (what :meth:`SpeculativeExecutor.
+    #: simulate` prices as a restore).
     restored_elements: int
     #: Iterations whose optimistic values were kept as-is.
     committed_optimistically: int
@@ -123,7 +125,7 @@ class SpeculationPlan:
     scan: ShadowScan
     #: Indices to re-execute serially, ascending.
     repair_indices: np.ndarray
-    #: Elements to restore from the checkpoint first, unique.
+    #: Elements the repair set writes, unique (priced, never touched).
     restore_elements: np.ndarray
     #: Report template (copied per run so ``fell_back`` never leaks).
     report: ConflictReport
@@ -257,35 +259,30 @@ class SpeculativeExecutor:
     def run(self, kernel) -> np.ndarray:
         """Execute ``kernel`` speculatively; bitwise equal to serial."""
         plan = self.plan()
-        log = self.log
-        if kernel.n != log.n:
+        n = self.log.n
+        if kernel.n != n:
             raise ValidationError(
-                f"kernel has n={kernel.n}, access log has n={log.n}"
+                f"kernel has n={kernel.n}, access log has n={n}"
             )
-        kernel.start()
-        x = kernel.result()
-        if not isinstance(x, np.ndarray) or x.ndim != 1:
-            raise ValidationError(
-                "speculative execution needs checkpoint/restore: the "
-                "kernel's result() must be a 1-D array after start(), "
-                f"got {type(x).__name__}"
-            )
-        if log.write_el.size and x.shape[0] <= int(log.write_el.max()):
-            raise ValidationError(
-                f"kernel result has {x.shape[0]} elements but the loop "
-                f"writes element {int(log.write_el.max())}"
-            )
+        repair = plan.repair_indices
+        attempted = None
+        if repair.size:
+            attempted = np.ones(n, dtype=bool)
+            attempted[repair] = False
         obs = self.observer
-        base = x.copy() if plan.repair_indices.size else None
+        kernel.start()
         with maybe_span(obs, "speculate.attempt",
                         chunks=len(plan.chunk_bounds)):
             for lo, hi in plan.chunk_bounds:
-                kernel.execute_batch(np.arange(lo, hi, dtype=np.int64))
-        if plan.repair_indices.size:
+                idx = np.arange(lo, hi, dtype=np.int64)
+                if attempted is not None:
+                    idx = idx[attempted[lo:hi]]
+                if idx.size:
+                    kernel.execute_batch(idx)
+        if repair.size:
             with maybe_span(obs, "speculate.repair",
-                            re_executed=int(plan.repair_indices.size)):
-                x[plan.restore_elements] = base[plan.restore_elements]
-                for i in plan.repair_indices:
+                            re_executed=int(repair.size)):
+                for i in repair:
                     kernel.execute_index(int(i))
         self.last_conflicts = dataclasses.replace(plan.report)
         return kernel.result()
@@ -308,8 +305,12 @@ class SpeculativeExecutor:
         over the processors and costs the maximum load (plus
         shadow-logging overheads per event: a ``t_check``-priced read
         log, a ``t_inc``-priced write log).  Detection is one parallel
-        sweep over the events; repair restores at ``t_rearrange`` per
-        element and re-executes its iterations serially.
+        sweep over the events; repair re-executes its iterations
+        serially, plus ``t_rearrange`` per element the repair set
+        writes.  :meth:`run` no longer attempts the repair set, so it
+        restores nothing: that restore term is a conservative price,
+        kept so the guard's and the tuner's verdicts stand, and left for
+        the speculation-as-a-schedule rework to re-price.
         """
         plan = self.plan()
         log, p, costs = self.log, self.nproc, self.costs

@@ -1,10 +1,12 @@
 """Input generators shared by the property suites.
 
 Hypothesis strategies (random dependence graphs, indirection arrays,
-triangular systems, straight-line statement bodies) and the seeded
-program builders their drawn parameters feed.  One definition each: a
-property that wants a narrower or wider input passes an argument, it
-does not keep a copy.
+triangular systems, straight-line statement bodies, loop programs of
+every kind and the strategies and tiers that compile and run them) and
+the seeded program builders their drawn parameters feed.  One
+definition each: a property that wants a narrower or wider input passes
+an argument, it does not keep a copy.  This is the one module that
+defines a ``@st.composite``.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
+from repro.mesh.problems import get_problem
+from repro.program import At, Statement
 from repro.sparse.build import csr_from_dense, random_lower_triangular
 from repro.sparse.csr import CSRMatrix
 
@@ -97,6 +101,16 @@ def spd_matrices(draw):
 
 
 @st.composite
+def sparse_dense_pairs(draw):
+    """A small dense array with about half its entries zeroed."""
+    rows = draw(st.integers(min_value=1, max_value=12))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    dense = np.random.default_rng(draw(seeds)).standard_normal((rows, cols))
+    dense[np.abs(dense) < 0.8] = 0.0
+    return dense
+
+
+@st.composite
 def csr_matrices(draw, max_dim=6):
     """``(matrix, dense)``: a small CSR matrix exactly as drawn —
     unsorted rows, repeated columns, empty rows, a single column, no
@@ -166,19 +180,42 @@ def recorded_program(n: int, seed: int) -> LoopProgram:
                               b=rng.standard_normal(n))
 
 
-def program_of(kind: str, n: int, seed: int) -> LoopProgram:
-    """``"simple"`` (Figure 3), ``"recorded"``, ``"lower"`` or
-    ``"upper"`` (Figure 8 substitution)."""
+def program_of(kind: str, n: int, seed: int, *,
+               inline_diag: bool = True) -> LoopProgram:
+    """``"simple"`` (Figure 3), ``"chain"`` (its all-conflict
+    recurrence), ``"recorded"``, ``"branchy"`` (a declared body with a
+    value branch, which the tape rejects), or ``"lower"`` / ``"upper"``
+    (Figure 8 substitution, the diagonal inline or unit)."""
     rng = np.random.default_rng(seed)
-    if kind == "simple":
-        return LoopProgram.from_indirection(
-            rng.integers(0, n, size=n), x=rng.standard_normal(n),
-            b=rng.standard_normal(n))
+    if kind in ("lower", "upper"):
+        lower = kind == "lower"
+        return LoopProgram.from_csr(
+            triangular(n, seed, lower=lower, inline_diag=inline_diag),
+            rng.standard_normal(n), lower=lower,
+            unit_diagonal=not inline_diag)
     if kind == "recorded":
         return recorded_program(n, seed)
-    lower = kind == "lower"
-    return LoopProgram.from_csr(triangular(n, seed, lower=lower),
-                                rng.standard_normal(n), lower=lower)
+    ia = (np.maximum(np.arange(n) - 1, 0) if kind == "chain"
+          else rng.integers(0, n, size=n))
+    data = {"x": rng.standard_normal(n), "b": rng.standard_normal(n)}
+    if kind != "branchy":
+        return LoopProgram.from_indirection(ia, **data)
+
+    def body(i, a):
+        v = a.x[int(ia[i])]
+        a.x[i] = v * a.b[i] if v > 0 else a.b[i] - v
+
+    return LoopProgram(n, statements=[Statement(
+        reads=(At("x", ia), At("b")), writes=(At("x"),), body=body)],
+        data=data)
+
+
+def ilu_upper_program(name: str = "5-PT", scale: float = 0.25) -> LoopProgram:
+    """The backward solve an ILU(0) preconditioner of problem ``name``
+    compiles: ``ILUPreconditioner(a, 0).upper_loop``'s program."""
+    f = get_problem(name, scale=scale).factorization
+    return LoopProgram.from_csr(f.u, np.linspace(-1.0, 1.0, f.u.nrows),
+                                lower=False, diag=f.u_diag)
 
 
 # ----------------------------------------------------------------------
@@ -204,12 +241,12 @@ statements = st.tuples(
     st.sampled_from(("self", "fold", "wrap")),         # written element
     exprs,
     st.booleans())                                     # read back + restore
-#: ``(rows, cols, shaped, specs, seed)`` of :func:`generated_program`,
-#: plus the executor to run it under.
-programs = st.tuples(
+#: ``(rows, cols, shaped, specs, seed)`` of :func:`generated_program`.
+bodies = st.tuples(
     st.integers(1, 6), st.integers(1, 7), st.booleans(),
-    st.lists(statements, min_size=1, max_size=3),
-    seeds, st.sampled_from(EXECUTORS))
+    st.lists(statements, min_size=1, max_size=3), seeds)
+#: A generated body plus the executor to run it under.
+programs = st.tuples(bodies, st.sampled_from(EXECUTORS))
 
 
 def element(kind: str, i: int, n: int, cols: int, table) -> int:
@@ -276,3 +313,45 @@ def generated_program(rows, cols, shaped, specs, seed) -> LoopProgram:
         return LoopProgram.record(
             n, [make(spec) for spec in specs],
             shape=(rows, cols) if shaped else None, **data)
+
+
+# ----------------------------------------------------------------------
+# The contract's inputs: programs of every kind, how they compile and
+# where they run
+# ----------------------------------------------------------------------
+
+#: Kinds of :func:`program_of`, plus generated bodies.
+KINDS = ("simple", "chain", "lower", "upper", "recorded", "branchy",
+         "generated")
+
+
+@st.composite
+def loop_programs(draw, max_n=40):
+    """A ``LoopProgram`` of any kind: Figure 3 and its all-conflict
+    chain, lower and upper Figure 8 substitutions with inline or unit
+    diagonals, recorded recurrences, a body the tape rejects, and
+    generated multi-statement, shaped, duplicate-writing bodies — at
+    n = 0, n below any processor count, and beyond."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "generated":
+        return generated_program(*draw(bodies))
+    n = draw(st.integers(0, 3) | st.integers(4, max_n))
+    return program_of(kind, n, draw(seeds), inline_diag=draw(st.booleans()))
+
+
+#: How a program compiles: ``("space", k)`` is candidate ``k`` (modulo
+#: the space's size) of ``tuning.space.enumerate_space(n, nproc)`` —
+#: every registered executor, scheduler, partitioner spec and balance,
+#: and the speculative arm; ``("auto", horizon)`` is the tuner under
+#: ``Runtime(expected_executions=horizon)``; ``("speculative",)`` the
+#: no-inspection tier.
+choices = st.one_of(
+    st.tuples(st.just("space"), st.integers(0, 2**10)),
+    st.tuples(st.just("auto"), st.sampled_from((None, 1, 64))),
+    st.just(("speculative",)))
+
+#: Where it runs: ``(backend, seam)``.  A seam arms a seeded
+#: ``FaultPlan`` at the ``kernel`` or ``store`` seam under a
+#: ``RetryPolicy``; ``None`` runs clean.
+tiers = st.tuples(st.sampled_from(("serial", "serial", "sim", "threads")),
+                  st.sampled_from((None, None, "kernel", "store")))

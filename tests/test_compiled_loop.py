@@ -37,6 +37,7 @@ from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.workload import sweep_program
 from strategies import program_of
+from test_contract import same
 
 NPROC = 4
 N = 48
@@ -105,13 +106,6 @@ def oracle(source, **fig3):
     if isinstance(source, LoopProgram):
         return SerialExecutor().run(source.make_kernel())
     return SerialExecutor().run(SimpleLoopKernel(fig3["x"], fig3["b"], source))
-
-
-def same(got, want) -> bool:
-    if isinstance(want, dict):
-        return (set(got) == set(want)
-                and all(np.array_equal(got[k], want[k]) for k in want))
-    return np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,15 @@ from repro.core.executor import (
     SimpleLoopKernel,
     TriangularSolveKernel,
 )
-from repro.core.inspector import Inspector
 from repro.core.prescheduled import PreScheduledExecutor
 from repro.core.self_executing import SelfExecutingExecutor
-from repro.core.schedule import global_schedule, local_schedule
-from repro.core.partition import wrapped_partition
+from repro.core.schedule import global_schedule
 from repro.core.wavefront import compute_wavefronts
 from repro.errors import ScheduleError, ValidationError
+from repro.program import LoopProgram
+from repro.tuning import CandidateSpec
+from strategies import EXECUTORS, program_of
+from test_contract import assert_contract
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +55,7 @@ class TestSimpleLoopKernel:
         x = x0.copy()
         for i in range(len(x)):
             x[i] = x[i] + b[i] * x[ia[i]]
-        np.testing.assert_allclose(oracle, x)
+        np.testing.assert_array_equal(oracle, x)
 
     def test_batch_matches_scalar(self, simple_case):
         x0, b, ia, dep, _ = simple_case
@@ -76,28 +78,24 @@ class TestSimpleLoopKernel:
             SimpleLoopKernel(np.ones(3), np.ones(3), np.array([0, 1, 9]))
 
 
+# Named cases of the bitwise contract (tests/test_contract.py).
+FIG3 = program_of("simple", 150, 31)
+THREADS = ("threads", None)
+
+
 class TestSelfExecuting:
     @pytest.mark.parametrize("nproc", [1, 2, 4, 7])
-    def test_global_schedule(self, simple_case, nproc):
-        _, _, _, dep, oracle = simple_case
-        wf = compute_wavefronts(dep)
-        ex = SelfExecutingExecutor(global_schedule(wf, nproc), dep)
-        np.testing.assert_allclose(ex.run(fresh_kernel(simple_case)), oracle)
+    def test_global_schedule(self, nproc):
+        assert_contract(FIG3, CandidateSpec("self", "global", "wrapped"),
+                        nproc=nproc)
 
-    def test_local_schedule(self, simple_case):
-        _, _, _, dep, oracle = simple_case
-        wf = compute_wavefronts(dep)
-        sched = local_schedule(wf, wrapped_partition(dep.n, 3), 3)
-        ex = SelfExecutingExecutor(sched, dep)
-        np.testing.assert_allclose(ex.run(fresh_kernel(simple_case)), oracle)
+    def test_local_schedule(self):
+        assert_contract(FIG3, CandidateSpec("self", "local", "wrapped"),
+                        nproc=3)
 
-    def test_threaded(self, simple_case):
-        _, _, _, dep, oracle = simple_case
-        wf = compute_wavefronts(dep)
-        ex = SelfExecutingExecutor(global_schedule(wf, 4), dep)
-        np.testing.assert_allclose(
-            ex.run_threaded(fresh_kernel(simple_case)), oracle,
-        )
+    def test_threaded(self):
+        assert_contract(FIG3, CandidateSpec("self", "global", "wrapped"),
+                        tier=THREADS)
 
     def test_simulate_consistent_with_run(self, simple_case):
         _, _, _, dep, _ = simple_case
@@ -111,19 +109,13 @@ class TestSelfExecuting:
 
 class TestPreScheduled:
     @pytest.mark.parametrize("nproc", [1, 3, 5])
-    def test_global_schedule(self, simple_case, nproc):
-        _, _, _, dep, oracle = simple_case
-        wf = compute_wavefronts(dep)
-        ex = PreScheduledExecutor(global_schedule(wf, nproc), dep)
-        np.testing.assert_allclose(ex.run(fresh_kernel(simple_case)), oracle)
+    def test_global_schedule(self, nproc):
+        assert_contract(FIG3, CandidateSpec("preschedule", "global",
+                                            "wrapped"), nproc=nproc)
 
-    def test_threaded(self, simple_case):
-        _, _, _, dep, oracle = simple_case
-        wf = compute_wavefronts(dep)
-        ex = PreScheduledExecutor(global_schedule(wf, 3), dep)
-        np.testing.assert_allclose(
-            ex.run_threaded(fresh_kernel(simple_case)), oracle,
-        )
+    def test_threaded(self):
+        assert_contract(FIG3, CandidateSpec("preschedule", "global",
+                                            "wrapped"), nproc=3, tier=THREADS)
 
     def test_rejects_identity_schedule(self, simple_case):
         """Identity order is not wavefront-sorted -> phases() fails."""
@@ -137,17 +129,12 @@ class TestPreScheduled:
 
 
 class TestDoacross:
-    def test_matches_oracle(self, simple_case):
-        _, _, _, dep, oracle = simple_case
-        ex = DoacrossExecutor(dep, 4)
-        np.testing.assert_allclose(ex.run(fresh_kernel(simple_case)), oracle)
+    def test_matches_oracle(self):
+        assert_contract(FIG3, CandidateSpec("doacross", "identity", "wrapped"))
 
-    def test_threaded(self, simple_case):
-        _, _, _, dep, oracle = simple_case
-        ex = DoacrossExecutor(dep, 3)
-        np.testing.assert_allclose(
-            ex.run_threaded(fresh_kernel(simple_case)), oracle,
-        )
+    def test_threaded(self):
+        assert_contract(FIG3, CandidateSpec("doacross", "identity", "wrapped"),
+                        nproc=3, tier=THREADS)
 
     def test_no_sched_access_overhead(self, simple_case):
         _, _, _, dep, _ = simple_case
@@ -157,26 +144,17 @@ class TestDoacross:
 
 class TestTriangularKernel:
     def test_all_executors_match_levelsolver(self, mesh_lower):
-        from repro.core.dependence import DependenceGraph
         from repro.sparse.triangular import solve_lower_sequential
 
         l, d = mesh_lower
         b = np.linspace(-1.0, 1.0, l.nrows)
-        expected = solve_lower_sequential(l, b, diag=d)
-        dep = DependenceGraph.from_lower_csr(l)
-        wf = compute_wavefronts(dep)
-        for make in (
-            lambda: SelfExecutingExecutor(global_schedule(wf, 4), dep),
-            lambda: PreScheduledExecutor(global_schedule(wf, 4), dep),
-            lambda: DoacrossExecutor(dep, 4),
-        ):
-            kernel = TriangularSolveKernel(l, b, diag=d)
-            out = make().run(kernel)
-            # Batched and per-row paths share the serial summation
-            # order, so the agreement is exact.
-            np.testing.assert_array_equal(out, expected)
-            np.testing.assert_array_equal(
-                out, SerialExecutor().run(TriangularSolveKernel(l, b, diag=d)))
+        program = LoopProgram.from_csr(l, b, diag=d)
+        np.testing.assert_array_equal(
+            SerialExecutor().run(program.make_kernel()),
+            solve_lower_sequential(l, b, diag=d))
+        for executor in EXECUTORS:
+            assert_contract(program, CandidateSpec(executor, "global",
+                                                   "wrapped"))
 
     def test_zero_diag_rejected(self, mesh_lower):
         l, _ = mesh_lower
@@ -236,13 +214,9 @@ class TestClassicContract:
         assert hasattr(ex, "execution_order") == (mode == "self")
         assert hasattr(ex, "num_phases") == (mode == "preschedule")
 
-    def test_run_and_run_threaded_equal_the_serial_oracle(self, simple_case,
-                                                          mode):
-        oracle = simple_case[4]
-        ex = build_executor(mode, simple_case[3])
-        ran = ex.run(fresh_kernel(simple_case))
-        assert np.array_equal(ran, oracle)
-        assert np.array_equal(ex.run_threaded(fresh_kernel(simple_case)), ran)
+    def test_run_and_run_threaded_equal_the_serial_oracle(self, mode):
+        assert_contract(FIG3, CandidateSpec(mode, "global", "wrapped"),
+                        nproc=3, tier=THREADS)
 
     @pytest.mark.parametrize("after_run", [False, True])
     def test_simulate_equals_the_direct_model(self, simple_case, mode,

@@ -135,23 +135,21 @@ class TestSchedulePersistence:
 
 class TestUpperKernel:
     def test_upper_solve_through_executors(self, small_lower):
-        from repro.core.executor import UpperTriangularSolveKernel
-        from repro.core.prescheduled import PreScheduledExecutor
-        from repro.core.self_executing import SelfExecutingExecutor
+        from repro import LoopProgram
+        from repro.core.executor import SerialExecutor
         from repro.sparse.triangular import solve_upper_sequential
+        from repro.tuning import CandidateSpec
+        from test_contract import assert_contract
 
         u = small_lower.transpose()
         b = np.sin(np.arange(u.nrows, dtype=float))
-        expected = solve_upper_sequential(u, b)
-        kernel = UpperTriangularSolveKernel(u, b)
-        dep = kernel.dependence_graph()
-        wf = compute_wavefronts(dep)
-        for make in (
-            lambda: SelfExecutingExecutor(global_schedule(wf, 4), dep),
-            lambda: PreScheduledExecutor(global_schedule(wf, 4), dep),
-        ):
-            out = make().run(UpperTriangularSolveKernel(u, b))
-            np.testing.assert_allclose(out, expected, rtol=1e-9)
+        program = LoopProgram.from_csr(u, b, lower=False)
+        np.testing.assert_array_equal(
+            SerialExecutor().run(program.make_kernel()),
+            solve_upper_sequential(u, b))
+        for executor in ("self", "preschedule"):
+            assert_contract(program, CandidateSpec(executor, "global",
+                                                   "wrapped"))
 
     def test_batch_matches_scalar(self, small_lower):
         from repro.core.executor import SerialExecutor, UpperTriangularSolveKernel

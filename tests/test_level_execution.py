@@ -47,16 +47,12 @@ from strategies import (
     recorded_program,
     triangular,
 )
+from test_contract import serial
 
-
-# ----------------------------------------------------------------------
-# Inputs
-# ----------------------------------------------------------------------
-
-def serial(program: LoopProgram) -> np.ndarray:
-    return SerialExecutor().run(program.make_kernel()).copy()
-
-
+# Bitwise agreement over every program kind, strategy and tier is
+# tests/test_contract.py's property; the cases here pin what the level
+# path adds: the batched kernel path and the sequential substitution
+# loops.
 cases = st.tuples(
     st.sampled_from(("simple", "lower", "upper", "recorded")),
     st.integers(min_value=1, max_value=48),
@@ -73,7 +69,7 @@ cases = st.tuples(
 
 class TestSerialOrder:
     @given(cases)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_every_executor_equals_serial(self, case):
         kind, n, seed, nproc, executor, scheduler = case
         program = program_of(kind, n, seed)

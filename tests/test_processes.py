@@ -35,20 +35,20 @@ class TestPrescheduledProcesses:
         l, b, expected, dep = system
         res = Inspector().inspect(dep, 2, strategy="global")
         solver = ProcessPrescheduledSolver(l, res.schedule, dep)
-        np.testing.assert_allclose(solver.solve(b), expected, rtol=1e-10)
+        np.testing.assert_array_equal(solver.solve(b), expected)
 
     def test_local_schedule(self, system):
         l, b, expected, dep = system
         res = Inspector().inspect(dep, 2, strategy="local")
         solver = ProcessPrescheduledSolver(l, res.schedule, dep)
-        np.testing.assert_allclose(solver.solve(b), expected, rtol=1e-10)
+        np.testing.assert_array_equal(solver.solve(b), expected)
 
     def test_repeated_solves(self, system):
         l, b, expected, dep = system
         res = Inspector().inspect(dep, 2, strategy="global")
         solver = ProcessPrescheduledSolver(l, res.schedule, dep)
         for _ in range(2):
-            np.testing.assert_allclose(solver.solve(b), expected, rtol=1e-10)
+            np.testing.assert_array_equal(solver.solve(b), expected)
 
     def test_rejects_non_lower(self, system):
         l, _, _, dep = system
@@ -62,14 +62,14 @@ class TestSelfExecutingProcesses:
         l, b, expected, dep = system
         res = Inspector().inspect(dep, 2, strategy="global")
         solver = ProcessSelfExecutingSolver(l, res.schedule, dep)
-        np.testing.assert_allclose(solver.solve(b), expected, rtol=1e-10)
+        np.testing.assert_array_equal(solver.solve(b), expected)
 
     def test_identity_schedule(self, system):
         """Doacross-style: original order, busy waits across processes."""
         l, b, expected, dep = system
         res = Inspector().inspect(dep, 2, strategy="identity")
         solver = ProcessSelfExecutingSolver(l, res.schedule, dep)
-        np.testing.assert_allclose(solver.solve(b), expected, rtol=1e-10)
+        np.testing.assert_array_equal(solver.solve(b), expected)
 
     def test_requires_dep_graph(self, system):
         l, _, _, dep = system

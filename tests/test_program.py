@@ -487,36 +487,6 @@ class TestMigratedPaths:
 
 
 # ----------------------------------------------------------------------
-# Satellite: Runtime.run strategy-resolution memo
-# ----------------------------------------------------------------------
-
-class TestStrategyMemo:
-    def test_shadowing_invalidates_memo(self, fig3):
-        from repro.runtime.registry import (
-            register_scheduler,
-            scheduler_registry,
-        )
-        from repro.core.schedule import local_schedule
-
-        _, ia, x0, b = fig3
-        rt = Runtime(nproc=4)
-        rt.compile(ia, scheduler="local")
-
-        @register_scheduler("test-memo", consumes_balance=False)
-        def custom(wf, owner, nproc, *, balance="wrapped", weights=None):
-            return local_schedule(wf, owner, nproc)
-
-        try:
-            loop = rt.compile(ia, scheduler="test-memo")
-            assert loop.inspection.strategy == "test-memo"
-        finally:
-            scheduler_registry.unregister("test-memo")
-        # The unregistered name must fail again (stale memo would leak).
-        with pytest.raises(ValidationError, match="unknown scheduler"):
-            rt.compile(ia, scheduler="test-memo")
-
-
-# ----------------------------------------------------------------------
 # Satellite: enumerate_space reads balance options from metadata
 # ----------------------------------------------------------------------
 

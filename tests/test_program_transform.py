@@ -6,13 +6,12 @@ The load-bearing properties:
   permutation, and ``MappedKernel`` composes it with any inner kernel
   without touching the kernel protocol;
 * transform legality — fission splits exactly along dependence-cycle
-  (SCC) boundaries, skew refuses reorderings that would run a
-  dependence forward, fusion refuses incompatible programs, and
-  fission∘fusion round-trips;
+  (SCC) boundaries, and skew refuses reorderings that would run a
+  dependence forward;
 * execution fidelity — every variant of every random multi-statement
   program executes bitwise-identical to the untransformed serial
-  oracle, under hand-assembled stage loops and under
-  ``strategy="auto"``;
+  oracle, under hand-assembled stage loops and (tests/test_contract.py)
+  under ``strategy="auto"``;
 * arbitration — on a fissionable multi-statement workload and on a
   skewable 2-D workload, ``strategy="auto"`` picks a transformed
   variant whose simulated makespan strictly beats the best
@@ -42,7 +41,6 @@ from repro.program import (
     enumerate_variants,
     extract_statement_dependences,
     fission,
-    fuse,
     skew,
 )
 from repro.runtime import CompiledLoop, Runtime
@@ -55,6 +53,7 @@ from repro.speculate import (
 )
 from repro.tuning import ProgramVerdict, enumerate_space, simulate_spec
 from repro.workload import MultiSweep, stencil_program, sweep_program
+from test_contract import assert_contract, same, serial
 
 
 # ----------------------------------------------------------------------
@@ -95,30 +94,6 @@ def random_multistatement_program(rng, n, num_stmts=3):
             name=f"s{s}",
         ))
     return LoopProgram(n, statements=statements, data=data, name="random")
-
-
-def serial_oracle(prog):
-    """The untransformed program run one iteration at a time."""
-    kernel = prog.make_kernel()
-    kernel.start()
-    for i in range(prog.n):
-        kernel.execute_index(i)
-    out = kernel.result()
-    if isinstance(out, dict):
-        return out
-    (name,) = {acc.array for acc in prog.resolved_accesses()[1]}
-    return {name: out}
-
-
-def loop_outputs(prog, report):
-    x = report.x
-    if isinstance(x, dict):
-        return x
-    names = []
-    for acc in prog.resolved_accesses()[1]:
-        if acc.array not in names:
-            names.append(acc.array)
-    return {names[0]: x}
 
 
 # ----------------------------------------------------------------------
@@ -312,63 +287,6 @@ class TestFission:
 
 
 # ----------------------------------------------------------------------
-# Fusion
-# ----------------------------------------------------------------------
-
-class TestFusion:
-    def _pair(self, n=24, seed=0):
-        rng = np.random.default_rng(seed)
-        shared = rng.normal(size=n)
-        a = LoopProgram(n, statements=[Statement(
-            reads=(At("u"),), writes=(At("p"),),
-            body=lambda i, ns: ns.p.__setitem__(i, ns.u[i] * 2.0))],
-            data={"u": shared, "p": np.zeros(n)}, name="A")
-        b = LoopProgram(n, statements=[Statement(
-            reads=(At("u"),), writes=(At("q"),),
-            body=lambda i, ns: ns.q.__setitem__(i, ns.u[i] - 1.0))],
-            data={"u": shared, "q": np.zeros(n)}, name="B")
-        return a, b
-
-    def test_fuse_concatenates_statements_and_data(self):
-        a, b = self._pair()
-        f = fuse(a, b)
-        assert f.num_statements == 2
-        assert set(f.data) == {"u", "p", "q"}
-
-    def test_fuse_rejects_mismatched_n(self):
-        a, _ = self._pair(n=24)
-        _, b = self._pair(n=25)
-        with pytest.raises(ValidationError):
-            fuse(a, b)
-
-    def test_fuse_rejects_conflicting_data(self):
-        a, b = self._pair()
-        b = b.with_data(u=np.zeros(24))
-        with pytest.raises(ValidationError):
-            fuse(a, b)
-
-    def test_fission_of_fusion_round_trips(self):
-        a, b = self._pair()
-        var = fission(fuse(a, b))
-        assert var is not None
-        assert [st.statements for st in var.stages] == [(0,), (1,)]
-        for stage, orig in zip(var.stages, (a, b)):
-            g1 = stage.program.dependence_graph()
-            g2 = orig.dependence_graph()
-            assert np.array_equal(g1.indptr, g2.indptr)
-            assert np.array_equal(g1.indices, g2.indices)
-
-    def test_fused_execution_matches_serial(self):
-        a, b = self._pair()
-        f = fuse(a, b)
-        rt = Runtime(nproc=4)
-        out = loop_outputs(f, rt.compile(f, strategy="auto")())
-        ref = serial_oracle(f)
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
-
-
-# ----------------------------------------------------------------------
 # Skew
 # ----------------------------------------------------------------------
 
@@ -409,13 +327,8 @@ class TestSkew:
     def test_skewed_execution_matches_serial(self):
         rng = np.random.default_rng(10)
         R, C = 7, 9
-        prog = stencil_program(rng.normal(size=R * C), (R, C))
-        rt = Runtime(nproc=4)
-        loop = rt.compile(prog, strategy="auto")
-        out = loop_outputs(prog, loop())
-        ref = serial_oracle(prog)
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
+        assert_contract(stencil_program(rng.normal(size=R * C), (R, C)),
+                        ("auto", None))
 
 
 # ----------------------------------------------------------------------
@@ -442,27 +355,20 @@ class TestVariants:
             n = int(rng.integers(12, 40))
             prog = random_multistatement_program(
                 rng, n, num_stmts=int(rng.integers(2, 5)))
-            ref = serial_oracle(prog)
+            ref = serial(prog)
             for var in enumerate_variants(prog):
                 loops = [rt.compile(st.program, executor="self")
                          for st in var.stages]
                 tl = CompiledLoop(rt, StagedPlan(var, loops), program=prog)
-                out = loop_outputs(prog, tl())
-                for k in ref:
-                    assert np.array_equal(out[k], ref[k]), (
-                        f"trial {trial} variant {var.name} array {k}")
+                assert same(tl().x, ref), f"trial {trial} variant {var.name}"
 
     def test_auto_bitwise_equals_serial_oracle(self):
         rng = np.random.default_rng(21)
         for trial in range(4):
-            rt = Runtime(nproc=8)
             n = int(rng.integers(16, 64))
             prog = random_multistatement_program(
                 rng, n, num_stmts=int(rng.integers(2, 4)))
-            out = loop_outputs(prog, rt.compile(prog, strategy="auto")())
-            ref = serial_oracle(prog)
-            for k in ref:
-                assert np.array_equal(out[k], ref[k])
+            assert_contract(prog, ("auto", None), nproc=8)
 
 
 # ----------------------------------------------------------------------
@@ -482,10 +388,7 @@ class TestAutoArbitration:
         assert loop.program_verdict is pv
         assert pv.transformed
         assert pv.sim_makespan < pv.baseline_makespan  # strict win
-        out = loop_outputs(prog, loop())
-        ref = serial_oracle(prog)
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
+        assert same(loop().x, serial(prog))
 
     def test_skewable_workload_strict_win(self):
         rng = np.random.default_rng(31)
@@ -497,10 +400,7 @@ class TestAutoArbitration:
         pv = loop.verdict
         assert pv.variant_name == "skew"
         assert pv.sim_makespan < pv.baseline_makespan  # strict win
-        out = loop_outputs(prog, loop())
-        ref = serial_oracle(prog)
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
+        assert same(loop().x, serial(prog))
 
     def test_single_statement_takes_classic_path(self):
         n = 80
@@ -567,10 +467,7 @@ class TestTransformedLoop:
         x2, c2 = rng.normal(size=64), rng.normal(size=64)
         loop2 = loop.rebind(x=x2, c=c2)
         assert loop2 is loop and loop.rebinds == 1
-        out = loop_outputs(prog, loop2())
-        ref = serial_oracle(prog.with_data(x=x2, c=c2))
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
+        assert same(loop2().x, serial(prog.with_data(x=x2, c=c2)))
 
     def test_rejects_per_call_kernel_and_unit_work(self):
         _, _, _, loop = self._compiled(seed=41)
@@ -599,15 +496,10 @@ class TestTransformedLoop:
             sweep_program(rng.normal(size=56), rng.normal(size=56)), rt)
         out = ms.run()
         assert ms.variant_name == "fission"
-        ref = ms.serial_reference()
-        for k in ref:
-            assert np.array_equal(out[k], ref[k])
+        assert same(out, ms.serial_reference())
         # second run rebinds, stays bitwise-correct
         x2, c2 = rng.normal(size=56), rng.normal(size=56)
-        out2 = ms.run(x=x2, c=c2)
-        ref2 = serial_oracle(ms.program)
-        for k in ref2:
-            assert np.array_equal(out2[k], ref2[k])
+        assert same(ms.run(x=x2, c=c2), serial(ms.program))
 
 
 # ----------------------------------------------------------------------

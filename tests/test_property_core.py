@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import LoopProgram
 from repro.core import reference
 from repro.core.dependence import DependenceGraph
-from repro.core.executor import SerialExecutor, SimpleLoopKernel
-from repro.core.prescheduled import PreScheduledExecutor
 from repro.core.schedule import (
     Schedule,
     global_schedule,
     identity_schedule,
     local_schedule,
 )
-from repro.core.self_executing import SelfExecutingExecutor
 from repro.core.partition import blocked_partition, wrapped_partition
 from repro.core.wavefront import (
     compute_wavefronts,
@@ -29,28 +27,16 @@ from repro.core.wavefront import (
 from repro.machine.costs import ZERO_OVERHEAD, MULTIMAX_320
 from repro.machine.simulator import simulate, work_vector
 from repro.sparse.build import coo_to_csr, csr_from_dense
+from repro.tuning import CandidateSpec
 from repro.tuning.measure import prefix_graph
 from strategies import (
     backward_dags,
     general_dags,
     indirection_arrays,
     nested_indirections,
+    sparse_dense_pairs,
 )
-
-
-# ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
-
-@st.composite
-def sparse_dense_pairs(draw):
-    rows = draw(st.integers(min_value=1, max_value=12))
-    cols = draw(st.integers(min_value=1, max_value=12))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    dense = rng.standard_normal((rows, cols))
-    dense[np.abs(dense) < 0.8] = 0.0
-    return dense
+from test_contract import assert_contract
 
 
 # ----------------------------------------------------------------------
@@ -299,31 +285,23 @@ class TestScheduleProperties:
 # ----------------------------------------------------------------------
 
 class TestExecutorEquivalence:
-    @given(indirection_arrays(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_self_executing_matches_oracle(self, arrays, p):
-        x0, b, ia = arrays
-        kernel = SimpleLoopKernel(x0, b, ia)
-        dep = kernel.dependence_graph()
-        oracle = SerialExecutor().run(SimpleLoopKernel(x0, b, ia))
-        wf = compute_wavefronts(dep)
-        out = SelfExecutingExecutor(global_schedule(wf, p), dep).run(
-            SimpleLoopKernel(x0, b, ia)
-        )
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
+    """Named cases of the bitwise contract (tests/test_contract.py) on
+    Figure 3 loops drawn element by element."""
 
     @given(indirection_arrays(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=20, deadline=None)
+    def test_self_executing_matches_oracle(self, arrays, p):
+        x0, b, ia = arrays
+        assert_contract(LoopProgram.from_indirection(ia, x=x0, b=b),
+                        CandidateSpec("self", "global", "wrapped"), nproc=p)
+
+    @given(indirection_arrays(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=20, deadline=None)
     def test_prescheduled_matches_oracle(self, arrays, p):
         x0, b, ia = arrays
-        kernel = SimpleLoopKernel(x0, b, ia)
-        dep = kernel.dependence_graph()
-        oracle = SerialExecutor().run(SimpleLoopKernel(x0, b, ia))
-        wf = compute_wavefronts(dep)
-        out = PreScheduledExecutor(global_schedule(wf, p), dep).run(
-            SimpleLoopKernel(x0, b, ia)
-        )
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
+        assert_contract(LoopProgram.from_indirection(ia, x=x0, b=b),
+                        CandidateSpec("preschedule", "global", "wrapped"),
+                        nproc=p)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,10 @@ exhausted recovery re-raises the last error with the record attached;
 ``faults=None`` / ``recovery=None`` sessions behave exactly as before
 (``report.recovery is None`` on clean runs).
 
-``REPRO_FAULT_SEED`` (set by the CI chaos matrix) seeds every plan so
-the same suite exercises different injection points per CI leg.
+``REPRO_FAULT_SEED`` seeds every plan, so one suite exercises
+different injection points per seed (the kernel and store seams under
+every strategy are tests/test_contract.py's property, which CI sweeps
+over seeds).
 """
 
 import json
@@ -41,8 +43,7 @@ from repro.util.locking import FileLock, LockTimeout
 N = 60
 NPROC = 4
 
-#: CI chaos matrix entry point: each leg runs the whole file under a
-#: different injection seed.
+#: Injection seed of every plan in this file.
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 #: Timeouts every entry point refuses: not positive, not finite, or

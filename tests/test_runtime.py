@@ -1,10 +1,10 @@
 """Tests for the ``repro.runtime`` API: session, registries, backends.
 
-The load-bearing property: the new ``Runtime`` path is *bit-identical*
-to the legacy construction (direct ``Inspector`` + executor classes)
-for every executor × scheduler × assignment combination — same numeric
-result, same simulated timings — so the registry indirection costs
-nothing in fidelity.
+``Runtime`` is *bit-identical* to the direct construction (``Inspector``
+plus executor classes) for every executor × scheduler × assignment
+combination — same numeric result, same simulated timings — so the
+registry indirection costs nothing in fidelity.  That every route
+equals the serial loop is tests/test_contract.py's property.
 """
 
 import multiprocessing as mp
@@ -34,6 +34,9 @@ from repro.runtime import (
 )
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential
+from repro.tuning import CandidateSpec
+from strategies import program_of
+from test_contract import assert_contract, same_sim
 
 EXECUTORS = ("self", "preschedule", "doacross")
 SCHEDULERS = ("local", "global")
@@ -83,19 +86,9 @@ class TestRegistryEquivalence:
         rt = Runtime(nproc=nproc, costs=MULTIMAX_320)
         rep = rt.compile(ia, executor=executor, scheduler=scheduler,
                          assignment=assignment)(SimpleLoopKernel(x0, b, ia))
-        # Bit-identical numerics (same code path, same order).
-        assert np.array_equal(rep.x, x_old)
-        np.testing.assert_allclose(rep.x, oracle)
-        # Identical simulated timings, field by field.
-        assert rep.sim.total_time == sim_old.total_time
-        assert rep.sim.seq_time == sim_old.seq_time
-        assert rep.sim.sync_time == sim_old.sync_time
-        assert rep.sim.check_time == sim_old.check_time
-        assert rep.sim.inc_time == sim_old.inc_time
-        assert rep.sim.sched_time == sim_old.sched_time
-        assert rep.sim.num_phases == sim_old.num_phases
-        assert np.array_equal(rep.sim.busy, sim_old.busy)
-        assert np.array_equal(rep.sim.idle, sim_old.idle)
+        # Bit-identical numerics and timings, field by field.
+        assert np.array_equal(rep.x, x_old) and np.array_equal(rep.x, oracle)
+        assert same_sim(rep.sim, sim_old)
 
 
 class TestBackends:
@@ -110,12 +103,10 @@ class TestBackends:
         with pytest.raises(ValidationError, match="kernel"):
             Runtime(nproc=4).compile(ia)()
 
-    def test_threads_backend_matches_serial(self, case):
-        x0, b, ia, oracle = case
-        loop = Runtime(nproc=3).compile(ia)
-        rep = loop(SimpleLoopKernel(x0, b, ia), backend="threads")
-        np.testing.assert_allclose(rep.x, oracle)
-        assert rep.backend == "threads"
+    def test_threads_backend_matches_serial(self):
+        assert_contract(program_of("simple", 120, 77),
+                        CandidateSpec("self", "local", "wrapped"), nproc=3,
+                        raw=True, tier=("threads", None))
 
     def test_all_backends_agree_on_triangular_solve(self):
         l = random_lower_triangular(120, avg_off_diag=2.0, max_band=24, seed=5)
@@ -131,8 +122,8 @@ class TestBackends:
             for backend in backends:
                 kernel = TriangularSolveKernel(l, b)
                 rep = loop(kernel, backend=backend)
-                np.testing.assert_allclose(rep.x, expected, rtol=1e-10,
-                                           err_msg=f"{executor}/{backend}")
+                np.testing.assert_array_equal(rep.x, expected,
+                                              err_msg=f"{executor}/{backend}")
 
     def test_processes_backend_rejects_non_triangular_kernels(self, case):
         x0, b, ia, _ = case
@@ -223,7 +214,7 @@ class TestPluggability:
             rep = Runtime(nproc=3).compile(
                 ia, scheduler="local", assignment="test-reversed",
             )(SimpleLoopKernel(x0, b, ia))
-            np.testing.assert_allclose(rep.x, oracle)
+            np.testing.assert_array_equal(rep.x, oracle)
         finally:
             partitioner_registry.unregister("test-reversed")
 
@@ -239,7 +230,7 @@ class TestPluggability:
             rep = Runtime(nproc=3).compile(
                 ia, scheduler="test-local-too",
             )(SimpleLoopKernel(x0, b, ia))
-            np.testing.assert_allclose(rep.x, oracle)
+            np.testing.assert_array_equal(rep.x, oracle)
             assert rep.scheduler == "test-local-too"
         finally:
             scheduler_registry.unregister("test-local-too")
@@ -250,6 +241,26 @@ class TestPluggability:
         assert {"wrapped", "blocked", "chunked"} <= set(partitioner_registry.names())
         assert Runtime.available()["backends"] == (
             "processes", "serial", "sim", "threads")
+
+    def test_an_unregistered_name_fails_again(self, case):
+        from repro.core.schedule import local_schedule
+
+        _, _, ia, _ = case
+        rt = Runtime(nproc=4)
+        rt.compile(ia, scheduler="local")
+
+        @register_scheduler("test-gone", consumes_balance=False)
+        def gone(wf, owner, nproc, *, balance="wrapped", weights=None):
+            return local_schedule(wf, owner, nproc)
+
+        try:
+            assert rt.compile(ia, scheduler="test-gone").inspection.strategy \
+                == "test-gone"
+        finally:
+            scheduler_registry.unregister("test-gone")
+        # Nothing of the session remembers a resolved name.
+        with pytest.raises(ValidationError, match="unknown scheduler"):
+            rt.compile(ia, scheduler="test-gone")
 
     def test_doacross_forces_identity_schedule(self, case):
         _, _, ia, _ = case
@@ -311,7 +322,7 @@ class TestRuntimeSession:
     def test_one_shot_run_derives_deps_from_kernel(self, case):
         x0, b, ia, oracle = case
         rep = Runtime(nproc=4).run(SimpleLoopKernel(x0, b, ia))
-        np.testing.assert_allclose(rep.x, oracle)
+        np.testing.assert_array_equal(rep.x, oracle)
 
     def test_run_without_deps_requires_kernel_graph(self):
         with pytest.raises(ValidationError, match="dependence_graph"):
@@ -344,7 +355,7 @@ class TestRuntimeSession:
         loop = Runtime(nproc=4).compile(ia)
         rep = loop(SimpleLoopKernel(x0, b, ia), with_sim=False)
         assert rep.sim is None
-        np.testing.assert_allclose(rep.x, oracle)
+        np.testing.assert_array_equal(rep.x, oracle)
         # The sim backend ignores the flag — timing is its product.
         assert loop(None, backend="sim", with_sim=False).sim is not None
 
@@ -384,7 +395,7 @@ class TestRuntimeSession:
         rep = Runtime(nproc=4).compile(
             ia, scheduler="local", assignment="chunked",
         )(SimpleLoopKernel(x0, b, ia))
-        np.testing.assert_allclose(rep.x, oracle)
+        np.testing.assert_array_equal(rep.x, oracle)
 
 
 class TestParameterizedAssignments:
@@ -411,7 +422,7 @@ class TestParameterizedAssignments:
         np.testing.assert_array_equal(
             loop.schedule.owner, np.arange(len(ia)) % 2)
         rep = loop(SimpleLoopKernel(x0, b, ia))
-        np.testing.assert_allclose(rep.x, oracle)
+        np.testing.assert_array_equal(rep.x, oracle)
 
     def test_chunk_size_is_in_the_cache_key(self, case):
         _, _, ia, _ = case

@@ -2,10 +2,11 @@
 
 The shadow-scan detection against the pure-Python oracle, the
 adversarial workloads of the LRPD literature (all-conflict chains,
-zero-conflict DOALLs, duplicate writes), checkpoint/restore
-idempotence, the adaptive inspector fallback with its persisted
-verdict, seeded reproducibility, and the registry / tuner / backend
-integration seams.
+zero-conflict DOALLs, duplicate writes), a repair set that is run once
+and never attempted, the adaptive inspector fallback with its
+persisted verdict, seeded reproducibility, and the registry / tuner /
+backend integration seams.  That every speculative compile equals the
+serial loop is tests/test_contract.py's property.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro import LoopProgram, Runtime
 from repro.core.executor import (
+    GenericLoopKernel,
     SerialExecutor,
     SimpleLoopKernel,
     TriangularSolveKernel,
@@ -32,6 +34,7 @@ from repro.speculate import (
     speculation_key,
 )
 from repro.tuning import enumerate_space
+from test_contract import assert_contract
 
 
 def sparse_conflict_ia(n, num_conflicts, *, seed=0):
@@ -167,8 +170,6 @@ class TestSpeculativeExecutor:
         adds = np.arange(1.0, n + 1.0)
         acc = np.zeros(e)
 
-        from repro.core.executor import GenericLoopKernel
-
         def setup():
             acc[:] = 0.0
             return acc
@@ -195,7 +196,7 @@ class TestSpeculativeExecutor:
 
     def test_checkpoint_restore_idempotent(self):
         # Repeated misspeculating runs of the same executor/kernel must
-        # give identical results — restore leaves no residue.
+        # give identical results — a run leaves no residue.
         n = 120
         ia = sparse_conflict_ia(n, 10, seed=5)
         rng = np.random.default_rng(9)
@@ -207,6 +208,21 @@ class TestSpeculativeExecutor:
         for _ in range(3):
             assert np.array_equal(ex.run(kernel), first)
         assert np.array_equal(first, serial_simple(ia, x0, b))
+
+    def test_the_repair_set_is_not_attempted(self):
+        # Each iteration runs once: the chunks skip the repair set, which
+        # then runs per index, ascending — nothing to checkpoint.
+        n = 120
+        prog = LoopProgram.from_indirection(sparse_conflict_ia(n, 10, seed=5))
+        ex = SpeculativeExecutor(
+            AccessLog.from_dependences(prog.dependence_graph()), 4, seed=2)
+        batched, walked = [], []
+        spy = GenericLoopKernel(n, walked.append)
+        spy.execute_batch = lambda idx: batched.extend(idx.tolist())
+        ex.run(spy)
+        repair = ex.plan().repair_indices.tolist()
+        assert walked == repair and len(repair) == 10
+        assert sorted(batched + walked) == list(range(n))
 
     def test_seeded_chunk_order(self):
         log = AccessLog.from_dependences(
@@ -374,14 +390,8 @@ class TestRuntimeIntegration:
         assert np.array_equal(a.idle, b.idle)
 
     def test_strategy_auto_sees_speculative(self):
-        n = 300
-        ia = sparse_conflict_ia(n, 1, seed=6)
-        prog = self.make_prog(ia)
-        rt = Runtime(nproc=4, tune_seed=0)
-        loop = rt.compile(prog, strategy="auto")
-        r = loop()
-        want = serial_simple(ia, prog.data["x"], prog.data["b"])
-        assert np.array_equal(r.x, want)
+        assert_contract(self.make_prog(sparse_conflict_ia(300, 1, seed=6)),
+                        ("auto", None))
 
     def test_speculation_key_stable(self):
         n = 60

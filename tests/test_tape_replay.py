@@ -74,11 +74,13 @@ def assert_same(program, x, want) -> None:
 # ----------------------------------------------------------------------
 
 class TestGeneratedBodies:
+    # Every strategy and tier on generated bodies is tests/test_contract.py's
+    # property; this one runs every variant, stage by stage, taped.
     @given(programs)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_every_variant_and_executor_equals_the_proxy_walk(self, case):
-        rows, cols, shaped, specs, seed, executor = case
-        program = generated_program(rows, cols, shaped, specs, seed)
+        body, executor = case
+        program = generated_program(*body)
         want = proxy_walk(program)
         rt = Runtime(nproc=3)
         for variant in enumerate_variants(program):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import wavefront_counts
 from repro.errors import StructureError, ValidationError
-from repro.sparse.build import csr_from_dense, random_lower_triangular
+from repro.sparse.build import csr_from_dense
 from repro.sparse.triangular import (
     solve_lower_sequential,
     solve_upper_sequential,
@@ -92,27 +92,21 @@ class TestLevelScheduledSolver:
 
     def test_matches_sequential_lower(self, small_lower):
         b = np.sin(np.arange(small_lower.nrows, dtype=float))
-        np.testing.assert_allclose(
-            level_loop(small_lower, b)().x,
-            solve_lower_sequential(small_lower, b), rtol=1e-12,
-        )
+        np.testing.assert_array_equal(level_loop(small_lower, b)().x,
+                                      solve_lower_sequential(small_lower, b))
 
     def test_matches_sequential_upper(self, small_lower):
         upper = small_lower.transpose()
         b = np.cos(np.arange(upper.nrows, dtype=float))
-        np.testing.assert_allclose(
-            level_loop(upper, b, lower=False)().x,
-            solve_upper_sequential(upper, b), rtol=1e-12,
-        )
+        np.testing.assert_array_equal(level_loop(upper, b, lower=False)().x,
+                                      solve_upper_sequential(upper, b))
 
     def test_reusable_across_rhs(self, small_lower):
         loop = level_loop(small_lower)
         for seed in range(3):
             b = np.random.default_rng(seed).standard_normal(small_lower.nrows)
-            np.testing.assert_allclose(
-                loop.rebind(b=b)().x, solve_lower_sequential(small_lower, b),
-                rtol=1e-12,
-            )
+            np.testing.assert_array_equal(
+                loop.rebind(b=b)().x, solve_lower_sequential(small_lower, b))
         assert loop.rebinds == 3 and loop.compile_count == 1
 
     def test_level_sizes_sum_to_n(self, small_lower):
@@ -131,16 +125,14 @@ class TestLevelScheduledSolver:
     def test_diag_of_mesh_problem(self, mesh_lower):
         l, d = mesh_lower
         b = np.linspace(0.0, 1.0, l.nrows)
-        np.testing.assert_allclose(
-            level_loop(l, b, diag=d)().x,
-            solve_lower_sequential(l, b, diag=d), rtol=1e-10,
-        )
+        np.testing.assert_array_equal(level_loop(l, b, diag=d)().x,
+                                      solve_lower_sequential(l, b, diag=d))
 
     def test_unit_diagonal_identity(self):
         strict = csr_from_dense(np.zeros((4, 4)))
         b = np.arange(4.0)
         loop = level_loop(strict, b, unit_diagonal=True)
-        np.testing.assert_allclose(loop().x, b)
+        np.testing.assert_array_equal(loop().x, b)
         assert loop.inspection.num_wavefronts == 1
 
     def test_dense_chain_levels(self):
