@@ -2,13 +2,15 @@
 
 Each gate compares two ways of doing the same work on this host —
 ``time(other) / time(base)`` against a bound — through the one helper
-below.  Sizes are constants: the CI scale is the scale.
+below; one more holds the work a tuner search does to exact,
+host-independent counts.  Sizes are constants: the CI scale is the
+scale.
 
     PYTHONPATH=src python -m pytest benchmarks/gates.py -q
 
 The ledger (``benchmarks/ledger/run.py``) is where absolute times and
 throughputs live; results that must be *equal* are asserted here only
-beside the ratio they qualify.
+beside the ratio or count they qualify.
 """
 
 import statistics
@@ -23,6 +25,7 @@ from repro.core.executor import SerialExecutor
 from repro.core.wavefront import compute_wavefronts
 from repro.observe.tracer import maybe_span, now
 from repro.sparse.build import random_lower_triangular
+from repro.workload.generator import generate_workload
 
 
 @pytest.fixture
@@ -164,6 +167,29 @@ def test_cold_speculative_beats_the_cold_inspector(gate):
     assert not speculative.speculation.fell_back
     gate(f"cold speculative / cold inspector, n={n}, 0.5% conflicts",
          cold, lambda: cold(strategy="speculative"), at_most=1.0, pairs=9)
+
+
+def test_a_search_shares_and_cuts_its_simulations(capsys):
+    """On the ``auto_cold`` input shape, a search scores 65 candidates
+    but does not simulate them all: candidates with identical schedules
+    share one simulation (the nine doacross aliases run one wrapped
+    identity; global/wrapped deals what unit-weight global[greedy]
+    does), and the final rung abandons each simulation as soon as it
+    provably passes the incumbent.  Exact counts, so the floors are the
+    counts measured when the bound landed: 19 shared, 8 cut in the
+    final rung (10 in all)."""
+    dep = DependenceGraph.from_lower_csr(generate_workload("65-4-3").matrix)
+    rt = Runtime(nproc=8, observe=True)
+    verdict = rt.tune(dep)
+    tune, = (ev for ev in rt.observer.tracer.events
+             if ev.name == "tune" and "sims" in ev.attrs)
+    counts = ", ".join(f"{k}={tune.attrs[k]}" for k in (
+        "sims", "sims_shared", "sims_cut", "final_cut"))
+    with capsys.disabled():
+        print(f"\n  search on 65-4-3, nproc=8: {counts}")
+    assert verdict.sims == tune.attrs["sims"] == 65   # candidate scorings
+    assert tune.attrs["sims_shared"] >= 19
+    assert tune.attrs["final_cut"] >= 8
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@
 # session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
-# one-inspector-owner, one-pricing-path, one-backend-dispatch,
+# one-inspector-owner, one-pricing-path, unbounded-oracle, one-backend-dispatch,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
 #
@@ -223,6 +223,23 @@ if [ -z "$from_line" ] || [ "$(echo "$pricing" | grep -c .)" -ne 1 ] \
               -v hi="${to_line:-0}" '$1 != file || $2 <= lo || $2 >= hi')" ]; then
     echo "$pricing"
     echo "error: price_inspection( must be called exactly once under src, from InspectionResult.costs" >&2
+    exit 1
+fi
+
+echo "== the oracle stays unbounded: only Tuner._score passes bound= / shared= =="
+# A bar and a rung's shared simulations are the search's economies;
+# Tuner.exhaustive is what the search is tested against, so it scores
+# every candidate in full (measure.py is the plumbing that receives them).
+tuner=src/repro/tuning/tuner.py
+from_line=$(grep -n 'def _score(' "$tuner" | cut -d: -f1)
+to_line=$(awk -v at="${from_line:-0}" 'NR > at && /^ *(def |@)/ {print NR; exit}' "$tuner")
+barred=$(grep -rnE '\b(bound|shared)=' src/repro/tuning --include='*.py' \
+         | grep -v '^src/repro/tuning/measure.py:' || true)
+if [ -z "$from_line" ] || [ -z "$barred" ] \
+   || [ -n "$(echo "$barred" | awk -F: -v file="$tuner" -v lo="$from_line" \
+              -v hi="${to_line:-0}" '$1 != file || $2 <= lo || $2 >= hi')" ]; then
+    echo "$barred"
+    echo "error: bound= / shared= passed outside Tuner._score (Tuner.exhaustive must score in full)" >&2
     exit 1
 fi
 

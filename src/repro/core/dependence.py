@@ -15,6 +15,8 @@ the class also supports general DAGs for reordered/upper problems.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..errors import StructureError
@@ -47,10 +49,13 @@ class DependenceGraph:
     ask.  Every memo relies on the arrays not being mutated after
     construction; the wavefront memo is handed out read-only, so an
     in-place write raises instead of corrupting every later schedule.
+    The simulator's Python view of the CSR is held only for the span of
+    a :meth:`holding_lists` block.
     """
 
     __slots__ = ("indptr", "indices", "n", "_succ_indptr", "_succ_indices",
-                 "_edge_rows", "_all_backward", "_digest", "_wavefronts")
+                 "_edge_rows", "_all_backward", "_digest", "_wavefronts",
+                 "_held_lists")
 
     def __init__(self, indptr, indices, n: int, *, check_acyclic: bool = True):
         self.n = check_positive(n, "n") if n else 0
@@ -72,6 +77,7 @@ class DependenceGraph:
         #: Filled by :func:`repro.core.wavefront.compute_wavefronts`
         #: (or seeded by :func:`repro.tuning.measure.prefix_graph`).
         self._wavefronts: np.ndarray | None = None
+        self._held_lists: tuple[tuple, tuple] | None = None
         if check_acyclic and not self.all_backward():
             self._check_dag()
 
@@ -244,6 +250,31 @@ class DependenceGraph:
             self._digest = structure_digest((self.indptr, self.indices),
                                             (self.n,))
         return self._digest
+
+    def csr_lists(self) -> tuple:
+        """``(indptr, indices)`` as sequences of Python ints — what the
+        simulator's per-iteration event loop indexes, at a fraction of
+        the cost of numpy scalar access.  Fresh lists, or the tuples a
+        :meth:`holding_lists` block holds."""
+        held = self._held_lists
+        if held is not None:
+            return held
+        return self.indptr.tolist(), self.indices.tolist()
+
+    @contextmanager
+    def holding_lists(self):
+        """Convert :meth:`csr_lists` once and hold them (read-only
+        tuples) for the block: a tuner rung simulates dozens of
+        schedules on one graph.  Nothing outlives the block — a graph
+        kept in a cache does not carry several times its CSR in Python
+        ints.  The values are the arrays' either way, so a simulation
+        that finds nothing held only pays for its own conversion."""
+        self._held_lists = (tuple(self.indptr.tolist()),
+                            tuple(self.indices.tolist()))
+        try:
+            yield
+        finally:
+            self._held_lists = None
 
     def successors(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR of the reversed edges: who depends on me (cached).

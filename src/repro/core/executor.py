@@ -36,6 +36,7 @@ Kernels
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from functools import cached_property
 
@@ -517,12 +518,15 @@ class ClassicExecutor:
         return kernel.result()
 
     def simulate(self, *, unit_work: np.ndarray | None = None,
-                 keep_finish_times: bool = False) -> SimResult:
+                 keep_finish_times: bool = False,
+                 bound: float = math.inf) -> SimResult | None:
         """Machine-model timing of this schedule.
 
-        Only the busy-wait modes keep per-iteration finish times; the
-        pre-scheduled model works a phase at a time and leaves
-        ``finish`` unset.
+        Only the busy-wait modes keep per-iteration finish times, and
+        only they honour ``bound`` (``None`` = the makespan exceeds it;
+        see :func:`~repro.machine.simulator.simulate_self_executing`):
+        the pre-scheduled model works a phase at a time, leaves
+        ``finish`` unset and always returns its result.
         """
         if self.mode == "preschedule":
             return simulate_prescheduled(self.schedule, self.dep, self.costs,
@@ -534,7 +538,7 @@ class ClassicExecutor:
         return simulate_self_executing(
             self.schedule, self.dep, self.costs, mode=self.mode,
             unit_work=unit_work, keep_finish_times=keep_finish_times,
-            order=self._levels.order if proven else None,
+            order=self._levels.order if proven else None, bound=bound,
         )
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,

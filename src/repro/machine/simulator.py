@@ -220,23 +220,53 @@ def simulate_prescheduled(
 # Self-executing / doacross executors
 # ----------------------------------------------------------------------
 
-def _run_scalar(schedule, dep, w, t_poll, order):
+def _headroom(owner: np.ndarray, w: np.ndarray, nproc: int,
+              bound: float) -> list:
+    """Per processor, ``bound`` minus its total work, plus a rounding
+    margin: the event loop stops once an iteration's finish time less
+    the work its processor has done reaches past this — once the finish
+    time plus the work still queued behind the iteration exceeds
+    ``bound``.
+
+    That sum is a lower bound on the makespan: a processor never starts
+    an item before its previous one finished, so its last finish is at
+    least any item's finish plus the work queued behind it — whatever
+    the sign of that work, and however waits round up to poll quanta.
+    The totals here and the loop's running sums round differently from
+    the loop's chain of finish times; the margin, 4(n + 2) ulps of
+    ``|bound| + Σ|w|``, covers both, so a stop means the exact makespan
+    exceeds ``bound``.
+    """
+    margin = (4 * (w.shape[0] + 2) * np.finfo(np.float64).eps
+              * (abs(bound) + float(np.abs(w).sum())))
+    totals = np.bincount(owner, weights=w, minlength=nproc)
+    return ((bound + margin) - totals).tolist()
+
+
+def _run_scalar(schedule, dep, w, t_poll, order, bound):
     """The per-iteration event loop over plain Python lists.
 
     Every hot array is converted to a Python list up front (the same
-    trade the frontier sweep's scalar spans make): list indexing and
-    float arithmetic cost a fraction of per-element numpy scalar access
-    while performing bit-identical IEEE double operations.  Any
-    topological ``order`` of the combined DAG yields the same result:
-    an iteration's inputs (its operands' finish times and its
-    processor's availability) are fixed by the time it is legal to
-    visit it.
+    trade the frontier sweep's scalar spans make; a tuner rung converts
+    the graph's CSR once, see :meth:`DependenceGraph.holding_lists
+    <repro.core.dependence.DependenceGraph.holding_lists>`): list
+    indexing and float arithmetic cost a fraction of per-element numpy
+    scalar access while performing bit-identical IEEE double
+    operations.  Any topological ``order`` of the combined DAG
+    yields the same result: an iteration's inputs (its operands' finish
+    times and its processor's availability) are fixed by the time it is
+    legal to visit it.
+
+    A finite ``bound`` stops the walk — the loop returns ``None`` — as
+    soon as the makespan provably exceeds it (see :func:`_headroom`).
     """
     n, p = schedule.n, schedule.nproc
     owner = schedule.owner.tolist()
-    indptr = dep.indptr.tolist()
-    indices = dep.indices.tolist()
+    indptr, indices = dep.csr_lists()
     wl = w.tolist()
+    bounded = bound < math.inf
+    if bounded:
+        headroom = _headroom(schedule.owner, w, p, bound)
     finish = [0.0] * n
     proc_avail = [0.0] * p
     busy = [0.0] * p
@@ -264,8 +294,11 @@ def _run_scalar(schedule, dep, w, t_poll, order):
                 start = t0 + wait
                 idle[pi] += start - t0
         fi = start + wi
+        done = busy[pi] + wi
+        if bounded and fi - done > headroom[pi]:
+            return None
         finish[i] = fi
-        busy[pi] += wi
+        busy[pi] = done
         proc_avail[pi] = fi
     return (
         np.asarray(finish, dtype=np.float64),
@@ -284,7 +317,8 @@ def simulate_self_executing(
     unit_work: np.ndarray | None = None,
     keep_finish_times: bool = False,
     order: np.ndarray | None = None,
-) -> SimResult:
+    bound: float = math.inf,
+) -> SimResult | None:
     """Simulate Figure 4 (``mode="self"``) or a plain doacross loop.
 
     The two differ only in the per-iteration overhead vector; pass the
@@ -300,6 +334,12 @@ def simulate_self_executing(
     instead of asking ``schedule.simulation_order(dep)`` for one
     (which raises :class:`~repro.errors.DeadlockError` when there is
     none).  Results do not depend on which topological order is walked.
+
+    ``bound`` is a makespan the caller has no use for exceeding (the
+    tuner's bar): the event loop gives up as soon as the makespan
+    provably exceeds it and the function returns ``None`` instead of a
+    :class:`SimResult` — so ``None`` means ``total_time > bound``.  A
+    result it does return is the unbounded one, bit for bit.
     """
     if mode not in ("self", "doacross"):
         raise ValidationError(f"mode must be 'self' or 'doacross', got {mode!r}")
@@ -312,8 +352,10 @@ def simulate_self_executing(
     del base, nd  # the loop's lists are the memory peak: hold only ``w``
     if order is None:
         order = schedule.simulation_order(dep)
-    finish, proc_avail, busy, idle = _run_scalar(
-        schedule, dep, w, costs.t_poll, order)
+    walked = _run_scalar(schedule, dep, w, costs.t_poll, order, bound)
+    if walked is None:
+        return None
+    finish, proc_avail, busy, idle = walked
     total = float(proc_avail.max()) if p else 0.0
     idle += total - proc_avail
 

@@ -43,7 +43,8 @@ Registration contracts
   faults)`` / ``run_processes(kernel, *, timeout, faults)`` — the entry
   points the four backends name — and a ``schedule`` attribute.
   Metadata ``scheduler_override`` names a scheduler the executor forces
-  (``doacross`` forces ``identity``).
+  and ``assignment_override`` an assignment (``doacross`` forces
+  ``identity`` and ``wrapped``).
 """
 
 from __future__ import annotations

@@ -864,6 +864,10 @@ class Runtime:
 
         meta = executor_registry.metadata(executor)
         resolved = meta.get("scheduler_override") or scheduler
+        # An executor that forces its assignment too (doacross: the
+        # wrapped identity) is inspected, cached and reported with the
+        # schedule it runs, whatever was requested.
+        assignment = meta.get("assignment_override") or assignment
         # A scheduler that declares its balance options (``global``'s
         # ``balance_options`` metadata — plain name or parameterized
         # spec) gets them validated eagerly; other schedulers

@@ -2,8 +2,9 @@
 
 The simulator is exact, deterministic and host-speed-independent, so
 candidates can be compared (and pruned) on *subsampled prefixes* of the
-dependence graph as well as at full size, and no score ever needs a
-second sample.
+dependence graph as well as at full size, no score ever needs a second
+sample, and two candidates with one schedule need one simulation
+(:class:`SharedSims`).
 
 Everything goes through :meth:`Runtime.compile
 <repro.runtime.session.Runtime.compile>`, so candidate compiles enjoy
@@ -15,6 +16,7 @@ schedule, a deadlock) scores ``inf`` instead of aborting the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,68 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
     return DependenceGraph(indptr, indices[keep], m, check_acyclic=False)
 
 
+class SharedSims:
+    """One rung's simulations, shared by schedule.
+
+    Candidates whose compiled schedules are identical share one
+    simulation: every ``doacross × assignment`` alias runs the one
+    wrapped identity schedule, and ``global`` deals the same lists
+    under ``wrapped`` as under unit-weight ``greedy``.  An entry is the
+    exact makespan, or a bound a cut simulation proved it exceeds.
+    What is shared is the makespan, never the score — each candidate
+    adds its own amortised inspection.  Graph, ``unit_work`` and cost
+    model are fixed within a rung, so the schedule is the key: owner
+    and flattened lists fix the lists, the wavefronts the pre-scheduled
+    phases.  An entry is found by a hash of the lists and holds the
+    schedule itself, compared in full on a hit — no key bytes are
+    kept.
+    """
+
+    def __init__(self):
+        self._known: dict = {}
+        #: Simulations abandoned at their bound, and candidates
+        #: answered from an earlier candidate's simulation.
+        self.cut = self.shared = 0
+
+    def makespan(self, executor, unit_work, bound: float) -> float | None:
+        """``executor``'s simulated makespan, or ``None`` when it
+        provably exceeds ``bound``."""
+        s = executor.schedule
+        key = (executor.mode,
+               hash((s.owner.tobytes(), s.flattened().tobytes())))
+        known = self._known.get(key)
+        if known is not None and _same_schedule(known[0], s):
+            _, value, exact = known
+            if exact or bound <= value:
+                self.shared += 1
+                return value if exact else None
+        sim = executor.simulate(unit_work=unit_work, bound=bound)
+        if sim is None:
+            self.cut += 1
+            self._known[key] = (s, bound, False)
+            return None
+        self._known[key] = (s, sim.total_time, True)
+        return sim.total_time
+
+
+def _same_schedule(a, b) -> bool:
+    """Same lists and same wavefronts."""
+    return a is b or all(np.array_equal(x, y) for x, y in (
+        (a.owner, b.owner), (a.flattened(), b.flattened()),
+        (a.wavefronts, b.wavefronts)))
+
+
+def _makespan_bound(bound: float, amortised: float) -> float:
+    """The makespan above which ``makespan + amortised`` — rounded as
+    the score is — reaches ``bound``."""
+    if amortised == 0.0 or not math.isfinite(bound):
+        return bound
+    m = bound - amortised
+    while m + amortised < bound:
+        m = math.nextafter(m, math.inf)
+    return m
+
+
 def simulate_spec(
     runtime,
     deps,
@@ -78,6 +142,8 @@ def simulate_spec(
     *,
     unit_work=None,
     expected_executions: float | None = None,
+    bound: float = math.inf,
+    shared: SharedSims | None = None,
 ) -> tuple[float, str | None]:
     """Simulated score of one candidate (``inf`` when it cannot run).
 
@@ -95,13 +161,29 @@ def simulate_spec(
     cold structures that the classic pipeline would only beat in steady
     state; its makespan includes the serial repair of every conflict,
     so high-conflict workloads price themselves out naturally.
+
+    ``bound`` is a score the caller has no use for reaching (the
+    tuner's bar): a scheduled candidate's simulation stops as soon as
+    its score provably reaches it, and the candidate scores ``inf``
+    with no error.  ``shared`` is the rung's :class:`SharedSims`; a
+    score either way is the unbounded, unshared one, bit for bit.
     """
     try:
         loop = runtime.compile(deps, **spec.compile_kwargs())
-        score = float(loop.simulate(unit_work=unit_work).total_time)
+        amortised = 0.0
         if expected_executions is not None:
-            score += (float(loop.inspection.pipeline_cost)
-                      / expected_executions)
-        return score, None
+            amortised = (float(loop.inspection.pipeline_cost)
+                         / expected_executions)
+        if loop.plan.kind != "scheduled":
+            makespan = float(loop.simulate(unit_work=unit_work).total_time)
+        else:
+            sims = shared if shared is not None else SharedSims()
+            makespan = sims.makespan(loop.executor, unit_work,
+                                     _makespan_bound(bound, amortised))
+            if makespan is None:
+                return math.inf, None
+        if expected_executions is None:
+            return makespan, None
+        return makespan + amortised, None
     except ReproError as exc:
-        return float("inf"), f"{type(exc).__name__}: {exc}"
+        return math.inf, f"{type(exc).__name__}: {exc}"

@@ -10,7 +10,9 @@ halving then does the rest:
 2. simulate every candidate on a small prefix of the graph, keep the
    better half; repeat on a larger prefix;
 3. simulate the survivors on the full graph — the machine model is
-   the only scorer, at every rung;
+   the only scorer, at every rung, but a candidate's simulation stops
+   as soon as it provably cannot change the rung's outcome, and
+   candidates with identical schedules share one simulation;
 4. the winner becomes a :class:`~repro.tuning.store.TuningVerdict`,
    cached in the :class:`~repro.tuning.store.TuningStore` so the next
    structurally identical compile skips the search entirely.
@@ -23,6 +25,7 @@ always produce the identical verdict.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -41,7 +44,7 @@ from ..util.validation import (
     check_unit_work,
 )
 from .features import extract_features
-from .measure import Measurement, prefix_graph, simulate_spec
+from .measure import Measurement, SharedSims, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 
@@ -219,20 +222,52 @@ class Tuner:
         with maybe_span(obs, "tune", n=dep.n,
                         candidates=len(candidates)) as span:
             verdict = self._search_impl(dep, candidates, unit_work=unit_work,
-                                        horizon=horizon)
+                                        horizon=horizon, span=span)
             span.annotate(sims=verdict.sims, winner=verdict.label())
         return verdict
 
-    def _score(self, dep, specs, *, unit_work, horizon) -> list:
+    def _score(self, dep, specs, *, unit_work, horizon,
+               kept: int | None = None) -> tuple[list, SharedSims]:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
-        sort, so ties keep the seeded shuffle order."""
-        scored = [(simulate_spec(self._runtime, dep, spec,
-                                 unit_work=unit_work,
-                                 expected_executions=horizon)[0], spec)
-                  for spec in specs]
+        sort, so ties keep the seeded shuffle order — with the rung's
+        :class:`~repro.tuning.measure.SharedSims` (its cut and shared
+        counts).
+
+        Each spec is scored against a bar, past which its exact score
+        cannot change the rung's outcome; a spec whose simulation
+        provably reaches its bar scores ``inf``.  In a pruning rung
+        (``kept`` survivors by rank) the bar is the larger of the
+        ``kept``-th best exact score so far and the best exact score so
+        far in the spec's executor family — the two facts the halving
+        and the diversity rule read; in the final rung (``kept=None``)
+        it is the incumbent's score.  Every score behind a bar belongs
+        to an earlier spec, which a tie ranks first, so the survivors,
+        their order and the winner are the unbounded search's.
+        """
+        shared = SharedSims()
+        exact: list[float] = []     # finite exact scores so far, sorted
+        family: dict[str, float] = {}
+        scored = []
+        with dep.holding_lists():   # one list conversion per rung
+            for spec in specs:
+                if kept is None:
+                    bar = exact[0] if exact else math.inf
+                else:
+                    bar = max(
+                        exact[kept - 1] if len(exact) >= kept else math.inf,
+                        family.get(spec.executor, math.inf))
+                score = simulate_spec(self._runtime, dep, spec,
+                                      unit_work=unit_work,
+                                      expected_executions=horizon,
+                                      bound=bar, shared=shared)[0]
+                if math.isfinite(score):
+                    bisect.insort(exact, score)
+                    family[spec.executor] = min(
+                        score, family.get(spec.executor, math.inf))
+                scored.append((score, spec))
         scored.sort(key=lambda t: t[0])
-        return scored
+        return scored, shared
 
     def _search_impl(
         self,
@@ -241,6 +276,7 @@ class Tuner:
         *,
         unit_work: np.ndarray | None,
         horizon: float | None,
+        span,
     ) -> TuningVerdict:
         obs = self.observer
         if obs is not None:
@@ -248,17 +284,19 @@ class Tuner:
             obs.inc("tuner.candidates", len(candidates))
         rng = np.random.default_rng(self.seed)
         survivors = [candidates[i] for i in rng.permutation(len(candidates))]
-        sims = 0
+        sims = cut = shared = 0
 
         # Pruning rungs: simulate on growing prefixes, halve the field.
         for rung, m in enumerate(self._rung_sizes(dep.n)):
             entered = len(survivors)
-            scored = self._score(
+            kept = max(FINALISTS, math.ceil(entered * KEEP))
+            scored, rung_sims = self._score(
                 prefix_graph(dep, m), survivors,
                 unit_work=None if unit_work is None else unit_work[:m],
-                horizon=horizon)
+                horizon=horizon, kept=kept)
             sims += entered
-            kept = max(FINALISTS, math.ceil(len(scored) * KEEP))
+            cut += rung_sims.cut
+            shared += rung_sims.shared
             survivors = [spec for _, spec in scored[:kept]]
             # Diversity guarantee: prefix fidelity is biased against
             # barrier-dominated executors (a preschedule run pays its
@@ -276,8 +314,8 @@ class Tuner:
                         entered - len(survivors))
 
         # Final rung: every survivor at full size.
-        scored = self._score(dep, survivors,
-                             unit_work=unit_work, horizon=horizon)
+        scored, final = self._score(dep, survivors,
+                                    unit_work=unit_work, horizon=horizon)
         sims += len(survivors)
         best_score, best = scored[0]
         if not math.isfinite(best_score):
@@ -287,6 +325,11 @@ class Tuner:
 
         if obs is not None:
             obs.inc("tuner.sims", sims)
+            obs.inc("tuner.sims_cut", cut + final.cut)
+            obs.inc("tuner.sims_shared", shared + final.shared)
+            span.annotate(sims_cut=cut + final.cut,
+                          sims_shared=shared + final.shared,
+                          final_cut=final.cut)
         # A cached compile: the final rung built the winner a moment
         # ago.  Its wavefronts spare the signature a sweep of its own
         # (the speculative arm inspected nothing and has none), and its

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 
 from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
+from repro.core.schedule import global_schedule, identity_schedule, local_schedule
+from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
+from repro.machine.costs import MachineCosts
 from repro.mesh.problems import get_problem
 from repro.program import At, Statement
 from repro.sparse.build import csr_from_dense, random_lower_triangular
 from repro.sparse.csr import CSRMatrix
+from repro.workload.generator import generate_workload
 
 EXECUTORS = ("self", "preschedule", "doacross")
 
@@ -41,10 +45,14 @@ def indirection_arrays(draw, max_n=60):
 
 
 @st.composite
-def backward_dags(draw, max_n=50, unique=True):
+def backward_dags(draw, max_n=50, unique=True, min_n=1):
     """A random backward-only dependence graph; ``unique=False`` lets
-    an iteration name one predecessor twice (duplicate edges)."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    an iteration name one predecessor twice (duplicate edges), and
+    ``min_n=0`` admits the empty graph."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    if n == 0:
+        return DependenceGraph(np.zeros(1, dtype=np.int64),
+                               np.empty(0, dtype=np.int64), 0)
     edges = []
     for i in range(1, n):
         k = draw(st.integers(min_value=0, max_value=min(i, 3)))
@@ -66,6 +74,73 @@ def general_dags(draw, max_n=50, unique=True):
     perm = np.random.default_rng(draw(seeds)).permutation(base.n)
     edges = np.column_stack((perm[base.edge_rows()], perm[base.indices]))
     return DependenceGraph.from_edges(edges, base.n)
+
+
+def poll_costs(t_poll: float) -> MachineCosts:
+    """A cost model of round numbers with poll quantum ``t_poll``."""
+    return MachineCosts(
+        t_work_base=1.0, t_work_per_dep=0.5, t_sync_base=0.0,
+        t_sync_per_proc=0.0, t_check=0.25, t_inc=0.125,
+        t_sched_access=0.375, t_poll=t_poll, contention_alpha=0.01,
+    )
+
+
+def schedule_for(draw, dep, kind: str, nproc: int):
+    """A ``"global"``, ``"local"`` (drawn owners) or ``"identity"``
+    schedule of ``dep`` (``draw`` is a hypothesis draw)."""
+    wf = (compute_wavefronts(dep) if dep.all_backward()
+          else compute_wavefronts_general(dep))
+    if kind == "global":
+        return global_schedule(wf, nproc)
+    if kind == "local":
+        owner = np.random.default_rng(
+            draw(st.integers(min_value=0, max_value=2**31 - 1))
+        ).integers(0, nproc, dep.n)
+        return local_schedule(wf, owner, nproc)
+    return identity_schedule(wf, nproc)
+
+
+@st.composite
+def simulations(draw, max_n=40):
+    """``(schedule, dep, costs, mode, unit_work)`` of a self-executing
+    or doacross simulation: a backward (possibly empty) or general DAG
+    with duplicate edges, a global, local or — on backward graphs, where
+    it cannot deadlock — identity schedule on 1 to 8 processors (so
+    often more processors than iterations), a poll quantum of 0, 0.7
+    or 3, and the default work or a drawn one of either sign."""
+    general = draw(st.booleans())
+    dep = draw(general_dags(max_n=max_n, unique=False) if general
+               else backward_dags(max_n=max_n, unique=False, min_n=0))
+    kind = draw(st.sampled_from(("global", "local") if general
+                                else ("global", "local", "identity")))
+    schedule = schedule_for(draw, dep, kind, draw(st.integers(1, 8)))
+    costs = poll_costs(draw(st.sampled_from((0.0, 0.7, 3.0))))
+    unit_work = (np.random.default_rng(draw(seeds)).uniform(-2.0, 5.0, dep.n)
+                 if draw(st.booleans()) else None)
+    return (schedule, dep, costs, draw(st.sampled_from(("self", "doacross"))),
+            unit_work)
+
+
+@st.composite
+def bounds_near(draw, total: float):
+    """A bound at, one ulp either side of, or anywhere around ``total``
+    — or none (``inf``)."""
+    return draw(st.sampled_from((
+        total, np.nextafter(total, -np.inf), np.nextafter(total, np.inf),
+        0.0, -1.0, total - abs(total) * draw(st.floats(0.0, 2.0)),
+        total * draw(st.floats(0.0, 1.0)), np.inf)))
+
+
+@st.composite
+def tuner_graphs(draw):
+    """A dependence graph to search: a small backward DAG (the final
+    rung alone), or a Table 5 synthetic mesh large enough for one
+    (33 × 33) or both (65 × 65) pruning rungs."""
+    mesh = draw(st.sampled_from((None, 33, 65)))
+    if mesh is None:
+        return draw(backward_dags())
+    matrix = generate_workload(f"{mesh}-4-3", seed=draw(seeds)).matrix
+    return DependenceGraph.from_lower_csr(matrix)
 
 
 @st.composite

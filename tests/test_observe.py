@@ -224,13 +224,26 @@ class TestScenarioMetrics:
     def test_tuner_counts(self):
         prog = figure3_program(n=120, seed=2)
         rt = Runtime(nproc=NPROC, tune_seed=1, observe=True)
-        rt.compile(prog, strategy="auto")
+        loop = rt.compile(prog, strategy="auto")
         m = rt.observer.metrics
         assert m.value("tuner.searches") == 1
         assert m.value("tuner.candidates") > 0
-        assert m.value("tuner.sims") > 0
-        # The tune phase shows up as spans, too.
-        assert any(ev.name == "tune" for ev in rt.observer.tracer.events)
+        # Candidate scorings, however many simulations they took.
+        assert m.value("tuner.sims") == loop.verdict.sims
+        # n = 120 has no pruning rung: the final rung scores all 28
+        # candidates.  The seven doacross aliases run one schedule, and
+        # global deals one list under wrapped, greedy and weighted
+        # greedy balance (for self and for preschedule alike), so ten
+        # scorings reuse an earlier one's simulation; eight simulations
+        # stop at the incumbent's score.
+        assert m.value("tuner.sims_shared") == 10
+        assert m.value("tuner.sims_cut") == 8
+        # The tune phase shows up as spans, annotated with the same.
+        tune, = (ev for ev in rt.observer.tracer.events
+                 if ev.name == "tune" and "sims" in ev.attrs)
+        assert tune.attrs["sims"] == loop.verdict.sims == 28
+        assert tune.attrs["sims_shared"] == 10
+        assert tune.attrs["sims_cut"] == tune.attrs["final_cut"] == 8
 
     def test_phases_sum_to_wall_on_run(self):
         prog = figure3_program()

@@ -90,6 +90,26 @@ class TestRegistryEquivalence:
         assert np.array_equal(rep.x, x_old) and np.array_equal(rep.x, oracle)
         assert same_sim(rep.sim, sim_old)
 
+    @pytest.mark.parametrize("executor", executor_registry.names())
+    def test_loop_reports_the_schedule_it_runs(self, case, executor):
+        """Under a non-default assignment, ``loop.schedule`` is the
+        schedule the executor runs, and ``report()["assignment"]`` the
+        partition that schedule's owners follow — doacross included,
+        which runs the wrapped identity whatever was requested."""
+        _, _, ia, _ = case
+        nproc = 4
+        loop = Runtime(nproc=nproc).compile(ia, executor=executor,
+                                            assignment="blocked")
+        assert loop.schedule is loop.executor.schedule
+        owner = getattr(loop.schedule, "owner", None)   # speculative: none
+        if owner is not None:
+            partition = partitioner_registry.get(loop.report()["assignment"])
+            assert np.array_equal(owner, partition(ia.shape[0], nproc))
+        if executor == "doacross":
+            assert loop.report()["assignment"] == "wrapped"
+            assert same_sim(loop.simulate(),
+                            DoacrossExecutor(loop.dep, nproc).simulate())
+
 
 class TestBackends:
     def test_sim_backend_is_kernel_free(self, case):

@@ -16,25 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import reference
 from repro.core.dependence import DependenceGraph
-from repro.core.schedule import (
-    global_schedule,
-    identity_schedule,
-    local_schedule,
-)
-from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
+from repro.core.schedule import global_schedule, identity_schedule
+from repro.core.wavefront import compute_wavefronts
 from repro.errors import DeadlockError
-from repro.machine.costs import MULTIMAX_320, MachineCosts
+from repro.machine.costs import MULTIMAX_320
 from repro.machine.simulator import simulate_self_executing, work_vector
 from repro.util.frontier import rows_from_indptr
-from strategies import backward_dags, general_dags
-
-
-def _poll_costs(t_poll: float) -> MachineCosts:
-    return MachineCosts(
-        t_work_base=1.0, t_work_per_dep=0.5, t_sync_base=0.0,
-        t_sync_per_proc=0.0, t_check=0.25, t_inc=0.125,
-        t_sched_access=0.375, t_poll=t_poll, contention_alpha=0.01,
-    )
+from strategies import (
+    backward_dags,
+    bounds_near,
+    general_dags,
+    poll_costs,
+    schedule_for,
+    simulations,
+)
+from test_contract import same_sim
 
 
 def assert_bit_identical(a, b):
@@ -52,19 +48,6 @@ def assert_bit_identical(a, b):
 # Strategies
 # ----------------------------------------------------------------------
 
-def _schedule_for(draw, dep, kind, nproc):
-    wf = (compute_wavefronts(dep) if dep.all_backward()
-          else compute_wavefronts_general(dep))
-    if kind == "global":
-        return global_schedule(wf, nproc)
-    if kind == "local":
-        owner = np.random.default_rng(
-            draw(st.integers(min_value=0, max_value=2**31 - 1))
-        ).integers(0, nproc, dep.n)
-        return local_schedule(wf, owner, nproc)
-    return identity_schedule(wf, nproc)
-
-
 sched_kinds = st.sampled_from(["global", "local", "identity"])
 procs = st.integers(min_value=1, max_value=8)
 polls = st.sampled_from([0.0, 0.7, 3.0])
@@ -80,8 +63,8 @@ class TestEnginesMatchOracle:
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_backward_graphs(self, dep, kind, p, t_poll, mode, data):
-        sched = _schedule_for(data.draw, dep, kind, p)
-        costs = _poll_costs(t_poll)
+        sched = schedule_for(data.draw, dep, kind, p)
+        costs = poll_costs(t_poll)
         ref = reference.simulate_self_executing(
             sched, dep, costs, mode=mode, keep_finish_times=True)
         sim = simulate_self_executing(
@@ -92,8 +75,8 @@ class TestEnginesMatchOracle:
            st.data())
     @settings(max_examples=40, deadline=None)
     def test_general_graphs(self, dep, kind, p, t_poll, data):
-        sched = _schedule_for(data.draw, dep, kind, p)
-        costs = _poll_costs(t_poll)
+        sched = schedule_for(data.draw, dep, kind, p)
+        costs = poll_costs(t_poll)
         try:
             ref = reference.simulate_self_executing(
                 sched, dep, costs, keep_finish_times=True)
@@ -122,6 +105,35 @@ class TestEnginesMatchOracle:
         assert_bit_identical(sim, ref)
 
 
+class TestBound:
+    """``bound=`` abandons a simulation only when its makespan exceeds
+    the bound, and changes nothing about one it finishes."""
+
+    @given(simulations(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exceeds_only_above_the_bound(self, case, data):
+        schedule, dep, costs, mode, unit_work = case
+        full = simulate_self_executing(schedule, dep, costs, mode=mode,
+                                       unit_work=unit_work,
+                                       keep_finish_times=True)
+        total = full.total_time
+        bound = data.draw(bounds_near(total))
+        got = simulate_self_executing(schedule, dep, costs, mode=mode,
+                                      unit_work=unit_work,
+                                      keep_finish_times=True, bound=bound)
+        if got is None:
+            assert total > bound
+            return
+        assert same_sim(got, full)
+        # ... and when the makespan is some processor's last finish (no
+        # processor idles throughout), it does abandon what is over by
+        # more than rounding.
+        if np.bincount(schedule.owner, minlength=schedule.nproc).all():
+            w = work_vector(dep, costs, mode, schedule.nproc, unit_work)
+            assert total - bound <= 1e-9 * (1 + abs(bound)
+                                             + np.abs(w).sum())
+
+
 class TestVectorLevelBody:
     """Machines wider than any the ledger simulates: the event loop
     must match the oracle there too."""
@@ -135,7 +147,7 @@ class TestVectorLevelBody:
         wf = compute_wavefronts(dep)
         for sched in (global_schedule(wf, p), identity_schedule(wf, p)):
             for t_poll in (0.0, 0.7):
-                costs = _poll_costs(t_poll)
+                costs = poll_costs(t_poll)
                 ref = reference.simulate_self_executing(
                     sched, dep, costs, keep_finish_times=True)
                 sim = simulate_self_executing(
@@ -155,8 +167,8 @@ class TestEdgeCases:
     def test_poll_zero_vs_quantized(self):
         dep, wf = self._diamond()
         sched = global_schedule(wf, 2)
-        exact = _poll_costs(0.0)
-        quant = _poll_costs(0.7)
+        exact = poll_costs(0.0)
+        quant = poll_costs(0.7)
         for costs in (exact, quant):
             ref = reference.simulate_self_executing(sched, dep, costs)
             sim = simulate_self_executing(sched, dep, costs)

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import LoopProgram
 from repro.core import wavefront
@@ -28,7 +29,9 @@ from repro.tuning import (
     prefix_graph,
     space_fingerprint,
 )
+from repro.tuning import measure, tuner as tuner_module
 from repro.workload.generator import generate_workload
+from strategies import tuner_graphs
 
 
 @pytest.fixture()
@@ -181,6 +184,42 @@ class TestTunerDeterminism:
 
     def test_seed_recorded(self, mesh):
         assert Tuner(8, seed=5).search(mesh).seed == 5
+
+    @given(tuner_graphs(), st.sampled_from((None, 1, 64)), st.booleans(),
+           st.integers(0, 99))
+    @settings(max_examples=12, deadline=None)
+    def test_bars_and_shared_sims_change_no_verdict(self, dep, horizon,
+                                                    weighted, seed):
+        """Every verdict field equals the search's with each candidate's
+        bar and the rung's shared simulations taken away — makespan
+        only or amortised, default or overridden work."""
+        unit_work = (np.random.default_rng(seed).uniform(0.5, 4.0, dep.n)
+                     if weighted else None)
+
+        def search():
+            return Tuner(8, seed=seed).search(
+                dep, unit_work=unit_work, expected_executions=horizon)
+
+        def unbounded(*args, bound=None, shared=None, **kwargs):
+            return measure.simulate_spec(*args, **kwargs)
+
+        barred = search()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tuner_module, "simulate_spec", unbounded)
+            assert search() == barred
+
+    def test_a_cut_answers_only_bounds_below_it(self, mesh):
+        executor = Runtime(nproc=8).compile(mesh).executor
+        full = executor.simulate().total_time
+        sims = measure.SharedSims()
+        assert sims.makespan(executor, None, full / 2) is None
+        assert (sims.cut, sims.shared) == (1, 0)
+        assert sims.makespan(executor, None, full / 4) is None
+        assert (sims.cut, sims.shared) == (1, 1)
+        # Reaching the bound is not exceeding it: simulated in full.
+        assert sims.makespan(executor, None, full) == full
+        assert sims.makespan(executor, None, 0.0) == full
+        assert (sims.cut, sims.shared) == (1, 2)
 
     def test_no_search_shape_keywords(self):
         # Rung fractions, keep, minimum rung, finalists and repeats are
