@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
-# session-free-store, one-simulator-engine, one-ordering-owner, one-scorer,
+# session-free-store, one-simulator-engine, one-walk-chooser,
+# one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # one-inspector-owner, one-pricing-path, unbounded-oracle, one-backend-dispatch,
@@ -62,6 +63,23 @@ if grep -rnE "$forked" src --include='*.py'; then
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
     echo "error: an engine= selector reappeared under src/repro/machine" >&2
+    exit 1
+fi
+
+echo "== one walk chooser: only simulate_self_executing picks a simulator walk =="
+# The per-iteration event loop and the level walk evaluate the same plan
+# bit for bit; the plan's mean level width, read in one function, picks
+# between them — no selector, no second caller.
+sim=src/repro/machine/simulator.py
+from_line=$(grep -n '^def simulate_self_executing(' "$sim" | cut -d: -f1)
+to_line=$(awk -v at="${from_line:-0}" 'NR > at && /^def /{print NR; exit}' "$sim")
+walks=$(grep -rnE '\b(_run_scalar|_run_levels)\(' src --include='*.py' \
+        | grep -vE ':[0-9]+:def ' || true)
+if [ -z "$from_line" ] || [ "$(echo "$walks" | grep -c .)" -ne 2 ] \
+   || [ -n "$(echo "$walks" | awk -F: -v file="$sim" -v lo="$from_line" \
+              -v hi="${to_line:-0}" '$1 != file || $2 <= lo || $2 >= hi')" ]; then
+    echo "$walks"
+    echo "error: _run_scalar( / _run_levels( must each be called once under src, inside simulate_self_executing" >&2
     exit 1
 fi
 

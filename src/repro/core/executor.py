@@ -437,7 +437,9 @@ class ClassicExecutor:
     processor's clock item by item.  The level plan is a numeric order;
     :meth:`simulate` hands it to the simulator for ``"self"`` alone,
     whose plan is a topological order of the (program-order ∪
-    dependence) DAG and so is both.
+    dependence) DAG and so is both — levels and all: whole wavefronts
+    laid out by owner and position, which the simulator walks a level
+    at a time.
     """
 
     #: ``"self"``, ``"preschedule"`` or ``"doacross"``.
@@ -534,11 +536,12 @@ class ClassicExecutor:
         # A cold ``loop()`` runs, then simulates: walking the plan a
         # run already built probes and sorts the schedule once.  A
         # timing-only caller builds nothing.
-        proven = self.mode == "self" and self._levels is not None
+        levels = self._levels if self.mode == "self" else None
         return simulate_self_executing(
             self.schedule, self.dep, self.costs, mode=self.mode,
             unit_work=unit_work, keep_finish_times=keep_finish_times,
-            order=self._levels.order if proven else None, bound=bound,
+            order=None if levels is None else (levels.order, levels.bounds),
+            bound=bound,
         )
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,

@@ -258,9 +258,9 @@ def simulate_self_executing(
     finish times (busy-waits rounded up to whole poll quanta), exactly
     the Figure 4 release rule.  The production simulator
     (:func:`repro.machine.simulator.simulate_self_executing`) applies
-    the same rule over Python lists, in whichever legal order
-    :meth:`Schedule.simulation_order
-    <repro.core.schedule.Schedule.simulation_order>` finds cheapest;
+    the same rule over Python lists or a wavefront at a time, to
+    whichever legal plan :meth:`Schedule.simulation_levels
+    <repro.core.schedule.Schedule.simulation_levels>` finds cheapest;
     this loop always walks the stack-based :func:`toposort_plan`, and
     the property suite asserts ``total_time`` / ``busy`` / ``idle`` /
     ``finish`` equal bit for bit.

@@ -18,7 +18,7 @@ plain ``doacross`` baseline runs.
 
 A schedule is also the one owner of "a legal order" of itself:
 :meth:`Schedule.execution_levels` (the executors' batched numeric
-order), :meth:`Schedule.simulation_order` (what the machine simulator
+order), :meth:`Schedule.simulation_levels` (what the machine simulator
 walks), :meth:`Schedule.toposort_plan` (the combined-DAG sweep alone)
 and :meth:`Schedule.deps_cross_wavefronts`, all over one shape probe.
 
@@ -321,24 +321,31 @@ class Schedule:
         plan = self._wavefront_levels(dep, self.flattened())
         return plan if plan is not None else self._sweep_levels(dep)
 
-    def simulation_order(self, dep: DependenceGraph) -> np.ndarray:
-        """A topological order of the combined DAG, as cheaply as this
-        schedule's shape allows: the wavefront-sorted lists laid end to
-        end by wavefront; ``arange(n)`` for ascending lists over
-        all-backward dependences (identity / doacross schedules); the
-        sweep otherwise.  Raises :class:`DeadlockError` on a cycle.
+    def simulation_levels(
+        self, dep: DependenceGraph
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: a topological order of the combined DAG,
+        as cheaply as this schedule's shape allows, grouped into levels
+        of mutually independent iterations with each processor's
+        adjacent and in program order — what the machine simulator
+        walks.  Whole wavefronts for wavefront-sorted lists (the
+        pre-scheduled phases laid end to end); ``arange(n)`` one
+        iteration a level for ascending lists over all-backward
+        dependences (identity / doacross schedules); the sweep's levels
+        otherwise.  Raises :class:`DeadlockError` on a cycle.
         """
         flat, procs, _ = self._flat_with_procs()
         plan = self._wavefront_levels(dep, flat)
         if plan is not None:
-            return plan[0]
+            return plan
         ascending_lists = not (
             flat.size > 1
             and bool(np.any((np.diff(flat) <= 0) & (procs[1:] == procs[:-1])))
         )
         if ascending_lists and dep.all_backward():
-            return np.arange(self.n, dtype=np.int64)
-        return self.toposort_plan(dep)
+            return (np.arange(self.n, dtype=np.int64),
+                    np.arange(self.n + 1, dtype=np.int64))
+        return self._sweep_levels(dep)
 
     def is_legal_self_executing(self, dep: DependenceGraph) -> bool:
         """True when self-execution cannot deadlock under this schedule.
@@ -346,10 +353,10 @@ class Schedule:
         Deadlock requires a cycle in (program-order ∪ dependence) edges;
         equivalently, some dependence ``j`` of ``i`` scheduled *after*
         ``i`` on the same processor, or a cross-processor cycle —
-        exactly when :meth:`simulation_order` has no order to give.
+        exactly when :meth:`simulation_levels` has no plan to give.
         """
         try:
-            self.simulation_order(dep)
+            self.simulation_levels(dep)
         except DeadlockError:
             return False
         return True
@@ -535,10 +542,19 @@ def _greedy_weighted_owner(
 
 
 def _local_lists(owner: np.ndarray, wf: np.ndarray, nproc: int) -> list[np.ndarray]:
-    """Per-processor lists sorted by (wavefront, index)."""
-    n = owner.shape[0]
-    order = np.lexsort((np.arange(n), wf, owner))
-    bounds = np.searchsorted(owner[order], np.arange(nproc + 1))
+    """Per-processor lists sorted by (wavefront, index): one stable sort
+    of the key ``owner · span + wavefront``, cast to the narrowest
+    unsigned type that holds it — NumPy radix-sorts keys of 16 bits or
+    fewer, where a three-key ``lexsort`` compares."""
+    if owner.shape[0]:
+        lo = int(wf.min())
+        span = int(wf.max()) - lo + 1
+        key = owner * span + (wf - lo)
+        order = np.argsort(key.astype(np.min_scalar_type(nproc * span - 1)),
+                           kind="stable")
+    else:
+        order = np.empty(0, dtype=np.int64)
+    bounds = counts_to_indptr(np.bincount(owner, minlength=nproc))
     return [order[bounds[p] : bounds[p + 1]] for p in range(nproc)]
 
 

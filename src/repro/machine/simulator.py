@@ -23,13 +23,26 @@ with executor-specific release rules:
 Because the evaluation is exact and deterministic, simulated timings
 are exactly reproducible — a property the test-suite leans on.
 
-The self-executing evaluation is one per-iteration event loop over
-plain Python lists, walked in an order the :class:`Schedule` supplies
-(:meth:`~repro.core.schedule.Schedule.simulation_order` — what "a
-legal order" means is the schedule's business, not the machine's).
-:func:`repro.core.reference.simulate_self_executing` is the same rule
-written over numpy scalars and an independent stack-based order; the
-property suite asserts the two agree bit for bit.
+The self-executing evaluation walks a plan the :class:`Schedule`
+supplies (:meth:`~repro.core.schedule.Schedule.simulation_levels`: a
+legal order grouped into levels — what "legal" means is the schedule's
+business, not the machine's) in one of two walks, both exact:
+
+* :func:`_run_scalar`, the per-iteration event loop over plain Python
+  lists — for every plan whose levels are narrow: identity and
+  doacross orders, the combined-DAG sweep's levels (at most ``nproc``
+  wide) and meshes of a few dozen iterations per wavefront;
+* :func:`_run_levels`, the same rule a level at a time — for plans of
+  wide levels, such as Figure 3's wavefronts (thousands wide): a
+  processor's run through a level is one running sum, the same IEEE
+  additions in the same order, and only the iterations from a
+  busy-wait on go item by item.
+
+:func:`simulate_self_executing` alone chooses, on the plan's mean level
+width (:data:`_WIDE_LEVEL`).  :func:`repro.core.reference.
+simulate_self_executing` is the same rule written over numpy scalars
+and an independent stack-based order; the property suite asserts that
+either walk agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ScheduleError, ValidationError
+from ..util.frontier import counts_to_indptr, expand_csr_ranges
 from ..util.validation import check_unit_work
 from .costs import MachineCosts
 
@@ -59,6 +73,16 @@ __all__ = [
 ]
 
 _MODES = ("preschedule", "self", "doacross")
+
+#: Mean level width (iterations) from which a plan is walked a level at
+#: a time (:func:`_run_levels`) instead of an iteration at a time
+#: (:func:`_run_scalar`).  A level costs the level walk a fixed two
+#: dozen numpy calls plus one per processor run; the event loop pays per
+#: iteration.  On layered random graphs with 1–3 operands an iteration
+#: the level walk breaks even at ≈ 64 wide on 2 processors, ≈ 128 on 8
+#: and ≈ 160 on 16; Figure 3's wavefronts (≈ 7 500 wide) run ≈ 7×
+#: faster, a Table 5 mesh's (≈ 18 wide) would run ≈ 4× slower.
+_WIDE_LEVEL = 128
 
 
 @dataclass
@@ -308,6 +332,112 @@ def _run_scalar(schedule, dep, w, t_poll, order, bound):
     )
 
 
+def _finish_run(t, ready, work, t_poll, idle):
+    """The event loop's step over the rest of one processor's run, from
+    its availability ``t``: an item starts at ``t`` or, when its ready
+    time is later, after a busy-wait rounded up to whole poll quanta
+    (added to ``idle``).  Returns the finish times and the new idle."""
+    ceil = math.ceil
+    out = []
+    for r, wi in zip(ready, work):
+        start = t
+        if r > t:
+            wait = r - t
+            if t_poll > 0.0:
+                wait = ceil(wait / t_poll) * t_poll
+            start = t + wait
+            idle += start - t
+        t = start + wi
+        out.append(t)
+    return out, idle
+
+
+def _run_levels(schedule, dep, w, t_poll, order, bounds, bound):
+    """The event loop a level at a time, for plans of wide levels.
+
+    ``order[bounds[k]:bounds[k+1]]`` is level ``k``: everything its
+    iterations depend on lies in earlier levels, and each processor's
+    iterations in it are adjacent and in program order (whole
+    wavefronts laid out by owner and position, or sweep levels of at
+    most one iteration per processor).  Per level:
+
+    1. every iteration's ready time — the latest finish among its
+       operands — is one segmented ``np.maximum.reduceat``: the operands
+       lie in earlier levels, and ``max`` is exact;
+    2. each processor's run is one ``np.add.accumulate`` seeded with its
+       availability: the finish times the event loop computes while
+       nothing waits, by the same additions in the same order;
+    3. from the first iteration of a run whose ready time passes its
+       predecessor's finish, :func:`_finish_run` walks the rest of the
+       run item by item over Python floats, reusing the ready times —
+       linear however many of them wait.
+
+    The busy totals do not depend on waits: they are one running sum
+    along each processor's list, taken up front.  ``bound`` is
+    :func:`_run_scalar`'s predicate, checked a level at a time: it holds
+    for some iteration or for none, so ``None`` is decided identically.
+    """
+    n, p = schedule.n, schedule.nproc
+    bounded = bound < math.inf
+    # Busy time after each iteration, seeded with the loop's 0.0 (the
+    # ``+= 0.0`` turns a leading -0.0 into the loop's 0.0 + -0.0).
+    done = np.empty(n) if bounded else None
+    busy = np.zeros(p)
+    for q, lst in enumerate(schedule.local_order):
+        if lst.shape[0]:
+            run = w[lst]
+            run[0] += 0.0
+            np.add.accumulate(run, out=run)
+            busy[q] = run[-1]
+            if bounded:
+                done[lst] = run
+    own = schedule.owner[order]
+    fin = w[order]          # overwritten, a level at a time, by finish times
+    counts = dep.dep_counts()[order]
+    operands = dep.indices[expand_csr_ranges(dep.indptr[order], counts)]
+    at = counts_to_indptr(counts)
+    if bounded:
+        head = np.asarray(_headroom(schedule.owner, w, p, bound))[own]
+        done = done[order]
+    finish = np.zeros(n)
+    avail = np.zeros(p)
+    idle = [0.0] * p
+    cuts = bounds.tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        o, f = own[lo:hi], fin[lo:hi]
+        starts = np.flatnonzero(np.diff(o, prepend=-1))
+        ends = np.append(starts[1:], hi - lo)
+        procs = o[starts]
+        seed = avail[procs]
+        f[starts] += seed
+        stops = ends.tolist()
+        for s, e in zip(starts.tolist(), stops):
+            np.add.accumulate(f[s:e], out=f[s:e])
+        a, b = at[lo], at[hi]
+        if b > a:
+            has = counts[lo:hi] > 0
+            ready = np.full(hi - lo, -np.inf)
+            ready[has] = np.maximum.reduceat(finish[operands[a:b]],
+                                             at[lo:hi][has] - a)
+            prev = np.empty(hi - lo)
+            prev[1:] = f[:-1]
+            prev[starts] = seed
+            waits = np.flatnonzero(ready > prev)
+            if waits.size:
+                runs = np.searchsorted(starts, waits, side="right") - 1
+                first = np.flatnonzero(np.diff(runs, prepend=-1))
+                for j, k in zip(waits[first].tolist(), runs[first].tolist()):
+                    e, q = stops[k], int(procs[k])
+                    f[j:e], idle[q] = _finish_run(
+                        float(prev[j]), ready[j:e].tolist(),
+                        w[order[lo + j:lo + e]].tolist(), t_poll, idle[q])
+        if bounded and np.any(f - done[lo:hi] > head[lo:hi]):
+            return None
+        finish[order[lo:hi]] = f
+        avail[procs] = f[ends - 1]
+    return finish, avail, busy, np.asarray(idle, dtype=np.float64)
+
+
 def simulate_self_executing(
     schedule: Schedule,
     dep: DependenceGraph,
@@ -316,28 +446,33 @@ def simulate_self_executing(
     mode: str = "self",
     unit_work: np.ndarray | None = None,
     keep_finish_times: bool = False,
-    order: np.ndarray | None = None,
+    order: tuple[np.ndarray, np.ndarray] | None = None,
     bound: float = math.inf,
 ) -> SimResult | None:
     """Simulate Figure 4 (``mode="self"``) or a plain doacross loop.
 
     The two differ only in the per-iteration overhead vector; pass the
-    identity schedule for a faithful doacross baseline.  Every machine
-    width runs the one event loop; the per-iteration oracle is
-    :func:`repro.core.reference.simulate_self_executing` and the
+    identity schedule for a faithful doacross baseline.  A plan whose
+    levels average at least :data:`_WIDE_LEVEL` iterations is walked a
+    level at a time (:func:`_run_levels`), any other by the
+    per-iteration event loop (:func:`_run_scalar`); the oracle of both
+    is :func:`repro.core.reference.simulate_self_executing`, and the
     property suite asserts exact agreement on every :class:`SimResult`
     field.
 
-    ``order`` hands over a topological order of the (program-order ∪
-    dependence) DAG the caller has already proven — an executor's
-    :meth:`~repro.core.schedule.Schedule.execution_levels` order —
-    instead of asking ``schedule.simulation_order(dep)`` for one
-    (which raises :class:`~repro.errors.DeadlockError` when there is
-    none).  Results do not depend on which topological order is walked.
+    ``order`` hands over an ``(order, bounds)`` plan the caller has
+    already proven — an executor's
+    :meth:`~repro.core.schedule.Schedule.execution_levels` — instead of
+    asking ``schedule.simulation_levels(dep)`` for one (which raises
+    :class:`~repro.errors.DeadlockError` when there is none): a
+    topological order of the (program-order ∪ dependence) DAG, grouped
+    into levels of mutually independent iterations with each
+    processor's adjacent.  Results do not depend on which plan is
+    walked.
 
     ``bound`` is a makespan the caller has no use for exceeding (the
-    tuner's bar): the event loop gives up as soon as the makespan
-    provably exceeds it and the function returns ``None`` instead of a
+    tuner's bar): the walk gives up as soon as the makespan provably
+    exceeds it and the function returns ``None`` instead of a
     :class:`SimResult` — so ``None`` means ``total_time > bound``.  A
     result it does return is the unbounded one, bit for bit.
     """
@@ -349,10 +484,14 @@ def simulate_self_executing(
     base, nd = _base_work(dep, costs, unit_work)
     w = _with_overheads(base, nd, costs, mode, p)
     seq_time, num_deps = float(base.sum()), nd.sum()
-    del base, nd  # the loop's lists are the memory peak: hold only ``w``
-    if order is None:
-        order = schedule.simulation_order(dep)
-    walked = _run_scalar(schedule, dep, w, costs.t_poll, order, bound)
+    del base, nd  # the walk's arrays are the memory peak: hold only ``w``
+    levels, bounds = (schedule.simulation_levels(dep) if order is None
+                      else order)
+    if n >= _WIDE_LEVEL * (bounds.shape[0] - 1):
+        walked = _run_levels(schedule, dep, w, costs.t_poll, levels, bounds,
+                             bound)
+    else:
+        walked = _run_scalar(schedule, dep, w, costs.t_poll, levels, bound)
     if walked is None:
         return None
     finish, proc_avail, busy, idle = walked

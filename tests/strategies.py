@@ -121,6 +121,75 @@ def simulations(draw, max_n=40):
             unit_work)
 
 
+#: Schedules of :func:`wide_case`: global (wrapped, greedy) or local
+#: over wrapped, blocked, drawn or all-on-processor-0 owners.
+WIDE_KINDS = ("wrapped", "greedy", "local", "blocked", "drawn", "one")
+
+
+def wide_case(n: int, nproc: int, kind: str, t_poll: float,
+              signed_work: bool, mode: str, seed: int):
+    """A :func:`simulations` tuple whose plan is whole wavefronts
+    hundreds of iterations wide — what the simulator walks a level at a
+    time: a Figure 3 graph of ``n`` iterations (its ≈ log n wavefronts
+    average far more than 128 for ``n`` in the thousands) under a
+    :data:`WIDE_KINDS` schedule, a poll quantum of ``t_poll``, and the
+    default work or, with ``signed_work``, a drawn one of either sign."""
+    rng = np.random.default_rng(seed)
+    dep = DependenceGraph.from_indirection(rng.integers(0, n, size=n))
+    wf = compute_wavefronts(dep)
+    if kind in ("wrapped", "greedy"):
+        schedule = global_schedule(wf, nproc, balance=kind)
+    else:
+        owner = {"local": np.arange(n) % nproc,
+                 "blocked": np.arange(n) * nproc // n,
+                 "drawn": rng.integers(0, nproc, n),
+                 "one": np.zeros(n, dtype=np.int64)}[kind]
+        schedule = local_schedule(wf, owner, nproc)
+    unit_work = rng.uniform(-2.0, 5.0, n) if signed_work else None
+    return schedule, dep, poll_costs(t_poll), mode, unit_work
+
+
+@st.composite
+def wide_simulations(draw):
+    """A :func:`wide_case` of 2 500 to 4 000 iterations on 1 to 16
+    processors, a poll quantum of 0, 0.7 or 7, either mode."""
+    return wide_case(draw(st.integers(2_500, 4_000)), draw(st.integers(1, 16)),
+                     draw(st.sampled_from(WIDE_KINDS)),
+                     draw(st.sampled_from((0.0, 0.7, 7.0))),
+                     draw(st.booleans()),
+                     draw(st.sampled_from(("self", "doacross"))), draw(seeds))
+
+
+def waiting_level(width: int):
+    """``(schedule, dep, unit_work)`` of two wavefronts where every
+    iteration of the second busy-waits: processor 0 runs the first
+    (work 2 each), processor 1 the second (work 1 each), iteration
+    ``k`` of which reads iteration ``k`` of the first — so it is
+    ready at ``2(k + 1)``, about one unit after its predecessor
+    finished (under :func:`poll_costs`, whose overheads stay well
+    below that unit)."""
+    first = np.arange(width, dtype=np.int64)
+    dep = DependenceGraph.from_edges(np.column_stack((first + width, first)),
+                                     2 * width)
+    owner = np.repeat(np.arange(2, dtype=np.int64), width)
+    schedule = local_schedule(compute_wavefronts(dep), owner, 2)
+    return schedule, dep, np.repeat([2.0, 1.0], width)
+
+
+@st.composite
+def owned_wavefronts(draw):
+    """``(owner, wf, nproc)`` for building local lists: up to 300
+    iterations on up to 300 processors, wavefront numbers from a narrow
+    band to ones whose ``owner · span + wavefront`` key needs more than
+    16 bits — sometimes not starting at zero."""
+    n = draw(st.integers(0, 300))
+    nproc = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(seeds))
+    span = draw(st.sampled_from((1, 3, 40, 300, 2**20)))
+    wf = rng.integers(0, span, n) + draw(st.sampled_from((0, 7)))
+    return rng.integers(0, nproc, n), wf.astype(np.int64), nproc
+
+
 @st.composite
 def bounds_near(draw, total: float):
     """A bound at, one ulp either side of, or anywhere around ``total``

@@ -30,10 +30,13 @@ from repro.program import (
     LoopProgram,
     Statement,
     extract_statement_dependences,
+    extraction,
 )
 from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
+
+from strategies import loop_programs
 
 
 @pytest.fixture()
@@ -135,6 +138,19 @@ class TestExtraction:
         dep = prog.dependence_graph()
         assert list(dep.deps(1)) == [0]
         assert sorted(dep.deps(2).tolist()) == [0, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(loop_programs())
+    def test_dedupe_is_np_unique_on_every_program_kind(self, prog):
+        """Duplicate pairs collapse by a sort and an adjacent-difference
+        mask: the graph ``np.unique`` gave, byte for byte."""
+        got, _ = extract_statement_dependences(prog.n, prog._stmt_resolved)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extraction, "_distinct", np.unique)
+            want, _ = extract_statement_dependences(prog.n,
+                                                    prog._stmt_resolved)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_renamed_forward_read_carries_no_edge(self):
         # Iteration 0 reads element 1, written only by iteration 1 —

@@ -17,6 +17,7 @@ from repro.core.partition import (
 )
 from repro.core.schedule import (
     Schedule,
+    _local_lists,
     global_schedule,
     identity_schedule,
     local_schedule,
@@ -25,7 +26,7 @@ from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
 from repro.errors import DeadlockError, ScheduleError, ValidationError
 from repro.machine.simulator import simulate_self_executing
 
-from strategies import backward_dags, general_dags
+from strategies import backward_dags, general_dags, owned_wavefronts
 
 
 class TestPartitions:
@@ -122,6 +123,23 @@ class TestLocalSchedule:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             local_schedule(np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64), 2)
+
+
+class TestLocalLists:
+    @given(owned_wavefronts())
+    @settings(max_examples=100, deadline=None)
+    def test_one_sort_is_the_three_key_lexsort(self, case):
+        """One stable sort of ``owner · span + wavefront`` — radix or
+        not, whatever width the key needs — orders each list as a
+        ``lexsort`` by (owner, wavefront, index) does."""
+        owner, wf, nproc = case
+        order = np.lexsort((np.arange(owner.shape[0]), wf, owner))
+        bounds = np.searchsorted(owner[order], np.arange(nproc + 1))
+        got = _local_lists(owner, wf, nproc)
+        assert len(got) == nproc
+        for p, lst in enumerate(got):
+            assert lst.dtype == np.int64
+            assert np.array_equal(lst, order[bounds[p]:bounds[p + 1]])
 
 
 class TestIdentitySchedule:
@@ -286,22 +304,30 @@ class TestOrdering:
             # themselves; every entry point must say so.
             assert kind == "identity"
             assert not sched.is_legal_self_executing(dep)
-            for ask in (sched.simulation_order, sched.execution_levels,
+            for ask in (sched.simulation_levels, sched.execution_levels,
                         sched.toposort_plan):
                 with pytest.raises(DeadlockError):
                     ask(dep)
             return
         assert sched.is_legal_self_executing(dep)
-        _assert_simulation_order(sched.simulation_order(dep), sched, dep)
         _assert_simulation_order(sched.toposort_plan(dep), sched, dep)
-        order, bounds = sched.execution_levels(dep)
-        assert bounds[0] == 0 and bounds[-1] == dep.n
-        assert np.all(np.diff(bounds) > 0)
-        _assert_simulation_order(order, sched, dep)
-        level_of = np.empty(dep.n, dtype=np.int64)
-        level_of[order] = np.repeat(np.arange(bounds.size - 1),
-                                    np.diff(bounds))
-        assert np.all(level_of[dep.indices] != level_of[dep.edge_rows()])
+        for order, bounds in (sched.execution_levels(dep),
+                              sched.simulation_levels(dep)):
+            assert bounds[0] == 0 and bounds[-1] == dep.n
+            assert np.all(np.diff(bounds) > 0)
+            _assert_simulation_order(order, sched, dep)
+            level_of = np.empty(dep.n, dtype=np.int64)
+            level_of[order] = np.repeat(np.arange(bounds.size - 1),
+                                        np.diff(bounds))
+            assert np.all(level_of[dep.indices] != level_of[dep.edge_rows()])
+        # The simulator's level walk (the last plan above) also needs
+        # each processor's iterations in a level adjacent: one run per
+        # (level, owner) pair.
+        owners = sched.owner[order]
+        heads = np.diff(owners, prepend=-1) != 0
+        heads[bounds[:-1]] = True
+        assert heads.sum() == len(
+            set(zip(level_of[order].tolist(), owners.tolist())))
 
     def test_cross_processor_wait_cycle(self):
         # 0 waits on 3, which follows 2 on processor 1; 2 waits on 1,
@@ -312,7 +338,7 @@ class TestOrdering:
                          local_order=[[0, 1], [2, 3]],
                          wavefronts=compute_wavefronts_general(dep))
         assert not sched.is_legal_self_executing(dep)
-        for ask in (sched.simulation_order, sched.execution_levels,
+        for ask in (sched.simulation_levels, sched.execution_levels,
                     lambda d: simulate_self_executing(sched, d)):
             with pytest.raises(DeadlockError):
                 ask(dep)

@@ -1,14 +1,20 @@
 """Simulator ≡ per-iteration oracle — exact-equality property tests.
 
-The production event loop must reproduce
+Both walks of the simulator — the per-iteration event loop and the
+level walk it takes on plans of wide levels — must reproduce
 :func:`repro.core.reference.simulate_self_executing` *bit for bit*:
 ``total_time``, ``busy``, ``idle`` and ``finish`` are compared with
 exact float equality (no tolerances) across randomized
 backward/general graphs, schedules, processor counts, poll quanta and
-modes — mirroring the PR 2 inspector-oracle pattern.  (File and class
-names date from a batched engine that once stood beside the loop; they
-stay so the test IDs do.)
+modes — mirroring the PR 2 inspector-oracle pattern.  The oracle
+properties run twice: under the plan's own choice of walk, and with
+the crossover at one iteration, so that every plan is walked a level
+at a time.  (File and class names date from a batched engine that once
+stood beside the loop; they stay so the test IDs do.)
 """
+
+import dataclasses
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule, identity_schedule
 from repro.core.wavefront import compute_wavefronts
 from repro.errors import DeadlockError
+from repro.machine import simulator
 from repro.machine.costs import MULTIMAX_320
 from repro.machine.simulator import simulate_self_executing, work_vector
 from repro.util.frontier import rows_from_indptr
@@ -29,6 +36,9 @@ from strategies import (
     poll_costs,
     schedule_for,
     simulations,
+    waiting_level,
+    wide_case,
+    wide_simulations,
 )
 from test_contract import same_sim
 
@@ -42,6 +52,52 @@ def assert_bit_identical(a, b):
         assert a.finish is None and b.finish is None
     else:
         assert np.array_equal(a.finish, b.finish)
+
+
+def same_bits(got, want) -> bool:
+    """Every ``SimResult`` field equal in its bytes: stricter than
+    ``==``, which takes -0.0 for 0.0."""
+    def bits(v):
+        if v is None or isinstance(v, str):
+            return v
+        v = np.asarray(v)
+        return v.dtype.str, v.tobytes()
+    return all(bits(getattr(got, f.name)) == bits(getattr(want, f.name))
+               for f in dataclasses.fields(want))
+
+
+@contextmanager
+def level_walk():
+    """Every plan walked a level at a time: the crossover at one
+    iteration, and the event loop out of reach."""
+    def refuse(*args):
+        raise AssertionError("the per-iteration event loop ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_WIDE_LEVEL", 1)
+        mp.setattr(simulator, "_run_scalar", refuse)
+        yield
+
+
+@contextmanager
+def event_loop():
+    """Every plan walked an iteration at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_WIDE_LEVEL", np.inf)
+        yield
+
+
+@contextmanager
+def walks_taken():
+    """The names of the walks simulations run, in call order."""
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_run_scalar", "_run_levels"):
+            def spy(*args, _real=getattr(simulator, name), _name=name):
+                ran.append(_name)
+                return _real(*args)
+            mp.setattr(simulator, name, spy)
+        yield ran
 
 
 # ----------------------------------------------------------------------
@@ -58,51 +114,69 @@ modes = st.sampled_from(["self", "doacross"])
 # Engine ≡ oracle properties
 # ----------------------------------------------------------------------
 
-class TestEnginesMatchOracle:
-    @given(backward_dags(unique=False), sched_kinds, procs, polls, modes,
-           st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_backward_graphs(self, dep, kind, p, t_poll, mode, data):
-        sched = schedule_for(data.draw, dep, kind, p)
-        costs = poll_costs(t_poll)
-        ref = reference.simulate_self_executing(
-            sched, dep, costs, mode=mode, keep_finish_times=True)
-        sim = simulate_self_executing(
-            sched, dep, costs, mode=mode, keep_finish_times=True)
-        assert_bit_identical(sim, ref)
+def oracle_properties(walk):
+    """The simulator-oracle properties, each simulation taken under
+    ``walk`` — one class per walk, so that hypothesis sees distinct
+    test functions."""
 
-    @given(general_dags(max_n=40, unique=False), sched_kinds, procs, polls,
-           st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_general_graphs(self, dep, kind, p, t_poll, data):
-        sched = schedule_for(data.draw, dep, kind, p)
-        costs = poll_costs(t_poll)
-        try:
+    class OracleProperties:
+        @given(backward_dags(unique=False), sched_kinds, procs, polls, modes,
+               st.data())
+        @settings(max_examples=60, deadline=None)
+        def test_backward_graphs(self, dep, kind, p, t_poll, mode, data):
+            sched = schedule_for(data.draw, dep, kind, p)
+            costs = poll_costs(t_poll)
             ref = reference.simulate_self_executing(
-                sched, dep, costs, keep_finish_times=True)
-        except DeadlockError:
-            # identity lists over a renumbered DAG can order an index
-            # before its dependence on the same processor; the
-            # simulator must agree it deadlocks.
-            with pytest.raises(DeadlockError):
-                simulate_self_executing(sched, dep, costs)
-            return
-        sim = simulate_self_executing(
-            sched, dep, costs, keep_finish_times=True)
-        assert_bit_identical(sim, ref)
+                sched, dep, costs, mode=mode, keep_finish_times=True)
+            with walk():
+                sim = simulate_self_executing(
+                    sched, dep, costs, mode=mode, keep_finish_times=True)
+            assert_bit_identical(sim, ref)
 
-    @given(backward_dags(max_n=30, unique=False), procs, st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_random_unit_work(self, dep, p, data):
-        """Arbitrary (even negative) work vectors stay bit-identical."""
-        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
-        w = np.random.default_rng(seed).uniform(-2.0, 5.0, dep.n)
-        sched = global_schedule(compute_wavefronts(dep), p)
-        ref = reference.simulate_self_executing(
-            sched, dep, MULTIMAX_320, unit_work=w, keep_finish_times=True)
-        sim = simulate_self_executing(
-            sched, dep, MULTIMAX_320, unit_work=w, keep_finish_times=True)
-        assert_bit_identical(sim, ref)
+        @given(general_dags(max_n=40, unique=False), sched_kinds, procs,
+               polls, st.data())
+        @settings(max_examples=40, deadline=None)
+        def test_general_graphs(self, dep, kind, p, t_poll, data):
+            sched = schedule_for(data.draw, dep, kind, p)
+            costs = poll_costs(t_poll)
+            try:
+                ref = reference.simulate_self_executing(
+                    sched, dep, costs, keep_finish_times=True)
+            except DeadlockError:
+                # identity lists over a renumbered DAG can order an index
+                # before its dependence on the same processor; the
+                # simulator must agree it deadlocks.
+                with pytest.raises(DeadlockError), walk():
+                    simulate_self_executing(sched, dep, costs)
+                return
+            with walk():
+                sim = simulate_self_executing(
+                    sched, dep, costs, keep_finish_times=True)
+            assert_bit_identical(sim, ref)
+
+        @given(backward_dags(max_n=30, unique=False), procs, st.data())
+        @settings(max_examples=30, deadline=None)
+        def test_random_unit_work(self, dep, p, data):
+            """Arbitrary (even negative) work vectors stay bit-identical."""
+            seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+            w = np.random.default_rng(seed).uniform(-2.0, 5.0, dep.n)
+            sched = global_schedule(compute_wavefronts(dep), p)
+            ref = reference.simulate_self_executing(
+                sched, dep, MULTIMAX_320, unit_work=w, keep_finish_times=True)
+            with walk():
+                sim = simulate_self_executing(
+                    sched, dep, MULTIMAX_320, unit_work=w,
+                    keep_finish_times=True)
+            assert_bit_identical(sim, ref)
+
+    return OracleProperties
+
+
+#: Each plan walked as its mean level width chooses.
+TestEnginesMatchOracle = oracle_properties(nullcontext)
+#: Every plan walked a level at a time: whole wavefronts, the sweep's
+#: levels, and identity orders one iteration a level.
+TestLevelWalkMatchesOracle = oracle_properties(level_walk)
 
 
 class TestBound:
@@ -134,13 +208,108 @@ class TestBound:
                                              + np.abs(w).sum())
 
 
+@contextmanager
+def chosen_level_walk():
+    """The plan's own choice, which must be the level walk."""
+    with walks_taken() as ran:
+        yield
+    assert ran == ["_run_levels"]
+
+
+class TestLevelWalk:
+    """Plans wide enough to choose the level walk themselves, and the
+    shapes at its edges: each result the event loop's and the oracle's,
+    in every bit."""
+
+    @staticmethod
+    def check(case, walk):
+        schedule, dep, costs, mode, unit_work = case
+        kw = dict(mode=mode, unit_work=unit_work, keep_finish_times=True)
+        with walk():
+            got = simulate_self_executing(schedule, dep, costs, **kw)
+        with event_loop():
+            loop = simulate_self_executing(schedule, dep, costs, **kw)
+        assert same_bits(got, loop)
+        assert same_bits(got, reference.simulate_self_executing(
+            schedule, dep, costs, **kw))
+        return got
+
+    @given(wide_simulations())
+    @settings(max_examples=25, deadline=None)
+    def test_wide_plans(self, case):
+        self.check(case, chosen_level_walk)
+
+    @pytest.mark.parametrize("kind,t_poll,signed_work", [
+        ("wrapped", 7.0, False),   # every wait rounded up to a poll quantum
+        ("local", 0.0, True),      # negative work: operands finish late
+        ("one", 0.7, True),        # all the work on one processor
+        ("greedy", 0.7, False),
+        ("drawn", 7.0, True),
+    ])
+    def test_dedicated_wide_cases(self, kind, t_poll, signed_work):
+        self.check(wide_case(3_000, 8, kind, t_poll, signed_work, "self",
+                             1989), chosen_level_walk)
+
+    @given(backward_dags(max_n=6, min_n=0, unique=False), sched_kinds,
+           st.integers(7, 16), polls, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fewer_iterations_than_processors(self, dep, kind, p, t_poll,
+                                              data):
+        """Empty loops and n < nproc: idle processors, empty lists."""
+        sched = schedule_for(data.draw, dep, kind, p)
+        self.check((sched, dep, poll_costs(t_poll), "self", None), level_walk)
+
+    @pytest.mark.parametrize("t_poll", [0.0, 0.7])
+    def test_every_item_waits(self, t_poll):
+        """The per-item chain from the first wait to the end of a run."""
+        width = 2_000
+        schedule, dep, unit_work = waiting_level(width)
+        costs = poll_costs(t_poll)
+        got = self.check((schedule, dep, costs, "self", unit_work),
+                         chosen_level_walk)
+        w = work_vector(dep, costs, "self", 2, unit_work)[width:]
+        second = got.finish[width:]
+        assert np.all(second - w > np.concatenate(([0.0], second[:-1])))
+
+    def test_negative_zero_work(self):
+        """Work of -0.0 (overheads of -0.0 on top of it): the loop's
+        running sums start from 0.0, so its busy times are +0.0."""
+        schedule, dep, costs, _, _ = wide_case(3_000, 4, "local", 0.0,
+                                               False, "self", 7)
+        costs = dataclasses.replace(costs, t_check=-0.0, t_inc=-0.0,
+                                    t_sched_access=-0.0)
+        case = (schedule, dep, costs, "self", np.full(dep.n, -0.0))
+        got = self.check(case, chosen_level_walk)
+        assert not np.signbit(got.busy).any()
+
+    @given(st.one_of(simulations(), wide_simulations()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bound_decides_as_the_loop_does(self, case, data):
+        """``None`` exactly when the event loop says ``None``."""
+        schedule, dep, costs, mode, unit_work = case
+        kw = dict(mode=mode, unit_work=unit_work, keep_finish_times=True)
+        with event_loop():
+            total = simulate_self_executing(schedule, dep, costs,
+                                            **kw).total_time
+        bound = data.draw(bounds_near(total))
+        with event_loop():
+            loop = simulate_self_executing(schedule, dep, costs, **kw,
+                                           bound=bound)
+        with level_walk():
+            got = simulate_self_executing(schedule, dep, costs, **kw,
+                                          bound=bound)
+        assert (got is None) == (loop is None)
+        assert got is None or same_bits(got, loop)
+
+
 class TestVectorLevelBody:
-    """Machines wider than any the ledger simulates: the event loop
-    must match the oracle there too."""
+    """Machines wider than any the ledger simulates: both walks must
+    match the oracle there too."""
 
     def test_wide_machine_levels(self):
         """nproc = 64 (Table 4's widest projection): genuinely wide
-        levels on both a wavefront-sorted and an identity schedule."""
+        levels on a wavefront-sorted schedule (the level walk) and an
+        identity one (the event loop)."""
         rng = np.random.default_rng(42)
         n, p = 4000, 64
         dep = DependenceGraph.from_indirection(rng.integers(0, n, n))
@@ -212,7 +381,7 @@ class TestEdgeCases:
             sched, small_lower_dep, MULTIMAX_320, keep_finish_times=True)
         assert_bit_identical(sim, ref)
         assert sim.total_idle == 0.0
-        order = sched.simulation_order(small_lower_dep)
+        order, _ = sched.simulation_levels(small_lower_dep)
         w = work_vector(small_lower_dep, MULTIMAX_320, "self", 1)
         assert np.array_equal(sim.finish[order], np.cumsum(w[order]))
 
