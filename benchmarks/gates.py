@@ -154,6 +154,28 @@ def test_cache_hit_compile_is_ten_times_a_cold_inspect(gate):
     assert warm.cache_stats.misses == 1   # every timed compile was a hit
 
 
+def test_a_persisted_cold_compile_is_nearly_an_in_memory_one(gate, tmp_path):
+    """Write-through on the Figure 3 workload: a cold compile under
+    ``cache_dir=`` against the same compile kept in memory.  The put
+    writes one uncompressed ``.npz`` of narrow arrays and does not
+    price — the price is written only if something already paid it.
+    Measured ≈ 1.5 (quartiles ≈ 1.4 .. 1.5); ≈ 12 while a put deflated a
+    zip of ``int64`` arrays and priced the inspection for a JSON
+    sidecar."""
+    n, nproc = 20_000, 8
+    ia = np.random.default_rng(1989).integers(0, n, size=n)
+
+    def cold(cache_dir=None):
+        loop = Runtime(nproc=nproc, cache_dir=cache_dir).compile(ia)
+        for entry in tmp_path.glob("*.npz"):
+            entry.unlink()              # so the next call is cold again
+        return loop
+
+    assert not cold(tmp_path).cache_hit and not cold(tmp_path).cache_hit
+    gate(f"persisted / in-memory cold compile, Figure 3 n={n}",
+         cold, lambda: cold(tmp_path), at_most=2.5, pairs=9, calls=3)
+
+
 def test_cold_speculative_beats_the_cold_inspector(gate):
     """Under 1 % conflicting iterations, declare + speculative compile +
     run beats declare + inspect + schedule + run end to end — and the

@@ -5,7 +5,8 @@
 # one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
-# one-inspector-owner, one-pricing-path, unbounded-oracle, one-backend-dispatch,
+# one-inspector-owner, one-pricing-path, plain-unpriced-put, unbounded-oracle,
+# one-backend-dispatch,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
 #
@@ -241,6 +242,20 @@ if [ -z "$from_line" ] || [ "$(echo "$pricing" | grep -c .)" -ne 1 ] \
               -v hi="${to_line:-0}" '$1 != file || $2 <= lo || $2 >= hi')" ]; then
     echo "$pricing"
     echo "error: price_inspection( must be called exactly once under src, from InspectionResult.costs" >&2
+    exit 1
+fi
+
+echo "== a put stores what it has: no zip, no pricing in the schedule store =="
+# An entry is one uncompressed .npz, so a restart reads it without
+# inflating anything; and a put writes the price only if something
+# already paid it (InspectionResult._costs), never by reading the lazy
+# property that pays.
+if grep -rn 'savez_compressed' src/repro/core src/repro/runtime --include='*.py'; then
+    echo "error: savez_compressed under src/repro/core or src/repro/runtime (entries are uncompressed)" >&2
+    exit 1
+fi
+if grep -nE '\.costs\b' src/repro/runtime/cache.py; then
+    echo "error: runtime/cache.py reads .costs (a put must not price)" >&2
     exit 1
 fi
 

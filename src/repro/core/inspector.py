@@ -80,10 +80,10 @@ class InspectorCosts:
 class InspectionResult:
     """Everything the inspector produced for one loop.
 
-    ``costs`` may be handed in (a disk load carries the price in its
-    sidecar); otherwise ``nproc``, ``owner`` (the initial assignment)
-    and ``machine_costs`` are kept and :attr:`costs` prices the
-    inspection on first read.
+    ``costs`` may be handed in (a disk entry priced before its put);
+    otherwise ``nproc``, ``owner`` (the initial assignment) and
+    ``machine_costs`` are kept, by a cold inspection and a disk load
+    alike, and :attr:`costs` prices the inspection on first read.
     """
 
     def __init__(self, dep: DependenceGraph, wavefronts: np.ndarray,

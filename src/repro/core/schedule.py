@@ -33,6 +33,7 @@ strings everywhere.
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "identity_schedule",
     "save_schedule_npz",
     "load_schedule_npz",
+    "read_schedule_npz",
 ]
 
 #: Valid ``balance=`` values of :func:`global_schedule` — also the
@@ -113,11 +115,7 @@ class Schedule:
         lengths = np.asarray(
             [lst.shape[0] for lst in self.local_order], dtype=np.int64
         )
-        flat = (
-            np.concatenate(self.local_order)
-            if lengths.sum()
-            else np.empty(0, dtype=np.int64)
-        )
+        flat = np.concatenate(self.local_order)   # nproc >= 1 int64 lists
         procs = np.repeat(np.arange(self.nproc, dtype=np.int64), lengths)
         return flat, procs, lengths
 
@@ -162,11 +160,7 @@ class Schedule:
     def flattened(self) -> np.ndarray:
         """All indices in (processor, position) order — the ``schedule``
         array the transformed loops of Figures 4/5 index into."""
-        return (
-            np.concatenate(self.local_order)
-            if self.n
-            else np.empty(0, dtype=np.int64)
-        )
+        return np.concatenate(self.local_order)
 
     def unsorted_processor(self, wfl: np.ndarray | None = None
                            ) -> int | None:
@@ -616,37 +610,65 @@ def _identity_adapter(wf, owner, nproc, *, balance="wrapped", weights=None):
 # Persistence — inspection is amortisable across *program runs* too
 # ----------------------------------------------------------------------
 
-def save_schedule_npz(path, schedule: Schedule) -> None:
+#: Layout number of a persisted schedule; a file without it is foreign.
+_NPZ_FORMAT = 2
+
+
+def save_schedule_npz(path, schedule: Schedule, meta=None, **arrays) -> None:
     """Persist a schedule so the inspector cost can be amortised across
     program runs (the PARTI-style "save the communication schedule"
-    pattern the paper's line of work grew into)."""
-    flat = schedule.flattened()
-    lengths = np.asarray(
-        [lst.shape[0] for lst in schedule.local_order], dtype=np.int64
-    )
-    np.savez_compressed(
-        path,
-        nproc=np.int64(schedule.nproc),
-        owner=schedule.owner,
-        flat=flat,
-        lengths=lengths,
-        wavefronts=schedule.wavefronts,
-        strategy=np.bytes_(schedule.strategy.encode()),
-    )
+    pattern the paper's line of work grew into): one uncompressed
+    ``.npz`` of a JSON ``meta`` header (plus the caller's ``meta``) and
+    one ``uint8`` ``payload`` packing the lists, their lengths, the
+    wavefronts and any extra integer ``arrays``, each at its narrowest
+    type.  The lists determine the owners, so those are not stored."""
+    parts = {"flat": schedule.flattened(),
+             "lengths": [lst.shape[0] for lst in schedule.local_order],
+             "wavefronts": schedule.wavefronts, **arrays}
+    layout, blobs = [], []
+    for name, a in parts.items():
+        a = np.asarray(a, dtype=np.int64)
+        ends = (a.min(), a.max()) if a.size else (0,)
+        dtype = np.result_type(*map(np.min_scalar_type, ends))
+        layout.append((name, dtype.str, a.size))
+        blobs.append(a.astype(dtype).view(np.uint8))
+    header = {"format": _NPZ_FORMAT, "n": schedule.n, "nproc": schedule.nproc,
+              "strategy": schedule.strategy, "layout": layout, **(meta or {})}
+    np.savez(path, meta=np.frombuffer(json.dumps(header).encode(), np.uint8),
+             payload=np.concatenate(blobs))
+
+
+def read_schedule_npz(path) -> tuple[Schedule, dict, dict]:
+    """``(schedule, header, extra arrays)`` of a :func:`save_schedule_npz`
+    file.  It is outside input: the schedule is re-validated, and every
+    array is a copy (none keeps the payload alive) — ``int64`` for the
+    schedule, wavefronts read-only as the inspector's, the extras at
+    their stored type."""
+    with np.load(path) as z:
+        header = json.loads(z["meta"].tobytes())
+        payload = z["payload"]
+    if header["format"] != _NPZ_FORMAT:
+        raise ValidationError(f"schedule file layout {header['format']!r}")
+    arrays, at = {}, 0
+    for name, dtype, size in header.pop("layout"):
+        dtype = np.dtype(dtype)
+        arrays[name] = np.frombuffer(payload, dtype, size, at)
+        at += size * dtype.itemsize
+    n, nproc = header["n"], header["nproc"]
+    flat, lengths, wavefronts = (arrays.pop(name).astype(np.int64) for name
+                                 in ("flat", "lengths", "wavefronts"))
+    if wavefronts.shape != (n,):
+        raise ValidationError("wavefronts do not match the schedule size")
+    wavefronts.setflags(write=False)
+    owner = np.zeros(n, dtype=np.int64)
+    owner[flat] = np.repeat(np.arange(nproc, dtype=np.int64), lengths)
+    schedule = Schedule(
+        nproc=nproc, owner=owner,
+        local_order=np.split(flat, np.cumsum(lengths)[:-1]),
+        wavefronts=wavefronts, strategy=header["strategy"])
+    return schedule, header, {name: a.copy() for name, a in arrays.items()}
 
 
 def load_schedule_npz(path) -> Schedule:
     """Load a schedule saved by :func:`save_schedule_npz` (re-validated)."""
-    with np.load(path) as z:
-        nproc = int(z["nproc"])
-        lengths = z["lengths"]
-        flat = z["flat"]
-        bounds = counts_to_indptr(lengths)
-        local = [flat[bounds[p] : bounds[p + 1]] for p in range(nproc)]
-        return Schedule(
-            nproc=nproc,
-            owner=z["owner"],
-            local_order=local,
-            wavefronts=z["wavefronts"],
-            strategy=bytes(z["strategy"]).decode(),
-        )
+    return read_schedule_npz(path)[0]

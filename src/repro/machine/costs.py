@@ -89,6 +89,11 @@ class MachineCosts:
     t_local_sort: float = 7.0
 
     # ------------------------------------------------------------------
+    def astuple(self) -> tuple:
+        """The field values the store keys hash: ``dataclasses.astuple``
+        (same ``repr``, every field a number) without its deep copy."""
+        return tuple(vars(self).values())
+
     def sync_cost(self, nproc: int) -> float:
         """Cost of one global barrier among ``nproc`` processors."""
         return self.t_sync_base + self.t_sync_per_proc * nproc

@@ -13,15 +13,15 @@ optionally, across *program runs*:
   so a repeated :meth:`Runtime.compile <repro.runtime.Runtime.compile>`
   of identical structure skips the wavefront sweep and the scheduling.
   The Table 5 price is no part of either compile: the entry's
-  :attr:`~repro.core.inspector.InspectionResult.costs` is computed on
-  its first read and memoised on the cached entry, so it is paid at
-  most once per entry, and only when something reads it;
-* on disk — optional ``.npz`` persistence through the existing
-  :func:`~repro.core.schedule.save_schedule_npz` /
-  :func:`~repro.core.schedule.load_schedule_npz` pair (the PARTI-style
-  "save the communication schedule" pattern), with the inspection
-  costs in a JSON sidecar: writing it reads them, so a persisted put
-  prices, and a warm start loads the price instead of computing it.
+  ``costs`` are computed on their first read and memoised on the
+  cached entry, so they are paid at most once per entry, and only when
+  something reads them;
+* on disk — optional persistence, one uncompressed ``.npz`` per entry
+  in the :func:`~repro.core.schedule.save_schedule_npz` layout (the
+  PARTI-style "save the communication schedule" pattern).  A put never
+  prices: it writes the price if something already paid it, and the
+  pricing inputs otherwise, so a warm start prices on first read
+  exactly as a cold inspection does.
 
 The fingerprint is the graph's memoized :meth:`structure digest
 <repro.core.dependence.DependenceGraph.digest>` plus the strategy
@@ -31,8 +31,6 @@ matter which arrays they were built from.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import itertools
 import json
 import os
@@ -107,9 +105,10 @@ class LruStoreBase:
     optional persistence directory.  :meth:`get` (memory → disk →
     miss), :meth:`put` and the locked, crash-safe disk write live here,
     so a fix to one store cannot be forgotten in the other; a subclass
-    supplies ``key_for`` and three format hooks — :meth:`_files` (what
-    files an entry is and how each is written), :meth:`_load` (how to
-    read one back) and :meth:`_served` (what a hit hands out).
+    supplies ``key_for``, the ``suffix`` of the one file an entry is,
+    and three format hooks — :meth:`_dump` (how to write one),
+    :meth:`_load` (how to read one back) and :meth:`_served` (what a
+    hit hands out).
 
     A store holds no session state: sessions sharing one go through
     :meth:`session_get` / :meth:`session_put`, which pass the session's
@@ -124,6 +123,10 @@ class LruStoreBase:
     metric_prefix = "cache"
     #: Which ``store`` faults target this store ("schedule"/"tuning").
     store_kind = "schedule"
+    #: An entry is the file ``<key><suffix>``; an injected partial
+    #: write leaves about ``junk_size`` junk bytes there.
+    suffix = ".npz"
+    junk_size = 4096
 
     def __init__(self, maxsize: int, persist_dir=None):
         if maxsize <= 0:
@@ -219,14 +222,13 @@ class LruStoreBase:
     # ------------------------------------------------------------------
     # Format hooks
     # ------------------------------------------------------------------
-    def _files(self, key: str) -> tuple:
-        """The files one entry is, in write order: ``(path, junk size
-        of an injected partial write, dump(value, tmp_path))`` each."""
+    def _dump(self, value, tmp: Path) -> None:
+        """Write one entry to ``tmp``."""
         raise NotImplementedError
 
-    def _load(self, paths, dep):
-        """The entry persisted at ``paths`` (all exist), or ``None``
-        for a stale or foreign-format one; raising marks it corrupt."""
+    def _load(self, path: Path, dep):
+        """The entry persisted at ``path`` (it exists), or ``None`` for
+        a stale or foreign-format one; raising marks it corrupt."""
         raise NotImplementedError
 
     def _served(self, entry):
@@ -237,53 +239,36 @@ class LruStoreBase:
     # Multi-writer persistence discipline
     # ------------------------------------------------------------------
     def _store_disk(self, key: str, value, faults) -> None:
-        files = self._files(key)
-        with self._locked():
-            if self._store_fault(faults, files):
+        path = self.persist_dir / f"{key}{self.suffix}"
+        # An advisory lock over the directory, held across this one
+        # store + index update.  Readers stay lock-free: every write
+        # lands by atomic rename, so a concurrent read sees the old
+        # entry or the new one, never a torn one.
+        with FileLock(self.persist_dir / ".lock") as lock:
+            if lock.waited > 0.0005:        # another writer held it
+                self.stats.lock_waits += 1
+                self.stats.lock_wait_seconds += lock.waited
+            if self._store_fault(faults, path):
                 return  # simulated crash mid-write; reads self-heal
             # Write-then-rename, so a crash mid-store never leaves a
             # truncated entry for a future run to trip on.
-            for path, _, dump in files:
-                tmp = self._tmp_path(path)
-                dump(value, tmp)
-                tmp.replace(path)
+            tmp = self._tmp_path(path)
+            self._dump(value, tmp)
+            tmp.replace(path)
             self._index_bump(key)
         self.stats.disk_stores += 1
 
     def _load_disk(self, key: str, dep):
-        paths = [path for path, _, _ in self._files(key)]
-        if not all(path.exists() for path in paths):
+        path = self.persist_dir / f"{key}{self.suffix}"
+        if not path.exists():
             return None
         try:
-            return self._load(paths, dep)
+            return self._load(path, dep)
         except Exception:
             # A corrupt or foreign file is a miss, not a crash — the
             # cold path recomputes and overwrites the bad entry.
             self.stats.disk_heals += 1
             return None
-
-    @contextlib.contextmanager
-    def _locked(self):
-        """Advisory inter-process lock over the persistence directory.
-
-        Held only across one store + index update (milliseconds).
-        Readers stay lock-free: every write lands via atomic rename,
-        so a concurrent read sees either the old or the new entry,
-        never a torn one.  Contention is surfaced through the
-        ``lock_waits`` counters.
-        """
-        if self.persist_dir is None:
-            yield
-            return
-        lock = FileLock(self.persist_dir / ".lock")
-        lock.acquire()
-        if lock.waited > 0.0005:
-            self.stats.lock_waits += 1
-            self.stats.lock_wait_seconds += lock.waited
-        try:
-            yield
-        finally:
-            lock.release()
 
     def _tmp_path(self, final: Path) -> Path:
         """A collision-free temp neighbour of ``final``: same dir, so
@@ -293,24 +278,22 @@ class LruStoreBase:
         return final.with_name(f"{final.name}.{os.getpid()}."
                                f"{next(self._tmp_seq)}.tmp{final.suffix}")
 
-    def _store_fault(self, faults, files) -> bool:
+    def _store_fault(self, faults, path: Path) -> bool:
         """Fire the writing session's armed partial write, if any.
 
         Simulates a crash *mid-write before the rename discipline
-        existed*: junk bytes land directly at the final path(s).  A
-        later read heals them as misses.  Returns True when a fault
-        consumed this store (the caller skips the real write).
+        existed*: junk bytes land directly at the final path.  A later
+        read heals them as misses.  Returns True when a fault consumed
+        this store (the caller skips the real write).
         """
         if faults is None:
             return False
         spec = faults.store_fault(self.store_kind)
         if spec is None:
             return False
-        for path, size, _ in files:
-            payload = (_CORRUPT_BYTES[: len(_CORRUPT_BYTES) // 2]
-                       if spec.mode == "truncate"
-                       else _CORRUPT_BYTES * max(1, size // len(_CORRUPT_BYTES)))
-            Path(path).write_bytes(payload)
+        path.write_bytes(
+            _CORRUPT_BYTES[: len(_CORRUPT_BYTES) // 2] if spec.mode == "truncate"
+            else _CORRUPT_BYTES * max(1, self.junk_size // len(_CORRUPT_BYTES)))
         return True
 
     def _index_path(self) -> Path:
@@ -375,19 +358,6 @@ class LruStoreBase:
                 f"misses={self.stats.misses})")
 
 
-def _dump_schedule(inspection, tmp: Path) -> None:
-    from ..core.schedule import save_schedule_npz  # deferred: import cycle
-
-    save_schedule_npz(tmp, inspection.schedule)
-
-
-def _dump_meta(inspection, tmp: Path) -> None:
-    tmp.write_text(json.dumps({
-        "strategy": inspection.strategy,
-        "costs": dataclasses.asdict(inspection.costs),
-    }))
-
-
 class ScheduleCache(LruStoreBase):
     """LRU cache of :class:`~repro.core.inspector.InspectionResult`.
 
@@ -403,7 +373,6 @@ class ScheduleCache(LruStoreBase):
     """
 
     metric_prefix = "schedule_cache"
-    store_kind = "schedule"
 
     def __init__(self, maxsize: int = 128, persist_dir=None):
         super().__init__(maxsize, persist_dir)
@@ -426,31 +395,39 @@ class ScheduleCache(LruStoreBase):
         """
         return structure_digest(params=(
             "schedule", dep.digest(), int(nproc), strategy, assignment,
-            balance, dataclasses.astuple(costs), tuple(versions)))
+            balance, costs.astuple(), tuple(versions)))
 
     # ------------------------------------------------------------------
-    # Format: the schedule as ``.npz``, the priced costs in a JSON sidecar
+    # Format: one ``<key>.npz`` in the save_schedule_npz layout, whose
+    # header adds the scheduler, the cost model and the price (or null,
+    # with the initial assignment in the payload to price from)
     # ------------------------------------------------------------------
-    def _files(self, key: str) -> tuple:
-        return ((self.persist_dir / f"{key}.npz", 4096, _dump_schedule),
-                (self.persist_dir / f"{key}.json", 256, _dump_meta))
+    def _dump(self, inspection, tmp: Path) -> None:
+        from ..core.schedule import save_schedule_npz  # deferred: import cycle
 
-    def _load(self, paths, dep):
+        # The price if something already paid it, else what pays it later.
+        priced = inspection._costs
+        save_schedule_npz(
+            tmp, inspection.schedule,
+            {"scheduler": inspection.strategy,
+             "machine_costs": vars(inspection.machine_costs),
+             "costs": None if priced is None else vars(priced)},
+            **({} if priced is not None else {"assignment": inspection.owner}))
+
+    def _load(self, path: Path, dep):
         from ..core.inspector import InspectionResult, InspectorCosts
-        from ..core.schedule import load_schedule_npz  # deferred: import cycle
+        from ..core.schedule import read_schedule_npz  # deferred: import cycle
+        from ..machine import MachineCosts
 
         if dep is None:
             return None
-        npz_path, meta_path = paths
-        schedule = load_schedule_npz(npz_path)
+        schedule, meta, arrays = read_schedule_npz(path)
         if schedule.n != dep.n:
             return None  # stale entry for a different structure
-        meta = json.loads(meta_path.read_text())
+        priced = meta["costs"]
         return InspectionResult(
-            dep=dep,
-            wavefronts=schedule.wavefronts,
-            schedule=schedule,
-            strategy=meta["strategy"],
-            costs=InspectorCosts(**meta["costs"]),
-            host_seconds=0.0,
-        )
+            dep, schedule.wavefronts, schedule, meta["scheduler"],
+            None if priced is None else InspectorCosts(**priced),
+            nproc=schedule.nproc,
+            owner=None if priced is not None else arrays["assignment"],
+            machine_costs=MachineCosts(**meta["machine_costs"]))

@@ -28,8 +28,6 @@ purely as a diagnostic breadcrumb.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..runtime.session import LoopPlan
 from ..util.digest import structure_digest
 from .executor import SpeculativeExecutor
@@ -54,7 +52,7 @@ def speculation_key(log: AccessLog, nproc: int, costs) -> str:
     the *workload*, not about which schedulers are registered.
     """
     return structure_digest(params=(
-        log.structure_id(), int(nproc), dataclasses.astuple(costs),
+        log.structure_id(), int(nproc), costs.astuple(),
         "speculate-v2"))
 
 

@@ -98,11 +98,6 @@ class TuningVerdict:
         return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
 
 
-def _dump_verdict(verdict: TuningVerdict, tmp) -> None:
-    tmp.write_text(json.dumps({"format": _FORMAT,
-                               "verdict": verdict.to_dict()}))
-
-
 class TuningStore(LruStoreBase):
     """LRU map from workload keys to :class:`TuningVerdict`.
 
@@ -118,6 +113,8 @@ class TuningStore(LruStoreBase):
     kind = "tuning store"
     metric_prefix = "tuning_store"
     store_kind = "tuning"
+    suffix = ".tuning.json"
+    junk_size = 256
 
     def __init__(self, maxsize: int = 64, persist_dir=None):
         super().__init__(maxsize, persist_dir)
@@ -134,17 +131,18 @@ class TuningStore(LruStoreBase):
         legitimately disagree, so they never share a verdict.
         """
         return structure_digest(params=(
-            "tuning", dep.digest(), int(nproc), dataclasses.astuple(costs),
+            "tuning", dep.digest(), int(nproc), costs.astuple(),
             space_digest, mode, _FORMAT))
 
     # ------------------------------------------------------------------
     # Format: one JSON file, the verdict under a layout number
     # ------------------------------------------------------------------
-    def _files(self, key: str) -> tuple:
-        return ((self.persist_dir / f"{key}.tuning.json", 256, _dump_verdict),)
+    def _dump(self, verdict: TuningVerdict, tmp) -> None:
+        tmp.write_text(json.dumps({"format": _FORMAT,
+                                   "verdict": verdict.to_dict()}))
 
-    def _load(self, paths, dep) -> TuningVerdict | None:
-        payload = json.loads(paths[0].read_text())
+    def _load(self, path, dep) -> TuningVerdict | None:
+        payload = json.loads(path.read_text())
         if payload.get("format") != _FORMAT:
             return None
         return TuningVerdict.from_dict(payload["verdict"])

@@ -12,6 +12,7 @@ from repro.core.wavefront import compute_wavefronts
 from repro.errors import ValidationError
 from repro.machine.simulator import sequential_time
 from repro.machine.costs import MULTIMAX_320
+from repro.runtime import ScheduleCache
 from repro.runtime.registry import partitioner_registry
 
 
@@ -185,9 +186,21 @@ class TestPricedOnRead:
         prog = figure3(400, seed=5)
         first = Runtime(nproc=4, cache_dir=tmp_path).compile(
             prog, scheduler="global")
-        assert priced == [400]            # the sidecar write read it
+        assert priced == []               # the put wrote the pricing inputs
         loaded = Runtime(nproc=4, cache_dir=tmp_path).compile(
             prog, scheduler="global")
         assert loaded.cache_hit
-        assert loaded.inspection.costs == first.inspection.costs
-        assert priced == [400]            # the load carried it
+        assert priced == []               # ... and the load read them
+        costs = loaded.inspection.costs
+        assert priced == [400]            # the first read prices, once
+        assert loaded.inspection.costs is costs
+        assert dataclasses.astuple(costs) == dataclasses.astuple(
+            first.inspection.costs)      # ... as the cold entry does
+        assert priced == [400, 400]
+        # An entry priced before its put carries the price to its load.
+        ScheduleCache(4, persist_dir=tmp_path / "priced").put(
+            "k", first.inspection)
+        carried = ScheduleCache(4, persist_dir=tmp_path / "priced").get(
+            "k", first.dep)
+        assert carried.costs == costs
+        assert priced == [400, 400]

@@ -4,8 +4,14 @@ Hit/miss accounting, LRU eviction, cross-run ``.npz`` persistence, and
 the amortisation counters surfaced through ``RunReport``.
 """
 
+import dataclasses
+import json
+import tempfile
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import LoopProgram, TuningStore
 from repro.core.dependence import DependenceGraph
@@ -19,6 +25,7 @@ from repro.speculate.loop import speculation_key
 from repro.tuning.measure import prefix_graph
 from repro.util.digest import structure_digest
 from repro.workload.generator import generate_workload
+from strategies import loop_programs, program_of
 
 
 @pytest.fixture()
@@ -65,6 +72,10 @@ class TestKeys:
         assert keys["tuning"] == "e36fbe47e6205f3744e6bf75bfff16a27458e5e7"
         assert keys["speculation"] == \
             "d8a668132a36c2da5fc1ba8103ed919f24dfbbd7"
+        # The keys hash the cost model's shallow field tuple, which
+        # reads as the deep-copying dataclasses.astuple always did.
+        for costs in (MULTIMAX_320, MachineCosts(t_work_base=1)):
+            assert repr(costs.astuple()) == repr(dataclasses.astuple(costs))
 
     def test_same_structure_same_key(self, case):
         _, _, ia = case
@@ -487,6 +498,106 @@ class TestSharedStoreSessions:
         assert cache.session_get("k", observer=None) == "entry"
         assert self.metrics(observed, "schedule_cache") == {"hits": 1}
         assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+
+def _arrays_of(inspection) -> dict:
+    """Every array a loop can reach through an inspection."""
+    schedule = inspection.schedule
+    arrays = {"wavefronts": inspection.wavefronts, "owner": schedule.owner,
+              "schedule.wavefronts": schedule.wavefronts}
+    arrays.update((f"local_order[{p}]", lst)
+                  for p, lst in enumerate(schedule.local_order))
+    return arrays
+
+
+def _cold_and_loaded(directory, program, nproc, **how):
+    """The inspection a cold compile persists, and a fresh session's
+    disk-served load of it."""
+    cold = Runtime(nproc=nproc, cache_dir=directory).compile(program, **how)
+    loaded = Runtime(nproc=nproc, cache_dir=directory).compile(program, **how)
+    assert (cold.cache_hit, loaded.cache_hit) == (False, True)
+    return cold.inspection, loaded.inspection
+
+
+class TestEntryLayout:
+    """An entry is one narrow, uncompressed ``.npz``, and what a load
+    hands out is what the cold inspection did: the same ``int64``
+    arrays under the same write flags, none a view of the file."""
+
+    def test_an_entry_is_one_uncompressed_npz(self, tmp_path):
+        Runtime(nproc=8, cache_dir=tmp_path).compile(program_of("simple", 500, 1))
+        entry, = (p for p in tmp_path.iterdir()
+                  if p.name not in ("index.json", ".lock"))
+        assert entry.suffix == ".npz"
+        with zipfile.ZipFile(entry) as z:
+            assert {info.compress_type for info in z.infolist()} == {
+                zipfile.ZIP_STORED}
+        with np.load(entry) as z:
+            assert sorted(z.files) == ["meta", "payload"]
+            assert z["payload"].dtype == np.uint8
+            # flat + wavefronts + the pricing inputs' assignment, narrow
+            assert z["payload"].nbytes < 500 * (2 + 2 + 1) + 8 * 8
+            assert json.loads(z["meta"].tobytes())["costs"] is None
+
+    @pytest.mark.parametrize("n,nproc", [(0, 4), (70_000, 4), (600, 300)])
+    def test_loaded_arrays_are_the_cold_int64_arrays(self, tmp_path, n, nproc):
+        cold, loaded = _cold_and_loaded(tmp_path, program_of("simple", n, 7),
+                                        nproc)
+        assert loaded.wavefronts is loaded.schedule.wavefronts
+        assert (loaded.schedule.nproc, loaded.schedule.strategy,
+                loaded.strategy) == (cold.schedule.nproc,
+                                     cold.schedule.strategy, cold.strategy)
+        expected = _arrays_of(cold)
+        for name, array in _arrays_of(loaded).items():
+            assert array.dtype == np.int64, name
+            assert np.array_equal(array, expected[name]), name
+            assert array.flags.writeable == expected[name].flags.writeable, name
+        with pytest.raises(ValueError):       # a stray write cannot land
+            loaded.wavefronts[:1] = 0
+        assert np.array_equal(loaded.owner, cold.owner)
+
+    @settings(max_examples=30, deadline=None)
+    @given(loop_programs(), st.integers(1, 9), st.sampled_from(
+        ({}, {"scheduler": "global"}, {"executor": "doacross"})))
+    def test_a_loaded_entry_holds_no_view_of_the_payload(self, program,
+                                                         nproc, how):
+        with tempfile.TemporaryDirectory() as directory:
+            cold, loaded = _cold_and_loaded(directory, program, nproc, **how)
+        arrays = _arrays_of(loaded)
+        arrays["assignment"] = loaded.owner
+        for name, array in arrays.items():
+            root = array
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            # A view into the file would have its uint8 blob at the root.
+            assert root is array or root.dtype != np.uint8, name
+        assert loaded.costs == cold.costs
+
+    def test_a_parent_layout_entry_heals_to_the_cold_result(self, tmp_path):
+        program = program_of("simple", 400, 3)
+        cold = Runtime(nproc=4, cache=None).compile(program)
+        Runtime(nproc=4, cache_dir=tmp_path).compile(program)
+        entry, = tmp_path.glob("*.npz")
+        schedule = cold.schedule
+        # The layout this store wrote before: a compressed zip of int64
+        # arrays beside a JSON sidecar holding the price.
+        np.savez_compressed(
+            entry, nproc=np.int64(schedule.nproc), owner=schedule.owner,
+            flat=schedule.flattened(),
+            lengths=np.array([lst.size for lst in schedule.local_order]),
+            wavefronts=schedule.wavefronts,
+            strategy=np.bytes_(schedule.strategy.encode()))
+        entry.with_suffix(".json").write_text(json.dumps({
+            "strategy": "local",
+            "costs": dataclasses.asdict(cold.inspection.costs)}))
+        rt = Runtime(nproc=4, cache_dir=tmp_path)
+        healed = rt.compile(program)
+        assert not healed.cache_hit
+        assert (rt.cache_stats.disk_heals, rt.cache_stats.disk_stores) == (1, 1)
+        for name, array in _arrays_of(healed.inspection).items():
+            assert array.tobytes() == _arrays_of(cold.inspection)[name].tobytes()
+        assert healed().x.tobytes() == cold().x.tobytes()
+        assert Runtime(nproc=4, cache_dir=tmp_path).compile(program).cache_hit
 
 
 @pytest.mark.parametrize("store_cls", [ScheduleCache, TuningStore])
