@@ -121,10 +121,10 @@ def test_inspector_beats_the_reference_sweep(gate, workload, n, at_most):
 
     def cold():
         # A cold inspection builds the successor CSR and the wavefront
-        # memo; clear both so every timed call sweeps again.
-        dep._succ_indptr = dep._succ_indices = None
-        dep._wavefronts = None
-        return compute_wavefronts(dep)
+        # memo on its graph; a fresh graph over the same read-only arrays
+        # (no copy) sweeps again on every timed call.
+        return compute_wavefronts(DependenceGraph(dep.indptr, dep.indices,
+                                                  dep.n, check_acyclic=False))
 
     np.testing.assert_array_equal(cold(), reference.compute_wavefronts(dep))
     gate(f"vectorized / reference wavefront sweep, {workload} n={n}",

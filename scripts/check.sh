@@ -6,7 +6,7 @@
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put, unbounded-oracle,
-# one-backend-dispatch,
+# one-backend-dispatch, structures-are-values,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
 #
@@ -248,14 +248,29 @@ fi
 echo "== a put stores what it has: no zip, no pricing in the schedule store =="
 # An entry is one uncompressed .npz, so a restart reads it without
 # inflating anything; and a put writes the price only if something
-# already paid it (InspectionResult._costs), never by reading the lazy
-# property that pays.
+# already paid it (a seeded InspectionResult.costs), never by reading the
+# lazy property that pays.
 if grep -rn 'savez_compressed' src/repro/core src/repro/runtime --include='*.py'; then
     echo "error: savez_compressed under src/repro/core or src/repro/runtime (entries are uncompressed)" >&2
     exit 1
 fi
 if grep -nE '\.costs\b' src/repro/runtime/cache.py; then
     echo "error: runtime/cache.py reads .costs (a put must not price)" >&2
+    exit 1
+fi
+
+echo "== structures are values: no array made writable, no memo set from outside =="
+# A graph, a schedule and an inspection own read-only arrays and memoise
+# their views as cached properties; a cached schedule is shared by every
+# loop and session, so nothing may make one writable or overwrite a memo.
+if grep -rnE 'setflags\(write\s*=\s*True|writeable\s*=\s*True' src --include='*.py'; then
+    echo "error: an array set writable under src" >&2
+    exit 1
+fi
+if grep -rnE '\b\w+\._(wavefronts|costs|digest|succ_\w+|edge_rows)\s*=[^=]' \
+        src tests benchmarks --include='*.py' \
+        | grep -vE '\bself\._(wavefronts|costs|digest|succ_\w+|edge_rows)\s*='; then
+    echo "error: a memo assigned from outside the value that owns it" >&2
     exit 1
 fi
 

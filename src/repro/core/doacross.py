@@ -67,7 +67,7 @@ class DoacrossExecutor(ClassicExecutor):
                                    wrapped_partition(schedule.n, nproc)))
 
     def _build_levels(self):
-        if (self.dep.all_backward()
+        if (self.dep.all_backward
                 and self.schedule.deps_cross_wavefronts(self.dep)):
             # Original order is legal for backward dependences (every
             # identity list ascends), so the loop cannot deadlock; its

@@ -52,7 +52,7 @@ from ..machine.simulator import (
 from ..machine.threads import ThreadedMachine
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import LevelGather, resolve_diagonal
-from ..util.validation import as_int_array, check_vector
+from ..util.validation import as_int_array, check_vector, read_only
 from .dependence import DependenceGraph
 
 __all__ = [
@@ -80,7 +80,8 @@ class LevelPlan:
 
     ``order[bounds[k]:bounds[k+1]]`` is level ``k``: no iteration in it
     depends on another, and everything it depends on sits in an earlier
-    level.  Depends on schedule and dependence structure only.
+    level.  Depends on schedule and dependence structure only; a plan an
+    executor keeps holds read-only arrays.
     """
 
     def __init__(self, order: np.ndarray, bounds: np.ndarray):
@@ -399,7 +400,7 @@ class UpperTriangularSolveKernel(_SubstitutionKernel):
         return DependenceGraph.from_upper_csr(self.u)
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.n - 1 - idx
+        return read_only(self.n - 1 - idx)
 
     def execute_index(self, k: int) -> None:
         i = self.n - 1 - k
@@ -471,7 +472,7 @@ class ClassicExecutor:
     def level_plan(self) -> LevelPlan:
         """The executor's plan, built on first use."""
         if self._levels is None:
-            self._levels = LevelPlan(*self._build_levels())
+            self._levels = LevelPlan(*map(read_only, self._build_levels()))
             self.plan_builds += 1
         return self._levels
 
@@ -610,7 +611,7 @@ class SerialExecutor:
         self.dep = dep
 
     def run(self, kernel: LoopKernel) -> np.ndarray:
-        if self.dep is not None and not self.dep.all_backward():
+        if self.dep is not None and not self.dep.all_backward:
             raise ScheduleError(
                 "original order is illegal: a dependence points forward"
             )

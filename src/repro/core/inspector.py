@@ -10,8 +10,8 @@ the machine model — the paper's Table 5 compares these costs
 (sequential sort, parallelized sort, global rearrangement, local
 scheduling) against the cost of one loop execution, because the
 inspector pays off only when amortised — is not paid by the inspection:
-:attr:`InspectionResult.costs` is computed on first read, from the
-pricing inputs the result keeps, and memoised on the result (so on the
+:attr:`InspectionResult.costs` is a cached property, computed on first
+read from the pricing inputs the result keeps (so memoised on the
 schedule-cache entry that holds it).  Reports, the tuner's winner and
 the Table 5 / Figure 1 drivers read it and pay; a plain compile and run
 does not.
@@ -33,6 +33,7 @@ Inspector cost accounting
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from ..runtime.registry import partitioner_registry, scheduler_registry
 from ..observe.tracer import maybe_span
 from ..sparse.csr import CSRMatrix
 from ..util.timing import Stopwatch
+from ..util.validation import read_only
 from .dependence import DependenceGraph
 from .partition import owner_from_assignment
 from .schedule import WEIGHT_SOURCES, Schedule, identity_schedule
@@ -78,7 +80,9 @@ class InspectorCosts:
 
 
 class InspectionResult:
-    """Everything the inspector produced for one loop.
+    """Everything the inspector produced for one loop: a value shared by
+    every loop that compiles the structure, over read-only arrays (a
+    writable ``wavefronts`` or ``owner`` the caller passes is copied).
 
     ``costs`` may be handed in (a disk entry priced before its put);
     otherwise ``nproc``, ``owner`` (the initial assignment) and
@@ -93,23 +97,22 @@ class InspectionResult:
                  owner: np.ndarray | None = None,
                  machine_costs: MachineCosts = MULTIMAX_320):
         self.dep = dep
-        self.wavefronts = wavefronts
+        self.wavefronts = read_only(np.asarray(wavefronts), wavefronts)
         self.schedule = schedule
         self.strategy = strategy
         #: Actual host seconds spent inspecting (for amortisation checks).
         self.host_seconds = host_seconds
         self.nproc = nproc
-        self.owner = owner
+        self.owner = None if owner is None else read_only(owner, owner)
         self.machine_costs = machine_costs
-        self._costs = costs
+        if costs is not None:
+            self.costs = costs
 
-    @property
+    @cached_property
     def costs(self) -> InspectorCosts:
         """The Table 5 price of this inspection, computed once."""
-        if self._costs is None:
-            self._costs = Inspector(self.machine_costs).price_inspection(
-                self.dep, self.wavefronts, self.nproc, self.owner)
-        return self._costs
+        return Inspector(self.machine_costs).price_inspection(
+            self.dep, self.wavefronts, self.nproc, self.owner)
 
     @property
     def num_wavefronts(self) -> int:
@@ -220,10 +223,8 @@ class Inspector:
             span.annotate(n=dep.n, edges=dep.num_edges)
             wf = compute_wavefronts(dep)
 
-            if owner is not None:
-                init_owner = owner_from_assignment(owner, nproc)
-            else:
-                init_owner = partition_fn(dep.n, nproc)
+            given = owner if owner is not None else partition_fn(dep.n, nproc)
+            init_owner = read_only(owner_from_assignment(given, nproc), given)
 
         kwargs = {"balance": balance}
         if isinstance(binding.get("weights"), str):

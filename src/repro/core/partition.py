@@ -23,7 +23,8 @@ OpenMP-style assignments extend the open strategy set:
   round-robin.  They give the :mod:`repro.tuning` search space its
   parameterized middle ground between ``wrapped`` and ``blocked``.
 
-All assignments are registered in the
+Each returns a fresh, read-only owner array that a schedule holds
+without a copy.  All are registered in the
 :data:`~repro.runtime.registry.partitioner_registry`, so user-defined
 partitions plug in with ``@register_partitioner("name")`` and become
 valid ``assignment=`` strings everywhere.
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..runtime.registry import register_partitioner
-from ..util.validation import check_positive
+from ..util.validation import check_positive, read_only
 
 __all__ = [
     "wrapped_partition",
@@ -60,7 +61,7 @@ def wrapped_partition(n: int, nproc: int) -> np.ndarray:
     nproc = check_positive(nproc, "nproc")
     if n < 0:
         raise ValidationError("n must be non-negative")
-    return np.arange(n, dtype=np.int64) % nproc
+    return read_only(np.arange(n, dtype=np.int64) % nproc)
 
 
 @register_partitioner("blocked")
@@ -78,7 +79,7 @@ def blocked_partition(n: int, nproc: int) -> np.ndarray:
     base, extra = divmod(n, nproc)
     sizes = np.full(nproc, base, dtype=np.int64)
     sizes[:extra] += 1
-    return np.repeat(np.arange(nproc, dtype=np.int64), sizes)
+    return read_only(np.repeat(np.arange(nproc, dtype=np.int64), sizes))
 
 
 @register_partitioner("chunked", param="chunk",
@@ -105,14 +106,14 @@ def chunked_partition(n: int, nproc: int, chunk: int = 16,
     if n < 0:
         raise ValidationError("n must be non-negative")
     chunk = -(-chunk // align) * align
-    return (np.arange(n, dtype=np.int64) // chunk) % nproc
+    return read_only((np.arange(n, dtype=np.int64) // chunk) % nproc)
 
 
 def _deal_chunks(sizes: list, n: int, nproc: int) -> np.ndarray:
     """Owner array from a chunk-size sequence dealt round-robin."""
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     chunk_ids = np.arange(sizes_arr.shape[0], dtype=np.int64) % nproc
-    return np.repeat(chunk_ids, sizes_arr)[:n]
+    return read_only(np.repeat(chunk_ids, sizes_arr)[:n])
 
 
 @register_partitioner("guided", params={"min": int})
@@ -185,7 +186,7 @@ def trapezoid_partition(n: int, nproc: int, first: int = 0,
     if n < 0:
         raise ValidationError("n must be non-negative")
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return read_only(np.empty(0, dtype=np.int64))
     if first == 0:
         first = max(-(-n // (2 * nproc)), 1)
     first = min_(first, n)

@@ -55,7 +55,7 @@ def compute_wavefronts(dep: DependenceGraph) -> np.ndarray:
     Visits the indices one at a time; requires every dependence to
     point to a smaller index so a single forward pass suffices.
     """
-    if not dep.all_backward():
+    if not dep.all_backward:
         raise StructureError(
             "sequential sweep requires backward-only dependences; "
             "use compute_wavefronts_general"

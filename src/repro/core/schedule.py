@@ -16,7 +16,9 @@ two schedulers (Section 2.3):
 :func:`identity_schedule` is the degenerate no-reordering schedule the
 plain ``doacross`` baseline runs.
 
-A schedule is also the one owner of "a legal order" of itself:
+A schedule is a frozen value over read-only arrays, so one cached
+schedule serves every loop that compiles its structure, and it is the
+one owner of "a legal order" of itself:
 :meth:`Schedule.execution_levels` (the executors' batched numeric
 order), :meth:`Schedule.simulation_levels` (what the machine simulator
 walks), :meth:`Schedule.toposort_plan` (the combined-DAG sweep alone)
@@ -35,13 +37,15 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import DeadlockError, ScheduleError, ValidationError
 from ..runtime.registry import register_scheduler
 from ..util.frontier import counts_to_indptr, expand_csr_ranges, frontier_sweep
-from ..util.validation import check_positive
+from ..util.digest import structure_digest
+from ..util.validation import check_positive, read_only
 from .partition import owner_from_assignment, wrapped_partition
 from .dependence import DependenceGraph
 
@@ -64,9 +68,13 @@ __all__ = [
 BALANCE_OPTIONS = ("wrapped", "greedy")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """A processor assignment plus per-processor execution orders.
+
+    A frozen value over read-only arrays (the lists are views of one
+    :attr:`flattened` copy; a writable ``owner`` or ``wavefronts`` is
+    copied once), hashed by identity.
 
     Attributes
     ----------
@@ -76,29 +84,39 @@ class Schedule:
         ``owner[i]`` is the processor that executes index ``i``.
     local_order:
         ``local_order[p]`` is processor ``p``'s index list, in
-        execution order.
+        execution order (a tuple).
     wavefronts:
         Wavefront number per index (inspector output the schedule was
         built from).
     strategy:
         Human-readable provenance (``"global"``, ``"local"``,
         ``"identity"``).
+    flattened, lengths:
+        All indices in (processor, position) order — the ``schedule``
+        array the transformed loops of Figures 4/5 index into — and the
+        length of each list.
     """
 
     nproc: int
     owner: np.ndarray
-    local_order: list = field(repr=False)
+    local_order: tuple = field(repr=False)
     wavefronts: np.ndarray = field(repr=False)
     strategy: str = "custom"
 
     def __post_init__(self):
-        self.nproc = check_positive(self.nproc, "nproc")
-        if len(self.local_order) != self.nproc:
+        nproc = check_positive(self.nproc, "nproc")
+        if len(self.local_order) != nproc:
             raise ValidationError(
-                f"local_order must have {self.nproc} lists, got {len(self.local_order)}"
+                f"local_order must have {nproc} lists, got {len(self.local_order)}"
             )
-        self.owner = owner_from_assignment(self.owner, self.nproc)
-        self.local_order = [np.asarray(lst, dtype=np.int64) for lst in self.local_order]
+        lists = [np.asarray(lst, dtype=np.int64) for lst in self.local_order]
+        flat = read_only(np.concatenate(lists))     # nproc >= 1 lists
+        cuts = [0, *np.cumsum([lst.shape[0] for lst in lists]).tolist()]
+        vars(self).update(   # frozen: the normalised fields, set once
+            nproc=nproc, flattened=flat, lengths=read_only(np.diff(cuts)),
+            owner=read_only(owner_from_assignment(self.owner, nproc), self.owner),
+            wavefronts=read_only(np.asarray(self.wavefronts), self.wavefronts),
+            local_order=tuple(flat[a:b] for a, b in zip(cuts, cuts[1:])))
         self.validate()
 
     # ------------------------------------------------------------------
@@ -110,24 +128,27 @@ class Schedule:
     def num_wavefronts(self) -> int:
         return int(self.wavefronts.max()) + 1 if self.n else 0
 
-    def _flat_with_procs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated local lists, their processor tags, list lengths."""
-        lengths = np.asarray(
-            [lst.shape[0] for lst in self.local_order], dtype=np.int64
-        )
-        flat = np.concatenate(self.local_order)   # nproc >= 1 int64 lists
-        procs = np.repeat(np.arange(self.nproc, dtype=np.int64), lengths)
-        return flat, procs, lengths
+    def _procs(self) -> np.ndarray:
+        """The processor of every :attr:`flattened` entry."""
+        return np.repeat(np.arange(self.nproc, dtype=np.int64), self.lengths)
+
+    @cached_property
+    def digest(self) -> str:
+        """Identity of the lists, which fix the owners, whatever objects
+        hold them — the tuner's :class:`~repro.tuning.measure.SharedSims`
+        key.  The wavefronts are the graph's, so they are left out."""
+        return structure_digest((self.flattened,),
+                                (self.nproc, tuple(self.lengths.tolist())))
 
     def validate(self) -> None:
         """Check the schedule is a consistent permutation of ``0..n-1``.
 
         One pass of whole-schedule numpy reductions (range, ownership,
-        coverage via ``bincount``) instead of a per-processor sweep —
+        coverage by one boolean scatter) instead of a per-processor sweep —
         semantically the per-processor
         :func:`repro.core.reference.validate_schedule`.
         """
-        flat, procs, _ = self._flat_with_procs()
+        flat, procs = self.flattened, self._procs()
         if flat.size and (flat.min() < 0 or flat.max() >= self.n):
             bad = (flat < 0) | (flat >= self.n)
             raise ScheduleError(
@@ -140,16 +161,17 @@ class Schedule:
                 f"processor {int(procs[np.argmax(mismatch)])}'s list "
                 "contains indices it does not own"
             )
-        times_scheduled = np.bincount(flat, minlength=self.n)
-        if np.any(times_scheduled > 1):
+        seen = np.zeros(self.n, dtype=bool)
+        seen[flat] = True
+        if flat.size > np.count_nonzero(seen):
             raise ScheduleError("an index appears on more than one processor")
         if flat.size != self.n:
-            missing = int(np.count_nonzero(times_scheduled == 0))
-            raise ScheduleError(f"{missing} indices are scheduled on no processor")
+            raise ScheduleError(
+                f"{self.n - flat.size} indices are scheduled on no processor")
 
     def position(self) -> np.ndarray:
         """``position[i]`` = rank of index ``i`` within its processor's list."""
-        flat, _, lengths = self._flat_with_procs()
+        flat, lengths = self.flattened, self.lengths
         pos = np.empty(self.n, dtype=np.int64)
         offsets = np.cumsum(lengths) - lengths
         pos[flat] = np.arange(flat.size, dtype=np.int64) - np.repeat(
@@ -157,26 +179,21 @@ class Schedule:
         )
         return pos
 
-    def flattened(self) -> np.ndarray:
-        """All indices in (processor, position) order — the ``schedule``
-        array the transformed loops of Figures 4/5 index into."""
-        return np.concatenate(self.local_order)
-
     def unsorted_processor(self, wfl: np.ndarray | None = None
                            ) -> int | None:
         """The first processor whose local list is not sorted by
         wavefront, or ``None`` when every list is — the one place that
         decides it (:meth:`phases`, the pre-scheduled executor and
         simulator, and the executors' shape probe all ask here).
-        ``wfl`` is ``wavefronts[flattened()]``, from a caller that
+        ``wfl`` is ``wavefronts[flattened]``, from a caller that
         already holds it."""
         if wfl is None:
-            wfl = self.wavefronts[self.flattened()]
+            wfl = self.wavefronts[self.flattened]
         drops = np.diff(wfl) < 0
         # A wavefront decrease is only legal where the processor
         # changes: from the last entry of one list to the first of the
         # next.  List ``p`` ends just before flat position ``ends[p]``.
-        ends = np.cumsum([lst.shape[0] for lst in self.local_order])
+        ends = np.cumsum(self.lengths)
         drops[ends[(ends > 0) & (ends < wfl.size)] - 1] = False
         if not drops.any():
             return None
@@ -201,7 +218,7 @@ class Schedule:
         """
         self.check_wavefront_sorted()
         nw = self.num_wavefronts
-        flat, procs, _ = self._flat_with_procs()
+        flat, procs = self.flattened, self._procs()
         wfs = self.wavefronts[flat]
         # ``(processor, wavefront)`` keys are non-decreasing along the
         # flattened schedule, so every phase cell is one searchsorted
@@ -233,21 +250,20 @@ class Schedule:
         wf = self.wavefronts
         return not (
             dep.num_edges
-            and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows()]))
+            and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows]))
         )
 
     def _wavefront_levels(
-        self, dep: DependenceGraph, flat: np.ndarray
+        self, dep: DependenceGraph
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """The shape probe: whole-wavefront batches when every local
         list is wavefront-sorted and every dependence crosses
         wavefronts — the shape the global/local schedulers produce,
-        proven legal by two array reductions — else ``None``.
-        ``flat`` is :meth:`flattened`, from a caller that holds it."""
-        wfl = self.wavefronts[flat]
+        proven legal by two array reductions — else ``None``."""
+        wfl = self.wavefronts[self.flattened]
         if (self.unsorted_processor(wfl) is None
                 and self.deps_cross_wavefronts(dep)):
-            return _wavefront_batches(flat, wfl)
+            return _wavefront_batches(self.flattened, wfl)
         return None
 
     def _sweep_levels(
@@ -276,7 +292,7 @@ class Schedule:
         indeg = dep.dep_counts().astype(np.int64)
         indeg += prev >= 0
 
-        succ_indptr, succ_indices = dep.successors()
+        succ_indptr, succ_indices = dep.successors
         dep_counts = np.diff(succ_indptr)
         has_nxt = nxt >= 0
         cindptr = counts_to_indptr(dep_counts + has_nxt)
@@ -312,7 +328,7 @@ class Schedule:
         sweep's (at most ``nproc``-wide) levels, which raises
         :class:`DeadlockError` on a cycle.
         """
-        plan = self._wavefront_levels(dep, self.flattened())
+        plan = self._wavefront_levels(dep)
         return plan if plan is not None else self._sweep_levels(dep)
 
     def simulation_levels(
@@ -328,15 +344,15 @@ class Schedule:
         dependences (identity / doacross schedules); the sweep's levels
         otherwise.  Raises :class:`DeadlockError` on a cycle.
         """
-        flat, procs, _ = self._flat_with_procs()
-        plan = self._wavefront_levels(dep, flat)
+        plan = self._wavefront_levels(dep)
         if plan is not None:
             return plan
+        flat, procs = self.flattened, self._procs()
         ascending_lists = not (
             flat.size > 1
             and bool(np.any((np.diff(flat) <= 0) & (procs[1:] == procs[:-1])))
         )
-        if ascending_lists and dep.all_backward():
+        if ascending_lists and dep.all_backward:
             return (np.arange(self.n, dtype=np.int64),
                     np.arange(self.n + 1, dtype=np.int64))
         return self._sweep_levels(dep)
@@ -427,7 +443,7 @@ def global_schedule(
         raise ValidationError(f"unknown balance strategy {balance!r}")
 
     local = _local_lists(owner, wf, nproc)
-    return Schedule(nproc=nproc, owner=owner, local_order=local,
+    return Schedule(nproc=nproc, owner=read_only(owner), local_order=local,
                     wavefronts=wf, strategy=f"global/{balance}")
 
 
@@ -622,8 +638,7 @@ def save_schedule_npz(path, schedule: Schedule, meta=None, **arrays) -> None:
     one ``uint8`` ``payload`` packing the lists, their lengths, the
     wavefronts and any extra integer ``arrays``, each at its narrowest
     type.  The lists determine the owners, so those are not stored."""
-    parts = {"flat": schedule.flattened(),
-             "lengths": [lst.shape[0] for lst in schedule.local_order],
+    parts = {"flat": schedule.flattened, "lengths": schedule.lengths,
              "wavefronts": schedule.wavefronts, **arrays}
     layout, blobs = [], []
     for name, a in parts.items():
@@ -641,9 +656,9 @@ def save_schedule_npz(path, schedule: Schedule, meta=None, **arrays) -> None:
 def read_schedule_npz(path) -> tuple[Schedule, dict, dict]:
     """``(schedule, header, extra arrays)`` of a :func:`save_schedule_npz`
     file.  It is outside input: the schedule is re-validated, and every
-    array is a copy (none keeps the payload alive) — ``int64`` for the
-    schedule, wavefronts read-only as the inspector's, the extras at
-    their stored type."""
+    array is a read-only copy (none keeps the payload alive) — the
+    schedule's ``int64`` as a cold inspection's are, the extras at their
+    stored type."""
     with np.load(path) as z:
         header = json.loads(z["meta"].tobytes())
         payload = z["payload"]
@@ -659,14 +674,14 @@ def read_schedule_npz(path) -> tuple[Schedule, dict, dict]:
                                  in ("flat", "lengths", "wavefronts"))
     if wavefronts.shape != (n,):
         raise ValidationError("wavefronts do not match the schedule size")
-    wavefronts.setflags(write=False)
     owner = np.zeros(n, dtype=np.int64)
     owner[flat] = np.repeat(np.arange(nproc, dtype=np.int64), lengths)
     schedule = Schedule(
-        nproc=nproc, owner=owner,
+        nproc=nproc, owner=read_only(owner),
         local_order=np.split(flat, np.cumsum(lengths)[:-1]),
-        wavefronts=wavefronts, strategy=header["strategy"])
-    return schedule, header, {name: a.copy() for name, a in arrays.items()}
+        wavefronts=read_only(wavefronts), strategy=header["strategy"])
+    return schedule, header, {name: read_only(a.copy())
+                              for name, a in arrays.items()}
 
 
 def load_schedule_npz(path) -> Schedule:

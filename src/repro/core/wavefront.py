@@ -15,17 +15,14 @@ Two evaluation strategies are provided:
   DAGs (used after renumbering).
 
 The paper computes the wavefront numbers once per structure and
-amortises them; :func:`compute_wavefronts` does the same per
-:class:`~repro.core.dependence.DependenceGraph` object: the first call
-sweeps and memoises the result on the graph, every later call — each
-candidate of a tuner search, each compile of the winner — returns that
-same array.  The memo is read-only (``flags.writeable = False``), so an
-accidental in-place write raises instead of corrupting every later
-schedule.  A tuner prefix of a backward-only graph is handed its slice
-of the parent's memo (:func:`repro.tuning.measure.prefix_graph`), so a
-cold search sweeps its structure once.  :func:`compute_wavefronts_general`
-is not memoised: it runs after renumbering, on graphs nothing asks
-twice, off the hot path.
+amortises them; so does :func:`compute_wavefronts`, which returns the
+graph's cached, read-only
+:attr:`~repro.core.dependence.DependenceGraph.wavefronts`: every tuner
+candidate and every compile of the winner reads one sweep, and a tuner
+prefix is seeded with its slice of the parent's
+(:func:`repro.tuning.measure.prefix_graph`).
+:func:`compute_wavefronts_general` is not memoised: it runs after
+renumbering, on graphs nothing asks twice, off the hot path.
 
 Both are evaluated with the vectorized frontier engine of
 :mod:`repro.util.frontier`: one numpy gather/scatter pass per
@@ -69,19 +66,10 @@ def compute_wavefronts(dep: DependenceGraph) -> np.ndarray:
     complete wavefront — which is semantically identical to the
     per-index sweep of :func:`repro.core.reference.compute_wavefronts`.
 
-    Memoised on ``dep``: the first call sweeps, later calls return the
-    same read-only array.
+    Memoised on ``dep`` (:attr:`DependenceGraph.wavefronts`): the first
+    call sweeps, later calls return the same read-only array.
     """
-    if not dep.all_backward():
-        raise StructureError(
-            "sequential sweep requires backward-only dependences; "
-            "use compute_wavefronts_general"
-        )
-    if dep._wavefronts is None:
-        wf = _frontier_wavefronts(dep)
-        wf.flags.writeable = False
-        dep._wavefronts = wf
-    return dep._wavefronts
+    return dep.wavefronts
 
 
 def compute_wavefronts_general(dep: DependenceGraph) -> np.ndarray:
@@ -93,7 +81,7 @@ def _frontier_wavefronts(dep: DependenceGraph) -> np.ndarray:
     counts = dep.dep_counts()
     if dep.num_edges and counts.max() <= 1:
         return _single_pred_wavefronts(dep, counts)
-    succ_indptr, succ_indices = dep.successors()
+    succ_indptr, succ_indices = dep.successors
     wf, _, visited = frontier_sweep(
         succ_indptr, succ_indices, counts.astype(np.int64), dep.n
     )

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..core.dependence import DependenceGraph
 from ..util.frontier import counts_to_indptr
+from ..util.validation import read_only
 from .descriptors import serial_events
 
 __all__ = ["extract_statement_dependences"]
@@ -164,7 +165,8 @@ def extract_statement_dependences(
     big_n = n * num_stmts
     reads = _by_array(stmt_accesses, 0)
 
-    dst_parts, src_parts = [], []
+    none = np.empty(0, dtype=np.int64)
+    dst_parts, src_parts = [none], [none]
     adj = np.zeros((num_stmts, num_stmts), dtype=bool)
     for name, w_accs in _by_array(stmt_accesses, 1).items():
         r_pos, r_el = serial_events(n, reads.get(name, ()), num_stmts)
@@ -212,11 +214,6 @@ def extract_statement_dependences(
                 if before.any():
                     adj[a, b] = True
 
-    if not dst_parts:
-        dep = DependenceGraph(np.zeros(n + 1, dtype=np.int64),
-                              np.empty(0, dtype=np.int64), n,
-                              check_acyclic=False)
-        return dep, adj
     dst = np.concatenate(dst_parts) // num_stmts
     src = np.concatenate(src_parts) // num_stmts
     keep = dst != src  # intra-iteration order is the kernel's job
@@ -228,4 +225,5 @@ def extract_statement_dependences(
         uniq = _distinct(dst * np.int64(n) + src)
         dst, src = uniq // n, uniq % n
     indptr = counts_to_indptr(np.bincount(dst, minlength=n))
-    return DependenceGraph(indptr, src, n, check_acyclic=False), adj
+    return (DependenceGraph(read_only(indptr), read_only(src), n,
+                            check_acyclic=False), adj)

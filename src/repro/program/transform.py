@@ -39,6 +39,7 @@ from ..errors import ValidationError
 from ..machine.simulator import SimResult
 from ..resilience.recovery import RecoveryRecord
 from ..runtime.session import LoopPlan
+from ..util.validation import read_only
 from .binding import LoopProgram
 from .descriptors import Statement
 
@@ -144,7 +145,8 @@ class MappedKernel(LoopKernel):
         return (*self.inner.gather_key(), self._forward)
 
     def compile_levels(self, levels):
-        mapped = LevelPlan(self._forward[levels.order], levels.bounds)
+        mapped = LevelPlan(read_only(self._forward[levels.order]),
+                           levels.bounds)
         return mapped, self.inner.compile_levels(mapped)
 
     def execute_levels(self, levels, gather, lo=0, hi=None) -> None:
@@ -363,7 +365,7 @@ def skew(prog: LoopProgram) -> Variant | None:
     dep = prog.dependence_graph()
     if dep.num_edges:
         inv = imap.inverse
-        dst = dep.edge_rows()
+        dst = dep.edge_rows
         src = dep.indices
         if np.any(inv[src] >= inv[dst]):
             return None

@@ -394,7 +394,7 @@ class ScheduleCache(LruStoreBase):
         implementation built.
         """
         return structure_digest(params=(
-            "schedule", dep.digest(), int(nproc), strategy, assignment,
+            "schedule", dep.digest, int(nproc), strategy, assignment,
             balance, costs.astuple(), tuple(versions)))
 
     # ------------------------------------------------------------------
@@ -406,7 +406,7 @@ class ScheduleCache(LruStoreBase):
         from ..core.schedule import save_schedule_npz  # deferred: import cycle
 
         # The price if something already paid it, else what pays it later.
-        priced = inspection._costs
+        priced = vars(inspection).get("costs")
         save_schedule_npz(
             tmp, inspection.schedule,
             {"scheduler": inspection.strategy,

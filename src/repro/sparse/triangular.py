@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import StructureError
 from ..util.frontier import counts_to_indptr, expand_csr_ranges
-from ..util.validation import check_square, check_vector
+from ..util.validation import check_square, check_vector, read_only
 from .csr import CSRMatrix
 
 __all__ = [
@@ -146,7 +146,8 @@ class LevelGather:
     ``pos`` (CSR position, so values are gathered from whatever ``data``
     is current), ``cols`` (operand column) and ``local`` (the row's slot
     inside its level).  Nothing here depends on matrix or right-hand
-    side *values*, so one plan serves every solve on the structure.
+    side *values*, so one plan serves every solve on the structure; the
+    arrays it builds are read-only, and ``rows`` is held as given.
     """
 
     __slots__ = ("rows", "pos", "cols", "local", "row_bounds",
@@ -165,10 +166,11 @@ class LevelGather:
         if not strict.all():
             pos, slot, cols = pos[strict], slot[strict], cols[strict]
         self.rows = rows
-        self.pos = pos
-        self.cols = cols
+        self.pos = read_only(pos)
+        self.cols = read_only(cols)
         # ``slot`` is non-decreasing, so a level's entries are one slice.
-        self.local = slot - np.repeat(bounds[:-1], np.diff(bounds))[slot]
+        self.local = read_only(
+            slot - np.repeat(bounds[:-1], np.diff(bounds))[slot])
         self.row_bounds: list = bounds.tolist()
         self.entry_bounds: list = np.searchsorted(slot, bounds).tolist()
 

@@ -85,7 +85,7 @@ class AccessLog:
         """Identity of the structure behind the events.
 
         The source's own memoised identity — a program's
-        ``structure_hash()``, a graph's ``digest()`` — asked for here,
+        ``structure_hash()``, a graph's ``digest`` — asked for here,
         not while logging, so a compile that never keys the log never
         hashes.  Either covers everything the events were derived from,
         so equal ids imply equal events; a hand-built log digests its
@@ -98,7 +98,7 @@ class AccessLog:
                 (self.n, self.n_elements))
         if getattr(source, "__loop_program__", False):
             return "program:" + source.structure_hash()
-        return "graph:" + source.digest()
+        return "graph:" + source.digest
 
     @property
     def num_events(self) -> int:
@@ -162,7 +162,7 @@ class AccessLog:
         return cls(
             n=n,
             n_elements=n,
-            read_it=dep.edge_rows().astype(np.int64, copy=False),
+            read_it=dep.edge_rows.astype(np.int64, copy=False),
             read_el=dep.indices.astype(np.int64, copy=False),
             write_it=ident, write_el=ident,
             identity_writes=True,

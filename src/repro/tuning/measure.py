@@ -25,6 +25,7 @@ from ..core.dependence import DependenceGraph
 from ..core.wavefront import compute_wavefronts
 from ..errors import ReproError
 from ..util.frontier import counts_to_indptr
+from ..util.validation import read_only
 from .space import CandidateSpec
 
 __all__ = ["Measurement", "prefix_graph", "simulate_spec"]
@@ -60,17 +61,18 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
         return dep
     end = int(dep.indptr[m])
     indices = dep.indices[:end]
-    if dep.all_backward():
+    if dep.all_backward:
         prefix = DependenceGraph(dep.indptr[: m + 1], indices, m,
-                                 check_acyclic=False)
-        prefix._wavefronts = compute_wavefronts(dep)[:m]
+                                 check_acyclic=False)   # read-only views
+        vars(prefix)["wavefronts"] = compute_wavefronts(dep)[:m]  # the memo
         return prefix
     # The first m rows own exactly the first `end` edges, so their row
-    # tags are a prefix of the graph's cached edge_rows().
-    rows = dep.edge_rows()[:end]
+    # tags are a prefix of the graph's cached edge_rows.
+    rows = dep.edge_rows[:end]
     keep = indices < m
     indptr = counts_to_indptr(np.bincount(rows[keep], minlength=m))
-    return DependenceGraph(indptr, indices[keep], m, check_acyclic=False)
+    return DependenceGraph(read_only(indptr), read_only(indices[keep]), m,
+                           check_acyclic=False)
 
 
 class SharedSims:
@@ -83,11 +85,9 @@ class SharedSims:
     exact makespan, or a bound a cut simulation proved it exceeds.
     What is shared is the makespan, never the score — each candidate
     adds its own amortised inspection.  Graph, ``unit_work`` and cost
-    model are fixed within a rung, so the schedule is the key: owner
-    and flattened lists fix the lists, the wavefronts the pre-scheduled
-    phases.  An entry is found by a hash of the lists and holds the
-    schedule itself, compared in full on a hit — no key bytes are
-    kept.
+    model are fixed within a rung — and with the graph its wavefronts,
+    which fix the pre-scheduled phases — so the schedule's lists are the
+    key: its :attr:`~repro.core.schedule.Schedule.digest`.
     """
 
     def __init__(self):
@@ -99,29 +99,20 @@ class SharedSims:
     def makespan(self, executor, unit_work, bound: float) -> float | None:
         """``executor``'s simulated makespan, or ``None`` when it
         provably exceeds ``bound``."""
-        s = executor.schedule
-        key = (executor.mode,
-               hash((s.owner.tobytes(), s.flattened().tobytes())))
+        key = (executor.mode, executor.schedule.digest)
         known = self._known.get(key)
-        if known is not None and _same_schedule(known[0], s):
-            _, value, exact = known
+        if known is not None:
+            value, exact = known
             if exact or bound <= value:
                 self.shared += 1
                 return value if exact else None
         sim = executor.simulate(unit_work=unit_work, bound=bound)
         if sim is None:
             self.cut += 1
-            self._known[key] = (s, bound, False)
+            self._known[key] = (bound, False)
             return None
-        self._known[key] = (s, sim.total_time, True)
+        self._known[key] = (sim.total_time, True)
         return sim.total_time
-
-
-def _same_schedule(a, b) -> bool:
-    """Same lists and same wavefronts."""
-    return a is b or all(np.array_equal(x, y) for x, y in (
-        (a.owner, b.owner), (a.flattened(), b.flattened()),
-        (a.wavefronts, b.wavefronts)))
 
 
 def _makespan_bound(bound: float, amortised: float) -> float:

@@ -131,7 +131,7 @@ class TuningStore(LruStoreBase):
         legitimately disagree, so they never share a verdict.
         """
         return structure_digest(params=(
-            "tuning", dep.digest(), int(nproc), costs.astuple(),
+            "tuning", dep.digest, int(nproc), costs.astuple(),
             space_digest, mode, _FORMAT))
 
     # ------------------------------------------------------------------

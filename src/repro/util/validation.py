@@ -27,6 +27,7 @@ __all__ = [
     "check_timeout",
     "check_unit_work",
     "check_vector",
+    "read_only",
 ]
 
 
@@ -65,6 +66,17 @@ def check_index_array(a, n: int, name: str = "indices") -> np.ndarray:
             f"[{arr.min()}, {arr.max()}]"
         )
     return arr
+
+
+def read_only(a: np.ndarray, given=None) -> np.ndarray:
+    """``a`` with writes refused, for a value to hold — a read-only copy
+    while ``a`` is still the writable memory of ``given``, an array the
+    caller passed and may write again."""
+    if a.flags.writeable:
+        if given is not None and (a is given or np.may_share_memory(a, given)):
+            a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def check_positive(value, name: str = "value") -> int:

@@ -72,7 +72,7 @@ def general_dags(draw, max_n=50, unique=True):
     cycle."""
     base = draw(backward_dags(max_n=max_n, unique=unique))
     perm = np.random.default_rng(draw(seeds)).permutation(base.n)
-    edges = np.column_stack((perm[base.edge_rows()], perm[base.indices]))
+    edges = np.column_stack((perm[base.edge_rows], perm[base.indices]))
     return DependenceGraph.from_edges(edges, base.n)
 
 
@@ -88,7 +88,7 @@ def poll_costs(t_poll: float) -> MachineCosts:
 def schedule_for(draw, dep, kind: str, nproc: int):
     """A ``"global"``, ``"local"`` (drawn owners) or ``"identity"``
     schedule of ``dep`` (``draw`` is a hypothesis draw)."""
-    wf = (compute_wavefronts(dep) if dep.all_backward()
+    wf = (compute_wavefronts(dep) if dep.all_backward
           else compute_wavefronts_general(dep))
     if kind == "global":
         return global_schedule(wf, nproc)

@@ -120,8 +120,8 @@ class TestModelProblemClass:
         edges = [(iy * m + ix, iy * m + ix - back)
                  for iy in range(n) for ix in range(m)
                  for back, inside in ((m, iy > 0), (1, ix > 0)) if inside]
-        assert (ModelProblem(m, n).dependence_graph().digest()
-                == DependenceGraph.from_edges(edges, m * n).digest())
+        assert (ModelProblem(m, n).dependence_graph().digest
+                == DependenceGraph.from_edges(edges, m * n).digest)
 
     def test_wavefronts_are_antidiagonals(self):
         mp = ModelProblem(5, 7)

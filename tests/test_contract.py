@@ -9,7 +9,10 @@ of the tuner's space plus ``auto`` and ``speculative``, the serial, sim
 and threads backends under an optional fault seam — and pins the
 inputs that once broke it as ``@example`` cases.  Other suites call
 :func:`assert_contract` on their own named inputs.  The second
-property states what the schedule store promises: equal
+property states that what a compile caches is a value: no array its
+plan holds can be written, so neither the caller's buffers nor a write
+through one loop reach a later compile of the structure.  The third
+states what the schedule store promises: equal
 structure shares one entry, an edit gets a new one, an entry survives a
 restart, and sessions sharing a store and a fault plan count only their
 own traffic.
@@ -18,6 +21,7 @@ own traffic.
 with ``--hypothesis-seed``).
 """
 
+import contextlib
 import dataclasses
 import os
 import tempfile
@@ -27,16 +31,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import FaultPlan, LoopProgram, Runtime
-from repro.core.executor import SerialExecutor
+from repro.core.dependence import DependenceGraph
+from repro.core.executor import LevelPlan, SerialExecutor
+from repro.core.inspector import InspectionResult
+from repro.core.schedule import Schedule
 from repro.errors import ValidationError
 from repro.resilience import RetryPolicy
 from repro.runtime import ScheduleCache
+from repro.sparse.triangular import LevelGather
 from repro.tuning import CandidateSpec, enumerate_space
 from strategies import (
     choices,
     generated_program,
     ilu_upper_program,
     loop_programs,
+    program_of,
     tiers,
     triangular,
 )
@@ -176,6 +185,90 @@ TWO_ARRAYS = generated_program(6, 1, False, [
 def test_every_program_strategy_and_tier_computes_the_serial_loop(
         program, raw, nproc, choice, tier):
     assert_contract(program, choice, nproc=nproc, raw=raw, tier=tier)
+
+
+# ----------------------------------------------------------------------
+# Structures are values
+# ----------------------------------------------------------------------
+
+STRUCTURES = (DependenceGraph, Schedule, InspectionResult, LevelPlan,
+              LevelGather)
+
+
+def structure_arrays(value):
+    """Every array held by the structure values in ``value`` — graphs,
+    schedules, inspections, level and gather plans, and what they
+    memoise — but no kernel's data."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from structure_arrays(item)
+    elif isinstance(value, STRUCTURES):
+        held = (vars(value) if hasattr(value, "__dict__")
+                else {name: getattr(value, name) for name in value.__slots__})
+        for item in held.values():
+            yield from structure_arrays(item)
+
+
+def scheduled_plans(loop):
+    plans = ([stage.plan for stage in loop.stage_loops]
+             if loop.plan.kind == "staged" else [loop.plan])
+    return [plan for plan in plans if plan.kind == "scheduled"]
+
+
+def plan_arrays(loop) -> list:
+    """The arrays of every scheduled plan of ``loop``: its inspection,
+    the executor's schedule, graph, level plan and gather plan."""
+    return [a for plan in scheduled_plans(loop) for a in structure_arrays((
+        plan.inspection, plan.executor.schedule, plan.executor.dep,
+        plan.executor._levels, (plan.executor._gather or (None, None))[1]))]
+
+
+#: A caller compiles its own CSR buffers, then refills them: a later
+#: compile of the original structure used to hit the cache and get the
+#: refilled graph — wrong numbers.
+REFILLED = dict(program=program_of("simple", 12, 3), nproc=4, raw=True,
+                choice=CandidateSpec("self", "local", "wrapped"))
+#: Two compiles of one structure share one schedule, whose lists used to
+#: be writable: reversing one through the first loop made the next
+#: compile of the structure deadlock.
+REVERSED = dict(program=program_of("simple", 12, 3), nproc=1, raw=False,
+                choice=CandidateSpec("self", "local", "wrapped"))
+
+
+@given(program=loop_programs(), nproc=st.integers(1, 6), choice=choices,
+       raw=st.booleans())
+@example(**REFILLED)
+@example(**REVERSED)
+@settings(max_examples=40, deadline=None)
+def test_a_compiled_structure_is_a_value(program, nproc, choice, raw):
+    """Compile a program (or, ``raw``, a graph over the caller's own
+    buffers) and run it; then refill the buffers (or write through the
+    loop's schedule lists) and compile the original structure again:
+    bitwise the serial loop, and every plan array is read-only."""
+    runtime, compile_options = options(choice, program.n, nproc)
+    rt = Runtime(nproc, **runtime)
+    kernel = program.make_kernel() if raw else None
+    dep = program.dependence_graph()
+    indptr, indices = dep.indptr.copy(), dep.indices.copy()
+    want = serial(program)
+    first = rt.compile(DependenceGraph(indptr, indices, dep.n) if raw
+                       else program, **compile_options)
+    run(first, kernel, "serial", want)
+    if raw:     # the caller reuses the buffers it compiled ...
+        for buffer in (indptr, indices):
+            buffer[:] = buffer[::-1].copy()
+    else:       # ... or writes through the loop's schedule
+        for plan in scheduled_plans(first):
+            for lst in plan.inspection.schedule.local_order:
+                with contextlib.suppress(ValueError):
+                    lst[:] = lst[::-1].copy()
+    again = rt.compile(DependenceGraph(dep.indptr, dep.indices, dep.n) if raw
+                       else program, **compile_options)
+    run(again, kernel, "serial", want)
+    assert not [a for loop in (first, again) for a in plan_arrays(loop)
+                if a.flags.writeable]
 
 
 # ----------------------------------------------------------------------

@@ -80,11 +80,11 @@ class TestFromEdges:
     def test_basic(self):
         dep = DependenceGraph.from_edges([(2, 0), (2, 1), (1, 0)], 3)
         assert list(dep.deps(2)) == [0, 1]
-        assert dep.all_backward()
+        assert dep.all_backward
 
     def test_forward_edges_allowed_if_acyclic(self):
         dep = DependenceGraph.from_edges([(0, 2)], 3)
-        assert not dep.all_backward()
+        assert not dep.all_backward
         assert list(dep.deps(0)) == [2]
 
     def test_cycle_detected(self):
@@ -102,7 +102,7 @@ class TestFromEdges:
 
 class TestSuccessors:
     def test_successors_invert_deps(self, small_lower_dep):
-        succ_indptr, succ_indices = small_lower_dep.successors()
+        succ_indptr, succ_indices = small_lower_dep.successors
         # Rebuild dependence pairs from both directions and compare.
         fwd = set()
         for i in range(small_lower_dep.n):
@@ -115,8 +115,8 @@ class TestSuccessors:
         assert fwd == bwd
 
     def test_cached(self, small_lower_dep):
-        a = small_lower_dep.successors()
-        b = small_lower_dep.successors()
+        a = small_lower_dep.successors
+        b = small_lower_dep.successors
         assert a[0] is b[0]
 
 

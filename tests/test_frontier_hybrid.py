@@ -20,7 +20,7 @@ from repro.util.frontier import counts_to_indptr, frontier_sweep
 
 def sweep_of(dep):
     """Run the shared engine exactly as the wavefront computation does."""
-    succ_indptr, succ_indices = dep.successors()
+    succ_indptr, succ_indices = dep.successors
     return frontier_sweep(succ_indptr, succ_indices,
                           dep.dep_counts().astype(np.int64), dep.n)
 

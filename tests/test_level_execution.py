@@ -8,6 +8,8 @@ depend on structure alone, so data-only rebinds build none.  Nothing
 here asserts a timing.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,8 +208,8 @@ class TestEdgeCases:
 
     def test_cyclic_unsorted_schedule_still_deadlocks(self):
         dep = DependenceGraph.from_edges([(1, 0), (2, 0), (3, 1), (3, 2)], 4)
-        schedule = identity_schedule(compute_wavefronts(dep), 1)
-        schedule.local_order[0] = np.array([3, 0, 1, 2])
+        schedule = replace(identity_schedule(compute_wavefronts(dep), 1),
+                           local_order=[np.array([3, 0, 1, 2])])
         ex = SelfExecutingExecutor(schedule, dep)
         kernel = GenericLoopKernel(4, lambda i: None)
         for call in (ex.execution_order, ex.simulate,

@@ -322,7 +322,7 @@ class TestSkew:
         # Legality: every dependence still points backward.
         inv = stage.imap.inverse
         dep = prog.dependence_graph()
-        assert np.all(inv[dep.indices] < inv[dep.edge_rows()])
+        assert np.all(inv[dep.indices] < inv[dep.edge_rows])
 
     def test_skewed_execution_matches_serial(self):
         rng = np.random.default_rng(10)

@@ -2,6 +2,7 @@
 
 import heapq
 import multiprocessing as mp
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,9 +209,9 @@ class TestScheduleQueries:
 
     def test_phases_reject_unsorted(self, chain_case):
         dep, wf = chain_case
-        sched = identity_schedule(wf, 1, owner=np.zeros(6, dtype=np.int64))
-        # Force an unsorted-by-wavefront list.
-        sched.local_order[0] = np.array([3, 0, 1, 2, 4, 5])
+        # An unsorted-by-wavefront list.
+        sched = replace(identity_schedule(wf, 1),
+                        local_order=[np.array([3, 0, 1, 2, 4, 5])])
         with pytest.raises(ScheduleError):
             sched.phases()
 
@@ -228,21 +229,21 @@ class TestScheduleQueries:
 
     def test_illegal_self_executing(self, chain_case):
         dep, wf = chain_case
-        sched = identity_schedule(wf, 1, owner=np.zeros(6, dtype=np.int64))
-        sched.local_order[0] = np.array([3, 0, 1, 2, 4, 5])  # 3 before its deps
+        sched = replace(identity_schedule(wf, 1),  # 3 before its deps
+                        local_order=[np.array([3, 0, 1, 2, 4, 5])])
         assert not sched.is_legal_self_executing(dep)
 
     def test_flattened(self, chain_case):
         _, wf = chain_case
         sched = global_schedule(wf, 2)
-        assert sorted(sched.flattened().tolist()) == list(range(6))
+        assert sorted(sched.flattened.tolist()) == list(range(6))
 
 
 def _permuted_legal_schedule(dep, nproc, rng):
     """Random owners, each list in the order of one random linear
     extension of the dependence DAG: legal by construction, yet neither
     wavefront-sorted nor ascending — the shape only the sweep answers."""
-    succ_indptr, succ_indices = dep.successors()
+    succ_indptr, succ_indices = dep.successors
     indeg = dep.dep_counts().copy()
     prio = rng.random(dep.n)
     heap = [(prio[i], i) for i in np.flatnonzero(indeg == 0)]
@@ -270,7 +271,7 @@ def _assert_simulation_order(order, sched, dep):
     assert np.array_equal(np.sort(order), np.arange(n))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    assert np.all(pos[dep.indices] < pos[dep.edge_rows()])
+    assert np.all(pos[dep.indices] < pos[dep.edge_rows])
     for lst in sched.local_order:
         assert np.all(np.diff(pos[lst]) > 0)
 
@@ -319,7 +320,7 @@ class TestOrdering:
             level_of = np.empty(dep.n, dtype=np.int64)
             level_of[order] = np.repeat(np.arange(bounds.size - 1),
                                         np.diff(bounds))
-            assert np.all(level_of[dep.indices] != level_of[dep.edge_rows()])
+            assert np.all(level_of[dep.indices] != level_of[dep.edge_rows])
         # The simulator's level walk (the last plan above) also needs
         # each processor's iterations in a level adjacent: one run per
         # (level, owner) pair.

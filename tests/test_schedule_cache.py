@@ -49,7 +49,7 @@ def keys_of(ia, *, nproc=4, strategy="local", assignment="wrapped",
     built on it, from freshly built graph and log objects."""
     dep = graph_of(ia)
     return {
-        "digest": dep.digest(),
+        "digest": dep.digest,
         "schedule": ScheduleCache.key_for(dep, nproc, strategy, assignment,
                                           balance, costs, versions=versions),
         "tuning": TuningStore.key_for(dep, nproc, costs, space, mode=mode),
@@ -112,7 +112,7 @@ class TestKeys:
     def test_a_prefix_is_another_structure(self, case):
         _, _, ia = case
         dep = graph_of(ia)
-        assert prefix_graph(dep, dep.n // 2).digest() != dep.digest()
+        assert prefix_graph(dep, dep.n // 2).digest != dep.digest
         assert prefix_graph(dep, dep.n) is dep
 
     def test_auto_compile_digests_each_graph_once(self, monkeypatch):
@@ -583,7 +583,7 @@ class TestEntryLayout:
         # arrays beside a JSON sidecar holding the price.
         np.savez_compressed(
             entry, nproc=np.int64(schedule.nproc), owner=schedule.owner,
-            flat=schedule.flattened(),
+            flat=schedule.flattened,
             lengths=np.array([lst.size for lst in schedule.local_order]),
             wavefronts=schedule.wavefronts,
             strategy=np.bytes_(schedule.strategy.encode()))

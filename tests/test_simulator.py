@@ -1,5 +1,7 @@
 """Unit tests for the machine cost model and discrete-event simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,8 +145,8 @@ class TestPrescheduledHandCase:
 
     def test_rejects_unsorted_schedule(self, diamond):
         dep, wf = diamond
-        sched = identity_schedule(wf, 1)
-        sched.local_order[0] = np.array([3, 0, 1, 2])
+        sched = replace(identity_schedule(wf, 1),
+                        local_order=[np.array([3, 0, 1, 2])])
         with pytest.raises(ScheduleError):
             simulate_prescheduled(sched, dep, UNIT)
 
@@ -177,8 +179,8 @@ class TestSelfExecutingHandCase:
 
     def test_deadlock_detection(self, diamond):
         dep, wf = diamond
-        sched = identity_schedule(wf, 1)
-        sched.local_order[0] = np.array([3, 0, 1, 2])
+        sched = replace(identity_schedule(wf, 1),
+                        local_order=[np.array([3, 0, 1, 2])])
         with pytest.raises(DeadlockError):
             sched.toposort_plan(dep)
 

@@ -420,8 +420,8 @@ class TestEdgeCases:
 
     def test_deadlock_all_engines(self):
         dep, wf = self._diamond()
-        sched = identity_schedule(wf, 1)
-        sched.local_order[0] = np.array([3, 0, 1, 2])
+        sched = dataclasses.replace(identity_schedule(wf, 1),
+                                    local_order=[np.array([3, 0, 1, 2])])
         with pytest.raises(DeadlockError):
             simulate_self_executing(sched, dep, MULTIMAX_320)
 
@@ -439,14 +439,14 @@ class TestHelpers:
     @given(backward_dags(unique=False))
     @settings(max_examples=30, deadline=None)
     def test_edge_rows_cached_and_correct(self, dep):
-        rows = dep.edge_rows()
-        assert rows is dep.edge_rows()  # cached
+        rows = dep.edge_rows
+        assert rows is dep.edge_rows  # cached
         np.testing.assert_array_equal(rows, rows_from_indptr(dep.indptr))
 
     @given(general_dags(max_n=40, unique=False))
     @settings(max_examples=40, deadline=None)
     def test_successors_pack_sort_matches_reference(self, dep):
-        si, ss = dep.successors()
+        si, ss = dep.successors
         ri, rs = reference.successors(dep)
         np.testing.assert_array_equal(si, ri)
         np.testing.assert_array_equal(ss, rs)
@@ -454,7 +454,7 @@ class TestHelpers:
     def test_successors_duplicate_edges(self):
         dep = DependenceGraph.from_edges(
             [(2, 0), (2, 0), (3, 0), (1, 0), (3, 1)], 4)
-        si, ss = dep.successors()
+        si, ss = dep.successors
         ri, rs = reference.successors(dep)
         np.testing.assert_array_equal(si, ri)
         np.testing.assert_array_equal(ss, rs)

@@ -1,6 +1,7 @@
 """Unit tests for the real-thread execution backend."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ class TestSelfExecuting:
         raise DeadlockError, not hang."""
         factory, dep, _ = chain_kernel
         wf = compute_wavefronts(dep)
-        sched = identity_schedule(wf, 1)
-        sched.local_order[0] = np.roll(sched.local_order[0], 1)  # 63,0,1,..
+        sched = replace(identity_schedule(wf, 1),  # 63,0,1,..
+                        local_order=[np.roll(np.arange(dep.n), 1)])
         kernel = factory()
         kernel.start()
         with pytest.raises(DeadlockError):

@@ -108,7 +108,7 @@ class TestReferenceOracle:
         dep = DependenceGraph.from_edges([(1, 0), (1, 0), (2, 1)], 3)
         np.testing.assert_array_equal(compute_wavefronts(dep),
                                       reference.compute_wavefronts(dep))
-        si, ss = dep.successors()
+        si, ss = dep.successors
         ri, rs = reference.successors(dep)
         np.testing.assert_array_equal(si, ri)
         np.testing.assert_array_equal(ss, rs)
