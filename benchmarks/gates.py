@@ -23,6 +23,7 @@ from repro import FaultPlan, LoopProgram, RetryPolicy, Runtime
 from repro.core import reference
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor
+from repro.core.inspector import Inspector
 from repro.core.partition import wrapped_partition
 from repro.core.schedule import local_schedule
 from repro.core.wavefront import compute_wavefronts
@@ -259,13 +260,18 @@ def test_each_plan_takes_its_walk(monkeypatch, capsys):
     plan (≈ 8 wavefronts of thousands) is walked a level at a time;
     every simulation of a cold ``auto`` compile of ``auto_cold``'s mesh
     (≈ 18-wide wavefronts) and a doacross loop's (``arange`` order) an
-    iteration at a time."""
+    iteration at a time.  The cold ``auto`` compile and its call walk
+    31 times and inspect 33 times: the search hands its winner's
+    inspection and simulation over, so neither is built twice."""
     ran = []
     for name in ("_run_scalar", "_run_levels"):
         def spy(*args, _real=getattr(simulator, name), _name=name):
             ran.append(_name)
             return _real(*args)
         monkeypatch.setattr(simulator, name, spy)
+    inspect = Inspector.inspect
+    monkeypatch.setattr(Inspector, "inspect", lambda *a, **k:
+                        ran.append("inspect") or inspect(*a, **k))
     n, nproc = 60_000, 8
     rng = np.random.default_rng(1989)
     figure3 = LoopProgram.from_indirection(
@@ -283,9 +289,9 @@ def test_each_plan_takes_its_walk(monkeypatch, capsys):
         seen[label] = {name: ran.count(name) for name in set(ran)}
     with capsys.disabled():
         print(f"\n  walks taken: {seen}")
-    assert seen["fig3_cold"] == {"_run_levels": 1}
-    assert set(seen["auto_cold"]) == {"_run_scalar"}
-    assert seen["doacross"] == {"_run_scalar": 1}
+    assert seen["fig3_cold"] == {"_run_levels": 1, "inspect": 1}
+    assert seen["auto_cold"] == {"_run_scalar": 31, "inspect": 33}
+    assert seen["doacross"] == {"_run_scalar": 1, "inspect": 1}
 
 
 def test_a_search_shares_and_cuts_its_simulations(capsys):

@@ -418,10 +418,13 @@ def global_schedule(
         (an ablation; unit weights when ``weights`` is omitted).
 
     Greedy owners are exactly those of the sequential oracle
-    :func:`repro.core.reference.greedy_owner`: unit weights take the
-    closed form of :func:`_greedy_unit_owner`, general weights the heap
-    of :func:`_greedy_weighted_owner` (Python floats, so the loads add
-    up bit for bit as the oracle's numpy ``argmin`` loop does).
+    :func:`repro.core.reference.greedy_owner`.  Unit weights deal the
+    wrapped lists: after ``c`` picks, processors ``c mod nproc …
+    nproc-1`` carry ``⌊c/nproc⌋`` and the rest one more, so the
+    least-loaded, lowest-numbered processor is always the next in the
+    round-robin.  General weights take the heap of
+    :func:`_greedy_weighted_owner` (Python floats, so the loads add up
+    bit for bit as the oracle's numpy ``argmin`` loop does).
     """
     wf = np.asarray(wf, dtype=np.int64)
     nproc = check_positive(nproc, "nproc")
@@ -429,16 +432,10 @@ def global_schedule(
     order = np.lexsort((np.arange(n), wf))  # sort by wavefront, ties by index
 
     owner = np.empty(n, dtype=np.int64)
-    if balance == "wrapped":
+    if balance == "wrapped" or (balance == "greedy" and weights is None):
         owner[order] = np.arange(n, dtype=np.int64) % nproc
     elif balance == "greedy":
-        if weights is None:
-            # Unit weights make the greedy recurrence closed-form
-            # (load[p] after j assignments is exactly j + load0[p]),
-            # so the whole inner loop vectorizes; see _greedy_unit_owner.
-            owner = _greedy_unit_owner(wf, order, nproc)
-        else:
-            owner = _greedy_weighted_owner(wf, order, weights, nproc)
+        owner = _greedy_weighted_owner(wf, order, weights, nproc)
     else:
         raise ValidationError(f"unknown balance strategy {balance!r}")
 
@@ -475,52 +472,6 @@ def identity_schedule(wf: np.ndarray, nproc: int, owner=None) -> Schedule:
     local = [np.nonzero(owner == p)[0].astype(np.int64) for p in range(nproc)]
     return Schedule(nproc=nproc, owner=owner, local_order=local,
                     wavefronts=wf, strategy="identity")
-
-
-def _greedy_unit_owner(wf: np.ndarray, order: np.ndarray, nproc: int) -> np.ndarray:
-    """Vectorized unit-weight greedy balance, exactly matching the
-    sequential :func:`repro.core.reference.greedy_owner` loop.
-
-    With unit weights, processor ``p``'s load after receiving ``j``
-    indices in a wavefront is ``load0[p] + j``; the sequential
-    argmin-of-loads choice therefore assigns the ``t``-th index of the
-    wavefront to the ``t``-th smallest ``(load0[p] + j, p)`` pair —
-    a merge of ``nproc`` sorted lists, computed with one lexsort per
-    wavefront instead of one argmin per index.
-    """
-    n = wf.shape[0]
-    owner = np.empty(n, dtype=np.int64)
-    load = np.zeros(nproc, dtype=np.float64)
-    nw = int(wf.max()) + 1 if n else 0
-    bounds = np.searchsorted(wf[order], np.arange(nw + 1))
-    proc_ids = np.arange(nproc, dtype=np.int64)
-    for w in range(nw):
-        members = order[bounds[w] : bounds[w + 1]]
-        m = members.shape[0]
-        if not m:
-            continue
-        # Candidate keys: proc p's j-th assignment costs load[p] + j,
-        # ties broken by processor number like np.argmin.  Each proc
-        # can receive at most ~⌈m/nproc⌉ of the m picks (unit-weight
-        # greedy keeps loads within 1 of each other), so candidates
-        # are capped there — O(m + nproc) memory, not O(m · nproc) —
-        # and re-widened in the rare case a proc exhausts its cap.
-        cap = min(m, -(-m // nproc) + 2)
-        while True:
-            prio = (load[:, None]
-                    + np.arange(cap, dtype=np.float64)[None, :]).ravel()
-            cand_proc = np.repeat(proc_ids, cap)
-            chosen = cand_proc[np.lexsort((cand_proc, prio))[:m]]
-            counts = np.bincount(chosen, minlength=nproc)
-            # A proc using *all* its candidates might have deserved
-            # more than the cap provided; everything below cap is
-            # provably complete.
-            if cap >= m or counts.max() < cap:
-                break
-            cap = min(m, cap * 2)
-        owner[members] = chosen
-        load += counts
-    return owner
 
 
 def _greedy_weighted_owner(

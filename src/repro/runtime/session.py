@@ -250,8 +250,10 @@ class ScheduledPlan(LoopPlan):
 
     def __init__(self, inspection, executor, *, executor_name: str,
                  scheduler_name: str, assignment: str, balance: str,
-                 cache_hit: bool, compile_count: int):
+                 cache_hit: bool, compile_count: int, sim=None):
         self._inspection = inspection
+        #: The default simulation, when a search handed it over.
+        self._default_sim = sim
         #: The executor object (self-executing / pre-scheduled / …).
         self.executor = executor
         self.executor_name = executor_name
@@ -797,7 +799,7 @@ class Runtime:
                       strategy: str | None) -> CompiledLoop:
         """Choose the strategy, build its plan, wrap it once."""
         program = deps if getattr(deps, "__loop_program__", False) else None
-        verdict = program_verdict = None
+        verdict = program_verdict = winner = None
         if strategy == "speculative":
             executor = "speculative"
         elif strategy == "auto":
@@ -819,7 +821,7 @@ class Runtime:
                 # Normalize once: the tuner's store key and the
                 # schedule cache below hash the same graph.
                 deps = self._inspector.dependences_of(deps)
-                verdict = self.tune(deps)
+                verdict, winner = self._tune(deps)
             executor = verdict.executor
             scheduler = verdict.scheduler
             assignment = verdict.assignment
@@ -844,19 +846,22 @@ class Runtime:
             plan = self._scheduled_plan(source, executor=executor,
                                         scheduler=scheduler,
                                         assignment=assignment,
-                                        balance=balance)
+                                        balance=balance, winner=winner)
         return CompiledLoop(
             self, plan, program=program,
             bound_kernel=program.make_kernel() if program is not None else None,
             verdict=verdict, program_verdict=program_verdict)
 
     def _scheduled_plan(self, deps, *, executor: str, scheduler: str,
-                        assignment: str, balance: str) -> ScheduledPlan:
+                        assignment: str, balance: str,
+                        winner=None) -> ScheduledPlan:
         """Inspect (or fetch from cache) and bind a registry executor.
 
         All registry work — name validation, spec parsing, metadata
         lookups, the eager balance/weight-source checks — happens
-        first, before any dependence processing.
+        first, before any dependence processing.  A search's winner
+        compiled on this very graph stands in for the inspection a miss
+        would run, and seeds the plan's default simulation.
         """
         executor_registry.validate(executor)
         scheduler_registry.validate(scheduler)
@@ -907,11 +912,13 @@ class Runtime:
         inspection = (cache.session_get(key, dep, observer=obs)
                       if cache is not None else None)
         cache_hit = inspection is not None
+        if cache_hit or winner is None or winner.loop.dep is not dep:
+            winner = None
         if inspection is None:
-            inspection = self._inspector.inspect(
-                dep, self.nproc, strategy=resolved,
-                assignment=assignment, balance=balance,
-            )
+            inspection = (winner.loop.inspection if winner is not None else
+                          self._inspector.inspect(
+                              dep, self.nproc, strategy=resolved,
+                              assignment=assignment, balance=balance))
             if cache is not None:
                 cache.session_put(key, inspection, faults=self.faults,
                                   observer=obs)
@@ -921,6 +928,7 @@ class Runtime:
             executor_name=executor, scheduler_name=scheduler,
             assignment=assignment, balance=balance, cache_hit=cache_hit,
             compile_count=self._count_compile(key),
+            sim=winner.sim if winner is not None else None,
         )
 
     def _staged_plan(self, program_verdict):
@@ -964,8 +972,12 @@ class Runtime:
         ``expected_executions`` horizon makes the scores
         amortisation-aware.
         """
+        return self._tune(deps)[0]
+
+    def _tune(self, deps):
+        """:meth:`tune`, and the fresh search's winner (or ``None``)."""
         with maybe_span(self.observer, "tune", entry="runtime"):
-            return self._ensure_tuner().tune(
+            return self._ensure_tuner()._tune(
                 deps, expected_executions=self.expected_executions)
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ Pieces
 from __future__ import annotations
 
 from .features import WorkloadFeatures, extract_features
-from .measure import Measurement, prefix_graph, simulate_spec
+from .measure import Measurement, Scored, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 from .tuner import ProgramVerdict, Tuner
@@ -45,6 +45,7 @@ __all__ = [
     "extract_features",
     "Measurement",
     "prefix_graph",
+    "Scored",
     "simulate_spec",
     "CandidateSpec",
     "enumerate_space",

@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.dependence import DependenceGraph
 from ..core.wavefront import compute_wavefronts
 from ..errors import ReproError
+from ..machine.simulator import SimResult
 from ..util.frontier import counts_to_indptr
 from ..util.validation import read_only
 from .space import CandidateSpec
 
-__all__ = ["Measurement", "prefix_graph", "simulate_spec"]
+__all__ = ["Measurement", "Scored", "prefix_graph", "simulate_spec"]
 
 
 @dataclass
@@ -81,13 +83,14 @@ class SharedSims:
     Candidates whose compiled schedules are identical share one
     simulation: every ``doacross × assignment`` alias runs the one
     wrapped identity schedule, and ``global`` deals the same lists
-    under ``wrapped`` as under unit-weight ``greedy``.  An entry is the
-    exact makespan, or a bound a cut simulation proved it exceeds.
-    What is shared is the makespan, never the score — each candidate
-    adds its own amortised inspection.  Graph, ``unit_work`` and cost
-    model are fixed within a rung — and with the graph its wavefronts,
-    which fix the pre-scheduled phases — so the schedule's lists are the
-    key: its :attr:`~repro.core.schedule.Schedule.digest`.
+    under ``wrapped`` as under unit-weight ``greedy`` (the same deal).
+    An entry is the exact simulation — the final rung's winner's is
+    handed to the caller — or a bound a cut one proved the makespan
+    exceeds.  Each candidate adds its own amortised inspection to a
+    shared makespan.  Graph, ``unit_work`` and cost model are fixed
+    within a rung — and with the graph its wavefronts, which fix the
+    pre-scheduled phases — so the schedule's lists are the key: its
+    :attr:`~repro.core.schedule.Schedule.digest`.
     """
 
     def __init__(self):
@@ -96,23 +99,21 @@ class SharedSims:
         #: answered from an earlier candidate's simulation.
         self.cut = self.shared = 0
 
-    def makespan(self, executor, unit_work, bound: float) -> float | None:
-        """``executor``'s simulated makespan, or ``None`` when it
-        provably exceeds ``bound``."""
+    def simulate(self, executor, unit_work, bound: float) -> SimResult | None:
+        """``executor``'s exact simulation, or ``None`` when its
+        makespan provably exceeds ``bound``."""
         key = (executor.mode, executor.schedule.digest)
         known = self._known.get(key)
         if known is not None:
-            value, exact = known
-            if exact or bound <= value:
+            sim, cut_at = known
+            if sim is not None or bound <= cut_at:
                 self.shared += 1
-                return value if exact else None
+                return sim
         sim = executor.simulate(unit_work=unit_work, bound=bound)
         if sim is None:
             self.cut += 1
-            self._known[key] = (bound, False)
-            return None
-        self._known[key] = (sim.total_time, True)
-        return sim.total_time
+        self._known[key] = (sim, bound)
+        return sim
 
 
 def _makespan_bound(bound: float, amortised: float) -> float:
@@ -126,6 +127,15 @@ def _makespan_bound(bound: float, amortised: float) -> float:
     return m
 
 
+class Scored(NamedTuple):
+    """One candidate's score, and what scoring it built."""
+
+    score: float
+    error: str | None
+    loop: object = None             # None: it did not compile
+    sim: SimResult | None = None    # None: no finite score
+
+
 def simulate_spec(
     runtime,
     deps,
@@ -135,12 +145,13 @@ def simulate_spec(
     expected_executions: float | None = None,
     bound: float = math.inf,
     shared: SharedSims | None = None,
-) -> tuple[float, str | None]:
+) -> Scored:
     """Simulated score of one candidate (``inf`` when it cannot run).
 
     ``runtime`` is the search session (its ScheduleCache absorbs
     repeated compiles of the same rung); ``deps`` any dependence
-    source.  Returns ``(score, error-or-None)``.
+    source.  Returns the :class:`Scored` score, error-or-``None``,
+    compiled candidate and the simulation behind a finite score.
 
     The score is the simulated makespan, optionally under a
     ``unit_work`` pricing override, and — when ``expected_executions``
@@ -166,15 +177,16 @@ def simulate_spec(
             amortised = (float(loop.inspection.pipeline_cost)
                          / expected_executions)
         if loop.plan.kind != "scheduled":
-            makespan = float(loop.simulate(unit_work=unit_work).total_time)
+            sim = loop.simulate(unit_work=unit_work)
         else:
             sims = shared if shared is not None else SharedSims()
-            makespan = sims.makespan(loop.executor, unit_work,
-                                     _makespan_bound(bound, amortised))
-            if makespan is None:
-                return math.inf, None
+            sim = sims.simulate(loop.executor, unit_work,
+                                _makespan_bound(bound, amortised))
+            if sim is None:
+                return Scored(math.inf, None, loop)
+        makespan = float(sim.total_time)
         if expected_executions is None:
-            return makespan, None
-        return makespan + amortised, None
+            return Scored(makespan, None, loop, sim)
+        return Scored(makespan + amortised, None, loop, sim)
     except ReproError as exc:
-        return math.inf, f"{type(exc).__name__}: {exc}"
+        return Scored(math.inf, f"{type(exc).__name__}: {exc}")

@@ -44,7 +44,7 @@ from ..util.validation import (
     check_unit_work,
 )
 from .features import extract_features
-from .measure import Measurement, SharedSims, prefix_graph, simulate_spec
+from .measure import Measurement, Scored, SharedSims, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 
@@ -171,6 +171,12 @@ class Tuner:
         A store hit costs one structure hash and a lookup — no
         wavefront sweep, no feature extraction, no search.
         """
+        return self._tune(deps, unit_work=unit_work,
+                          expected_executions=expected_executions)[0]
+
+    def _tune(self, deps, *, unit_work=None, expected_executions=None):
+        """:meth:`tune`, and what the search hands over (``None`` on a
+        store hit; see :meth:`_search`)."""
         dep = Inspector.dependences_of(deps)
         if unit_work is not None:
             unit_work = check_unit_work(unit_work, dep.n)
@@ -192,12 +198,12 @@ class Tuner:
             if verdict is not None:
                 if obs is not None:
                     obs.inc("tuner.store_hits")
-                return verdict
-        verdict = self.search(dep, candidates, unit_work=unit_work,
-                              expected_executions=horizon)
+                return verdict, None
+        verdict, winner = self._search(dep, candidates, unit_work=unit_work,
+                                       expected_executions=horizon)
         if store is not None:
             store.session_put(key, verdict, faults=self.faults, observer=obs)
-        return verdict
+        return verdict, winner
 
     # ------------------------------------------------------------------
     def search(
@@ -209,6 +215,13 @@ class Tuner:
         expected_executions: float | None = None,
     ) -> TuningVerdict:
         """Run the successive-halving search (no store involvement)."""
+        return self._search(dep, candidates, unit_work=unit_work,
+                            expected_executions=expected_executions)[0]
+
+    def _search(self, dep, candidates, *, unit_work, expected_executions):
+        """:meth:`search`, and its winner's :class:`Scored` (compiled
+        loop, exact simulation) if scheduled under the default work —
+        returned, never kept: a winner must not outlive its search."""
         if unit_work is not None:
             # Checked here, not per candidate: ``simulate_spec`` scores
             # any candidate's ValidationError as "cannot run".
@@ -221,18 +234,17 @@ class Tuner:
         obs = self.observer
         with maybe_span(obs, "tune", n=dep.n,
                         candidates=len(candidates)) as span:
-            verdict = self._search_impl(dep, candidates, unit_work=unit_work,
-                                        horizon=horizon, span=span)
-            span.annotate(sims=verdict.sims, winner=verdict.label())
-        return verdict
+            return self._search_impl(dep, candidates, unit_work=unit_work,
+                                     horizon=horizon, span=span)
 
     def _score(self, dep, specs, *, unit_work, horizon,
-               kept: int | None = None) -> tuple[list, SharedSims]:
+               kept: int | None = None) -> tuple[list, SharedSims, Scored]:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
         sort, so ties keep the seeded shuffle order — with the rung's
         :class:`~repro.tuning.measure.SharedSims` (its cut and shared
-        counts).
+        counts) and the :class:`~repro.tuning.measure.Scored` that sorts
+        first.
 
         Each spec is scored against a bar, past which its exact score
         cannot change the rung's outcome; a spec whose simulation
@@ -248,7 +260,7 @@ class Tuner:
         shared = SharedSims()
         exact: list[float] = []     # finite exact scores so far, sorted
         family: dict[str, float] = {}
-        scored = []
+        scored, best = [], None
         with dep.holding_lists():   # one list conversion per rung
             for spec in specs:
                 if kept is None:
@@ -257,17 +269,20 @@ class Tuner:
                     bar = max(
                         exact[kept - 1] if len(exact) >= kept else math.inf,
                         family.get(spec.executor, math.inf))
-                score = simulate_spec(self._runtime, dep, spec,
-                                      unit_work=unit_work,
-                                      expected_executions=horizon,
-                                      bound=bar, shared=shared)[0]
+                result = simulate_spec(self._runtime, dep, spec,
+                                       unit_work=unit_work,
+                                       expected_executions=horizon,
+                                       bound=bar, shared=shared)
+                score = result.score
                 if math.isfinite(score):
                     bisect.insort(exact, score)
                     family[spec.executor] = min(
                         score, family.get(spec.executor, math.inf))
+                if best is None or score < best.score:
+                    best = result   # the first of equals, as sorted
                 scored.append((score, spec))
         scored.sort(key=lambda t: t[0])
-        return scored, shared
+        return scored, shared, best
 
     def _search_impl(
         self,
@@ -277,7 +292,7 @@ class Tuner:
         unit_work: np.ndarray | None,
         horizon: float | None,
         span,
-    ) -> TuningVerdict:
+    ) -> tuple[TuningVerdict, Scored | None]:
         obs = self.observer
         if obs is not None:
             obs.inc("tuner.searches")
@@ -290,7 +305,7 @@ class Tuner:
         for rung, m in enumerate(self._rung_sizes(dep.n)):
             entered = len(survivors)
             kept = max(FINALISTS, math.ceil(entered * KEEP))
-            scored, rung_sims = self._score(
+            scored, rung_sims, _ = self._score(
                 prefix_graph(dep, m), survivors,
                 unit_work=None if unit_work is None else unit_work[:m],
                 horizon=horizon, kept=kept)
@@ -314,8 +329,8 @@ class Tuner:
                         entered - len(survivors))
 
         # Final rung: every survivor at full size.
-        scored, final = self._score(dep, survivors,
-                                    unit_work=unit_work, horizon=horizon)
+        scored, final, won = self._score(dep, survivors,
+                                         unit_work=unit_work, horizon=horizon)
         sims += len(survivors)
         best_score, best = scored[0]
         if not math.isfinite(best_score):
@@ -327,15 +342,17 @@ class Tuner:
             obs.inc("tuner.sims", sims)
             obs.inc("tuner.sims_cut", cut + final.cut)
             obs.inc("tuner.sims_shared", shared + final.shared)
-            span.annotate(sims_cut=cut + final.cut,
+            span.annotate(sims=sims, winner=best.label(),
+                          sims_cut=cut + final.cut,
                           sims_shared=shared + final.shared,
                           final_cut=final.cut)
-        # A cached compile: the final rung built the winner a moment
-        # ago.  Its wavefronts spare the signature a sweep of its own
-        # (the speculative arm inspected nothing and has none), and its
+        # The final rung compiled and simulated the winner.  Its
+        # wavefronts spare the signature a sweep of its own (the
+        # speculative arm inspected nothing and has none), and its
         # inspection is the one the verdict's pipeline_cost prices.
-        loop = self._runtime.compile(dep, **best.compile_kwargs())
+        loop = won.loop
         features = extract_features(dep, loop.wavefronts, self.costs)
+        handed = loop.plan.kind == "scheduled" and unit_work is None
         return TuningVerdict(
             executor=best.executor,
             scheduler=best.scheduler,
@@ -348,7 +365,7 @@ class Tuner:
             seed=self.seed,
             signature=features.signature(),
             pipeline_cost=float(loop.inspection.pipeline_cost),
-        )
+        ), won if handed else None
 
     # ------------------------------------------------------------------
     def tune_program(self, prog, *,
@@ -420,7 +437,7 @@ class Tuner:
             candidates = enumerate_space(dep.n, self.nproc)
         out = []
         for spec in candidates:
-            score, err = simulate_spec(self._runtime, dep, spec)
+            score, err = simulate_spec(self._runtime, dep, spec)[:2]
             m = Measurement(spec, sim_makespan=score, error=err)
             out.append(m)
         return sorted(out, key=lambda m: m.sim_makespan)

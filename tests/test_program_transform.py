@@ -527,9 +527,9 @@ class TestAmortisedArbitration:
         deps = self._dense_deps()
         rt = Runtime(nproc=8)
         for spec in enumerate_space(deps.n, rt.nproc):
-            base, _ = simulate_spec(rt, deps, spec)
-            amort, _ = simulate_spec(rt, deps, spec, expected_executions=2.0)
-            amort4, _ = simulate_spec(rt, deps, spec, expected_executions=4.0)
+            base, *_ = simulate_spec(rt, deps, spec)
+            amort, *_ = simulate_spec(rt, deps, spec, expected_executions=2.0)
+            amort4, *_ = simulate_spec(rt, deps, spec, expected_executions=4.0)
             assert amort >= base
             assert base <= amort4 <= amort  # monotone toward base
 
@@ -539,8 +539,8 @@ class TestAmortisedArbitration:
         for spec in enumerate_space(deps.n, rt.nproc):
             if spec.executor not in ("doacross", "speculative"):
                 continue
-            base, _ = simulate_spec(rt, deps, spec)
-            amort, _ = simulate_spec(rt, deps, spec, expected_executions=1.0)
+            base, *_ = simulate_spec(rt, deps, spec)
+            amort, *_ = simulate_spec(rt, deps, spec, expected_executions=1.0)
             assert amort == pytest.approx(base)
 
     def test_cold_horizon_flips_the_winner(self):

@@ -175,6 +175,17 @@ class TestVectorizedMatchesReference:
         np.testing.assert_array_equal(
             sched.owner, reference.greedy_owner(wf, None, p))
 
+    @given(backward_dags(max_n=80), st.integers(min_value=1, max_value=16))
+    @settings(max_examples=80, deadline=None)
+    def test_unit_weight_greedy_is_the_wrapped_deal(self, dep, p):
+        # After c picks the least-loaded, lowest-numbered processor is
+        # c mod p, so the greedy picks continue the round-robin.
+        wf = compute_wavefronts(dep)
+        greedy = global_schedule(wf, p, balance="greedy")
+        assert greedy.digest == global_schedule(wf, p).digest
+        np.testing.assert_array_equal(
+            greedy.owner, reference.greedy_owner(wf, None, p))
+
     @given(backward_dags(), st.integers(min_value=1, max_value=16),
            st.integers(min_value=0, max_value=2**31 - 1),
            st.sampled_from([None, 1, 3, 100]))

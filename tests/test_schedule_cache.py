@@ -5,6 +5,7 @@ the amortisation counters surfaced through ``RunReport``.
 """
 
 import dataclasses
+import hashlib
 import json
 import tempfile
 import zipfile
@@ -68,10 +69,24 @@ class TestKeys:
         # always has.
         ia = np.random.default_rng(1989).integers(0, 2000, size=2000)
         keys = keys_of(ia, strategy="self", space="abc")
-        assert keys["schedule"] == "3a9f39fb190a743ff12abadc537210a7797c383f"
-        assert keys["tuning"] == "e36fbe47e6205f3744e6bf75bfff16a27458e5e7"
+        assert keys["schedule"] == "094cf565bcd050d47c6136c4bf1b78305fde2c1e"
+        assert keys["tuning"] == "ca178e1b29451b7209665d2780f57f8f5f631475"
         assert keys["speculation"] == \
-            "d8a668132a36c2da5fc1ba8103ed919f24dfbbd7"
+            "e483efedd2c5e37ef3500b759dacb516c861079e"
+        # ... and the layout the digest documents: the first 40 hex
+        # digits of a SHA-256 over each array's "<count>:" and int64
+        # bytes, then repr(params).
+        def sha(*parts):
+            return hashlib.sha256(b"".join(parts)).hexdigest()[:40]
+
+        dep = graph_of(ia)
+        digest = sha(*(b"%d:" % a.size + a.astype(np.int64).tobytes()
+                       for a in (dep.indptr, dep.indices)),
+                     repr((dep.n,)).encode())
+        assert keys["digest"] == digest
+        assert keys["schedule"] == sha(repr((
+            "schedule", digest, 4, "self", "wrapped", "wrapped",
+            MULTIMAX_320.astuple(), ())).encode())
         # The keys hash the cost model's shallow field tuple, which
         # reads as the deep-copying dataclasses.astuple always did.
         for costs in (MULTIMAX_320, MachineCosts(t_work_base=1)):

@@ -6,6 +6,7 @@ successive-halving tuner (determinism + quality), the persistent
 the ``Runtime.compile(strategy="auto")`` integration.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import LoopProgram
-from repro.core import wavefront
+from repro.core import executor as executor_module, wavefront
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
+from repro.core.inspector import Inspector
 from repro.errors import ValidationError
 from repro.runtime import Runtime, register_partitioner
 from repro.runtime.registry import partitioner_registry
@@ -31,7 +33,7 @@ from repro.tuning import (
 )
 from repro.tuning import measure, tuner as tuner_module
 from repro.workload.generator import generate_workload
-from strategies import tuner_graphs
+from strategies import loop_programs, tuner_graphs
 
 
 @pytest.fixture()
@@ -212,13 +214,14 @@ class TestTunerDeterminism:
         executor = Runtime(nproc=8).compile(mesh).executor
         full = executor.simulate().total_time
         sims = measure.SharedSims()
-        assert sims.makespan(executor, None, full / 2) is None
+        assert sims.simulate(executor, None, full / 2) is None
         assert (sims.cut, sims.shared) == (1, 0)
-        assert sims.makespan(executor, None, full / 4) is None
+        assert sims.simulate(executor, None, full / 4) is None
         assert (sims.cut, sims.shared) == (1, 1)
         # Reaching the bound is not exceeding it: simulated in full.
-        assert sims.makespan(executor, None, full) == full
-        assert sims.makespan(executor, None, 0.0) == full
+        sim = sims.simulate(executor, None, full)
+        assert sim.total_time == full
+        assert sims.simulate(executor, None, 0.0) is sim
         assert (sims.cut, sims.shared) == (1, 2)
 
     def test_no_search_shape_keywords(self):
@@ -246,7 +249,7 @@ class TestTunerDeterminism:
         for i in rng.choice(np.arange(1, n), size=n // 100, replace=False):
             ia[i] = rng.integers(0, i)
         rt = Runtime(nproc=8, tune_seed=seed)
-        score, err = simulate_spec(
+        score, err, *_ = simulate_spec(
             rt._ensure_tuner()._runtime, ia,
             CandidateSpec("speculative", "identity", "wrapped"))
         built = rt.compile(ia, strategy="speculative").simulate().total_time
@@ -515,3 +518,92 @@ class TestRuntimeAuto:
         loop = rt.compile(mesh, **verdict.compile_kwargs())
         assert loop.simulate().total_time == pytest.approx(verdict.sim_makespan)
 
+
+def assert_same_sim(a, b):
+    """Two :class:`SimResult` objects, field for field."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert (np.array_equal(x, y) if isinstance(x, np.ndarray)
+                else x == y), field.name
+
+
+@contextlib.contextmanager
+def counted_sims():
+    """Within the block, the yielded list grows by one per simulation
+    an executor starts."""
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("simulate_self_executing", "simulate_prescheduled"):
+            real = getattr(executor_module, name)
+            mp.setattr(executor_module, name, lambda *a, _real=real, **k:
+                       ran.append(1) or _real(*a, **k))
+        yield ran
+
+
+class TestHandOver:
+    """A fresh search hands its scheduled winner's inspection and exact
+    simulation to the compile that asked for it, and nothing else."""
+
+    @given(dep=tuner_graphs(), horizon=st.sampled_from((None, 1, 64)))
+    @settings(max_examples=10, deadline=None)
+    def test_the_winners_sim_is_the_calls_sim(self, dep, horizon):
+        rt = Runtime(nproc=8, expected_executions=horizon)
+        loop = rt.compile(dep, strategy="auto")
+        with counted_sims() as sims:
+            sim = loop(backend="sim").sim
+        assert sim is loop.simulate()
+        if loop.plan.kind == "scheduled":
+            assert sims == []
+            assert_same_sim(sim, loop.executor.simulate())
+            if horizon is None:
+                assert sim.total_time == loop.verdict.sim_makespan
+
+    def test_only_a_fresh_scheduled_default_work_search_hands_over(
+            self, mesh):
+        tuner = Tuner(8, store=TuningStore())
+        verdict, winner = tuner._tune(mesh)
+        assert verdict.searched and winner.loop.dep is mesh
+        assert winner.sim.total_time == verdict.sim_makespan
+        again, none = tuner._tune(mesh)          # a store hit
+        assert not again.searched and none is None
+        # A search pricing other work, and a speculative winner.
+        assert tuner._tune(mesh, unit_work=np.full(mesh.n, 2.0))[1] is None
+        spec, = [s for s in enumerate_space(mesh.n, 8)
+                 if s.executor == "speculative"]
+        assert tuner._search(mesh, [spec], unit_work=None,
+                             expected_executions=None)[1] is None
+
+    def test_a_store_hit_inspects_and_simulates_for_itself(self, mesh,
+                                                           monkeypatch):
+        first = Runtime(nproc=8)
+        first.compile(mesh, strategy="auto")
+        inspected = []
+        inspect = Inspector.inspect
+        monkeypatch.setattr(Inspector, "inspect", lambda *a, **k:
+                            inspected.append(1) or inspect(*a, **k))
+        loop = Runtime(nproc=8, tuning=first.tuning_store).compile(
+            mesh, strategy="auto")
+        assert not loop.verdict.searched and inspected == [1]
+        with counted_sims() as sims:
+            loop(backend="sim")
+        assert sims == [1]
+
+    @given(prog=loop_programs(), dep=tuner_graphs())
+    @settings(max_examples=8, deadline=None)
+    def test_a_program_search_hands_nothing_to_the_next_compile(self, prog,
+                                                                dep):
+        rt = Runtime(nproc=4)
+        rt.compile(prog, strategy="auto")
+        loop = rt.compile(dep, strategy="auto")
+        assert loop.verdict.searched
+        if loop.plan.kind == "scheduled":
+            assert loop.dep is dep and loop.schedule.n == dep.n
+            assert_same_sim(loop.simulate(), loop.executor.simulate())
+
+    def test_the_handed_inspection_is_cached(self, mesh):
+        rt = Runtime(nproc=8)
+        loop = rt.compile(mesh, strategy="auto")
+        assert not loop.cache_hit
+        assert (rt.cache_stats.misses, rt.cache_stats.hits) == (1, 0)
+        again = rt.compile(mesh, **loop.verdict.compile_kwargs())
+        assert again.cache_hit and again.inspection is loop.inspection
