@@ -61,6 +61,9 @@ forked="$forked|_strategy_memo|_ResolvedStrategy|needs_kernel|last_timeline"
 # ... and unit-weight greedy is the wrapped deal, and a search hands its
 # winner back from the call, never as state left on the shared tuner.
 forked="$forked|_greedy_unit_owner|last_measurements|last_winner"
+# ... and the shadow scan keeps only the shadows it reads: identity
+# writes compare each read against its iteration, with no shadow.
+forked="$forked|min_read"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1

@@ -221,15 +221,19 @@ class LoopProgram:
         program hashes like the flat declaration of the same accesses;
         multi-statement programs additionally fold in the statement
         boundaries, which change the interleaved-order extraction.
+        A fixed-width access digests its ``indices`` alone, its width
+        riding in the shape; only a ragged one digests its ``indptr``.
         """
         if self._hash is None:
             arrays, shape = [], [self.n]
             for kind, accs in (("r", self._resolved_reads),
                                ("w", self._resolved_writes)):
                 for acc in accs:
-                    shape.append((kind, acc.array, acc.identity))
+                    shape.append((kind, acc.array, acc.identity, acc.width))
+                    if acc.width is None:
+                        arrays.append(acc.indptr)
                     if not acc.identity:
-                        arrays += [acc.indptr, acc.indices]
+                        arrays.append(acc.indices)
             if len(self.statements) > 1:
                 shape.append(tuple((len(rr), len(ww))
                                    for rr, ww in self._stmt_resolved))

@@ -37,26 +37,31 @@ __all__ = ["At", "ResolvedAccess", "Statement", "serial_events"]
 
 @dataclass(frozen=True)
 class ResolvedAccess:
-    """One descriptor resolved to ragged CSR form.
+    """One descriptor resolved to CSR form, ragged or fixed-width.
 
     ``indices[indptr[i]:indptr[i+1]]`` are the elements iteration ``i``
-    touches; ``identity`` marks the common ``x[i]`` access, for which
-    ``indptr``/``indices`` are not materialized.
+    touches; ``width`` is their count if fixed (1 for ``x[i]`` and a 1-D
+    index, ``m`` for a 2-D one — never expanded through ``indptr``),
+    ``None`` if ragged.  ``identity`` marks the common ``x[i]`` access,
+    for which ``indptr``/``indices`` are not materialized.
     """
 
     array: str
     identity: bool
     indptr: np.ndarray | None = None
     indices: np.ndarray | None = None
+    width: int | None = None
 
     def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(iteration, element)`` of every access, as ``int64``
         arrays in iteration order (``n`` sizes the identity access)."""
-        if self.identity:
-            every = np.arange(n, dtype=np.int64)
-            return every, every
-        return (rows_from_indptr(self.indptr),
-                self.indices.astype(np.int64, copy=False))
+        if self.width is None:
+            return (rows_from_indptr(self.indptr),
+                    self.indices.astype(np.int64, copy=False))
+        every = np.arange(n, dtype=np.int64)
+        it = every if self.width == 1 else np.repeat(every, self.width)
+        return it, (every if self.identity
+                    else self.indices.astype(np.int64, copy=False))
 
 
 def serial_events(n: int, tagged, num_stmts: int = 1
@@ -66,7 +71,8 @@ def serial_events(n: int, tagged, num_stmts: int = 1
 
     Serial position of statement ``s`` at iteration ``i`` is
     ``i * S + s`` — the interleaved statement order of the original
-    loop; with the default ``S = 1`` it is the iteration itself.
+    loop; with the default ``S = 1`` it is the iteration itself.  A lone
+    access is returned as is: its elements may be the declared index.
     """
     if not tagged:
         empty = np.empty(0, dtype=np.int64)
@@ -77,6 +83,8 @@ def serial_events(n: int, tagged, num_stmts: int = 1
         pos_parts.append(it if num_stmts == 1
                          else it * np.int64(num_stmts) + s)
         el_parts.append(el)
+    if len(pos_parts) == 1:
+        return pos_parts[0], el_parts[0]
     return np.concatenate(pos_parts), np.concatenate(el_parts)
 
 
@@ -121,7 +129,7 @@ class At:
                 )
             index = data[index]
         if index is None:
-            return ResolvedAccess(self.array, identity=True)
+            return ResolvedAccess(self.array, identity=True, width=1)
         if isinstance(index, tuple):
             return self._resolve_ragged(n, index)
         arr = as_int_array(index, f"At({self.array!r}) index")
@@ -135,7 +143,7 @@ class At:
             self._check_nonnegative(arr)
             return ResolvedAccess(
                 self.array, identity=False,
-                indptr=np.arange(n + 1, dtype=np.int64), indices=arr,
+                indptr=np.arange(n + 1, dtype=np.int64), indices=arr, width=1,
             )
         if arr.ndim == 2:
             if arr.shape[0] != n:
@@ -147,7 +155,7 @@ class At:
             indptr = np.arange(n + 1, dtype=np.int64) * arr.shape[1]
             return ResolvedAccess(
                 self.array, identity=False,
-                indptr=indptr, indices=arr.ravel(),
+                indptr=indptr, indices=arr.ravel(), width=arr.shape[1],
             )
         raise ValidationError(
             f"descriptor index for array {self.array!r} must be None, a "

@@ -316,12 +316,16 @@ class SpeculativeExecutor:
         log, p, costs = self.log, self.nproc, self.costs
         n = log.n
         counts_r = log.read_counts().astype(np.float64)
-        counts_w = log.write_counts().astype(np.float64)
         base = (costs.base_work(counts_r) if unit_work is None
                 else check_unit_work(unit_work, n))
         shared = costs.shared_factor(p)
-        w = base + shared * (costs.t_check * counts_r
-                             + costs.t_inc * counts_w)
+        # base + shared * (t_check * reads + t_inc * writes), in place,
+        # operation for operation; identity writes count 1 each.
+        w = costs.t_check * counts_r
+        w += costs.t_inc * (1.0 if log.identity_writes
+                            else log.write_counts().astype(np.float64))
+        w *= shared
+        w += base
         prefix = np.zeros(n + 1)
         np.cumsum(w, out=prefix[1:])
         busy = np.zeros(p)
@@ -345,7 +349,7 @@ class SpeculativeExecutor:
             busy=busy,
             idle=idle,
             check_time=float(detect + shared * costs.t_check * counts_r.sum()),
-            inc_time=float(shared * costs.t_inc * counts_w.sum()),
+            inc_time=float(shared * costs.t_inc * log.write_it.shape[0]),
             num_phases=plan.report.attempts,
         )
 

@@ -10,10 +10,13 @@ check is what this module provides, LRPD-style, fully vectorized:
   descriptors (no dependence extraction at all) or synthesized from an
   existing :class:`~repro.core.dependence.DependenceGraph`;
 * a single pass scatters the events into per-element *shadow arrays*
-  (first-write iteration, max-write iteration, min-read iteration,
-  plus a write-after-write marker), then one gather/compare flags the
-  *violated* iterations — the ones whose optimistic execution may have
-  consumed or produced a wrong value.
+  (first-write iteration, max-write iteration, plus a write-after-write
+  marker), then one gather/compare flags the *violated* iterations —
+  the ones whose optimistic execution may have consumed or produced a
+  wrong value.  When the writes are the identity (``x[i] = ...``,
+  Figures 3 and 8) element ``e`` has the one writer ``e``, so a single
+  compare of each read's element against its iteration does it, with
+  no shadow array at all.
 
 An iteration ``i`` is violated when
 
@@ -73,8 +76,9 @@ class AccessLog:
     read_el: np.ndarray
     write_it: np.ndarray
     write_el: np.ndarray
-    #: True when the writes are exactly ``x[i] = ...`` (element == iteration)
-    #: — the Figure 3/8 shape, which skips the scatter passes.
+    #: True when the writes are exactly ``x[i] = ...``: ``write_it ==
+    #: write_el == arange(n)`` — the Figure 3/8 shape, whose scan needs
+    #: no shadow arrays and whose repair set needs no closure.
     identity_writes: bool = False
     #: The program or dependence graph the events were read off
     #: (``None`` for a hand-built log) — see :meth:`structure_id`.
@@ -106,9 +110,10 @@ class AccessLog:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the event log (the speculation's shadow footprint)."""
-        return int(self.read_it.nbytes + self.read_el.nbytes
-                   + self.write_it.nbytes + self.write_el.nbytes)
+        """Bytes of the event log (the speculation's shadow footprint),
+        each distinct buffer once (identity writes share one)."""
+        arrays = (self.read_it, self.read_el, self.write_it, self.write_el)
+        return int(sum({id(a): a.nbytes for a in arrays}.values()))
 
     def read_counts(self) -> np.ndarray:
         """Per-iteration read-event counts (the work-model analogue of
@@ -206,20 +211,20 @@ def _element_space(n: int, r_el: np.ndarray, w_el: np.ndarray) -> int:
 class ShadowScan:
     """Outcome of one conflict-detection pass.
 
-    The per-element shadow arrays use sentinels ``n`` (first_write /
-    min_read: "never") and ``-1`` (max_write: "never").
+    The per-element shadow arrays use sentinels ``n`` (first_write:
+    "never") and ``-1`` (max_write: "never").  A scan of identity
+    writes keeps no shadow: all three are ``None`` (every element has
+    at most one writer, its own iteration).
     """
 
     #: Violated-iteration mask, length ``n``.
     violated: np.ndarray
     #: Per-element earliest in-range writer (sentinel ``n``).
-    first_write: np.ndarray
+    first_write: np.ndarray | None = None
     #: Per-element latest in-range writer (sentinel ``-1``).
-    max_write: np.ndarray
-    #: Per-element earliest in-range reader (sentinel ``n``).
-    min_read: np.ndarray
+    max_write: np.ndarray | None = None
     #: Per-element write-after-write marker (two distinct writers).
-    multi_writer: np.ndarray
+    multi_writer: np.ndarray | None = None
 
     @property
     def num_violated(self) -> int:
@@ -227,9 +232,9 @@ class ShadowScan:
 
     @property
     def nbytes(self) -> int:
-        return int(self.violated.nbytes + self.first_write.nbytes
-                   + self.max_write.nbytes + self.min_read.nbytes
-                   + self.multi_writer.nbytes)
+        return int(sum(a.nbytes for a in (self.violated, self.first_write,
+                                          self.max_write, self.multi_writer)
+                       if a is not None))
 
 
 def scan_accesses(log: AccessLog, *, start: int = 0,
@@ -240,44 +245,41 @@ def scan_accesses(log: AccessLog, *, start: int = 0,
     ``committed`` marks elements already written by the committed
     prefix ``[0, start)`` (whose values are final); ``None`` means an
     empty prefix.  The scan considers only events at iterations
-    ``>= start``.
+    ``>= start``.  Identity writes over the whole range take one
+    compare and allocate no shadow: element ``e < n`` has the one
+    writer ``e``, so a read is stale exactly when ``read_el <
+    read_it`` (an element ``>= n`` has no writer, and ``read_it < n``).
     """
     n, m = log.n, log.n_elements
+    violated = np.zeros(n, dtype=bool)
+    if log.identity_writes and start == 0 and committed is None:
+        r_it = log.read_it
+        violated[r_it[log.read_el < r_it]] = True
+        return ShadowScan(violated=violated)
     first_write = np.full(m, n, dtype=np.int64)
     max_write = np.full(m, -1, dtype=np.int64)
-    min_read = np.full(m, n, dtype=np.int64)
 
     wmask = log.write_it >= start
     w_it = log.write_it[wmask] if start > 0 else log.write_it
     w_el = log.write_el[wmask] if start > 0 else log.write_el
-    if log.identity_writes:
-        # write_el == write_it: each in-range element is its own sole
-        # writer — no scatter reduction needed.
-        first_write[w_el] = w_it
-        max_write[w_el] = w_it
-    elif w_el.size:
+    if w_el.size:
         np.minimum.at(first_write, w_el, w_it)
         np.maximum.at(max_write, w_el, w_it)
 
     rmask = log.read_it >= start
     r_it = log.read_it[rmask] if start > 0 else log.read_it
     r_el = log.read_el[rmask] if start > 0 else log.read_el
-    if r_el.size:
-        np.minimum.at(min_read, r_el, r_it)
-
-    violated = np.zeros(n, dtype=bool)
     if r_it.size:
         bad = first_write[r_el] < r_it            # stale read
         if committed is not None:
             bad |= committed[r_el] & (max_write[r_el] > r_it)
         violated[r_it[bad]] = True
-    if w_it.size and not log.identity_writes:
+    if w_it.size:
         violated[w_it[first_write[w_el] < w_it]] = True   # WAW
 
     multi = (max_write >= 0) & (first_write < max_write)
     return ShadowScan(violated=violated, first_write=first_write,
-                      max_write=max_write, min_read=min_read,
-                      multi_writer=multi)
+                      max_write=max_write, multi_writer=multi)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +337,7 @@ def clean_cut(scan: ShadowScan, v0: int, n: int) -> int:
     down to the start of the component containing it, if any.
     """
     multi = scan.multi_writer
-    if not multi.any():
+    if multi is None or not multi.any():
         return v0
     s = scan.first_write[multi]
     e = scan.max_write[multi]

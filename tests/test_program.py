@@ -32,11 +32,19 @@ from repro.program import (
     extract_statement_dependences,
     extraction,
 )
+from repro.program.descriptors import serial_events
 from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
+from repro.util.frontier import rows_from_indptr
 
-from strategies import loop_programs
+from strategies import loop_programs, nested_indirections
+
+#: A program of every kind, or Figure 6's nested references (a 2-D
+#: index: ``m`` elements per iteration).
+any_program = st.one_of(loop_programs(), nested_indirections().map(
+    lambda g: LoopProgram(g.shape[0], reads=[At("x", g), At("x")],
+                          writes=[At("x")])))
 
 
 @pytest.fixture()
@@ -87,6 +95,47 @@ class TestDescriptors:
     def test_non_descriptor_rejected(self):
         with pytest.raises(ValidationError, match="At"):
             LoopProgram(3, reads=["x"], writes=[At("x")])
+
+    @staticmethod
+    def accesses(prog):
+        return [(s, acc) for s, (rr, ww) in enumerate(prog._stmt_resolved)
+                for acc in rr + ww]
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_program)
+    def test_pairs_are_the_row_pointer_expansion(self, prog):
+        # A fixed-width access never expands its row pointer, yet yields
+        # exactly the (iteration, element) pairs the row pointer names.
+        n = prog.n
+        for _, acc in self.accesses(prog):
+            it, el = acc.pairs(n)
+            if acc.identity:
+                want = (np.arange(n), np.arange(n))
+            else:
+                want = (rows_from_indptr(acc.indptr), acc.indices)
+                if acc.width is not None:
+                    assert (np.diff(acc.indptr) == acc.width).all()
+            assert it.dtype == el.dtype == np.int64
+            assert np.array_equal(it, want[0])
+            assert np.array_equal(el, want[1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_program)
+    def test_serial_events_concatenate_only_several_parts(self, prog):
+        n, tagged = prog.n, self.accesses(prog)
+        S = prog.num_statements
+        for s, acc in tagged:                  # one part: as it is
+            pos, el = serial_events(n, [(s, acc)])
+            it, want_el = acc.pairs(n)
+            assert np.array_equal(pos, it) and np.array_equal(el, want_el)
+            if not acc.identity and acc.indices.dtype == np.int64:
+                assert el is acc.indices
+        pos, el = serial_events(n, tagged, S)  # several: in order
+        none = np.empty(0, dtype=np.int64)
+        parts = [acc.pairs(n) for _, acc in tagged]
+        assert np.array_equal(pos, np.concatenate(
+            [none] + [it * S + s for (s, _), (it, _) in zip(tagged, parts)]))
+        assert np.array_equal(el, np.concatenate([none] + [e for _, e in parts]))
 
 
 # ----------------------------------------------------------------------

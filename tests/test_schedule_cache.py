@@ -183,7 +183,8 @@ class TestKeys:
     def test_speculative_compile_digests_only_the_declared_indices(
             self, case, monkeypatch):
         # The key rides on the program's structure hash: the arrays the
-        # declaration names, not the four event arrays logged from them.
+        # declaration names, not the four event arrays logged from them
+        # — and of a 1-D index only the index, its width in the shape.
         from repro.program import binding
         from repro.speculate import loop as spec_loop, shadow
 
@@ -199,9 +200,22 @@ class TestKeys:
         prog = LoopProgram.from_indirection(ia)
         rt = Runtime(nproc=4)
         rt.compile(prog, strategy="speculative")
-        assert sorted(digested) == [ia.size, ia.size + 1]   # ia + its indptr
+        assert digested == [ia.size]                        # ia alone
         rt.compile(prog, strategy="speculative")            # memoised
-        assert len(digested) == 2
+        assert len(digested) == 1
+
+    def test_program_structure_hash_layout_is_pinned(self, case):
+        # A Figure 3 program's hash: SHA-256 over ia's "<count>:" and
+        # int64 bytes, then repr of the shape — n, and per access its
+        # kind, array, identity flag and width.  No row pointer.
+        _, _, ia = case
+        shape = (ia.size, ("r", "x", False, 1), ("r", "b", True, 1),
+                 ("w", "x", True, 1))
+        h = hashlib.sha256(b"%d:" % ia.size + ia.astype(np.int64).tobytes()
+                           + repr(shape).encode())
+        for index in (ia, ia.astype(np.int32)):
+            prog = LoopProgram.from_indirection(index)
+            assert prog.structure_hash() == h.hexdigest()[:40]
 
 
 class TestHitMiss:

@@ -9,8 +9,11 @@ backend integration seams.  That every speculative compile equals the
 serial loop is tests/test_contract.py's property.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import LoopProgram, Runtime
 from repro.core.executor import (
@@ -34,7 +37,8 @@ from repro.speculate import (
     speculation_key,
 )
 from repro.tuning import enumerate_space
-from test_contract import assert_contract
+from strategies import loop_programs
+from test_contract import assert_contract, same_sim
 
 
 def sparse_conflict_ia(n, num_conflicts, *, seed=0):
@@ -72,6 +76,42 @@ class TestShadowScan:
             oracle = speculation_violations(
                 n, r_it, r_el, w_it, w_el, committed=committed)
             assert np.array_equal(scan.violated, oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(loop_programs())
+    def test_identity_scan_is_the_scatter_scan(self, prog):
+        # Identity writes scan with one compare and no shadow; the
+        # general scatter over the same events and the oracle agree.
+        logs = [AccessLog.from_source(prog),
+                AccessLog.from_dependences(prog.dependence_graph())]
+        for log in logs:
+            if not log.identity_writes:
+                continue
+            assert log.write_it is log.write_el
+            assert np.array_equal(log.write_it, np.arange(log.n))
+            fast = scan_accesses(log)
+            assert fast.first_write is fast.max_write is None
+            assert fast.multi_writer is None
+            assert fast.nbytes == fast.violated.nbytes
+            general_log = dataclasses.replace(log, identity_writes=False)
+            general = scan_accesses(general_log)
+            oracle = speculation_violations(
+                log.n, log.read_it, log.read_el, log.write_it, log.write_el)
+            assert np.array_equal(fast.violated, general.violated)
+            assert np.array_equal(fast.violated, oracle)
+            assert np.array_equal(repair_set(log, fast), fast.violated)
+            # ... and the price skips the write count, bit for bit.
+            assert same_sim(SpeculativeExecutor(log, 3, seed=0).simulate(),
+                            SpeculativeExecutor(general_log, 3,
+                                                seed=0).simulate())
+
+    def test_log_borrows_the_index_and_counts_each_buffer_once(self):
+        # A Figure 3 log reads the declared index as it is and shares
+        # one buffer between its identity write arrays.
+        ia = sparse_conflict_ia(100, 3)
+        log = AccessLog.from_source(LoopProgram.from_indirection(ia))
+        assert log.read_el is ia and log.write_it is log.write_el
+        assert log.nbytes == 3 * ia.nbytes
 
     def test_chain_all_violated_but_head(self):
         # i reads element i-1 which i-1 writes: every reader is stale.
