@@ -5,6 +5,7 @@
 # one-ordering-owner, one-scorer,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
+# no-fixed-width-row-pointer,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put, unbounded-oracle,
 # one-backend-dispatch, structures-are-values,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
@@ -214,12 +215,18 @@ if [ -n "$masks" ]; then
 fi
 # util.frontier.counts_to_indptr is the one row-pointer build; the copy
 # in core/reference.py is the oracle.  (speculate/executor.py's
-# out=prefix is a float prefix sum of work, not a row pointer.)
+# in-place cumsum is a float prefix sum of work, not a row pointer.)
 pointers=$(grep -rnE 'cumsum\(.*out=(indptr|indptr_t|bounds)' src --include='*.py' \
            | grep -vE '^src/repro/(util/frontier|core/reference)\.py:' || true)
 if [ -n "$pointers" ]; then
     echo "$pointers"
     echo "error: a hand-rolled row pointer outside util/frontier.py (use counts_to_indptr)" >&2
+    exit 1
+fi
+# A fixed-width access is its width: pairs(), unit_work and the skew read
+# it, so no program builds a row pointer of arange(n + 1) for one.
+if grep -rnE 'indptr\s*=\s*np\.arange' src/repro/program --include='*.py'; then
+    echo "error: indptr=np.arange under src/repro/program (a fixed width keeps no row pointer)" >&2
     exit 1
 fi
 # A session owns its inspector; tables and projections compile through one.

@@ -249,6 +249,7 @@ class SimpleLoopKernel(LoopKernel):
     The kernel therefore keeps ``xold`` (the input vector) alongside the
     in-progress ``x``, exactly as the transformed loop of Figure 4 does,
     which is what makes the loop reorderable in the first place.
+    ``xold`` is the input itself (nothing writes it): a run copies ``x``.
     """
 
     def __init__(self, x0: np.ndarray, b: np.ndarray, ia: np.ndarray):
@@ -269,7 +270,7 @@ class SimpleLoopKernel(LoopKernel):
         return DependenceGraph.from_indirection(self.ia, self.n)
 
     def start(self) -> None:
-        self.xold = self.x0.copy()
+        self.xold = self.x0
         self.x = self.x0.copy()
 
     def execute_index(self, i: int) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..util.digest import structure_digest
+from ..util.validation import read_only
 from .descriptors import At, Statement
 from .extraction import extract_statement_dependences
 from .recording import StatementReplayKernel, record_trace
@@ -117,6 +118,13 @@ class LoopProgram:
         self._hash: str | None = None
 
     def _resolve_all(self, data) -> None:
+        # An index source is a value: a writable one is copied once, so
+        # a caller refilling its buffer never reaches a compiled loop.
+        for name in self.structural_names() & data.keys():
+            value = data[name]
+            data[name] = (tuple(read_only(np.asarray(a), a) for a in value)
+                          if isinstance(value, tuple)
+                          else read_only(np.asarray(value), value))
         self._stmt_resolved = [
             ([a.resolve(self.n, data) for a in st.reads],
              [a.resolve(self.n, data) for a in st.writes])
@@ -206,10 +214,9 @@ class LoopProgram:
         for rr, _ in self._stmt_resolved:
             w += costs.t_work_base
             for acc in rr:
-                if acc.identity:
-                    w += costs.t_work_per_dep
-                else:
-                    w += costs.t_work_per_dep * np.diff(acc.indptr)
+                w += costs.t_work_per_dep * (np.diff(acc.indptr)
+                                             if acc.width is None
+                                             else acc.width)
         return w
 
     def structure_hash(self) -> str:
@@ -420,7 +427,7 @@ class LoopProgram:
             el = n - 1 - t.indices[strict]
         order = np.argsort(it, kind="stable")
         indptr = counts_to_indptr(np.bincount(it, minlength=n))
-        reads = (At("x", (indptr, el[order])), At("b"))
+        reads = (At("x", (read_only(indptr), read_only(el[order]))), At("b"))
         data = {"a": np.asarray(t.data, dtype=np.float64)}
         if diag is not None:
             data["diag"] = np.asarray(diag, dtype=np.float64)

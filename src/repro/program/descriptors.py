@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..util.frontier import counts_to_indptr, rows_from_indptr
-from ..util.validation import as_int_array
+from ..util.validation import as_int_array, read_only
 
 __all__ = ["At", "ResolvedAccess", "Statement", "serial_events"]
 
@@ -39,11 +39,12 @@ __all__ = ["At", "ResolvedAccess", "Statement", "serial_events"]
 class ResolvedAccess:
     """One descriptor resolved to CSR form, ragged or fixed-width.
 
-    ``indices[indptr[i]:indptr[i+1]]`` are the elements iteration ``i``
-    touches; ``width`` is their count if fixed (1 for ``x[i]`` and a 1-D
-    index, ``m`` for a 2-D one — never expanded through ``indptr``),
-    ``None`` if ragged.  ``identity`` marks the common ``x[i]`` access,
-    for which ``indptr``/``indices`` are not materialized.
+    A ragged access (``width`` None) touches ``indices[indptr[i]:
+    indptr[i+1]]`` at iteration ``i``; a fixed-width one ``width``
+    elements (1 for ``x[i]`` and a 1-D index, ``m`` for a 2-D one), row
+    ``i`` of ``indices``, and keeps no row pointer (``indptr`` None).
+    ``identity`` marks ``x[i]``, whose ``indices`` are not materialized
+    either.  Index arrays are read-only: a writable one is copied once.
     """
 
     array: str
@@ -52,19 +53,19 @@ class ResolvedAccess:
     indices: np.ndarray | None = None
     width: int | None = None
 
-    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(iteration, element)`` of every access, as ``int64``
-        arrays in iteration order (``n`` sizes the identity access)."""
+    def pairs(self, n: int, every=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(iteration, element)`` of every access, as ``int64`` arrays
+        in iteration order, over ``every`` (else a new ``arange(n)``)."""
         if self.width is None:
             return (rows_from_indptr(self.indptr),
                     self.indices.astype(np.int64, copy=False))
-        every = np.arange(n, dtype=np.int64)
+        every = np.arange(n, dtype=np.int64) if every is None else every
         it = every if self.width == 1 else np.repeat(every, self.width)
         return it, (every if self.identity
                     else self.indices.astype(np.int64, copy=False))
 
 
-def serial_events(n: int, tagged, num_stmts: int = 1
+def serial_events(n: int, tagged, num_stmts: int = 1, every=None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``(serial position, element)`` of every access in ``tagged``, a
     sequence of ``(statement, access)`` pairs, concatenated in order.
@@ -79,7 +80,7 @@ def serial_events(n: int, tagged, num_stmts: int = 1
         return empty, empty
     pos_parts, el_parts = [], []
     for s, acc in tagged:
-        it, el = acc.pairs(n)
+        it, el = acc.pairs(n, every)
         pos_parts.append(it if num_stmts == 1
                          else it * np.int64(num_stmts) + s)
         el_parts.append(el)
@@ -133,6 +134,7 @@ class At:
         if isinstance(index, tuple):
             return self._resolve_ragged(n, index)
         arr = as_int_array(index, f"At({self.array!r}) index")
+        arr = read_only(arr, index)
         if arr.ndim == 1:
             if arr.shape[0] != n:
                 raise ValidationError(
@@ -141,10 +143,8 @@ class At:
                     f"iteration (n={n})"
                 )
             self._check_nonnegative(arr)
-            return ResolvedAccess(
-                self.array, identity=False,
-                indptr=np.arange(n + 1, dtype=np.int64), indices=arr, width=1,
-            )
+            return ResolvedAccess(self.array, identity=False,
+                                  indices=arr, width=1)
         if arr.ndim == 2:
             if arr.shape[0] != n:
                 raise ValidationError(
@@ -152,11 +152,8 @@ class At:
                     f"{arr.shape[0]} index rows, expected n={n}"
                 )
             self._check_nonnegative(arr)
-            indptr = np.arange(n + 1, dtype=np.int64) * arr.shape[1]
-            return ResolvedAccess(
-                self.array, identity=False,
-                indptr=indptr, indices=arr.ravel(), width=arr.shape[1],
-            )
+            return ResolvedAccess(self.array, identity=False,
+                                  indices=arr.ravel(), width=arr.shape[1])
         raise ValidationError(
             f"descriptor index for array {self.array!r} must be None, a "
             "1-D/2-D integer array, an (indptr, indices) pair, or the "
@@ -170,8 +167,8 @@ class At:
                 f"ragged index for array {self.array!r} must be an "
                 "(indptr, indices) pair"
             )
-        indptr = as_int_array(pair[0], "indptr")
-        indices = as_int_array(pair[1], "indices")
+        indptr = read_only(as_int_array(pair[0], "indptr"), pair[0])
+        indices = read_only(as_int_array(pair[1], "indices"), pair[1])
         if indptr.shape[0] != n + 1:
             raise ValidationError(
                 f"ragged indptr for array {self.array!r} has length "
@@ -201,8 +198,8 @@ class At:
     @staticmethod
     def from_counts(array: str, counts: np.ndarray, indices) -> "At":
         """Ragged descriptor from per-iteration access counts."""
-        return At(array, (counts_to_indptr(as_int_array(counts, "counts")),
-                          indices))
+        indptr = read_only(counts_to_indptr(as_int_array(counts, "counts")))
+        return At(array, (indptr, read_only(np.asarray(indices), indices)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.index is None:

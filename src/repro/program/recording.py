@@ -37,6 +37,7 @@ import numpy as np
 from ..core.executor import LevelPlan, LoopKernel, flat_walk
 from ..errors import ValidationError
 from ..util.frontier import counts_to_indptr
+from ..util.validation import read_only
 from .descriptors import At
 
 __all__ = ["record_trace", "StatementTrace", "Shape",
@@ -321,14 +322,14 @@ class StatementTrace:
 
 
 def _pack(n: int, events: list[tuple[int, int]]):
-    """(iteration, element) pairs → ragged (indptr, indices) arrays."""
+    """(iteration, element) pairs → read-only ragged (indptr, indices)."""
     if not events:
         return (np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
     its = np.array([e[0] for e in events], dtype=np.int64)
     els = np.array([e[1] for e in events], dtype=np.int64)
     order = np.argsort(its, kind="stable")  # keep in-iteration order
     indptr = counts_to_indptr(np.bincount(its, minlength=n))
-    return indptr, els[order]
+    return read_only(indptr), read_only(els[order])
 
 
 def record_trace(n: int, body, array_names) -> StatementTrace:

@@ -298,20 +298,21 @@ def fission(prog: LoopProgram) -> Variant | None:
 # ----------------------------------------------------------------------
 
 def _permute_access(acc, forward: np.ndarray):
-    """A concrete :class:`At` descriptor for a permuted access."""
+    """A concrete ragged :class:`At` for a permuted access, read-only."""
     from .descriptors import At
     from ..util.frontier import counts_to_indptr
 
     if acc.identity:
-        return At(acc.array, forward.copy())
-    counts = np.diff(acc.indptr)
+        return At(acc.array, read_only(forward.copy()))
+    counts = (np.diff(acc.indptr) if acc.width is None
+              else np.full(forward.shape[0], acc.width, dtype=np.int64))
+    starts = counts_to_indptr(counts)[:-1][forward]
     new_counts = counts[forward]
     indptr = counts_to_indptr(new_counts)
-    starts = acc.indptr[:-1][forward]
     take = (np.repeat(starts, new_counts)
             + np.arange(int(indptr[-1]), dtype=np.int64)
             - np.repeat(indptr[:-1], new_counts))
-    return At(acc.array, (indptr, acc.indices[take]))
+    return At(acc.array, (read_only(indptr), read_only(acc.indices[take])))
 
 
 def _permute_program(prog: LoopProgram, imap: IterationMap) -> LoopProgram:

@@ -310,24 +310,25 @@ class SpeculativeExecutor:
         writes.  :meth:`run` no longer attempts the repair set, so it
         restores nothing: that restore term is a conservative price,
         kept so the guard's and the tuner's verdicts stand, and left for
-        the speculation-as-a-schedule rework to re-price.
+        the speculation-as-a-schedule rework to re-price.  One buffer
+        holds the attempt cost per iteration, then its prefix sum.
         """
         plan = self.plan()
         log, p, costs = self.log, self.nproc, self.costs
         n = log.n
-        counts_r = log.read_counts().astype(np.float64)
+        counts_r = log.read_counts()
         base = (costs.base_work(counts_r) if unit_work is None
                 else check_unit_work(unit_work, n))
         shared = costs.shared_factor(p)
         # base + shared * (t_check * reads + t_inc * writes), in place,
         # operation for operation; identity writes count 1 each.
-        w = costs.t_check * counts_r
-        w += costs.t_inc * (1.0 if log.identity_writes
-                            else log.write_counts().astype(np.float64))
+        prefix = np.zeros(n + 1)
+        w = np.multiply(costs.t_check, counts_r, out=prefix[1:])
+        w += costs.t_inc * (1.0 if log.identity_writes else np.bincount(
+            log.write_it, minlength=n).astype(np.float64))
         w *= shared
         w += base
-        prefix = np.zeros(n + 1)
-        np.cumsum(w, out=prefix[1:])
+        np.cumsum(w, out=w)
         busy = np.zeros(p)
         for k, (lo, hi) in enumerate(plan.chunk_bounds):
             busy[k % p] += prefix[hi] - prefix[lo]

@@ -53,6 +53,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..program.descriptors import serial_events
 from ..util.digest import structure_digest
+from ..util.validation import read_only
 
 __all__ = ["AccessLog", "ShadowScan", "scan_accesses", "repair_set"]
 
@@ -65,7 +66,9 @@ class AccessLog:
     element ``read_el[k]`` of the written array; likewise for writes.
     Only accesses of *written* arrays appear — reads of read-only
     arrays can never conflict (their values never change), mirroring
-    the dependence extractor.
+    the dependence extractor.  A program's log shares one read-only
+    ``arange(n)`` and borrows the declared index: Figure 3's is
+    ``read_it is write_it is write_el`` plus ``ia``.
     """
 
     #: Iteration count of the loop.
@@ -80,6 +83,8 @@ class AccessLog:
     #: write_el == arange(n)`` — the Figure 3/8 shape, whose scan needs
     #: no shadow arrays and whose repair set needs no closure.
     identity_writes: bool = False
+    #: One read per iteration (a lone width-1 access): counts are ones.
+    one_read: bool = False
     #: The program or dependence graph the events were read off
     #: (``None`` for a hand-built log) — see :meth:`structure_id`.
     source: object | None = field(default=None, repr=False, compare=False)
@@ -116,12 +121,11 @@ class AccessLog:
         return int(sum({id(a): a.nbytes for a in arrays}.values()))
 
     def read_counts(self) -> np.ndarray:
-        """Per-iteration read-event counts (the work-model analogue of
-        the dependence counts the classic pipeline uses)."""
-        return np.bincount(self.read_it, minlength=self.n)
-
-    def write_counts(self) -> np.ndarray:
-        return np.bincount(self.write_it, minlength=self.n)
+        """Per-iteration read-event counts as ``float64`` (the work-model
+        analogue of the dependence counts the classic pipeline uses)."""
+        if self.one_read:
+            return np.ones(self.n)
+        return np.bincount(self.read_it, minlength=self.n).astype(np.float64)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -140,16 +144,17 @@ class AccessLog:
                 f"one array, got {sorted(written) or '(none)'}"
             )
         n = int(program.n)
-        w_it, w_el = serial_events(n, [(0, a) for a in writes])
-        r_it, r_el = serial_events(
-            n, [(0, a) for a in reads if a.array in written])
-        identity = len(writes) == 1 and writes[0].identity
+        every = read_only(np.arange(n, dtype=np.int64))
+        read = [(0, a) for a in reads if a.array in written]
+        w_it, w_el = serial_events(n, [(0, a) for a in writes], every=every)
+        r_it, r_el = serial_events(n, read, every=every)
         return cls(
             n=n,
             n_elements=_element_space(n, r_el, w_el),
             read_it=r_it, read_el=r_el,
             write_it=w_it, write_el=w_el,
-            identity_writes=identity,
+            identity_writes=len(writes) == 1 and writes[0].identity,
+            one_read=len(read) == 1 and read[0][1].width == 1,
             source=program,
         )
 

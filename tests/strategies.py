@@ -324,10 +324,26 @@ def recorded_program(n: int, seed: int) -> LoopProgram:
                               b=rng.standard_normal(n))
 
 
+def sparse_conflict_ia(n, num_conflicts, *, seed=0):
+    """Mostly-forward indirection with ``num_conflicts`` backward refs.
+
+    Forward (``ia[i] >= i``) references read ``xold`` and never
+    conflict; each backward reference makes exactly one iteration read
+    another's write.
+    """
+    rng = np.random.default_rng(seed)
+    ia = np.arange(n)
+    hot = rng.choice(np.arange(1, n), size=num_conflicts, replace=False)
+    for i in hot:
+        ia[i] = rng.integers(0, i)
+    return ia
+
+
 def program_of(kind: str, n: int, seed: int, *,
                inline_diag: bool = True) -> LoopProgram:
     """``"simple"`` (Figure 3), ``"chain"`` (its all-conflict
-    recurrence), ``"recorded"``, ``"branchy"`` (a declared body with a
+    recurrence), ``"sparse"`` (Figure 3 with ``n // 100`` backward
+    references), ``"recorded"``, ``"branchy"`` (a declared body with a
     value branch, which the tape rejects), or ``"lower"`` / ``"upper"``
     (Figure 8 substitution, the diagonal inline or unit)."""
     rng = np.random.default_rng(seed)
@@ -340,6 +356,7 @@ def program_of(kind: str, n: int, seed: int, *,
     if kind == "recorded":
         return recorded_program(n, seed)
     ia = (np.maximum(np.arange(n) - 1, 0) if kind == "chain"
+          else sparse_conflict_ia(n, n // 100, seed=seed) if kind == "sparse"
           else rng.integers(0, n, size=n))
     data = {"x": rng.standard_normal(n), "b": rng.standard_normal(n)}
     if kind != "branchy":

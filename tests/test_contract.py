@@ -235,35 +235,50 @@ REFILLED = dict(program=program_of("simple", 12, 3), nproc=4, raw=True,
 #: compile of the structure deadlock.
 REVERSED = dict(program=program_of("simple", 12, 3), nproc=1, raw=False,
                 choice=CandidateSpec("self", "local", "wrapped"))
+#: Figure 3 over an index buffer the caller keeps and refills after the
+#: first call: the program used to borrow the buffer, so the same loop
+#: read the new indices under the old schedule or repair set — wrong
+#: numbers on the default strategy, on ``speculative`` and on ``auto``.
+REFILLED_INDEX = dict(program=program_of("sparse", 2000, 0), nproc=4,
+                      raw=False)
 
 
 @given(program=loop_programs(), nproc=st.integers(1, 6), choice=choices,
        raw=st.booleans())
 @example(**REFILLED)
 @example(**REVERSED)
+@example(**REFILLED_INDEX, choice=CandidateSpec("self", "local", "wrapped"))
+@example(**REFILLED_INDEX, choice=("speculative",))
+@example(**REFILLED_INDEX, choice=("auto", None))
 @settings(max_examples=40, deadline=None)
 def test_a_compiled_structure_is_a_value(program, nproc, choice, raw):
-    """Compile a program (or, ``raw``, a graph over the caller's own
-    buffers) and run it; then refill the buffers (or write through the
-    loop's schedule lists) and compile the original structure again:
+    """Compile a program over index buffers the caller keeps (or, ``raw``,
+    a graph over the caller's own CSR buffers) and run it; then refill
+    the buffers (and write through the loop's schedule lists): the same
+    loop called again and a new compile of the original structure are
     bitwise the serial loop, and every plan array is read-only."""
     runtime, compile_options = options(choice, program.n, nproc)
     rt = Runtime(nproc, **runtime)
     kernel = program.make_kernel() if raw else None
     dep = program.dependence_graph()
     indptr, indices = dep.indptr.copy(), dep.indices.copy()
+    buffers = {name: np.array(program.data[name])
+               for name in program.structural_names()
+               if not isinstance(program.data[name], tuple)}
+    program = program.with_data(**buffers)
     want = serial(program)
     first = rt.compile(DependenceGraph(indptr, indices, dep.n) if raw
                        else program, **compile_options)
     run(first, kernel, "serial", want)
-    if raw:     # the caller reuses the buffers it compiled ...
-        for buffer in (indptr, indices):
-            buffer[:] = buffer[::-1].copy()
-    else:       # ... or writes through the loop's schedule
+    # The caller reuses the buffers it compiled ...
+    for buffer in (indptr, indices) if raw else buffers.values():
+        buffer[:] = buffer[::-1].copy()
+    if not raw:     # ... and writes through the loop's schedule
         for plan in scheduled_plans(first):
             for lst in plan.inspection.schedule.local_order:
                 with contextlib.suppress(ValueError):
                     lst[:] = lst[::-1].copy()
+    run(first, kernel, "serial", want)
     again = rt.compile(DependenceGraph(dep.indptr, dep.indices, dep.n) if raw
                        else program, **compile_options)
     run(again, kernel, "serial", want)

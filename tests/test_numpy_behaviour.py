@@ -1,8 +1,8 @@
 """The numpy behaviour the bitwise contract rests on, pinned.
 
-Batched execution and the level-walking simulator equal their per-index
-loops bit for bit only because numpy does four things in a particular
-way.  Each test here states one of them on inputs where any other way
+Batched execution, the level-walking simulator and the speculative
+price equal their per-index loops bit for bit only because numpy does
+five things in a particular way.  Each test here states one of them on inputs where any other way
 would show; a numpy upgrade that changes one fails here, loudly, before
 it fails somewhere far from the cause.
 """
@@ -63,3 +63,10 @@ def test_maximum_reduceat_takes_segment_maxima():
     got = np.maximum.reduceat(values, starts)
     ends = np.append(starts[1:], values.size)
     assert got.tolist() == [values[a:b].max() for a, b in zip(starts, ends)]
+
+
+def test_cumsum_into_its_own_input_is_the_out_of_place_sum():
+    """The speculative price prefix-sums its attempt costs in place."""
+    got = SPREAD.copy()
+    np.cumsum(got, out=got)
+    assert got.tobytes() == np.cumsum(SPREAD).tobytes()

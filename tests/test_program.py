@@ -24,6 +24,7 @@ from repro.core.dependence import DependenceGraph
 from repro.core.executor import SimpleLoopKernel, TriangularSolveKernel
 from repro.errors import ValidationError
 from repro.krylov.parallel import ParallelSolver
+from repro.machine.costs import MachineCosts
 from repro.mesh.problems import get_problem
 from repro.program import (
     At,
@@ -33,12 +34,13 @@ from repro.program import (
     extraction,
 )
 from repro.program.descriptors import serial_events
+from repro.program.transform import _permute_access
 from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
-from repro.util.frontier import rows_from_indptr
+from repro.util.frontier import counts_to_indptr, rows_from_indptr
 
-from strategies import loop_programs, nested_indirections
+from strategies import loop_programs, nested_indirections, seeds
 
 #: A program of every kind, or Figure 6's nested references (a 2-D
 #: index: ``m`` elements per iteration).
@@ -55,6 +57,14 @@ def fig3():
     x0 = rng.standard_normal(n)
     b = 0.5 * rng.standard_normal(n)
     return n, ia, x0, b
+
+
+def row_pointer(acc, n: int) -> np.ndarray:
+    """The row pointer of a resolved access: its own if ragged, the one
+    a fixed width used to build (``arange(n + 1) * width``) if not."""
+    if acc.width is None:
+        return acc.indptr
+    return np.arange(n + 1) * acc.width
 
 
 def graphs_equal(a: DependenceGraph, b: DependenceGraph) -> bool:
@@ -104,20 +114,65 @@ class TestDescriptors:
     @settings(max_examples=80, deadline=None)
     @given(any_program)
     def test_pairs_are_the_row_pointer_expansion(self, prog):
-        # A fixed-width access never expands its row pointer, yet yields
-        # exactly the (iteration, element) pairs the row pointer names.
+        # A fixed-width access keeps no row pointer: its pairs are each
+        # iteration repeated width times beside its row of the index; a
+        # ragged one expands its row pointer.  A given arange(n) is the
+        # iteration index itself.
         n = prog.n
+        every = np.arange(n, dtype=np.int64)
         for _, acc in self.accesses(prog):
             it, el = acc.pairs(n)
-            if acc.identity:
-                want = (np.arange(n), np.arange(n))
-            else:
+            if acc.width is None:
                 want = (rows_from_indptr(acc.indptr), acc.indices)
-                if acc.width is not None:
-                    assert (np.diff(acc.indptr) == acc.width).all()
+            else:
+                assert acc.indptr is None
+                want = (np.repeat(np.arange(n), acc.width),
+                        np.arange(n) if acc.identity else acc.indices)
             assert it.dtype == el.dtype == np.int64
             assert np.array_equal(it, want[0])
             assert np.array_equal(el, want[1])
+            if acc.width == 1:
+                assert acc.pairs(n, every)[0] is every
+            if acc.identity:
+                assert acc.pairs(n, every)[1] is every
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_program, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_unit_work_prices_a_width_as_its_row_pointer(self, prog, base,
+                                                           per_dep):
+        # t_work_per_dep * width is the product the row pointer's
+        # np.diff gave, element for element.
+        costs = MachineCosts(t_work_base=base, t_work_per_dep=per_dep)
+        want = np.zeros(prog.n)
+        for rr, _ in prog._stmt_resolved:
+            want += costs.t_work_base
+            for acc in rr:
+                if acc.identity:
+                    want += costs.t_work_per_dep
+                else:
+                    counts = np.diff(row_pointer(acc, prog.n))
+                    want += costs.t_work_per_dep * counts
+        assert prog.unit_work(costs).tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_program, seeds)
+    def test_a_permuted_width_is_the_permuted_row_pointer(self, prog, seed):
+        # A skewed fixed-width access is the ragged descriptor the row
+        # pointer gave, so a skewed program keeps its structure hash.
+        forward = np.random.default_rng(seed).permutation(prog.n)
+        for _, acc in self.accesses(prog):
+            if acc.identity:
+                continue
+            indptr = row_pointer(acc, prog.n)
+            counts = np.diff(indptr)[forward]
+            want_ptr = counts_to_indptr(counts)
+            take = (np.repeat(indptr[:-1][forward], counts)
+                    + np.arange(int(want_ptr[-1]), dtype=np.int64)
+                    - np.repeat(want_ptr[:-1], counts))
+            got = _permute_access(acc, forward).index
+            assert np.array_equal(got[0], want_ptr)
+            assert np.array_equal(got[1], acc.indices[take])
+            assert not (got[0].flags.writeable or got[1].flags.writeable)
 
     @settings(max_examples=80, deadline=None)
     @given(any_program)

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import LoopProgram, Runtime
 from repro.core.executor import (
@@ -24,6 +24,7 @@ from repro.core.executor import (
 )
 from repro.core.reference import speculation_violations
 from repro.errors import ValidationError
+from repro.machine.simulator import SimResult
 from repro.runtime.registry import executor_registry
 from repro.sparse.build import random_lower_triangular
 from repro.speculate import (
@@ -37,27 +38,53 @@ from repro.speculate import (
     speculation_key,
 )
 from repro.tuning import enumerate_space
-from strategies import loop_programs
+from strategies import (
+    indirection_arrays,
+    loop_programs,
+    seeds,
+    sparse_conflict_ia,
+)
 from test_contract import assert_contract, same_sim
-
-
-def sparse_conflict_ia(n, num_conflicts, *, seed=0):
-    """Mostly-forward indirection with ``num_conflicts`` backward refs.
-
-    Forward (``ia[i] >= i``) references read ``xold`` and never
-    conflict; each backward reference makes exactly one iteration read
-    another's write.
-    """
-    rng = np.random.default_rng(seed)
-    ia = np.arange(n)
-    hot = rng.choice(np.arange(1, n), size=num_conflicts, replace=False)
-    for i in hot:
-        ia[i] = rng.integers(0, i)
-    return ia
 
 
 def serial_simple(ia, x0, b):
     return SerialExecutor().run(SimpleLoopKernel(x0, b, ia))
+
+
+def counted_simulation(ex, unit_work=None) -> SimResult:
+    """:meth:`SpeculativeExecutor.simulate` as first written: read and
+    write counts by ``bincount``, the attempt cost and its prefix in
+    separate arrays."""
+    plan, log, p, costs = ex.plan(), ex.log, ex.nproc, ex.costs
+    n = log.n
+    counts_r = np.bincount(log.read_it, minlength=n).astype(np.float64)
+    counts_w = np.bincount(log.write_it, minlength=n).astype(np.float64)
+    base = costs.base_work(counts_r) if unit_work is None else unit_work
+    shared = costs.shared_factor(p)
+    w = costs.t_check * counts_r
+    w += costs.t_inc * counts_w
+    w *= shared
+    w += base
+    prefix = np.zeros(n + 1)
+    np.cumsum(w, out=prefix[1:])
+    busy = np.zeros(p)
+    for k, (lo, hi) in enumerate(plan.chunk_bounds):
+        busy[k % p] += prefix[hi] - prefix[lo]
+    attempt = float(busy.max()) if n else 0.0
+    detect = shared * costs.t_check * log.num_events / p
+    total = attempt + detect
+    if plan.repair_indices.size:
+        repair = (costs.t_rearrange * plan.restore_elements.size
+                  + float(base[plan.repair_indices].sum()))
+        busy[0] += repair
+        total += repair
+    return SimResult(
+        mode="speculative", nproc=p, total_time=float(total),
+        seq_time=float(base.sum()), busy=busy,
+        idle=np.maximum(total - busy, 0.0),
+        check_time=float(detect + shared * costs.t_check * counts_r.sum()),
+        inc_time=float(shared * costs.t_inc * log.write_it.shape[0]),
+        num_phases=plan.report.attempts)
 
 
 class TestShadowScan:
@@ -106,12 +133,18 @@ class TestShadowScan:
                                                 seed=0).simulate())
 
     def test_log_borrows_the_index_and_counts_each_buffer_once(self):
-        # A Figure 3 log reads the declared index as it is and shares
-        # one buffer between its identity write arrays.
+        # A Figure 3 log reads the program's read-only copy of the
+        # declared index, not the caller's buffer, and one iteration
+        # index serves its reads and its identity writes.
         ia = sparse_conflict_ia(100, 3)
-        log = AccessLog.from_source(LoopProgram.from_indirection(ia))
-        assert log.read_el is ia and log.write_it is log.write_el
-        assert log.nbytes == 3 * ia.nbytes
+        prog = LoopProgram.from_indirection(ia)
+        log = AccessLog.from_source(prog)
+        assert log.read_el is prog.data["ia"] and log.read_el is not ia
+        assert not log.read_el.flags.writeable
+        assert np.array_equal(log.read_el, ia)
+        assert log.read_it is log.write_it is log.write_el
+        assert log.one_read
+        assert log.nbytes == 2 * ia.nbytes
 
     def test_chain_all_violated_but_head(self):
         # i reads element i-1 which i-1 writes: every reader is stale.
@@ -293,6 +326,41 @@ class TestSpeculativeExecutor:
                 np.arange(n), x=np.ones(n), b=np.ones(n)
             ).dependence_graph()), 4, seed=0)
         assert clean.simulate().num_phases == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_programs(), st.integers(1, 9), seeds,
+           st.sampled_from(("program", "graph", "general")),
+           st.booleans())
+    def test_simulate_is_the_old_formula(self, prog, nproc, seed, source,
+                                         weighted):
+        # One buffer built and prefix-summed in place, and read counts of
+        # ones for a one-read log: field for field the formula that
+        # counted reads and writes by bincount into separate arrays.
+        log = (AccessLog.from_dependences(prog.dependence_graph())
+               if source == "graph" else AccessLog.from_source(prog))
+        if source == "general":
+            log = dataclasses.replace(log, identity_writes=False,
+                                      one_read=False)
+        unit_work = (np.random.default_rng(seed).random(prog.n) * 9.0
+                     if weighted else None)
+        ex = SpeculativeExecutor(log, nproc, seed=seed)
+        assert same_sim(ex.simulate(unit_work=unit_work),
+                        counted_simulation(ex, unit_work))
+
+    @settings(max_examples=40, deadline=None)
+    @given(indirection_arrays(), st.sampled_from(("speculative", None)))
+    def test_the_kernel_input_is_never_written(self, case, strategy):
+        # xold is the input itself, so no run may write it.
+        x0, b, ia = case
+        before = x0.copy()
+        kernel = SimpleLoopKernel(x0, b, ia)
+        want = SerialExecutor().run(kernel).copy()
+        assert kernel.xold is x0
+        loop = Runtime(3).compile(LoopProgram.from_indirection(ia, x=x0, b=b),
+                                  strategy=strategy)
+        assert np.array_equal(loop().x, want)
+        assert np.array_equal(loop(kernel).x, want)
+        assert x0.tobytes() == before.tobytes()
 
     def test_threads_protocol_rejected(self):
         log = AccessLog(n=2, n_elements=2,
