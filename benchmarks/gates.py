@@ -32,7 +32,9 @@ from repro.machine import simulator
 from repro.machine.costs import MULTIMAX_320
 from repro.machine.simulator import work_vector
 from repro.observe.tracer import maybe_span, now
+from repro.program.transform import fission
 from repro.sparse.build import random_lower_triangular
+from repro.workload import sweep_program
 from repro.workload.generator import generate_workload
 
 
@@ -205,12 +207,13 @@ def test_cold_speculative_beats_the_cold_inspector(gate):
 def test_a_speculative_compile_allocates_each_array_once(capsys):
     """Exact, on ``spec_sparse``'s shape: the traced allocation peak of
     one declare + speculative compile + call at n = 300 000 is at most
-    6.5 full-length arrays of 8n bytes.  It reads 6.15: the program's
+    6.5 full-length arrays of 8n bytes.  It reads 6.18: the program's
     copy of ``ia``, the log's one iteration index, the live ``x``, the
-    price's read counts, base work and prefix, and the plan's masks.
-    Before each array was allocated once — a row pointer for a 1-D
-    index, a second iteration index, an ``xold`` copy and a separate
-    cost buffer and count casts in the price — it read 9.15."""
+    level plan's order, the price's read counts (which then hold the
+    cost and its prefix) and base work, and the plan's masks.  Before
+    each array was allocated once — a row pointer for a 1-D index, a
+    second iteration index, an ``xold`` copy and a separate cost buffer
+    and count casts in the price — it read 9.15."""
     n = 300_000
     rng = np.random.default_rng(1989)
     ia = np.arange(n)   # identity, but for 0.5 % backward references
@@ -236,6 +239,36 @@ def test_a_speculative_compile_allocates_each_array_once(capsys):
               f"{arrays:.3g} x 8n bytes, bound 6.5")
     assert report.speculation.re_executed == n // 200
     assert arrays <= 6.5
+
+
+def test_speculation_runs_on_the_classic_run_path(gate):
+    """A speculative run is the classic run of its level plan — chunks,
+    then the repair set one index per level — so its repair set reaches
+    the tape: on the fissioned sweep's chain stage (every iteration but
+    the first repaired) a warm ``SpeculativeExecutor.run`` is at most
+    1.5x the self-executing executor's run of the same stage, bitwise
+    equal.  Its private per-index repair loop read about 33x."""
+    n = 8_000
+    rng = np.random.default_rng(1989)
+    chain = fission(sweep_program(rng.standard_normal(n),
+                                  rng.standard_normal(n))).stages[0].program
+    rt = Runtime(nproc=8)
+    classic = rt.compile(chain)
+    speculative = rt.compile(chain, strategy="speculative")
+    ex = speculative.executor
+    assert classic.executor_name == "self"
+    assert ex.plan().repair_indices.size == n - 1
+
+    def self_run():
+        return classic.executor.run(classic.bound_kernel)
+
+    def speculative_run():
+        return ex.run(speculative.bound_kernel)
+
+    assert np.array_equal(speculative_run(), self_run())
+    assert ex.kernel_path == "vectorized"
+    gate(f"speculative / self-executing run, chain stage n={n}",
+         self_run, speculative_run, at_most=1.5, pairs=9, calls=3)
 
 
 def _waiting_level(width):

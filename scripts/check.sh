@@ -181,6 +181,14 @@ if [ -n "$(echo "$calls" | grep -v '^src/repro/core/executor.py:' || true)" ] \
     echo "error: a per-index walk outside flat_walk / SerialExecutor" >&2
     exit 1
 fi
+# The speculative executor is a ClassicExecutor whose level plan is its
+# chunks, then its repair set: it calls no kernel method itself.
+calls=$(grep -rnE 'execute_(index|batch)\(' src/repro/speculate --include='*.py' || true)
+if [ -n "$calls" ]; then
+    echo "$calls"
+    echo "error: src/repro/speculate drives a kernel outside ClassicExecutor.run" >&2
+    exit 1
+fi
 
 echo "== one factor, one solve path: nothing re-factors or re-inspects what it was handed =="
 # A preconditioner is a factorization plus two compiled loops: the

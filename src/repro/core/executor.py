@@ -3,7 +3,7 @@
 A *kernel* encapsulates the numeric body of a reorderable loop —
 what one iteration computes — independent of the order iterations are
 executed in.  Executors (serial, pre-scheduled, self-executing,
-doacross, threaded) decide the order and synchronization; kernels do
+doacross, speculative) decide the order and synchronization; kernels do
 the arithmetic.  All executors run the same kernel, and all must
 reproduce the serial result bit-for-bit on legal schedules: that is the
 library's core correctness contract, enforced by the test-suite.
@@ -11,11 +11,12 @@ library's core correctness contract, enforced by the test-suite.
 Execution
 ---------
 :class:`ClassicExecutor` is the one base of the self-executing,
-pre-scheduled and doacross executors.  It owns their constructor state
-and their one serial run path — each builds a :class:`LevelPlan` once,
-a legal total order grouped into mutually independent batches, and
-every ``run`` walks it — plus ``simulate``, ``run_threaded`` and
-``run_processes``, each dispatching on the subclass's ``mode``.
+pre-scheduled, doacross and speculative executors.  It owns their
+constructor state and their one serial run path — each builds a
+:class:`LevelPlan` once, a legal total order grouped into mutually
+independent batches, and every ``run`` walks it — plus ``simulate``,
+``run_threaded`` and ``run_processes``, each dispatching on the
+subclass's ``mode``.
 Kernels with a real ``execute_batch`` run a level per call (the
 triangular kernels through a structure-only
 :class:`~repro.sparse.triangular.LevelGather` the executor keeps across
@@ -415,21 +416,22 @@ class UpperTriangularSolveKernel(_SubstitutionKernel):
 
 
 class ClassicExecutor:
-    """One schedule run four ways — what ``self``, ``preschedule`` and
-    ``doacross`` share.
+    """One schedule run four ways — what ``self``, ``preschedule``,
+    ``doacross`` and ``speculative`` share.
 
     A subclass names its ``mode`` and adds only what genuinely differs;
     the numeric run, the machine-model timing and the real-thread and
     real-process runs live here, the latter three dispatching on
-    ``mode``: barrier phases for ``"preschedule"``, busy-waits for the
-    other two.
+    ``mode``: barrier phases for ``"preschedule"``, busy-waits for
+    ``"self"`` and ``"doacross"``; ``"speculative"`` overrides all three.
 
     The numeric run is one serial path: :meth:`_build_levels` (where a
-    subclass's legality checks live) turns the schedule into ``(order,
-    bounds)``; this class keeps the resulting :class:`LevelPlan`, keeps
-    the kernel's gather plan for as long as the kernel names the same
-    structure objects — a data-only ``rebind()`` rebuilds the kernel,
-    not the structure — and runs kernels through them.
+    subclass's legality checks live) turns the schedule — speculation's
+    DOALL chunks, then its repair set — into ``(order, bounds)``; this
+    class keeps the resulting :class:`LevelPlan`, keeps the kernel's
+    gather plan for as long as the kernel names the same structure
+    objects — a data-only ``rebind()`` rebuilds the kernel, not the
+    structure — and runs kernels through them.
 
     **Two orders, not one.**  A *numeric* order need respect the
     dependences only — any such order computes the same values, so a
@@ -444,7 +446,7 @@ class ClassicExecutor:
     at a time.
     """
 
-    #: ``"self"``, ``"preschedule"`` or ``"doacross"``.
+    #: ``"self"``, ``"preschedule"``, ``"doacross"`` or ``"speculative"``.
     mode: str
     _levels: LevelPlan | None = None
     #: ``(gather_key, gather)`` of the last structure-bearing kernel.

@@ -165,6 +165,9 @@ class LoopPlan:
     kind = "abstract"
     _default_sim: SimResult | None = None
 
+    #: Iteration count of the loop the plan runs.
+    n = property(lambda self: self.inspection.dep.n)
+
     @property
     def inspection(self):
         """The inspection summary; plans that inspected nothing (or
@@ -237,8 +240,14 @@ class LoopPlan:
         report, outside the timed window."""
 
     def report(self) -> dict:
-        """Plan-specific entries of :meth:`CompiledLoop.report`."""
-        return {}
+        """Plan-specific entries of :meth:`CompiledLoop.report`: the
+        executor's numeric batches, and whether its last run went a
+        batch per level (``"vectorized"``) or per index (``"flat"``) —
+        both ``None`` before the first run."""
+        return {
+            "numeric_batches": getattr(self.executor, "numeric_batches", None),
+            "kernel_path": getattr(self.executor, "kernel_path", None),
+        }
 
 
 class ScheduledPlan(LoopPlan):
@@ -274,16 +283,6 @@ class ScheduledPlan(LoopPlan):
         lower = self._DOWN_TIER.get(backend)
         if lower is not None:
             yield lower, self, lower
-
-    def report(self) -> dict:
-        """Why a serial run costs what it does: how many numeric batches
-        the executor's level plan has, and whether the last run drove
-        its kernel a batch per level (``"vectorized"``) or one index at
-        a time (``"flat"``).  Both ``None`` before the first run."""
-        return {
-            "numeric_batches": getattr(self.executor, "numeric_batches", None),
-            "kernel_path": getattr(self.executor, "kernel_path", None),
-        }
 
 
 def _of_plan(name: str, doc: str) -> property:
@@ -507,7 +506,7 @@ class CompiledLoop:
             "executor": plan.executor_name,
             "scheduler": plan.inspection.strategy,
             "assignment": plan.assignment,
-            "n": self.dep.n,
+            "n": plan.n,
             "nproc": self.nproc,
             **plan.report(),
             "num_wavefronts": plan.inspection.num_wavefronts,
@@ -575,7 +574,7 @@ class CompiledLoop:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = (f"{self.program.name!r}, "
                  if self.program is not None and self.program.name else "")
-        return (f"CompiledLoop({label}{self.plan.kind}, n={self.dep.n}, "
+        return (f"CompiledLoop({label}{self.plan.kind}, n={self.plan.n}, "
                 f"nproc={self.nproc}, executor={self.executor_name!r}, "
                 f"scheduler={self.inspection.strategy!r}, "
                 f"cache_hit={self.cache_hit}, rebinds={self.rebinds})")

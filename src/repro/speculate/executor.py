@@ -9,9 +9,10 @@ a schedule because it never runs an inspection.  One execution is
    an unordered run would get wrong, closed into the :func:`repair set
    <repro.speculate.shadow.repair_set>`;
 2. **optimistic attempt** — partition ``[0, n)`` into contiguous
-   chunks and execute each, minus the repair set, as one batch in a
+   chunks and execute each, minus the repair set, as one level in a
    seeded-RNG-shuffled order, as if the loop were DOALL;
-3. **repair** — execute the repair set serially, in index order.
+3. **repair** — execute the repair set serially, one index per level,
+   in index order.
 
 The attempt is sound because an iteration outside the repair set, by
 construction, reads nothing an earlier iteration writes (or reads it
@@ -28,9 +29,9 @@ contract property asserts it.
 
 Because the shadow scan depends only on the *access pattern* — never
 on computed values — the whole attempt/detect/repair control flow is
-precomputed once per structure (:meth:`SpeculativeExecutor.plan`) and
-replayed by both :meth:`run` (numerics) and :meth:`simulate`
-(machine-model timing), and it survives data rebinds for free.
+precomputed once per structure (:meth:`SpeculativeExecutor.plan`):
+its levels are what the inherited classic ``run`` walks and what
+:meth:`simulate` prices, and it survives data rebinds for free.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.executor import ClassicExecutor
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts
 from ..machine.simulator import SimResult
@@ -131,8 +133,11 @@ class SpeculationPlan:
     report: ConflictReport
 
 
-class SpeculativeExecutor:
+class SpeculativeExecutor(ClassicExecutor):
     """Optimistic DOALL execution with vectorized conflict detection.
+
+    A :class:`~repro.core.executor.ClassicExecutor` without a
+    dependence graph: its level plan is the speculation plan's.
 
     Parameters
     ----------
@@ -146,24 +151,20 @@ class SpeculativeExecutor:
         Chunk-shuffle seed, a non-negative integer (``None`` shuffles
         unseeded); the session passes its ``tune_seed`` so
         misspeculation and repair are reproducible per session.
-    schedule:
-        Optional real schedule (when built from an inspection by the
-        registry factory); a lightweight identity stand-in otherwise.
     """
 
     mode = "speculative"
 
     def __init__(self, log: AccessLog, nproc: int,
                  costs: MachineCosts = MachineCosts(), *, seed=None,
-                 schedule=None, observer=None):
+                 observer=None):
         self.log = log
         self.nproc = check_positive(nproc, "nproc")
-        self.costs = costs
         self.seed = None if seed is None else check_seed(seed)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         self.observer = observer
-        self.schedule = schedule if schedule is not None else _SpecSchedule(
-            n=log.n, nproc=self.nproc)
+        super().__init__(_SpecSchedule(n=log.n, nproc=self.nproc), None,
+                         costs)
         #: :class:`ConflictReport` of the most recent :meth:`run`.
         self.last_conflicts: ConflictReport | None = None
         self._plan: SpeculationPlan | None = None
@@ -255,37 +256,33 @@ class SpeculativeExecutor:
                                repair_indices=repair_indices,
                                restore_elements=restore, report=report)
 
+    def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        # Phase 0: each chunk minus the repair set, one level each;
+        # phase 1: the repair set, one index per level, ascending.
+        plan, n = self.plan(), self.log.n
+        keep = np.ones(n, dtype=bool)
+        keep[plan.repair_indices] = False
+        order = np.empty(n, dtype=np.int64)
+        at = [0]
+        for lo, hi in plan.chunk_bounds:
+            kept = np.flatnonzero(keep[lo:hi]) + lo
+            if kept.size:
+                order[at[-1]:at[-1] + kept.size] = kept
+                at.append(at[-1] + kept.size)
+        order[at[-1]:] = plan.repair_indices
+        return order, np.concatenate((at, np.arange(at[-1] + 1, n + 1)))
+
     # ------------------------------------------------------------------
     def run(self, kernel) -> np.ndarray:
         """Execute ``kernel`` speculatively; bitwise equal to serial."""
-        plan = self.plan()
         n = self.log.n
         if kernel.n != n:
             raise ValidationError(
                 f"kernel has n={kernel.n}, access log has n={n}"
             )
-        repair = plan.repair_indices
-        attempted = None
-        if repair.size:
-            attempted = np.ones(n, dtype=bool)
-            attempted[repair] = False
-        obs = self.observer
-        kernel.start()
-        with maybe_span(obs, "speculate.attempt",
-                        chunks=len(plan.chunk_bounds)):
-            for lo, hi in plan.chunk_bounds:
-                idx = np.arange(lo, hi, dtype=np.int64)
-                if attempted is not None:
-                    idx = idx[attempted[lo:hi]]
-                if idx.size:
-                    kernel.execute_batch(idx)
-        if repair.size:
-            with maybe_span(obs, "speculate.repair",
-                            re_executed=int(repair.size)):
-                for i in repair:
-                    kernel.execute_index(int(i))
-        self.last_conflicts = dataclasses.replace(plan.report)
-        return kernel.result()
+        x = super().run(kernel)
+        self.last_conflicts = dataclasses.replace(self.plan().report)
+        return x
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,
                      timeline=None, faults=None):
@@ -307,23 +304,23 @@ class SpeculativeExecutor:
         log, a ``t_inc``-priced write log).  Detection is one parallel
         sweep over the events; repair re-executes its iterations
         serially, plus ``t_rearrange`` per element the repair set
-        writes.  :meth:`run` no longer attempts the repair set, so it
+        writes.  :meth:`run` never attempts the repair set, so it
         restores nothing: that restore term is a conservative price,
-        kept so the guard's and the tuner's verdicts stand, and left for
-        the speculation-as-a-schedule rework to re-price.  One buffer
-        holds the attempt cost per iteration, then its prefix sum.
+        kept so the guard's and the tuner's verdicts stand.  The read
+        counts' buffer holds the attempt cost per iteration, then its
+        prefix sum.
         """
         plan = self.plan()
         log, p, costs = self.log, self.nproc, self.costs
         n = log.n
         counts_r = log.read_counts()
+        reads = counts_r.sum()
         base = (costs.base_work(counts_r) if unit_work is None
                 else check_unit_work(unit_work, n))
         shared = costs.shared_factor(p)
         # base + shared * (t_check * reads + t_inc * writes), in place,
         # operation for operation; identity writes count 1 each.
-        prefix = np.zeros(n + 1)
-        w = np.multiply(costs.t_check, counts_r, out=prefix[1:])
+        w = np.multiply(costs.t_check, counts_r, out=counts_r)
         w += costs.t_inc * (1.0 if log.identity_writes else np.bincount(
             log.write_it, minlength=n).astype(np.float64))
         w *= shared
@@ -331,11 +328,10 @@ class SpeculativeExecutor:
         np.cumsum(w, out=w)
         busy = np.zeros(p)
         for k, (lo, hi) in enumerate(plan.chunk_bounds):
-            busy[k % p] += prefix[hi] - prefix[lo]
+            busy[k % p] += w[hi - 1] - (w[lo - 1] if lo else 0.0)
         attempt = float(busy.max()) if n else 0.0
         detect = shared * costs.t_check * log.num_events / p
         total = attempt + detect
-        repair = 0.0
         if plan.repair_indices.size:
             repair = (costs.t_rearrange * plan.restore_elements.size
                       + float(base[plan.repair_indices].sum()))
@@ -349,7 +345,7 @@ class SpeculativeExecutor:
             seq_time=float(base.sum()),
             busy=busy,
             idle=idle,
-            check_time=float(detect + shared * costs.t_check * counts_r.sum()),
+            check_time=float(detect + shared * costs.t_check * reads),
             inc_time=float(shared * costs.t_inc * log.write_it.shape[0]),
             num_phases=plan.report.attempts,
         )
@@ -380,6 +376,4 @@ def _build_speculative(inspection, nproc: int, costs: MachineCosts):
     inspection.
     """
     return SpeculativeExecutor(
-        AccessLog.from_dependences(inspection.dep), nproc, costs,
-        schedule=inspection.schedule,
-    )
+        AccessLog.from_dependences(inspection.dep), nproc, costs)

@@ -88,6 +88,9 @@ class SpeculativePlan(LoopPlan):
         self._dep = None
         self._verdict_recorded = False
 
+    #: Off the access log: a report extracts no dependences.
+    n = property(lambda self: self.executor.log.n)
+
     @property
     def dep(self):
         """Materialized lazily — diagnostics only; execution never asks."""

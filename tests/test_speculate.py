@@ -25,6 +25,7 @@ from repro.core.executor import (
 from repro.core.reference import speculation_violations
 from repro.errors import ValidationError
 from repro.machine.simulator import SimResult
+from repro.program.transform import fission
 from repro.runtime.registry import executor_registry
 from repro.sparse.build import random_lower_triangular
 from repro.speculate import (
@@ -38,6 +39,7 @@ from repro.speculate import (
     speculation_key,
 )
 from repro.tuning import enumerate_space
+from repro.workload import sweep_program
 from strategies import (
     indirection_arrays,
     loop_programs,
@@ -283,19 +285,43 @@ class TestSpeculativeExecutor:
         assert np.array_equal(first, serial_simple(ia, x0, b))
 
     def test_the_repair_set_is_not_attempted(self):
-        # Each iteration runs once: the chunks skip the repair set, which
-        # then runs per index, ascending — nothing to checkpoint.
+        # Each iteration runs once: the chunk levels skip the repair set,
+        # which then runs one index per level, ascending — nothing to
+        # checkpoint.
         n = 120
         prog = LoopProgram.from_indirection(sparse_conflict_ia(n, 10, seed=5))
         ex = SpeculativeExecutor(
             AccessLog.from_dependences(prog.dependence_graph()), 4, seed=2)
-        batched, walked = [], []
-        spy = GenericLoopKernel(n, walked.append)
-        spy.execute_batch = lambda idx: batched.extend(idx.tolist())
-        ex.run(spy)
-        repair = ex.plan().repair_indices.tolist()
-        assert walked == repair and len(repair) == 10
-        assert sorted(batched + walked) == list(range(n))
+        levels = ex.level_plan()
+        repair = ex.plan().repair_indices
+        assert len(repair) == 10
+        assert np.array_equal(np.sort(levels.order), np.arange(n))
+        widths = np.diff(levels.bounds)
+        assert (widths[-len(repair):] == 1).all()
+        cut = levels.bounds[-len(repair) - 1]
+        assert (np.diff(repair) > 0).all()
+        assert np.array_equal(levels.order[cut:], repair)
+        chunks = levels.order[:cut]
+        assert not np.isin(chunks, repair).any()
+        assert levels.num_levels == len(ex.plan().chunk_bounds) + len(repair)
+
+    def test_a_second_run_reuses_the_gather(self):
+        # The repair set runs through the tape like any level plan: the
+        # gather built on the first run serves the second.
+        rng = np.random.default_rng(7)
+        prog = sweep_program(rng.normal(size=400), rng.normal(size=400))
+        chain = fission(prog).stages[0].program
+        loop = Runtime(4).compile(chain, strategy="speculative")
+        ex = loop.executor
+        first = ex.run(loop.bound_kernel).copy()
+        builds, reuses, _ = ex.level_counts()
+        assert ex.kernel_path == "vectorized"
+        assert ex.plan().repair_indices.size == 399
+        assert np.array_equal(ex.run(loop.bound_kernel), first)
+        assert ex.level_counts()[0] == builds
+        assert ex.level_counts()[1] > reuses
+        assert np.array_equal(first,
+                              SerialExecutor().run(chain.make_kernel()))
 
     def test_seeded_chunk_order(self):
         log = AccessLog.from_dependences(
@@ -419,6 +445,29 @@ class TestRuntimeIntegration:
         assert report.executor == "speculative"
         want = serial_simple(np.asarray(ia), prog.data["x"], prog.data["b"])
         assert np.array_equal(report.x, want)
+
+    def test_a_report_extracts_no_dependences(self):
+        # n comes off the access log, and the run path is the classic
+        # one: a taped speculative loop reports its kernel path.
+        n = 400
+        ia = sparse_conflict_ia(n, 2, seed=8)
+        rng = np.random.default_rng(3)
+
+        def body(i, a):
+            a.x[i] = a.x[i] + a.b[i] * a.x[ia[i]]
+
+        prog = LoopProgram.record(n, body, x=rng.random(n), b=rng.random(n))
+        loop = Runtime(nproc=4, tune_seed=1).compile(
+            prog, strategy="speculative")
+        assert not loop().speculation.fell_back
+        report = loop.report()
+        assert loop.plan.kind == "speculative"
+        assert loop.plan._dep is None
+        assert report["n"] == n
+        assert report["kernel_path"] == "vectorized"
+        assert report["numeric_batches"] == (
+            len(loop.executor.plan().chunk_bounds)
+            + loop.executor.plan().repair_indices.size)
 
     def test_fallback_on_high_conflict(self, tmp_path):
         n = 50
