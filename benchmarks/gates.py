@@ -199,7 +199,7 @@ def test_cold_speculative_beats_the_cold_inspector(gate):
     classic, speculative = cold(), cold(strategy="speculative")
     assert np.array_equal(speculative.x, classic.x)
     assert speculative.speculation.conflict_rate < 0.01
-    assert not speculative.speculation.fell_back
+    assert speculative.executor == "speculative"
     gate(f"cold speculative / cold inspector, n={n}, 0.5% conflicts",
          cold, lambda: cold(strategy="speculative"), at_most=0.65, pairs=9)
 

@@ -2,14 +2,14 @@
 
 ``Runtime(observe=True)`` turns on the :mod:`repro.observe` layer —
 nestable spans on one clock, a metrics registry wired into every hot
-seam (schedule cache, tuning store, tuner rungs, speculation guard,
+seam (schedule cache, tuning store, tuner rungs, speculation,
 execution backends), and exporters.  This demo runs the Figure 3
 workload through the full pipeline and shows:
 
 * ``RunReport.phases`` — where one call's wall time went
   (inspect / schedule / tune / execute / other, summing to wall);
 * cache and tuner counters after a repeat compile (cache hit);
-* the speculation guard's conflict metrics on a hostile loop;
+* the speculation conflict metrics on a hostile loop;
 * a Perfetto-loadable ``trace.json`` with the simulator's predicted
   per-processor schedule *and* the real ``threads`` execution, one
   lane per processor (open it at https://ui.perfetto.dev).
@@ -58,7 +58,7 @@ def main() -> None:
           f"tuner.sims={m.value('tuner.sims'):.0f}")
 
     # ------------------------------------------------------------------
-    # 3. The speculation guard, metered
+    # 3. Speculation, metered
     # ------------------------------------------------------------------
     chain = np.maximum(np.arange(n) - 1, 0)  # every iteration conflicts
     hostile = LoopProgram.from_indirection(chain, x=rng.random(n),
@@ -66,7 +66,7 @@ def main() -> None:
     rt.compile(hostile, strategy="speculative")()
     print(f"hostile loop:   speculation.attempts="
           f"{m.value('speculation.attempts'):.0f}, "
-          f"fallbacks={m.value('speculation.fallbacks'):.0f}, "
+          f"re_executed={m.value('speculation.re_executed'):.0f}, "
           f"conflict rate={m.get('speculation.conflict_rate').max:.0%}")
     print()
 

@@ -7,22 +7,21 @@ arrays and one scan flags the iterations an unordered run would get
 wrong; the loop runs every other iteration optimistically as a DOALL
 in shuffled chunks, then exactly the flagged ones serially — nothing
 to checkpoint or restore, and bitwise identical to the serial loop,
-misspeculation included.  When the measured conflict rate crosses the
-guard threshold the session recompiles the classic pipeline instead
-and remembers that verdict per structure, across sessions.
+misspeculation included.  An explicit ``"speculative"`` speculates
+however much the loop conflicts; whether speculating beats inspecting
+is ``strategy="auto"``'s call, scored on the machine model.
 
 Run:  python examples/speculate_demo.py
       REPRO_EXAMPLE_SCALE=0.2 python examples/speculate_demo.py
 """
 
 import os
-import tempfile
 import time
 
 import numpy as np
 
 from repro import LoopProgram, Runtime
-from repro.speculate import FALLBACK_THRESHOLD
+from repro.core.executor import SerialExecutor
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
 rng = np.random.default_rng(1989)
@@ -70,28 +69,28 @@ def main() -> None:
     print("  results bitwise identical to the classic pipeline\n")
 
     # ------------------------------------------------------------------
-    # 2. A hostile loop: the guard falls back to the inspector
+    # 2. A hostile loop: still speculative, still exact; auto arbitrates
     # ------------------------------------------------------------------
     chain = np.maximum(np.arange(n) - 1, 0)   # every iteration conflicts
     hostile = LoopProgram.from_indirection(chain, x=rng.random(n),
                                            b=rng.random(n))
-    with tempfile.TemporaryDirectory() as tuning_dir:
-        rt = Runtime(nproc=8, tuning_dir=tuning_dir)
-        loop = rt.compile(hostile, strategy="speculative")
-        r1 = loop()
-        print(f"all-conflict chain, n={n}:")
-        print(f"  run 1: conflict rate {r1.speculation.conflict_rate:.0%} "
-              f">= guard {FALLBACK_THRESHOLD:.0%} -> fell back")
-        r2 = loop()
-        print(f"  run 2: executor={r2.executor!r} (classic pipeline), "
-              f"speculation={r2.speculation}")
+    want = SerialExecutor().run(hostile.make_kernel())
+    rt = Runtime(nproc=8)
+    loop = rt.compile(hostile, strategy="speculative")
+    print(f"all-conflict chain, n={n}:")
+    for run in (1, 2):
+        r = loop()
+        assert r.executor == "speculative" and np.array_equal(r.x, want)
+        print(f"  run {run}: executor={r.executor!r}, conflict rate "
+              f"{r.speculation.conflict_rate:.0%}, re-executed "
+              f"{r.speculation.re_executed} serially, bitwise serial")
 
-        # The verdict is persisted per structure: a fresh session skips
-        # the speculative attempt entirely.
-        rt2 = Runtime(nproc=8, tuning_dir=tuning_dir)
-        r3 = rt2.compile(hostile, strategy="speculative")()
-        print(f"  fresh session: executor={r3.executor!r} "
-              f"(remembered fallback)")
+    # Whether to speculate at all is strategy="auto"'s decision: the
+    # tuner scores the speculative arm beside every scheduled candidate.
+    verdict = rt.compile(hostile, strategy="auto").verdict
+    print(f"  auto's verdict: {verdict.executor}/{verdict.scheduler}, "
+          f"simulated makespan {verdict.sim_makespan:,.0f} model us, "
+          f"best of {verdict.candidates} candidates")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-walk-chooser,
-# one-ordering-owner, one-scorer,
+# one-ordering-owner, one-scorer, one-arbiter,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # no-fixed-width-row-pointer,
@@ -65,12 +65,29 @@ forked="$forked|_greedy_unit_owner|last_measurements|last_winner"
 # ... and the shadow scan keeps only the shadows it reads: identity
 # writes compare each read against its iteration, with no shadow.
 forked="$forked|min_read"
+# ... and strategy="auto" is the one arbiter between speculating and
+# inspecting: the run-time guard, its price and its constants went.
+forked="$forked|break_even_rate|FALLBACK_THRESHOLD|MIN_FALLBACK_RATE"
+forked="$forked|DEFAULT_EXPECTED_EXECUTIONS|fell_back|fallback_threshold"
+forked="$forked|_record_verdict"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
     echo "error: an engine= selector reappeared under src/repro/machine" >&2
+    exit 1
+fi
+
+echo "== one arbiter: a loop runs the plan its compile chose =="
+# Only a rebind (runtime/session.py) replaces loop.plan for good; a
+# recovery tier (resilience/recovery.py) installs its plan for one call
+# and restores it.  Nothing swaps a plan because of how a run went.
+swaps=$(grep -rnE '\.plan\s*=[^=]' src --include='*.py' \
+        | grep -vE '^src/repro/(runtime/session|resilience/recovery)\.py:' || true)
+if [ -n "$swaps" ]; then
+    echo "$swaps"
+    echo "error: .plan = assigned outside runtime/session.py and resilience/recovery.py" >&2
     exit 1
 fi
 

@@ -71,7 +71,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "At",

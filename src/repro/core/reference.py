@@ -329,59 +329,33 @@ def simulate_self_executing(
     )
 
 
-def speculation_violations(
-    n: int,
-    read_it,
-    read_el,
-    write_it,
-    write_el,
-    *,
-    start: int = 0,
-    committed=None,
-) -> np.ndarray:
+def speculation_violations(n: int, read_it, read_el, write_it,
+                           write_el) -> np.ndarray:
     """Per-event conflict-detection oracle for the speculative tier.
 
     The literal, one-event-at-a-time transcription of the rules the
     vectorized shadow scan (:func:`repro.speculate.shadow.scan_accesses`)
     implements: iteration ``i`` is *violated* when
 
-    * it reads an element some earlier in-range iteration writes
-      (stale read),
-    * it reads an element the committed prefix wrote while a later
-      in-range iteration also writes it (clobbered snapshot read), or
-    * it writes an element an earlier in-range iteration also writes
+    * it reads an element some earlier iteration writes (stale read),
+      or
+    * it writes an element an earlier iteration also writes
       (write-after-write).
 
-    Events below ``start`` are out of range; ``committed`` (a boolean
-    element mask, or ``None`` for empty) marks elements the committed
-    prefix wrote.  Returns the boolean violated mask of length ``n``.
-    The property tests assert vectorized == reference on random event
-    sets.
+    Returns the boolean violated mask of length ``n``.  The property
+    tests assert vectorized == reference on random event sets.
     """
     first_write: dict = {}
-    last_write: dict = {}
     for it, el in zip(write_it, write_el):
         it, el = int(it), int(el)
-        if it < start:
-            continue
-        if el not in first_write:
-            first_write[el] = it
-            last_write[el] = it
-        else:
-            first_write[el] = min(first_write[el], it)
-            last_write[el] = max(last_write[el], it)
+        first_write[el] = min(first_write.get(el, it), it)
     violated = np.zeros(n, dtype=bool)
     for it, el in zip(read_it, read_el):
         it, el = int(it), int(el)
-        if it < start:
-            continue
         if el in first_write and first_write[el] < it:
-            violated[it] = True
-        elif (committed is not None and bool(committed[el])
-                and last_write.get(el, -1) > it):
             violated[it] = True
     for it, el in zip(write_it, write_el):
         it, el = int(it), int(el)
-        if it >= start and first_write[el] < it:
+        if first_write[el] < it:
             violated[it] = True
     return violated

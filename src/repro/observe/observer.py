@@ -78,8 +78,6 @@ class Observer:
         m.inc("speculation.violated", conflicts.violated)
         m.inc("speculation.re_executed", conflicts.re_executed)
         m.observe("speculation.conflict_rate", conflicts.conflict_rate)
-        if conflicts.fell_back:
-            m.inc("speculation.fallbacks")
 
     # ------------------------------------------------------------------
     # Export

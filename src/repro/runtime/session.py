@@ -39,11 +39,12 @@ dependence data or a :class:`~repro.program.LoopProgram` —
 :meth:`Runtime.compile` returns a :class:`CompiledLoop` wrapping one
 :class:`LoopPlan`: a :class:`ScheduledPlan` (inspection + registry
 executor, defined here), a :class:`~repro.speculate.SpeculativePlan`
-(no inspection, optimistic execution with an adaptive guard) or a
+(no inspection, optimistic execution) or a
 :class:`~repro.program.StagedPlan` (a fission/skew variant run stage by
 stage).  The loop owns the call protocol, timing, instrumentation,
-reports and counters; the adaptive guard, recovery tiers and rebinds
-only ever replace ``loop.plan``.  Data binding is orthogonal: compiling
+reports and counters, and runs the plan its compile chose: only a
+rebind replaces ``loop.plan`` for good (a recovery tier swaps it for
+one call, then restores it).  Data binding is orthogonal: compiling
 a program attaches it and its kernel (``loop()`` executes it,
 ``loop.rebind(...)`` swaps data without re-inspection) under every
 plan alike.
@@ -151,8 +152,8 @@ class LoopPlan:
     :class:`~repro.program.StagedPlan` (a transform variant run as one
     compiled loop per stage).  The loop owns everything plans have in
     common — call protocol, timing, reports, counters, data binding —
-    and replaces ``loop.plan`` when the adaptive guard, a recovery tier
-    or a rebind changes what runs.
+    and replaces ``loop.plan`` only when a rebind changes what runs (a
+    recovery tier installs its plan for one call, then restores it).
 
     A plan is also the read-only summary reports are built from:
     ``executor``, ``executor_name``, ``scheduler_name``, ``assignment``,
@@ -307,8 +308,8 @@ class CompiledLoop:
                  bound_kernel=None, verdict=None, program_verdict=None):
         self.runtime = runtime
         #: The current :class:`LoopPlan`.  Everything this loop reports
-        #: reads through it, so a swap (adaptive guard, recovery tier)
-        #: can never leave a stale description behind.
+        #: reads through it, so a swap (rebind, recovery tier) can
+        #: never leave a stale description behind.
         self.plan = plan
         #: The :class:`~repro.program.LoopProgram` behind a program
         #: compile (``None`` for raw dependence data).
@@ -653,9 +654,7 @@ class Runtime:
         win, while large horizons recover pure steady-state makespan
         ranking.  ``None`` (default) keeps the classic makespan-only
         scoring; anything else must be positive and finite, and a
-        horizon below one execution counts as one.  The adaptive
-        speculation guard also prices its break-even conflict rate
-        against this horizon.
+        horizon below one execution counts as one.
     observe:
         ``True`` builds a fresh :class:`~repro.observe.Observer` and
         threads it through every subsystem (spans on compile/run/tune,
@@ -768,10 +767,9 @@ class Runtime:
 
         ``strategy="speculative"`` skips inspection entirely and
         returns a loop whose plan executes optimistically with
-        vectorized conflict detection (:mod:`repro.speculate`) — with
-        an adaptive guard that swaps in the classic scheduled plan, and
-        remembers the decision in the ``TuningStore``, when the
-        measured conflict rate is too high.
+        vectorized conflict detection (:mod:`repro.speculate`) on
+        every call, whatever the conflict rate; ``"auto"`` is the one
+        arbiter between speculating and inspecting.
 
         On a multi-statement or shaped program ``"auto"`` also searches
         the legal rewrites (fission, skew, compositions); the search's

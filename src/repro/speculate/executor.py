@@ -36,7 +36,6 @@ its levels are what the inherited classic ``run`` walks and what
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,27 +50,11 @@ from ..util.rng import default_rng
 from ..util.validation import check_positive, check_seed, check_unit_work
 from .shadow import AccessLog, ShadowScan, repair_set, scan_accesses
 
-__all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor",
-           "FALLBACK_THRESHOLD", "MIN_FALLBACK_RATE",
-           "DEFAULT_EXPECTED_EXECUTIONS"]
-
-#: Ceiling of the adaptive guard: whatever the machine model says, a
-#: structure whose measured conflict rate reaches this abandons
-#: speculation and recompiles the classic inspector/executor pipeline.
-FALLBACK_THRESHOLD = 0.05
-
-#: Floor of the adaptive guard — below this rate the serial repair is
-#: noise whatever the structure, so speculation always stays.
-MIN_FALLBACK_RATE = 0.01
+__all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor"]
 
 #: Attempt granularity: ``min(CHUNKS_PER_PROC * nproc, n)`` contiguous
 #: chunks, shuffled.
 CHUNKS_PER_PROC = 4
-
-#: Amortisation horizon assumed when the session does not declare one:
-#: how many executions a structure is expected to serve, over which
-#: the classic pipeline would spread its inspection cost.
-DEFAULT_EXPECTED_EXECUTIONS = 16.0
 
 
 def _refuse(backend: str) -> ValidationError:
@@ -81,9 +64,12 @@ def _refuse(backend: str) -> ValidationError:
         "shadow state")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConflictReport:
-    """What one speculative execution did — attached to ``RunReport``."""
+    """What one speculative execution did — attached to ``RunReport``.
+
+    Fixed by the access pattern, so every run of a structure shares one
+    (frozen) report."""
 
     #: Execution passes: 1 (clean) or 2 (optimistic + repair).
     attempts: int
@@ -107,9 +93,6 @@ class ConflictReport:
     shadow_bytes: int
     #: Seed of the chunk-order shuffle (misspeculation is reproducible).
     seed: int
-    #: Set by the adaptive guard when this run tripped the fallback —
-    #: future executions of the loop use the classic pipeline.
-    fell_back: bool = False
 
 
 @dataclass
@@ -129,7 +112,7 @@ class SpeculationPlan:
     repair_indices: np.ndarray
     #: Elements the repair set writes, unique (priced, never touched).
     restore_elements: np.ndarray
-    #: Report template (copied per run so ``fell_back`` never leaks).
+    #: The report of every run.
     report: ConflictReport
 
 
@@ -168,48 +151,6 @@ class SpeculativeExecutor(ClassicExecutor):
         #: :class:`ConflictReport` of the most recent :meth:`run`.
         self.last_conflicts: ConflictReport | None = None
         self._plan: SpeculationPlan | None = None
-
-    # ------------------------------------------------------------------
-    def break_even_rate(self, expected_executions: float | None = None
-                        ) -> float:
-        """Per-structure conflict rate at which speculation stops paying.
-
-        Priced from the machine model and the access log alone (no
-        shadow scan, no dependence extraction — the quantities the
-        no-inspection path is allowed to know):
-
-        * staying speculative costs the serial repair of the
-          conflicting iterations on *every* execution — roughly
-          ``rate * n * (re-execute + restore)`` model µs;
-        * falling back costs the classic inspection once, amortised
-          over the structure's expected executions — estimated at the
-          inspector's sort prices (``t_sort_base`` per iteration,
-          ``t_sort_per_dep`` per read event).
-
-        Equating the two gives the break-even rate, clamped to
-        ``[MIN_FALLBACK_RATE, FALLBACK_THRESHOLD]`` so the guard never
-        tolerates more than the legacy constant nor thrashes on noise.
-        A horizon of 1 (a cold one-shot structure) therefore keeps the
-        ceiling — nothing amortises an inspection nobody reuses.
-        """
-        log, costs = self.log, self.costs
-        n = log.n
-        if n <= 0:
-            return FALLBACK_THRESHOLD
-        horizon = (DEFAULT_EXPECTED_EXECUTIONS
-                   if expected_executions is None
-                   else max(1.0, float(expected_executions)))
-        total_reads = float(log.read_it.shape[0])
-        inspect_est = n * costs.t_sort_base + costs.t_sort_per_dep * total_reads
-        repair_per_iter = (
-            costs.t_work_base
-            + costs.t_work_per_dep * total_reads / n
-            + costs.t_rearrange * float(log.write_it.shape[0]) / n
-        )
-        if repair_per_iter <= 0.0:
-            return FALLBACK_THRESHOLD
-        rate = inspect_est / (horizon * n * repair_per_iter)
-        return float(min(FALLBACK_THRESHOLD, max(MIN_FALLBACK_RATE, rate)))
 
     # ------------------------------------------------------------------
     def plan(self) -> SpeculationPlan:
@@ -281,7 +222,7 @@ class SpeculativeExecutor(ClassicExecutor):
                 f"kernel has n={kernel.n}, access log has n={n}"
             )
         x = super().run(kernel)
-        self.last_conflicts = dataclasses.replace(self.plan().report)
+        self.last_conflicts = self.plan().report
         return x
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,
@@ -306,7 +247,7 @@ class SpeculativeExecutor(ClassicExecutor):
         serially, plus ``t_rearrange`` per element the repair set
         writes.  :meth:`run` never attempts the repair set, so it
         restores nothing: that restore term is a conservative price,
-        kept so the guard's and the tuner's verdicts stand.  The read
+        kept so the tuner's verdicts stand.  The read
         counts' buffer holds the attempt cost per iteration, then its
         prefix sum.
         """

@@ -23,10 +23,6 @@ An iteration ``i`` is violated when
 * **stale read** — it reads an element some earlier iteration writes
   (``first_write[e] < i``): under unordered execution the read may
   see the unwritten (or mid-flight) value;
-* **clobbered snapshot read** — it re-reads an element a *committed*
-  earlier range already wrote while a later iteration of the current
-  range also writes it (``committed[e] and max_write[e] > i``): the
-  later write may land before the read;
 * **write-after-write** — it writes an element an earlier iteration
   also writes (``first_write[e] < i``): last-writer-wins is not
   guaranteed without ordering.
@@ -224,9 +220,9 @@ class ShadowScan:
 
     #: Violated-iteration mask, length ``n``.
     violated: np.ndarray
-    #: Per-element earliest in-range writer (sentinel ``n``).
+    #: Per-element earliest writer (sentinel ``n``).
     first_write: np.ndarray | None = None
-    #: Per-element latest in-range writer (sentinel ``-1``).
+    #: Per-element latest writer (sentinel ``-1``).
     max_write: np.ndarray | None = None
     #: Per-element write-after-write marker (two distinct writers).
     multi_writer: np.ndarray | None = None
@@ -242,46 +238,30 @@ class ShadowScan:
                        if a is not None))
 
 
-def scan_accesses(log: AccessLog, *, start: int = 0,
-                  committed: np.ndarray | None = None) -> ShadowScan:
-    """Flag the iterations an unordered execution of ``[start, n)``
-    may have computed wrongly.
+def scan_accesses(log: AccessLog) -> ShadowScan:
+    """Flag the iterations an unordered execution of ``[0, n)`` may
+    have computed wrongly.
 
-    ``committed`` marks elements already written by the committed
-    prefix ``[0, start)`` (whose values are final); ``None`` means an
-    empty prefix.  The scan considers only events at iterations
-    ``>= start``.  Identity writes over the whole range take one
-    compare and allocate no shadow: element ``e < n`` has the one
-    writer ``e``, so a read is stale exactly when ``read_el <
-    read_it`` (an element ``>= n`` has no writer, and ``read_it < n``).
+    Identity writes take one compare and allocate no shadow: element
+    ``e < n`` has the one writer ``e``, so a read is stale exactly when
+    ``read_el < read_it`` (an element ``>= n`` has no writer, and
+    ``read_it < n``).
     """
     n, m = log.n, log.n_elements
     violated = np.zeros(n, dtype=bool)
-    if log.identity_writes and start == 0 and committed is None:
-        r_it = log.read_it
-        violated[r_it[log.read_el < r_it]] = True
+    r_it, r_el = log.read_it, log.read_el
+    if log.identity_writes:
+        violated[r_it[r_el < r_it]] = True
         return ShadowScan(violated=violated)
     first_write = np.full(m, n, dtype=np.int64)
     max_write = np.full(m, -1, dtype=np.int64)
-
-    wmask = log.write_it >= start
-    w_it = log.write_it[wmask] if start > 0 else log.write_it
-    w_el = log.write_el[wmask] if start > 0 else log.write_el
+    w_it, w_el = log.write_it, log.write_el
     if w_el.size:
         np.minimum.at(first_write, w_el, w_it)
         np.maximum.at(max_write, w_el, w_it)
-
-    rmask = log.read_it >= start
-    r_it = log.read_it[rmask] if start > 0 else log.read_it
-    r_el = log.read_el[rmask] if start > 0 else log.read_el
-    if r_it.size:
-        bad = first_write[r_el] < r_it            # stale read
-        if committed is not None:
-            bad |= committed[r_el] & (max_write[r_el] > r_it)
-        violated[r_it[bad]] = True
-    if w_it.size:
         violated[w_it[first_write[w_el] < w_it]] = True   # WAW
-
+    if r_it.size:
+        violated[r_it[first_write[r_el] < r_it]] = True   # stale read
     multi = (max_write >= 0) & (first_write < max_write)
     return ShadowScan(violated=violated, first_write=first_write,
                       max_write=max_write, multi_writer=multi)

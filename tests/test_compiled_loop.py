@@ -7,7 +7,9 @@ every plan kind × dependence source instead of once per (former) loop
 class; the remaining classes pin the four defects the parallel class
 hierarchy carried (staged loops rejecting ``unit_work=``, skipping the
 session's instrumentation and dropping recovery records; speculative
-loops describing a plan they no longer run after the guard tripped).
+loops describing a plan they no longer run after a swap).
+:class:`TestALoopRunsThePlanItsCompileChose` pins the one arbiter: an
+``auto`` stage the tuner scored speculative keeps speculating.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ class Case:
         elif kind == "speculative":
             ia = np.arange(N)  # self-reads only: nothing to repair
             options = {"strategy": "speculative"}
-        else:  # speculative-after-fallback: a full chain trips the guard
+        else:  # speculative-after-fallback: a full chain, all conflict
             ia = np.maximum(np.arange(N) - 1, 0)
             options = {"strategy": "speculative"}
-        self.kind = "speculative" if kind == "speculative" else "scheduled"
+        self.kind = "scheduled" if kind == "scheduled" else "speculative"
         if source == "program":
             self.loop = rt.compile(
                 LoopProgram.from_indirection(ia, x=x, b=b), **options)
@@ -156,8 +158,10 @@ class Case:
             self.loop = rt.compile(ia, **options)
             self.kernel = SimpleLoopKernel(x, b, ia)
         if kind == "speculative-after-fallback":
-            assert self.loop.plan.kind == "speculative"
-            assert self.loop(self.kernel).speculation.fell_back
+            # Nothing falls back: the loop keeps the plan it compiled.
+            plan = self.loop.plan
+            rate = self.loop(self.kernel).speculation.conflict_rate
+            assert rate == (N - 1) / N and self.loop.plan is plan
 
     def expected(self):
         if self.loop.program is not None:
@@ -341,16 +345,6 @@ class TestOneTypeEveryRoute:
         assert identity.program_verdict.variant_name == "identity"
         assert identity.verdict is identity.program_verdict.stage_verdicts[0]
 
-    def test_remembered_fallback_compiles_scheduled(self, tmp_path):
-        ia = np.maximum(np.arange(N) - 1, 0)
-        prog = LoopProgram.from_indirection(ia, x=np.ones(N), b=np.ones(N))
-        Runtime(nproc=NPROC, tuning_dir=tmp_path).compile(
-            prog, strategy="speculative")()
-        loop = Runtime(nproc=NPROC, tuning_dir=tmp_path).compile(
-            prog, strategy="speculative")
-        assert type(loop) is CompiledLoop
-        assert loop.plan.kind == "scheduled" and loop.executor_name == "self"
-
     def test_call_signature_is_shared(self):
         params = list(inspect.signature(CompiledLoop.__call__).parameters)
         assert params == ["self", "kernel", "backend", "unit_work",
@@ -465,51 +459,11 @@ class TestStagedInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# Defect 4: after the guard trips, the loop describes what it runs
+# Defect 4: a recovery tier swaps the plan for one call only, and the
+# loop describes what that call ran
 # ----------------------------------------------------------------------
 
 class TestGuardSwapsThePlan:
-    def make(self, **runtime_options):
-        ia = np.maximum(np.arange(N) - 1, 0)  # a full chain
-        rng = np.random.default_rng(11)
-        prog = LoopProgram.from_indirection(
-            ia, x=rng.normal(size=N), b=rng.normal(size=N))
-        rt = Runtime(nproc=NPROC, tuning=None, **runtime_options)
-        return prog, rt, rt.compile(prog, strategy="speculative")
-
-    def test_loop_agrees_with_the_plan_it_runs(self):
-        prog, rt, loop = self.make()
-        speculative = loop.plan
-        first = loop()
-        assert first.executor == "speculative" and first.speculation.fell_back
-        # The guard replaced the plan; nothing still says "speculative".
-        assert loop.plan is not speculative
-        assert loop.plan.kind == "scheduled"
-        second = loop()
-        assert second.speculation is None
-        assert (second.executor == loop.executor_name
-                == loop.report()["executor"] == "self")
-        assert loop.executor is loop.plan.executor
-        assert getattr(loop.executor, "mode", None) != "speculative"
-        assert second.inspection is loop.inspection
-        assert loop.report()["inspect_cost"] == second.inspect_cost > 0
-        # One counter, across the swap.
-        assert (first.executions, second.executions) == (1, 2)
-        assert loop.executions == loop.report()["executions"] == 2
-        assert second.amortised_inspect_cost == second.inspect_cost / 2
-        assert same(second.x, oracle(prog))
-
-    def test_rebind_keeps_working_after_the_swap(self):
-        prog, rt, loop = self.make()
-        loop()
-        x2 = np.linspace(0.0, 1.0, N)
-        assert loop.rebind(x=x2) is loop
-        assert same(loop().x, oracle(prog.with_data(x=x2)))
-        assert loop.plan.kind == "scheduled" and loop.executions == 2
-        fresh = loop.rebind(ia=np.zeros(N, dtype=np.int64))
-        assert fresh is not loop and fresh.plan.kind == "scheduled"
-        assert same(fresh().x, oracle(fresh.program))
-
     def test_recovery_tier_runs_on_the_same_loop_without_demoting_it(self):
         # Low-conflict structure, so only the injected faults (two
         # speculative attempts, one classic) push it down a tier.
@@ -529,6 +483,33 @@ class TestGuardSwapsThePlan:
         assert clean.recovery is None and clean.executor == "speculative"
         assert clean.executions == 2
         assert same(clean.x, oracle(prog))
+
+
+class TestALoopRunsThePlanItsCompileChose:
+    def test_stages_run_their_verdicts_and_simulate_as_they_run(self):
+        # The sweep's chain stage is the tuner's speculative pick; it
+        # must still run speculatively after calls and a rebind, and
+        # the bundle's timing must price the stages that actually run.
+        n, nproc = 8_000, 8
+        rng = np.random.default_rng(5)
+        prog = sweep_program(rng.normal(size=n), rng.normal(size=n))
+        rt = Runtime(nproc=nproc)
+        loop = rt.compile(prog, strategy="auto")
+        assert loop.plan.kind == "staged"
+        loop(), loop()
+        x2 = rng.normal(size=n)
+        assert loop.rebind(x=x2) is loop
+        assert same(loop().x, oracle(prog.with_data(x=x2)))
+        verdicts = loop.program_verdict.stage_verdicts
+        assert "speculative" in [vd.executor for vd in verdicts]
+        for stage_loop, vd in zip(loop.stage_loops, verdicts):
+            assert stage_loop.executor_name == vd.executor
+        costs = rt.costs
+        stages = [sl.simulate(unit_work=st.program.unit_work(costs))
+                  for st, sl in zip(loop.variant.stages, loop.stage_loops)]
+        barriers = costs.sync_cost(nproc) * (len(stages) - 1)
+        assert loop.simulate().total_time == (
+            sum(s.total_time for s in stages) + barriers)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Covers the observability contract end to end: span nesting and
 exception safety, the disabled path being a true no-op (compile
 results bitwise-identical with ``observe`` on and off), metric counts
-against known cache-hit and speculation-fallback scenarios, and
+against known cache-hit and all-conflict speculation scenarios, and
 Chrome-trace schema validity for both the simulated and the real
 ``threads`` timelines.
 """
@@ -203,7 +203,7 @@ class TestScenarioMetrics:
         assert m.value("schedule_cache.hits") == 2
         assert m.value("schedule_cache.hits") == rt.cache_stats.hits
 
-    def test_speculation_fallback_counts(self):
+    def test_speculation_counts_every_run(self):
         n = 50
         ia = np.maximum(np.arange(n) - 1, 0)  # serial chain: all conflict
         rng = np.random.default_rng(3)
@@ -211,15 +211,14 @@ class TestScenarioMetrics:
                                             b=rng.random(n))
         rt = Runtime(nproc=NPROC, tune_seed=1, observe=True)
         loop = rt.compile(prog, strategy="speculative")
-        report = loop()
-        assert report.speculation.fell_back
+        reports = [loop(), loop()]
         m = rt.observer.metrics
-        assert m.value("speculation.runs") == 1
-        assert m.value("speculation.fallbacks") == 1
-        assert m.value("speculation.attempts") >= 1
+        assert m.value("speculation.runs") == 2
+        assert m.value("speculation.attempts") == 4
+        assert m.value("speculation.re_executed") == 2 * (n - 1)
         rate = m.get("speculation.conflict_rate")
-        assert rate.count == 1
-        assert rate.max == pytest.approx(report.speculation.conflict_rate)
+        assert rate.count == 2
+        assert rate.max == pytest.approx(reports[1].speculation.conflict_rate)
 
     def test_tuner_counts(self):
         prog = figure3_program(n=120, seed=2)

@@ -19,10 +19,7 @@ The load-bearing properties:
 * amortised strategy scores (satellite) — ``expected_executions``
   charges each scheduled candidate its pipeline cost divided by the
   horizon, never touches the no-inspection candidates, and flips the
-  cold winner;
-* model-priced speculation guard (satellite) — ``break_even_rate`` is
-  clamped, monotone in the horizon, and wired into
-  ``speculative_plan`` in place of the old constant.
+  cold winner.
 """
 
 import numpy as np
@@ -30,7 +27,6 @@ import pytest
 
 from repro.core.dependence import DependenceGraph
 from repro.errors import ValidationError
-from repro.machine import MULTIMAX_320
 from repro.program import (
     At,
     IterationMap,
@@ -44,13 +40,6 @@ from repro.program import (
     skew,
 )
 from repro.runtime import CompiledLoop, Runtime
-from repro.speculate import (
-    DEFAULT_EXPECTED_EXECUTIONS,
-    FALLBACK_THRESHOLD,
-    MIN_FALLBACK_RATE,
-    AccessLog,
-    SpeculativeExecutor,
-)
 from repro.tuning import ProgramVerdict, enumerate_space, simulate_spec
 from repro.workload import MultiSweep, stencil_program, sweep_program
 from test_contract import assert_contract, same, serial
@@ -564,75 +553,3 @@ class TestAmortisedArbitration:
         assert a1.executor != b1.executor  # horizons don't share entries
 
 
-# ----------------------------------------------------------------------
-# Satellite: model-priced speculation guard
-# ----------------------------------------------------------------------
-
-class TestBreakEvenRate:
-    def _executor(self, n=300, reads_per_iter=1.0, seed=0):
-        rng = np.random.default_rng(seed)
-        m = int(n * reads_per_iter)
-        log = AccessLog(
-            n=n, n_elements=n,
-            read_it=rng.integers(0, n, m).astype(np.int64),
-            read_el=rng.integers(0, n, m).astype(np.int64),
-            write_it=np.arange(n, dtype=np.int64),
-            write_el=np.arange(n, dtype=np.int64),
-        )
-        return SpeculativeExecutor(log, 8, MULTIMAX_320, seed=0)
-
-    def test_clamped_to_legacy_band(self):
-        for reads in (0.25, 1.0, 4.0, 16.0):
-            for E in (None, 1, 4, 64, 1e6):
-                r = self._executor(reads_per_iter=reads).break_even_rate(E)
-                assert MIN_FALLBACK_RATE <= r <= FALLBACK_THRESHOLD
-
-    def test_monotone_in_horizon(self):
-        ex = self._executor()
-        rates = [ex.break_even_rate(E) for E in (1, 2, 8, 32, 128, 1024)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_cold_structure_keeps_the_ceiling(self):
-        assert self._executor().break_even_rate(1) == FALLBACK_THRESHOLD
-
-    def test_default_horizon(self):
-        ex = self._executor()
-        assert ex.break_even_rate(None) == pytest.approx(
-            ex.break_even_rate(DEFAULT_EXPECTED_EXECUTIONS))
-
-    def test_figure3_shape_is_interior(self):
-        # One read of the written array per iteration: the break-even
-        # rate lands strictly inside the clamp band at the default
-        # horizon — the guard genuinely varies per structure.
-        r = self._executor(reads_per_iter=1.0).break_even_rate()
-        assert MIN_FALLBACK_RATE < r < FALLBACK_THRESHOLD
-
-    def test_wired_into_compiled_loop(self):
-        n = 200
-        rng = np.random.default_rng(6)
-        ia = np.arange(n)
-        prog = LoopProgram.from_indirection(
-            ia, x=rng.normal(size=n), b=rng.normal(size=n))
-        for E in (None, 1, 1e6):
-            rt = Runtime(nproc=8, expected_executions=E)
-            loop = rt.compile(prog, strategy="speculative")
-            reads, writes = prog.resolved_accesses()
-            log = AccessLog.from_program(prog)
-            want = SpeculativeExecutor(
-                log, rt.nproc, rt.costs).break_even_rate(E)
-            assert loop.plan.fallback_threshold == pytest.approx(want)
-
-    def test_high_conflict_still_falls_back(self):
-        # An all-backward chain has conflict rate ~1 >> any clamped
-        # threshold: even the most amortisation-friendly horizon must
-        # still trip the guard.
-        n = 120
-        ia = np.maximum(np.arange(n) - 1, 0)
-        prog = LoopProgram.from_indirection(
-            ia, x=np.ones(n), b=np.ones(n))
-        rt = Runtime(nproc=4, expected_executions=1e6)
-        loop = rt.compile(prog, strategy="speculative")
-        threshold = loop.plan.fallback_threshold
-        report = loop()
-        assert report.speculation.fell_back
-        assert report.speculation.conflict_rate >= threshold

@@ -3,8 +3,8 @@
 The shadow-scan detection against the pure-Python oracle, the
 adversarial workloads of the LRPD literature (all-conflict chains,
 zero-conflict DOALLs, duplicate writes), a repair set that is run once
-and never attempted, the adaptive inspector fallback with its
-persisted verdict, seeded reproducibility, and the registry / tuner /
+and never attempted, a speculative loop that keeps speculating however
+much it conflicts, seeded reproducibility, and the registry / tuner /
 backend integration seams.  That every speculative compile equals the
 serial loop is tests/test_contract.py's property.
 """
@@ -29,7 +29,6 @@ from repro.program.transform import fission
 from repro.runtime.registry import executor_registry
 from repro.sparse.build import random_lower_triangular
 from repro.speculate import (
-    FALLBACK_THRESHOLD,
     AccessLog,
     ConflictReport,
     SpeculativeExecutor,
@@ -98,12 +97,10 @@ class TestShadowScan:
             r_el = rng.integers(0, e, m).astype(np.int64)
             w_it = rng.integers(0, n, m).astype(np.int64)
             w_el = rng.integers(0, e, m).astype(np.int64)
-            committed = rng.random(e) < 0.25
             log = AccessLog(n=n, n_elements=e, read_it=r_it, read_el=r_el,
                             write_it=w_it, write_el=w_el)
-            scan = scan_accesses(log, committed=committed)
-            oracle = speculation_violations(
-                n, r_it, r_el, w_it, w_el, committed=committed)
+            scan = scan_accesses(log)
+            oracle = speculation_violations(n, r_it, r_el, w_it, w_el)
             assert np.array_equal(scan.violated, oracle)
 
     @settings(max_examples=80, deadline=None)
@@ -223,7 +220,6 @@ class TestSpeculativeExecutor:
         rep = ex.last_conflicts
         assert rep.attempts == 2
         assert rep.conflict_rate == (n - 1) / n
-        assert rep.conflict_rate >= FALLBACK_THRESHOLD
 
     def test_sparse_conflicts_repair_only_the_closure(self):
         n = 500
@@ -441,7 +437,6 @@ class TestRuntimeIntegration:
         loop = rt.compile(prog, strategy="speculative")
         report = loop()
         assert isinstance(report.speculation, ConflictReport)
-        assert not report.speculation.fell_back
         assert report.executor == "speculative"
         want = serial_simple(np.asarray(ia), prog.data["x"], prog.data["b"])
         assert np.array_equal(report.x, want)
@@ -459,7 +454,7 @@ class TestRuntimeIntegration:
         prog = LoopProgram.record(n, body, x=rng.random(n), b=rng.random(n))
         loop = Runtime(nproc=4, tune_seed=1).compile(
             prog, strategy="speculative")
-        assert not loop().speculation.fell_back
+        loop()
         report = loop.report()
         assert loop.plan.kind == "speculative"
         assert loop.plan._dep is None
@@ -469,38 +464,23 @@ class TestRuntimeIntegration:
             len(loop.executor.plan().chunk_bounds)
             + loop.executor.plan().repair_indices.size)
 
-    def test_fallback_on_high_conflict(self, tmp_path):
-        n = 50
+    def test_auto_keeps_speculating_an_all_conflict_chain(self):
+        # Figure 3's full chain, where auto's simulator prefers the
+        # speculative arm: the loop runs the plan its compile chose on
+        # every call, bitwise equal to the serial loop.
+        n = 20_000
         ia = np.maximum(np.arange(n) - 1, 0)
         prog = self.make_prog(ia)
-        rt = Runtime(nproc=4, tune_seed=1, tuning_dir=tmp_path)
-        loop = rt.compile(prog, strategy="speculative")
-        r1 = loop()
-        assert r1.speculation.fell_back
-        assert r1.speculation.conflict_rate >= FALLBACK_THRESHOLD
+        loop = Runtime(nproc=8).compile(prog, strategy="auto")
+        assert loop.verdict.executor == "speculative"
+        plan = loop.plan
         want = serial_simple(ia, prog.data["x"], prog.data["b"])
-        assert np.array_equal(r1.x, want)
-        # Future calls route through the classic pipeline.
-        r2 = loop()
-        assert r2.speculation is None
-        assert r2.executor != "speculative"
-        assert np.array_equal(r2.x, want)
-
-    def test_fallback_verdict_persists_across_sessions(self, tmp_path):
-        n = 50
-        ia = np.maximum(np.arange(n) - 1, 0)
-        prog = self.make_prog(ia)
-        rt1 = Runtime(nproc=4, tune_seed=1, tuning_dir=tmp_path)
-        rt1.compile(prog, strategy="speculative")()
-        # A fresh session consults the persisted verdict and compiles
-        # the classic pipeline outright — no speculative attempt.
-        rt2 = Runtime(nproc=4, tune_seed=1, tuning_dir=tmp_path)
-        loop2 = rt2.compile(prog, strategy="speculative")
-        r = loop2()
-        assert r.executor != "speculative"
-        assert r.speculation is None
-        want = serial_simple(ia, prog.data["x"], prog.data["b"])
-        assert np.array_equal(r.x, want)
+        for _ in range(2):
+            report = loop()
+            assert report.executor == "speculative"
+            assert report.speculation.conflict_rate == (n - 1) / n
+            assert np.array_equal(report.x, want)
+        assert loop.plan is plan and loop.executor_name == "speculative"
 
     def test_rebind_keeps_plan(self):
         n = 300
