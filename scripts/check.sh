@@ -2,7 +2,7 @@
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-walk-chooser,
-# one-ordering-owner, one-scorer, one-arbiter,
+# one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # no-fixed-width-row-pointer,
@@ -76,6 +76,18 @@ if grep -rnE "$forked" src --include='*.py'; then
 fi
 if grep -rnE 'engine\s*=' src/repro/machine --include='*.py'; then
     echo "error: an engine= selector reappeared under src/repro/machine" >&2
+    exit 1
+fi
+
+echo "== one repair set: the violated iterations, nothing restored =="
+# A speculative run never attempts its repair set, so the set is the
+# violated set: the co-writer closure, its clean-cut fallback, the
+# shadows only they read, the restore price and the per-executor
+# report went.
+repair='repair_set|clean_cut|_CLOSURE_CAP|multi_writer|max_write'
+repair="$repair|restore_elements|restored_elements|last_conflicts"
+if grep -rnE "$repair" src examples --include='*.py'; then
+    echo "error: a name of the deleted repair closure / restore price reappeared" >&2
     exit 1
 fi
 

@@ -3,7 +3,8 @@
 The classic pipeline *inspects then executes*; this package *executes
 then checks*: run the loop optimistically in chunks, log element
 accesses into vectorized shadow arrays, detect violations with a
-single numpy pass, and repair exactly the violated closure.
+single numpy pass, and run exactly the violated iterations serially
+afterwards.
 
 Entry points: ``Runtime.compile(deps, strategy="speculative")``,
 ``Runtime.run(program, strategy="speculative")``, the ``speculative``
@@ -13,7 +14,7 @@ scheduled candidate.  An explicit ``"speculative"`` always speculates;
 only ``"auto"`` decides whether inspecting would pay better.
 """
 
-from .shadow import AccessLog, ShadowScan, clean_cut, repair_set, scan_accesses
+from .shadow import AccessLog, ShadowScan, scan_accesses
 from .executor import ConflictReport, SpeculationPlan, SpeculativeExecutor
 from .loop import SpeculativePlan, speculation_key, speculative_plan
 
@@ -21,8 +22,6 @@ __all__ = [
     "AccessLog",
     "ShadowScan",
     "scan_accesses",
-    "repair_set",
-    "clean_cut",
     "ConflictReport",
     "SpeculationPlan",
     "SpeculativeExecutor",

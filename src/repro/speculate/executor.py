@@ -6,8 +6,7 @@ a schedule because it never runs an inspection.  One execution is
 
 1. **detect** — one vectorized shadow scan
    (:func:`~repro.speculate.shadow.scan_accesses`) flags the iterations
-   an unordered run would get wrong, closed into the :func:`repair set
-   <repro.speculate.shadow.repair_set>`;
+   an unordered run would get wrong: the repair set;
 2. **optimistic attempt** — partition ``[0, n)`` into contiguous
    chunks and execute each, minus the repair set, as one level in a
    seeded-RNG-shuffled order, as if the loop were DOALL;
@@ -17,11 +16,12 @@ a schedule because it never runs an inspection.  One execution is
 The attempt is sound because an iteration outside the repair set, by
 construction, reads nothing an earlier iteration writes (or reads it
 through the kernels' Figure 4 ``xold`` renaming, which no execution
-order can perturb) and shares no written element with a repaired one
-— so its optimistic value is already the serial value, and the serial
-sweep recomputes the rest against correct operands.  A doomed
-iteration is never attempted, so there is nothing to checkpoint or
-restore, and no element id of the access log ever indexes the kernel's
+order can perturb) and is the first writer of every element it writes,
+whose every later reader and writer is repaired — so its optimistic
+value is already the serial value, and the serial sweep applies the
+later accesses in serial order.  A doomed iteration is never
+attempted, so there is nothing to checkpoint or restore, and no
+element id of the access log ever indexes the kernel's
 arrays: a kernel whose iteration ``k`` writes ``x[n-1-k]`` (the upper
 substitution) or several arrays runs like any other.  The result is
 bitwise identical to the serial backend, misspeculation included; the
@@ -48,7 +48,7 @@ from ..observe.tracer import maybe_span
 from ..runtime.registry import register_executor
 from ..util.rng import default_rng
 from ..util.validation import check_positive, check_seed, check_unit_work
-from .shadow import AccessLog, ShadowScan, repair_set, scan_accesses
+from .shadow import AccessLog, ShadowScan, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor"]
 
@@ -73,15 +73,12 @@ class ConflictReport:
 
     #: Execution passes: 1 (clean) or 2 (optimistic + repair).
     attempts: int
-    #: Directly violated fraction of the iteration space.
+    #: Violated fraction of the iteration space.
     conflict_rate: float
-    #: Directly violated iterations (before the repair closure).
+    #: Violated iterations.
     violated: int
-    #: Iterations re-executed serially (the violated closure).
+    #: Iterations executed serially after the attempt (the violated ones).
     re_executed: int
-    #: Elements the repair set writes (what :meth:`SpeculativeExecutor.
-    #: simulate` prices as a restore).
-    restored_elements: int
     #: Iterations whose optimistic values were kept as-is.
     committed_optimistically: int
     #: Chunking of the optimistic attempt.
@@ -108,10 +105,8 @@ class SpeculationPlan:
     chunk_bounds: tuple
     #: The shadow scan of the optimistic attempt.
     scan: ShadowScan
-    #: Indices to re-execute serially, ascending.
+    #: Indices to re-execute serially, ascending: the violated ones.
     repair_indices: np.ndarray
-    #: Elements the repair set writes, unique (priced, never touched).
-    restore_elements: np.ndarray
     #: The report of every run.
     report: ConflictReport
 
@@ -148,8 +143,6 @@ class SpeculativeExecutor(ClassicExecutor):
         self.observer = observer
         super().__init__(_SpecSchedule(n=log.n, nproc=self.nproc), None,
                          costs)
-        #: :class:`ConflictReport` of the most recent :meth:`run`.
-        self.last_conflicts: ConflictReport | None = None
         self._plan: SpeculationPlan | None = None
 
     # ------------------------------------------------------------------
@@ -172,30 +165,22 @@ class SpeculativeExecutor(ClassicExecutor):
             if edges[j] < edges[j + 1]
         )
         scan = scan_accesses(log)
-        repair = repair_set(log, scan)
-        repair_indices = np.nonzero(repair)[0]
-        if repair_indices.size:
-            restore = np.unique(log.write_el[repair[log.write_it]])
-        else:
-            restore = np.empty(0, dtype=np.int64)
-        violated = scan.num_violated
+        repair_indices = np.flatnonzero(scan.violated)
+        violated = int(repair_indices.size)
         report = ConflictReport(
-            attempts=1 if repair_indices.size == 0 else 2,
+            attempts=1 if violated == 0 else 2,
             conflict_rate=violated / n if n else 0.0,
             violated=violated,
-            re_executed=int(repair_indices.size),
-            restored_elements=int(restore.size),
-            committed_optimistically=n - int(repair_indices.size),
+            re_executed=violated,
+            committed_optimistically=n - violated,
             chunks=len(bounds),
             chunk_size=int(np.diff(edges).max()) if n else 0,
-            first_violation=(int(np.argmax(scan.violated))
-                             if violated else None),
+            first_violation=int(repair_indices[0]) if violated else None,
             shadow_bytes=log.nbytes + scan.nbytes,
             seed=-1 if self.seed is None else self.seed,
         )
         return SpeculationPlan(chunk_bounds=bounds, scan=scan,
-                               repair_indices=repair_indices,
-                               restore_elements=restore, report=report)
+                               repair_indices=repair_indices, report=report)
 
     def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
         # Phase 0: each chunk minus the repair set, one level each;
@@ -221,9 +206,7 @@ class SpeculativeExecutor(ClassicExecutor):
             raise ValidationError(
                 f"kernel has n={kernel.n}, access log has n={n}"
             )
-        x = super().run(kernel)
-        self.last_conflicts = self.plan().report
-        return x
+        return super().run(kernel)
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,
                      timeline=None, faults=None):
@@ -243,13 +226,10 @@ class SpeculativeExecutor(ClassicExecutor):
         over the processors and costs the maximum load (plus
         shadow-logging overheads per event: a ``t_check``-priced read
         log, a ``t_inc``-priced write log).  Detection is one parallel
-        sweep over the events; repair re-executes its iterations
-        serially, plus ``t_rearrange`` per element the repair set
-        writes.  :meth:`run` never attempts the repair set, so it
-        restores nothing: that restore term is a conservative price,
-        kept so the tuner's verdicts stand.  The read
-        counts' buffer holds the attempt cost per iteration, then its
-        prefix sum.
+        sweep over the events; repair executes its iterations serially
+        (nothing is restored: :meth:`run` never attempts them).  The
+        read counts' buffer holds the attempt cost per iteration, then
+        its prefix sum.
         """
         plan = self.plan()
         log, p, costs = self.log, self.nproc, self.costs
@@ -274,8 +254,7 @@ class SpeculativeExecutor(ClassicExecutor):
         detect = shared * costs.t_check * log.num_events / p
         total = attempt + detect
         if plan.repair_indices.size:
-            repair = (costs.t_rearrange * plan.restore_elements.size
-                      + float(base[plan.repair_indices].sum()))
+            repair = float(base[plan.repair_indices].sum())
             busy[0] += repair
             total += repair
         idle = np.maximum(total - busy, 0.0)

@@ -85,10 +85,6 @@ class SpeculativePlan(LoopPlan):
         return self._dep
 
     # ------------------------------------------------------------------
-    def execute(self, loop, kernel, backend, **options):
-        self.executor.last_conflicts = None
-        return super().execute(loop, kernel, backend, **options)
-
     def degraded(self, backend: str):
         yield "speculative", self, backend
         # A failed speculative attempt degrades to the classic plan on
@@ -104,11 +100,11 @@ class SpeculativePlan(LoopPlan):
         return self
 
     def finish(self, loop, report) -> None:
-        """Attach the run's conflict report."""
-        conflicts = self.executor.last_conflicts
-        if conflicts is None:
-            # A timing-only backend, or a recovery tier ran instead.
+        """Attach the structure's conflict report to a speculative run."""
+        if report.executor != "speculative" or report.x is None:
+            # A recovery tier ran instead, or a timing-only backend.
             return
+        conflicts = self.executor.plan().report
         report.speculation = conflicts
         observer = self.runtime.observer
         if observer is not None:

@@ -9,14 +9,13 @@ check is what this module provides, LRPD-style, fully vectorized:
   directly from a :class:`~repro.program.LoopProgram`'s resolved
   descriptors (no dependence extraction at all) or synthesized from an
   existing :class:`~repro.core.dependence.DependenceGraph`;
-* a single pass scatters the events into per-element *shadow arrays*
-  (first-write iteration, max-write iteration, plus a write-after-write
-  marker), then one gather/compare flags the *violated* iterations —
-  the ones whose optimistic execution may have consumed or produced a
-  wrong value.  When the writes are the identity (``x[i] = ...``,
-  Figures 3 and 8) element ``e`` has the one writer ``e``, so a single
-  compare of each read's element against its iteration does it, with
-  no shadow array at all.
+* a single pass scatters the writes into one per-element *shadow
+  array*, the earliest writer, then one gather/compare flags the
+  *violated* iterations — the ones whose optimistic execution may have
+  consumed or produced a wrong value.  When the writes are the
+  identity (``x[i] = ...``, Figures 3 and 8) element ``e`` has the one
+  writer ``e``, so a single compare of each read's element against its
+  iteration does it, with no shadow array at all.
 
 An iteration ``i`` is violated when
 
@@ -30,7 +29,11 @@ An iteration ``i`` is violated when
 Reads with *no* earlier writer are safe under the library's kernel
 contract (Figure 4 renaming: such reads consume the ``xold`` snapshot,
 which no execution order can perturb) — exactly the reads the
-dependence extractor leaves edge-free.
+dependence extractor leaves edge-free.  So the violated set is the
+whole repair set: an unflagged iteration is the first writer of every
+element it writes, and every later reader or writer of that element
+is flagged, so running the flagged iterations serially, in index
+order, after the rest gives each element its serial access sequence.
 
 The scan costs a handful of O(events) numpy operations — typically an
 order of magnitude cheaper than the wavefront sweep plus schedule sort
@@ -51,7 +54,7 @@ from ..program.descriptors import serial_events
 from ..util.digest import structure_digest
 from ..util.validation import read_only
 
-__all__ = ["AccessLog", "ShadowScan", "scan_accesses", "repair_set"]
+__all__ = ["AccessLog", "ShadowScan", "scan_accesses"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class AccessLog:
     write_el: np.ndarray
     #: True when the writes are exactly ``x[i] = ...``: ``write_it ==
     #: write_el == arange(n)`` — the Figure 3/8 shape, whose scan needs
-    #: no shadow arrays and whose repair set needs no closure.
+    #: no shadow array.
     identity_writes: bool = False
     #: One read per iteration (a lone width-1 access): counts are ones.
     one_read: bool = False
@@ -212,20 +215,15 @@ def _element_space(n: int, r_el: np.ndarray, w_el: np.ndarray) -> int:
 class ShadowScan:
     """Outcome of one conflict-detection pass.
 
-    The per-element shadow arrays use sentinels ``n`` (first_write:
-    "never") and ``-1`` (max_write: "never").  A scan of identity
-    writes keeps no shadow: all three are ``None`` (every element has
-    at most one writer, its own iteration).
+    The one shadow array is the per-element earliest writer, sentinel
+    ``n`` ("never").  A scan of identity writes keeps no shadow:
+    ``first_write`` is ``None`` (element ``e`` has the one writer ``e``).
     """
 
     #: Violated-iteration mask, length ``n``.
     violated: np.ndarray
     #: Per-element earliest writer (sentinel ``n``).
     first_write: np.ndarray | None = None
-    #: Per-element latest writer (sentinel ``-1``).
-    max_write: np.ndarray | None = None
-    #: Per-element write-after-write marker (two distinct writers).
-    multi_writer: np.ndarray | None = None
 
     @property
     def num_violated(self) -> int:
@@ -233,8 +231,7 @@ class ShadowScan:
 
     @property
     def nbytes(self) -> int:
-        return int(sum(a.nbytes for a in (self.violated, self.first_write,
-                                          self.max_write, self.multi_writer)
+        return int(sum(a.nbytes for a in (self.violated, self.first_write)
                        if a is not None))
 
 
@@ -254,88 +251,10 @@ def scan_accesses(log: AccessLog) -> ShadowScan:
         violated[r_it[r_el < r_it]] = True
         return ShadowScan(violated=violated)
     first_write = np.full(m, n, dtype=np.int64)
-    max_write = np.full(m, -1, dtype=np.int64)
     w_it, w_el = log.write_it, log.write_el
     if w_el.size:
         np.minimum.at(first_write, w_el, w_it)
-        np.maximum.at(max_write, w_el, w_it)
         violated[w_it[first_write[w_el] < w_it]] = True   # WAW
     if r_it.size:
         violated[r_it[first_write[r_el] < r_it]] = True   # stale read
-    multi = (max_write >= 0) & (first_write < max_write)
-    return ShadowScan(violated=violated, first_write=first_write,
-                      max_write=max_write, multi_writer=multi)
-
-
-# ----------------------------------------------------------------------
-# Repair-set closure
-# ----------------------------------------------------------------------
-
-#: Closure rounds before giving up on a sparse repair set and falling
-#: back to a contiguous suffix (degenerate element-sharing chains).
-_CLOSURE_CAP = 50
-
-
-def repair_set(log: AccessLog, scan: ShadowScan) -> np.ndarray:
-    """The iterations that must be restored and re-executed serially.
-
-    Starts from the violated set and closes it under "writes an
-    element a member also writes": a correct prefix write of an
-    element that a (wrong) member write clobbered can only be
-    recovered by re-running the prefix writer too.  Identity-write
-    loops (one writer per element) close in zero rounds, so the
-    common case re-executes exactly the violated iterations.
-
-    If the closure chases a pathological element-sharing chain past
-    ``_CLOSURE_CAP`` rounds, the result degrades to the contiguous
-    suffix ``[v*, n)`` where ``v*`` is the *clean cut* — the largest
-    point at or below the first violation that no element's writer
-    set straddles — which is always sound.
-    """
-    repair = scan.violated.copy()
-    if not repair.any():
-        return repair
-    if log.identity_writes:
-        return repair
-    w_it, w_el = log.write_it, log.write_el
-    elem = np.zeros(log.n_elements, dtype=bool)
-    for _ in range(_CLOSURE_CAP):
-        elem[:] = False
-        elem[w_el[repair[w_it]]] = True
-        add = elem[w_el] & ~repair[w_it]
-        if not add.any():
-            return repair
-        repair[w_it[add]] = True
-    # Degenerate chain: contiguous-suffix fallback at the clean cut.
-    v = clean_cut(scan, int(np.argmax(repair)), log.n)
-    repair[v:] = True
-    return repair
-
-
-def clean_cut(scan: ShadowScan, v0: int, n: int) -> int:
-    """Largest ``v <= v0`` that no element's writer interval straddles.
-
-    A suffix re-execution from ``v`` is sound exactly when no element
-    has writers both below and at-or-above ``v``; multi-writer
-    elements forbid the open-closed interval ``(first_write,
-    max_write]``.  Merges the forbidden intervals and steps ``v0``
-    down to the start of the component containing it, if any.
-    """
-    multi = scan.multi_writer
-    if multi is None or not multi.any():
-        return v0
-    s = scan.first_write[multi]
-    e = scan.max_write[multi]
-    order = np.argsort(s, kind="stable")
-    s, e = s[order], np.maximum.accumulate(e[order])
-    new_comp = np.empty(s.shape[0], dtype=bool)
-    new_comp[0] = True
-    if s.shape[0] > 1:
-        new_comp[1:] = s[1:] > e[:-1]
-    starts = s[new_comp]
-    last = np.nonzero(new_comp)[0]
-    ends = e[np.append(last[1:] - 1, s.shape[0] - 1)]
-    j = int(np.searchsorted(starts, v0, side="left")) - 1
-    if j >= 0 and ends[j] >= v0:
-        return int(starts[j])
-    return v0
+    return ShadowScan(violated=violated, first_write=first_write)

@@ -2,11 +2,12 @@
 
 The shadow-scan detection against the pure-Python oracle, the
 adversarial workloads of the LRPD literature (all-conflict chains,
-zero-conflict DOALLs, duplicate writes), a repair set that is run once
-and never attempted, a speculative loop that keeps speculating however
-much it conflicts, seeded reproducibility, and the registry / tuner /
-backend integration seams.  That every speculative compile equals the
-serial loop is tests/test_contract.py's property.
+zero-conflict DOALLs, duplicate writes), a repair set that is the
+violated set, run once and never attempted, a speculative loop that
+keeps speculating however much it conflicts, seeded reproducibility,
+and the registry / tuner / backend integration seams.  That every
+speculative compile equals the serial loop is tests/test_contract.py's
+property.
 """
 
 import dataclasses
@@ -32,8 +33,6 @@ from repro.speculate import (
     AccessLog,
     ConflictReport,
     SpeculativeExecutor,
-    clean_cut,
-    repair_set,
     scan_accesses,
     speculation_key,
 )
@@ -75,8 +74,7 @@ def counted_simulation(ex, unit_work=None) -> SimResult:
     detect = shared * costs.t_check * log.num_events / p
     total = attempt + detect
     if plan.repair_indices.size:
-        repair = (costs.t_rearrange * plan.restore_elements.size
-                  + float(base[plan.repair_indices].sum()))
+        repair = float(base[plan.repair_indices].sum())
         busy[0] += repair
         total += repair
     return SimResult(
@@ -116,8 +114,7 @@ class TestShadowScan:
             assert log.write_it is log.write_el
             assert np.array_equal(log.write_it, np.arange(log.n))
             fast = scan_accesses(log)
-            assert fast.first_write is fast.max_write is None
-            assert fast.multi_writer is None
+            assert fast.first_write is None
             assert fast.nbytes == fast.violated.nbytes
             general_log = dataclasses.replace(log, identity_writes=False)
             general = scan_accesses(general_log)
@@ -125,7 +122,6 @@ class TestShadowScan:
                 log.n, log.read_it, log.read_el, log.write_it, log.write_el)
             assert np.array_equal(fast.violated, general.violated)
             assert np.array_equal(fast.violated, oracle)
-            assert np.array_equal(repair_set(log, fast), fast.violated)
             # ... and the price skips the write count, bit for bit.
             assert same_sim(SpeculativeExecutor(log, 3, seed=0).simulate(),
                             SpeculativeExecutor(general_log, 3,
@@ -165,30 +161,41 @@ class TestShadowScan:
                         write_el=np.array([0, 1, 1, 3], np.int64))
         scan = scan_accesses(log)
         assert scan.violated.tolist() == [False, False, True, False]
-        assert scan.multi_writer.any()
 
-    def test_repair_set_closure_includes_cowriters(self):
-        # Iteration 2 is violated and shares element 1 with iteration 1,
-        # so 1 joins the repair set (its element gets restored).
+    def test_a_cowriter_is_not_repaired(self):
+        # Iterations 1 and 2 both write element 1.  Only 2 is violated,
+        # and only 2 is repaired: 1 runs in the attempt as the element's
+        # first writer, and 2 overwrites it afterwards, as in the serial
+        # loop.
         log = AccessLog(n=4, n_elements=4,
                         read_it=np.empty(0, np.int64),
                         read_el=np.empty(0, np.int64),
                         write_it=np.array([0, 1, 2, 3], np.int64),
                         write_el=np.array([0, 1, 1, 3], np.int64))
-        repair = repair_set(log, scan_accesses(log))
-        assert repair.tolist() == [False, True, True, False]
+        ex = SpeculativeExecutor(log, 2, seed=0)
+        assert ex.plan().repair_indices.tolist() == [2]
+        target = np.array([0, 1, 1, 3])
 
-    def test_clean_cut_respects_straddling_writers(self):
-        scan = scan_accesses(AccessLog(
-            n=6, n_elements=6,
-            read_it=np.array([4], np.int64), read_el=np.array([1], np.int64),
-            write_it=np.array([1, 3, 4], np.int64),
-            write_el=np.array([1, 1, 4], np.int64)))
-        # Iterations 3 and 4 are violated (WAW on 1, stale read of 1);
-        # the writer interval (1, 3] straddles any cut in (1, 3].
-        v0 = int(np.argmax(scan.violated))
-        cut = clean_cut(scan, v0, 6)
-        assert cut <= 1
+        def body(i, a):
+            a.y[int(target[i])] = a.c[i] + 1.0
+
+        prog = LoopProgram.record(4, body, y=np.zeros(4),
+                                  c=np.array([1.0, 2.0, 3.0, 4.0]))
+        assert AccessLog.from_source(prog).write_el.tolist() == [0, 1, 1, 3]
+        for nproc in (1, 2, 4):
+            loop = Runtime(nproc).compile(prog, strategy="speculative")
+            assert loop.executor.plan().repair_indices.tolist() == [2]
+            assert np.array_equal(loop().x, SerialExecutor().run(
+                prog.make_kernel()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(loop_programs())
+    def test_the_repair_set_is_the_violated_set(self, prog):
+        for log in (AccessLog.from_source(prog),
+                    AccessLog.from_dependences(prog.dependence_graph())):
+            ex = SpeculativeExecutor(log, 3, seed=0)
+            assert np.array_equal(ex.plan().repair_indices,
+                                  np.flatnonzero(scan_accesses(log).violated))
 
 
 class TestSpeculativeExecutor:
@@ -206,7 +213,7 @@ class TestSpeculativeExecutor:
         n = 200
         got, want, ex = self.run_pair(np.arange(n), n)
         assert np.array_equal(got, want)
-        rep = ex.last_conflicts
+        rep = ex.plan().report
         assert rep.attempts == 1
         assert rep.conflict_rate == 0.0
         assert rep.re_executed == 0
@@ -217,7 +224,7 @@ class TestSpeculativeExecutor:
         ia = np.maximum(np.arange(n) - 1, 0)
         got, want, ex = self.run_pair(ia, n)
         assert np.array_equal(got, want)
-        rep = ex.last_conflicts
+        rep = ex.plan().report
         assert rep.attempts == 2
         assert rep.conflict_rate == (n - 1) / n
 
@@ -226,9 +233,9 @@ class TestSpeculativeExecutor:
         ia = sparse_conflict_ia(n, 4, seed=11)
         got, want, ex = self.run_pair(ia, n)
         assert np.array_equal(got, want)
-        rep = ex.last_conflicts
+        rep = ex.plan().report
         assert rep.violated == 4
-        # Identity-writes loops close in zero rounds: repair == violated.
+        # The repair set is the violated set.
         assert rep.re_executed == 4
         assert rep.committed_optimistically == n - 4
 
@@ -257,7 +264,6 @@ class TestSpeculativeExecutor:
             write_el=hits.astype(np.int64))
         scan = scan_accesses(log)
         # Every later writer of a multiply-written element is violated.
-        assert scan.multi_writer.any()
         assert scan.violated[2] and scan.violated[5] and scan.violated[6]
         ex = SpeculativeExecutor(log, 2, seed=1)
         got = ex.run(kernel).copy()
