@@ -2,8 +2,9 @@
 
 Each gate compares two ways of doing the same work on this host —
 ``time(other) / time(base)`` against a bound — through the one helper
-below; two more hold exact, host-independent counts: the work a tuner
-search does, and which simulator walk the ledger's plans take.  Sizes
+below; more hold exact, host-independent counts: the work a tuner
+search does, which simulator walk the ledger's plans take, and the
+memory and levels of a speculative compile.  Sizes
 are constants: the CI scale is the scale.
 
     PYTHONPATH=src python -m pytest benchmarks/gates.py -q
@@ -204,50 +205,77 @@ def test_cold_speculative_beats_the_cold_inspector(gate):
          cold, lambda: cold(strategy="speculative"), at_most=0.65, pairs=9)
 
 
+def _spec_sparse(n):
+    """``spec_sparse``'s input shape: an identity index (a DOALL) with
+    0.5 % of the iterations redirected to an earlier element."""
+    rng = np.random.default_rng(1989)
+    ia = np.arange(n)
+    hot = rng.choice(np.arange(1, n), size=n // 200, replace=False)
+    ia[hot] = rng.integers(0, hot)
+    return ia, rng.standard_normal(n), rng.standard_normal(n)
+
+
+def _speculative(ia, x, b):
+    program = LoopProgram.from_indirection(ia, x=x, b=b)
+    return Runtime(nproc=8).compile(program, strategy="speculative")
+
+
 def test_a_speculative_compile_allocates_each_array_once(capsys):
     """Exact, on ``spec_sparse``'s shape: the traced allocation peak of
     one declare + speculative compile + call at n = 300 000 is at most
-    6.5 full-length arrays of 8n bytes.  It reads 6.18: the program's
-    copy of ``ia``, the log's one iteration index, the live ``x``, the
-    level plan's order, the price's read counts (which then hold the
-    cost and its prefix) and base work, and the plan's masks.  Before
-    each array was allocated once — a row pointer for a 1-D index, a
-    second iteration index, an ``xold`` copy and a separate cost buffer
-    and count casts in the price — it read 9.15."""
+    4.75 full-length arrays of 8n bytes.  It reads 4.3: the program's
+    copy of ``ia``, the log's one iteration index, the live ``x`` and
+    the level plan's order, plus the violated mask and chunk-sized
+    temporaries; the price builds nothing of length n.  It read 6.18
+    while the price held per-iteration read counts (then the cost and
+    its prefix) and base work, and 9.15 before each array was allocated
+    once — a row pointer for a 1-D index, a second iteration index, an
+    ``xold`` copy and a separate cost buffer and count casts."""
     n = 300_000
-    rng = np.random.default_rng(1989)
-    ia = np.arange(n)   # identity, but for 0.5 % backward references
-    hot = rng.choice(np.arange(1, n), size=n // 200, replace=False)
-    ia[hot] = rng.integers(0, hot)
-    x, b = rng.standard_normal(n), rng.standard_normal(n)
-
-    def run(ia, x, b):
-        program = LoopProgram.from_indirection(ia, x=x, b=b)
-        return Runtime(nproc=8).compile(program, strategy="speculative")()
-
+    ia, x, b = _spec_sparse(n)
     warm = ia[:1_000] % 1_000       # imports what a repaired run imports
-    assert run(warm, x[:1_000], b[:1_000]).speculation.re_executed
+    assert _speculative(warm, x[:1_000], b[:1_000])().speculation.re_executed
     tracemalloc.start()
     try:
-        report = run(ia, x, b)
+        report = _speculative(ia, x, b)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * n)
     with capsys.disabled():
         print(f"\n  speculative compile + call, n={n}: traced peak "
-              f"{arrays:.3g} x 8n bytes, bound 6.5")
+              f"{arrays:.3g} x 8n bytes, bound 4.75")
     assert report.speculation.re_executed == n // 200
-    assert arrays <= 6.5
+    assert arrays <= 4.75
+
+
+def test_a_speculative_plan_runs_the_residue_wavefronts(capsys):
+    """Exact, on ``spec_sparse``'s shape (n = 300 000, 8 processors):
+    the level plan is the 32 chunks plus the wavefronts of the 1 500
+    repaired iterations among themselves, so at most 40 levels.  It
+    read 1 532 while the repair set ran one index per level.  (The
+    ledger's ``executor.batches`` still reads 1 532: it counts
+    ``plan.repair_indices``.)"""
+    loop = _speculative(*_spec_sparse(300_000))
+    loop()
+    plan, levels = loop.executor.plan(), loop.executor.level_plan()
+    with capsys.disabled():
+        print(f"\n  speculative level plan, n=300000: {levels.num_levels} "
+              f"levels for {len(plan.chunk_bounds)} chunks and "
+              f"{plan.repair_indices.size} repaired iterations, bound 40")
+    assert len(plan.chunk_bounds) == 32
+    assert plan.repair_indices.size == 1_500
+    assert levels.num_levels <= 40
 
 
 def test_speculation_runs_on_the_classic_run_path(gate):
     """A speculative run is the classic run of its level plan — chunks,
-    then the repair set one index per level — so its repair set reaches
-    the tape: on the fissioned sweep's chain stage (every iteration but
-    the first repaired) a warm ``SpeculativeExecutor.run`` is at most
-    1.5x the self-executing executor's run of the same stage, bitwise
-    equal.  Its private per-index repair loop read about 33x."""
+    then the repair set's wavefronts — so its repair set reaches the
+    tape: on the fissioned sweep's chain stage (every iteration but the
+    first repaired, so the residue is a chain and still runs one index
+    per level) a warm ``SpeculativeExecutor.run`` is at most 1.5x the
+    self-executing executor's run of the same stage, bitwise equal.
+    Its private per-index repair loop read about 33x."""
     n = 8_000
     rng = np.random.default_rng(1989)
     chain = fission(sweep_program(rng.standard_normal(n),

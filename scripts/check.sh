@@ -211,11 +211,17 @@ if [ -n "$(echo "$calls" | grep -v '^src/repro/core/executor.py:' || true)" ] \
     exit 1
 fi
 # The speculative executor is a ClassicExecutor whose level plan is its
-# chunks, then its repair set: it calls no kernel method itself.
+# chunks, then its repair set's wavefronts: it calls no kernel method itself.
 calls=$(grep -rnE 'execute_(index|batch)\(' src/repro/speculate --include='*.py' || true)
 if [ -n "$calls" ]; then
     echo "$calls"
     echo "error: src/repro/speculate drives a kernel outside ClassicExecutor.run" >&2
+    exit 1
+fi
+# Its price is a closed form of per-chunk and repair-set event counts:
+# no per-iteration count array and no prefix sum of length n.
+if grep -rnE 'read_counts|cumsum\(' src/repro/speculate --include='*.py'; then
+    echo "error: a per-iteration price under src/repro/speculate (use AccessLog.range_counts)" >&2
     exit 1
 fi
 
@@ -251,8 +257,7 @@ if [ -n "$masks" ]; then
     exit 1
 fi
 # util.frontier.counts_to_indptr is the one row-pointer build; the copy
-# in core/reference.py is the oracle.  (speculate/executor.py's
-# in-place cumsum is a float prefix sum of work, not a row pointer.)
+# in core/reference.py is the oracle.
 pointers=$(grep -rnE 'cumsum\(.*out=(indptr|indptr_t|bounds)' src --include='*.py' \
            | grep -vE '^src/repro/(util/frontier|core/reference)\.py:' || true)
 if [ -n "$pointers" ]; then

@@ -427,11 +427,11 @@ class ClassicExecutor:
 
     The numeric run is one serial path: :meth:`_build_levels` (where a
     subclass's legality checks live) turns the schedule — speculation's
-    DOALL chunks, then its repair set — into ``(order, bounds)``; this
-    class keeps the resulting :class:`LevelPlan`, keeps the kernel's
-    gather plan for as long as the kernel names the same structure
-    objects — a data-only ``rebind()`` rebuilds the kernel, not the
-    structure — and runs kernels through them.
+    DOALL chunks, then its repair set's wavefronts — into ``(order,
+    bounds)``; this class keeps the resulting :class:`LevelPlan`, keeps
+    the kernel's gather plan for as long as the kernel names the same
+    structure objects — a data-only ``rebind()`` rebuilds the kernel,
+    not the structure — and runs kernels through them.
 
     **Two orders, not one.**  A *numeric* order need respect the
     dependences only — any such order computes the same values, so a

@@ -3,8 +3,8 @@
 The classic pipeline *inspects then executes*; this package *executes
 then checks*: run the loop optimistically in chunks, log element
 accesses into vectorized shadow arrays, detect violations with a
-single numpy pass, and run exactly the violated iterations serially
-afterwards.
+single numpy pass, and run exactly the violated iterations afterwards,
+by their own wavefronts.
 
 Entry points: ``Runtime.compile(deps, strategy="speculative")``,
 ``Runtime.run(program, strategy="speculative")``, the ``speculative``

@@ -10,16 +10,16 @@ a schedule because it never runs an inspection.  One execution is
 2. **optimistic attempt** — partition ``[0, n)`` into contiguous
    chunks and execute each, minus the repair set, as one level in a
    seeded-RNG-shuffled order, as if the loop were DOALL;
-3. **repair** — execute the repair set serially, one index per level,
-   in index order.
+3. **repair** — execute the repair set by its own wavefronts: the
+   source paper's sweep, over the flagged iterations alone.
 
 The attempt is sound because an iteration outside the repair set, by
 construction, reads nothing an earlier iteration writes (or reads it
 through the kernels' Figure 4 ``xold`` renaming, which no execution
 order can perturb) and is the first writer of every element it writes,
 whose every later reader and writer is repaired — so its optimistic
-value is already the serial value, and the serial sweep applies the
-later accesses in serial order.  A doomed iteration is never
+value is already the serial value, and the repair set's wavefronts
+apply the later accesses in dependence order.  A doomed iteration is never
 attempted, so there is nothing to checkpoint or restore, and no
 element id of the access log ever indexes the kernel's
 arrays: a kernel whose iteration ``k`` writes ``x[n-1-k]`` (the upper
@@ -40,12 +40,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.dependence import DependenceGraph
 from ..core.executor import ClassicExecutor
+from ..core.wavefront import compute_wavefronts
 from ..errors import ValidationError
 from ..machine.costs import MachineCosts
 from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
+from ..program.extraction import (_anti_edges, _flow_edges_general,
+                                  _output_edges, _sorted_writes)
 from ..runtime.registry import register_executor
+from ..util.frontier import counts_to_indptr
 from ..util.rng import default_rng
 from ..util.validation import check_positive, check_seed, check_unit_work
 from .shadow import AccessLog, ShadowScan, scan_accesses
@@ -77,7 +82,7 @@ class ConflictReport:
     conflict_rate: float
     #: Violated iterations.
     violated: int
-    #: Iterations executed serially after the attempt (the violated ones).
+    #: Iterations executed after the attempt (the violated ones).
     re_executed: int
     #: Iterations whose optimistic values were kept as-is.
     committed_optimistically: int
@@ -105,7 +110,7 @@ class SpeculationPlan:
     chunk_bounds: tuple
     #: The shadow scan of the optimistic attempt.
     scan: ShadowScan
-    #: Indices to re-execute serially, ascending: the violated ones.
+    #: Indices to execute after the attempt, ascending: the violated ones.
     repair_indices: np.ndarray
     #: The report of every run.
     report: ConflictReport
@@ -184,19 +189,18 @@ class SpeculativeExecutor(ClassicExecutor):
 
     def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
         # Phase 0: each chunk minus the repair set, one level each;
-        # phase 1: the repair set, one index per level, ascending.
-        plan, n = self.plan(), self.log.n
-        keep = np.ones(n, dtype=bool)
-        keep[plan.repair_indices] = False
-        order = np.empty(n, dtype=np.int64)
-        at = [0]
+        # phase 1: the repair set's own wavefronts, each ascending.
+        plan, at = self.plan(), [0]
+        order = np.empty(self.log.n, dtype=np.int64)
         for lo, hi in plan.chunk_bounds:
-            kept = np.flatnonzero(keep[lo:hi]) + lo
+            kept = np.flatnonzero(~plan.scan.violated[lo:hi])
             if kept.size:
-                order[at[-1]:at[-1] + kept.size] = kept
+                np.add(kept, lo, out=order[at[-1]:at[-1] + kept.size])
                 at.append(at[-1] + kept.size)
-        order[at[-1]:] = plan.repair_indices
-        return order, np.concatenate((at, np.arange(at[-1] + 1, n + 1)))
+        wf = _residue_wavefronts(self.log, plan.scan, plan.repair_indices)
+        order[at[-1]:] = plan.repair_indices[np.argsort(wf, kind="stable")]
+        return order, np.concatenate(
+            (at, at[-1] + counts_to_indptr(np.bincount(wf))[1:]))
 
     # ------------------------------------------------------------------
     def run(self, kernel) -> np.ndarray:
@@ -226,46 +230,45 @@ class SpeculativeExecutor(ClassicExecutor):
         over the processors and costs the maximum load (plus
         shadow-logging overheads per event: a ``t_check``-priced read
         log, a ``t_inc``-priced write log).  Detection is one parallel
-        sweep over the events; repair executes its iterations serially
-        (nothing is restored: :meth:`run` never attempts them).  The
-        read counts' buffer holds the attempt cost per iteration, then
-        its prefix sum.
+        sweep over the events; repair is priced as a serial run of its
+        wavefronts' iterations (nothing is restored: :meth:`run` never
+        attempts them).  The work model is affine in read counts, so
+        every term is a closed form of per-chunk and repair-set event
+        counts: nothing of length ``n`` is built unless ``unit_work`` is.
         """
         plan = self.plan()
         log, p, costs = self.log, self.nproc, self.costs
-        n = log.n
-        counts_r = log.read_counts()
-        reads = counts_r.sum()
-        base = (costs.base_work(counts_r) if unit_work is None
-                else check_unit_work(unit_work, n))
+        n, repair = log.n, plan.repair_indices
+        bounds = np.array(plan.chunk_bounds, dtype=np.int64).reshape(-1, 2)
+        reads, writes = log.range_counts(bounds)
+        num_reads = log.read_it.shape[0]
+        if unit_work is None:
+            # (iterations, reads) of the chunks, the repair set, the loop.
+            base, fix, seq = (
+                costs.t_work_base * size + costs.t_work_per_dep * count
+                for size, count in (
+                    (bounds[:, 1] - bounds[:, 0], reads),
+                    (repair.size, repair.size if log.one_read else
+                     np.count_nonzero(plan.scan.violated[log.read_it])),
+                    (n, num_reads)))
+        else:
+            unit_work = check_unit_work(unit_work, n)
+            base = np.array([unit_work[lo:hi].sum()
+                             for lo, hi in plan.chunk_bounds])
+            fix, seq = unit_work[repair].sum(), unit_work.sum()
         shared = costs.shared_factor(p)
-        # base + shared * (t_check * reads + t_inc * writes), in place,
-        # operation for operation; identity writes count 1 each.
-        w = np.multiply(costs.t_check, counts_r, out=counts_r)
-        w += costs.t_inc * (1.0 if log.identity_writes else np.bincount(
-            log.write_it, minlength=n).astype(np.float64))
-        w *= shared
-        w += base
-        np.cumsum(w, out=w)
-        busy = np.zeros(p)
-        for k, (lo, hi) in enumerate(plan.chunk_bounds):
-            busy[k % p] += w[hi - 1] - (w[lo - 1] if lo else 0.0)
-        attempt = float(busy.max()) if n else 0.0
+        # Each chunk: base + shared * (t_check * reads + t_inc * writes).
+        cost = base + shared * (costs.t_check * reads + costs.t_inc * writes)
+        busy = np.bincount(np.arange(cost.size) % p, weights=cost,
+                           minlength=p)
         detect = shared * costs.t_check * log.num_events / p
-        total = attempt + detect
-        if plan.repair_indices.size:
-            repair = float(base[plan.repair_indices].sum())
-            busy[0] += repair
-            total += repair
-        idle = np.maximum(total - busy, 0.0)
+        total = (float(busy.max()) if n else 0.0) + detect + fix
+        busy[0] += fix
         return SimResult(
-            mode="speculative",
-            nproc=p,
-            total_time=float(total),
-            seq_time=float(base.sum()),
-            busy=busy,
-            idle=idle,
-            check_time=float(detect + shared * costs.t_check * reads),
+            mode="speculative", nproc=p, total_time=float(total),
+            seq_time=float(seq), busy=busy,
+            idle=np.maximum(total - busy, 0.0),
+            check_time=float(detect + shared * costs.t_check * num_reads),
             inc_time=float(shared * costs.t_inc * log.write_it.shape[0]),
             num_phases=plan.report.attempts,
         )
@@ -273,6 +276,33 @@ class SpeculativeExecutor(ClassicExecutor):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SpeculativeExecutor(n={self.log.n}, nproc={self.nproc}, "
                 f"events={self.log.num_events}, seed={self.seed!r})")
+
+
+def _residue_wavefronts(log: AccessLog, scan: ShadowScan,
+                        repair: np.ndarray) -> np.ndarray:
+    """Wavefront numbers of the repair set among itself: the log's edges
+    restricted to it (an unviolated iteration depends on nothing).  Under
+    identity writes, the stale reads whose element's writer is violated
+    too; otherwise the extractor's edges over the violated writes, the
+    stale reads being the live ones (an unviolated writer makes one)."""
+    if not repair.size:
+        return repair
+    r_it, r_el = scan.stale
+    if log.identity_writes:
+        mine = scan.violated[r_el]
+        dst, src = r_it[mine], r_el[mine]
+    else:
+        mine = scan.violated[log.write_it]
+        w_el, w_it, w_key, stride = _sorted_writes(
+            log.n, log.write_it[mine], log.write_el[mine])
+        flow = _flow_edges_general(r_it, r_el, w_el, w_it, w_key, stride)
+        anti = _anti_edges(r_it, r_el, w_el, w_it, w_key, stride)
+        dst, src = map(np.concatenate,
+                       zip(flow[:2], anti, _output_edges(w_el, w_it)))
+    dst, src = np.searchsorted(repair, dst), np.searchsorted(repair, src)
+    return compute_wavefronts(DependenceGraph(
+        counts_to_indptr(np.bincount(dst, minlength=repair.size)),
+        src[np.argsort(dst, kind="stable")], repair.size, check_acyclic=False))
 
 
 @dataclass(frozen=True)

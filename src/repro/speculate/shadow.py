@@ -32,8 +32,8 @@ which no execution order can perturb) — exactly the reads the
 dependence extractor leaves edge-free.  So the violated set is the
 whole repair set: an unflagged iteration is the first writer of every
 element it writes, and every later reader or writer of that element
-is flagged, so running the flagged iterations serially, in index
-order, after the rest gives each element its serial access sequence.
+is flagged, so running the flagged iterations after the rest, in their
+own dependence order, gives each element its serial access sequence.
 
 The scan costs a handful of O(events) numpy operations — typically an
 order of magnitude cheaper than the wavefront sweep plus schedule sort
@@ -119,12 +119,18 @@ class AccessLog:
         arrays = (self.read_it, self.read_el, self.write_it, self.write_el)
         return int(sum({id(a): a.nbytes for a in arrays}.values()))
 
-    def read_counts(self) -> np.ndarray:
-        """Per-iteration read-event counts as ``float64`` (the work-model
-        analogue of the dependence counts the classic pipeline uses)."""
-        if self.one_read:
-            return np.ones(self.n)
-        return np.bincount(self.read_it, minlength=self.n).astype(np.float64)
+    def range_counts(self, bounds: np.ndarray) -> tuple:
+        """``(reads, writes)`` per iteration range ``[lo, hi)`` of the
+        ``(k, 2)`` array ``bounds`` (non-empty ranges, any order): the
+        range lengths for a one-read log's reads and an identity log's
+        writes, with no pass over the events; otherwise one ``bincount``
+        summed per range by ``reduceat`` over the interleaved bounds."""
+        lengths = bounds[:, 1] - bounds[:, 0]
+        return tuple(
+            lengths if one_each else np.add.reduceat(
+                np.bincount(it, minlength=self.n + 1), bounds.ravel())[::2]
+            for it, one_each in ((self.read_it, self.one_read),
+                                 (self.write_it, self.identity_writes)))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -222,6 +228,8 @@ class ShadowScan:
 
     #: Violated-iteration mask, length ``n``.
     violated: np.ndarray
+    #: ``(iterations, elements)`` of the stale reads: the live ones.
+    stale: tuple
     #: Per-element earliest writer (sentinel ``n``).
     first_write: np.ndarray | None = None
 
@@ -248,13 +256,14 @@ def scan_accesses(log: AccessLog) -> ShadowScan:
     violated = np.zeros(n, dtype=bool)
     r_it, r_el = log.read_it, log.read_el
     if log.identity_writes:
-        violated[r_it[r_el < r_it]] = True
-        return ShadowScan(violated=violated)
-    first_write = np.full(m, n, dtype=np.int64)
-    w_it, w_el = log.write_it, log.write_el
-    if w_el.size:
+        first_write, stale = None, r_el < r_it
+    else:
+        first_write = np.full(m, n, dtype=np.int64)
+        w_it, w_el = log.write_it, log.write_el
         np.minimum.at(first_write, w_el, w_it)
         violated[w_it[first_write[w_el] < w_it]] = True   # WAW
-    if r_it.size:
-        violated[r_it[first_write[r_el] < r_it]] = True   # stale read
-    return ShadowScan(violated=violated, first_write=first_write)
+        stale = first_write[r_el] < r_it
+    stale = (r_it[stale], r_el[stale])
+    violated[stale[0]] = True
+    return ShadowScan(violated=violated, stale=stale,
+                      first_write=first_write)

@@ -500,6 +500,31 @@ def loop_programs(draw, max_n=40):
     return program_of(kind, n, draw(seeds), inline_diag=draw(st.booleans()))
 
 
+@st.composite
+def residue_programs(draw, max_n=40):
+    """A recorded one-array loop whose flagged iterations conflict among
+    themselves: iteration ``i`` updates ``x[w[i]]`` and then stores
+    blindly into ``x[v[i]]``, ``w`` and ``v`` drawn from few elements (so
+    most have several writers, every later one flagged), and reads
+    ``x[r[i]]``, where a drawn stretch of iterations is a chain — each
+    reads what the one before it wrote."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(seeds))
+    w, v = rng.integers(0, draw(st.integers(1, n)), size=(2, n))
+    r = rng.integers(0, n, size=n)
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    r[lo + 1:hi] = w[lo:hi - 1]
+    w, v, r = w.tolist(), v.tolist(), r.tolist()
+
+    def body(i, a):
+        a.x[w[i]] = a.x[w[i]] * 0.5 + a.b[i] * a.x[r[i]]
+        a.x[v[i]] = a.b[i] - 1.0
+
+    return LoopProgram.record(n, body, x=rng.standard_normal(n),
+                              b=rng.standard_normal(n))
+
+
 #: How a program compiles: ``("space", k)`` is candidate ``k`` (modulo
 #: the space's size) of ``tuning.space.enumerate_space(n, nproc)`` —
 #: every registered executor, scheduler, partitioner spec and balance,

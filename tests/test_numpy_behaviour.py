@@ -65,8 +65,11 @@ def test_maximum_reduceat_takes_segment_maxima():
     assert got.tolist() == [values[a:b].max() for a, b in zip(starts, ends)]
 
 
-def test_cumsum_into_its_own_input_is_the_out_of_place_sum():
-    """The speculative price prefix-sums its attempt costs in place."""
-    got = SPREAD.copy()
-    np.cumsum(got, out=got)
-    assert got.tobytes() == np.cumsum(SPREAD).tobytes()
+def test_weighted_bincount_sums_each_bin_in_order():
+    """The speculative price deals its chunk costs round-robin over the
+    processors with one weighted ``bincount``: each bin is the
+    sequential sum of its weights, in input order."""
+    slots = RNG.integers(0, 7, SPREAD.size)
+    got = np.bincount(slots, weights=SPREAD, minlength=9)
+    assert got.tolist() == [sequential_sum(0.0, SPREAD[slots == b])
+                            for b in range(9)]

@@ -41,6 +41,7 @@ from repro.workload import sweep_program
 from strategies import (
     indirection_arrays,
     loop_programs,
+    residue_programs,
     seeds,
     sparse_conflict_ia,
 )
@@ -84,6 +85,27 @@ def counted_simulation(ex, unit_work=None) -> SimResult:
         check_time=float(detect + shared * costs.t_check * counts_r.sum()),
         inc_time=float(shared * costs.t_inc * log.write_it.shape[0]),
         num_phases=plan.report.attempts)
+
+
+def near_sim(got, want, rel=1e-12) -> bool:
+    """Two ``SimResult`` objects equal field for field up to rounding:
+    within ``rel`` of the makespan."""
+    scale = rel * abs(want.total_time)
+    return all(np.allclose(getattr(got, f.name), getattr(want, f.name),
+                           rtol=rel, atol=scale)
+               if isinstance(getattr(want, f.name), (float, np.ndarray))
+               else getattr(got, f.name) == getattr(want, f.name)
+               for f in dataclasses.fields(want))
+
+
+def residue_wavefronts(dep, flagged) -> dict:
+    """Phase 1's oracle: the wavefront number of every flagged iteration
+    in the extracted graph restricted to flagged pairs."""
+    wf = {}
+    for i in np.flatnonzero(flagged).tolist():   # predecessors first
+        preds = dep.indices[dep.indptr[i]:dep.indptr[i + 1]].tolist()
+        wf[i] = 1 + max((wf[j] for j in preds if j in wf), default=-1)
+    return wf
 
 
 class TestShadowScan:
@@ -288,24 +310,52 @@ class TestSpeculativeExecutor:
 
     def test_the_repair_set_is_not_attempted(self):
         # Each iteration runs once: the chunk levels skip the repair set,
-        # which then runs one index per level, ascending — nothing to
-        # checkpoint.
+        # whose own wavefronts then run as one level each, ascending —
+        # nothing to checkpoint, and not one level per repaired index.
         n = 120
         prog = LoopProgram.from_indirection(sparse_conflict_ia(n, 10, seed=5))
-        ex = SpeculativeExecutor(
-            AccessLog.from_dependences(prog.dependence_graph()), 4, seed=2)
-        levels = ex.level_plan()
-        repair = ex.plan().repair_indices
+        dep = prog.dependence_graph()
+        ex = SpeculativeExecutor(AccessLog.from_dependences(dep), 4, seed=2)
+        levels, plan = ex.level_plan(), ex.plan()
+        repair = plan.repair_indices
         assert len(repair) == 10
         assert np.array_equal(np.sort(levels.order), np.arange(n))
-        widths = np.diff(levels.bounds)
-        assert (widths[-len(repair):] == 1).all()
-        cut = levels.bounds[-len(repair) - 1]
-        assert (np.diff(repair) > 0).all()
-        assert np.array_equal(levels.order[cut:], repair)
-        chunks = levels.order[:cut]
-        assert not np.isin(chunks, repair).any()
-        assert levels.num_levels == len(ex.plan().chunk_bounds) + len(repair)
+        cut, first = n - len(repair), len(plan.chunk_bounds)
+        assert levels.bounds[first] == cut
+        assert not np.isin(levels.order[:cut], repair).any()
+        wf = residue_wavefronts(dep, plan.scan.violated)
+        assert levels.order[cut:].tolist() == sorted(
+            wf, key=lambda i: (wf[i], i))
+        depth = 1 + max(wf.values())
+        assert np.array_equal(np.diff(levels.bounds[first:]),
+                              np.bincount(list(wf.values())))
+        assert levels.num_levels == first + depth < first + len(repair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_programs() | residue_programs(), st.integers(1, 9))
+    def test_phase_one_runs_the_residue_wavefronts(self, prog, nproc):
+        # Phase 1's levels are the wavefronts of the flagged iterations
+        # among themselves, with the extractor's graph restricted to
+        # flagged pairs as the oracle: each level independent, every
+        # residue edge pointing to an earlier level, no level deeper
+        # than it must be — and the run bitwise serial.
+        ex = Runtime(nproc).compile(prog, strategy="speculative").executor
+        levels, flagged = ex.level_plan(), ex.plan().scan.violated
+        cut = prog.n - int(flagged.sum())
+        first = int(np.searchsorted(levels.bounds, cut))
+        level = np.empty(prog.n, dtype=np.int64)
+        level[levels.order] = np.repeat(np.arange(levels.num_levels),
+                                        np.diff(levels.bounds))
+        assert not flagged[levels.order[:cut]].any()
+        dep = prog.dependence_graph()
+        dst, src = dep.edge_rows, dep.indices
+        inside = flagged[dst] & flagged[src]
+        dst, src = level[dst[inside]], level[src[inside]]
+        assert (dst != src).all()
+        assert (dst > src).all()
+        wf = residue_wavefronts(dep, flagged)
+        assert {i: int(level[i]) - first for i in wf} == wf
+        assert_contract(prog, ("speculative",), nproc=nproc)
 
     def test_a_second_run_reuses_the_gather(self):
         # The repair set runs through the tape like any level plan: the
@@ -357,23 +407,28 @@ class TestSpeculativeExecutor:
 
     @settings(max_examples=60, deadline=None)
     @given(loop_programs(), st.integers(1, 9), seeds,
-           st.sampled_from(("program", "graph", "general")),
-           st.booleans())
+           st.sampled_from(("program", "graph")), st.booleans())
     def test_simulate_is_the_old_formula(self, prog, nproc, seed, source,
                                          weighted):
-        # One buffer built and prefix-summed in place, and read counts of
-        # ones for a one-read log: field for field the formula that
-        # counted reads and writes by bincount into separate arrays.
+        # The closed form's shortcuts — range lengths for a one-read
+        # log's reads and identity writes — are, bit for bit, the counts
+        # and the price a bincount gives; and the price is, up to
+        # rounding, the per-iteration prefix-sum formula it replaced.
         log = (AccessLog.from_dependences(prog.dependence_graph())
                if source == "graph" else AccessLog.from_source(prog))
-        if source == "general":
-            log = dataclasses.replace(log, identity_writes=False,
+        counted = dataclasses.replace(log, identity_writes=False,
                                       one_read=False)
         unit_work = (np.random.default_rng(seed).random(prog.n) * 9.0
                      if weighted else None)
         ex = SpeculativeExecutor(log, nproc, seed=seed)
-        assert same_sim(ex.simulate(unit_work=unit_work),
-                        counted_simulation(ex, unit_work))
+        bounds = np.array(ex.plan().chunk_bounds,
+                          dtype=np.int64).reshape(-1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            log.range_counts(bounds), counted.range_counts(bounds)))
+        got = ex.simulate(unit_work=unit_work)
+        assert same_sim(got, SpeculativeExecutor(counted, nproc, seed=seed)
+                        .simulate(unit_work=unit_work))
+        assert near_sim(got, counted_simulation(ex, unit_work))
 
     @settings(max_examples=40, deadline=None)
     @given(indirection_arrays(), st.sampled_from(("speculative", None)))
@@ -466,9 +521,10 @@ class TestRuntimeIntegration:
         assert loop.plan._dep is None
         assert report["n"] == n
         assert report["kernel_path"] == "vectorized"
+        # Its two repaired iterations are one wavefront.
+        assert loop.executor.plan().repair_indices.size == 2
         assert report["numeric_batches"] == (
-            len(loop.executor.plan().chunk_bounds)
-            + loop.executor.plan().repair_indices.size)
+            len(loop.executor.plan().chunk_bounds) + 1)
 
     def test_auto_keeps_speculating_an_all_conflict_chain(self):
         # Figure 3's full chain, where auto's simulator prefers the
