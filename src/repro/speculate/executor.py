@@ -231,8 +231,8 @@ class SpeculativeExecutor(ClassicExecutor):
         shadow-logging overheads per event: a ``t_check``-priced read
         log, a ``t_inc``-priced write log).  Detection is one parallel
         sweep over the events; repair is priced as a serial run of its
-        wavefronts' iterations (nothing is restored: :meth:`run` never
-        attempts them).  The work model is affine in read counts, so
+        iterations, whatever its wavefronts (nothing is restored:
+        :meth:`run` never attempts them).  The work model is affine in read counts, so
         every term is a closed form of per-chunk and repair-set event
         counts: nothing of length ``n`` is built unless ``unit_work`` is.
         """
