@@ -100,6 +100,23 @@ def _output_edges(w_el, w_it):
     return w_it[1:][same], w_it[:-1][same]
 
 
+def _edges_general(n, read_it, read_el, write_it, write_el, *,
+                   all_live=False):
+    """Flow, anti and output edges ``(dst, src)`` of one written array;
+    ``all_live`` protects every read, not only those with an earlier
+    writer among the writes given (a caller that leaves writers out)."""
+    if not write_it.size:
+        return write_it, write_it
+    w_el, w_it, w_key, stride = _sorted_writes(n, write_it, write_el)
+    d_f, s_f, live = _flow_edges_general(read_it, read_el, w_el, w_it,
+                                         w_key, stride)
+    if not all_live:
+        read_it, read_el = read_it[live], read_el[live]
+    d_a, s_a = _anti_edges(read_it, read_el, w_el, w_it, w_key, stride)
+    d_o, s_o = _output_edges(w_el, w_it)
+    return np.concatenate((d_f, d_a, d_o)), np.concatenate((s_f, s_a, s_o))
+
+
 def _distinct(keys):
     """``np.unique(keys)`` by a sort and an adjacent-difference mask —
     the same sorted array, without the hash table NumPy 2 builds for
@@ -178,21 +195,7 @@ def extract_statement_dependences(
             src_parts.append(s)
             continue
         w_pos, w_el = serial_events(n, w_accs, num_stmts)
-        if not w_pos.size:
-            continue
-
-        # --- iteration-level edges over the position space -------------
-        w_el_s, w_pos_s, w_key, stride = _sorted_writes(big_n, w_pos, w_el)
-        if r_pos.size:
-            d, s, live = _flow_edges_general(r_pos, r_el, w_el_s, w_pos_s,
-                                             w_key, stride)
-            dst_parts.append(d)
-            src_parts.append(s)
-            d, s = _anti_edges(r_pos[live], r_el[live], w_el_s, w_pos_s,
-                               w_key, stride)
-            dst_parts.append(d)
-            src_parts.append(s)
-        d, s = _output_edges(w_el_s, w_pos_s)
+        d, s = _edges_general(big_n, r_pos, r_el, w_pos, w_el)
         dst_parts.append(d)
         src_parts.append(s)
         if num_stmts == 1:

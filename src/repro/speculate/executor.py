@@ -47,8 +47,7 @@ from ..errors import ValidationError
 from ..machine.costs import MachineCosts
 from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
-from ..program.extraction import (_anti_edges, _flow_edges_general,
-                                  _output_edges, _sorted_writes)
+from ..program.extraction import _edges_general
 from ..runtime.registry import register_executor
 from ..util.frontier import counts_to_indptr
 from ..util.rng import default_rng
@@ -198,6 +197,7 @@ class SpeculativeExecutor(ClassicExecutor):
                 np.add(kept, lo, out=order[at[-1]:at[-1] + kept.size])
                 at.append(at[-1] + kept.size)
         wf = _residue_wavefronts(self.log, plan.scan, plan.repair_indices)
+        plan.scan.stale = None  # read once: the level plan is cached
         order[at[-1]:] = plan.repair_indices[np.argsort(wf, kind="stable")]
         return order, np.concatenate(
             (at, at[-1] + counts_to_indptr(np.bincount(wf))[1:]))
@@ -293,12 +293,8 @@ def _residue_wavefronts(log: AccessLog, scan: ShadowScan,
         dst, src = r_it[mine], r_el[mine]
     else:
         mine = scan.violated[log.write_it]
-        w_el, w_it, w_key, stride = _sorted_writes(
-            log.n, log.write_it[mine], log.write_el[mine])
-        flow = _flow_edges_general(r_it, r_el, w_el, w_it, w_key, stride)
-        anti = _anti_edges(r_it, r_el, w_el, w_it, w_key, stride)
-        dst, src = map(np.concatenate,
-                       zip(flow[:2], anti, _output_edges(w_el, w_it)))
+        dst, src = _edges_general(log.n, r_it, r_el, log.write_it[mine],
+                                  log.write_el[mine], all_live=True)
     dst, src = np.searchsorted(repair, dst), np.searchsorted(repair, src)
     return compute_wavefronts(DependenceGraph(
         counts_to_indptr(np.bincount(dst, minlength=repair.size)),

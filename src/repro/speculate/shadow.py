@@ -228,8 +228,9 @@ class ShadowScan:
 
     #: Violated-iteration mask, length ``n``.
     violated: np.ndarray
-    #: ``(iterations, elements)`` of the stale reads: the live ones.
-    stale: tuple
+    #: ``(iterations, elements)`` of the stale reads: the live ones;
+    #: ``None`` once the executor's level plan has read them.
+    stale: tuple | None
     #: Per-element earliest writer (sentinel ``n``).
     first_write: np.ndarray | None = None
 

@@ -507,7 +507,9 @@ def residue_programs(draw, max_n=40):
     blindly into ``x[v[i]]``, ``w`` and ``v`` drawn from few elements (so
     most have several writers, every later one flagged), and reads
     ``x[r[i]]``, where a drawn stretch of iterations is a chain — each
-    reads what the one before it wrote."""
+    reads what the one before it wrote.  A drawn share of the iterations
+    but ``lo`` only reads ``x[r[i]]`` — under a share of one, no flagged
+    iteration writes."""
     n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(seeds))
     w, v = rng.integers(0, draw(st.integers(1, n)), size=(2, n))
@@ -515,9 +517,13 @@ def residue_programs(draw, max_n=40):
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo + 1, n))
     r[lo + 1:hi] = w[lo:hi - 1]
-    w, v, r = w.tolist(), v.tolist(), r.tolist()
+    quiet = rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    quiet[lo] = False
+    w, v, r, quiet = w.tolist(), v.tolist(), r.tolist(), quiet.tolist()
 
     def body(i, a):
+        if quiet[i]:
+            return a.x[r[i]]
         a.x[w[i]] = a.x[w[i]] * 0.5 + a.b[i] * a.x[r[i]]
         a.x[v[i]] = a.b[i] - 1.0
 

@@ -357,6 +357,25 @@ class TestSpeculativeExecutor:
         assert {i: int(level[i]) - first for i in wf} == wf
         assert_contract(prog, ("speculative",), nproc=nproc)
 
+    @pytest.mark.parametrize("nproc", [1, 3])
+    def test_a_residue_that_writes_nothing(self, nproc):
+        # Iteration 0 writes x[0] and every later one only reads it: all
+        # of those are flagged, none writes, so phase 1 is one level.
+        def body(i, a):
+            if i:
+                return a.x[0]
+            a.x[0] = a.b[0] + 1.0
+
+        n = 5
+        prog = LoopProgram.record(n, body, x=np.ones(n), b=np.ones(n))
+        ex = Runtime(nproc).compile(prog, strategy="speculative").executor
+        levels = ex.level_plan()
+        assert ex.plan().repair_indices.tolist() == [1, 2, 3, 4]
+        assert levels.order[-4:].tolist() == [1, 2, 3, 4]
+        assert levels.bounds[-2] == 1
+        assert ex.plan().scan.stale is None  # the level plan read them
+        assert_contract(prog, ("speculative",), nproc=nproc)
+
     def test_a_second_run_reuses_the_gather(self):
         # The repair set runs through the tape like any level plan: the
         # gather built on the first run serves the second.
