@@ -7,7 +7,7 @@
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # no-fixed-width-row-pointer,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put, unbounded-oracle,
-# one-backend-dispatch, structures-are-values,
+# one-backend-dispatch, structures-are-values, no-compile-counter,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
 #
@@ -88,6 +88,14 @@ repair='repair_set|clean_cut|_CLOSURE_CAP|multi_writer|max_write'
 repair="$repair|restore_elements|restored_elements|last_conflicts"
 if grep -rnE "$repair" src examples --include='*.py'; then
     echo "error: a name of the deleted repair closure / restore price reappeared" >&2
+    exit 1
+fi
+# ... and the session counts no compiles: cache_hit, executions, rebinds
+# and the cache's stats are the amortisation counters, so a speculative
+# compile digests nothing.  (speculation_key stays callable.)
+if grep -rnE 'compile_count|_count_compile|_compile_counts' src examples \
+        --include='*.py'; then
+    echo "error: a name of the deleted per-structure compile counter reappeared" >&2
     exit 1
 fi
 

@@ -465,8 +465,6 @@ class StagedPlan(LoopPlan):
         self.num_wavefronts = int(sum(
             loop.inspection.num_wavefronts for loop in self.stage_loops))
         self.cache_hit = all(loop.cache_hit for loop in self.stage_loops)
-        self.compile_count = max(
-            loop.compile_count for loop in self.stage_loops)
         self._recoveries: list = []
 
     @property

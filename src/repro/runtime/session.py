@@ -17,8 +17,8 @@ skip the inspector entirely.  The Table 5 price of an inspection is
 computed only when read (``report.inspect_cost``, ``loop.report()``),
 once per cached entry.
 :class:`RunReport` carries the amortisation counters (``cache_hit``,
-``compile_count``, ``executions``) that make the paper's break-even
-argument checkable at run time.
+``executions``, and the session's ``cache_stats``) that make the
+paper's break-even argument checkable at run time.
 
 Strategy strings (``executor``, ``scheduler``, ``assignment``) are
 resolved through the open registries of :mod:`repro.runtime.registry`
@@ -52,7 +52,6 @@ plan alike.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +104,6 @@ class RunReport:
     assignment: str
     #: True when the schedule came from the session's ScheduleCache.
     cache_hit: bool
-    #: Times this structure has been compiled through the session.
-    compile_count: int
     #: Executions of this CompiledLoop so far (including this one).
     executions: int
     #: Wall-clock seconds of this execution.
@@ -157,7 +154,7 @@ class LoopPlan:
 
     A plan is also the read-only summary reports are built from:
     ``executor``, ``executor_name``, ``scheduler_name``, ``assignment``,
-    ``balance``, ``cache_hit``, ``compile_count``, and — through
+    ``balance``, ``cache_hit``, and — through
     :attr:`inspection` — ``strategy``, ``pipeline_cost``,
     ``num_wavefronts``, ``schedule``, ``wavefronts`` and ``dep``.
     """
@@ -260,7 +257,7 @@ class ScheduledPlan(LoopPlan):
 
     def __init__(self, inspection, executor, *, executor_name: str,
                  scheduler_name: str, assignment: str, balance: str,
-                 cache_hit: bool, compile_count: int, sim=None):
+                 cache_hit: bool, sim=None):
         self._inspection = inspection
         #: The default simulation, when a search handed it over.
         self._default_sim = sim
@@ -272,8 +269,6 @@ class ScheduledPlan(LoopPlan):
         self.balance = balance
         #: Whether the inspection came from the ScheduleCache.
         self.cache_hit = cache_hit
-        #: Compiles of this structure through the session, so far.
-        self.compile_count = compile_count
 
     @property
     def inspection(self):
@@ -341,8 +336,6 @@ class CompiledLoop:
     balance = _of_plan("balance", "Balance option.")
     cache_hit = _of_plan("cache_hit", "Whether the plan's schedule(s) "
                          "came from the ScheduleCache.")
-    compile_count = _of_plan("compile_count", "Compiles of this "
-                             "structure through the session, so far.")
     inspection = _of_plan("inspection", "Inspector output, or the plan "
                           "itself standing in for one.")
     variant = _of_plan("variant", "Staged plans only: the transform "
@@ -462,7 +455,6 @@ class CompiledLoop:
             scheduler=inspection.strategy,
             assignment=plan.assignment,
             cache_hit=plan.cache_hit,
-            compile_count=plan.compile_count,
             executions=self.executions,
             host_seconds=sw.elapsed,
             cache_stats=cache.stats.snapshot() if cache is not None else None,
@@ -512,7 +504,6 @@ class CompiledLoop:
             **plan.report(),
             "num_wavefronts": plan.inspection.num_wavefronts,
             "cache_hit": plan.cache_hit,
-            "compile_count": plan.compile_count,
             "tuned": self.verdict is not None,
             "executions": self.executions,
             "inspect_cost": inspect_cost,
@@ -733,12 +724,6 @@ class Runtime:
         # plan travels with each ``put`` and the observer mirrors this
         # session's own share of their counters (see
         # ``_scheduled_plan`` and ``CompiledLoop._attempt``).
-        # Amortisation counter per structure key, bounded like the
-        # cache it annotates (an evicted structure restarts at 1).
-        self._compile_counts: OrderedDict[str, int] = OrderedDict()
-        self._compile_counts_max = (
-            4 * self.cache.maxsize if self.cache is not None else 128
-        )
 
     # ------------------------------------------------------------------
     def compile(self, deps, *, executor: str = "self",
@@ -924,7 +909,6 @@ class Runtime:
             executor_registry.get(executor)(inspection, self.nproc, self.costs),
             executor_name=executor, scheduler_name=scheduler,
             assignment=assignment, balance=balance, cache_hit=cache_hit,
-            compile_count=self._count_compile(key),
             sim=winner.sim if winner is not None else None,
         )
 
@@ -939,15 +923,6 @@ class Runtime:
             loop.verdict = vd
             stage_loops.append(loop)
         return StagedPlan(program_verdict.variant, stage_loops)
-
-    # ------------------------------------------------------------------
-    def _count_compile(self, key: str) -> int:
-        """Bump and return the per-structure compile counter (bounded)."""
-        self._compile_counts[key] = self._compile_counts.get(key, 0) + 1
-        self._compile_counts.move_to_end(key)
-        while len(self._compile_counts) > self._compile_counts_max:
-            self._compile_counts.popitem(last=False)
-        return self._compile_counts[key]
 
     # ------------------------------------------------------------------
     def _ensure_tuner(self):

@@ -34,10 +34,12 @@ _CLASSIC = {"executor": "self", "scheduler": "local",
 
 
 def speculation_key(log: AccessLog, nproc: int, costs) -> str:
-    """Key of one speculative structure in the session's compile counter.
+    """Key of one speculative structure.
 
-    Hashes the identity of the structure the access events came from
-    (:meth:`AccessLog.structure_id
+    The library no longer calls it — a speculative compile digests
+    nothing — and keeps it, layout unchanged, for the benchmark
+    ledger's replica of that compile.  Hashes the identity of the
+    structure the access events came from (:meth:`AccessLog.structure_id
     <repro.speculate.shadow.AccessLog.structure_id>` — the one memoised
     identity the classic keys use, not the event arrays), the machine
     shape and the cost model — the same ingredients as the classic
@@ -61,14 +63,12 @@ class SpeculativePlan(LoopPlan):
     num_wavefronts = 0
     wavefronts = None
 
-    def __init__(self, runtime, source, executor: SpeculativeExecutor, *,
-                 compile_count: int):
+    def __init__(self, runtime, source, executor: SpeculativeExecutor):
         self.runtime = runtime
         #: The dependence source (program or graph) the log came from.
         self.source = source
         self.executor = executor
         self.schedule = executor.schedule
-        self.compile_count = compile_count
         self._classic: LoopPlan | None = None
         self._dep = None
 
@@ -113,10 +113,7 @@ class SpeculativePlan(LoopPlan):
 
 def speculative_plan(runtime, deps) -> LoopPlan:
     """Build the plan behind ``strategy="speculative"``."""
-    log = AccessLog.from_source(deps)
-    key = speculation_key(log, runtime.nproc, runtime.costs)
-    executor = SpeculativeExecutor(log, runtime.nproc, runtime.costs,
-                                   seed=runtime.tune_seed,
+    executor = SpeculativeExecutor(AccessLog.from_source(deps), runtime.nproc,
+                                   runtime.costs, seed=runtime.tune_seed,
                                    observer=runtime.observer)
-    return SpeculativePlan(runtime, deps, executor,
-                           compile_count=runtime._count_compile(key))
+    return SpeculativePlan(runtime, deps, executor)

@@ -48,7 +48,7 @@ GRID = (6, 8)
 #: ``loop.report()`` keys every plan kind provides.
 REPORT_KEYS = {
     "executor", "scheduler", "assignment", "n", "nproc", "num_wavefronts",
-    "cache_hit", "compile_count", "tuned", "executions", "inspect_cost",
+    "cache_hit", "tuned", "executions", "inspect_cost",
     "parallel_time", "seq_time", "efficiency", "break_even_executions",
 }
 
@@ -225,9 +225,11 @@ class TestSurfaceContract:
                 loop.rebind(x=np.zeros(N))
             return
         traffic = (rt.cache_stats.lookups, rt.cache_stats.disk_stores)
-        compiles = loop.compile_count
+        plan, stages = loop.plan, list(getattr(loop, "stage_loops", ()))
         assert loop.rebind(**case.data_swap) is loop
-        assert loop.rebinds == 1 and loop.compile_count == compiles
+        # Nothing recompiled: the same plan, the same stage loops.
+        assert loop.rebinds == 1 and loop.plan is plan
+        assert list(getattr(loop, "stage_loops", ())) == stages
         assert (rt.cache_stats.lookups, rt.cache_stats.disk_stores) == traffic
         assert same(loop().x, case.expected())
 

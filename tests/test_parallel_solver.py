@@ -50,11 +50,16 @@ class TestOneFactorOneSolvePath:
             ilu, "numeric_ilu",
             lambda *a, **k: factored.append(1) or numeric_ilu(*a, **k))
         solver = ParallelSolver(problem.a, 8)
+        lower_plan = solver.lower_loop.plan
         log = solver.solve(problem.b, method="gmres").solve_result.log
         assert log["lower_solve"] == log["upper_solve"] > 0
         assert solver.lower_loop.executions == log["lower_solve"]
         assert solver.upper_loop.executions == log["upper_solve"]
-        assert solver.lower_loop.compile_count == 1
+        # One compile of the shared structure (the upper loop's is its
+        # hit) and none per solve: the lower plan is still the first.
+        stats = solver.lower_loop.runtime.cache_stats
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert solver.lower_loop.plan is lower_plan
         assert len(factored) == 1
 
     def test_a_handed_factorization_is_not_recomputed(self, problem,

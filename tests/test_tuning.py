@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import LoopProgram
 from repro.core import executor as executor_module, wavefront
@@ -33,7 +33,7 @@ from repro.tuning import (
 )
 from repro.tuning import measure, tuner as tuner_module
 from repro.workload.generator import generate_workload
-from strategies import loop_programs, tuner_graphs
+from strategies import loop_programs, program_of, tuner_graphs
 
 
 @pytest.fixture()
@@ -589,12 +589,24 @@ class TestHandOver:
         assert sims == [1]
 
     @given(prog=loop_programs(), dep=tuner_graphs())
+    @example(prog=program_of("simple", 1, 0),
+             dep=DependenceGraph.from_edges([], 1))
     @settings(max_examples=8, deadline=None)
     def test_a_program_search_hands_nothing_to_the_next_compile(self, prog,
                                                                 dep):
         rt = Runtime(nproc=4)
-        rt.compile(prog, strategy="auto")
+        first = rt.compile(prog, strategy="auto")
+        hits = rt.tuning_stats.hits
         loop = rt.compile(dep, strategy="auto")
+        if first.program_verdict is None and first.dep.digest == dep.digest:
+            # A one-statement program is tuned on its dependence graph,
+            # so a graph of the same structure (any n = 1 program and
+            # an edgeless n = 1 graph) shares its tuning key: the second
+            # compile is a correct store hit on the first's verdict.
+            assert rt.tuning_stats.hits == hits + 1
+            assert loop.verdict == dataclasses.replace(first.verdict,
+                                                       searched=False)
+            return
         assert loop.verdict.searched
         if loop.plan.kind == "scheduled":
             assert loop.dep is dep and loop.schedule.n == dep.n
