@@ -33,9 +33,11 @@ business, not the machine's) in one of two walks, both exact:
   doacross orders, the combined-DAG sweep's levels (at most ``nproc``
   wide) and meshes of a few dozen iterations per wavefront;
 * :func:`_run_levels`, the same rule a level at a time — for plans of
-  wide levels, such as Figure 3's wavefronts (thousands wide): a
-  processor's run through a level is one running sum, the same IEEE
-  additions in the same order, and only the iterations from a
+  wide levels, such as Figure 3's wavefronts (thousands wide): first
+  each processor's whole list is one running sum, the same IEEE
+  additions in the same order, exact up to the first level where an
+  operand can finish late; from that level on a processor's run
+  through a level is one running sum, and only the iterations from a
   busy-wait on go item by item.
 
 :func:`simulate_self_executing` alone chooses, on the plan's mean level
@@ -77,11 +79,13 @@ _MODES = ("preschedule", "self", "doacross")
 #: Mean level width (iterations) from which a plan is walked a level at
 #: a time (:func:`_run_levels`) instead of an iteration at a time
 #: (:func:`_run_scalar`).  A level costs the level walk a fixed two
-#: dozen numpy calls plus one per processor run; the event loop pays per
-#: iteration.  On layered random graphs with 1–3 operands an iteration
-#: the level walk breaks even at ≈ 64 wide on 2 processors, ≈ 128 on 8
-#: and ≈ 160 on 16; Figure 3's wavefronts (≈ 7 500 wide) run ≈ 7×
-#: faster, a Table 5 mesh's (≈ 18 wide) would run ≈ 4× slower.
+#: dozen numpy calls plus one per processor run, from the first level
+#: that can wait; the event loop pays per iteration.  On layered random
+#: graphs with 1–3 operands an iteration the level walk breaks even at
+#: ≈ 64 wide on 2 processors, ≈ 128 on 8 and ≈ 160 on 16; Figure 3's
+#: wavefronts (≈ 7 500 wide, the first wait in level 5 of 9) run ≈ 25×
+#: faster (≈ 10× while the walk walked every level), a Table 5 mesh's
+#: (≈ 18 wide) would run ≈ 5× slower.
 _WIDE_LEVEL = 128
 
 
@@ -359,50 +363,74 @@ def _run_levels(schedule, dep, w, t_poll, order, bounds, bound):
     iterations depend on lies in earlier levels, and each processor's
     iterations in it are adjacent and in program order (whole
     wavefronts laid out by owner and position, or sweep levels of at
-    most one iteration per processor).  Per level:
+    most one iteration per processor).
+
+    First the wait-free pass: each processor's whole list is one running
+    sum, its busy total and, by the same additions in the same order,
+    the event loop's finish times while nothing waits.  An iteration is
+    flagged when an operand so finishes after its processor's previous
+    iteration.  Before the first level holding one nothing waits, so by
+    induction over levels those finish times are exact; the walk starts
+    at that level, seeded with each processor's finish just before it.
+    Per level:
 
     1. every iteration's ready time — the latest finish among its
        operands — is one segmented ``np.maximum.reduceat``: the operands
        lie in earlier levels, and ``max`` is exact;
     2. each processor's run is one ``np.add.accumulate`` seeded with its
-       availability: the finish times the event loop computes while
-       nothing waits, by the same additions in the same order;
+       availability;
     3. from the first iteration of a run whose ready time passes its
        predecessor's finish, :func:`_finish_run` walks the rest of the
        run item by item over Python floats, reusing the ready times —
        linear however many of them wait.
 
-    The busy totals do not depend on waits: they are one running sum
-    along each processor's list, taken up front.  ``bound`` is
-    :func:`_run_scalar`'s predicate, checked a level at a time: it holds
-    for some iteration or for none, so ``None`` is decided identically.
+    ``bound`` is :func:`_run_scalar`'s predicate, checked a level at a
+    time: it holds for some iteration or for none, so ``None`` is
+    decided identically.  In the wait-free prefix a finish time is the
+    busy time so far, so there it holds for a processor whose headroom
+    is below zero.
     """
     n, p = schedule.n, schedule.nproc
     bounded = bound < math.inf
-    # Busy time after each iteration, seeded with the loop's 0.0 (the
-    # ``+= 0.0`` turns a leading -0.0 into the loop's 0.0 + -0.0).
-    done = np.empty(n) if bounded else None
-    busy = np.zeros(p)
+    # Seeded with the loop's 0.0: the ``+= 0.0`` turns a leading -0.0
+    # into the loop's 0.0 + -0.0.  ``prev`` is the processor's previous
+    # finish, 0.0 at the head of a list.
+    finish, prev = np.empty(n), np.zeros(n)
+    busy, sizes = np.zeros(p), np.zeros(p, dtype=np.int64)
     for q, lst in enumerate(schedule.local_order):
         if lst.shape[0]:
             run = w[lst]
             run[0] += 0.0
             np.add.accumulate(run, out=run)
-            busy[q] = run[-1]
-            if bounded:
-                done[lst] = run
-    own = schedule.owner[order]
-    fin = w[order]          # overwritten, a level at a time, by finish times
-    counts = dep.dep_counts()[order]
-    operands = dep.indices[expand_csr_ranges(dep.indptr[order], counts)]
-    at = counts_to_indptr(counts)
+            busy[q], sizes[q] = run[-1], lst.shape[0]
+            finish[lst] = run
+            prev[lst[1:]] = run[:-1]
+    # Flag every iteration with an operand that finishes after ``prev``.
+    rows = dep.edge_rows
+    late = np.zeros(n, dtype=bool)
+    late[rows[finish[dep.indices] > prev[rows]]] = True
+    del prev
+    late = late[order]
+    start = np.searchsorted(bounds, late.argmax() if late.any() else n,
+                            side="right") - 1
+    tail = order[bounds[start]:]
+    own = schedule.owner[tail]
+    left = np.bincount(own, minlength=p)
+    avail = busy.copy()
+    for q in np.flatnonzero(left).tolist():
+        ran = sizes[q] - left[q]
+        avail[q] = finish[schedule.local_order[q][ran - 1]] if ran else 0.0
     if bounded:
-        head = np.asarray(_headroom(schedule.owner, w, p, bound))[own]
-        done = done[order]
-    finish = np.zeros(n)
-    avail = np.zeros(p)
+        head = np.asarray(_headroom(schedule.owner, w, p, bound))
+        if np.any(head[sizes > left] < 0.0):
+            return None
+        head, done = head[own], finish[tail]
+    fin = w[tail]           # overwritten, a level at a time, by finish times
+    counts = dep.indptr[tail + 1] - dep.indptr[tail]
+    operands = dep.indices[expand_csr_ranges(dep.indptr[tail], counts)]
+    at = counts_to_indptr(counts)
     idle = [0.0] * p
-    cuts = bounds.tolist()
+    cuts = (bounds[start:] - bounds[start]).tolist()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         o, f = own[lo:hi], fin[lo:hi]
         starts = np.flatnonzero(np.diff(o, prepend=-1))
@@ -430,10 +458,10 @@ def _run_levels(schedule, dep, w, t_poll, order, bounds, bound):
                     e, q = stops[k], int(procs[k])
                     f[j:e], idle[q] = _finish_run(
                         float(prev[j]), ready[j:e].tolist(),
-                        w[order[lo + j:lo + e]].tolist(), t_poll, idle[q])
+                        w[tail[lo + j:lo + e]].tolist(), t_poll, idle[q])
         if bounded and np.any(f - done[lo:hi] > head[lo:hi]):
             return None
-        finish[order[lo:hi]] = f
+        finish[tail[lo:hi]] = f
         avail[procs] = f[ends - 1]
     return finish, avail, busy, np.asarray(idle, dtype=np.float64)
 

@@ -160,20 +160,38 @@ def wide_simulations(draw):
                      draw(st.sampled_from(("self", "doacross"))), draw(seeds))
 
 
-def waiting_level(width: int):
-    """``(schedule, dep, unit_work)`` of two wavefronts where every
-    iteration of the second busy-waits: processor 0 runs the first
-    (work 2 each), processor 1 the second (work 1 each), iteration
-    ``k`` of which reads iteration ``k`` of the first — so it is
+def waiting_level(width: int, before: int = 1, nproc: int = 1):
+    """``(schedule, dep, unit_work)`` of ``before + 1`` wavefronts of
+    ``width`` where nothing waits until the last: column ``k`` of the
+    first ``before`` runs on processor ``k % nproc`` (work 2 each), each
+    iteration reading the one above it, so every operand finished on
+    its reader's processor; processor ``nproc`` runs the last wavefront
+    (work 1 each), iteration ``k`` of which reads column ``k``'s last.
+    Its first iteration busy-waits; with the defaults (two wavefronts,
+    one processor before the last) every one does — iteration ``k`` is
     ready at ``2(k + 1)``, about one unit after its predecessor
-    finished (under :func:`poll_costs`, whose overheads stay well
-    below that unit)."""
-    first = np.arange(width, dtype=np.int64)
-    dep = DependenceGraph.from_edges(np.column_stack((first + width, first)),
-                                     2 * width)
-    owner = np.repeat(np.arange(2, dtype=np.int64), width)
-    schedule = local_schedule(compute_wavefronts(dep), owner, 2)
-    return schedule, dep, np.repeat([2.0, 1.0], width)
+    finished (under :func:`poll_costs`, whose overheads stay well below
+    that unit)."""
+    cols = np.arange(width, dtype=np.int64)
+    rows = np.arange(width, (before + 1) * width, dtype=np.int64)
+    dep = DependenceGraph.from_edges(np.column_stack((rows, rows - width)),
+                                     (before + 1) * width)
+    owner = np.append(np.tile(cols % nproc, before), np.full(width, nproc))
+    schedule = local_schedule(compute_wavefronts(dep), owner, nproc + 1)
+    return schedule, dep, np.repeat([2.0, 1.0], [before * width, width])
+
+
+@st.composite
+def late_waits(draw):
+    """A :func:`simulations` tuple of a :func:`waiting_level` whose first
+    busy-wait falls in a drawn level, 1 to 6, after wait-free levels of
+    200 to 600 iterations on 1 to 8 processors — wide enough for the
+    level walk — under a poll quantum of 0, 0.7 or 7, either mode."""
+    schedule, dep, unit_work = waiting_level(
+        draw(st.integers(200, 600)), draw(st.integers(1, 6)),
+        draw(st.integers(1, 8)))
+    return (schedule, dep, poll_costs(draw(st.sampled_from((0.0, 0.7, 7.0)))),
+            draw(st.sampled_from(("self", "doacross"))), unit_work)
 
 
 @st.composite

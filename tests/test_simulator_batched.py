@@ -33,6 +33,7 @@ from strategies import (
     backward_dags,
     bounds_near,
     general_dags,
+    late_waits,
     poll_costs,
     schedule_for,
     simulations,
@@ -85,6 +86,22 @@ def event_loop():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_WIDE_LEVEL", np.inf)
         yield
+
+
+@contextmanager
+def walked_rows():
+    """How many iterations each level walk walks a level at a time —
+    the rows it gathers operands for, from the first level that can
+    wait on."""
+    rows = []
+
+    def spy(starts, counts, _real=simulator.expand_csr_ranges):
+        rows.append(starts.shape[0])
+        return _real(starts, counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "expand_csr_ranges", spy)
+        yield rows
 
 
 @contextmanager
@@ -234,7 +251,7 @@ class TestLevelWalk:
             schedule, dep, costs, **kw))
         return got
 
-    @given(wide_simulations())
+    @given(st.one_of(wide_simulations(), late_waits()))
     @settings(max_examples=25, deadline=None)
     def test_wide_plans(self, case):
         self.check(case, chosen_level_walk)
@@ -282,24 +299,73 @@ class TestLevelWalk:
         got = self.check(case, chosen_level_walk)
         assert not np.signbit(got.busy).any()
 
-    @given(st.one_of(simulations(), wide_simulations()), st.data())
+    def test_nothing_waits(self):
+        """All on one processor and work of one sign: no operand finishes
+        after its reader's predecessor, so the walk ends after the
+        wait-free pass."""
+        with walked_rows() as rows:
+            self.check(wide_case(3_000, 8, "one", 0.7, False, "self", 1989),
+                       chosen_level_walk)
+        assert rows == [0]
+
+    @pytest.mark.parametrize("before,nproc", [(1, 1), (6, 4)])
+    def test_the_walk_starts_at_the_first_wait(self, before, nproc):
+        """The first wait in level 1 (:func:`waiting_level`) or only in
+        the last of seven levels: the walk walks that level alone."""
+        schedule, dep, unit_work = waiting_level(500, before, nproc)
+        with walked_rows() as rows:
+            self.check((schedule, dep, poll_costs(0.7), "self", unit_work),
+                       chosen_level_walk)
+        assert rows == [500]
+
+    @staticmethod
+    def decide(case, bound):
+        """The bounded level walk against the bounded event loop:
+        ``None`` exactly when the loop says ``None``, else its bits."""
+        schedule, dep, costs, mode, unit_work = case
+        kw = dict(mode=mode, unit_work=unit_work, keep_finish_times=True,
+                  bound=bound)
+        with event_loop():
+            loop = simulate_self_executing(schedule, dep, costs, **kw)
+        with level_walk():
+            got = simulate_self_executing(schedule, dep, costs, **kw)
+        assert (got is None) == (loop is None)
+        assert got is None or same_bits(got, loop)
+        return got
+
+    @pytest.mark.parametrize("where", ["prefix", "tail", "nowhere"])
+    def test_a_bound_crossed_in(self, where):
+        """Processors 0 and 1 run only the wait-free prefix, processor 2
+        the waiting last level: a bound below their busy time is crossed
+        before the walk gathers anything, one between every busy time
+        and the makespan only in the tail, and the makespan itself
+        nowhere."""
+        schedule, dep, unit_work = waiting_level(2_000, 3, 2)
+        case = (schedule, dep, poll_costs(0.7), "self", unit_work)
+        ref = reference.simulate_self_executing(
+            schedule, dep, case[2], unit_work=unit_work,
+            keep_finish_times=True)
+        busy, total = ref.busy, ref.total_time
+        assert busy.max() == busy[0] and busy.max() < total
+        bound = {"prefix": busy[0] / 2, "tail": (busy[0] + total) / 2,
+                 "nowhere": total}[where]
+        with walked_rows() as rows:
+            got = self.decide(case, bound)
+        assert (got is None) == (total > bound)
+        assert rows == ([] if where == "prefix" else [2_000])
+        assert got is None or same_bits(got, ref)
+
+    @given(st.one_of(simulations(), wide_simulations(), late_waits()),
+           st.data())
     @settings(max_examples=60, deadline=None)
     def test_bound_decides_as_the_loop_does(self, case, data):
         """``None`` exactly when the event loop says ``None``."""
         schedule, dep, costs, mode, unit_work = case
-        kw = dict(mode=mode, unit_work=unit_work, keep_finish_times=True)
         with event_loop():
-            total = simulate_self_executing(schedule, dep, costs,
-                                            **kw).total_time
-        bound = data.draw(bounds_near(total))
-        with event_loop():
-            loop = simulate_self_executing(schedule, dep, costs, **kw,
-                                           bound=bound)
-        with level_walk():
-            got = simulate_self_executing(schedule, dep, costs, **kw,
-                                          bound=bound)
-        assert (got is None) == (loop is None)
-        assert got is None or same_bits(got, loop)
+            total = simulate_self_executing(
+                schedule, dep, costs, mode=mode,
+                unit_work=unit_work).total_time
+        self.decide(case, data.draw(bounds_near(total)))
 
 
 class TestVectorLevelBody:
