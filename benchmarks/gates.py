@@ -4,8 +4,8 @@ Each gate compares two ways of doing the same work on this host —
 ``time(other) / time(base)`` against a bound — through the one helper
 below; more hold exact, host-independent counts: the work a tuner
 search does, which simulator walk the ledger's plans take, the memory
-of a cold simulation, and the memory and levels of a speculative
-compile.  Sizes are constants: the CI scale is the scale.
+of a cold inspection and of a cold simulation, and the memory and
+levels of a speculative compile.  Sizes are constants: the CI scale is the scale.
 
     PYTHONPATH=src python -m pytest benchmarks/gates.py -q
 
@@ -383,6 +383,33 @@ def test_a_cold_simulation_allocates_under_five_arrays(capsys):
               f"{arrays:.3g} x 8n bytes, bound 5")
     assert sim.total_time > 0
     assert arrays <= 5
+
+
+def test_a_cold_inspection_allocates_under_six_and_a_half_arrays(capsys):
+    """Exact, on ``fig3_cold``'s shape: the traced allocation peak of a
+    cold default ``Runtime(nproc=8).compile`` of Figure 3 at n = 60 000
+    is at most 6.5 full-length arrays of 8n bytes.  It reads 6.16: the
+    extractor hands the program to ``from_indirection``, the pointer
+    doubling runs over the forest's edges, and the schedule's sort key
+    is built in place at its narrow width.  It read 7.65 through the
+    general collapse, the edge-row ``repeat`` and doubling over n."""
+    n = 60_000
+    rng = np.random.default_rng(1989)
+    program = LoopProgram.from_indirection(
+        rng.integers(0, n, size=n), x=rng.standard_normal(n),
+        b=rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        loop = Runtime(nproc=8).compile(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n)
+    with capsys.disabled():
+        print(f"\n  cold inspection, Figure 3 n={n}: traced peak "
+              f"{arrays:.3g} x 8n bytes, bound 6.5")
+    assert loop.dep.num_edges > 0
+    assert arrays <= 6.5
 
 
 def test_each_plan_takes_its_walk(monkeypatch, capsys):

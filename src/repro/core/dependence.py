@@ -87,8 +87,11 @@ class DependenceGraph:
         if n is None:
             n = ia.shape[0]
         n = int(n)
+        if n > ia.shape[0]:
+            raise StructureError(
+                f"n={n} exceeds the {ia.shape[0]} entries of ia")
         dep_exists = ia[:n] < np.arange(n)
-        indptr = counts_to_indptr(dep_exists.astype(np.int64))
+        indptr = counts_to_indptr(dep_exists)  # bools sum into int64
         return cls(read_only(indptr), read_only(ia[:n][dep_exists]), n,
                    check_acyclic=False)
 
@@ -197,8 +200,8 @@ class DependenceGraph:
         The ragged counterpart of ``indices``: ``edge_rows[k]`` is the
         iteration whose dependence list contains edge ``k``.  Non-
         decreasing by construction.  Built once and shared by
-        :attr:`all_backward`, :attr:`successors`, the simulator's
-        schedule-shape checks and the tuner's prefix slicing.
+        :attr:`all_backward`, :attr:`successors`, the forest wavefront
+        sweep, the simulator's shape checks and the tuner's prefixes.
         """
         return read_only(rows_from_indptr(self.indptr))
 

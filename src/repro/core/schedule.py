@@ -143,24 +143,21 @@ class Schedule:
     def validate(self) -> None:
         """Check the schedule is a consistent permutation of ``0..n-1``.
 
-        One pass of whole-schedule numpy reductions (range, ownership,
-        coverage by one boolean scatter) instead of a per-processor sweep —
-        semantically the per-processor
-        :func:`repro.core.reference.validate_schedule`.
+        Whole-schedule reductions for range and coverage (one boolean
+        scatter), one gather per list for ownership — semantically the
+        per-processor :func:`repro.core.reference.validate_schedule`.
         """
-        flat, procs = self.flattened, self._procs()
+        flat = self.flattened
         if flat.size and (flat.min() < 0 or flat.max() >= self.n):
             bad = (flat < 0) | (flat >= self.n)
+            proc = np.searchsorted(np.cumsum(self.lengths), np.argmax(bad),
+                                   side="right")
             raise ScheduleError(
-                f"processor {int(procs[np.argmax(bad)])} schedules "
-                "out-of-range indices"
-            )
-        mismatch = self.owner[flat] != procs
-        if np.any(mismatch):
-            raise ScheduleError(
-                f"processor {int(procs[np.argmax(mismatch)])}'s list "
-                "contains indices it does not own"
-            )
+                f"processor {int(proc)} schedules out-of-range indices")
+        for p, lst in enumerate(self.local_order):
+            if np.count_nonzero(self.owner[lst] != p):
+                raise ScheduleError(
+                    f"processor {p}'s list contains indices it does not own")
         seen = np.zeros(self.n, dtype=bool)
         seen[flat] = True
         if flat.size > np.count_nonzero(seen):
@@ -504,15 +501,16 @@ def _greedy_weighted_owner(
 
 def _local_lists(owner: np.ndarray, wf: np.ndarray, nproc: int) -> list[np.ndarray]:
     """Per-processor lists sorted by (wavefront, index): one stable sort
-    of the key ``owner · span + wavefront``, cast to the narrowest
-    unsigned type that holds it — NumPy radix-sorts keys of 16 bits or
-    fewer, where a three-key ``lexsort`` compares."""
+    of the key ``owner · span + wavefront``, built in place in the
+    narrowest unsigned type holding it and ``span`` — NumPy radix-sorts
+    keys of 16 bits or fewer, where a three-key ``lexsort`` compares."""
     if owner.shape[0]:
         lo = int(wf.min())
         span = int(wf.max()) - lo + 1
-        key = owner * span + (wf - lo)
-        order = np.argsort(key.astype(np.min_scalar_type(nproc * span - 1)),
-                           kind="stable")
+        key = owner.astype(np.min_scalar_type(max(nproc * span - 1, span)))
+        key *= span
+        key += (wf - lo).astype(key.dtype)
+        order = np.argsort(key, kind="stable")
     else:
         order = np.empty(0, dtype=np.int64)
     bounds = counts_to_indptr(np.bincount(owner, minlength=nproc))

@@ -78,49 +78,47 @@ def compute_wavefronts_general(dep: DependenceGraph) -> np.ndarray:
 
 
 def _frontier_wavefronts(dep: DependenceGraph) -> np.ndarray:
-    counts = dep.dep_counts()
-    if dep.num_edges and counts.max() <= 1:
-        return _single_pred_wavefronts(dep, counts)
+    if dep.num_edges and dep.dep_counts().max() <= 1:
+        return _single_pred_wavefronts(dep)
     succ_indptr, succ_indices = dep.successors
     wf, _, visited = frontier_sweep(
-        succ_indptr, succ_indices, counts.astype(np.int64), dep.n
+        succ_indptr, succ_indices, dep.dep_counts().astype(np.int64), dep.n
     )
     if visited != dep.n:
         raise StructureError("dependence graph contains a cycle")
     return wf
 
 
-def _single_pred_wavefronts(dep: DependenceGraph, counts: np.ndarray) -> np.ndarray:
+def _single_pred_wavefronts(dep: DependenceGraph) -> np.ndarray:
     """Pointer-doubling wavefronts for in-degree ≤ 1 graphs.
 
     The Figure 3 loop ``x[i] += b[i] * x[ia[i]]`` gives every iteration
     at most *one* dependence, so the dependence graph is a forest and
     the wavefront number is just each node's depth — computable by
-    ancestor doubling in ⌈log₂ depth⌉ whole-array rounds, with no
-    successor CSR at all.  Also covers forests with forward edges; a
-    cycle (impossible in the backward-only case) would keep pointers
-    live past ⌈log₂ n⌉ rounds and is reported.
+    ancestor doubling in ⌈log₂ depth⌉ rounds over the edges' ``(row,
+    ancestor)`` pairs, with no successor CSR and no n-length mask or
+    gather.  Also covers forests with forward edges; a cycle
+    (impossible in the backward-only case) would keep pairs live past
+    ⌈log₂ n⌉ + 2 rounds and is reported.
     """
     n = dep.n
-    has_parent = counts == 1
+    rows, anc = dep.edge_rows, dep.indices
+    wf = np.zeros(n, dtype=np.int64)
+    wf[rows] = 1
     f = np.full(n, -1, dtype=np.int64)
-    f[has_parent] = dep.indices[dep.indptr[:-1][has_parent]]
-    wf = has_parent.astype(np.int64)
-    active = np.nonzero(f >= 0)[0]
-    max_rounds = int(np.ceil(np.log2(max(n, 2)))) + 1
-    rounds = 0
-    while active.size:
-        if rounds > max_rounds:
-            raise StructureError("dependence graph contains a cycle")
-        rounds += 1
-        fa = f[active]
-        # Invariant: depth(i) = wf[i] + depth(f[i]) while f[i] >= 0.
-        # Both right-hand sides are gathered before assignment, so the
-        # whole round reads a consistent snapshot.
-        wf[active] = wf[active] + wf[fa]
-        f[active] = f[fa]
-        active = active[f[active] >= 0]
-    return wf
+    f[rows] = anc
+    for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 2):
+        # Invariant: depth(r) = wf[r] + depth(f[r]) while f[r] >= 0,
+        # and ``anc`` is ``f[rows]``.  Each update gathers before it
+        # scatters, so the whole round reads a consistent snapshot.
+        wf[rows] += wf[anc]
+        anc = f[anc]
+        f[rows] = anc
+        live = anc >= 0
+        rows, anc = rows[live], anc[live]
+        if not rows.size:
+            return wf
+    raise StructureError("dependence graph contains a cycle")
 
 
 def wavefront_counts(wf: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ loop of Figure 4 (the library's kernel contract):
 
 All edges therefore point backwards, the paper's start-time
 schedulable precondition, and the result is exactly
-:meth:`DependenceGraph.from_indirection` for the Figure 3 program and
 :meth:`DependenceGraph.from_lower_csr` for the Figure 8 program —
-verified by the test-suite.
+verified by the test-suite — and, built by that factory outright,
+:meth:`DependenceGraph.from_indirection` for the Figure 3 program.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ from ..util.validation import read_only
 from .descriptors import serial_events
 
 __all__ = ["extract_statement_dependences"]
+
+
+def _indirection_index(stmt_accesses):
+    """``ia`` of the Figure 3 shape, else None: one statement, its only
+    write ``x[i]``, and beside identity reads (never an edge) one
+    fixed-width-1 read ``x[ia[i]]`` — a 1-D or one-column 2-D index."""
+    if len(stmt_accesses) == 1 and len(stmt_accesses[0][1]) == 1:
+        reads, (write,) = stmt_accesses[0]
+        index = [a for a in reads if a.array == write.array and not a.identity]
+        if write.identity and len(index) == 1 and index[0].width == 1:
+            return index[0].indices
+    return None
 
 
 def _flow_edges_identity(read_it, read_el):
@@ -178,6 +190,9 @@ def extract_statement_dependences(
     protects a read inside one program, but not across a fission cut,
     so the legality relation must be conservative.
     """
+    ia = _indirection_index(stmt_accesses)
+    if ia is not None:  # Figure 3: one compare per iteration, no collapse
+        return DependenceGraph.from_indirection(ia, n), np.zeros((1, 1), bool)
     num_stmts = len(stmt_accesses)
     big_n = n * num_stmts
     reads = _by_array(stmt_accesses, 0)
@@ -188,8 +203,8 @@ def extract_statement_dependences(
     for name, w_accs in _by_array(stmt_accesses, 1).items():
         r_pos, r_el = serial_events(n, reads.get(name, ()), num_stmts)
         if num_stmts == 1 and len(w_accs) == 1 and w_accs[0][1].identity:
-            # The Figure 3/8 shape: one statement whose only write is
-            # ``x[i]`` — flow edges by comparison, nothing else.
+            # One statement whose only write of this array is ``x[i]``
+            # (Figure 8's) — flow edges by comparison, nothing else.
             d, s = _flow_edges_identity(r_pos, r_el)
             dst_parts.append(d)
             src_parts.append(s)

@@ -40,10 +40,11 @@ def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
 
 def rows_from_indptr(indptr: np.ndarray) -> np.ndarray:
     """Row tag of every CSR entry: ``rows[k] = r`` for ``indptr[r] <= k <
-    indptr[r+1]`` — the ragged equivalent of a meshgrid row index."""
-    return np.repeat(
-        np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr)
-    )
+    indptr[r+1]`` — the non-empty rows where no row holds two entries."""
+    counts = np.diff(indptr)
+    if counts.max(initial=0) <= 1:
+        return np.flatnonzero(counts)
+    return np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
 
 
 def expand_csr_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

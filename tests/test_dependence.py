@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dependence import DependenceGraph
 from repro.errors import StructureError
 from repro.sparse.build import csr_from_dense
+from repro.util.frontier import counts_to_indptr, rows_from_indptr
 
 
 class TestFromIndirection:
@@ -30,6 +32,11 @@ class TestFromIndirection:
         ia = np.array([0, 0, 0, 5, 1])
         dep = DependenceGraph.from_indirection(ia, n=5)
         assert list(dep.dep_counts()) == [0, 1, 1, 0, 1]
+
+    def test_n_beyond_ia_is_a_structure_error(self):
+        with pytest.raises(StructureError,
+                           match="n=5 exceeds the 3 entries of ia"):
+            DependenceGraph.from_indirection(np.array([0, 0, 1]), 5)
 
 
 class TestFromIndirectionNested:
@@ -98,6 +105,26 @@ class TestFromEdges:
     def test_empty(self):
         dep = DependenceGraph.from_edges([], 4)
         assert dep.num_edges == 0
+
+
+class TestEdgeRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=40), st.booleans())
+    @example([], True)
+    @example([0, 0, 1], True)
+    @example([1, 0, 0], True)
+    @example([2, 0, 1], False)
+    def test_rows_from_indptr_is_the_repeat(self, counts, forest):
+        """Row tags by ``flatnonzero`` where no row holds two entries,
+        by ``repeat`` otherwise: the same array either way, empty rows
+        leading, trailing or throughout, and n = 0."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if forest:
+            counts = np.minimum(counts, 1)
+        indptr = counts_to_indptr(counts)
+        got = rows_from_indptr(indptr)
+        want = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestSuccessors:

@@ -40,7 +40,8 @@ from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, solve_upper_sequential
 from repro.util.frontier import counts_to_indptr, rows_from_indptr
 
-from strategies import loop_programs, nested_indirections, seeds
+from strategies import (indirection_arrays, loop_programs,
+                        nested_indirections, seeds)
 
 #: A program of every kind, or Figure 6's nested references (a 2-D
 #: index: ``m`` elements per iteration).
@@ -197,12 +198,90 @@ class TestDescriptors:
 # Extraction fidelity against the hand-rolled constructors
 # ----------------------------------------------------------------------
 
+def general_collapse(prog) -> DependenceGraph:
+    """``prog``'s graph by the general collapse, the Figure 3 factory
+    shortcut switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extraction, "_indirection_index", lambda _: None)
+        return extract_statement_dependences(prog.n, prog._stmt_resolved)[0]
+
+
+def takes_factory(prog) -> bool:
+    return extraction._indirection_index(prog._stmt_resolved) is not None
+
+
+def follows_index_rule(dep: DependenceGraph, ia) -> bool:
+    """Iteration ``i`` depends on ``ia[i]`` iff ``ia[i] < i``."""
+    backward = ia < np.arange(ia.shape[0])
+    return (np.array_equal(dep.dep_counts(), backward)
+            and np.array_equal(dep.indices, ia[backward]))
+
+
 class TestExtraction:
     def test_figure3_matches_from_indirection(self, fig3):
+        # The extractor hands Figure 3 to the factory itself, so the
+        # factory is held to the general collapse.
         n, ia, _, _ = fig3
         prog = LoopProgram.from_indirection(ia)
-        assert graphs_equal(prog.dependence_graph(),
+        assert takes_factory(prog)
+        assert graphs_equal(general_collapse(prog),
                             DependenceGraph.from_indirection(ia))
+
+    @settings(max_examples=80, deadline=None)
+    @given(indirection_arrays())
+    def test_figure3_factory_is_the_general_collapse(self, case):
+        """Metamorphic: reading the index twice forces the general
+        collapse and dedupe; the graph is the factory's, byte for byte,
+        and both follow the per-index rule."""
+        _, _, ia = case
+        n = ia.shape[0]
+        once = LoopProgram(n, reads=[At("x", ia), At("b")], writes=[At("x")])
+        twice = LoopProgram(n, reads=[At("x", ia), At("x", ia), At("b")],
+                            writes=[At("x")])
+        assert takes_factory(once) and not takes_factory(twice)
+        a, b = once.dependence_graph(), twice.dependence_graph()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert a.digest == b.digest
+        assert follows_index_rule(a, ia) and follows_index_rule(b, ia)
+
+    @pytest.mark.parametrize("case", [
+        "n=1", "self", "all-forward", "backward-chain", "one-column",
+        "rebound", "identity-read"])
+    def test_figure3_factory_pinned_cases(self, case):
+        ia = {"n=1": np.array([0]), "self": np.arange(6),
+              "all-forward": np.full(6, 5),
+              "backward-chain": np.maximum(np.arange(6) - 1, 0)}.get(
+                  case, np.array([0, 0, 1, 5, 2, 3]))
+        n = ia.shape[0]
+        if case == "one-column":
+            prog = LoopProgram(n, reads=[At("x", ia[:, None])],
+                               writes=[At("x")])
+        elif case == "rebound":
+            prog = LoopProgram.from_indirection(np.full(n, n - 1))
+            prog.dependence_graph()
+            prog = prog.with_data(ia=ia)
+        elif case == "identity-read":
+            prog = LoopProgram(n, reads=[At("x"), At("x", ia), At("b")],
+                               writes=[At("x")])
+        else:
+            prog = LoopProgram.from_indirection(ia)
+        assert takes_factory(prog)
+        dep = prog.dependence_graph()
+        assert graphs_equal(dep, general_collapse(prog))
+        assert follows_index_rule(dep, ia)
+
+    def test_a_second_written_array_or_statement_takes_the_collapse(self):
+        ia = np.array([0, 0, 1, 5, 2, 3])
+        n = ia.shape[0]
+        two_arrays = LoopProgram(n, reads=[At("x", ia), At("y", ia)],
+                                 writes=[At("x"), At("y")])
+        two_stmts = LoopProgram(n, statements=[
+            Statement([At("x", ia)], [At("x")]),
+            Statement([At("y")], [At("y")])])
+        for prog in (two_arrays, two_stmts):
+            assert not takes_factory(prog)
+            assert follows_index_rule(prog.dependence_graph(), ia)
 
     def test_nested_matches_from_indirection_nested(self):
         rng = np.random.default_rng(3)

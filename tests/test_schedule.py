@@ -142,6 +142,22 @@ class TestLocalLists:
             assert lst.dtype == np.int64
             assert np.array_equal(lst, order[bounds[p]:bounds[p + 1]])
 
+    @pytest.mark.parametrize("nproc, span", [
+        (1, 256),            # the key type must hold span, not only 255
+        (2, 200), (1, 257),  # nproc · span crosses 2^8
+        (300, 250), (1, 2**16 + 1)])  # ... and 2^16
+    def test_narrow_key_widths(self, nproc, span):
+        rng = np.random.default_rng(span)
+        n = max(span, 600)
+        wf = np.concatenate((np.arange(span), rng.integers(0, span, n - span)))
+        owner = rng.integers(0, nproc, n)
+        order = np.lexsort((np.arange(n), wf, owner))
+        bounds = np.searchsorted(owner[order], np.arange(nproc + 1))
+        for p, lst in enumerate(_local_lists(owner, wf, nproc)):
+            assert np.array_equal(lst, order[bounds[p]:bounds[p + 1]])
+        sched = local_schedule(wf, owner, nproc)   # validates
+        assert sched.num_wavefronts == span
+
 
 class TestIdentitySchedule:
     def test_original_order(self, chain_case):
@@ -187,6 +203,23 @@ class TestScheduleValidation:
                 local_order=[np.arange(6), np.array([], dtype=np.int64)],
                 wavefronts=wf,
             )
+
+    @pytest.mark.parametrize("lists, message", [
+        ([[0, 1], [], [2, 9, 3, 4, 5]],
+         "processor 2 schedules out-of-range indices"),
+        ([[0, 1], [2, -1], [3, 4, 5]],
+         "processor 1 schedules out-of-range indices"),
+        ([[0, 1], [2, 4], [3, 5]],
+         "processor 1's list contains indices it does not own"),
+        ([[0, 3], [1, 2], [4, 5]],
+         "processor 0's list contains indices it does not own")])
+    def test_the_first_offending_processor_is_named(self, chain_case,
+                                                    lists, message):
+        _, wf = chain_case
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            Schedule(nproc=3, owner=np.array([0, 0, 1, 2, 2, 2]),
+                     local_order=[np.array(l, dtype=np.int64) for l in lists],
+                     wavefronts=wf)
 
 
 class TestScheduleQueries:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import reference
 from repro.core import wavefront
@@ -75,11 +76,42 @@ class TestSweep:
         wf = compute_wavefronts_general(dep)
         np.testing.assert_array_equal(wf, [1, 2, 0])
 
-    def test_general_detects_cycle(self):
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_doubling_over_the_edges_is_the_reference(self, data):
+        """In-degree ≤ 1 graphs take the pointer doubling: a backward
+        forest (Figure 3's) matches the per-index sweep, and the same
+        forest relabelled — forward edges, in-degree still ≤ 1 — the
+        reference Kahn propagation."""
+        n = data.draw(st.integers(1, 60))
+        ia = np.asarray(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=n, max_size=n)), dtype=np.int64)
+        dep = DependenceGraph.from_indirection(ia)
+        if not dep.num_edges:
+            return
+        np.testing.assert_array_equal(compute_wavefronts(dep),
+                                      reference.compute_wavefronts(dep))
+        perm = np.random.default_rng(data.draw(st.integers(0, 99))
+                                     ).permutation(n)
+        mixed = DependenceGraph.from_edges(
+            np.column_stack((perm[dep.edge_rows], perm[dep.indices])), n)
+        assert mixed.dep_counts().max() <= 1
+        np.testing.assert_array_equal(
+            compute_wavefronts_general(mixed),
+            reference.compute_wavefronts_general(mixed))
+
+    def test_general_detects_cycle(self, monkeypatch):
+        # In-degree 1 everywhere: the pointer doubling's round cap
+        # reports the two-node cycle.
         dep = DependenceGraph(np.array([0, 1, 2]), np.array([1, 0]), 2,
                               check_acyclic=False)
+        doubled = []
+        real = wavefront._single_pred_wavefronts
+        monkeypatch.setattr(wavefront, "_single_pred_wavefronts",
+                            lambda d: doubled.append(d) or real(d))
         with pytest.raises(StructureError, match="cycle"):
             compute_wavefronts_general(dep)
+        assert doubled == [dep]
 
 
 class TestReferenceOracle:
