@@ -6,7 +6,8 @@
 # one-speculative-gate, one-store-discipline, two-instruments,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # no-fixed-width-row-pointer,
-# one-inspector-owner, one-pricing-path, plain-unpriced-put, unbounded-oracle,
+# one-inspector-owner, one-pricing-path, plain-unpriced-put,
+# one-schedule-normaliser, unbounded-oracle,
 # one-backend-dispatch, structures-are-values, no-compile-counter,
 # one-timeout-check, oracles-stay-oracles and one-input-module rules,
 # then run the tier-1 test suite.
@@ -319,6 +320,16 @@ if grep -rn 'savez_compressed' src/repro/core src/repro/runtime --include='*.py'
 fi
 if grep -nE '\.costs\b' src/repro/runtime/cache.py; then
     echo "error: runtime/cache.py reads .costs (a put must not price)" >&2
+    exit 1
+fi
+
+echo "== one schedule normaliser: no literal parse, no split-and-rejoin =="
+# Schedule.from_flat builds every schedule from its flat lists, and a
+# restart reads an entry in one go, comparing each member's .npy header
+# byte for byte: np.load's literal parse of the headers and np.split's
+# copy of the lists (rejoined by the constructor) must not come back.
+if grep -nE 'np\.(load|split)\(' src/repro/core/schedule.py; then
+    echo "error: np.load( or np.split( in src/repro/core/schedule.py (one schedule normaliser)" >&2
     exit 1
 fi
 

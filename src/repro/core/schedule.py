@@ -35,9 +35,11 @@ strings everywhere.
 from __future__ import annotations
 
 import heapq
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -73,8 +75,9 @@ class Schedule:
     """A processor assignment plus per-processor execution orders.
 
     A frozen value over read-only arrays (the lists are views of one
-    :attr:`flattened` copy; a writable ``owner`` or ``wavefronts`` is
-    copied once), hashed by identity.
+    :attr:`flattened` array; a writable one, ``owner`` or ``wavefronts``
+    is copied once), hashed by identity; :meth:`from_flat` builds one
+    from the flat lists.
 
     Attributes
     ----------
@@ -104,20 +107,42 @@ class Schedule:
     strategy: str = "custom"
 
     def __post_init__(self):
-        nproc = check_positive(self.nproc, "nproc")
-        if len(self.local_order) != nproc:
-            raise ValidationError(
-                f"local_order must have {nproc} lists, got {len(self.local_order)}"
-            )
         lists = [np.asarray(lst, dtype=np.int64) for lst in self.local_order]
-        flat = read_only(np.concatenate(lists))     # nproc >= 1 lists
-        cuts = [0, *np.cumsum([lst.shape[0] for lst in lists]).tolist()]
-        vars(self).update(   # frozen: the normalised fields, set once
-            nproc=nproc, flattened=flat, lengths=read_only(np.diff(cuts)),
-            owner=read_only(owner_from_assignment(self.owner, nproc), self.owner),
-            wavefronts=read_only(np.asarray(self.wavefronts), self.wavefronts),
-            local_order=tuple(flat[a:b] for a, b in zip(cuts, cuts[1:])))
-        self.validate()
+        vars(self).update(vars(self.from_flat(   # frozen: set once
+            self.nproc, read_only(np.concatenate(lists or [[]])),
+            [lst.shape[0] for lst in lists], self.wavefronts, self.strategy,
+            self.owner)))
+
+    @classmethod
+    def from_flat(cls, nproc, flat, lengths, wavefronts, strategy,
+                  owner=None) -> "Schedule":
+        """The one normaliser, which validates: list ``p`` is the next
+        ``lengths[p]`` entries of ``flat``, held as is when read-only
+        ``int64`` (copied when writable, as ``owner`` and ``wavefronts``
+        are); ``owner=None`` reads the owners off the lists."""
+        nproc = check_positive(nproc, "nproc")
+        flat = read_only(np.asarray(flat, dtype=np.int64), flat)
+        lengths = read_only(np.array(lengths, dtype=np.int64))
+        if (lengths.shape != (nproc,) or lengths.min() < 0
+                or flat.shape != (lengths.sum(),)):
+            raise ValidationError(f"lengths {lengths.tolist()} are not "
+                                  f"{nproc} lists of {flat.shape} indices")
+        cuts = counts_to_indptr(lengths).tolist()
+        lists = tuple(flat[a:b] for a, b in zip(cuts, cuts[1:]))
+        if owner is None:   # n = len(wavefronts); validate() names i >= n
+            held = np.empty(len(wavefronts), dtype=np.int64)
+            if not flat.size or flat.min() >= 0 and flat.max() < held.size:
+                for p, lst in enumerate(lists):
+                    held[lst] = p
+        else:
+            held = owner_from_assignment(owner, nproc)
+        schedule = object.__new__(cls)
+        vars(schedule).update(
+            nproc=nproc, flattened=flat, lengths=lengths, local_order=lists,
+            owner=read_only(held, owner), strategy=strategy,
+            wavefronts=read_only(np.asarray(wavefronts), wavefronts))
+        schedule.validate()
+        return schedule
 
     # ------------------------------------------------------------------
     @property
@@ -127,10 +152,6 @@ class Schedule:
     @property
     def num_wavefronts(self) -> int:
         return int(self.wavefronts.max()) + 1 if self.n else 0
-
-    def _procs(self) -> np.ndarray:
-        """The processor of every :attr:`flattened` entry."""
-        return np.repeat(np.arange(self.nproc, dtype=np.int64), self.lengths)
 
     @cached_property
     def digest(self) -> str:
@@ -168,12 +189,9 @@ class Schedule:
 
     def position(self) -> np.ndarray:
         """``position[i]`` = rank of index ``i`` within its processor's list."""
-        flat, lengths = self.flattened, self.lengths
         pos = np.empty(self.n, dtype=np.int64)
-        offsets = np.cumsum(lengths) - lengths
-        pos[flat] = np.arange(flat.size, dtype=np.int64) - np.repeat(
-            offsets, lengths
-        )
+        for lst in self.local_order:
+            pos[lst] = np.arange(lst.size)
         return pos
 
     def unsorted_processor(self, wfl: np.ndarray | None = None
@@ -182,8 +200,8 @@ class Schedule:
         wavefront, or ``None`` when every list is — the one place that
         decides it (:meth:`phases`, the pre-scheduled executor and
         simulator, and the executors' shape probe all ask here).
-        ``wfl`` is ``wavefronts[flattened]``, from a caller that
-        already holds it."""
+        ``wfl`` is the key, ``wavefronts[flattened]`` unless the caller
+        holds it or asks another (``flattened``: does each list ascend?)."""
         if wfl is None:
             wfl = self.wavefronts[self.flattened]
         drops = np.diff(wfl) < 0
@@ -215,18 +233,11 @@ class Schedule:
         """
         self.check_wavefront_sorted()
         nw = self.num_wavefronts
-        flat, procs = self.flattened, self._procs()
-        wfs = self.wavefronts[flat]
-        # ``(processor, wavefront)`` keys are non-decreasing along the
-        # flattened schedule, so every phase cell is one searchsorted
-        # slice of it.
-        key = procs * nw + wfs if nw else procs
-        bounds = np.searchsorted(key, np.arange(self.nproc * nw + 1))
         out: list[list[np.ndarray]] = [[] for _ in range(nw)]
-        for p in range(self.nproc):
+        for lst in self.local_order:    # wavefront-sorted: one slice a cell
+            bounds = np.searchsorted(self.wavefronts[lst], np.arange(nw + 1))
             for w in range(nw):
-                cell = p * nw + w
-                out[w].append(flat[bounds[cell] : bounds[cell + 1]])
+                out[w].append(lst[bounds[w] : bounds[w + 1]])
         return out
 
     def work_per_processor(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -344,12 +355,8 @@ class Schedule:
         plan = self._wavefront_levels(dep)
         if plan is not None:
             return plan
-        flat, procs = self.flattened, self._procs()
-        ascending_lists = not (
-            flat.size > 1
-            and bool(np.any((np.diff(flat) <= 0) & (procs[1:] == procs[:-1])))
-        )
-        if ascending_lists and dep.all_backward:
+        if (dep.all_backward
+                and self.unsorted_processor(self.flattened) is None):
             return (np.arange(self.n, dtype=np.int64),
                     np.arange(self.n + 1, dtype=np.int64))
         return self._sweep_levels(dep)
@@ -436,9 +443,8 @@ def global_schedule(
     else:
         raise ValidationError(f"unknown balance strategy {balance!r}")
 
-    local = _local_lists(owner, wf, nproc)
-    return Schedule(nproc=nproc, owner=read_only(owner), local_order=local,
-                    wavefronts=wf, strategy=f"global/{balance}")
+    return Schedule.from_flat(nproc, *_local_lists(owner, wf, nproc), wf,
+                              f"global/{balance}", owner=read_only(owner))
 
 
 def local_schedule(wf: np.ndarray, owner, nproc: int) -> Schedule:
@@ -447,9 +453,8 @@ def local_schedule(wf: np.ndarray, owner, nproc: int) -> Schedule:
     owner = owner_from_assignment(owner, nproc)
     if owner.shape[0] != wf.shape[0]:
         raise ValidationError("owner and wavefront arrays must have equal length")
-    local = _local_lists(owner, wf, nproc)
-    return Schedule(nproc=nproc, owner=owner, local_order=local,
-                    wavefronts=wf, strategy="local")
+    return Schedule.from_flat(nproc, *_local_lists(owner, wf, nproc), wf,
+                              "local", owner=owner)
 
 
 def identity_schedule(wf: np.ndarray, nproc: int, owner=None) -> Schedule:
@@ -460,15 +465,10 @@ def identity_schedule(wf: np.ndarray, nproc: int, owner=None) -> Schedule:
     still carried for reporting, but local lists are by index order.
     """
     wf = np.asarray(wf, dtype=np.int64)
-    n = wf.shape[0]
-    nproc = check_positive(nproc, "nproc")
-    if owner is None:
-        owner = wrapped_partition(n, nproc)
-    else:
-        owner = owner_from_assignment(owner, nproc)
-    local = [np.nonzero(owner == p)[0].astype(np.int64) for p in range(nproc)]
-    return Schedule(nproc=nproc, owner=owner, local_order=local,
-                    wavefronts=wf, strategy="identity")
+    owner = (wrapped_partition(wf.shape[0], nproc) if owner is None
+             else owner_from_assignment(owner, nproc))
+    return Schedule.from_flat(nproc, *_local_lists(owner, None, nproc), wf,
+                              "identity", owner=owner)
 
 
 def _greedy_weighted_owner(
@@ -499,22 +499,22 @@ def _greedy_weighted_owner(
     return owner
 
 
-def _local_lists(owner: np.ndarray, wf: np.ndarray, nproc: int) -> list[np.ndarray]:
-    """Per-processor lists sorted by (wavefront, index): one stable sort
-    of the key ``owner · span + wavefront``, built in place in the
-    narrowest unsigned type holding it and ``span`` — NumPy radix-sorts
-    keys of 16 bits or fewer, where a three-key ``lexsort`` compares."""
-    if owner.shape[0]:
+def _local_lists(owner: np.ndarray, wf, nproc: int) -> tuple:
+    """``(order, counts)``: the lists sorted by (wavefront, index) end to
+    end, read-only, and their lengths — one stable sort of the key
+    ``owner · span + wavefront`` (of ``owner`` alone if ``wf`` is None)
+    in the narrowest unsigned type holding it and ``span``: NumPy
+    radix-sorts keys of 16 bits or fewer, where a ``lexsort`` compares."""
+    span = 1
+    if wf is not None and wf.size:
         lo = int(wf.min())
         span = int(wf.max()) - lo + 1
-        key = owner.astype(np.min_scalar_type(max(nproc * span - 1, span)))
+    key = owner.astype(np.min_scalar_type(max(nproc * span - 1, span)))
+    if span > 1:
         key *= span
         key += (wf - lo).astype(key.dtype)
-        order = np.argsort(key, kind="stable")
-    else:
-        order = np.empty(0, dtype=np.int64)
-    bounds = counts_to_indptr(np.bincount(owner, minlength=nproc))
-    return [order[bounds[p] : bounds[p + 1]] for p in range(nproc)]
+    return read_only(np.argsort(key, kind="stable")), np.bincount(
+        owner, minlength=nproc)
 
 
 # ----------------------------------------------------------------------
@@ -604,13 +604,16 @@ def save_schedule_npz(path, schedule: Schedule, meta=None, **arrays) -> None:
 
 def read_schedule_npz(path) -> tuple[Schedule, dict, dict]:
     """``(schedule, header, extra arrays)`` of a :func:`save_schedule_npz`
-    file.  It is outside input: the schedule is re-validated, and every
-    array is a read-only copy (none keeps the payload alive) — the
-    schedule's ``int64`` as a cold inspection's are, the extras at their
-    stored type."""
-    with np.load(path) as z:
-        header = json.loads(z["meta"].tobytes())
-        payload = z["payload"]
+    file, read in one go.  It is outside input: CRCs and ``.npy``
+    headers are checked, the schedule is re-validated, and every array
+    is a read-only copy (none keeps the file alive) — the schedule's
+    ``int64`` as a cold inspection's are, the extras at their type."""
+    import zipfile  # deferred: only a restart reads an entry
+
+    with zipfile.ZipFile(io.BytesIO(Path(path).read_bytes())) as z:
+        meta, payload = (_uint8_vector(z.read(f"{name}.npy"))
+                         for name in ("meta", "payload"))
+    header = json.loads(meta.tobytes())
     if header["format"] != _NPZ_FORMAT:
         raise ValidationError(f"schedule file layout {header['format']!r}")
     arrays, at = {}, 0
@@ -618,19 +621,26 @@ def read_schedule_npz(path) -> tuple[Schedule, dict, dict]:
         dtype = np.dtype(dtype)
         arrays[name] = np.frombuffer(payload, dtype, size, at)
         at += size * dtype.itemsize
-    n, nproc = header["n"], header["nproc"]
-    flat, lengths, wavefronts = (arrays.pop(name).astype(np.int64) for name
-                                 in ("flat", "lengths", "wavefronts"))
-    if wavefronts.shape != (n,):
+    flat, lengths, wavefronts = (read_only(arrays.pop(name).astype(np.int64))
+                                 for name in ("flat", "lengths", "wavefronts"))
+    if wavefronts.shape != (header["n"],):
         raise ValidationError("wavefronts do not match the schedule size")
-    owner = np.zeros(n, dtype=np.int64)
-    owner[flat] = np.repeat(np.arange(nproc, dtype=np.int64), lengths)
-    schedule = Schedule(
-        nproc=nproc, owner=read_only(owner),
-        local_order=np.split(flat, np.cumsum(lengths)[:-1]),
-        wavefronts=read_only(wavefronts), strategy=header["strategy"])
+    schedule = Schedule.from_flat(header["nproc"], flat, lengths, wavefronts,
+                                  header["strategy"])
     return schedule, header, {name: read_only(a.copy())
                               for name, a in arrays.items()}
+
+
+def _uint8_vector(member: bytes) -> np.ndarray:
+    """The data of an ``.npy`` member with a 1-D ``uint8`` header."""
+    start = 10 + int.from_bytes(member[8:10], "little")   # v1.0 header
+    expected = io.BytesIO()
+    np.lib.format.write_array_header_1_0(expected, {
+        "descr": "|u1", "fortran_order": False,
+        "shape": (len(member) - start,)})
+    if member[:start] != expected.getvalue():
+        raise ValidationError("a schedule file member is not a uint8 vector")
+    return np.frombuffer(member, np.uint8, offset=start)
 
 
 def load_schedule_npz(path) -> Schedule:

@@ -21,7 +21,8 @@ optionally, across *program runs*:
   PARTI-style "save the communication schedule" pattern).  A put never
   prices: it writes the price if something already paid it, and the
   pricing inputs otherwise, so a warm start prices on first read
-  exactly as a cold inspection does.
+  exactly as a cold inspection does.  A disk hit is one read, no stat
+  (an absent entry is a plain miss); a malformed entry heals as a miss.
 
 The fingerprint is the graph's memoized :meth:`structure digest
 <repro.core.dependence.DependenceGraph.digest>` plus the strategy
@@ -227,8 +228,9 @@ class LruStoreBase:
         raise NotImplementedError
 
     def _load(self, path: Path, dep):
-        """The entry persisted at ``path`` (it exists), or ``None`` for
-        a stale or foreign-format one; raising marks it corrupt."""
+        """The entry persisted at ``path``, or ``None`` for a stale or
+        foreign-format one; :class:`FileNotFoundError` means there is
+        none, any other exception marks it corrupt."""
         raise NotImplementedError
 
     def _served(self, entry):
@@ -259,11 +261,10 @@ class LruStoreBase:
         self.stats.disk_stores += 1
 
     def _load_disk(self, key: str, dep):
-        path = self.persist_dir / f"{key}{self.suffix}"
-        if not path.exists():
-            return None
         try:
-            return self._load(path, dep)
+            return self._load(self.persist_dir / f"{key}{self.suffix}", dep)
+        except FileNotFoundError:
+            return None     # no entry: a plain miss, found without a stat
         except Exception:
             # A corrupt or foreign file is a miss, not a crash — the
             # cold path recomputes and overwrites the bad entry.

@@ -27,7 +27,8 @@ from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
 from repro.errors import DeadlockError, ScheduleError, ValidationError
 from repro.machine.simulator import simulate_self_executing
 
-from strategies import backward_dags, general_dags, owned_wavefronts
+from strategies import (backward_dags, general_dags, owned_wavefronts, seeds,
+                        simulations)
 
 
 class TestPartitions:
@@ -134,13 +135,15 @@ class TestLocalLists:
         not, whatever width the key needs — orders each list as a
         ``lexsort`` by (owner, wavefront, index) does."""
         owner, wf, nproc = case
-        order = np.lexsort((np.arange(owner.shape[0]), wf, owner))
-        bounds = np.searchsorted(owner[order], np.arange(nproc + 1))
-        got = _local_lists(owner, wf, nproc)
-        assert len(got) == nproc
-        for p, lst in enumerate(got):
-            assert lst.dtype == np.int64
-            assert np.array_equal(lst, order[bounds[p]:bounds[p + 1]])
+        order, counts = _local_lists(owner, wf, nproc)
+        assert order.dtype == np.int64 and not order.flags.writeable
+        assert np.array_equal(
+            order, np.lexsort((np.arange(owner.shape[0]), wf, owner)))
+        assert np.array_equal(counts, np.bincount(owner, minlength=nproc))
+        # ``wf=None`` keeps each list in index order: the identity lists.
+        order, counts = _local_lists(owner, None, nproc)
+        assert np.array_equal(order, np.argsort(owner, kind="stable"))
+        assert np.array_equal(counts, np.bincount(owner, minlength=nproc))
 
     @pytest.mark.parametrize("nproc, span", [
         (1, 256),            # the key type must hold span, not only 255
@@ -151,10 +154,8 @@ class TestLocalLists:
         n = max(span, 600)
         wf = np.concatenate((np.arange(span), rng.integers(0, span, n - span)))
         owner = rng.integers(0, nproc, n)
-        order = np.lexsort((np.arange(n), wf, owner))
-        bounds = np.searchsorted(owner[order], np.arange(nproc + 1))
-        for p, lst in enumerate(_local_lists(owner, wf, nproc)):
-            assert np.array_equal(lst, order[bounds[p]:bounds[p + 1]])
+        order, _ = _local_lists(owner, wf, nproc)
+        assert np.array_equal(order, np.lexsort((np.arange(n), wf, owner)))
         sched = local_schedule(wf, owner, nproc)   # validates
         assert sched.num_wavefronts == span
 
@@ -171,6 +172,71 @@ class TestIdentitySchedule:
         _, wf = chain_case
         sched = identity_schedule(wf, 2, owner=[0, 0, 0, 1, 1, 1])
         assert list(sched.local_order[0]) == [0, 1, 2]
+
+
+#: How the property below breaks a drawn schedule's lists: not at all,
+#: by moving, repeating or dropping one index, by adding one past ``n``,
+#: or by claiming one processor more than there are lists.
+BREAKAGES = (None, "move", "repeat", "drop", "past-n", "list-count")
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc)
+
+
+def _fields(schedule) -> tuple:
+    """Every normalised field, bit for bit, with its write flag."""
+    arrays = (schedule.flattened, schedule.lengths, schedule.owner,
+              schedule.wavefronts, *schedule.local_order)
+    return (schedule.nproc, schedule.strategy, len(schedule.local_order),
+            [(a.dtype.str, a.shape, a.tobytes(), a.flags.writeable)
+             for a in arrays])
+
+
+class TestFromFlat:
+    @given(simulations(), st.sampled_from(BREAKAGES), seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_flat_lists_build_what_the_lists_build(self, case, breakage,
+                                                   seed):
+        """``Schedule.from_flat`` and the list constructor give the same
+        fields under the same write flags, or raise the same type — with
+        the owner given, or read off the lists (against the list
+        constructor handed the owner the lists imply)."""
+        schedule = case[0]
+        nproc, wf = schedule.nproc, schedule.wavefronts
+        lists = [lst.copy() for lst in schedule.local_order]
+        owner, implied = schedule.owner.copy(), schedule.owner.copy()
+        p, q = np.random.default_rng(seed).integers(0, nproc, 2)
+        if breakage == "past-n":
+            lists[p] = np.append(lists[p], schedule.n)
+        elif breakage == "list-count":
+            nproc += 1
+        elif breakage is not None and lists[p].size:
+            i = lists[p][-1]
+            if breakage != "repeat":
+                lists[p] = lists[p][:-1]
+            if breakage != "drop":
+                lists[q] = np.append(lists[q], i)
+            if breakage == "move":
+                implied[i] = q
+        flat, lengths = np.concatenate(lists), [lst.size for lst in lists]
+        for given_owner, lists_owner in ((owner, owner), (None, implied)):
+            want = _outcome(lambda: Schedule(
+                nproc=nproc, owner=lists_owner, local_order=lists,
+                wavefronts=wf, strategy=schedule.strategy))
+            got = _outcome(lambda: Schedule.from_flat(
+                nproc, flat, lengths, wf, schedule.strategy,
+                owner=given_owner))
+            if isinstance(want, type):
+                assert got is want, breakage
+            else:
+                assert _fields(got) == _fields(want)
+                if breakage is None:
+                    assert _fields(got) == _fields(schedule)
 
 
 class TestScheduleValidation:

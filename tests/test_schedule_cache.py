@@ -4,11 +4,14 @@ Hit/miss accounting, LRU eviction, cross-run ``.npz`` persistence, and
 the amortisation counters surfaced through ``RunReport``.
 """
 
+import ast
 import dataclasses
 import hashlib
+import io
 import json
 import tempfile
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro import LoopProgram, TuningStore
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
-from repro.errors import ValidationError
+from repro.core.schedule import (load_schedule_npz, read_schedule_npz,
+                                 save_schedule_npz)
+from repro.errors import ScheduleError, ValidationError
 from repro.machine.costs import MULTIMAX_320, MachineCosts
 from repro.runtime import Runtime, ScheduleCache
 from repro.runtime.cache import CacheStats
@@ -631,11 +636,117 @@ class TestEntryLayout:
         assert Runtime(nproc=4, cache_dir=tmp_path).compile(program).cache_hit
 
 
+def _npy(array=None, *, data=b"", **header) -> bytes:
+    """An ``.npy`` member: ``np.save``'s bytes of ``array``, or
+    ``data`` under a hand-written version 1.0 ``header``."""
+    out = io.BytesIO()
+    if array is not None:
+        np.save(out, array)
+    else:
+        np.lib.format.write_array_header_1_0(out, header)
+        out.write(data)
+    return out.getvalue()
+
+
+class TestEntryReads:
+    """A disk hit reads its entry in one go and trusts nothing in it:
+    the members' headers are compared byte for byte, the lists are
+    split by checked lengths, and anything malformed is a library error
+    that the store heals as a miss."""
+
+    N, NPROC = 400, 4
+
+    @pytest.fixture()
+    def entry(self, tmp_path):
+        """``(program, cold loop, entry path)`` of one persisted compile."""
+        program = program_of("simple", self.N, 3)
+        cold = Runtime(nproc=self.NPROC, cache_dir=tmp_path).compile(program)
+        path, = tmp_path.glob("*.npz")
+        return program, cold, path
+
+    def heals_to_cold(self, entry):
+        program, cold, path = entry
+        rt = Runtime(nproc=self.NPROC, cache_dir=path.parent)
+        healed = rt.compile(program)
+        assert not healed.cache_hit
+        assert (rt.cache_stats.disk_heals, rt.cache_stats.misses) == (1, 1)
+        assert healed().x.tobytes() == cold().x.tobytes()
+
+    @staticmethod
+    def rewrite(path, **members):
+        """Replace ``path``'s named ``.npy`` members, keeping the rest."""
+        with zipfile.ZipFile(path) as z:
+            kept = {info.filename: z.read(info) for info in z.infolist()}
+        kept.update((f"{name}.npy", data) for name, data in members.items())
+        with zipfile.ZipFile(path, "w") as z:
+            for name, data in kept.items():
+                z.writestr(name, data)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda flat, lengths: (flat, lengths[:-1]), ValidationError),
+        (lambda flat, lengths: (flat, lengths + (lengths[1] + 1) *
+                                np.array([1, -1, 0, 0])), ValidationError),
+        (lambda flat, lengths: (flat, lengths - [0, 0, 0, 1]),
+         ValidationError),
+        (lambda flat, lengths: (np.where(flat == 0, flat.size, flat),
+                                lengths), ScheduleError),
+    ], ids=["list-count", "negative-length", "undercount", "index-past-n"])
+    def test_a_malformed_entry_is_a_library_error(self, entry, edit, error):
+        path = entry[2]
+        schedule, header, arrays = read_schedule_npz(path)
+        flat, lengths = edit(schedule.flattened, schedule.lengths)
+        header.pop("format")
+        save_schedule_npz(path, SimpleNamespace(
+            flattened=flat, lengths=lengths, wavefronts=schedule.wavefronts,
+            n=schedule.n, nproc=schedule.nproc, strategy=schedule.strategy),
+            header, **arrays)
+        with pytest.raises(error):
+            load_schedule_npz(path)
+        self.heals_to_cold(entry)
+
+    @pytest.mark.parametrize("member", [
+        lambda payload: _npy(payload.astype(np.int64)),
+        lambda payload: _npy(payload.reshape(1, -1)),
+        lambda payload: _npy(data=payload.tobytes(), descr="|u1",
+                             fortran_order=True, shape=payload.shape),
+    ], ids=["int64", "2-d", "fortran"])
+    def test_a_member_that_is_not_a_uint8_vector_heals(self, entry, member):
+        path = entry[2]
+        with np.load(path) as z:
+            payload = z["payload"]
+        self.rewrite(path, payload=member(payload))
+        with pytest.raises(ValidationError, match="not a uint8 vector"):
+            load_schedule_npz(path)
+        self.heals_to_cold(entry)
+
+    def test_a_rewritten_entry_with_numpys_bytes_still_hits(self, entry):
+        program, cold, path = entry
+        with np.load(path) as z:
+            members = {name: _npy(z[name]) for name in z.files}
+        self.rewrite(path, **members)
+        assert Runtime(nproc=self.NPROC,
+                       cache_dir=path.parent).compile(program).cache_hit
+
+    def test_a_disk_hit_parses_no_literal(self, entry, monkeypatch):
+        program, cold, path = entry
+        calls = []
+        literal_eval = ast.literal_eval
+        monkeypatch.setattr(ast, "literal_eval",
+                            lambda *a: calls.append(a) or literal_eval(*a))
+        loaded = Runtime(nproc=self.NPROC,
+                         cache_dir=path.parent).compile(program)
+        assert loaded.cache_hit and calls == []
+        with np.load(path) as z:        # the spy sees what np.load parses
+            z["meta"]
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("store_cls", [ScheduleCache, TuningStore])
 def test_both_stores_run_the_one_get_and_put(store_cls, case, tmp_path):
     """Miss → put → memory hit → disk hit in a fresh instance → a
-    corrupt file heals as a miss: the base class's steps, so the same
-    counters whichever format hooks sit under them."""
+    corrupt file heals as a miss → a deleted one is a plain miss: the
+    base class's steps, so the same counters whichever format hooks sit
+    under them."""
     dep = graph_of(case[2])
     value = (Runtime(4).compile(dep).inspection
              if store_cls is ScheduleCache else Runtime(4).tune(dep))
@@ -662,3 +773,7 @@ def test_both_stores_run_the_one_get_and_put(store_cls, case, tmp_path):
         path.write_bytes(b"junk")
     healed = store_cls(4, persist_dir=tmp_path)
     assert healed.get("k", dep) is None and counts(healed) == (0, 0, 1, 0, 1)
+    for path in tmp_path.glob("k.*"):
+        path.unlink()           # a missing entry is a plain miss
+    gone = store_cls(4, persist_dir=tmp_path)
+    assert gone.get("k", dep) is None and counts(gone) == (0, 0, 1, 0, 0)
