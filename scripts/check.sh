@@ -431,4 +431,5 @@ if git ls-files '*.py' '*.yml' '*.sh' \
 fi
 
 echo "== tier-1 tests =="
-python -m pytest -x -q "$@"
+# --durations names the slowest tests, so a fixed cost shows in the log.
+python -m pytest -x -q --durations=10 "$@"

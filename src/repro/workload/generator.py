@@ -20,6 +20,7 @@ matrix — the same shape of input a sparse triangular solve presents.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +72,17 @@ class SyntheticWorkload:
         return np.bincount(rows[strict], minlength=self.n)
 
 
-def _ring_offsets(d: int) -> np.ndarray:
-    """All ``(dx, dy)`` integer offsets at Manhattan distance exactly ``d``."""
+@functools.lru_cache(maxsize=128)
+def _ring_offsets(d: int) -> tuple:
+    """All ``(dx, dy)`` integer offsets at Manhattan distance exactly ``d``,
+    ``dx`` ascending and ``+dy`` first: the order a partner is drawn in."""
     offs = []
     for dx in range(-d, d + 1):
         rem = d - abs(dx)
-        if rem == 0:
-            offs.append((dx, 0))
-        else:
-            offs.append((dx, rem))
+        offs.append((dx, rem))
+        if rem:
             offs.append((dx, -rem))
-    return np.array(offs, dtype=np.int64)
+    return tuple(offs)
 
 
 def generate_workload(
@@ -104,7 +105,7 @@ def generate_workload(
     seed:
         RNG seed; default is the library seed (deterministic).
     max_distance:
-        Geometric draws are truncated here to bound ring enumeration.
+        A positive integer: geometric draws are truncated here.
     """
     if isinstance(name_or_mesh, str):
         params = parse_workload_name(name_or_mesh)
@@ -114,10 +115,13 @@ def generate_workload(
     else:
         mesh = int(name_or_mesh)
     mesh = check_positive(mesh, "mesh")
+    max_distance = check_positive(max_distance, "max_distance")
     n = mesh * mesh
     rng = default_rng(seed)
 
-    if mean_degree is None or mean_distance is None:
+    if (mean_degree is None) != (mean_distance is None):
+        raise ValidationError("give both mean_degree and mean_distance, or neither")
+    if mean_degree is None:
         return _mesh_workload(mesh, rng)
     if mean_degree < 0:
         raise ValidationError("mean_degree must be non-negative")
@@ -130,33 +134,29 @@ def generate_workload(
     extra = max(mean_distance - 1.0, 1e-9)
     p = extra / (1.0 + extra)
 
-    rings = {d: _ring_offsets(d) for d in range(1, max_distance + 1)}
-
-    degree = rng.poisson(lam=mean_degree, size=n)
+    # The draw order is the output: one geometric draw per row and one
+    # unbatched integers pick per link, plus integer arithmetic.
+    integers = rng.integers
     rows_l: list[int] = []
     cols_l: list[int] = []
-    for k in range(n):
-        kx, ky = k % mesh, k // mesh
-        links = degree[k]
+    for k, links in enumerate(rng.poisson(lam=mean_degree, size=n).tolist()):
         if links == 0:
             continue
-        dists = 1 + rng.geometric(1.0 - p, size=links) - 1  # geometric >= 1
-        np.minimum(dists, max_distance, out=dists)
-        for d in dists:
-            offs = rings[int(d)]
-            # Uniform choice among in-mesh candidates on the ring.
-            cand_x = kx + offs[:, 0]
-            cand_y = ky + offs[:, 1]
-            ok = (cand_x >= 0) & (cand_x < mesh) & (cand_y >= 0) & (cand_y < mesh)
-            if not ok.any():
-                continue
-            pick = rng.integers(0, int(ok.sum()))
-            sel = np.nonzero(ok)[0][pick]
-            partner = int(cand_y[sel]) * mesh + int(cand_x[sel])
+        ky, kx = divmod(k, mesh)
+        for d in rng.geometric(1.0 - p, size=links).tolist():  # geometric >= 1
+            d = min(d, max_distance)
+            ring = _ring_offsets(d)
+            if not (d <= kx < mesh - d and d <= ky < mesh - d):
+                # Uniform choice among the ring's in-mesh points, in ring order.
+                ring = [(dx, dy) for dx, dy in ring
+                        if 0 <= kx + dx < mesh and 0 <= ky + dy < mesh]
+                if not ring:
+                    continue
+            dx, dy = ring[integers(0, len(ring))]
+            partner = k + dy * mesh + dx  # never k: d >= 1
             lo, hi = (partner, k) if partner < k else (k, partner)
-            if lo != hi:
-                rows_l.append(hi)
-                cols_l.append(lo)
+            rows_l.append(hi)
+            cols_l.append(lo)
 
     name = format_workload_name(mesh, mean_degree, mean_distance)
     return _assemble(name, mesh, mean_degree, mean_distance, n, rows_l, cols_l, rng)
