@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import FaultPlan, LoopProgram, RetryPolicy, Runtime
+from repro import LoopProgram, RetryPolicy, Runtime
 from repro.core import reference
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor
@@ -544,19 +544,17 @@ def test_observe_overhead_on_a_cache_hit_compile(gate):
 
 
 def test_armed_idle_resilience_overhead(gate):
-    """An empty fault plan and a retry policy that never fires, on
-    repeated executions of one compiled loop: the recovery router, the
-    fault-wrap check and the budget checks all run, no fault fires.
-    Sized so a call takes a few milliseconds and the fixed ≈ 3 µs of
-    guards can rise above the timer.  Measured 0 to +1 %; the bound is
-    2 %."""
+    """A retry policy that never fires, on repeated executions of one
+    compiled loop: the recovery router and its tier walk run, nothing
+    fails.  Sized so a call takes a few milliseconds and the fixed
+    guards can rise above the timer.  Measured −1 to +1 % (median
+    0.994 on a 2-vCPU host); the bound is 2 %."""
     n, nproc = 200_000, 8
     rng = np.random.default_rng(1989)
     program = LoopProgram.from_indirection(
         rng.integers(0, n, size=n), x=rng.random(n), b=rng.random(n))
     off = Runtime(nproc=nproc).compile(program)
-    idle = Runtime(nproc=nproc, faults=FaultPlan(),
-                   recovery=RetryPolicy()).compile(program)
+    idle = Runtime(nproc=nproc, recovery=RetryPolicy()).compile(program)
     assert np.array_equal(idle(with_sim=False).x, off(with_sim=False).x)
     gate(f"armed-idle / disarmed execution, Figure 3 n={n}",
          lambda: off(with_sim=False), lambda: idle(with_sim=False),

@@ -1,20 +1,20 @@
-"""Resilience: inject faults, watch recovery, audit the stores.
+"""Recovery: retry and degrade past real failures, heal a corrupt store.
 
-``Runtime(faults=..., recovery=...)`` arms the :mod:`repro.resilience`
-layer — deterministic seeded fault injection at the runtime's seams
-and a retry/degradation discipline that turns every injected failure
-into a successful run whose numbers are bitwise identical to the
-no-fault serial oracle.  This demo walks each fault class:
+``Runtime(recovery=...)`` arms :mod:`repro.resilience`: a failed
+execution is retried on its tier, then walks the plan's degradation
+chain (``threads`` / ``processes`` → ``serial``), and the result is
+bitwise the serial oracle's, with the walk in ``report.recovery``.
+The stores heal a corrupt entry on their own.  This demo meets two
+real failures:
 
-* a **kernel exception** mid-loop, retried on the same tier;
-* a **worker death** in the ``threads`` backend, wrapped into a typed
-  ``ExecutionError`` carrying the originating iteration;
-* a **worker stall** cancelled by the watchdog and degraded
-  ``threads -> serial``;
-* a **forced timeout** (the watchdog seam itself);
-* a **partial store write** that later reads self-heal;
-* a **speculative** loop degrading to the classic inspector pipeline
-  for one call — without being permanently demoted.
+* a kernel that only works on the main thread: every ``threads``
+  attempt fails in a worker, surfaces as a typed ``ExecutionError``
+  carrying the iteration, is retried, and the run degrades to
+  ``serial``;
+* a schedule-cache entry overwritten with junk on disk: the next
+  session reads it as a miss, re-inspects and rewrites it.
+
+(The tests inject failures at every seam through ``tests/faults.py``.)
 
 Run:  python examples/resilience_demo.py
       REPRO_EXAMPLE_SCALE=0.2 python examples/resilience_demo.py
@@ -24,14 +24,14 @@ Run:  python examples/resilience_demo.py
 import json
 import os
 import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 
-from repro import FaultPlan, LoopProgram, Runtime
+from repro import LoopProgram, Runtime
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0"))
-SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-rng = np.random.default_rng(1989)
 
 
 def fresh_program(n):
@@ -41,89 +41,66 @@ def fresh_program(n):
                                         b=rng.random(n))
 
 
+class MainThreadOnly:
+    """A kernel bound to a main-thread-only resource: any worker thread
+    that calls it fails, as such a resource would."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def execute_index(self, i):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("resource used off the main thread")
+        self._inner.execute_index(i)
+
+
 def main() -> None:
     n = max(int(2_000 * SCALE), 200)
     nproc = 8
-    oracle = Runtime(nproc=nproc).compile(fresh_program(n))().x
+    program = fresh_program(n)
+    oracle = Runtime(nproc=nproc).compile(program)().x
     records = []
 
-    def show(title, plan, report):
-        rec = report.recovery
-        assert rec is not None and rec.recovered
-        assert np.array_equal(report.x, oracle), "recovery changed numbers!"
-        print(f"{title}:")
-        print(f"  injected : {plan.fired}")
-        print(f"  tiers    : {' -> '.join(rec.tiers)}"
-              f"  (final: {rec.final_tier})")
-        for a in rec.attempts:
-            where = f" @ iteration {a.iteration}" if a.iteration is not None \
-                else ""
-            print(f"  attempt  : [{a.tier}] {a.error}{where}")
-        print(f"  result   : bitwise identical to the serial oracle\n")
-        records.append({"scenario": title, **rec.to_dict()})
+    # ------------------------------------------------------------------
+    # 1. A worker failure on threads: typed, retried, degraded to serial
+    # ------------------------------------------------------------------
+    rt = Runtime(nproc=nproc, backend="threads", recovery=True)
+    report = rt.compile(program)(MainThreadOnly(program.make_kernel()))
+    rec = report.recovery
+    assert rec is not None and rec.recovered
+    assert np.array_equal(report.x, oracle), "recovery changed numbers!"
+    print("main-thread-only kernel on threads:")
+    print(f"  tiers    : {' -> '.join(rec.tiers)}  (final: {rec.final_tier})")
+    for a in rec.attempts:
+        print(f"  attempt  : [{a.tier}] {a.error} @ iteration {a.iteration}")
+    print("  result   : bitwise identical to the serial oracle\n")
+    records.append({"scenario": "main-thread-only kernel", **rec.to_dict()})
 
     # ------------------------------------------------------------------
-    # 1. Kernel exception — same-tier retry
-    # ------------------------------------------------------------------
-    plan = FaultPlan.kernel_exception(seed=SEED)
-    rt = Runtime(nproc=nproc, faults=plan, recovery=True)
-    show("kernel exception (serial retry)", plan,
-         rt.compile(fresh_program(n))())
-
-    # ------------------------------------------------------------------
-    # 2. Worker death in the threads backend — typed error, retried
-    # ------------------------------------------------------------------
-    plan = FaultPlan.worker_death(seed=SEED)
-    rt = Runtime(nproc=nproc, backend="threads", faults=plan, recovery=True)
-    show("worker death (threads)", plan, rt.compile(fresh_program(n))())
-
-    # ------------------------------------------------------------------
-    # 3. Worker stall — watchdog cancels, degrades threads -> serial
-    # ------------------------------------------------------------------
-    plan = FaultPlan.worker_stall(seconds=30.0, times=2, seed=SEED)
-    rt = Runtime(nproc=nproc, backend="threads", faults=plan, recovery=True)
-    show("worker stall (watchdog -> serial)", plan,
-         rt.compile(fresh_program(n))(timeout=0.5))
-
-    # ------------------------------------------------------------------
-    # 4. Forced timeout — the watchdog seam itself
-    # ------------------------------------------------------------------
-    plan = FaultPlan.forced_timeout()
-    rt = Runtime(nproc=nproc, backend="threads", faults=plan, recovery=True)
-    show("forced timeout (threads)", plan, rt.compile(fresh_program(n))())
-
-    # ------------------------------------------------------------------
-    # 5. Partial store write — corrupt entry, later reads self-heal
+    # 2. A store entry overwritten with junk: the next read heals it
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as d:
-        plan = FaultPlan.store_partial_write()
-        rt = Runtime(nproc=nproc, cache_dir=d, faults=plan, recovery=True)
-        rt.compile(fresh_program(n))
+        Runtime(nproc=nproc, cache_dir=d).compile(program)
+        entries = sorted(Path(d).glob("*.npz"))
+        for entry in entries:
+            entry.write_bytes(b"\x00not a schedule\x00")
         healer = Runtime(nproc=nproc, cache_dir=d)
-        healer.compile(fresh_program(n))
-        print("partial store write (schedule cache):")
-        print(f"  injected : {plan.fired}")
-        print(f"  next read: disk_heals={healer.cache.stats.disk_heals}, "
-              f"re-inspected and rewrote the entry")
+        healed = healer.compile(program)()
+        assert np.array_equal(healed.x, oracle)
         reader = Runtime(nproc=nproc, cache_dir=d)
-        reader.compile(fresh_program(n))
-        print(f"  then     : disk_hits={reader.cache.stats.disk_hits} "
-              f"(healed entry serves cleanly)\n")
-        records.append({"scenario": "partial store write",
-                        "heals": healer.cache.stats.disk_heals,
-                        "disk_hits_after": reader.cache.stats.disk_hits})
-
-    # ------------------------------------------------------------------
-    # 6. Speculative loop — transient degradation to the classic path
-    # ------------------------------------------------------------------
-    plan = FaultPlan.kernel_exception(times=3, seed=SEED)
-    rt = Runtime(nproc=nproc, tuning=None, faults=plan, recovery=True)
-    loop = rt.compile(fresh_program(n), strategy="speculative")
-    show("speculative -> classic (transient)", plan, loop())
-    clean = loop()
-    assert clean.recovery is None
-    print("speculative loop after the transient fault:")
-    print("  next call runs speculatively again (no permanent demotion)\n")
+        reader.compile(program)
+        heals = healer.cache.stats.disk_heals
+        hits = reader.cache.stats.disk_hits
+        print("schedule-cache entry overwritten with junk:")
+        print(f"  next read: disk_heals={heals}, re-inspected and "
+              f"rewrote the entry")
+        print(f"  then     : disk_hits={hits} (the healed entry serves)\n")
+        assert heals == len(entries) and hits == 1
+        records.append({"scenario": "corrupt store entry", "heals": heals,
+                        "disk_hits_after": hits})
 
     # ------------------------------------------------------------------
     # Recovery-report artifact (CI uploads it)
@@ -132,8 +109,7 @@ def main() -> None:
     if out:
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump({"seed": SEED, "n": n, "scenarios": records}, fh,
-                      indent=2)
+            json.dump({"n": n, "scenarios": records}, fh, indent=2)
         print(f"wrote recovery report: {out}")
 
 

@@ -71,14 +71,15 @@ def main() -> None:
           f"{rt.cache_stats.lookups - lookups}")
 
     # The same compiled loop runs on every execution backend — serial
-    # replay, real threads, real OS processes over shared memory.
+    # replay, real threads, real OS processes over shared memory — and
+    # loop.simulate() times it on the machine model, kernel-free.
     ref = loop(with_sim=False).x
     print("\nbackend comparison (self-executing, identical schedule):")
-    for backend in ("serial", "sim", "threads", "processes"):
-        rep = loop(backend=backend)
-        ok = "n/a (timing only)" if rep.x is None else str(np.allclose(rep.x, ref))
+    for backend in ("serial", "threads", "processes"):
+        rep = loop(backend=backend, with_sim=False)
         print(f"  {backend:<11} host {rep.host_seconds * 1000:8.1f} ms   "
-              f"match={ok}")
+              f"match={np.allclose(rep.x, ref)}")
+    print(f"  model       {loop.simulate().total_time / 1000:8.1f} model-ms")
 
     # The Tables 2/3 estimation chain for this solve.
     print("\naccounting (Table 2/3 chain, model-ms):")

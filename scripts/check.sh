@@ -164,12 +164,17 @@ if [ "$hashers" != "src/repro/util/digest.py" ]; then
     exit 1
 fi
 
-echo "== shared objects hold no session: nothing assigns observer/faults onto one =="
-# Sessions pass faults= per put() and mirror their own counter deltas —
-# of the stores and of the fault plan alike.
-if grep -rnE '(cache|store)\w*\.faults\s*=[^=]|(cache|store|faults|plan)\w*\.observer\s*=[^=]' \
-        src tests --include='*.py'; then
-    echo "error: session state assigned onto a shared cache/store/fault plan" >&2
+echo "== shared objects hold no session: nothing assigns an observer onto one =="
+# Sessions mirror their own counter deltas of a shared store.
+if grep -rnE '(cache|store|plan)\w*\.observer\s*=[^=]' src tests --include='*.py'; then
+    echo "error: session state assigned onto a shared cache/store/plan" >&2
+    exit 1
+fi
+
+echo "== fault injection is a test fixture: no FaultPlan / InjectedFault / faults= under src =="
+# tests/faults.py patches the seams from outside the library.
+if grep -rnE 'FaultPlan|InjectedFault|faults=' src --include='*.py'; then
+    echo "error: fault injection plumbing under src/ (it lives in tests/faults.py)" >&2
     exit 1
 fi
 

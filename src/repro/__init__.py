@@ -37,7 +37,6 @@ from .errors import (
     DeadlockError,
     ExecutionError,
     ExecutionTimeout,
-    InjectedFault,
     ConvergenceError,
 )
 from .core.inspector import Inspector, InspectionResult
@@ -55,12 +54,7 @@ from .runtime import (
 from .tuning import Tuner, TuningStore, TuningVerdict
 # Importing the package registers the "speculative" executor.
 from .speculate import AccessLog, ConflictReport, SpeculativeExecutor
-from .resilience import (
-    FaultPlan,
-    FaultSpec,
-    RecoveryRecord,
-    RetryPolicy,
-)
+from .resilience import RecoveryRecord, RetryPolicy
 from .observe import (
     MetricsRegistry,
     Observer,
@@ -71,7 +65,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "At",
@@ -86,8 +80,6 @@ __all__ = [
     "AccessLog",
     "ConflictReport",
     "SpeculativeExecutor",
-    "FaultPlan",
-    "FaultSpec",
     "RetryPolicy",
     "RecoveryRecord",
     "Observer",
@@ -107,7 +99,6 @@ __all__ = [
     "DeadlockError",
     "ExecutionError",
     "ExecutionTimeout",
-    "InjectedFault",
     "ConvergenceError",
     "Inspector",
     "InspectionResult",

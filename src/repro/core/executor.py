@@ -549,26 +549,24 @@ class ClassicExecutor:
         )
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,
-                     timeline=None, faults=None) -> np.ndarray:
+                     timeline=None) -> np.ndarray:
         """Execute on real threads under the mode's own synchronization.
 
         ``timeline`` is an optional
         :class:`~repro.observe.TimelineRecorder` stamping every
-        iteration's interval on its processor's lane; ``faults`` an
-        optional :class:`~repro.resilience.FaultPlan` the machine's
-        watchdog consults.  A ``thread_safe = False`` kernel (the replay
-        kernel, whose proxies keep per-iteration state) is refused:
-        racing on it would corrupt numerics without any error.
+        iteration's interval on its processor's lane.  A
+        ``thread_safe = False`` kernel (the replay kernel, whose proxies
+        keep per-iteration state) is refused: racing on it would
+        corrupt numerics without any error.
         """
         if not getattr(kernel, "thread_safe", True):
             raise ValidationError(
                 f"kernel {type(kernel).__name__} declares itself not "
-                "thread-safe; run it on the 'serial' backend (or the "
-                "'sim' backend for timing only)"
+                "thread-safe; run it on the 'serial' backend (or time "
+                "it with loop.simulate())"
             )
         kernel.start()
-        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout,
-                                  faults=faults)
+        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout)
         if self.mode == "preschedule":
             machine.run_prescheduled(kernel, self.schedule.phases(),
                                      timeline=timeline)
@@ -577,14 +575,10 @@ class ClassicExecutor:
                                        timeline=timeline)
         return kernel.result()
 
-    def run_processes(self, kernel, *, timeout: float = 30.0,
-                      faults=None) -> np.ndarray:
+    def run_processes(self, kernel, *, timeout: float = 30.0) -> np.ndarray:
         """Execute on OS processes over shared memory, under the mode's
         own synchronization — for the paper's flagship workload, the
-        sparse lower-triangular solve, alone.  ``faults`` (a
-        :class:`~repro.resilience.FaultPlan`) travels as a picklable
-        handout: the workers rebuild their state in the pool initializer.
-        """
+        sparse lower-triangular solve, alone."""
         from ..machine import processes  # deferred: import cycle
 
         if not isinstance(kernel, TriangularSolveKernel):
@@ -592,14 +586,13 @@ class ClassicExecutor:
                 "the 'processes' backend supports TriangularSolveKernel "
                 f"workloads, got {type(kernel).__name__}"
             )
-        handout = faults.process_faults(kernel.n) if faults is not None else None
         # Self-executing and doacross both busy-wait on ready flags;
         # doacross simply walks the identity schedule.
         solver_cls = (processes.ProcessPrescheduledSolver
                       if self.mode == "preschedule"
                       else processes.ProcessSelfExecutingSolver)
         solver = solver_cls(kernel.l, self.schedule, self.dep, diag=kernel.diag)
-        return solver.solve(kernel.b, timeout=timeout, faults=handout)
+        return solver.solve(kernel.b, timeout=timeout)
 
 
 class SerialExecutor:

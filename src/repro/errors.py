@@ -69,22 +69,6 @@ class ExecutionTimeout(ExecutionError, DeadlockError):
     """
 
 
-class InjectedFault(ReproError, RuntimeError):
-    """A failure deliberately injected by a :class:`~repro.resilience.FaultPlan`.
-
-    Never raised in production sessions (``Runtime(faults=None)``);
-    carries the seam name and, for iteration-targeted seams, the index
-    the fault fired at.
-    """
-
-    def __init__(self, message: str, *, seam: str, iteration: int | None = None):
-        super().__init__(message)
-        #: Name of the fault seam that fired (``"kernel"``, ``"store"``, …).
-        self.seam = seam
-        #: Targeted loop iteration, when the seam is iteration-scoped.
-        self.iteration = None if iteration is None else int(iteration)
-
-
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
 

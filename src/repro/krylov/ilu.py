@@ -268,8 +268,8 @@ class ILUPreconditioner:
     def triangular_solve(self, b: np.ndarray, *, upper: bool = False,
                          backend: str = "serial") -> np.ndarray:
         """Solve ``L y = b`` (unit-lower factor) or, with ``upper``,
-        ``U x = b`` through the compiled loop.  ``backend`` is not the
-        session default, which may be the numbers-free ``"sim"``."""
+        ``U x = b`` through the compiled loop, on ``backend`` (the
+        serial one unless asked, whatever the session default)."""
         loop = self.upper_loop if upper else self.lower_loop
         return loop.rebind(b=b)(backend=backend, with_sim=False).x
 

@@ -27,7 +27,6 @@ machine made native.  (This backend is POSIX/fork-only.)
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from multiprocessing import shared_memory
 
@@ -49,8 +48,7 @@ __all__ = ["ProcessPrescheduledSolver", "ProcessSelfExecutingSolver"]
 _STATE: dict = {}
 
 
-def _attach_worker(shm_x_name, shm_ready_name, indptr, indices, data, diag, b,
-                   faults=None):
+def _attach_worker(shm_x_name, shm_ready_name, indptr, indices, data, diag, b):
     _STATE["shm_x"] = shared_memory.SharedMemory(name=shm_x_name)
     n = diag.shape[0]
     _STATE["x"] = np.ndarray((n,), dtype=np.float64, buffer=_STATE["shm_x"].buf)
@@ -64,27 +62,6 @@ def _attach_worker(shm_x_name, shm_ready_name, indptr, indices, data, diag, b,
     _STATE["data"] = data
     _STATE["diag"] = diag
     _STATE["b"] = b
-    _STATE["faults"] = faults
-
-
-def _maybe_fault(i) -> None:
-    """Injected worker stall/death for row ``i`` (no-op in production).
-
-    ``faults`` is the picklable handout of
-    :meth:`~repro.resilience.FaultPlan.process_faults`; a death is a
-    hard ``os._exit`` — the parent's pool deadline detects the lost
-    task and raises a typed timeout instead of hanging.
-    """
-    faults = _STATE.get("faults")
-    if not faults:
-        return
-    if i in faults.get("die", ()):
-        os._exit(1)
-    stall = faults.get("stall")
-    if stall is not None:
-        seconds = stall.get(int(i))
-        if seconds:
-            time.sleep(seconds)
 
 
 def _solve_rows_batch(rows: np.ndarray) -> int:
@@ -92,10 +69,7 @@ def _solve_rows_batch(rows: np.ndarray) -> int:
     x = _STATE["x"]
     indptr, indices, data = _STATE["indptr"], _STATE["indices"], _STATE["data"]
     diag, b = _STATE["diag"], _STATE["b"]
-    check_faults = _STATE.get("faults") is not None
     for i in rows:
-        if check_faults:
-            _maybe_fault(i)
         lo, hi = indptr[i], indptr[i + 1]
         acc = b[i]
         for k in range(lo, hi):
@@ -114,10 +88,7 @@ def _self_executing_walk(args) -> int:
     indptr, indices, data = _STATE["indptr"], _STATE["indices"], _STATE["data"]
     diag, b = _STATE["diag"], _STATE["b"]
     deadline = time.monotonic() + timeout
-    check_faults = _STATE.get("faults") is not None
     for i in rows:
-        if check_faults:
-            _maybe_fault(i)
         lo, hi = indptr[i], indptr[i + 1]
         acc = b[i]
         for k in range(lo, hi):
@@ -174,13 +145,12 @@ class _ProcessSolverBase:
 class ProcessPrescheduledSolver(_ProcessSolverBase):
     """Level-synchronous (barrier) triangular solve on real processes."""
 
-    def solve(self, b: np.ndarray, *, timeout: float | None = None,
-              faults=None) -> np.ndarray:
+    def solve(self, b: np.ndarray, *,
+              timeout: float | None = None) -> np.ndarray:
         """Solve ``L x = b``; ``timeout`` bounds the whole solve (wall
         seconds) — a wedged or dead worker raises
         :class:`~repro.errors.ExecutionTimeout` instead of hanging the
-        caller.  ``faults`` is the picklable injection handout of
-        :meth:`~repro.resilience.FaultPlan.process_faults`."""
+        caller."""
         b = check_vector(b, self.n, "b")
         phases = self.schedule.phases()
         shm_x, _ = self._make_shared(with_ready=False)
@@ -193,7 +163,7 @@ class ProcessPrescheduledSolver(_ProcessSolverBase):
                 self.schedule.nproc,
                 initializer=_attach_worker,
                 initargs=(shm_x.name, None, self.l.indptr, self.l.indices,
-                          self.l.data, self.diag, b, faults),
+                          self.l.data, self.diag, b),
             ) as pool:
                 for phase in phases:
                     work = [rows for rows in phase if rows.size]
@@ -229,8 +199,7 @@ class ProcessSelfExecutingSolver(_ProcessSolverBase):
         if not schedule.is_legal_self_executing(dep):
             raise DeadlockError("schedule would deadlock under self-execution")
 
-    def solve(self, b: np.ndarray, *, timeout: float = 60.0,
-              faults=None) -> np.ndarray:
+    def solve(self, b: np.ndarray, *, timeout: float = 60.0) -> np.ndarray:
         b = check_vector(b, self.n, "b")
         shm_x, shm_ready = self._make_shared(with_ready=True)
         ctx = mp.get_context("fork")
@@ -243,7 +212,7 @@ class ProcessSelfExecutingSolver(_ProcessSolverBase):
                 self.schedule.nproc,
                 initializer=_attach_worker,
                 initargs=(shm_x.name, shm_ready.name, self.l.indptr,
-                          self.l.indices, self.l.data, self.diag, b, faults),
+                          self.l.indices, self.l.data, self.diag, b),
             ) as pool:
                 jobs = [
                     (self.schedule.local_order[p], timeout)

@@ -17,11 +17,11 @@ Failure discipline
   iteration index and raised in the calling thread; library errors
   (:class:`~repro.errors.ReproError`) pass through untouched.
 * Every run is supervised by a **watchdog** thread enforcing the
-  ``timeout``: when the wall deadline passes (or an injected
-  ``timeout`` fault forces it), the watchdog sets the shared abort
-  event.  Cancellation is *cooperative* — busy-waits poll the event
-  between spins, and wavefront barriers are condition-based so blocked
-  waiters wake and unwind instead of deadlocking — and the run raises
+  ``timeout``: when the wall deadline passes, the watchdog sets the
+  shared abort event.  Cancellation is *cooperative* — busy-waits poll
+  the event between spins, and wavefront barriers are condition-based
+  so blocked waiters wake and unwind instead of deadlocking — and the
+  run raises
   :class:`~repro.errors.ExecutionTimeout` (a
   :class:`~repro.errors.DeadlockError` subclass, preserving the old
   guard's contract) with per-lane progress in the message.
@@ -83,14 +83,10 @@ class _WavefrontBarrier:
 class ThreadedMachine:
     """Runs per-processor schedule lists on real Python threads."""
 
-    def __init__(self, nproc: int, *, timeout: float = 30.0, faults=None):
+    def __init__(self, nproc: int, *, timeout: float = 30.0):
         self.nproc = check_positive(nproc, "nproc")
         #: Wall-clock deadline for a run, enforced by the watchdog.
         self.timeout = check_timeout(timeout)
-        #: Optional :class:`~repro.resilience.FaultPlan` — consulted by
-        #: the watchdog for forced timeouts and to cancel injected
-        #: stalls on abort.  ``None`` costs one attribute read per run.
-        self.faults = faults
         #: Watchdog / barrier poll interval: fine-grained enough that
         #: short test timeouts cancel promptly, coarse enough to stay
         #: invisible next to the kernel work.
@@ -98,31 +94,21 @@ class ThreadedMachine:
 
     # ------------------------------------------------------------------
     def _prepare(self) -> threading.Event:
-        """Per-run shared state: abort event, cause, progress counters."""
+        """Per-run shared state: abort event, expiry, progress counters."""
         self._abort = threading.Event()
-        self._abort_cause: list = [None]
+        self._expired = False
         self._progress = [0] * self.nproc
         return self._abort
 
-    def _cancel_injected_stalls(self) -> None:
-        if self.faults is not None:
-            self.faults.cancel_stalls()
-
     def _watch(self, deadline: float) -> None:
-        """Watchdog body: abort the run at the deadline (or on an
-        injected ``timeout`` fault), then wake any injected stalls."""
+        """Watchdog body: abort the run at the deadline."""
         abort = self._abort
         while not abort.is_set():
-            if self.faults is not None and self.faults.force_timeout():
-                self._abort_cause[0] = "forced"
-            elif time.monotonic() > deadline:
-                self._abort_cause[0] = "deadline"
-            else:
-                abort.wait(self.poll)
-                continue
-            abort.set()
-            self._cancel_injected_stalls()
-            return
+            if time.monotonic() > deadline:
+                self._expired = True
+                abort.set()
+                return
+            abort.wait(self.poll)
 
     def _launch(self, target, per_proc_args) -> None:
         """Run one thread per processor under the watchdog; the run_*
@@ -142,7 +128,6 @@ class ThreadedMachine:
                 # Fail fast: let the other lanes unwind instead of
                 # spinning on results that will never arrive.
                 abort.set()
-                self._cancel_injected_stalls()
 
         threads = [
             threading.Thread(target=wrap, args=(per_proc_args[p],), daemon=True)
@@ -168,16 +153,14 @@ class ThreadedMachine:
             if isinstance(exc, ReproError):
                 raise exc
             raise ExecutionError(f"worker thread failed: {exc}") from exc
-        if self._abort_cause[0] is not None or zombies:
-            cause = self._abort_cause[0] or "deadline"
-            detail = ("injected timeout fault" if cause == "forced"
-                      else f"exceeded {self.timeout}s — probable deadlock")
+        if self._expired or zombies:
             progress = ", ".join(
                 f"p{p}:{done}" for p, done in enumerate(self._progress))
             extra = (f"; non-cooperative lanes still running: {zombies}"
                      if zombies else "")
             raise ExecutionTimeout(
-                f"threaded run cancelled by the watchdog ({detail}); "
+                f"threaded run cancelled by the watchdog (exceeded "
+                f"{self.timeout}s — probable deadlock); "
                 f"iterations completed per lane: [{progress}]{extra}")
 
     # ------------------------------------------------------------------

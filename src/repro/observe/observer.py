@@ -95,7 +95,7 @@ class Observer:
         """Append one JSON line snapshotting every metric to ``path``.
 
         Designed for periodic (call it from a loop) or final (call it
-        once at exit) export, so fault/retry/contention rates are
+        once at exit) export, so retry/fallback/contention rates are
         visible without a debugger — each line carries a monotonic
         ``t`` stamp, an optional ``label``, and the full
         :meth:`MetricsRegistry.as_dict` payload.  ``append=False``

@@ -428,8 +428,8 @@ class StatementReplayKernel(LoopKernel):
     over the bound *names*.
 
     The proxies keep per-iteration state, so these kernels run on the
-    ``serial`` and ``sim`` backends; ``thread_safe = False`` makes the
-    ``threads`` backend reject them eagerly instead of racing.
+    ``serial`` backend; ``thread_safe = False`` makes the ``threads``
+    backend reject them eagerly instead of racing.
     """
 
     thread_safe = False

@@ -487,8 +487,6 @@ class StagedPlan(LoopPlan):
             )
         self._check_unit_work(unit_work)
         self._recoveries = []
-        if backend == "sim":
-            return None, self.simulate()
         outputs: dict = {}
         for k, stage in enumerate(self.variant.stages):
             stage_loop = self.stage_loops[k]
@@ -506,10 +504,10 @@ class StagedPlan(LoopPlan):
                 outputs[_written_names(stage.program)[0]] = rep.x
         written = _written_names(loop.program)
         if not outputs:  # stage kernels that report no numbers
-            return None, None
+            return None
         if len(written) == 1:
-            return outputs[written[0]], None
-        return {nm: outputs[nm] for nm in written if nm in outputs}, None
+            return outputs[written[0]]
+        return {nm: outputs[nm] for nm in written if nm in outputs}
 
     def finish(self, loop, report) -> None:
         """Concatenate the stage loops' recovery records, stage order."""

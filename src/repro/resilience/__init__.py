@@ -1,25 +1,19 @@
-"""repro.resilience — fault injection, retry/fallback, crash safety.
+"""repro.resilience — retry, fallback and crash safety.
 
 The paper's premise is deciding *at run time* whether a parallel
 execution is safe; this package extends that discipline to the
-runtime's own machinery.  Two halves:
+runtime's own machinery.  :class:`RetryPolicy` and the
+graceful-degradation chain (threads/processes → serial, speculative
+→ classic pipeline) are wired into ``Runtime.run`` via
+``Runtime(recovery=...)``, reporting what happened in
+``report.recovery``.  The stores' crash-safe writes and self-healing
+reads live with the stores (:mod:`repro.runtime.cache`).
 
-* :mod:`~repro.resilience.faults` — a deterministic, seeded
-  :class:`FaultPlan` injecting failures at named seams (kernel
-  exceptions, worker stalls/death, corrupt store writes, forced
-  timeouts), activated via ``Runtime(faults=...)``;
-* :mod:`~repro.resilience.recovery` — :class:`RetryPolicy` and the
-  graceful-degradation chain (threads/processes → serial, speculative
-  → classic pipeline) wired into ``Runtime.run`` via
-  ``Runtime(recovery=...)``, reporting what happened in
-  ``report.recovery``.
-
-Both are free when disabled: a ``faults=None``/``recovery=None``
-session pays one ``is None`` test per call, the same contract as
-:mod:`repro.observe`.
+It is free when disabled: a ``recovery=None`` session pays one
+``is None`` test per call, the same contract as :mod:`repro.observe`.
+Tests inject failures from outside the library (``tests/faults.py``).
 """
 
-from .faults import SEAMS, FaultPlan, FaultSpec
 from .recovery import (
     RECOVERABLE,
     RecoveryAttempt,
@@ -29,9 +23,6 @@ from .recovery import (
 )
 
 __all__ = [
-    "SEAMS",
-    "FaultPlan",
-    "FaultSpec",
     "RECOVERABLE",
     "RecoveryAttempt",
     "RecoveryRecord",

@@ -3,8 +3,8 @@
 ``Runtime(recovery=...)`` arms this module: a failed or timed-out
 execution — a worker crash (:class:`~repro.errors.ExecutionError`), a
 watchdog cancellation (:class:`~repro.errors.ExecutionTimeout`), a
-deadlocked schedule (:class:`~repro.errors.DeadlockError`) or an
-injected fault — is retried on the same tier up to
+deadlocked schedule (:class:`~repro.errors.DeadlockError`) — is
+retried on the same tier up to
 ``RetryPolicy.max_attempts`` times, then walks the plan's
 **degradation chain** (:meth:`LoopPlan.degraded
 <repro.runtime.session.LoopPlan.degraded>`) down-tier:
@@ -33,12 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import (
-    DeadlockError,
-    ExecutionError,
-    ExecutionTimeout,
-    InjectedFault,
-)
+from ..errors import DeadlockError, ExecutionError, ExecutionTimeout
 from ..util.validation import check_positive, check_positive_finite
 
 __all__ = ["RetryPolicy", "RecoveryAttempt", "RecoveryRecord",
@@ -47,7 +42,7 @@ __all__ = ["RetryPolicy", "RecoveryAttempt", "RecoveryRecord",
 #: Error classes the degradation chain retries.  Everything else —
 #: validation failures, structural errors, kernel bugs that surface as
 #: non-Repro exceptions on the serial tier — propagates immediately.
-RECOVERABLE = (ExecutionError, DeadlockError, InjectedFault)
+RECOVERABLE = (ExecutionError, DeadlockError)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ Pieces
 ------
 * :class:`Runtime` / :class:`CompiledLoop` / :class:`RunReport` —
   session, reusable compiled loop, normalized execution report; the
-  ``serial`` / ``sim`` / ``threads`` / ``processes`` backends are the
-  four entry points of a loop's executor, picked by name in
+  ``serial`` / ``threads`` / ``processes`` backends are the three
+  entry points of a loop's executor, picked by name in
   :meth:`LoopPlan.execute` (a closed set);
 * :class:`ScheduleCache` — structure-keyed LRU with optional ``.npz``
   persistence, amortising inspection across call sites and runs;

@@ -45,10 +45,6 @@ from ..util.locking import FileLock
 
 __all__ = ["ScheduleCache", "CacheStats", "LruStoreBase"]
 
-#: Deterministic junk written by an injected ``store`` fault — short
-#: enough to read as a truncated write, never a valid npz/JSON prefix.
-_CORRUPT_BYTES = b"\x00repro-partial-write\x00"
-
 
 @dataclass
 class CacheStats:
@@ -112,9 +108,8 @@ class LruStoreBase:
     hit hands out).
 
     A store holds no session state: sessions sharing one go through
-    :meth:`session_get` / :meth:`session_put`, which pass the session's
-    fault plan with the write and :meth:`mirror` its own share of the
-    counters onto its observer.
+    :meth:`session_get` / :meth:`session_put`, which :meth:`mirror`
+    the session's own share of the counters onto its observer.
     """
 
     #: Used in validation error messages ("cache", "tuning store", …).
@@ -122,12 +117,8 @@ class LruStoreBase:
     #: Dotted prefix of the metrics :meth:`mirror` writes
     #: (``schedule_cache.hits``, ``tuning_store.misses``, …).
     metric_prefix = "cache"
-    #: Which ``store`` faults target this store ("schedule"/"tuning").
-    store_kind = "schedule"
-    #: An entry is the file ``<key><suffix>``; an injected partial
-    #: write leaves about ``junk_size`` junk bytes there.
+    #: An entry is the file ``<key><suffix>``.
     suffix = ".npz"
-    junk_size = 4096
 
     def __init__(self, maxsize: int, persist_dir=None):
         if maxsize <= 0:
@@ -168,20 +159,15 @@ class LruStoreBase:
         self.mirror(observer, since)
         return entry
 
-    def session_put(self, key: str, value, *, faults, observer) -> None:
-        """:meth:`put` on behalf of one session: under its fault plan,
-        and with what the call counted — here and on the plan, which
-        may be shared like the store — mirrored onto its observer.
-        Either may be ``None``."""
+    def session_put(self, key: str, value, *, observer) -> None:
+        """:meth:`put` on behalf of one session, mirrored like
+        :meth:`session_get`."""
         if observer is None:
-            self.put(key, value, faults=faults)
+            self.put(key, value)
             return
         since = self.stats.snapshot()
-        fired = len(faults.fired) if faults is not None else 0
-        self.put(key, value, faults=faults)
+        self.put(key, value)
         self.mirror(observer, since)
-        if faults is not None:
-            faults.mirror(observer, fired)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -209,16 +195,11 @@ class LruStoreBase:
         self.stats.misses += 1
         return None
 
-    def put(self, key: str, value, *, faults=None) -> None:
-        """Store one entry (write-through when persisting).
-
-        ``faults`` is the calling session's
-        :class:`~repro.resilience.FaultPlan`, consulted on this disk
-        write only (``None`` keeps it fault-free).
-        """
+    def put(self, key: str, value) -> None:
+        """Store one entry (write-through when persisting)."""
         self._install(key, value)
         if self.persist_dir is not None:
-            self._store_disk(key, value, faults)
+            self._store_disk(key, value)
 
     # ------------------------------------------------------------------
     # Format hooks
@@ -240,7 +221,7 @@ class LruStoreBase:
     # ------------------------------------------------------------------
     # Multi-writer persistence discipline
     # ------------------------------------------------------------------
-    def _store_disk(self, key: str, value, faults) -> None:
+    def _store_disk(self, key: str, value) -> None:
         path = self.persist_dir / f"{key}{self.suffix}"
         # An advisory lock over the directory, held across this one
         # store + index update.  Readers stay lock-free: every write
@@ -250,8 +231,6 @@ class LruStoreBase:
             if lock.waited > 0.0005:        # another writer held it
                 self.stats.lock_waits += 1
                 self.stats.lock_wait_seconds += lock.waited
-            if self._store_fault(faults, path):
-                return  # simulated crash mid-write; reads self-heal
             # Write-then-rename, so a crash mid-store never leaves a
             # truncated entry for a future run to trip on.
             tmp = self._tmp_path(path)
@@ -278,24 +257,6 @@ class LruStoreBase:
         because numpy appends ``.npz`` to a name that lacks it."""
         return final.with_name(f"{final.name}.{os.getpid()}."
                                f"{next(self._tmp_seq)}.tmp{final.suffix}")
-
-    def _store_fault(self, faults, path: Path) -> bool:
-        """Fire the writing session's armed partial write, if any.
-
-        Simulates a crash *mid-write before the rename discipline
-        existed*: junk bytes land directly at the final path.  A later
-        read heals them as misses.  Returns True when a fault consumed
-        this store (the caller skips the real write).
-        """
-        if faults is None:
-            return False
-        spec = faults.store_fault(self.store_kind)
-        if spec is None:
-            return False
-        path.write_bytes(
-            _CORRUPT_BYTES[: len(_CORRUPT_BYTES) // 2] if spec.mode == "truncate"
-            else _CORRUPT_BYTES * max(1, self.junk_size // len(_CORRUPT_BYTES)))
-        return True
 
     def _index_path(self) -> Path:
         return self.persist_dir / "index.json"

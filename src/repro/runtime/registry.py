@@ -39,9 +39,10 @@ Registration contracts
   Schedule``;
 * **executor** — ``fn(inspection, nproc, costs) -> executor`` where the
   executor object provides ``run(kernel)`` / ``simulate(*, unit_work,
-  keep_finish_times)`` / ``run_threaded(kernel, *, timeout, timeline,
-  faults)`` / ``run_processes(kernel, *, timeout, faults)`` — the entry
-  points the four backends name — and a ``schedule`` attribute.
+  keep_finish_times)`` / ``run_threaded(kernel, *, timeout, timeline)``
+  / ``run_processes(kernel, *, timeout)`` — ``simulate`` for the model,
+  the rest the entry points the three backends name — and a
+  ``schedule`` attribute.
   Metadata ``scheduler_override`` names a scheduler the executor forces
   and ``assignment_override`` an assignment (``doacross`` forces
   ``identity`` and ``wrapped``).

@@ -24,10 +24,11 @@ Strategy strings (``executor``, ``scheduler``, ``assignment``) are
 resolved through the open registries of :mod:`repro.runtime.registry`
 and validated eagerly — unknown names fail at :meth:`compile` time with
 the valid options enumerated.  The backend is not a strategy: it names
-one of four entry points of the plan's executor — ``sim`` (the machine
-model), ``serial`` (``run``), ``threads`` (``run_threaded``) and
-``processes`` (``run_processes``) — picked in :meth:`LoopPlan.execute`
-alone, and the set is closed.
+one of three entry points of the plan's executor — ``serial``
+(``run``), ``threads`` (``run_threaded``) and ``processes``
+(``run_processes``) — picked in :meth:`LoopPlan.execute` alone, and
+the set is closed.  Timing is no backend: ``loop.simulate()`` (and
+``report.sim``) is the machine model's.
 ``Runtime.compile(deps, strategy="auto")`` delegates the whole choice
 to the :mod:`repro.tuning` subsystem: a seeded simulator-pruned search
 over the registered strategy space whose verdicts are cached in a
@@ -62,7 +63,6 @@ from ..machine.simulator import SimResult
 from ..observe.export import TimelineRecorder
 from ..observe.observer import Observer
 from ..observe.tracer import maybe_span, now
-from ..resilience.faults import FaultPlan
 from ..resilience.recovery import RetryPolicy, run_with_recovery
 from ..util.timing import Stopwatch
 from ..util.validation import (
@@ -85,13 +85,12 @@ __all__ = ["Runtime", "CompiledLoop", "LoopPlan", "ScheduledPlan", "RunReport"]
 class RunReport:
     """Normalized outcome of one execution, whatever the backend.
 
-    All four backends return this one shape: the numeric
-    result (``None`` for the ``sim`` backend), the machine-model
-    timing, the inspection that produced the schedule, and the
-    amortisation counters.
+    All three backends return this one shape: the numeric result,
+    the machine-model timing, the inspection that produced the
+    schedule, and the amortisation counters.
     """
 
-    #: Numeric result (``None`` when the backend is timing-only).
+    #: Numeric result (what the kernel's ``result()`` returns).
     x: np.ndarray | None
     #: Simulated machine timing of this execution.
     sim: SimResult | None
@@ -174,33 +173,21 @@ class LoopPlan:
 
     def execute(self, loop, kernel, backend: str, *, unit_work, timeout,
                 timeline=None):
-        """One attempt on ``backend`` → ``(x, sim | None)``: the one
-        place a backend name picks an entry point of the executor
-        (``sim=None``: the loop attaches the standard timing, outside
-        the timed window).  A threaded run stamps ``timeline``."""
-        if backend == "sim":
-            return None, self.simulate(unit_work)
+        """One attempt on ``backend`` → ``x``: the one place a backend
+        name picks an entry point of the executor.  A threaded run
+        stamps ``timeline``."""
         if kernel is None:
             raise ValidationError(
                 f"backend {backend!r} executes a kernel; pass one, or "
                 "compile a kernel-bearing LoopProgram so the loop is "
-                "pre-bound (only the 'sim' backend runs kernel-free)"
+                "pre-bound (loop.simulate() times a loop kernel-free)"
             )
-        faults = loop.runtime.faults
-        if backend == "processes":
-            # The shared-memory solvers need the kernel's concrete type,
-            # so faults travel as a picklable handout instead.
-            return self.executor.run_processes(
-                kernel, timeout=timeout, faults=faults), None
-        if faults is not None:
-            # Iteration-scoped faults ride inside a kernel wrapper.
-            kernel = faults.wrap_kernel(kernel)
         if backend == "serial":
-            return self.executor.run(kernel), None
-        # The plan reaches the machine's watchdog, which then honors
-        # injected timeouts and cancels injected stalls.
-        return self.executor.run_threaded(
-            kernel, timeout=timeout, timeline=timeline, faults=faults), None
+            return self.executor.run(kernel)
+        if backend == "processes":
+            return self.executor.run_processes(kernel, timeout=timeout)
+        return self.executor.run_threaded(kernel, timeout=timeout,
+                                          timeline=timeline)
 
     def simulate(self, unit_work: np.ndarray | None = None) -> SimResult:
         """Machine-model timing; the simulation is exact and
@@ -371,9 +358,9 @@ class CompiledLoop:
 
         ``kernel=None`` executes the pre-bound kernel of a
         program-compiled loop (explicit kernels always win).
-        ``with_sim=False`` skips the machine-model timing on execution
-        backends (``report.sim`` is ``None``) — use it when only the
-        numbers matter.  ``host_seconds`` always measures the backend
+        ``with_sim=False`` skips the machine-model timing
+        (``report.sim`` is ``None``) — use it when only the numbers
+        matter.  ``host_seconds`` always measures the backend
         execution alone; the simulation is attached afterwards, and
         the default (``unit_work=None``) simulation is memoized per
         plan.
@@ -381,9 +368,9 @@ class CompiledLoop:
         ``timeout`` must be positive and finite (wall seconds).
         ``threads`` enforces it with a watchdog
         (:class:`~repro.errors.ExecutionTimeout` on expiry) and
-        ``processes`` as a deadline on the worker pool; ``serial`` and
-        ``sim`` validate but do not interrupt (best-effort — a serial
-        kernel cannot be cancelled cooperatively).  When the session
+        ``processes`` as a deadline on the worker pool; ``serial``
+        validates but does not interrupt (best-effort — a serial kernel
+        cannot be cancelled cooperatively).  When the session
         has a recovery policy (``Runtime(recovery=...)``), failures
         and timeouts retry down the plan's degradation chain and the
         report carries ``report.recovery``.
@@ -410,16 +397,9 @@ class CompiledLoop:
         """One attempt of the current plan on backend ``name`` — the
         single place a :class:`RunReport` is built."""
         plan = self.plan
-        faults = self.runtime.faults
         obs = self.runtime.observer
-        fired = recorder = None
+        recorder = None
         if obs is not None:
-            if faults is not None and kernel is not None:
-                # The plan's seams fire in attempts that run a kernel (a
-                # staged attempt runs none: its stage loops' attempts
-                # do).  The plan may serve other sessions too, so an
-                # observed one counts what fires across its own attempt.
-                fired = len(faults.fired)
             if name == "threads" and plan.executor is not None:
                 # A staged plan has no executor of its own to record:
                 # its stage loops' attempts record theirs.
@@ -432,17 +412,12 @@ class CompiledLoop:
             counted = level_counts() if level_counts is not None else None
             taped = getattr(kernel, "tape_builds", None)
         sw = Stopwatch().start()
-        try:
-            with maybe_span(obs, "execute", backend=name,
-                            executor=plan.executor_name):
-                x, sim = plan.execute(self, kernel, name, unit_work=unit_work,
-                                      timeout=timeout, timeline=recorder)
-        finally:
-            if fired is not None:  # most injections end the attempt
-                faults.mirror(obs, fired)
+        with maybe_span(obs, "execute", backend=name,
+                        executor=plan.executor_name):
+            x = plan.execute(self, kernel, name, unit_work=unit_work,
+                             timeout=timeout, timeline=recorder)
         sw.stop()
-        if sim is None and with_sim:
-            sim = plan.simulate(unit_work)
+        sim = plan.simulate(unit_work) if with_sim else None
         self.executions += 1
         cache = self.runtime.cache
         inspection = plan.inspection
@@ -594,7 +569,7 @@ def _store_from(name: str, value, persist_dir, store_cls):
 
 #: Where a compiled loop can run: entry points of its executor, picked
 #: in :meth:`LoopPlan.execute` — a closed set, not a registry.
-_BACKENDS = ("processes", "serial", "sim", "threads")
+_BACKENDS = ("processes", "serial", "threads")
 
 
 def _check_backend(name) -> str:
@@ -612,8 +587,8 @@ class Runtime:
     nproc:
         Simulated (and threaded/process) processor count.
     backend:
-        Default execution backend: ``"serial"``, ``"sim"``,
-        ``"threads"`` or ``"processes"``.
+        Default execution backend: ``"serial"``, ``"threads"`` or
+        ``"processes"``.
     costs:
         Machine cost model for simulation and inspection pricing.
     cache:
@@ -655,13 +630,6 @@ class Runtime:
         is adopted as-is (share one across sessions to aggregate).
         ``False`` (default) keeps every hot path exactly as
         uninstrumented: the only cost is an ``is None`` test.
-    faults:
-        Optional :class:`~repro.resilience.FaultPlan` injecting
-        deterministic failures at the runtime's seams (kernel
-        exceptions, worker stalls/death, corrupt store writes, forced
-        timeouts) — for testing recovery paths, never production.
-        ``None`` (default) keeps every seam exactly as unwrapped: the
-        only cost is an ``is None`` test.
     recovery:
         Retry/fallback discipline for failed executions: a
         :class:`~repro.resilience.RetryPolicy`, ``True`` for the
@@ -679,7 +647,6 @@ class Runtime:
                  tune_seed: int = 0,
                  expected_executions: float | None = None,
                  observe: bool | Observer = False,
-                 faults: FaultPlan | None = None,
                  recovery: RetryPolicy | bool | None = None):
         from ..core.inspector import Inspector  # deferred: import cycle
 
@@ -702,10 +669,6 @@ class Runtime:
             "cache", cache, cache_dir, ScheduleCache)
         self.tuning_store: TuningStore | None = _store_from(
             "tuning", tuning, tuning_dir, TuningStore)
-        if faults is not None and not isinstance(faults, FaultPlan):
-            raise ValidationError(
-                "faults must be a repro.resilience.FaultPlan (or None)")
-        self.faults = faults
         if recovery is None or recovery is False:
             self.recovery: RetryPolicy | None = None
         elif recovery is True:
@@ -719,11 +682,9 @@ class Runtime:
         self.tune_seed = check_seed(tune_seed, "tune_seed")
         self._tuner = None  # built on the first strategy="auto" compile
         self._inspector = Inspector(costs, observer=self.observer)
-        # The stores and the fault plan may be shared with other
-        # sessions, so nothing of this one is written onto them: the
-        # plan travels with each ``put`` and the observer mirrors this
-        # session's own share of their counters (see
-        # ``_scheduled_plan`` and ``CompiledLoop._attempt``).
+        # The stores may be shared with other sessions, so nothing of
+        # this one is written onto them: the observer mirrors this
+        # session's own share of their counters (``_scheduled_plan``).
 
     # ------------------------------------------------------------------
     def compile(self, deps, *, executor: str = "self",
@@ -902,8 +863,7 @@ class Runtime:
                               dep, self.nproc, strategy=resolved,
                               assignment=assignment, balance=balance))
             if cache is not None:
-                cache.session_put(key, inspection, faults=self.faults,
-                                  observer=obs)
+                cache.session_put(key, inspection, observer=obs)
         return ScheduledPlan(
             inspection,
             executor_registry.get(executor)(inspection, self.nproc, self.costs),
@@ -932,7 +892,7 @@ class Runtime:
             self._tuner = Tuner(self.nproc, self.costs,
                                 seed=self.tune_seed,
                                 store=self.tuning_store,
-                                observer=self.observer, faults=self.faults)
+                                observer=self.observer)
         return self._tuner
 
     def tune(self, deps):
@@ -972,7 +932,7 @@ class Runtime:
 
         ``timeout`` is validated before anything compiles; ``threads``
         enforces it with a watchdog thread, ``processes`` as a pool
-        deadline, and ``serial``/``sim`` validate but do not interrupt.
+        deadline, and ``serial`` validates but does not interrupt.
         """
         check_timeout(timeout)
         obs = self.observer

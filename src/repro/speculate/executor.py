@@ -63,9 +63,9 @@ CHUNKS_PER_PROC = 4
 
 def _refuse(backend: str) -> ValidationError:
     return ValidationError(
-        "the speculative executor runs on the 'serial' or 'sim' "
-        f"backends; the {backend!r} protocol would race on the shared "
-        "shadow state")
+        "the speculative executor runs on the 'serial' backend (time "
+        f"it with loop.simulate()); the {backend!r} protocol would race "
+        "on the shared shadow state")
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,11 @@ class SpeculativeExecutor(ClassicExecutor):
         return super().run(kernel)
 
     def run_threaded(self, kernel, *, timeout: float = 30.0,
-                     timeline=None, faults=None):
+                     timeline=None):
         """Refuses, under the classic executors' signature."""
         raise _refuse("threads")
 
-    def run_processes(self, kernel, *, timeout: float = 30.0, faults=None):
+    def run_processes(self, kernel, *, timeout: float = 30.0):
         """Refuses, under the classic executors' signature."""
         raise _refuse("processes")
 

@@ -101,8 +101,7 @@ class SpeculativePlan(LoopPlan):
 
     def finish(self, loop, report) -> None:
         """Attach the structure's conflict report to a speculative run."""
-        if report.executor != "speculative" or report.x is None:
-            # A recovery tier ran instead, or a timing-only backend.
+        if report.executor != "speculative":  # a recovery tier ran
             return
         conflicts = self.executor.plan().report
         report.speculation = conflicts

@@ -112,9 +112,7 @@ class TuningStore(LruStoreBase):
 
     kind = "tuning store"
     metric_prefix = "tuning_store"
-    store_kind = "tuning"
     suffix = ".tuning.json"
-    junk_size = 256
 
     def __init__(self, maxsize: int = 64, persist_dir=None):
         super().__init__(maxsize, persist_dir)

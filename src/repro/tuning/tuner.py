@@ -132,7 +132,6 @@ class Tuner:
         seed: int = 0,
         store: TuningStore | None = None,
         observer=None,
-        faults=None,
     ):
         from ..runtime.session import Runtime  # deferred: import cycle
 
@@ -144,9 +143,6 @@ class Tuner:
         #: Shared with the private search runtime, so candidate
         #: inspections nest (non-double-counted) under the tune span.
         self.observer = observer
-        #: Session :class:`~repro.resilience.FaultPlan` handed to the
-        #: store with each verdict written (``None`` = fault-free).
-        self.faults = faults
         #: Private search session: candidate compiles land in its
         #: ScheduleCache, never the caller's.  It shares the seed, so a
         #: speculative candidate is scored under the chunk shuffle the
@@ -202,7 +198,7 @@ class Tuner:
         verdict, winner = self._search(dep, candidates, unit_work=unit_work,
                                        expected_executions=horizon)
         if store is not None:
-            store.session_put(key, verdict, faults=self.faults, observer=obs)
+            store.session_put(key, verdict, observer=obs)
         return verdict, winner
 
     # ------------------------------------------------------------------

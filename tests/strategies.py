@@ -561,7 +561,8 @@ choices = st.one_of(
     st.just(("speculative",)))
 
 #: Where it runs: ``(backend, seam)``.  A seam arms a seeded
-#: ``FaultPlan`` at the ``kernel`` or ``store`` seam under a
-#: ``RetryPolicy``; ``None`` runs clean.
+#: ``tests/faults.py`` plan at the ``kernel`` or ``store`` seam under a
+#: ``RetryPolicy``; ``None`` runs clean.  ``"sim"`` is no backend any
+#: more: it is drawn still, so the draws stay the same, and refused.
 tiers = st.tuples(st.sampled_from(("serial", "serial", "sim", "threads")),
                   st.sampled_from((None, None, "kernel", "store")))

@@ -25,7 +25,8 @@ from repro.core.executor import (
     SimpleLoopKernel,
     TriangularSolveKernel,
 )
-from repro.errors import InjectedFault, ValidationError
+from faults import FaultPlan, FaultSpec, InjectedFault, armed
+from repro.errors import ValidationError
 from repro.machine.simulator import SimResult
 from repro.program import (
     At,
@@ -34,7 +35,7 @@ from repro.program import (
     Statement,
     fission,
 )
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.runtime import CompiledLoop, Runtime
 from repro.sparse.build import random_lower_triangular
 from repro.workload import sweep_program
@@ -201,16 +202,16 @@ class TestSurfaceContract:
         assert isinstance(called.sim, SimResult)
         assert loop(kernel, with_sim=False).sim is None
 
-        # -- timing-only backend, argument validation
-        timing = loop(kernel, backend="sim")
-        assert timing.x is None and isinstance(timing.sim, SimResult)
+        # -- timing is no backend, argument validation
+        with pytest.raises(ValidationError, match="unknown backend 'sim'"):
+            loop(kernel, backend="sim")
         for bad in (0, -1.0):
             with pytest.raises(ValidationError, match="timeout"):
                 loop(kernel, timeout=bad)
 
         # -- one memoised simulation, one report shape
         assert loop.simulate() is loop.simulate()
-        assert timing.sim is loop.simulate()
+        assert called.sim is loop.simulate()
         rep = loop.report()
         extra = ({"variant", "num_stages"} if case.kind == "staged"
                  else {"numeric_batches", "kernel_path"})
@@ -248,7 +249,8 @@ class TestSurfaceContract:
 
 BACKENDS = ("serial", "sim", "threads", "processes")
 #: The plan kind × backend pairs refused with a ValidationError; every
-#: other pair equals the serial oracle bit for bit (``sim``: timing only).
+#: other pair equals the serial oracle bit for bit (``sim`` is no
+#: backend: refused, naming the three, while ``loop.simulate()`` times).
 REFUSED = {("speculative", "threads"), ("speculative", "processes"),
            ("staged", "threads"), ("staged", "processes")}
 
@@ -296,12 +298,15 @@ def test_every_plan_on_every_backend(kind, source, backend, recovery):
         with pytest.raises(ValidationError, match=match):
             loop(kernel, backend=backend)
         return
+    if backend == "sim":
+        with pytest.raises(ValidationError,
+                           match="'processes', 'serial', 'threads'$"):
+            loop(kernel, backend=backend)
+        assert isinstance(loop.simulate(), SimResult)
+        return
     report = loop(kernel, backend=backend)
     assert report.backend == backend
-    if backend == "sim":
-        assert report.x is None and isinstance(report.sim, SimResult)
-    else:
-        assert same(report.x, want)
+    assert same(report.x, want)
     # Only a threaded run of the plan's own executor records a timeline.
     assert (report.timeline is not None) == (backend == "threads")
 
@@ -416,10 +421,10 @@ class TestStagedInstrumentation:
         assert roots[0].attrs["executor"] == "transform:fission"
 
     def test_stage_retry_surfaces_in_the_report(self):
-        plan = FaultPlan([FaultSpec("kernel", times=1, iteration=5)])
-        rt = Runtime(nproc=8, faults=plan, recovery=True)
+        rt = Runtime(nproc=8, recovery=True)
         prog, loop = staged_sweep(rt)
-        report = loop()
+        with armed(FaultPlan([FaultSpec("kernel", times=1, iteration=5)])):
+            report = loop()
         assert same(report.x, oracle(prog))
         rec = report.recovery
         assert rec is not None and rec.recovered
@@ -435,26 +440,26 @@ class TestStagedInstrumentation:
         rng = np.random.default_rng(5)
         prog = sweep_program(rng.normal(size=N), rng.normal(size=N))
         variant = fission(prog)
-        # One session per stage so each stage sees its own fault.
-        stage_loops = [
-            Runtime(nproc=NPROC, recovery=True, faults=FaultPlan(
-                [FaultSpec("kernel", times=1, iteration=it)])
-            ).compile(stage.program)
-            for stage, it in zip(variant.stages, (9, 4))
-        ]
+        # One session per stage, each armed with its own fault.
+        stage_loops = [Runtime(nproc=NPROC, recovery=True).compile(
+            stage.program) for stage in variant.stages]
         rt = Runtime(nproc=NPROC, recovery=True)
         loop = CompiledLoop(rt, StagedPlan(variant, stage_loops),
                             program=prog)
-        report = loop()
+        with armed(FaultPlan("kernel", iteration=9),
+                   runtime=stage_loops[0].runtime), \
+                armed(FaultPlan("kernel", iteration=4),
+                      runtime=stage_loops[1].runtime):
+            report = loop()
         assert same(report.x, oracle(prog))
         assert [a.iteration for a in report.recovery.attempts] == [9, 4]
         assert report.recovery.recovered
 
     def test_exhausted_stage_is_not_rerun_by_the_outer_loop(self):
         plan = FaultPlan([FaultSpec("kernel", times=99, iteration=5)])
-        rt = Runtime(nproc=8, faults=plan, recovery=RetryPolicy(max_attempts=2))
+        rt = Runtime(nproc=8, recovery=RetryPolicy(max_attempts=2))
         _, loop = staged_sweep(rt)
-        with pytest.raises(InjectedFault) as info:
+        with armed(plan), pytest.raises(InjectedFault) as info:
             loop()
         record = info.value.recovery
         assert not record.recovered
@@ -476,10 +481,10 @@ class TestGuardSwapsThePlan:
         rng = np.random.default_rng(12)
         prog = LoopProgram.from_indirection(
             np.arange(N), x=rng.normal(size=N), b=rng.normal(size=N))
-        rt = Runtime(nproc=NPROC, tuning=None, recovery=True,
-                     faults=FaultPlan.kernel_exception(times=3, seed=0))
+        rt = Runtime(nproc=NPROC, tuning=None, recovery=True)
         loop = rt.compile(prog, strategy="speculative")
-        report = loop()
+        with armed(FaultPlan("kernel", times=3, seed=0)):
+            report = loop()
         assert report.recovery.tiers == ["speculative", "classic"]
         assert report.executor == "self"       # what the tier really ran
         assert report.executions == loop.executions == 1

@@ -5,8 +5,9 @@ the serial loop computes.  :func:`assert_contract` is that contract for
 one program, compile choice, processor count, source (the program or
 its raw dependence graph) and tier; the first property draws all five
 from ``tests/strategies.py`` — programs of every kind, every candidate
-of the tuner's space plus ``auto`` and ``speculative``, the serial, sim
-and threads backends under an optional fault seam — and pins the
+of the tuner's space plus ``auto`` and ``speculative``, the serial
+and threads backends under an optional fault seam (``tests/faults.py``),
+and the retired ``sim`` backend's refusal — and pins the
 inputs that once broke it as ``@example`` cases.  Other suites call
 :func:`assert_contract` on their own named inputs.  The second
 property states that what a compile caches is a value: no array its
@@ -14,8 +15,7 @@ plan holds can be written, so neither the caller's buffers nor a write
 through one loop reach a later compile of the structure.  The third
 states what the schedule store promises: equal
 structure shares one entry, an edit gets a new one, an entry survives a
-restart, and sessions sharing a store and a fault plan count only their
-own traffic.
+restart, and sessions sharing a store count only their own traffic.
 
 ``REPRO_FAULT_SEED`` seeds every fault plan (CI sweeps it together
 with ``--hypothesis-seed``).
@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import FaultPlan, LoopProgram, Runtime
+from faults import FaultPlan, armed
+from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import LevelPlan, SerialExecutor
 from repro.core.inspector import InspectionResult
@@ -103,10 +104,11 @@ def options(choice, n: int, nproc: int) -> tuple[dict, dict]:
     return {}, {"strategy": "speculative"}
 
 
-def run(loop, kernel, backend: str, want) -> None:
-    """One call: refused with a ``ValidationError`` where the plan
-    cannot run on ``backend``, otherwise bitwise the serial result (a
-    ``sim`` call is followed by a ``serial`` one, which computes)."""
+def run(loop, kernel, backend: str, want):
+    """One call, returning its report: refused with a
+    ``ValidationError`` where the plan cannot run on ``backend``,
+    otherwise bitwise the serial result (``sim`` is no backend: it is
+    refused, naming the three, and a ``serial`` call follows)."""
     target = loop.bound_kernel if kernel is None else kernel
     if backend == "threads" and (
             loop.plan.kind != "scheduled"
@@ -115,11 +117,14 @@ def run(loop, kernel, backend: str, want) -> None:
             loop(kernel, backend="threads")
         backend = "serial"
     if backend == "sim":
-        assert loop(kernel, backend="sim").x is None
+        with pytest.raises(ValidationError, match="'processes', 'serial', "
+                                                  "'threads'$"):
+            loop(kernel, backend="sim")
         backend = "serial"
     with np.errstate(all="ignore"):
-        got = loop(kernel, backend=backend).x
-    assert same(got, want)
+        report = loop(kernel, backend=backend)
+    assert same(report.x, want)
+    return report
 
 
 def assert_contract(program, choice, *, nproc: int = 4, raw: bool = False,
@@ -127,25 +132,26 @@ def assert_contract(program, choice, *, nproc: int = 4, raw: bool = False,
     """Compile ``program`` (its dependence graph plus a per-call kernel
     when ``raw``) as ``choice`` says and run it on ``tier``: twice, then
     after a data-only rebind, each time bitwise the serial loop; every
-    scheduled plan's schedule validates, and the sim backend reports the
-    loop's one memoised simulation."""
+    scheduled plan's schedule validates, and a call reports the loop's
+    one memoised simulation."""
     backend, seam = tier
     runtime, compile_options = options(choice, program.n, nproc)
-    faults = {"kernel": FaultPlan.kernel_exception(seed=SEED),
-              "store": FaultPlan.store_partial_write(seed=SEED)}.get(seam)
-    with tempfile.TemporaryDirectory() as directory:
+    faults = {"kernel": FaultPlan("kernel", seed=SEED),
+              "store": FaultPlan("store", seed=SEED)}.get(seam)
+    with tempfile.TemporaryDirectory() as directory, \
+            armed(faults) if faults else contextlib.nullcontext():
         if seam == "store":
             runtime.update(cache_dir=os.path.join(directory, "schedules"),
                            tuning_dir=os.path.join(directory, "verdicts"))
-        rt = Runtime(nproc, faults=faults,
-                     recovery=RetryPolicy() if seam else None, **runtime)
+        rt = Runtime(nproc, recovery=RetryPolicy() if seam else None,
+                     **runtime)
         kernel = program.make_kernel() if raw else None
         loop = rt.compile(program.dependence_graph() if raw else program,
                           **compile_options)
         want = serial(program)
-        for _ in range(2):
-            run(loop, kernel, backend, want)
-        assert loop(kernel, backend="sim").sim is loop.simulate()
+        for _ in range(2):  # the budget is spent by the first call
+            report = run(loop, kernel, backend, want)
+        assert report.sim is loop.simulate()
         plans = ([stage.plan for stage in loop.stage_loops]
                  if loop.plan.kind == "staged" else [loop.plan])
         for plan in plans:
@@ -318,18 +324,18 @@ def test_the_store_keys_on_structure_and_keeps_sessions_apart(
     assert twin.structure_hash() == program.structure_hash()
     with tempfile.TemporaryDirectory() as directory:
         cache = ScheduleCache(8, persist_dir=directory)
-        plan = FaultPlan.store_partial_write("schedule", seed=SEED)
-        a, b = (Runtime(nproc, cache=cache, faults=plan, observe=True)
-                for _ in range(2))
-        first = a.compile(program, **compile_options)
-        # Equal structure: one key, one schedule, whichever session asks.
-        second = b.compile(twin, **compile_options)
+        a, b = (Runtime(nproc, cache=cache, observe=True) for _ in range(2))
+        with armed(FaultPlan("store", store="schedule", seed=SEED)) as plan:
+            first = a.compile(program, **compile_options)
+            # Equal structure: one key, one schedule, whichever asks.
+            second = b.compile(twin, **compile_options)
         assert second.cache_hit and second.inspection is first.inspection
-        # ... and each session counts its own share of the shared store
-        # and of the shared plan, whose one fault hit a's disk write.
+        # ... and each session counts its own share of the shared store;
+        # the scope's one fault hit a's disk write, and no session
+        # counts faults.
+        assert plan.fired == [{"seam": "store", "store": "schedule"}]
         assert observed(a, "schedule_cache.", "faults.") == {
-            "schedule_cache.misses": 1, "faults.injected": 1,
-            "faults.store": 1}
+            "schedule_cache.misses": 1}
         assert observed(b, "schedule_cache.", "faults.") == {
             "schedule_cache.hits": 1}
         # A restart heals the corrupt entry; the next one loads it.

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FaultPlan, LoopProgram, Runtime
+from faults import FaultPlan
+from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.doacross import DoacrossExecutor
 from repro.core.executor import (
@@ -366,7 +367,7 @@ class TestWrappersAndReports:
         assert MappedKernel(batched, imap).vectorized
         assert MappedKernel(taped, imap).vectorized
         for inner in (flat, batched, taped):
-            wrapped = FaultPlan.kernel_exception(iteration=3).wrap_kernel(inner)
+            wrapped = FaultPlan("kernel", iteration=3).wrap_kernel(inner)
             assert wrapped is not inner
             assert wrapped.vectorized == inner.vectorized
 

@@ -1,16 +1,17 @@
-"""Tests for :mod:`repro.resilience` — faults, recovery, watchdog.
+"""Tests for :mod:`repro.resilience` — recovery and the watchdog,
+under the faults of ``tests/faults.py``.
 
 The contract under test: every injected fault class ends in a
 successful run whose numbers are **bitwise identical** to the no-fault
 serial oracle, with the tier walk recorded in ``report.recovery``;
 exhausted recovery re-raises the last error with the record attached;
-``faults=None`` / ``recovery=None`` sessions behave exactly as before
-(``report.recovery is None`` on clean runs).
+``recovery=None`` sessions propagate the first failure, and clean runs
+carry ``report.recovery is None``.
 
 ``REPRO_FAULT_SEED`` seeds every plan, so one suite exercises
-different injection points per seed (the kernel and store seams under
-every strategy are tests/test_contract.py's property, which CI sweeps
-over seeds).
+different injection points per seed (CI sweeps it over this file and
+tests/test_contract.py's property, which arms the kernel and store
+seams under every strategy).
 """
 
 import json
@@ -20,23 +21,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro import (
-    FaultPlan,
-    FaultSpec,
-    LoopProgram,
-    RetryPolicy,
-    Runtime,
-    ScheduleCache,
-    TuningStore,
-)
+from faults import SEAMS, FaultPlan, FaultSpec, InjectedFault, armed
+from repro import LoopProgram, RetryPolicy, Runtime, ScheduleCache, TuningStore
 from repro.errors import (
     DeadlockError,
     ExecutionError,
     ExecutionTimeout,
-    InjectedFault,
     ValidationError,
 )
-from repro.resilience import SEAMS
 from repro.resilience.recovery import RecoveryRecord
 from repro.util.locking import FileLock, LockTimeout
 
@@ -76,6 +68,10 @@ class TestValidation:
         # backends after their workers had started, and leave each
         # threaded run's watchdog polling forever.
         for backend in ("serial", "sim", "threads", "processes"):
+            if backend == "sim":  # no backend: the model takes no timeout
+                with pytest.raises(ValidationError, match="'threads'$"):
+                    loop(backend=backend)
+                continue
             for bad in BAD_TIMEOUTS:
                 with pytest.raises(ValidationError, match="timeout"):
                     loop(timeout=bad, backend=backend)
@@ -88,8 +84,9 @@ class TestValidation:
                 rt.run(program(), timeout=bad)
 
     def test_faults_must_be_a_plan(self):
-        with pytest.raises(ValidationError, match="FaultPlan"):
-            Runtime(nproc=NPROC, faults="kernel")
+        # Fault injection is no Runtime knob: the keyword is gone.
+        with pytest.raises(TypeError, match="faults"):
+            Runtime(nproc=NPROC, faults=FaultPlan())
 
     def test_recovery_must_be_policy_or_bool(self):
         with pytest.raises(ValidationError, match="RetryPolicy"):
@@ -139,7 +136,7 @@ class TestValidation:
         assert issubclass(ExecutionError, RuntimeError)
         assert issubclass(ExecutionTimeout, ExecutionError)
         assert issubclass(ExecutionTimeout, DeadlockError)
-        assert issubclass(InjectedFault, RuntimeError)
+        assert issubclass(InjectedFault, ExecutionError)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ class TestFaultPlan:
     def test_seeded_target_is_deterministic(self):
         choices = set()
         for _ in range(3):
-            plan = FaultPlan.kernel_exception(seed=SEED + 13)
+            plan = FaultPlan("kernel", seed=SEED + 13)
             plan.wrap_kernel(program().make_kernel())
             choices.add(plan._chosen[0])
         assert len(choices) == 1
@@ -157,24 +154,24 @@ class TestFaultPlan:
     def test_different_seeds_move_the_target(self):
         targets = set()
         for s in range(8):
-            plan = FaultPlan.kernel_exception(seed=s)
+            plan = FaultPlan("kernel", seed=s)
             plan.wrap_kernel(program(n=500).make_kernel())
             targets.add(plan._chosen[0])
         assert len(targets) > 1
 
     def test_spent_plan_wraps_nothing(self):
-        plan = FaultPlan.kernel_exception(iteration=3)
+        plan = FaultPlan("kernel", iteration=3)
         kernel = program().make_kernel()
         wrapped = plan.wrap_kernel(kernel)
         assert wrapped is not kernel
         with pytest.raises(InjectedFault):
             wrapped.execute_index(3)
-        assert plan.remaining() == 0
+        assert plan._remaining == [0]
         # Budget spent: the next attempt gets the raw kernel back.
         assert plan.wrap_kernel(kernel) is kernel
 
     def test_fired_record(self):
-        plan = FaultPlan.kernel_exception(iteration=3)
+        plan = FaultPlan("kernel", iteration=3)
         wrapped = plan.wrap_kernel(program().make_kernel())
         with pytest.raises(InjectedFault) as info:
             wrapped.execute_index(3)
@@ -183,8 +180,8 @@ class TestFaultPlan:
         assert plan.fired == [{"seam": "kernel", "iteration": 3}]
 
     def test_empty_plan_is_inert(self, oracle):
-        rt = Runtime(nproc=NPROC, faults=FaultPlan(), recovery=True)
-        report = rt.compile(program())()
+        with armed(FaultPlan()):
+            report = Runtime(nproc=NPROC, recovery=True).compile(program())()
         assert report.recovery is None
         np.testing.assert_array_equal(report.x, oracle)
 
@@ -199,17 +196,15 @@ class TestRecovery:
         np.testing.assert_array_equal(report.x, oracle)
 
     def test_kernel_exception_retries_on_serial(self, oracle):
-        rt = Runtime(nproc=NPROC,
-                     faults=FaultPlan.kernel_exception(seed=SEED),
-                     recovery=True)
-        report = rt.compile(program())()
+        with armed(FaultPlan("kernel", seed=SEED)) as plan:
+            report = Runtime(nproc=NPROC, recovery=True).compile(program())()
         np.testing.assert_array_equal(report.x, oracle)
         rec = report.recovery
         assert rec.recovered is True
         assert rec.cause == "InjectedFault"
         assert rec.final_tier == "serial"
         assert len(rec.attempts) == 1
-        assert rec.attempts[0].iteration == rt.faults.fired[0]["iteration"]
+        assert rec.attempts[0].iteration == plan.fired[0]["iteration"]
 
     @pytest.mark.parametrize("executor", ["preschedule", "self", "doacross"])
     def test_kernel_fault_fires_on_the_level_path(self, executor):
@@ -222,10 +217,10 @@ class TestRecovery:
         l = random_lower_triangular(N, avg_off_diag=2.5, max_band=12, seed=5)
         prog = LoopProgram.from_csr(l, np.random.default_rng(5).random(N))
         expected = SerialExecutor().run(prog.make_kernel()).copy()
-        plan = FaultPlan.kernel_exception(seed=SEED)
-        rt = Runtime(nproc=NPROC, faults=plan, recovery=True)
-        loop = rt.compile(prog, executor=executor)
-        report = loop()
+        loop = Runtime(nproc=NPROC, recovery=True).compile(
+            prog, executor=executor)
+        with armed(FaultPlan("kernel", seed=SEED)) as plan:
+            report = loop()
         assert loop.executor.kernel_path == "vectorized"
         assert [f["seam"] for f in plan.fired] == ["kernel"]
         np.testing.assert_array_equal(report.x, expected)
@@ -233,38 +228,54 @@ class TestRecovery:
         assert rec.recovered and rec.cause == "InjectedFault"
         assert rec.attempts[0].iteration == plan.fired[0]["iteration"]
         # Without recovery the same fault surfaces, typed.
-        rt = Runtime(nproc=NPROC, faults=FaultPlan.kernel_exception(
-            iteration=plan.fired[0]["iteration"]))
-        with pytest.raises(InjectedFault):
-            rt.compile(prog, executor=executor)()
+        loop = Runtime(nproc=NPROC).compile(prog, executor=executor)
+        again = FaultPlan("kernel", iteration=plan.fired[0]["iteration"])
+        with armed(again), pytest.raises(InjectedFault):
+            loop()
 
     def test_worker_death_wraps_into_typed_execution_error(self):
         # No recovery: the raw failure must carry the iteration index.
-        rt = Runtime(nproc=NPROC, backend="threads",
-                     faults=FaultPlan.worker_death(iteration=7))
-        with pytest.raises(ExecutionError) as info:
-            rt.compile(program())()
+        loop = Runtime(nproc=NPROC, backend="threads").compile(program())
+        with armed(FaultPlan("death", iteration=7)), \
+                pytest.raises(ExecutionError) as info:
+            loop()
         assert info.value.iteration == 7
         assert "iteration 7" in str(info.value)
 
     def test_worker_death_recovers_on_threads(self, oracle):
-        rt = Runtime(nproc=NPROC, backend="threads",
-                     faults=FaultPlan.worker_death(seed=SEED),
-                     recovery=True)
-        report = rt.compile(program())()
+        rt = Runtime(nproc=NPROC, backend="threads", recovery=True)
+        with armed(FaultPlan("death", seed=SEED)):
+            report = rt.compile(program())()
         np.testing.assert_array_equal(report.x, oracle)
         assert report.recovery.recovered
         assert report.recovery.attempts[0].error == "ExecutionError"
+
+    def test_worker_death_recovers_on_processes(self):
+        # A dead worker process never finishes its task: the pool
+        # deadline turns it into a typed timeout, and the retry runs
+        # clean (the budget was spent in the parent).
+        from repro.core.executor import SerialExecutor
+        from repro.sparse.build import random_lower_triangular
+
+        l = random_lower_triangular(N, avg_off_diag=2.5, max_band=12, seed=5)
+        prog = LoopProgram.from_csr(l, np.random.default_rng(5).random(N))
+        expected = SerialExecutor().run(prog.make_kernel()).copy()
+        loop = Runtime(nproc=2, backend="processes",
+                       recovery=True).compile(prog)
+        with armed(FaultPlan("death", seed=SEED)) as plan:
+            report = loop(timeout=1.0)
+        np.testing.assert_array_equal(report.x, expected)
+        assert [f["seam"] for f in plan.fired] == ["death"]
+        assert report.recovery.tiers == ["processes"]
+        assert report.recovery.attempts[0].error == "ExecutionTimeout"
 
     def test_stall_watchdog_degrades_to_serial(self, oracle):
         # Stall budget outlasts the per-tier retries, so the run must
         # walk threads -> serial; the watchdog converts each stalled
         # attempt into a typed timeout instead of hanging.
-        rt = Runtime(nproc=NPROC, backend="threads",
-                     faults=FaultPlan.worker_stall(seconds=30.0, times=2,
-                                                   seed=SEED),
-                     recovery=True)
-        report = rt.compile(program())(timeout=0.5)
+        rt = Runtime(nproc=NPROC, backend="threads", recovery=True)
+        with armed(FaultPlan("stall", seconds=30.0, times=2, seed=SEED)):
+            report = rt.compile(program())(timeout=0.5)
         np.testing.assert_array_equal(report.x, oracle)
         rec = report.recovery
         assert rec.tiers == ["threads", "serial"]
@@ -272,28 +283,28 @@ class TestRecovery:
         assert all(a.error == "ExecutionTimeout" for a in rec.attempts)
 
     def test_forced_timeout_seam(self, oracle):
-        rt = Runtime(nproc=NPROC, backend="threads",
-                     faults=FaultPlan.forced_timeout(), recovery=True)
-        report = rt.compile(program())()
+        rt = Runtime(nproc=NPROC, backend="threads", recovery=True)
+        with armed(FaultPlan("timeout")) as plan:
+            report = rt.compile(program())()
         np.testing.assert_array_equal(report.x, oracle)
         assert report.recovery.attempts[0].error == "ExecutionTimeout"
-        assert "injected timeout" in report.recovery.attempts[0].message
+        assert "watchdog" in report.recovery.attempts[0].message
+        assert plan.fired == [{"seam": "timeout"}]
 
     def test_stall_without_recovery_raises_typed_timeout(self):
-        rt = Runtime(nproc=NPROC, backend="threads",
-                     faults=FaultPlan.worker_stall(seconds=30.0, seed=SEED))
-        with pytest.raises(ExecutionTimeout):
-            rt.compile(program())(timeout=0.5)
+        loop = Runtime(nproc=NPROC, backend="threads").compile(program())
+        with armed(FaultPlan("stall", seconds=30.0, seed=SEED)), \
+                pytest.raises(ExecutionTimeout):
+            loop(timeout=0.5)
 
     def test_speculative_degrades_to_classic_transiently(self, oracle):
         # Budget of 3 fails both speculative attempts and the first
         # classic one; the classic retry succeeds.  The speculative
         # loop must NOT be permanently demoted by the transient fault.
-        rt = Runtime(nproc=NPROC, tuning=None,
-                     faults=FaultPlan.kernel_exception(times=3, seed=SEED),
-                     recovery=True)
+        rt = Runtime(nproc=NPROC, tuning=None, recovery=True)
         loop = rt.compile(program(), strategy="speculative")
-        report = loop()
+        with armed(FaultPlan("kernel", times=3, seed=SEED)):
+            report = loop()
         np.testing.assert_array_equal(report.x, oracle)
         assert report.recovery.tiers == ["speculative", "classic"]
         assert report.recovery.final_tier == "classic"
@@ -303,11 +314,10 @@ class TestRecovery:
         np.testing.assert_array_equal(clean.x, oracle)
 
     def test_exhausted_recovery_reraises_with_record(self):
-        rt = Runtime(nproc=NPROC,
-                     faults=FaultPlan.kernel_exception(times=99, seed=SEED),
-                     recovery=True)
-        with pytest.raises(InjectedFault) as info:
-            rt.compile(program())()
+        loop = Runtime(nproc=NPROC, recovery=True).compile(program())
+        with armed(FaultPlan("kernel", times=99, seed=SEED)), \
+                pytest.raises(InjectedFault) as info:
+            loop()
         rec = info.value.recovery
         assert isinstance(rec, RecoveryRecord)
         assert rec.recovered is False
@@ -320,12 +330,11 @@ class TestRecovery:
             loop(backend="no-such-backend")
 
     def test_retry_deadline_bounds_the_effort(self):
-        rt = Runtime(nproc=NPROC,
-                     faults=FaultPlan.kernel_exception(times=99, seed=SEED),
-                     recovery=RetryPolicy(max_attempts=50, backoff=0.05,
-                                          deadline=0.2))
-        with pytest.raises(InjectedFault) as info:
-            rt.compile(program())()
+        loop = Runtime(nproc=NPROC, recovery=RetryPolicy(
+            max_attempts=50, backoff=0.05, deadline=0.2)).compile(program())
+        with armed(FaultPlan("kernel", times=99, seed=SEED)), \
+                pytest.raises(InjectedFault) as info:
+            loop()
         rec = info.value.recovery
         assert rec.cause == "deadline"
         assert len(rec.attempts) < 50
@@ -334,17 +343,17 @@ class TestRecovery:
         # The acceptance loop: every fault class ends in a successful
         # run bitwise identical to the no-fault serial oracle.
         plans = {
-            "kernel": FaultPlan.kernel_exception(seed=SEED),
-            "death": FaultPlan.worker_death(seed=SEED),
-            "stall": FaultPlan.worker_stall(seconds=30.0, times=2,
+            "kernel": FaultPlan("kernel", seed=SEED),
+            "death": FaultPlan("death", seed=SEED),
+            "stall": FaultPlan("stall", seconds=30.0, times=2,
                                             seed=SEED),
-            "timeout": FaultPlan.forced_timeout(),
+            "timeout": FaultPlan("timeout"),
         }
         assert set(plans) | {"store"} == set(SEAMS)
         for seam, plan in plans.items():
-            rt = Runtime(nproc=NPROC, backend="threads", faults=plan,
-                         recovery=True)
-            report = rt.compile(program())(timeout=0.75)
+            rt = Runtime(nproc=NPROC, backend="threads", recovery=True)
+            with armed(plan):
+                report = rt.compile(program())(timeout=0.75)
             np.testing.assert_array_equal(
                 report.x, oracle, err_msg=f"seam {seam!r} diverged")
             assert report.recovery is not None, seam
@@ -358,11 +367,11 @@ class TestRecovery:
 # ---------------------------------------------------------------------------
 class TestStoreSeam:
     def test_partial_write_heals_on_next_read(self, tmp_path, oracle):
-        rt = Runtime(nproc=NPROC, cache_dir=str(tmp_path),
-                     faults=FaultPlan.store_partial_write(), recovery=True)
-        report = rt.compile(program())()
+        rt = Runtime(nproc=NPROC, cache_dir=str(tmp_path), recovery=True)
+        with armed(FaultPlan("store")) as plan:
+            report = rt.compile(program())()
         np.testing.assert_array_equal(report.x, oracle)
-        assert rt.faults.fired[0]["seam"] == "store"
+        assert plan.fired[0]["seam"] == "store"
         # The corrupted entry reads as a miss, heals, and is rewritten.
         rt2 = Runtime(nproc=NPROC, cache_dir=str(tmp_path))
         report2 = rt2.compile(program())()
@@ -376,9 +385,8 @@ class TestStoreSeam:
         assert rt3.cache.stats.disk_heals == 0
 
     def test_garbage_mode_also_heals(self, tmp_path):
-        plan = FaultPlan.store_partial_write(mode="garbage")
-        rt = Runtime(nproc=NPROC, cache_dir=str(tmp_path), faults=plan)
-        rt.compile(program())
+        with armed(FaultPlan("store", mode="garbage")):
+            Runtime(nproc=NPROC, cache_dir=str(tmp_path)).compile(program())
         rt2 = Runtime(nproc=NPROC, cache_dir=str(tmp_path))
         rt2.compile(program())
         assert rt2.cache.stats.disk_heals >= 1
@@ -386,7 +394,8 @@ class TestStoreSeam:
     @pytest.mark.parametrize("kind", ["schedule", "tuning"])
     def test_a_plan_corrupts_only_its_own_sessions_writes(self, tmp_path,
                                                           kind):
-        # Two sessions on one store object; only one is armed.
+        # Two sessions on one store object; only the writes made inside
+        # the armed scope are corrupted, and only in the named store.
         if kind == "schedule":
             shared = {"cache": ScheduleCache(8, persist_dir=tmp_path)}
             reopened, compile_opts, stats = "cache_dir", {}, "cache_stats"
@@ -394,19 +403,20 @@ class TestStoreSeam:
             shared = {"tuning": TuningStore(8, persist_dir=tmp_path)}
             reopened, stats = "tuning_dir", "tuning_stats"
             compile_opts = {"strategy": "auto"}
-        armed = Runtime(nproc=NPROC, **shared,
-                        faults=FaultPlan([FaultSpec("store", store=kind)]))
+        plan = FaultPlan([FaultSpec("store", store=kind)])
         Runtime(nproc=NPROC, **shared).compile(program(), **compile_opts)
-        assert armed.faults.fired == []
+        assert plan.fired == []
         # The fault-free session's entry is whole: a fresh process-style
         # session is served from disk with nothing to heal.
         fresh = Runtime(nproc=NPROC, **{reopened: tmp_path})
         fresh.compile(program(), **compile_opts)
         assert getattr(fresh, stats).disk_hits == 1
         assert getattr(fresh, stats).disk_heals == 0
-        # ... and the plan still fires on the armed session's own write.
-        armed.compile(program(seed=8), **compile_opts)
-        assert [f["store"] for f in armed.faults.fired] == [kind]
+        # ... and the plan fires on a write inside its scope.
+        with armed(plan):
+            Runtime(nproc=NPROC, **shared).compile(program(seed=8),
+                                                   **compile_opts)
+        assert [f["store"] for f in plan.fired] == [kind]
 
     def test_index_counts_stores(self, tmp_path):
         rt = Runtime(nproc=NPROC, cache_dir=str(tmp_path))
@@ -474,12 +484,12 @@ class TestFileLock:
 class TestResilienceMetrics:
     def test_counters_and_jsonl_export(self, tmp_path):
         rt = Runtime(nproc=NPROC, backend="threads", observe=True,
-                     faults=FaultPlan.worker_death(seed=SEED),
                      recovery=True)
-        rt.compile(program())()
+        with armed(FaultPlan("death", seed=SEED)) as plan:
+            rt.compile(program())()
+        assert [f["seam"] for f in plan.fired] == ["death"]
         metrics = rt.observer.metrics.as_dict()
-        assert metrics["faults.injected"]["value"] == 1
-        assert metrics["faults.death"]["value"] == 1
+        assert not any(name.startswith("faults.") for name in metrics)
         assert metrics["resilience.retries"]["value"] >= 1
         assert metrics["resilience.recovered_runs"]["value"] == 1
         path = tmp_path / "metrics.jsonl"
@@ -490,20 +500,18 @@ class TestResilienceMetrics:
         assert line["metrics"]["resilience.recovered_runs"]["value"] == 1
 
     def test_failed_run_counter(self):
-        rt = Runtime(nproc=NPROC, observe=True,
-                     faults=FaultPlan.kernel_exception(times=99, seed=SEED),
-                     recovery=True)
-        with pytest.raises(InjectedFault):
+        rt = Runtime(nproc=NPROC, observe=True, recovery=True)
+        with armed(FaultPlan("kernel", times=99, seed=SEED)), \
+                pytest.raises(InjectedFault):
             rt.compile(program())()
         metrics = rt.observer.metrics.as_dict()
         assert metrics["resilience.failed_runs"]["value"] == 1
 
     def test_tier_fallback_counter(self):
         rt = Runtime(nproc=NPROC, backend="threads", observe=True,
-                     faults=FaultPlan.worker_stall(seconds=30.0, times=2,
-                                                   seed=SEED),
                      recovery=True)
-        rt.compile(program())(timeout=0.5)
+        with armed(FaultPlan("stall", seconds=30.0, times=2, seed=SEED)):
+            rt.compile(program())(timeout=0.5)
         metrics = rt.observer.metrics.as_dict()
         assert metrics["resilience.tier_fallbacks"]["value"] == 1
         assert metrics["resilience.watchdog_fires"]["value"] >= 1
@@ -517,40 +525,44 @@ class TestResilienceMetrics:
 
 
 class TestSharedFaultPlan:
-    """A plan shared by sessions holds none of them: each observed
-    session counts the injections it ran into itself."""
+    """An armed scope fires for every session inside it, and the plan
+    is the one record of what fired: sessions count only what their
+    own recovery did."""
 
     @staticmethod
-    def injected(rt):
-        return rt.observer.metrics.value("faults.injected") or 0
+    def recovered(rt):
+        return rt.observer.metrics.value("resilience.recovered_runs")
 
     def test_an_unobserved_sessions_faults_are_not_counted_elsewhere(self):
-        plan = FaultPlan([FaultSpec("kernel")])
-        a = Runtime(2, observe=True, faults=plan, recovery=True)
-        b = Runtime(2, faults=plan, recovery=True)
-        b.compile(program())()
+        a = Runtime(2, observe=True, recovery=True)
+        b = Runtime(2, recovery=True)
+        with armed(FaultPlan([FaultSpec("kernel")])) as plan:
+            assert b.compile(program())().recovery.recovered
         assert [f["seam"] for f in plan.fired] == ["kernel"]
-        assert self.injected(a) == 0      # a executed nothing
+        assert a.observer.metrics.as_dict() == {}   # a executed nothing
 
     def test_a_later_session_does_not_steal_the_counts(self):
-        plan = FaultPlan([FaultSpec("kernel")])
-        a = Runtime(2, observe=True, faults=plan, recovery=True)
-        c = Runtime(2, observe=True, faults=plan, recovery=True)
-        a.compile(program())()
-        c.compile(program())()            # the budget is spent
-        assert (self.injected(a), self.injected(c)) == (1, 0)
-        assert a.observer.metrics.value("faults.kernel") == 1
+        a = Runtime(2, observe=True, recovery=True)
+        c = Runtime(2, observe=True, recovery=True)
+        with armed(FaultPlan([FaultSpec("kernel")])) as plan:
+            assert a.compile(program())().recovery is not None
+            assert c.compile(program())().recovery is None  # budget spent
+        assert (self.recovered(a), self.recovered(c)) == (1, 0)
+        assert [f["seam"] for f in plan.fired] == ["kernel"]
 
     def test_every_seam_is_counted_by_the_session_that_hit_it(self,
                                                               tmp_path):
-        # Store writes and failing attempts are both bracketed: a store
-        # fault at compile, then a kernel fault no retry absorbs.
+        # A store fault at compile, then a kernel fault no retry absorbs.
         plan = FaultPlan([FaultSpec("store"), FaultSpec("kernel", times=9)])
-        rt = Runtime(2, observe=True, faults=plan, cache_dir=tmp_path)
-        loop = rt.compile(program())
-        assert self.injected(rt) == 1
-        with pytest.raises(InjectedFault):
-            loop()
-        assert self.injected(rt) == 2
-        assert rt.observer.metrics.value("faults.store") == 1
+        rt = Runtime(2, observe=True, cache_dir=tmp_path)
+        with armed(plan):
+            loop = rt.compile(program())
+            assert [f["seam"] for f in plan.fired] == ["store"]
+            with pytest.raises(InjectedFault):
+                loop()
+        assert [f["seam"] for f in plan.fired] == ["store", "kernel"]
+        # The corrupted write is no store; nothing counts the faults.
+        assert rt.cache_stats.disk_stores == 0
+        assert not any(name.startswith(("faults.", "resilience."))
+                       for name in rt.observer.metrics.as_dict())
         assert not hasattr(plan, "observer")

@@ -113,10 +113,12 @@ class TestRegistryEquivalence:
 
 class TestBackends:
     def test_sim_backend_is_kernel_free(self, case):
+        # Timing is no backend: loop.simulate() runs kernel-free.
         _, _, ia, _ = case
-        rep = Runtime(nproc=4, backend="sim").compile(ia)()
-        assert rep.x is None
-        assert rep.sim.total_time > 0
+        with pytest.raises(ValidationError,
+                           match="'processes', 'serial', 'threads'$"):
+            Runtime(nproc=4, backend="sim")
+        assert Runtime(nproc=4).compile(ia).simulate().total_time > 0
 
     def test_serial_backend_requires_kernel(self, case):
         _, _, ia, _ = case
@@ -156,7 +158,7 @@ class TestBackends:
     def test_unknown_backend_enumerates_options(self, case):
         _, _, ia, _ = case
         message = ("unknown backend 'gpu'; valid options are: "
-                   "'processes', 'serial', 'sim', 'threads'")
+                   "'processes', 'serial', 'threads'")
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Runtime(nproc=2, backend="gpu")
         loop = Runtime(nproc=2).compile(ia)
@@ -260,7 +262,7 @@ class TestPluggability:
         assert {"local", "global", "identity"} <= set(scheduler_registry.names())
         assert {"wrapped", "blocked", "chunked"} <= set(partitioner_registry.names())
         assert Runtime.available()["backends"] == (
-            "processes", "serial", "sim", "threads")
+            "processes", "serial", "threads")
 
     def test_an_unregistered_name_fails_again(self, case):
         from repro.core.schedule import local_schedule
@@ -376,8 +378,8 @@ class TestRuntimeSession:
         rep = loop(SimpleLoopKernel(x0, b, ia), with_sim=False)
         assert rep.sim is None
         np.testing.assert_array_equal(rep.x, oracle)
-        # The sim backend ignores the flag — timing is its product.
-        assert loop(None, backend="sim", with_sim=False).sim is not None
+        # The flag skips the report's copy only: the loop still times.
+        assert loop.simulate().total_time > 0
 
     def test_default_simulation_is_memoized(self, case):
         _, _, ia, _ = case

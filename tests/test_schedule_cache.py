@@ -97,6 +97,39 @@ class TestKeys:
         for costs in (MULTIMAX_320, MachineCosts(t_work_base=1)):
             assert repr(costs.astuple()) == repr(dataclasses.astuple(costs))
 
+    def test_builtin_fingerprints_are_pinned(self):
+        # Every schedule key and (through the space fingerprint) every
+        # tuning key carries these; a moved definition line renames a
+        # persisted cache_dir / tuning_dir entry without failing
+        # anything else.  The "#v" generation is 1 in a fresh process;
+        # other tests re-register built-ins to bump it.
+        from repro.runtime.registry import (executor_registry,
+                                            partitioner_registry,
+                                            scheduler_registry)
+
+        pinned = {
+            executor_registry: {
+                "doacross": "repro.core.doacross._build_doacross@27",
+                "preschedule":
+                    "repro.core.prescheduled._build_prescheduled@26",
+                "self": "repro.core.self_executing._build_self_executing@24",
+                "speculative":
+                    "repro.speculate.executor._build_speculative@313"},
+            scheduler_registry: {
+                "global": "repro.core.schedule._global_adapter@543",
+                "identity": "repro.core.schedule._identity_adapter@569",
+                "local": "repro.core.schedule._local_adapter@564"},
+            partitioner_registry: {
+                name: f"repro.core.partition.{name}_partition@{line}"
+                for name, line in (("blocked", 67), ("chunked", 85),
+                                   ("factored", 144), ("guided", 119),
+                                   ("trapezoid", 171), ("wrapped", 57))},
+        }
+        for registry, names in pinned.items():
+            for name, where in names.items():
+                assert registry.fingerprint(name).rsplit("#v", 1)[0] \
+                    == where, name
+
     def test_same_structure_same_key(self, case):
         _, _, ia = case
         base = keys_of(ia)

@@ -476,12 +476,12 @@ class TestSpeculativeExecutor:
         # backend calls it.
         with pytest.raises(ValidationError, match="threads"):
             SpeculativeExecutor(log, 2).run_threaded(
-                None, timeout=1.0, timeline=None, faults=None)
+                None, timeout=1.0, timeline=None)
         # The processes entry point refuses the same way (it used to
         # hand the schedule stand-in to a process solver).
         with pytest.raises(ValidationError, match="'processes'"):
             SpeculativeExecutor(log, 2).run_processes(
-                None, timeout=1.0, faults=None)
+                None, timeout=1.0)
 
     @pytest.mark.parametrize("nproc", [0, 2.5])
     def test_nproc_validated(self, nproc):

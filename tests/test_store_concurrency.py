@@ -23,7 +23,8 @@ import os
 import numpy as np
 import pytest
 
-from repro import FaultPlan, LoopProgram, Runtime, TuningStore
+from faults import FaultPlan, armed
+from repro import LoopProgram, Runtime, TuningStore
 from repro.tuning.store import TuningVerdict
 
 pytestmark = pytest.mark.skipif(
@@ -51,26 +52,25 @@ def _writer(worker: int, trial: int, tuning_dir, cache_dir, out_path):
     # Workers 0 and 1 corrupt some of their writes (truncate vs
     # garbage); the others write clean.  Budgets are small so most
     # writes succeed and the index keeps advancing.
-    faults = None
+    faults = FaultPlan()  # fires nothing
     if worker == 0:
-        faults = FaultPlan.store_partial_write(store="tuning", times=2,
-                                               seed=SEED + trial)
+        faults = FaultPlan("store", store="tuning", times=2,
+                           seed=SEED + trial)
     elif worker == 1:
-        faults = FaultPlan.store_partial_write(mode="garbage", times=2,
-                                               seed=SEED + trial)
+        faults = FaultPlan("store", mode="garbage", times=2,
+                           seed=SEED + trial)
     store = TuningStore(persist_dir=tuning_dir)
-    for step in range(KEYS):
-        store.put(f"stress-key-{step}", _verdict(worker, step),
-                  faults=faults)
-
     rng = np.random.default_rng(1000 + worker)
-    rt = Runtime(nproc=2, cache_dir=cache_dir, tuning=None, faults=faults)
-    for j in range(2):
-        n = 40 + 10 * j
-        ia = rng.integers(0, n, size=n)
-        prog = LoopProgram.from_indirection(ia, x=rng.random(n),
-                                            b=rng.random(n))
-        rt.compile(prog)
+    rt = Runtime(nproc=2, cache_dir=cache_dir, tuning=None)
+    with armed(faults):  # in this forked writer only
+        for step in range(KEYS):
+            store.put(f"stress-key-{step}", _verdict(worker, step))
+        for j in range(2):
+            n = 40 + 10 * j
+            ia = rng.integers(0, n, size=n)
+            prog = LoopProgram.from_indirection(ia, x=rng.random(n),
+                                                b=rng.random(n))
+            rt.compile(prog)
 
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({

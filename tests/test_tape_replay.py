@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FaultPlan, LoopProgram, Runtime
+from faults import FaultPlan, InjectedFault, armed
+from repro import LoopProgram, Runtime
 from repro.core.executor import FLAT_LEVEL, LevelPlan, SerialExecutor
-from repro.errors import InjectedFault, ValidationError
+from repro.errors import ValidationError
 from repro.program import (
     At,
     MappedKernel,
@@ -467,9 +468,9 @@ class TestTiers:
             data={"x": x0, "b": b})
         want = proxy_walk(program)["x"]
         target = 41
-        loop = Runtime(nproc=3, faults=FaultPlan.kernel_exception(
-            iteration=target)).compile(program, executor=executor)
-        with pytest.raises(InjectedFault):
+        loop = Runtime(nproc=3).compile(program, executor=executor)
+        with armed(FaultPlan("kernel", iteration=target)), \
+                pytest.raises(InjectedFault):
             loop()
         assert loop.executor.kernel_path is None   # run() never returned
         plan = loop.executor.level_plan()
@@ -480,10 +481,10 @@ class TestTiers:
         assert bitwise(live[done], want[done])
         assert bitwise(live[pending], x0[pending])
         # With recovery the retry runs clean and taped.
-        rt = Runtime(nproc=3, recovery=True,
-                     faults=FaultPlan.kernel_exception(iteration=target))
-        loop = rt.compile(program, executor=executor)
-        report = loop()
+        loop = Runtime(nproc=3, recovery=True).compile(program,
+                                                       executor=executor)
+        with armed(FaultPlan("kernel", iteration=target)):
+            report = loop()
         assert report.recovery.recovered and bitwise(report.x, want)
         assert loop.executor.kernel_path == "vectorized"
 

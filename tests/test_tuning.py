@@ -230,7 +230,7 @@ class TestTunerDeterminism:
         import inspect
 
         assert list(inspect.signature(Tuner.__init__).parameters)[1:] == [
-            "nproc", "costs", "seed", "store", "observer", "faults"]
+            "nproc", "costs", "seed", "store", "observer"]
         # ... and the machine model is the one scorer: no entry takes
         # a kernel or backend to time, or ready-made features.
         for entry in (Tuner.tune, Tuner.search, Runtime.tune):
@@ -550,7 +550,7 @@ class TestHandOver:
         rt = Runtime(nproc=8, expected_executions=horizon)
         loop = rt.compile(dep, strategy="auto")
         with counted_sims() as sims:
-            sim = loop(backend="sim").sim
+            sim = loop.simulate()
         assert sim is loop.simulate()
         if loop.plan.kind == "scheduled":
             assert sims == []
@@ -585,7 +585,7 @@ class TestHandOver:
             mesh, strategy="auto")
         assert not loop.verdict.searched and inspected == [1]
         with counted_sims() as sims:
-            loop(backend="sim")
+            loop.simulate()
         assert sims == [1]
 
     @given(prog=loop_programs(), dep=tuner_graphs())
