@@ -122,11 +122,6 @@ class LevelPlan:
             if a < b:
                 yield a, b, flat
 
-    def level_of(self, i: int) -> int:
-        """The level iteration ``i`` runs in."""
-        at = int(np.flatnonzero(self.order == i)[0])
-        return int(np.searchsorted(self.bounds, at, side="right")) - 1
-
 
 def flat_walk(kernel, order: np.ndarray) -> None:
     """Run ``order`` one index at a time — the only per-iteration walk
@@ -294,8 +289,10 @@ class SimpleLoopKernel(LoopKernel):
 class _SubstitutionKernel(LoopKernel):
     """What the two triangular kernels share: one matrix, one diagonal
     rule and the :class:`~repro.sparse.triangular.LevelGather` batch
-    path.  Subclasses map iterations to matrix rows and keep the
-    printed per-row loop as ``execute_index``."""
+    path, which solves a span of levels in level order and writes ``x``
+    once — dividing per level by an explicit diagonal, or the finished
+    span once by ``1.0`` for a unit one.  Subclasses map iterations to
+    matrix rows and keep the printed per-row loop as ``execute_index``."""
 
     #: Forward (strictly-lower operands) or backward substitution.
     _lower: bool
@@ -309,6 +306,8 @@ class _SubstitutionKernel(LoopKernel):
         if not unit_diagonal and np.any(self.diag == 0.0):
             raise ValidationError(
                 "triangular kernel requires a nonzero diagonal")
+        #: What a sweep divides each level by; ``None`` for a unit diagonal.
+        self._divisor = None if unit_diagonal else self.diag
         self.x: np.ndarray | None = None
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
@@ -321,20 +320,21 @@ class _SubstitutionKernel(LoopKernel):
     def gather_key(self) -> tuple:
         return (type(self), self._t.indptr, self._t.indices)
 
-    def compile_levels(self, levels: LevelPlan) -> LevelGather:
+    def compile_levels(self, levels: LevelPlan,
+                       flat: int = FLAT_LEVEL) -> LevelGather:
         return LevelGather(self._t.indptr, self._t.indices,
                            self._rows(levels.order), levels.bounds,
-                           lower=self._lower)
+                           lower=self._lower, flat=flat)
 
     def execute_batch(self, idx: np.ndarray) -> None:
         idx = np.asarray(idx, dtype=np.int64)
         one_level = LevelPlan(idx, np.array([0, idx.shape[0]]))
-        self.compile_levels(one_level).sweep(
-            self.x, self._t.data, self.b, self.diag)
+        self.compile_levels(one_level, flat=0).sweep(
+            self.x, self._t.data, self.b, self._divisor)
 
     def execute_span(self, levels: LevelPlan, gather: LevelGather,
                      lo: int, hi: int) -> None:
-        gather.sweep(self.x, self._t.data, self.b, self.diag, lo, hi)
+        gather.sweep(self.x, self._t.data, self.b, self._divisor, lo, hi)
 
     def result(self) -> np.ndarray:
         return self.x

@@ -64,11 +64,12 @@ def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
 
 def resolve_diagonal(t: CSRMatrix, diag, unit_diagonal: bool) -> np.ndarray:
     """The diagonal a triangular system on ``t`` divides by: implicit
-    ones, the separate ``diag`` vector, or — neither given — the
-    diagonal ``t`` stores.  The one statement of that rule; refusing a
-    zero in it is each caller's, under its own error class."""
+    ones (a read-only broadcast of ``1.0``, nothing allocated), the
+    separate ``diag`` vector, or — neither given — the diagonal ``t``
+    stores.  The one statement of that rule; refusing a zero in it is
+    each caller's, under its own error class."""
     if unit_diagonal:
-        return np.ones(t.nrows, dtype=np.float64)
+        return np.broadcast_to(1.0, t.nrows)
     if diag is not None:
         return check_vector(diag, t.nrows, "diag")
     return t.diagonal()
@@ -139,66 +140,106 @@ class LevelGather:
     """Structure-only gather plan of a level-ordered triangular sweep.
 
     ``rows[bounds[k]:bounds[k+1]]`` are the matrix rows of level ``k``
-    (mutually independent; every operand lies in an earlier level).
-    One vectorized pass over ``indptr``/``indices`` lays out the
-    strictly-triangular entries of all rows in visiting order — CSR
-    order inside a row — as three flat arrays sliced per level:
-    ``pos`` (CSR position, so values are gathered from whatever ``data``
-    is current), ``cols`` (operand column) and ``local`` (the row's slot
-    inside its level).  Nothing here depends on matrix or right-hand
-    side *values*, so one plan serves every solve on the structure; the
-    arrays it builds are read-only, and ``rows`` is held as given.
+    (mutually independent; every operand lies in an earlier level).  A
+    sweep keeps the solution in *level order*: slot ``p`` of its work
+    vector is row ``rows[p]``, and one more slot per ``outside`` row
+    holds an operand the plan reads but does not solve ahead of it —
+    every operand of a one-batch plan.  One vectorized pass over
+    ``indptr``/``indices`` lays out the strictly-triangular entries of
+    all rows in visiting order — CSR order inside a row — as ``pos``
+    (CSR position, so values are gathered from whatever ``data`` is
+    current) plus the operand's slot and the row's.  Each level wider
+    than ``flat`` rows — the levels a sweep runs; narrower ones are
+    walked a row at a time, so a deep plan of them builds no views —
+    holds its own views of those in :attr:`views`.  Nothing here
+    depends on matrix or right-hand side *values*, so one plan serves
+    every solve on the structure; the arrays it builds are read-only,
+    and ``rows`` is held as given.
     """
 
-    __slots__ = ("rows", "pos", "cols", "local", "row_bounds",
+    __slots__ = ("rows", "outside", "pos", "views", "reach", "row_bounds",
                  "entry_bounds")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 rows: np.ndarray, bounds: np.ndarray, *, lower: bool = True):
+                 rows: np.ndarray, bounds: np.ndarray, *, lower: bool = True,
+                 flat: int = 0):
         rows = np.asarray(rows, dtype=np.int64)
         bounds = np.asarray(bounds, dtype=np.int64)
+        m = rows.shape[0]
         starts = indptr[rows]
         counts = indptr[rows + 1] - starts
         pos = expand_csr_ranges(starts, counts)
-        slot = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
+        dst = np.repeat(np.arange(m, dtype=np.int64), counts)
         cols = indices[pos]
-        strict = cols < rows[slot] if lower else cols > rows[slot]
+        strict = cols < rows[dst] if lower else cols > rows[dst]
         if not strict.all():
-            pos, slot, cols = pos[strict], slot[strict], cols[strict]
+            pos, dst, cols = pos[strict], dst[strict], cols[strict]
+        # An operand solved in an earlier level is read from its slot;
+        # any other from an outside slot, which a sweep fills from ``x``.
+        slot = np.full(indptr.shape[0] - 1, m, dtype=np.int64)
+        slot[rows] = np.arange(m, dtype=np.int64)
+        src = slot[cols]
+        out = src >= np.repeat(bounds[:-1], np.diff(bounds))[dst]
+        outside, inverse = np.unique(cols[out], return_inverse=True)
+        src[out] = m + inverse
+        # ``dst`` is non-decreasing, so a level's entries are one slice.
+        eb = np.searchsorted(dst, bounds)
+        # The lowest slot each level reads (an outside slot is past them
+        # all): a sweep starting past it fills the slots from there on
+        # from ``x``.
+        reach = bounds[:-1].copy()
+        read = np.flatnonzero(np.diff(eb))
+        reach[read] = np.minimum(reach[read],
+                                 np.minimum.reduceat(src, eb[read]))
         self.rows = rows
+        self.outside = read_only(outside)
         self.pos = read_only(pos)
-        self.cols = read_only(cols)
-        # ``slot`` is non-decreasing, so a level's entries are one slice.
-        self.local = read_only(
-            slot - np.repeat(bounds[:-1], np.diff(bounds))[slot])
-        self.row_bounds: list = bounds.tolist()
-        self.entry_bounds: list = np.searchsorted(slot, bounds).tolist()
+        src, dst = read_only(src), read_only(dst)
+        rb = self.row_bounds = bounds.tolist()
+        eb = self.entry_bounds = eb.tolist()
+        #: Per level: its slots, its entries, their operand and row slots.
+        self.views = [(a, c, ea, ec, src[ea:ec], dst[ea:ec])
+                      if c - a > flat else None
+                      for a, c, ea, ec in zip(rb, rb[1:], eb, eb[1:])]
+        self.reach = read_only(reach)
 
     def sweep(self, x: np.ndarray, data: np.ndarray, b: np.ndarray,
-              diag: np.ndarray, lo: int = 0, hi: int | None = None) -> None:
-        """Solve levels ``lo .. hi-1`` into ``x``.
+              diag: np.ndarray | None, lo: int = 0,
+              hi: int | None = None) -> None:
+        """Solve levels ``lo .. hi-1`` into ``x``; ``diag=None`` is a
+        unit diagonal.
 
         Row ``i`` becomes ``(b[i] - data[k0]*x[j0] - data[k1]*x[j1] …)
         / diag[i]`` with the subtractions applied one after another in
         CSR order (``np.subtract.at`` is unbuffered and walks its index
         array in order) — the very operations of the sequential loop.
+        A level is one gather, one multiply and one ``np.subtract.at``
+        on the level-ordered vector, which reaches ``x`` once, at the
+        end.  A unit diagonal divides that whole span by ``1.0`` then:
+        the loop's own ``acc / 1.0``, which changes no bits but quiets a
+        signalling NaN — and a product or difference taken from one has
+        the bits of one taken from its quiet twin.
         """
-        rb, eb = self.row_bounds, self.entry_bounds
+        rows, rb, eb = self.rows, self.row_bounds, self.entry_bounds
         if hi is None:
             hi = len(rb) - 1
-        r0, e0 = rb[lo], eb[lo]
-        rows = self.rows[r0:rb[hi]]
-        acc_all = b[rows]
-        diag = diag[rows]
+        r0, r1, e0 = rb[lo], rb[hi], eb[lo]
+        m = rows.shape[0]
+        y = np.empty(m + self.outside.shape[0])
+        base = int(self.reach[lo:hi].min(initial=r0))
+        y[base:r0] = x[rows[base:r0]]
+        y[r0:r1] = b[rows[r0:r1]]
+        y[m:] = x[self.outside]
         vals = data[self.pos[e0:eb[hi]]]
-        cols = self.cols[e0:eb[hi]]
-        local = self.local[e0:eb[hi]]
-        for k in range(lo, hi):
-            a, c = rb[k] - r0, rb[k + 1] - r0
-            ea, ec = eb[k] - e0, eb[k + 1] - e0
-            acc = acc_all[a:c]
+        if diag is not None:
+            diag = diag[rows[r0:r1]]
+        for a, c, ea, ec, src, dst in self.views[lo:hi]:
             if ec > ea:
-                np.subtract.at(acc, local[ea:ec],
-                               vals[ea:ec] * x[cols[ea:ec]])
-            acc /= diag[a:c]
-            x[rows[a:c]] = acc
+                t = y[src]
+                np.multiply(vals[ea - e0:ec - e0], t, out=t)
+                np.subtract.at(y, dst, t)
+            if diag is not None:
+                y[a:c] /= diag[a - r0:c - r0]
+        if diag is None:
+            y[r0:r1] /= 1.0
+        x[rows[r0:r1]] = y[r0:r1]

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from unittest import mock
 
+import numpy as np
+
 from repro.errors import ExecutionError, ValidationError
 from repro.machine import processes
 from repro.machine.threads import ThreadedMachine
@@ -145,6 +147,13 @@ class FaultPlan:
         return out
 
 
+def level_of(levels, i: int) -> int:
+    """The level of the :class:`~repro.core.executor.LevelPlan`
+    ``levels`` that iteration ``i`` runs in."""
+    at = int(np.flatnonzero(levels.order == i)[0])
+    return int(np.searchsorted(levels.bounds, at, side="right")) - 1
+
+
 class _FaultyKernel:
     """Fires armed iteration faults, then delegates to the kernel."""
 
@@ -165,7 +174,7 @@ class _FaultyKernel:
         # run through the inner kernel, segment by segment.
         hi = levels.num_levels if hi is None else hi
         for level, target, spec_idx in sorted(
-                (levels.level_of(t), t, s) for t, s in self._armed.items()
+                (level_of(levels, t), t, s) for t, s in self._armed.items()
                 if 0 <= t < self.n):
             if lo <= level < hi:
                 self._inner.execute_levels(levels, gather, lo, level)

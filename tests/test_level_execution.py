@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faults import FaultPlan
+from faults import FaultPlan, level_of
 from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.doacross import DoacrossExecutor
@@ -38,6 +38,7 @@ from repro.core.wavefront import (
 from repro.errors import DeadlockError
 from repro.machine.simulator import simulate_self_executing
 from repro.program.transform import IterationMap, MappedKernel
+from repro.sparse.build import csr_from_dense
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import (
     solve_lower_sequential,
@@ -238,7 +239,8 @@ class TestEdgeCases:
                               (5, 6, True)]
         assert plan.num_batched == 3
         assert list(plan.spans_between(2, 4)) == [(2, 3, True), (3, 4, False)]
-        assert plan.level_of(9) == 1 and plan.level_of(int(bounds[-1]) - 1) == 5
+        assert level_of(plan, 9) == 1
+        assert level_of(plan, int(bounds[-1]) - 1) == 5
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +350,134 @@ class TestPlansAreStructure:
             assert np.array_equal(got.finish, want.finish)
             assert np.array_equal(got.idle, want.idle)
         assert ex.level_counts()[:2] == (2, 0)
+
+
+# ----------------------------------------------------------------------
+# The level-ordered sweep: every bit pattern, flat heads, outside operands
+# ----------------------------------------------------------------------
+
+#: A signalling NaN: quiet bit clear, a payload its quieting keeps.
+SNAN_BITS = (0x7FF0 << 48) | 0x123
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit patterns: NaN payloads, quiet bits and zero signs too."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def special_rhs(n: int, at) -> np.ndarray:
+    """A right-hand side with a signalling NaN, −0.0, +inf and −inf at
+    rows ``at`` and another signalling NaN in its last row."""
+    b = np.random.default_rng(3).standard_normal(n)
+    b[list(at[1:])] = -0.0, np.inf, -np.inf
+    b.view(np.uint64)[[at[0], n - 1]] = SNAN_BITS
+    return b
+
+
+def headed_lower(head: int = 2, levels: int = 3, width: int = 6,
+                 seed: int = 5) -> CSRMatrix:
+    """A chain of ``head`` one-row levels, then ``levels`` wavefronts of
+    ``width`` rows: each row reads one row of the level before it, and
+    every third row the chain's first row too."""
+    rng = np.random.default_rng(seed)
+    n = head + levels * width
+    indptr, indices = [0, 0], []   # row 0 reads nothing
+    for i in range(1, n):
+        if i < head:
+            cols = {i - 1}
+        else:
+            start = head + ((i - head) // width - 1) * width  # level before
+            cols = {head - 1 if start < head
+                    else int(rng.integers(start, start + width))}
+            if i % 3 == 0:
+                cols.add(0)
+        indices.extend(sorted(cols))
+        indptr.append(len(indices))
+    signs = rng.choice((-1.0, 1.0), len(indices))
+    return CSRMatrix(indptr, indices,
+                     signs * rng.uniform(0.5, 1.5, len(indices)), (n, n))
+
+
+def system(l: CSRMatrix, b: np.ndarray, *, lower: bool, unit: bool):
+    """``(kernel, oracle)`` of ``l``'s forward solve, or of the backward
+    solve of its flipped twin (row ``i`` as row ``n-1-i``), with a unit
+    or an explicit diagonal."""
+    n = l.nrows
+    d = np.random.default_rng(4).uniform(0.5, 2.0, n) * (-1.0) ** np.arange(n)
+    kw = {"unit_diagonal": True} if unit else {"diag": d}
+    if lower:
+        return (TriangularSolveKernel(l, b, **kw),
+                solve_lower_sequential(l, b, **kw))
+    u, b = csr_from_dense(l.to_dense()[::-1, ::-1]), b[::-1].copy()
+    return (UpperTriangularSolveKernel(u, b, **kw),
+            solve_upper_sequential(u, b, diag=np.ones(n) if unit else d))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("unit", (True, False), ids=("unit", "diag"))
+@pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
+class TestLevelOrderedSweep:
+    """A span's levels solve into a level-ordered vector that reaches
+    ``x`` once; a unit diagonal divides the span by ``1.0`` once.  Bit
+    for bit the sequential loops, on every pattern a right-hand side
+    can hold."""
+
+    def test_special_values_keep_the_loops_bits(self, lower, unit):
+        l = wide_lower()
+        kernel, want = system(l, special_rhs(l.nrows, (1, 2, 7, 9)),
+                              lower=lower, unit=unit)
+        executors = executors_for(kernel.dependence_graph())
+        for ex in executors:
+            assert same_bits(ex.run(kernel), want)
+        assert executors[1].level_plan().spans == [(0, 4, False)]
+
+    def test_a_sweep_after_flat_levels_reads_them_from_x(self, lower, unit):
+        l = headed_lower()
+        kernel, want = system(l, special_rhs(l.nrows, (0, 1, 4, 9)),
+                              lower=lower, unit=unit)
+        ex = executors_for(kernel.dependence_graph())[1]
+        assert same_bits(ex.run(kernel), want)
+        plan = ex.level_plan()
+        assert plan.spans == [(0, 2, True), (2, 5, False)]
+        gather = kernel.compile_levels(plan)
+        assert gather.views[:2] == [None, None]   # walked flat
+        # Levels past the first wide one read the chain's first row.
+        assert gather.reach[3:].min() == 0
+
+    def test_a_one_batch_plan_reads_its_operands_from_x(self, lower, unit):
+        l = wide_lower()
+        n = l.nrows
+        kernel, want = system(l, special_rhs(n, (1, 2, 7, 9)),
+                              lower=lower, unit=unit)
+        last = wavefront_members(
+            compute_wavefronts(kernel.dependence_graph()))[-1]
+        gather = kernel.compile_levels(
+            LevelPlan(last, np.array([0, last.size])))
+        (*_, src, _), = gather.views
+        assert gather.outside.size and src.min() >= last.size
+        kernel.start()
+        kernel.x[:] = want
+        kernel.x[last if lower else n - 1 - last] = 0.0
+        kernel.execute_batch(last)
+        assert same_bits(kernel.result(), want)
+
+    def test_a_mapped_kernel_sweeps_in_its_own_level_order(self, lower,
+                                                           unit):
+        l = wide_lower()
+        n = l.nrows
+        kernel, want = system(l, special_rhs(n, (1, 2, 7, 9)),
+                              lower=lower, unit=unit)
+        # Each level's iterations in reverse.  Both kernels' iteration
+        # graphs are ``l``'s, so the mapped one is ``l`` with rows and
+        # columns permuted alike.
+        wf = compute_wavefronts(kernel.dependence_graph())
+        forward = np.lexsort((-np.arange(n), wf))
+        dep = DependenceGraph.from_lower_csr(
+            csr_from_dense(l.to_dense()[np.ix_(forward, forward)]))
+        mapped = MappedKernel(kernel, IterationMap(forward))
+        for ex in executors_for(dep):
+            assert same_bits(ex.run(mapped), want)
+            assert ex.kernel_path == "vectorized"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The numpy behaviour the bitwise contract rests on, pinned.
 
 Batched execution, the level-walking simulator and the speculative
-price equal their per-index loops bit for bit only because numpy does
-five things in a particular way.  Each test here states one of them on inputs where any other way
-would show; a numpy upgrade that changes one fails here, loudly, before
-it fails somewhere far from the cause.
+price equal their per-index loops bit for bit only because numpy (and
+the IEEE arithmetic under it) does seven things in a particular way.
+Each test here states one of them on inputs where any other way would
+show; a numpy upgrade or a platform that changes one fails here,
+loudly, before it fails somewhere far from the cause.
 """
 
 import numpy as np
@@ -31,6 +32,53 @@ def test_subtract_at_walks_its_indices_in_order():
     for slot, value in zip(slots.tolist(), SPREAD.tolist()):
         want[slot] -= value
     assert acc.tobytes() == want.tobytes()
+
+
+#: Bit patterns a right-hand side may hold: ±0, ±inf, quiet NaNs (one
+#: with a payload, one negative) and signalling NaNs (quiet bit clear).
+NON_SIGNALLING = np.array(
+    [0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48,
+     (0x7FF8 << 48) | 0xBEEF, (0xFFF8 << 48) | 7], dtype=np.uint64)
+SIGNALLING = np.array([(0x7FF0 << 48) | 1, (0x7FF4 << 48) | 0x123,
+                       (0xFFF0 << 48) | 0xBEEF], dtype=np.uint64)
+#: Bit 51, set on a NaN that is quiet.
+QUIET_BIT = np.uint64(1 << 51)
+
+
+def floats(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def test_dividing_by_one_keeps_every_bit_but_a_signalling_nans():
+    """A unit-diagonal ``LevelGather.sweep`` divides a finished span by
+    ``1.0`` once, where the loop divides each row: ``x / 1.0`` keeps
+    every pattern but a signalling NaN's, which it quiets to the bits
+    the loop's scalar ``acc / 1.0`` gives."""
+    with np.errstate(invalid="ignore"):
+        kept = floats(NON_SIGNALLING) / 1.0
+        quieted = floats(SIGNALLING) / 1.0
+        scalar = [np.float64(v) / np.float64(1.0)
+                  for v in floats(SIGNALLING)]
+    assert kept.view(np.uint64).tolist() == NON_SIGNALLING.tolist()
+    assert quieted.view(np.uint64).tolist() == (
+        SIGNALLING | QUIET_BIT).tolist()
+    assert quieted.tobytes() == np.array(scalar).tobytes()
+
+
+def test_a_signalling_nan_computes_as_its_quiet_twin():
+    """Inside a span the sweep reads an undivided operand where the loop
+    reads its ``acc / 1.0``: products and differences taken from a
+    signalling NaN ``s`` have the bits of those taken from its quieted
+    twin ``q``, whichever side the NaN is on and whatever the other
+    operand is — a number, ±0, ±inf or a NaN of its own."""
+    s = np.repeat(floats(SIGNALLING), 16)
+    q = floats(s.view(np.uint64) | QUIET_BIT)
+    other = np.resize(np.concatenate((floats(NON_SIGNALLING),
+                                      RNG.standard_normal(9))), s.size)
+    with np.errstate(invalid="ignore"):
+        for op in (np.multiply, np.subtract):
+            assert op(other, s).tobytes() == op(other, q).tobytes()
+            assert op(s, other).tobytes() == op(q, other).tobytes()
 
 
 def test_add_accumulate_along_an_axis_adds_sequentially():

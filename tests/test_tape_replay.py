@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faults import FaultPlan, InjectedFault, armed
+from faults import FaultPlan, InjectedFault, armed, level_of
 from repro import LoopProgram, Runtime
 from repro.core.executor import FLAT_LEVEL, LevelPlan, SerialExecutor
 from repro.errors import ValidationError
@@ -474,7 +474,7 @@ class TestTiers:
             loop()
         assert loop.executor.kernel_path is None   # run() never returned
         plan = loop.executor.level_plan()
-        cut = plan.cuts[plan.level_of(target)]
+        cut = plan.cuts[level_of(plan, target)]
         done, pending = plan.order[:cut], plan.order[cut:]
         assert target in pending and done.size
         live = loop.bound_kernel.result()
