@@ -3,7 +3,7 @@
 # one-run-path, one-classic-executor, one-extractor, one-identity,
 # session-free-store, one-simulator-engine, one-walk-chooser,
 # one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
-# one-speculative-gate, one-store-discipline, two-instruments,
+# one-speculative-gate, one-store-discipline, two-instruments, two-plans,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
 # no-fixed-width-row-pointer,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put,
@@ -71,6 +71,9 @@ forked="$forked|min_read"
 forked="$forked|break_even_rate|FALLBACK_THRESHOLD|MIN_FALLBACK_RATE"
 forked="$forked|DEFAULT_EXPECTED_EXECUTIONS|fell_back|fallback_threshold"
 forked="$forked|_record_verdict"
+# ... and a speculative plan is a ScheduledPlan whose executor runs on
+# every backend: the third plan class and the backend refusals went.
+forked="$forked|SpeculativePlan|_refuse\b"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1
@@ -146,12 +149,24 @@ if grep -rnE "$from_sim .*\b($ordering)\b" src/repro/core --include='*.py' \
     exit 1
 fi
 
-echo "== one classic executor: run_threaded defined once under src/repro/core =="
-# self / preschedule / doacross share ClassicExecutor's engines.
-threaded=$(grep -rn 'def run_threaded' src/repro/core --include='*.py' || true)
-if [ "$(echo "$threaded" | grep -c 'def run_threaded')" -ne 1 ]; then
-    echo "$threaded"
-    echo "error: run_threaded must be defined exactly once under src/repro/core" >&2
+echo "== one classic executor: run_threaded / run_processes defined once under src =="
+# self / preschedule / doacross / speculative share ClassicExecutor's engines.
+for entry in run_threaded run_processes; do
+    defs=$(grep -rn "def $entry\b" src --include='*.py' || true)
+    if [ "$(echo "$defs" | grep -c "def $entry")" -ne 1 ]; then
+        echo "$defs"
+        echo "error: $entry must be defined exactly once under src" >&2
+        exit 1
+    fi
+done
+
+echo "== two plans: exactly two LoopPlan subclasses under src =="
+# ScheduledPlan (a speculative executor included) and StagedPlan.
+plans=$(grep -rnE '^\s*class \w+\([^)]*\b(LoopPlan|ScheduledPlan|StagedPlan)\b' \
+        src --include='*.py' || true)
+if [ "$(echo "$plans" | grep -c 'class ')" -ne 2 ]; then
+    echo "$plans"
+    echo "error: exactly two classes under src may subclass LoopPlan" >&2
     exit 1
 fi
 

@@ -422,8 +422,9 @@ class ClassicExecutor:
     A subclass names its ``mode`` and adds only what genuinely differs;
     the numeric run, the machine-model timing and the real-thread and
     real-process runs live here, the latter three dispatching on
-    ``mode``: barrier phases for ``"preschedule"``, busy-waits for
-    ``"self"`` and ``"doacross"``; ``"speculative"`` overrides all three.
+    ``mode``: barrier phases (:meth:`phases`) for ``"preschedule"``,
+    busy-waits for ``"self"`` and ``"doacross"``; ``"speculative"``
+    prices itself and deals its own two phases.
 
     The numeric run is one serial path: :meth:`_build_levels` (where a
     subclass's legality checks live) turns the schedule — speculation's
@@ -548,6 +549,11 @@ class ClassicExecutor:
             bound=bound,
         )
 
+    def phases(self) -> list | None:
+        """``phases()[w][p]``: processor ``p``'s share of barrier phase
+        ``w`` (``None`` in the busy-wait modes)."""
+        return self.schedule.phases() if self.mode == "preschedule" else None
+
     def run_threaded(self, kernel, *, timeout: float = 30.0,
                      timeline=None) -> np.ndarray:
         """Execute on real threads under the mode's own synchronization.
@@ -567,9 +573,9 @@ class ClassicExecutor:
             )
         kernel.start()
         machine = ThreadedMachine(self.schedule.nproc, timeout=timeout)
-        if self.mode == "preschedule":
-            machine.run_prescheduled(kernel, self.schedule.phases(),
-                                     timeline=timeline)
+        phases = self.phases()
+        if phases is not None:
+            machine.run_prescheduled(kernel, phases, timeline=timeline)
         else:
             machine.run_self_executing(kernel, self.schedule, self.dep,
                                        timeline=timeline)
@@ -586,12 +592,15 @@ class ClassicExecutor:
                 "the 'processes' backend supports TriangularSolveKernel "
                 f"workloads, got {type(kernel).__name__}"
             )
+        phases = self.phases()
+        if phases is not None:
+            return processes.ProcessPrescheduledSolver(
+                kernel.l, self.schedule, diag=kernel.diag).solve(
+                    kernel.b, timeout=timeout, phases=phases)
         # Self-executing and doacross both busy-wait on ready flags;
         # doacross simply walks the identity schedule.
-        solver_cls = (processes.ProcessPrescheduledSolver
-                      if self.mode == "preschedule"
-                      else processes.ProcessSelfExecutingSolver)
-        solver = solver_cls(kernel.l, self.schedule, self.dep, diag=kernel.diag)
+        solver = processes.ProcessSelfExecutingSolver(
+            kernel.l, self.schedule, self.dep, diag=kernel.diag)
         return solver.solve(kernel.b, timeout=timeout)
 
 

@@ -145,14 +145,14 @@ class _ProcessSolverBase:
 class ProcessPrescheduledSolver(_ProcessSolverBase):
     """Level-synchronous (barrier) triangular solve on real processes."""
 
-    def solve(self, b: np.ndarray, *,
-              timeout: float | None = None) -> np.ndarray:
-        """Solve ``L x = b``; ``timeout`` bounds the whole solve (wall
-        seconds) — a wedged or dead worker raises
-        :class:`~repro.errors.ExecutionTimeout` instead of hanging the
-        caller."""
+    def solve(self, b: np.ndarray, *, timeout: float | None = None,
+              phases: list | None = None) -> np.ndarray:
+        """Solve ``L x = b`` in ``phases`` (the schedule's by default);
+        ``timeout`` bounds the whole solve (wall seconds) — a wedged or
+        dead worker raises :class:`~repro.errors.ExecutionTimeout`
+        instead of hanging the caller."""
         b = check_vector(b, self.n, "b")
-        phases = self.schedule.phases()
+        phases = self.schedule.phases() if phases is None else phases
         shm_x, _ = self._make_shared(with_ready=False)
         ctx = mp.get_context("fork")
         deadline = None if timeout is None else time.monotonic() + timeout

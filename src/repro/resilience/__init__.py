@@ -3,8 +3,8 @@
 The paper's premise is deciding *at run time* whether a parallel
 execution is safe; this package extends that discipline to the
 runtime's own machinery.  :class:`RetryPolicy` and the
-graceful-degradation chain (threads/processes → serial, speculative
-→ classic pipeline) are wired into ``Runtime.run`` via
+graceful-degradation chain (threads/processes → serial, then a
+speculative plan → classic pipeline) are wired into ``Runtime.run`` via
 ``Runtime(recovery=...)``, reporting what happened in
 ``report.recovery``.  The stores' crash-safe writes and self-healing
 reads live with the stores (:mod:`repro.runtime.cache`).

@@ -11,9 +11,9 @@ retried on the same tier up to
 
 * ``threads``   → ``serial``
 * ``processes`` → ``serial``
-* speculative   → the classic scheduled plan (compiled lazily and
-  installed only while it runs — a transient fault should not cost
-  future calls their fast path)
+* speculative   → then ``"classic"``: the classic plan on ``serial``
+  (compiled once, on first need, and installed only while it runs — a
+  transient fault should not cost future calls their fast path)
 * staged        → no tier of its own: each stage loop recovers
   individually, and the staged report concatenates their records
 
@@ -89,7 +89,7 @@ class RecoveryRecord:
 
     #: Every failed attempt, in order.
     attempts: list[RecoveryAttempt] = field(default_factory=list)
-    #: Distinct tier labels walked, in order (first is the requested one).
+    #: Tier labels walked, in order: backend names, then ``"classic"``.
     tiers: list[str] = field(default_factory=list)
     #: Tier that finally succeeded (or the last one tried).
     final_tier: str = ""

@@ -34,13 +34,12 @@ to the :mod:`repro.tuning` subsystem: a seeded simulator-pruned search
 over the registered strategy space whose verdicts are cached in a
 persistent :class:`~repro.tuning.TuningStore`.
 
-One loop type, three plans: whatever the route — explicit strategy
+One loop type, two plans: whatever the route — explicit strategy
 strings, ``strategy="auto"``, ``strategy="speculative"``, raw
 dependence data or a :class:`~repro.program.LoopProgram` —
 :meth:`Runtime.compile` returns a :class:`CompiledLoop` wrapping one
-:class:`LoopPlan`: a :class:`ScheduledPlan` (inspection + registry
-executor, defined here), a :class:`~repro.speculate.SpeculativePlan`
-(no inspection, optimistic execution) or a
+:class:`LoopPlan`: a :class:`ScheduledPlan` (a registry executor and
+its inspection, defined here — a speculative executor is its own) or a
 :class:`~repro.program.StagedPlan` (a fission/skew variant run stage by
 stage).  The loop owns the call protocol, timing, instrumentation,
 reports and counters, and runs the plan its compile chose: only a
@@ -141,12 +140,11 @@ class RunReport:
 class LoopPlan:
     """How a :class:`CompiledLoop` gets its schedule and runs it.
 
-    The one plan protocol, with three implementations:
-    :class:`ScheduledPlan` (a real inspection plus a registry
-    executor), :class:`~repro.speculate.SpeculativePlan` (an access log
-    plus the optimistic executor — nothing inspected) and
-    :class:`~repro.program.StagedPlan` (a transform variant run as one
-    compiled loop per stage).  The loop owns everything plans have in
+    The one plan protocol, with two implementations:
+    :class:`ScheduledPlan` (a registry executor plus its inspection, or
+    the optimistic executor standing in for the inspection it skipped)
+    and :class:`~repro.program.StagedPlan` (a transform variant run as
+    one compiled loop per stage).  The loop owns everything plans have in
     common — call protocol, timing, reports, counters, data binding —
     and replaces ``loop.plan`` only when a rebind changes what runs (a
     recovery tier installs its plan for one call, then restores it).
@@ -182,6 +180,9 @@ class LoopPlan:
                 "compile a kernel-bearing LoopProgram so the loop is "
                 "pre-bound (loop.simulate() times a loop kernel-free)"
             )
+        if kernel.n != self.n:
+            raise ValidationError(
+                f"kernel has n={kernel.n}, the loop has n={self.n}")
         if backend == "serial":
             return self.executor.run(kernel)
         if backend == "processes":
@@ -236,15 +237,23 @@ class LoopPlan:
 
 
 class ScheduledPlan(LoopPlan):
-    """The classic pipeline: an inspected schedule and its executor."""
+    """An executor and the inspection summary it runs: an inspected
+    schedule, or a speculative executor standing in for its own."""
 
-    kind = "scheduled"
     #: Graceful degradation of the parallel backends.
     _DOWN_TIER = {"threads": "serial", "processes": "serial"}
+    #: Off the schedule: a report extracts no dependences.
+    n = property(lambda self: self.inspection.schedule.n)
 
     def __init__(self, inspection, executor, *, executor_name: str,
                  scheduler_name: str, assignment: str, balance: str,
-                 cache_hit: bool, sim=None):
+                 cache_hit: bool, sim=None, kind: str = "scheduled",
+                 classic=None):
+        #: ``"scheduled"``, or ``"speculative"`` (nothing inspected).
+        self.kind = kind
+        #: Builds the last recovery tier's plan (``None``: no such tier).
+        self._classic = classic
+        self._classic_plan = None
         self._inspection = inspection
         #: The default simulation, when a search handed it over.
         self._default_sim = sim
@@ -266,6 +275,10 @@ class ScheduledPlan(LoopPlan):
         lower = self._DOWN_TIER.get(backend)
         if lower is not None:
             yield lower, self, lower
+        if self._classic is not None:  # compiled on first need, once
+            if self._classic_plan is None:
+                self._classic_plan = self._classic()
+            yield "classic", self._classic_plan, "serial"
 
 
 def _of_plan(name: str, doc: str) -> property:
@@ -421,6 +434,7 @@ class CompiledLoop:
         self.executions += 1
         cache = self.runtime.cache
         inspection = plan.inspection
+        speculation = getattr(plan.executor, "speculation", None)
         report = RunReport(
             x=x,
             sim=sim,
@@ -433,8 +447,11 @@ class CompiledLoop:
             executions=self.executions,
             host_seconds=sw.elapsed,
             cache_stats=cache.stats.snapshot() if cache is not None else None,
+            speculation=speculation,
         )
         if obs is not None:
+            if speculation is not None:
+                obs.record_speculation(speculation)
             timeline = recorder.timeline() if recorder is not None else None
             report.timeline = timeline
             obs.record_execution(name, sw.elapsed, sim=sim,
@@ -636,8 +653,8 @@ class Runtime:
         default policy, or ``None``/``False`` (default) to propagate
         the first failure unchanged.  When armed, worker crashes and
         watchdog timeouts retry per tier and then degrade
-        (threads/processes → serial; speculative → the classic
-        pipeline), recording what happened in ``report.recovery``.
+        (threads/processes → serial; a speculative plan then to the
+        classic pipeline), recording what happened in ``report.recovery``.
     """
 
     def __init__(self, nproc: int = 8, *, backend: str = "serial",

@@ -4,7 +4,8 @@ The classic pipeline *inspects then executes*; this package *executes
 then checks*: run the loop optimistically in chunks, log element
 accesses into vectorized shadow arrays, detect violations with a
 single numpy pass, and run exactly the violated iterations afterwards,
-by their own wavefronts.
+by their own wavefronts.  The plan is a scheduled plan like any
+other, so it runs on every backend.
 
 Entry points: ``Runtime.compile(deps, strategy="speculative")``,
 ``Runtime.run(program, strategy="speculative")``, the ``speculative``
@@ -16,7 +17,7 @@ only ``"auto"`` decides whether inspecting would pay better.
 
 from .shadow import AccessLog, ShadowScan, scan_accesses
 from .executor import ConflictReport, SpeculationPlan, SpeculativeExecutor
-from .loop import SpeculativePlan, speculation_key, speculative_plan
+from .loop import speculation_key, speculative_plan
 
 __all__ = [
     "AccessLog",
@@ -25,7 +26,6 @@ __all__ = [
     "ConflictReport",
     "SpeculationPlan",
     "SpeculativeExecutor",
-    "SpeculativePlan",
     "speculative_plan",
     "speculation_key",
 ]

@@ -30,20 +30,21 @@ contract property asserts it.
 Because the shadow scan depends only on the *access pattern* — never
 on computed values — the whole attempt/detect/repair control flow is
 precomputed once per structure (:meth:`SpeculativeExecutor.plan`):
-its levels are what the inherited classic ``run`` walks and what
-:meth:`simulate` prices, and it survives data rebinds for free.
+its levels are what the inherited classic ``run`` walks, what
+:meth:`simulate` prices and what ``threads`` and ``processes`` run as
+two barrier phases, and it survives data rebinds for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..core.dependence import DependenceGraph
 from ..core.executor import ClassicExecutor
 from ..core.wavefront import compute_wavefronts
-from ..errors import ValidationError
 from ..machine.costs import MachineCosts
 from ..machine.simulator import SimResult
 from ..observe.tracer import maybe_span
@@ -59,13 +60,6 @@ __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor"]
 #: Attempt granularity: ``min(CHUNKS_PER_PROC * nproc, n)`` contiguous
 #: chunks, shuffled.
 CHUNKS_PER_PROC = 4
-
-
-def _refuse(backend: str) -> ValidationError:
-    return ValidationError(
-        "the speculative executor runs on the 'serial' backend (time "
-        f"it with loop.simulate()); the {backend!r} protocol would race "
-        "on the shared shadow state")
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,8 @@ class SpeculativeExecutor(ClassicExecutor):
     """Optimistic DOALL execution with vectorized conflict detection.
 
     A :class:`~repro.core.executor.ClassicExecutor` without a
-    dependence graph: its level plan is the speculation plan's.
+    dependence graph: its level plan is the speculation plan's.  Nothing
+    was inspected, so it is its own inspection summary as well.
 
     Parameters
     ----------
@@ -135,7 +130,11 @@ class SpeculativeExecutor(ClassicExecutor):
         misspeculation and repair are reproducible per session.
     """
 
-    mode = "speculative"
+    mode = strategy = "speculative"
+    #: What the inspection summary reports of an inspection-free plan.
+    pipeline_cost = 0.0
+    num_wavefronts = 0
+    wavefronts = None
 
     def __init__(self, log: AccessLog, nproc: int,
                  costs: MachineCosts = MachineCosts(), *, seed=None,
@@ -145,9 +144,22 @@ class SpeculativeExecutor(ClassicExecutor):
         self.seed = None if seed is None else check_seed(seed)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         self.observer = observer
-        super().__init__(_SpecSchedule(n=log.n, nproc=self.nproc), None,
-                         costs)
+        self.schedule = _SpecSchedule(n=log.n, nproc=self.nproc)
+        self.costs = costs
         self._plan: SpeculationPlan | None = None
+
+    @cached_property
+    def dep(self) -> DependenceGraph:
+        """Off the log's source, on first read — diagnostics only:
+        execution never asks."""
+        from ..core.inspector import Inspector  # deferred: import cycle
+
+        return Inspector.dependences_of(self.log.source)
+
+    @property
+    def speculation(self) -> ConflictReport:
+        """The report every run of this structure attaches."""
+        return self.plan().report
 
     # ------------------------------------------------------------------
     def plan(self) -> SpeculationPlan:
@@ -202,24 +214,21 @@ class SpeculativeExecutor(ClassicExecutor):
         return order, np.concatenate(
             (at, at[-1] + counts_to_indptr(np.bincount(wf))[1:]))
 
-    # ------------------------------------------------------------------
-    def run(self, kernel) -> np.ndarray:
-        """Execute ``kernel`` speculatively; bitwise equal to serial."""
-        n = self.log.n
-        if kernel.n != n:
-            raise ValidationError(
-                f"kernel has n={kernel.n}, access log has n={n}"
-            )
-        return super().run(kernel)
-
-    def run_threaded(self, kernel, *, timeout: float = 30.0,
-                     timeline=None):
-        """Refuses, under the classic executors' signature."""
-        raise _refuse("threads")
-
-    def run_processes(self, kernel, *, timeout: float = 30.0):
-        """Refuses, under the classic executors' signature."""
-        raise _refuse("processes")
+    def phases(self) -> list:
+        """The level plan as two barrier phases: the chunks (each minus
+        the repair set) dealt round-robin as :meth:`simulate` prices
+        them, then the repair set on processor 0 in wavefront order.
+        A first-phase iteration reads nothing an earlier one writes and
+        is its elements' first writer: its lanes need no other sync."""
+        plan, order, p = self.plan(), self.level_plan().order, self.nproc
+        lanes, at = [[] for _ in range(p)], 0
+        for j, (lo, hi) in enumerate(plan.chunk_bounds):
+            kept = hi - lo - int(np.count_nonzero(plan.scan.violated[lo:hi]))
+            lanes[j % p].append(order[at:at + kept])
+            at += kept
+        none = order[:0]
+        return [[np.concatenate(lane) if lane else none for lane in lanes],
+                [order[at:]] + [none] * (p - 1)]
 
     # ------------------------------------------------------------------
     def simulate(self, *, unit_work: np.ndarray | None = None,
@@ -301,15 +310,6 @@ def _residue_wavefronts(log: AccessLog, scan: ShadowScan,
         src[np.argsort(dst, kind="stable")], repair.size, check_acyclic=False))
 
 
-@dataclass(frozen=True)
-class _SpecSchedule:
-    """Identity stand-in satisfying the executor ``schedule`` contract."""
-
-    n: int
-    nproc: int
-    num_wavefronts: int = 0
-
-
 @register_executor("speculative", scheduler_override="identity",
                    fixed_assignment="wrapped", speculative=True)
 def _build_speculative(inspection, nproc: int, costs: MachineCosts):
@@ -323,3 +323,12 @@ def _build_speculative(inspection, nproc: int, costs: MachineCosts):
     """
     return SpeculativeExecutor(
         AccessLog.from_dependences(inspection.dep), nproc, costs)
+
+
+@dataclass(frozen=True)
+class _SpecSchedule:
+    """Identity stand-in satisfying the executor ``schedule`` contract."""
+
+    n: int
+    nproc: int
+    num_wavefronts: int = 0

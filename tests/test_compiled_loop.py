@@ -251,8 +251,7 @@ BACKENDS = ("serial", "sim", "threads", "processes")
 #: The plan kind × backend pairs refused with a ValidationError; every
 #: other pair equals the serial oracle bit for bit (``sim`` is no
 #: backend: refused, naming the three, while ``loop.simulate()`` times).
-REFUSED = {("speculative", "threads"), ("speculative", "processes"),
-           ("staged", "threads"), ("staged", "processes")}
+REFUSED = {("staged", "threads"), ("staged", "processes")}
 
 
 def backend_case(kind, source, rt):
@@ -287,14 +286,9 @@ def test_every_plan_on_every_backend(kind, source, backend, recovery):
     assert loop.plan.kind == {"speculative": "speculative",
                               "staged": "staged"}.get(kind, "scheduled")
     if (kind, backend) in REFUSED:
-        # A staged loop refuses threads at its first stage: a speculative
-        # stage's executor names the backend, a scheduled stage's replay
-        # kernel refuses itself.  A speculative loop on processes used to
-        # die in AttributeError.
-        match = f"'{backend}'"
-        if (kind, backend) == ("staged", "threads") \
-                and loop.stage_loops[0].plan.kind != "speculative":
-            match = "not thread-safe"
+        # A staged loop refuses at its first stage: its replay kernel is
+        # not thread-safe, and the processes backend names itself.
+        match = "not thread-safe" if backend == "threads" else "'processes'"
         with pytest.raises(ValidationError, match=match):
             loop(kernel, backend=backend)
         return
@@ -309,6 +303,32 @@ def test_every_plan_on_every_backend(kind, source, backend, recovery):
     assert same(report.x, want)
     # Only a threaded run of the plan's own executor records a timeline.
     assert (report.timeline is not None) == (backend == "threads")
+
+
+@pytest.mark.parametrize("rows", [30, 50])
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("kind", ["self", "preschedule", "doacross",
+                                  "speculative"])
+def test_a_kernel_of_the_wrong_size_is_refused(kind, backend, rows):
+    # A loop compiled for n = 40 used to return zeros in rows 40-49 of a
+    # 50-row kernel, and to raise a bare IndexError on a 30-row one (on
+    # threads an ExecutionError, which recovery retried to no purpose).
+    if backend == "processes" and "fork" not in mp.get_all_start_methods():
+        pytest.skip("the processes backend needs POSIX fork")
+    rt = Runtime(nproc=NPROC, tuning=None, recovery=True)
+    options = ({"strategy": "speculative"} if kind == "speculative"
+               else {"executor": kind})
+    loop = rt.compile(
+        random_lower_triangular(40, avg_off_diag=2.0, max_band=8, seed=13),
+        **options)
+    kernel = TriangularSolveKernel(
+        random_lower_triangular(rows, avg_off_diag=2.0, max_band=8, seed=13),
+        np.ones(rows))
+    with pytest.raises(ValidationError,
+                       match=f"kernel has n={rows}, the loop has n=40") as info:
+        loop(kernel, backend=backend)
+    assert getattr(info.value, "recovery", None) is None  # never retried
+    assert loop.executions == 0
 
 
 class TestOneTypeEveryRoute:
@@ -485,7 +505,7 @@ class TestGuardSwapsThePlan:
         loop = rt.compile(prog, strategy="speculative")
         with armed(FaultPlan("kernel", times=3, seed=0)):
             report = loop()
-        assert report.recovery.tiers == ["speculative", "classic"]
+        assert report.recovery.tiers == ["serial", "classic"]
         assert report.executor == "self"       # what the tier really ran
         assert report.executions == loop.executions == 1
         assert loop.plan.kind == "speculative"  # …but only transiently

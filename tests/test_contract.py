@@ -106,13 +106,15 @@ def options(choice, n: int, nproc: int) -> tuple[dict, dict]:
 
 def run(loop, kernel, backend: str, want):
     """One call, returning its report: refused with a
-    ``ValidationError`` where the plan cannot run on ``backend``,
+    ``ValidationError`` where a kernel cannot run on ``backend`` (a
+    kernel that is not thread-safe, on ``threads``),
     otherwise bitwise the serial result (``sim`` is no backend: it is
     refused, naming the three, and a ``serial`` call follows)."""
-    target = loop.bound_kernel if kernel is None else kernel
-    if backend == "threads" and (
-            loop.plan.kind != "scheduled"
-            or not getattr(target, "thread_safe", True)):
+    targets = ([stage.bound_kernel for stage in loop.stage_loops]
+               if loop.plan.kind == "staged" else
+               [loop.bound_kernel if kernel is None else kernel])
+    if backend == "threads" and not all(
+            getattr(target, "thread_safe", True) for target in targets):
         with pytest.raises(ValidationError):
             loop(kernel, backend="threads")
         backend = "serial"

@@ -306,7 +306,7 @@ class TestRecovery:
         with armed(FaultPlan("kernel", times=3, seed=SEED)):
             report = loop()
         np.testing.assert_array_equal(report.x, oracle)
-        assert report.recovery.tiers == ["speculative", "classic"]
+        assert report.recovery.tiers == ["serial", "classic"]
         assert report.recovery.final_tier == "classic"
         assert loop.plan.kind == "speculative"
         clean = loop()

@@ -11,6 +11,9 @@ property.
 """
 
 import dataclasses
+import gc
+import multiprocessing as mp
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.core.executor import (
     SimpleLoopKernel,
     TriangularSolveKernel,
 )
+from repro.core.inspector import Inspector
 from repro.core.reference import speculation_violations
 from repro.errors import ValidationError
 from repro.machine.simulator import SimResult
@@ -465,23 +469,47 @@ class TestSpeculativeExecutor:
         assert x0.tobytes() == before.tobytes()
 
     def test_threads_protocol_rejected(self):
-        log = AccessLog(n=2, n_elements=2,
-                        read_it=np.empty(0, np.int64),
-                        read_el=np.empty(0, np.int64),
-                        write_it=np.array([0, 1], np.int64),
-                        write_el=np.array([0, 1], np.int64))
-        with pytest.raises(ValidationError, match="threads"):
-            SpeculativeExecutor(log, 2).run_threaded(None)
-        # ... under the classic executors' signature, as the threads
-        # backend calls it.
-        with pytest.raises(ValidationError, match="threads"):
-            SpeculativeExecutor(log, 2).run_threaded(
-                None, timeout=1.0, timeline=None)
-        # The processes entry point refuses the same way (it used to
-        # hand the schedule stand-in to a process solver).
-        with pytest.raises(ValidationError, match="'processes'"):
-            SpeculativeExecutor(log, 2).run_processes(
-                None, timeout=1.0)
+        # Once refused (a shadow-state race that no longer exists): the
+        # threads and processes entry points run the level plan as two
+        # barrier phases, bitwise the serial result.
+        l = random_lower_triangular(60, avg_off_diag=0.2, max_band=6, seed=5)
+        b = np.random.default_rng(5).normal(size=60)
+        log = AccessLog.from_dependences(
+            LoopProgram.from_csr(l, b).dependence_graph())
+        want = SerialExecutor().run(TriangularSolveKernel(l, b))
+        ex = SpeculativeExecutor(log, 2, seed=1)
+        assert ex.plan().repair_indices.size > 0
+        got = ex.run_threaded(TriangularSolveKernel(l, b), timeout=10.0,
+                              timeline=None)
+        assert np.array_equal(got, want)
+        if "fork" in mp.get_all_start_methods():
+            got = ex.run_processes(TriangularSolveKernel(l, b), timeout=30.0)
+            assert np.array_equal(got, want)
+
+    def test_a_speculative_compile_leaves_no_reference_cycle(self):
+        # Every object of a compile must go with its loop, without the
+        # cyclic collector: a schedule stand-in holding a bound method
+        # of its executor made a cycle, and each 300 k loop's graph, log
+        # and plan waited for the collector (peak RSS doubled).
+        n = 200
+        rng = np.random.default_rng(4)
+        prog = LoopProgram.from_indirection(
+            sparse_conflict_ia(n, 4, seed=4), x=rng.random(n),
+            b=rng.random(n))
+        want = serial_simple(prog.data["ia"], prog.data["x"], prog.data["b"])
+        rt = Runtime(nproc=4, tuning=None)
+        gc.collect()
+        gc.disable()
+        try:
+            loop = rt.compile(prog, strategy="speculative")
+            x = loop(backend="threads").x
+            executor = weakref.ref(loop.executor)
+            del loop
+            alive = executor() is not None
+        finally:
+            gc.enable()
+        assert np.array_equal(x, want)
+        assert not alive
 
     @pytest.mark.parametrize("nproc", [0, 2.5])
     def test_nproc_validated(self, nproc):
@@ -521,8 +549,8 @@ class TestRuntimeIntegration:
         want = serial_simple(np.asarray(ia), prog.data["x"], prog.data["b"])
         assert np.array_equal(report.x, want)
 
-    def test_a_report_extracts_no_dependences(self):
-        # n comes off the access log, and the run path is the classic
+    def test_a_report_extracts_no_dependences(self, monkeypatch):
+        # n comes off the schedule stand-in, and the run path is the classic
         # one: a taped speculative loop reports its kernel path.
         n = 400
         ia = sparse_conflict_ia(n, 2, seed=8)
@@ -532,12 +560,16 @@ class TestRuntimeIntegration:
             a.x[i] = a.x[i] + a.b[i] * a.x[ia[i]]
 
         prog = LoopProgram.record(n, body, x=rng.random(n), b=rng.random(n))
+        extracted = []
+        real = Inspector.dependences_of
+        monkeypatch.setattr(Inspector, "dependences_of", staticmethod(
+            lambda deps: extracted.append(deps) or real(deps)))
         loop = Runtime(nproc=4, tune_seed=1).compile(
             prog, strategy="speculative")
         loop()
         report = loop.report()
         assert loop.plan.kind == "speculative"
-        assert loop.plan._dep is None
+        assert extracted == []
         assert report["n"] == n
         assert report["kernel_path"] == "vectorized"
         # Its two repaired iterations are one wavefront.
