@@ -129,7 +129,7 @@ def test_a_warm_triangular_solve_against_the_substitution_loop(gate):
 
     assert np.array_equal(loop(with_sim=False).x, sequential())
     gate(f"warm solve / substitution loop, L5-PT n={l.nrows}", sequential,
-         lambda: loop(with_sim=False), at_most=0.044, pairs=9, calls=5)
+         lambda: loop(with_sim=False), at_most=0.044, pairs=15, calls=5)
 
 
 @pytest.mark.parametrize("workload,n,at_most", [

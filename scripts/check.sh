@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo check: byte-compile the library, guard the one-loop-type, one-kernel,
-# one-run-path, one-classic-executor, one-extractor, one-identity,
-# session-free-store, one-simulator-engine, one-walk-chooser,
+# one-run-path, one-level-contract, one-classic-executor, one-extractor,
+# one-identity, session-free-store, one-simulator-engine, one-walk-chooser,
 # one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
 # one-speculative-gate, one-store-discipline, two-instruments, two-plans,
 # one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
@@ -251,6 +251,29 @@ fi
 # no per-iteration count array and no prefix sum of length n.
 if grep -rnE 'read_counts|cumsum\(' src/repro/speculate --include='*.py'; then
     echo "error: a per-iteration price under src/repro/speculate (use AccessLog.range_counts)" >&2
+    exit 1
+fi
+
+echo "== one level contract: a vectorized kernel runs its whole level plan =="
+# ClassicExecutor.run hands execute_levels the whole LevelPlan: no level
+# range, no plan clipped to one, no step wrapper around the tape's spans.
+if grep -rnE 'spans_between|TapeSteps' src --include='*.py'; then
+    echo "error: a level range or the tape's step wrapper reappeared under src" >&2
+    exit 1
+fi
+# -z: a signature may span lines.
+if grep -rlzE 'def execute_levels\([^)]*\b(lo|hi)\b' src --include='*.py'; then
+    echo "error: an execute_levels under src takes a level range" >&2
+    exit 1
+fi
+# execute_batch is the per-level hook of hand-written kernels (the
+# LoopKernel base, SimpleLoopKernel); a structure-compiled kernel builds
+# no one-level plan behind it.
+batches=$(grep -rn 'def execute_batch' src --include='*.py' \
+          | grep -v '^src/repro/core/executor.py:' || true)
+if [ -n "$batches" ]; then
+    echo "$batches"
+    echo "error: def execute_batch under src outside core/executor.py" >&2
     exit 1
 fi
 

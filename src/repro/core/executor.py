@@ -17,12 +17,12 @@ constructor state and their one serial run path — each builds a
 independent batches, and every ``run`` walks it — plus ``simulate``,
 ``run_threaded`` and ``run_processes``, each dispatching on the
 subclass's ``mode``.
-Kernels with a real ``execute_batch`` run a level per call (the
-triangular kernels through a structure-only
+A kernel runs on three rungs (:class:`LoopKernel`): one iteration, one
+level, or the whole plan — the rung of the structure-compiled kernels,
+the triangular ones through a structure-only
 :class:`~repro.sparse.triangular.LevelGather` the executor keeps across
-data rebinds); the others take one flat per-index walk of the order.
-Batched arithmetic accumulates each row in CSR order, so every path
-agrees with :class:`SerialExecutor` bit for bit.
+data rebinds.  Batched arithmetic accumulates each row in CSR order,
+so every path agrees with :class:`SerialExecutor` bit for bit.
 
 Kernels
 -------
@@ -69,7 +69,7 @@ __all__ = [
 
 
 #: Level width at or below which a *run* of consecutive levels is
-#: walked one index at a time instead of one ``execute_batch`` each —
+#: walked one index at a time instead of as one batch per level —
 #: the same trade the frontier sweep and the simulator make.  A batch
 #: costs a handful of numpy calls whatever its size, which is what two
 #: or three indices cost one at a time.
@@ -113,15 +113,6 @@ class LevelPlan:
         """Levels a vectorized kernel runs as one batch each."""
         return sum(hi - lo for lo, hi, flat in self.spans if not flat)
 
-    def spans_between(self, lo: int, hi: int | None):
-        """:attr:`spans` clipped to levels ``lo .. hi-1``."""
-        if hi is None:
-            hi = self.num_levels
-        for a, b, flat in self.spans:
-            a, b = max(a, lo), min(b, hi)
-            if a < b:
-                yield a, b, flat
-
 
 def flat_walk(kernel, order: np.ndarray) -> None:
     """Run ``order`` one index at a time — the only per-iteration walk
@@ -134,17 +125,22 @@ def flat_walk(kernel, order: np.ndarray) -> None:
 class LoopKernel(ABC):
     """Numeric body of a reorderable loop.
 
-    Lifecycle: ``start()`` resets working state; ``execute_index`` /
-    ``execute_batch`` perform iterations; ``result()`` returns the
-    output.  ``execute_batch`` receives indices known to be mutually
-    independent (one wavefront), so implementations may vectorise.
+    Lifecycle: ``start()`` resets working state, iterations run, and
+    ``result()`` returns the output.  Iterations run on three rungs:
 
-    Executors run a kernel through a :class:`LevelPlan`:
-    :attr:`vectorized` kernels get :meth:`execute_levels`, the rest a
-    :func:`flat_walk`.  A kernel whose batches need index arrays that
-    depend on structure alone builds them in :meth:`compile_levels` and
-    names that structure in :meth:`gather_key`; the executor keeps the
-    result for as long as the key's objects stay the same.
+    1. :meth:`execute_index` performs one iteration;
+    2. :meth:`execute_batch` performs one level — indices known to be
+       mutually independent — which a hand-written kernel may vectorise;
+    3. :meth:`gather_key` / :meth:`compile_levels` /
+       :meth:`execute_levels` perform a whole :class:`LevelPlan`.  A
+       kernel whose batches need index arrays that depend on structure
+       alone builds them in :meth:`compile_levels` and names that
+       structure in :meth:`gather_key`; the executor keeps the result
+       for as long as the key's objects stay the same.
+
+    Executors hand a :attr:`vectorized` kernel its whole plan through
+    :meth:`execute_levels`, whose default gives :meth:`execute_batch`
+    each wide level, and walk any other kernel with :func:`flat_walk`.
     """
 
     #: Number of outer-loop iterations.
@@ -152,7 +148,9 @@ class LoopKernel(ABC):
 
     @property
     def vectorized(self) -> bool:
-        """Whether ``execute_batch`` is more than the per-index loop."""
+        """Whether executors hand this kernel its whole plan
+        (:meth:`execute_levels`); by default, whether ``execute_batch``
+        is more than the per-index loop."""
         return type(self).execute_batch is not LoopKernel.execute_batch
 
     @abstractmethod
@@ -175,14 +173,12 @@ class LoopKernel(ABC):
         """Structure-only index arrays for running ``levels``."""
         return None
 
-    def execute_levels(self, levels: LevelPlan, gather=None,
-                       lo: int = 0, hi: int | None = None) -> None:
-        """Perform levels ``lo .. hi-1`` of ``levels``; ``gather`` is
-        what :meth:`compile_levels` returned for them.  Runs of tiny
-        levels go one index at a time, the rest to
-        :meth:`execute_span`."""
+    def execute_levels(self, levels: LevelPlan, gather=None) -> None:
+        """Perform every level of ``levels``; ``gather`` is what
+        :meth:`compile_levels` returned for them.  Runs of tiny levels
+        go one index at a time, the rest to :meth:`execute_span`."""
         order, cuts = levels.order, levels.cuts
-        for a, b, flat in levels.spans_between(lo, hi):
+        for a, b, flat in levels.spans:
             if flat:
                 flat_walk(self, order[cuts[a]:cuts[b]])
             else:
@@ -296,6 +292,7 @@ class _SubstitutionKernel(LoopKernel):
 
     #: Forward (strictly-lower operands) or backward substitution.
     _lower: bool
+    vectorized = True
 
     def __init__(self, t: CSRMatrix, b: np.ndarray, *, diag=None,
                  unit_diagonal: bool = False):
@@ -320,17 +317,10 @@ class _SubstitutionKernel(LoopKernel):
     def gather_key(self) -> tuple:
         return (type(self), self._t.indptr, self._t.indices)
 
-    def compile_levels(self, levels: LevelPlan,
-                       flat: int = FLAT_LEVEL) -> LevelGather:
+    def compile_levels(self, levels: LevelPlan) -> LevelGather:
         return LevelGather(self._t.indptr, self._t.indices,
                            self._rows(levels.order), levels.bounds,
-                           lower=self._lower, flat=flat)
-
-    def execute_batch(self, idx: np.ndarray) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        one_level = LevelPlan(idx, np.array([0, idx.shape[0]]))
-        self.compile_levels(one_level, flat=0).sweep(
-            self.x, self._t.data, self.b, self._divisor)
+                           lower=self._lower, flat=FLAT_LEVEL)
 
     def execute_span(self, levels: LevelPlan, gather: LevelGather,
                      lo: int, hi: int) -> None:

@@ -34,7 +34,7 @@ from array import array
 
 import numpy as np
 
-from ..core.executor import LevelPlan, LoopKernel, flat_walk
+from ..core.executor import LevelPlan, LoopKernel
 from ..errors import ValidationError
 from ..util.frontier import counts_to_indptr
 from ..util.validation import read_only
@@ -419,8 +419,8 @@ class StatementReplayKernel(LoopKernel):
     Two ways to run, chosen by what the bodies and the bound arrays
     are.  Bodies the program's :class:`~repro.program.tape.Tape` can
     express, bound to one-dimensional ``float64`` arrays, run *taped*:
-    :attr:`vectorized` is true and every batch entry point executes
-    steps compiled from the tape (:meth:`compile_levels`).  Anything
+    :attr:`vectorized` is true and :meth:`execute_levels` runs the
+    spans compiled from the tape (:meth:`compile_levels`).  Anything
     else — and :meth:`execute_index` always — replays the bodies over
     :class:`_ReplayArray` proxies, one iteration at a time.  Everything
     structural (tape, first-writer table) lives on ``structure``, which
@@ -526,18 +526,9 @@ class StatementReplayKernel(LoopKernel):
     def compile_levels(self, levels: LevelPlan):
         return self.tape().compile(levels)
 
-    def execute_levels(self, levels: LevelPlan, gather=None,
-                       lo: int = 0, hi: int | None = None) -> None:
-        gather.run(self, levels, lo, hi)
-
-    def execute_batch(self, idx: np.ndarray) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        tape = self.tape()
-        if tape is None:
-            flat_walk(self, idx)
-            return
-        one_level = LevelPlan(idx, np.array([0, idx.shape[0]]))
-        tape.compile(one_level).run(self, one_level, 0, 1)
+    def execute_levels(self, levels: LevelPlan, gather) -> None:
+        for span in gather:
+            span.run(self)
 
     def result(self):
         if len(self.live) == 1:

@@ -30,7 +30,7 @@ from ..core.executor import FLAT_LEVEL, LevelPlan
 from ..errors import ValidationError
 from .recording import record_trace
 
-__all__ = ["ReplayStructure", "Tape", "TapeSteps"]
+__all__ = ["ReplayStructure", "Tape"]
 
 #: First-writer position of an element nothing writes.
 NEVER = np.iinfo(np.int64).max
@@ -361,19 +361,19 @@ class Tape:
     # ------------------------------------------------------------------
     # Steps: a level plan compiled against the tape
     # ------------------------------------------------------------------
-    def compile(self, levels: LevelPlan) -> "TapeSteps":
-        """The index arrays and calls that run ``levels``."""
+    def compile(self, levels: LevelPlan) -> list:
+        """The calls that run ``levels``: a :class:`_Span` per span."""
         spans = levels.spans
         wide = [(a, b) for a, b, flat in spans if not flat]
         batched, clash = self._batched(levels, wide)
         out = []
         for a, b, flat in spans:
             if flat or clash[a:b].any():
-                out.append(self.flat_span(levels, a, b))
+                out.append(self._flat_span(levels, a, b))
             else:
                 ops = [op for k in range(a, b) for op in batched.get(k, ())]
-                out.append(_Span(a, b, False, ops))
-        return TapeSteps(self, out)
+                out.append(_Span(False, ops))
+        return out
 
     def _batched(self, levels: LevelPlan, wide: list):
         """Per level of the ``wide`` spans, its ``(function, columns)``
@@ -427,13 +427,13 @@ class Tape:
             clash[lv[1:][twice]] = True
         return batched, clash
 
-    def flat_span(self, levels: LevelPlan, a: int, b: int) -> "_Span":
+    def _flat_span(self, levels: LevelPlan, a: int, b: int) -> "_Span":
         """Levels ``a .. b-1`` as one in-order scalar walk: a call per
         run of iterations of one combination."""
         cuts = levels.cuts
         its = np.asarray(levels.order[cuts[a]:cuts[b]], dtype=np.int64)
         if not its.shape[0]:
-            return _Span(a, b, True, [])
+            return _Span(True, [])
         combo = self.combo_of[its]
         starts = [0, *(np.flatnonzero(np.diff(combo)) + 1).tolist()]
         ends = [*starts[1:], its.shape[0]]
@@ -450,16 +450,15 @@ class Tape:
             for r in np.flatnonzero(first == t).tolist():
                 lo = int(np.searchsorted(mine, starts[r]))
                 ops[r] = (fn, (lo, lo + ends[r] - starts[r], *listed))
-        return _Span(a, b, True, ops)
+        return _Span(True, ops)
 
 
 class _Span:
-    """The calls of levels ``a .. b-1``.  A ``flat`` span is an in-order
+    """The calls of a run of levels.  A ``flat`` span is an in-order
     scalar walk and may run over list copies of its arrays."""
 
-    def __init__(self, a: int, b: int, flat: bool, ops: list):
-        self.a, self.b, self.flat = a, b, flat
-        self.ops = ops
+    def __init__(self, flat: bool, ops: list):
+        self.flat, self.ops = flat, ops
         functions = list(dict.fromkeys(fn for fn, _ in ops))
         self.sources = tuple(dict.fromkeys(
             src for fn in functions for src in fn.sources))
@@ -490,26 +489,3 @@ class _Span:
                 A = bound[fn] = tuple(kernel.array(src) for src in fn.sources)
             fn(A, K)
 
-
-class TapeSteps:
-    """A :class:`~repro.core.executor.LevelPlan` compiled against a
-    tape: what the executor keeps per structure and hands back to
-    ``execute_levels``."""
-
-    def __init__(self, tape: Tape, spans: list):
-        self.tape = tape
-        self.spans = spans
-
-    def run(self, kernel, levels: LevelPlan, lo: int, hi: int | None) -> None:
-        """Perform levels ``lo .. hi-1``."""
-        if hi is None:
-            hi = levels.num_levels
-        for span in self.spans:
-            a, b = max(span.a, lo), min(span.b, hi)
-            if a >= b:
-                continue
-            if (a, b) != (span.a, span.b):
-                # Part of a span (a fault fired inside it): compiled
-                # on the spot, as a walk — always legal in plan order.
-                span = self.tape.flat_span(levels, a, b)
-            span.run(kernel)

@@ -129,9 +129,6 @@ class MappedKernel(LoopKernel):
     def execute_index(self, i: int) -> None:
         self.inner.execute_index(int(self._forward[i]))
 
-    def execute_batch(self, indices) -> None:
-        self.inner.execute_batch(self._forward[np.asarray(indices)])
-
     # The level protocol is the inner kernel's, over the mapped order.
     @property
     def vectorized(self) -> bool:
@@ -149,9 +146,9 @@ class MappedKernel(LoopKernel):
                            levels.bounds)
         return mapped, self.inner.compile_levels(mapped)
 
-    def execute_levels(self, levels, gather, lo=0, hi=None) -> None:
+    def execute_levels(self, levels, gather) -> None:
         mapped, inner_gather = gather
-        self.inner.execute_levels(mapped, inner_gather, lo, hi)
+        self.inner.execute_levels(mapped, inner_gather)
 
     def result(self):
         return self.inner.result()

@@ -162,7 +162,7 @@ class LevelGather:
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  rows: np.ndarray, bounds: np.ndarray, *, lower: bool = True,
-                 flat: int = 0):
+                 flat: int):
         rows = np.asarray(rows, dtype=np.int64)
         bounds = np.asarray(bounds, dtype=np.int64)
         m = rows.shape[0]
@@ -204,8 +204,7 @@ class LevelGather:
         self.reach = read_only(reach)
 
     def sweep(self, x: np.ndarray, data: np.ndarray, b: np.ndarray,
-              diag: np.ndarray | None, lo: int = 0,
-              hi: int | None = None) -> None:
+              diag: np.ndarray | None, lo: int, hi: int) -> None:
         """Solve levels ``lo .. hi-1`` into ``x``; ``diag=None`` is a
         unit diagonal.
 
@@ -221,8 +220,6 @@ class LevelGather:
         the bits of one taken from its quiet twin.
         """
         rows, rb, eb = self.rows, self.row_bounds, self.entry_bounds
-        if hi is None:
-            hi = len(rb) - 1
         r0, r1, e0 = rb[lo], rb[hi], eb[lo]
         m = rows.shape[0]
         y = np.empty(m + self.outside.shape[0])

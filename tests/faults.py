@@ -22,6 +22,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core.executor import LevelPlan
 from repro.errors import ExecutionError, ValidationError
 from repro.machine import processes
 from repro.machine.threads import ThreadedMachine
@@ -154,6 +155,13 @@ def level_of(levels, i: int) -> int:
     return int(np.searchsorted(levels.bounds, at, side="right")) - 1
 
 
+def levels_between(levels, lo: int, hi: int) -> LevelPlan:
+    """Levels ``lo .. hi-1`` of ``levels`` as a plan of their own."""
+    cuts = levels.cuts
+    return LevelPlan(levels.order[cuts[lo]:cuts[hi]],
+                     levels.bounds[lo:hi + 1] - cuts[lo])
+
+
 class _FaultyKernel:
     """Fires armed iteration faults, then delegates to the kernel."""
 
@@ -169,18 +177,25 @@ class _FaultyKernel:
             self._plan.perform(self._armed[i], i)
         self._inner.execute_index(i)
 
-    def execute_levels(self, levels, gather, lo=0, hi=None) -> None:
+    def execute_levels(self, levels, gather) -> None:
         # A fault fires before the level holding its target; the levels
-        # run through the inner kernel, segment by segment.
-        hi = levels.num_levels if hi is None else hi
+        # between faults run through the inner kernel as plans of their
+        # own, compiled on the spot.
+        lo = 0
         for level, target, spec_idx in sorted(
                 (level_of(levels, t), t, s) for t, s in self._armed.items()
                 if 0 <= t < self.n):
-            if lo <= level < hi:
-                self._inner.execute_levels(levels, gather, lo, level)
+            if level > lo:
+                self._run(levels, gather, lo, level)
                 lo = level
-                self._plan.perform(spec_idx, target)
-        self._inner.execute_levels(levels, gather, lo, hi)
+            self._plan.perform(spec_idx, target)
+        self._run(levels, gather, lo, levels.num_levels)
+
+    def _run(self, levels, gather, lo: int, hi: int) -> None:
+        if (lo, hi) != (0, levels.num_levels):
+            levels = levels_between(levels, lo, hi)
+            gather = self._inner.compile_levels(levels)
+        self._inner.execute_levels(levels, gather)
 
 
 #: The process seams fired for the solve in flight, read by the workers.

@@ -152,7 +152,8 @@ class TestUpperKernel:
                                                    "wrapped"))
 
     def test_batch_matches_scalar(self, small_lower):
-        from repro.core.executor import SerialExecutor, UpperTriangularSolveKernel
+        from repro.core.executor import (LevelPlan, SerialExecutor,
+                                         UpperTriangularSolveKernel)
         from repro.core.wavefront import wavefront_members
 
         u = small_lower.transpose()
@@ -165,7 +166,8 @@ class TestUpperKernel:
         dep = k_batch.dependence_graph()
         wf = compute_wavefronts(dep)
         for members in wavefront_members(wf):
-            k_batch.execute_batch(members)
+            level = LevelPlan(members, np.array([0, members.size]))
+            k_batch.execute_levels(level, k_batch.compile_levels(level))
         np.testing.assert_array_equal(k_batch.result(), oracle)
 
     def test_rejects_lower(self, small_lower):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faults import FaultPlan, level_of
+from faults import FaultPlan, level_of, levels_between
 from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.doacross import DoacrossExecutor
@@ -95,7 +95,8 @@ class TestSerialOrder:
         for k in kernels:
             k.start()
         for members in wavefront_members(wf):
-            kernels[0].execute_batch(members)
+            level = LevelPlan(members, np.array([0, members.size]))
+            kernels[0].execute_levels(level, kernels[0].compile_levels(level))
             for i in members.tolist():
                 kernels[1].execute_index(i)
         assert np.array_equal(kernels[0].result(), kernels[1].result())
@@ -238,7 +239,8 @@ class TestEdgeCases:
         assert plan.spans == [(0, 1, False), (1, 3, True), (3, 5, False),
                               (5, 6, True)]
         assert plan.num_batched == 3
-        assert list(plan.spans_between(2, 4)) == [(2, 3, True), (3, 4, False)]
+        assert levels_between(plan, 2, 4).spans == [(0, 1, True),
+                                                    (1, 2, False)]
         assert level_of(plan, 9) == 1
         assert level_of(plan, int(bounds[-1]) - 1) == 5
 
@@ -451,14 +453,14 @@ class TestLevelOrderedSweep:
                               lower=lower, unit=unit)
         last = wavefront_members(
             compute_wavefronts(kernel.dependence_graph()))[-1]
-        gather = kernel.compile_levels(
-            LevelPlan(last, np.array([0, last.size])))
+        level = LevelPlan(last, np.array([0, last.size]))
+        gather = kernel.compile_levels(level)
         (*_, src, _), = gather.views
         assert gather.outside.size and src.min() >= last.size
         kernel.start()
         kernel.x[:] = want
         kernel.x[last if lower else n - 1 - last] = 0.0
-        kernel.execute_batch(last)
+        kernel.execute_levels(level, gather)
         assert same_bits(kernel.result(), want)
 
     def test_a_mapped_kernel_sweeps_in_its_own_level_order(self, lower,

@@ -284,8 +284,8 @@ class TestEdgeCases:
         kernel = program.make_kernel()
         levels = LevelPlan(np.arange(n), np.arange(n + 1))
         steps = kernel.compile_levels(levels)
-        assert [s.flat for s in steps.spans] == [True]
-        assert steps.spans[0].listable == n
+        assert [s.flat for s in steps] == [True]
+        assert steps[0].listable == n
         kernel.start()
         x = kernel.result()
         kernel.execute_levels(levels, steps)
@@ -386,7 +386,7 @@ class TestEdgeCases:
             loop()
 
     def test_a_level_storing_one_element_twice_runs_in_order(self):
-        # No legal level does that, but execute_batch takes any idx
+        # No legal level does that, but a level plan may hold any idx
         # (the speculative tier's chunks): the scatter would keep an
         # arbitrary writer, so the step must fall back to the walk.
         n = 24
@@ -399,11 +399,11 @@ class TestEdgeCases:
         program = LoopProgram.record(n, body, acc=np.zeros(4),
                                      v=rng.standard_normal(n))
         kernel = program.make_kernel()
-        steps = kernel.tape().compile(
-            LevelPlan(np.arange(n), np.array([0, n])))
-        assert [s.flat for s in steps.spans] == [True]
+        level = LevelPlan(np.arange(n), np.array([0, n]))
+        steps = kernel.compile_levels(level)
+        assert [s.flat for s in steps] == [True]
         kernel.start()
-        kernel.execute_batch(np.arange(n))
+        kernel.execute_levels(level, steps)
         assert_same(program, kernel.result(), proxy_walk(program))
 
     def test_execute_index_works_between_batches(self):
@@ -413,12 +413,17 @@ class TestEdgeCases:
             n, lambda i, a: a.x.__setitem__(i, a.x[i] * a.b[i] - 1.0),
             x=rng.standard_normal(n), b=rng.standard_normal(n))
         kernel = program.make_kernel()
+
+        def run_level(idx):
+            level = LevelPlan(idx, np.array([0, idx.size]))
+            kernel.execute_levels(level, kernel.compile_levels(level))
+
         kernel.start()
         x = kernel.result()
-        kernel.execute_batch(np.arange(0, 10))
+        run_level(np.arange(0, 10))
         for i in range(10, 20):
             kernel.execute_index(i)
-        kernel.execute_batch(np.arange(20, n))
+        run_level(np.arange(20, n))
         assert kernel.result() is x
         assert_same(program, x, proxy_walk(program))
 
@@ -499,7 +504,7 @@ class TestTiers:
         assert_same(program, loop().x, proxy_walk(program))
         assert loop.report()["kernel_path"] == "vectorized"
         # Anti-diagonals of a 6 × 7 grid: narrow at both ends.
-        assert [s.flat for s in loop.executor._gather[1][1].spans] == [
+        assert [s.flat for s in loop.executor._gather[1][1]] == [
             True, False, True]
 
     def test_a_fused_program_walks_one_function_per_iteration(self):
@@ -509,7 +514,7 @@ class TestTiers:
         kernel = program.make_kernel()
         loop = Runtime(nproc=2).compile(program, executor="self")
         assert_same(program, loop().x, proxy_walk(program))
-        (span,) = loop.executor._gather[1].spans
+        (span,) = loop.executor._gather[1]
         # Iteration 0 and iterations 1 .. n-1: two calls, both
         # statements inside each.
         assert span.flat and len(span.ops) == 2
