@@ -9,7 +9,8 @@
 # one-inspector-owner, one-pricing-path, plain-unpriced-put,
 # one-schedule-normaliser, unbounded-oracle,
 # one-backend-dispatch, structures-are-values, no-compile-counter,
-# one-timeout-check, oracles-stay-oracles and one-input-module rules,
+# one-timeout-check, oracles-stay-oracles, one-amortisation-model and
+# one-input-module rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -443,6 +444,32 @@ oracle=$(grep -rnE '\breference\.\w+\(' src --include='*.py' \
 if [ -n "$oracle" ]; then
     echo "$oracle"
     echo "error: reference.<name>( called outside core/reference.py (the oracles are for tests)" >&2
+    exit 1
+fi
+
+echo "== one amortisation model: analysis/model.py prices an inspection's share =="
+# amortised_time is the tuner's score and RunReport's share, break_even
+# is loop.report()'s; the horizon is validated where it is held — by the
+# session and by the tuner, in their constructors — and nowhere else.
+horizons=$(grep -rn 'check_horizon(' src --include='*.py' \
+           | grep -v 'def check_horizon(' || true)
+# The def each call sits in: both must be an __init__.
+callers=$(echo "$horizons" | while IFS=: read -r file line _; do
+    [ -n "$file" ] && awk -v at="$line" 'NR < at && /^ *def /{d = $0}
+        NR == at {print d}' "$file"
+done)
+if [ "$(echo "$horizons" | cut -d: -f1 | sort | tr '\n' ' ')" \
+        != "src/repro/runtime/session.py src/repro/tuning/tuner.py " ] \
+   || [ "$(echo "$callers" | grep -c 'def __init__(')" -ne 2 ]; then
+    echo "$horizons"
+    echo "error: check_horizon( must be called exactly twice under src, in Runtime.__init__ and Tuner.__init__" >&2
+    exit 1
+fi
+shares=$(grep -rnE 'pipeline_cost /|/ max\(1' src --include='*.py' \
+         | grep -v '^src/repro/analysis/model.py:' || true)
+if [ -n "$shares" ]; then
+    echo "$shares"
+    echo "error: an amortisation formula outside analysis/model.py (use amortised_time / break_even)" >&2
     exit 1
 fi
 

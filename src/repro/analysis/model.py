@@ -18,7 +18,8 @@ Implemented quantities (paper equation numbers):
 * :func:`time_ratio` — pre-scheduled time / self-executing time with
   synchronization and shared-array cost ratios (equation 6);
 * :func:`ratio_limit_fixed_n` / :func:`ratio_limit_square` — the two
-  limits the paper analyses (discussion around equations 6–7).
+  limits the paper analyses (discussion around equations 6–7);
+* :func:`amortised_time` / :func:`break_even` — Table 5's amortisation.
 
 The test-suite cross-checks every closed form against the event-driven
 machine simulator on actual model-problem dependence graphs — the
@@ -43,6 +44,8 @@ __all__ = [
     "time_ratio",
     "ratio_limit_fixed_n",
     "ratio_limit_square",
+    "amortised_time",
+    "break_even",
 ]
 
 
@@ -176,6 +179,26 @@ def ratio_limit_square(*, r_inc: float, r_check: float) -> float:
     shared-array overhead factor.
     """
     return 1.0 / (1.0 + r_inc + 2.0 * r_check)
+
+
+# ----------------------------------------------------------------------
+# Amortisation: one inspection against the executions it serves
+# ----------------------------------------------------------------------
+
+def amortised_time(makespan: float, inspection,
+                   executions: float | None) -> float:
+    """``makespan`` plus ``inspection``'s pipeline cost over
+    ``executions`` (at least one); ``None`` reads no price."""
+    if executions is None:
+        return makespan
+    return makespan + inspection.pipeline_cost / max(1.0, executions)
+
+
+def break_even(inspect_cost: float, warm: float, alternative: float) -> float:
+    """Executions for ``inspect_cost`` to pay for itself when each saves
+    ``alternative - warm`` (``inf`` when none saves)."""
+    saving = alternative - warm
+    return inspect_cost / saving if saving > 0.0 else float("inf")
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .export import write_chrome_trace, write_jsonl
+from .export import write_chrome_trace
 from .metrics import MetricsRegistry
 from .tracer import PhaseBreakdown, Tracer, now
 
@@ -86,9 +86,6 @@ class Observer:
         """Plain-text metrics table (see ``PhaseBreakdown.render`` for
         the per-call phase table)."""
         return self.metrics.render()
-
-    def export_jsonl(self, path) -> int:
-        return write_jsonl(path, self)
 
     def write_metrics_jsonl(self, path, *, append: bool = True,
                             label: str | None = None) -> int:

@@ -183,78 +183,27 @@ class Variant:
 # Fission
 # ----------------------------------------------------------------------
 
-def _strongly_connected(adj: np.ndarray) -> list:
-    """Tarjan SCCs of the (tiny) statement conflict digraph."""
-    num = adj.shape[0]
-    index = [None] * num
-    low = [0] * num
-    on_stack = [False] * num
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = [0]
-
-    def strong(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        for w in range(num):
-            if not adj[v, w]:
-                continue
-            if index[w] is None:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif on_stack[w]:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                comp.append(w)
-                if w == v:
-                    break
-            comps.append(comp)
-
-    for v in range(num):
-        if index[v] is None:
-            strong(v)
-    return comps
-
-
 def _condensation_order(adj: np.ndarray) -> list:
-    """SCCs of ``adj`` in a deterministic topological order.
+    """Strongly connected statement groups of ``adj`` in a legal order.
 
-    Kahn's algorithm over the condensation, ties broken by smallest
-    member statement — stable across runs and platforms.
+    Warshall's closure gives reachability; two statements share a group
+    when each reaches the other, and the next group is the one with the
+    smallest remaining member whose every reacher is already placed —
+    stable across runs and platforms.
     """
-    comps = _strongly_connected(adj)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    succs: list[set] = [set() for _ in comps]
-    preds: list[set] = [set() for _ in comps]
     num = adj.shape[0]
-    for a in range(num):
-        for b in range(num):
-            if adj[a, b] and comp_of[a] != comp_of[b]:
-                succs[comp_of[a]].add(comp_of[b])
-                preds[comp_of[b]].add(comp_of[a])
-    key = [min(comp) for comp in comps]
-    ready = sorted((ci for ci in range(len(comps)) if not preds[ci]),
-                   key=lambda ci: key[ci])
+    reach = np.asarray(adj, dtype=bool) | np.eye(num, dtype=bool)
+    for k in range(num):
+        reach |= np.outer(reach[:, k], reach[k])
+    placed = np.zeros(num, dtype=bool)
     order: list[list[int]] = []
-    remaining = {ci: set(preds[ci]) for ci in range(len(comps))}
-    while ready:
-        ci = ready.pop(0)
-        order.append(sorted(comps[ci]))
-        newly = []
-        for cj in succs[ci]:
-            remaining[cj].discard(ci)
-            if not remaining[cj]:
-                newly.append(cj)
-        ready = sorted(ready + newly, key=lambda ci: key[ci])
+    while not placed.all():
+        for v in np.flatnonzero(~placed):
+            group = reach[v] & reach[:, v]
+            if not (reach[:, v] & ~placed & ~group).any():
+                break
+        placed |= group
+        order.append(np.flatnonzero(group).tolist())
     return order
 
 

@@ -130,7 +130,9 @@ class RunReport:
     @property
     def amortised_inspect_cost(self) -> float:
         """Inspection model-µs charged to each execution so far."""
-        return self.inspect_cost / max(1, self.executions)
+        from ..analysis.model import amortised_time  # deferred: import cycle
+
+        return amortised_time(0.0, self.inspection, self.executions)
 
     @property
     def efficiency(self) -> float:
@@ -481,12 +483,13 @@ class CompiledLoop:
         ``break_even_executions`` is the number of executions after
         which the inspection has paid for itself — inspection cost over
         the per-execution saving of the scheduled run against the
-        sequential loop (``inf`` when the parallel run does not win).
+        sequential loop (:func:`~repro.analysis.model.break_even`).
         """
+        from ..analysis.model import break_even  # deferred: import cycle
+
         plan = self.plan
         sim = plan.simulate()
         inspect_cost = plan.inspection.pipeline_cost
-        saving = sim.seq_time - sim.total_time
         return {
             "executor": plan.executor_name,
             "scheduler": plan.inspection.strategy,
@@ -502,9 +505,8 @@ class CompiledLoop:
             "parallel_time": sim.total_time,
             "seq_time": sim.seq_time,
             "efficiency": sim.efficiency,
-            "break_even_executions": (
-                inspect_cost / saving if saving > 0.0 else float("inf")
-            ),
+            "break_even_executions": break_even(inspect_cost, sim.total_time,
+                                                sim.seq_time),
         }
 
     def rebind(self, **arrays) -> "CompiledLoop":
@@ -631,13 +633,14 @@ class Runtime:
     expected_executions:
         Amortisation horizon of ``strategy="auto"`` arbitration: the
         number of executions each compiled structure is expected to
-        serve.  When set, every candidate's score charges its
-        inspection cost divided by this horizon — so on cold
-        structures (horizon 1) the no-inspection speculative arm can
-        win, while large horizons recover pure steady-state makespan
-        ranking.  ``None`` (default) keeps the classic makespan-only
-        scoring; anything else must be positive and finite, and a
-        horizon below one execution counts as one.
+        serve, held by the session's tuner.  When set, each candidate
+        scores :func:`~repro.analysis.model.amortised_time`, its
+        inspection cost over this horizon — so on cold structures
+        (horizon 1) the no-inspection speculative arm can win, while
+        large horizons recover pure steady-state makespan ranking.
+        ``None`` (default) keeps the classic makespan-only scoring;
+        anything else must be positive and finite, and a horizon
+        below one execution counts as one.
     observe:
         ``True`` builds a fresh :class:`~repro.observe.Observer` and
         threads it through every subsystem (spans on compile/run/tune,
@@ -740,13 +743,8 @@ class Runtime:
         ``loop.program_verdict``, and a transformed winner runs as a
         staged plan.
         """
-        obs = self.observer
-        if obs is None:
-            return self._compile_impl(
-                deps, executor=executor, scheduler=scheduler,
-                assignment=assignment, balance=balance, strategy=strategy)
-        with obs.span("compile",
-                      strategy=strategy or f"{executor}/{scheduler}") as span:
+        label = strategy or f"{executor}/{scheduler}"
+        with maybe_span(self.observer, "compile", strategy=label) as span:
             loop = self._compile_impl(
                 deps, executor=executor, scheduler=scheduler,
                 assignment=assignment, balance=balance, strategy=strategy)
@@ -769,8 +767,7 @@ class Runtime:
                 # (identity, fission, skew, compositions); a
                 # transformed winner runs staged, an identity winner
                 # continues below like any tuned compile.
-                program_verdict = self._ensure_tuner().tune_program(
-                    program, expected_executions=self.expected_executions)
+                program_verdict = self._ensure_tuner().tune_program(program)
                 if program_verdict.transformed:
                     return CompiledLoop(
                         self, self._staged_plan(program_verdict),
@@ -909,7 +906,8 @@ class Runtime:
             self._tuner = Tuner(self.nproc, self.costs,
                                 seed=self.tune_seed,
                                 store=self.tuning_store,
-                                observer=self.observer)
+                                observer=self.observer,
+                                expected_executions=self.expected_executions)
         return self._tuner
 
     def tune(self, deps):
@@ -926,8 +924,7 @@ class Runtime:
     def _tune(self, deps):
         """:meth:`tune`, and the fresh search's winner (or ``None``)."""
         with maybe_span(self.observer, "tune", entry="runtime"):
-            return self._ensure_tuner()._tune(
-                deps, expected_executions=self.expected_executions)
+            return self._ensure_tuner()._tune(deps)
 
     # ------------------------------------------------------------------
     def run(self, kernel, deps=None, *, backend: str | None = None,

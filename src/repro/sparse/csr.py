@@ -285,5 +285,5 @@ class CSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
-            f"density={self.nnz / max(1, self.shape[0] * self.shape[1]):.4f})"
+            f"density={self.nnz / (self.shape[0] * self.shape[1] or 1):.4f})"
         )

@@ -12,6 +12,8 @@ the session's :class:`~repro.runtime.cache.ScheduleCache`, a
 speculative-flagged candidate takes the session's one no-inspection
 route, and a candidate that cannot execute at all (an illegal
 schedule, a deadlock) scores ``inf`` instead of aborting the search.
+Under a horizon a score adds the candidate's inspection price over that
+many executions (:func:`~repro.analysis.model.amortised_time`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..analysis.model import amortised_time
 from ..core.dependence import DependenceGraph
 from ..core.wavefront import compute_wavefronts
 from ..errors import ReproError
@@ -153,16 +156,14 @@ def simulate_spec(
     source.  Returns the :class:`Scored` score, error-or-``None``,
     compiled candidate and the simulation behind a finite score.
 
-    The score is the simulated makespan, optionally under a
-    ``unit_work`` pricing override, and — when ``expected_executions``
-    is given (a horizon as :func:`~repro.util.validation.check_horizon`
-    returns one: the tuner's entry points validate and clamp, not each
-    of the search's simulations) — plus the candidate's inspection
-    cost amortised over that many executions.  Amortisation is what
-    lets the no-inspection speculative arm (``pipeline_cost`` 0) win
-    cold structures that the classic pipeline would only beat in steady
-    state; its makespan includes the serial repair of every conflict,
-    so high-conflict workloads price themselves out naturally.
+    The score is :func:`~repro.analysis.model.amortised_time`: the
+    simulated makespan (optionally under a ``unit_work`` pricing
+    override) plus, under a horizon the tuner validated once, the
+    candidate's inspection cost over ``expected_executions``.  That is
+    what lets the no-inspection speculative arm (``pipeline_cost`` 0)
+    win cold structures that the classic pipeline would only beat in
+    steady state; its makespan includes the serial repair of every
+    conflict, so high-conflict workloads price themselves out naturally.
 
     ``bound`` is a score the caller has no use for reaching (the
     tuner's bar): a scheduled candidate's simulation stops as soon as
@@ -172,21 +173,15 @@ def simulate_spec(
     """
     try:
         loop = runtime.compile(deps, **spec.compile_kwargs())
-        amortised = 0.0
-        if expected_executions is not None:
-            amortised = (float(loop.inspection.pipeline_cost)
-                         / expected_executions)
+        share = amortised_time(0.0, loop.inspection, expected_executions)
         if loop.plan.kind != "scheduled":
             sim = loop.simulate(unit_work=unit_work)
         else:
             sims = shared if shared is not None else SharedSims()
             sim = sims.simulate(loop.executor, unit_work,
-                                _makespan_bound(bound, amortised))
+                                _makespan_bound(bound, share))
             if sim is None:
                 return Scored(math.inf, None, loop)
-        makespan = float(sim.total_time)
-        if expected_executions is None:
-            return Scored(makespan, None, loop, sim)
-        return Scored(makespan + amortised, None, loop, sim)
+        return Scored(float(sim.total_time) + share, None, loop, sim)
     except ReproError as exc:
         return Scored(math.inf, f"{type(exc).__name__}: {exc}")

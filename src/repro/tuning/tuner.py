@@ -80,8 +80,7 @@ class ProgramVerdict:
     #: One strategy :class:`TuningVerdict` per stage, in stage order.
     stage_verdicts: tuple
     #: Combined score of the winner: stage makespans + inter-stage
-    #: barriers (+ amortised inspection when ``expected_executions``
-    #: is set).
+    #: barriers (+ amortised inspection under the tuner's horizon).
     sim_makespan: float
     #: Same score for the untransformed (identity) variant — the
     #: baseline the acceptance criteria compare against.
@@ -90,8 +89,6 @@ class ProgramVerdict:
     seq_time: float
     #: ``(variant name, combined score)`` for every variant searched.
     variant_scores: tuple
-    #: The amortisation horizon used (``None`` = steady-state scoring).
-    expected_executions: float | None
 
     @property
     def transformed(self) -> bool:
@@ -119,6 +116,10 @@ class Tuner:
     store:
         Optional :class:`~repro.tuning.store.TuningStore` consulted
         before and populated after every search.
+    expected_executions:
+        Amortisation horizon, validated once, here: each candidate
+        scores :func:`~repro.analysis.model.amortised_time` under it
+        (``None``: its makespan alone).
 
     The shape of the search — :data:`RUNG_FRACTIONS`, :data:`KEEP`,
     :data:`MIN_RUNG`, :data:`FINALISTS` — is fixed by module constants.
@@ -132,12 +133,14 @@ class Tuner:
         seed: int = 0,
         store: TuningStore | None = None,
         observer=None,
+        expected_executions: float | None = None,
     ):
         from ..runtime.session import Runtime  # deferred: import cycle
 
         self.nproc = check_positive(nproc, "nproc")
         self.costs = costs
         self.seed = check_seed(seed)
+        self.expected_executions = check_horizon(expected_executions)
         self.store = store
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         #: Shared with the private search runtime, so candidate
@@ -151,39 +154,34 @@ class Tuner:
                                 tune_seed=self.seed, observe=observer)
 
     # ------------------------------------------------------------------
-    def tune(self, deps, *, unit_work: np.ndarray | None = None,
-             expected_executions: float | None = None) -> TuningVerdict:
+    def tune(self, deps, *,
+             unit_work: np.ndarray | None = None) -> TuningVerdict:
         """Verdict for ``deps`` — from the store, or a fresh search.
 
         ``unit_work`` overrides the per-iteration work pricing (used
         by the variant search so every variant of one program charges
-        identical statement work); ``expected_executions`` (positive
-        and finite; below one execution counts as one) amortises each
-        candidate's inspection cost over that many executions, so the
-        no-inspection speculative arm can win on cold structures.
-        Either knob suffixes the store key — such verdicts never
-        collide with plain makespan searches.
+        identical statement work).  It and the tuner's horizon suffix
+        the store key — such verdicts never collide with plain
+        makespan searches.
 
         A store hit costs one structure hash and a lookup — no
         wavefront sweep, no feature extraction, no search.
         """
-        return self._tune(deps, unit_work=unit_work,
-                          expected_executions=expected_executions)[0]
+        return self._tune(deps, unit_work=unit_work)[0]
 
-    def _tune(self, deps, *, unit_work=None, expected_executions=None):
+    def _tune(self, deps, *, unit_work=None):
         """:meth:`tune`, and what the search hands over (``None`` on a
         store hit; see :meth:`_search`)."""
         dep = Inspector.dependences_of(deps)
         if unit_work is not None:
             unit_work = check_unit_work(unit_work, dep.n)
-        horizon = check_horizon(expected_executions)
         candidates = enumerate_space(dep.n, self.nproc)
         store, obs = self.store, self.observer
         key = None
         if store is not None:
             mode = "sim"
-            if horizon is not None:
-                mode += f":amort={horizon:g}"
+            if self.expected_executions is not None:
+                mode += f":amort={self.expected_executions:g}"
             if unit_work is not None:
                 mode += f":uw={structure_digest((unit_work,))}"
             key = TuningStore.key_for(
@@ -195,8 +193,7 @@ class Tuner:
                 if obs is not None:
                     obs.inc("tuner.store_hits")
                 return verdict, None
-        verdict, winner = self._search(dep, candidates, unit_work=unit_work,
-                                       expected_executions=horizon)
+        verdict, winner = self._search(dep, candidates, unit_work=unit_work)
         if store is not None:
             store.session_put(key, verdict, observer=obs)
         return verdict, winner
@@ -208,21 +205,18 @@ class Tuner:
         candidates: list[CandidateSpec] | None = None,
         *,
         unit_work: np.ndarray | None = None,
-        expected_executions: float | None = None,
     ) -> TuningVerdict:
         """Run the successive-halving search (no store involvement)."""
-        return self._search(dep, candidates, unit_work=unit_work,
-                            expected_executions=expected_executions)[0]
-
-    def _search(self, dep, candidates, *, unit_work, expected_executions):
-        """:meth:`search`, and its winner's :class:`Scored` (compiled
-        loop, exact simulation) if scheduled under the default work —
-        returned, never kept: a winner must not outlive its search."""
         if unit_work is not None:
             # Checked here, not per candidate: ``simulate_spec`` scores
             # any candidate's ValidationError as "cannot run".
             unit_work = check_unit_work(unit_work, dep.n)
-        horizon = check_horizon(expected_executions)
+        return self._search(dep, candidates, unit_work=unit_work)[0]
+
+    def _search(self, dep, candidates, *, unit_work):
+        """:meth:`search`, and its winner's :class:`Scored` (compiled
+        loop, exact simulation) if scheduled under the default work —
+        returned, never kept: a winner must not outlive its search."""
         if candidates is None:
             candidates = enumerate_space(dep.n, self.nproc)
         if not candidates:
@@ -231,9 +225,9 @@ class Tuner:
         with maybe_span(obs, "tune", n=dep.n,
                         candidates=len(candidates)) as span:
             return self._search_impl(dep, candidates, unit_work=unit_work,
-                                     horizon=horizon, span=span)
+                                     span=span)
 
-    def _score(self, dep, specs, *, unit_work, horizon,
+    def _score(self, dep, specs, *, unit_work,
                kept: int | None = None) -> tuple[list, SharedSims, Scored]:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
@@ -265,10 +259,10 @@ class Tuner:
                     bar = max(
                         exact[kept - 1] if len(exact) >= kept else math.inf,
                         family.get(spec.executor, math.inf))
-                result = simulate_spec(self._runtime, dep, spec,
-                                       unit_work=unit_work,
-                                       expected_executions=horizon,
-                                       bound=bar, shared=shared)
+                result = simulate_spec(
+                    self._runtime, dep, spec, unit_work=unit_work,
+                    expected_executions=self.expected_executions,
+                    bound=bar, shared=shared)
                 score = result.score
                 if math.isfinite(score):
                     bisect.insort(exact, score)
@@ -286,7 +280,6 @@ class Tuner:
         candidates: list[CandidateSpec],
         *,
         unit_work: np.ndarray | None,
-        horizon: float | None,
         span,
     ) -> tuple[TuningVerdict, Scored | None]:
         obs = self.observer
@@ -304,7 +297,7 @@ class Tuner:
             scored, rung_sims, _ = self._score(
                 prefix_graph(dep, m), survivors,
                 unit_work=None if unit_work is None else unit_work[:m],
-                horizon=horizon, kept=kept)
+                kept=kept)
             sims += entered
             cut += rung_sims.cut
             shared += rung_sims.shared
@@ -325,8 +318,7 @@ class Tuner:
                         entered - len(survivors))
 
         # Final rung: every survivor at full size.
-        scored, final, won = self._score(dep, survivors,
-                                         unit_work=unit_work, horizon=horizon)
+        scored, final, won = self._score(dep, survivors, unit_work=unit_work)
         sims += len(survivors)
         best_score, best = scored[0]
         if not math.isfinite(best_score):
@@ -364,9 +356,7 @@ class Tuner:
         ), won if handed else None
 
     # ------------------------------------------------------------------
-    def tune_program(self, prog, *,
-                     expected_executions: float | None = None
-                     ) -> ProgramVerdict:
+    def tune_program(self, prog) -> ProgramVerdict:
         """Search program variants × strategies; pick the cheapest plan.
 
         Every legal rewrite of ``prog`` (from
@@ -387,7 +377,6 @@ class Tuner:
         """
         from ..program.transform import enumerate_variants
 
-        horizon = check_horizon(expected_executions)
         variants = enumerate_variants(prog)
         sync = self.costs.sync_cost(self.nproc)
         results = []
@@ -398,11 +387,8 @@ class Tuner:
                 total = sync * (len(variant.stages) - 1)
                 for stage in variant.stages:
                     sp = stage.program
-                    verdict = self.tune(
-                        sp.dependence_graph(),
-                        unit_work=sp.unit_work(self.costs),
-                        expected_executions=horizon,
-                    )
+                    verdict = self.tune(sp.dependence_graph(),
+                                        unit_work=sp.unit_work(self.costs))
                     stage_verdicts.append(verdict)
                     total += verdict.sim_makespan
                 results.append((total, variant, tuple(stage_verdicts)))
@@ -419,7 +405,6 @@ class Tuner:
             seq_time=sequential_time(prog.dependence_graph(), self.costs,
                                      prog.unit_work(self.costs)),
             variant_scores=tuple((v.name, float(t)) for t, v, _ in results),
-            expected_executions=horizon,
         )
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ The load-bearing properties:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dependence import DependenceGraph
 from repro.errors import ValidationError
@@ -39,6 +40,7 @@ from repro.program import (
     fission,
     skew,
 )
+from repro.program.transform import _condensation_order
 from repro.runtime import CompiledLoop, Runtime
 from repro.tuning import ProgramVerdict, enumerate_space, simulate_spec
 from repro.workload import MultiSweep, stencil_program, sweep_program
@@ -273,6 +275,36 @@ class TestFission:
         # Stage partition covers every statement exactly once.
         flat = [j for st in var.stages for j in st.statements]
         assert sorted(flat) == list(range(prog.num_statements))
+
+    @given(st.integers(1, 8).flatmap(lambda s: st.lists(
+        st.booleans(), min_size=s * s, max_size=s * s)))
+    @settings(max_examples=300, deadline=None)
+    def test_stage_order_is_the_smallest_ready_condensation(self, cells):
+        s = int(round(len(cells) ** 0.5))
+        adj = np.array(cells, dtype=bool).reshape(s, s)
+        reach = []                          # depth-first, per statement
+        for v in range(s):
+            seen, todo = {v}, [v]
+            while todo:
+                for w in np.flatnonzero(adj[todo.pop()]).tolist():
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            reach.append(seen)
+        groups = _condensation_order(adj)
+        assert sorted(j for g in groups for j in g) == list(range(s))
+        turn = {j: t for t, g in enumerate(groups) for j in g}
+        for a in range(s):                  # mutual-reachability classes
+            for b in range(s):
+                mutual = b in reach[a] and a in reach[b]
+                assert (turn[a] == turn[b]) == mutual
+        for a, b in zip(*np.nonzero(adj)):  # no edge runs backwards
+            assert turn[a] <= turn[b]
+        for t, g in enumerate(groups):      # smallest ready group first
+            ready = [min(h) for h in groups[t:]
+                     if all(turn[u] < t for u in range(s)
+                            for w in h if adj[u, w] and u not in h)]
+            assert min(g) == min(ready)
 
 
 # ----------------------------------------------------------------------

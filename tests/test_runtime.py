@@ -24,7 +24,9 @@ from repro.core.prescheduled import PreScheduledExecutor
 from repro.core.self_executing import SelfExecutingExecutor
 from repro.errors import ValidationError
 from repro.machine.costs import MULTIMAX_320
+from repro.program.transform import StagedPlan, fission
 from repro.runtime import (
+    CompiledLoop,
     Runtime,
     executor_registry,
     partitioner_registry,
@@ -35,6 +37,7 @@ from repro.runtime import (
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential
 from repro.tuning import CandidateSpec
+from repro.workload import sweep_program
 from strategies import program_of
 from test_contract import assert_contract, same_sim
 
@@ -366,6 +369,48 @@ class TestRuntimeSession:
         assert rep["nproc"] == 4
         assert rep["inspect_cost"] > 0
         assert rep["break_even_executions"] > 0
+
+    def test_amortisation_is_priced_exactly(self, case):
+        # One model prices every report: the inspection over the
+        # per-execution saving, and over the executions so far.
+        x0, b, ia, _ = case
+        rt = Runtime(nproc=4)
+        rep = rt.compile(ia, scheduler="global").report()
+        assert rep["inspect_cost"] > 0.0
+        assert rep["break_even_executions"] == rep["inspect_cost"] / (
+            rep["seq_time"] - rep["parallel_time"])
+        chain = np.maximum(np.arange(120) - 1, 0)   # nothing saves
+        rep = rt.compile(chain, scheduler="global").report()
+        assert rep["parallel_time"] >= rep["seq_time"]
+        assert rep["break_even_executions"] == float("inf")
+        own = np.arange(600)                 # ia[i] = i: all parallel
+        for free in (rt.compile(own, executor="doacross"),
+                     rt.compile(own, strategy="speculative")):
+            rep = free.report()
+            assert rep["inspect_cost"] == 0.0
+            assert rep["seq_time"] > rep["parallel_time"]
+            assert rep["break_even_executions"] == 0.0
+        loop = rt.compile(ia, scheduler="local")
+        cost = loop.inspection.pipeline_cost
+        one = loop(SimpleLoopKernel(x0, b, ia))
+        loop(SimpleLoopKernel(x0, b, ia))
+        three = loop(SimpleLoopKernel(x0, b, ia))
+        assert one.amortised_inspect_cost == cost / 1
+        assert three.amortised_inspect_cost == cost / 3
+
+    def test_a_staged_report_prices_its_stages_summed(self):
+        rng = np.random.default_rng(40)
+        prog = sweep_program(rng.normal(size=400), rng.normal(size=400))
+        rt = Runtime(nproc=8)
+        variant = fission(prog)
+        stages = [rt.compile(stage.program, scheduler="global")
+                  for stage in variant.stages]
+        rep = CompiledLoop(rt, StagedPlan(variant, stages),
+                           program=prog).report()
+        summed = sum(s.inspection.pipeline_cost for s in stages)
+        assert rep["inspect_cost"] == summed > 0.0
+        assert rep["break_even_executions"] == summed / (
+            rep["seq_time"] - rep["parallel_time"]) > 1.0
 
     def test_available_lists_all_registries(self):
         avail = Runtime.available()

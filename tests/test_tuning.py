@@ -199,8 +199,8 @@ class TestTunerDeterminism:
                      if weighted else None)
 
         def search():
-            return Tuner(8, seed=seed).search(
-                dep, unit_work=unit_work, expected_executions=horizon)
+            return Tuner(8, seed=seed, expected_executions=horizon).search(
+                dep, unit_work=unit_work)
 
         def unbounded(*args, bound=None, shared=None, **kwargs):
             return measure.simulate_spec(*args, **kwargs)
@@ -230,7 +230,12 @@ class TestTunerDeterminism:
         import inspect
 
         assert list(inspect.signature(Tuner.__init__).parameters)[1:] == [
-            "nproc", "costs", "seed", "store", "observer"]
+            "nproc", "costs", "seed", "store", "observer",
+            "expected_executions"]
+        # ... and the horizon is the tuner's, set once: no entry takes it.
+        for entry in (Tuner.tune, Tuner.search, Tuner.tune_program):
+            assert "expected_executions" not in inspect.signature(
+                entry).parameters
         # ... and the machine model is the one scorer: no entry takes
         # a kernel or backend to time, or ready-made features.
         for entry in (Tuner.tune, Tuner.search, Runtime.tune):
@@ -315,19 +320,19 @@ class TestTunerQuality:
         source = (sweep_program(np.ones(8), np.ones(8))
                   if entry == "tune_program" else chain_graph(8))
         with pytest.raises(ValidationError, match="expected_executions"):
-            getattr(Tuner(4, store=store), entry)(
-                source, expected_executions=bad)
+            getattr(Tuner(4, store=store, expected_executions=bad),
+                    entry)(source)
         assert len(store) == 0 and store.stats.lookups == 0
 
     def test_a_horizon_below_one_is_one(self):
         # Scored as 1 all along — and now stored as 1 too.
         dep = chain_graph(300)
-        tuner = Tuner(4, store=TuningStore(8))
-        one = tuner.tune(dep, expected_executions=1)
-        half = tuner.tune(dep, expected_executions=0.5)
+        store = TuningStore(8)
+        one = Tuner(4, store=store, expected_executions=1).tune(dep)
+        half = Tuner(4, store=store, expected_executions=0.5).tune(dep)
         assert not half.searched
         assert dataclasses.replace(half, searched=True) == one
-        assert len(tuner.store) == 1
+        assert len(store) == 1
 
 
 class TestStore:
@@ -570,8 +575,7 @@ class TestHandOver:
         assert tuner._tune(mesh, unit_work=np.full(mesh.n, 2.0))[1] is None
         spec, = [s for s in enumerate_space(mesh.n, 8)
                  if s.executor == "speculative"]
-        assert tuner._search(mesh, [spec], unit_work=None,
-                             expected_executions=None)[1] is None
+        assert tuner._search(mesh, [spec], unit_work=None)[1] is None
 
     def test_a_store_hit_inspects_and_simulates_for_itself(self, mesh,
                                                            monkeypatch):
