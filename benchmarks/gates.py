@@ -110,19 +110,29 @@ def test_taped_replay_is_ten_times_the_proxy_walk(gate):
          proxy_walk, lambda: loop(with_sim=False), at_most=0.1, pairs=3)
 
 
-def test_a_warm_triangular_solve_against_the_substitution_loop(gate):
-    """PCGPAK's steady state, what the inspector is amortised over: a
-    warm unit-diagonal solve on the L5-PT ILU(0) factor (gather plan
-    kept, a sweep per span of levels) against the Figure 8 loop on the
-    same factor, bitwise equal.  Medians read 0.049-0.054 while each
-    level scattered into ``x`` and divided by its diagonal, 0.035-0.040
-    with the level-ordered sweep (2-vCPU host); the bound lies between,
-    under the scattering sweep's lower quartiles (0.048-0.052)."""
+def _warm_lower_solve():
+    """The L5-PT ILU(0) factor, a right-hand side, and the factor's
+    unit-diagonal solve compiled as the ledger's ``trisolve_warm``
+    compiles it."""
     l = split_triangular(numeric_ilu(get_problem("L5-PT").a))[0]
     b = np.random.default_rng(1989).standard_normal(l.nrows)
     loop = Runtime(nproc=8).compile(
         LoopProgram.from_csr(l, b, unit_diagonal=True),
         executor="preschedule", scheduler="global")
+    return l, b, loop
+
+
+def test_a_warm_triangular_solve_against_the_substitution_loop(gate):
+    """PCGPAK's steady state, what the inspector is amortised over: a
+    warm unit-diagonal solve on the L5-PT ILU(0) factor (gather plan
+    kept, a sweep per span of levels) against the Figure 8 loop on the
+    same factor, bitwise equal.  Medians read 0.049-0.054 while each
+    level scattered into ``x`` and divided by its diagonal, 0.035-0.043
+    with the level-ordered sweep, and 0.032 once the factor's values
+    are held across solves (2-vCPU host); the bound lies between the
+    first two, under the scattering sweep's lower quartiles
+    (0.048-0.052)."""
+    l, b, loop = _warm_lower_solve()
 
     def sequential():
         return solve_lower_sequential(l, b, unit_diagonal=True)
@@ -130,6 +140,26 @@ def test_a_warm_triangular_solve_against_the_substitution_loop(gate):
     assert np.array_equal(loop(with_sim=False).x, sequential())
     gate(f"warm solve / substitution loop, L5-PT n={l.nrows}", sequential,
          lambda: loop(with_sim=False), at_most=0.044, pairs=15, calls=5)
+
+
+def test_a_rebound_triangular_solve_against_the_substitution_loop(gate):
+    """The ledger's warm op, the call shape the Krylov loop makes: a
+    right-hand side rebound, then the same solve as above.  The factor's
+    values are read once per binding, not once per solve: medians read
+    0.039-0.042 while each sweep gathered them (lower quartiles
+    0.0386-0.0403), 0.034-0.037 with them held (lower quartiles
+    0.033-0.034; 2-vCPU host); the bound lies between."""
+    l, b, loop = _warm_lower_solve()
+
+    def sequential():
+        return solve_lower_sequential(l, b, unit_diagonal=True)
+
+    def rebound():
+        return loop.rebind(b=b)(with_sim=False)
+
+    assert np.array_equal(rebound().x, sequential())
+    gate(f"rebound solve / substitution loop, L5-PT n={l.nrows}",
+         sequential, rebound, at_most=0.038, pairs=15, calls=5)
 
 
 @pytest.mark.parametrize("workload,n,at_most", [

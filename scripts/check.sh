@@ -9,8 +9,8 @@
 # one-inspector-owner, one-pricing-path, plain-unpriced-put,
 # one-schedule-normaliser, unbounded-oracle,
 # one-backend-dispatch, structures-are-values, no-compile-counter,
-# one-timeout-check, oracles-stay-oracles, one-amortisation-model and
-# one-input-module rules,
+# one-timeout-check, oracles-stay-oracles, one-amortisation-model,
+# one-values-read and one-input-module rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -470,6 +470,29 @@ shares=$(grep -rnE 'pipeline_cost /|/ max\(1' src --include='*.py' \
 if [ -n "$shares" ]; then
     echo "$shares"
     echo "error: an amortisation formula outside analysis/model.py (use amortised_time / break_even)" >&2
+    exit 1
+fi
+
+echo "== one values read: a triangular sweep reads its matrix values once per binding =="
+# LevelGather.values gathers a read-only matrix's values (and divisor)
+# once and holds them: it is the one reader of the CSR positions, and
+# the sweep gathers no values of its own.
+tri=src/repro/sparse/triangular.py
+pos_reads=$(grep -n 'self\.pos\b' "$tri" | grep -v 'self\.pos = ' || true)
+from_line=$(grep -n '    def values(' "$tri" | cut -d: -f1)
+to_line=$(awk -v at="${from_line:-0}" 'NR > at && /^ *(def |@)/ {print NR; exit}' "$tri")
+if [ -z "$from_line" ] || [ -z "$pos_reads" ] \
+   || [ -n "$(echo "$pos_reads" | awk -F: -v lo="$from_line" \
+              -v hi="${to_line:-0}" '$1 <= lo || $1 >= hi')" ]; then
+    echo "$pos_reads"
+    echo "error: self.pos read outside LevelGather.values in $tri" >&2
+    exit 1
+fi
+sweep_from=$(grep -n '    def sweep(' "$tri" | cut -d: -f1)
+sweep_to=$(awk -v at="${sweep_from:-0}" 'NR > at && /^ *(def |@|class )/ {print NR; exit}' "$tri")
+if [ -z "$sweep_from" ] \
+   || sed -n "${sweep_from},${sweep_to:-\$}p" "$tri" | grep -n 'data\['; then
+    echo "error: LevelGather.sweep gathers values itself (data[…]); take them from values()" >&2
     exit 1
 fi
 

@@ -19,10 +19,10 @@ independent batches, and every ``run`` walks it — plus ``simulate``,
 subclass's ``mode``.
 A kernel runs on three rungs (:class:`LoopKernel`): one iteration, one
 level, or the whole plan — the rung of the structure-compiled kernels,
-the triangular ones through a structure-only
-:class:`~repro.sparse.triangular.LevelGather` the executor keeps across
-data rebinds.  Batched arithmetic accumulates each row in CSR order,
-so every path agrees with :class:`SerialExecutor` bit for bit.
+the triangular ones through a :class:`~repro.sparse.triangular.LevelGather`
+(structure and held values) the executor keeps across data rebinds.
+Batched arithmetic accumulates each row in CSR order, so every path
+agrees with :class:`SerialExecutor` bit for bit.
 
 Kernels
 -------
@@ -275,7 +275,9 @@ class SimpleLoopKernel(LoopKernel):
     def execute_batch(self, idx: np.ndarray) -> None:
         idx = np.asarray(idx, dtype=np.int64)
         j = self.ia[idx]
-        src = np.where(j >= idx, self.xold[j], self.x[j])
+        back, src = j < idx, self.xold[j]
+        if back.any():  # a backward reference reads the update
+            src = np.where(back, self.x[j], src)
         self.x[idx] = self.xold[idx] + self.b[idx] * src
 
     def result(self) -> np.ndarray:
@@ -286,9 +288,9 @@ class _SubstitutionKernel(LoopKernel):
     """What the two triangular kernels share: one matrix, one diagonal
     rule and the :class:`~repro.sparse.triangular.LevelGather` batch
     path, which solves a span of levels in level order and writes ``x``
-    once — dividing per level by an explicit diagonal, or the finished
-    span once by ``1.0`` for a unit one.  Subclasses map iterations to
-    matrix rows and keep the printed per-row loop as ``execute_index``."""
+    once, from values it holds while they are read-only.  Subclasses
+    map iterations to matrix rows and keep the printed per-row loop as
+    ``execute_index``."""
 
     #: Forward (strictly-lower operands) or backward substitution.
     _lower: bool

@@ -48,7 +48,8 @@ from ..runtime.session import Runtime
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import select_entries
-from ..util.validation import check_seed, check_square, check_vector
+from ..util.validation import (check_seed, check_square, check_vector,
+                               read_only)
 
 __all__ = [
     "symbolic_ilu",
@@ -212,7 +213,7 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
 
 @dataclass
 class ILUFactorization:
-    """The split factors of an incomplete LU: unit-lower ``L`` as its
+    """Read-only split factors of an incomplete LU: unit-lower ``L`` as its
     strict part, ``U`` with its diagonal, and that diagonal alone."""
 
     lu: CSRMatrix
@@ -225,7 +226,7 @@ class ILUFactorization:
         rows = lu.row_of_nnz()
         return cls(lu=lu, l_strict=select_entries(lu, lu.indices < rows),
                    u=select_entries(lu, lu.indices >= rows),
-                   u_diag=lu.diagonal())
+                   u_diag=read_only(lu.diagonal()))
 
 
 class ILUPreconditioner:

@@ -31,13 +31,18 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..util.digest import structure_digest
-from ..util.validation import read_only
+from ..util.validation import as_float_array, read_only
 from .descriptors import At, Statement
 from .extraction import extract_statement_dependences
 from .recording import StatementReplayKernel, record_trace
 from .tape import ReplayStructure
 
 __all__ = ["LoopProgram"]
+
+
+def _frozen(value, name: str) -> np.ndarray:
+    """A ``float64`` entry its owner's later writes never reach."""
+    return read_only(as_float_array(value, name), value)
 
 
 class LoopProgram:
@@ -80,6 +85,8 @@ class LoopProgram:
     #: Duck-type marker, so the Runtime recognizes programs without
     #: importing this module.
     __loop_program__ = True
+    #: Entries bound read-only (a writable array copied once when bound).
+    _values = frozenset()
 
     def __init__(self, n: int, *, reads=(), writes=(), kernel=None,
                  data=None, name: str | None = None,
@@ -335,6 +342,8 @@ class LoopProgram:
                     f"data entry {name!r} must be an array of at least "
                     f"{need} elements (the declared accesses reach that "
                     f"far), got shape {np.shape(value)}")
+        for name in self._values & arrays.keys():
+            arrays[name] = _frozen(arrays[name], name)
         data = dict(self.data)
         data.update(arrays)
         fresh = copy.copy(self)
@@ -407,7 +416,8 @@ class LoopProgram:
         ``loop.rebind(a=new_values)`` swaps the numeric matrix on the
         same sparsity without rebuilding the program or touching the
         inspector — the ILU-refactorization pattern, where each
-        refactorization changes values but never structure.
+        refactorization changes values but never structure.  Both are
+        values (:data:`_values`), read once per binding by a solve.
         """
         from ..core.executor import (  # deferred: cycle
             TriangularSolveKernel,
@@ -428,9 +438,9 @@ class LoopProgram:
         order = np.argsort(it, kind="stable")
         indptr = counts_to_indptr(np.bincount(it, minlength=n))
         reads = (At("x", (read_only(indptr), read_only(el[order]))), At("b"))
-        data = {"a": np.asarray(t.data, dtype=np.float64)}
+        data = {"a": _frozen(t.data, "a")}
         if diag is not None:
-            data["diag"] = np.asarray(diag, dtype=np.float64)
+            data["diag"] = _frozen(diag, "diag")
         kernel = None
         if b is not None:
             data["b"] = np.asarray(b, dtype=np.float64)
@@ -445,14 +455,10 @@ class LoopProgram:
                 # proportional to nnz is redone either.
                 return kernel_cls(t.with_data(a), b, diag=diag,
                                   unit_diagonal=unit_diagonal)
-        return cls(
-            n,
-            reads=reads,
-            writes=(At("x"),),
-            kernel=kernel,
-            data=data,
-            name=name or ("figure8-lower" if lower else "figure8-upper"),
-        )
+        prog = cls(n, reads=reads, writes=(At("x"),), kernel=kernel, data=data,
+                   name=name or f"figure8-{'lower' if lower else 'upper'}")
+        prog._values = frozenset(("a", "diag"))
+        return prog
 
     @classmethod
     def record(cls, n: int, body, *, name: str | None = None,

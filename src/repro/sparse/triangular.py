@@ -13,10 +13,10 @@ exists to handle.
 * :func:`solve_lower_sequential` / :func:`solve_upper_sequential` — the
   direct row-substitution loops, the correctness oracle every compiled
   solve is compared with;
-* :class:`LevelGather` — the structure-only index plan of a
-  level-ordered sweep plus the batched arithmetic that accumulates
-  every row in CSR order, so a batched solve equals the sequential
-  loops bit for bit.  The triangular loop kernels of
+* :class:`LevelGather` — the index plan of a level-ordered sweep, one
+  slot of held matrix values, and the batched arithmetic that
+  accumulates every row in CSR order, so a batched solve equals the
+  sequential loops bit for bit.  The triangular loop kernels of
   :mod:`repro.core.executor` run their levels through it; a solve is
   ``Runtime.compile(LoopProgram.from_csr(t, b, ...))``, there is no
   solver class here.
@@ -42,11 +42,11 @@ __all__ = [
 
 
 def select_entries(a: CSRMatrix, mask: np.ndarray) -> CSRMatrix:
-    """The stored entries of ``a`` where ``mask`` holds, as a matrix of
-    the same shape and row layout (``mask`` runs over ``a.indices``)."""
+    """``a``'s entries where ``mask`` (over ``a.indices``) holds, as a matrix
+    of the same shape and row layout whose values are read-only."""
     counts = np.bincount(a.row_of_nnz()[mask], minlength=a.nrows)
-    return CSRMatrix(counts_to_indptr(counts), a.indices[mask], a.data[mask],
-                     a.shape, check=False)
+    return CSRMatrix(counts_to_indptr(counts), a.indices[mask],
+                     read_only(a.data[mask]), a.shape, check=False)
 
 
 def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
@@ -137,7 +137,8 @@ def solve_upper_sequential(
 
 
 class LevelGather:
-    """Structure-only gather plan of a level-ordered triangular sweep.
+    """Gather plan of a level-ordered triangular sweep: its structure
+    and one slot of held values.
 
     ``rows[bounds[k]:bounds[k+1]]`` are the matrix rows of level ``k``
     (mutually independent; every operand lies in an earlier level).  A
@@ -151,14 +152,14 @@ class LevelGather:
     current) plus the operand's slot and the row's.  Each level wider
     than ``flat`` rows — the levels a sweep runs; narrower ones are
     walked a row at a time, so a deep plan of them builds no views —
-    holds its own views of those in :attr:`views`.  Nothing here
+    holds its own views of those in :attr:`views`.  None of that
     depends on matrix or right-hand side *values*, so one plan serves
     every solve on the structure; the arrays it builds are read-only,
     and ``rows`` is held as given.
     """
 
     __slots__ = ("rows", "outside", "pos", "views", "reach", "row_bounds",
-                 "entry_bounds")
+                 "entry_bounds", "held")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  rows: np.ndarray, bounds: np.ndarray, *, lower: bool = True,
@@ -197,46 +198,66 @@ class LevelGather:
         src, dst = read_only(src), read_only(dst)
         rb = self.row_bounds = bounds.tolist()
         eb = self.entry_bounds = eb.tolist()
-        #: Per level: its slots, its entries, their operand and row slots.
-        self.views = [(a, c, ea, ec, src[ea:ec], dst[ea:ec])
-                      if c - a > flat else None
+        #: Per level: its slots, and its entries' operand and row slots.
+        self.views = [(a, c, src[ea:ec], dst[ea:ec]) if c - a > flat else None
                       for a, c, ea, ec in zip(rb, rb[1:], eb, eb[1:])]
         self.reach = read_only(reach)
+        #: ``(array, per-level views)`` of the values and divisor held.
+        self.held = [None, None]
+
+    def values(self, a: np.ndarray, lo: int, hi: int, *,
+               rows: bool = False) -> list:
+        """Levels ``lo .. hi-1`` of ``a`` (CSR values, or with ``rows``
+        row divisors), each a view of one gather — of the span if ``a``
+        is writable, else of the plan, held until ``a`` changes."""
+        index, bounds = ((self.rows, self.row_bounds) if rows
+                         else (self.pos, self.entry_bounds))
+        if a.flags.writeable:
+            s = bounds[lo]
+            g = a[index[s:bounds[hi]]]
+            return [g[p - s:q - s]
+                    for p, q in zip(bounds[lo:hi], bounds[lo + 1:hi + 1])]
+        held = self.held[rows]
+        if held is None or held[0] is not a:
+            g = read_only(a[index])
+            held = self.held[rows] = (a, [
+                None if v is None else g[p:q]
+                for v, p, q in zip(self.views, bounds, bounds[1:])])
+        return held[1][lo:hi]
 
     def sweep(self, x: np.ndarray, data: np.ndarray, b: np.ndarray,
               diag: np.ndarray | None, lo: int, hi: int) -> None:
         """Solve levels ``lo .. hi-1`` into ``x``; ``diag=None`` is a
         unit diagonal.
 
-        Row ``i`` becomes ``(b[i] - data[k0]*x[j0] - data[k1]*x[j1] …)
-        / diag[i]`` with the subtractions applied one after another in
-        CSR order (``np.subtract.at`` is unbuffered and walks its index
-        array in order) — the very operations of the sequential loop.
-        A level is one gather, one multiply and one ``np.subtract.at``
-        on the level-ordered vector, which reaches ``x`` once, at the
-        end.  A unit diagonal divides that whole span by ``1.0`` then:
-        the loop's own ``acc / 1.0``, which changes no bits but quiets a
+        Row ``i`` becomes ``(b[i] - v0*x[j0] - v1*x[j1] …) / diag[i]``
+        with the subtractions applied one after another in CSR order
+        (``np.subtract.at`` is unbuffered and walks its index array in
+        order) — the very operations of the sequential loop.  A level
+        is one gather, one multiply and one ``np.subtract.at`` on the
+        level-ordered vector, which reaches ``x`` once, at the end.  A
+        unit diagonal divides that whole span by ``1.0`` then: the
+        loop's own ``acc / 1.0``, which changes no bits but quiets a
         signalling NaN — and a product or difference taken from one has
         the bits of one taken from its quiet twin.
         """
-        rows, rb, eb = self.rows, self.row_bounds, self.entry_bounds
-        r0, r1, e0 = rb[lo], rb[hi], eb[lo]
+        rows, r0, r1 = self.rows, self.row_bounds[lo], self.row_bounds[hi]
         m = rows.shape[0]
         y = np.empty(m + self.outside.shape[0])
         base = int(self.reach[lo:hi].min(initial=r0))
         y[base:r0] = x[rows[base:r0]]
         y[r0:r1] = b[rows[r0:r1]]
         y[m:] = x[self.outside]
-        vals = data[self.pos[e0:eb[hi]]]
-        if diag is not None:
-            diag = diag[rows[r0:r1]]
-        for a, c, ea, ec, src, dst in self.views[lo:hi]:
-            if ec > ea:
+        vals = self.values(data, lo, hi)
+        divs = ([None] * (hi - lo) if diag is None
+                else self.values(diag, lo, hi, rows=True))
+        for (a, c, src, dst), v, d in zip(self.views[lo:hi], vals, divs):
+            if src.size:
                 t = y[src]
-                np.multiply(vals[ea - e0:ec - e0], t, out=t)
+                np.multiply(v, t, out=t)
                 np.subtract.at(y, dst, t)
-            if diag is not None:
-                y[a:c] /= diag[a - r0:c - r0]
+            if d is not None:
+                y[a:c] /= d
         if diag is None:
             y[r0:r1] /= 1.0
         x[rows[r0:r1]] = y[r0:r1]

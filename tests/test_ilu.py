@@ -16,6 +16,11 @@ from repro.krylov.ilu import (
 from repro.sparse.build import csr_from_dense
 from repro.mesh.fd2d import five_point_laplacian
 from repro.mesh.grid import Grid2D
+from repro.sparse.triangular import (
+    solve_lower_sequential,
+    solve_upper_sequential,
+)
+from test_level_execution import count_holds
 
 
 def banded_spd(n=20, bw=1):
@@ -159,6 +164,24 @@ class TestPreconditioners:
         pre.apply(np.ones(10), log)
         assert log.counts["lower_solve"] == 1
         assert log.counts["upper_solve"] == 1
+
+    def test_apply_reads_each_factor_once(self, monkeypatch):
+        """Each apply is bitwise the two sequential loops: the first,
+        which gathers each factor's values, and every one after, which
+        reuses them.  The factors are read-only, so the loops bind the
+        factorization's own arrays."""
+        held = count_holds(monkeypatch)
+        a = five_point_laplacian(Grid2D(12, 12))
+        pre = ILUPreconditioner(a, 0)
+        f = pre.factorization
+        rs = np.sin(np.outer(np.arange(1.0, 5.0), np.arange(a.nrows)))
+        for r in (*rs, rs[0]):
+            y = solve_lower_sequential(f.l_strict, r, unit_diagonal=True)
+            assert np.array_equal(
+                pre.apply(r), solve_upper_sequential(f.u, y, diag=f.u_diag))
+        assert held == [0, 0, 1]   # L's values; U's values and diagonal
+        assert pre.lower_loop.program.data["a"] is f.l_strict.data
+        assert pre.upper_loop.program.data["diag"] is f.u_diag
 
     def test_jacobi(self):
         a = csr_from_dense(np.diag([2.0, 4.0]))

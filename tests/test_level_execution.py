@@ -41,6 +41,7 @@ from repro.program.transform import IterationMap, MappedKernel
 from repro.sparse.build import csr_from_dense
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.triangular import (
+    LevelGather,
     solve_lower_sequential,
     solve_upper_sequential,
 )
@@ -480,6 +481,134 @@ class TestLevelOrderedSweep:
         for ex in executors_for(dep):
             assert same_bits(ex.run(mapped), want)
             assert ex.kernel_path == "vectorized"
+
+
+# ----------------------------------------------------------------------
+# Matrix values are values: bound read-only, gathered once per binding
+# ----------------------------------------------------------------------
+
+def oracle(t, program, *, lower: bool, unit: bool) -> np.ndarray:
+    """The sequential loop over what ``program`` (``from_csr`` of ``t``'s
+    structure) has bound now."""
+    data = program.data
+    m, b = t.with_data(data["a"]), data["b"]
+    if lower:
+        return solve_lower_sequential(m, b, **(
+            {"unit_diagonal": True} if unit else {"diag": data["diag"]}))
+    return solve_upper_sequential(
+        m, b, diag=np.ones(t.nrows) if unit else data["diag"])
+
+
+def flipped(l: CSRMatrix) -> CSRMatrix:
+    """``l`` with row and column ``i`` renumbered ``n-1-i``: upper."""
+    return csr_from_dense(l.to_dense()[::-1, ::-1])
+
+
+def count_holds(monkeypatch) -> list:
+    """Spy on the gather plans' one values slot: the slot (0 values, 1
+    divisor) of each whole-plan gather, in order."""
+    held, values = [], LevelGather.values
+
+    def spy(self, a, lo, hi, *, rows=False):
+        before = self.held[rows]
+        out = values(self, a, lo, hi, rows=rows)
+        if self.held[rows] is not before:
+            held.append(int(rows))
+        return out
+
+    monkeypatch.setattr(LevelGather, "values", spy)
+    return held
+
+
+class TestValuesAreHeld:
+    @given(st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2**31 - 1),
+           st.booleans(), st.booleans(), st.sampled_from(EXECUTORS))
+    @settings(max_examples=40, deadline=None)
+    def test_every_rebind_keeps_the_loops_bits(self, n, seed, lower, unit,
+                                               executor):
+        rng = np.random.default_rng(seed)
+        t = triangular(n, seed, lower=lower, inline_diag=False)
+        diag = {"unit_diagonal": True} if unit else {
+            "diag": rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)}
+        loop = Runtime(nproc=3).compile(
+            LoopProgram.from_csr(t, rng.standard_normal(n), lower=lower,
+                                 **diag), executor=executor)
+        rebinds = [{"b": rng.standard_normal(n)},
+                   {"a": rng.uniform(-1.5, 1.5, t.nnz)},
+                   {"b": rng.standard_normal(n)}]
+        if not unit:
+            rebinds += [{"diag": rng.uniform(0.5, 2.0, n)},
+                        {"b": rng.standard_normal(n)}]
+        assert same_bits(loop(with_sim=False).x,
+                         oracle(t, loop.program, lower=lower, unit=unit))
+        for entries in rebinds:
+            loop = loop.rebind(**entries)
+            assert same_bits(loop(with_sim=False).x,
+                             oracle(t, loop.program, lower=lower, unit=unit))
+
+    @pytest.mark.parametrize("unit", (True, False), ids=("unit", "diag"))
+    def test_values_are_gathered_once_per_binding(self, unit, monkeypatch):
+        l = wide_lower()
+        n = l.nrows
+        rng = np.random.default_rng(2)
+        diag = {"unit_diagonal": True} if unit else {
+            "diag": rng.uniform(0.5, 2.0, n)}
+        held = count_holds(monkeypatch)
+        loop = Runtime(nproc=2).compile(
+            LoopProgram.from_csr(l, rng.standard_normal(n), **diag),
+            executor="preschedule", scheduler="global")
+        divisor = [] if unit else [1]
+        for _ in range(10):
+            loop = loop.rebind(b=rng.standard_normal(n))
+            assert same_bits(loop(with_sim=False).x,
+                             oracle(l, loop.program, lower=True, unit=unit))
+        assert held == [0, *divisor]
+        loop = loop.rebind(a=l.data * 1.5)
+        for _ in range(3):
+            assert same_bits(loop(with_sim=False).x,
+                             oracle(l, loop.program, lower=True, unit=unit))
+        assert held == [0, *divisor, 0]
+        if not unit:
+            loop.rebind(diag=rng.uniform(0.5, 2.0, n))(with_sim=False)
+            assert held == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
+    def test_the_callers_buffers_never_reach_the_loop(self, lower):
+        t = wide_lower() if lower else flipped(wide_lower())
+        n = t.nrows
+        rng = np.random.default_rng(3)
+        a, d = t.data.copy(), rng.uniform(0.5, 2.0, n)
+        loop = Runtime(nproc=2).compile(
+            LoopProgram.from_csr(t.with_data(a), rng.standard_normal(n),
+                                 lower=lower, diag=d),
+            executor="preschedule", scheduler="global")
+        want = loop(with_sim=False).x
+        a[:], d[:] = 7.0, -3.0
+        assert same_bits(loop(with_sim=False).x, want)
+        buffer = t.data * 1.5
+        loop = loop.rebind(a=buffer)
+        want = oracle(t, loop.program, lower=lower, unit=False)
+        assert not np.shares_memory(loop.program.data["a"], buffer)
+        buffer[:] = 0.25
+        assert same_bits(loop(with_sim=False).x, want)
+        assert not any(loop.program.data[name].flags.writeable
+                       for name in ("a", "diag"))
+
+    def test_a_hand_built_kernel_sees_a_write_to_its_matrix(self):
+        l = wide_lower()
+        n = l.nrows
+        b, d = np.linspace(-1.0, 1.0, n), np.linspace(0.5, 2.0, n)
+        for ex in executors_for(DependenceGraph.from_lower_csr(l)):
+            m, diag = l.copy(), d.copy()
+            kernel = TriangularSolveKernel(m, b, diag=diag)
+            assert same_bits(ex.run(kernel),
+                             solve_lower_sequential(m, b, diag=diag))
+            m.data *= -2.0
+            diag[::2] = 4.0
+            assert same_bits(ex.run(kernel),
+                             solve_lower_sequential(m, b, diag=diag))
+            assert ex._gather[1].held == [None, None]
 
 
 # ----------------------------------------------------------------------
