@@ -10,7 +10,7 @@
 # one-schedule-normaliser, unbounded-oracle,
 # one-backend-dispatch, structures-are-values, no-compile-counter,
 # one-timeout-check, oracles-stay-oracles, one-amortisation-model,
-# one-values-read and one-input-module rules,
+# one-values-read, one-run-reader and one-input-module rules,
 # then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
@@ -493,6 +493,50 @@ sweep_to=$(awk -v at="${sweep_from:-0}" 'NR > at && /^ *(def |@|class )/ {print 
 if [ -z "$sweep_from" ] \
    || sed -n "${sweep_from},${sweep_to:-\$}p" "$tri" | grep -n 'data\['; then
     echo "error: LevelGather.sweep gathers values itself (data[…]); take them from values()" >&2
+    exit 1
+fi
+
+echo "== one run reader: only the level plan, the Figure 3 kernel and the speculative plan name runs =="
+# A level plan's leading runs (a slice and a kept mask each) are built
+# by the speculative plan and run as slices by SimpleLoopKernel alone;
+# every other kernel reads the plan's order.  Names, attributes,
+# parameters and keywords count; prose does not.
+named=$(python - <<'PY'
+import ast, pathlib
+
+ALLOWED = ("LevelPlan", "SimpleLoopKernel",
+           "SpeculativeExecutor._build_levels")
+
+
+class Finder(ast.NodeVisitor):
+    def __init__(self, path):
+        self.path, self.scope = path, []
+
+    def scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = scoped
+
+    def generic_visit(self, node):
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or (getattr(node, "arg", None)
+                    if isinstance(node, (ast.arg, ast.keyword)) else None))
+        where = ".".join(self.scope)
+        if name == "runs" and not any(
+                where == a or where.startswith(a + ".") for a in ALLOWED):
+            print(f"{self.path}:{node.lineno}: {where or '<module>'}")
+        super().generic_visit(node)
+
+
+for path in sorted(pathlib.Path("src").rglob("*.py")):
+    Finder(path).visit(ast.parse(path.read_text(), str(path)))
+PY
+)
+if [ -n "$named" ]; then
+    echo "$named"
+    echo "error: runs named outside LevelPlan, SimpleLoopKernel and SpeculativeExecutor._build_levels" >&2
     exit 1
 fi
 

@@ -83,11 +83,35 @@ class LevelPlan:
     depends on another, and everything it depends on sits in an earlier
     level.  Depends on schedule and dependence structure only; a plan an
     executor keeps holds read-only arrays.
+
+    A plan may describe its leading levels as :attr:`runs`: ``runs[k] =
+    (lo, hi, keep)`` is level ``k`` as the iterations ``lo +
+    flatnonzero(keep)`` — ``keep`` a read-only bool mask over ``lo:hi``,
+    or ``None`` for all of it — none of which reads an element an
+    earlier iteration writes.  ``order`` is then given for the levels
+    past the runs alone (:attr:`rest`, a plan of its own), and the whole
+    :attr:`order` is built, and kept, on its first read.
     """
 
-    def __init__(self, order: np.ndarray, bounds: np.ndarray):
-        self.order = order
+    def __init__(self, order: np.ndarray, bounds: np.ndarray,
+                 runs: tuple = ()):
         self.bounds = bounds
+        self.runs = runs
+        if runs:
+            tail = bounds[len(runs):]
+            self.rest = LevelPlan(order, read_only(tail - tail[0]))
+        else:
+            self.order = order
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The plan's total order (a plan with runs lays it out here)."""
+        order, cuts = np.empty(self.cuts[-1], dtype=np.int64), self.cuts
+        for (lo, hi, keep), a, b in zip(self.runs, cuts, cuts[1:]):
+            order[a:b] = lo + (np.arange(hi - lo) if keep is None
+                               else np.flatnonzero(keep))
+        order[cuts[len(self.runs)]:] = self.rest.order
+        return read_only(order)
 
     @property
     def num_levels(self) -> int:
@@ -280,6 +304,17 @@ class SimpleLoopKernel(LoopKernel):
             src = np.where(back, self.x[j], src)
         self.x[idx] = self.xold[idx] + self.b[idx] * src
 
+    def execute_levels(self, levels: LevelPlan, gather=None) -> None:
+        """Runs go as slices: every lane of one reads ``xold`` (that is
+        the run contract), and a masked store drops the holes' lanes."""
+        runs = levels.runs
+        for lo, hi, keep in runs:
+            t = self.xold[self.ia[lo:hi]]
+            np.multiply(self.b[lo:hi], t, out=t)  # the serial operand order
+            np.add(self.xold[lo:hi], t, out=t)
+            np.copyto(self.x[lo:hi], t, where=True if keep is None else keep)
+        super().execute_levels(levels.rest if runs else levels, gather)
+
     def result(self) -> np.ndarray:
         return self.x
 
@@ -419,9 +454,9 @@ class ClassicExecutor:
     prices itself and deals its own two phases.
 
     The numeric run is one serial path: :meth:`_build_levels` (where a
-    subclass's legality checks live) turns the schedule — speculation's
-    DOALL chunks, then its repair set's wavefronts — into ``(order,
-    bounds)``; this class keeps the resulting :class:`LevelPlan`, keeps
+    subclass's legality checks live) turns the schedule into ``(order,
+    bounds)`` — speculation into its DOALL chunks as runs, then its
+    repair set's wavefronts; this class keeps the :class:`LevelPlan`, keeps
     the kernel's gather plan for as long as the kernel names the same
     structure objects — a data-only ``rebind()`` rebuilds the kernel,
     not the structure — and runs kernels through them.
@@ -468,7 +503,9 @@ class ClassicExecutor:
     def level_plan(self) -> LevelPlan:
         """The executor's plan, built on first use."""
         if self._levels is None:
-            self._levels = LevelPlan(*map(read_only, self._build_levels()))
+            order, bounds, *leading = self._build_levels()
+            self._levels = LevelPlan(read_only(order), read_only(bounds),
+                                     *leading)
             self.plan_builds += 1
         return self._levels
 

@@ -452,9 +452,9 @@ def _run_levels(schedule, dep, w, t_poll, order, bounds, bound):
             prev[starts] = seed
             waits = np.flatnonzero(ready > prev)
             if waits.size:
-                runs = np.searchsorted(starts, waits, side="right") - 1
-                first = np.flatnonzero(np.diff(runs, prepend=-1))
-                for j, k in zip(waits[first].tolist(), runs[first].tolist()):
+                run_of = np.searchsorted(starts, waits, side="right") - 1
+                first = np.flatnonzero(np.diff(run_of, prepend=-1))
+                for j, k in zip(waits[first].tolist(), run_of[first].tolist()):
                     e, q = stops[k], int(procs[k])
                     f[j:e], idle[q] = _finish_run(
                         float(prev[j]), ready[j:e].tolist(),

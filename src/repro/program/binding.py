@@ -446,14 +446,21 @@ class LoopProgram:
             data["b"] = np.asarray(b, dtype=np.float64)
             kernel_cls = (TriangularSolveKernel if lower
                           else UpperTriangularSolveKernel)
+            inline = [None, None]  # (bound "a", its read-only diagonal)
 
             def kernel(b, a, diag=None):
                 # Same sparsity, fresh values: rebinding "a" (or
                 # "diag") rebuilds only this kernel, never the
                 # dependence analysis — and with_data shares the
                 # matrix's structure-derived arrays, so nothing
-                # proportional to nnz is redone either.
-                return kernel_cls(t.with_data(a), b, diag=diag,
+                # proportional to nnz is redone either.  An inline
+                # diagonal is read once per bound "a", as its values.
+                m = t.with_data(a)
+                if diag is None and not unit_diagonal:
+                    if inline[0] is not a:
+                        inline[:] = a, read_only(m.diagonal())
+                    diag = inline[1]
+                return kernel_cls(m, b, diag=diag,
                                   unit_diagonal=unit_diagonal)
         prog = cls(n, reads=reads, writes=(At("x"),), kernel=kernel, data=data,
                    name=name or f"figure8-{'lower' if lower else 'upper'}")

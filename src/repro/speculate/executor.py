@@ -52,7 +52,8 @@ from ..program.extraction import _edges_general
 from ..runtime.registry import register_executor
 from ..util.frontier import counts_to_indptr
 from ..util.rng import default_rng
-from ..util.validation import check_positive, check_seed, check_unit_work
+from ..util.validation import (check_positive, check_seed, check_unit_work,
+                               read_only)
 from .shadow import AccessLog, ShadowScan, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor"]
@@ -198,21 +199,20 @@ class SpeculativeExecutor(ClassicExecutor):
         return SpeculationPlan(chunk_bounds=bounds, scan=scan,
                                repair_indices=repair_indices, report=report)
 
-    def _build_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        # Phase 0: each chunk minus the repair set, one level each;
-        # phase 1: the repair set's own wavefronts, each ascending.
-        plan, at = self.plan(), [0]
-        order = np.empty(self.log.n, dtype=np.int64)
+    def _build_levels(self) -> tuple:
+        # Phase 0: a run per chunk (minus the repair set); phase 1: wavefronts.
+        plan, runs, at = self.plan(), [], [0]
+        violated, keep = plan.scan.violated, read_only(~plan.scan.violated)
         for lo, hi in plan.chunk_bounds:
-            kept = np.flatnonzero(~plan.scan.violated[lo:hi])
-            if kept.size:
-                np.add(kept, lo, out=order[at[-1]:at[-1] + kept.size])
-                at.append(at[-1] + kept.size)
+            holes = int(np.count_nonzero(violated[lo:hi]))
+            if holes < hi - lo:  # a run with holes views the one kept mask
+                runs.append((lo, hi, keep[lo:hi] if holes else None))
+                at.append(at[-1] + hi - lo - holes)
         wf = _residue_wavefronts(self.log, plan.scan, plan.repair_indices)
         plan.scan.stale = None  # read once: the level plan is cached
-        order[at[-1]:] = plan.repair_indices[np.argsort(wf, kind="stable")]
-        return order, np.concatenate(
-            (at, at[-1] + counts_to_indptr(np.bincount(wf))[1:]))
+        tail = plan.repair_indices[np.argsort(wf, kind="stable")]
+        return tail, np.concatenate(
+            (at, at[-1] + counts_to_indptr(np.bincount(wf))[1:])), tuple(runs)
 
     def phases(self) -> list:
         """The level plan as two barrier phases: the chunks (each minus

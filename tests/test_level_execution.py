@@ -45,6 +45,7 @@ from repro.sparse.triangular import (
     solve_lower_sequential,
     solve_upper_sequential,
 )
+from repro.util.validation import read_only
 from strategies import (
     EXECUTORS,
     level_loop,
@@ -244,6 +245,34 @@ class TestEdgeCases:
                                                     (1, 2, False)]
         assert level_of(plan, 9) == 1
         assert level_of(plan, int(bounds[-1]) - 1) == 5
+
+    def test_a_run_stores_its_kept_lanes_alone(self):
+        """The Figure 3 kernel runs a level given as a run as one slice
+        read from ``xold`` and stores only its kept lanes: a hole keeps
+        whatever its own level writes.  The plan's order, built on
+        read, is the runs' kept iterations, then the rest's order."""
+        ia = np.array([3, 0, 2, 8, 4, 1, 9, 7, 11, 10, 10, 11])
+        n = ia.shape[0]
+        rng = np.random.default_rng(8)
+        x0, b = rng.standard_normal(n), rng.standard_normal(n)
+        keep = read_only(np.arange(6) % 4 != 1)  # holes at 1 and 5
+        runs = ((0, 6, keep), (6, 12, None))
+        tail = read_only(np.array([1, 5]))
+        plan = LevelPlan(tail, np.array([0, 4, 10, 11, 12]), runs)
+        assert plan.rest.order is tail
+        assert np.array_equal(plan.rest.bounds, [0, 1, 2])
+        kernel = SimpleLoopKernel(x0, b, ia)
+        want = SerialExecutor().run(kernel).copy()
+        kernel.start()
+        kernel.execute_levels(plan)
+        assert same_bits(kernel.result(), want)
+        assert np.array_equal(plan.order, [0, 2, 3, 4, *range(6, 12), 1, 5])
+        kernel.start()
+        kernel.execute_levels(LevelPlan(tail[:0], np.array([0, 4]),
+                                        runs[:1]))
+        assert same_bits(kernel.x[keep.nonzero()], want[keep.nonzero()])
+        assert same_bits(kernel.x[6:], x0[6:])
+        assert same_bits(kernel.x[[1, 5]], x0[[1, 5]])
 
 
 # ----------------------------------------------------------------------
@@ -572,6 +601,33 @@ class TestValuesAreHeld:
         if not unit:
             loop.rebind(diag=rng.uniform(0.5, 2.0, n))(with_sim=False)
             assert held == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
+    def test_an_inline_diagonal_is_gathered_once_per_binding(
+            self, lower, monkeypatch):
+        """A matrix that stores its diagonal divides by one read-only
+        copy per bound ``"a"``: it was a fresh writable one per kernel
+        build, gathered again on every solve."""
+        l = wide_lower()
+        n = l.nrows
+        rng = np.random.default_rng(4)
+        dense = l.to_dense() + np.diag(rng.uniform(0.5, 2.0, n))
+        t = csr_from_dense(dense if lower else dense[::-1, ::-1])
+        solve = solve_lower_sequential if lower else solve_upper_sequential
+        held = count_holds(monkeypatch)
+        loop = Runtime(nproc=2).compile(
+            LoopProgram.from_csr(t, np.zeros(n), lower=lower),
+            executor="preschedule", scheduler="global")
+        for _ in range(3):
+            loop = loop.rebind(b=rng.standard_normal(n))
+            assert same_bits(loop(with_sim=False).x,
+                             solve(t, loop.program.data["b"]))
+        assert held == [0, 1]
+        loop = loop.rebind(a=t.data * 1.5)
+        assert same_bits(loop(with_sim=False).x,
+                         solve(t.with_data(t.data * 1.5),
+                               loop.program.data["b"]))
+        assert held == [0, 1, 0, 1]
 
     @pytest.mark.parametrize("lower", (True, False), ids=("lower", "upper"))
     def test_the_callers_buffers_never_reach_the_loop(self, lower):

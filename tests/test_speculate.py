@@ -33,6 +33,8 @@ from repro.machine.simulator import SimResult
 from repro.program.transform import fission
 from repro.runtime.registry import executor_registry
 from repro.sparse.build import random_lower_triangular
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.triangular import solve_lower_sequential
 from repro.speculate import (
     AccessLog,
     ConflictReport,
@@ -40,6 +42,7 @@ from repro.speculate import (
     scan_accesses,
     speculation_key,
 )
+from repro.speculate.executor import CHUNKS_PER_PROC
 from repro.tuning import enumerate_space
 from repro.workload import sweep_program
 from strategies import (
@@ -49,7 +52,7 @@ from strategies import (
     seeds,
     sparse_conflict_ia,
 )
-from test_contract import assert_contract, same_sim
+from test_contract import assert_contract, same, same_sim
 
 
 def serial_simple(ia, x0, b):
@@ -528,6 +531,131 @@ class TestSpeculativeExecutor:
         with pytest.raises(ValidationError, match="unit_work.*finite"):
             SpeculativeExecutor(log, 2).simulate(
                 unit_work=np.full(6, np.nan))  # used to time as nan
+
+
+#: Conflict fractions of the run property: none, ``spec_sparse``'s 0.5 %,
+#: half, and every iteration but the first (which has nothing earlier).
+CONFLICTS = (0.0, 0.005, 0.5, 1.0)
+
+
+def chunk_edges(n: int, nproc: int) -> np.ndarray:
+    """The speculative plan's chunk edges, in ascending order."""
+    k = min(CHUNKS_PER_PROC * nproc, max(n, 1))
+    return (np.arange(k + 1, dtype=np.int64) * n) // k
+
+
+def holed_loop(n, nproc, conflicts, layout, special, seed):
+    """A Figure 3 loop whose backward references — the iterations the
+    shadow scan flags, the holes of phase 0's runs — fall at random, at
+    chunk edges or over a whole chunk; ``special`` seeds ``inf``, NaN
+    and ``-0.0`` into the data."""
+    rng = np.random.default_rng(seed)
+    holes = np.zeros(n, dtype=bool)
+    if conflicts == 1.0:
+        holes[1:] = True
+    elif conflicts:
+        holes[rng.choice(n, size=max(1, int(conflicts * n)))] = True
+        edges = chunk_edges(n, nproc)
+        if layout == "edges":
+            holes[edges[:-1]] = holes[edges[1:] - 1] = True
+        elif layout == "empty" and edges.size > 2:  # not the first chunk
+            j = int(rng.integers(1, edges.size - 1))
+            holes[edges[j]:edges[j + 1]] = True
+    holes[0] = False
+    i = np.arange(n)
+    ia = np.where(holes, (rng.random(n) * i).astype(np.int64),
+                  i + (rng.random(n) * (n - i)).astype(np.int64))
+    x, b = rng.standard_normal(n), rng.standard_normal(n)
+    if special:
+        odd = (np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0)
+        for v in (x, b):
+            at = rng.choice(n, size=max(1, n // 8))
+            v[at] = rng.choice(odd, size=at.size)
+    return ia, x, b, holes
+
+
+class TestRunsAsSlices:
+    """Phase 0 runs each chunk as a slice with a kept mask; the level
+    plan's total order is built only for what reads it."""
+
+    @given(st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=8),
+           st.sampled_from(CONFLICTS),
+           st.sampled_from(("scattered", "edges", "empty")),
+           st.booleans(), seeds,
+           st.sampled_from(("serial", "threads", "processes")))
+    @settings(max_examples=60, deadline=None)
+    def test_a_speculative_figure3_loop_is_bitwise_serial(
+            self, n, nproc, conflicts, layout, special, seed, backend):
+        ia, x, b, holes = holed_loop(n, nproc, conflicts, layout, special,
+                                     seed)
+        rt = Runtime(nproc=nproc, tuning=None)
+        with np.errstate(all="ignore"):
+            if backend == "processes":
+                if "fork" not in mp.get_all_start_methods():
+                    return
+                # The processes backend runs triangular solves alone:
+                # its leg solves the lower system whose row i reads row
+                # ia[i] exactly where the Figure 3 loop's does, so its
+                # runs have the same holes.
+                back = np.flatnonzero(holes)
+                counts = holes.astype(np.int64) + 1
+                cols = np.insert(np.arange(n), back, ia[back])
+                l = CSRMatrix(np.concatenate(([0], np.cumsum(counts))),
+                              cols, np.where(b[cols] == 0.0, 0.5, b[cols]),
+                              (n, n))
+                want = solve_lower_sequential(l, x)
+                loop = rt.compile(LoopProgram.from_csr(l, x),
+                                  strategy="speculative")
+            else:
+                want = serial_simple(ia, x, b).copy()
+                loop = rt.compile(LoopProgram.from_indirection(ia, x=x, b=b),
+                                  strategy="speculative")
+            got = loop(backend=backend, with_sim=False).x
+        plan, levels = loop.executor.plan(), loop.executor.level_plan()
+        assert np.array_equal(plan.scan.violated, holes)
+        assert same(got, want)
+        # One run per chunk that keeps a lane; a hole-free run has no mask.
+        edges = chunk_edges(n, nproc)
+        kept = np.add.reduceat(~holes, edges[:-1])
+        assert len(levels.runs) == np.count_nonzero(kept)
+        for lo, hi, keep in levels.runs:
+            assert (keep is None) == (not holes[lo:hi].any())
+            assert keep is None or not keep.flags.writeable
+        if layout == "empty" and 0.0 < conflicts < 1.0 and edges.size > 2:
+            assert len(levels.runs) < len(plan.chunk_bounds)
+        if backend == "serial":
+            assert "order" not in vars(levels)
+
+    def test_a_serial_run_builds_no_order(self):
+        """The slices need no n-long order; read, it is the order an
+        up-front build laid out — each chunk minus the repair set, in
+        shuffled chunk order, then the repair set by its wavefronts —
+        read-only and kept."""
+        n = 3_000
+        ia = sparse_conflict_ia(n, 40, seed=9)
+        rng = np.random.default_rng(9)
+        x, b = rng.standard_normal(n), rng.standard_normal(n)
+        prog = LoopProgram.from_indirection(ia, x=x, b=b)
+        loop = Runtime(nproc=4).compile(prog, strategy="speculative")
+        assert np.array_equal(loop(with_sim=False).x, serial_simple(ia, x, b))
+        assert np.array_equal(loop(with_sim=False).x, serial_simple(ia, x, b))
+        levels = loop.executor.level_plan()
+        assert "order" not in vars(levels)
+        plan = loop.executor.plan()
+        violated = plan.scan.violated
+        wf = residue_wavefronts(prog.dependence_graph(), violated)
+        want = np.concatenate(
+            [lo + np.flatnonzero(~violated[lo:hi])
+             for lo, hi in plan.chunk_bounds]
+            + [np.array(sorted(plan.repair_indices.tolist(),
+                               key=wf.__getitem__), dtype=np.int64)])
+        order = levels.order
+        assert np.array_equal(order, want) and order.dtype == np.int64
+        assert levels.order is order and not order.flags.writeable
+        assert np.array_equal(levels.bounds[len(levels.runs):]
+                              - levels.bounds[len(levels.runs)],
+                              levels.rest.bounds)
 
 
 class TestRuntimeIntegration:
