@@ -4,8 +4,8 @@ Each gate compares two ways of doing the same work on this host —
 ``time(other) / time(base)`` against a bound — through the one helper
 below; more hold exact, host-independent counts: the work a tuner
 search does, which simulator walk the ledger's plans take, the memory
-of a cold inspection and of a cold simulation, and the memory and
-levels of a speculative compile.  Sizes are constants: the CI scale is the scale.
+of a cold inspection, of a cold simulation and of an ILU factorization,
+and the memory and levels of a speculative compile.  Sizes are constants: the CI scale is the scale.
 
     PYTHONPATH=src python -m pytest benchmarks/gates.py -q
 
@@ -29,7 +29,7 @@ from repro.core.inspector import Inspector
 from repro.core.partition import wrapped_partition
 from repro.core.schedule import local_schedule
 from repro.core.wavefront import compute_wavefronts
-from repro.krylov.ilu import numeric_ilu
+from repro.krylov.ilu import _IKJKernel, numeric_ilu
 from repro.machine import simulator
 from repro.machine.costs import MULTIMAX_320
 from repro.machine.simulator import work_vector
@@ -160,6 +160,47 @@ def test_a_rebound_triangular_solve_against_the_substitution_loop(gate):
     assert np.array_equal(rebound().x, sequential())
     gate(f"rebound solve / substitution loop, L5-PT n={l.nrows}",
          sequential, rebound, at_most=0.038, pairs=15, calls=5)
+
+
+def _ikj_loop(a):
+    """The IKJ loop ``numeric_ilu`` ran before its rows were scheduled:
+    the elimination kernel walked in index order."""
+    return SerialExecutor().run(_IKJKernel(a, None))
+
+
+def test_the_ilu_factorization_against_the_ikj_loop(gate):
+    """PCGPAK's set-up: ``numeric_ilu`` on L5-PT compiles the factor's
+    rows on a session and eliminates one wavefront per batch, against
+    the IKJ loop one row at a time, bitwise equal.  Medians read
+    0.08-0.12 (2-vCPU host); the bound leaves twice that."""
+    a = get_problem("L5-PT").a
+    assert np.array_equal(numeric_ilu(a).data.view(np.uint64),
+                          _ikj_loop(a).view(np.uint64))
+    gate(f"numeric_ilu / IKJ loop, L5-PT n={a.nrows}", lambda: _ikj_loop(a),
+         lambda: numeric_ilu(a), at_most=0.25, pairs=5)
+
+
+def test_the_ilu_factorization_allocates_no_more_than_the_loop(capsys):
+    """Exact: the traced allocation peak of ``numeric_ilu`` on L5-PT,
+    in arrays of 8·nnz bytes, is at most the IKJ loop's 9.45.  It reads
+    9.13, the symbolic phase's own peak: the level array of the pattern
+    made here takes A's values, and the scatter's keys and positions are
+    gone before the compile's inspection sweep (≈ 5.6 arrays over the
+    3.4 then held).  It read 11.0 with the key array alive through the
+    compile, and 10.0 with a value array of its own."""
+    a = get_problem("L5-PT").a
+    numeric_ilu(a)  # imports and the matrix's own row tags come first
+    tracemalloc.start()
+    try:
+        lu = numeric_ilu(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * lu.nnz)
+    with capsys.disabled():
+        print(f"\n  numeric_ilu, L5-PT nnz={lu.nnz}: traced peak "
+              f"{arrays:.3g} x 8nnz bytes, bound 9.45")
+    assert arrays <= 9.45
 
 
 @pytest.mark.parametrize("workload,n,at_most", [

@@ -4,7 +4,9 @@
 # one-identity, session-free-store, one-simulator-engine, one-walk-chooser,
 # one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
 # one-speculative-gate, one-store-discipline, two-instruments, two-plans,
-# one-factor-one-solve-path, one-stencil-query, one-row-pointer-build,
+# one-factor-one-solve-path (no private inspection under krylov/: the
+# factorization's order is a session compile's), one-stencil-query,
+# one-row-pointer-build,
 # no-fixed-width-row-pointer,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put,
 # one-schedule-normaliser, unbounded-oracle,
@@ -268,13 +270,13 @@ if grep -rlzE 'def execute_levels\([^)]*\b(lo|hi)\b' src --include='*.py'; then
     exit 1
 fi
 # execute_batch is the per-level hook of hand-written kernels (the
-# LoopKernel base, SimpleLoopKernel); a structure-compiled kernel builds
-# no one-level plan behind it.
+# LoopKernel base, SimpleLoopKernel, krylov/ilu.py's IKJ elimination); a
+# structure-compiled kernel builds no one-level plan behind it.
 batches=$(grep -rn 'def execute_batch' src --include='*.py' \
-          | grep -v '^src/repro/core/executor.py:' || true)
+          | grep -vE '^src/repro/(core/executor|krylov/ilu)\.py:' || true)
 if [ -n "$batches" ]; then
     echo "$batches"
-    echo "error: def execute_batch under src outside core/executor.py" >&2
+    echo "error: def execute_batch under src outside core/executor.py and krylov/ilu.py" >&2
     exit 1
 fi
 
@@ -295,6 +297,14 @@ gathers=$(grep -rn 'LevelGather(' src --include='*.py' \
 if [ -n "$gathers" ]; then
     echo "$gathers"
     echo "error: LevelGather( built outside the substitution kernels of core/executor.py" >&2
+    exit 1
+fi
+# The factorization's row order is a session compile's plan, the one
+# inspection its lower solve then hits: nothing under src/repro/krylov
+# sorts a graph itself (krylov/parallel.py reads sched.wavefronts only).
+if grep -rnE 'compute_wavefronts\(|frontier_sweep\(|wavefront_members\(' \
+        src/repro/krylov --include='*.py'; then
+    echo "error: a private inspection under src/repro/krylov (compile on a Runtime)" >&2
     exit 1
 fi
 

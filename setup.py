@@ -21,5 +21,7 @@ setup(
     version=_VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy"],
+    # numpy 2 keeps np.errstate in a context variable, which threads lanes
+    # copy from the caller; numpy 1 kept it per thread.
+    install_requires=["numpy>=2.0"],
 )

@@ -16,15 +16,11 @@ splits into:
   rows are processed with sorted-list merges — the linked-list merge of
   Appendix 2.3 in array clothing.
 * **numeric factorization** — the IKJ elimination restricted to the
-  symbolic pattern, after a prologue that asks the pattern what it
-  already knows: one keyed search scatters A's values into it, and its
-  cached ``diagonal_positions()`` are the pivots (a pattern lacking an
-  entry of A, or a diagonal, is refused naming the first such row).
-  The elimination's outer-loop dependences are the strictly-lower
-  pattern entries (row ``i`` needs every pivot row ``j`` it
-  references), i.e. the same shape of dependence graph as the
-  triangular solve — which is exactly why the paper parallelizes both
-  with the same machinery.
+  pattern, after one keyed search scatters A's values into it (a
+  pattern lacking an entry of A, or a diagonal, is refused naming the
+  first such row).  Row ``i`` needs every pivot row its strictly-lower
+  entries name: the triangular solve's graph, so the rows run as a
+  loop compiled on a session, a wavefront per batch, bitwise the loop.
 
 The result is stored as a single CSR matrix with unit-lower ``L``
 implicit (strict lower entries hold the multipliers) and ``U``
@@ -39,15 +35,18 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ..core.executor import LoopKernel, SerialExecutor
 from ..errors import StructureError, ValidationError
 from ..program import LoopProgram
 from ..runtime.session import Runtime
 from ..sparse.build import coo_to_csr
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import select_entries
+from ..util.frontier import expand_csr_ranges
 from ..util.validation import (check_seed, check_square, check_vector,
                                read_only)
 
@@ -145,42 +144,73 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
 
     ``pattern=None`` means ILU(0) on ``a``'s own pattern.
     """
-    n = check_square(a.shape)
-    if pattern is None:
-        pattern = symbolic_ilu(a, 0)
-    if pattern.shape != a.shape:
-        raise ValidationError("pattern shape must match the matrix")
-    if not pattern.has_sorted_indices():
-        pattern = pattern.copy().sort_indices()
+    return _factor(a, pattern, Runtime())
 
-    indptr = pattern.indptr
-    indices = pattern.indices
-    data = np.zeros(pattern.nnz, dtype=np.float64)
 
-    # Scatter A's values into the pattern: both sides keyed by
-    # ``row * n + col``, which the sorted pattern holds in increasing
-    # order, so one search places every entry of A.
-    keys = pattern.row_of_nnz() * n + indices
-    a_rows = a.row_of_nnz()
-    a_keys = a_rows * n + a.indices
-    pos = np.searchsorted(keys, a_keys)
-    found = pos < keys.shape[0]
-    found[found] = keys[pos[found]] == a_keys[found]
-    if not np.all(found):
-        raise StructureError(
-            f"pattern is missing entries of A in row "
-            f"{a_rows[np.argmin(found)]}; "
-            "symbolic phase must contain the original pattern"
-        )
-    data[pos] = a.data
+def _factor(a: CSRMatrix, pattern: CSRMatrix | None, runtime: Runtime,
+            **strategy) -> CSRMatrix:
+    """:func:`numeric_ilu` on ``runtime``; a zero pivot or a flag the
+    caller's ``np.errstate`` reports hands it to the IKJ loop."""
+    kernel, flags = _IKJKernel(a, pattern), []
+    loop = runtime.compile(kernel.pattern, **strategy)
+    report = {k: "call" for k, v in np.geterr().items() if v != "ignore"}
+    with np.errstate(call=lambda kind, flag: flags.append(kind), **report):
+        try:
+            loop(kernel, backend="serial", with_sim=False)
+        except StructureError:  # a narrow level's row met a zero pivot
+            flags.append("pivot")
+    if flags or np.any(kernel.data[kernel.diag_pos] == 0.0):
+        SerialExecutor().run(kernel)
+    return kernel.pattern.with_data(kernel.data)
 
-    diag_pos = pattern.diagonal_positions()
-    if np.any(diag_pos < 0):
-        raise StructureError(
-            f"pattern row {np.argmax(diag_pos < 0)} lacks a diagonal entry")
 
-    # IKJ elimination restricted to the pattern.
-    for i in range(n):
+class _IKJKernel(LoopKernel):
+    """Row ``i`` of the IKJ elimination reads the finished rows its lower
+    pattern names (the Figure 8 graph): a wavefront is one batch."""
+
+    def __init__(self, a: CSRMatrix, pattern: CSRMatrix | None):
+        n = self.n = check_square(a.shape)
+        made = pattern is None
+        pattern = symbolic_ilu(a, 0) if made else pattern
+        if pattern.shape != a.shape:
+            raise ValidationError("pattern shape must match the matrix")
+        if not pattern.has_sorted_indices():
+            pattern = pattern.copy().sort_indices()
+        # Ours, so its zero level array takes A's values: one array less.
+        data = pattern.data if made else np.zeros(pattern.nnz)
+        # Scatter A's values: both sides keyed by ``row * n + col``, which
+        # the sorted pattern's ``keys`` increase in, so one search places A.
+        self.pattern = pattern
+        keys = self.keys
+        a_rows = a.row_of_nnz()
+        a_keys = a_rows * n + a.indices
+        pos = np.searchsorted(keys, a_keys)
+        found = pos < keys.shape[0]
+        found[found] = keys[pos[found]] == a_keys[found]
+        if not np.all(found):
+            raise StructureError(f"pattern is missing entries of A in row "
+                                 f"{a_rows[np.argmin(found)]}; symbolic "
+                                 "phase must contain the original pattern")
+        data[pos] = a.data
+
+        self.diag_pos = diag_pos = pattern.diagonal_positions()
+        if np.any(diag_pos < 0):
+            raise StructureError(f"pattern row {np.argmax(diag_pos < 0)} "
+                                 "lacks a diagonal entry")
+        self.values = data  # A scattered into it
+        del self.keys  # rebuilt past the compile's peak
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Each entry's ``row * n + col``, increasing in a sorted pattern."""
+        return self.pattern.row_of_nnz() * self.n + self.pattern.indices
+
+    def start(self) -> None:
+        self.data = self.values.copy()
+
+    def execute_index(self, i: int) -> None:
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        diag_pos, data = self.diag_pos, self.data
         lo, hi = indptr[i], indptr[i + 1]
         row_cols = indices[lo:hi]
         dp = diag_pos[i] - lo
@@ -204,7 +234,31 @@ def numeric_ilu(a: CSRMatrix, pattern: CSRMatrix | None = None) -> CSRMatrix:
                 data[lo + upos[valid]] -= lik * data[klo:khi][valid]
         if data[diag_pos[i]] == 0.0:
             raise StructureError(f"zero pivot produced at row {i}")
-    return pattern.with_data(data)
+
+    def execute_batch(self, rows: np.ndarray) -> None:
+        """Rank by rank, each row's ``t``-th multiplier is divided and,
+        unless exactly zero (skipped), applied to its pivot's upper row."""
+        indptr, indices = self.pattern.indptr, self.pattern.indices
+        diag_pos, data = self.diag_pos, self.data
+        lo = indptr[rows]
+        lower = diag_pos[rows] - lo
+        for t in range(int(lower.max(initial=0))):
+            live = lower > t
+            at = lo[live] + t
+            k = indices[at]
+            data[at] = lik = data[at] / data[diag_pos[k]]
+            keep = lik != 0.0
+            k, lik = k[keep], lik[keep]
+            count = indptr[k + 1] - diag_pos[k] - 1
+            src = expand_csr_ranges(diag_pos[k] + 1, count)
+            want = np.repeat(rows[live][keep] * self.n, count) + indices[src]
+            # Every row holds its diagonal, so no key exceeds the last.
+            tgt = np.searchsorted(self.keys, want)
+            hit = self.keys[tgt] == want
+            data[tgt[hit]] -= np.repeat(lik, count)[hit] * data[src[hit]]
+
+    def result(self) -> np.ndarray:
+        return self.data
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +296,8 @@ class ILUPreconditioner:
     ``factorization`` hands in the ILU(``level``) factors of ``a`` when
     the caller already holds them (``TestProblem.factorization``);
     ``strategy`` is :meth:`~repro.runtime.Runtime.compile` keywords
-    (``executor=``, ``scheduler=``, ...) for both loops.
+    (``executor=``, ``scheduler=``, ...) for both loops and the
+    factorization, whose inspection the lower loop's compile hits.
     """
 
     name = "ilu"
@@ -251,12 +306,12 @@ class ILUPreconditioner:
                  factorization: ILUFactorization | None = None,
                  runtime: Runtime | None = None, **strategy):
         self.level = level = _check_level(level)
+        runtime = Runtime() if runtime is None else runtime
         if factorization is None:
             factorization = ILUFactorization.from_lu(
-                numeric_ilu(a, symbolic_ilu(a, level)))
+                _factor(a, symbolic_ilu(a, level), runtime, **strategy))
         self.factorization = f = factorization
         self.n = n = a.nrows
-        runtime = Runtime() if runtime is None else runtime
         self.lower_loop = runtime.compile(
             LoopProgram.from_csr(f.l_strict, np.zeros(n), unit_diagonal=True,
                                  name=f"ilu{level}-lower"),

@@ -15,7 +15,8 @@ Failure discipline
 * A kernel exception in a worker is wrapped into a typed
   :class:`~repro.errors.ExecutionError` carrying the originating
   iteration index and raised in the calling thread; library errors
-  (:class:`~repro.errors.ReproError`) pass through untouched.
+  (:class:`~repro.errors.ReproError`) pass through untouched, as does
+  the ``FloatingPointError`` of the caller's ``np.errstate``.
 * Every run is supervised by a **watchdog** thread enforcing the
   ``timeout``: when the wall deadline passes, the watchdog sets the
   shared abort event.  Cancellation is *cooperative* — busy-waits poll
@@ -31,6 +32,7 @@ Failure discipline
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -129,8 +131,10 @@ class ThreadedMachine:
                 # spinning on results that will never arrive.
                 abort.set()
 
+        # Each lane runs in its own copy of the caller's np.errstate.
         threads = [
-            threading.Thread(target=wrap, args=(per_proc_args[p],), daemon=True)
+            threading.Thread(target=contextvars.copy_context().run,
+                             args=(wrap, per_proc_args[p]), daemon=True)
             for p in range(self.nproc)
         ]
         deadline = time.monotonic() + self.timeout
@@ -150,7 +154,7 @@ class ThreadedMachine:
         watchdog.join(max(0.2, 4 * self.poll))
         if errors:
             exc = errors[0]
-            if isinstance(exc, ReproError):
+            if isinstance(exc, (ReproError, FloatingPointError)):
                 raise exc
             raise ExecutionError(f"worker thread failed: {exc}") from exc
         if self._expired or zombies:
@@ -183,7 +187,7 @@ class ThreadedMachine:
         def run(i):
             try:
                 base(i)
-            except (ReproError, _Cancelled):
+            except (ReproError, FloatingPointError, _Cancelled):
                 raise
             except BaseException as exc:
                 raise ExecutionError(

@@ -16,6 +16,7 @@ from repro import LoopProgram, Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.schedule import global_schedule, identity_schedule, local_schedule
 from repro.core.wavefront import compute_wavefronts, compute_wavefronts_general
+from repro.krylov.ilu import symbolic_ilu
 from repro.machine.costs import MachineCosts
 from repro.mesh.problems import get_problem
 from repro.program import At, Statement
@@ -296,6 +297,40 @@ def csr_matrices(draw, max_dim=6):
     matrix = CSRMatrix(indptr, np.array(indices, dtype=np.int64), data,
                        (nrows, ncols))
     return matrix, dense
+
+
+@st.composite
+def ilu_systems(draw, max_n=30):
+    """``(a, pattern)``: a random square matrix and its ILU(0) or ILU(1)
+    pattern, drawn to reach every branch of the IKJ loop — stored
+    ``0.0`` / ``-0.0`` entries (exact-zero multipliers beside signed-zero
+    targets), ``inf`` / NaN upper entries, and zero pivots (a diagonal
+    the matrix lacks or stores as zero)."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    density = draw(st.sampled_from((0.02, 0.1, 0.25, 0.5)))
+    special = draw(st.sampled_from(("none", "zeros", "inf", "pivot")))
+    level = draw(st.sampled_from((0, 1)))
+    rng = np.random.default_rng(draw(seeds))
+    mask = rng.random((n, n)) < density
+    dense = rng.standard_normal((n, n))
+    dense[np.diag_indices(n)] = np.where(rng.random(n) < 0.5, -1.0, 1.0) * (
+        1.0 + n * density * rng.random(n))
+    if special == "pivot":
+        np.fill_diagonal(mask, rng.random(n) < 0.9)
+        dense[np.diag_indices(n)] *= rng.random(n) < 0.9
+    else:
+        np.fill_diagonal(mask, True)
+    if special == "zeros":  # off the diagonal: pivots stay non-zero
+        zero = ~np.eye(n, dtype=bool)
+        dense[zero & (rng.random((n, n)) < 0.2)] = 0.0
+        dense[zero & (rng.random((n, n)) < 0.2)] = -0.0
+    elif special == "inf":
+        upper = np.triu(rng.random((n, n)) < 0.1, 1)
+        dense[upper] = rng.choice([np.inf, -np.inf, np.nan], size=upper.sum())
+    rows, cols = np.nonzero(mask)
+    a = CSRMatrix(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))),
+                  cols, dense[rows, cols], (n, n))
+    return a, symbolic_ilu(a, level)
 
 
 # ----------------------------------------------------------------------

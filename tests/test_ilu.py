@@ -1,25 +1,36 @@
 """Unit tests for incomplete LU factorization and preconditioners."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import Runtime
+from repro.core.executor import SerialExecutor
 from repro.errors import StructureError, ValidationError
 from repro.krylov.ilu import (
     ILUFactorization,
     ILUPreconditioner,
     IdentityPreconditioner,
     JacobiPreconditioner,
+    _IKJKernel,
+    _factor,
     make_preconditioner,
     numeric_ilu,
     symbolic_ilu,
 )
+from repro.mesh.problems import get_problem
 from repro.sparse.build import csr_from_dense
+from repro.sparse.csr import CSRMatrix
 from repro.mesh.fd2d import five_point_laplacian
 from repro.mesh.grid import Grid2D
 from repro.sparse.triangular import (
     solve_lower_sequential,
     solve_upper_sequential,
 )
+from strategies import EXECUTORS, ilu_systems
+from test_contract import same
 from test_level_execution import count_holds
 
 
@@ -144,6 +155,138 @@ class TestNumeric:
         pat = symbolic_ilu(csr_from_dense(banded_spd(6)), 0)
         with pytest.raises(ValidationError):
             numeric_ilu(a, pat)
+
+
+def ikj_loop(a, pattern=None):
+    """The IKJ loop: the elimination kernel walked in index order."""
+    return SerialExecutor().run(_IKJKernel(a, pattern))
+
+
+def outcome(factor):
+    """What ``factor()`` did: its factor's values, or its error's type
+    and message."""
+    try:
+        return factor()
+    except (StructureError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+def chains(values=(), missing=(), width=3):
+    """``width`` independent rows, then ``width`` rows reading all of
+    them, then ``width`` reading those: three wavefronts wide enough to
+    run as batches.  ``values`` sets ``(i, j)`` entries; the rows in
+    ``missing`` store no diagonal."""
+    n = 3 * width
+    dense = np.eye(n) * 4.0
+    for level in (1, 2):
+        for i in range(level * width, (level + 1) * width):
+            dense[i, (level - 1) * width:level * width] = 1.0
+    for (i, j), value in dict(values).items():
+        dense[i, j] = value
+    dense[missing, missing] = 0.0
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return CSRMatrix(indptr, cols, dense[rows, cols], (n, n))
+
+
+class TestLevelScheduled:
+    """The factorization runs as a compiled loop, one batch per
+    wavefront, and is the IKJ loop bit for bit — its warnings, its
+    exceptions and its zero-pivot row too."""
+
+    @given(ilu_systems(), st.sampled_from(("serial", "threads")),
+           st.sampled_from(EXECUTORS), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_every_schedule_is_the_ikj_loop(self, system, backend, executor,
+                                            nproc):
+        """``serial`` is :func:`numeric_ilu`'s own call; ``threads`` runs
+        the compiled pattern's lanes on the kernel directly — row by row,
+        in parallel, with no hand-over to the loop — so a zero pivot
+        names whichever zero-pivot row a lane meets first."""
+        a, pattern = system
+        rt = Runtime(nproc=nproc)
+
+        def threaded():
+            kernel = _IKJKernel(a, pattern)
+            loop = rt.compile(kernel.pattern, executor=executor)
+            loop(kernel, backend="threads", with_sim=False)
+            return kernel.data
+
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: ikj_loop(a, pattern))
+            if backend == "serial":
+                got = outcome(lambda: _factor(a, pattern, rt,
+                                              executor=executor).data)
+            else:
+                got = outcome(threaded)
+        if not isinstance(want, tuple):
+            assert same(got, want)
+        elif backend == "serial":
+            assert got == want
+        else:
+            assert got[0] is StructureError and "zero pivot" in got[1]
+
+    def test_the_l5pt_factor_is_the_loops_and_runs_batched(self, monkeypatch):
+        a = get_problem("L5-PT", scale=0.25).a
+        batches = []
+        batch = _IKJKernel.execute_batch
+        monkeypatch.setattr(_IKJKernel, "execute_batch",
+                            lambda k, rows: batches.append(rows.size)
+                            or batch(k, rows))
+        lu = numeric_ilu(a)
+        assert np.array_equal(lu.data.view(np.uint64),
+                              ikj_loop(a).view(np.uint64))
+        assert len(batches) > 0 and sum(batches) > a.nrows // 2
+
+    def test_a_zero_pivot_past_the_first_is_the_loops_error(self):
+        """Rows 3 and 5 have no diagonal, so their pivots are zero; the
+        wavefront holding both is eliminated before either is reported,
+        and the rows after them divide by zero.  The loop reports row 3
+        and divides by nothing: neither warns nor raises otherwise,
+        under any ``np.errstate``."""
+        a = chains(missing=[3, 5])
+        for mode in ("warn", "raise", "ignore"):
+            with warnings.catch_warnings(), np.errstate(all=mode):
+                warnings.simplefilter("error")
+                with pytest.raises(StructureError,
+                                   match=r"zero pivot produced at row 3$"):
+                    numeric_ilu(a)
+
+    def test_the_loops_warnings_and_exceptions_are_the_sweeps(self):
+        """Rows 0 and 1 hold an infinite upper entry, so row 3 subtracts
+        ``inf`` and then ``-inf`` from its (3, 6) entry: NaN.  The sweep
+        warns what the loop warns, raises what it raises, and returns
+        the loop's factor when it does not."""
+        a = chains({(0, 6): np.inf, (1, 6): -np.inf, (3, 6): 1.0})
+        for mode in ("warn", "raise", "ignore", "call"):
+            runs = []
+            for factor in (lambda: ikj_loop(a), lambda: numeric_ilu(a).data):
+                called = []
+                calls = lambda kind, flag: called.append(kind)  # noqa: E731
+                with warnings.catch_warnings(record=True) as seen, \
+                        np.errstate(all=mode, call=calls):
+                    warnings.simplefilter("always")
+                    runs.append((outcome(factor),
+                                 [str(w.message) for w in seen], called))
+            (want, *reported), (got, *also) = runs
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert same(got, want)
+            assert also == reported
+        with np.errstate(all="ignore"):
+            assert np.isnan(ikj_loop(a)[a.indptr[3]:a.indptr[4]]).any()
+
+    def test_the_factorization_and_the_lower_solve_share_one_inspection(self):
+        """A preconditioner factors on its own session: the lower solve
+        (and here, the pattern being symmetric, the upper one) compiles
+        as a hit of the factorization's inspection."""
+        a = five_point_laplacian(Grid2D(12, 12))
+        pre = ILUPreconditioner(a, 0)
+        stats = pre.lower_loop.runtime.cache_stats
+        assert (stats.misses, stats.hits) == (1, 2)
+        assert pre.lower_loop.cache_hit and pre.upper_loop.cache_hit
+        assert np.array_equal(pre.factorization.lu.data, ikj_loop(a))
 
 
 class TestPreconditioners:

@@ -144,7 +144,7 @@ class TestSolverDriver:
     def test_unknown_method(self, spd_system, monkeypatch):
         """Refused before the matrix is factored, not after."""
         a, b, _ = spd_system
-        monkeypatch.setattr(ilu, "numeric_ilu", None)
+        monkeypatch.setattr(ilu, "_factor", None)  # numeric_ilu's too
         with pytest.raises(ValidationError, match="'pcg' or 'gmres'"):
             solve(a, b, method="sor")
 
@@ -153,7 +153,7 @@ class TestSolverDriver:
         a, b, _ = spd_system
         by_name = solve(a, b, method="pcg", precond="ilu0", tol=1e-10)
         pre = ILUPreconditioner(a, 0)
-        monkeypatch.setattr(ilu, "numeric_ilu", None)  # nothing re-factors
+        monkeypatch.setattr(ilu, "_factor", None)  # nothing re-factors
         res = solve(a, b, method="pcg", precond=pre, tol=1e-10)
         assert res.precond_kind == "ilu"
         assert res.residuals == by_name.residuals

@@ -45,27 +45,28 @@ class TestOneFactorOneSolvePath:
     def test_every_logged_solve_ran_the_compiled_loops(self, problem,
                                                        monkeypatch):
         factored = []
-        numeric_ilu = ilu.numeric_ilu
+        factor = ilu._factor
         monkeypatch.setattr(
-            ilu, "numeric_ilu",
-            lambda *a, **k: factored.append(1) or numeric_ilu(*a, **k))
+            ilu, "_factor",
+            lambda *a, **k: factored.append(1) or factor(*a, **k))
         solver = ParallelSolver(problem.a, 8)
         lower_plan = solver.lower_loop.plan
         log = solver.solve(problem.b, method="gmres").solve_result.log
         assert log["lower_solve"] == log["upper_solve"] > 0
         assert solver.lower_loop.executions == log["lower_solve"]
         assert solver.upper_loop.executions == log["upper_solve"]
-        # One compile of the shared structure (the upper loop's is its
-        # hit) and none per solve: the lower plan is still the first.
+        # One compile of the shared structure — the factorization's; both
+        # solve loops' are its hits — and none per solve: the lower plan
+        # is still the first.
         stats = solver.lower_loop.runtime.cache_stats
-        assert (stats.misses, stats.hits) == (1, 1)
+        assert (stats.misses, stats.hits) == (1, 2)
         assert solver.lower_loop.plan is lower_plan
         assert len(factored) == 1
 
     def test_a_handed_factorization_is_not_recomputed(self, problem,
                                                       monkeypatch):
         f = problem.factorization
-        monkeypatch.setattr(ilu, "numeric_ilu", None)
+        monkeypatch.setattr(ilu, "_factor", None)
         solver = ParallelSolver(problem.a, 8, factorization=f)
         assert solver.precond.factorization is f and solver.pattern is f.lu
         assert problem.loop_program(factored=True).data["a"] is f.l_strict.data

@@ -1,11 +1,13 @@
 """Unit tests for the real-thread execution backend."""
 
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import Runtime
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SimpleLoopKernel, SerialExecutor
 from repro.core.schedule import global_schedule, identity_schedule
@@ -100,3 +102,39 @@ class TestPrescheduled:
             ThreadedMachine(2, timeout=2.0).run_prescheduled(
                 Exploding(), sched.phases()
             )
+
+
+class TestCallersErrstate:
+    """Every lane runs under the caller's ``np.errstate`` (numpy keeps
+    it per context, and a new thread would start at the defaults): a
+    Figure 3 loop whose iteration 5 multiplies ``0.0`` by ``inf``
+    warns, raises or keeps quiet on ``threads`` exactly as on
+    ``serial``."""
+
+    @pytest.fixture
+    def flagged(self):
+        n = 50
+        rng = np.random.default_rng(53)
+        ia = rng.integers(0, n, size=n)
+        x, b = rng.standard_normal(n), rng.standard_normal(n)
+        ia[5], x[3], b[5], x[9] = 3, np.inf, 0.0, np.nan
+        loop = Runtime(nproc=3).compile(ia)
+        return loop, lambda: SimpleLoopKernel(x, b, ia)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_an_ignored_flag_warns_on_no_backend(self, flagged, backend):
+        loop, kernel = flagged
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            x = loop(kernel(), backend=backend, with_sim=False).x
+        assert np.isnan(x[5])
+
+    def test_a_raised_flag_is_the_same_exception_on_every_backend(
+            self, flagged):
+        loop, kernel = flagged
+        raised = []
+        for backend in ("serial", "threads"):
+            with np.errstate(all="raise"), pytest.raises(Exception) as exc:
+                loop(kernel(), backend=backend, with_sim=False)
+            raised.append(exc.type)
+        assert raised == [FloatingPointError, FloatingPointError]
