@@ -10,7 +10,7 @@
 # no-fixed-width-row-pointer,
 # one-inspector-owner, one-pricing-path, plain-unpriced-put,
 # one-schedule-normaliser, unbounded-oracle,
-# one-backend-dispatch, structures-are-values, no-compile-counter,
+# one-backend-dispatch, one-Figure-8-row, structures-are-values, no-compile-counter,
 # one-timeout-check, oracles-stay-oracles, one-amortisation-model,
 # one-values-read, one-run-reader and one-input-module rules,
 # then run the tier-1 test suite.
@@ -77,6 +77,10 @@ forked="$forked|_record_verdict"
 # ... and a speculative plan is a ScheduledPlan whose executor runs on
 # every backend: the third plan class and the backend refusals went.
 forked="$forked|SpeculativePlan|_refuse\b"
+# ... and the process machine runs the loop's own kernel: the private
+# solver classes and their worker row loops went.
+forked="$forked|ProcessPrescheduledSolver|ProcessSelfExecutingSolver"
+forked="$forked|_ProcessSolverBase|_solve_rows_batch|_self_executing_walk"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1
@@ -421,8 +425,7 @@ fi
 
 echo "== one backend dispatch: LoopPlan.execute picks the executor's entry point =="
 # A backend is an entry point of the plan's executor, not a class: only
-# the session calls the real-parallel ones, and only ClassicExecutor
-# builds a process solver.
+# the session calls the real-parallel ones.
 entries=$(grep -rnE '\.run_(threaded|processes)\(' src --include='*.py' \
           | grep -v '^src/repro/runtime/session.py:' || true)
 if [ -n "$entries" ]; then
@@ -430,11 +433,17 @@ if [ -n "$entries" ]; then
     echo "error: .run_threaded( / .run_processes( called outside runtime/session.py" >&2
     exit 1
 fi
-solvers=$(grep -rnE 'Process\w*Solver\(' src --include='*.py' \
-          | grep -vE '^src/repro/core/executor.py:|:[0-9]+:class ' || true)
-if [ -n "$solvers" ]; then
-    echo "$solvers"
-    echo "error: a Process*Solver constructed outside core/executor.py" >&2
+
+echo "== one Figure 8 row: the two oracles and one kernel loop =="
+# The row substitution is written in sparse/triangular.py's two oracles
+# and once in core/executor.py, the loop the serial flat walks and the
+# process workers both run; no backend keeps a private copy.
+rows=$(grep -rncE --include='*.py' \
+       -e '-=\s*[A-Za-z_.]*data\[[^]]*\]\s*\*\s*[A-Za-z_.]*x\[' src \
+       | grep -v ':0$' | sort || true)
+if [ "$rows" != "$(printf 'src/repro/core/executor.py:1\nsrc/repro/sparse/triangular.py:2')" ]; then
+    echo "$rows"
+    echo "error: the Figure 8 row is written outside the two oracles and _SubstitutionKernel.execute_index" >&2
     exit 1
 fi
 

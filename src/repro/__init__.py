@@ -65,7 +65,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "At",

@@ -50,6 +50,7 @@ from ..machine.simulator import (
     simulate_prescheduled,
     simulate_self_executing,
 )
+from ..machine.processes import ProcessMachine
 from ..machine.threads import ThreadedMachine
 from ..sparse.csr import CSRMatrix
 from ..sparse.triangular import LevelGather, resolve_diagonal
@@ -324,8 +325,8 @@ class _SubstitutionKernel(LoopKernel):
     rule and the :class:`~repro.sparse.triangular.LevelGather` batch
     path, which solves a span of levels in level order and writes ``x``
     once, from values it holds while they are read-only.  Subclasses
-    map iterations to matrix rows and keep the printed per-row loop as
-    ``execute_index``."""
+    map iterations to matrix rows; :meth:`execute_index` is the one
+    per-row loop, the rung of the flat walks and the process workers."""
 
     #: Forward (strictly-lower operands) or backward substitution.
     _lower: bool
@@ -350,6 +351,19 @@ class _SubstitutionKernel(LoopKernel):
 
     def start(self) -> None:
         self.x = np.zeros(self.n, dtype=np.float64)
+
+    def execute_index(self, k: int) -> None:
+        """The printed row loop over the row iteration ``k`` solves: its
+        stored strictly-lower (forward) or strictly-upper (backward)
+        operands subtracted one by one in CSR order."""
+        lower, t, x = self._lower, self._t, self.x
+        i = k if lower else self.n - 1 - k
+        acc = self.b[i]
+        for p in range(t.indptr[i], t.indptr[i + 1]):
+            j = t.indices[p]
+            if (j < i) if lower else (j > i):
+                acc -= t.data[p] * x[j]
+        x[i] = acc / self.diag[i]
 
     def gather_key(self) -> tuple:
         return (type(self), self._t.indptr, self._t.indices)
@@ -394,15 +408,6 @@ class TriangularSolveKernel(_SubstitutionKernel):
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         return idx
 
-    def execute_index(self, i: int) -> None:
-        lo, hi = self.l.indptr[i], self.l.indptr[i + 1]
-        acc = self.b[i]
-        for k in range(lo, hi):
-            j = self.l.indices[k]
-            if j < i:
-                acc -= self.l.data[k] * self.x[j]
-        self.x[i] = acc / self.diag[i]
-
 
 class UpperTriangularSolveKernel(_SubstitutionKernel):
     """Backward substitution ``U x = b`` as a reorderable forward loop.
@@ -430,16 +435,6 @@ class UpperTriangularSolveKernel(_SubstitutionKernel):
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         return read_only(self.n - 1 - idx)
-
-    def execute_index(self, k: int) -> None:
-        i = self.n - 1 - k
-        lo, hi = self.u.indptr[i], self.u.indptr[i + 1]
-        acc = self.b[i]
-        for p in range(lo, hi):
-            j = self.u.indices[p]
-            if j > i:
-                acc -= self.u.data[p] * self.x[j]
-        self.x[i] = acc / self.diag[i]
 
 
 class ClassicExecutor:
@@ -600,37 +595,32 @@ class ClassicExecutor:
                 "thread-safe; run it on the 'serial' backend (or time "
                 "it with loop.simulate())"
             )
-        kernel.start()
-        machine = ThreadedMachine(self.schedule.nproc, timeout=timeout)
-        phases = self.phases()
-        if phases is not None:
-            machine.run_prescheduled(kernel, phases, timeline=timeline)
-        else:
-            machine.run_self_executing(kernel, self.schedule, self.dep,
-                                       timeline=timeline)
-        return kernel.result()
+        return self._on_machine(
+            ThreadedMachine(self.schedule.nproc, timeout=timeout), kernel,
+            timeline=timeline)
 
     def run_processes(self, kernel, *, timeout: float = 30.0) -> np.ndarray:
-        """Execute on OS processes over shared memory, under the mode's
-        own synchronization — for the paper's flagship workload, the
-        sparse lower-triangular solve, alone."""
-        from ..machine import processes  # deferred: import cycle
-
-        if not isinstance(kernel, TriangularSolveKernel):
+        """Execute on forked OS processes sharing the kernel's ``x``,
+        under the mode's own synchronization — for the paper's flagship
+        workload, a triangular solve (either direction), alone."""
+        if not isinstance(kernel, _SubstitutionKernel):
             raise ValidationError(
-                "the 'processes' backend supports TriangularSolveKernel "
-                f"workloads, got {type(kernel).__name__}"
-            )
+                "the 'processes' backend supports TriangularSolveKernel and "
+                f"UpperTriangularSolveKernel workloads, got "
+                f"{type(kernel).__name__}")
+        return self._on_machine(
+            ProcessMachine(self.schedule.nproc, timeout=timeout), kernel)
+
+    def _on_machine(self, machine, kernel, **kw) -> np.ndarray:
+        """Run ``kernel`` on ``machine``: barrier phases where the mode
+        has them, busy-waits (``self``, ``doacross``) otherwise."""
+        kernel.start()
         phases = self.phases()
         if phases is not None:
-            return processes.ProcessPrescheduledSolver(
-                kernel.l, self.schedule, diag=kernel.diag).solve(
-                    kernel.b, timeout=timeout, phases=phases)
-        # Self-executing and doacross both busy-wait on ready flags;
-        # doacross simply walks the identity schedule.
-        solver = processes.ProcessSelfExecutingSolver(
-            kernel.l, self.schedule, self.dep, diag=kernel.diag)
-        return solver.solve(kernel.b, timeout=timeout)
+            machine.run_prescheduled(kernel, phases, **kw)
+        else:
+            machine.run_self_executing(kernel, self.schedule, self.dep, **kw)
+        return kernel.result()
 
 
 class SerialExecutor:

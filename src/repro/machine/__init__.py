@@ -11,9 +11,10 @@ processor, barrier release rules, busy-wait release rules — are
 simulated exactly, so relative timings of scheduling strategies are
 preserved.
 
-A real ``threading``-based backend (:mod:`repro.machine.threads`)
-validates the *correctness* of the transformed loops under true
-concurrency, GIL notwithstanding.
+Two real machines run the transformed loops over the loop's own
+kernel under true concurrency: :mod:`repro.machine.threads` validates
+their *correctness*, GIL notwithstanding, and
+:mod:`repro.machine.processes` forks workers over a shared ``x``.
 """
 
 from .costs import MachineCosts, MULTIMAX_320, ZERO_OVERHEAD
@@ -26,11 +27,8 @@ from .simulator import (
     work_vector,
 )
 from .threads import ThreadedMachine
-from .processes import ProcessPrescheduledSolver, ProcessSelfExecutingSolver
 
 __all__ = [
-    "ProcessPrescheduledSolver",
-    "ProcessSelfExecutingSolver",
     "MachineCosts",
     "MULTIMAX_320",
     "ZERO_OVERHEAD",

@@ -200,8 +200,8 @@ class _FaultyKernel:
 
 #: The process seams fired for the solve in flight, read by the workers.
 _HANDOUT: dict = {}
-_solve_rows_batch = processes._solve_rows_batch
-_self_executing_walk = processes._self_executing_walk
+_run_share = processes._run_share
+_busy_wait_walk = processes._busy_wait_walk
 
 
 def _process_fault(rows) -> None:
@@ -211,14 +211,14 @@ def _process_fault(rows) -> None:
                    if i in rows))
 
 
-def _faulty_rows_batch(rows):
+def _faulty_share(rows):
     _process_fault(rows)
-    return _solve_rows_batch(rows)
+    return _run_share(rows)
 
 
 def _faulty_walk(args):
     _process_fault(args[0])
-    return _self_executing_walk(args)
+    return _busy_wait_walk(args)
 
 
 @contextlib.contextmanager
@@ -266,7 +266,7 @@ def armed(plan: FaultPlan, *, runtime=None):
                 (LruStoreBase, "_store_disk", faulty_store_disk),
                 (ThreadedMachine, "_prepare", faulty_prepare),
                 (ThreadedMachine, "_watch", faulty_watch),
-                (processes, "_solve_rows_batch", _faulty_rows_batch),
-                (processes, "_self_executing_walk", _faulty_walk)):
+                (processes, "_run_share", _faulty_share),
+                (processes, "_busy_wait_walk", _faulty_walk)):
             stack.enter_context(mock.patch.object(owner, name, patch))
         yield plan

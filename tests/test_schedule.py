@@ -450,7 +450,8 @@ class TestOrdering:
     def test_process_solver_needs_no_sweep_on_a_global_schedule(
             self, small_lower, small_lower_dep, monkeypatch):
         from repro.core import schedule as schedule_module
-        from repro.machine.processes import ProcessSelfExecutingSolver
+        from repro.core.executor import TriangularSolveKernel
+        from repro.machine.processes import ProcessMachine
 
         sweeps = []
         real = schedule_module.frontier_sweep
@@ -458,7 +459,9 @@ class TestOrdering:
             schedule_module, "frontier_sweep",
             lambda *a, **k: sweeps.append(1) or real(*a, **k))
         sched = global_schedule(compute_wavefronts(small_lower_dep), 3)
-        ProcessSelfExecutingSolver(small_lower, sched, small_lower_dep)
+        kernel = TriangularSolveKernel(small_lower, np.ones(small_lower.nrows))
+        kernel.start()
+        ProcessMachine(3).run_self_executing(kernel, sched, small_lower_dep)
         assert not sweeps  # the shape probe proves it legal
         sched.toposort_plan(small_lower_dep)
         assert len(sweeps) == 1  # ... and the counter does count
