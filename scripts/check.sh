@@ -3,7 +3,7 @@
 # one-run-path, one-level-contract, one-classic-executor, one-extractor,
 # one-identity, session-free-store, one-simulator-engine, one-walk-chooser,
 # one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
-# one-speculative-gate, one-store-discipline, two-instruments, two-plans,
+# one-speculative-gate, one-plan-builder, one-store-discipline, two-instruments, two-plans,
 # one-factor-one-solve-path (no private inspection under krylov/: the
 # factorization's order is a session compile's), one-stencil-query,
 # one-row-pointer-build,
@@ -81,6 +81,9 @@ forked="$forked|SpeculativePlan|_refuse\b"
 # solver classes and their worker row loops went.
 forked="$forked|ProcessPrescheduledSolver|ProcessSelfExecutingSolver"
 forked="$forked|_ProcessSolverBase|_solve_rows_batch|_self_executing_walk"
+# ... and a scored candidate is a (score, spec) pair or a Scored plan:
+# the full-size oracle's own result type went.
+forked="$forked|\bMeasurement\b"
 if grep -rnE "$forked" src --include='*.py'; then
     echo "error: a name the single CompiledLoop / replay kernel / front end / extractor / simulator engine / scorer / executor base / triangular-solve path / backend dispatch replaced reappeared" >&2
     exit 1
@@ -201,12 +204,38 @@ if grep -rnE 'FaultPlan|InjectedFault|faults=' src --include='*.py'; then
 fi
 
 echo "== one speculative gate: the executor flag is read on one line =="
-# Runtime._compile_impl reroutes a speculative-flagged executor to the
-# no-inspection plan; the tuner and its scorer go through compile().
+# Runtime._plan routes a speculative-flagged executor to the
+# no-inspection plan; every compile and every scored candidate build there.
 gates=$(grep -rn 'get("speculative")' src --include='*.py' || true)
 if [ "$(echo "$gates" | grep -c 'get("speculative")')" -ne 1 ]; then
     echo "$gates"
     echo "error: the speculative flag must be read on exactly one line under src" >&2
+    exit 1
+fi
+
+echo "== one plan builder: a search candidate is a plan, not a compiled loop =="
+# The tuner scores what Runtime._plan builds: no code under tuning/
+# calls .compile( (an AST walk: the package docstring's example is
+# prose), and only the session and the speculative plan's module
+# construct a ScheduledPlan.
+compiles=$(python - <<'PY'
+import ast, pathlib
+
+for path in sorted(pathlib.Path("src/repro/tuning").rglob("*.py")):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile"):
+            print(f"{path}:{node.lineno}")
+PY
+)
+if [ -n "$compiles" ]; then
+    echo "$compiles"
+    echo "error: the tuner compiles a loop (score the plan Runtime._plan builds)" >&2
+    exit 1
+fi
+if grep -rn 'ScheduledPlan(' src --include='*.py' \
+        | grep -vE '^src/repro/(runtime/session|speculate/loop)\.py:'; then
+    echo "error: ScheduledPlan( constructed outside runtime/session.py and speculate/loop.py" >&2
     exit 1
 fi
 

@@ -704,7 +704,7 @@ class Runtime:
         self._inspector = Inspector(costs, observer=self.observer)
         # The stores may be shared with other sessions, so nothing of
         # this one is written onto them: the observer mirrors this
-        # session's own share of their counters (``_scheduled_plan``).
+        # session's own share of their counters (``_plan``).
 
     # ------------------------------------------------------------------
     def compile(self, deps, *, executor: str = "self",
@@ -789,42 +789,41 @@ class Runtime:
                 "'auto', 'speculative' (or omit it and pick executor/"
                 "scheduler/assignment/balance explicitly)"
             )
-        source = program if program is not None else deps
-        # Speculative-flagged executors never pay for an inspection:
-        # whether named explicitly or picked by an "auto" verdict, they
-        # build the no-inspection plan (their scheduler/assignment/
-        # balance strings are meaningless and ignored).
-        if (executor in executor_registry
-                and executor_registry.metadata(executor).get("speculative")):
-            from ..speculate.loop import speculative_plan  # deferred: cycle
-
-            plan = speculative_plan(self, source)
-        else:
-            plan = self._scheduled_plan(source, executor=executor,
-                                        scheduler=scheduler,
-                                        assignment=assignment,
-                                        balance=balance, winner=winner)
+        plan = self._plan(program if program is not None else deps,
+                          executor=executor, scheduler=scheduler,
+                          assignment=assignment, balance=balance,
+                          winner=winner)
         return CompiledLoop(
             self, plan, program=program,
             bound_kernel=program.make_kernel() if program is not None else None,
             verdict=verdict, program_verdict=program_verdict)
 
-    def _scheduled_plan(self, deps, *, executor: str, scheduler: str,
-                        assignment: str, balance: str,
-                        winner=None) -> ScheduledPlan:
-        """Inspect (or fetch from cache) and bind a registry executor.
+    def _plan(self, deps, *, executor: str, scheduler: str,
+              assignment: str, balance: str, winner=None) -> ScheduledPlan:
+        """The one plan builder: what a strategy bundle runs on ``deps``
+        — every compile's, and every search candidate's.
+
+        Speculative-flagged executors never pay for an inspection:
+        whether named explicitly or picked by an "auto" verdict, they
+        build the no-inspection plan (their scheduler/assignment/
+        balance strings are meaningless and ignored).  Any other
+        executor is inspected (or fetched from cache) and bound.
 
         All registry work — name validation, spec parsing, metadata
         lookups, the eager balance/weight-source checks — happens
         first, before any dependence processing.  A search's winner
-        compiled on this very graph stands in for the inspection a miss
+        planned on this very graph stands in for the inspection a miss
         would run, and seeds the plan's default simulation.
         """
         executor_registry.validate(executor)
+        meta = executor_registry.metadata(executor)
+        if meta.get("speculative"):
+            from ..speculate.loop import speculative_plan  # deferred: cycle
+
+            return speculative_plan(self, deps)
         scheduler_registry.validate(scheduler)
         partitioner_registry.validate(assignment)
 
-        meta = executor_registry.metadata(executor)
         resolved = meta.get("scheduler_override") or scheduler
         # An executor that forces its assignment too (doacross: the
         # wrapped identity) is inspected, cached and reported with the
@@ -869,10 +868,11 @@ class Runtime:
         inspection = (cache.session_get(key, dep, observer=obs)
                       if cache is not None else None)
         cache_hit = inspection is not None
-        if cache_hit or winner is None or winner.loop.dep is not dep:
+        if (cache_hit or winner is None
+                or winner.plan.inspection.dep is not dep):
             winner = None
         if inspection is None:
-            inspection = (winner.loop.inspection if winner is not None else
+            inspection = (winner.plan.inspection if winner is not None else
                           self._inspector.inspect(
                               dep, self.nproc, strategy=resolved,
                               assignment=assignment, balance=balance))

@@ -60,4 +60,4 @@ def speculative_plan(runtime, deps) -> ScheduledPlan:
         executor, executor, kind="speculative", executor_name="speculative",
         scheduler_name="identity", assignment="wrapped", balance="wrapped",
         cache_hit=False,
-        classic=lambda: runtime._scheduled_plan(deps, **_CLASSIC))
+        classic=lambda: runtime._plan(deps, **_CLASSIC))

@@ -25,8 +25,11 @@ Pieces
   :func:`space_fingerprint` — the searchable space over the open
   registries, including the parameterized chunk-profile partitioners;
 * :func:`simulate_spec` / :func:`prefix_graph` — scoring one
-  candidate on the machine model, at full size or on a prefix;
-* :class:`Tuner` — deterministic (seeded) successive halving;
+  candidate's plan (the session's plan builder, never a compiled loop)
+  on the machine model, at full size or on a prefix; a
+  :class:`Scored` carries the score, the plan and its simulation;
+* :class:`Tuner` — deterministic (seeded) successive halving, and its
+  oracle :meth:`Tuner.exhaustive` (``(score, spec)`` best first);
 * :class:`TuningStore` / :class:`TuningVerdict` — persistent,
   self-healing verdict cache.
 """
@@ -34,7 +37,7 @@ Pieces
 from __future__ import annotations
 
 from .features import WorkloadFeatures, extract_features
-from .measure import Measurement, Scored, prefix_graph, simulate_spec
+from .measure import Scored, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 from .tuner import ProgramVerdict, Tuner
@@ -43,7 +46,6 @@ __all__ = [
     "ProgramVerdict",
     "WorkloadFeatures",
     "extract_features",
-    "Measurement",
     "prefix_graph",
     "Scored",
     "simulate_spec",

@@ -6,9 +6,11 @@ dependence graph as well as at full size, no score ever needs a second
 sample, and two candidates with one schedule need one simulation
 (:class:`SharedSims`).
 
-Everything goes through :meth:`Runtime.compile
-<repro.runtime.session.Runtime.compile>`, so candidate compiles enjoy
-the session's :class:`~repro.runtime.cache.ScheduleCache`, a
+A candidate is scored as a *plan*: the session's one plan builder
+(``Runtime._plan``, the one every compile builds through) turns it into
+a :class:`~repro.runtime.session.ScheduledPlan` and nothing more — no
+compiled loop, no ``compile`` span.  So candidate inspections enjoy the
+session's :class:`~repro.runtime.cache.ScheduleCache`, a
 speculative-flagged candidate takes the session's one no-inspection
 route, and a candidate that cannot execute at all (an illegal
 schedule, a deadlock) scores ``inf`` instead of aborting the search.
@@ -19,7 +21,6 @@ many executions (:func:`~repro.analysis.model.amortised_time`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,19 +34,7 @@ from ..util.frontier import counts_to_indptr
 from ..util.validation import read_only
 from .space import CandidateSpec
 
-__all__ = ["Measurement", "Scored", "prefix_graph", "simulate_spec"]
-
-
-@dataclass
-class Measurement:
-    """One candidate's full-size score (:meth:`Tuner.exhaustive
-    <repro.tuning.tuner.Tuner.exhaustive>`)."""
-
-    spec: CandidateSpec
-    #: Simulated makespan on the full graph (model µs; ``inf`` = failed).
-    sim_makespan: float = float("inf")
-    #: Error string of a failed compile/simulation, for reporting.
-    error: str | None = None
+__all__ = ["Scored", "prefix_graph", "simulate_spec"]
 
 
 def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
@@ -83,7 +72,7 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
 class SharedSims:
     """One rung's simulations, shared by schedule.
 
-    Candidates whose compiled schedules are identical share one
+    Candidates whose planned schedules are identical share one
     simulation: every ``doacross × assignment`` alias runs the one
     wrapped identity schedule, and ``global`` deals the same lists
     under ``wrapped`` as under unit-weight ``greedy`` (the same deal).
@@ -131,11 +120,11 @@ def _makespan_bound(bound: float, amortised: float) -> float:
 
 
 class Scored(NamedTuple):
-    """One candidate's score, and what scoring it built."""
+    """One candidate's score, and the plan scoring it built."""
 
     score: float
     error: str | None
-    loop: object = None             # None: it did not compile
+    plan: object = None             # None: no plan could be built
     sim: SimResult | None = None    # None: no finite score
 
 
@@ -152,9 +141,9 @@ def simulate_spec(
     """Simulated score of one candidate (``inf`` when it cannot run).
 
     ``runtime`` is the search session (its ScheduleCache absorbs
-    repeated compiles of the same rung); ``deps`` any dependence
+    repeated inspections of the same rung); ``deps`` any dependence
     source.  Returns the :class:`Scored` score, error-or-``None``,
-    compiled candidate and the simulation behind a finite score.
+    the candidate's plan and the simulation behind a finite score.
 
     The score is :func:`~repro.analysis.model.amortised_time`: the
     simulated makespan (optionally under a ``unit_work`` pricing
@@ -172,16 +161,16 @@ def simulate_spec(
     score either way is the unbounded, unshared one, bit for bit.
     """
     try:
-        loop = runtime.compile(deps, **spec.compile_kwargs())
-        share = amortised_time(0.0, loop.inspection, expected_executions)
-        if loop.plan.kind != "scheduled":
-            sim = loop.simulate(unit_work=unit_work)
+        plan = runtime._plan(deps, **spec.compile_kwargs())
+        share = amortised_time(0.0, plan.inspection, expected_executions)
+        if plan.kind != "scheduled":
+            sim = plan.simulate(unit_work)
         else:
             sims = shared if shared is not None else SharedSims()
-            sim = sims.simulate(loop.executor, unit_work,
+            sim = sims.simulate(plan.executor, unit_work,
                                 _makespan_bound(bound, share))
             if sim is None:
-                return Scored(math.inf, None, loop)
-        return Scored(float(sim.total_time) + share, None, loop, sim)
+                return Scored(math.inf, None, plan)
+        return Scored(float(sim.total_time) + share, None, plan, sim)
     except ReproError as exc:
         return Scored(math.inf, f"{type(exc).__name__}: {exc}")

@@ -44,7 +44,7 @@ from ..util.validation import (
     check_unit_work,
 )
 from .features import extract_features
-from .measure import Measurement, Scored, SharedSims, prefix_graph, simulate_spec
+from .measure import Scored, SharedSims, prefix_graph, simulate_spec
 from .space import CandidateSpec, enumerate_space, space_fingerprint
 from .store import TuningStore, TuningVerdict
 
@@ -146,8 +146,8 @@ class Tuner:
         #: Shared with the private search runtime, so candidate
         #: inspections nest (non-double-counted) under the tune span.
         self.observer = observer
-        #: Private search session: candidate compiles land in its
-        #: ScheduleCache, never the caller's.  It shares the seed, so a
+        #: Private search session: candidate plans' inspections land in
+        #: its ScheduleCache, never the caller's.  It shares the seed, so a
         #: speculative candidate is scored under the chunk shuffle the
         #: session's own speculative plan will run.
         self._runtime = Runtime(nproc, costs=costs, cache=256, tuning=None,
@@ -213,20 +213,6 @@ class Tuner:
             unit_work = check_unit_work(unit_work, dep.n)
         return self._search(dep, candidates, unit_work=unit_work)[0]
 
-    def _search(self, dep, candidates, *, unit_work):
-        """:meth:`search`, and its winner's :class:`Scored` (compiled
-        loop, exact simulation) if scheduled under the default work —
-        returned, never kept: a winner must not outlive its search."""
-        if candidates is None:
-            candidates = enumerate_space(dep.n, self.nproc)
-        if not candidates:
-            raise ValidationError("the candidate space is empty")
-        obs = self.observer
-        with maybe_span(obs, "tune", n=dep.n,
-                        candidates=len(candidates)) as span:
-            return self._search_impl(dep, candidates, unit_work=unit_work,
-                                     span=span)
-
     def _score(self, dep, specs, *, unit_work,
                kept: int | None = None) -> tuple[list, SharedSims, Scored]:
         """One rung: simulate every spec on ``dep`` (the search's only
@@ -274,14 +260,15 @@ class Tuner:
         scored.sort(key=lambda t: t[0])
         return scored, shared, best
 
-    def _search_impl(
-        self,
-        dep,
-        candidates: list[CandidateSpec],
-        *,
-        unit_work: np.ndarray | None,
-        span,
-    ) -> tuple[TuningVerdict, Scored | None]:
+    def _search(self, dep, candidates, *,
+                unit_work) -> tuple[TuningVerdict, Scored | None]:
+        """:meth:`search`, and its winner's :class:`Scored` (plan, exact
+        simulation) if scheduled under the default work — returned,
+        never kept: a winner must not outlive its search."""
+        if candidates is None:
+            candidates = enumerate_space(dep.n, self.nproc)
+        if not candidates:
+            raise ValidationError("the candidate space is empty")
         obs = self.observer
         if obs is not None:
             obs.inc("tuner.searches")
@@ -289,71 +276,76 @@ class Tuner:
         rng = np.random.default_rng(self.seed)
         survivors = [candidates[i] for i in rng.permutation(len(candidates))]
         sims = cut = shared = 0
+        with maybe_span(obs, "tune", n=dep.n,
+                        candidates=len(candidates)) as span:
+            # Pruning rungs: simulate on growing prefixes, halve the field.
+            for rung, m in enumerate(self._rung_sizes(dep.n)):
+                entered = len(survivors)
+                kept = max(FINALISTS, math.ceil(entered * KEEP))
+                scored, rung_sims, _ = self._score(
+                    prefix_graph(dep, m), survivors,
+                    unit_work=None if unit_work is None else unit_work[:m],
+                    kept=kept)
+                sims += entered
+                cut += rung_sims.cut
+                shared += rung_sims.shared
+                survivors = [spec for _, spec in scored[:kept]]
+                # Diversity guarantee: prefix fidelity is biased against
+                # barrier-dominated executors (a preschedule run pays
+                # its per-wavefront syncs against a fraction of the
+                # work), so the best finite-scored candidate of *every*
+                # executor family rides along to the next rung
+                # regardless of rank — the full-size rung, not a
+                # subsample, retires families.
+                seen_exec = {spec.executor for spec in survivors}
+                for score, spec in scored[kept:]:
+                    if (spec.executor not in seen_exec
+                            and math.isfinite(score)):
+                        seen_exec.add(spec.executor)
+                        survivors.append(spec)
+                if obs is not None:
+                    obs.inc(f"tuner.rung{rung}.pruned",
+                            entered - len(survivors))
 
-        # Pruning rungs: simulate on growing prefixes, halve the field.
-        for rung, m in enumerate(self._rung_sizes(dep.n)):
-            entered = len(survivors)
-            kept = max(FINALISTS, math.ceil(entered * KEEP))
-            scored, rung_sims, _ = self._score(
-                prefix_graph(dep, m), survivors,
-                unit_work=None if unit_work is None else unit_work[:m],
-                kept=kept)
-            sims += entered
-            cut += rung_sims.cut
-            shared += rung_sims.shared
-            survivors = [spec for _, spec in scored[:kept]]
-            # Diversity guarantee: prefix fidelity is biased against
-            # barrier-dominated executors (a preschedule run pays its
-            # per-wavefront syncs against a fraction of the work), so
-            # the best finite-scored candidate of *every* executor
-            # family rides along to the next rung regardless of rank —
-            # the full-size rung, not a subsample, retires families.
-            seen_exec = {spec.executor for spec in survivors}
-            for score, spec in scored[kept:]:
-                if spec.executor not in seen_exec and math.isfinite(score):
-                    seen_exec.add(spec.executor)
-                    survivors.append(spec)
+            # Final rung: every survivor at full size.
+            scored, final, won = self._score(dep, survivors,
+                                             unit_work=unit_work)
+            sims += len(survivors)
+            best_score, best = scored[0]
+            if not math.isfinite(best_score):
+                raise ValidationError(
+                    "no candidate produced a legal schedule for this "
+                    "workload")
             if obs is not None:
-                obs.inc(f"tuner.rung{rung}.pruned",
-                        entered - len(survivors))
-
-        # Final rung: every survivor at full size.
-        scored, final, won = self._score(dep, survivors, unit_work=unit_work)
-        sims += len(survivors)
-        best_score, best = scored[0]
-        if not math.isfinite(best_score):
-            raise ValidationError(
-                "no candidate produced a legal schedule for this workload"
+                obs.inc("tuner.sims", sims)
+                obs.inc("tuner.sims_cut", cut + final.cut)
+                obs.inc("tuner.sims_shared", shared + final.shared)
+                span.annotate(sims=sims, winner=best.label(),
+                              sims_cut=cut + final.cut,
+                              sims_shared=shared + final.shared,
+                              final_cut=final.cut)
+            # The final rung planned and simulated the winner.  Its
+            # wavefronts spare the signature a sweep of its own (the
+            # speculative arm inspected nothing and has none), and its
+            # inspection is the one the verdict's pipeline_cost prices.
+            inspection = won.plan.inspection
+            features = extract_features(dep, inspection.wavefronts,
+                                        self.costs)
+            verdict = TuningVerdict(
+                executor=best.executor,
+                scheduler=best.scheduler,
+                assignment=best.assignment,
+                balance=best.balance,
+                sim_makespan=best_score,
+                seq_time=sequential_time(dep, self.costs, unit_work),
+                candidates=len(candidates),
+                sims=sims,
+                seed=self.seed,
+                signature=features.signature(),
+                pipeline_cost=float(inspection.pipeline_cost),
             )
-
-        if obs is not None:
-            obs.inc("tuner.sims", sims)
-            obs.inc("tuner.sims_cut", cut + final.cut)
-            obs.inc("tuner.sims_shared", shared + final.shared)
-            span.annotate(sims=sims, winner=best.label(),
-                          sims_cut=cut + final.cut,
-                          sims_shared=shared + final.shared,
-                          final_cut=final.cut)
-        # The final rung compiled and simulated the winner.  Its
-        # wavefronts spare the signature a sweep of its own (the
-        # speculative arm inspected nothing and has none), and its
-        # inspection is the one the verdict's pipeline_cost prices.
-        loop = won.loop
-        features = extract_features(dep, loop.wavefronts, self.costs)
-        handed = loop.plan.kind == "scheduled" and unit_work is None
-        return TuningVerdict(
-            executor=best.executor,
-            scheduler=best.scheduler,
-            assignment=best.assignment,
-            balance=best.balance,
-            sim_makespan=best_score,
-            seq_time=sequential_time(dep, self.costs, unit_work),
-            candidates=len(candidates),
-            sims=sims,
-            seed=self.seed,
-            signature=features.signature(),
-            pipeline_cost=float(loop.inspection.pipeline_cost),
-        ), won if handed else None
+        handed = won.plan.kind == "scheduled" and unit_work is None
+        return verdict, won if handed else None
 
     # ------------------------------------------------------------------
     def tune_program(self, prog) -> ProgramVerdict:
@@ -408,20 +400,19 @@ class Tuner:
         )
 
     # ------------------------------------------------------------------
-    def exhaustive(self, dep, candidates: list[CandidateSpec] | None = None) -> list[Measurement]:
-        """Simulate *every* candidate at full size (the search's oracle).
+    def exhaustive(self, dep, candidates: list[CandidateSpec] | None = None
+                   ) -> list[tuple[float, CandidateSpec]]:
+        """Simulate *every* candidate at full size (the search's oracle):
+        ``(score, spec)`` best first, as a rung returns them — a stable
+        sort, ``inf`` for a candidate that cannot run.
 
         Used by the acceptance benchmark to check the halving search
         lands within tolerance of the true simulated optimum.
         """
         if candidates is None:
             candidates = enumerate_space(dep.n, self.nproc)
-        out = []
-        for spec in candidates:
-            score, err = simulate_spec(self._runtime, dep, spec)[:2]
-            m = Measurement(spec, sim_makespan=score, error=err)
-            out.append(m)
-        return sorted(out, key=lambda m: m.sim_makespan)
+        return sorted(((simulate_spec(self._runtime, dep, spec).score, spec)
+                       for spec in candidates), key=lambda t: t[0])
 
     def _rung_sizes(self, n: int) -> list[int]:
         """Strictly growing prefix sizes below ``n`` (may be empty)."""

@@ -19,7 +19,7 @@ from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
 from repro.core.inspector import Inspector
 from repro.errors import ValidationError
-from repro.runtime import Runtime, register_partitioner
+from repro.runtime import CompiledLoop, Runtime, register_partitioner
 from repro.runtime.registry import partitioner_registry
 from repro.tuning import (
     CandidateSpec,
@@ -270,14 +270,14 @@ class TestTunerQuality:
         _, dep = fig3
         tuner = Tuner(nproc, seed=0)
         verdict = tuner.search(dep)
-        best = tuner.exhaustive(dep)[0]
-        assert verdict.sim_makespan <= 1.10 * best.sim_makespan
+        best, _ = tuner.exhaustive(dep)[0]
+        assert verdict.sim_makespan <= 1.10 * best
 
     def test_mesh_within_tolerance(self, mesh):
         tuner = Tuner(8, seed=0)
         verdict = tuner.search(mesh)
-        best = tuner.exhaustive(mesh)[0]
-        assert verdict.sim_makespan <= 1.10 * best.sim_makespan
+        best, _ = tuner.exhaustive(mesh)[0]
+        assert verdict.sim_makespan <= 1.10 * best
 
     def test_verdict_beats_the_naive_default(self, mesh, fig3):
         """The tuned pick is at least as good as compile()'s defaults."""
@@ -295,8 +295,8 @@ class TestTunerQuality:
         dep = chain_graph(64)
         tuner = Tuner(4, seed=0)
         verdict = tuner.search(dep)
-        best = tuner.exhaustive(dep)[0]
-        assert verdict.sim_makespan == best.sim_makespan
+        best, _ = tuner.exhaustive(dep)[0]
+        assert verdict.sim_makespan == best
 
     @pytest.mark.parametrize("entry", ["tune", "search"])
     @pytest.mark.parametrize(
@@ -567,7 +567,7 @@ class TestHandOver:
             self, mesh):
         tuner = Tuner(8, store=TuningStore())
         verdict, winner = tuner._tune(mesh)
-        assert verdict.searched and winner.loop.dep is mesh
+        assert verdict.searched and winner.plan.inspection.dep is mesh
         assert winner.sim.total_time == verdict.sim_makespan
         again, none = tuner._tune(mesh)          # a store hit
         assert not again.searched and none is None
@@ -623,3 +623,52 @@ class TestHandOver:
         assert (rt.cache_stats.misses, rt.cache_stats.hits) == (1, 0)
         again = rt.compile(mesh, **loop.verdict.compile_kwargs())
         assert again.cache_hit and again.inspection is loop.inspection
+
+
+def observed(rt):
+    """What a session's observer holds: each span's name and attribute
+    names, and each instrument's count."""
+    obs = rt.observer
+    return ([(ev.name, sorted(ev.attrs)) for ev in obs.tracer.events],
+            {name: m.get("value", m.get("count"))
+             for name, m in obs.metrics.as_dict().items()})
+
+
+class TestOnePlanBuilder:
+    """A search candidate is a plan: scoring one builds it through the
+    session's plan builder and nothing else — no compiled loop, no
+    ``compile`` span, no second trip through ``Runtime.compile``."""
+
+    def test_a_cold_auto_compile_builds_one_loop(self, monkeypatch):
+        mesh = generate_workload("65-4-3").matrix
+        prog = LoopProgram.from_csr(mesh, np.ones(mesh.nrows))
+        built = []
+        init = CompiledLoop.__init__
+        monkeypatch.setattr(CompiledLoop, "__init__", lambda *a, **k:
+                            built.append(1) or init(*a, **k))
+        rt = Runtime(nproc=8, observe=True)
+        loop = rt.compile(prog, strategy="auto")
+        loop()
+        names = [ev.name for ev in rt.observer.tracer.events]
+        assert built == [1]
+        assert names.count("compile") == 1
+        assert names.count("inspect") == 33
+        other = Runtime(nproc=8).compile(prog, strategy="auto").verdict
+        assert loop.verdict.label() == other.label()
+        assert loop.verdict.sims == other.sims == 65
+
+    @pytest.mark.parametrize("spec", [
+        CandidateSpec("self", "global", "wrapped", "greedy"),
+        CandidateSpec("preschedule", "local", "blocked"),
+        CandidateSpec("speculative", "identity", "wrapped"),
+    ], ids=lambda spec: spec.label())
+    def test_scoring_builds_a_plan_and_nothing_else(self, mesh, spec):
+        scored = Runtime(nproc=8, observe=True)
+        score, err, plan, sim = measure.simulate_spec(scored, mesh, spec)
+        planned = Runtime(nproc=8, observe=True)
+        # A direct build, and the simulation its score reads.
+        direct = planned._plan(mesh, **spec.compile_kwargs())
+        assert err is None and score == direct.simulate().total_time
+        assert plan.kind == direct.kind
+        assert scored.cache_stats == planned.cache_stats
+        assert observed(scored) == observed(planned)
