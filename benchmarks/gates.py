@@ -38,7 +38,8 @@ from repro.observe.tracer import maybe_span, now
 from repro.program.transform import fission
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, split_triangular
-from repro.workload import sweep_program
+from repro.runtime.cache import ScheduleCache
+from repro.workload import stencil_program, sweep_program
 from repro.workload.generator import generate_workload
 
 
@@ -491,7 +492,9 @@ def test_level_walk_against_the_event_loop(gate, case, at_most):
                                      math.inf)
 
     walked = levels()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(walked, loop()))
+    # The event loop hands its finish times back as a list.
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(walked, loop()))
     if unit_work is not None:   # ... and every second-wavefront item waited
         second = walked[0][30_000:]
         starts = second - w[30_000:]
@@ -593,6 +596,67 @@ def test_each_plan_takes_its_walk(monkeypatch, capsys):
     assert seen["fig3_cold"] == {"_run_levels": 1, "inspect": 1}
     assert seen["auto_cold"] == {"_run_scalar": 31, "inspect": 33}
     assert seen["doacross"] == {"_run_scalar": 1, "inspect": 1}
+
+
+def test_a_rung_pays_once_for_what_its_candidates_share(monkeypatch, capsys):
+    """Exact counts on a cold ``auto`` compile + call of ``auto_cold``'s
+    mesh: the first candidate of each inspection triple in a rung keys
+    and looks up its schedule, its aliases bind it (33 triples over the
+    three rungs, plus the caller's compile: 34 keys — 63 while every
+    candidate keyed its own); inside a rung each graph fact — the CSR
+    lists, one work vector per mode, the crossing test — is built once
+    (one crossing test per rung graph; 44 work vectors before), and
+    only the walked mode's work list is held at a time.  The set-up
+    compile of ``transform_warm``'s two programs inspects 118 times,
+    walks 91 + 15 times and keys 140 times (305 before)."""
+    keys, built, ran = [], [], []
+    key_for = ScheduleCache.key_for
+    monkeypatch.setattr(ScheduleCache, "key_for", staticmethod(
+        lambda *a, **k: keys.append(1) or key_for(*a, **k)))
+    held = DependenceGraph._hold
+
+    def spy(self, slot, key, build):
+        def counted():
+            if self._held is not None and slot != "work list":  # a rung
+                built.append((self, slot))
+            return build()
+        return held(self, slot, key, counted)
+    monkeypatch.setattr(DependenceGraph, "_hold", spy)
+    for name in ("_run_scalar", "_run_levels"):
+        monkeypatch.setattr(simulator, name, lambda *a, _real=getattr(
+            simulator, name), _name=name: ran.append(_name) or _real(*a))
+    inspect = Inspector.inspect
+    monkeypatch.setattr(Inspector, "inspect", lambda *a, **k:
+                        ran.append("inspect") or inspect(*a, **k))
+
+    mesh = generate_workload("65-4-3").matrix
+    Runtime(nproc=8).compile(
+        LoopProgram.from_csr(mesh, np.ones(mesh.nrows)), strategy="auto")()
+    rungs = {graph for graph, slot in built if slot == "lists"}
+    once = len(built) == len(set(built))        # each fact once per rung
+    crossing = sum(slot == "crossing" for _, slot in built)
+    work = len(built) - crossing - len(rungs)
+    mesh_keys = len(keys)
+    keys.clear()
+    ran.clear()
+    n, grid = 8_000, 64
+    rng = np.random.default_rng(4)
+    rt = Runtime(nproc=8)
+    for program in (sweep_program(rng.standard_normal(n),
+                                  rng.standard_normal(n)),
+                    stencil_program(rng.standard_normal(grid * grid),
+                                    (grid, grid))):
+        rt.compile(program, strategy="auto").simulate()
+    seen = {name: ran.count(name) for name in set(ran)}
+    with capsys.disabled():
+        print(f"\n  65-4-3 cold auto: {mesh_keys} keys, {len(rungs)} rungs, "
+              f"{work} work vectors, {crossing} crossing tests; "
+              f"transform_warm set-up: {len(keys)} keys, {seen}")
+    assert mesh_keys == 34 and once
+    assert len(rungs) == crossing == 3
+    assert work == 3 * len(rungs)               # one per mode
+    assert len(keys) == 140
+    assert seen == {"inspect": 118, "_run_scalar": 91, "_run_levels": 15}
 
 
 def test_a_search_shares_and_cuts_its_simulations(capsys):

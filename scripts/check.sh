@@ -3,7 +3,8 @@
 # one-run-path, one-level-contract, one-classic-executor, one-extractor,
 # one-identity, session-free-store, one-simulator-engine, one-walk-chooser,
 # one-ordering-owner, one-scorer, one-arbiter, one-repair-set,
-# one-speculative-gate, one-plan-builder, one-store-discipline, two-instruments, two-plans,
+# one-speculative-gate, one-plan-builder, no-search-store-keys, one-store-discipline,
+# two-instruments, two-plans,
 # one-factor-one-solve-path (no private inspection under krylov/: the
 # factorization's order is a session compile's), one-stencil-query,
 # one-row-pointer-build,
@@ -236,6 +237,54 @@ fi
 if grep -rn 'ScheduledPlan(' src --include='*.py' \
         | grep -vE '^src/repro/(runtime/session|speculate/loop)\.py:'; then
     echo "error: ScheduledPlan( constructed outside runtime/session.py and speculate/loop.py" >&2
+    exit 1
+fi
+
+echo "== a search builds no store keys: schedule keys come from Runtime._plan =="
+# A rung's candidates asking for one inspection bind the first one's
+# (tuning.measure.SharedSims): no code under tuning/ keys or looks up a
+# schedule.  The one store bracket there is Tuner._tune's TuningStore
+# verdict lookup (an AST walk: one key_for, session_get, session_put).
+keyed=$(python - <<'PY'
+import ast, pathlib
+
+found = []
+
+
+class Finder(ast.NodeVisitor):
+    def __init__(self, path):
+        self.path, self.defs = path, [""]
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(node.name)
+        self.generic_visit(node)
+        self.defs.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute)
+                and f.attr in ("key_for", "session_get", "session_put")):
+            found.append((self.defs[-1], ast.unparse(f),
+                          f"{self.path}:{node.lineno}"))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "ScheduleCache":
+            found.append(("", "ScheduleCache", f"{self.path}:{node.lineno}"))
+
+
+for path in sorted(pathlib.Path("src/repro/tuning").rglob("*.py")):
+    Finder(path).visit(ast.parse(path.read_text(), str(path)))
+if sorted(f[:2] for f in found) != [("_tune", "TuningStore.key_for"),
+                                    ("_tune", "store.session_get"),
+                                    ("_tune", "store.session_put")]:
+    for name, call, where in found:
+        print(f"{where}: {call} in {name or 'module'}")
+PY
+)
+if [ -n "$keyed" ]; then
+    echo "$keyed"
+    echo "error: src/repro/tuning builds a store key or looks one up outside Tuner._tune (schedule keys come from Runtime._plan)" >&2
     exit 1
 fi
 

@@ -50,8 +50,9 @@ class DependenceGraph:
     property — successor CSR, edge rows, digest, wavefronts — so one
     graph is swept once however many candidates, rungs and compiles
     ask, and no later write can change what a cached schedule was built
-    from.  The simulator's Python view of the CSR is held only for the
-    span of a :meth:`holding_lists` block.
+    from.  What a tuner rung reads per candidate — the simulator's
+    Python view of the CSR, its work vectors, the crossing test — is
+    held only for the span of a :meth:`holding` block.
     """
 
     def __init__(self, indptr, indices, n: int, *, check_acyclic: bool = True):
@@ -67,7 +68,7 @@ class DependenceGraph:
             raise StructureError("indptr must start at 0 and be non-decreasing")
         if int(self.indptr[-1]) != self.indices.shape[0]:
             raise StructureError("indices length must equal indptr[-1]")
-        self._held_lists: tuple[tuple, tuple] | None = None
+        self._held: dict | None = None
         if check_acyclic and not self.all_backward:
             self._check_dag()
 
@@ -247,29 +248,34 @@ class DependenceGraph:
         return read_only(wavefront._frontier_wavefronts(self))
 
     def csr_lists(self) -> tuple:
-        """``(indptr, indices)`` as sequences of Python ints — what the
+        """``(indptr, indices)`` as lists of Python ints — what the
         simulator's per-iteration event loop indexes, at a fraction of
-        the cost of numpy scalar access.  Fresh lists, or the tuples a
-        :meth:`holding_lists` block holds."""
-        held = self._held_lists
-        if held is not None:
-            return held
-        return self.indptr.tolist(), self.indices.tolist()
+        the cost of numpy scalar access; once per :meth:`holding`."""
+        return self._hold("lists", (),
+                         lambda: (self.indptr.tolist(), self.indices.tolist()))
+
+    def _hold(self, slot, key: tuple, build):
+        """``build()`` — or, in a :meth:`holding` block, what it built for
+        ``slot`` last with the same ``key`` objects (by identity)."""
+        memo = self._held
+        if memo is None:
+            return build()
+        known = memo.get(slot)
+        if known is None or any(a is not b for a, b in zip(known[0], key)):
+            known = memo[slot] = (key, build())
+        return known[1]
 
     @contextmanager
-    def holding_lists(self):
-        """Convert :meth:`csr_lists` once and hold them (read-only
-        tuples) for the block: a tuner rung simulates dozens of
-        schedules on one graph.  Nothing outlives the block — a graph
-        kept in a cache does not carry several times its CSR in Python
-        ints.  The values are the arrays' either way, so a simulation
-        that finds nothing held only pays for its own conversion."""
-        self._held_lists = (tuple(self.indptr.tolist()),
-                            tuple(self.indices.tolist()))
+    def holding(self):
+        """Hold what :meth:`_hold` builds, one fact per slot, for the
+        block: a tuner rung simulates dozens of schedules on one graph.
+        Nothing outlives the block — a graph kept in a cache does not
+        carry several times its CSR in Python ints."""
+        self._held = {}
         try:
             yield
         finally:
-            self._held_lists = None
+            self._held = None
 
     @cached_property
     def successors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -256,10 +256,9 @@ class Schedule:
     def deps_cross_wavefronts(self, dep: DependenceGraph) -> bool:
         """Every dependence points into a strictly earlier wavefront."""
         wf = self.wavefronts
-        return not (
+        return dep._hold("crossing", (wf,), lambda: not (
             dep.num_edges
-            and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows]))
-        )
+            and bool(np.any(wf[dep.indices] >= wf[dep.edge_rows]))))
 
     def _wavefront_levels(
         self, dep: DependenceGraph
@@ -433,7 +432,7 @@ def global_schedule(
     wf = np.asarray(wf, dtype=np.int64)
     nproc = check_positive(nproc, "nproc")
     n = wf.shape[0]
-    order = np.lexsort((np.arange(n), wf))  # sort by wavefront, ties by index
+    order = _local_lists(None, wf, 1)[0]  # by wavefront, ties by index
 
     owner = np.empty(n, dtype=np.int64)
     if balance == "wrapped" or (balance == "greedy" and weights is None):
@@ -499,22 +498,23 @@ def _greedy_weighted_owner(
     return owner
 
 
-def _local_lists(owner: np.ndarray, wf, nproc: int) -> tuple:
+def _local_lists(owner, wf, nproc: int) -> tuple:
     """``(order, counts)``: the lists sorted by (wavefront, index) end to
     end, read-only, and their lengths — one stable sort of the key
-    ``owner · span + wavefront`` (of ``owner`` alone if ``wf`` is None)
-    in the narrowest unsigned type holding it and ``span``: NumPy
-    radix-sorts keys of 16 bits or fewer, where a ``lexsort`` compares."""
-    span = 1
-    if wf is not None and wf.size:
-        lo = int(wf.min())
-        span = int(wf.max()) - lo + 1
-    key = owner.astype(np.min_scalar_type(max(nproc * span - 1, span)))
-    if span > 1:
+    ``owner · span + wavefront`` (of ``owner`` alone if ``wf`` is None,
+    of ``wf`` alone, with no counts, if ``owner`` is) in the narrowest
+    unsigned type holding it and ``span``: NumPy radix-sorts keys of 16
+    bits or fewer, where a ``lexsort`` compares."""
+    lo, hi = ((int(wf.min()), int(wf.max())) if wf is not None and wf.size
+              else (0, 0))
+    span = hi - lo + 1
+    dtype = np.min_scalar_type(max(nproc * span - 1, span))
+    key = (wf - lo if owner is None else owner).astype(dtype)
+    if owner is not None and span > 1:
         key *= span
-        key += (wf - lo).astype(key.dtype)
-    return read_only(np.argsort(key, kind="stable")), np.bincount(
-        owner, minlength=nproc)
+        key += (wf - lo).astype(dtype)
+    return read_only(np.argsort(key, kind="stable")), (
+        None if owner is None else np.bincount(owner, minlength=nproc))
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..errors import ScheduleError, ValidationError
 from ..util.frontier import counts_to_indptr, expand_csr_ranges
-from ..util.validation import check_unit_work
+from ..util.validation import check_unit_work, read_only
 from .costs import MachineCosts
 
 if TYPE_CHECKING:  # imported for annotations only — avoids a cycle with
@@ -146,15 +146,23 @@ def _base_work(
     return base, nd
 
 
-def _with_overheads(base, nd, costs: MachineCosts, mode: str, nproc: int):
-    """``base`` plus ``mode``'s per-iteration parallel overheads."""
-    shared = costs.shared_factor(nproc)
-    if mode == "preschedule":
-        return base + shared * costs.t_sched_access
-    if mode == "self":
-        return base + shared * (costs.t_sched_access + costs.t_inc + costs.t_check * nd)
-    # doacross: no reordered-index array to fetch from
-    return base + shared * (costs.t_inc + costs.t_check * nd)
+def _work(dep, costs: MachineCosts, mode: str, nproc: int, unit_work):
+    """``(w, seq_time, num_deps)``: ``mode``'s per-index execution cost
+    (read-only) — :func:`_base_work` plus the mode's parallel overheads
+    — the sequential time and the dependence count, built once per mode
+    for a tuner rung (:meth:`DependenceGraph.holding
+    <repro.core.dependence.DependenceGraph.holding>`)."""
+    def build():
+        base, nd = _base_work(dep, costs, unit_work)
+        shared = costs.shared_factor(nproc)
+        if mode == "preschedule":
+            w = base + shared * costs.t_sched_access
+        elif mode == "self":
+            w = base + shared * (costs.t_sched_access + costs.t_inc + costs.t_check * nd)
+        else:   # doacross: no reordered-index array to fetch from
+            w = base + shared * (costs.t_inc + costs.t_check * nd)
+        return read_only(w), float(base.sum()), nd.sum()
+    return dep._hold(("work", mode, nproc), (costs, unit_work), build)
 
 
 def work_vector(
@@ -164,7 +172,8 @@ def work_vector(
     nproc: int,
     unit_work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-index execution cost under ``mode``, including overheads.
+    """Per-index execution cost under ``mode``, including overheads
+    (read-only).
 
     ``unit_work`` overrides the computational part (default:
     ``costs.base_work`` of the dependence counts, which matches the
@@ -173,7 +182,7 @@ def work_vector(
     """
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    return _with_overheads(*_base_work(dep, costs, unit_work), costs, mode, nproc)
+    return _work(dep, costs, mode, nproc, unit_work)[0]
 
 
 def sequential_time(
@@ -212,8 +221,7 @@ def simulate_prescheduled(
             "a dependence does not cross a phase boundary; the wavefront "
             "array is inconsistent with the dependence graph"
         )
-    base, nd = _base_work(dep, costs, unit_work)
-    w = _with_overheads(base, nd, costs, "preschedule", p)
+    w, seq_time, _ = _work(dep, costs, "preschedule", p, unit_work)
     nw = schedule.num_wavefronts
 
     # Per (phase, processor) work totals: one weighted bincount over
@@ -235,7 +243,7 @@ def simulate_prescheduled(
         mode="preschedule",
         nproc=p,
         total_time=total,
-        seq_time=float(base.sum()),
+        seq_time=seq_time,
         busy=busy,
         idle=idle,
         sync_time=float(nw * sync),
@@ -276,8 +284,9 @@ def _run_scalar(schedule, dep, w, t_poll, order, bound):
 
     Every hot array is converted to a Python list up front (the same
     trade the frontier sweep's scalar spans make; a tuner rung converts
-    the graph's CSR once, see :meth:`DependenceGraph.holding_lists
-    <repro.core.dependence.DependenceGraph.holding_lists>`): list
+    the graph's CSR once, and ``w`` once per run of walks of one mode,
+    see :meth:`DependenceGraph.holding
+    <repro.core.dependence.DependenceGraph.holding>`): list
     indexing and float arithmetic cost a fraction of per-element numpy
     scalar access while performing bit-identical IEEE double
     operations.  Any topological ``order`` of the combined DAG
@@ -287,11 +296,14 @@ def _run_scalar(schedule, dep, w, t_poll, order, bound):
 
     A finite ``bound`` stops the walk — the loop returns ``None`` — as
     soon as the makespan provably exceeds it (see :func:`_headroom`).
+    ``finish`` comes back a list.
     """
     n, p = schedule.n, schedule.nproc
     owner = schedule.owner.tolist()
     indptr, indices = dep.csr_lists()
-    wl = w.tolist()
+    # One slot: a rung holds the list of the mode it walks, and the peak
+    # stays one list, as when every walk converted its own.
+    wl = dep._hold("work list", (w,), w.tolist)
     bounded = bound < math.inf
     if bounded:
         headroom = _headroom(schedule.owner, w, p, bound)
@@ -329,7 +341,7 @@ def _run_scalar(schedule, dep, w, t_poll, order, bound):
         busy[pi] = done
         proc_avail[pi] = fi
     return (
-        np.asarray(finish, dtype=np.float64),
+        finish,
         np.asarray(proc_avail, dtype=np.float64),
         np.asarray(busy, dtype=np.float64),
         np.asarray(idle, dtype=np.float64),
@@ -509,10 +521,7 @@ def simulate_self_executing(
     n, p = schedule.n, schedule.nproc
     if dep.n != n:
         raise ValidationError("schedule and dependence graph sizes differ")
-    base, nd = _base_work(dep, costs, unit_work)
-    w = _with_overheads(base, nd, costs, mode, p)
-    seq_time, num_deps = float(base.sum()), nd.sum()
-    del base, nd  # the walk's arrays are the memory peak: hold only ``w``
+    w, seq_time, num_deps = _work(dep, costs, mode, p, unit_work)
     levels, bounds = (schedule.simulation_levels(dep) if order is None
                       else order)
     if n >= _WIDE_LEVEL * (bounds.shape[0] - 1):
@@ -538,7 +547,8 @@ def simulate_self_executing(
         inc_time=float(shared * costs.t_inc * n),
         sched_time=float(shared * costs.t_sched_access * n) if mode == "self" else 0.0,
         num_phases=schedule.num_wavefronts,
-        finish=finish if keep_finish_times else None,
+        finish=(np.asarray(finish, dtype=np.float64) if keep_finish_times
+                else None),
     )
 
 

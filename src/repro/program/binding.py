@@ -25,8 +25,6 @@ changed.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..errors import ValidationError
@@ -346,8 +344,8 @@ class LoopProgram:
             arrays[name] = _frozen(arrays[name], name)
         data = dict(self.data)
         data.update(arrays)
-        fresh = copy.copy(self)
-        fresh.data = data
+        fresh = object.__new__(type(self))   # a shallow copy, directly
+        vars(fresh).update(vars(self), data=data)
         if set(arrays) & self.structural_names():
             fresh._resolve_all(data)
             fresh._dep = None
@@ -446,20 +444,23 @@ class LoopProgram:
             data["b"] = np.asarray(b, dtype=np.float64)
             kernel_cls = (TriangularSolveKernel if lower
                           else UpperTriangularSolveKernel)
-            inline = [None, None]  # (bound "a", its read-only diagonal)
+            held = [None, None, None]  # bound "a", its matrix, diagonal
 
             def kernel(b, a, diag=None):
                 # Same sparsity, fresh values: rebinding "a" (or
                 # "diag") rebuilds only this kernel, never the
                 # dependence analysis — and with_data shares the
                 # matrix's structure-derived arrays, so nothing
-                # proportional to nnz is redone either.  An inline
-                # diagonal is read once per bound "a", as its values.
-                m = t.with_data(a)
+                # proportional to nnz is redone either.  The matrix and
+                # an inline diagonal are built once per bound "a", so a
+                # rebound right-hand side builds the kernel alone.
+                if held[0] is not a:
+                    held[:] = a, t.with_data(a), None
+                m = held[1]
                 if diag is None and not unit_diagonal:
-                    if inline[0] is not a:
-                        inline[:] = a, read_only(m.diagonal())
-                    diag = inline[1]
+                    if held[2] is None:
+                        held[2] = read_only(m.diagonal())
+                    diag = held[2]
                 return kernel_cls(m, b, diag=diag,
                                   unit_diagonal=unit_diagonal)
         prog = cls(n, reads=reads, writes=(At("x"),), kernel=kernel, data=data,

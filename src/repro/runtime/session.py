@@ -799,7 +799,8 @@ class Runtime:
             verdict=verdict, program_verdict=program_verdict)
 
     def _plan(self, deps, *, executor: str, scheduler: str,
-              assignment: str, balance: str, winner=None) -> ScheduledPlan:
+              assignment: str, balance: str, winner=None,
+              held=None) -> ScheduledPlan:
         """The one plan builder: what a strategy bundle runs on ``deps``
         — every compile's, and every search candidate's.
 
@@ -809,18 +810,68 @@ class Runtime:
         balance strings are meaningless and ignored).  Any other
         executor is inspected (or fetched from cache) and bound.
 
-        All registry work — name validation, spec parsing, metadata
-        lookups, the eager balance/weight-source checks — happens
-        first, before any dependence processing.  A search's winner
-        planned on this very graph stands in for the inspection a miss
-        would run, and seeds the plan's default simulation.
+        All registry work (:meth:`_resolve`) happens first, before any
+        dependence processing.  A search's winner planned on this very
+        graph stands in for the inspection a miss would run, and seeds
+        the plan's default simulation.  ``held`` is a search rung's
+        :class:`~repro.tuning.measure.SharedSims`: a bundle it resolved
+        before skips the registry work, and one asking for an
+        inspection it planned on ``deps`` binds it — no key, no lookup.
         """
-        executor_registry.validate(executor)
-        meta = executor_registry.metadata(executor)
-        if meta.get("speculative"):
+        bundle = (executor, scheduler, assignment, balance)
+        resolutions, inspections = (({}, {}) if held is None
+                                    else (held.resolved, held.inspections))
+        if bundle not in resolutions:
+            resolutions[bundle] = self._resolve(*bundle)
+        asked = resolutions[bundle]
+        if not asked:
             from ..speculate.loop import speculative_plan  # deferred: cycle
 
             return speculative_plan(self, deps)
+        resolved, assignment, keyed = asked
+        inspection = inspections.get(asked)
+        cache_hit = inspection is not None
+        if not cache_hit:
+            dep = self._inspector.dependences_of(deps)
+            key = ScheduleCache.key_for(
+                dep, self.nproc, resolved, assignment, keyed, self.costs,
+                # Implementation fingerprints: shadowing a strategy name —
+                # here or in a previous run sharing the persistence dir —
+                # must not serve schedules another implementation built.
+                versions=(scheduler_registry.fingerprint(resolved),
+                          partitioner_registry.fingerprint(assignment)),
+            )
+            cache, obs = self.cache, self.observer
+            inspection = (cache.session_get(key, dep, observer=obs)
+                          if cache is not None else None)
+            cache_hit = inspection is not None
+            if winner is not None and winner.plan.inspection.dep is not dep:
+                winner = None
+            if inspection is None:
+                inspection = (winner.plan.inspection if winner is not None
+                              else self._inspector.inspect(
+                                  dep, self.nproc, strategy=resolved,
+                                  assignment=assignment, balance=balance))
+                if cache is not None:
+                    cache.session_put(key, inspection, observer=obs)
+            inspections[asked] = inspection
+        return ScheduledPlan(
+            inspection,
+            executor_registry.get(executor)(inspection, self.nproc, self.costs),
+            executor_name=executor, scheduler_name=scheduler,
+            assignment=assignment, balance=balance, cache_hit=cache_hit,
+            sim=None if cache_hit or winner is None else winner.sim,
+        )
+
+    def _resolve(self, executor: str, scheduler: str, assignment: str,
+                 balance: str) -> tuple:
+        """What a strategy bundle asks the inspector for, validated:
+        ``()`` for a speculative-flagged executor, else the scheduler,
+        assignment and balance its schedule is inspected and keyed by."""
+        executor_registry.validate(executor)
+        meta = executor_registry.metadata(executor)
+        if meta.get("speculative"):
+            return ()
         scheduler_registry.validate(scheduler)
         partitioner_registry.validate(assignment)
 
@@ -846,45 +897,13 @@ class Runtime:
         weight_source = scheduler_registry.binding(resolved).get("weights")
         if isinstance(weight_source, str):
             self._inspector.check_weight_source(weight_source)
-
-        dep = self._inspector.dependences_of(deps)
-        key = ScheduleCache.key_for(
-            dep, self.nproc, resolved, assignment,
-            # ``balance`` enters the cache key only when the resolved
-            # scheduler actually consumes it (``consumes_balance``
-            # metadata) — otherwise compiles differing only in an
-            # ignored balance string would cold-inspect identical
-            # structure.  Unregistered metadata defaults to consuming
-            # (conservative).
-            balance if smeta.get("consumes_balance", True) else "",
-            self.costs,
-            # Implementation fingerprints: shadowing a strategy name —
-            # here or in a previous run sharing the persistence dir —
-            # must not serve schedules another implementation built.
-            versions=(scheduler_registry.fingerprint(resolved),
-                      partitioner_registry.fingerprint(assignment)),
-        )
-        cache, obs = self.cache, self.observer
-        inspection = (cache.session_get(key, dep, observer=obs)
-                      if cache is not None else None)
-        cache_hit = inspection is not None
-        if (cache_hit or winner is None
-                or winner.plan.inspection.dep is not dep):
-            winner = None
-        if inspection is None:
-            inspection = (winner.plan.inspection if winner is not None else
-                          self._inspector.inspect(
-                              dep, self.nproc, strategy=resolved,
-                              assignment=assignment, balance=balance))
-            if cache is not None:
-                cache.session_put(key, inspection, observer=obs)
-        return ScheduledPlan(
-            inspection,
-            executor_registry.get(executor)(inspection, self.nproc, self.costs),
-            executor_name=executor, scheduler_name=scheduler,
-            assignment=assignment, balance=balance, cache_hit=cache_hit,
-            sim=winner.sim if winner is not None else None,
-        )
+        # ``balance`` enters the cache key only when the resolved
+        # scheduler actually consumes it (``consumes_balance``
+        # metadata) — otherwise compiles differing only in an ignored
+        # balance string would cold-inspect identical structure.
+        # Unregistered metadata defaults to consuming (conservative).
+        return (resolved, assignment,
+                balance if smeta.get("consumes_balance", True) else "")
 
     def _staged_plan(self, program_verdict):
         """One compiled loop per stage of a transformed winner."""

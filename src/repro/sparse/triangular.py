@@ -62,14 +62,18 @@ def split_triangular(a: CSRMatrix) -> tuple[CSRMatrix, np.ndarray, CSRMatrix]:
             select_entries(a, a.indices > rows))
 
 
+_ONE = read_only(np.ones(1))
+
+
 def resolve_diagonal(t: CSRMatrix, diag, unit_diagonal: bool) -> np.ndarray:
     """The diagonal a triangular system on ``t`` divides by: implicit
-    ones (a read-only broadcast of ``1.0``, nothing allocated), the
+    ones (a read-only zero-stride view of one ``1.0``, nothing
+    allocated — built directly, a rebind builds one per kernel), the
     separate ``diag`` vector, or — neither given — the diagonal ``t``
     stores.  The one statement of that rule; refusing a zero in it is
     each caller's, under its own error class."""
     if unit_diagonal:
-        return np.broadcast_to(1.0, t.nrows)
+        return np.ndarray(t.nrows, np.float64, _ONE, strides=(0,))
     if diag is not None:
         return check_vector(diag, t.nrows, "diag")
     return t.diagonal()

@@ -14,6 +14,10 @@ session's :class:`~repro.runtime.cache.ScheduleCache`, a
 speculative-flagged candidate takes the session's one no-inspection
 route, and a candidate that cannot execute at all (an illegal
 schedule, a deadlock) scores ``inf`` instead of aborting the search.
+A rung pays once for what its candidates share (:class:`SharedSims`):
+each inspection, each simulated schedule, and the graph's CSR lists,
+work vectors and crossing test; a candidate pays for little beyond its
+schedule and its walk.
 Under a horizon a score adds the candidate's inspection price over that
 many executions (:func:`~repro.analysis.model.amortised_time`).
 """
@@ -70,7 +74,14 @@ def prefix_graph(dep: DependenceGraph, m: int) -> DependenceGraph:
 
 
 class SharedSims:
-    """One rung's simulations, shared by schedule.
+    """One rung's inspections and simulations, shared by its candidates.
+
+    Candidates asking for one inspection — the ``self`` /
+    ``preschedule`` pair of each scheduler × assignment × balance, the
+    nine ``doacross × assignment`` aliases of the wrapped identity —
+    share it: the first keys, looks up or inspects it in
+    ``Runtime._plan``, the others bind it (:attr:`inspections`); each
+    bundle is validated once per search (:attr:`resolved`).
 
     Candidates whose planned schedules are identical share one
     simulation: every ``doacross × assignment`` alias runs the one
@@ -82,10 +93,17 @@ class SharedSims:
     shared makespan.  Graph, ``unit_work`` and cost model are fixed
     within a rung — and with the graph its wavefronts, which fix the
     pre-scheduled phases — so the schedule's lists are the key: its
-    :attr:`~repro.core.schedule.Schedule.digest`.
+    :attr:`~repro.core.schedule.Schedule.digest`.  What every
+    simulation reads of the graph — its CSR lists, one work vector per
+    mode, the crossing test — the graph holds for the rung
+    (:meth:`~repro.core.dependence.DependenceGraph.holding`).
     """
 
-    def __init__(self):
+    def __init__(self, resolved: dict | None = None):
+        #: Bundle → its ``Runtime._resolve`` (the search's, when given),
+        #: and resolved triple → the inspection planned on the rung's graph.
+        self.resolved = {} if resolved is None else resolved
+        self.inspections: dict = {}
         self._known: dict = {}
         #: Simulations abandoned at their bound, and candidates
         #: answered from an earlier candidate's simulation.
@@ -141,8 +159,8 @@ def simulate_spec(
     """Simulated score of one candidate (``inf`` when it cannot run).
 
     ``runtime`` is the search session (its ScheduleCache absorbs
-    repeated inspections of the same rung); ``deps`` any dependence
-    source.  Returns the :class:`Scored` score, error-or-``None``,
+    repeated inspections across rungs and searches; ``shared`` binds a
+    rung's own); ``deps`` any dependence source.  Returns the :class:`Scored` score, error-or-``None``,
     the candidate's plan and the simulation behind a finite score.
 
     The score is :func:`~repro.analysis.model.amortised_time`: the
@@ -161,7 +179,7 @@ def simulate_spec(
     score either way is the unbounded, unshared one, bit for bit.
     """
     try:
-        plan = runtime._plan(deps, **spec.compile_kwargs())
+        plan = runtime._plan(deps, **spec.compile_kwargs(), held=shared)
         share = amortised_time(0.0, plan.inspection, expected_executions)
         if plan.kind != "scheduled":
             sim = plan.simulate(unit_work)

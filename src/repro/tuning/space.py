@@ -172,10 +172,12 @@ def space_fingerprint(candidates: list[CandidateSpec]) -> str:
     bumping its generation — changes this digest, so verdicts keyed on
     it are invalidated exactly when the search they summarize is stale.
     """
-    parts = set()
-    for spec in candidates:
-        parts.add(f"e:{spec.executor}={executor_registry.fingerprint(spec.executor)}")
-        parts.add(f"s:{spec.scheduler}={scheduler_registry.fingerprint(spec.scheduler)}")
-        parts.add(f"a:{spec.assignment}={partitioner_registry.fingerprint(spec.assignment)}")
-        parts.add(f"b:{spec.balance}")
+    parts = {f"b:{spec.balance}" for spec in candidates}
+    for tag, registry, field in (("e", executor_registry, "executor"),
+                                 ("s", scheduler_registry, "scheduler"),
+                                 ("a", partitioner_registry, "assignment")):
+        # Each distinct name once: a space names a few dozen bundles
+        # over a handful of strategies.
+        for name in {getattr(spec, field) for spec in candidates}:
+            parts.add(f"{tag}:{name}={registry.fingerprint(name)}")
     return structure_digest(params=tuple(sorted(parts)))

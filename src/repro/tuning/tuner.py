@@ -123,6 +123,10 @@ class Tuner:
 
     The shape of the search — :data:`RUNG_FRACTIONS`, :data:`KEEP`,
     :data:`MIN_RUNG`, :data:`FINALISTS` — is fixed by module constants.
+    Each rung holds, for its span, what its candidates share
+    (:class:`~repro.tuning.measure.SharedSims`): their inspections, keyed
+    and looked up once per triple, and the graph's CSR lists, work
+    vectors and crossing test; each bundle is validated once per search.
     """
 
     def __init__(
@@ -213,7 +217,7 @@ class Tuner:
             unit_work = check_unit_work(unit_work, dep.n)
         return self._search(dep, candidates, unit_work=unit_work)[0]
 
-    def _score(self, dep, specs, *, unit_work,
+    def _score(self, dep, specs, *, unit_work, resolved: dict,
                kept: int | None = None) -> tuple[list, SharedSims, Scored]:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
@@ -233,11 +237,11 @@ class Tuner:
         to an earlier spec, which a tie ranks first, so the survivors,
         their order and the winner are the unbounded search's.
         """
-        shared = SharedSims()
+        shared = SharedSims(resolved)
         exact: list[float] = []     # finite exact scores so far, sorted
         family: dict[str, float] = {}
         scored, best = [], None
-        with dep.holding_lists():   # one list conversion per rung
+        with dep.holding():         # one CSR, work vector, crossing test
             for spec in specs:
                 if kept is None:
                     bar = exact[0] if exact else math.inf
@@ -276,6 +280,7 @@ class Tuner:
         rng = np.random.default_rng(self.seed)
         survivors = [candidates[i] for i in rng.permutation(len(candidates))]
         sims = cut = shared = 0
+        resolved: dict = {}     # bundle → resolution, for the search
         with maybe_span(obs, "tune", n=dep.n,
                         candidates=len(candidates)) as span:
             # Pruning rungs: simulate on growing prefixes, halve the field.
@@ -285,7 +290,7 @@ class Tuner:
                 scored, rung_sims, _ = self._score(
                     prefix_graph(dep, m), survivors,
                     unit_work=None if unit_work is None else unit_work[:m],
-                    kept=kept)
+                    resolved=resolved, kept=kept)
                 sims += entered
                 cut += rung_sims.cut
                 shared += rung_sims.shared
@@ -309,7 +314,8 @@ class Tuner:
 
             # Final rung: every survivor at full size.
             scored, final, won = self._score(dep, survivors,
-                                             unit_work=unit_work)
+                                             unit_work=unit_work,
+                                             resolved=resolved)
             sims += len(survivors)
             best_score, best = scored[0]
             if not math.isfinite(best_score):

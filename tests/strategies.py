@@ -232,6 +232,23 @@ def tuner_graphs(draw):
 
 
 @st.composite
+def rung_graphs(draw):
+    """A graph one tuner rung scores: a Figure 3 loop's (up to 600
+    iterations), a Table 5 synthetic mesh's (9 × 9 to 33 × 33), or a
+    general DAG whose edges point both ways."""
+    kind = draw(st.sampled_from(("figure3", "mesh", "general")))
+    if kind == "general":
+        return draw(general_dags())
+    rng = np.random.default_rng(draw(seeds))
+    if kind == "mesh":
+        mesh = draw(st.sampled_from((9, 17, 33)))
+        return DependenceGraph.from_lower_csr(generate_workload(
+            f"{mesh}-4-3", seed=int(rng.integers(2**31))).matrix)
+    n = draw(st.integers(min_value=1, max_value=600))
+    return DependenceGraph.from_indirection(rng.integers(0, n, size=n))
+
+
+@st.composite
 def nested_indirections(draw, max_n=30, max_m=4):
     """A Figure 6 nested indirection array ``g`` of shape (n, m)."""
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -18,6 +18,7 @@ from repro.core import executor as executor_module, wavefront
 from repro.core.dependence import DependenceGraph
 from repro.core.executor import SerialExecutor, SimpleLoopKernel
 from repro.core.inspector import Inspector
+from repro.core.schedule import identity_schedule
 from repro.errors import ValidationError
 from repro.runtime import CompiledLoop, Runtime, register_partitioner
 from repro.runtime.registry import partitioner_registry
@@ -33,7 +34,8 @@ from repro.tuning import (
 )
 from repro.tuning import measure, tuner as tuner_module
 from repro.workload.generator import generate_workload
-from strategies import loop_programs, program_of, tuner_graphs
+from strategies import (general_dags, loop_programs, program_of, rung_graphs,
+                        tuner_graphs)
 
 
 @pytest.fixture()
@@ -623,6 +625,78 @@ class TestHandOver:
         assert (rt.cache_stats.misses, rt.cache_stats.hits) == (1, 0)
         again = rt.compile(mesh, **loop.verdict.compile_kwargs())
         assert again.cache_hit and again.inspection is loop.inspection
+
+
+class TestHeldRung:
+    """A rung holds what its candidates share — each bundle's
+    resolution, each inspection, the graph's CSR lists, one work vector
+    per mode and the crossing test — and scores every candidate bit for
+    bit as a fresh session scores it alone."""
+
+    @given(dep=rung_graphs(), fraction=st.sampled_from((1 / 16, 1 / 4, 1)),
+           weighted=st.booleans(), horizon=st.sampled_from((None, 1, 4)),
+           nproc=st.integers(1, 8), seed=st.integers(0, 99))
+    @example(dep=DependenceGraph.from_lower_csr(
+        generate_workload("33-4-3").matrix), fraction=1, weighted=True,
+        horizon=4, nproc=8, seed=0)
+    @example(dep=DependenceGraph.from_indirection(
+        np.random.default_rng(3).integers(0, 600, size=600)), fraction=1 / 4,
+        weighted=False, horizon=None, nproc=5, seed=7)
+    @settings(max_examples=20, deadline=None)
+    def test_a_held_rung_scores_each_candidate_as_alone(
+            self, dep, fraction, weighted, horizon, nproc, seed):
+        graph = prefix_graph(dep, max(1, int(dep.n * fraction)))
+        unit_work = (np.random.default_rng(seed).uniform(0.5, 4.0, graph.n)
+                     if weighted else None)
+        specs = enumerate_space(graph.n, nproc)
+        tuner = Tuner(nproc, seed=seed, expected_executions=horizon)
+        scored = []
+
+        def recorded(*args, **kwargs):
+            assert graph._held is not None     # held for the rung ...
+            scored.append(measure.simulate_spec(*args, **kwargs))
+            return scored[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tuner_module, "simulate_spec", recorded)
+            # Every bar is inf: a rung keeping all its specs cuts none.
+            ranked, _, _ = tuner._score(graph, specs, unit_work=unit_work,
+                                        resolved={}, kept=len(specs))
+        assert graph._held is None             # ... and for no longer
+        alone = []
+        for spec, got in zip(specs, scored):
+            fresh = DependenceGraph(graph.indptr.copy(), graph.indices.copy(),
+                                    graph.n)
+            want = measure.simulate_spec(
+                Runtime(nproc, tune_seed=seed), fresh, spec,
+                unit_work=None if unit_work is None else unit_work.copy(),
+                expected_executions=tuner.expected_executions)
+            assert (got.score, got.error) == (want.score, want.error), spec
+            assert (got.sim is None) == (want.sim is None), spec
+            if got.sim is not None:
+                assert_same_sim(got.sim, want.sim)
+            alone.append((want.score, spec))
+        alone.sort(key=lambda t: t[0])
+        assert ranked == alone
+        if unit_work is None and horizon is None:   # what it scores
+            assert tuner.exhaustive(graph) == alone
+
+    @given(dep=general_dags(), nproc=st.integers(1, 8))
+    @settings(max_examples=20, deadline=None)
+    def test_a_held_crossing_test_answers_for_its_wavefronts(self, dep,
+                                                             nproc):
+        """Schedules over other wavefront arrays — a correct one, and
+        all-zero ones that every edge fails to cross — get their own
+        answer in a held block, the unheld one."""
+        right = wavefront.compute_wavefronts_general(dep)
+        schedules = [identity_schedule(wf, nproc) for wf in (
+            right, np.zeros(dep.n, dtype=np.int64), right.copy())]
+        want = [s.deps_cross_wavefronts(dep) for s in schedules]
+        assert want[0] and want[1] == (dep.num_edges == 0)
+        with dep.holding():
+            assert [s.deps_cross_wavefronts(dep)
+                    for s in schedules * 2] == want * 2
+        assert dep._held is None
 
 
 def observed(rt):
