@@ -606,10 +606,13 @@ def test_a_rung_pays_once_for_what_its_candidates_share(monkeypatch, capsys):
     candidate keyed its own); inside a rung each graph fact — the CSR
     lists, one work vector per mode, the crossing test — is built once
     (one crossing test per rung graph; 44 work vectors before), and
-    only the walked mode's work list is held at a time.  The set-up
-    compile of ``transform_warm``'s two programs inspects 118 times,
-    walks 91 + 15 times and keys 140 times (305 before)."""
-    keys, built, ran = [], [], []
+    only the walked mode's work list is held at a time.  The winner's
+    price runs in the final rung's block: it builds its sort-work vector
+    and reads the rung's CSR lists (it rebuilt them after the block
+    before).  The set-up compile of ``transform_warm``'s two programs
+    inspects 116 times, walks 91 + 15 times and keys 138 times (118 and
+    140 while ties went by a seeded shuffle; 305 keys before)."""
+    keys, built, ran, priced = [], [], [], []
     key_for = ScheduleCache.key_for
     monkeypatch.setattr(ScheduleCache, "key_for", staticmethod(
         lambda *a, **k: keys.append(1) or key_for(*a, **k)))
@@ -618,10 +621,21 @@ def test_a_rung_pays_once_for_what_its_candidates_share(monkeypatch, capsys):
     def spy(self, slot, key, build):
         def counted():
             if self._held is not None and slot != "work list":  # a rung
-                built.append((self, slot))
+                (priced if pricing else built).append((self, slot))
             return build()
         return held(self, slot, key, counted)
     monkeypatch.setattr(DependenceGraph, "_hold", spy)
+    pricing = False
+    price = Inspector.price_inspection
+
+    def price_spy(*a, **k):
+        nonlocal pricing
+        pricing = True
+        try:
+            return price(*a, **k)
+        finally:
+            pricing = False
+    monkeypatch.setattr(Inspector, "price_inspection", price_spy)
     for name in ("_run_scalar", "_run_levels"):
         monkeypatch.setattr(simulator, name, lambda *a, _real=getattr(
             simulator, name), _name=name: ran.append(_name) or _real(*a))
@@ -633,10 +647,12 @@ def test_a_rung_pays_once_for_what_its_candidates_share(monkeypatch, capsys):
     Runtime(nproc=8).compile(
         LoopProgram.from_csr(mesh, np.ones(mesh.nrows)), strategy="auto")()
     rungs = {graph for graph, slot in built if slot == "lists"}
+    full = max(rungs, key=lambda graph: graph.n)
     once = len(built) == len(set(built))        # each fact once per rung
     crossing = sum(slot == "crossing" for _, slot in built)
     work = len(built) - crossing - len(rungs)
-    mesh_keys = len(keys)
+    mesh_keys, mesh_priced = len(keys), [
+        (graph is full, slot) for graph, slot in priced]
     keys.clear()
     ran.clear()
     n, grid = 8_000, 64
@@ -655,8 +671,9 @@ def test_a_rung_pays_once_for_what_its_candidates_share(monkeypatch, capsys):
     assert mesh_keys == 34 and once
     assert len(rungs) == crossing == 3
     assert work == 3 * len(rungs)               # one per mode
-    assert len(keys) == 140
-    assert seen == {"inspect": 118, "_run_scalar": 91, "_run_levels": 15}
+    assert mesh_priced == [(True, ("work", "doacross", 8))]  # no CSR lists
+    assert len(keys) == 138
+    assert seen == {"inspect": 116, "_run_scalar": 91, "_run_levels": 15}
 
 
 def test_a_search_shares_and_cuts_its_simulations(capsys):

@@ -5,7 +5,7 @@ shallow, wide loops want pre-scheduling's cheap barriers; deep or
 irregular loops want self-execution's point-to-point waits; unbalanced
 work wants greedy repartitioning.  ``strategy="auto"`` turns that
 table into code: the session searches the registered strategy space
-with the machine-model simulator (seeded successive halving over graph
+with the machine-model simulator (successive halving over graph
 prefixes), caches the verdict in a persistent ``TuningStore``, and
 reuses it for every structurally identical compile afterwards.
 

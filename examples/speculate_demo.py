@@ -5,7 +5,7 @@ The inspector/executor model pays for dependence analysis up front;
 happens.  Element reads/writes are logged into vectorized shadow
 arrays and one scan flags the iterations an unordered run would get
 wrong; the loop runs every other iteration optimistically as a DOALL
-in shuffled chunks, then exactly the flagged ones serially — nothing
+in chunks, then exactly the flagged ones serially — nothing
 to checkpoint or restore, and bitwise identical to the serial loop,
 misspeculation included.  An explicit ``"speculative"`` speculates
 however much the loop conflicts; whether speculating beats inspecting

@@ -13,8 +13,8 @@
 # one-schedule-normaliser, unbounded-oracle,
 # one-backend-dispatch, one-Figure-8-row, structures-are-values, no-compile-counter,
 # one-timeout-check, oracles-stay-oracles, one-amortisation-model,
-# one-values-read, one-run-reader and one-input-module rules,
-# then run the tier-1 test suite.
+# one-values-read, one-run-reader, one-input-module and
+# no-randomness-in-the-runtime rules, then run the tier-1 test suite.
 #
 # Usage:  scripts/check.sh [extra pytest args]
 #
@@ -211,6 +211,26 @@ gates=$(grep -rn 'get("speculative")' src --include='*.py' || true)
 if [ "$(echo "$gates" | grep -c 'get("speculative")')" -ne 1 ]; then
     echo "$gates"
     echo "error: the speculative flag must be read on exactly one line under src" >&2
+    exit 1
+fi
+
+echo "== no randomness in the runtime: ties and chunks go in index order =="
+# A schedule is a fixed function of the access pattern (the paper's
+# sorted list, dealt wrapped): a score tie goes to the first candidate
+# enumerated and the speculative chunks run in index order.  Nothing
+# under the runtime packages imports random or repro.util.rng, or draws
+# from numpy's; the generators (workload/, mesh/, sparse/build.py,
+# util/rng.py) keep theirs.  The session's seed keyword went with them.
+drawn='^\s*(import random\b|from random import)|\butil\.rng\b'
+drawn="$drawn|from \.+util import [^#]*\brng\b|\bnp\.random\b"
+drawn="$drawn|\bnumpy\.random\b|default_rng|\.permutation\("
+if grep -rnE "$drawn" src/repro/{core,machine,program,runtime,speculate,tuning} \
+        --include='*.py'; then
+    echo "error: the runtime draws a random number" >&2
+    exit 1
+fi
+if grep -rnE 'tune_seed=' src examples --include='*.py'; then
+    echo "error: a Runtime(tune_seed=) keyword reappeared" >&2
     exit 1
 fi
 

@@ -65,7 +65,7 @@ from .observe import (
     write_chrome_trace,
 )
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "At",

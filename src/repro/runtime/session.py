@@ -30,7 +30,7 @@ one of three entry points of the plan's executor — ``serial``
 the set is closed.  Timing is no backend: ``loop.simulate()`` (and
 ``report.sim``) is the machine model's.
 ``Runtime.compile(deps, strategy="auto")`` delegates the whole choice
-to the :mod:`repro.tuning` subsystem: a seeded simulator-pruned search
+to the :mod:`repro.tuning` subsystem: a simulator-pruned search
 over the registered strategy space whose verdicts are cached in a
 persistent :class:`~repro.tuning.TuningStore`.
 
@@ -67,7 +67,6 @@ from ..util.timing import Stopwatch
 from ..util.validation import (
     check_horizon,
     check_positive,
-    check_seed,
     check_timeout,
 )
 from .cache import CacheStats, ScheduleCache
@@ -627,9 +626,6 @@ class Runtime:
         when ``tuning`` is an instance, an error beside
         ``tuning=None``) — a warm store skips the whole strategy
         search across process restarts.
-    tune_seed:
-        Seed of the (deterministic) strategy search and of the
-        speculative chunk shuffle: a non-negative integer.
     expected_executions:
         Amortisation horizon of ``strategy="auto"`` arbitration: the
         number of executions each compiled structure is expected to
@@ -660,11 +656,12 @@ class Runtime:
         classic pipeline), recording what happened in ``report.recovery``.
     """
 
+    tune_seed = 0  # nothing is seeded; the ledger's replica reads it
+
     def __init__(self, nproc: int = 8, *, backend: str = "serial",
                  costs: MachineCosts = MULTIMAX_320,
                  cache: ScheduleCache | int | None = 128,
                  cache_dir=None, tuning=64, tuning_dir=None,
-                 tune_seed: int = 0,
                  expected_executions: float | None = None,
                  observe: bool | Observer = False,
                  recovery: RetryPolicy | bool | None = None):
@@ -699,7 +696,6 @@ class Runtime:
             raise ValidationError(
                 "recovery must be a repro.resilience.RetryPolicy, a bool, "
                 "or None")
-        self.tune_seed = check_seed(tune_seed, "tune_seed")
         self._tuner = None  # built on the first strategy="auto" compile
         self._inspector = Inspector(costs, observer=self.observer)
         # The stores may be shared with other sessions, so nothing of
@@ -923,7 +919,6 @@ class Runtime:
             from ..tuning.tuner import Tuner  # deferred: import cycle
 
             self._tuner = Tuner(self.nproc, self.costs,
-                                seed=self.tune_seed,
                                 store=self.tuning_store,
                                 observer=self.observer,
                                 expected_executions=self.expected_executions)

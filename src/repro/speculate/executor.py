@@ -8,8 +8,8 @@ a schedule because it never runs an inspection.  One execution is
    (:func:`~repro.speculate.shadow.scan_accesses`) flags the iterations
    an unordered run would get wrong: the repair set;
 2. **optimistic attempt** — partition ``[0, n)`` into contiguous
-   chunks and execute each, minus the repair set, as one level in a
-   seeded-RNG-shuffled order, as if the loop were DOALL;
+   chunks and execute each, minus the repair set, as one level in
+   index order, as if the loop were DOALL;
 3. **repair** — execute the repair set by its own wavefronts: the
    source paper's sweep, over the flagged iterations alone.
 
@@ -51,15 +51,13 @@ from ..observe.tracer import maybe_span
 from ..program.extraction import _edges_general
 from ..runtime.registry import register_executor
 from ..util.frontier import counts_to_indptr
-from ..util.rng import default_rng
-from ..util.validation import (check_positive, check_seed, check_unit_work,
-                               read_only)
+from ..util.validation import check_positive, check_unit_work, read_only
 from .shadow import AccessLog, ShadowScan, scan_accesses
 
 __all__ = ["ConflictReport", "SpeculationPlan", "SpeculativeExecutor"]
 
 #: Attempt granularity: ``min(CHUNKS_PER_PROC * nproc, n)`` contiguous
-#: chunks, shuffled.
+#: chunks, in index order.
 CHUNKS_PER_PROC = 4
 
 
@@ -87,20 +85,19 @@ class ConflictReport:
     first_violation: int | None
     #: Bytes of the event log + shadow arrays backing the detection.
     shadow_bytes: int
-    #: Seed of the chunk-order shuffle (misspeculation is reproducible).
-    seed: int
 
 
 @dataclass
 class SpeculationPlan:
     """Precomputed attempt/detect/repair control flow of one structure.
 
-    Deterministic in (access log, seed, chunking) and independent of
+    Deterministic in (access log, chunking) and independent of
     array values, so :meth:`SpeculativeExecutor.run` and
     :meth:`SpeculativeExecutor.simulate` replay the same plan.
     """
 
-    #: ``(lo, hi)`` chunk bounds in shuffled execution order.
+    #: ``(lo, hi)`` chunk bounds, ascending: chunk ``j`` runs on
+    #: processor ``j mod nproc``.
     chunk_bounds: tuple
     #: The shadow scan of the optimistic attempt.
     scan: ShadowScan
@@ -126,9 +123,7 @@ class SpeculativeExecutor(ClassicExecutor):
     costs:
         Machine cost model for :meth:`simulate`.
     seed:
-        Chunk-shuffle seed, a non-negative integer (``None`` shuffles
-        unseeded); the session passes its ``tune_seed`` so
-        misspeculation and repair are reproducible per session.
+        Ignored: the chunks run in index order.
     """
 
     mode = strategy = "speculative"
@@ -138,11 +133,11 @@ class SpeculativeExecutor(ClassicExecutor):
     wavefronts = None
 
     def __init__(self, log: AccessLog, nproc: int,
-                 costs: MachineCosts = MachineCosts(), *, seed=None,
+                 costs: MachineCosts = MachineCosts(), *,
+                 seed=None,  # ignored; the ledger's replica passes it
                  observer=None):
         self.log = log
         self.nproc = check_positive(nproc, "nproc")
-        self.seed = None if seed is None else check_seed(seed)
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
         self.observer = observer
         self.schedule = _SpecSchedule(n=log.n, nproc=self.nproc)
@@ -176,11 +171,8 @@ class SpeculativeExecutor(ClassicExecutor):
         n = log.n
         k = min(CHUNKS_PER_PROC * self.nproc, max(n, 1))
         edges = (np.arange(k + 1, dtype=np.int64) * n) // k
-        order = default_rng(self.seed).permutation(k)
-        bounds = tuple(
-            (int(edges[j]), int(edges[j + 1])) for j in order
-            if edges[j] < edges[j + 1]
-        )
+        cuts = edges.tolist()
+        bounds = tuple((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi)
         scan = scan_accesses(log)
         repair_indices = np.flatnonzero(scan.violated)
         violated = int(repair_indices.size)
@@ -194,7 +186,6 @@ class SpeculativeExecutor(ClassicExecutor):
             chunk_size=int(np.diff(edges).max()) if n else 0,
             first_violation=int(repair_indices[0]) if violated else None,
             shadow_bytes=log.nbytes + scan.nbytes,
-            seed=-1 if self.seed is None else self.seed,
         )
         return SpeculationPlan(chunk_bounds=bounds, scan=scan,
                                repair_indices=repair_indices, report=report)
@@ -235,7 +226,7 @@ class SpeculativeExecutor(ClassicExecutor):
                  keep_finish_times: bool = False) -> SimResult:
         """Machine-model timing of the same plan :meth:`run` replays.
 
-        The optimistic attempt deals the shuffled chunks round-robin
+        The optimistic attempt deals the chunks round-robin
         over the processors and costs the maximum load (plus
         shadow-logging overheads per event: a ``t_check``-priced read
         log, a ``t_inc``-priced write log).  Detection is one parallel
@@ -284,7 +275,7 @@ class SpeculativeExecutor(ClassicExecutor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SpeculativeExecutor(n={self.log.n}, nproc={self.nproc}, "
-                f"events={self.log.num_events}, seed={self.seed!r})")
+                f"events={self.log.num_events})")
 
 
 def _residue_wavefronts(log: AccessLog, scan: ShadowScan,

@@ -51,8 +51,7 @@ def speculation_key(log: AccessLog, nproc: int, costs) -> str:
 def speculative_plan(runtime, deps) -> ScheduledPlan:
     """Build the plan behind ``strategy="speculative"``."""
     executor = SpeculativeExecutor(AccessLog.from_source(deps), runtime.nproc,
-                                   runtime.costs, seed=runtime.tune_seed,
-                                   observer=runtime.observer)
+                                   runtime.costs, observer=runtime.observer)
     # A failed attempt's last tier is the classic plan on the serial
     # backend — the kernel restarts from start(), so the result is the
     # no-fault oracle's, bitwise.

@@ -28,7 +28,8 @@ Pieces
   candidate's plan (the session's plan builder, never a compiled loop)
   on the machine model, at full size or on a prefix; a
   :class:`Scored` carries the score, the plan and its simulation;
-* :class:`Tuner` — deterministic (seeded) successive halving, and its
+* :class:`Tuner` — deterministic successive halving (a score tie goes
+  to the first candidate enumerated), and its
   oracle :meth:`Tuner.exhaustive` (``(score, spec)`` best first);
 * :class:`TuningStore` / :class:`TuningVerdict` — persistent,
   self-healing verdict cache.

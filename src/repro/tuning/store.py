@@ -36,8 +36,9 @@ from .space import CandidateSpec
 
 __all__ = ["TuningVerdict", "TuningStore"]
 
-#: Bumped when the persisted verdict layout changes; old files re-search.
-_FORMAT = 2
+#: Bumped when the persisted verdict layout or the search's tie-break
+#: changes; old files re-search once.
+_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,6 @@ class TuningVerdict:
     #: Candidates enumerated / simulations run by the search.
     candidates: int
     sims: int
-    #: Search seed (verdicts are deterministic given the seed).
-    seed: int
     #: Feature signature of the workload the search measured.
     signature: str
     #: False when this verdict was served from a :class:`TuningStore`.

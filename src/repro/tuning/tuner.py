@@ -1,4 +1,4 @@
-"""The tuner: seeded successive halving over the strategy space.
+"""The tuner: successive halving over the strategy space.
 
 The search exploits two properties of this library: the machine
 simulator is *exact and deterministic* (so scores never need repeated
@@ -17,10 +17,10 @@ halving then does the rest:
    cached in the :class:`~repro.tuning.store.TuningStore` so the next
    structurally identical compile skips the search entirely.
 
-Determinism: candidate order is shuffled once by a seeded RNG (the
-only randomness — it breaks score ties reproducibly), every simulation
-is exact, and all sorts are stable, so the same seed and workload
-always produce the identical verdict.
+Determinism: candidates are scored in :func:`enumerate_space` order,
+every simulation is exact and every sort is stable, so a score tie goes
+to the first candidate enumerated and one workload always produces the
+identical verdict.  Nothing draws a random number.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from ..util.digest import structure_digest
 from ..util.validation import (
     check_horizon,
     check_positive,
-    check_seed,
     check_unit_work,
 )
 from .features import extract_features
@@ -110,9 +109,6 @@ class Tuner:
     nproc, costs:
         The machine the schedules are tuned for (mirrors
         :class:`~repro.runtime.session.Runtime`).
-    seed:
-        Tie-break shuffle seed, and the chunk-shuffle seed speculative
-        candidates are scored under; fixed seed ⇒ identical verdicts.
     store:
         Optional :class:`~repro.tuning.store.TuningStore` consulted
         before and populated after every search.
@@ -134,7 +130,6 @@ class Tuner:
         nproc: int,
         costs: MachineCosts = MULTIMAX_320,
         *,
-        seed: int = 0,
         store: TuningStore | None = None,
         observer=None,
         expected_executions: float | None = None,
@@ -143,7 +138,6 @@ class Tuner:
 
         self.nproc = check_positive(nproc, "nproc")
         self.costs = costs
-        self.seed = check_seed(seed)
         self.expected_executions = check_horizon(expected_executions)
         self.store = store
         #: Session :class:`~repro.observe.Observer` (``None`` = silent).
@@ -151,11 +145,9 @@ class Tuner:
         #: inspections nest (non-double-counted) under the tune span.
         self.observer = observer
         #: Private search session: candidate plans' inspections land in
-        #: its ScheduleCache, never the caller's.  It shares the seed, so a
-        #: speculative candidate is scored under the chunk shuffle the
-        #: session's own speculative plan will run.
+        #: its ScheduleCache, never the caller's.
         self._runtime = Runtime(nproc, costs=costs, cache=256, tuning=None,
-                                tune_seed=self.seed, observe=observer)
+                                observe=observer)
 
     # ------------------------------------------------------------------
     def tune(self, deps, *,
@@ -221,7 +213,7 @@ class Tuner:
                kept: int | None = None) -> tuple[list, SharedSims, Scored]:
         """One rung: simulate every spec on ``dep`` (the search's only
         scorer) and return ``(score, spec)`` best first — a stable
-        sort, so ties keep the seeded shuffle order — with the rung's
+        sort, so ties keep the order of ``specs`` — with the rung's
         :class:`~repro.tuning.measure.SharedSims` (its cut and shared
         counts) and the :class:`~repro.tuning.measure.Scored` that sorts
         first.
@@ -235,7 +227,9 @@ class Tuner:
         and the diversity rule read; in the final rung (``kept=None``)
         it is the incumbent's score.  Every score behind a bar belongs
         to an earlier spec, which a tie ranks first, so the survivors,
-        their order and the winner are the unbounded search's.
+        their order and the winner are the unbounded search's.  The
+        final rung prices its winner's inspection (memoised on it) in
+        the same block, on the CSR lists the rung holds.
         """
         shared = SharedSims(resolved)
         exact: list[float] = []     # finite exact scores so far, sorted
@@ -261,6 +255,9 @@ class Tuner:
                 if best is None or score < best.score:
                     best = result   # the first of equals, as sorted
                 scored.append((score, spec))
+            if kept is None and math.isfinite(best.score):
+                del result      # the last candidate's plan goes first
+                best.plan.inspection.pipeline_cost  # priced and memoised
         scored.sort(key=lambda t: t[0])
         return scored, shared, best
 
@@ -277,8 +274,7 @@ class Tuner:
         if obs is not None:
             obs.inc("tuner.searches")
             obs.inc("tuner.candidates", len(candidates))
-        rng = np.random.default_rng(self.seed)
-        survivors = [candidates[i] for i in rng.permutation(len(candidates))]
+        survivors = list(candidates)
         sims = cut = shared = 0
         resolved: dict = {}     # bundle → resolution, for the search
         with maybe_span(obs, "tune", n=dep.n,
@@ -330,23 +326,23 @@ class Tuner:
                               sims_cut=cut + final.cut,
                               sims_shared=shared + final.shared,
                               final_cut=final.cut)
-            # The final rung planned and simulated the winner.  Its
-            # wavefronts spare the signature a sweep of its own (the
+            # The final rung planned, simulated and priced the winner.
+            # Its wavefronts spare the signature a sweep of its own (the
             # speculative arm inspected nothing and has none), and its
-            # inspection is the one the verdict's pipeline_cost prices.
+            # plan names the assignment it runs (a doacross alias runs
+            # the wrapped identity).
             inspection = won.plan.inspection
             features = extract_features(dep, inspection.wavefronts,
                                         self.costs)
             verdict = TuningVerdict(
                 executor=best.executor,
                 scheduler=best.scheduler,
-                assignment=best.assignment,
+                assignment=won.plan.assignment,
                 balance=best.balance,
                 sim_makespan=best_score,
                 seq_time=sequential_time(dep, self.costs, unit_work),
                 candidates=len(candidates),
                 sims=sims,
-                seed=self.seed,
                 signature=features.signature(),
                 pipeline_cost=float(inspection.pipeline_cost),
             )
@@ -426,5 +422,4 @@ class Tuner:
         return [m for m in sizes if m >= MIN_RUNG]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Tuner(nproc={self.nproc}, seed={self.seed}, "
-                f"store={self.store!r})")
+        return f"Tuner(nproc={self.nproc}, store={self.store!r})"

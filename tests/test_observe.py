@@ -209,7 +209,7 @@ class TestScenarioMetrics:
         rng = np.random.default_rng(3)
         prog = LoopProgram.from_indirection(ia, x=rng.random(n),
                                             b=rng.random(n))
-        rt = Runtime(nproc=NPROC, tune_seed=1, observe=True)
+        rt = Runtime(nproc=NPROC, observe=True)
         loop = rt.compile(prog, strategy="speculative")
         reports = [loop(), loop()]
         m = rt.observer.metrics
@@ -222,7 +222,7 @@ class TestScenarioMetrics:
 
     def test_tuner_counts(self):
         prog = figure3_program(n=120, seed=2)
-        rt = Runtime(nproc=NPROC, tune_seed=1, observe=True)
+        rt = Runtime(nproc=NPROC, observe=True)
         loop = rt.compile(prog, strategy="auto")
         m = rt.observer.metrics
         assert m.value("tuner.searches") == 1

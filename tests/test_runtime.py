@@ -210,20 +210,21 @@ class TestEagerValidation:
 
     @pytest.mark.parametrize("seed", [-1, "a", 1.7, True])
     def test_tune_seed_validated(self, seed):
-        # -1 used to die inside numpy on the first auto or speculative
-        # compile, "a" in int(), and 1.7 to become 1 without a word.
+        # Nothing is seeded: the removed keywords are unknown whatever
+        # their value, and the two pinned names read by the ledger's
+        # replica are inert.
         from repro.speculate import AccessLog, SpeculativeExecutor
         from repro.tuning import Tuner
 
-        with pytest.raises(ValidationError, match="tune_seed"):
+        with pytest.raises(TypeError, match="tune_seed"):
             Runtime(tune_seed=seed)
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(TypeError, match="seed"):
             Tuner(2, seed=seed)
         log = AccessLog.from_dependences(
             DependenceGraph.from_indirection(np.arange(4)))
-        with pytest.raises(ValidationError, match="seed"):
-            SpeculativeExecutor(log, 2, seed=seed)
-        assert Runtime(tune_seed=np.int64(3)).tune_seed == 3
+        assert SpeculativeExecutor(log, 2, seed=seed).plan().chunk_bounds \
+            == SpeculativeExecutor(log, 2).plan().chunk_bounds
+        assert Runtime().tune_seed == 0
 
 
 class TestPluggability:

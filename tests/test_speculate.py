@@ -152,9 +152,8 @@ class TestShadowScan:
             assert np.array_equal(fast.violated, general.violated)
             assert np.array_equal(fast.violated, oracle)
             # ... and the price skips the write count, bit for bit.
-            assert same_sim(SpeculativeExecutor(log, 3, seed=0).simulate(),
-                            SpeculativeExecutor(general_log, 3,
-                                                seed=0).simulate())
+            assert same_sim(SpeculativeExecutor(log, 3).simulate(),
+                            SpeculativeExecutor(general_log, 3).simulate())
 
     def test_log_borrows_the_index_and_counts_each_buffer_once(self):
         # A Figure 3 log reads the program's read-only copy of the
@@ -201,7 +200,7 @@ class TestShadowScan:
                         read_el=np.empty(0, np.int64),
                         write_it=np.array([0, 1, 2, 3], np.int64),
                         write_el=np.array([0, 1, 1, 3], np.int64))
-        ex = SpeculativeExecutor(log, 2, seed=0)
+        ex = SpeculativeExecutor(log, 2)
         assert ex.plan().repair_indices.tolist() == [2]
         target = np.array([0, 1, 1, 3])
 
@@ -222,18 +221,18 @@ class TestShadowScan:
     def test_the_repair_set_is_the_violated_set(self, prog):
         for log in (AccessLog.from_source(prog),
                     AccessLog.from_dependences(prog.dependence_graph())):
-            ex = SpeculativeExecutor(log, 3, seed=0)
+            ex = SpeculativeExecutor(log, 3)
             assert np.array_equal(ex.plan().repair_indices,
                                   np.flatnonzero(scan_accesses(log).violated))
 
 
 class TestSpeculativeExecutor:
-    def run_pair(self, ia, n, *, seed=7, nproc=4):
+    def run_pair(self, ia, n, *, nproc=4):
         rng = np.random.default_rng(3)
         x0, b = rng.random(n), rng.random(n)
         kernel = SimpleLoopKernel(x0, b, ia)
         log = AccessLog.from_dependences(kernel.dependence_graph())
-        ex = SpeculativeExecutor(log, nproc, seed=seed)
+        ex = SpeculativeExecutor(log, nproc)
         got = ex.run(kernel)
         want = serial_simple(ia, x0, b)
         return got, want, ex
@@ -294,7 +293,7 @@ class TestSpeculativeExecutor:
         scan = scan_accesses(log)
         # Every later writer of a multiply-written element is violated.
         assert scan.violated[2] and scan.violated[5] and scan.violated[6]
-        ex = SpeculativeExecutor(log, 2, seed=1)
+        ex = SpeculativeExecutor(log, 2)
         got = ex.run(kernel).copy()
         want = SerialExecutor().run(
             GenericLoopKernel(n, body, setup=setup)).copy()
@@ -309,7 +308,7 @@ class TestSpeculativeExecutor:
         x0, b = rng.random(n), rng.random(n)
         kernel = SimpleLoopKernel(x0, b, ia)
         log = AccessLog.from_dependences(kernel.dependence_graph())
-        ex = SpeculativeExecutor(log, 4, seed=2)
+        ex = SpeculativeExecutor(log, 4)
         first = ex.run(kernel).copy()
         for _ in range(3):
             assert np.array_equal(ex.run(kernel), first)
@@ -322,7 +321,7 @@ class TestSpeculativeExecutor:
         n = 120
         prog = LoopProgram.from_indirection(sparse_conflict_ia(n, 10, seed=5))
         dep = prog.dependence_graph()
-        ex = SpeculativeExecutor(AccessLog.from_dependences(dep), 4, seed=2)
+        ex = SpeculativeExecutor(AccessLog.from_dependences(dep), 4)
         levels, plan = ex.level_plan(), ex.plan()
         repair = plan.repair_indices
         assert len(repair) == 10
@@ -402,16 +401,43 @@ class TestSpeculativeExecutor:
                               SerialExecutor().run(chain.make_kernel()))
 
     def test_seeded_chunk_order(self):
-        log = AccessLog.from_dependences(
-            LoopProgram.from_indirection(
-                np.arange(100), x=np.ones(100), b=np.ones(100)
-            ).dependence_graph())
-        a = SpeculativeExecutor(log, 4, seed=5).plan().chunk_bounds
-        b = SpeculativeExecutor(log, 4, seed=5).plan().chunk_bounds
-        c = SpeculativeExecutor(log, 4, seed=6).plan().chunk_bounds
-        assert a == b
-        assert a != c
-        assert sorted(a) == sorted(c)  # same chunks, different order
+        # Nothing shuffles the chunks: they ascend and tile [0, n).
+        for n, nproc in ((100, 4), (101, 3), (7, 8), (1, 2)):
+            log = AccessLog.from_dependences(
+                LoopProgram.from_indirection(
+                    np.arange(n), x=np.ones(n), b=np.ones(n)
+                ).dependence_graph())
+            bounds = SpeculativeExecutor(log, nproc).plan().chunk_bounds
+            assert len(bounds) == min(CHUNKS_PER_PROC * nproc, n)
+            assert all(lo < hi for lo, hi in bounds)
+            assert [lo for lo, _ in bounds] == [0] + [
+                hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((0.0, 0.005, 0.5)), st.integers(1, 8),
+           st.integers(40, 600), seeds, seeds)
+    def test_phase_zero_deals_the_chunks_the_price_models(
+            self, rate, nproc, n, seed, other):
+        # Chunk j runs on processor j mod nproc, minus the repair set, in
+        # index order; simulate() prices that deal whatever seed= says.
+        k = CHUNKS_PER_PROC * nproc
+        if n % k == 0:                  # chunks of unequal sizes
+            n += 1
+        ia = sparse_conflict_ia(n, round(rate * n), seed=seed)
+        log = AccessLog.from_source(LoopProgram.from_indirection(
+            ia, x=np.ones(n), b=np.ones(n)))
+        ex = SpeculativeExecutor(log, nproc)
+        plan = ex.plan()
+        sizes = [hi - lo for lo, hi in plan.chunk_bounds]
+        owner = np.repeat(np.arange(len(sizes)) % nproc, sizes)
+        kept = ~plan.scan.violated
+        lanes = ex.phases()[0]
+        assert len(lanes) == nproc
+        for p, lane in enumerate(lanes):
+            assert np.array_equal(lane, np.flatnonzero(kept & (owner == p)))
+        pinned = SpeculativeExecutor(log, nproc, seed=other)
+        assert same_sim(pinned.simulate(), ex.simulate())
 
     def test_simulate_matches_plan(self):
         n = 300
@@ -419,7 +445,7 @@ class TestSpeculativeExecutor:
         log = AccessLog.from_dependences(
             LoopProgram.from_indirection(
                 ia, x=np.ones(n), b=np.ones(n)).dependence_graph())
-        ex = SpeculativeExecutor(log, 4, seed=0)
+        ex = SpeculativeExecutor(log, 4)
         sim = ex.simulate()
         assert sim.mode == "speculative"
         assert sim.num_phases == 2
@@ -446,13 +472,13 @@ class TestSpeculativeExecutor:
                                       one_read=False)
         unit_work = (np.random.default_rng(seed).random(prog.n) * 9.0
                      if weighted else None)
-        ex = SpeculativeExecutor(log, nproc, seed=seed)
+        ex = SpeculativeExecutor(log, nproc)
         bounds = np.array(ex.plan().chunk_bounds,
                           dtype=np.int64).reshape(-1, 2)
         assert all(np.array_equal(a, b) for a, b in zip(
             log.range_counts(bounds), counted.range_counts(bounds)))
         got = ex.simulate(unit_work=unit_work)
-        assert same_sim(got, SpeculativeExecutor(counted, nproc, seed=seed)
+        assert same_sim(got, SpeculativeExecutor(counted, nproc)
                         .simulate(unit_work=unit_work))
         assert near_sim(got, counted_simulation(ex, unit_work))
 
@@ -480,7 +506,7 @@ class TestSpeculativeExecutor:
         log = AccessLog.from_dependences(
             LoopProgram.from_csr(l, b).dependence_graph())
         want = SerialExecutor().run(TriangularSolveKernel(l, b))
-        ex = SpeculativeExecutor(log, 2, seed=1)
+        ex = SpeculativeExecutor(log, 2)
         assert ex.plan().repair_indices.size > 0
         got = ex.run_threaded(TriangularSolveKernel(l, b), timeout=10.0,
                               timeline=None)
@@ -669,7 +695,7 @@ class TestRuntimeIntegration:
         n = 400
         ia = sparse_conflict_ia(n, 2, seed=8)
         prog = self.make_prog(ia)
-        rt = Runtime(nproc=4, tune_seed=1)
+        rt = Runtime(nproc=4)
         loop = rt.compile(prog, strategy="speculative")
         report = loop()
         assert isinstance(report.speculation, ConflictReport)
@@ -692,7 +718,7 @@ class TestRuntimeIntegration:
         real = Inspector.dependences_of
         monkeypatch.setattr(Inspector, "dependences_of", staticmethod(
             lambda deps: extracted.append(deps) or real(deps)))
-        loop = Runtime(nproc=4, tune_seed=1).compile(
+        loop = Runtime(nproc=4).compile(
             prog, strategy="speculative")
         loop()
         report = loop.report()
@@ -727,7 +753,7 @@ class TestRuntimeIntegration:
         n = 300
         ia = sparse_conflict_ia(n, 2, seed=2)
         prog = self.make_prog(ia)
-        rt = Runtime(nproc=4, tune_seed=1)
+        rt = Runtime(nproc=4)
         loop = rt.compile(prog, strategy="speculative")
         loop()
         plan_before = loop.executor.plan()
@@ -789,7 +815,7 @@ class TestFromCsrRebind:
         b = np.linspace(1.0, 2.0, 60)
         prog = LoopProgram.from_csr(t, b=b)
         assert "a" in prog.data  # CSR values are a named data entry
-        rt = Runtime(nproc=4, tune_seed=11)
+        rt = Runtime(nproc=4)
         loop = rt.compile(prog, strategy="speculative")
         assert np.array_equal(
             loop().x, SerialExecutor().run(TriangularSolveKernel(t, b)))

@@ -42,7 +42,7 @@ def _verdict(worker: int, step: int) -> TuningVerdict:
     return TuningVerdict(
         executor="self", scheduler="local", assignment="wrapped",
         balance="wrapped", sim_makespan=100.0 + worker, seq_time=400.0,
-        candidates=4, sims=4, seed=SEED,
+        candidates=4, sims=4,
         signature=f"stress:w{worker}:s{step}",
     )
 
