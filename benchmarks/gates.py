@@ -39,6 +39,7 @@ from repro.program.transform import fission
 from repro.sparse.build import random_lower_triangular
 from repro.sparse.triangular import solve_lower_sequential, split_triangular
 from repro.runtime.cache import ScheduleCache
+from repro.util.frontier import frontier_sweep
 from repro.workload import stencil_program, sweep_program
 from repro.workload.generator import generate_workload
 
@@ -173,7 +174,9 @@ def test_the_ilu_factorization_against_the_ikj_loop(gate):
     """PCGPAK's set-up: ``numeric_ilu`` on L5-PT compiles the factor's
     rows on a session and eliminates one wavefront per batch, against
     the IKJ loop one row at a time, bitwise equal.  Medians read
-    0.08-0.12 (2-vCPU host); the bound leaves twice that."""
+    0.065-0.073 (2-vCPU host; 0.107 while ILU(0) assembled and searched
+    A's own structure and the sweep built its transpose); the bound
+    leaves three times that."""
     a = get_problem("L5-PT").a
     assert np.array_equal(numeric_ilu(a).data.view(np.uint64),
                           _ikj_loop(a).view(np.uint64))
@@ -183,12 +186,16 @@ def test_the_ilu_factorization_against_the_ikj_loop(gate):
 
 def test_the_ilu_factorization_allocates_no_more_than_the_loop(capsys):
     """Exact: the traced allocation peak of ``numeric_ilu`` on L5-PT,
-    in arrays of 8·nnz bytes, is at most the IKJ loop's 9.45.  It reads
-    9.13, the symbolic phase's own peak: the level array of the pattern
-    made here takes A's values, and the scatter's keys and positions are
-    gone before the compile's inspection sweep (≈ 5.6 arrays over the
-    3.4 then held).  It read 11.0 with the key array alive through the
-    compile, and 10.0 with a value array of its own."""
+    in arrays of 8·nnz bytes, is at most 6.4.  It reads 6.25, reached
+    in the batched elimination: the pattern (A's own structure, so
+    read-only copies of its index arrays and its row tags and diagonal
+    positions) and the loop's inspection are held while the working
+    copy of the values and the search keys are built.  ILU(0) of L5-PT
+    assembles nothing and searches nothing for A's values, and the
+    compile's sweep builds no successor CSR.  It read 9.13 (the
+    symbolic phase's assembly) before that, 11.0 with the key array
+    alive through the compile, and 10.0 with a value array of its own;
+    the IKJ loop's own reading is 9.45."""
     a = get_problem("L5-PT").a
     numeric_ilu(a)  # imports and the matrix's own row tags come first
     tracemalloc.start()
@@ -200,14 +207,44 @@ def test_the_ilu_factorization_allocates_no_more_than_the_loop(capsys):
     arrays = peak / (8 * lu.nnz)
     with capsys.disabled():
         print(f"\n  numeric_ilu, L5-PT nnz={lu.nnz}: traced peak "
-              f"{arrays:.3g} x 8nnz bytes, bound 9.45")
-    assert arrays <= 9.45
+              f"{arrays:.3g} x 8nnz bytes, bound 6.4")
+    assert arrays <= 6.4
+
+
+def test_a_cold_figure8_sweep_builds_no_transpose(capsys):
+    """Exact: the traced allocation peak of a cold L5-PT extraction
+    (``DependenceGraph.from_lower_csr``) and its wavefront sweep, in
+    arrays of 8·e bytes (e the 79 600 strictly-lower edges), is at most
+    3.8.  It reads 3.57: the extraction's 1.5 held, the ``edge_rows``
+    the graph keeps (tagged once: ``all_backward`` borrows them), the
+    int64 wavefront array, and 4 096-edge chunks of Figure 7's forward
+    pass; the graph holds 1.91 MB after it.  It read 5.35 while the
+    rows were tagged twice and the pass filled an n-long Python list,
+    and 14.1, the graph holding 2.87 MB, while the sweep built the
+    successor CSR and ran the frontier engine."""
+    a = get_problem("L5-PT").a
+    compute_wavefronts(DependenceGraph.from_lower_csr(a))  # imports first
+    tracemalloc.start()
+    try:
+        dep = DependenceGraph.from_lower_csr(a)
+        wf = compute_wavefronts(dep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * dep.num_edges)
+    with capsys.disabled():
+        print(f"\n  cold Figure 8 sweep, L5-PT e={dep.num_edges}: traced "
+              f"peak {arrays:.3g} x 8e bytes, bound 3.8")
+    assert "successors" not in vars(dep)
+    np.testing.assert_array_equal(wf, reference.compute_wavefronts(dep))
+    assert arrays <= 3.8
 
 
 @pytest.mark.parametrize("workload,n,at_most", [
     # Pointer doubling, no successor CSR at all: the 10x acceptance bar.
     ("figure3", 1_000_000, 0.1),
-    # ~3 dependences a row ride the frontier engine (recorded >= 5x).
+    # ~3 dependences a row: Figure 7's forward pass over the edges
+    # (reads 0.12-0.14; 0.18 through the frontier engine before).
     ("figure8", 100_000, 1 / 1.5),
 ])
 def test_inspector_beats_the_reference_sweep(gate, workload, n, at_most):
@@ -222,8 +259,8 @@ def test_inspector_beats_the_reference_sweep(gate, workload, n, at_most):
             n, avg_off_diag=3.0, max_band=max(n // 60, 8), seed=1989))
 
     def cold():
-        # A cold inspection builds the successor CSR and the wavefront
-        # memo on its graph; a fresh graph over the same read-only arrays
+        # A cold inspection builds the edge rows and the wavefront memo
+        # on its graph; a fresh graph over the same read-only arrays
         # (no copy) sweeps again on every timed call.
         return compute_wavefronts(DependenceGraph(dep.indptr, dep.indices,
                                                   dep.n, check_acyclic=False))
@@ -232,6 +269,40 @@ def test_inspector_beats_the_reference_sweep(gate, workload, n, at_most):
     gate(f"vectorized / reference wavefront sweep, {workload} n={n}",
          lambda: reference.compute_wavefronts(dep), cold,
          at_most=at_most, pairs=3)
+
+
+@pytest.mark.parametrize("shape,band", [
+    # 3 deps a row over a band of n/60: few, wide wavefronts (472), a
+    # per-wavefront engine's best case.  Reads 0.60-0.64 (0.27-0.38 at
+    # n = 10^6); an unchunked per-edge loop read 1.07 (1.26).
+    ("wide", 200_000 // 60),
+    # A band of 64: 17 528 narrow wavefronts.  Reads 0.42-0.45 (0.44 at
+    # n = 10^6); the unchunked loop read 0.46 (0.45).
+    ("deep", 64),
+])
+def test_the_forward_pass_against_the_frontier_engine(gate, shape, band):
+    """A cold backward-only sweep — Figure 7's chunked forward pass over
+    the edges — against the successor CSR plus the frontier engine that
+    swept such graphs before, on a fresh graph each, identical
+    wavefronts: the pass holds no transpose and is faster on wide and
+    on deep wavefronts alike (2-vCPU host; the bound, 0.85 on both,
+    would have refused the unchunked loop on the wide shape)."""
+    n = 200_000
+    dep = DependenceGraph.from_lower_csr(random_lower_triangular(
+        n, avg_off_diag=3.0, max_band=band, seed=1989))
+
+    def fresh():
+        return DependenceGraph(dep.indptr, dep.indices, n, check_acyclic=False)
+
+    def frontier():
+        d = fresh()
+        return frontier_sweep(*d.successors, d.dep_counts().astype(np.int64),
+                              n)[0]
+
+    np.testing.assert_array_equal(compute_wavefronts(fresh()), frontier())
+    gate(f"forward pass / frontier engine, {shape} n={n} band={band}",
+         frontier, lambda: compute_wavefronts(fresh()), at_most=0.85,
+         pairs=5)
 
 
 def test_cache_hit_compile_is_ten_times_a_cold_inspect(gate):

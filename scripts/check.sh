@@ -410,6 +410,42 @@ if grep -rnE 'compute_wavefronts\(|frontier_sweep\(|wavefront_members\(' \
     exit 1
 fi
 
+# No transpose on the backward path: Figure 7's forward pass sweeps a
+# backward-only graph over its own edges, so the successor CSR is read
+# only by the general-DAG sweeps (an AST walk: prose does not count).
+transposed=$(python - <<'PY'
+import ast, pathlib
+
+ALLOWED = {("src/repro/core/schedule.py", "_sweep_levels"),
+           ("src/repro/core/dependence.py", "_check_dag")}
+
+
+class Finder(ast.NodeVisitor):
+    def __init__(self, path):
+        self.path, self.defs = path, [""]
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(node.name)
+        self.generic_visit(node)
+        self.defs.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr == "successors"
+                and (str(self.path), self.defs[-1]) not in ALLOWED):
+            print(f"{self.path}:{node.lineno}: {self.defs[-1] or '<module>'}")
+        self.generic_visit(node)
+
+
+for path in sorted(pathlib.Path("src").rglob("*.py")):
+    Finder(path).visit(ast.parse(path.read_text(), str(path)))
+PY
+)
+if [ -n "$transposed" ]; then
+    echo "$transposed"
+    echo "error: .successors read outside Schedule._sweep_levels and DependenceGraph._check_dag (a backward-only sweep builds no transpose)" >&2
+    exit 1
+fi
+
 echo "== each structural question once: stencil query, row pointer, inspector owner =="
 # Grid2D/Grid3D.neighbours is the one place a stencil asks which of its
 # arms leave the grid; the assemblers, the mesh workload and the model

@@ -201,8 +201,8 @@ class DependenceGraph:
         The ragged counterpart of ``indices``: ``edge_rows[k]`` is the
         iteration whose dependence list contains edge ``k``.  Non-
         decreasing by construction.  Built once and shared by
-        :attr:`all_backward`, :attr:`successors`, the forest wavefront
-        sweep, the simulator's shape checks and the tuner's prefixes.
+        :attr:`all_backward`, :attr:`successors`, both wavefront sweeps
+        of :attr:`wavefronts`, the simulator and the tuner's prefixes.
         """
         return read_only(rows_from_indptr(self.indptr))
 
@@ -239,13 +239,14 @@ class DependenceGraph:
     def wavefronts(self) -> np.ndarray:
         """Wavefront numbers of a backward-only graph (Figure 7), swept on
         first read: :func:`~repro.core.wavefront.compute_wavefronts`."""
+        self.edge_rows  # both sweeps read it: all_backward borrows it
         if not self.all_backward:
             raise StructureError(
                 "sequential sweep requires backward-only dependences; "
                 "use compute_wavefronts_general"
             )
         from . import wavefront  # deferred: it imports this module
-        return read_only(wavefront._frontier_wavefronts(self))
+        return read_only(wavefront._backward_wavefronts(self))
 
     def csr_lists(self) -> tuple:
         """``(indptr, indices)`` as lists of Python ints — what the
@@ -279,21 +280,13 @@ class DependenceGraph:
 
     @cached_property
     def successors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the reversed edges: who depends on me.
-
-        The successor list of target ``t`` is exactly the edge rows with
-        ``indices[k] == t``, in ascending row order (:attr:`edge_rows` is
-        non-decreasing, so a stable grouping by target keeps rows
-        sorted).  Because only the *values* are needed — equal
-        ``(target, row)`` duplicates are interchangeable — the grouping
-        is one in-place ``sort`` of packed ``(target << shift) | row``
-        keys: no composite-key temporary and no argsort permutation
-        array (~4× faster, ~3× fewer edge-sized temporaries at 10^7
-        edges than a composite-key argsort).  The packed path needs
-        ``2 * bit_length(n-1) <= 63``; graphs beyond 2^31 indices fall
-        back to a stable argsort.  Either way the per-edge fill order of
-        :func:`repro.core.reference.successors` is reproduced exactly.
-        """
+        """CSR of the reversed edges: who depends on me — read by the
+        general-DAG sweeps alone (:meth:`_check_dag`,
+        ``Schedule._sweep_levels``).  Target ``t``'s list is the edge
+        rows with ``indices[k] == t``, ascending (the per-edge fill order
+        of :func:`repro.core.reference.successors`): one in-place sort of
+        packed ``(target << shift) | row`` keys, since equal pairs are
+        interchangeable — a stable argsort past 2^31 indices."""
         indptr = counts_to_indptr(np.bincount(self.indices, minlength=self.n))
         rows = self.edge_rows
         shift = int(self.n - 1).bit_length() if self.n > 1 else 1
@@ -306,14 +299,15 @@ class DependenceGraph:
             succ = rows[np.argsort(self.indices, kind="stable")]
         return read_only(indptr), read_only(succ)
 
-    def _check_dag(self) -> None:
-        """Frontier Kahn sweep; raises :class:`StructureError` on a cycle."""
+    def _check_dag(self) -> np.ndarray:
+        """Frontier Kahn sweep: any DAG's wavefronts (a cycle raises)."""
         succ_indptr, succ_indices = self.successors
-        _, _, visited = frontier_sweep(
+        wf, _, visited = frontier_sweep(
             succ_indptr, succ_indices, self.dep_counts().astype(np.int64), self.n
         )
         if visited != self.n:
             raise StructureError("dependence graph contains a cycle")
+        return wf
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DependenceGraph(n={self.n}, edges={self.num_edges})"

@@ -124,18 +124,17 @@ class InspectionResult:
 
         ``global`` pays the parallel sort plus the sequential
         rearrangement; ``local`` the parallel sort plus the concurrent
-        local sorts; ``identity`` sorts nothing.  A user-registered
-        scheduler is priced at the parallel sort alone — the mandatory
-        wavefront sweep; whatever the custom strategy does on top is
-        its own, unpriced, work.
+        local sorts; ``identity`` sorts nothing (a spec is its base's).
+        A user-registered scheduler is priced at the parallel sort alone
+        — the mandatory wavefront sweep; whatever it does on top is its
+        own, unpriced, work.
         """
-        if self.strategy == "global":
-            return self.costs.total_global
-        if self.strategy == "local":
-            return self.costs.total_local
-        if self.strategy == "identity":
+        base = self.strategy.partition(":")[0]
+        if base == "identity":
             return 0.0
-        return self.costs.par_sort
+        costs = self.costs
+        return {"global": costs.total_global,
+                "local": costs.total_local}.get(base, costs.par_sort)
 
 
 class Inspector:

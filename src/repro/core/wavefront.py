@@ -10,9 +10,9 @@ Two evaluation strategies are provided:
 
 * :func:`compute_wavefronts` — the Figure 7 computation, valid
   whenever all dependences point backwards (the start-time schedulable
-  case);
+  case): Figure 7's own forward pass, with no successor CSR;
 * :func:`compute_wavefronts_general` — Kahn propagation for arbitrary
-  DAGs (used after renumbering).
+  DAGs (used after renumbering), by :mod:`repro.util.frontier`.
 
 The paper computes the wavefront numbers once per structure and
 amortises them; so does :func:`compute_wavefronts`, which returns the
@@ -24,13 +24,9 @@ prefix is seeded with its slice of the parent's
 :func:`compute_wavefronts_general` is not memoised: it runs after
 renumbering, on graphs nothing asks twice, off the hot path.
 
-Both are evaluated with the vectorized frontier engine of
-:mod:`repro.util.frontier`: one numpy gather/scatter pass per
-*wavefront* instead of a Python-level visit per *index*, which is what
-makes inspection cheap enough for the paper's amortisation argument
-(Table 5) to carry at n ≈ 10^6.  The per-index originals are retained
-as oracles in :mod:`repro.core.reference` and the property-based tests
-assert the two agree on random DAGs.
+Both take pointer doubling when no index has two dependences.  The
+per-index originals are oracles in :mod:`repro.core.reference`; the
+property tests assert the engines agree on random DAGs.
 
 The paper notes the sort itself can be parallelized "by striping
 consecutive indices across the processors and by using busy waits";
@@ -45,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StructureError
-from ..util.frontier import frontier_sweep
 from .dependence import DependenceGraph
 
 __all__ = [
@@ -62,9 +57,8 @@ def compute_wavefronts(dep: DependenceGraph) -> np.ndarray:
 
     Requires every dependence to point to a smaller index (the
     start-time schedulable case); raises :class:`StructureError`
-    otherwise.  Evaluated as a frontier sweep — each step emits one
-    complete wavefront — which is semantically identical to the
-    per-index sweep of :func:`repro.core.reference.compute_wavefronts`.
+    otherwise.  Identical to the per-index sweep of
+    :func:`repro.core.reference.compute_wavefronts`.
 
     Memoised on ``dep`` (:attr:`DependenceGraph.wavefronts`): the first
     call sweeps, later calls return the same read-only array.
@@ -73,19 +67,43 @@ def compute_wavefronts(dep: DependenceGraph) -> np.ndarray:
 
 
 def compute_wavefronts_general(dep: DependenceGraph) -> np.ndarray:
-    """Wavefronts of an arbitrary DAG via frontier Kahn propagation."""
-    return _frontier_wavefronts(dep)
+    """Wavefronts of any DAG: a forest's doubling, else Kahn's sweep."""
+    return _forest_or(dep, DependenceGraph._check_dag)
 
 
-def _frontier_wavefronts(dep: DependenceGraph) -> np.ndarray:
+def _backward_wavefronts(dep: DependenceGraph) -> np.ndarray:
+    """The sweep :attr:`DependenceGraph.wavefronts` memoises."""
+    return _forest_or(dep, _forward_wavefronts)
+
+
+def _forest_or(dep: DependenceGraph, sweep) -> np.ndarray:
+    """Pointer doubling when no index has two dependences, else ``sweep``."""
     if dep.num_edges and dep.dep_counts().max() <= 1:
         return _single_pred_wavefronts(dep)
-    succ_indptr, succ_indices = dep.successors
-    wf, _, visited = frontier_sweep(
-        succ_indptr, succ_indices, dep.dep_counts().astype(np.int64), dep.n
-    )
-    if visited != dep.n:
-        raise StructureError("dependence graph contains a cycle")
+    return sweep(dep)
+
+
+#: Edges per chunk of the forward pass: it holds no edge-sized list.
+_CHUNK = 1 << 12
+
+
+def _forward_wavefronts(dep: DependenceGraph) -> np.ndarray:
+    """Figure 7 in CSR edge order, exact on a backward-only graph: rows
+    never decrease and every ``c < r``, so each ``wf[c]`` read is final.
+    A chunk's edges below its first row read finished values (one
+    ``maximum.at``); only those among its own rows walk in order."""
+    wf = np.zeros(dep.n, dtype=np.int64)
+    rows, cols = dep.edge_rows, dep.indices
+    for k in range(0, dep.num_edges, _CHUNK):
+        r, c = rows[k:k + _CHUNK], cols[k:k + _CHUNK]
+        lo, hi = int(r[0]), int(r[-1]) + 1
+        inner = c >= lo
+        np.maximum.at(wf, r[~inner], wf[c[~inner]] + 1)
+        local = wf[lo:hi].tolist()
+        for i, j in zip((r[inner] - lo).tolist(), (c[inner] - lo).tolist()):
+            if local[j] >= local[i]:
+                local[i] = local[j] + 1
+        wf[lo:hi] = local
     return wf
 
 

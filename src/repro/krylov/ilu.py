@@ -11,16 +11,16 @@ splits into:
   pivot ``k`` gets ``lev(i,j) = min(lev(i,j), lev(i,k) + lev(k,j) + 1)``
   and is retained when ``lev <= level``.  ``level=0`` (ILU(0), zero
   fill) reproduces the paper's experiments and needs no elimination:
-  it is one assembly of A's own pattern plus whatever diagonal entries
-  A lacks.  Higher levels are supported as the natural extension; their
-  rows are processed with sorted-list merges — the linked-list merge of
-  Appendix 2.3 in array clothing.
+  it is A's own structure (sorted rows storing their diagonals), else
+  one assembly of it plus the diagonals A lacks.  Higher levels extend
+  it; their rows are processed with sorted-list merges — the
+  linked-list merge of Appendix 2.3 in array clothing.
 * **numeric factorization** — the IKJ elimination restricted to the
-  pattern, after one keyed search scatters A's values into it (a
-  pattern lacking an entry of A, or a diagonal, is refused naming the
-  first such row).  Row ``i`` needs every pivot row its strictly-lower
-  entries name: the triangular solve's graph, so the rows run as a
-  loop compiled on a session, a wavefront per batch, bitwise the loop.
+  pattern, after A's values are copied (A's own structure) or placed
+  by one keyed search (a pattern lacking an entry of A, or a diagonal,
+  is refused naming the first such row).  Row ``i`` needs every pivot
+  row its strictly-lower entries name: the triangular solve's graph, so
+  the rows run as a compiled loop, a wavefront per batch, bitwise.
 
 The result is stored as a single CSR matrix with unit-lower ``L``
 implicit (strict lower entries hold the multipliers) and ``U``
@@ -79,6 +79,13 @@ def symbolic_ilu(a: CSRMatrix, level: int = 0) -> CSRMatrix:
     level = _check_level(level)
 
     if level == 0:
+        if a.has_sorted_indices() and a.has_full_diagonal():
+            # A's own structure, held read-only: nothing to assemble.
+            own = CSRMatrix(read_only(a.indptr, a.indptr),
+                            read_only(a.indices, a.indices),
+                            np.zeros(a.nnz), a.shape, check=False)
+            own._structure = dict(a._structure)
+            return own
         # Zero fill: pattern of A (a repeated entry once) plus the
         # diagonal of every row that stores none.
         missing = np.flatnonzero(a.diagonal_positions() < 0)
@@ -174,31 +181,36 @@ class _IKJKernel(LoopKernel):
         pattern = symbolic_ilu(a, 0) if made else pattern
         if pattern.shape != a.shape:
             raise ValidationError("pattern shape must match the matrix")
-        if not pattern.has_sorted_indices():
+        strict = pattern.has_sorted_indices()
+        if not strict:
             pattern = pattern.copy().sort_indices()
         # Ours, so its zero level array takes A's values: one array less.
         data = pattern.data if made else np.zeros(pattern.nnz)
-        # Scatter A's values: both sides keyed by ``row * n + col``, which
-        # the sorted pattern's ``keys`` increase in, so one search places A.
         self.pattern = pattern
-        keys = self.keys
-        a_rows = a.row_of_nnz()
-        a_keys = a_rows * n + a.indices
-        pos = np.searchsorted(keys, a_keys)
-        found = pos < keys.shape[0]
-        found[found] = keys[pos[found]] == a_keys[found]
-        if not np.all(found):
-            raise StructureError(f"pattern is missing entries of A in row "
-                                 f"{a_rows[np.argmin(found)]}; symbolic "
-                                 "phase must contain the original pattern")
-        data[pos] = a.data
+        if strict and (np.array_equal(pattern.indptr, a.indptr)
+                       and np.array_equal(pattern.indices, a.indices)):
+            data[:] = a.data  # A's own strictly sorted structure
+        else:
+            # Scatter A's values: both sides keyed by ``row * n + col``,
+            # which the sorted pattern's keys increase in: one search.
+            keys = self.keys
+            a_rows = a.row_of_nnz()
+            a_keys = a_rows * n + a.indices
+            pos = np.searchsorted(keys, a_keys)
+            found = pos < keys.shape[0]
+            found[found] = keys[pos[found]] == a_keys[found]
+            if not np.all(found):
+                raise StructureError(f"pattern is missing entries of A in row "
+                                     f"{a_rows[np.argmin(found)]}; symbolic "
+                                     "phase must contain the original pattern")
+            data[pos] = a.data
+            del self.keys  # rebuilt past the compile's peak
 
         self.diag_pos = diag_pos = pattern.diagonal_positions()
         if np.any(diag_pos < 0):
             raise StructureError(f"pattern row {np.argmax(diag_pos < 0)} "
                                  "lacks a diagonal entry")
         self.values = data  # A scattered into it
-        del self.keys  # rebuilt past the compile's peak
 
     @cached_property
     def keys(self) -> np.ndarray:

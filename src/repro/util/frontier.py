@@ -1,18 +1,15 @@
 """Vectorized frontier (level-set) machinery for DAG sweeps.
 
-The inspector's hottest step — assigning every loop index a wavefront
-number — is a topological sort.  Walking the indices one at a time
-(Figure 7's literal sweep) is O(n + e) but pays a Python-interpreter
-visit per index, which caps practical problem sizes around 10^5.  The
-functions here process one *wavefront per step* instead: gather all
-successors of the current frontier with one CSR fan-out, decrement
-in-degrees in bulk, and emit the next frontier — so the interpreter is
-entered once per wavefront, not once per index.
-
-:meth:`Schedule.toposort_plan
-<repro.core.schedule.Schedule.toposort_plan>` runs the same sweep over
-the combined (program-order ∪ dependence) DAG, for the execution plans
-and simulation orders of schedules whose shape alone proves nothing.
+Kahn propagation one *wavefront per step*: gather all successors of
+the current frontier with one CSR fan-out, decrement in-degrees in
+bulk, and emit the next frontier.  It sorts what no in-order pass can:
+a general DAG (:meth:`DependenceGraph._check_dag
+<repro.core.dependence.DependenceGraph._check_dag>`) and the combined
+(program-order ∪ dependence) DAG of :meth:`Schedule.toposort_plan
+<repro.core.schedule.Schedule.toposort_plan>`.  A backward-only graph
+needs neither it nor a successor CSR: Figure 7's own pass
+(:mod:`repro.core.wavefront`) sweeps 3 × 10^6 edges in 0.1–0.35 s on a
+2-vCPU host, faster than this engine.
 
 The pure-Python originals are retained as oracles in
 :mod:`repro.core.reference`; the property-based tests assert the two

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Runtime
 from repro.core.executor import SerialExecutor
 from repro.errors import StructureError, ValidationError
+from repro.krylov import ilu
 from repro.krylov.ilu import (
     ILUFactorization,
     ILUPreconditioner,
@@ -155,6 +156,81 @@ class TestNumeric:
         pat = symbolic_ilu(csr_from_dense(banded_spd(6)), 0)
         with pytest.raises(ValidationError):
             numeric_ilu(a, pat)
+
+
+class TestOwnStructure:
+    """ILU(0) of a matrix whose rows are strictly sorted and store their
+    diagonals is A's own structure: no assembly, no keyed scatter."""
+
+    @staticmethod
+    def general(fn):
+        """``fn()`` with every matrix reporting unsorted rows: ILU(0)
+        assembles its pattern and the kernel searches for A's values."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CSRMatrix, "has_sorted_indices", lambda self: False)
+            return fn()
+
+    @given(ilu_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_the_own_structure_is_the_general_path(self, system):
+        a, _ = system
+        fast, slow = symbolic_ilu(a, 0), self.general(
+            lambda: symbolic_ilu(a, 0))
+        for got, want in zip((fast.indptr, fast.indices, fast.data),
+                             (slow.indptr, slow.indices, slow.data)):
+            assert np.array_equal(got, want)
+        with np.errstate(all="ignore"):
+            got = outcome(lambda: numeric_ilu(a).data)
+            want = self.general(lambda: outcome(lambda: numeric_ilu(a).data))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same(got, want)
+
+    @pytest.mark.parametrize("entries,assembles", [
+        ([(0, 0), (1, 0), (1, 1), (2, 2)], 0),          # A's own
+        ([(0, 0), (1, 1), (1, 0), (2, 2)], 1),          # an unsorted row
+        ([(0, 0), (1, 0), (1, 0), (1, 1), (2, 2)], 1),  # a repeated entry
+        ([(0, 0), (1, 0), (2, 2)], 1),                  # a missing diagonal
+    ])
+    def test_anything_else_takes_the_general_path(self, entries, assembles,
+                                                  monkeypatch):
+        rows, cols = np.array(entries).T
+        a = CSRMatrix(np.concatenate(([0], np.cumsum(np.bincount(
+            rows, minlength=3)))), cols, np.arange(1.0, rows.size + 1),
+            (3, 3))
+        assembled = []
+        assemble = ilu.coo_to_csr
+        monkeypatch.setattr(ilu, "coo_to_csr",
+                            lambda *args, **kw: assembled.append(args)
+                            or assemble(*args, **kw))
+        pattern = symbolic_ilu(a, 0)
+        assert len(assembled) == assembles
+        assert pattern.has_sorted_indices() and pattern.has_full_diagonal()
+        assert pattern.nnz == 4
+        assert np.array_equal(pattern.indices, [0, 0, 1, 2])
+
+    def test_the_own_structure_holds_no_array_of_a(self):
+        """Structures are values: the pattern holds read-only copies of
+        A's writable index arrays (shares read-only ones), and a factor
+        is unmoved by the caller's later writes into A."""
+        a = five_point_laplacian(Grid2D(7, 6))
+        pattern = symbolic_ilu(a, 0)
+        for mine, theirs in ((pattern.indptr, a.indptr),
+                             (pattern.indices, a.indices),
+                             (pattern.data, a.data)):
+            assert not mine.flags.writeable or mine is pattern.data
+            assert not np.shares_memory(mine, theirs)
+        lu = numeric_ilu(a)
+        kept = [lu.indptr.copy(), lu.indices.copy(), lu.data.copy()]
+        a.indices[:] = 0
+        a.indptr[1:] = a.nnz
+        a.data[:] = np.nan
+        for got, want in zip((lu.indptr, lu.indices, lu.data), kept):
+            assert np.array_equal(got, want)
+        frozen = CSRMatrix(pattern.indptr, pattern.indices, kept[2],
+                           pattern.shape)
+        assert symbolic_ilu(frozen, 0).indices is frozen.indices
 
 
 def ikj_loop(a, pattern=None):

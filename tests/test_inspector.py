@@ -104,6 +104,20 @@ class TestInspectionCosts:
         assert res.costs.rearrange > 0
         assert res.costs.local_sort > 0
 
+    @pytest.mark.parametrize("strategy,total", [
+        ("global:weights=work", "total_global"),
+        ("global:weights=deps", "total_global"),
+        ("local", "total_local")])
+    def test_a_spec_pays_its_base_schedulers_pipeline(self, inspector,
+                                                      small_lower_dep,
+                                                      strategy, total):
+        """A parameterized spec is priced as the scheduler it resolves to:
+        a weighted global deal pays the rearrangement as plain ``global``
+        does (it paid the parallel sort alone, a user scheduler's price)."""
+        res = inspector.inspect(small_lower_dep, 4, strategy=strategy)
+        assert res.pipeline_cost == getattr(res.costs, total)
+        assert res.pipeline_cost > res.costs.par_sort
+
 
 @pytest.fixture
 def priced(monkeypatch):
@@ -174,7 +188,7 @@ class TestPricedOnRead:
 
         monkeypatch.setattr(Inspector, "inspect", recorded)
         verdict = Runtime(nproc=4, tuning=None,
-                          expected_executions=4).tune(figure3(2000))
+                          expected_executions=16).tune(figure3(2000))
         assert verdict.pipeline_cost > 0.0
         # Every candidate inspection the search cached was scored with
         # its price, once: an identity pipeline costs 0 without pricing.

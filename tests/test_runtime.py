@@ -333,6 +333,23 @@ class TestPluggability:
         finally:
             scheduler_registry.unregister("test-priced")
 
+    def test_a_custom_price_outlives_its_registration(self, case):
+        """The inspection is a value: unregistering its scheduler leaves
+        the stored spec's price, the parallel sort, readable."""
+        x0, b, ia, _ = case
+        from repro.core.schedule import local_schedule
+
+        @register_scheduler("test-gone-priced")
+        def priced(wf, owner, nproc, *, balance="wrapped", weights=None):
+            return local_schedule(wf, owner, nproc)
+
+        try:
+            rep = Runtime(nproc=3).compile(ia, scheduler="test-gone-priced")(
+                SimpleLoopKernel(x0, b, ia))
+        finally:
+            scheduler_registry.unregister("test-gone-priced")
+        assert rep.inspect_cost == rep.inspection.costs.par_sort > 0
+
     def test_balance_validated_eagerly_for_global(self, case):
         _, _, ia, _ = case
         with pytest.raises(ValidationError,

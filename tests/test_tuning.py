@@ -513,8 +513,8 @@ class TestRuntimeAuto:
         # and the winner's compile read the full graph's memo.
         ia, _ = fig3
         sweeps = []
-        sweep = wavefront._frontier_wavefronts
-        monkeypatch.setattr(wavefront, "_frontier_wavefronts",
+        sweep = wavefront._backward_wavefronts
+        monkeypatch.setattr(wavefront, "_backward_wavefronts",
                             lambda d: sweeps.append(d.n) or sweep(d))
         prog = LoopProgram.from_indirection(ia, x=np.zeros(ia.size),
                                             b=np.ones(ia.size))

@@ -50,8 +50,8 @@ class TestSweep:
     def test_second_call_returns_the_memo_without_a_sweep(self, monkeypatch):
         dep = DependenceGraph.from_edges([(1, 0), (2, 1), (3, 0)], 4)
         sweeps = []
-        sweep = wavefront._frontier_wavefronts
-        monkeypatch.setattr(wavefront, "_frontier_wavefronts",
+        sweep = wavefront._backward_wavefronts
+        monkeypatch.setattr(wavefront, "_backward_wavefronts",
                             lambda d: sweeps.append(d) or sweep(d))
         first = compute_wavefronts(dep)
         assert compute_wavefronts(dep) is first
@@ -164,6 +164,88 @@ class TestReferenceOracle:
         dep = DependenceGraph.from_edges([(0, 2)], 3)
         with pytest.raises(StructureError):
             reference.compute_wavefronts(dep)
+
+
+def backward_graph(deps) -> DependenceGraph:
+    """The graph whose row ``i`` lists ``deps[i]`` as given: repeats,
+    unsorted and empty rows kept."""
+    indptr = np.concatenate(([0], np.cumsum([len(d) for d in deps])))
+    indices = np.array([c for d in deps for c in d], dtype=np.int64)
+    return DependenceGraph(indptr.astype(np.int64), indices, len(deps))
+
+
+class TestForwardPass:
+    """A backward-only graph with a row of two dependences or more sweeps
+    by Figure 7's own pass over its edges: no successor CSR."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_forward_pass_is_the_reference(self, data):
+        """Duplicate edges, unsorted and empty rows, n in {0, 1, 2}, and
+        rows cut by a chunk boundary (the chunk drawn small)."""
+        n = data.draw(st.integers(0, 40) | st.sampled_from((0, 1, 2)))
+        deps = [data.draw(st.lists(st.integers(0, i - 1), max_size=5))
+                if i else [] for i in range(n)]
+        dep = backward_graph(deps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavefront, "_CHUNK", data.draw(st.integers(1, 9)))
+            got = wavefront._forward_wavefronts(dep)
+        want = reference.compute_wavefronts(dep)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(compute_wavefronts_general(dep), want)
+        np.testing.assert_array_equal(compute_wavefronts(dep), want)
+        assert got.dtype == np.int64 and got.shape == (n,)
+
+    def test_a_deep_chain_of_two_dependences(self):
+        """10^4 wavefronts, one index each: row i reads i-1 and i-2."""
+        n = 10_000
+        dep = backward_graph([[]] + [[i - 1] + [i - 2] * (i > 1)
+                                     for i in range(1, n)])
+        wf = compute_wavefronts(dep)
+        np.testing.assert_array_equal(wf, np.arange(n))
+        np.testing.assert_array_equal(wf, reference.compute_wavefronts(dep))
+        np.testing.assert_array_equal(wf, compute_wavefronts_general(dep))
+
+    def test_rows_across_the_chunk_boundaries(self):
+        """Three dependences a row, so rows straddle every boundary of
+        the real chunk size, over more than two chunks."""
+        rng = np.random.default_rng(59)
+        n = wavefront._CHUNK
+        deps = [[]] + [rng.integers(0, i, size=3)[::-1].tolist()
+                       for i in range(1, n)]
+        dep = backward_graph(deps)
+        assert dep.num_edges > 2 * wavefront._CHUNK
+        for cut in (wavefront._CHUNK, 2 * wavefront._CHUNK):
+            row = np.searchsorted(dep.indptr, cut, side="right") - 1
+            assert dep.indptr[row] < cut < dep.indptr[row + 1]
+        np.testing.assert_array_equal(compute_wavefronts(dep),
+                                      reference.compute_wavefronts(dep))
+
+    def test_a_cold_sweep_tags_the_edge_rows_once(self, monkeypatch):
+        """``all_backward`` borrows the ``edge_rows`` the sweep keeps."""
+        from repro.core import dependence
+        dep = backward_graph([[], [0], [0, 1], [2, 0]])
+        dep = DependenceGraph(dep.indptr, dep.indices, dep.n,
+                              check_acyclic=False)
+        tags = []
+        tag = dependence.rows_from_indptr
+        monkeypatch.setattr(dependence, "rows_from_indptr",
+                            lambda p: tags.append(p) or tag(p))
+        np.testing.assert_array_equal(compute_wavefronts(dep), [0, 1, 2, 3])
+        assert len(tags) == 1
+
+    def test_a_figure8_sweep_builds_no_transpose(self, monkeypatch):
+        from repro.sparse.build import random_lower_triangular
+        dep = DependenceGraph.from_lower_csr(random_lower_triangular(
+            500, avg_off_diag=3.0, max_band=40, seed=1989))
+        passes = []
+        forward = wavefront._forward_wavefronts
+        monkeypatch.setattr(wavefront, "_forward_wavefronts",
+                            lambda d: passes.append(d) or forward(d))
+        wf = compute_wavefronts(dep)
+        assert passes == [dep]
+        assert "successors" not in vars(dep)
+        np.testing.assert_array_equal(wf, reference.compute_wavefronts(dep))
 
 
 class TestModelProblemWavefronts:
